@@ -331,7 +331,8 @@ def cmd_morse(args) -> int:
                                     step_length=data["step_length"],
                                     escape_radius=data["escape_radius"])
         out.append(f"flow counting: unresolved={mdata.unresolved} "
-                   f"escaped={mdata.escaped}")
+                   f"escaped={mdata.escaped} steps={mdata.steps} "
+                   f"halvings={mdata.halvings}")
         ok = ok and mdata.unresolved == 0
         for w in mdata.warnings:
             out.append(f"warning: {w}")

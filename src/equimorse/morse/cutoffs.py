@@ -68,10 +68,10 @@ class _BumpIntegral:
     def __call__(self, t) -> np.ndarray:
         """integral of the bump from -1 to t, elementwise."""
         t = np.asarray(t, dtype=float)
-        tc = np.clip(t, -1.0, 1.0)
-        idx = np.clip(
-            np.searchsorted(self.edges, tc, side="right") - 1,
-            0, len(self.edges) - 2,
+        tc = np.minimum(np.maximum(t, -1.0), 1.0)
+        # tc >= edges[0], so the panel index is never below 0
+        idx = np.minimum(
+            np.searchsorted(self.edges, tc, side="right") - 1, len(self.edges) - 2
         )
         left = self.edges[idx]
         h = tc - left
@@ -135,13 +135,11 @@ class Plateau:
         return t, rise, fall
 
     def __call__(self, t) -> np.ndarray:
+        # one step evaluation on the piecewise argument; S(1) is exactly 1
         t, rise, fall = self._pieces(t)
-        out = np.ones_like(t)
-        lo = t < self.rise_hi
-        hi = t > self.fall_lo
-        out = np.where(lo, self.step(rise), out)
-        out = np.where(hi, self.step(fall), out)
-        return out
+        return self.step(
+            np.where(t > self.fall_lo, fall, np.where(t < self.rise_hi, rise, 1.0))
+        )
 
     def d1(self, t) -> np.ndarray:
         t, rise, fall = self._pieces(t)

@@ -41,6 +41,7 @@ class Trajectory:
     limit_index: int | None          # index into the critical list
     limit: CriticalPoint | None
     steps: int
+    halvings: int                    # RK4 steps retried at half the size
     min_dists: np.ndarray            # per critical point, over the whole path
     points: np.ndarray | None = None
 
@@ -79,6 +80,7 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
     status = np.full(m, UNRESOLVED, dtype=int)
     limit = np.full(m, -1, dtype=int)
     steps_used = np.zeros(m, dtype=int)
+    halvings = np.zeros(m, dtype=int)
     min_dists = np.full((m, len(C)), np.inf)
     active = np.ones(m, dtype=bool)
     paths = [[] for _ in range(m)] if keep_paths else None
@@ -142,6 +144,7 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
             if not bad.any():
                 break
             dt[bad] *= 0.5
+            halvings[idx[bad]] += 1
             dt_state[idx[bad]] = dt[bad]
             Pb, _ = rk4(P[bad], dt[bad][:, None])
             Pn[bad] = Pb
@@ -165,6 +168,7 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
                 limit_index=li,
                 limit=crits[li] if li is not None else None,
                 steps=int(steps_used[j]),
+                halvings=int(halvings[j]),
                 min_dists=min_dists[j].copy(),
                 points=np.array(paths[j]) if keep_paths else None,
             )

@@ -63,13 +63,16 @@ class MorseData:
     """Critical orbits plus mod-2 flow counts between consecutive indices.
 
     counts[(i, j)] maps an OrbitMorphism from orbit i's stabilizer to orbit
-    j's stabilizer to its mod-2 flow-line count.
+    j's stabilizer to its mod-2 flow-line count.  steps and halvings total
+    the RK4 steps and step halvings of every integrated trajectory.
     """
 
     orbits: list[CriticalOrbit]
     counts: dict[tuple[int, int], dict[OrbitMorphism, int]]
     unresolved: int = 0
     escaped: int = 0
+    steps: int = 0
+    halvings: int = 0
     warnings: list = field(default_factory=list)
 
     def by_index(self, k: int) -> list[int]:
@@ -179,6 +182,14 @@ def morse_differentials(f: EqFunction, M: ImplicitGManifold,
 
     kw = dict(capture_tol=capture_tol, step_length=step_length,
               max_steps=max_steps, escape_radius=escape_radius)
+    work = {"steps": 0, "halvings": 0}
+
+    def integrate(seeds, direction):
+        trajs = integrate_batch(f, M, seeds, crits=crits, direction=direction,
+                                **kw)
+        work["steps"] += sum(tr.steps for tr in trajs)
+        work["halvings"] += sum(tr.halvings for tr in trajs)
+        return trajs
 
     for src_i, orb in enumerate(orbits):
         k = orb.index
@@ -191,7 +202,7 @@ def morse_differentials(f: EqFunction, M: ImplicitGManifold,
         seeds, _ = _descending_seeds(p, rho, nsamp)
         if M.codim:
             seeds = M.project_points_many(seeds)
-        trajs = integrate_batch(f, M, seeds, crits=crits, direction=-1, **kw)
+        trajs = integrate(seeds, -1)
 
         if k == 1:
             for tr in trajs:
@@ -266,7 +277,7 @@ def morse_differentials(f: EqFunction, M: ImplicitGManifold,
             seeds = np.asarray(q.coords)[None, :] + rho * dirs @ ambient_v
             if M.codim:
                 seeds = M.project_points_many(seeds)
-            trajs = integrate_batch(f, M, seeds, crits=crits, direction=+1, **kw)
+            trajs = integrate(seeds, +1)
             for tr in trajs:
                 if tr.status == 2:
                     unresolved += 1
@@ -290,7 +301,7 @@ def morse_differentials(f: EqFunction, M: ImplicitGManifold,
                 record(oi, tgt_i, G.inverse[a])
 
     data = MorseData(orbits=orbits, counts=counts, unresolved=unresolved,
-                     escaped=escaped, warnings=warns)
+                     escaped=escaped, warnings=warns, **work)
     # raw boundary count of every index-2 source must equal its line count
     for src_i, nb in emitted.items():
         lines = sum(

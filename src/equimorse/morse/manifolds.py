@@ -2,109 +2,119 @@
 
 Manifolds are zero sets of polynomial constraint maps in Euclidean space
 with an orthogonal action; the metric is the induced one, so invariance is
-automatic.  Functions carry value/gradient/Hessian callables; polynomial
-functions get exact derivatives and vectorized numpy evaluation, which the
-flow integrator relies on.
+automatic.
+
+Everything here is batched first: functions, constraints and their
+derivatives are evaluated on the rows of an (m x n) array, and a scalar
+call is a batch of one.  Polynomial data (a function with its gradient and
+Hessian, or a constraint map with its Jacobian and Hessians) is compiled
+once into a PolyTable, which evaluates all of its polynomials at all rows
+in one pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..polynomials import LinearAction, Polynomial
 
-__all__ = ["EqFunction", "ImplicitGManifold", "metric_average"]
+__all__ = ["EqFunction", "ImplicitGManifold", "PolyTable", "metric_average"]
 
 
-def _poly_eval_many(poly: Polynomial, X: np.ndarray) -> np.ndarray:
-    """Evaluate at the rows of X (m x nvars)."""
-    if not poly.terms:
-        return np.zeros(len(X))
-    expo = np.array(sorted(poly.terms), dtype=np.int64)
-    coef = np.array([float(poly.terms[tuple(e)]) for e in expo])
-    # powers: (m, nterms, nvars) -> product over vars
-    return np.einsum(
-        "mt->m", np.prod(X[:, None, :] ** expo[None, :, :], axis=2) * coef[None, :]
-    )
+class PolyTable:
+    """Float polynomials in the same variables, compiled for batch evaluation.
+
+    The polynomials share one exponent table (every monomial any of them
+    uses) and a (monomials x polynomials) coefficient matrix.  Evaluating
+    at the rows of X builds each variable's power table once, multiplies
+    the gathered powers into the monomial matrix, and returns mono @ coef.
+    """
+
+    def __init__(self, polys, nvars: int):
+        polys = list(polys)
+        expos = sorted(set().union(*(p.terms for p in polys)))
+        self.expo = np.array(expos, dtype=np.int64).reshape(len(expos), nvars)
+        self.coef = np.zeros((len(expos), len(polys)))
+        row = {e: i for i, e in enumerate(expos)}
+        for j, p in enumerate(polys):
+            for e, c in p.terms.items():
+                self.coef[row[e], j] = float(c)
+        top = self.expo.max(axis=0) if len(expos) else np.zeros(nvars, np.int64)
+        self._powers = [
+            (i, np.arange(d + 1, dtype=float), self.expo[:, i])
+            for i, d in enumerate(top) if d
+        ]
+
+    def __call__(self, X) -> np.ndarray:
+        """All polynomials at all rows of X: shape (m, len(polys))."""
+        X = np.asarray(X, dtype=float)
+        mono = np.ones((len(X), len(self.expo)))
+        for i, ks, col in self._powers:
+            mono *= (X[:, i, None] ** ks)[:, col]
+        return mono @ self.coef
 
 
 class EqFunction:
-    """A smooth function with gradient and Hessian, plus optional vectorized
-    value/gradient paths used by the batch flow integrator."""
+    """A smooth function given by batched value, gradient and Hessian
+    callables on (m x n) arrays, returning shapes (m,), (m, n) and
+    (m, n, n).  value, grad and hess at one point are batches of one."""
 
-    def __init__(self, value, grad, hess, *, value_many=None, grad_many=None,
-                 nvars=None, name=""):
-        self._value = value
-        self._grad = grad
-        self._hess = hess
+    def __init__(self, value_many, grad_many, hess_many, *, nvars=None, name=""):
         self._value_many = value_many
         self._grad_many = grad_many
+        self._hess_many = hess_many
         self.nvars = nvars
         self.name = name or "f"
 
     def value(self, x) -> float:
-        return float(self._value(np.asarray(x, dtype=float)))
+        return float(self.value_many(np.asarray(x, dtype=float)[None, :])[0])
 
     def grad(self, x) -> np.ndarray:
-        return np.asarray(self._grad(np.asarray(x, dtype=float)), dtype=float)
+        return self.grad_many(np.asarray(x, dtype=float)[None, :])[0]
 
     def hess(self, x) -> np.ndarray:
-        return np.asarray(self._hess(np.asarray(x, dtype=float)), dtype=float)
+        return self.hess_many(np.asarray(x, dtype=float)[None, :])[0]
 
-    def value_many(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if self._value_many is not None:
-            return self._value_many(X)
-        return np.array([self._value(x) for x in X])
+    def value_many(self, X) -> np.ndarray:
+        return self._value_many(np.asarray(X, dtype=float))
 
-    def grad_many(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if self._grad_many is not None:
-            return self._grad_many(X)
-        return np.array([self._grad(x) for x in X])
+    def grad_many(self, X) -> np.ndarray:
+        return self._grad_many(np.asarray(X, dtype=float))
+
+    def hess_many(self, X) -> np.ndarray:
+        return self._hess_many(np.asarray(X, dtype=float))
 
     def invariance_error(self, act: LinearAction, samples) -> float:
         """max |f(A_s x) - f(x)| over the samples and group elements."""
+        X = np.asarray(samples, dtype=float)
+        fx = self.value_many(X)
         worst = 0.0
-        for x in samples:
-            fx = self.value(x)
-            for s in act.group.elements():
-                M = np.array([[float(v) for v in row] for row in act.matrices[s]])
-                worst = max(worst, abs(self.value(M @ np.asarray(x, float)) - fx))
+        for s in act.group.elements():
+            M = np.array([[float(v) for v in row] for row in act.matrices[s]])
+            worst = max(worst, float(np.max(np.abs(self.value_many(X @ M.T) - fx),
+                                            initial=0.0)))
         return worst
 
     @classmethod
     def from_polynomial(cls, poly: Polynomial, name="") -> "EqFunction":
         n = poly.nvars
-        fp = poly.as_float() if not all(
-            isinstance(c, float) for c in poly.terms.values()
-        ) else poly
-        grads = [fp.derivative(i) for i in range(n)]
-        hesses = [[grads[i].derivative(j) for j in range(n)] for i in range(n)]
-
-        def value(x):
-            return float(fp.evaluate(tuple(x)))
-
-        def grad(x):
-            xt = tuple(x)
-            return np.array([float(g.evaluate(xt)) for g in grads])
-
-        def hess(x):
-            xt = tuple(x)
-            return np.array(
-                [[float(hesses[i][j].evaluate(xt)) for j in range(n)] for i in range(n)]
-            )
+        grads = [poly.derivative(i) for i in range(n)]
+        # value and gradient in one table, the Hessian in a second
+        first = PolyTable([poly] + grads, n)
+        second = PolyTable([g.derivative(j) for g in grads for j in range(n)], n)
 
         def value_many(X):
-            return _poly_eval_many(fp, X)
+            return first(X)[:, 0]
 
         def grad_many(X):
-            return np.stack([_poly_eval_many(g, X) for g in grads], axis=1)
+            return first(X)[:, 1:]
 
-        f = cls(value, grad, hess, value_many=value_many, grad_many=grad_many,
-                nvars=n, name=name or "poly")
+        def hess_many(X):
+            return second(X).reshape(len(X), n, n)
+
+        f = cls(value_many, grad_many, hess_many, nvars=n, name=name or "poly")
         f.polynomial = poly
         return f
 
@@ -129,13 +139,13 @@ class ImplicitGManifold:
             raise ValueError("action dimension must match the ambient space")
         if not self.action.is_orthogonal():
             raise ValueError("the action must be orthogonal")
-        self._con_f = [c.as_float() for c in self.constraints]
-        self._grads = [[c.derivative(i) for i in range(self.ambient)]
-                       for c in self._con_f]
-        self._hesses = [
-            [[g.derivative(j) for j in range(self.ambient)] for g in gs]
-            for gs in self._grads
-        ]
+        N = self.ambient
+        # constraint values and Jacobian in one table, the Hessians in a second
+        grads = [c.derivative(i) for c in self.constraints for i in range(N)]
+        self._first = PolyTable(list(self.constraints) + grads, N)
+        self._second = PolyTable(
+            [g.derivative(j) for g in grads for j in range(N)], N
+        )
         self._act_mats = [
             np.array([[float(v) for v in row] for row in self.action.matrices[s]])
             for s in self.action.group.elements()
@@ -150,36 +160,26 @@ class ImplicitGManifold:
         return self.ambient - self.codim
 
     def constraint_values(self, x) -> np.ndarray:
-        xt = tuple(np.asarray(x, dtype=float))
-        return np.array([float(c.evaluate(xt)) for c in self._con_f])
+        return self.constraint_values_many(np.asarray(x, dtype=float)[None, :])[0]
 
-    def constraint_values_many(self, X: np.ndarray) -> np.ndarray:
-        if not self.constraints:
-            return np.zeros((len(X), 0))
-        return np.stack([_poly_eval_many(c, X) for c in self._con_f], axis=1)
+    def constraint_values_many(self, X) -> np.ndarray:
+        return self._first(X)[:, :self.codim]
 
     def jacobian(self, x) -> np.ndarray:
-        xt = tuple(np.asarray(x, dtype=float))
-        return np.array(
-            [[float(g.evaluate(xt)) for g in gs] for gs in self._grads]
-        ).reshape(self.codim, self.ambient)
+        return self.jacobian_many(np.asarray(x, dtype=float)[None, :])[0]
 
-    def jacobian_many(self, X: np.ndarray) -> np.ndarray:
-        if not self.constraints:
-            return np.zeros((len(X), 0, self.ambient))
-        rows = []
-        for gs in self._grads:
-            rows.append(np.stack([_poly_eval_many(g, X) for g in gs], axis=1))
-        return np.stack(rows, axis=1)
+    def jacobian_many(self, X) -> np.ndarray:
+        """(m, codim, ambient)."""
+        return self._first(X)[:, self.codim:].reshape(len(X), self.codim,
+                                                      self.ambient)
 
     def constraint_hessians(self, x) -> np.ndarray:
-        xt = tuple(np.asarray(x, dtype=float))
-        return np.array(
-            [
-                [[float(h.evaluate(xt)) for h in row] for row in hs]
-                for hs in self._hesses
-            ]
-        ).reshape(self.codim, self.ambient, self.ambient)
+        return self.constraint_hessians_many(np.asarray(x, dtype=float)[None, :])[0]
+
+    def constraint_hessians_many(self, X) -> np.ndarray:
+        """(m, codim, ambient, ambient)."""
+        N = self.ambient
+        return self._second(X).reshape(len(X), self.codim, N, N)
 
     def tangent_basis(self, x) -> np.ndarray:
         """Columns form an orthonormal basis of the tangent space at x."""

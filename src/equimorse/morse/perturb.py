@@ -11,7 +11,10 @@ an unstable critical point replaces it by stable critical points without
 touching the function outside the chart ball.
 
 Sphere functions h are homogeneous polynomials divided by the matching power
-of the radius, so their gradients and Hessians are closed-form.
+of the radius, so their gradients and Hessians are closed-form.  Like every
+Morse-layer function, the model, the sphere functions, the charts and the
+surgered function evaluate on batches of points; a scalar call is a batch
+of one.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .critical import (
     seed_grid,
 )
 from .cutoffs import CutoffPair
-from .manifolds import EqFunction, ImplicitGManifold, _poly_eval_many
+from .manifolds import EqFunction, ImplicitGManifold, PolyTable
 
 __all__ = [
     "AngleChart",
@@ -85,10 +88,12 @@ class SphereFunction:
         self.poly = poly.as_float()
         self.deg = degs.pop()
         self.dim = poly.nvars
-        self._grads = [self.poly.derivative(i) for i in range(self.dim)]
-        self._hesses = [
-            [g.derivative(j) for j in range(self.dim)] for g in self._grads
-        ]
+        grads = [self.poly.derivative(i) for i in range(self.dim)]
+        # P with its gradient in one table, its Hessian in a second
+        self._first = PolyTable([self.poly] + grads, self.dim)
+        self._second = PolyTable(
+            [g.derivative(j) for g in grads for j in range(self.dim)], self.dim
+        )
 
     @classmethod
     def constant(cls, dim: int, c: float = 1.0) -> "SphereFunction":
@@ -107,44 +112,40 @@ class SphereFunction:
         return cls(Polynomial(2, terms))
 
     def value(self, u) -> float:
-        u = np.asarray(u, dtype=float)
-        t = np.linalg.norm(u)
-        return float(self.poly.evaluate(tuple(u))) / t**self.deg
+        return float(self.value_many(np.asarray(u, dtype=float)[None, :])[0])
 
-    def value_many(self, U: np.ndarray) -> np.ndarray:
+    def value_many(self, U) -> np.ndarray:
+        U = np.asarray(U, dtype=float)
         t = np.linalg.norm(U, axis=1)
-        return _poly_eval_many(self.poly, U) / t**self.deg
+        return self._first(U)[:, 0] / t**self.deg
 
     def grad(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        t = np.linalg.norm(u)
-        m = self.deg
-        P = float(self.poly.evaluate(tuple(u)))
-        gP = np.array([float(g.evaluate(tuple(u))) for g in self._grads])
-        return gP / t**m - m * P * u / t ** (m + 2)
+        return self.grad_many(np.asarray(u, dtype=float)[None, :])[0]
 
-    def grad_many(self, U: np.ndarray) -> np.ndarray:
+    def grad_many(self, U) -> np.ndarray:
+        U = np.asarray(U, dtype=float)
         t = np.linalg.norm(U, axis=1)
         m = self.deg
-        P = _poly_eval_many(self.poly, U)
-        gP = np.stack([_poly_eval_many(g, U) for g in self._grads], axis=1)
+        PG = self._first(U)
+        P, gP = PG[:, 0], PG[:, 1:]
         return gP / t[:, None] ** m - m * (P / t ** (m + 2))[:, None] * U
 
     def hess(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        t = np.linalg.norm(u)
+        return self.hess_many(np.asarray(u, dtype=float)[None, :])[0]
+
+    def hess_many(self, U) -> np.ndarray:
+        U = np.asarray(U, dtype=float)
+        t = np.linalg.norm(U, axis=1)[:, None, None]
         m = self.deg
-        ut = tuple(u)
-        P = float(self.poly.evaluate(ut))
-        gP = np.array([float(g.evaluate(ut)) for g in self._grads])
-        HP = np.array(
-            [[float(h.evaluate(ut)) for h in row] for row in self._hesses]
-        )
-        I = np.eye(self.dim)
+        PG = self._first(U)
+        P, gP = PG[:, 0, None, None], PG[:, 1:]
+        HP = self._second(U).reshape(len(U), self.dim, self.dim)
+        gu = gP[:, :, None] * U[:, None, :]
+        uu = U[:, :, None] * U[:, None, :]
         return (
             HP / t**m
-            - m / t ** (m + 2) * (np.outer(gP, u) + np.outer(u, gP) + P * I)
-            + m * (m + 2) * P / t ** (m + 4) * np.outer(u, u)
+            - m / t ** (m + 2) * (gu + gu.transpose(0, 2, 1) + P * np.eye(self.dim))
+            + m * (m + 2) * P / t ** (m + 4) * uu
         )
 
     def equivariance_error(self, act: LinearAction, samples: int = 64) -> float:
@@ -232,15 +233,10 @@ class PerturbedModel(EqFunction):
             else LinearAction.trivial(actV.group, 0)
         )
         n = self.dv + self.dw + self.du
-        super().__init__(self._value1, self._grad1, self._hess1,
-                         value_many=self._value_n, grad_many=self._grad_n,
+        super().__init__(self._value_n, self._grad_n, self._hess_n,
                          nvars=n, name="perturbed-model")
 
     # -- coordinate splitting --
-
-    def _split(self, x):
-        dv, dw = self.dv, self.dw
-        return x[:dv], x[dv:dv + dw], x[dv + dw:]
 
     def _split_n(self, X):
         dv, dw = self.dv, self.dw
@@ -300,9 +296,6 @@ class PerturbedModel(EqFunction):
                     out = out + self.eps * psi * vals
         return out
 
-    def _value1(self, x):
-        return self._value_n(np.asarray(x, dtype=float)[None, :])[0]
-
     def _grad_n(self, X):
         X = np.asarray(X, dtype=float)
         m = len(X)
@@ -331,41 +324,46 @@ class PerturbedModel(EqFunction):
             g[:, self.dv + self.dw:] = g[:, self.dv + self.dw:] + gu
         return g
 
-    def _grad1(self, x):
-        return self._grad_n(np.asarray(x, dtype=float)[None, :])[0]
-
-    def _hess1(self, x):
-        x = np.asarray(x, dtype=float)
-        n = self.dv + self.dw + self.du
-        H = np.zeros((n, n))
+    def _hess_n(self, X):
+        X = np.asarray(X, dtype=float)
         dv, dw, du = self.dv, self.dw, self.du
-        H[:dv, :dv] = 2.0 * np.eye(dv)
-        H[dv:dv + dw, dv:dv + dw] = -2.0 * np.eye(dw)
+        H = np.zeros((len(X), dv + dw + du, dv + dw + du))
+        H[:, :dv, :dv] = 2.0 * np.eye(dv)
+        H[:, dv:dv + dw, dv:dv + dw] = -2.0 * np.eye(dw)
         if du:
-            u = x[dv + dw:]
-            t = float(np.linalg.norm(u))
-            if t == 0.0:
-                Hu = 2.0 * np.eye(du)
-            else:
-                uhat = u / t
-                Pu = np.outer(uhat, uhat)
+            u = X[:, dv + dw:]
+            t = np.linalg.norm(u, axis=1)
+            # at t = 0 the profile is +t^2, Hessian 2I
+            Hu = np.tile(2.0 * np.eye(du), (len(X), 1, 1))
+            nz = np.flatnonzero(t > 0.0)
+            if len(nz):
+                u, t = u[nz], t[nz]
+                uhat = u / t[:, None]
+                Pu = uhat[:, :, None] * uhat[:, None, :]
                 Pt = np.eye(du) - Pu
-                Hu = self._R2(t) * Pu + (self._R1(t) / t) * Pt
+                Hn = (self._R2(t)[:, None, None] * Pu
+                      + (self._R1(t) / t)[:, None, None] * Pt)
                 if self.h is not None and self.eps:
-                    psi = float(self.cut.psi(t))
-                    d1 = float(self.cut.psi.d1(t))
-                    d2 = float(self.cut.psi.d2(t))
-                    if psi or d1 or d2:
-                        hv = self.h.value(u)
-                        hg = self.h.grad(u)
-                        hh = self.h.hess(u)
-                        Hu = Hu + self.eps * (
-                            d2 * hv * Pu
-                            + d1 * (np.outer(uhat, hg) + np.outer(hg, uhat))
-                            + d1 * hv * Pt / t
-                            + psi * hh
+                    psi = self.cut.psi(t)
+                    d1 = self.cut.psi.d1(t)
+                    d2 = self.cut.psi.d2(t)
+                    on = (psi != 0.0) | (d1 != 0.0) | (d2 != 0.0)
+                    if np.any(on):
+                        uo = u[on]
+                        hv = self.h.value_many(uo)[:, None, None]
+                        hg = self.h.grad_many(uo)
+                        hh = self.h.hess_many(uo)
+                        uh = uhat[on]
+                        p0, p1, p2 = (a[on][:, None, None] for a in (psi, d1, d2))
+                        cross = uh[:, :, None] * hg[:, None, :]
+                        Hn[on] += self.eps * (
+                            p2 * hv * Pu[on]
+                            + p1 * (cross + cross.transpose(0, 2, 1))
+                            + p1 * hv * Pt[on] / t[on][:, None, None]
+                            + p0 * hh
                         )
-            H[dv + dw:, dv + dw:] = Hu
+                Hu[nz] = Hn
+            H[:, dv + dw:, dv + dw:] = Hu
         return H
 
     # -- predictions --
@@ -460,19 +458,27 @@ class LinearChart:
         return self.dv + self.dw
 
     def coords(self, x) -> np.ndarray:
-        return self.frame.T @ (np.asarray(x, dtype=float) - self.center)
+        return self.coords_many(np.asarray(x, dtype=float)[None, :])[0]
 
     def coords_many(self, X) -> np.ndarray:
         return (np.asarray(X, dtype=float) - self.center) @ self.frame
 
     def jac(self, x) -> np.ndarray:
         """dy/dx, shape (dim, ambient)."""
-        return self.frame.T
+        return self.jac_many(np.asarray(x, dtype=float)[None, :])[0]
+
+    def jac_many(self, X) -> np.ndarray:
+        """dy/dx at each row, shape (m, dim, ambient)."""
+        return np.broadcast_to(self.frame.T, (len(X),) + self.frame.T.shape)
 
     def hess_coords(self, x) -> np.ndarray:
-        """d2 y_k / dx^2, shape (dim, ambient, ambient): zero here."""
+        """d2 y_k / dx^2, shape (dim, ambient, ambient)."""
+        return self.hess_coords_many(np.asarray(x, dtype=float)[None, :])[0]
+
+    def hess_coords_many(self, X) -> np.ndarray:
+        """d2 y_k / dx^2 at each row, shape (m, dim, ambient, ambient): zero."""
         N = len(self.center)
-        return np.zeros((self.dim, N, N))
+        return np.zeros((len(X), self.dim, N, N))
 
     def model_error(self, f: EqFunction, fp: float, samples: int = 64,
                     radius: float = 0.5) -> float:
@@ -510,44 +516,58 @@ class AngleChart:
         return (th + np.pi) % (2 * np.pi) - np.pi
 
     def coords(self, x) -> np.ndarray:
-        u = self._angle(x)
-        return np.array([np.sqrt(2.0) * np.sin(u / 2.0)])
+        return self.coords_many(np.asarray(x, dtype=float)[None, :])[0]
 
     def coords_many(self, X) -> np.ndarray:
         u = self._angle(X)
         return (np.sqrt(2.0) * np.sin(u / 2.0))[:, None]
 
     def jac(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        r2 = float(x @ x)
-        u = self._angle(x)
-        grad_u = np.array([-x[1], x[0]]) / r2
-        dy_du = np.sqrt(2.0) * 0.5 * np.cos(u / 2.0)
-        return (dy_du * grad_u)[None, :]
+        return self.jac_many(np.asarray(x, dtype=float)[None, :])[0]
+
+    def jac_many(self, X) -> np.ndarray:
+        """dy/dx at each row, shape (m, 1, 2)."""
+        X = np.asarray(X, dtype=float)
+        r2 = np.einsum("mi,mi->m", X, X)
+        grad_u = np.stack([-X[:, 1], X[:, 0]], axis=1) / r2[:, None]
+        dy_du = np.sqrt(2.0) * 0.5 * np.cos(self._angle(X) / 2.0)
+        return (dy_du[:, None] * grad_u)[:, None, :]
 
     def hess_coords(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        r2 = float(x @ x)
-        u = self._angle(x)
-        grad_u = np.array([-x[1], x[0]]) / r2
-        hess_u = np.array(
-            [[2 * x[0] * x[1], x[1] ** 2 - x[0] ** 2],
-             [x[1] ** 2 - x[0] ** 2, -2 * x[0] * x[1]]]
-        ) / (r2 * r2)
+        return self.hess_coords_many(np.asarray(x, dtype=float)[None, :])[0]
+
+    def hess_coords_many(self, X) -> np.ndarray:
+        """d2y/dx2 at each row, shape (m, 1, 2, 2)."""
+        X = np.asarray(X, dtype=float)
+        x0, x1 = X[:, 0], X[:, 1]
+        r2 = x0 * x0 + x1 * x1
+        u = self._angle(X)
+        grad_u = np.stack([-x1, x0], axis=1) / r2[:, None]
+        off = x1**2 - x0**2
+        hess_u = np.stack(
+            [np.stack([2 * x0 * x1, off], axis=1),
+             np.stack([off, -2 * x0 * x1], axis=1)], axis=1
+        ) / (r2 * r2)[:, None, None]
         dy = np.sqrt(2.0) * 0.5 * np.cos(u / 2.0)
         d2y = -np.sqrt(2.0) * 0.25 * np.sin(u / 2.0)
-        return (d2y * np.outer(grad_u, grad_u) + dy * hess_u)[None, :, :]
+        out = (d2y[:, None, None] * grad_u[:, :, None] * grad_u[:, None, :]
+               + dy[:, None, None] * hess_u)
+        return out[:, None, :, :]
 
 
 class SurgeredFunction(EqFunction):
-    """f with the model spliced into the chart (and its orbit translates)."""
+    """f with the model spliced into the chart (and its orbit translates).
+
+    A point inside several modified cylinders takes the first chart in the
+    list that contains it, for the value, gradient and Hessian alike.
+    """
 
     def __init__(self, f: EqFunction, M: ImplicitGManifold, charts,
                  model: PerturbedModel, scale: float, fp: float,
                  split_frames, name=""):
-        # charts: list of (chart, to_ambient matrix or None) per orbit point;
-        # split_frames: (dim_chart x model_dim) mapping chart coords to the
-        # model's (v, w, u) ordering
+        # charts: one chart per orbit point, each with coords_many, jac_many
+        # and hess_coords_many; split_frames: (model_dim x dim_chart) mapping
+        # chart coords to the model's (v, w, u) ordering
         self.f0 = f
         self.M = M
         self.charts = charts
@@ -556,68 +576,56 @@ class SurgeredFunction(EqFunction):
         self.fp = float(fp)
         self.split = np.asarray(split_frames, dtype=float)
         self.c0_distance = 0.0
-        super().__init__(self._value1, self._grad1, self._hess1,
-                         value_many=self._value_n,
+        super().__init__(self._value_n, self._grad_n, self._hess_n,
                          nvars=f.nvars, name=name or "surgered")
 
-    def _model_y(self, chart, x):
-        """Model coordinates of x through one chart, or None if outside
-        the modified cylinder."""
-        y = self.split @ chart.coords(x)
-        du = self.model.du
-        if du == 0:
-            return None
-        u = y[self.model.dv + self.model.dw:]
-        if np.linalg.norm(u) >= 3.0 * self.scale:
-            return None
-        return y
-
-    def _value1(self, x):
-        x = np.asarray(x, dtype=float)
-        for chart in self.charts:
-            y = self._model_y(chart, x)
-            if y is not None:
-                s = self.scale
-                return self.fp + s * s * self.model._value1(y / s)
-        return self.f0.value(x)
-
-    def _value_n(self, X):
-        X = np.asarray(X, dtype=float)
-        out = self.f0.value_many(X)
-        s = self.scale
+    def _chart_rows(self, X):
+        """(chart, rows, model coordinates / scale) per chart, each row of X
+        inside a modified cylinder going to the first chart that has it."""
+        out = []
+        if not self.model.du:
+            return out
+        k = self.model.dv + self.model.dw
+        free = np.ones(len(X), dtype=bool)
         for chart in self.charts:
             Y = chart.coords_many(X) @ self.split.T
-            U = Y[:, self.model.dv + self.model.dw:]
-            inside = np.linalg.norm(U, axis=1) < 3.0 * s
-            if np.any(inside):
-                out[inside] = self.fp + s * s * self.model._value_n(Y[inside] / s)
+            rows = np.flatnonzero(
+                free & (np.linalg.norm(Y[:, k:], axis=1) < 3.0 * self.scale)
+            )
+            if len(rows):
+                free[rows] = False
+                out.append((chart, rows, Y[rows] / self.scale))
         return out
 
-    def _grad1(self, x):
-        x = np.asarray(x, dtype=float)
-        for chart in self.charts:
-            y = self._model_y(chart, x)
-            if y is not None:
-                s = self.scale
-                gF = self.model._grad1(y / s)  # dF/dy at y/s
-                Jy = self.split @ chart.jac(x)  # (model_dim, ambient)
-                return s * (gF @ Jy)
-        return self.f0.grad(x)
+    def _value_n(self, X):
+        out = self.f0.value_many(X)
+        s = self.scale
+        for _, rows, Z in self._chart_rows(X):
+            out[rows] = self.fp + s * s * self.model._value_n(Z)
+        return out
 
-    def _hess1(self, x):
-        x = np.asarray(x, dtype=float)
-        for chart in self.charts:
-            y = self._model_y(chart, x)
-            if y is not None:
-                s = self.scale
-                gF = self.model._grad1(y / s)
-                HF = self.model._hess1(y / s)
-                Jy = self.split @ chart.jac(x)
-                Hy = np.einsum("km,mij->kij", self.split, chart.hess_coords(x))
-                H = Jy.T @ HF @ Jy
-                H = H + s * np.einsum("k,kij->ij", gF, Hy)
-                return H
-        return self.f0.hess(x)
+    def _grad_n(self, X):
+        out = self.f0.grad_many(X)
+        for chart, rows, Z in self._chart_rows(X):
+            # s dF/dy (split dy/dx), with dF/dy at y/s
+            gy = self.model._grad_n(Z) @ self.split
+            out[rows] = self.scale * np.einsum(
+                "mc,mcn->mn", gy, chart.jac_many(X[rows])
+            )
+        return out
+
+    def _hess_n(self, X):
+        out = self.f0.hess_many(X)
+        for chart, rows, Z in self._chart_rows(X):
+            Xr = X[rows]
+            Jy = np.einsum("kc,mcn->mkn", self.split, chart.jac_many(Xr))
+            gy = self.model._grad_n(Z) @ self.split
+            out[rows] = (
+                np.einsum("mki,mkl,mlj->mij", Jy, self.model._hess_n(Z), Jy)
+                + self.scale * np.einsum("mc,mcij->mij", gy,
+                                         chart.hess_coords_many(Xr))
+            )
+        return out
 
 
 def localize_surgery(f: EqFunction, M: ImplicitGManifold, p: CriticalPoint,

@@ -1,4 +1,6 @@
 import json
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -112,6 +114,8 @@ def test_morse_command_stabilize_pipeline():
     assert code == 0
     assert "critical points (after):" in out
     assert "unresolved=0" in out
+    steps, halvings = re.search(r"steps=(\d+) halvings=(\d+)", out).groups()
+    assert int(steps) > 0 and int(halvings) >= 0
     assert "morse homology over F2" in out
     # byte-identical on rerun
     code2, out2 = run_cli(["morse", str(FIXDIR / "circle_c2_height.json"),
@@ -120,10 +124,16 @@ def test_morse_command_stabilize_pipeline():
 
 
 def test_console_entrypoint():
+    # the child imports equimorse from wherever this process found it
+    import equimorse
+
+    src = str(Path(equimorse.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "equimorse.cli", "cells", "--cell", "stable",
          "--index", "2", "--theory", "singular"],
         capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert "deg 2: Z" in proc.stdout

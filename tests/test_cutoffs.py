@@ -118,6 +118,22 @@ def test_plateau_derivatives_fd():
         assert psi.d1(t) == pytest.approx(float(fd), rel=1e-6, abs=1e-8)
 
 
+def test_plateau_single_step_matches_two_integral_formula():
+    # psi evaluates S once on a piecewise argument; the reference evaluates
+    # S on both transition pieces over every point and then picks
+    psi = build_cutoffs(0.05).psi
+    t = np.concatenate([
+        np.linspace(-1.0, 5.0, 200_001),
+        [psi.rise_lo, psi.rise_hi, psi.fall_lo, psi.fall_hi, psi.t0],
+    ])
+    rise = (t - psi.rise_lo) / (psi.rise_hi - psi.rise_lo)
+    fall = (psi.fall_hi - t) / (psi.fall_hi - psi.fall_lo)
+    ref = np.ones_like(t)
+    ref = np.where(t < psi.rise_hi, psi.step(rise), ref)
+    ref = np.where(t > psi.fall_lo, psi.step(fall), ref)
+    assert np.array_equal(psi(t), ref)
+
+
 def test_epsilon_margin_inequality():
     cut = build_cutoffs(0.05)
     ts = np.concatenate([

@@ -1,7 +1,11 @@
 """Manifolds, critical point finding/classification, flows, and the model."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from equimorse.groups import FiniteGroup
 from equimorse.polynomials import LinearAction, Polynomial
@@ -16,7 +20,7 @@ from equimorse.morse import (
     metric_average,
     seed_grid,
 )
-from equimorse.morse.manifolds import MetricField
+from equimorse.morse.manifolds import MetricField, PolyTable
 
 
 def r2_manifold(action=None):
@@ -51,10 +55,92 @@ def test_polynomial_eqfunction_derivatives():
     assert H[0][1] == pytest.approx(-1.0)
     assert H[0][0] == pytest.approx(2.0)
     assert H[1][1] == pytest.approx(12 * (-0.4))
-    # vectorized paths agree
+    # vectorized paths agree, and a scalar call is the matching batch row
     X = np.array([[0.1, 0.2], [2.0, -1.0], [0.0, 0.0]])
     assert np.allclose(f.value_many(X), [f.value(x) for x in X])
     assert np.allclose(f.grad_many(X), [f.grad(x) for x in X])
+    assert np.allclose(f.hess_many(X), [f.hess(x) for x in X])
+    assert f.value_many(X).shape == (3,)
+    assert f.grad_many(X).shape == (3, 2)
+    assert f.hess_many(X).shape == (3, 2, 2)
+    assert np.allclose(f.grad_many(X)[1], [2 * 2.0 - (-1.0), 6 * 1.0 - 2.0])
+
+
+# -- the shared-monomial evaluator against exact evaluation ----------------
+
+_COEFFS = st.fractions(min_value=-1000, max_value=1000, max_denominator=1000)
+
+
+def _points(n, rows):
+    # dyadic coordinates, so the float point is exactly the Fraction point
+    coord = st.integers(-48, 48).map(lambda k: Fraction(k, 16))
+    return st.lists(st.tuples(*[coord] * n), min_size=rows, max_size=rows)
+
+
+@st.composite
+def _poly_batches(draw, count=st.integers(1, 3)):
+    """Up to three polynomials in the same 1-3 variables, with points."""
+    n = draw(st.integers(1, 3))
+    expo = st.tuples(*[st.integers(0, 4)] * n)
+    polys = [
+        Polynomial(n, draw(st.dictionaries(expo, _COEFFS, max_size=8)))
+        for _ in range(draw(count))
+    ]
+    return polys, draw(_points(n, draw(st.integers(1, 4))))
+
+
+def _abs_bound(poly, pt):
+    """sum |c| |x|^e: the scale of the rounding error of any evaluation."""
+    return Polynomial(poly.nvars, {e: abs(c) for e, c in poly.terms.items()}
+                      ).evaluate([abs(x) for x in pt])
+
+
+def _assert_matches_exact(got, polys, pts, rel=1e-12):
+    """got[r, j] is polys[j] at pts[r] up to rel times the error scale."""
+    assert got.shape == (len(pts), len(polys))
+    for r, pt in enumerate(pts):
+        for j, p in enumerate(polys):
+            exact = p.evaluate(pt)
+            scale = float(_abs_bound(p, pt))
+            assert abs(got[r, j] - float(exact)) <= rel * scale, (p, pt)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_poly_batches())
+@example(([Polynomial.zero(2)], [(Fraction(1, 2), Fraction(-3))]))
+@example(([Polynomial.constant(3, Fraction(-7, 3))],
+          [(Fraction(1), Fraction(2), Fraction(-1, 16)), (Fraction(0),) * 3]))
+@example(([Polynomial(1, {(4,): Fraction(-1, 3), (1,): Fraction(5, 7)}),
+           Polynomial.zero(1)], [(Fraction(-3),), (Fraction(0),)]))
+def test_poly_table_matches_exact_evaluation(case):
+    polys, pts = case
+    n = polys[0].nvars
+    X = np.array([[float(x) for x in pt] for pt in pts]).reshape(len(pts), n)
+    _assert_matches_exact(PolyTable(polys, n)(X), polys, pts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_poly_batches(count=st.integers(1, 2)))
+@example(([Polynomial.zero(2)], [(Fraction(1, 2), Fraction(-3))]))
+def test_constraint_derivatives_match_exact(case):
+    cons, pts = case
+    n = cons[0].nvars
+    M = ImplicitGManifold(ambient=n, constraints=tuple(cons),
+                          action=LinearAction.trivial(FiniteGroup.trivial(), n))
+    X = np.array([[float(x) for x in pt] for pt in pts]).reshape(len(pts), n)
+    c = len(cons)
+    _assert_matches_exact(M.constraint_values_many(X), cons, pts)
+    firsts = [p.derivative(i) for p in cons for i in range(n)]
+    _assert_matches_exact(M.jacobian_many(X).reshape(len(pts), c * n),
+                          firsts, pts)
+    seconds = [g.derivative(j) for g in firsts for j in range(n)]
+    _assert_matches_exact(
+        M.constraint_hessians_many(X).reshape(len(pts), c * n * n), seconds, pts
+    )
+    for r, x in enumerate(X):
+        assert M.jacobian(x).shape == (c, n)
+        _assert_matches_exact(M.constraint_hessians(x).reshape(1, c * n * n),
+                              seconds, pts[r:r + 1])
 
 
 def test_sphere_tangent_and_projection():
@@ -187,6 +273,19 @@ def test_flow_to_south_pole():
     assert tr.limit.index == 0
     # points stay on the sphere
     assert abs(np.linalg.norm(tr.end) - 1.0) < 1e-9
+
+
+def test_flow_counts_steps_and_halvings():
+    # f = x^2 + 50 y^2: near the minimum the capped step leaves RK4's
+    # stability region along y, so the integrator must halve it
+    M = r2_manifold()
+    stiff = EqFunction.from_polynomial(Polynomial(2, {(2, 0): 1, (0, 2): 50}))
+    crit = [classify(stiff, M, np.zeros(2))]
+    tr = flow_trajectory(stiff, M, np.array([0.5, 0.3]), -1, crit)
+    assert tr.resolved and tr.steps > 0 and tr.halvings > 0
+    mild = EqFunction.from_polynomial(Polynomial(2, {(2, 0): 1, (0, 2): 1}))
+    tr = flow_trajectory(mild, M, np.array([0.5, 0.3]), -1, crit)
+    assert tr.resolved and tr.steps > 0 and tr.halvings == 0
 
 
 def test_flow_confined_to_fixed_locus():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from equimorse.fixtures import MANIFOLD_FIXTURES
 from equimorse.groups import FiniteGroup
 from equimorse.polynomials import LinearAction, Polynomial
 from equimorse.morse import (
@@ -20,7 +21,7 @@ from equimorse.morse import (
     seed_grid,
     stable_perturb,
 )
-from equimorse.morse.perturb import subgroup_action
+from equimorse.morse.perturb import SurgeredFunction, subgroup_action
 
 
 @pytest.fixture(scope="module")
@@ -312,6 +313,144 @@ def test_surgery_smoothness_across_seam(cut):
             e[i] = eps
             fd = (newf.value(x + e) - newf.value(x - e)) / (2 * eps)
             assert g[i] == pytest.approx(fd, rel=3e-5, abs=1e-7)
+
+
+# model radii in units of the scale: inside, across (the difference stencil
+# straddles the cylinder boundary at 3) and outside the modified cylinder
+SURGERY_RADII = (0.5, 1.2, 2.0, 2.6, 2.95, 3.0 - 1e-7, 3.0 + 1e-7, 3.05, 3.6, 4.1)
+
+
+def surgered_fixture(name, cut):
+    fx = MANIFOLD_FIXTURES[name]()
+    (chart,) = fx.charts.values()
+    center = chart.center if isinstance(chart, LinearChart) else chart.center_point()
+    before = classify(fx.function, fx.manifold, center)
+    f = localize_surgery(fx.function, fx.manifold, before, fx.surgery_radius,
+                         cut, chart=chart, h=fx.sphere_fn)
+    return fx, f
+
+
+def surgery_rows(name, s):
+    """Points of the fixture whose model |u| is each of SURGERY_RADII * s."""
+    r = np.array(SURGERY_RADII) * s
+    a = 0.3 + 2.4 * np.arange(len(r))
+    if name == "figure1_plane":       # u is the whole plane
+        return r[:, None] * np.stack([np.cos(a), np.sin(a)], axis=1)
+    if name == "figure2_plane":       # u is the x coordinate
+        return np.stack([r * np.sign(np.cos(a)), np.sin(a)], axis=1)
+    # the circle: u = sqrt(2) sin(angle / 2), the angle taken from the pole
+    th = np.pi / 2 + 2 * np.arcsin(r / np.sqrt(2)) * np.sign(np.cos(a))
+    return np.stack([np.cos(th), np.sin(th)], axis=1)
+
+
+@pytest.mark.parametrize("name", ["figure1_plane", "figure2_plane",
+                                  "circle_c2_height"])
+def test_surgered_gradient_matches_value_differences(cut, name):
+    fx, f = surgered_fixture(name, cut)
+    X = surgery_rows(name, f.scale)
+    # the rows well inside the cylinder see the model, those outside see f
+    radii = np.array(SURGERY_RADII)
+    moved = f.value_many(X) != fx.function.value_many(X)
+    assert moved[radii < 2.99].all() and not moved[radii > 3.0].any()
+    G = f.grad_many(X)
+    H = f.hess_many(X)
+    eps = 1e-6
+    if fx.manifold.codim:
+        # on the circle: the derivative along the rotation, which keeps the
+        # stencil on the manifold
+        c, sn = np.cos(eps), np.sin(eps)
+        R = np.array([[c, -sn], [sn, c]])
+        fd = (f.value_many(X @ R.T) - f.value_many(X @ R)) / (2 * eps)
+        tangent = np.stack([-X[:, 1], X[:, 0]], axis=1)
+        assert np.allclose(np.einsum("mi,mi->m", G, tangent), fd,
+                           rtol=3e-5, atol=1e-7)
+    else:
+        for i in range(2):
+            e = np.zeros(2)
+            e[i] = eps
+            fd = (f.value_many(X + e) - f.value_many(X - e)) / (2 * eps)
+            assert np.allclose(G[:, i], fd, rtol=3e-5, atol=1e-7)
+            fdH = (f.grad_many(X + e) - f.grad_many(X - e)) / (2 * eps)
+            assert np.allclose(H[:, :, i], fdH, rtol=2e-4, atol=2e-5)
+    # a scalar call is the matching batch row
+    for x, v, g, h in zip(X, f.value_many(X), G, H):
+        assert f.value(x) == pytest.approx(v, rel=1e-14, abs=1e-15)
+        assert np.allclose(f.grad(x), g, rtol=1e-13, atol=1e-15)
+        assert np.allclose(f.hess(x), h, rtol=1e-13, atol=1e-13)
+
+
+def _angle_jac_reference(chart, x):
+    """AngleChart's per-point Jacobian formula, kept as the reference."""
+    r2 = float(x @ x)
+    u = (np.arctan2(x[1], x[0]) - chart.pole_angle + np.pi) % (2 * np.pi) - np.pi
+    grad_u = np.array([-x[1], x[0]]) / r2
+    return (np.sqrt(2.0) * 0.5 * np.cos(u / 2.0) * grad_u)[None, :]
+
+
+def test_chart_jacobians_batched():
+    rng = np.random.default_rng(8)
+    # polar samples that keep clear of the origin and of the angle chart's
+    # cut opposite its pole
+    rad = rng.uniform(0.5, 1.5, size=24)
+    ang = np.pi / 2 + rng.uniform(-2.5, 2.5, size=24)
+    X = rad[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    turn = np.array([[np.cos(0.7), -np.sin(0.7)], [np.sin(0.7), np.cos(0.7)]])
+    charts = [
+        LinearChart(np.array([0.3, -0.2]), turn, dv=1, dw=1),
+        LinearChart(np.zeros(2), np.eye(2)[:, :1], dv=0, dw=1),
+        AngleChart(np.pi / 2),
+    ]
+    eps = 1e-6
+    for chart in charts:
+        J = chart.jac_many(X)
+        Hc = chart.hess_coords_many(X)
+        assert J.shape == (len(X), chart.dim, 2)
+        assert Hc.shape == (len(X), chart.dim, 2, 2)
+        for x, j, hc in zip(X, J, Hc):
+            assert np.allclose(chart.jac(x), j, rtol=1e-14, atol=1e-15)
+            assert np.allclose(chart.hess_coords(x), hc, rtol=1e-14, atol=1e-15)
+            if isinstance(chart, AngleChart):
+                assert np.allclose(_angle_jac_reference(chart, x), j,
+                                   rtol=1e-14, atol=1e-15)
+            else:
+                assert np.array_equal(j, chart.frame.T)
+        for i in range(2):
+            e = np.zeros(2)
+            e[i] = eps
+            fd = (chart.coords_many(X + e) - chart.coords_many(X - e)) / (2 * eps)
+            assert np.allclose(J[:, :, i], fd, rtol=1e-6, atol=1e-8)
+            fdJ = (chart.jac_many(X + e) - chart.jac_many(X - e)) / (2 * eps)
+            assert np.allclose(Hc[:, :, :, i], fdJ, rtol=1e-5, atol=1e-7)
+
+
+def test_two_chart_surgery_first_chart_wins(cut):
+    # figure 2's modified cylinder is the strip |x| < 3s; a second chart
+    # shifted along v covers the same strip with different model coordinates,
+    # so every strip point has two charts and must take the first
+    M, f, chart = figure2_fixture()
+    before = classify(f, M, np.zeros(2))
+    one = localize_surgery(f, M, before, radius=1.0, cut=cut, chart=chart)
+    shifted = LinearChart(chart.center + 0.2 * chart.frame[:, 0], chart.frame,
+                          dv=1, dw=1)
+
+    def spliced(charts):
+        return SurgeredFunction(f, M, charts, one.model, one.scale, one.fp,
+                                one.split)
+
+    two = spliced([chart, shifted])
+    X = np.array([[0.1, 0.3], [0.5, -0.4], [-0.7, 1.1], [1.5, 0.2]])
+    strip = np.abs(X[:, 0]) < 3.0 * one.scale
+    assert strip[:3].all() and not strip[3]
+    # the second chart alone gives other values on the strip
+    assert np.all(spliced([shifted]).value_many(X)[strip] != one.value_many(X)[strip])
+    assert np.allclose(two.value_many(X), one.value_many(X), rtol=0, atol=1e-15)
+    assert np.allclose(two.grad_many(X), one.grad_many(X), rtol=0, atol=1e-14)
+    assert np.allclose(two.hess_many(X), one.hess_many(X), rtol=0, atol=1e-13)
+    for x, v, g, h in zip(X, two.value_many(X), two.grad_many(X),
+                          two.hess_many(X)):
+        assert two.value(x) == pytest.approx(v, abs=1e-15)
+        assert np.allclose(two.grad(x), g, rtol=0, atol=1e-14)
+        assert np.allclose(two.hess(x), h, rtol=0, atol=1e-13)
 
 
 def test_surgery_requires_chart_and_instability(cut):
