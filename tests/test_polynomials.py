@@ -1,8 +1,13 @@
+import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equimorse.groups import FiniteGroup
 from equimorse.polynomials import (
@@ -539,3 +544,201 @@ def test_lift_rotation_fixed_point_obstruction():
     linear = Jet(p, 2, {(1, 0): 1.0})
     with pytest.raises(JetNotFixed):
         equivariant_jet_lift(p, linear, act, 2)
+
+
+# -- sympy oracle properties ---------------------------------------------------
+#
+# Small random inputs in 1-3 variables; every result is compared with the
+# same computation in sympy over QQ.
+
+_FRAC = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6))
+
+
+def _gens(n):
+    return sympy.symbols(f"x0:{n}")
+
+
+def _to_sympy(f):
+    return sympy.Poly.from_dict(
+        {e: sympy.Rational(c.numerator, c.denominator) for e, c in f.terms.items()},
+        *_gens(f.nvars), domain=sympy.QQ,
+    )
+
+
+def _from_sympy(p):
+    return {e: Fraction(int(c.p), int(c.q)) for e, c in p.as_dict().items() if c}
+
+
+def _sympy_substitute(f, matrix):
+    xs = f.gens
+    images = [sum(sympy.Rational(str(a)) * x for a, x in zip(row, xs)) for row in matrix]
+    expr = f.as_expr().subs(dict(zip(xs, images)), simultaneous=True)
+    return sympy.Poly(sympy.expand(expr), *xs, domain=sympy.QQ)
+
+
+def _sympy_jet(f, p, k):
+    """Coefficient of (x-p)^b is the b-th partial derivative at p over b!."""
+    xs = f.gens
+    at = {x: sympy.Rational(str(c)) for x, c in zip(xs, p)}
+    out = {}
+    for b in all_indices_below(len(xs), k):
+        d = f.diff(*zip(xs, b)).eval(at) / math.prod(map(math.factorial, b))
+        if d:
+            out[b] = Fraction(int(d.p), int(d.q))
+    return out
+
+
+@st.composite
+def _polys(draw, n, count, maxdeg=4, max_terms=6):
+    expo = st.tuples(*[st.integers(0, maxdeg)] * n)
+    return [Polynomial(n, draw(st.dictionaries(expo, _FRAC, max_size=max_terms)))
+            for _ in range(count)]
+
+
+_poly_pair = st.integers(1, 3).flatmap(lambda n: _polys(n, 2))
+_poly_triple = st.integers(1, 3).flatmap(lambda n: _polys(n, 3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_poly_pair)
+def test_arithmetic_matches_sympy(pair):
+    a, b = pair
+    sa, sb = _to_sympy(a), _to_sympy(b)
+    assert (a + b).terms == _from_sympy(sa + sb)
+    assert (a - b).terms == _from_sympy(sa - sb)
+    assert (a * b).terms == _from_sympy(sa * sb)
+    assert (a * Fraction(3, 4) - 2).terms == _from_sympy(sa * sympy.Rational(3, 4) - 2)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(1, 2), st.integers(0, 2**32))
+def test_transform_products_match_sympy(n, seed):
+    # factors of 50-60 terms: far more term pairs than the direct-loop limit,
+    # in degree boxes small enough that the cost model picks the transform
+    from equimorse import polynomials as P
+
+    rng = random.Random(seed)
+    box = list(itertools.product(range((60, 15)[n - 1] + 1), repeat=n))
+    a, b = (
+        Polynomial(n, {e: Fraction(rng.randint(-20, 20) or 1, rng.randint(1, 6))
+                       for e in rng.sample(box, size)})
+        for size in (50, 60)
+    )
+    assert len(a.terms) * len(b.terms) > P._DIRECT_PAIR_LIMIT
+    real, results = P._imul_ntt, []
+
+    def spy(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    with mock.patch.object(P, "_imul_ntt", spy):
+        prod = a * b
+    assert any(r is not None for r in results)
+    sa, sb = _to_sympy(a), _to_sympy(b)
+    assert prod.terms == _from_sympy(sa * sb)
+    assert (prod + a).terms == _from_sympy(sa * sb + sa)
+    assert (prod - b).terms == _from_sympy(sa * sb - sb)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_substitute_signed_permutation_matches_sympy(data):
+    n = data.draw(st.integers(1, 3))
+    (f,) = data.draw(_polys(n, 1))
+    perm = data.draw(st.permutations(range(n)))
+    signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    M = [[Fraction(signs[i] if j == perm[i] else 0) for j in range(n)]
+         for i in range(n)]
+    assert f.substitute_linear(M).terms == _from_sympy(
+        _sympy_substitute(_to_sympy(f), M))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_substitute_rational_matrix_matches_sympy(data):
+    n = data.draw(st.integers(1, 3))
+    (f,) = data.draw(_polys(n, 1, maxdeg=3))
+    entry = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    M = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                           min_size=n, max_size=n))
+    assert f.substitute_linear(M).terms == _from_sympy(
+        _sympy_substitute(_to_sympy(f), M))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_taylor_jet_matches_sympy_exact(data):
+    n = data.draw(st.integers(1, 3))
+    (f,) = data.draw(_polys(n, 1, maxdeg=5, max_terms=8))
+    p = tuple(data.draw(st.lists(_FRAC, min_size=n, max_size=n)))
+    k = data.draw(st.integers(1, 6))
+    assert taylor_jet(f, p, k) == Jet(p, k, _sympy_jet(_to_sympy(f), p, k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_taylor_jet_matches_sympy_at_float_points(data):
+    # dyadic coordinates, so the float point is exactly a rational one
+    n = data.draw(st.integers(1, 3))
+    (f,) = data.draw(_polys(n, 1, maxdeg=5, max_terms=8))
+    p = tuple(data.draw(st.lists(st.integers(-24, 24), min_size=n, max_size=n)))
+    p = tuple(c / 8 for c in p)
+    k = data.draw(st.integers(1, 6))
+    want = _sympy_jet(_to_sympy(f), p, k)
+    # every Taylor coefficient is bounded by sum |c_a| prod (1 + |p_i|)^a_i
+    scale = sum(abs(float(c)) * math.prod((1 + abs(x)) ** a for x, a in zip(p, e))
+                for e, c in f.terms.items())
+    for g in (f, f.as_float()):
+        got = taylor_jet(g, p, k)
+        assert got.basepoint == p and got.order == k
+        assert all(type(c) is float for c in got.terms.values())
+        for e in set(got.terms) | set(want):
+            assert abs(got.terms.get(e, 0.0) - float(want.get(e, 0))) <= 1e-12 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_equivariant_average_matches_sympy(data):
+    act = data.draw(st.sampled_from(
+        [LinearAction.sign_c2(1), LinearAction.sign_c2(2), LinearAction.sign_c2(3),
+         LinearAction.permutation_s3()]))
+    (f,) = data.draw(_polys(act.dim, 1))
+    sf = _to_sympy(f)
+    images = [_sympy_substitute(sf, M) for M in act.matrices]
+    want = sum(images[1:], images[0]) * sympy.Rational(1, act.group.order)
+    assert equivariant_average(f, act).terms == _from_sympy(want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_jet_interpolate_roundtrip_matches_sympy(data):
+    n = data.draw(st.integers(1, 2))
+    d = data.draw(st.integers(1, 3))
+    k = data.draw(st.integers(1, 3 if n == 1 else 2))
+    coord = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    pts = data.draw(st.lists(st.tuples(*[coord] * n), min_size=d, max_size=d,
+                             unique=True))
+    jets = [
+        Jet(p, k, data.draw(st.dictionaries(
+            st.sampled_from(all_indices_below(n, k)), _FRAC, max_size=4)))
+        for p in pts
+    ]
+    f = jet_interpolate(pts, jets, k)
+    sf = _to_sympy(f)
+    for p, jet in zip(pts, jets):
+        assert _sympy_jet(sf, p, k) == jet.terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(_poly_triple)
+def test_equal_polynomials_from_different_routes(triple):
+    a, b, c = triple
+    left, right = (a * b) * c, a * (b * c)
+    assert left == right and hash(left) == hash(right)
+    back = a + b - b
+    assert back == a and hash(back) == hash(a)
+    spread = (a * 6 + b * Fraction(1, 3)) * Fraction(1, 6)
+    assert spread == a + b * Fraction(1, 18)
+    assert hash(spread) == hash(a + b * Fraction(1, 18))
+    from_sympy = Polynomial(a.nvars, _from_sympy(_to_sympy(a) * _to_sympy(b)))
+    assert from_sympy == a * b and hash(from_sympy) == hash(a * b)
