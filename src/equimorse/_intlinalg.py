@@ -41,14 +41,6 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
     )
 
 
-def mat_add(A: Matrix, B: Matrix) -> Matrix:
-    return tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
-def mat_scale(A: Matrix, c: int) -> Matrix:
-    return tuple(tuple(c * a for a in row) for row in A)
-
-
 def mat_mod(A: Matrix, p: int) -> Matrix:
     return tuple(tuple(a % p for a in row) for row in A)
 
@@ -299,13 +291,6 @@ def column_space_basis(cols, p: int):
     mat = [list(r) for r in zip(*cols)]
     _, piv = rref(mat, p)
     return [cols[i] for i in piv]
-
-
-def in_span(cols, vec, p: int) -> bool:
-    if not cols:
-        return all(x == 0 for x in vec)
-    mat = [list(r) for r in zip(*cols)]
-    return solve(mat, list(vec), p) is not None
 
 
 def extend_basis(base_cols, candidate_cols, p: int):

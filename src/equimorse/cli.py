@@ -69,20 +69,6 @@ def _num_from_json(v):
     raise FixtureError(f"bad numeric entry {v!r}")
 
 
-def _poly_from_json(nvars, records) -> Polynomial:
-    terms = {}
-    for rec in records:
-        expo, num, den = rec
-        terms[tuple(int(e) for e in expo)] = (
-            float(num) if den == 0 else Fraction(int(num), int(den))
-        )
-    return Polynomial(nvars, terms)
-
-
-def _poly_to_json(poly: Polynomial):
-    return poly.to_records()
-
-
 def load_fixture(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -137,24 +123,6 @@ def _gcw_from_json(group, spec) -> GCWComplex:
                       marked=marked, name=spec.get("name", ""))
 
 
-def gcw_to_json(X: GCWComplex) -> dict:
-    cells = {}
-    for n, cs in X.cells.items():
-        cells[str(n)] = [
-            {"stab": list(c.stabilizer.elements), "label": c.label} for c in cs
-        ]
-    records = []
-    for n, recs in X.boundary.items():
-        for (a, b), lst in recs.items():
-            for m, deg in lst:
-                records.append({"dim": n, "cell": a, "face": b,
-                                "coset": m.rep, "degree": deg})
-    out = {"cells": cells, "boundary": records}
-    if X.marked:
-        out["marked"] = sorted([list(t) for t in X.marked])
-    return out
-
-
 def _matrix_from_json(rows):
     return tuple(tuple(_num_from_json(v) for v in row) for row in rows)
 
@@ -164,11 +132,12 @@ def _manifold_from_json(group, spec) -> dict:
     mats = [_matrix_from_json(m) for m in spec["action"]]
     act = LinearAction(group, mats)
     constraints = tuple(
-        _poly_from_json(ambient, recs) for recs in spec.get("constraints", [])
+        Polynomial.from_records(ambient, recs)
+        for recs in spec.get("constraints", [])
     )
     M = ImplicitGManifold(ambient=ambient, constraints=constraints, action=act)
     f = EqFunction.from_polynomial(
-        _poly_from_json(ambient, spec["function"]), name="fixture-function"
+        Polynomial.from_records(ambient, spec["function"]), name="fixture-function"
     )
     charts = {}
     for name, ch in spec.get("charts", {}).items():
@@ -185,8 +154,9 @@ def _manifold_from_json(group, spec) -> dict:
     sphere_fn = None
     if "sphere_fn" in spec:
         sf = spec["sphere_fn"]
-        sphere_fn = SphereFunction(_poly_from_json(int(sf["nvars"]),
-                                                   sf["records"]))
+        sphere_fn = SphereFunction(
+            Polynomial.from_records(int(sf["nvars"]), sf["records"])
+        )
     seeds_spec = spec.get("seeds", {})
     if "circle" in seeds_spec:
         th = np.linspace(0, 2 * np.pi, int(seeds_spec["circle"]), endpoint=False)
@@ -263,6 +233,11 @@ def cmd_bredon(args) -> int:
     return 0 if ok else 1
 
 
+def _coords(x) -> list:
+    """Coordinates rounded to 6 places; adding 0.0 turns -0.0 into 0.0."""
+    return (np.round(x, 6) + 0.0).tolist()
+
+
 def _morse_pipeline(fx, args):
     data = fx["manifold"]
     M = data["manifold"]
@@ -278,7 +253,7 @@ def _morse_pipeline(fx, args):
     lines = ["critical points (before):"]
     for c in crits:
         lines.append(
-            f"  at {np.round(c.coords, 6).tolist()} value={c.value:.6g} "
+            f"  at {_coords(c.coords)} value={c.value:.6g} "
             f"index={c.index} stab={c.stabilizer.order} "
             f"{'stable' if c.stable else 'UNSTABLE'}"
         )
@@ -297,7 +272,7 @@ def _morse_pipeline(fx, args):
             f = localize_surgery(f, M, c, data["surgery_radius"], cut,
                                  chart=chart, h=data["sphere_fn"])
             lines.append(
-                f"surgery at {np.round(c.coords, 6).tolist()}: C0 distance "
+                f"surgery at {_coords(c.coords)}: C0 distance "
                 f"<= {f.c0_distance:.3e}"
             )
         pts = find_critical_points(f, M, seeds)
@@ -305,7 +280,7 @@ def _morse_pipeline(fx, args):
         lines.append("critical points (after):")
         for c in crits:
             lines.append(
-                f"  at {np.round(c.coords, 6).tolist()} value={c.value:.6g} "
+                f"  at {_coords(c.coords)} value={c.value:.6g} "
                 f"index={c.index} stab={c.stabilizer.order} "
                 f"{'stable' if c.stable else 'UNSTABLE'}"
             )
@@ -321,7 +296,7 @@ def cmd_morse(args) -> int:
     rows = ["point,value,index,stab,stable"]
     for c in crits:
         rows.append(
-            f"\"{np.round(c.coords, 6).tolist()}\",{c.value:.9g},{c.index},"
+            f"\"{_coords(c.coords)}\",{c.value:.9g},{c.index},"
             f"{c.stabilizer.order},{int(c.stable)}"
         )
     ok = True

@@ -139,21 +139,23 @@ class HomologySummary:
 
 def homology(C: ChainComplex) -> HomologySummary:
     """Homology of the complex: Z^betti + sum of Z/d_i in the Z case,
-    dimensions in the F_p case."""
+    dimensions in the F_p case.
+
+    Each boundary map is reduced once: its rank (F_p) or Smith diagonal (Z)
+    serves both the degree it leaves and the degree it enters.
+    """
+    diag: dict[int, list[int]] = {}
+    rank: dict[int, int] = {}
+    for n, d in C.boundary.items():
+        if C.char:
+            rank[n] = la.rank(list(d), C.char)
+        else:
+            diag[n] = la.snf_diagonal(d)
+            rank[n] = len(diag[n])
     entries: dict[int, tuple[int, tuple[int, ...]]] = {}
     for n in C.degrees():
-        rn = C.rank(n)
-        if C.char:
-            r_out = la.rank(list(C.d(n)), C.char) if C.rank(n - 1) else 0
-            r_in = la.rank(list(C.d(n + 1)), C.char) if C.rank(n + 1) else 0
-            dim = rn - r_out - r_in
-            if dim:
-                entries[n] = (dim, ())
-        else:
-            diag_out = la.snf_diagonal(C.d(n)) if C.rank(n - 1) else []
-            diag_in = la.snf_diagonal(C.d(n + 1)) if C.rank(n + 1) else []
-            betti = rn - len(diag_out) - len(diag_in)
-            torsion = tuple(abs(x) for x in diag_in if abs(x) > 1)
-            if betti or torsion:
-                entries[n] = (betti, torsion)
+        betti = C.rank(n) - rank.get(n, 0) - rank.get(n + 1, 0)
+        torsion = tuple(abs(x) for x in diag.get(n + 1, ()) if abs(x) > 1)
+        if betti or torsion:
+            entries[n] = (betti, torsion)
     return HomologySummary(char=C.char, entries=entries)

@@ -128,40 +128,33 @@ class Plateau:
         self.fall_hi = 3.0 - delta
         self.step = SmoothStep()
 
-    def _pieces(self, t):
+    def _arg(self, t):
+        """The step's argument (1 on the plateau and outside the support)
+        with the masks of the rising and the falling piece."""
         t = np.asarray(t, dtype=float)
         rise = (t - self.rise_lo) / (self.rise_hi - self.rise_lo)
         fall = (self.fall_hi - t) / (self.fall_hi - self.fall_lo)
-        return t, rise, fall
+        lo = t < self.rise_hi
+        hi = t > self.fall_lo
+        return np.where(hi, fall, np.where(lo, rise, 1.0)), lo, hi
 
     def __call__(self, t) -> np.ndarray:
         # one step evaluation on the piecewise argument; S(1) is exactly 1
-        t, rise, fall = self._pieces(t)
-        return self.step(
-            np.where(t > self.fall_lo, fall, np.where(t < self.rise_hi, rise, 1.0))
-        )
+        return self.step(self._arg(t)[0])
 
     def d1(self, t) -> np.ndarray:
-        t, rise, fall = self._pieces(t)
-        out = np.zeros_like(t)
+        # S'(1) = 0, so the plateau needs no mask
+        x, lo, hi = self._arg(t)
         wr = self.rise_hi - self.rise_lo
         wf = self.fall_hi - self.fall_lo
-        lo = t < self.rise_hi
-        hi = t > self.fall_lo
-        out = np.where(lo, self.step.d1(rise) / wr, out)
-        out = np.where(hi, -self.step.d1(fall) / wf, out)
-        return out
+        return self.step.d1(x) / np.where(hi, -wf, np.where(lo, wr, 1.0))
 
     def d2(self, t) -> np.ndarray:
-        t, rise, fall = self._pieces(t)
-        out = np.zeros_like(t)
+        # S''(1) = 0 as well
+        x, lo, hi = self._arg(t)
         wr = self.rise_hi - self.rise_lo
         wf = self.fall_hi - self.fall_lo
-        lo = t < self.rise_hi
-        hi = t > self.fall_lo
-        out = np.where(lo, self.step.d2(rise) / (wr * wr), out)
-        out = np.where(hi, self.step.d2(fall) / (wf * wf), out)
-        return out
+        return self.step.d2(x) / np.where(hi, wf * wf, np.where(lo, wr * wr, 1.0))
 
 
 @dataclass(eq=False)

@@ -34,13 +34,14 @@ class PolyTable:
 
     def __init__(self, polys, nvars: int):
         polys = list(polys)
-        expos = sorted(set().union(*(p.terms for p in polys)))
+        expos = sorted(set().union(*(p.num for p in polys)))
         self.expo = np.array(expos, dtype=np.int64).reshape(len(expos), nvars)
         self.coef = np.zeros((len(expos), len(polys)))
         row = {e: i for i, e in enumerate(expos)}
         for j, p in enumerate(polys):
-            for e, c in p.terms.items():
-                self.coef[row[e], j] = float(c)
+            for e, c in p.num.items():
+                # int / int rounds correctly, as float(Fraction) does
+                self.coef[row[e], j] = c / p.den
         top = self.expo.max(axis=0) if len(expos) else np.zeros(nvars, np.int64)
         self._powers = [
             (i, np.arange(d + 1, dtype=float), self.expo[:, i])

@@ -82,7 +82,7 @@ class SphereFunction:
     homogeneous extension of a smooth function on the unit sphere."""
 
     def __init__(self, poly: Polynomial):
-        degs = {sum(e) for e in poly.terms} or {0}
+        degs = {sum(e) for e in poly.num} or {0}
         if len(degs) != 1:
             raise ValueError("sphere function needs a homogeneous polynomial")
         self.poly = poly.as_float()

@@ -1,19 +1,23 @@
 """Exact multivariate polynomial arithmetic, truncated Taylor jets, bump
 polynomial jet interpolation, and equivariant averaging/lifting.
 
-Coefficients are Fractions by default (the exact backend).  Linear actions
-with irrational orthogonal matrices (rotations of order >= 3) use a float
-backend: the same classes with float coefficients and tolerance 1e-12 checks
-in place of exact equality.
+A Polynomial stores integer numerators over one positive denominator, in
+lowest terms: the gcd of the denominator and all numerators is 1 (the
+content/primitive-part form of von zur Gathen & Gerhard, Modern Computer
+Algebra, ch. 6).  Equal polynomials therefore have equal fields, and == and
+hash are structural.  Linear actions with irrational orthogonal matrices
+(rotations of order >= 3) use a float backend: the same two fields with
+float numerators over 1, and tolerance 1e-12 checks in place of exact
+equality.  Arithmetic that mixes the two gives a float polynomial.
 
-The heavy products behind interpolation run on an internal integer layer:
-denominators are cleared once, coefficients stay Python ints, and large
-products go through Kronecker substitution with a multi-prime
+Sums combine numerators over the lcm of the denominators.  Every product is
+one call to _imul on the numerators, over the product of the denominators.
+Large integer products go through Kronecker substitution with a multi-prime
 number-theoretic transform in numpy (pack both factors into one dense array,
 convolve modulo a few primes below 2^31, rebuild each coefficient by CRT).
-Small or lopsided products use the direct term-pair loop.  Fractions are
-rebuilt in a single pass at the end.  numpy is imported only when a product
-first takes the transform.
+Small or lopsided products, and all float products, use the direct
+term-pair loop.  numpy is imported only when a product first takes the
+transform.  Taylor jets shift one variable at a time on the numerators.
 """
 
 from __future__ import annotations
@@ -63,10 +67,7 @@ def _coerce(c):
     return Fraction(c)
 
 
-# -- integer term layer ------------------------------------------------------
-#
-# Term dicts with int coefficients plus a tracked denominator.  All the mask
-# algebra in interpolation happens here.
+# -- products of numerator dicts ---------------------------------------------
 
 # Cost model of the product, in term pairs of the direct loop: each NTT prime
 # costs _DIRECT_PAIR_LIMIT pairs plus one pair per _NTT_POINTS_PER_PAIR
@@ -265,9 +266,10 @@ def _imul(A: dict, B: dict, nvars: int) -> dict:
     if not A or not B:
         return {}
     # the direct loop's cost grows with the number of term pairs, the
-    # transform's with the dense slot count of the degree box
+    # transform's with the dense slot count of the degree box; the transform
+    # takes int numerators only
     pairs = len(A) * len(B)
-    if pairs > _DIRECT_PAIR_LIMIT:
+    if pairs > _DIRECT_PAIR_LIMIT and type(next(iter(A.values()))) is int:
         out = _imul_ntt(A, B, nvars, budget=pairs)
         if out is not None:
             return out
@@ -275,8 +277,10 @@ def _imul(A: dict, B: dict, nvars: int) -> dict:
 
 
 def _icontent_reduce(T: dict, den: int) -> tuple[dict, int]:
-    """Divide out the gcd of all coefficients and the denominator."""
-    if not T or den == 1:
+    """Lowest terms: divide out the gcd of all numerators and the denominator."""
+    if not T:
+        return T, 1
+    if den == 1:
         return T, den
     g = den
     for c in T.values():
@@ -286,64 +290,48 @@ def _icontent_reduce(T: dict, den: int) -> tuple[dict, int]:
     return {e: c // g for e, c in T.items()}, den // g
 
 
-def _iscale(T: dict, c: int) -> dict:
-    if not c:
-        return {}
-    return {e: v * c for e, v in T.items()}
-
-
-def _iadd_into(acc: dict, T: dict, scalar: int = 1) -> None:
-    for e, c in T.items():
-        s = acc.get(e, 0) + scalar * c
-        if s:
-            acc[e] = s
-        else:
-            acc.pop(e, None)
-
-
-def _to_scaled_ints(T: dict) -> tuple[dict, int]:
-    """Clear denominators: return (integer terms, common denominator)."""
-    den = math.lcm(*{c.denominator for c in T.values()})
-    return {e: c.numerator * (den // c.denominator) for e, c in T.items()}, den
-
-
-def _from_scaled_ints(nvars: int, T: dict, den: int) -> "Polynomial":
-    return Polynomial._raw(nvars, {e: Fraction(c, den) for e, c in T.items() if c}, True)
-
-
 # -- polynomials -----------------------------------------------------------
 
 
 class Polynomial:
-    """Sparse polynomial: exponent tuple -> coefficient, zero terms dropped."""
+    """Sparse polynomial: numerators num (exponent tuple -> nonzero int) over
+    one denominator den > 0, with gcd(den, every numerator) == 1.
 
-    __slots__ = ("nvars", "terms", "exact")
+    On the float backend the numerators are floats and den is 1.  terms is
+    the public exponent -> coefficient view (Fraction, or float), built on
+    each access; library code works on num and den.
+    """
+
+    __slots__ = ("nvars", "num", "den")
 
     def __init__(self, nvars: int, terms: dict | None = None):
-        self.nvars = nvars
         clean = {}
-        exact = True
         for e, c in (terms or {}).items():
             c = _coerce(c)
             if c:
                 clean[tuple(e)] = c
-                if type(c) is float:
-                    exact = False
-        self.terms = clean
-        self.exact = exact
+        self.nvars = nvars
+        if any(type(c) is float for c in clean.values()):
+            self.num = {e: float(c) for e, c in clean.items()}
+            self.den = 1
+        else:
+            # over the lcm of reduced denominators no common factor is left
+            den = math.lcm(*(c.denominator for c in clean.values()))
+            self.num = {e: c.numerator * (den // c.denominator)
+                        for e, c in clean.items()}
+            self.den = den
 
     @classmethod
-    def _raw(cls, nvars: int, terms: dict, exact: bool) -> "Polynomial":
-        """Internal constructor: terms already clean (typed, no zeros)."""
+    def _make(cls, nvars: int, num: dict, den: int) -> "Polynomial":
+        """Internal constructor: zero-free num over den, put in lowest terms."""
         self = object.__new__(cls)
         self.nvars = nvars
-        self.terms = terms
-        self.exact = exact
+        self.num, self.den = _icontent_reduce(num, den)
         return self
 
     @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
-        return cls._raw(nvars, {}, True)
+        return cls._make(nvars, {}, 1)
 
     @classmethod
     def constant(cls, nvars: int, c) -> "Polynomial":
@@ -353,81 +341,82 @@ class Polynomial:
     def variable(cls, nvars: int, i: int) -> "Polynomial":
         e = [0] * nvars
         e[i] = 1
-        return cls(nvars, {tuple(e): 1})
+        return cls._make(nvars, {tuple(e): 1}, 1)
 
-    @classmethod
-    def monomial(cls, nvars: int, expo, c=1) -> "Polynomial":
-        return cls(nvars, {tuple(expo): c})
+    @property
+    def exact(self) -> bool:
+        """False on the float backend."""
+        return type(next(iter(self.num.values()), 0)) is not float
+
+    @property
+    def terms(self) -> dict:
+        """exponent tuple -> coefficient: a Fraction, or a float on the float
+        backend; a new dict on every access."""
+        if not self.exact:
+            return dict(self.num)
+        den = self.den
+        return {e: Fraction(c, den) for e, c in self.num.items()}
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self.num:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self.num)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return (self.nvars == other.nvars and self.den == other.den
+                and self.num == other.num)
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, self.den, frozenset(self.num.items())))
+
+    def _pair(self, other) -> tuple["Polynomial", "Polynomial"]:
+        """self and other (a Polynomial or a constant) on one backend: both
+        float when either is."""
+        if not isinstance(other, Polynomial):
+            other = Polynomial.constant(self.nvars, other)
+        elif other.nvars != self.nvars:
+            raise ValueError("variable count mismatch")
+        if self.exact and other.exact:
+            return self, other
+        return self.as_float(), other.as_float()
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, float)):
-            other = Polynomial.constant(self.nvars, other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
+        a, b = self._pair(other)
+        den = math.lcm(a.den, b.den)
+        sa, sb = den // a.den, den // b.den
+        out = {e: c * sa for e, c in a.num.items()}
+        get = out.get
+        for e, c in b.num.items():
+            s = get(e, 0) + c * sb
             if s:
                 out[e] = s
             else:
-                out.pop(e, None)
-        return Polynomial._raw(self.nvars, out, self.exact and other.exact)
+                del out[e]
+        return Polynomial._make(self.nvars, out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial._raw(
-            self.nvars, {e: -c for e, c in self.terms.items()}, self.exact
+        return Polynomial._make(
+            self.nvars, {e: -c for e, c in self.num.items()}, self.den
         )
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, float)):
-            other = Polynomial.constant(self.nvars, other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, float)):
-            other = _coerce(other)
-            if not other:
-                return Polynomial.zero(self.nvars)
-            return Polynomial._raw(
-                self.nvars,
-                {e: c * other for e, c in self.terms.items()},
-                self.exact and type(other) is not float,
-            )
-        if self.nvars != other.nvars:
-            raise ValueError("variable count mismatch")
-        if not self.terms or not other.terms:
-            return Polynomial.zero(self.nvars)
-        exact = self.exact and other.exact
-        if not exact or len(self.terms) * len(other.terms) <= _DIRECT_PAIR_LIMIT:
-            return Polynomial._raw(
-                self.nvars, _imul_direct(self.terms, other.terms), exact
-            )
-        ia, da = _to_scaled_ints(self.terms)
-        ib, db = _to_scaled_ints(other.terms)
-        prod = _imul(ia, ib, self.nvars)
-        den = da * db
-        return Polynomial._raw(
-            self.nvars, {e: Fraction(c, den) for e, c in prod.items()}, True
+        a, b = self._pair(other)
+        return Polynomial._make(
+            self.nvars, _imul(a.num, b.num, self.nvars), a.den * b.den
         )
 
     __rmul__ = __mul__
@@ -435,15 +424,14 @@ class Polynomial:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power")
-        result = Polynomial.constant(self.nvars, 1)
-        base = self
+        result, base = None, self
         while k:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             k >>= 1
             if k:
                 base = base * base
-        return result
+        return Polynomial.constant(self.nvars, 1) if result is None else result
 
     def __call__(self, point):
         return self.evaluate(point)
@@ -461,12 +449,12 @@ class Polynomial:
 
     def derivative(self, i: int) -> "Polynomial":
         out = {}
-        for e, c in self.terms.items():
+        for e, c in self.num.items():
             if e[i]:
                 e2 = list(e)
                 e2[i] -= 1
                 out[tuple(e2)] = c * e[i]
-        return Polynomial._raw(self.nvars, out, self.exact)
+        return Polynomial._make(self.nvars, out, self.den)
 
     def gradient(self) -> list["Polynomial"]:
         return [self.derivative(i) for i in range(self.nvars)]
@@ -482,7 +470,7 @@ class Polynomial:
         sp = _signed_permutation(matrix, n)
         if sp is not None:
             out = {}
-            for e, c in self.terms.items():
+            for e, c in self.num.items():
                 e2 = [0] * n
                 sign = 1
                 for i, k in enumerate(e):
@@ -491,14 +479,14 @@ class Polynomial:
                     if s < 0 and k % 2:
                         sign = -sign
                 out[tuple(e2)] = c if sign > 0 else -c
-            return Polynomial._raw(n, out, self.exact)
+            return Polynomial._make(n, out, self.den)
         lin = [
             Polynomial(n, {tuple(1 if j == k else 0 for k in range(n)): matrix[i][j]
                            for j in range(n) if matrix[i][j]})
             for i in range(n)
         ]
         maxdeg = [0] * n
-        for e in self.terms:
+        for e in self.num:
             maxdeg = [max(a, b) for a, b in zip(maxdeg, e)]
         pows = []
         for i in range(n):
@@ -507,8 +495,8 @@ class Polynomial:
                 pi.append(pi[-1] * lin[i])
             pows.append(pi)
         total = Polynomial.zero(n)
-        for e, c in self.terms.items():
-            term = Polynomial.constant(n, c)
+        for e, c in self.num.items():
+            term = Polynomial._make(n, {(0,) * n: c}, self.den)
             for i, k in enumerate(e):
                 if k:
                     term = term * pows[i][k]
@@ -516,14 +504,18 @@ class Polynomial:
         return total
 
     def as_float(self) -> "Polynomial":
-        return Polynomial(self.nvars, {e: float(c) for e, c in self.terms.items()})
+        if not self.exact:
+            return self
+        # int / int is correctly rounded, as float(Fraction) is
+        return Polynomial(self.nvars, {e: c / self.den for e, c in self.num.items()})
 
     def to_records(self) -> list:
         """Serializable form: (exponents, numerator, denominator) triples;
         denominator 0 marks a float coefficient."""
         out = []
-        for e in sorted(self.terms):
-            c = self.terms[e]
+        terms = self.terms
+        for e in sorted(terms):
+            c = terms[e]
             if isinstance(c, float):
                 out.append([list(e), c, 0])
             else:
@@ -538,15 +530,16 @@ class Polynomial:
         return cls(nvars, terms)
 
     def __repr__(self):
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "Polynomial(0)"
         bits = []
-        for e in sorted(self.terms)[:6]:
+        for e in sorted(terms)[:6]:
             mono = "*".join(
                 f"x{i}^{k}" if k > 1 else f"x{i}" for i, k in enumerate(e) if k
             )
-            bits.append(f"{self.terms[e]}{'*' + mono if mono else ''}")
-        more = " + ..." if len(self.terms) > 6 else ""
+            bits.append(f"{terms[e]}{'*' + mono if mono else ''}")
+        more = " + ..." if len(terms) > 6 else ""
         return f"Polynomial({' + '.join(bits)}{more})"
 
 
@@ -653,44 +646,25 @@ def taylor_jet(f: Polynomial, point, k: int) -> Jet:
     Coefficient of (x-p)^b is sum over terms a >= b of
     f_a * prod binom(a_i, b_i) * p^(a-b); exact in the exact backend.
 
-    The exact path clears all denominators first and shifts one variable at
-    a time on integers, so extracting jets from the large interpolation
-    outputs stays fast.
+    Both backends shift one variable at a time on the numerators of f, so
+    extracting jets from the large interpolation outputs stays fast.
     """
     n = f.nvars
     p = [_coerce(x) for x in point]
     exact = f.exact and not any(type(x) is float for x in p)
-    maxdeg = [max(col) for col in zip(*f.terms)] if f.terms else [0] * n
-
-    if not exact:
-        pows = []
-        for i in range(n):
-            pi = [1.0]
-            for _ in range(maxdeg[i]):
-                pi.append(pi[-1] * float(p[i]))
-            pows.append(pi)
-        out: dict = {}
-        for a, c in f.terms.items():
-            ranges = [range(0, min(ai, k - 1) + 1) for ai in a]
-            for b in itertools.product(*ranges):
-                if sum(b) >= k:
-                    continue
-                coef = float(c)
-                for i in range(n):
-                    if a[i] - b[i]:
-                        coef *= pows[i][a[i] - b[i]]
-                    if b[i]:
-                        coef *= math.comb(a[i], b[i])
-                out[b] = out.get(b, 0.0) + coef
-        return Jet(p, k, {e: c for e, c in out.items() if c})
-
-    # exact: with p_i = u_i / v, substitute x_i = p_i + y_i one variable at a
-    # time, x_i^a = v^-D_i * sum_b C(a,b) u_i^(a-b) v^(D_i-(a-b)) y_i^b for
+    if exact:
+        v = math.lcm(*(x.denominator for x in p))
+        us = [int(x * v) for x in p]
+    else:
+        f, v = f.as_float(), 1
+        us = [float(x) for x in p]
+    terms = f.num
+    maxdeg = [max(col) for col in zip(*terms)] if terms else [0] * n
+    # with p_i = u_i / v, substitute x_i = p_i + y_i one variable at a time,
+    # x_i^a = v^-D_i * sum_b C(a,b) u_i^(a-b) v^(D_i-(a-b)) y_i^b for
     # a <= D_i, and drop each b whose partial degree reaches k
-    terms, fden = _to_scaled_ints(f.terms)
-    v = math.lcm(*(x.denominator for x in p))
     for i in range(n):
-        u, D = int(p[i] * v), maxdeg[i]
+        u, D = us[i], maxdeg[i]
         upows, vpows = [1], [1]
         for _ in range(D):
             upows.append(upows[-1] * u)
@@ -711,7 +685,9 @@ def taylor_jet(f: Polynomial, point, k: int) -> Jet:
                 key = head + (b,) + tail
                 out[key] = get(key, 0) + c * fac
         terms = out
-    den = fden * v ** sum(maxdeg)
+    if not exact:
+        return Jet(p, k, terms)
+    den = f.den * v ** sum(maxdeg)
     return Jet(p, k, {e: Fraction(c, den) for e, c in terms.items() if c})
 
 
@@ -743,40 +719,11 @@ def bump_poly(points, j: int) -> Polynomial:
     return out
 
 
-def _mask_float(pts, j: int, k: int) -> Polynomial:
-    """1 - (1 - phi_j^k)^k on the float backend."""
-    n = len(pts[0])
-    phik = bump_poly(pts, j) ** k
-    acc = Polynomial.zero(n)
-    power = Polynomial.constant(n, 1)
-    for i in range(1, k + 1):
-        power = power * phik
-        acc = acc + power * ((-1) ** (i + 1) * math.comb(k, i))
-    return acc
-
-
-def _mask_scaled(pts, j: int, k: int) -> tuple[dict, int]:
-    """Integer form of 1 - (1 - phi_j^k)^k: returns (terms, denominator).
-
-    Expanded through the binomial theorem, so phi_j^{ik} is formed by
-    successive products of the integer numerator of phi_j^k.
-    """
-    n = len(pts[0])
-    phi = bump_poly(pts, j)
-    nphi, dphi = _to_scaled_ints(phi.terms)
-    nphi, dphi = _icontent_reduce(nphi, dphi)
-    npk = nphi
-    for _ in range(k - 1):
-        npk = _imul(npk, nphi, n)
-    dk = dphi**k  # phi^k = npk / dk
-    npk, dk = _icontent_reduce(npk, dk)
-    acc: dict = {}
-    power = {(0,) * n: 1}  # npk^i, denominator dk^i
-    for i in range(1, k + 1):
-        power = _imul(power, npk, n)
-        scalar = (-1) ** (i + 1) * math.comb(k, i) * dk ** (k - i)
-        _iadd_into(acc, power, scalar)
-    return _icontent_reduce(acc, dk**k)
+def _mask(pts, j: int, k: int) -> Polynomial:
+    """1 - (1 - phi_j^k)^k: congruent to 1 mod m_{p_j}^k, and to 0 mod
+    m_{p_i}^k at every other point, where phi_j^k vanishes to order 2k."""
+    one = Polynomial.constant(len(pts[0]), 1)
+    return one - (one - bump_poly(pts, j) ** k) ** k
 
 
 def jet_interpolate(points, jets, k: int) -> Polynomial:
@@ -798,28 +745,10 @@ def jet_interpolate(points, jets, k: int) -> Polynomial:
         return Polynomial.zero(n)
     if len(pts) == 1:
         return jets[0].as_polynomial()
-
-    if any(not jet.as_polynomial().exact for jet in jets) or any(
-        type(x) is float for p in pts for x in p
-    ):
-        total = Polynomial.zero(n)
-        for j, jet in enumerate(jets):
-            total = total + jet.as_polynomial() * _mask_float(pts, j, k)
-        return total
-
-    total_num: dict = {}
-    total_den = 1
+    total = Polynomial.zero(n)
     for j, jet in enumerate(jets):
-        mask_num, mask_den = _mask_scaled(pts, j, k)
-        rep_num, rep_den = _to_scaled_ints(jet.as_polynomial().terms)
-        contrib = _imul(rep_num, mask_num, n)
-        den = rep_den * mask_den
-        lcm = total_den * den // math.gcd(total_den, den)
-        if lcm != total_den:
-            total_num = _iscale(total_num, lcm // total_den)
-            total_den = lcm
-        _iadd_into(total_num, contrib, lcm // den)
-    return _from_scaled_ints(n, total_num, total_den)
+        total = total + jet.as_polynomial() * _mask(pts, j, k)
+    return total
 
 
 # -- linear actions ----------------------------------------------------------
@@ -1033,30 +962,10 @@ def _mat_close(A, B, tol):
 def equivariant_average(f: Polynomial, act: LinearAction) -> Polynomial:
     """(1/|G|) sum_s f(A_s x): the projection onto invariant polynomials."""
     G = act.group
-    if f.exact and act.exact:
-        perms = [_signed_permutation(act.matrices[s], f.nvars) for s in G.elements()]
-        if all(sp is not None for sp in perms):
-            # pure exponent remaps: do the sum on the integer layer
-            iterms, den = _to_scaled_ints(f.terms)
-            acc: dict = {}
-            for sp in perms:
-                for e, c in iterms.items():
-                    e2 = [0] * f.nvars
-                    sign = 1
-                    for i, kk in enumerate(e):
-                        col, s = sp[i]
-                        e2[col] = kk
-                        if s < 0 and kk % 2:
-                            sign = -sign
-                    key = tuple(e2)
-                    acc[key] = acc.get(key, 0) + (c if sign > 0 else -c)
-            return _from_scaled_ints(f.nvars, acc, den * G.order)
     total = Polynomial.zero(f.nvars)
     for s in G.elements():
         total = total + f.substitute_linear(act.matrices[s])
-    if f.exact and act.exact:
-        return total * Fraction(1, G.order)
-    return total * (1.0 / G.order)
+    return total * Fraction(1, G.order)
 
 
 def transport_jet(jet: Jet, act: LinearAction, s: int) -> Jet:
@@ -1112,8 +1021,7 @@ def equivariant_jet_lift(point, jet: Jet, act: LinearAction, k: int) -> Polynomi
     if act.exact and act.is_orthogonal():
         _check_distinct(points)
         base = next(i for i, (_, q) in enumerate(orbit) if q == pt)
-        mask_num, mask_den = _mask_scaled(points, base, k)
-        base_mask = _from_scaled_ints(len(pt), mask_num, mask_den)
+        base_mask = _mask(points, base, k)
         total = Polynomial.zero(len(pt))
         for (s, _), jt in zip(orbit, jets):
             mask = base_mask.substitute_linear(act.matrices[G.inverse[s]])

@@ -30,6 +30,39 @@ def test_load_gcw_fixture_roundtrip():
     assert X.orbit_count(1) == 1
 
 
+GCW_FIXTURES = ("antipodal_circle", "circle_dihedral", "circle_reflection",
+                "point_c2", "sphere_reflection", "sphere_rotation_c3",
+                "torus_double")
+
+
+def _gcw_layout(X):
+    """The group table, per-dimension stabilizers and labels, every boundary
+    record and the marked set."""
+    cells = {n: [(c.stabilizer.elements, c.label) for c in cs]
+             for n, cs in X.cells.items()}
+    records = sorted(
+        (n, a, b, m.source.elements, m.target.elements, m.coset, deg)
+        for n, recs in X.boundary.items()
+        for (a, b), lst in recs.items()
+        for m, deg in lst
+    )
+    return X.group.mul, cells, records, X.marked
+
+
+def test_gcw_fixture_files_are_the_seven_builders():
+    names = {p.stem for p in FIXDIR.glob("*.json")
+             if "gcw" in json.loads(p.read_text())}
+    assert names == set(GCW_FIXTURES)
+
+
+@pytest.mark.parametrize("name", GCW_FIXTURES)
+def test_gcw_fixture_file_matches_its_builder(name):
+    from equimorse import fixtures
+
+    loaded = load_fixture(str(FIXDIR / f"{name}.json"))["gcw"]
+    assert _gcw_layout(loaded) == _gcw_layout(getattr(fixtures, name)())
+
+
 def test_load_rejects_bad_json(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{ not json")
@@ -121,6 +154,16 @@ def test_morse_command_stabilize_pipeline():
     code2, out2 = run_cli(["morse", str(FIXDIR / "circle_c2_height.json"),
                            "--stabilize", "--coeff", "singular"])
     assert out == out2
+
+
+def test_morse_coordinates_print_no_negative_zero():
+    # Newton leaves the circle's critical points at coordinates like -6e-29
+    for fmt in ("text", "csv"):
+        code, out = run_cli(["morse", str(FIXDIR / "circle_c2_height.json"),
+                             "--stabilize", "--format", fmt])
+        assert code == 0
+        assert "[0.0, 1.0]" in out
+        assert not re.search(r"-0\.0(?!\d)", out)
 
 
 def test_console_entrypoint():

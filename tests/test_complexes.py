@@ -134,6 +134,32 @@ def test_klein_bottle_integral():
     assert h.group(2) == (0, ())
 
 
+@pytest.mark.parametrize("char, expected", [
+    (0, {1: (0, (2,))}),
+    (2, {1: (1, ()), 2: (1, ())}),
+    (3, {}),
+])
+def test_homology_reduces_each_boundary_map_once(monkeypatch, char, expected):
+    # three nonzero boundary maps; H_1 = Z/2 over Z
+    C = ChainComplex(
+        char=char,
+        ranks={0: 1, 1: 2, 2: 2, 3: 1},
+        boundary={1: ((1, -1),), 2: ((2, 2), (2, 2)), 3: ((1,), (-1,))},
+    )
+    calls = []
+    for name in ("snf_diagonal", "rank"):
+        real = getattr(la, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(la, name, counted)
+    h = homology(C)
+    assert calls == ["rank" if char else "snf_diagonal"] * 3
+    assert h.entries == expected
+
+
 def test_rref_nullspace_rank_mod_p():
     rows = [[1, 2, 0], [2, 4, 1]]
     assert la.rank(rows, 5) == 2

@@ -119,8 +119,9 @@ def test_plateau_derivatives_fd():
 
 
 def test_plateau_single_step_matches_two_integral_formula():
-    # psi evaluates S once on a piecewise argument; the reference evaluates
-    # S on both transition pieces over every point and then picks
+    # psi, psi' and psi'' evaluate S, S' or S'' once on a piecewise
+    # argument; the reference evaluates them on both transition pieces over
+    # every point and then picks
     psi = build_cutoffs(0.05).psi
     t = np.concatenate([
         np.linspace(-1.0, 5.0, 200_001),
@@ -132,6 +133,17 @@ def test_plateau_single_step_matches_two_integral_formula():
     ref = np.where(t < psi.rise_hi, psi.step(rise), ref)
     ref = np.where(t > psi.fall_lo, psi.step(fall), ref)
     assert np.array_equal(psi(t), ref)
+    # the derivatives likewise, with their chain-rule factors per piece
+    wr = psi.rise_hi - psi.rise_lo
+    wf = psi.fall_hi - psi.fall_lo
+    ref1 = np.zeros_like(t)
+    ref1 = np.where(t < psi.rise_hi, psi.step.d1(rise) / wr, ref1)
+    ref1 = np.where(t > psi.fall_lo, -psi.step.d1(fall) / wf, ref1)
+    assert np.array_equal(psi.d1(t), ref1)
+    ref2 = np.zeros_like(t)
+    ref2 = np.where(t < psi.rise_hi, psi.step.d2(rise) / (wr * wr), ref2)
+    ref2 = np.where(t > psi.fall_lo, psi.step.d2(fall) / (wf * wf), ref2)
+    assert np.array_equal(psi.d2(t), ref2)
 
 
 def test_epsilon_margin_inequality():

@@ -137,8 +137,8 @@ def test_kronecker_kernel_matches_direct():
     rng = random.Random(7)
     a = random_poly(rng, 3, 6, nterms=40)
     b = random_poly(rng, 3, 6, nterms=40)
-    ia, da = P._to_scaled_ints(a.terms)
-    ib, db = P._to_scaled_ints(b.terms)
+    ia, da = a.num, a.den
+    ib, db = b.num, b.den
     direct = P._imul_direct(ia, ib)
     kron = P._imul_ntt(ia, ib, 3)
     assert direct == kron
@@ -273,8 +273,8 @@ def test_exact_mul_through_the_transform():
         for _ in range(2)
     )
     assert len(a.terms) * len(b.terms) > P._DIRECT_PAIR_LIMIT
-    ia, da = P._to_scaled_ints(a.terms)
-    ib, db = P._to_scaled_ints(b.terms)
+    ia, da = a.num, a.den
+    ib, db = b.num, b.den
     assert P._imul(ia, ib, 3) == P._imul_direct(ia, ib)
     assert (a * b).terms == {
         e: Fraction(c, da * db) for e, c in P._imul_direct(ia, ib).items()
@@ -571,7 +571,8 @@ def _from_sympy(p):
 
 def _sympy_substitute(f, matrix):
     xs = f.gens
-    images = [sum(sympy.Rational(str(a)) * x for a, x in zip(row, xs)) for row in matrix]
+    images = [sum(sympy.Rational(str(a)) * x for a, x in zip(row, xs))
+              for row in matrix]
     expr = f.as_expr().subs(dict(zip(xs, images)), simultaneous=True)
     return sympy.Poly(sympy.expand(expr), *xs, domain=sympy.QQ)
 
