@@ -278,10 +278,8 @@ def _imul(A: dict, B: dict, nvars: int) -> dict:
 
 def _icontent_reduce(T: dict, den: int) -> tuple[dict, int]:
     """Lowest terms: divide out the gcd of all numerators and the denominator."""
-    if not T:
+    if not T or den == 1:
         return T, 1
-    if den == 1:
-        return T, den
     g = den
     for c in T.values():
         g = math.gcd(g, c)
