@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equimorse import _intlinalg as la
 from equimorse.complexes import (
@@ -175,3 +178,160 @@ def test_solve_rational():
     x = la.solve(rows, [1, 2], 0)
     assert [float(v) for v in x] == [0.5, 0.5]
     assert la.solve([[1, 1], [1, 1]], [0, 1], 0) is None
+
+
+# -- oracles: SNF identities, greedy basis extension, dense d∘d, Euler -------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_snf_identities_random(data):
+    m = data.draw(st.integers(1, 8))
+    n = data.draw(st.integers(1, 8))
+    entry = st.integers(-6, 6) | st.sampled_from((0, 0, 1, -1))
+    A = tuple(tuple(data.draw(entry) for _ in range(n)) for _ in range(m))
+    D, U, V = smith_normal_form(A)
+    assert la.mat_mul(la.mat_mul(U, A), V) == D
+    assert abs(la.det(U)) == 1
+    assert abs(la.det(V)) == 1
+    assert all(D[i][j] == 0 for i in range(m) for j in range(n) if i != j)
+    diag = [D[i][i] for i in range(min(m, n))]
+    nz = [d for d in diag if d]
+    assert diag == nz + [0] * (len(diag) - len(nz))
+    assert all(d > 0 for d in nz)
+    assert all(b % a == 0 for a, b in zip(nz, nz[1:]))
+    assert la.snf_diagonal(A) == nz
+
+
+def greedy_extend(base, cands, p):
+    """One rank per candidate: keep a candidate when it raises the rank."""
+    chosen, current = [], [list(c) for c in base]
+    cur = la.rank([list(r) for r in zip(*current)], p)
+    for c in cands:
+        trial = current + [list(c)]
+        r = la.rank([list(row) for row in zip(*trial)], p)
+        if r > cur:
+            chosen.append(c)
+            current, cur = trial, r
+    return chosen
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_extend_basis_matches_greedy_reference(data):
+    p = data.draw(st.sampled_from((2, 3, 0)))
+    dim = data.draw(st.integers(1, 6))
+    if p:
+        entry = st.integers(0, p - 1) | st.just(0)
+    else:
+        entry = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)) | st.just(0)
+    col = st.lists(entry, min_size=dim, max_size=dim)
+    base = data.draw(st.lists(col, max_size=4))
+    cands = data.draw(st.lists(col, max_size=7))
+    if cands and data.draw(st.booleans()):
+        # a candidate repeated, or a sum of two, must be skipped
+        a, b = data.draw(st.sampled_from(cands)), data.draw(st.sampled_from(cands))
+        cands.append([x + y for x, y in zip(a, b)])
+    got = la.extend_basis(base, cands, p)
+    want = greedy_extend(base, cands, p)
+    assert [id(c) for c in got] == [id(c) for c in want]
+
+
+def unimodular_pair(rng, n, steps=None):
+    """A random unimodular integer matrix with its inverse."""
+    P = [list(r) for r in la.identity(n)]
+    Q = [list(r) for r in la.identity(n)]
+    for _ in range(steps if steps is not None else 2 * n):
+        if n < 2:
+            break
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        # P <- (I + c e_i e_j^T) P,  Q <- Q (I - c e_i e_j^T)
+        P[i] = [x + c * y for x, y in zip(P[i], P[j])]
+        for row in Q:
+            row[j] -= c * row[i]
+    return la.from_rows(P), la.from_rows(Q)
+
+
+def standard_complex_data(rng, top=3):
+    """Boundary maps of a complex with d∘d = 0 in degrees 0..top, as a
+    split standard complex (t_k times one generator onto another) seen
+    through random unimodular changes of basis; returns (ranks, boundary,
+    free homology ranks)."""
+    out = {n: rng.randint(0, 2) for n in range(1, top + 1)}   # gens hit by d_n
+    out[top + 1] = 0
+    free = {n: rng.randint(0, 2) for n in range(top + 1)}
+    ranks = {n: out[n + 1] + free[n] + (out[n] if n else 0) for n in range(top + 1)}
+    ranks[0] = out[1] + free[0]
+    # layout in degree n: [targets of d_{n+1} | free | sources of d_n]
+    base = {}
+    for n in range(1, top + 1):
+        d = [[0] * ranks[n] for _ in range(ranks[n - 1])]
+        src0 = out[n + 1] + free[n]
+        for k in range(out[n]):
+            d[k][src0 + k] = rng.choice((1, 1, 2, 3, 4, 6))
+        base[n] = la.from_rows(d)
+    pairs = {n: unimodular_pair(rng, ranks[n]) for n in range(top + 1)}
+    boundary = {n: la.mat_mul(la.mat_mul(pairs[n - 1][0], base[n]), pairs[n][1])
+                for n in range(1, top + 1) if ranks[n] and ranks[n - 1]}
+    return ranks, boundary, free
+
+
+def dense_dd_degree(boundary, char):
+    """The degree of the first d_n∘d_{n+1} != 0 in the order the complex
+    checks, from the dense product; None if the complex is square zero."""
+    for n, d in boundary.items():
+        if n + 1 in boundary:
+            sq = la.mat_mul(d, boundary[n + 1])
+            if char:
+                sq = la.mat_mod(sq, char)
+            if not la.is_zero(sq):
+                return n + 1
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from((0, 2, 3)), st.integers(0, 3))
+def test_dd_check_matches_dense_product(seed, char, perturb):
+    rng = random.Random(seed)
+    ranks, boundary, _ = standard_complex_data(rng)
+    rows = {n: [list(r) for r in d] for n, d in boundary.items()}
+    for _ in range(perturb if rows else 0):
+        n = rng.choice(sorted(rows))
+        i, j = rng.randrange(len(rows[n])), rng.randrange(len(rows[n][0]))
+        rows[n][i][j] += rng.choice((-1, 1, char or 1))
+    boundary = {n: la.from_rows(r) for n, r in rows.items()}
+    want = dense_dd_degree(boundary, char)
+    if want is None:
+        ChainComplex(char=char, ranks=ranks, boundary=boundary)
+    else:
+        with pytest.raises(ChainComplexError) as exc:
+            ChainComplex(char=char, ranks=ranks, boundary=boundary)
+        assert exc.value.degree == want
+
+
+@pytest.mark.parametrize("char", [0, 2, 3])
+def test_dd_check_square_zero_and_not(char):
+    # over F_2 the pair (1 1) * (1 1)^T is zero, over Z and F_3 it is 2
+    ranks = {0: 1, 1: 2, 2: 1}
+    boundary = {1: ((1, 1),), 2: ((1,), (1,))}
+    if char == 2:
+        ChainComplex(char=char, ranks=ranks, boundary=boundary)
+    else:
+        with pytest.raises(ChainComplexError) as exc:
+            ChainComplex(char=char, ranks=ranks, boundary=boundary)
+        assert exc.value.degree == 2
+    ChainComplex(char=char, ranks=ranks, boundary={1: ((1, 1),), 2: ((1,), (-1,))})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from((2, 3, 5)))
+def test_euler_characteristic_of_random_complexes(seed, p):
+    rng = random.Random(seed)
+    ranks, boundary, free = standard_complex_data(rng)
+    C = ChainComplex(char=0, ranks=ranks, boundary=boundary)
+    hz = homology(C)
+    assert hz.euler_characteristic() == C.euler_characteristic()
+    assert {n: hz.betti(n) for n in free} == free
+    Cp = C.reduce_mod(p)
+    assert homology(Cp).euler_characteristic() == Cp.euler_characteristic()

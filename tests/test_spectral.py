@@ -1,5 +1,10 @@
+import importlib.util
+import random
+from pathlib import Path
+
 import pytest
 
+from equimorse import _intlinalg as la
 from equimorse.complexes import ChainComplex, homology
 from equimorse.spectral import (
     EInftyReport,
@@ -182,3 +187,81 @@ def test_report_and_grid_formatting():
     assert rows[0] == "r,p,q,dim"
     ok, rep = einfty_check(F)
     assert "convergence: ok" in rep.text()
+
+
+# -- page identities on G-CW and generated Bredon complexes -------------------
+
+
+def _load_gen():
+    # the benchmark's seeded G-CW generators (they do not import equimorse)
+    path = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _gcw_spaces():
+    """(id, G-CW complex, prime): the seven fixtures, then the generated
+    Bredon workload's complexes for two seeds (its C3xC3 torus left out)."""
+    from equimorse.fixtures import GCW_FIXTURES
+    from equimorse.gcw import gcw_from_cells
+    from equimorse.groups import FiniteGroup
+
+    for name, build in GCW_FIXTURES.items():
+        X = build()
+        yield name, X, 3 if X.group.order % 3 == 0 else 2
+    gen = _load_gen()
+    for seed in (0, 1):
+        for desc, p, _ in gen.bredon_pass(random.Random(f"pages/{seed}"))[1:]:
+            G = FiniteGroup(tuple(tuple(r) for r in desc["table"]), name=desc["name"])
+            X = gcw_from_cells(G, desc["cells"], desc["boundaries"],
+                               dict(enumerate(desc["perms"])), name=desc["name"])
+            yield f"{desc['name']}-seed{seed}", X, p
+
+
+def _admissible_filtration(C, rng):
+    """A random filtration the boundary does not raise: each generator sits
+    at the top filtration of its faces, or one above."""
+    filt = {}
+    for n in C.degrees():
+        d = C.d(n)
+        filt[n] = tuple(
+            max((filt[n - 1][i] for i in range(C.rank(n - 1)) if d[i][j]), default=0)
+            + rng.randint(0, 1)
+            for j in range(C.rank(n))
+        )
+    return FilteredComplex(base=C, filt=filt)
+
+
+def _check_page_identities(F):
+    char = F.base.char
+    pages = spectral_pages(F, F.max_filtration() + 2)
+    for cur, nxt in zip(pages, pages[1:]):
+        r = cur.r
+        for (p, q), mat in cur.differentials.items():
+            after = cur.differentials.get((p - r, q + r - 1))
+            if after is not None:
+                assert la.is_zero(la.mat_mod(la.mat_mul(after, mat), char))
+        for (p, q) in set(cur.groups) | set(nxt.groups):
+            out = cur.differentials.get((p, q))
+            inc = cur.differentials.get((p + r, q - r + 1))
+            rank_out = la.rank([list(row) for row in out], char) if out else 0
+            rank_in = la.rank([list(row) for row in inc], char) if inc else 0
+            assert nxt.dim(p, q) == cur.dim(p, q) - rank_out - rank_in
+    h = homology(F.base)
+    for n in F.base.degrees():
+        assert pages[-1].total_dim(n) == h.dim(n)
+    return pages
+
+
+@pytest.mark.parametrize("name, X, p", [pytest.param(*s, id=s[0]) for s in _gcw_spaces()])
+def test_page_identities_on_gcw_complexes(name, X, p):
+    from equimorse.coefficients import build_system
+    from equimorse.gcw import bredon_chain_complex
+    from equimorse.groups import OrbitCategory
+
+    C = bredon_chain_complex(X, build_system(OrbitCategory(X.group), "singular", char=p))
+    _check_page_identities(skeletal_filtration(C))
+    pages = _check_page_identities(_admissible_filtration(C, random.Random(name)))
+    assert pages[0].groups
