@@ -2,7 +2,10 @@
 
 Integer matrices are tuples of row tuples with arbitrary-precision entries.
 Field routines work mod a prime p, or over the rationals when p == 0
-(Fraction entries).  Sizes here are desk scale; clarity over speed.
+(Fraction entries).  Every quotient is read off one elimination: a basis
+extension, a span and a set of coordinates each come from the pivots and
+entries of a single rref.  Loops walk the nonzero entries only, and all
+arithmetic stays exact.
 """
 
 from __future__ import annotations
@@ -49,6 +52,21 @@ def is_zero(A: Matrix) -> bool:
     return all(a == 0 for row in A for a in row)
 
 
+def product_is_zero(A: Matrix, B: Matrix, p: int = 0) -> bool:
+    """Whether A*B is zero (mod p when p > 0), multiplying nonzero entries
+    only and stopping at the first nonzero row of the product."""
+    b_rows = [[(k, b) for k, b in enumerate(row) if b] for row in B]
+    for row in A:
+        acc: dict[int, int] = {}
+        for j, a in enumerate(row):
+            if a:
+                for k, b in b_rows[j]:
+                    acc[k] = acc.get(k, 0) + a * b
+        if any(x % p if p else x for x in acc.values()):
+            return False
+    return True
+
+
 def from_rows(rows) -> Matrix:
     return tuple(tuple(int(x) for x in row) for row in rows)
 
@@ -90,42 +108,71 @@ def smith_normal_form(A: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     Pivots are chosen as the smallest nonzero entry in absolute value, which
     keeps entry growth tame on the small matrices seen here.
     """
+    a, u, v = _smith(A, track=True)
+    return (tuple(tuple(row) for row in a), tuple(tuple(row) for row in u),
+            tuple(tuple(row) for row in v))
+
+
+def snf_diagonal(A: Matrix) -> list[int]:
+    """Nonzero diagonal entries of the Smith form of A, in divisibility order.
+
+    The same elimination as `smith_normal_form`, without building U and V.
+    """
+    a, _, _ = _smith(A, track=False)
+    return [a[i][i] for i in range(min(shape(A))) if a[i][i] != 0]
+
+
+def _smith(A: Matrix, track: bool):
+    """Diagonalise a copy of A in place; U and V are None unless tracked."""
     m, n = shape(A)
     a = [list(row) for row in A]
-    u = [list(row) for row in identity(m)]
-    v = [list(row) for row in identity(n)]
+    u = [list(row) for row in identity(m)] if track else None
+    v = [list(row) for row in identity(n)] if track else None
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
+        if track:
+            u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for row in a:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+        if track:
+            for row in v:
+                row[i], row[j] = row[j], row[i]
 
     def add_row(i, j, c):
         # row_i += c * row_j
         a[i] = [x + c * y for x, y in zip(a[i], a[j])]
-        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+        if track:
+            u[i] = [x + c * y for x, y in zip(u[i], u[j])]
 
     def add_col(i, j, c):
+        # col_i += c * col_j
         for row in a:
-            row[i] += c * row[j]
-        for row in v:
-            row[i] += c * row[j]
+            if row[j]:
+                row[i] += c * row[j]
+        if track:
+            for row in v:
+                if row[j]:
+                    row[i] += c * row[j]
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
+        if track:
+            u[i] = [-x for x in u[i]]
 
     def find_pivot(t):
+        # the first entry of least absolute value in scan order; nothing
+        # beats a unit, so the scan stops at the first one
         best = None
         for i in range(t, m):
+            row = a[i]
             for j in range(t, n):
-                x = abs(a[i][j])
+                x = abs(row[j])
                 if x and (best is None or x < best[0]):
+                    if x == 1:
+                        return (1, i, j)
                     best = (x, i, j)
         return best
 
@@ -182,18 +229,7 @@ def smith_normal_form(A: Matrix) -> tuple[Matrix, Matrix, Matrix]:
             break
         add_col(bad, bad + 1, 1)
         diagonalise(bad)
-
-    D = tuple(tuple(a[i][j] for j in range(n)) for i in range(m))
-    U = tuple(tuple(row) for row in u)
-    V = tuple(tuple(row) for row in v)
-    return D, U, V
-
-
-def snf_diagonal(A: Matrix) -> list[int]:
-    """Nonzero diagonal entries of the Smith form of A, in divisibility order."""
-    D, _, _ = smith_normal_form(A)
-    m, n = shape(D)
-    return [D[i][i] for i in range(min(m, n)) if D[i][i] != 0]
+    return a, u, v
 
 
 # -- field linear algebra (F_p for prime p, rationals for p = 0) -----------
@@ -207,7 +243,8 @@ def rref(rows, p: int):
     """Reduced row echelon form over F_p (p prime) or Q (p == 0).
 
     Returns (rref_rows, pivot_columns).  Input rows are int (p > 0) or
-    Fraction/int (p == 0); they are not modified.
+    Fraction/int (p == 0); they are not modified.  Each elimination step
+    touches only the nonzero entries of the pivot row.
     """
     if p:
         mat = [[x % p for x in row] for row in rows]
@@ -226,15 +263,22 @@ def rref(rows, p: int):
         if pr is None:
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
-        inv = _inv_mod(mat[r][c], p) if p else 1 / mat[r][c]
-        mat[r] = [(x * inv) % p if p else x * inv for x in mat[r]]
+        prow = mat[r]
+        inv = _inv_mod(prow[c], p) if p else 1 / prow[c]
+        # the pivot row is zero left of c: earlier columns are cleared
+        nz = [j for j in range(c, ncols) if prow[j]]
+        for j in nz:
+            prow[j] = (prow[j] * inv) % p if p else prow[j] * inv
         for i in range(nrows):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
+            row = mat[i]
+            f = row[c]
+            if i != r and f:
                 if p:
-                    mat[i] = [(x - f * y) % p for x, y in zip(mat[i], mat[r])]
+                    for j in nz:
+                        row[j] = (row[j] - f * prow[j]) % p
                 else:
-                    mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+                    for j in nz:
+                        row[j] -= f * prow[j]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -255,9 +299,11 @@ def nullspace(rows, p: int):
         return []
     ncols = len(rows[0])
     red, piv = rref(rows, p)
-    free = [c for c in range(ncols) if c not in piv]
+    pivot_set = set(piv)
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
         vec = [Fraction(0)] * ncols if not p else [0] * ncols
         vec[fc] = 1 if p else Fraction(1)
         for r, pc in enumerate(piv):
@@ -265,23 +311,6 @@ def nullspace(rows, p: int):
             vec[pc] = (-val) % p if p else -val
         basis.append(vec)
     return basis
-
-
-def solve(rows, rhs, p: int):
-    """One solution x of rows * x = rhs, or None if inconsistent."""
-    if not rows:
-        return [] if not any(rhs) else None
-    ncols = len(rows[0])
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    red, piv = rref(aug, p)
-    for r in range(len(red)):
-        if all(x == 0 for x in red[r][:ncols]) and red[r][ncols] != 0:
-            return None
-    x = [Fraction(0)] * ncols if not p else [0] * ncols
-    for r, pc in enumerate(piv):
-        if pc < ncols:
-            x[pc] = red[r][ncols]
-    return x
 
 
 def column_space_basis(cols, p: int):
@@ -296,16 +325,13 @@ def column_space_basis(cols, p: int):
 def extend_basis(base_cols, candidate_cols, p: int):
     """Greedily extend base_cols by candidates to a larger independent set.
 
-    Returns the chosen candidates (not the combined basis).
+    Returns the chosen candidates (not the combined basis): those outside
+    the span of base_cols and of the candidates before them, which are the
+    pivot columns of one rref of [base | candidates].
     """
-    chosen = []
-    current = [list(c) for c in base_cols]
-    cur_rank = rank([list(r) for r in zip(*current)], p) if current else 0
-    for cand in candidate_cols:
-        trial = current + [list(cand)]
-        r = rank([list(r) for r in zip(*trial)], p)
-        if r > cur_rank:
-            chosen.append(cand)
-            current = trial
-            cur_rank = r
-    return chosen
+    cols = [*base_cols, *candidate_cols]
+    if not cols:
+        return []
+    _, piv = rref([list(r) for r in zip(*cols)], p)
+    nb = len(base_cols)
+    return [candidate_cols[c - nb] for c in piv if c >= nb]

@@ -88,14 +88,14 @@ def load_fixture(path: str) -> dict:
     group = FiniteGroup(table, name=g.get("name", "G"))
     out = {"name": raw.get("name", path), "group": group}
     if has_gcw:
-        out["gcw"] = _gcw_from_json(group, raw["gcw"])
+        out["gcw"] = _gcw_from_json(group, raw["gcw"], raw.get("name", ""))
     else:
         out["manifold"] = _manifold_from_json(group, raw["manifold"])
     out["options"] = raw.get("options", {})
     return out
 
 
-def _gcw_from_json(group, spec) -> GCWComplex:
+def _gcw_from_json(group, spec, name: str) -> GCWComplex:
     cells = {}
     for dim_str, lst in spec["cells"].items():
         n = int(dim_str)
@@ -120,7 +120,7 @@ def _gcw_from_json(group, spec) -> GCWComplex:
         (int(d), int(i)) for d, i in spec.get("marked", [])
     )
     return GCWComplex(group=group, cells=cells, boundary=boundary,
-                      marked=marked, name=spec.get("name", ""))
+                      marked=marked, name=name)
 
 
 def _matrix_from_json(rows):

@@ -54,10 +54,8 @@ class ChainComplex:
         self.boundary = cleaned
         for n in list(self.boundary):
             if n + 1 in self.boundary:
-                sq = la.mat_mul(self.boundary[n], self.boundary[n + 1])
-                if self.char:
-                    sq = la.mat_mod(sq, self.char)
-                if not la.is_zero(sq):
+                if not la.product_is_zero(self.boundary[n], self.boundary[n + 1],
+                                          self.char):
                     raise ChainComplexError(
                         f"d∘d != 0 from degree {n + 1}", degree=n + 1
                     )

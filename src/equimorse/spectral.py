@@ -54,19 +54,22 @@ class FilteredComplex:
                     f"rank is {self.base.rank(n)}"
                 )
         self.filt = {n: tuple(v) for n, v in self.filt.items()}
+        # each boundary column as its (row, entry) pairs with entry != 0
+        self._columns = {
+            n: [[(i, row[j]) for i, row in enumerate(d) if row[j]]
+                for j in range(len(d[0]))]
+            for n, d in self.base.boundary.items()
+        }
 
     def max_filtration(self) -> int:
         return max((p for v in self.filt.values() for p in v), default=0)
 
     def validate(self) -> None:
         for n in self.base.degrees():
-            if self.base.rank(n - 1) == 0:
-                continue
-            d = self.base.d(n)
-            for j in range(self.base.rank(n)):
+            for j, col in enumerate(self._columns.get(n, ())):
                 pj = self.filt[n][j]
-                for i in range(self.base.rank(n - 1)):
-                    if d[i][j] and self.filt[n - 1][i] > pj:
+                for i, _ in col:
+                    if self.filt[n - 1][i] > pj:
                         raise FiltrationViolation(
                             f"boundary of degree-{n} generator {j} (filtration "
                             f"{pj}) hits filtration {self.filt[n - 1][i]}"
@@ -112,10 +115,6 @@ class SSPage:
         return rows
 
 
-def _field_char(C: ChainComplex) -> int:
-    return C.char  # 0 means rationals: rank-only mode
-
-
 def _coords_leq(F: FilteredComplex, n: int, p: int) -> list[int]:
     return [j for j, pj in enumerate(F.filt.get(n, ())) if pj <= p]
 
@@ -151,14 +150,13 @@ def _zr_basis(F: FilteredComplex, n: int, p: int, r: int, char: int):
 
 
 def _apply_d(F: FilteredComplex, n: int, vec):
-    d = F.base.d(n)
-    m = F.base.rank(n - 1)
-    return [sum(d[i][j] * vec[j] for j in range(len(vec))) for i in range(m)]
-
-
-def _span_info(cols, char):
-    """Reduce a list of columns to an independent spanning subset."""
-    return la.column_space_basis(cols, char) if cols else []
+    """d(vec): the boundary columns of the nonzero entries of vec, summed."""
+    out = [0] * F.base.rank(n - 1)
+    for x, col in zip(vec, F._columns.get(n, ())):
+        if x:
+            for i, a in col:
+                out[i] += a * x
+    return out
 
 
 def _page_data(F: FilteredComplex, r: int, char: int):
@@ -177,7 +175,7 @@ def _page_data(F: FilteredComplex, r: int, char: int):
             D1 = _zr_basis(F, n, p - 1, r - 1, char)
             W = _zr_basis(F, n + 1, p + r - 1, r - 1, char)
             D2 = [_apply_d(F, n + 1, w) for w in W] if W else []
-            den = _span_info(D1 + D2, char)
+            den = la.column_space_basis(D1 + D2, char)
             qreps = la.extend_basis(den, Z, char)
             dim = len(qreps)
             if dim or den:
@@ -188,49 +186,39 @@ def _page_data(F: FilteredComplex, r: int, char: int):
     return groups, reps, dens
 
 
-def _express_in_quotient(vec, den, qreps, char):
-    """Coordinates of [vec] in the quotient basis given by qreps mod den."""
-    cols = den + qreps
-    if not cols:
-        return [0] * 0
-    mat = [list(r) for r in zip(*cols)]
-    sol = la.solve(mat, list(vec), char)
-    if sol is None:
+def _differential(F: FilteredComplex, n: int, qreps, den, tgt_reps, char: int):
+    """Matrix of d_r from the classes of qreps (in degree n) to the quotient
+    basis tgt_reps mod den.  One rref of [den + tgt_reps | dx_1 ... dx_k]:
+    the basis columns are independent, so they are the first pivots, and
+    the entries of each dx column in their rows are its coordinates."""
+    basis = den + tgt_reps
+    dxs = [_apply_d(F, n, x) for x in qreps]
+    red, piv = la.rref([list(row) for row in zip(*basis, *dxs)], char)
+    if len(piv) > len(basis):
         raise AssertionError("vector not in the expected cycle space")
-    return sol[len(den):]
+    k = len(basis)
+    return tuple(
+        tuple(red[len(den) + i][k + j] for j in range(len(qreps)))
+        for i in range(len(tgt_reps))
+    )
 
 
 def spectral_pages(F: FilteredComplex, r_max: int) -> list[SSPage]:
     """Pages E^1 .. E^r_max with their differentials d_r of bidegree
     (-r, r-1).  Raises FiltrationViolation if the filtration is broken."""
     F.validate()
-    char = _field_char(F.base)
+    char = F.base.char  # 0 means rationals: rank-only mode
     pages = []
     for r in range(1, r_max + 1):
         groups, reps, dens = _page_data(F, r, char)
         diffs: dict[tuple[int, int], tuple] = {}
         for (p, q), qreps in reps.items():
-            if not groups.get((p, q)):
+            tgt = (p - r, q + r - 1)
+            if not groups.get((p, q)) or not reps.get(tgt):
                 continue
-            n = p + q
-            tp, tq = p - r, q + r - 1
-            tgt_reps = reps.get((tp, tq), [])
-            tgt_den = dens.get((tp, tq), [])
-            tgt_dim = len(tgt_reps)
-            cols = []
-            for x in qreps:
-                dx = _apply_d(F, n, x)
-                if tgt_dim == 0:
-                    cols.append([])
-                    continue
-                cols.append(_express_in_quotient(dx, tgt_den, tgt_reps, char))
-            if tgt_dim:
-                mat = tuple(
-                    tuple(cols[j][i] for j in range(len(qreps)))
-                    for i in range(tgt_dim)
-                )
-                if any(any(row) for row in mat):
-                    diffs[(p, q)] = mat
+            mat = _differential(F, p + q, qreps, dens[tgt], reps[tgt], char)
+            if any(any(row) for row in mat):
+                diffs[(p, q)] = mat
         pages.append(SSPage(r=r, groups=groups, differentials=diffs))
     return pages
 
@@ -253,7 +241,7 @@ def einfty_check(F: FilteredComplex) -> tuple[bool, EInftyReport]:
     """Strong convergence at desk scale: the stable page's total dimension in
     each degree equals the dimension of the homology of the base complex."""
     F.validate()
-    char = _field_char(F.base)
+    char = F.base.char
     if char == 0:
         raise ValueError("einfty_check needs field coefficients (prime char)")
     r_stable = F.max_filtration() + 2

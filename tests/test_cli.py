@@ -60,7 +60,9 @@ def test_gcw_fixture_file_matches_its_builder(name):
     from equimorse import fixtures
 
     loaded = load_fixture(str(FIXDIR / f"{name}.json"))["gcw"]
-    assert _gcw_layout(loaded) == _gcw_layout(getattr(fixtures, name)())
+    builder = getattr(fixtures, name)()
+    assert _gcw_layout(loaded) == _gcw_layout(builder)
+    assert loaded.name == builder.name
 
 
 def test_load_rejects_bad_json(tmp_path):

@@ -173,13 +173,6 @@ def test_rref_nullspace_rank_mod_p():
         assert sum(a * x for a, x in zip(row, v)) % 5 == 0
 
 
-def test_solve_rational():
-    rows = [[2, 0], [0, 4]]
-    x = la.solve(rows, [1, 2], 0)
-    assert [float(v) for v in x] == [0.5, 0.5]
-    assert la.solve([[1, 1], [1, 1]], [0, 1], 0) is None
-
-
 # -- oracles: SNF identities, greedy basis extension, dense d∘d, Euler -------
 
 
@@ -335,3 +328,27 @@ def test_euler_characteristic_of_random_complexes(seed, p):
     assert {n: hz.betti(n) for n in free} == free
     Cp = C.reduce_mod(p)
     assert homology(Cp).euler_characteristic() == Cp.euler_characteristic()
+
+
+def test_rref_rational_coordinates():
+    # coordinates of a right-hand side sit in the pivot rows of its column;
+    # a right-hand side outside the span becomes a pivot itself
+    red, piv = la.rref([[2, 0, 1], [0, 4, 2]], 0)
+    assert piv == [0, 1]
+    assert [row[2] for row in red] == [Fraction(1, 2), Fraction(1, 2)]
+    assert la.rref([[1, 1, 0], [1, 1, 1]], 0)[1] == [0, 2]
+
+
+def test_extend_basis_reduces_once(monkeypatch):
+    calls = []
+    real = la.rref
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(la, "rref", counted)
+    base = [[1, 0, 0], [0, 1, 0]]
+    cands = [[1, 1, 0], [0, 0, 2], [1, 0, 1], [0, 0, 1]]
+    assert la.extend_basis(base, cands, 3) == [[0, 0, 2]]
+    assert len(calls) == 1

@@ -265,3 +265,38 @@ def test_page_identities_on_gcw_complexes(name, X, p):
     _check_page_identities(skeletal_filtration(C))
     pages = _check_page_identities(_admissible_filtration(C, random.Random(name)))
     assert pages[0].groups
+
+
+def test_each_differential_reduces_once_per_target(monkeypatch):
+    import equimorse.spectral as ss
+    from equimorse.coefficients import build_system
+    from equimorse.fixtures import sphere_rotation_c3
+    from equimorse.gcw import bredon_chain_complex
+    from equimorse.groups import OrbitCategory
+
+    X = sphere_rotation_c3()
+    C = bredon_chain_complex(X, build_system(OrbitCategory(X.group), "singular", char=3))
+    F = _admissible_filtration(C, random.Random("sphere_rotation_c3"))
+    calls = []
+    real_rref, real_page_data = la.rref, ss._page_data
+
+    def counted_rref(*args):
+        calls.append(args)
+        return real_rref(*args)
+
+    in_page_data = []
+
+    def counted_page_data(*args):
+        before = len(calls)
+        out = real_page_data(*args)
+        in_page_data.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(la, "rref", counted_rref)
+    monkeypatch.setattr(ss, "_page_data", counted_page_data)
+    pages = spectral_pages(F, F.max_filtration() + 2)
+    # one reduction per source (p, q) whose target (p - r, q + r - 1) is nonzero
+    pairs = [(page, p, q) for page in pages for (p, q) in page.groups
+             if page.dim(p - page.r, q + page.r - 1)]
+    assert any(page.dim(p, q) > 1 for page, p, q in pairs)
+    assert len(calls) - sum(in_page_data) == len(pairs)
