@@ -299,11 +299,10 @@ def nullspace(rows, p: int):
         return []
     ncols = len(rows[0])
     red, piv = rref(rows, p)
-    pivot_set = set(piv)
+    pivots = set(piv)
+    free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for fc in range(ncols):
-        if fc in pivot_set:
-            continue
+    for fc in free:
         vec = [Fraction(0)] * ncols if not p else [0] * ncols
         vec[fc] = 1 if p else Fraction(1)
         for r, pc in enumerate(piv):
