@@ -230,13 +230,11 @@ def test_extend_basis_matches_greedy_reference(data):
     assert [id(c) for c in got] == [id(c) for c in want]
 
 
-def unimodular_pair(rng, n, steps=None):
+def unimodular_pair(rng, n):
     """A random unimodular integer matrix with its inverse."""
     P = [list(r) for r in la.identity(n)]
     Q = [list(r) for r in la.identity(n)]
-    for _ in range(steps if steps is not None else 2 * n):
-        if n < 2:
-            break
+    for _ in range(2 * n if n > 1 else 0):
         i, j = rng.sample(range(n), 2)
         c = rng.choice((-2, -1, 1, 2))
         # P <- (I + c e_i e_j^T) P,  Q <- Q (I - c e_i e_j^T)
@@ -251,11 +249,10 @@ def standard_complex_data(rng, top=3):
     split standard complex (t_k times one generator onto another) seen
     through random unimodular changes of basis; returns (ranks, boundary,
     free homology ranks)."""
-    out = {n: rng.randint(0, 2) for n in range(1, top + 1)}   # gens hit by d_n
+    out = {n: rng.randint(0, 2) for n in range(1, top + 1)}   # rank of d_n
     out[top + 1] = 0
     free = {n: rng.randint(0, 2) for n in range(top + 1)}
     ranks = {n: out[n + 1] + free[n] + (out[n] if n else 0) for n in range(top + 1)}
-    ranks[0] = out[1] + free[0]
     # layout in degree n: [targets of d_{n+1} | free | sources of d_n]
     base = {}
     for n in range(1, top + 1):
