@@ -332,7 +332,8 @@ def test_rref_rational_coordinates():
     # a right-hand side outside the span becomes a pivot itself
     red, piv = la.rref([[2, 0, 1], [0, 4, 2]], 0)
     assert piv == [0, 1]
-    assert [row[2] for row in red] == [Fraction(1, 2), Fraction(1, 2)]
+    assert red == [[1, 0, Fraction(1, 2)], [0, 1, Fraction(1, 2)]]
+    assert la.rref([[0, 2, 1], [3, 1, 0]], 5) == ([[1, 0, 4], [0, 1, 3]], [0, 1])
     assert la.rref([[1, 1, 0], [1, 1, 1]], 0)[1] == [0, 2]
 
 
