@@ -308,7 +308,10 @@ def cmd_morse(args) -> int:
         out.append(f"flow counting: unresolved={mdata.unresolved} "
                    f"escaped={mdata.escaped} steps={mdata.steps} "
                    f"halvings={mdata.halvings}")
-        ok = ok and mdata.unresolved == 0
+        # an escape is a legitimate label on an open manifold (the flat
+        # figures) but a bug on a closed one
+        ok = (mdata.unresolved == 0 and not mdata.warnings
+              and not (M.codim and mdata.escaped))
         for w in mdata.warnings:
             out.append(f"warning: {w}")
         out.append("flow counts mod 2 (source orbit -> target orbit, coset):")

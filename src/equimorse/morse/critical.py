@@ -1,5 +1,12 @@
-"""Critical points on implicit G-manifolds: Newton continuation on the
-Lagrange system, orbit closure, and stability classification.
+"""Critical points on implicit G-manifolds: Newton on the Lagrange (KKT)
+system from all seeds at once, orbit closure, and stability classification.
+
+The search is batched first.  One KKT Newton runs on an (s, N + c) array of
+every seed's point and multipliers, with per-row masks for convergence,
+non-finite values and the divergence bound, and one stacked solve per
+iteration; a singular system in the stack falls back row by row to solve,
+then least squares.  The closure under the group runs in rounds, one
+batched refinement of the new points' translates per round.
 
 Tolerances follow the package-wide conventions: gradient norm 1e-9 for
 criticality, Hessian eigenvalue floor 1e-6 for nondegeneracy, with an order
@@ -80,54 +87,88 @@ def seed_grid(bounds, counts) -> np.ndarray:
     return pts
 
 
-def _newton_kkt(f: EqFunction, M: ImplicitGManifold, x0, max_iter=60,
+def _solve_stack(K, b):
+    """K[r] y[r] = b[r] for every row in one stacked solve.  If any system is
+    singular the stack raises, and each row falls back to solve, then to
+    least squares."""
+    try:
+        return np.linalg.solve(K, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.empty_like(b)
+        for r in range(len(b)):
+            try:
+                out[r] = np.linalg.solve(K[r], b[r])
+            except np.linalg.LinAlgError:
+                out[r], *_ = np.linalg.lstsq(K[r], b[r], rcond=None)
+        return out
+
+
+def _newton_kkt(f: EqFunction, M: ImplicitGManifold, X0, max_iter=60,
                 tol=1e-12, bound=1e6):
-    """Newton on grad f = J^T lambda, F = 0.  Returns the point or None."""
+    """Newton on grad f = J^T lambda, F = 0 from every row of X0 at once.
+
+    The iterate is an (s, N + c) array of points and multipliers.  Each
+    iteration evaluates the residual on the active rows, retires the rows
+    whose residual norm is below tol, and takes one stacked KKT step on the
+    rest.  A row is dropped as divergent when its residual is not finite or
+    its step leaves the finite numbers or the ball of radius bound.  The
+    multipliers start at the least-squares solution of J^T lambda = grad f.
+    Returns the (s, N) points and the mask of rows that converged within
+    max_iter iterations.
+    """
     N = M.ambient
     c = M.codim
-    x = np.asarray(x0, dtype=float).copy()
+    X = np.array(X0, dtype=float).reshape(-1, N)
+    s = len(X)
+    lam = np.zeros((s, c))
     if c:
-        J = M.jacobian(x)
-        g = f.grad(x)
-        lam, *_ = np.linalg.lstsq(J.T, g, rcond=None)
-    else:
-        lam = np.zeros(0)
+        J = M.jacobian_many(X)
+        g = f.grad_many(X)
+        for r in np.flatnonzero(np.isfinite(J).all(axis=(1, 2))
+                                & np.isfinite(g).all(axis=1)):
+            lam[r], *_ = np.linalg.lstsq(J[r].T, g[r], rcond=None)
+    Z = np.concatenate([X, lam], axis=1)
+    converged = np.zeros(s, dtype=bool)
+    active = np.arange(s)
     for _ in range(max_iter):
-        g = f.grad(x)
+        if not len(active):
+            break
+        x, lam = Z[active, :N], Z[active, N:]
+        res = f.grad_many(x)
         if c:
-            J = M.jacobian(x)
-            F = M.constraint_values(x)
-            res = np.concatenate([g - J.T @ lam, F])
-        else:
-            res = g
-        if np.linalg.norm(res) < tol:
-            return x
-        H = f.hess(x)
+            J = M.jacobian_many(x)
+            res = np.concatenate(
+                [res - np.einsum("mcn,mc->mn", J, lam),
+                 M.constraint_values_many(x)], axis=1)
+        norm = np.linalg.norm(res, axis=1)
+        done = norm < tol
+        converged[active[done]] = True
+        left = np.isfinite(norm) & ~done
+        active, x, lam, res = active[left], x[left], lam[left], res[left]
+        if not len(active):
+            break
+        K = f.hess_many(x)
         if c:
-            CH = M.constraint_hessians(x)
-            Hl = H - np.einsum("k,kij->ij", lam, CH)
-            top = np.concatenate([Hl, -J.T], axis=1)
-            bot = np.concatenate([J, np.zeros((c, c))], axis=1)
-            K = np.concatenate([top, bot], axis=0)
-            try:
-                step = np.linalg.solve(K, -res)
-            except np.linalg.LinAlgError:
-                step, *_ = np.linalg.lstsq(K, -res, rcond=None)
-            x = x + step[:N]
-            lam = lam + step[N:]
-        else:
-            try:
-                step = np.linalg.solve(H, -g)
-            except np.linalg.LinAlgError:
-                step, *_ = np.linalg.lstsq(H, -g, rcond=None)
-            x = x + step
-        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > bound:
-            return None
-    return None
+            J = J[left]
+            Hl = K - np.einsum("mk,mkij->mij", lam,
+                               M.constraint_hessians_many(x))
+            K = np.zeros((len(active), N + c, N + c))
+            K[:, :N, :N] = Hl
+            K[:, :N, N:] = -J.transpose(0, 2, 1)
+            K[:, N:, :N] = J
+        Z[active] += _solve_stack(K, -res)
+        x = Z[active, :N]
+        ok = np.isfinite(x).all(axis=1) & (np.linalg.norm(x, axis=1) <= bound)
+        active = active[ok]
+    return Z[:, :N], converged
 
 
-def _tangent_gradient_norm(f: EqFunction, M: ImplicitGManifold, x) -> float:
-    return float(np.linalg.norm(M.project_tangent(x, f.grad(x))))
+def _is_critical(f: EqFunction, M: ImplicitGManifold, X, tol_crit) -> np.ndarray:
+    """Per row of X: is the tangent gradient norm below tol_crit?"""
+    if not len(X):
+        return np.zeros(0, dtype=bool)
+    T = M.project_tangent_many(X, f.grad_many(X))
+    return np.linalg.norm(T, axis=1) < tol_crit
 
 
 def find_critical_points(f: EqFunction, M: ImplicitGManifold, seeds,
@@ -136,8 +177,20 @@ def find_critical_points(f: EqFunction, M: ImplicitGManifold, seeds,
                          max_iter: int = 60) -> list[np.ndarray]:
     """Newton from every seed, deduplicated and closed under the action.
 
-    Divergent seeds are logged and skipped, never fatal.  Every returned
-    point satisfies the tangent-gradient tolerance.
+    All seeds run through one batched KKT Newton: every iteration makes one
+    gradient, Hessian, constraint and constraint-Hessian call on the rows
+    still running and one stacked solve.  Per-row masks retire the rows
+    that converge and drop those that turn non-finite or leave the bound;
+    a singular KKT system sends the stack to a row-by-row solve with a
+    least-squares fallback.  Divergent seeds are logged and skipped, never
+    fatal.  The converged points that pass the tangent-gradient tolerance
+    are deduplicated in seed order.
+
+    The group closure runs in rounds: each round refines every translate of
+    the points the previous round added with one batched 10-step Newton
+    (keeping a translate as it is where that does not converge), and adds
+    the critical ones, until a round adds nothing.  Every returned point
+    satisfies the tangent-gradient tolerance.
     """
     found: list[np.ndarray] = []
 
@@ -147,31 +200,29 @@ def find_critical_points(f: EqFunction, M: ImplicitGManifold, seeds,
                 return
         found.append(x)
 
-    diverged = 0
-    for s in np.asarray(seeds, dtype=float):
-        x = _newton_kkt(f, M, s, max_iter=max_iter)
-        if x is None:
-            diverged += 1
-            continue
-        if _tangent_gradient_norm(f, M, x) < tol_crit:
-            add(x)
-    if diverged:
-        log.debug("newton divergence on %d of %d seeds", diverged, len(seeds))
+    X, ok = _newton_kkt(f, M, seeds, max_iter=max_iter)
+    rows = np.flatnonzero(ok)
+    for r in rows[_is_critical(f, M, X[rows], tol_crit)]:
+        add(X[r])
+    if not ok.all():
+        log.debug("newton divergence on %d of %d seeds", (~ok).sum(), len(ok))
 
-    # close under the group action, refining each translate
+    # close under the group action, one refinement batch per round
     G = M.action.group
-    i = 0
-    while i < len(found):
-        x = found[i]
-        for s in G.elements():
-            y = M.apply(s, x)
-            y2 = _newton_kkt(f, M, y, max_iter=10)
-            y = y2 if y2 is not None else y
-            if _tangent_gradient_norm(f, M, y) < tol_crit:
-                add(y)
-        i += 1
-    found.sort(key=lambda p: (round(float(f.value(p)), 9),) + tuple(np.round(p, 6)))
-    return found
+    start = 0
+    while start < len(found):
+        Y = np.array([M.apply(s, x) for x in found[start:] for s in G.elements()])
+        start = len(found)
+        Y2, ok = _newton_kkt(f, M, Y, max_iter=10)
+        Y[ok] = Y2[ok]
+        for y in Y[_is_critical(f, M, Y, tol_crit)]:
+            add(y)
+    if not found:
+        return found
+    values = f.value_many(np.array(found))
+    order = sorted(range(len(found)), key=lambda i: (
+        (round(float(values[i]), 9),) + tuple(np.round(found[i], 6))))
+    return [found[i] for i in order]
 
 
 def classify(f: EqFunction, M: ImplicitGManifold, p, *,
@@ -185,7 +236,7 @@ def classify(f: EqFunction, M: ImplicitGManifold, p, *,
     direction sticks out of the fixed subspace.
     """
     p = np.asarray(p, dtype=float)
-    if _tangent_gradient_norm(f, M, p) >= tol_crit:
+    if np.linalg.norm(M.project_tangent(p, f.grad(p))) >= tol_crit:
         raise ValueError("point fails the critical-gradient tolerance")
     H_sub = M.action.stabilizer(tuple(p), tol=stab_tol)
     T = M.tangent_basis(p)

@@ -191,10 +191,8 @@ class ImplicitGManifold:
         return vt[self.codim:].T
 
     def project_tangent(self, x, v) -> np.ndarray:
-        if not self.constraints:
-            return np.asarray(v, dtype=float)
-        T = self.tangent_basis(x)
-        return T @ (T.T @ np.asarray(v, dtype=float))
+        return self.project_tangent_many(np.asarray(x, dtype=float)[None, :],
+                                         np.asarray(v, dtype=float)[None, :])[0]
 
     def project_tangent_many(self, X: np.ndarray, V: np.ndarray) -> np.ndarray:
         if not self.constraints:
@@ -207,18 +205,12 @@ class ImplicitGManifold:
         return V - np.einsum("mcn,mc->mn", J, lam)
 
     def project_point(self, x, tol=1e-12, iters=20) -> np.ndarray:
-        """Gauss-Newton projection onto the zero set."""
-        x = np.asarray(x, dtype=float).copy()
-        for _ in range(iters):
-            F = self.constraint_values(x)
-            if np.max(np.abs(F), initial=0.0) < tol:
-                break
-            J = self.jacobian(x)
-            step, *_ = np.linalg.lstsq(J, F, rcond=None)
-            x -= step
-        return x
+        return self.project_points_many(np.array(x, dtype=float)[None, :],
+                                        tol=tol, iters=iters)[0]
 
     def project_points_many(self, X: np.ndarray, tol=1e-12, iters=20) -> np.ndarray:
+        """Gauss-Newton projection of every row onto the zero set, by
+        minimum-norm steps J^T (J J^T)^{-1} F."""
         if not self.constraints:
             return X
         X = np.array(X, dtype=float)
@@ -237,15 +229,11 @@ class ImplicitGManifold:
 
     def validate_action(self, sample_points, tol=1e-9) -> float:
         """max |F(A_s x)| over samples of the zero set; must stay below tol."""
-        worst = 0.0
-        for x in sample_points:
-            x = self.project_point(x)
-            for s in self.action.group.elements():
-                worst = max(
-                    worst,
-                    float(np.max(np.abs(self.constraint_values(self.apply(s, x))),
-                                 initial=0.0)),
-                )
+        X = self.project_points_many(np.array(sample_points, dtype=float)
+                                     .reshape(-1, self.ambient))
+        moved = np.einsum("gij,mj->gmi", np.array(self._act_mats), X)
+        F = self.constraint_values_many(moved.reshape(-1, self.ambient))
+        worst = float(np.max(np.abs(F), initial=0.0))
         if worst >= tol:
             raise ValueError(f"action does not preserve the zero set: {worst:.2e}")
         return worst

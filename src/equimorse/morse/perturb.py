@@ -244,38 +244,38 @@ class PerturbedModel(EqFunction):
 
     # -- radial profile, piecewise exact --
 
-    def _R(self, t):
+    def _profile(self, t, orders) -> list:
+        """The derivatives R^(k), k in orders (each 0, 1 or 2), of the radial
+        profile R = t^2 on t <= 1, -t^2 phi(t - 2) on 1 < t < 3 and -t^2 on
+        t >= 3.  phi and the derivatives of it that those need are evaluated
+        once each, on the middle rows only."""
         t = np.asarray(t, dtype=float)
-        out = np.where(t <= 1.0, t * t, 0.0)
-        out = np.where(t >= 3.0, -t * t, out)
+        lo, hi = t <= 1.0, t >= 3.0
         mid = (t > 1.0) & (t < 3.0)
+        out = []
+        for k in orders:
+            if k == 0:
+                out.append(np.where(hi, -t * t, np.where(lo, t * t, 0.0)))
+            elif k == 1:
+                out.append(np.where(hi, -2.0 * t, np.where(lo, 2.0 * t, 0.0)))
+            else:
+                out.append(np.where(hi, -2.0, np.where(lo, 2.0, 0.0)))
         if np.any(mid):
+            phi = self.cut.phi
             tm = t[mid]
-            out[mid] = -tm * tm * self.cut.phi(tm - 2.0)
-        return out
-
-    def _R1(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.where(t <= 1.0, 2.0 * t, 0.0)
-        out = np.where(t >= 3.0, -2.0 * t, out)
-        mid = (t > 1.0) & (t < 3.0)
-        if np.any(mid):
-            tm = t[mid]
-            out[mid] = -2 * tm * self.cut.phi(tm - 2) - tm * tm * self.cut.phi.d1(tm - 2)
-        return out
-
-    def _R2(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.where(t <= 1.0, 2.0, 0.0)
-        out = np.where(t >= 3.0, -2.0, out)
-        mid = (t > 1.0) & (t < 3.0)
-        if np.any(mid):
-            tm = t[mid]
-            out[mid] = (
-                -2 * self.cut.phi(tm - 2)
-                - 4 * tm * self.cut.phi.d1(tm - 2)
-                - tm * tm * self.cut.phi.d2(tm - 2)
-            )
+            s = tm - 2.0
+            p = [phi(s)]
+            if max(orders) >= 1:
+                p.append(phi.d1(s))
+            if max(orders) >= 2:
+                p.append(phi.d2(s))
+            for k, r in zip(orders, out):
+                if k == 0:
+                    r[mid] = -tm * tm * p[0]
+                elif k == 1:
+                    r[mid] = -2 * tm * p[0] - tm * tm * p[1]
+                else:
+                    r[mid] = -2 * p[0] - 4 * tm * p[1] - tm * tm * p[2]
         return out
 
     # -- evaluation --
@@ -286,7 +286,7 @@ class PerturbedModel(EqFunction):
         out = np.einsum("mi,mi->m", v, v) - np.einsum("mi,mi->m", w, w)
         if self.du:
             t = np.linalg.norm(u, axis=1)
-            out = out + self._R(t)
+            out = out + self._profile(t, (0,))[0]
             if self.h is not None and self.eps:
                 psi = self.cut.psi(t)
                 on = psi > 0.0
@@ -307,7 +307,7 @@ class PerturbedModel(EqFunction):
             safe = t > 0
             uhat = np.zeros_like(u)
             uhat[safe] = u[safe] / t[safe, None]
-            gu += self._R1(t)[:, None] * uhat
+            gu += self._profile(t, (1,))[0][:, None] * uhat
             # at t = 0 the profile is +t^2, gradient 2u = 0: consistent
             if self.h is not None and self.eps:
                 psi = self.cut.psi(t)
@@ -341,8 +341,8 @@ class PerturbedModel(EqFunction):
                 uhat = u / t[:, None]
                 Pu = uhat[:, :, None] * uhat[:, None, :]
                 Pt = np.eye(du) - Pu
-                Hn = (self._R2(t)[:, None, None] * Pu
-                      + (self._R1(t) / t)[:, None, None] * Pt)
+                R1, R2 = self._profile(t, (1, 2))
+                Hn = R2[:, None, None] * Pu + (R1 / t)[:, None, None] * Pt
                 if self.h is not None and self.eps:
                     psi = self.cut.psi(t)
                     d1 = self.cut.psi.d1(t)
@@ -729,7 +729,7 @@ def localize_surgery(f: EqFunction, M: ImplicitGManifold, p: CriticalPoint,
         pts = rng.normal(size=(128, model.du))
         pts /= np.linalg.norm(pts, axis=1)[:, None]
         h_sup = float(np.max(np.abs(model.h.value_many(pts))))
-    changed = model._R(ts) + model.eps * model.cut.psi(ts) * h_sup
+    changed = model._profile(ts, (0,))[0] + model.eps * model.cut.psi(ts) * h_sup
     out.c0_distance = float(scale * scale * np.max(np.abs(changed - base)))
     log.info("surgery at %s: C0 distance <= %.3e", np.round(p.coords, 4),
              out.c0_distance)

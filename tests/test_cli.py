@@ -182,3 +182,52 @@ def test_console_entrypoint():
     )
     assert proc.returncode == 0
     assert "deg 2: Z" in proc.stdout
+
+
+def _patch_flow(monkeypatch, **fields):
+    """Run the real flow counting, then overwrite fields of its MorseData."""
+    import equimorse.cli as cli
+
+    real = cli.morse_differentials
+
+    def patched(*args, **kwargs):
+        data = real(*args, **kwargs)
+        for name, value in fields.items():
+            setattr(data, name, value)
+        return data
+
+    monkeypatch.setattr(cli, "morse_differentials", patched)
+
+
+def test_morse_exit_code_on_flow_warning(monkeypatch):
+    _patch_flow(monkeypatch,
+                warnings=["NonConsecutiveFlow: trajectory skipped an index"])
+    code, out = run_cli(["morse", str(FIXDIR / "figure2_plane.json"),
+                         "--stabilize"])
+    assert code == 1
+    assert "warning: NonConsecutiveFlow" in out
+
+
+def test_morse_exit_code_on_closed_manifold_escape(monkeypatch):
+    # the circle is closed: a trajectory that escapes is a bug
+    _patch_flow(monkeypatch, escaped=1)
+    code, out = run_cli(["morse", str(FIXDIR / "circle_c2_height.json"),
+                         "--stabilize"])
+    assert code == 1
+    assert "unresolved=0 escaped=1" in out
+
+
+def test_morse_flat_figures_exit_zero_with_escapes():
+    # on the open planes an escape is a legitimate label
+    code, out = run_cli(["morse", str(FIXDIR / "figure2_plane.json"),
+                         "--stabilize"])
+    assert code == 0
+    assert "unresolved=0 escaped=1 steps=156 halvings=0" in out
+    code, out = run_cli(["morse", str(FIXDIR / "figure1_plane.json"),
+                         "--stabilize", "--coeff", "singular"])
+    assert code == 0
+    assert "unresolved=0 escaped=1 steps=40946 halvings=184" in out
+    flows = out.split("(source orbit -> target orbit, coset):\n")[1]
+    assert flows.splitlines()[:3] == ["  1 -> 0 via coset (0, 1, 2): 1",
+                                      "  2 -> 1 via coset (1,): 1",
+                                      "  2 -> 1 via coset (0,): 1"]

@@ -482,3 +482,35 @@ def test_subgroup_action_restriction():
     sub = subgroup_action(act, H)
     assert sub.group.order == 2
     assert sub.dim == 3
+
+
+def _profile_reference(cut, t):
+    """R, R' and R'' as three separate piecewise formulas, each evaluating
+    phi(t - 2) and its derivatives on its own."""
+    phi = cut.phi
+    mid = (t > 1.0) & (t < 3.0)
+    tm = t[mid]
+    R = np.where(t <= 1.0, t * t, 0.0)
+    R = np.where(t >= 3.0, -t * t, R)
+    R[mid] = -tm * tm * phi(tm - 2.0)
+    R1 = np.where(t <= 1.0, 2.0 * t, 0.0)
+    R1 = np.where(t >= 3.0, -2.0 * t, R1)
+    R1[mid] = -2 * tm * phi(tm - 2) - tm * tm * phi.d1(tm - 2)
+    R2 = np.where(t <= 1.0, 2.0, 0.0)
+    R2 = np.where(t >= 3.0, -2.0, R2)
+    R2[mid] = (-2 * phi(tm - 2) - 4 * tm * phi.d1(tm - 2)
+               - tm * tm * phi.d2(tm - 2))
+    return [R, R1, R2]
+
+
+def test_profile_matches_three_formulas(cut):
+    V, W, U = c3_rotation_reps()
+    model, _ = stable_perturb(V, W, U, SphereFunction.cos_multiple_angle(3),
+                              cut, verify=False)
+    t = np.linspace(0.0, 4.0, 200_001)
+    want = _profile_reference(cut, t)
+    for orders in [(0,), (1,), (2,), (1, 2), (0, 1, 2)]:
+        got = model._profile(t, orders)
+        assert len(got) == len(orders)
+        for k, g in zip(orders, got):
+            assert np.array_equal(g, want[k])
