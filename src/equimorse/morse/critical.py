@@ -136,10 +136,9 @@ def _newton_kkt(f: EqFunction, M: ImplicitGManifold, X0, max_iter=60,
         x, lam = Z[active, :N], Z[active, N:]
         res = f.grad_many(x)
         if c:
-            J = M.jacobian_many(x)
+            F, J = M.constraint_values_and_jacobian_many(x)
             res = np.concatenate(
-                [res - np.einsum("mcn,mc->mn", J, lam),
-                 M.constraint_values_many(x)], axis=1)
+                [res - np.einsum("mcn,mc->mn", J, lam), F], axis=1)
         norm = np.linalg.norm(res, axis=1)
         done = norm < tol
         converged[active[done]] = True

@@ -77,7 +77,7 @@ class _BumpIntegral:
         h = tc - left
         mids = left + h / 2.0
         pts = mids[..., None] + (h[..., None] / 2.0) * self.nodes
-        partial = (h / 2.0) * (_bump(pts) @ self.weights)
+        partial = (h / 2.0) * np.einsum("...k,k->...", _bump(pts), self.weights)
         return self.cum[idx] + partial
 
 

@@ -4,8 +4,17 @@ Trajectories integrate x' = -P grad f (descending; +P for ascending) with a
 projected RK4 step whose size adapts to the local gradient so the flow
 marches at roughly constant arc length, and are captured when they come
 within capture_tol of a known critical point.  The batch integrator steps
-many trajectories in lockstep with vectorized evaluations; aggregation of
-results never depends on trajectory order.
+many trajectories in lockstep with vectorized evaluations, each row with
+its own direction, so descents and ascents share one batch.  Every
+evaluation is row by row, and a row's trajectory is bit for bit the one it
+would have alone; aggregation of results never depends on trajectory
+order.
+
+One lockstep iteration evaluates the velocity four times (K1 also sets
+the step size) and f once, at the new points; f at the current points is
+carried over from the step that reached them.  A step that is not monotone
+in f is retried at half the size from the same K1, at three velocity and
+one f evaluation a retry.
 """
 
 from __future__ import annotations
@@ -25,6 +34,8 @@ __all__ = [
 ]
 
 CAPTURE_TOL = 1e-6
+# a step still non-monotone after this many halvings ends its trajectory
+MAX_HALVINGS = 50
 
 CAPTURED = 0
 ESCAPED = 1
@@ -59,7 +70,7 @@ def _crit_array(crits) -> np.ndarray:
 
 
 def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
-                    crits, direction: int = -1,
+                    crits, direction=-1,
                     capture_tol: float = CAPTURE_TOL,
                     step_length: float = 0.01,
                     max_steps: int = 40000,
@@ -68,11 +79,14 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
                     keep_paths: bool = False):
     """Integrate every row of X0; returns a list of Trajectory.
 
-    direction -1 descends, +1 ascends.  A trajectory finishes by capture
-    (within capture_tol of a critical point), escape (outside the escape
-    radius), or budget exhaustion.  dt_cap bounds the step near critical
-    points, where the speed-normalized step would leave RK4's stability
-    region; convergence there is linear at rate ~ eigenvalue * dt_cap.
+    direction is -1 (descend) or +1 (ascend), either one value for every
+    row or one per row.  A trajectory finishes by capture (within
+    capture_tol of a critical point), escape (outside the escape radius),
+    a step that stays non-monotone in f after MAX_HALVINGS halvings
+    (unresolved, left at its last accepted point), or budget exhaustion
+    (unresolved).  dt_cap bounds the step near critical points, where the
+    speed-normalized step would leave RK4's stability region; convergence
+    there is linear at rate ~ eigenvalue * dt_cap.
     """
     X = np.array(X0, dtype=float)
     m = len(X)
@@ -84,23 +98,25 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
     min_dists = np.full((m, len(C)), np.inf)
     active = np.ones(m, dtype=bool)
     paths = [[] for _ in range(m)] if keep_paths else None
-    sgn = float(direction)
+    sgn = np.broadcast_to(np.asarray(direction, dtype=float), (m,))
     # per-trajectory adaptive step bound; monotonicity violations halve it
     dt_state = np.full(m, dt_cap)
+    # f at each row's current point, carried from the step that reached it
+    f_at = np.zeros(m)
 
-    def velocity(pts):
-        V = sgn * f.grad_many(pts)
+    def velocity(pts, sign):
+        V = sign[:, None] * f.grad_many(pts)
         return M.project_tangent_many(pts, V)
 
-    def rk4(P, dt):
-        K1 = velocity(P)
-        K2 = velocity(P + 0.5 * dt * K1)
-        K3 = velocity(P + 0.5 * dt * K2)
-        K4 = velocity(P + dt * K3)
+    def rk4(P, sign, K1, dt):
+        # K1 is velocity(P), shared by the step size and every retry
+        K2 = velocity(P + 0.5 * dt * K1, sign)
+        K3 = velocity(P + 0.5 * dt * K2, sign)
+        K4 = velocity(P + dt * K3, sign)
         Pn = P + (dt / 6.0) * (K1 + 2 * K2 + 2 * K3 + K4)
         if M.codim:
             Pn = M.project_points_many(Pn)
-        return Pn, np.linalg.norm(K1, axis=1)
+        return Pn, f.value_many(Pn)
 
     for step in range(max_steps):
         if not active.any():
@@ -130,28 +146,36 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
                 break
             P = X[idx]
 
-        speed = np.linalg.norm(velocity(P), axis=1)
+        sign = sgn[idx]
+        K1 = velocity(P, sign)
+        speed = np.linalg.norm(K1, axis=1)
         base_dt = step_length / np.maximum(speed, 1e-4 * step_length)
         dt = np.minimum(base_dt, dt_state[idx])
-        f_old = f.value_many(P)
-        Pn, _ = rk4(P, dt[:, None])
-        f_new = f.value_many(Pn)
+        f_old = f.value_many(P) if step == 0 else f_at[idx]
+        Pn, f_new = rk4(P, sign, K1, dt[:, None])
         # the flow must be monotone in f; an increase means the step left
         # the stability region, so halve and retry those trajectories
         scale = np.maximum(np.abs(f_old), 1.0)
-        for _ in range(50):
-            bad = -sgn * (f_new - f_old) > 1e-14 * scale
+        bad = -sign * (f_new - f_old) > 1e-14 * scale
+        for _ in range(MAX_HALVINGS):
             if not bad.any():
                 break
             dt[bad] *= 0.5
             halvings[idx[bad]] += 1
             dt_state[idx[bad]] = dt[bad]
-            Pb, _ = rk4(P[bad], dt[bad][:, None])
-            Pn[bad] = Pb
-            f_new[bad] = f.value_many(Pb)
+            Pn[bad], f_new[bad] = rk4(P[bad], sign[bad], K1[bad],
+                                      dt[bad][:, None])
+            bad = -sign * (f_new - f_old) > 1e-14 * scale
+        if bad.any():
+            # still climbing against the flow: fail this row loudly rather
+            # than accept a step that breaks monotonicity
+            active[idx[bad]] = False
+            keep = ~bad
+            idx, Pn, f_new = idx[keep], Pn[keep], f_new[keep]
         # gently relax the cap so transient stiffness does not pin it
         dt_state[idx] = np.minimum(dt_state[idx] * 1.25, dt_cap)
         X[idx] = Pn
+        f_at[idx] = f_new
         steps_used[idx] = step + 1
         if keep_paths:
             for row, j in enumerate(idx):

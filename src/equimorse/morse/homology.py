@@ -11,6 +11,13 @@ stable functions the stabilizer of a source fixes its descending manifold
 pointwise, which makes the translated flow line and its arrival coset (the
 orbit-category morphism of the count) well defined.  Counts are mod 2
 throughout; orientations are out of scope.
+
+The ascents depend only on the critical points, so every descent and every
+ascent of one morse_differentials call runs in a single integrate_batch,
+each row with its own direction: the lockstep iterations are the longest
+trajectory's, not a sum over sources.  The trajectories are then read
+source by source, in orbit order and ascents last, which fixes the order
+of counts and warnings.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from ..complexes import ChainComplex
 from ..groups import OrbitMorphism
 from ..spectral import FilteredComplex
 from .critical import CriticalPoint
-from .flow import CAPTURE_TOL, integrate_batch
+from .flow import CAPTURE_TOL, UNRESOLVED, integrate_batch
 from .manifolds import EqFunction, ImplicitGManifold
 
 __all__ = [
@@ -123,7 +130,25 @@ def _descending_seeds(p: CriticalPoint, rho: float, samples: int):
         dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
     else:
         raise ValueError(f"descending spheres of dimension {k - 1} unsupported")
-    return np.asarray(p.coords)[None, :] + rho * dirs @ basis.T, dirs
+    return np.asarray(p.coords)[None, :] + rho * dirs @ basis.T
+
+
+def _ascending_seeds(M: ImplicitGManifold, q: CriticalPoint, rho: float):
+    """Points on the ascending line of the index-1 point q, one per
+    stabilizer class of its two ascending rays."""
+    w, V = np.linalg.eigh(q.hessian)
+    pos = V[:, w > 0]
+    if pos.shape[1] != 1:
+        raise ValueError("unexpected ascent dimension at an index-1 point")
+    v = pos[:, 0]
+    flips = []
+    for s in q.stabilizer.elements:
+        A = np.array([[float(x) for x in row] for row in M.action.matrices[s]])
+        R = q.tangent_basis.T @ A @ q.tangent_basis
+        flips.append(float(v @ R @ v) < 0)
+    dirs = np.array([[1.0]] if any(flips) else [[1.0], [-1.0]])
+    ambient_v = (q.tangent_basis @ v)[None, :]
+    return np.asarray(q.coords)[None, :] + rho * dirs @ ambient_v
 
 
 def _identify_arrival(M: ImplicitGManifold, orbits, target_index: int,
@@ -180,128 +205,104 @@ def morse_differentials(f: EqFunction, M: ImplicitGManifold,
         table = counts.setdefault((src_i, tgt_i), {})
         table[m] = table.get(m, 0) + 1
 
-    kw = dict(capture_tol=capture_tol, step_length=step_length,
-              max_steps=max_steps, escape_radius=escape_radius)
-    work = {"steps": 0, "halvings": 0}
-
-    def integrate(seeds, direction):
-        trajs = integrate_batch(f, M, seeds, crits=crits, direction=direction,
-                                **kw)
-        work["steps"] += sum(tr.steps for tr in trajs)
-        work["halvings"] += sum(tr.halvings for tr in trajs)
-        return trajs
-
+    # every descent and every receiving-end ascent, in processing order:
+    # (orbit, direction, seeds); they all run in one lockstep batch
+    segments = []
     for src_i, orb in enumerate(orbits):
         k = orb.index
         if k == 0:
             continue
         if k > 2:
             raise ValueError("sources of index > 2 are outside desk scale")
-        p = orb.rep
-        nsamp = samples_cfg.get(k - 1, 512)
-        seeds, _ = _descending_seeds(p, rho, nsamp)
-        if M.codim:
-            seeds = M.project_points_many(seeds)
-        trajs = integrate(seeds, -1)
-
-        if k == 1:
-            for tr in trajs:
-                if tr.status == 2:
-                    unresolved += 1
-                    continue
-                if tr.escaped:
-                    escaped += 1
-                    continue
-                if tr.limit.index != 0:
-                    warns.append(
-                        f"index-1 point at {np.round(p.coords, 4)} flowed to "
-                        f"index {tr.limit.index}"
-                    )
-                    warnings.warn(
-                        "NonConsecutiveFlow: trajectory skipped an index",
-                        stacklevel=2,
-                    )
-                    continue
-                oi, s = _identify_arrival(M, orbits, 0, tr.end, 10 * capture_tol)
-                if oi is None:
-                    unresolved += 1
-                    continue
-                record(src_i, oi, s)
-            continue
-
-        # index-2 source: the sample fixes the basin structure; each basin
-        # boundary is one emitted flow line, identified from the receiving
-        # end below (forward bisection is hopeless here: the saddle repels
-        # radially much faster than it attracts along the ridge)
-        labels = []
-        for tr in trajs:
-            if tr.status == 2:
-                unresolved += 1
-                labels.append(("unresolved", None))
-            elif tr.escaped:
-                labels.append(("escaped", None))
-            else:
-                labels.append(("crit", tr.limit_index))
-        n = len(labels)
-        emitted[src_i] = sum(
-            1 for i in range(n) if labels[i] != labels[(i + 1) % n]
-        )
-
+        segments.append((src_i, -1, _descending_seeds(
+            orb.rep, rho, samples_cfg.get(k - 1, 512))))
     # receiving-end shots out of index-1 targets with index-2 sources present
-    has_two = any(o.index == 2 for o in orbits)
-    if has_two:
+    if any(o.index == 2 for o in orbits):
         if M.dim != 2:
             raise ValueError(
                 "index-2 flow counting is implemented for surfaces"
             )
-        G = M.action.group
         for tgt_i, orb in enumerate(orbits):
-            if orb.index != 1:
-                continue
-            q = orb.rep
-            w, V = np.linalg.eigh(q.hessian)
-            pos = V[:, w > 0]
-            if pos.shape[1] != 1:
-                raise ValueError("unexpected ascent dimension at an index-1 point")
-            v = pos[:, 0]
-            # stabilizer classes of the two ascending rays
-            flips = []
-            for s in q.stabilizer.elements:
-                A = np.array([[float(x) for x in row]
-                              for row in M.action.matrices[s]])
-                R = q.tangent_basis.T @ A @ q.tangent_basis
-                flips.append(float(v @ R @ v) < 0)
-            rays = [1.0] if any(flips) else [1.0, -1.0]
-            dirs = np.array([[r] for r in rays])
-            ambient_v = (q.tangent_basis @ v)[None, :]
-            seeds = np.asarray(q.coords)[None, :] + rho * dirs @ ambient_v
-            if M.codim:
-                seeds = M.project_points_many(seeds)
-            trajs = integrate(seeds, +1)
-            for tr in trajs:
-                if tr.status == 2:
+            if orb.index == 1:
+                segments.append((tgt_i, +1, _ascending_seeds(M, orb.rep, rho)))
+    trajs = []
+    if segments:
+        X0 = np.concatenate([seeds for _, _, seeds in segments])
+        if M.codim:
+            X0 = M.project_points_many(X0)
+        direction = np.concatenate([np.full(len(seeds), d)
+                                    for _, d, seeds in segments])
+        trajs = integrate_batch(f, M, X0, crits=crits, direction=direction,
+                                capture_tol=capture_tol,
+                                step_length=step_length, max_steps=max_steps,
+                                escape_radius=escape_radius)
+
+    def arrival(tr, target_index, warning, message):
+        """The (orbit, coset) a trajectory lands on, or None after counting
+        it as unresolved or escaped or warning that it skipped an index."""
+        nonlocal unresolved, escaped
+        if tr.status == UNRESOLVED:
+            unresolved += 1
+            return None
+        if tr.escaped:
+            escaped += 1
+            return None
+        if tr.limit.index != target_index:
+            warns.append(f"{warning}{tr.limit.index}")
+            warnings.warn(message, stacklevel=3)
+            return None
+        oi, s = _identify_arrival(M, orbits, target_index, tr.end,
+                                  10 * capture_tol)
+        if oi is None:
+            unresolved += 1
+            return None
+        return oi, s
+
+    G = M.action.group
+    start = 0
+    for oi, d, seeds in segments:
+        part = trajs[start:start + len(seeds)]
+        start += len(seeds)
+        if d == +1:
+            for tr in part:
+                hit = arrival(tr, 2, "NonConsecutiveFlow: ascent from index 1 "
+                              "reached index ",
+                              "NonConsecutiveFlow: ascent skipped an index")
+                if hit is not None:
+                    # the line a.p_rep -> q_rep translates to
+                    # p_rep -> a^{-1}.q_rep
+                    record(hit[0], oi, G.inverse[hit[1]])
+        elif orbits[oi].index == 1:
+            where = np.round(orbits[oi].rep.coords, 4)
+            for tr in part:
+                hit = arrival(tr, 0, f"index-1 point at {where} flowed to "
+                              "index ",
+                              "NonConsecutiveFlow: trajectory skipped an index")
+                if hit is not None:
+                    record(oi, *hit)
+        else:
+            # index-2 source: the sample fixes the basin structure; each
+            # basin boundary is one emitted flow line, identified from the
+            # receiving end (forward bisection is hopeless here: the saddle
+            # repels radially much faster than it attracts along the ridge)
+            labels = []
+            for tr in part:
+                if tr.status == UNRESOLVED:
                     unresolved += 1
-                    continue
-                if tr.escaped:
-                    escaped += 1
-                    continue
-                if tr.limit.index != 2:
-                    warns.append(
-                        f"NonConsecutiveFlow: ascent from index 1 reached "
-                        f"index {tr.limit.index}"
-                    )
-                    warnings.warn("NonConsecutiveFlow: ascent skipped an index",
-                                  stacklevel=2)
-                    continue
-                oi, a = _identify_arrival(M, orbits, 2, tr.end, 10 * capture_tol)
-                if oi is None:
-                    unresolved += 1
-                    continue
-                # the line a.p_rep -> q_rep translates to p_rep -> a^{-1}.q_rep
-                record(oi, tgt_i, G.inverse[a])
+                    labels.append(("unresolved", None))
+                elif tr.escaped:
+                    labels.append(("escaped", None))
+                else:
+                    labels.append(("crit", tr.limit_index))
+            n = len(labels)
+            emitted[oi] = sum(
+                1 for i in range(n) if labels[i] != labels[(i + 1) % n]
+            )
 
     data = MorseData(orbits=orbits, counts=counts, unresolved=unresolved,
-                     escaped=escaped, warnings=warns, **work)
+                     escaped=escaped, warnings=warns,
+                     steps=sum(tr.steps for tr in trajs),
+                     halvings=sum(tr.halvings for tr in trajs))
     # raw boundary count of every index-2 source must equal its line count
     for src_i, nb in emitted.items():
         lines = sum(

@@ -6,10 +6,11 @@ automatic.
 
 Everything here is batched first: functions, constraints and their
 derivatives are evaluated on the rows of an (m x n) array, and a scalar
-call is a batch of one.  Polynomial data (a function with its gradient and
-Hessian, or a constraint map with its Jacobian and Hessians) is compiled
-once into a PolyTable, which evaluates all of its polynomials at all rows
-in one pass.
+call is a batch of one.  Each row's result is bit for bit independent of
+the other rows, so batches can be split and merged freely.  Polynomial
+data (a function with its gradient and Hessian, or a constraint map with
+its Jacobian and Hessians) is compiled once into a PolyTable, which
+evaluates all of its polynomials at all rows in one pass.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ class PolyTable:
     uses) and a (monomials x polynomials) coefficient matrix.  Evaluating
     at the rows of X builds each variable's power table once, multiplies
     the gathered powers into the monomial matrix, and returns mono @ coef.
+    That product is an einsum, not a BLAS matmul: BLAS picks its kernel by
+    the number of rows, so a row's value would depend in the last bit on
+    the other rows of the batch.
     """
 
     def __init__(self, polys, nvars: int):
@@ -54,7 +58,7 @@ class PolyTable:
         mono = np.ones((len(X), len(self.expo)))
         for i, ks, col in self._powers:
             mono *= (X[:, i, None] ** ks)[:, col]
-        return mono @ self.coef
+        return np.einsum("mk,kp->mp", mono, self.coef)
 
 
 class EqFunction:
@@ -171,8 +175,14 @@ class ImplicitGManifold:
 
     def jacobian_many(self, X) -> np.ndarray:
         """(m, codim, ambient)."""
-        return self._first(X)[:, self.codim:].reshape(len(X), self.codim,
-                                                      self.ambient)
+        return self.constraint_values_and_jacobian_many(X)[1]
+
+    def constraint_values_and_jacobian_many(self, X):
+        """(F, J) of shapes (m, codim) and (m, codim, ambient) from one
+        evaluation of the constraint table."""
+        T = self._first(X)
+        c = self.codim
+        return T[:, :c], T[:, c:].reshape(len(T), c, self.ambient)
 
     def constraint_hessians(self, x) -> np.ndarray:
         return self.constraint_hessians_many(np.asarray(x, dtype=float)[None, :])[0]
@@ -210,18 +220,24 @@ class ImplicitGManifold:
 
     def project_points_many(self, X: np.ndarray, tol=1e-12, iters=20) -> np.ndarray:
         """Gauss-Newton projection of every row onto the zero set, by
-        minimum-norm steps J^T (J J^T)^{-1} F."""
+        minimum-norm steps J^T (J J^T)^{-1} F.
+
+        Only the rows whose residual is still at least tol take a step, so
+        a row's result does not depend on the other rows of the batch.
+        """
         if not self.constraints:
             return X
         X = np.array(X, dtype=float)
+        rows = np.arange(len(X))
         for _ in range(iters):
-            F = self.constraint_values_many(X)
-            if np.max(np.abs(F), initial=0.0) < tol:
+            F, J = self.constraint_values_and_jacobian_many(X[rows])
+            left = ~(np.max(np.abs(F), axis=1, initial=0.0) < tol)
+            if not left.any():
                 break
-            J = self.jacobian_many(X)
+            rows, F, J = rows[left], F[left], J[left]
             G = np.einsum("mcn,mdn->mcd", J, J)
             lam = np.linalg.solve(G, F[..., None])[..., 0]
-            X = X - np.einsum("mcn,mc->mn", J, lam)
+            X[rows] -= np.einsum("mcn,mc->mn", J, lam)
         return X
 
     def apply(self, s: int, x) -> np.ndarray:

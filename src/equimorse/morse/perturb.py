@@ -14,7 +14,8 @@ Sphere functions h are homogeneous polynomials divided by the matching power
 of the radius, so their gradients and Hessians are closed-form.  Like every
 Morse-layer function, the model, the sphere functions, the charts and the
 surgered function evaluate on batches of points; a scalar call is a batch
-of one.
+of one.  Their per-row contractions are einsums rather than BLAS products,
+so a row's result does not depend on the rows beside it.
 """
 
 from __future__ import annotations
@@ -461,7 +462,8 @@ class LinearChart:
         return self.coords_many(np.asarray(x, dtype=float)[None, :])[0]
 
     def coords_many(self, X) -> np.ndarray:
-        return (np.asarray(X, dtype=float) - self.center) @ self.frame
+        return np.einsum("mn,nk->mk", np.asarray(X, dtype=float) - self.center,
+                         self.frame)
 
     def jac(self, x) -> np.ndarray:
         """dy/dx, shape (dim, ambient)."""
@@ -588,7 +590,7 @@ class SurgeredFunction(EqFunction):
         k = self.model.dv + self.model.dw
         free = np.ones(len(X), dtype=bool)
         for chart in self.charts:
-            Y = chart.coords_many(X) @ self.split.T
+            Y = np.einsum("mc,kc->mk", chart.coords_many(X), self.split)
             rows = np.flatnonzero(
                 free & (np.linalg.norm(Y[:, k:], axis=1) < 3.0 * self.scale)
             )
@@ -608,7 +610,7 @@ class SurgeredFunction(EqFunction):
         out = self.f0.grad_many(X)
         for chart, rows, Z in self._chart_rows(X):
             # s dF/dy (split dy/dx), with dF/dy at y/s
-            gy = self.model._grad_n(Z) @ self.split
+            gy = np.einsum("mk,kc->mc", self.model._grad_n(Z), self.split)
             out[rows] = self.scale * np.einsum(
                 "mc,mcn->mn", gy, chart.jac_many(X[rows])
             )
@@ -619,7 +621,7 @@ class SurgeredFunction(EqFunction):
         for chart, rows, Z in self._chart_rows(X):
             Xr = X[rows]
             Jy = np.einsum("kc,mcn->mkn", self.split, chart.jac_many(Xr))
-            gy = self.model._grad_n(Z) @ self.split
+            gy = np.einsum("mk,kc->mc", self.model._grad_n(Z), self.split)
             out[rows] = (
                 np.einsum("mki,mkl,mlj->mij", Jy, self.model._hess_n(Z), Jy)
                 + self.scale * np.einsum("mc,mcij->mij", gy,

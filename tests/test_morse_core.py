@@ -24,6 +24,7 @@ from equimorse.morse import (
     seed_grid,
 )
 from equimorse.morse.critical import _newton_kkt
+from equimorse.morse.flow import MAX_HALVINGS, UNRESOLVED, integrate_batch
 from equimorse.morse.manifolds import MetricField, PolyTable
 
 
@@ -290,6 +291,85 @@ def test_flow_counts_steps_and_halvings():
     mild = EqFunction.from_polynomial(Polynomial(2, {(2, 0): 1, (0, 2): 1}))
     tr = flow_trajectory(mild, M, np.array([0.5, 0.3]), -1, crit)
     assert tr.resolved and tr.steps > 0 and tr.halvings == 0
+
+
+def _counting(f):
+    """f with its value_many and grad_many calls counted."""
+    calls = {"value": 0, "grad": 0}
+
+    def value_many(X):
+        calls["value"] += 1
+        return f.value_many(X)
+
+    def grad_many(X):
+        calls["grad"] += 1
+        return f.grad_many(X)
+
+    return EqFunction(value_many, grad_many, f.hess_many, nvars=f.nvars), calls
+
+
+def test_flow_evaluations_per_step_and_retry():
+    # a lockstep iteration evaluates the velocity four times (K1 doubles as
+    # the speed) and f once; f at the start is evaluated once per batch
+    M = r2_manifold()
+    mild = EqFunction.from_polynomial(Polynomial(2, {(2, 0): 1, (0, 2): 1}))
+    crit = [classify(mild, M, np.zeros(2))]
+    X0 = np.array([[0.5, 0.3], [-0.4, 0.2]])
+    used = []
+    for n in (3, 4):
+        g, calls = _counting(mild)
+        trajs = integrate_batch(g, M, X0, crits=crit, max_steps=n)
+        assert all(tr.steps == n and tr.halvings == 0 for tr in trajs)
+        used.append(calls)
+    assert used[1]["grad"] - used[0]["grad"] == 4
+    assert used[1]["value"] - used[0]["value"] == 1
+    assert used[0]["value"] == 1 + 3
+    # a halving retry reuses K1: three velocity and one f evaluation
+    stiff = EqFunction.from_polynomial(Polynomial(2, {(2, 0): 1, (0, 2): 50}))
+    g, calls = _counting(stiff)
+    (tr,) = integrate_batch(g, M, X0[:1], crits=crit)
+    assert tr.resolved and tr.halvings > 0
+    assert calls["grad"] == 4 * tr.steps + 3 * tr.halvings
+    assert calls["value"] == 1 + tr.steps + tr.halvings
+
+
+def test_flow_fails_loudly_on_non_monotone_values():
+    # value_many contradicts the gradient: it reports a higher value at
+    # every call, so no halving makes a descending step monotone and the
+    # trajectory must end unresolved where it started, not be captured
+    M = r2_manifold()
+    mild = EqFunction.from_polynomial(Polynomial(2, {(2, 0): 1, (0, 2): 1}))
+    crit = [classify(mild, M, np.zeros(2))]
+    rising = iter(range(10**6))
+    liar = EqFunction(lambda X: np.full(len(X), float(next(rising))),
+                      mild.grad_many, mild.hess_many, nvars=2)
+    x0 = np.array([0.5, 0.3])
+    tr = flow_trajectory(liar, M, x0, -1, crit)
+    assert tr.status == UNRESOLVED and tr.limit is None
+    assert tr.steps == 0 and tr.halvings == MAX_HALVINGS
+    assert tr.end.tobytes() == x0.tobytes()
+
+
+def test_project_points_rows_independent():
+    # rows already on the sphere to within tol stay bit for bit where they
+    # are (a Gauss-Newton step would move the last two by about 2e-13), and
+    # the far row lands where it lands alone
+    M = sphere_manifold()
+    X = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0 - 2e-13],
+                  [0.6 + 3e-13, 0.8, 0.0], [3.0, -4.0, 12.0]])
+    assert np.max(np.abs(M.constraint_values_many(X[:3]))) < 1e-12
+    Y = M.project_points_many(X)
+    assert Y[:3].tobytes() == X[:3].tobytes()
+    assert Y[3].tobytes() == M.project_points_many(X[3:]).tobytes()
+    assert abs(M.constraint_values(Y[3])[0]) < 1e-12
+
+
+def test_constraint_values_and_jacobian_match_separate_calls():
+    M = sphere_manifold()
+    X = np.array([[0.3, -0.2, 0.9], [1.5, 0.1, -0.4]])
+    F, J = M.constraint_values_and_jacobian_many(X)
+    assert F.tobytes() == M.constraint_values_many(X).tobytes()
+    assert J.tobytes() == M.jacobian_many(X).tobytes()
 
 
 def test_flow_confined_to_fixed_locus():

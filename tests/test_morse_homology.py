@@ -25,7 +25,14 @@ from equimorse.morse import (
     morse_differentials,
     morse_filtration,
 )
-from equimorse.morse.homology import BoundarySquareNonzero, MorseData
+from equimorse.morse import homology as morse_homology
+from equimorse.morse.flow import UNRESOLVED, integrate_batch
+from equimorse.morse.homology import (
+    BoundarySquareNonzero,
+    MorseData,
+    _ascending_seeds,
+    _descending_seeds,
+)
 from equimorse.spectral import einfty_check, spectral_pages
 
 
@@ -147,9 +154,8 @@ def test_circle_morse_filtration_spectral(circle_data):
         assert e2.dim(n, 0) == hb.dim(n)
 
 
-def test_figure1_disk_counts(cut):
-    # after surgery each index-2 point flows to its two adjacent index-1
-    # points with count 1 each
+@pytest.fixture(scope="module")
+def figure1_data(cut):
     fx = figure1_plane()
     before = classify(fx.function, fx.manifold, np.zeros(2))
     newf = localize_surgery(fx.function, fx.manifold, before,
@@ -158,6 +164,13 @@ def test_figure1_disk_counts(cut):
     pts = find_critical_points(newf, fx.manifold, fx.seeds)
     pts = [p for p in pts if np.linalg.norm(p) < 1.05]
     crits = [classify(newf, fx.manifold, p) for p in pts]
+    return fx, newf, crits
+
+
+def test_figure1_disk_counts(figure1_data):
+    # after surgery each index-2 point flows to its two adjacent index-1
+    # points with count 1 each
+    fx, newf, crits = figure1_data
     data = morse_differentials(newf, fx.manifold, crits,
                                sphere_samples={1: 128}, escape_radius=3.0)
     maxima = data.by_index(2)
@@ -166,6 +179,66 @@ def test_figure1_disk_counts(cut):
     table = data.counts.get((maxima[0], saddles[0]), {})
     # two adjacent saddles within the orbit: two distinct cosets, count 1 each
     assert sorted(table.values()) == [1, 1]
+
+
+def _mixed_batch(M, crits):
+    """Descending seeds of one index-2 and one index-1 point and the
+    ascending seeds of that index-1 point, with their directions."""
+    top = next(c for c in crits if c.index == 2)
+    saddle = next(c for c in crits if c.index == 1)
+    parts = [(_descending_seeds(top, 1e-3, 8)[::2], -1),
+             (_descending_seeds(saddle, 1e-3, 0), -1),
+             (_ascending_seeds(M, saddle, 1e-3), +1)]
+    X0 = np.concatenate([X for X, _ in parts])
+    if M.codim:
+        X0 = M.project_points_many(X0)
+    return X0, np.concatenate([np.full(len(X), d) for X, d in parts])
+
+
+@pytest.mark.parametrize("case", ["torus_tilted", "figure1_plane"])
+def test_mixed_batch_matches_rows_alone(case, request):
+    # one mixed-direction batch gives every row the trajectory it has
+    # alone, bit for bit: merging batches cannot change a flow count
+    if case == "torus_tilted":
+        fx = torus_tilted()
+        f = fx.function
+        crits = classified_crits(fx)
+    else:
+        fx, f, crits = request.getfixturevalue("figure1_data")
+    M = fx.manifold
+    X0, direction = _mixed_batch(M, crits)
+    kw = dict(crits=crits, step_length=fx.step_length,
+              escape_radius=fx.escape_radius)
+    batch = integrate_batch(f, M, X0, direction=direction, **kw)
+    assert not any(tr.status == UNRESOLVED for tr in batch)
+    # on figure 1 the two ascents halve their steps 92 times each
+    assert case == "torus_tilted" or any(tr.halvings for tr in batch)
+    for x0, d, tr in zip(X0, direction, batch):
+        (alone,) = integrate_batch(f, M, x0[None, :], direction=int(d), **kw)
+        assert tr.end.tobytes() == alone.end.tobytes()
+        assert (tr.status, tr.limit_index, tr.steps, tr.halvings) == (
+            alone.status, alone.limit_index, alone.steps, alone.halvings)
+
+
+def test_differentials_integrate_in_one_batch(monkeypatch):
+    # every descent and ascent of the torus shares one lockstep batch
+    fx = torus_tilted()
+    crits = classified_crits(fx)
+    directions = []
+    real = morse_homology.integrate_batch
+
+    def counted(*args, **kwargs):
+        directions.append(np.array(kwargs["direction"]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(morse_homology, "integrate_batch", counted)
+    data = morse_differentials(fx.function, fx.manifold, crits,
+                               step_length=fx.step_length,
+                               sphere_samples={1: 16})
+    (d,) = directions
+    # 16 samples of the maximum, 2 per saddle, one or two ascents per saddle
+    assert (d == -1).sum() == 16 + 2 + 2 and (d == +1).sum() >= 2
+    assert data.unresolved == 0
 
 
 def test_morse_complex_needs_char2(circle_data):
