@@ -1,11 +1,7 @@
-"""Command-line front end: fixture loading, pipeline orchestration, report
-emission.
+"""Command-line front end: pipeline orchestration and report emission.
 
-Fixtures are JSON files carrying the group as an explicit multiplication
-table plus either a G-CW description (cell-orbits with stabilizers and
-boundary records) or a manifold description (constraints, action matrices,
-function, charts).  Matrix and polynomial entries are written as [num, den]
-pairs when exact and plain floats otherwise.
+Fixture arguments are paths to JSON files in the format read by
+equimorse.fixtures.load_fixture (see fixtures/ at the root of the checkout).
 
 Commands: bredon, morse, specseq, cells, smith.  Reports are deterministic
 given identical flags and seeds; the exit code is nonzero whenever an
@@ -15,29 +11,16 @@ invoked invariant fails.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from fractions import Fraction
 
 import numpy as np
 
 from .coefficients import build_system
 from .complexes import homology
-from .gcw import CellOrbit, GCWComplex, bredon_chain_complex, subquotient_complex
-from .groups import (
-    FiniteGroup,
-    OrbitCategory,
-    OrbitMorphism,
-    Subgroup,
-    full_subgroup,
-    trivial_subgroup,
-)
+from .fixtures import FixtureError, ManifoldFixture, load_fixture
+from .gcw import GCWComplex, bredon_chain_complex, subquotient_complex
+from .groups import FiniteGroup, OrbitCategory, full_subgroup, trivial_subgroup
 from .morse import (
-    AngleChart,
-    EqFunction,
-    ImplicitGManifold,
-    LinearChart,
-    SphereFunction,
     build_cutoffs,
     classify,
     find_critical_points,
@@ -47,135 +30,9 @@ from .morse import (
     morse_filtration,
     representation_cell_groups,
     RepSpec,
-    seed_grid,
 )
-from .polynomials import LinearAction, Polynomial
 from .smith import NotAPGroup, smith_report
 from .spectral import einfty_check, skeletal_filtration, spectral_pages
-
-
-class FixtureError(ValueError):
-    pass
-
-
-# -- fixture (de)serialization ----------------------------------------------
-
-
-def _num_from_json(v):
-    if isinstance(v, list):
-        return Fraction(int(v[0]), int(v[1]))
-    if isinstance(v, (int, float)):
-        return v
-    raise FixtureError(f"bad numeric entry {v!r}")
-
-
-def load_fixture(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FixtureError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    if "group" not in raw:
-        raise FixtureError(f"{path}: missing 'group'")
-    has_gcw = "gcw" in raw
-    has_manifold = "manifold" in raw
-    if has_gcw == has_manifold:
-        raise FixtureError(f"{path}: exactly one of 'gcw'/'manifold' required")
-    g = raw["group"]
-    table = tuple(tuple(int(x) for x in row) for row in g["table"])
-    if len(table) != int(g.get("order", len(table))):
-        raise FixtureError(f"{path}: group order disagrees with the table")
-    group = FiniteGroup(table, name=g.get("name", "G"))
-    out = {"name": raw.get("name", path), "group": group}
-    if has_gcw:
-        out["gcw"] = _gcw_from_json(group, raw["gcw"], raw.get("name", ""))
-    else:
-        out["manifold"] = _manifold_from_json(group, raw["manifold"])
-    out["options"] = raw.get("options", {})
-    return out
-
-
-def _gcw_from_json(group, spec, name: str) -> GCWComplex:
-    cells = {}
-    for dim_str, lst in spec["cells"].items():
-        n = int(dim_str)
-        cells[n] = tuple(
-            CellOrbit(Subgroup(group, tuple(int(x) for x in c["stab"])),
-                      c.get("label", f"c{n}.{i}"))
-            for i, c in enumerate(lst)
-        )
-    boundary: dict = {}
-    for rec in spec.get("boundary", []):
-        n = int(rec["dim"])
-        a = int(rec["cell"])
-        b = int(rec["face"])
-        m = OrbitMorphism(cells[n][a].stabilizer, cells[n - 1][b].stabilizer,
-                          (int(rec["coset"]),))
-        boundary.setdefault(n, {}).setdefault((a, b), []).append(
-            (m, int(rec["degree"]))
-        )
-    boundary = {n: {k: tuple(v) for k, v in d.items()}
-                for n, d in boundary.items()}
-    marked = frozenset(
-        (int(d), int(i)) for d, i in spec.get("marked", [])
-    )
-    return GCWComplex(group=group, cells=cells, boundary=boundary,
-                      marked=marked, name=name)
-
-
-def _matrix_from_json(rows):
-    return tuple(tuple(_num_from_json(v) for v in row) for row in rows)
-
-
-def _manifold_from_json(group, spec) -> dict:
-    ambient = int(spec["ambient"])
-    mats = [_matrix_from_json(m) for m in spec["action"]]
-    act = LinearAction(group, mats)
-    constraints = tuple(
-        Polynomial.from_records(ambient, recs)
-        for recs in spec.get("constraints", [])
-    )
-    M = ImplicitGManifold(ambient=ambient, constraints=constraints, action=act)
-    f = EqFunction.from_polynomial(
-        Polynomial.from_records(ambient, spec["function"]), name="fixture-function"
-    )
-    charts = {}
-    for name, ch in spec.get("charts", {}).items():
-        if ch["type"] == "linear":
-            charts[name] = LinearChart(
-                np.array(ch["point"], dtype=float),
-                np.array(ch["frame"], dtype=float),
-                dv=int(ch["dv"]), dw=int(ch["dw"]),
-            )
-        elif ch["type"] == "angle":
-            charts[name] = AngleChart(float(ch["pole_angle"]))
-        else:
-            raise FixtureError(f"unknown chart type {ch['type']!r}")
-    sphere_fn = None
-    if "sphere_fn" in spec:
-        sf = spec["sphere_fn"]
-        sphere_fn = SphereFunction(
-            Polynomial.from_records(int(sf["nvars"]), sf["records"])
-        )
-    seeds_spec = spec.get("seeds", {})
-    if "circle" in seeds_spec:
-        th = np.linspace(0, 2 * np.pi, int(seeds_spec["circle"]), endpoint=False)
-        seeds = np.stack([np.cos(th), np.sin(th)], axis=1)
-    elif "bounds" in seeds_spec:
-        seeds = seed_grid([tuple(b) for b in seeds_spec["bounds"]],
-                          seeds_spec.get("counts", 7))
-    else:
-        seeds = seed_grid([(-1.5, 1.5)] * ambient, 7)
-    return {
-        "manifold": M,
-        "function": f,
-        "charts": charts,
-        "sphere_fn": sphere_fn,
-        "seeds": seeds,
-        "surgery_radius": float(spec.get("surgery_radius", 1.0)),
-        "step_length": float(spec.get("step_length", 0.01)),
-        "escape_radius": float(spec.get("escape_radius", 50.0)),
-    }
 
 
 # -- report helpers ----------------------------------------------------------
@@ -199,17 +56,14 @@ def _header(args, extra=""):
 
 
 def cmd_bredon(args) -> int:
-    fx = load_fixture(args.fixture)
-    if "gcw" not in fx:
+    X = load_fixture(args.fixture)
+    if not isinstance(X, GCWComplex):
         raise FixtureError("bredon needs a G-CW fixture")
-    X = fx["gcw"]
     cat = OrbitCategory(X.group)
-    coeff = args.coeff or fx["options"].get("coeff", "singular,constant,fixed-point")
-    kinds = coeff.split(",")
-    lines = [_header(args, f"fixture={fx['name']}")]
+    lines = [_header(args, f"fixture={X.name}")]
     rows = ["kind,degree,betti,torsion"]
     ok = True
-    for kind in kinds:
+    for kind in args.coeff.split(","):
         M = build_system(cat, kind, char=args.p)
         h = homology(bredon_chain_complex(X, M))
         lines.append(f"[{kind}]")
@@ -238,61 +92,66 @@ def _coords(x) -> list:
     return (np.round(x, 6) + 0.0).tolist()
 
 
-def _morse_pipeline(fx, args):
-    data = fx["manifold"]
-    M = data["manifold"]
-    f = data["function"]
-    seeds = data["seeds"]
-    if args.seeds:
-        rng = np.random.default_rng(args.seed_value)
-        lo = seeds.min(axis=0)
-        hi = seeds.max(axis=0)
-        seeds = rng.uniform(lo, hi, size=(args.seeds, M.ambient))
-    pts = find_critical_points(f, M, seeds)
-    crits = [classify(f, M, p) for p in pts]
-    lines = ["critical points (before):"]
+def _crit_table(title, crits) -> list:
+    lines = [f"critical points ({title}):"]
     for c in crits:
         lines.append(
             f"  at {_coords(c.coords)} value={c.value:.6g} "
             f"index={c.index} stab={c.stabilizer.order} "
             f"{'stable' if c.stable else 'UNSTABLE'}"
         )
+    return lines
+
+
+def _chart_at(charts, x):
+    """The fixture chart centred at x, if any."""
+    for ch in charts.values():
+        center = ch.center if hasattr(ch, "center") else ch.center_point()
+        if np.linalg.norm(center - x) < 1e-6:
+            return ch
+    return None
+
+
+def _morse_pipeline(fx: ManifoldFixture, args):
+    """Critical points (after surgery with --stabilize), the report lines,
+    and the flow data when the function is stable (else None)."""
+    M = fx.manifold
+    f = fx.function
+    seeds = fx.seeds
+    if args.seeds:
+        rng = np.random.default_rng(args.seed_value)
+        lo = seeds.min(axis=0)
+        hi = seeds.max(axis=0)
+        seeds = rng.uniform(lo, hi, size=(args.seeds, M.ambient))
+    crits = [classify(f, M, p) for p in find_critical_points(f, M, seeds)]
+    lines = _crit_table("before", crits)
     if args.stabilize:
         cut = build_cutoffs(args.delta)
-        for c in list(crits):
+        for c in crits:
             if c.stable:
                 continue
-            chart = None
-            for name, ch in data["charts"].items():
-                center = (ch.center if hasattr(ch, "center")
-                          else ch.center_point())
-                if np.linalg.norm(center - c.coords) < 1e-6:
-                    chart = ch
-                    break
-            f = localize_surgery(f, M, c, data["surgery_radius"], cut,
-                                 chart=chart, h=data["sphere_fn"])
+            f = localize_surgery(f, M, c, fx.surgery_radius, cut,
+                                 chart=_chart_at(fx.charts, c.coords),
+                                 h=fx.sphere_fn)
             lines.append(
                 f"surgery at {_coords(c.coords)}: C0 distance "
                 f"<= {f.c0_distance:.3e}"
             )
-        pts = find_critical_points(f, M, seeds)
-        crits = [classify(f, M, p) for p in pts]
-        lines.append("critical points (after):")
-        for c in crits:
-            lines.append(
-                f"  at {_coords(c.coords)} value={c.value:.6g} "
-                f"index={c.index} stab={c.stabilizer.order} "
-                f"{'stable' if c.stable else 'UNSTABLE'}"
-            )
-    return f, crits, lines, data
+        crits = [classify(f, M, p) for p in find_critical_points(f, M, seeds)]
+        lines += _crit_table("after", crits)
+    if not all(c.stable for c in crits):
+        return crits, lines, None
+    mdata = morse_differentials(f, M, crits, step_length=fx.step_length,
+                                escape_radius=fx.escape_radius)
+    return crits, lines, mdata
 
 
 def cmd_morse(args) -> int:
     fx = load_fixture(args.fixture)
-    if "manifold" not in fx:
+    if not isinstance(fx, ManifoldFixture):
         raise FixtureError("morse needs a manifold fixture")
-    f, crits, lines, data = _morse_pipeline(fx, args)
-    out = [_header(args, f"fixture={fx['name']}")] + lines
+    crits, lines, mdata = _morse_pipeline(fx, args)
+    out = [_header(args, f"fixture={fx.name}")] + lines
     rows = ["point,value,index,stab,stable"]
     for c in crits:
         rows.append(
@@ -300,11 +159,8 @@ def cmd_morse(args) -> int:
             f"{c.stabilizer.order},{int(c.stable)}"
         )
     ok = True
-    if all(c.stable for c in crits):
-        M = data["manifold"]
-        mdata = morse_differentials(f, M, crits,
-                                    step_length=data["step_length"],
-                                    escape_radius=data["escape_radius"])
+    if mdata is not None:
+        M = fx.manifold
         out.append(f"flow counting: unresolved={mdata.unresolved} "
                    f"escaped={mdata.escaped} steps={mdata.steps} "
                    f"halvings={mdata.halvings}")
@@ -320,11 +176,10 @@ def cmd_morse(args) -> int:
                 out.append(f"  {i} -> {j} via coset {m.coset}: {cnt}")
                 rows.append(f"flow,{i},{j},\"{m.coset}\",{cnt}")
         cat = OrbitCategory(M.action.group)
-        coeff = args.coeff or fx["options"].get("coeff", "constant")
-        sys_ = build_system(cat, coeff, char=2)
+        sys_ = build_system(cat, args.coeff, char=2)
         C = morse_complex(mdata, sys_)
         h = homology(C)
-        out.append(f"morse homology over F2 ({coeff}):")
+        out.append(f"morse homology over F2 ({args.coeff}):")
         out.append(h.text_table())
         for n in h.degrees():
             rows.append(f"H{n},{h.dim(n)},,,")
@@ -337,23 +192,19 @@ def cmd_morse(args) -> int:
 
 def cmd_specseq(args) -> int:
     fx = load_fixture(args.fixture)
-    cat = OrbitCategory(fx["group"])
-    if "gcw" in fx:
-        M = build_system(cat, args.coeff, char=args.p)
-        C = bredon_chain_complex(fx["gcw"], M)
-        F = skeletal_filtration(C)
+    if isinstance(fx, GCWComplex):
+        M = build_system(OrbitCategory(fx.group), args.coeff, char=args.p)
+        F = skeletal_filtration(bredon_chain_complex(fx, M))
     else:
-        f, crits, _, data = _morse_pipeline(fx, args)
-        if not all(c.stable for c in crits):
+        _, _, mdata = _morse_pipeline(fx, args)
+        if mdata is None:
             raise FixtureError("specseq on a manifold fixture needs "
                                "--stabilize to reach a stable function")
-        mdata = morse_differentials(f, data["manifold"], crits,
-                                    step_length=data["step_length"],
-                                    escape_radius=data["escape_radius"])
+        cat = OrbitCategory(fx.manifold.action.group)
         F = morse_filtration(mdata, build_system(cat, args.coeff, char=2))
     pages = spectral_pages(F, args.rmax)
     ok, report = einfty_check(F)
-    lines = [_header(args, f"fixture={fx['name']}")]
+    lines = [_header(args, f"fixture={fx.name}")]
     rows = []
     for page in pages:
         lines.append(page.grid_text())
@@ -395,11 +246,11 @@ def cmd_cells(args) -> int:
 
 
 def cmd_smith(args) -> int:
-    fx = load_fixture(args.fixture)
-    if "gcw" not in fx:
+    X = load_fixture(args.fixture)
+    if not isinstance(X, GCWComplex):
         raise FixtureError("smith needs a G-CW fixture")
-    rep = smith_report(fx["gcw"], args.p)
-    lines = [_header(args, f"fixture={fx['name']}"), rep.text_table()]
+    rep = smith_report(X, args.p)
+    lines = [_header(args, f"fixture={X.name}"), rep.text_table()]
     _emit(lines, rep.csv_rows(), args)
     return 0 if rep.all_pass else 1
 
@@ -416,7 +267,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bredon", help="Bredon homology tables per system")
     p.add_argument("fixture")
-    p.add_argument("--coeff", default=None)
+    p.add_argument("--coeff", default="singular,constant,fixed-point")
     p.add_argument("--p", type=int, default=0,
                    help="coefficient characteristic (0 = integers)")
     common(p)
@@ -424,7 +275,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("morse", help="critical points, surgery, differentials")
     p.add_argument("fixture")
     p.add_argument("--stabilize", action="store_true")
-    p.add_argument("--coeff", default=None)
+    p.add_argument("--coeff", default="constant")
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--seeds", type=int, default=0,
                    help="override fixture seeds with N random ones")

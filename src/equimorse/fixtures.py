@@ -1,21 +1,32 @@
-"""Built-in desk-scale fixtures: the G-CW complexes and G-manifolds the test
-suite and CLI exercise.
+"""Fixtures: the G-CW complexes and G-manifolds the test suite, the CLI and
+the benchmark exercise.
 
-Every G-CW fixture is assembled from an individual-cell description through
-gcw_from_cells, which re-validates the action and all boundary records.
-Manifold fixtures bundle an implicit G-manifold with an invariant function,
-seed grids for the critical-point search, and (when surgery applies) the
-exact Morse chart and sphere data at the unstable point.
+Every fixture is one JSON file under fixtures/ at the root of the checkout.
+A file carries the group as an explicit multiplication table plus either a
+G-CW description (cell orbits with stabilizers and boundary records) or a
+manifold description (constraints, action matrices, function, seeds, and
+the exact Morse charts and sphere data where surgery applies).  Matrix and
+polynomial entries are written as [num, den] pairs when exact and plain
+floats otherwise.
+
+load_fixture(path) reads any such file and returns a GCWComplex or a
+ManifoldFixture.  equimorse.fixtures.<name>() loads fixtures/<name>.json
+from the checkout by name, so it works from a source tree or an editable
+install; GCW_FIXTURES and MANIFOLD_FIXTURES map each name to that loader.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 
-from .gcw import GCWComplex, gcw_from_cells
-from .groups import FiniteGroup
+from .gcw import CellOrbit, GCWComplex
+from .groups import FiniteGroup, OrbitMorphism, Subgroup
 from .polynomials import LinearAction, Polynomial
 from .morse import (
     AngleChart,
@@ -26,160 +37,11 @@ from .morse import (
     seed_grid,
 )
 
-
-def point_c2() -> GCWComplex:
-    """One fixed 0-cell for C2: Bredon homology of a point."""
-    G = FiniteGroup.cyclic(2)
-    return gcw_from_cells(
-        group=G,
-        cells={0: 1},
-        boundaries={0: [[]]},
-        perms={0: {0: (0,)}, 1: {0: (0,)}},
-        name="point_c2",
-    )
+FIXTURE_DIR = Path(__file__).resolve().parents[2] / "fixtures"
 
 
-def circle_reflection() -> GCWComplex:
-    """S^1 with the C2 reflection: two fixed 0-cells, one free 1-cell orbit."""
-    G = FiniteGroup.cyclic(2)
-    return gcw_from_cells(
-        group=G,
-        cells={0: 2, 1: 2},
-        # both arcs run from a (=0) to b (=1); the reflection swaps them
-        boundaries={0: [[], []], 1: [[(0, -1), (1, 1)], [(0, -1), (1, 1)]]},
-        perms={
-            0: {0: (0, 1), 1: (0, 1)},
-            1: {0: (0, 1), 1: (1, 0)},
-        },
-        labels={(0, 0): "a", (0, 1): "b", (1, 0): "c"},
-        name="circle_reflection",
-    )
-
-
-def sphere_reflection() -> GCWComplex:
-    """S^2 with C2 reflecting through the equator plane; fixed set = equator.
-
-    Cells: one fixed vertex, one fixed equatorial edge, two swapped
-    hemispheres attached along the full equator.
-    """
-    G = FiniteGroup.cyclic(2)
-    return gcw_from_cells(
-        group=G,
-        cells={0: 1, 1: 1, 2: 2},
-        boundaries={0: [[]], 1: [[]], 2: [[(0, 1)], [(0, 1)]]},
-        perms={
-            0: {0: (0,), 1: (0,), 2: (0, 1)},
-            1: {0: (0,), 1: (0,), 2: (1, 0)},
-        },
-        labels={(0, 0): "v", (1, 0): "e", (2, 0): "h"},
-        name="sphere_reflection",
-    )
-
-
-def torus_double() -> GCWComplex:
-    """The double of an annulus: T^2 = S^1 x S^1 with C2 reflecting the
-    second circle.  Fixed set = two disjoint circles; quotient = annulus."""
-    G = FiniteGroup.cyclic(2)
-    # 0-cells: va, vb (fixed); 1-cells: ea, eb (fixed), vc+, vc- (swapped);
-    # 2-cells: ec+, ec- (swapped)
-    return gcw_from_cells(
-        group=G,
-        cells={0: 2, 1: 4, 2: 2},
-        boundaries={
-            0: [[], []],
-            1: [[], [], [(0, -1), (1, 1)], [(0, -1), (1, 1)]],
-            2: [[(0, 1), (1, -1)], [(0, 1), (1, -1)]],
-        },
-        perms={
-            0: {0: (0, 1), 1: (0, 1, 2, 3), 2: (0, 1)},
-            1: {0: (0, 1), 1: (0, 1, 3, 2), 2: (1, 0)},
-        },
-        labels={(0, 0): "va", (0, 1): "vb", (1, 0): "ea", (1, 1): "eb",
-                (1, 2): "vc", (2, 0): "ec"},
-        name="torus_double",
-    )
-
-
-def circle_dihedral() -> GCWComplex:
-    """S^1 as a hexagon with the dihedral S3-action (rotations by 120 degrees
-    and three reflections).  Two vertex orbits with order-2 stabilizers and
-    one free orbit of six arcs."""
-    G = FiniteGroup.dihedral(3)
-
-    # element 2i+fl = (rotation^i, flip^fl); vertices at 60-degree steps
-    def vmap(s, j):
-        i, fl = divmod(s, 2)
-        return (2 * i - j if fl else 2 * i + j) % 6
-
-    # arcs indexed by group elements: arc_s = s . (the arc from v0 to v1)
-    vperms = {s: tuple(vmap(s, j) for j in range(6)) for s in G.elements()}
-    aperms = {s: tuple(G.mul[s][t] for t in range(6)) for s in G.elements()}
-    boundaries = {
-        0: [[] for _ in range(6)],
-        1: [[(vmap(s, 0), -1), (vmap(s, 1), 1)] for s in range(6)],
-    }
-    return gcw_from_cells(
-        group=G,
-        cells={0: 6, 1: 6},
-        boundaries=boundaries,
-        perms={s: {0: vperms[s], 1: aperms[s]} for s in G.elements()},
-        name="circle_dihedral",
-    )
-
-
-def antipodal_circle() -> GCWComplex:
-    """S^1 with the free antipodal C2-action: two vertices and two arcs, each
-    forming one free orbit."""
-    G = FiniteGroup.cyclic(2)
-    # vertices v0, v1 = -v0; arcs a0 from v0 to v1, a1 = -a0 from v1 to v0
-    return gcw_from_cells(
-        group=G,
-        cells={0: 2, 1: 2},
-        boundaries={0: [[], []], 1: [[(0, -1), (1, 1)], [(1, -1), (0, 1)]]},
-        perms={
-            0: {0: (0, 1), 1: (0, 1)},
-            1: {0: (1, 0), 1: (1, 0)},
-        },
-        name="antipodal_circle",
-    )
-
-
-def sphere_rotation_c3() -> GCWComplex:
-    """S^2 with C3 rotating about the polar axis: two fixed poles, a free
-    orbit of three meridians, and a free orbit of three lunes."""
-    G = FiniteGroup.cyclic(3)
-    # 0-cells: N=0, S=1; 1-cells: meridians m0,m1,m2 (mj from S to N);
-    # 2-cells: lunes l0,l1,l2 with boundary m_{j+1} - m_j
-    return gcw_from_cells(
-        group=G,
-        cells={0: 2, 1: 3, 2: 3},
-        boundaries={
-            0: [[], []],
-            1: [[(1, -1), (0, 1)] for _ in range(3)],
-            2: [[(1, 1), (0, -1)], [(2, 1), (1, -1)], [(0, 1), (2, -1)]],
-        },
-        perms={
-            0: {0: (0, 1), 1: (0, 1, 2), 2: (0, 1, 2)},
-            1: {0: (0, 1), 1: (1, 2, 0), 2: (1, 2, 0)},
-            2: {0: (0, 1), 1: (2, 0, 1), 2: (2, 0, 1)},
-        },
-        labels={(0, 0): "N", (0, 1): "S", (1, 0): "m", (2, 0): "l"},
-        name="sphere_rotation_c3",
-    )
-
-
-GCW_FIXTURES = {
-    "point_c2": point_c2,
-    "circle_reflection": circle_reflection,
-    "sphere_reflection": sphere_reflection,
-    "torus_double": torus_double,
-    "circle_dihedral": circle_dihedral,
-    "antipodal_circle": antipodal_circle,
-    "sphere_rotation_c3": sphere_rotation_c3,
-}
-
-
-# -- manifold fixtures -------------------------------------------------------
+class FixtureError(ValueError):
+    pass
 
 
 @dataclass(eq=False)
@@ -195,135 +57,133 @@ class ManifoldFixture:
     surgery_radius: float = 1.0
     step_length: float = 0.01
     escape_radius: float = 50.0
-    oracle_gcw: str | None = None                  # matching G-CW fixture
 
 
-def figure1_plane() -> ManifoldFixture:
-    """R^2 with the C3 rotation and f = -(x^2 + y^2): one unstable index-2
-    point at the origin; surgery adds six critical points off the fixed
-    locus in two orbits of three."""
-    act = LinearAction.rotation_cn(3)
-    M = ImplicitGManifold(ambient=2, constraints=(), action=act, name="fig1")
+def load_fixture(path) -> GCWComplex | ManifoldFixture:
+    """The fixture in the JSON file at path; FixtureError if it is malformed."""
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise FixtureError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    unknown = set(raw) - {"name", "group", "gcw", "manifold"}
+    if unknown:
+        raise FixtureError(f"{path}: unknown keys {sorted(unknown)}")
+    if "group" not in raw:
+        raise FixtureError(f"{path}: missing 'group'")
+    if ("gcw" in raw) == ("manifold" in raw):
+        raise FixtureError(f"{path}: exactly one of 'gcw'/'manifold' required")
+    g = raw["group"]
+    table = tuple(tuple(int(x) for x in row) for row in g["table"])
+    if len(table) != int(g.get("order", len(table))):
+        raise FixtureError(f"{path}: group order disagrees with the table")
+    group = FiniteGroup(table, name=g.get("name", "G"))
+    name = raw.get("name", str(path))
+    if "gcw" in raw:
+        return _gcw_from_json(group, raw["gcw"], name)
+    return _manifold_from_json(group, raw["manifold"], name)
+
+
+def _num_from_json(v):
+    if isinstance(v, list):
+        return Fraction(int(v[0]), int(v[1]))
+    if isinstance(v, (int, float)):
+        return v
+    raise FixtureError(f"bad numeric entry {v!r}")
+
+
+def _matrix_from_json(rows):
+    return tuple(tuple(_num_from_json(v) for v in row) for row in rows)
+
+
+def _gcw_from_json(group, spec, name: str) -> GCWComplex:
+    cells = {}
+    for dim_str, lst in spec["cells"].items():
+        n = int(dim_str)
+        cells[n] = tuple(
+            CellOrbit(Subgroup(group, tuple(int(x) for x in c["stab"])),
+                      c.get("label", f"c{n}.{i}"))
+            for i, c in enumerate(lst)
+        )
+    boundary: dict = {}
+    for rec in spec.get("boundary", []):
+        n = int(rec["dim"])
+        a = int(rec["cell"])
+        b = int(rec["face"])
+        m = OrbitMorphism(cells[n][a].stabilizer, cells[n - 1][b].stabilizer,
+                          (int(rec["coset"]),))
+        boundary.setdefault(n, {}).setdefault((a, b), []).append(
+            (m, int(rec["degree"]))
+        )
+    boundary = {n: {k: tuple(v) for k, v in d.items()}
+                for n, d in boundary.items()}
+    marked = frozenset(
+        (int(d), int(i)) for d, i in spec.get("marked", [])
+    )
+    return GCWComplex(group=group, cells=cells, boundary=boundary,
+                      marked=marked, name=name)
+
+
+def _manifold_from_json(group, spec, name: str) -> ManifoldFixture:
+    ambient = int(spec["ambient"])
+    act = LinearAction(group, [_matrix_from_json(m) for m in spec["action"]])
+    constraints = tuple(
+        Polynomial.from_records(ambient, recs)
+        for recs in spec.get("constraints", [])
+    )
+    M = ImplicitGManifold(ambient=ambient, constraints=constraints, action=act,
+                          name=name)
     f = EqFunction.from_polynomial(
-        Polynomial(2, {(2, 0): -1, (0, 2): -1}), name="neg-norm-squared"
+        Polynomial.from_records(ambient, spec["function"]), name=name
     )
-    return ManifoldFixture(
-        name="figure1_plane",
-        manifold=M,
-        function=f,
-        seeds=seed_grid([(-1.2, 1.2)] * 2, 13),
-        charts={"origin": LinearChart(np.zeros(2), np.eye(2), dv=0, dw=2)},
-        sphere_fn=SphereFunction.cos_multiple_angle(3),
-        surgery_radius=1.0,
-        step_length=0.02,
-        escape_radius=3.0,
-    )
+    charts = {}
+    for label, ch in spec.get("charts", {}).items():
+        if ch["type"] == "linear":
+            charts[label] = LinearChart(
+                np.array(ch["point"], dtype=float),
+                np.array(ch["frame"], dtype=float),
+                dv=int(ch["dv"]), dw=int(ch["dw"]),
+            )
+        elif ch["type"] == "angle":
+            charts[label] = AngleChart(float(ch["pole_angle"]))
+        else:
+            raise FixtureError(f"unknown chart type {ch['type']!r}")
+    sphere_fn = None
+    if "sphere_fn" in spec:
+        sf = spec["sphere_fn"]
+        sphere_fn = SphereFunction(
+            Polynomial.from_records(int(sf["nvars"]), sf["records"])
+        )
+    seeds_spec = spec.get("seeds", {})
+    if "circle" in seeds_spec:
+        th = np.linspace(0, 2 * np.pi, int(seeds_spec["circle"]), endpoint=False)
+        seeds = np.stack([np.cos(th), np.sin(th)], axis=1)
+    elif "bounds" in seeds_spec:
+        seeds = seed_grid([tuple(b) for b in seeds_spec["bounds"]],
+                          seeds_spec.get("counts", 7))
+    else:
+        raise FixtureError(f"{name}: manifold 'seeds' needs 'circle' or 'bounds'")
+    scalars = {k: float(spec[k])
+               for k in ("surgery_radius", "step_length", "escape_radius")
+               if k in spec}
+    return ManifoldFixture(name=name, manifold=M, function=f, seeds=seeds,
+                           charts=charts, sphere_fn=sphere_fn, **scalars)
 
 
-def figure2_plane() -> ManifoldFixture:
-    """R^2 with the reflection x -> -x and f = y^2 - x^2: an unstable
-    index-1 saddle whose negative direction is the prime axis; surgery
-    introduces two critical points off the fixed locus."""
-    act = LinearAction.reflection_c2(2, axis=0)
-    M = ImplicitGManifold(ambient=2, constraints=(), action=act, name="fig2")
-    f = EqFunction.from_polynomial(
-        Polynomial(2, {(0, 2): 1, (2, 0): -1}), name="saddle"
-    )
-    frame = np.array([[0.0, 1.0], [1.0, 0.0]])
-    return ManifoldFixture(
-        name="figure2_plane",
-        manifold=M,
-        function=f,
-        seeds=seed_grid([(-1.2, 1.2)] * 2, 11),
-        charts={"origin": LinearChart(np.zeros(2), frame, dv=1, dw=1)},
-        surgery_radius=1.0,
-        step_length=0.02,
-        escape_radius=3.0,
-    )
+def _loaders_by_kind():
+    gcw, manifold = {}, {}
+    for path in sorted(FIXTURE_DIR.glob("*.json")):
+        kind = gcw if "gcw" in json.loads(path.read_text()) else manifold
+        kind[path.stem] = partial(load_fixture, path)
+    return gcw, manifold
 
 
-def sphere_height() -> ManifoldFixture:
-    """The unit sphere with the trivial group and f = z: two critical
-    points, indices 0 and 2, no consecutive pairs."""
-    con = Polynomial(3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -1})
-    act = LinearAction.trivial(FiniteGroup.trivial(), 3)
-    M = ImplicitGManifold(ambient=3, constraints=(con,), action=act, name="s2")
-    f = EqFunction.from_polynomial(Polynomial(3, {(0, 0, 1): 1}), name="height")
-    return ManifoldFixture(
-        name="sphere_height",
-        manifold=M,
-        function=f,
-        seeds=seed_grid([(-1.2, 1.2)] * 3, 4),
-        step_length=0.04,
-    )
+GCW_FIXTURES, MANIFOLD_FIXTURES = _loaders_by_kind()
 
 
-def torus_tilted() -> ManifoldFixture:
-    """The torus (sqrt(x^2+y^2)-2)^2 + z^2 = 1 with the tilted height
-    z + 0.3 x: four critical points of indices 0, 1, 1, 2 and a
-    Morse-Smale flow."""
-    S = Polynomial(3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
-    P = S * S + 6 * S + 9 - 16 * Polynomial(3, {(2, 0, 0): 1, (0, 2, 0): 1})
-    act = LinearAction.trivial(FiniteGroup.trivial(), 3)
-    M = ImplicitGManifold(ambient=3, constraints=(P,), action=act, name="torus")
-    f = EqFunction.from_polynomial(
-        Polynomial(3, {(0, 0, 1): 1, (1, 0, 0): 0.3}), name="tilted-height"
-    )
-    return ManifoldFixture(
-        name="torus_tilted",
-        manifold=M,
-        function=f,
-        seeds=seed_grid([(-3.3, 3.3), (-3.3, 3.3), (-1.2, 1.2)], (7, 7, 5)),
-        step_length=0.04,
-    )
-
-
-def circle_c2_height() -> ManifoldFixture:
-    """The unit circle with the reflection x -> -x and f = y: the north pole
-    is an unstable index-1 point (Figure-2 pattern on a closed manifold);
-    surgery through the exact angle chart stabilizes it.  The G-CW oracle is
-    the reflection circle."""
-    con = Polynomial(2, {(2, 0): 1, (0, 2): 1, (0, 0): -1})
-    act = LinearAction.reflection_c2(2, axis=0)
-    M = ImplicitGManifold(ambient=2, constraints=(con,), action=act, name="s1")
-    f = EqFunction.from_polynomial(Polynomial(2, {(0, 1): 1}), name="height")
-    th = np.linspace(0, 2 * np.pi, 41, endpoint=False)
-    return ManifoldFixture(
-        name="circle_c2_height",
-        manifold=M,
-        function=f,
-        seeds=np.stack([np.cos(th), np.sin(th)], axis=1),
-        charts={"north": AngleChart(np.pi / 2)},
-        surgery_radius=1.2,
-        step_length=0.02,
-        oracle_gcw="circle_reflection",
-    )
-
-
-def wells_c2() -> ManifoldFixture:
-    """R^2 with the reflection x -> -x and f = (y^2-1)^2 + x^2 (1 + y^2):
-    a stable Morse function with a fixed index-1 saddle whose descending
-    manifold is the fixed axis, and two fixed minima."""
-    act = LinearAction.reflection_c2(2, axis=0)
-    M = ImplicitGManifold(ambient=2, constraints=(), action=act, name="wells")
-    f = EqFunction.from_polynomial(
-        Polynomial(2, {(0, 4): 1, (0, 2): -2, (0, 0): 1, (2, 0): 1, (2, 2): 1}),
-        name="double-well",
-    )
-    return ManifoldFixture(
-        name="wells_c2",
-        manifold=M,
-        function=f,
-        seeds=seed_grid([(-1.5, 1.5)] * 2, 7),
-        escape_radius=5.0,
-    )
-
-
-MANIFOLD_FIXTURES = {
-    "figure1_plane": figure1_plane,
-    "figure2_plane": figure2_plane,
-    "sphere_height": sphere_height,
-    "torus_tilted": torus_tilted,
-    "circle_c2_height": circle_c2_height,
-    "wells_c2": wells_c2,
-}
+def __getattr__(name: str):
+    """fixtures.<name> is the loader of fixtures/<name>.json."""
+    loader = GCW_FIXTURES.get(name) or MANIFOLD_FIXTURES.get(name)
+    if loader is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return loader

@@ -174,14 +174,6 @@ class Subgroup:
     def contains(self, x: int) -> bool:
         return x in set(self.elements)
 
-    def is_subset_of(self, other: "Subgroup") -> bool:
-        return set(self.elements) <= set(other.elements)
-
-    def conjugate(self, g: int) -> "Subgroup":
-        """The subgroup g H g^-1."""
-        G = self.group
-        return Subgroup(G, tuple(G.conj(g, h) for h in self.elements))
-
     def __repr__(self):
         return f"Subgroup({self.group.name}, {self.elements})"
 
@@ -274,13 +266,6 @@ class QuotientGroup:
     reps: tuple[int, ...]           # parent element representing each quotient element
     cosets: tuple[tuple[int, ...], ...]  # full coset element sets, aligned with reps
     parent: FiniteGroup
-
-    def coset_index(self, x: int) -> int:
-        """Quotient element containing parent element x."""
-        for i, c in enumerate(self.cosets):
-            if x in c:
-                return i
-        raise ValueError(f"{x} not in the subgroup's normalizer")
 
 
 def weyl_group(G: FiniteGroup, H: Subgroup) -> QuotientGroup:

@@ -170,12 +170,8 @@ class CutoffPair:
     epsilon: float
     margin: float  # min radial slope magnitude on the transition intervals
 
-    def radial_profile(self, t) -> np.ndarray:
-        """-t^2 phi(t-2): the model's radial part."""
-        t = np.asarray(t, dtype=float)
-        return -t * t * self.phi(t - 2.0)
-
     def radial_d1(self, t) -> np.ndarray:
+        """d/dt of -t^2 phi(t-2), the model's radial part."""
         t = np.asarray(t, dtype=float)
         return -2.0 * t * self.phi(t - 2.0) - t * t * self.phi.d1(t - 2.0)
 

@@ -83,8 +83,8 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
     row or one per row.  A trajectory finishes by capture (within
     capture_tol of a critical point), escape (outside the escape radius),
     a step that stays non-monotone in f after MAX_HALVINGS halvings
-    (unresolved, left at its last accepted point), or budget exhaustion
-    (unresolved).  dt_cap bounds the step near critical points, where the
+    (unresolved, left at its last accepted point; a NaN value of f counts
+    as non-monotone), or budget exhaustion (unresolved).  dt_cap bounds the step near critical points, where the
     speed-normalized step would leave RK4's stability region; convergence
     there is linear at rate ~ eigenvalue * dt_cap.
     """
@@ -154,9 +154,10 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
         f_old = f.value_many(P) if step == 0 else f_at[idx]
         Pn, f_new = rk4(P, sign, K1, dt[:, None])
         # the flow must be monotone in f; an increase means the step left
-        # the stability region, so halve and retry those trajectories
+        # the stability region, so halve and retry those trajectories; the
+        # test is negated so that a NaN value counts as non-monotone
         scale = np.maximum(np.abs(f_old), 1.0)
-        bad = -sign * (f_new - f_old) > 1e-14 * scale
+        bad = ~(-sign * (f_new - f_old) <= 1e-14 * scale)
         for _ in range(MAX_HALVINGS):
             if not bad.any():
                 break
@@ -165,7 +166,7 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
             dt_state[idx[bad]] = dt[bad]
             Pn[bad], f_new[bad] = rk4(P[bad], sign[bad], K1[bad],
                                       dt[bad][:, None])
-            bad = -sign * (f_new - f_old) > 1e-14 * scale
+            bad = ~(-sign * (f_new - f_old) <= 1e-14 * scale)
         if bad.any():
             # still climbing against the flow: fail this row loudly rather
             # than accept a step that breaks monotonicity

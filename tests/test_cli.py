@@ -7,7 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from equimorse.cli import load_fixture, main
+from equimorse import fixtures
+from equimorse.cli import main
+from equimorse.fixtures import FixtureError, ManifoldFixture, load_fixture
+from equimorse.gcw import GCWComplex
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -23,53 +26,67 @@ def run_cli(args):
 
 
 def test_load_gcw_fixture_roundtrip():
-    fx = load_fixture(str(FIXDIR / "circle_reflection.json"))
-    X = fx["gcw"]
+    X = load_fixture(str(FIXDIR / "circle_reflection.json"))
     assert X.group.order == 2
     assert X.orbit_count(0) == 2
     assert X.orbit_count(1) == 1
 
 
-GCW_FIXTURES = ("antipodal_circle", "circle_dihedral", "circle_reflection",
-                "point_c2", "sphere_reflection", "sphere_rotation_c3",
-                "torus_double")
-
-
-def _gcw_layout(X):
-    """The group table, per-dimension stabilizers and labels, every boundary
-    record and the marked set."""
-    cells = {n: [(c.stabilizer.elements, c.label) for c in cs]
-             for n, cs in X.cells.items()}
-    records = sorted(
-        (n, a, b, m.source.elements, m.target.elements, m.coset, deg)
-        for n, recs in X.boundary.items()
-        for (a, b), lst in recs.items()
-        for m, deg in lst
-    )
-    return X.group.mul, cells, records, X.marked
-
-
 def test_gcw_fixture_files_are_the_seven_builders():
     names = {p.stem for p in FIXDIR.glob("*.json")
              if "gcw" in json.loads(p.read_text())}
-    assert names == set(GCW_FIXTURES)
+    assert names == set(fixtures.GCW_FIXTURES)
+    assert len(names) == 7
 
 
-@pytest.mark.parametrize("name", GCW_FIXTURES)
-def test_gcw_fixture_file_matches_its_builder(name):
-    from equimorse import fixtures
+@pytest.mark.parametrize("path", sorted(FIXDIR.glob("*.json")),
+                         ids=lambda p: p.stem)
+def test_fixture_file_loads_into_one_name_set(path):
+    name = path.stem
+    fx = load_fixture(path)
+    assert fx.name == name
+    in_gcw = name in fixtures.GCW_FIXTURES
+    assert in_gcw != (name in fixtures.MANIFOLD_FIXTURES)
+    assert isinstance(fx, GCWComplex if in_gcw else ManifoldFixture)
+    # the loader by name reads the same file
+    by_name = getattr(fixtures, name)()
+    assert type(by_name) is type(fx) and by_name.name == name
 
-    loaded = load_fixture(str(FIXDIR / f"{name}.json"))["gcw"]
-    builder = getattr(fixtures, name)()
-    assert _gcw_layout(loaded) == _gcw_layout(builder)
-    assert loaded.name == builder.name
+
+def test_unknown_fixture_name_is_an_attribute_error():
+    with pytest.raises(AttributeError):
+        fixtures.no_such_fixture
+    with pytest.raises(ImportError):
+        from equimorse.fixtures import no_such_fixture  # noqa: F401
+
+
+def _rewritten(tmp_path, name, edit):
+    """A copy of fixtures/<name>.json changed by edit(raw)."""
+    raw = json.loads((FIXDIR / f"{name}.json").read_text())
+    edit(raw)
+    p = tmp_path / f"{name}.json"
+    p.write_text(json.dumps(raw))
+    return p
+
+
+def test_load_rejects_manifold_without_seeds(tmp_path):
+    p = _rewritten(tmp_path, "wells_c2", lambda raw: raw["manifold"].pop("seeds"))
+    with pytest.raises(FixtureError):
+        load_fixture(p)
+
+
+@pytest.mark.parametrize("name", ["circle_reflection", "circle_c2_height"])
+def test_load_rejects_unknown_top_level_key(tmp_path, name):
+    p = _rewritten(tmp_path, name,
+                   lambda raw: raw.update(options={"coeff": "singular"}))
+    with pytest.raises(FixtureError) as exc:
+        load_fixture(p)
+    assert "options" in str(exc.value)
 
 
 def test_load_rejects_bad_json(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{ not json")
-    from equimorse.cli import FixtureError
-
     with pytest.raises(FixtureError) as exc:
         load_fixture(str(p))
     assert ":1:" in str(exc.value)  # line diagnostics
@@ -82,8 +99,6 @@ def test_load_rejects_both_specs(tmp_path):
         "gcw": {"cells": {}},
         "manifold": {},
     }))
-    from equimorse.cli import FixtureError
-
     with pytest.raises(FixtureError):
         load_fixture(str(p))
 

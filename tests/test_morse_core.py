@@ -350,6 +350,30 @@ def test_flow_fails_loudly_on_non_monotone_values():
     assert tr.end.tobytes() == x0.tobytes()
 
 
+@pytest.mark.parametrize("start_finite", [False, True])
+def test_flow_fails_loudly_on_nan_values(start_finite):
+    # NaN compares false with everything, so a NaN value must still count as
+    # non-monotone: either every value is NaN (f_old at step 0 is NaN) or
+    # only the first call, f at the start point, is finite (every f_new is)
+    M = r2_manifold()
+    mild = EqFunction.from_polynomial(Polynomial(2, {(2, 0): 1, (0, 2): 1}))
+    crit = [classify(mild, M, np.zeros(2))]
+    x0 = np.array([0.5, 0.3])
+    calls = []
+
+    def value_many(X):
+        calls.append(len(X))
+        if start_finite and len(calls) == 1:
+            return mild.value_many(X)
+        return np.full(len(X), np.nan)
+
+    broken = EqFunction(value_many, mild.grad_many, mild.hess_many, nvars=2)
+    tr = flow_trajectory(broken, M, x0, -1, crit)
+    assert tr.status == UNRESOLVED and tr.limit is None
+    assert tr.steps == 0 and tr.halvings == MAX_HALVINGS
+    assert tr.end.tobytes() == x0.tobytes()
+
+
 def test_project_points_rows_independent():
     # rows already on the sphere to within tol stay bit for bit where they
     # are (a Gauss-Newton step would move the last two by about 2e-13), and
