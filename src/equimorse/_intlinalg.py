@@ -312,25 +312,19 @@ def nullspace(rows, p: int):
     return basis
 
 
-def column_space_basis(cols, p: int):
-    """Subset of the given column vectors forming a basis of their span."""
-    if not cols:
-        return []
-    mat = [list(r) for r in zip(*cols)]
-    _, piv = rref(mat, p)
-    return [cols[i] for i in piv]
-
-
 def extend_basis(base_cols, candidate_cols, p: int):
-    """Greedily extend base_cols by candidates to a larger independent set.
+    """A basis of span(base_cols) and its greedy extension by candidates,
+    from one rref of [base | candidates].
 
-    Returns the chosen candidates (not the combined basis): those outside
-    the span of base_cols and of the candidates before them, which are the
-    pivot columns of one rref of [base | candidates].
+    Returns (spanning, chosen): the base columns outside the span of the
+    base columns before them, and the candidates outside the span of
+    base_cols and of the candidates before them.  Both are the pivot
+    columns of their block.
     """
     cols = [*base_cols, *candidate_cols]
     if not cols:
-        return []
+        return [], []
     _, piv = rref([list(r) for r in zip(*cols)], p)
     nb = len(base_cols)
-    return [candidate_cols[c - nb] for c in piv if c >= nb]
+    return ([base_cols[c] for c in piv if c < nb],
+            [candidate_cols[c - nb] for c in piv if c >= nb])

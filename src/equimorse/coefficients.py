@@ -91,8 +91,10 @@ class CoefficientSystem:
         """The same data with arrows reversed and matrices transposed."""
         flipped = {}
         for m, M in self.induced.items():
-            nrows = self.values[m.target].rank
-            ncols = self.values[m.source].rank
+            # a covariant matrix maps the source value to the target value
+            rows, cols = ((m.target, m.source) if self.variance == "covariant"
+                          else (m.source, m.target))
+            nrows, ncols = self.values[rows].rank, self.values[cols].rank
             flipped[m] = tuple(
                 tuple(M[i][j] for i in range(nrows)) for j in range(ncols)
             )
@@ -129,10 +131,6 @@ def _orbit_classes(G: FiniteGroup, L: Subgroup, H: Subgroup, K: Subgroup):
             classes.append(dc)
     classes.sort()
     return classes
-
-
-def _class_of(G: FiniteGroup, L: Subgroup, H: Subgroup, g: int):
-    return double_coset(G, H, g, L)
 
 
 def build_system(cat: OrbitCategory, kind: str, char: int = 0,
@@ -191,7 +189,7 @@ def build_system(cat: OrbitCategory, kind: str, char: int = 0,
             mat = [[0] * len(src) for _ in range(len(tgt))]
             for col, dc in enumerate(src):
                 g = dc[0]
-                img = _class_of(G, B, Hq, G.mul[g][x])
+                img = double_coset(G, Hq, G.mul[g][x], B)
                 row = tgt_index.get(img)
                 if row is not None:
                     mat[row][col] = 1

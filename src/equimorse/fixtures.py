@@ -64,6 +64,8 @@ def load_fixture(path) -> GCWComplex | ManifoldFixture:
     try:
         with open(path) as fh:
             raw = json.load(fh)
+    except OSError as exc:
+        raise FixtureError(f"{path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise FixtureError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     unknown = set(raw) - {"name", "group", "gcw", "manifold"}
@@ -73,15 +75,18 @@ def load_fixture(path) -> GCWComplex | ManifoldFixture:
         raise FixtureError(f"{path}: missing 'group'")
     if ("gcw" in raw) == ("manifold" in raw):
         raise FixtureError(f"{path}: exactly one of 'gcw'/'manifold' required")
-    g = raw["group"]
-    table = tuple(tuple(int(x) for x in row) for row in g["table"])
-    if len(table) != int(g.get("order", len(table))):
-        raise FixtureError(f"{path}: group order disagrees with the table")
-    group = FiniteGroup(table, name=g.get("name", "G"))
-    name = raw.get("name", str(path))
-    if "gcw" in raw:
-        return _gcw_from_json(group, raw["gcw"], name)
-    return _manifold_from_json(group, raw["manifold"], name)
+    try:
+        g = raw["group"]
+        table = tuple(tuple(int(x) for x in row) for row in g["table"])
+        if len(table) != int(g.get("order", len(table))):
+            raise FixtureError(f"{path}: group order disagrees with the table")
+        group = FiniteGroup(table, name=g.get("name", "G"))
+        name = raw.get("name", str(path))
+        if "gcw" in raw:
+            return _gcw_from_json(group, raw["gcw"], name)
+        return _manifold_from_json(group, raw["manifold"], name)
+    except KeyError as exc:
+        raise FixtureError(f"{path}: missing key {exc.args[0]!r}") from exc
 
 
 def _num_from_json(v):

@@ -13,9 +13,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import _intlinalg as la
 from ._intlinalg import Matrix
 from .complexes import ChainComplex
-from .coefficients import CoefficientSystem, build_system, induced_matrix
+from .coefficients import (
+    CoefficientSystem,
+    _orbit_classes,
+    build_system,
+    induced_matrix,
+)
 from .groups import (
     FiniteGroup,
     OrbitCategory,
@@ -89,8 +95,7 @@ class GCWComplex:
         # admission check: the singular-kind assembly squares to zero,
         # equivalently the underlying cellular boundary does
         cat = OrbitCategory(self.group)
-        sing = build_system(cat, "singular")
-        bredon_chain_complex(self, sing, _validate=False)
+        bredon_chain_complex(self, build_system(cat, "singular"))
 
     def dims(self) -> list[int]:
         return sorted(self.cells)
@@ -102,11 +107,10 @@ class GCWComplex:
         return self.boundary.get(n, {}).get((a, b), ())
 
 
-def bredon_chain_complex(X: GCWComplex, M: CoefficientSystem,
-                         _validate: bool = True) -> ChainComplex:
+def bredon_chain_complex(X: GCWComplex, M: CoefficientSystem) -> ChainComplex:
     """C_n = direct sum over n-cell-orbits of M(stab); the boundary block for
     a record list is the degree-weighted sum of induced matrices."""
-    if _validate and M.variance != "covariant":
+    if M.variance != "covariant":
         raise VarianceMismatch(
             "homology assembly needs a covariant system; use "
             "bredon_cochain_complex for contravariant ones"
@@ -145,37 +149,16 @@ def bredon_chain_complex(X: GCWComplex, M: CoefficientSystem,
 def bredon_cochain_complex(X: GCWComplex, N: CoefficientSystem) -> ChainComplex:
     """Cochain assembly for a contravariant system, returned as a chain
     complex on negated degrees: degree -n holds C^n, so homology at -n is
-    the Bredon cohomology H^n."""
+    the Bredon cohomology H^n.  The coboundary out of C^(n-1) is the
+    transpose of the boundary into C_(n-1) for the opposite system."""
     if N.variance != "contravariant":
         raise VarianceMismatch("cochain assembly needs a contravariant system")
-    if N.cat.group != X.group:
-        raise ValueError("coefficient system is over a different group")
-    ranks: dict[int, int] = {}
-    offsets: dict[int, list[int]] = {}
-    for n in X.dims():
-        offs = [0]
-        for c in X.cells[n]:
-            offs.append(offs[-1] + N.value(c.stabilizer).rank)
-        offsets[n] = offs
-        ranks[-n] = offs[-1]
-    boundary: dict[int, Matrix] = {}
-    for n in X.dims():
-        # delta: C^{n-1} -> C^n is the boundary out of degree -(n-1)
-        if n - 1 not in X.dims() or not ranks.get(-n) or not ranks.get(-(n - 1)):
-            continue
-        rows = ranks[-n]
-        cols = ranks[-(n - 1)]
-        mat = [[0] * cols for _ in range(rows)]
-        for (a, b), recs in X.boundary.get(n, {}).items():
-            r0 = offsets[n][a]
-            c0 = offsets[n - 1][b]
-            for m, deg in recs:
-                block = induced_matrix(N, m)  # N(stab_b) -> N(stab_a)
-                for i in range(len(block)):
-                    for j in range(len(block[0]) if block else 0):
-                        mat[r0 + i][c0 + j] += deg * block[i][j]
-        boundary[-(n - 1)] = tuple(tuple(r) for r in mat)
-    return ChainComplex(char=N.char, ranks=ranks, boundary=boundary)
+    C = bredon_chain_complex(X, N.opposite())
+    return ChainComplex(
+        char=N.char,
+        ranks={-n: r for n, r in C.ranks.items()},
+        boundary={-(n - 1): la.transpose(d) for n, d in C.boundary.items()},
+    )
 
 
 def subquotient_complex(X: GCWComplex, H: Subgroup, K: Subgroup,
@@ -194,28 +177,14 @@ def subquotient_complex(X: GCWComplex, H: Subgroup, K: Subgroup,
     if not set(K.elements) <= nset:
         raise InvalidPair("K must normalize H to act on X/H")
 
-    # classes[n]: list of (orbit index, double coset) in a fixed order
-    classes: dict[int, list] = {}
-    index: dict[int, dict] = {}
-    for n in X.dims():
-        lst = []
-        idx = {}
-        for a, cell in enumerate(X.cells[n]):
-            if relative and (n, a) in X.marked:
-                continue
-            S = cell.stabilizer
-            seen = set()
-            for g in G.elements():
-                dc = double_coset(G, H, g, S)
-                if dc in seen:
-                    continue
-                seen.add(dc)
-                dset = set(dc)
-                if all(G.mul[kk][g] in dset for kk in K.elements):
-                    idx[(a, dc)] = len(lst)
-                    lst.append((a, dc))
-        classes[n] = lst
-        index[n] = idx
+    # classes[n]: (orbit index, double coset) per K-fixed class, in order
+    classes = {
+        n: [(a, dc) for a, cell in enumerate(X.cells[n])
+            if not (relative and (n, a) in X.marked)
+            for dc in _orbit_classes(G, cell.stabilizer, H, K)]
+        for n in X.dims()
+    }
+    index = {n: {c: i for i, c in enumerate(lst)} for n, lst in classes.items()}
 
     ranks = {n: len(lst) for n, lst in classes.items() if lst}
     boundary: dict[int, Matrix] = {}

@@ -174,6 +174,15 @@ class Subgroup:
     def contains(self, x: int) -> bool:
         return x in set(self.elements)
 
+    def as_group(self) -> FiniteGroup:
+        """The subgroup as an abstract table: element m stands for
+        self.elements[m]."""
+        G = self.group
+        index = {g: i for i, g in enumerate(self.elements)}
+        table = tuple(tuple(index[G.mul[a][b]] for b in self.elements)
+                      for a in self.elements)
+        return FiniteGroup(table, name=f"H{self.order}")
+
     def __repr__(self):
         return f"Subgroup({self.group.name}, {self.elements})"
 

@@ -1,6 +1,6 @@
 """Numerical equivariant Morse theory on explicit G-manifolds."""
 
-from .manifolds import EqFunction, ImplicitGManifold, metric_average
+from .manifolds import EqFunction, ImplicitGManifold
 from .cutoffs import CutoffPair, DeltaTooLarge, auto_cutoffs, build_cutoffs
 from .critical import (
     CriticalPoint,
@@ -56,7 +56,6 @@ __all__ = [
     "flow_trajectory",
     "integrate_batch",
     "localize_surgery",
-    "metric_average",
     "morse_complex",
     "morse_differentials",
     "morse_filtration",

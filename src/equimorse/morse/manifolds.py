@@ -21,7 +21,7 @@ import numpy as np
 
 from ..polynomials import LinearAction, Polynomial
 
-__all__ = ["EqFunction", "ImplicitGManifold", "PolyTable", "metric_average"]
+__all__ = ["EqFunction", "ImplicitGManifold", "PolyTable"]
 
 
 class PolyTable:
@@ -253,37 +253,3 @@ class ImplicitGManifold:
         if worst >= tol:
             raise ValueError(f"action does not preserve the zero set: {worst:.2e}")
         return worst
-
-
-class MetricField:
-    """A matrix-valued field with pointwise symmetric positive definite
-    values, closed under the averaging that makes it invariant."""
-
-    def __init__(self, fn, dim: int):
-        self.fn = fn
-        self.dim = dim
-
-    def __call__(self, x) -> np.ndarray:
-        return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
-
-
-def metric_average(g, act: LinearAction) -> MetricField:
-    """(1/|G|) sum_s A_s^T g(A_s x) A_s: an invariant metric from any metric.
-
-    The result satisfies A_s^T result(A_s x) A_s = result(x) and stays
-    positive definite as a convex combination of congruent SPD matrices.
-    """
-    mats = [
-        np.array([[float(v) for v in row] for row in act.matrices[s]])
-        for s in act.group.elements()
-    ]
-    base = g.fn if isinstance(g, MetricField) else g
-
-    def averaged(x):
-        x = np.asarray(x, dtype=float)
-        total = np.zeros((act.dim, act.dim))
-        for M in mats:
-            total += M.T @ np.asarray(base(M @ x), dtype=float) @ M
-        return total / len(mats)
-
-    return MetricField(averaged, act.dim)

@@ -25,7 +25,7 @@ import warnings
 
 import numpy as np
 
-from ..groups import FiniteGroup, Subgroup
+from ..groups import Subgroup
 from ..polynomials import LinearAction, Polynomial
 from .critical import (
     CriticalPoint,
@@ -67,15 +67,8 @@ class ChartMissing(ValueError):
 def subgroup_action(act: LinearAction, H: Subgroup) -> LinearAction:
     """The restriction of an action to a subgroup, as an action of the
     abstract group on H's elements (table built from the parent)."""
-    G = act.group
-    elems = H.elements
-    index = {g: i for i, g in enumerate(elems)}
-    table = tuple(
-        tuple(index[G.mul[a][b]] for b in elems) for a in elems
-    )
-    sub = FiniteGroup(table, name=f"H{len(elems)}")
-    mats = [act.matrices[g] for g in elems]
-    return LinearAction(sub, mats, exact=act.exact)
+    mats = [act.matrices[g] for g in H.elements]
+    return LinearAction(H.as_group(), mats, exact=act.exact)
 
 
 class SphereFunction:

@@ -3,21 +3,26 @@
 
 The pair is modelled by the sphere S(V + R) with a fixed basepoint pole on
 the added trivial coordinate: D(V)/S(V) is that sphere with the pole
-collapsed, and all four ordinary theories turn the pair into relative
-cellular homology.  S(V + R) itself is an iterated join of factor spheres:
-S^0 with trivial action per trivial summand, S^0 with the swap per sign
-summand, and a rotating n-gon circle per rotation plane.  Joins use the
-shifted tensor convention on augmented complexes, so boundaries come with
-signs and square to zero; the action permutes cells without orientation
-reversal by construction.
+collapsed.  S(V + R) itself is an iterated join of factor spheres: S^0 with
+trivial action per trivial summand, S^0 with the swap per sign summand, and
+a rotating n-gon circle per rotation plane.  Joins use the shifted tensor
+convention on augmented complexes, so boundaries come with signs and square
+to zero; the action permutes cells without orientation reversal by
+construction.
+
+Induced up to G and with the pole copies left out, the cells are the G-CW
+data of the reduced chains of the pair, and each of the four theories is
+Bredon homology of that pair for the coefficient system of the same name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..complexes import ChainComplex, HomologySummary, homology
-from ..groups import FiniteGroup, Subgroup
+from ..coefficients import build_system
+from ..complexes import HomologySummary, homology
+from ..gcw import GCWComplex, bredon_chain_complex, gcw_from_cells
+from ..groups import FiniteGroup, OrbitCategory, Subgroup, left_cosets
 
 __all__ = [
     "RepSpec",
@@ -59,36 +64,6 @@ class _CellAction:
     bnds: dict[int, list[list[tuple[int, int]]]]
     perms: dict[int, dict[int, tuple[int, ...]]]
     marked: set = field(default_factory=set)
-
-    def validate(self):
-        G = self.group
-        for s in G.elements():
-            for n, cnt in self.cells.items():
-                if sorted(self.perms[s][n]) != list(range(cnt)):
-                    raise AssertionError("not a permutation action")
-        for s in G.elements():
-            for t in G.elements():
-                st = G.mul[s][t]
-                for n, cnt in self.cells.items():
-                    for i in range(cnt):
-                        if self.perms[s][n][self.perms[t][n][i]] != self.perms[st][n][i]:
-                            raise AssertionError("group law fails on cells")
-        for s in G.elements():
-            for n in self.cells:
-                if n - 1 not in self.cells:
-                    continue
-                for i in range(self.cells[n]):
-                    moved = {}
-                    for f, d in self.bnds[n][i]:
-                        k = self.perms[s][n - 1][f]
-                        moved[k] = moved.get(k, 0) + d
-                    direct = {}
-                    for f, d in self.bnds[n][self.perms[s][n][i]]:
-                        direct[f] = direct.get(f, 0) + d
-                    if {k: v for k, v in moved.items() if v} != \
-                       {k: v for k, v in direct.items() if v}:
-                        raise AssertionError("boundary not equivariant")
-        return self
 
 
 def _s0(group: FiniteGroup, swap_elems=()) -> _CellAction:
@@ -220,8 +195,6 @@ def _induce(G: FiniteGroup, H: Subgroup, C: _CellAction) -> _CellAction:
     C's group must be H's abstract table, element m of it standing for
     H.elements[m].
     """
-    from ..groups import left_cosets
-
     cosets = left_cosets(G, H)
     reps = [c[0] for c in cosets]
     rep_index = {}
@@ -266,99 +239,25 @@ def _induce(G: FiniteGroup, H: Subgroup, C: _CellAction) -> _CellAction:
     return _CellAction(G, cells, bnds, perms, marked)
 
 
-def _chain(cells, bnds, keep, char=0) -> ChainComplex:
-    """Chain complex on the kept cells, boundaries restricted to them."""
-    order: dict = {}
-    ranks: dict[int, int] = {}
-    for d in sorted(cells):
-        kept = [i for i in range(cells[d]) if (d, i) in keep]
-        for pos, i in enumerate(kept):
-            order[(d, i)] = pos
-        ranks[d] = len(kept)
-    boundary = {}
-    for d in sorted(cells):
-        if d - 1 not in cells or not ranks.get(d) or not ranks.get(d - 1):
-            continue
-        mat = [[0] * ranks[d] for _ in range(ranks[d - 1])]
-        for i in range(cells[d]):
-            if (d, i) not in keep:
-                continue
-            col = order[(d, i)]
-            for f, deg in bnds[d][i]:
-                if (d - 1, f) in keep:
-                    mat[order[(d - 1, f)]][col] += deg
-        boundary[d] = tuple(tuple(r) for r in mat)
-    return ChainComplex(char=char, ranks=ranks, boundary=boundary)
+def _pair_cells(C: _CellAction):
+    """Cells, boundaries and action of C with the marked cells left out and
+    every boundary entry on them dropped: the cellular data of C(X, A)."""
+    kept = {d: [i for i in range(c) if (d, i) not in C.marked]
+            for d, c in C.cells.items()}
+    new = {d: {i: k for k, i in enumerate(ks)} for d, ks in kept.items()}
+    cells = {d: len(ks) for d, ks in kept.items()}
+    bnds = {d: [[(new[d - 1][f], deg) for f, deg in C.bnds[d][i]
+                 if f in new[d - 1]] for i in ks]
+            for d, ks in kept.items()}
+    perms = {s: {d: tuple(new[d][p[d][i]] for i in ks) for d, ks in kept.items()}
+             for s, p in C.perms.items()}
+    return cells, bnds, perms
 
 
-def _theory_complex(C: _CellAction, theory: str, char=0) -> ChainComplex:
-    G = C.group
-    all_cells = {(d, i) for d, c in C.cells.items() for i in range(c)}
-    fixed = {
-        (d, i) for (d, i) in all_cells
-        if all(C.perms[s][d][i] == i for s in G.elements())
-    }
-    if theory == "singular":
-        keep = all_cells - C.marked
-        return _chain(C.cells, C.bnds, keep, char)
-    if theory == "fixed-point":
-        keep = fixed - C.marked
-        return _chain(C.cells, C.bnds, keep, char)
-
-    # quotient: orbit classes, boundaries accumulated over the representative
-    cls_of: dict = {}
-    class_count: dict[int, int] = {}
-    rep_cells: dict = {}
-    for d in sorted(C.cells):
-        cls_of[d] = [-1] * C.cells[d]
-        k = 0
-        for i in range(C.cells[d]):
-            if cls_of[d][i] >= 0:
-                continue
-            rep_cells[(d, k)] = i
-            for s in G.elements():
-                cls_of[d][C.perms[s][d][i]] = k
-            k += 1
-        class_count[d] = k
-    qb = {}
-    for d in sorted(C.cells):
-        rows = []
-        for k in range(class_count[d]):
-            i = rep_cells[(d, k)]
-            if d - 1 in C.cells:
-                rows.append([(cls_of[d - 1][f], deg) for f, deg in C.bnds[d][i]])
-            else:
-                rows.append([])
-        qb[d] = rows
-    qmarked = {(d, cls_of[d][i]) for (d, i) in C.marked}
-    qcells = class_count
-    all_classes = {(d, k) for d, c in qcells.items() for k in range(c)}
-    if theory == "quotient":
-        keep = all_classes - qmarked
-        return _chain(qcells, qb, keep, char)
-    if theory == "quotient-rel-fixed":
-        fixed_classes = {(d, cls_of[d][i]) for (d, i) in fixed}
-        keep = all_classes - qmarked - fixed_classes
-        return _chain(qcells, qb, keep, char)
-    raise ValueError(f"unknown theory {theory!r}")
-
-
-def _subgroup_table(H: Subgroup) -> FiniteGroup:
-    G = H.group
-    elems = H.elements
-    index = {g: i for i, g in enumerate(elems)}
-    table = tuple(tuple(index[G.mul[a][b]] for b in elems) for a in elems)
-    return FiniteGroup(table, name=f"H{len(elems)}")
-
-
-def representation_cell_groups(H: Subgroup, V: RepSpec, theory: str,
-                               char: int = 0) -> HomologySummary:
-    """Graded groups of the theory on the representation cell pair
+def _pair_complex(H: Subgroup, V: RepSpec) -> GCWComplex:
+    """The G-CW complex whose cellular chains are the reduced chains of
     (G x_H D(V), G x_H S(V))."""
-    if theory not in THEORIES:
-        raise ValueError(f"theory must be one of {THEORIES}")
-    G = H.group
-    Ht = _subgroup_table(H)
+    Ht = H.as_group()
 
     # basepoint sphere factor: S^0 with trivial action, first point marked
     base = _s0(Ht)
@@ -392,6 +291,15 @@ def representation_cell_groups(H: Subgroup, V: RepSpec, theory: str,
     total = factors[0]
     for fac in factors[1:]:
         total = _join(total, fac)
-    total.validate()
-    induced = _induce(G, H, total).validate()
-    return homology(_theory_complex(induced, theory, char))
+    return gcw_from_cells(H.group, *_pair_cells(_induce(H.group, H, total)))
+
+
+def representation_cell_groups(H: Subgroup, V: RepSpec, theory: str,
+                               char: int = 0) -> HomologySummary:
+    """Graded groups of the theory on the representation cell pair
+    (G x_H D(V), G x_H S(V)): its Bredon homology for the system named
+    theory."""
+    if theory not in THEORIES:
+        raise ValueError(f"theory must be one of {THEORIES}")
+    M = build_system(OrbitCategory(H.group), theory, char)
+    return homology(bredon_chain_complex(_pair_complex(H, V), M))

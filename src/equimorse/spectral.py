@@ -175,8 +175,7 @@ def _page_data(F: FilteredComplex, r: int, char: int):
             D1 = _zr_basis(F, n, p - 1, r - 1, char)
             W = _zr_basis(F, n + 1, p + r - 1, r - 1, char)
             D2 = [_apply_d(F, n + 1, w) for w in W] if W else []
-            den = la.column_space_basis(D1 + D2, char)
-            qreps = la.extend_basis(den, Z, char)
+            den, qreps = la.extend_basis(D1 + D2, Z, char)
             dim = len(qreps)
             if dim or den:
                 reps[(p, q)] = qreps

@@ -103,6 +103,34 @@ def test_load_rejects_both_specs(tmp_path):
         load_fixture(str(p))
 
 
+def test_missing_fixture_file_is_an_error_exit(tmp_path, capsys):
+    missing = tmp_path / "no_such_fixture.json"
+    with pytest.raises(FixtureError):
+        load_fixture(missing)
+    assert main(["bredon", str(missing)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def _drop_boundary_field(raw):
+    del raw["gcw"]["boundary"][0]["coset"]
+
+
+@pytest.mark.parametrize("command, name, edit, key", [
+    ("morse", "wells_c2", lambda raw: raw["manifold"].pop("ambient"), "ambient"),
+    ("morse", "wells_c2", lambda raw: raw["manifold"].pop("action"), "action"),
+    ("morse", "wells_c2", lambda raw: raw["manifold"].pop("function"), "function"),
+    ("bredon", "circle_reflection", lambda raw: raw["gcw"].pop("cells"), "cells"),
+    ("bredon", "circle_reflection", _drop_boundary_field, "coset"),
+], ids=["ambient", "action", "function", "cells", "boundary-coset"])
+def test_missing_fixture_key_is_an_error_exit(tmp_path, capsys, command, name, edit, key):
+    p = _rewritten(tmp_path, name, edit)
+    with pytest.raises(FixtureError) as exc:
+        load_fixture(p)
+    assert repr(key) in str(exc.value)
+    assert main([command, str(p)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_bredon_command_text_and_exit():
     code, out = run_cli(["bredon", str(FIXDIR / "sphere_reflection.json")])
     assert code == 0

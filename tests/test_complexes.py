@@ -225,7 +225,8 @@ def test_extend_basis_matches_greedy_reference(data):
         # a candidate repeated, or a sum of two, must be skipped
         a, b = data.draw(st.sampled_from(cands)), data.draw(st.sampled_from(cands))
         cands.append([x + y for x, y in zip(a, b)])
-    got = la.extend_basis(base, cands, p)
+    spanning, got = la.extend_basis(base, cands, p)
+    assert [id(c) for c in spanning] == [id(c) for c in greedy_extend([], base, p)]
     want = greedy_extend(base, cands, p)
     assert [id(c) for c in got] == [id(c) for c in want]
 
@@ -348,5 +349,5 @@ def test_extend_basis_reduces_once(monkeypatch):
     monkeypatch.setattr(la, "rref", counted)
     base = [[1, 0, 0], [0, 1, 0]]
     cands = [[1, 1, 0], [0, 0, 2], [1, 0, 1], [0, 0, 1]]
-    assert la.extend_basis(base, cands, 3) == [[0, 0, 2]]
+    assert la.extend_basis(base, cands, 3) == (base, [[0, 0, 2]])
     assert len(calls) == 1

@@ -20,12 +20,11 @@ from equimorse.morse import (
     find_critical_points,
     flow_trajectory,
     localize_surgery,
-    metric_average,
     seed_grid,
 )
 from equimorse.morse.critical import _newton_kkt
 from equimorse.morse.flow import MAX_HALVINGS, UNRESOLVED, integrate_batch
-from equimorse.morse.manifolds import MetricField, PolyTable
+from equimorse.morse.manifolds import PolyTable
 
 
 def r2_manifold(action=None):
@@ -239,30 +238,6 @@ def test_classify_degenerate_raises():
     f = EqFunction.from_polynomial(Polynomial(2, {(2, 0): 1, (0, 4): 1}))
     with pytest.raises(DegenerateHessian):
         classify(f, M, np.array([0.0, 0.0]))
-
-
-def test_metric_average_examples():
-    # euclidean metric is untouched by any orthogonal action
-    act = LinearAction.rotation_cn(4)
-    g = MetricField(lambda x: np.eye(2), 2)
-    avg = metric_average(g, act)
-    assert np.allclose(avg(np.array([0.3, 0.4])), np.eye(2))
-    # diag(1, 2) with the axis swap averages to diag(3/2, 3/2)
-    G = FiniteGroup.cyclic(2)
-    swap = LinearAction(G, [((1, 0), (0, 1)), ((0, 1), (1, 0))])
-    avg = metric_average(lambda x: np.diag([1.0, 2.0]), swap)
-    assert np.allclose(avg(np.zeros(2)), np.diag([1.5, 1.5]))
-    # invariance: A^T gbar(Ax) A = gbar(x), and idempotence
-    act3 = LinearAction.rotation_cn(3)
-    base = lambda x: np.diag([1.0 + x[0] ** 2, 2.0 + x[1] ** 2])
-    avg = metric_average(base, act3)
-    A = np.array(act3.matrices[1])
-    x = np.array([0.2, -0.5])
-    assert np.allclose(A.T @ avg(A @ x) @ A, avg(x), atol=1e-12)
-    twice = metric_average(avg, act3)
-    assert np.allclose(twice(x), avg(x), atol=1e-12)
-    w = np.linalg.eigvalsh(avg(x))
-    assert np.all(w > 0)
 
 
 def test_flow_to_south_pole():

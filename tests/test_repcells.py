@@ -1,5 +1,6 @@
-"""Representation cell groups against the C2-double reference table and
-sphere sanity checks."""
+"""Representation cell groups against the C2-double reference table, sphere
+sanity checks, the subquotient oracle on the pair complex, and the rejection
+of a join with a broken boundary sign."""
 
 import pytest
 
@@ -144,3 +145,90 @@ def test_induced_interior_cells_from_s3():
     # the quotient collapses the six copies to one
     h = representation_cell_groups(e, RepSpec(trivial=2), "quotient")
     assert dict(h.entries) == {2: (1, ())}
+
+
+def _sweep():
+    """(group, H, V): every subgroup of C1-C4 and S3, trivial <= 2, sign <= 2
+    when |H| = 2, and at most one rotation plane when H is cyclic, up to
+    dim V = 5.  The five dim-6 cases (two trivial, two sign and a rotation
+    plane) would take about 70 s more, nearly all of it in integral SNF."""
+    from equimorse.groups import enumerate_subgroups
+
+    for G in [FiniteGroup.cyclic(n) for n in (1, 2, 3, 4)] + [FiniteGroup.symmetric(3)]:
+        for H in enumerate_subgroups(G):
+            Ht = H.as_group()
+            cyclic = any(_generates(Ht, m) for m in Ht.elements())
+            for a in range(3):
+                for b in range(3 if H.order == 2 else 1):
+                    for rot in ((), (1,)) if cyclic else ((),):
+                        V = RepSpec(trivial=a, sign=b, rotations=rot)
+                        if V.dim <= 5:
+                            yield G, H, V
+
+
+def _generates(G, m):
+    seen, cur = {G.identity}, m
+    while cur not in seen:
+        seen.add(cur)
+        cur = G.mul[cur][m]
+    return len(seen) == G.order
+
+
+@pytest.mark.parametrize("char", [0, 2, 3])
+def test_pair_groups_match_subquotient_oracle(char):
+    # on the pair complex the Bredon singular, fixed-point and quotient
+    # groups are the cellular homology of (X/e)^e, (X/e)^G and (X/G)^e
+    from equimorse.coefficients import build_system
+    from equimorse.complexes import homology
+    from equimorse.gcw import bredon_chain_complex, subquotient_complex
+    from equimorse.groups import OrbitCategory
+    from equimorse.morse.repcells import _pair_complex
+
+    cats = {}
+    cases = 0
+    for G, H, V in _sweep():
+        cat = cats.setdefault(G.name, OrbitCategory(G))
+        X = _pair_complex(H, V)
+        e, full = trivial_subgroup(G), full_subgroup(G)
+        pairs = {"singular": (e, e), "fixed-point": (e, full), "quotient": (full, e)}
+        for theory, (A, B) in pairs.items():
+            got = homology(bredon_chain_complex(X, build_system(cat, theory, char)))
+            want = homology(subquotient_complex(X, A, B, char=char))
+            assert got.entries == want.entries, (G.name, H.elements, V, theory)
+        cases += 1
+    assert cases == 136
+
+
+def _joins():
+    """A free C3 join (the rotation disk pair's sphere) and a trivial C2 one
+    (S^2 as three joined S^0): each cell with a boundary lies in a free
+    orbit in the first, and is fixed in the second."""
+    from equimorse.morse.repcells import _join, _ngon, _s0
+
+    C3 = FiniteGroup.cyclic(3)
+    yield "free", C3, _join(_s0(C3), _ngon(C3, 1, 1, 3))
+    C2 = FiniteGroup.cyclic(2)
+    yield "fixed", C2, _join(_join(_s0(C2), _s0(C2)), _s0(C2))
+
+
+@pytest.mark.parametrize("kind, G, J", [pytest.param(*j, id=j[0]) for j in _joins()])
+def test_join_with_a_flipped_sign_is_rejected(kind, G, J):
+    # a flipped sign on a cell in a free orbit breaks equivariance
+    # (gcw_from_cells); on a fixed cell it breaks d∘d = 0 (the GCWComplex
+    # admission check)
+    from equimorse.complexes import ChainComplexError
+    from equimorse.gcw import gcw_from_cells
+
+    gcw_from_cells(G, J.cells, J.bnds, J.perms)
+    flips = 0
+    for d, rows in J.bnds.items():
+        for i, row in enumerate(rows):
+            for k, (f, deg) in enumerate(row):
+                bnds = {n: [list(r) for r in rs] for n, rs in J.bnds.items()}
+                bnds[d][i][k] = (f, -deg)
+                err, match = ((ValueError, "not equivariant") if kind == "free"
+                              else (ChainComplexError, "d∘d"))
+                with pytest.raises(err, match=match):
+                    gcw_from_cells(G, J.cells, bnds, J.perms)
+                flips += 1
+    assert flips

@@ -300,3 +300,43 @@ def test_each_differential_reduces_once_per_target(monkeypatch):
              if page.dim(p - page.r, q + page.r - 1)]
     assert any(page.dim(p, q) > 1 for page, p, q in pairs)
     assert len(calls) - sum(in_page_data) == len(pairs)
+
+
+def test_page_data_reduces_each_bidegree_once(monkeypatch):
+    # the denominator and the representatives of a bidegree come from one
+    # rref of [D1 + D2 | Z]; the eliminations inside the Z^r bases
+    # (nullspace) are not counted
+    import equimorse.spectral as ss
+    from equimorse.coefficients import build_system
+    from equimorse.fixtures import sphere_rotation_c3
+    from equimorse.gcw import bredon_chain_complex
+    from equimorse.groups import OrbitCategory
+
+    X = sphere_rotation_c3()
+    C = bredon_chain_complex(X, build_system(OrbitCategory(X.group), "singular", char=3))
+    F = _admissible_filtration(C, random.Random("sphere_rotation_c3"))
+    rs = range(1, F.max_filtration() + 3)
+    bidegrees = {r: sum(1 for n in C.degrees() for p in range(F.max_filtration() + 1)
+                        if ss._zr_basis(F, n, p, r, 3))
+                 for r in rs}
+    calls, in_nullspace = [], []
+    real_rref, real_nullspace = la.rref, la.nullspace
+
+    def counted_rref(*args):
+        calls.append(args)
+        return real_rref(*args)
+
+    def nullspace(*args):
+        before = len(calls)
+        out = real_nullspace(*args)
+        in_nullspace.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(la, "rref", counted_rref)
+    monkeypatch.setattr(la, "nullspace", nullspace)
+    for r in rs:
+        calls.clear()
+        in_nullspace.clear()
+        ss._page_data(F, r, 3)
+        assert len(calls) - sum(in_nullspace) == bidegrees[r]
+    assert sum(bidegrees.values()) > len(rs)
