@@ -59,12 +59,11 @@ def cmd_bredon(args) -> int:
     X = load_fixture(args.fixture)
     if not isinstance(X, GCWComplex):
         raise FixtureError("bredon needs a G-CW fixture")
-    cat = OrbitCategory(X.group)
     lines = [_header(args, f"fixture={X.name}")]
     rows = ["kind,degree,betti,torsion"]
     ok = True
     for kind in args.coeff.split(","):
-        M = build_system(cat, kind, char=args.p)
+        M = build_system(X.category, kind, char=args.p)
         h = homology(bredon_chain_complex(X, M))
         lines.append(f"[{kind}]")
         lines.append(h.text_table())
@@ -193,7 +192,7 @@ def cmd_morse(args) -> int:
 def cmd_specseq(args) -> int:
     fx = load_fixture(args.fixture)
     if isinstance(fx, GCWComplex):
-        M = build_system(OrbitCategory(fx.group), args.coeff, char=args.p)
+        M = build_system(fx.category, args.coeff, char=args.p)
         F = skeletal_filtration(bredon_chain_complex(fx, M))
     else:
         _, _, mdata = _morse_pipeline(fx, args)

@@ -62,13 +62,15 @@ class GCWComplex:
     """cells[n] lists the n-cell-orbits; boundary[n][(a, b)] holds the
     (morphism, degree) records from orbit a in dimension n to orbit b in
     dimension n-1.  marked flags cell-orbits of a subcomplex A for relative
-    computations."""
+    computations.  category is the orbit category of group, built once for
+    the admission check and shared by every coefficient system over X."""
 
     group: FiniteGroup
     cells: dict[int, tuple[CellOrbit, ...]]
     boundary: dict[int, dict[tuple[int, int], tuple[tuple[OrbitMorphism, int], ...]]]
     marked: frozenset = field(default_factory=frozenset)
     name: str = ""
+    category: OrbitCategory = field(init=False, repr=False)
 
     def __post_init__(self):
         self.cells = {n: tuple(cs) for n, cs in self.cells.items() if cs}
@@ -94,8 +96,8 @@ class GCWComplex:
                         )
         # admission check: the singular-kind assembly squares to zero,
         # equivalently the underlying cellular boundary does
-        cat = OrbitCategory(self.group)
-        bredon_chain_complex(self, build_system(cat, "singular"))
+        self.category = OrbitCategory(self.group)
+        bredon_chain_complex(self, build_system(self.category, "singular"))
 
     def dims(self) -> list[int]:
         return sorted(self.cells)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from ..coefficients import build_system
 from ..complexes import HomologySummary, homology
 from ..gcw import GCWComplex, bredon_chain_complex, gcw_from_cells
-from ..groups import FiniteGroup, OrbitCategory, Subgroup, left_cosets
+from ..groups import FiniteGroup, Subgroup, left_cosets
 
 __all__ = [
     "RepSpec",
@@ -301,5 +301,5 @@ def representation_cell_groups(H: Subgroup, V: RepSpec, theory: str,
     theory."""
     if theory not in THEORIES:
         raise ValueError(f"theory must be one of {THEORIES}")
-    M = build_system(OrbitCategory(H.group), theory, char)
-    return homology(bredon_chain_complex(_pair_complex(H, V), M))
+    X = _pair_complex(H, V)
+    return homology(bredon_chain_complex(X, build_system(X.category, theory, char)))

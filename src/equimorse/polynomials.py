@@ -18,6 +18,17 @@ convolve modulo a few primes below 2^31, rebuild each coefficient by CRT).
 Small or lopsided products, and all float products, use the direct
 term-pair loop.  numpy is imported only when a product first takes the
 transform.  Taylor jets shift one variable at a time on the numerators.
+
+Exact jet interpolation multiplies no polynomials: _interp_ntt writes the
+whole interpolant sum_j R_j (1 - (1 - phi_j^k)^k) over one integer
+denominator and evaluates it at the transform points, modulo as many NTT
+primes as a bound on its coefficients needs.  The variables are
+transformed once per prime, every bump, mask and jet representative is a
+pointwise value, and one inverse transform per prime and one CRT (_crt,
+shared with the product kernel) rebuild it; see von zur Gathen & Gerhard,
+Modern Computer Algebra, ch. 5 and 8.  When the bound needs more primes
+than the table holds, or the degree box more than 2^22 points, the kernel
+returns None and the interpolant is summed from expanded masks.
 """
 
 from __future__ import annotations
@@ -238,11 +249,22 @@ def _imul_ntt(A: dict, B: dict, nvars: int, budget: int | None = None) -> dict |
         iroots = np.concatenate((roots[:1], P - roots[:0:-1]))
         _ntt_stages(fc, fb, p, iroots, True, scratch)
         residues[r] = fb[:nslots]
-    # |c| < M/2 for every coefficient c of the product, so a slot is zero
-    # exactly when all its residues are
-    nz = np.flatnonzero(residues.any(axis=0))
-    res = residues[:, nz].astype(np.uint64)
-    # Garner: mixed-radix digits with c = v_0 + v_1 p_0 + v_2 p_0 p_1 + ...
+    return _crt(residues, primes, np.arange(nslots), rad)
+
+
+def _crt(residues, primes, slots, rad) -> dict:
+    """Exponent tuple -> integer c with |c| < M/2 (M the product of the
+    primes), from residues with one row per prime and one column per slot
+    of the degree box of radices rad, slots[i] being column i's slot.
+
+    Each c is rebuilt from Garner's mixed-radix digits,
+    c = v_0 + v_1 p_0 + v_2 p_0 p_1 + ..., and a signed lift; a slot is zero
+    exactly when all its residues are, and is left out.
+    """
+    import numpy as np
+
+    hit = residues.any(axis=0)
+    res = residues[:, hit].astype(np.uint64)
     digits = []
     for r, (p, _) in enumerate(primes):
         P = np.uint64(p)
@@ -250,14 +272,14 @@ def _imul_ntt(A: dict, B: dict, nvars: int, budget: int | None = None) -> dict |
         for (pj, _), v in zip(primes, digits):
             t = (t + P - v % P) * np.uint64(pow(pj, p - 2, p)) % P
         digits.append(t)
-    coeffs = np.zeros(len(nz), dtype=object)
+    coeffs = np.zeros(res.shape[1], dtype=object)
     for v, (p, _) in zip(reversed(digits), reversed(primes)):
         coeffs = coeffs * p + v.astype(object)
     M = math.prod(p for p, _ in primes)
     coeffs = np.where(coeffs > M // 2, coeffs - M, coeffs)
-    cols = []
+    slots, cols = slots[hit], []
     for r in rad:
-        nz, e = np.divmod(nz, r)
+        slots, e = np.divmod(slots, r)
         cols.append(e.tolist())
     return dict(zip(zip(*cols), coeffs.tolist()))
 
@@ -724,11 +746,201 @@ def _mask(pts, j: int, k: int) -> Polynomial:
     return one - (one - bump_poly(pts, j) ** k) ** k
 
 
+def _interp_ntt(points, reps, k: int) -> Polynomial | None:
+    """sum_j reps[j] * (1 - (1 - phi_j^k)^k) for exact points and exact
+    representatives, evaluated in the transform domain.
+
+    With Q_i = b_i^2 |x - p_i|^2 (b_i the lcm of p_i's denominators) the
+    bump is phi_j = Psi_j / u_j, Psi_j = v_j prod_{i != j} Q_i, so the mask
+    numerator N_j = u_j^(k^2) - (u_j^k - Psi_j^k)^k has integer
+    coefficients and the sum is F / L, F = sum_j w_j R_j N_j over
+    L = lcm_j(den R_j u_j^(k^2)).  Modulo each NTT prime the n variables
+    are transformed once, as unit vectors at their Kronecker strides over
+    the degree box of F (read off the powers of the root of unity in the
+    transform's output order); Q_i, Psi_j, N_j, R_j and F are then
+    pointwise values, and F takes one inverse transform.  The transform is
+    cyclic, so its length need only keep apart the indices of the box
+    points within F's total degree, which can be shorter than the box.
+    One CRT over the fewest primes whose product exceeds twice the bound
+    sum_j w_j |R_j|_1 (u_j^(k^2) + (u_j^k + |Psi_j|_1^k)^k) on the
+    coefficients of F rebuilds it (|.|_1 is the sum of absolute values of
+    the coefficients).  Returns None when that needs more primes, or a
+    longer transform, than the table provides.
+    """
+    n, d, kk = len(points[0]), len(points), k * k
+    b = [math.lcm(*(x.denominator for x in p)) for p in points]
+    a = [[int(x * bi) for x in p] for p, bi in zip(points, b)]
+    q_norm = [sum((bi + abs(c)) ** 2 for c in ai) for ai, bi in zip(a, b)]
+    u, v, psi_norm = [], [], []
+    for j, p in enumerate(points):
+        others = [i for i in range(d) if i != j]
+        c = math.prod((sum((b[i] * x - ai) ** 2 for x, ai in zip(p, a[i]))
+                       for i in others), start=Fraction(1))
+        u.append(c.numerator)
+        v.append(c.denominator)
+        psi_norm.append(c.denominator * math.prod(q_norm[i] for i in others))
+    live = [j for j in range(d) if reps[j].num]
+    if not live:
+        return Polynomial.zero(n)
+    L = math.lcm(*(reps[j].den * u[j] ** kk for j in live))
+    w = {j: L // (reps[j].den * u[j] ** kk) for j in live}
+    bound = sum(w[j] * sum(map(abs, reps[j].num.values()))
+                * (u[j] ** kk + (u[j] ** k + psi_norm[j] ** k) ** k) for j in live)
+    primes = _ntt_primes_for(2 * bound)
+    rdeg = [max(e[m] for j in live for e in reps[j].num) for m in range(n)]
+    rad = [2 * (d - 1) * kk + r + 1 for r in rdeg]
+    nslots = math.prod(rad)
+    if primes is None or nslots > 1 << _NTT_MAX_LOG:
+        return None
+    import numpy as np
+
+    # only slots within the total degree of F can be nonzero, and the
+    # transform need only keep those apart: a cyclic one of any length in
+    # which their Kronecker indices stay distinct will do
+    top = 2 * (d - 1) * kk + max(sum(e) for j in live for e in reps[j].num)
+    rest, total = np.arange(nslots), np.zeros(nslots, np.int64)
+    for r in rad:
+        rest, e = np.divmod(rest, r)
+        total += e
+    keep = np.flatnonzero(total <= top)
+    del rest, total
+    size = 1 << max(len(keep) - 1, 1).bit_length()
+    while len(set((keep & (size - 1)).tolist())) < len(keep):
+        size *= 2
+    strides = [math.prod(rad[:m]) for m in range(n)]
+    # w_j R_j as its constant term and (variables, coefficient) pairs, the
+    # variables of a monomial listed with multiplicity
+    const = {j: w[j] * reps[j].num.get((0,) * n, 0) for j in live}
+    terms = {j: [(tuple(m for m, em in enumerate(ex) for _ in range(em)), w[j] * c)
+                 for ex, c in reps[j].num.items() if any(ex)] for j in live}
+    half = size // 2
+    # values below p < 2^31 are stored in 32 bits and multiplied in the
+    # 64-bit work arrays; the transforms borrow psi and quo as scratch
+    X = [np.empty(size, np.uint32) for _ in range(n)]
+    Q = [np.empty(size, np.uint32) for _ in range(d)]
+    acc, psi, t, quo, rh = (np.empty(size, np.uint64) for _ in range(5))
+    scratch = (psi[:half], psi[half:], quo[:half])
+    residues = np.empty((len(primes), len(keep)), np.uint32)
+    P = None
+
+    def mod(x):
+        # x - (x // p) p: floor_divide by a scalar is far faster than
+        # remainder in numpy
+        np.floor_divide(x, P, out=quo)
+        np.multiply(quo, P, out=quo)
+        np.subtract(x, quo, out=x)
+
+    def mulmod(x, y, out):
+        # operands below 2p are fine: (2p)^2 < 2^64
+        np.multiply(x, y, out=out)
+        mod(out)
+
+    def power(x, e, out):
+        out[...] = x
+        for _ in range(e - 1):
+            mulmod(out, x, out)
+
+    # slot s of a forward transform holds the value at w^order[s] for every
+    # prime, so x_m transforms to w^(stride_m order[s]): read the exponents
+    # off one transform of x_0 = X^1, then gather x_m from the powers of w
+    p, g = primes[0]
+    roots = _ntt_roots(p, pow(g, (p - 1) // size, p), size)
+    acc[:] = 0
+    acc[1] = 1
+    _ntt_stages(acc, t, p, roots, False, scratch)
+    np.concatenate((roots, np.uint64(p) - roots), out=acc)
+    order = np.empty(size, np.uint32)
+    order[np.argsort(t)] = np.argsort(acc)
+    for r, (p, g) in enumerate(primes):
+        P = np.uint64(p)
+        roots = _ntt_roots(p, pow(g, (p - 1) // size, p), size)
+        expo = quo.view(np.int64)
+        for m in range(n):
+            # w^e = -w^(e - size/2) for e >= size/2
+            np.multiply(order, strides[m], out=expo, dtype=np.int64)
+            np.bitwise_and(expo, size - 1, out=expo)
+            neg = expo >= half
+            np.bitwise_and(expo, half - 1, out=expo)
+            np.take(roots, expo, out=t)
+            np.subtract(P, t, out=t, where=neg)
+            X[m][...] = t
+        for i in range(d):
+            psi[:] = 0
+            for m in range(n):
+                mulmod(X[m], np.uint64(b[i] % p), t)
+                np.add(t, np.uint64(-a[i][m] % p), out=t)
+                mulmod(t, t, t)
+                np.add(psi, t, out=psi)
+            mod(psi)
+            Q[i][...] = psi
+        acc[:] = 0
+        for j in live:
+            psi[:] = v[j] % p
+            for i in range(d):
+                if i != j:
+                    mulmod(psi, Q[i], psi)
+            # N_j = u^(k^2) - (u^k - Psi^k)^k: the inner difference lies
+            # below 2p, so the outer one below 3p
+            power(psi, k, t)
+            np.subtract(np.uint64(pow(u[j], k, p) + p), t, out=t)
+            power(t, k, psi)
+            np.subtract(np.uint64(pow(u[j], kk, p) + 2 * p), psi, out=psi)
+            # w_j R_j: a product of two values below p is below 2^62, so
+            # three of them are summed before each reduction
+            rh[:] = const[j] % p
+            for count, (seq, c) in enumerate(terms[j], 1):
+                if len(seq) == 1:
+                    np.multiply(X[seq[0]], np.uint64(c % p), out=t)
+                else:
+                    np.multiply(X[seq[0]], X[seq[1]], out=t, dtype=np.uint64)
+                    mod(t)
+                    for m in seq[2:]:
+                        mulmod(t, X[m], t)
+                    np.multiply(t, np.uint64(c % p), out=t)
+                np.add(rh, t, out=rh)
+                if count % 3 == 0:
+                    mod(rh)
+            mod(rh)
+            mulmod(rh, psi, rh)
+            np.add(acc, rh, out=acc)
+        mod(acc)
+        mulmod(acc, np.uint64(pow(size, p - 2, p)), acc)
+        # w^-s = -w^(size/2 - s) for 0 < s < size/2, built in the half of
+        # quo the transform leaves alone
+        iroots = quo[half:]
+        iroots[0] = 1
+        np.subtract(P, roots[:0:-1], out=iroots[1:])
+        _ntt_stages(acc, t, p, iroots, True, scratch)
+        residues[r] = t[keep & (size - 1)]
+    del X, Q, acc, psi, t, quo, rh, scratch, expo, roots, iroots
+    return Polynomial._make(n, _crt(residues, primes, keep, rad), L)
+
+
+def _interpolate(pts, reps, k: int) -> Polynomial:
+    """sum_j reps[j] * _mask(pts, j, k): through _interp_ntt when points and
+    representatives are exact and the kernel takes the case, else as a
+    Polynomial sum."""
+    if (all(r.exact for r in reps)
+            and not any(type(x) is float for p in pts for x in p)):
+        out = _interp_ntt(pts, reps, k)
+        if out is not None:
+            return out
+    total = Polynomial.zero(len(pts[0]))
+    for j, rep in enumerate(reps):
+        total = total + rep * _mask(pts, j, k)
+    return total
+
+
 def jet_interpolate(points, jets, k: int) -> Polynomial:
     """One polynomial whose degree-k Taylor expansion at each p_j matches the
     given jet there: f = sum_j f_j * (1 - (1 - phi_j^k)^k).
 
-    Degree is at most (2d-2)k^2 + (k-1) for d points.
+    Degree is at most (2d-2)k^2 + (k-1) for d points.  Exact points and jets
+    go through the transform-domain kernel _interp_ntt: one transform pass
+    and one CRT for the whole sum, with the prime count taken from a bound
+    on its coefficients.  Float input, and a case past the kernel's prime
+    table or transform length (where it returns None), sum each jet's
+    representative times its expanded mask in Polynomial arithmetic.
     """
     pts = _check_distinct(points)
     if len(jets) != len(pts):
@@ -743,10 +955,7 @@ def jet_interpolate(points, jets, k: int) -> Polynomial:
         return Polynomial.zero(n)
     if len(pts) == 1:
         return jets[0].as_polynomial()
-    total = Polynomial.zero(n)
-    for j, jet in enumerate(jets):
-        total = total + jet.as_polynomial() * _mask(pts, j, k)
-    return total
+    return _interpolate(pts, [jet.as_polynomial() for jet in jets], k)
 
 
 # -- linear actions ----------------------------------------------------------
@@ -988,9 +1197,13 @@ def equivariant_jet_lift(point, jet: Jet, act: LinearAction, k: int) -> Polynomi
     JetNotFixed when a stabilizer element moves the jet, which is exactly the
     obstruction to lifting.
 
-    For norm-preserving actions the interpolation mask at s·p equals the mask
-    at p composed with s^{-1}, so only one mask per orbit is expanded; the
-    rest are transported.
+    For exact orthogonal actions the orbit is G-stable and the mask at p_j
+    composed with A_s is the mask at s^{-1}·p_j, so the average of the
+    interpolant is the interpolant of the averaged representatives
+    R̄_j = (1/|G|) sum_s R_{s·p_j} ∘ A_s: the small representatives are
+    averaged, and one call of the transform-domain kernel (see
+    jet_interpolate, with the same Polynomial-sum fallback) builds the lift.
+    Other actions interpolate, then average.
     """
     pt = tuple(_coerce(x) for x in point)
     if tuple(jet.basepoint) != pt:
@@ -1018,13 +1231,17 @@ def equivariant_jet_lift(point, jet: Jet, act: LinearAction, k: int) -> Polynomi
     G = act.group
     if act.exact and act.is_orthogonal():
         _check_distinct(points)
-        base = next(i for i, (_, q) in enumerate(orbit) if q == pt)
-        base_mask = _mask(points, base, k)
-        total = Polynomial.zero(len(pt))
-        for (s, _), jt in zip(orbit, jets):
-            mask = base_mask.substitute_linear(act.matrices[G.inverse[s]])
-            total = total + jt.as_polynomial() * mask
-        return equivariant_average(total, act)
+        # p_j = s_j·p, so s·p_j is the orbit point of the coset of s s_j
+        coset = {g: i for i, c in enumerate(left_cosets(G, H)) for g in c}
+        reps = [jt.as_polynomial() for jt in jets]
+        avg = []
+        for sj, _ in orbit:
+            total = Polynomial.zero(len(pt))
+            for s in G.elements():
+                rep = reps[coset[G.mul[s][sj]]]
+                total = total + rep.substitute_linear(act.matrices[s])
+            avg.append(total * Fraction(1, G.order))
+        return _interpolate(points, avg, k)
 
     interp = jet_interpolate(points, jets, k)
     return equivariant_average(interp, act)

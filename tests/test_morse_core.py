@@ -325,6 +325,23 @@ def test_flow_fails_loudly_on_non_monotone_values():
     assert tr.end.tobytes() == x0.tobytes()
 
 
+def test_flow_halving_guard_fires_on_smooth_contradicting_values():
+    # a smooth value -(x^2 + y^2) against the gradient of +(x^2 + y^2): every
+    # descending step raises the value, and a step halved until it barely
+    # moves must not slip through the first attempt's slack, so the guard
+    # ends the trajectory at once instead of spending the step budget
+    M = r2_manifold()
+    bowl = EqFunction.from_polynomial(Polynomial(2, {(2, 0): 1, (0, 2): 1}))
+    crit = [classify(bowl, M, np.zeros(2))]
+    cap = EqFunction(lambda X: -bowl.value_many(X), bowl.grad_many,
+                     bowl.hess_many, nvars=2)
+    x0 = np.array([0.5, 0.3])
+    tr = flow_trajectory(cap, M, x0, -1, crit)
+    assert tr.status == UNRESOLVED and tr.limit is None
+    assert tr.steps == 0 and tr.halvings == MAX_HALVINGS
+    assert tr.end.tobytes() == x0.tobytes()
+
+
 @pytest.mark.parametrize("start_finite", [False, True])
 def test_flow_fails_loudly_on_nan_values(start_finite):
     # NaN compares false with everything, so a NaN value must still count as

@@ -403,6 +403,102 @@ def test_interpolate_roundtrip_r2(seed):
     assert f.degree() <= (2 * d - 2) * k * k + (k - 1)
 
 
+def _mask_sum(pts, reps, k):
+    """sum_j reps[j] * (1 - (1 - phi_j^k)^k) in Polynomial arithmetic."""
+    one = Polynomial.constant(len(pts[0]), 1)
+    total = Polynomial.zero(len(pts[0]))
+    for j, rep in enumerate(reps):
+        total = total + rep * (one - (one - bump_poly(pts, j) ** k) ** k)
+    return total
+
+
+def test_interp_kernel_past_the_prime_table():
+    # two points on a line at high k: the bound on the mask numerators needs
+    # more than the table's 905 bits of primes, so the kernel declines and
+    # jet_interpolate sums the expanded masks instead
+    from equimorse import polynomials as P
+
+    pts = [(Fraction(0),), (Fraction(3),)]
+    k = 16
+    jets = [Jet(pts[0], k, {(0,): 2, (3,): Fraction(-1, 3)}),
+            Jet(pts[1], k, {(0,): Fraction(5, 2), (1,): 1})]
+    reps = [jet.as_polynomial() for jet in jets]
+    assert P._interp_ntt(pts, reps, k) is None
+    f = jet_interpolate(pts, jets, k)
+    assert f == _mask_sum(pts, reps, k)
+    for p, jet in zip(pts, jets):
+        assert taylor_jet(f, p, k) == jet
+
+
+def test_exact_interpolation_runs_one_crt():
+    from equimorse import polynomials as P
+
+    rng = random.Random(31)
+    pts = [(Fraction(1), Fraction(-2, 3)), (Fraction(0), Fraction(1, 2)),
+           (Fraction(3, 2), Fraction(2))]
+    jets = [random_jet(rng, p, 3) for p in pts]
+    real, calls = P._crt, []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    with mock.patch.object(P, "_crt", spy):
+        f = jet_interpolate(pts, jets, 3)
+    assert len(calls) == 1
+    assert f == _mask_sum(pts, [jet.as_polynomial() for jet in jets], 3)
+
+
+def test_interp_kernel_transform_shorter_than_the_box():
+    # four points in 3 variables at k = 2: the degree box has 26^3 = 17,576
+    # slots, but the 3,276 monomials of total degree <= 25 stay apart in a
+    # cyclic transform of 2^14 points
+    from equimorse import polynomials as P
+
+    rng = random.Random(5)
+    pts = [(Fraction(1), Fraction(0), Fraction(-1, 2)),
+           (Fraction(2, 3), Fraction(1), Fraction(1)),
+           (Fraction(-1), Fraction(1, 3), Fraction(0)),
+           (Fraction(0), Fraction(-2), Fraction(3, 2))]
+    reps = [random_jet(rng, p, 2).as_polynomial() for p in pts]
+    real, lengths = P._ntt_stages, []
+
+    def spy(a, *args):
+        lengths.append(len(a))
+        return real(a, *args)
+
+    with mock.patch.object(P, "_ntt_stages", spy):
+        f = P._interp_ntt(pts, reps, 2)
+    assert set(lengths) == {1 << 14}
+    assert f == _mask_sum(pts, reps, 2)
+
+
+_SIGN, _S3 = LinearAction.sign_c2(1), LinearAction.permutation_s3()
+
+
+@pytest.mark.parametrize("act, p, k, orbit_size", [
+    (_SIGN, (Fraction(1, 2),), 3, 2),
+    (_S3, (Fraction(1), Fraction(1), Fraction(0)), 2, 3),
+    (_S3, (Fraction(2), Fraction(1), Fraction(0)), 1, 6),
+    (_S3, (Fraction(1), Fraction(-1), Fraction(2)), 2, 6),
+], ids=["sign_c2-orbit2", "s3-orbit3", "s3-orbit6-k1", "s3-orbit6-k2"])
+def test_lift_equals_average_of_interpolant(act, p, k, orbit_size):
+    # the lift averages the transported representatives and interpolates
+    # once; averaging the interpolant of the transported jets is the same
+    # polynomial
+    rng = random.Random(7)
+    H = act.stabilizer(p)
+    rep = random_jet(rng, p, k).as_polynomial()
+    fixed = sum((rep.substitute_linear(act.matrices[act.group.inverse[h]])
+                 for h in H.elements), Polynomial.zero(len(p)))
+    jet = taylor_jet(fixed * Fraction(1, len(H.elements)), p, k)
+    orbit = act.orbit(p)
+    assert len(orbit) == orbit_size
+    jets = [transport_jet(jet, act, s) for s, _ in orbit]
+    want = equivariant_average(jet_interpolate([q for _, q in orbit], jets, k), act)
+    assert equivariant_jet_lift(p, jet, act, k) == want
+
+
 # -- linear actions -----------------------------------------------------------
 
 
@@ -728,6 +824,34 @@ def test_jet_interpolate_roundtrip_matches_sympy(data):
     sf = _to_sympy(f)
     for p, jet in zip(pts, jets):
         assert _sympy_jet(sf, p, k) == jet.terms
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_interp_kernel_matches_sympy(data):
+    # sum_j R_j (1 - (1 - phi_j^k)^k) for arbitrary rational R_j, expanded in
+    # sympy from phi_j = prod_{i != j} |x - p_i|^2 / |p_j - p_i|^2
+    from equimorse import polynomials as P
+
+    n = data.draw(st.integers(1, 2))
+    d = data.draw(st.integers(1, 3))
+    k = data.draw(st.integers(1, 3))
+    coord = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+    pts = data.draw(st.lists(st.tuples(*[coord] * n), min_size=d, max_size=d,
+                             unique=True))
+    reps = data.draw(_polys(n, d, maxdeg=2, max_terms=4))
+    xs = _gens(n)
+    want = sympy.Poly(0, *xs, domain=sympy.QQ)
+    for j, (p, rep) in enumerate(zip(pts, reps)):
+        phi = sympy.Poly(1, *xs, domain=sympy.QQ)
+        for i, q in enumerate(pts):
+            if i != j:
+                num = sum((x - sympy.Rational(str(c))) ** 2 for x, c in zip(xs, q))
+                den = sum(sympy.Rational(str(a - c)) ** 2 for a, c in zip(p, q))
+                phi *= sympy.Poly(num, *xs, domain=sympy.QQ) * (1 / den)
+        want += _to_sympy(rep) * (1 - (1 - phi ** k) ** k)
+    got = P._interp_ntt(pts, reps, k)
+    assert got is not None and got.terms == _from_sympy(want)
 
 
 @settings(max_examples=60, deadline=None)

@@ -73,6 +73,32 @@ def test_double_example_table(cell, theory, k):
         assert (deg, betti) == want, (cell, theory, k, dict(h.entries))
 
 
+def test_cell_groups_build_one_orbit_category():
+    # the pair complex keeps the orbit category of its admission check, and
+    # the theory's coefficient system is built over that same category
+    from unittest import mock
+
+    from equimorse import gcw, groups
+
+    G, e, full = c2()
+    H, V = rep_for("unstable", 2, G, e, full)
+    built = []
+
+    def counting(group):
+        built.append(groups.OrbitCategory(group))
+        return built[-1]
+
+    with mock.patch.object(gcw, "OrbitCategory", counting):
+        h = representation_cell_groups(H, V, "singular")
+    assert len(built) == 1
+    assert only_entry(h) == expected_entry("unstable", "singular", 2)
+
+
+def expected_entry(cell, theory, k):
+    want = expected(cell, theory, k)
+    return (None, (0, ())) if want is None else (want[0], (want[1], ()))
+
+
 def test_zero_representation_cell():
     # V = 0: the pair (G x_H D^0, empty): singular theory gives Z[G/H] in
     # degree 0
