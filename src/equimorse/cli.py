@@ -195,6 +195,9 @@ def cmd_specseq(args) -> int:
         M = build_system(fx.category, args.coeff, char=args.p)
         F = skeletal_filtration(bredon_chain_complex(fx, M))
     else:
+        if args.p != 2:
+            raise FixtureError("specseq on a manifold fixture counts flow "
+                               "lines mod 2; only --p 2 is supported")
         _, _, mdata = _morse_pipeline(fx, args)
         if mdata is None:
             raise FixtureError("specseq on a manifold fixture needs "

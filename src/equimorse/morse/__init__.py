@@ -1,7 +1,7 @@
 """Numerical equivariant Morse theory on explicit G-manifolds."""
 
 from .manifolds import EqFunction, ImplicitGManifold
-from .cutoffs import CutoffPair, DeltaTooLarge, auto_cutoffs, build_cutoffs
+from .cutoffs import CutoffPair, DeltaTooLarge, build_cutoffs
 from .critical import (
     CriticalPoint,
     DegenerateHessian,
@@ -49,7 +49,6 @@ __all__ = [
     "SphereFunction",
     "Trajectory",
     "UnsupportedRep",
-    "auto_cutoffs",
     "build_cutoffs",
     "classify",
     "find_critical_points",

@@ -245,14 +245,3 @@ def build_cutoffs(delta: float, h_sup: float = 1.0) -> CutoffPair:
     cut.margin = margin
     cut.epsilon = 0.5 * margin / (sup_dpsi * max(h_sup, 1e-12))
     return cut
-
-
-def auto_cutoffs(delta: float = 0.05, h_sup: float = 1.0) -> CutoffPair:
-    """build_cutoffs with shrink-and-retry on the width."""
-    while True:
-        try:
-            return build_cutoffs(delta, h_sup)
-        except DeltaTooLarge:
-            delta /= 2.0
-            if delta < 1e-6:
-                raise

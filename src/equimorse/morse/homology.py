@@ -31,7 +31,7 @@ import numpy as np
 from ..coefficients import CoefficientSystem, induced_matrix
 from ..complexes import ChainComplex
 from ..groups import OrbitMorphism
-from ..spectral import FilteredComplex
+from ..spectral import FilteredComplex, skeletal_filtration
 from .critical import CriticalPoint
 from .flow import CAPTURE_TOL, UNRESOLVED, integrate_batch
 from .manifolds import EqFunction, ImplicitGManifold
@@ -373,6 +373,4 @@ def morse_complex(data: MorseData, M: CoefficientSystem) -> ChainComplex:
 def morse_filtration(data: MorseData, M: CoefficientSystem) -> FilteredComplex:
     """The Morse complex filtered by Morse index (p = k), ready for the
     spectral sequence; its E^2 row is the Bredon homology."""
-    C = morse_complex(data, M)
-    filt = {n: tuple([n] * C.rank(n)) for n in C.degrees()}
-    return FilteredComplex(base=C, filt=filt)
+    return skeletal_filtration(morse_complex(data, M))

@@ -11,24 +11,23 @@ float numerators over 1, and tolerance 1e-12 checks in place of exact
 equality.  Arithmetic that mixes the two gives a float polynomial.
 
 Sums combine numerators over the lcm of the denominators.  Every product is
-one call to _imul on the numerators, over the product of the denominators.
-Large integer products go through Kronecker substitution with a multi-prime
-number-theoretic transform in numpy (pack both factors into one dense array,
-convolve modulo a few primes below 2^31, rebuild each coefficient by CRT).
-Small or lopsided products, and all float products, use the direct
-term-pair loop.  numpy is imported only when a product first takes the
-transform.  Taylor jets shift one variable at a time on the numerators.
+one call to _imul, the direct term-pair loop on the numerators, over the
+product of the denominators.  Taylor jets shift one variable at a time on
+the numerators.
 
 Exact jet interpolation multiplies no polynomials: _interp_ntt writes the
 whole interpolant sum_j R_j (1 - (1 - phi_j^k)^k) over one integer
-denominator and evaluates it at the transform points, modulo as many NTT
-primes as a bound on its coefficients needs.  The variables are
-transformed once per prime, every bump, mask and jet representative is a
-pointwise value, and one inverse transform per prime and one CRT (_crt,
-shared with the product kernel) rebuild it; see von zur Gathen & Gerhard,
-Modern Computer Algebra, ch. 5 and 8.  When the bound needs more primes
-than the table holds, or the degree box more than 2^22 points, the kernel
-returns None and the interpolant is summed from expanded masks.
+denominator and evaluates it at the points of a multi-prime
+number-theoretic transform in numpy, modulo as many primes below 2^31 as a
+bound on its coefficients needs.  The variables are transformed once per
+prime, every bump, mask and jet representative is a pointwise value, and
+one inverse transform per prime and one CRT (_crt) rebuild it; see von zur
+Gathen & Gerhard, Modern Computer Algebra, ch. 5 and 8.  numpy is imported
+only when an interpolant first takes the transform.  When the bound needs
+more primes than the table holds, or the degree box more than 2^22 points,
+the kernel returns None and the interpolant is summed from expanded masks.
+The equivariant lift averages the jet representatives over the group and
+then interpolates once.
 """
 
 from __future__ import annotations
@@ -80,12 +79,32 @@ def _coerce(c):
 
 # -- products of numerator dicts ---------------------------------------------
 
-# Cost model of the product, in term pairs of the direct loop: each NTT prime
-# costs _DIRECT_PAIR_LIMIT pairs plus one pair per _NTT_POINTS_PER_PAIR
-# butterfly points (n log2 n for a transform of length n).  Timed on the
-# products of the acceptance suite and the benchmark workloads (CHANGES.md).
-_DIRECT_PAIR_LIMIT = 1_200
-_NTT_POINTS_PER_PAIR = 70
+
+def _imul(A: dict, B: dict) -> dict:
+    """Product of two exponent -> numerator dicts, by the direct term-pair
+    loop; cancelled terms are left out."""
+    out: dict = {}
+    get = out.get
+    for ea, ca in A.items():
+        for eb, cb in B.items():
+            e = tuple(map(sum, zip(ea, eb)))
+            out[e] = get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _icontent_reduce(T: dict, den: int) -> tuple[dict, int]:
+    """Lowest terms: divide out the gcd of all numerators and the denominator."""
+    if not T or den == 1:
+        return T, 1
+    g = den
+    for c in T.values():
+        g = math.gcd(g, c)
+        if g == 1:
+            return T, den
+    return {e: c // g for e, c in T.items()}, den // g
+
+
+# -- the number-theoretic transform -------------------------------------------
 
 # NTT primes p < 2^31 with 2^22 dividing p - 1, each with a primitive root,
 # largest first: about 905 bits of modulus, transforms up to 2^22 points
@@ -100,16 +119,6 @@ _NTT_PRIMES = (
     (645922817, 3), (595591169, 3),
 )
 _NTT_MAX_LOG = 22
-
-
-def _imul_direct(A: dict, B: dict) -> dict:
-    out: dict = {}
-    get = out.get
-    for ea, ca in A.items():
-        for eb, cb in B.items():
-            e = tuple(map(sum, zip(ea, eb)))
-            out[e] = get(e, 0) + ca * cb
-    return {e: c for e, c in out.items() if c}
 
 
 def _ntt_primes_for(bound: int) -> list:
@@ -195,63 +204,6 @@ def _ntt_stages(a, out, p, roots, inverse, scratch):
         out[...] = a
 
 
-def _imul_ntt(A: dict, B: dict, nvars: int, budget: int | None = None) -> dict | None:
-    """Exact product of int-coefficient term dicts by Kronecker substitution
-    and a multi-prime number-theoretic transform.
-
-    Both factors are packed into one dense array over the degree box of the
-    product, the cyclic convolution is taken modulo the fewest NTT primes
-    whose product exceeds 2 * max|a| * max|b| * min(len A, len B), and each
-    nonzero slot is rebuilt by Garner's CRT with a signed lift, so the result
-    is exact by construction.  Returns None when the product needs more
-    primes or a longer transform than the table provides, or when its cost
-    model exceeds budget, counted in term pairs of the direct loop.
-    """
-    rad = [x + y + 1 for x, y in zip(map(max, zip(*A)), map(max, zip(*B)))]
-    nslots = math.prod(rad)
-    n = 1 << max(nslots - 1, 1).bit_length()
-    ca, cb = list(A.values()), list(B.values())
-    ma, mb = max(map(abs, ca)), max(map(abs, cb))
-    primes = _ntt_primes_for(2 * ma * mb * min(len(A), len(B)))
-    if primes is None or n > 1 << _NTT_MAX_LOG:
-        return None
-    points = n * (n.bit_length() - 1)
-    if budget is not None and budget < len(primes) * (
-        _DIRECT_PAIR_LIMIT + points / _NTT_POINTS_PER_PAIR
-    ):
-        return None
-    import numpy as np
-
-    strides = np.cumprod([1] + rad[:-1])
-    ia = np.array(list(A), dtype=np.int64).reshape(len(A), nvars) @ strides
-    ib = np.array(list(B), dtype=np.int64).reshape(len(B), nvars) @ strides
-    # coefficients below 2^62 reduce in int64, larger ones as Python ints
-    ca = np.array(ca, dtype=np.int64 if ma >> 62 == 0 else object)
-    cb = np.array(cb, dtype=np.int64 if mb >> 62 == 0 else object)
-    scratch = [np.empty(n // 2, np.uint64) for _ in range(3)]
-    fa, fb, fc = (np.empty(n, np.uint64) for _ in range(3))
-    residues = np.empty((len(primes), nslots), np.uint32)
-    for r, (p, g) in enumerate(primes):
-        P = np.uint64(p)
-        roots = _ntt_roots(p, pow(g, (p - 1) // n, p), n)
-        fa[:] = 0
-        fa[ia] = ca % p
-        _ntt_stages(fa, fc, p, roots, False, scratch)
-        if B is not A:
-            fb[:] = 0
-            fb[ib] = cb % p
-            _ntt_stages(fb, fa, p, roots, False, scratch)
-        np.multiply(fc, fc if B is A else fa, out=fc)
-        np.remainder(fc, P, out=fc)
-        np.multiply(fc, np.uint64(pow(n, p - 2, p)), out=fc)
-        np.remainder(fc, P, out=fc)
-        # w^-j = -w^(n/2 - j) for 0 < j < n/2
-        iroots = np.concatenate((roots[:1], P - roots[:0:-1]))
-        _ntt_stages(fc, fb, p, iroots, True, scratch)
-        residues[r] = fb[:nslots]
-    return _crt(residues, primes, np.arange(nslots), rad)
-
-
 def _crt(residues, primes, slots, rad) -> dict:
     """Exponent tuple -> integer c with |c| < M/2 (M the product of the
     primes), from residues with one row per prime and one column per slot
@@ -282,32 +234,6 @@ def _crt(residues, primes, slots, rad) -> dict:
         slots, e = np.divmod(slots, r)
         cols.append(e.tolist())
     return dict(zip(zip(*cols), coeffs.tolist()))
-
-
-def _imul(A: dict, B: dict, nvars: int) -> dict:
-    if not A or not B:
-        return {}
-    # the direct loop's cost grows with the number of term pairs, the
-    # transform's with the dense slot count of the degree box; the transform
-    # takes int numerators only
-    pairs = len(A) * len(B)
-    if pairs > _DIRECT_PAIR_LIMIT and type(next(iter(A.values()))) is int:
-        out = _imul_ntt(A, B, nvars, budget=pairs)
-        if out is not None:
-            return out
-    return _imul_direct(A, B)
-
-
-def _icontent_reduce(T: dict, den: int) -> tuple[dict, int]:
-    """Lowest terms: divide out the gcd of all numerators and the denominator."""
-    if not T or den == 1:
-        return T, 1
-    g = den
-    for c in T.values():
-        g = math.gcd(g, c)
-        if g == 1:
-            return T, den
-    return {e: c // g for e, c in T.items()}, den // g
 
 
 # -- polynomials -----------------------------------------------------------
@@ -435,9 +361,7 @@ class Polynomial:
 
     def __mul__(self, other):
         a, b = self._pair(other)
-        return Polynomial._make(
-            self.nvars, _imul(a.num, b.num, self.nvars), a.den * b.den
-        )
+        return Polynomial._make(self.nvars, _imul(a.num, b.num), a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -966,7 +890,9 @@ class LinearAction:
 
     The exact backend stores Fraction matrices and checks the representation
     law exactly; the float backend allows irrational orthogonal matrices and
-    checks the law and orthogonality to 1e-12.
+    checks the law and orthogonality to 1e-12.  Orthogonality is decided
+    once, at construction: a float action must be orthogonal, an exact one
+    need not be (is_orthogonal says which).
     """
 
     TOL = 1e-12
@@ -993,6 +919,7 @@ class LinearAction:
 
     def _validate(self):
         G = self.group
+        tol = 0 if self.exact else self.TOL
         for M in self.matrices:
             if len(M) != self.dim or any(len(row) != self.dim for row in M):
                 raise ValueError("matrices must be square of equal size")
@@ -1000,16 +927,15 @@ class LinearAction:
             for b in G.elements():
                 prod = _mat_mul_num(self.matrices[a], self.matrices[b])
                 target = self.matrices[G.mul[a][b]]
-                if not _mat_close(prod, target, 0 if self.exact else self.TOL):
+                if not _mat_close(prod, target, tol):
                     raise ValueError(f"representation law fails on ({a},{b})")
-        if not self.exact:
-            ident = tuple(
-                tuple(1.0 if i == j else 0.0 for j in range(self.dim))
-                for i in range(self.dim)
-            )
-            for s, M in enumerate(self.matrices):
-                if not _mat_close(_mat_mul_num(_transpose_num(M), M), ident, self.TOL):
-                    raise ValueError(f"matrix for element {s} is not orthogonal")
+        ident = tuple(tuple(int(i == j) for j in range(self.dim))
+                      for i in range(self.dim))
+        bad = [s for s, M in enumerate(self.matrices)
+               if not _mat_close(_mat_mul_num(_transpose_num(M), M), ident, tol)]
+        if bad and not self.exact:
+            raise ValueError(f"matrix for element {bad[0]} is not orthogonal")
+        self._orthogonal = not bad
 
     # -- constructors --
 
@@ -1104,15 +1030,9 @@ class LinearAction:
         )
 
     def is_orthogonal(self) -> bool:
-        ident = tuple(
-            tuple(_coerce(1 if i == j else 0) for j in range(self.dim))
-            for i in range(self.dim)
-        )
-        tol = 0 if self.exact else self.TOL
-        return all(
-            _mat_close(_mat_mul_num(_transpose_num(M), M), ident, tol)
-            for M in self.matrices
-        )
+        """Whether every matrix has M^T M = I (to 1e-12 on the float
+        backend), as found at construction."""
+        return self._orthogonal
 
     def stabilizer(self, point, tol: float = 1e-9) -> Subgroup:
         pt = tuple(_coerce(x) for x in point)
@@ -1152,7 +1072,7 @@ def _mat_mul_num(A, B):
 
 
 def _transpose_num(A):
-    return tuple(tuple(A[i][j] for i in range(len(A))) for j in range(len(A[0])))
+    return tuple(zip(*A))
 
 
 def _mat_close(A, B, tol):
@@ -1193,55 +1113,48 @@ def _jets_close(a: Jet, b: Jet, exact: bool) -> bool:
 def equivariant_jet_lift(point, jet: Jet, act: LinearAction, k: int) -> Polynomial:
     """Lift a stab(p)-fixed jet to a G-invariant polynomial with that jet.
 
-    Transport the jet along the orbit, interpolate, then average.  Raises
-    JetNotFixed when a stabilizer element moves the jet, which is exactly the
-    obstruction to lifting.
+    Raises JetNotFixed when a stabilizer element moves the jet, which is
+    exactly the obstruction to lifting, and ValueError for an action that
+    is not orthogonal.
 
-    For exact orthogonal actions the orbit is G-stable and the mask at p_j
-    composed with A_s is the mask at s^{-1}·p_j, so the average of the
-    interpolant is the interpolant of the averaged representatives
-    R̄_j = (1/|G|) sum_s R_{s·p_j} ∘ A_s: the small representatives are
-    averaged, and one call of the transform-domain kernel (see
-    jet_interpolate, with the same Polynomial-sum fallback) builds the lift.
-    Other actions interpolate, then average.
+    The orbit p_j = s_j·p is G-stable, and for an orthogonal A_s the mask at
+    p_j composed with A_s is the mask at s^{-1}·p_j.  So the average of the
+    interpolant of the transported jets is the interpolant of the averaged
+    representatives R̄_j = (1/|G|) sum_s R_{s·p_j} ∘ A_s: the small
+    representatives are averaged, and one _interpolate call (see
+    jet_interpolate) builds the lift, on both backends.
     """
     pt = tuple(_coerce(x) for x in point)
     if tuple(jet.basepoint) != pt:
         raise ValueError("jet must be based at the given point")
     if jet.order > k:
         raise ValueError("jet order exceeds lift order")
+    if not act.is_orthogonal():
+        raise ValueError("equivariant_jet_lift needs an orthogonal action")
+    G = act.group
     H = act.stabilizer(pt)
     for h in H.elements:
-        if h == act.group.identity:
+        if h == G.identity:
             continue
         moved = transport_jet(jet, act, h)
         if not _jets_close(moved, jet, act.exact):
             raise JetNotFixed(
                 f"stabilizer element {h} does not fix the jet; lift obstructed"
             )
-    orbit = act.orbit(pt)
-    points = [q for _, q in orbit]
-    jets = [transport_jet(jet, act, s) for s, _ in orbit]
     if k == 0:
         return Polynomial.zero(len(pt))
-    if len(points) == 1:
-        interp = jets[0].as_polynomial()
-        return equivariant_average(interp, act)
-
-    G = act.group
-    if act.exact and act.is_orthogonal():
-        _check_distinct(points)
-        # p_j = s_j·p, so s·p_j is the orbit point of the coset of s s_j
-        coset = {g: i for i, c in enumerate(left_cosets(G, H)) for g in c}
-        reps = [jt.as_polynomial() for jt in jets]
-        avg = []
-        for sj, _ in orbit:
-            total = Polynomial.zero(len(pt))
-            for s in G.elements():
-                rep = reps[coset[G.mul[s][sj]]]
-                total = total + rep.substitute_linear(act.matrices[s])
-            avg.append(total * Fraction(1, G.order))
-        return _interpolate(points, avg, k)
-
-    interp = jet_interpolate(points, jets, k)
-    return equivariant_average(interp, act)
+    cosets = left_cosets(G, H)
+    heads = [c[0] for c in cosets]
+    # s·p_j is the orbit point of the coset of s s_j
+    coset = {g: i for i, c in enumerate(cosets) for g in c}
+    reps = [transport_jet(jet, act, sj).as_polynomial() for sj in heads]
+    avg = []
+    for sj in heads:
+        total = Polynomial.zero(len(pt))
+        for s in G.elements():
+            rep = reps[coset[G.mul[s][sj]]]
+            total = total + rep.substitute_linear(act.matrices[s])
+        avg.append(total * Fraction(1, G.order))
+    if len(avg) == 1:
+        return avg[0]
+    return _interpolate(_check_distinct([act.apply(sj, pt) for sj in heads]), avg, k)

@@ -179,6 +179,17 @@ def test_specseq_command_gcw():
     assert "E^1" in out
 
 
+@pytest.mark.parametrize("p", ["3", "0"])
+def test_specseq_manifold_rejects_other_characteristics(p, capsys):
+    # flow lines are counted mod 2, so F_2 is the only characteristic a
+    # Morse spectral sequence can be computed in
+    path = str(FIXDIR / "circle_c2_height.json")
+    assert main(["specseq", path, "--stabilize", "--p", p]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "--p 2" in captured.err
+
+
 def test_morse_command_without_stabilize_reports():
     code, out = run_cli(["morse", str(FIXDIR / "circle_c2_height.json")])
     assert code == 0
