@@ -10,12 +10,23 @@ evaluation is row by row, and a row's trajectory is bit for bit the one it
 would have alone; aggregation of results never depends on trajectory
 order.
 
+A sink of the flow (an index-0 point for a descent, an index-dim point for
+an ascent) attracts along its linearization, e' = -H e descending and
+e' = H e ascending with H its Hessian, and RK4 with a capped step approaches
+it only linearly, at a rate of about the eigenvalue times dt_cap.  So each
+sink gets a capture radius: the largest rung of CAPTURE_RADII on whose
+sampled shells the velocity contracts towards the sink at CONTRACTION times
+its smallest Hessian eigenvalue.  A row that enters that ball is captured
+there and its end is the closed-form linear flow, taken to half of
+capture_tol.  A sink no rung certifies keeps the plain capture_tol.
+
 One lockstep iteration evaluates the velocity four times (K1 also sets
 the step size) and f once, at the new points; f at the current points is
 carried over from the step that reached them.  A step that is not monotone
 in f is retried at half the size from the same K1, at three velocity and
 one f evaluation a retry; the first attempt may rise by a relative 1e-14,
-a retry must strictly decrease f along the flow.
+a retry must strictly decrease f along the flow.  The capture radii cost
+one more velocity call per batch with a sink, on every probe point at once.
 """
 
 from __future__ import annotations
@@ -37,6 +48,11 @@ __all__ = [
 CAPTURE_TOL = 1e-6
 # a step still non-monotone after this many halvings ends its trajectory
 MAX_HALVINGS = 50
+# the capture radii tried around a sink, largest first
+CAPTURE_RADII = (0.1, 0.03, 0.01, 3e-3, 1e-3)
+# a certified radius needs (x - c).v(x) <= -CONTRACTION * lam_min * |x - c|^2
+# on its probe shells, lam_min the sink's smallest |Hessian eigenvalue|
+CONTRACTION = 0.5
 
 CAPTURED = 0
 ESCAPED = 1
@@ -54,7 +70,7 @@ class Trajectory:
     limit: CriticalPoint | None
     steps: int
     halvings: int                    # RK4 steps retried at half the size
-    min_dists: np.ndarray            # per critical point, over the whole path
+    linear_capture: bool = False     # end is the sink's closed-form flow
     points: np.ndarray | None = None
 
     @property
@@ -70,6 +86,77 @@ def _crit_array(crits) -> np.ndarray:
     return np.array([np.asarray(c.coords, dtype=float) for c in crits])
 
 
+def _shell_directions(d: int) -> np.ndarray:
+    """The unit vectors +-e_i and (+-e_i +- e_j)/sqrt(2) of R^d."""
+    E = np.eye(d)
+    dirs = [s * E[i] for i in range(d) for s in (1, -1)]
+    dirs += [(s * E[i] + t * E[j]) / np.sqrt(2) for i in range(d)
+             for j in range(i + 1, d) for s in (1, -1) for t in (1, -1)]
+    return np.array(dirs)
+
+
+def _capture_radii(velocity, M: ImplicitGManifold, crits, C,
+                   capture_tol: float) -> np.ndarray:
+    """Capture radius of every critical point, row 0 for descents and row 1
+    for ascents.
+
+    A sink's radius is the largest rung of CAPTURE_RADII below half its
+    distance to every other critical point at which the velocity contracts
+    on probe shells of radius r, r/2 and r/4; every other radius is
+    capture_tol.  All probes share one velocity call.
+    """
+    R = np.full((2, len(C)), capture_tol)
+    if not len(C) or not M.dim:
+        return R
+    gaps = np.linalg.norm(C[:, None, :] - C[None, :, :], axis=2)
+    np.fill_diagonal(gaps, np.inf)
+    half = 0.5 * gaps.min(axis=1)
+    U = _shell_directions(M.dim)
+    n = 3 * len(U)                       # probe points per rung
+    blocks, shells = [], []              # (side, critical point, rung)
+    for k, c in enumerate(crits):
+        for side, sink in ((0, 0), (1, M.dim)):
+            if c.index != sink:
+                continue
+            W = U @ c.tangent_basis.T
+            for r in CAPTURE_RADII:
+                if r < half[k]:
+                    blocks.append((side, k, r))
+                    shells += [C[k] + q * W for q in (r, r / 2, r / 4)]
+    if not blocks:
+        return R
+    X = np.concatenate(shells)
+    if M.codim:
+        X = M.project_points_many(X)
+    side = np.array([b[0] for b in blocks])
+    k = np.array([b[1] for b in blocks])
+    lam = np.array([np.abs(np.linalg.eigvalsh(c.hessian)).min() for c in crits])
+    E = X - np.repeat(C[k], n, axis=0)
+    V = velocity(X, np.repeat(2.0 * side - 1, n))
+    ok = ((E * V).sum(axis=1) <= -CONTRACTION * np.repeat(lam[k], n)
+          * (E * E).sum(axis=1)).reshape(len(blocks), n).all(axis=1)
+    # smallest rung first, so the largest certified rung is written last
+    for (sd, kk, r), good in zip(blocks[::-1], ok[::-1]):
+        if good:
+            R[sd, kk] = r
+    return R
+
+
+def _linear_ends(M: ImplicitGManifold, crits, C, X, which, sign,
+                 capture_tol: float) -> np.ndarray:
+    """Where the linearized flow e' = sign H e at each row's sink carries
+    it: to half of capture_tol, at T = ln(|e0| / (capture_tol / 2)) / lam_min
+    in the sink's tangent frame, then onto M."""
+    out = np.empty_like(X)
+    for r, (x, k, s) in enumerate(zip(X, which, sign)):
+        c = crits[k]
+        w, V = np.linalg.eigh(-s * c.hessian)      # positive at a sink
+        e0 = c.tangent_basis.T @ (x - C[k])
+        t = np.log(np.linalg.norm(e0) / (0.5 * capture_tol)) / w.min()
+        out[r] = C[k] + c.tangent_basis @ (V @ (np.exp(-w * t) * (V.T @ e0)))
+    return M.project_points_many(out) if M.codim else out
+
+
 def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
                     crits, direction=-1,
                     capture_tol: float = CAPTURE_TOL,
@@ -81,13 +168,20 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
     """Integrate every row of X0; returns a list of Trajectory.
 
     direction is -1 (descend) or +1 (ascend), either one value for every
-    row or one per row.  A trajectory finishes by capture (within
-    capture_tol of a critical point), escape (outside the escape radius),
-    a step that stays non-monotone in f after MAX_HALVINGS halvings
-    (unresolved, left at its last accepted point; a NaN value of f counts
-    as non-monotone), or budget exhaustion (unresolved).  dt_cap bounds the step near critical points, where the
-    speed-normalized step would leave RK4's stability region; convergence
-    there is linear at rate ~ eigenvalue * dt_cap.
+    row or one per row.  A trajectory finishes by capture, escape (outside
+    the escape radius), a step that stays non-monotone in f after
+    MAX_HALVINGS halvings (unresolved, left at its last accepted point; a
+    NaN value of f counts as non-monotone), or budget exhaustion
+    (unresolved).
+
+    A row is captured within capture_tol of any critical point, and within
+    the certified radius of a sink of its direction (see _capture_radii,
+    computed for both directions whatever the rows' directions, so a row's
+    trajectory does not depend on its batch).  A row captured by a radius
+    alone ends at the closed-form solution of the sink's linearized flow,
+    within capture_tol of it, and counts as a linear capture.  dt_cap
+    bounds the step away from the sinks, where the speed-normalized step
+    would leave RK4's stability region.
     """
     X = np.array(X0, dtype=float)
     m = len(X)
@@ -96,7 +190,7 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
     limit = np.full(m, -1, dtype=int)
     steps_used = np.zeros(m, dtype=int)
     halvings = np.zeros(m, dtype=int)
-    min_dists = np.full((m, len(C)), np.inf)
+    linear = np.zeros(m, dtype=bool)
     active = np.ones(m, dtype=bool)
     paths = [[] for _ in range(m)] if keep_paths else None
     sgn = np.broadcast_to(np.asarray(direction, dtype=float), (m,))
@@ -119,6 +213,10 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
             Pn = M.project_points_many(Pn)
         return Pn, f.value_many(Pn)
 
+    # each row's capture radius around every critical point
+    radius = _capture_radii(velocity, M, crits, C, capture_tol)[
+        (sgn > 0).astype(int)]
+
     for step in range(max_steps):
         if not active.any():
             break
@@ -126,13 +224,21 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
         P = X[idx]
         if len(C):
             D = np.linalg.norm(P[:, None, :] - C[None, :, :], axis=2)
-            min_dists[idx] = np.minimum(min_dists[idx], D)
-            hit = D.min(axis=1) < capture_tol
+            inside = D < radius[idx]
+            hit = inside.any(axis=1)
             if hit.any():
                 which = idx[hit]
+                Dh = np.where(inside[hit], D[hit], np.inf)
+                k = Dh.argmin(axis=1)
                 status[which] = CAPTURED
-                limit[which] = D[hit].argmin(axis=1)
+                limit[which] = k
                 active[which] = False
+                lin = Dh[np.arange(len(k)), k] >= capture_tol
+                if lin.any():
+                    linear[which[lin]] = True
+                    X[which[lin]] = _linear_ends(M, crits, C, X[which[lin]],
+                                                 k[lin], sgn[which[lin]],
+                                                 capture_tol)
                 idx = np.flatnonzero(active)
                 if not len(idx):
                     break
@@ -198,7 +304,7 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
                 limit=crits[li] if li is not None else None,
                 steps=int(steps_used[j]),
                 halvings=int(halvings[j]),
-                min_dists=min_dists[j].copy(),
+                linear_capture=bool(linear[j]),
                 points=np.array(paths[j]) if keep_paths else None,
             )
         )

@@ -71,7 +71,9 @@ class MorseData:
 
     counts[(i, j)] maps an OrbitMorphism from orbit i's stabilizer to orbit
     j's stabilizer to its mod-2 flow-line count.  steps and halvings total
-    the RK4 steps and step halvings of every integrated trajectory.
+    the RK4 steps and step halvings of every integrated trajectory, and
+    linear_captures counts the trajectories finished in closed form inside
+    a sink's certified capture radius.
     """
 
     orbits: list[CriticalOrbit]
@@ -80,6 +82,7 @@ class MorseData:
     escaped: int = 0
     steps: int = 0
     halvings: int = 0
+    linear_captures: int = 0
     warnings: list = field(default_factory=list)
 
     def by_index(self, k: int) -> list[int]:
@@ -183,7 +186,9 @@ def morse_differentials(f: EqFunction, M: ImplicitGManifold,
     captured maximum names one flow line out of the source representative.
     The descending-circle sample of every index-2 source still provides the
     basin structure, and its boundary count must agree with the number of
-    identified lines.
+    identified lines into index-1 points whose two descending branches reach
+    different basins: a line between equal basins leaves no boundary, and a
+    sample captured by an index-1 point lies on a line and has no basin.
     """
     samples_cfg = dict(DEFAULT_SPHERE_SAMPLES)
     if sphere_samples:
@@ -258,6 +263,17 @@ def morse_differentials(f: EqFunction, M: ImplicitGManifold,
             return None
         return oi, s
 
+    def basin(tr):
+        """A trajectory's label: its limit point, or how it failed."""
+        if tr.status == UNRESOLVED:
+            return ("unresolved", None)
+        if tr.escaped:
+            return ("escaped", None)
+        return ("crit", tr.limit_index)
+
+    # per index-1 orbit: do its two descending branches reach different
+    # basins?  Only a line into such a point separates two basins.
+    splits: dict[int, bool] = {}
     G = M.action.group
     start = 0
     for oi, d, seeds in segments:
@@ -280,39 +296,37 @@ def morse_differentials(f: EqFunction, M: ImplicitGManifold,
                               "NonConsecutiveFlow: trajectory skipped an index")
                 if hit is not None:
                     record(oi, *hit)
+            splits[oi] = basin(part[0]) != basin(part[-1])
         else:
             # index-2 source: the sample fixes the basin structure; each
             # basin boundary is one emitted flow line, identified from the
             # receiving end (forward bisection is hopeless here: the saddle
-            # repels radially much faster than it attracts along the ridge)
-            labels = []
-            for tr in part:
-                if tr.status == UNRESOLVED:
-                    unresolved += 1
-                    labels.append(("unresolved", None))
-                elif tr.escaped:
-                    labels.append(("escaped", None))
-                else:
-                    labels.append(("crit", tr.limit_index))
-            n = len(labels)
-            emitted[oi] = sum(
-                1 for i in range(n) if labels[i] != labels[(i + 1) % n]
-            )
+            # repels radially much faster than it attracts along the ridge).
+            # A sample captured by an index-1 point lies on a flow line
+            # itself and has no basin: it is left out, so the line it found
+            # is one boundary (or none, between equal basins), not two
+            labels = [basin(tr) for tr in part]
+            unresolved += sum(b[0] == "unresolved" for b in labels)
+            basins = [b for b in labels
+                      if b[0] != "crit" or crits[b[1]].index != 1]
+            emitted[oi] = sum(b != basins[i - 1] for i, b in enumerate(basins))
 
     data = MorseData(orbits=orbits, counts=counts, unresolved=unresolved,
                      escaped=escaped, warnings=warns,
                      steps=sum(tr.steps for tr in trajs),
-                     halvings=sum(tr.halvings for tr in trajs))
-    # raw boundary count of every index-2 source must equal its line count
+                     halvings=sum(tr.halvings for tr in trajs),
+                     linear_captures=sum(tr.linear_capture for tr in trajs))
+    # the basin boundaries of every index-2 source must equal its raw count
+    # of identified lines into index-1 points whose branches split
     for src_i, nb in emitted.items():
         lines = sum(
-            c for (i, _), tbl in counts.items() if i == src_i
+            c for (i, j), tbl in counts.items() if i == src_i and splits[j]
             for c in tbl.values()
         )
         if nb != lines:
             warns.append(
                 f"orbit {src_i}: {nb} basin boundaries but {lines} "
-                f"identified flow lines"
+                f"identified flow lines between basins"
             )
     for key in list(data.counts):
         data.counts[key] = {m: c % 2 for m, c in data.counts[key].items()}

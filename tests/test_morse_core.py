@@ -23,7 +23,12 @@ from equimorse.morse import (
     seed_grid,
 )
 from equimorse.morse.critical import _newton_kkt
-from equimorse.morse.flow import MAX_HALVINGS, UNRESOLVED, integrate_batch
+from equimorse.morse.flow import (
+    CAPTURE_TOL,
+    MAX_HALVINGS,
+    UNRESOLVED,
+    integrate_batch,
+)
 from equimorse.morse.manifolds import PolyTable
 
 
@@ -257,13 +262,14 @@ def test_flow_to_south_pole():
 
 def test_flow_counts_steps_and_halvings():
     # f = x^2 + 50 y^2: near the minimum the capped step leaves RK4's
-    # stability region along y, so the integrator must halve it
+    # stability region along y, so the integrator must halve it; with no
+    # critical point to capture it, the row runs out its step budget there
     M = r2_manifold()
     stiff = EqFunction.from_polynomial(Polynomial(2, {(2, 0): 1, (0, 2): 50}))
-    crit = [classify(stiff, M, np.zeros(2))]
-    tr = flow_trajectory(stiff, M, np.array([0.5, 0.3]), -1, crit)
-    assert tr.resolved and tr.steps > 0 and tr.halvings > 0
+    tr = flow_trajectory(stiff, M, np.array([0.5, 0.3]), -1, [], max_steps=100)
+    assert tr.status == UNRESOLVED and tr.steps == 100 and tr.halvings > 0
     mild = EqFunction.from_polynomial(Polynomial(2, {(2, 0): 1, (0, 2): 1}))
+    crit = [classify(mild, M, np.zeros(2))]
     tr = flow_trajectory(mild, M, np.array([0.5, 0.3]), -1, crit)
     assert tr.resolved and tr.steps > 0 and tr.halvings == 0
 
@@ -285,7 +291,8 @@ def _counting(f):
 
 def test_flow_evaluations_per_step_and_retry():
     # a lockstep iteration evaluates the velocity four times (K1 doubles as
-    # the speed) and f once; f at the start is evaluated once per batch
+    # the speed) and f once; f at the start is evaluated once per batch, and
+    # the capture radii of the sinks take one velocity call on every probe
     M = r2_manifold()
     mild = EqFunction.from_polynomial(Polynomial(2, {(2, 0): 1, (0, 2): 1}))
     crit = [classify(mild, M, np.zeros(2))]
@@ -299,11 +306,13 @@ def test_flow_evaluations_per_step_and_retry():
     assert used[1]["grad"] - used[0]["grad"] == 4
     assert used[1]["value"] - used[0]["value"] == 1
     assert used[0]["value"] == 1 + 3
-    # a halving retry reuses K1: three velocity and one f evaluation
+    assert used[0]["grad"] == 1 + 4 * 3
+    # a halving retry reuses K1: three velocity and one f evaluation; with
+    # no sink there is no probe call
     stiff = EqFunction.from_polynomial(Polynomial(2, {(2, 0): 1, (0, 2): 50}))
     g, calls = _counting(stiff)
-    (tr,) = integrate_batch(g, M, X0[:1], crits=crit)
-    assert tr.resolved and tr.halvings > 0
+    (tr,) = integrate_batch(g, M, X0[:1], crits=[], max_steps=100)
+    assert tr.steps == 100 and tr.halvings > 0
     assert calls["grad"] == 4 * tr.steps + 3 * tr.halvings
     assert calls["value"] == 1 + tr.steps + tr.halvings
 
@@ -364,6 +373,48 @@ def test_flow_fails_loudly_on_nan_values(start_finite):
     assert tr.status == UNRESOLVED and tr.limit is None
     assert tr.steps == 0 and tr.halvings == MAX_HALVINGS
     assert tr.end.tobytes() == x0.tobytes()
+
+
+def test_row_inside_a_certified_radius_is_captured_at_step_zero():
+    # the rung 0.1 is certified for the bowl's minimum and for both poles of
+    # the sphere; a row started inside it ends in closed form within
+    # capture_tol of the sink without a single RK4 step
+    M = r2_manifold()
+    bowl = EqFunction.from_polynomial(Polynomial(2, {(2, 0): 1, (0, 2): 3}))
+    crit = [classify(bowl, M, np.zeros(2))]
+    (tr,) = integrate_batch(bowl, M, np.array([[0.06, -0.05]]), crits=crit)
+    assert tr.resolved and tr.limit_index == 0 and tr.linear_capture
+    assert tr.steps == 0 and np.linalg.norm(tr.end) < CAPTURE_TOL
+    S = sphere_manifold()
+    f = height_z()
+    crits = [classify(f, S, np.array([0.0, 0.0, 1.0])),
+             classify(f, S, np.array([0.0, 0.0, -1.0]))]
+    x0 = S.project_point(np.array([0.05, 0.04, -1.0]))
+    for direction, sink in ((-1, 1), (+1, 0)):
+        start = x0 if direction < 0 else -x0
+        (tr,) = integrate_batch(f, S, start[None, :], crits=crits,
+                                direction=direction)
+        assert tr.limit_index == sink and tr.linear_capture and tr.steps == 0
+        assert np.linalg.norm(tr.end - crits[sink].coords) < CAPTURE_TOL
+        assert abs(np.linalg.norm(tr.end) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("a, radius", [(40, 0.03), (10**6, CAPTURE_TOL)])
+def test_capture_radius_shrinks_where_the_quadratic_model_fails(a, radius):
+    # f = x^2 + y^2 - a x^4: the velocity contracts at half the smallest
+    # eigenvalue only for 4 a x^2 <= 1, so at a = 40 the rung 0.1 fails and
+    # 0.03 holds, and at a = 1e6 no rung holds and the radius is capture_tol;
+    # rows just inside and just outside the radius both reach the minimum
+    M = r2_manifold()
+    f = EqFunction.from_polynomial(
+        Polynomial(2, {(2, 0): 1, (0, 2): 1, (4, 0): -a}))
+    crit = [classify(f, M, np.zeros(2))]
+    X0 = np.array([[0.97 * radius, 0.0], [1.03 * radius, 0.0]])
+    trajs = integrate_batch(f, M, X0, crits=crit)
+    assert all(tr.resolved and tr.limit_index == 0 for tr in trajs)
+    assert all(np.linalg.norm(tr.end) < CAPTURE_TOL for tr in trajs)
+    assert [tr.steps == 0 for tr in trajs] == [True, False]
+    assert [tr.linear_capture for tr in trajs] == [radius > CAPTURE_TOL] * 2
 
 
 def test_project_points_rows_independent():
@@ -614,7 +665,7 @@ SEARCH_COUNTS = {"figure1_plane": {1}, "figure1_plane-surgered": {4, 7},
                  "figure2_plane": {1}, "figure2_plane-surgered": {3},
                  "sphere_height": {2}, "torus_tilted": {4},
                  "circle_c2_height": {2}, "circle_c2_height-surgered": {4},
-                 "wells_c2": {3}}
+                 "wells_c2": {3}, "sphere_antipodal": {6}}
 
 
 def _fixture_cases():

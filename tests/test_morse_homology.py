@@ -1,14 +1,23 @@
 """Morse differentials, the Morse complex, and the Morse filtration against
 the G-CW cellular oracles."""
 
+import sys
+import warnings
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from equimorse.coefficients import build_system
 from equimorse.complexes import homology
+from equimorse import cli
+from equimorse import morse as morse_package
 from equimorse.fixtures import (
+    MANIFOLD_FIXTURES,
     circle_c2_height,
     circle_reflection,
+    sphere_antipodal,
     sphere_height,
     torus_tilted,
     wells_c2,
@@ -211,7 +220,7 @@ def test_mixed_batch_matches_rows_alone(case, request):
               escape_radius=fx.escape_radius)
     batch = integrate_batch(f, M, X0, direction=direction, **kw)
     assert not any(tr.status == UNRESOLVED for tr in batch)
-    # on figure 1 the two ascents halve their steps 92 times each
+    # on figure 1 the two ascents halve their steps 31 times each
     assert case == "torus_tilted" or any(tr.halvings for tr in batch)
     for x0, d, tr in zip(X0, direction, batch):
         (alone,) = integrate_batch(f, M, x0[None, :], direction=int(d), **kw)
@@ -305,3 +314,112 @@ def test_morse_vs_cellular_oracle_on_sphere():
     assert {n: hm.dim(n) for n in (0, 1, 2)} == {
         n: oracle.dim(n) for n in (0, 1, 2)
     }
+
+
+def _flow_summary(data):
+    """Flow counts (source, target, coset, count mod 2), unresolved, escaped."""
+    counts = sorted((i, j, m.coset, c) for (i, j), table in data.counts.items()
+                    for m, c in table.items())
+    return counts, data.unresolved, data.escaped
+
+
+def _betti(data, G, kind="constant"):
+    h = homology(morse_complex(data, build_system(OrbitCategory(G), kind,
+                                                  char=2)))
+    return {n: h.dim(n) for n in h.degrees() if h.dim(n)}
+
+
+# per manifold fixture: flow counts, unresolved, escaped and the constant
+# Morse homology over F2 of the stabilized function, as the flow gave them
+# when every row was integrated into capture_tol by RK4; capturing rows in a
+# sink's certified radius must leave all of them as they are
+FLOW_PINS = {
+    "circle_c2_height": ([(2, 0, (0, 1), 1), (2, 1, (0, 1), 1)], 0, 0, {0: 1}),
+    "figure1_plane": ([(1, 0, (0, 1, 2), 1), (2, 1, (0,), 1), (2, 1, (1,), 1)],
+                      0, 1, {2: 1}),
+    "figure2_plane": ([(1, 0, (0, 1), 1)], 0, 1, {}),
+    "sphere_antipodal": ([(1, 0, (0,), 1), (1, 0, (1,), 1), (2, 1, (0,), 1),
+                          (2, 1, (1,), 1)], 0, 0, {0: 1, 1: 1, 2: 1}),
+    "sphere_height": ([], 0, 0, {0: 1, 2: 1}),
+    "torus_tilted": ([(1, 0, (0,), 0), (2, 0, (0,), 0), (3, 1, (0,), 0),
+                      (3, 2, (0,), 0)], 0, 0, {0: 1, 1: 2, 2: 1}),
+    "wells_c2": ([(2, 0, (0, 1), 1), (2, 1, (0, 1), 1)], 0, 0, {0: 1}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MANIFOLD_FIXTURES))
+def test_capture_keeps_flow_counts_on_fixtures(name):
+    # the `morse --stabilize` pipeline at the library's 512 samples
+    fx = MANIFOLD_FIXTURES[name]()
+    args = SimpleNamespace(seeds=0, stabilize=True, delta=0.05)
+    _, _, data = cli._morse_pipeline(fx, args)
+    assert not data.warnings
+    assert data.linear_captures > 0
+    assert (*_flow_summary(data), _betti(data, fx.manifold.action.group)) \
+        == FLOW_PINS[name]
+
+
+@pytest.fixture(scope="module")
+def bench_modules():
+    """The benchmark's workload and tracer modules, which import each other
+    by name from the bench directory."""
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    sys.path.insert(0, bench)
+    try:
+        import spans
+        import workloads
+    finally:
+        sys.path.remove(bench)
+    return workloads, spans.NullTracer()
+
+
+@pytest.mark.parametrize("seed", [901, 3701])
+@pytest.mark.parametrize("workload", ["morse-surgery", "morse-poly"])
+def test_capture_keeps_flow_counts_on_bench_grids(bench_modules, workload,
+                                                  seed, monkeypatch):
+    # the first pass of a benchmark run: jittered seed grids, 16 samples; the
+    # op's own oracle checks the Morse homology against the expected groups
+    workloads, tracer = bench_modules
+    ctx = workloads.setup(workload)
+    got = []
+    real = morse_package.morse_differentials
+    monkeypatch.setattr(morse_package, "morse_differentials",
+                        lambda *a, **k: got.append(real(*a, **k)) or got[-1])
+    for op in workloads.make_pass(ctx, seed, 0):
+        assert workloads.op_morse(ctx, op, tracer) == []
+        assert _flow_summary(got.pop()) == FLOW_PINS[op[1]][:3]
+
+
+def test_antipodal_sphere_counts_a_captured_sample_once():
+    # S^2 under -I with f = x^2 + 2y^2 + 3z^2: at 16 and 512 samples two
+    # descending samples of the maximum lie on the saddles' stable manifolds
+    # and the saddles capture them; each is one flow line, not two basin
+    # boundaries, so every sample count gives the same lines and no warning
+    fx = sphere_antipodal()
+    crits = classified_crits(fx)
+    got = []
+    for n in (16, 510, 512):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = morse_differentials(fx.function, fx.manifold, crits,
+                                       step_length=fx.step_length,
+                                       sphere_samples={1: n})
+        assert not data.warnings
+        got.append(_flow_summary(data))
+    assert got[0] == got[1] == got[2] == FLOW_PINS["sphere_antipodal"][:3]
+
+
+def test_torus_lines_between_equal_basins_leave_no_boundary():
+    # every line out of the maximum runs into a saddle whose two branches
+    # reach the one minimum, so it separates no basins; with an odd number
+    # of samples exactly one sample lies on such a line
+    fx = torus_tilted()
+    crits = classified_crits(fx)
+    got = []
+    for n in (15, 16, 17):
+        data = morse_differentials(fx.function, fx.manifold, crits,
+                                   step_length=fx.step_length,
+                                   sphere_samples={1: n})
+        assert not data.warnings
+        got.append(_flow_summary(data))
+    assert got[0] == got[1] == got[2] == FLOW_PINS["torus_tilted"][:3]
