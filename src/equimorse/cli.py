@@ -105,8 +105,7 @@ def _crit_table(title, crits) -> list:
 def _chart_at(charts, x):
     """The fixture chart centred at x, if any."""
     for ch in charts.values():
-        center = ch.center if hasattr(ch, "center") else ch.center_point()
-        if np.linalg.norm(center - x) < 1e-6:
+        if np.linalg.norm(ch.center - x) < 1e-6:
             return ch
     return None
 

@@ -189,6 +189,12 @@ GCW_FIXTURES, MANIFOLD_FIXTURES = _loaders_by_kind()
 def __getattr__(name: str):
     """fixtures.<name> is the loader of fixtures/<name>.json."""
     loader = GCW_FIXTURES.get(name) or MANIFOLD_FIXTURES.get(name)
+    if loader is None and not FIXTURE_DIR.is_dir():
+        raise AttributeError(
+            f"fixtures.{name} loads a file from the fixtures/ directory of a "
+            f"source checkout, and there is none at {FIXTURE_DIR}; run from a "
+            f"checkout or an editable install, or read the file with "
+            f"load_fixture(path)")
     if loader is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return loader

@@ -20,7 +20,7 @@ from .perturb import (
     localize_surgery,
     stable_perturb,
 )
-from .flow import Trajectory, flow_trajectory, integrate_batch
+from .flow import Trajectory, integrate_batch
 from .homology import (
     BoundarySquareNonzero,
     MorseData,
@@ -52,7 +52,6 @@ __all__ = [
     "build_cutoffs",
     "classify",
     "find_critical_points",
-    "flow_trajectory",
     "integrate_batch",
     "localize_surgery",
     "morse_complex",

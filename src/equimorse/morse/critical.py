@@ -235,26 +235,24 @@ def classify(f: EqFunction, M: ImplicitGManifold, p, *,
     direction sticks out of the fixed subspace.
     """
     p = np.asarray(p, dtype=float)
-    if np.linalg.norm(M.project_tangent(p, f.grad(p))) >= tol_crit:
+    x = p[None, :]
+    g = f.grad_many(x)
+    if np.linalg.norm(M.project_tangent_many(x, g)[0]) >= tol_crit:
         raise ValueError("point fails the critical-gradient tolerance")
     H_sub = M.action.stabilizer(tuple(p), tol=stab_tol)
     T = M.tangent_basis(p)
-    m = T.shape[1]
 
     # restricted Hessian: subtract the constraint curvature via multipliers
-    Hf = f.hess(p)
+    Hf = f.hess_many(x)[0]
     if M.codim:
-        J = M.jacobian(p)
-        lam, *_ = np.linalg.lstsq(J.T, f.grad(p), rcond=None)
-        Hf = Hf - np.einsum("k,kij->ij", lam, M.constraint_hessians(p))
+        J = M.jacobian_many(x)[0]
+        lam, *_ = np.linalg.lstsq(J.T, g[0], rcond=None)
+        Hf = Hf - np.einsum("k,kij->ij", lam, M.constraint_hessians_many(x)[0])
     Ht = T.T @ Hf @ T
     Ht = (Ht + Ht.T) / 2.0
 
     # stabilizer action on the tangent space and the averaging projector
-    reps = []
-    for s in H_sub.elements:
-        A = np.array([[float(v) for v in row] for row in M.action.matrices[s]])
-        reps.append(T.T @ A @ T)
+    reps = [T.T @ M.act_mats[s] @ T for s in H_sub.elements]
     P = sum(reps) / len(reps)
     P = (P + P.T) / 2.0
     evals, evecs = np.linalg.eigh(P)
@@ -283,7 +281,7 @@ def classify(f: EqFunction, M: ImplicitGManifold, p, *,
 
     return CriticalPoint(
         coords=p,
-        value=f.value(p),
+        value=float(f.value_many(x)[0]),
         stabilizer=H_sub,
         tangent_basis=T,
         hessian=Ht,

@@ -170,18 +170,38 @@ class CutoffPair:
     epsilon: float
     margin: float  # min radial slope magnitude on the transition intervals
 
-    def radial_d1(self, t) -> np.ndarray:
-        """d/dt of -t^2 phi(t-2), the model's radial part."""
+    def profile(self, t, orders) -> list:
+        """The derivatives R^(k), k in orders (each 0, 1 or 2), of the radial
+        profile R = t^2 on t <= 1, -t^2 phi(t - 2) on 1 < t < 3 and -t^2 on
+        t >= 3.  phi and the derivatives of it that those need are evaluated
+        once each, on the middle rows only."""
         t = np.asarray(t, dtype=float)
-        return -2.0 * t * self.phi(t - 2.0) - t * t * self.phi.d1(t - 2.0)
-
-    def radial_d2(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        return (
-            -2.0 * self.phi(t - 2.0)
-            - 4.0 * t * self.phi.d1(t - 2.0)
-            - t * t * self.phi.d2(t - 2.0)
-        )
+        lo, hi = t <= 1.0, t >= 3.0
+        mid = (t > 1.0) & (t < 3.0)
+        out = []
+        for k in orders:
+            if k == 0:
+                out.append(np.where(hi, -t * t, np.where(lo, t * t, 0.0)))
+            elif k == 1:
+                out.append(np.where(hi, -2.0 * t, np.where(lo, 2.0 * t, 0.0)))
+            else:
+                out.append(np.where(hi, -2.0, np.where(lo, 2.0, 0.0)))
+        if np.any(mid):
+            tm = t[mid]
+            s = tm - 2.0
+            p = [self.phi(s)]
+            if max(orders) >= 1:
+                p.append(self.phi.d1(s))
+            if max(orders) >= 2:
+                p.append(self.phi.d2(s))
+            for k, r in zip(orders, out):
+                if k == 0:
+                    r[mid] = -tm * tm * p[0]
+                elif k == 1:
+                    r[mid] = -2 * tm * p[0] - tm * tm * p[1]
+                else:
+                    r[mid] = -2 * p[0] - 4 * tm * p[1] - tm * tm * p[2]
+        return out
 
 
 def _bisect(f, lo: float, hi: float, tol: float = 1e-12) -> float:
@@ -238,7 +258,7 @@ def build_cutoffs(delta: float, h_sup: float = 1.0) -> CutoffPair:
         np.linspace(psi.rise_lo, psi.rise_hi, 4001),
         np.linspace(psi.fall_lo, psi.fall_hi, 4001),
     ])
-    margin = float(np.min(np.abs(cut.radial_d1(ts))))
+    margin = float(np.min(np.abs(cut.profile(ts, (1,))[0])))
     sup_dpsi = float(np.max(np.abs(psi.d1(np.linspace(1.0, 3.0, 8001)))))
     if margin <= 0 or sup_dpsi <= 0:
         raise AssertionError("degenerate cutoff data")

@@ -3,12 +3,13 @@
 Trajectories integrate x' = -P grad f (descending; +P for ascending) with a
 projected RK4 step whose size adapts to the local gradient so the flow
 marches at roughly constant arc length, and are captured when they come
-within capture_tol of a known critical point.  The batch integrator steps
-many trajectories in lockstep with vectorized evaluations, each row with
-its own direction, so descents and ascents share one batch.  Every
-evaluation is row by row, and a row's trajectory is bit for bit the one it
-would have alone; aggregation of results never depends on trajectory
-order.
+within capture_tol of a known critical point.  integrate_batch is the
+only integrator: it steps the rows of an (m x n) array of start points in
+lockstep with vectorized evaluations, each row with its own direction, so
+descents and ascents share one batch, and a single trajectory is a batch
+of one.  Every evaluation is row by row, and a row's trajectory is bit for
+bit the one it would have alone; aggregation of results never depends on
+trajectory order.
 
 A sink of the flow (an index-0 point for a descent, an index-dim point for
 an ascent) attracts along its linearization, e' = -H e descending and
@@ -41,7 +42,6 @@ from .manifolds import EqFunction, ImplicitGManifold
 __all__ = [
     "CAPTURE_TOL",
     "Trajectory",
-    "flow_trajectory",
     "integrate_batch",
 ]
 
@@ -310,23 +310,3 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
         )
     return out
 
-
-def flow_trajectory(f: EqFunction, M: ImplicitGManifold, x0, direction: int,
-                    crits, *, capture_tol: float = CAPTURE_TOL,
-                    step_length: float = 0.01, max_steps: int = 40000,
-                    keep_path: bool = True) -> Trajectory:
-    """One trajectory from x0 (descending for -1, ascending for +1).
-
-    x0 must not already sit inside the capture radius of a critical point.
-    Budget exhaustion is reported in the returned status, never raised.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    for c in crits:
-        if np.linalg.norm(x0 - np.asarray(c.coords)) < capture_tol:
-            raise ValueError("start point is already at a critical point")
-    (traj,) = integrate_batch(
-        f, M, x0[None, :], crits=crits, direction=direction,
-        capture_tol=capture_tol, step_length=step_length,
-        max_steps=max_steps, keep_paths=keep_path,
-    )
-    return traj

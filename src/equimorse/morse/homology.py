@@ -146,8 +146,7 @@ def _ascending_seeds(M: ImplicitGManifold, q: CriticalPoint, rho: float):
     v = pos[:, 0]
     flips = []
     for s in q.stabilizer.elements:
-        A = np.array([[float(x) for x in row] for row in M.action.matrices[s]])
-        R = q.tangent_basis.T @ A @ q.tangent_basis
+        R = q.tangent_basis.T @ M.act_mats[s] @ q.tangent_basis
         flips.append(float(v @ R @ v) < 0)
     dirs = np.array([[1.0]] if any(flips) else [[1.0], [-1.0]])
     ambient_v = (q.tangent_basis @ v)[None, :]
@@ -189,6 +188,11 @@ def morse_differentials(f: EqFunction, M: ImplicitGManifold,
     identified lines into index-1 points whose two descending branches reach
     different basins: a line between equal basins leaves no boundary, and a
     sample captured by an index-1 point lies on a line and has no basin.
+
+    That cross-check has a blind spot: it cannot see a lost line into an
+    index-1 point whose two descending branches reach the same basin, since
+    such a line leaves no boundary either way.  All four lines out of the
+    maximum of torus_tilted are of that kind.
     """
     samples_cfg = dict(DEFAULT_SPHERE_SAMPLES)
     if sphere_samples:

@@ -4,13 +4,14 @@ Manifolds are zero sets of polynomial constraint maps in Euclidean space
 with an orthogonal action; the metric is the induced one, so invariance is
 automatic.
 
-Everything here is batched first: functions, constraints and their
-derivatives are evaluated on the rows of an (m x n) array, and a scalar
-call is a batch of one.  Each row's result is bit for bit independent of
-the other rows, so batches can be split and merged freely.  Polynomial
-data (a function with its gradient and Hessian, or a constraint map with
-its Jacobian and Hessians) is compiled once into a PolyTable, which
-evaluates all of its polynomials at all rows in one pass.
+Everything here is batched: functions, constraints and their derivatives
+are evaluated on the rows of an (m x n) array, and there are no scalar
+forms; a single point is passed as a batch of one, p[None], and its result
+read from row 0.  Each row's result is bit for bit independent of the other
+rows, so batches can be split and merged freely.  Polynomial data (a
+function with its gradient and Hessian, or a constraint map with its
+Jacobian and Hessians) is compiled once into a PolyTable, which evaluates
+all of its polynomials at all rows in one pass.
 """
 
 from __future__ import annotations
@@ -64,7 +65,8 @@ class PolyTable:
 class EqFunction:
     """A smooth function given by batched value, gradient and Hessian
     callables on (m x n) arrays, returning shapes (m,), (m, n) and
-    (m, n, n).  value, grad and hess at one point are batches of one."""
+    (m, n, n).  Subclasses define value_many, grad_many and hess_many
+    themselves."""
 
     def __init__(self, value_many, grad_many, hess_many, *, nvars=None, name=""):
         self._value_many = value_many
@@ -72,15 +74,6 @@ class EqFunction:
         self._hess_many = hess_many
         self.nvars = nvars
         self.name = name or "f"
-
-    def value(self, x) -> float:
-        return float(self.value_many(np.asarray(x, dtype=float)[None, :])[0])
-
-    def grad(self, x) -> np.ndarray:
-        return self.grad_many(np.asarray(x, dtype=float)[None, :])[0]
-
-    def hess(self, x) -> np.ndarray:
-        return self.hess_many(np.asarray(x, dtype=float)[None, :])[0]
 
     def value_many(self, X) -> np.ndarray:
         return self._value_many(np.asarray(X, dtype=float))
@@ -151,7 +144,8 @@ class ImplicitGManifold:
         self._second = PolyTable(
             [g.derivative(j) for g in grads for j in range(N)], N
         )
-        self._act_mats = [
+        # the float matrix of every group element, indexed by the element
+        self.act_mats = [
             np.array([[float(v) for v in row] for row in self.action.matrices[s]])
             for s in self.action.group.elements()
         ]
@@ -164,14 +158,8 @@ class ImplicitGManifold:
     def dim(self) -> int:
         return self.ambient - self.codim
 
-    def constraint_values(self, x) -> np.ndarray:
-        return self.constraint_values_many(np.asarray(x, dtype=float)[None, :])[0]
-
     def constraint_values_many(self, X) -> np.ndarray:
         return self._first(X)[:, :self.codim]
-
-    def jacobian(self, x) -> np.ndarray:
-        return self.jacobian_many(np.asarray(x, dtype=float)[None, :])[0]
 
     def jacobian_many(self, X) -> np.ndarray:
         """(m, codim, ambient)."""
@@ -184,9 +172,6 @@ class ImplicitGManifold:
         c = self.codim
         return T[:, :c], T[:, c:].reshape(len(T), c, self.ambient)
 
-    def constraint_hessians(self, x) -> np.ndarray:
-        return self.constraint_hessians_many(np.asarray(x, dtype=float)[None, :])[0]
-
     def constraint_hessians_many(self, X) -> np.ndarray:
         """(m, codim, ambient, ambient)."""
         N = self.ambient
@@ -196,13 +181,9 @@ class ImplicitGManifold:
         """Columns form an orthonormal basis of the tangent space at x."""
         if not self.constraints:
             return np.eye(self.ambient)
-        J = self.jacobian(x)
+        J = self.jacobian_many(np.asarray(x, dtype=float)[None, :])[0]
         _, _, vt = np.linalg.svd(J)
         return vt[self.codim:].T
-
-    def project_tangent(self, x, v) -> np.ndarray:
-        return self.project_tangent_many(np.asarray(x, dtype=float)[None, :],
-                                         np.asarray(v, dtype=float)[None, :])[0]
 
     def project_tangent_many(self, X: np.ndarray, V: np.ndarray) -> np.ndarray:
         if not self.constraints:
@@ -213,10 +194,6 @@ class ImplicitGManifold:
         G = np.einsum("mcn,mdn->mcd", J, J)
         lam = np.linalg.solve(G, JV[..., None])[..., 0]
         return V - np.einsum("mcn,mc->mn", J, lam)
-
-    def project_point(self, x, tol=1e-12, iters=20) -> np.ndarray:
-        return self.project_points_many(np.array(x, dtype=float)[None, :],
-                                        tol=tol, iters=iters)[0]
 
     def project_points_many(self, X: np.ndarray, tol=1e-12, iters=20) -> np.ndarray:
         """Gauss-Newton projection of every row onto the zero set, by
@@ -241,13 +218,13 @@ class ImplicitGManifold:
         return X
 
     def apply(self, s: int, x) -> np.ndarray:
-        return self._act_mats[s] @ np.asarray(x, dtype=float)
+        return self.act_mats[s] @ np.asarray(x, dtype=float)
 
     def validate_action(self, sample_points, tol=1e-9) -> float:
         """max |F(A_s x)| over samples of the zero set; must stay below tol."""
         X = self.project_points_many(np.array(sample_points, dtype=float)
                                      .reshape(-1, self.ambient))
-        moved = np.einsum("gij,mj->gmi", np.array(self._act_mats), X)
+        moved = np.einsum("gij,mj->gmi", np.array(self.act_mats), X)
         F = self.constraint_values_many(moved.reshape(-1, self.ambient))
         worst = float(np.max(np.abs(F), initial=0.0))
         if worst >= tol:

@@ -13,8 +13,8 @@ touching the function outside the chart ball.
 Sphere functions h are homogeneous polynomials divided by the matching power
 of the radius, so their gradients and Hessians are closed-form.  Like every
 Morse-layer function, the model, the sphere functions, the charts and the
-surgered function evaluate on batches of points; a scalar call is a batch
-of one.  Their per-row contractions are einsums rather than BLAS products,
+surgered function take (m x n) batches of points and have no scalar forms;
+a single point is a batch of one.  Their per-row contractions are einsums rather than BLAS products,
 so a row's result does not depend on the rows beside it.
 """
 
@@ -25,7 +25,6 @@ import warnings
 
 import numpy as np
 
-from ..groups import Subgroup
 from ..polynomials import LinearAction, Polynomial
 from .critical import (
     CriticalPoint,
@@ -46,7 +45,6 @@ __all__ = [
     "SphereFunction",
     "localize_surgery",
     "stable_perturb",
-    "subgroup_action",
 ]
 
 log = logging.getLogger(__name__)
@@ -62,13 +60,6 @@ class EpsilonTooLarge(ValueError):
 
 class ChartMissing(ValueError):
     """Surgery needs an exact Morse chart from the fixture."""
-
-
-def subgroup_action(act: LinearAction, H: Subgroup) -> LinearAction:
-    """The restriction of an action to a subgroup, as an action of the
-    abstract group on H's elements (table built from the parent)."""
-    mats = [act.matrices[g] for g in H.elements]
-    return LinearAction(H.as_group(), mats, exact=act.exact)
 
 
 class SphereFunction:
@@ -105,16 +96,10 @@ class SphereFunction:
             sign = -sign
         return cls(Polynomial(2, terms))
 
-    def value(self, u) -> float:
-        return float(self.value_many(np.asarray(u, dtype=float)[None, :])[0])
-
     def value_many(self, U) -> np.ndarray:
         U = np.asarray(U, dtype=float)
         t = np.linalg.norm(U, axis=1)
         return self._first(U)[:, 0] / t**self.deg
-
-    def grad(self, u) -> np.ndarray:
-        return self.grad_many(np.asarray(u, dtype=float)[None, :])[0]
 
     def grad_many(self, U) -> np.ndarray:
         U = np.asarray(U, dtype=float)
@@ -123,9 +108,6 @@ class SphereFunction:
         PG = self._first(U)
         P, gP = PG[:, 0], PG[:, 1:]
         return gP / t[:, None] ** m - m * (P / t ** (m + 2))[:, None] * U
-
-    def hess(self, u) -> np.ndarray:
-        return self.hess_many(np.asarray(u, dtype=float)[None, :])[0]
 
     def hess_many(self, U) -> np.ndarray:
         U = np.asarray(U, dtype=float)
@@ -184,7 +166,7 @@ class SphereFunction:
                     def qprime(th):
                         u = np.array([np.cos(th), np.sin(th)])
                         tv = np.array([-np.sin(th), np.cos(th)])
-                        return float(self.grad(u) @ tv)
+                        return float(self.grad_many(u[None, :])[0] @ tv)
 
                     while hi - lo > tol:
                         mid = (lo + hi) / 2
@@ -198,7 +180,8 @@ class SphereFunction:
             for th in roots:
                 u = np.array([np.cos(th), np.sin(th)])
                 tv = np.array([-np.sin(th), np.cos(th)])
-                q2 = float(tv @ self.hess(u) @ tv - self.grad(u) @ u)
+                g = self.grad_many(u[None, :])[0]
+                q2 = float(tv @ self.hess_many(u[None, :])[0] @ tv - g @ u)
                 # on the unit circle q''(theta) = t^T H t - u . grad
                 nondeg = abs(q2) > 1e-8
                 out.append((u, 1 if q2 < 0 else 0, nondeg))
@@ -226,9 +209,8 @@ class PerturbedModel(EqFunction):
             LinearAction.block_sum(parts) if parts
             else LinearAction.trivial(actV.group, 0)
         )
-        n = self.dv + self.dw + self.du
-        super().__init__(self._value_n, self._grad_n, self._hess_n,
-                         nvars=n, name="perturbed-model")
+        self.nvars = self.dv + self.dw + self.du
+        self.name = "perturbed-model"
 
     # -- coordinate splitting --
 
@@ -236,51 +218,15 @@ class PerturbedModel(EqFunction):
         dv, dw = self.dv, self.dw
         return X[:, :dv], X[:, dv:dv + dw], X[:, dv + dw:]
 
-    # -- radial profile, piecewise exact --
-
-    def _profile(self, t, orders) -> list:
-        """The derivatives R^(k), k in orders (each 0, 1 or 2), of the radial
-        profile R = t^2 on t <= 1, -t^2 phi(t - 2) on 1 < t < 3 and -t^2 on
-        t >= 3.  phi and the derivatives of it that those need are evaluated
-        once each, on the middle rows only."""
-        t = np.asarray(t, dtype=float)
-        lo, hi = t <= 1.0, t >= 3.0
-        mid = (t > 1.0) & (t < 3.0)
-        out = []
-        for k in orders:
-            if k == 0:
-                out.append(np.where(hi, -t * t, np.where(lo, t * t, 0.0)))
-            elif k == 1:
-                out.append(np.where(hi, -2.0 * t, np.where(lo, 2.0 * t, 0.0)))
-            else:
-                out.append(np.where(hi, -2.0, np.where(lo, 2.0, 0.0)))
-        if np.any(mid):
-            phi = self.cut.phi
-            tm = t[mid]
-            s = tm - 2.0
-            p = [phi(s)]
-            if max(orders) >= 1:
-                p.append(phi.d1(s))
-            if max(orders) >= 2:
-                p.append(phi.d2(s))
-            for k, r in zip(orders, out):
-                if k == 0:
-                    r[mid] = -tm * tm * p[0]
-                elif k == 1:
-                    r[mid] = -2 * tm * p[0] - tm * tm * p[1]
-                else:
-                    r[mid] = -2 * p[0] - 4 * tm * p[1] - tm * tm * p[2]
-        return out
-
     # -- evaluation --
 
-    def _value_n(self, X):
+    def value_many(self, X):
         X = np.asarray(X, dtype=float)
         v, w, u = self._split_n(X)
         out = np.einsum("mi,mi->m", v, v) - np.einsum("mi,mi->m", w, w)
         if self.du:
             t = np.linalg.norm(u, axis=1)
-            out = out + self._profile(t, (0,))[0]
+            out = out + self.cut.profile(t, (0,))[0]
             if self.h is not None and self.eps:
                 psi = self.cut.psi(t)
                 on = psi > 0.0
@@ -290,9 +236,8 @@ class PerturbedModel(EqFunction):
                     out = out + self.eps * psi * vals
         return out
 
-    def _grad_n(self, X):
+    def grad_many(self, X):
         X = np.asarray(X, dtype=float)
-        m = len(X)
         v, w, u = self._split_n(X)
         g = np.concatenate([2.0 * v, -2.0 * w, np.zeros_like(u)], axis=1)
         if self.du:
@@ -301,7 +246,7 @@ class PerturbedModel(EqFunction):
             safe = t > 0
             uhat = np.zeros_like(u)
             uhat[safe] = u[safe] / t[safe, None]
-            gu += self._profile(t, (1,))[0][:, None] * uhat
+            gu += self.cut.profile(t, (1,))[0][:, None] * uhat
             # at t = 0 the profile is +t^2, gradient 2u = 0: consistent
             if self.h is not None and self.eps:
                 psi = self.cut.psi(t)
@@ -318,7 +263,7 @@ class PerturbedModel(EqFunction):
             g[:, self.dv + self.dw:] = g[:, self.dv + self.dw:] + gu
         return g
 
-    def _hess_n(self, X):
+    def hess_many(self, X):
         X = np.asarray(X, dtype=float)
         dv, dw, du = self.dv, self.dw, self.du
         H = np.zeros((len(X), dv + dw + du, dv + dw + du))
@@ -335,7 +280,7 @@ class PerturbedModel(EqFunction):
                 uhat = u / t[:, None]
                 Pu = uhat[:, :, None] * uhat[:, None, :]
                 Pt = np.eye(du) - Pu
-                R1, R2 = self._profile(t, (1, 2))
+                R1, R2 = self.cut.profile(t, (1, 2))
                 Hn = R2[:, None, None] * Pu + (R1 / t)[:, None, None] * Pt
                 if self.h is not None and self.eps:
                     psi = self.cut.psi(t)
@@ -364,7 +309,7 @@ class PerturbedModel(EqFunction):
 
     def predicted_critical_points(self) -> list[np.ndarray]:
         """Origin plus t0*u for each sphere-critical u of h."""
-        n = self.dv + self.dw + self.du
+        n = self.nvars
         out = [np.zeros(n)]
         if self.du and self.h is not None:
             for u, _, _ in self.h.sphere_critical_points():
@@ -374,44 +319,54 @@ class PerturbedModel(EqFunction):
         return out
 
 
+# seed-grid points per axis when stable_perturb searches a model space of
+# dimension at most 2 (5 per axis above that)
+GRID_N = 9
+
+
+def _build_model(actV: LinearAction, actW: LinearAction, actU: LinearAction,
+                 h: SphereFunction | None, cut: CutoffPair) -> PerturbedModel:
+    """The model, with h checked for equivariance under the U-representation
+    (by sampling) and epsilon rescaled by the sampled sup of |h|.  h defaults
+    to the constant 1 when U is nonzero."""
+    du = actU.dim
+    if not du:
+        return PerturbedModel(actV, actW, actU, None, cut, 0.0)
+    if h is None:
+        h = SphereFunction.constant(du)
+    err = h.equivariance_error(actU)
+    if err > 1e-9:
+        raise HNotEquivariant(f"sphere function moves by {err:.2e}")
+    rng = np.random.default_rng(3)
+    pts = rng.normal(size=(256, du))
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    h_sup = float(np.max(np.abs(h.value_many(pts))))
+    return PerturbedModel(actV, actW, actU, h, cut,
+                          cut.epsilon / max(h_sup, 1e-12))
+
+
 def stable_perturb(actV: LinearAction, actW: LinearAction, actU: LinearAction,
-                   h: SphereFunction | None, cut: CutoffPair, *,
-                   verify: bool = True, grid_n: int = 9,
+                   h: SphereFunction | None, cut: CutoffPair,
                    ) -> tuple[PerturbedModel, list[CriticalPoint]]:
     """Build the model and verify its predicted critical set.
 
     h must be equivariant for the U-representation (checked by sampling).
     epsilon is rescaled by the sampled sup of |h|.  Every predicted point is
-    re-verified through find_critical_points + classify; unexpected points
-    inside the transition annuli raise EpsilonTooLarge.
+    classified, and the critical set is searched from the predicted points
+    and a seed grid; unexpected points inside the transition annuli raise
+    EpsilonTooLarge.
     """
-    du = actU.dim
-    if du and h is None:
-        h = SphereFunction.constant(du)
-    h_sup = 1.0
-    if du and h is not None:
-        err = h.equivariance_error(actU)
-        if err > 1e-9:
-            raise HNotEquivariant(f"sphere function moves by {err:.2e}")
-        rng = np.random.default_rng(3)
-        pts = rng.normal(size=(256, du))
-        pts /= np.linalg.norm(pts, axis=1)[:, None]
-        h_sup = float(np.max(np.abs(h.value_many(pts))))
-    eps = cut.epsilon / max(h_sup, 1e-12) if du else 0.0
-    model = PerturbedModel(actV, actW, actU, h if du else None, cut, eps)
-    n = model.dv + model.dw + model.du
+    model = _build_model(actV, actW, actU, h, cut)
+    n = model.nvars
     manifold = ImplicitGManifold(
         ambient=n, constraints=(), action=model.action, name="model-space"
     )
 
     predicted = model.predicted_critical_points()
     classified = [classify(model, manifold, p) for p in predicted]
-    if not verify:
-        return model, classified
-
     seeds = list(predicted)
     if n:
-        seeds.extend(seed_grid([(-3.4, 3.4)] * n, grid_n if n <= 2 else 5))
+        seeds.extend(seed_grid([(-3.4, 3.4)] * n, GRID_N if n <= 2 else 5))
     found = find_critical_points(model, manifold, np.array(seeds))
     for x in found:
         if all(np.linalg.norm(x - q) > 1e-5 for q in predicted):
@@ -451,24 +406,13 @@ class LinearChart:
     def dim(self) -> int:
         return self.dv + self.dw
 
-    def coords(self, x) -> np.ndarray:
-        return self.coords_many(np.asarray(x, dtype=float)[None, :])[0]
-
     def coords_many(self, X) -> np.ndarray:
         return np.einsum("mn,nk->mk", np.asarray(X, dtype=float) - self.center,
                          self.frame)
 
-    def jac(self, x) -> np.ndarray:
-        """dy/dx, shape (dim, ambient)."""
-        return self.jac_many(np.asarray(x, dtype=float)[None, :])[0]
-
     def jac_many(self, X) -> np.ndarray:
         """dy/dx at each row, shape (m, dim, ambient)."""
         return np.broadcast_to(self.frame.T, (len(X),) + self.frame.T.shape)
-
-    def hess_coords(self, x) -> np.ndarray:
-        """d2 y_k / dx^2, shape (dim, ambient, ambient)."""
-        return self.hess_coords_many(np.asarray(x, dtype=float)[None, :])[0]
 
     def hess_coords_many(self, X) -> np.ndarray:
         """d2 y_k / dx^2 at each row, shape (m, dim, ambient, ambient): zero."""
@@ -477,6 +421,7 @@ class LinearChart:
 
     def model_error(self, f: EqFunction, fp: float, samples: int = 64,
                     radius: float = 0.5) -> float:
+        """max |f - (fp + |v|^2 - |w|^2)| over sampled chart coordinates."""
         rng = np.random.default_rng(11)
         Y = rng.uniform(-radius, radius, size=(samples, self.dim))
         X = self.center + Y @ self.frame.T
@@ -502,7 +447,8 @@ class AngleChart:
     def dim(self) -> int:
         return 1
 
-    def center_point(self) -> np.ndarray:
+    @property
+    def center(self) -> np.ndarray:
         return np.array([np.cos(self.pole_angle), np.sin(self.pole_angle)])
 
     def _angle(self, x):
@@ -510,15 +456,9 @@ class AngleChart:
         th = np.arctan2(x[..., 1], x[..., 0]) - self.pole_angle
         return (th + np.pi) % (2 * np.pi) - np.pi
 
-    def coords(self, x) -> np.ndarray:
-        return self.coords_many(np.asarray(x, dtype=float)[None, :])[0]
-
     def coords_many(self, X) -> np.ndarray:
         u = self._angle(X)
         return (np.sqrt(2.0) * np.sin(u / 2.0))[:, None]
-
-    def jac(self, x) -> np.ndarray:
-        return self.jac_many(np.asarray(x, dtype=float)[None, :])[0]
 
     def jac_many(self, X) -> np.ndarray:
         """dy/dx at each row, shape (m, 1, 2)."""
@@ -527,9 +467,6 @@ class AngleChart:
         grad_u = np.stack([-X[:, 1], X[:, 0]], axis=1) / r2[:, None]
         dy_du = np.sqrt(2.0) * 0.5 * np.cos(self._angle(X) / 2.0)
         return (dy_du[:, None] * grad_u)[:, None, :]
-
-    def hess_coords(self, x) -> np.ndarray:
-        return self.hess_coords_many(np.asarray(x, dtype=float)[None, :])[0]
 
     def hess_coords_many(self, X) -> np.ndarray:
         """d2y/dx2 at each row, shape (m, 1, 2, 2)."""
@@ -549,6 +486,16 @@ class AngleChart:
                + dy[:, None, None] * hess_u)
         return out[:, None, :, :]
 
+    def model_error(self, f: EqFunction, fp: float, samples: int = 64,
+                    radius: float = 0.5) -> float:
+        """max |f - (fp - y^2)| over sampled coordinates y, each mapped back
+        to the circle by the angle u = 2 arcsin(y / sqrt(2)) from the pole."""
+        rng = np.random.default_rng(11)
+        y = rng.uniform(-radius, radius, size=samples)
+        th = self.pole_angle + 2.0 * np.arcsin(y / np.sqrt(2.0))
+        X = np.stack([np.cos(th), np.sin(th)], axis=1)
+        return float(np.max(np.abs(f.value_many(X) - (fp - y * y))))
+
 
 class SurgeredFunction(EqFunction):
     """f with the model spliced into the chart (and its orbit translates).
@@ -557,22 +504,20 @@ class SurgeredFunction(EqFunction):
     list that contains it, for the value, gradient and Hessian alike.
     """
 
-    def __init__(self, f: EqFunction, M: ImplicitGManifold, charts,
-                 model: PerturbedModel, scale: float, fp: float,
-                 split_frames, name=""):
+    def __init__(self, f: EqFunction, charts, model: PerturbedModel,
+                 scale: float, fp: float, split_frames):
         # charts: one chart per orbit point, each with coords_many, jac_many
         # and hess_coords_many; split_frames: (model_dim x dim_chart) mapping
         # chart coords to the model's (v, w, u) ordering
         self.f0 = f
-        self.M = M
         self.charts = charts
         self.model = model
         self.scale = float(scale)
         self.fp = float(fp)
         self.split = np.asarray(split_frames, dtype=float)
         self.c0_distance = 0.0
-        super().__init__(self._value_n, self._grad_n, self._hess_n,
-                         nvars=f.nvars, name=name or "surgered")
+        self.nvars = f.nvars
+        self.name = "surgered"
 
     def _chart_rows(self, X):
         """(chart, rows, model coordinates / scale) per chart, each row of X
@@ -592,35 +537,47 @@ class SurgeredFunction(EqFunction):
                 out.append((chart, rows, Y[rows] / self.scale))
         return out
 
-    def _value_n(self, X):
+    def value_many(self, X):
+        X = np.asarray(X, dtype=float)
         out = self.f0.value_many(X)
         s = self.scale
         for _, rows, Z in self._chart_rows(X):
-            out[rows] = self.fp + s * s * self.model._value_n(Z)
+            out[rows] = self.fp + s * s * self.model.value_many(Z)
         return out
 
-    def _grad_n(self, X):
+    def grad_many(self, X):
+        X = np.asarray(X, dtype=float)
         out = self.f0.grad_many(X)
         for chart, rows, Z in self._chart_rows(X):
             # s dF/dy (split dy/dx), with dF/dy at y/s
-            gy = np.einsum("mk,kc->mc", self.model._grad_n(Z), self.split)
+            gy = np.einsum("mk,kc->mc", self.model.grad_many(Z), self.split)
             out[rows] = self.scale * np.einsum(
                 "mc,mcn->mn", gy, chart.jac_many(X[rows])
             )
         return out
 
-    def _hess_n(self, X):
+    def hess_many(self, X):
+        X = np.asarray(X, dtype=float)
         out = self.f0.hess_many(X)
         for chart, rows, Z in self._chart_rows(X):
             Xr = X[rows]
             Jy = np.einsum("kc,mcn->mkn", self.split, chart.jac_many(Xr))
-            gy = np.einsum("mk,kc->mc", self.model._grad_n(Z), self.split)
+            gy = np.einsum("mk,kc->mc", self.model.grad_many(Z), self.split)
             out[rows] = (
-                np.einsum("mki,mkl,mlj->mij", Jy, self.model._hess_n(Z), Jy)
+                np.einsum("mki,mkl,mlj->mij", Jy, self.model.hess_many(Z), Jy)
                 + self.scale * np.einsum("mc,mcij->mij", gy,
                                          chart.hess_coords_many(Xr))
             )
         return out
+
+
+def _chart_action(chart, M: ImplicitGManifold, elements) -> list[np.ndarray]:
+    """The action of each group element (fixing the chart's center) on the
+    chart coordinates, to first order: J A J^+ with J the chart's Jacobian
+    at its center."""
+    J = chart.jac_many(chart.center[None, :])[0]
+    J_pinv = np.linalg.pinv(J)
+    return [J @ M.act_mats[s] @ J_pinv for s in elements]
 
 
 def localize_surgery(f: EqFunction, M: ImplicitGManifold, p: CriticalPoint,
@@ -628,10 +585,10 @@ def localize_surgery(f: EqFunction, M: ImplicitGManifold, p: CriticalPoint,
                      h: SphereFunction | None = None) -> EqFunction:
     """Replace f near the orbit of an unstable critical point by the model.
 
-    The chart must present f exactly as f(p) + |v|^2 - |w|^2; the model is
-    spliced with U = the non-fixed directions of W, scaled so the modified
-    cylinder sits inside the given radius.  Stable points pass through
-    unchanged with a warning.
+    The chart must present f exactly as f(p) + |v|^2 - |w|^2 (checked by
+    sampling); the model is spliced with U = the non-fixed directions of W,
+    scaled so the modified cylinder sits inside the given radius.  Stable
+    points pass through unchanged with a warning.
     """
     if p.stable:
         warnings.warn("localize_surgery called on a stable point: no-op")
@@ -639,27 +596,18 @@ def localize_surgery(f: EqFunction, M: ImplicitGManifold, p: CriticalPoint,
     if chart is None:
         raise ChartMissing("surgery needs the fixture's Morse chart")
 
-    fp = f.value(p.coords)
-    err = chart.model_error(f, fp) if hasattr(chart, "model_error") else 0.0
+    coords = np.asarray(p.coords, dtype=float)
+    fp = float(f.value_many(coords[None, :])[0])
+    err = chart.model_error(f, fp)
     if err > 1e-9:
         raise ChartMissing(f"chart is not an exact Morse chart: error {err:.2e}")
 
     # split the chart's W block into fixed and prime parts under stab(p)
     H_sub = p.stabilizer
-    act = M.action
     dv, dw = chart.dv, chart.dw
     dim = dv + dw
 
-    mats = []
-    for s in H_sub.elements:
-        A = np.array([[float(v) for v in row] for row in act.matrices[s]])
-        if isinstance(chart, LinearChart):
-            B = chart.frame.T @ A @ chart.frame
-        else:
-            # 1-d angle chart: reflection acts by -1 on the coordinate,
-            # identity by +1
-            B = np.array([[1.0]]) if s == act.group.identity else np.array([[-1.0]])
-        mats.append(B)
+    mats = _chart_action(chart, M, H_sub.elements)
     avg = sum(mats) / len(mats)
     Wavg = avg[dv:, dv:]
     evals, evecs = np.linalg.eigh((Wavg + Wavg.T) / 2)
@@ -679,52 +627,49 @@ def localize_surgery(f: EqFunction, M: ImplicitGManifold, p: CriticalPoint,
         split[dv:dv + dw_keep, dv:] = keep.T
     split[dv + dw_keep:, dv:] = prime.T
 
-    Hgrp = subgroup_action(act, H_sub)
+    Hg = H_sub.as_group()
     sub_mats = [split @ B @ split.T for B in mats]
 
     def block(lo, hi):
         return LinearAction(
-            Hgrp.group,
+            Hg,
             [tuple(tuple(float(B[i][j]) for j in range(lo, hi))
                    for i in range(lo, hi)) for B in sub_mats],
             exact=False,
-        ) if hi > lo else LinearAction.trivial(Hgrp.group, 0)
+        ) if hi > lo else LinearAction.trivial(Hg, 0)
 
     actV = block(0, dv)
     actW = block(dv, dv + dw_keep)
     actU = block(dv + dw_keep, dim)
 
-    if du == 1 and h is None:
-        h = SphereFunction.constant(1)
     scale = radius / 3.5
-    model, _ = stable_perturb(actV, actW, actU, h, cut, verify=False)
+    model = _build_model(actV, actW, actU, h, cut)
 
     # orbit translates of the chart
     charts = [chart]
-    for s, q in act.orbit(tuple(np.asarray(p.coords, float))):
+    for s, q in M.action.orbit(tuple(coords)):
         qa = np.array([float(v) for v in q])
-        if np.linalg.norm(qa - p.coords) < 1e-9:
+        if np.linalg.norm(qa - coords) < 1e-9:
             continue
-        A = np.array([[float(v) for v in row] for row in act.matrices[s]])
-        if isinstance(chart, LinearChart):
-            charts.append(LinearChart(A @ chart.center, A @ chart.frame,
-                                      chart.dv, chart.dw))
-        else:
+        if not isinstance(chart, LinearChart):
             raise ChartMissing("orbit surgery with angle charts is limited "
                                "to fixed poles")
+        A = M.act_mats[s]
+        charts.append(LinearChart(A @ chart.center, A @ chart.frame,
+                                  chart.dv, chart.dw))
 
-    out = SurgeredFunction(f, M, charts, model, scale, fp, split)
+    out = SurgeredFunction(f, charts, model, scale, fp, split)
 
     # reported C0 distance: sup over the modified cylinder of the change
     ts = np.linspace(0.0, 3.0, 601)
     base = -ts * ts
     h_sup = 0.0
-    if model.du and model.h is not None:
+    if model.h is not None:
         rng = np.random.default_rng(5)
         pts = rng.normal(size=(128, model.du))
         pts /= np.linalg.norm(pts, axis=1)[:, None]
         h_sup = float(np.max(np.abs(model.h.value_many(pts))))
-    changed = model._profile(ts, (0,))[0] + model.eps * model.cut.psi(ts) * h_sup
+    changed = cut.profile(ts, (0,))[0] + model.eps * cut.psi(ts) * h_sup
     out.c0_distance = float(scale * scale * np.max(np.abs(changed - base)))
     log.info("surgery at %s: C0 distance <= %.3e", np.round(p.coords, 4),
              out.c0_distance)

@@ -220,7 +220,7 @@ def test_criterion_3_figure1(figure1_after, cut):
     assert len(others) == 6
     for c in others:
         assert np.linalg.norm(c.coords) > 0.1  # off the fixed locus {0}
-        assert np.linalg.norm(newf.grad(c.coords)) < 1e-9
+        assert np.linalg.norm(newf.grad_many(c.coords[None, :])[0]) < 1e-9
     # two C3-orbits of size 3
     A = np.array(fx.manifold.action.matrices[1])
     orbits = []
@@ -287,10 +287,12 @@ def test_criterion_5_construction_properties(cut):
             direction /= np.linalg.norm(direction)
             r_in = rng.choice([0.0, 0.5, 0.999])
             x = np.concatenate([vw, r_in * direction])
-            assert abs(model.value(x) - (v @ v - w @ w + r_in**2)) < 1e-12
+            assert abs(model.value_many(x[None, :])[0]
+                       - (v @ v - w @ w + r_in**2)) < 1e-12
             r_out = rng.uniform(3.0, 4.5)
             x = np.concatenate([vw, r_out * direction])
-            assert abs(model.value(x) - (v @ v - w @ w - r_out**2)) < 1e-12
+            assert abs(model.value_many(x[None, :])[0]
+                       - (v @ v - w @ w - r_out**2)) < 1e-12
             checked += 1
         # item 4: no spurious critical points (stable_perturb verified); the
         # returned list is exactly origin + t0-sphere points
@@ -301,7 +303,7 @@ def test_criterion_5_construction_properties(cut):
         for c in crits:
             if np.linalg.norm(c.coords) < 1e-9:
                 continue
-            Hm = model.hess(c.coords)
+            Hm = model.hess_many(c.coords[None, :])[0]
             wvals, wvecs = np.linalg.eigh(Hm)
             assert np.all(np.abs(wvals) > 1e-6)  # item 6
             if dv:

@@ -60,6 +60,28 @@ def test_unknown_fixture_name_is_an_attribute_error():
         from equimorse.fixtures import no_such_fixture  # noqa: F401
 
 
+def test_fixture_name_outside_a_checkout_names_the_missing_directory(tmp_path):
+    # a copy of the package with no fixtures/ directory beside it, as after
+    # a plain (non-editable) install
+    import shutil
+
+    import equimorse
+
+    shutil.copytree(Path(equimorse.__file__).resolve().parent,
+                    tmp_path / "site" / "equimorse",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import equimorse.fixtures as fx; fx.circle_c2_height"],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(tmp_path / "site")),
+    )
+    assert proc.returncode != 0
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last.startswith("AttributeError")
+    assert str(tmp_path / "fixtures") in last and "load_fixture(path)" in last
+
+
 def _rewritten(tmp_path, name, edit):
     """A copy of fixtures/<name>.json changed by edit(raw)."""
     raw = json.loads((FIXDIR / f"{name}.json").read_text())

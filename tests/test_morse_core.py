@@ -18,7 +18,6 @@ from equimorse.morse import (
     build_cutoffs,
     classify,
     find_critical_points,
-    flow_trajectory,
     localize_surgery,
     seed_grid,
 )
@@ -44,6 +43,18 @@ def sphere_manifold(action=None):
     return ImplicitGManifold(ambient=3, constraints=(con,), action=act)
 
 
+def row(fn, x):
+    """fn at the single point x, as a batch of one."""
+    return fn(np.asarray(x, dtype=float)[None, :])[0]
+
+
+def flow_one(f, M, x0, crits, **kw):
+    """The descending trajectory from the single point x0, with its path."""
+    (tr,) = integrate_batch(f, M, np.asarray(x0, dtype=float)[None, :],
+                            crits=crits, keep_paths=True, **kw)
+    return tr
+
+
 def height_z():
     return EqFunction.from_polynomial(Polynomial(3, {(0, 0, 1): 1}))
 
@@ -54,21 +65,17 @@ def test_polynomial_eqfunction_derivatives():
     )
     x = np.array([0.7, -0.4])
     h = 1e-6
-    g = f.grad(x)
+    g = row(f.grad_many, x)
     for i in range(2):
         e = np.zeros(2)
         e[i] = h
-        fd = (f.value(x + e) - f.value(x - e)) / (2 * h)
+        fd = (row(f.value_many, x + e) - row(f.value_many, x - e)) / (2 * h)
         assert g[i] == pytest.approx(fd, rel=1e-6)
-    H = f.hess(x)
+    H = row(f.hess_many, x)
     assert H[0][1] == pytest.approx(-1.0)
     assert H[0][0] == pytest.approx(2.0)
     assert H[1][1] == pytest.approx(12 * (-0.4))
-    # vectorized paths agree, and a scalar call is the matching batch row
     X = np.array([[0.1, 0.2], [2.0, -1.0], [0.0, 0.0]])
-    assert np.allclose(f.value_many(X), [f.value(x) for x in X])
-    assert np.allclose(f.grad_many(X), [f.grad(x) for x in X])
-    assert np.allclose(f.hess_many(X), [f.hess(x) for x in X])
     assert f.value_many(X).shape == (3,)
     assert f.grad_many(X).shape == (3, 2)
     assert f.hess_many(X).shape == (3, 2, 2)
@@ -146,22 +153,18 @@ def test_constraint_derivatives_match_exact(case):
     _assert_matches_exact(
         M.constraint_hessians_many(X).reshape(len(pts), c * n * n), seconds, pts
     )
-    for r, x in enumerate(X):
-        assert M.jacobian(x).shape == (c, n)
-        _assert_matches_exact(M.constraint_hessians(x).reshape(1, c * n * n),
-                              seconds, pts[r:r + 1])
 
 
 def test_sphere_tangent_and_projection():
     M = sphere_manifold()
-    p = M.project_point(np.array([1.2, 0.6, -0.3]))
+    p = row(M.project_points_many, np.array([1.2, 0.6, -0.3]))
     assert abs(np.linalg.norm(p) - 1.0) < 1e-12
     T = M.tangent_basis(p)
     assert T.shape == (3, 2)
     assert np.allclose(T.T @ T, np.eye(2), atol=1e-12)
     assert np.max(np.abs(T.T @ p)) < 1e-12
     v = np.array([1.0, 0.0, 0.0])
-    pv = M.project_tangent(p, v)
+    pv = M.project_tangent_many(p[None, :], v[None, :])[0]
     assert abs(pv @ p) < 1e-12
 
 
@@ -252,8 +255,8 @@ def test_flow_to_south_pole():
         classify(f, M, np.array([0.0, 0.0, 1.0])),
         classify(f, M, np.array([0.0, 0.0, -1.0])),
     ]
-    x0 = M.project_point(np.array([0.8, 0.2, 0.4]))
-    tr = flow_trajectory(f, M, x0, -1, crits)
+    x0 = row(M.project_points_many, np.array([0.8, 0.2, 0.4]))
+    tr = flow_one(f, M, x0, crits)
     assert tr.resolved
     assert tr.limit.index == 0
     # points stay on the sphere
@@ -266,11 +269,11 @@ def test_flow_counts_steps_and_halvings():
     # critical point to capture it, the row runs out its step budget there
     M = r2_manifold()
     stiff = EqFunction.from_polynomial(Polynomial(2, {(2, 0): 1, (0, 2): 50}))
-    tr = flow_trajectory(stiff, M, np.array([0.5, 0.3]), -1, [], max_steps=100)
+    tr = flow_one(stiff, M, np.array([0.5, 0.3]), [], max_steps=100)
     assert tr.status == UNRESOLVED and tr.steps == 100 and tr.halvings > 0
     mild = EqFunction.from_polynomial(Polynomial(2, {(2, 0): 1, (0, 2): 1}))
     crit = [classify(mild, M, np.zeros(2))]
-    tr = flow_trajectory(mild, M, np.array([0.5, 0.3]), -1, crit)
+    tr = flow_one(mild, M, np.array([0.5, 0.3]), crit)
     assert tr.resolved and tr.steps > 0 and tr.halvings == 0
 
 
@@ -328,7 +331,7 @@ def test_flow_fails_loudly_on_non_monotone_values():
     liar = EqFunction(lambda X: np.full(len(X), float(next(rising))),
                       mild.grad_many, mild.hess_many, nvars=2)
     x0 = np.array([0.5, 0.3])
-    tr = flow_trajectory(liar, M, x0, -1, crit)
+    tr = flow_one(liar, M, x0, crit)
     assert tr.status == UNRESOLVED and tr.limit is None
     assert tr.steps == 0 and tr.halvings == MAX_HALVINGS
     assert tr.end.tobytes() == x0.tobytes()
@@ -345,7 +348,7 @@ def test_flow_halving_guard_fires_on_smooth_contradicting_values():
     cap = EqFunction(lambda X: -bowl.value_many(X), bowl.grad_many,
                      bowl.hess_many, nvars=2)
     x0 = np.array([0.5, 0.3])
-    tr = flow_trajectory(cap, M, x0, -1, crit)
+    tr = flow_one(cap, M, x0, crit)
     assert tr.status == UNRESOLVED and tr.limit is None
     assert tr.steps == 0 and tr.halvings == MAX_HALVINGS
     assert tr.end.tobytes() == x0.tobytes()
@@ -369,7 +372,7 @@ def test_flow_fails_loudly_on_nan_values(start_finite):
         return np.full(len(X), np.nan)
 
     broken = EqFunction(value_many, mild.grad_many, mild.hess_many, nvars=2)
-    tr = flow_trajectory(broken, M, x0, -1, crit)
+    tr = flow_one(broken, M, x0, crit)
     assert tr.status == UNRESOLVED and tr.limit is None
     assert tr.steps == 0 and tr.halvings == MAX_HALVINGS
     assert tr.end.tobytes() == x0.tobytes()
@@ -389,7 +392,7 @@ def test_row_inside_a_certified_radius_is_captured_at_step_zero():
     f = height_z()
     crits = [classify(f, S, np.array([0.0, 0.0, 1.0])),
              classify(f, S, np.array([0.0, 0.0, -1.0]))]
-    x0 = S.project_point(np.array([0.05, 0.04, -1.0]))
+    x0 = row(S.project_points_many, np.array([0.05, 0.04, -1.0]))
     for direction, sink in ((-1, 1), (+1, 0)):
         start = x0 if direction < 0 else -x0
         (tr,) = integrate_batch(f, S, start[None, :], crits=crits,
@@ -428,7 +431,7 @@ def test_project_points_rows_independent():
     Y = M.project_points_many(X)
     assert Y[:3].tobytes() == X[:3].tobytes()
     assert Y[3].tobytes() == M.project_points_many(X[3:]).tobytes()
-    assert abs(M.constraint_values(Y[3])[0]) < 1e-12
+    assert abs(M.constraint_values_many(Y[3:])[0, 0]) < 1e-12
 
 
 def test_constraint_values_and_jacobian_match_separate_calls():
@@ -457,17 +460,9 @@ def test_flow_confined_to_fixed_locus():
     assert saddle.index == 1 and saddle.stable
     direction = (saddle.tangent_basis @ saddle.neg_basis)[:, 0]
     x0 = saddle.coords + 1e-3 * direction
-    tr = flow_trajectory(f, M, x0, -1, crits, keep_path=True)
+    tr = flow_one(f, M, x0, crits)
     assert tr.resolved and tr.limit.index == 0
     assert np.max(np.abs(tr.points[:, 0])) < 1e-6  # stays on the y-axis
-
-
-def test_flow_from_critical_point_rejected():
-    M = sphere_manifold()
-    f = height_z()
-    crits = [classify(f, M, np.array([0.0, 0.0, -1.0]))]
-    with pytest.raises(ValueError):
-        flow_trajectory(f, M, np.array([0.0, 0.0, -1.0]), -1, crits)
 
 
 def test_restricted_critical_points_match_intersection():
@@ -523,24 +518,24 @@ def _newton_kkt_reference(f, M, x0, max_iter=60, tol=1e-12, bound=1e6):
     c = M.codim
     x = np.asarray(x0, dtype=float).copy()
     if c:
-        J = M.jacobian(x)
-        g = f.grad(x)
+        J = row(M.jacobian_many, x)
+        g = row(f.grad_many, x)
         lam, *_ = np.linalg.lstsq(J.T, g, rcond=None)
     else:
         lam = np.zeros(0)
     for _ in range(max_iter):
-        g = f.grad(x)
+        g = row(f.grad_many, x)
         if c:
-            J = M.jacobian(x)
-            F = M.constraint_values(x)
+            J = row(M.jacobian_many, x)
+            F = row(M.constraint_values_many, x)
             res = np.concatenate([g - J.T @ lam, F])
         else:
             res = g
         if np.linalg.norm(res) < tol:
             return x
-        H = f.hess(x)
+        H = row(f.hess_many, x)
         if c:
-            CH = M.constraint_hessians(x)
+            CH = row(M.constraint_hessians_many, x)
             Hl = H - np.einsum("k,kij->ij", lam, CH)
             top = np.concatenate([Hl, -J.T], axis=1)
             bot = np.concatenate([J, np.zeros((c, c))], axis=1)
@@ -569,7 +564,7 @@ def _reference_search(f, M, seeds, tol_crit=1e-9, dedup_tol=1e-6):
 
     def critical(x):
         T = M.tangent_basis(x)
-        return np.linalg.norm(T @ (T.T @ f.grad(x))) < tol_crit
+        return np.linalg.norm(T @ (T.T @ row(f.grad_many, x))) < tol_crit
 
     def add(x):
         if all(np.linalg.norm(x - y) > dedup_tol for y in found):
@@ -588,7 +583,8 @@ def _reference_search(f, M, seeds, tol_crit=1e-9, dedup_tol=1e-6):
             if critical(y):
                 add(y)
         i += 1
-    found.sort(key=lambda p: (round(float(f.value(p)), 9),) + tuple(np.round(p, 6)))
+    found.sort(key=lambda p: (round(float(row(f.value_many, p)), 9),)
+               + tuple(np.round(p, 6)))
     return found
 
 

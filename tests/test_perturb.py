@@ -21,7 +21,12 @@ from equimorse.morse import (
     seed_grid,
     stable_perturb,
 )
-from equimorse.morse.perturb import SurgeredFunction, subgroup_action
+from equimorse.morse.perturb import SurgeredFunction, _chart_action
+
+
+def row(fn, x):
+    """fn at the single point x, as a batch of one."""
+    return fn(np.asarray(x, dtype=float)[None, :])[0]
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +53,7 @@ def test_sphere_function_cos3():
     h = SphereFunction.cos_multiple_angle(3)
     for th in (0.0, 0.4, 2.0):
         u = np.array([np.cos(th), np.sin(th)])
-        assert h.value(u) == pytest.approx(np.cos(3 * th), abs=1e-12)
+        assert row(h.value_many, u) == pytest.approx(np.cos(3 * th), abs=1e-12)
     # equivariant under C3 rotation, not under C4
     assert h.equivariance_error(LinearAction.rotation_cn(3)) < 1e-12
     assert h.equivariance_error(LinearAction.rotation_cn(4)) > 0.1
@@ -58,17 +63,17 @@ def test_sphere_function_gradients_fd():
     h = SphereFunction.cos_multiple_angle(3)
     u = np.array([0.8, -0.6])
     eps = 1e-6
-    g = h.grad(u)
+    g = row(h.grad_many, u)
     for i in range(2):
         e = np.zeros(2)
         e[i] = eps
-        fd = (h.value(u + e) - h.value(u - e)) / (2 * eps)
+        fd = (row(h.value_many, u + e) - row(h.value_many, u - e)) / (2 * eps)
         assert g[i] == pytest.approx(fd, rel=1e-6, abs=1e-8)
-    H = h.hess(u)
+    H = row(h.hess_many, u)
     for i in range(2):
         e = np.zeros(2)
         e[i] = eps
-        fd = (h.grad(u + e) - h.grad(u - e)) / (2 * eps)
+        fd = (row(h.grad_many, u + e) - row(h.grad_many, u - e)) / (2 * eps)
         assert np.allclose(H[:, i], fd, rtol=1e-5, atol=1e-6)
     # degree-zero homogeneity: gradient orthogonal to u
     assert abs(g @ u) < 1e-12
@@ -101,7 +106,7 @@ def test_model_figure1(cut):
         assert c.stabilizer.order == 1
         assert c.stable
         # gradient tolerance at each verified point
-        assert np.linalg.norm(model.grad(c.coords)) < 1e-9
+        assert np.linalg.norm(row(model.grad_many, c.coords)) < 1e-9
     indices = sorted(c.index for c in others)
     assert indices == [1, 1, 1, 2, 2, 2]
 
@@ -131,15 +136,15 @@ def test_model_ranges_and_hessian_blocks(cut):
     for _ in range(200):
         v = rng.uniform(-1, 1)
         u = rng.uniform(-0.999, 0.999)
-        got = model.value(np.array([v, u]))
+        got = row(model.value_many, np.array([v, u]))
         assert abs(got - (v * v + u * u)) < 1e-12
         u = rng.uniform(3.001, 5.0) * rng.choice([-1, 1])
-        got = model.value(np.array([v, u]))
+        got = row(model.value_many, np.array([v, u]))
         assert abs(got - (v * v - u * u)) < 1e-12
     for c in crits:
         if np.linalg.norm(c.coords) < 1e-9:
             continue
-        w, Vec = np.linalg.eigh(model.hess(c.coords))
+        w, Vec = np.linalg.eigh(row(model.hess_many, c.coords))
         for wi, vec in zip(w, Vec.T):
             if wi < 0:
                 # V coordinates of negative directions vanish (V is axis 0)
@@ -149,27 +154,28 @@ def test_model_ranges_and_hessian_blocks(cut):
 def test_model_gradient_hessian_fd(cut):
     V, W, U = c3_rotation_reps()
     h = SphereFunction.cos_multiple_angle(3)
-    model, _ = stable_perturb(V, W, U, h, cut, verify=False)
+    model, _ = stable_perturb(V, W, U, h, cut)
     rng = np.random.default_rng(1)
     eps = 1e-6
     for _ in range(12):
         x = rng.uniform(-3.3, 3.3, size=2)
-        g = model.grad(x)
-        H = model.hess(x)
+        g = row(model.grad_many, x)
+        H = row(model.hess_many, x)
         for i in range(2):
             e = np.zeros(2)
             e[i] = eps
-            fd = (model.value(x + e) - model.value(x - e)) / (2 * eps)
+            fd = (row(model.value_many, x + e)
+                  - row(model.value_many, x - e)) / (2 * eps)
             assert g[i] == pytest.approx(fd, rel=2e-5, abs=1e-7)
-            fdH = (model.grad(x + e) - model.grad(x - e)) / (2 * eps)
+            fdH = (row(model.grad_many, x + e)
+                   - row(model.grad_many, x - e)) / (2 * eps)
             assert np.allclose(H[:, i], fdH, rtol=2e-4, atol=2e-5)
 
 
 def test_model_equivariance(cut):
     V, W, U = c3_rotation_reps()
     h = SphereFunction.cos_multiple_angle(3)
-    model, _ = stable_perturb(V, W, U, h, cut, verify=False)
-    M = ImplicitGManifold(ambient=2, constraints=(), action=model.action)
+    model, _ = stable_perturb(V, W, U, h, cut)
     rng = np.random.default_rng(2)
     samples = rng.uniform(-3, 3, size=(32, 2))
     assert model.invariance_error(model.action, samples) < 1e-9
@@ -209,7 +215,7 @@ def test_u_zero_reduces_to_quadratic(cut):
     # the origin keeps index dim(W): positive definite on V, negative on W
     assert crits[0].index == 1
     x = np.array([0.3, -0.7])
-    assert model.value(x) == pytest.approx(0.3**2 - 0.7**2)
+    assert row(model.value_many, x) == pytest.approx(0.3**2 - 0.7**2)
 
 
 # -- surgery -------------------------------------------------------------
@@ -258,8 +264,8 @@ def test_surgery_figure1(cut):
     img = A @ ones[0].coords
     assert any(np.linalg.norm(img - c.coords) < 1e-8 for c in ones)
     # function untouched outside the ball
-    for x in [np.array([1.5, 0.2]), np.array([-2.0, 1.0])]:
-        assert newf.value(x) == pytest.approx(f.value(x), abs=1e-12)
+    X = np.array([[1.5, 0.2], [-2.0, 1.0]])
+    assert np.allclose(newf.value_many(X), f.value_many(X), rtol=0, atol=1e-12)
 
 
 def test_surgery_figure2(cut):
@@ -307,11 +313,12 @@ def test_surgery_smoothness_across_seam(cut):
     for x in list(rng.uniform(-1.1, 1.1, size=(10, 2))) + [
         np.array([3.0 * s + 1e-8, 0.1]), np.array([3.0 * s - 1e-8, -0.2])
     ]:
-        g = newf.grad(x)
+        g = row(newf.grad_many, x)
         for i in range(2):
             e = np.zeros(2)
             e[i] = eps
-            fd = (newf.value(x + e) - newf.value(x - e)) / (2 * eps)
+            fd = (row(newf.value_many, x + e)
+                  - row(newf.value_many, x - e)) / (2 * eps)
             assert g[i] == pytest.approx(fd, rel=3e-5, abs=1e-7)
 
 
@@ -323,8 +330,7 @@ SURGERY_RADII = (0.5, 1.2, 2.0, 2.6, 2.95, 3.0 - 1e-7, 3.0 + 1e-7, 3.05, 3.6, 4.
 def surgered_fixture(name, cut):
     fx = MANIFOLD_FIXTURES[name]()
     (chart,) = fx.charts.values()
-    center = chart.center if isinstance(chart, LinearChart) else chart.center_point()
-    before = classify(fx.function, fx.manifold, center)
+    before = classify(fx.function, fx.manifold, chart.center)
     f = localize_surgery(fx.function, fx.manifold, before, fx.surgery_radius,
                          cut, chart=chart, h=fx.sphere_fn)
     return fx, f
@@ -372,11 +378,6 @@ def test_surgered_gradient_matches_value_differences(cut, name):
             assert np.allclose(G[:, i], fd, rtol=3e-5, atol=1e-7)
             fdH = (f.grad_many(X + e) - f.grad_many(X - e)) / (2 * eps)
             assert np.allclose(H[:, :, i], fdH, rtol=2e-4, atol=2e-5)
-    # a scalar call is the matching batch row
-    for x, v, g, h in zip(X, f.value_many(X), G, H):
-        assert f.value(x) == pytest.approx(v, rel=1e-14, abs=1e-15)
-        assert np.allclose(f.grad(x), g, rtol=1e-13, atol=1e-15)
-        assert np.allclose(f.hess(x), h, rtol=1e-13, atol=1e-13)
 
 
 def _angle_jac_reference(chart, x):
@@ -406,9 +407,7 @@ def test_chart_jacobians_batched():
         Hc = chart.hess_coords_many(X)
         assert J.shape == (len(X), chart.dim, 2)
         assert Hc.shape == (len(X), chart.dim, 2, 2)
-        for x, j, hc in zip(X, J, Hc):
-            assert np.allclose(chart.jac(x), j, rtol=1e-14, atol=1e-15)
-            assert np.allclose(chart.hess_coords(x), hc, rtol=1e-14, atol=1e-15)
+        for x, j in zip(X, J):
             if isinstance(chart, AngleChart):
                 assert np.allclose(_angle_jac_reference(chart, x), j,
                                    rtol=1e-14, atol=1e-15)
@@ -434,7 +433,7 @@ def test_two_chart_surgery_first_chart_wins(cut):
                           dv=1, dw=1)
 
     def spliced(charts):
-        return SurgeredFunction(f, M, charts, one.model, one.scale, one.fp,
+        return SurgeredFunction(f, charts, one.model, one.scale, one.fp,
                                 one.split)
 
     two = spliced([chart, shifted])
@@ -446,11 +445,6 @@ def test_two_chart_surgery_first_chart_wins(cut):
     assert np.allclose(two.value_many(X), one.value_many(X), rtol=0, atol=1e-15)
     assert np.allclose(two.grad_many(X), one.grad_many(X), rtol=0, atol=1e-14)
     assert np.allclose(two.hess_many(X), one.hess_many(X), rtol=0, atol=1e-13)
-    for x, v, g, h in zip(X, two.value_many(X), two.grad_many(X),
-                          two.hess_many(X)):
-        assert two.value(x) == pytest.approx(v, abs=1e-15)
-        assert np.allclose(two.grad(x), g, rtol=0, atol=1e-14)
-        assert np.allclose(two.hess(x), h, rtol=0, atol=1e-13)
 
 
 def test_surgery_requires_chart_and_instability(cut):
@@ -474,14 +468,43 @@ def test_bad_chart_rejected(cut):
         localize_surgery(f, M, before, radius=1.0, cut=cut, chart=bad)
 
 
-def test_subgroup_action_restriction():
-    act = LinearAction.permutation_s3()
-    from equimorse.groups import enumerate_subgroups
+def test_angle_chart_must_be_exact(cut):
+    # the circle's chart at the north pole presents the height y as
+    # f(p) - y^2; the chart at the south pole and the chart for 2y do not,
+    # and surgery through either must refuse to splice
+    fx = MANIFOLD_FIXTURES["circle_c2_height"]()
+    M, f = fx.manifold, fx.function
+    (north,) = fx.charts.values()
+    top = classify(f, M, north.center)
+    assert north.model_error(f, top.value) < 1e-12
+    south = AngleChart(north.pole_angle + np.pi)
+    with pytest.raises(ChartMissing):
+        localize_surgery(f, M, top, fx.surgery_radius, cut, chart=south)
+    doubled = EqFunction.from_polynomial(2 * f.polynomial)
+    top2 = classify(doubled, M, north.center)
+    assert top2.index == 1 and not top2.stable
+    with pytest.raises(ChartMissing):
+        localize_surgery(doubled, M, top2, fx.surgery_radius, cut, chart=north)
 
-    H = next(S for S in enumerate_subgroups(act.group) if S.order == 2)
-    sub = subgroup_action(act, H)
-    assert sub.group.order == 2
-    assert sub.dim == 3
+
+@pytest.mark.parametrize("name", ["figure1_plane", "figure2_plane",
+                                  "circle_c2_height"])
+def test_chart_action_matches_per_chart_formulas(name):
+    # J A J^+ at the chart's center against the per-type formulas it
+    # replaces: frame^T A frame on a linear chart, and +1 for the identity
+    # and -1 for the reflection on the circle's angle chart
+    fx = MANIFOLD_FIXTURES[name]()
+    M = fx.manifold
+    (chart,) = fx.charts.values()
+    H = classify(fx.function, M, chart.center).stabilizer
+    got = _chart_action(chart, M, H.elements)
+    for s, B in zip(H.elements, got):
+        A = np.array([[float(v) for v in r] for r in M.action.matrices[s]])
+        if isinstance(chart, LinearChart):
+            want = chart.frame.T @ A @ chart.frame
+        else:
+            want = np.array([[1.0 if s == M.action.group.identity else -1.0]])
+        assert B.tobytes() == want.tobytes()
 
 
 def _profile_reference(cut, t):
@@ -504,13 +527,10 @@ def _profile_reference(cut, t):
 
 
 def test_profile_matches_three_formulas(cut):
-    V, W, U = c3_rotation_reps()
-    model, _ = stable_perturb(V, W, U, SphereFunction.cos_multiple_angle(3),
-                              cut, verify=False)
     t = np.linspace(0.0, 4.0, 200_001)
     want = _profile_reference(cut, t)
     for orders in [(0,), (1,), (2,), (1, 2), (0, 1, 2)]:
-        got = model._profile(t, orders)
+        got = cut.profile(t, orders)
         assert len(got) == len(orders)
         for k, g in zip(orders, got):
             assert np.array_equal(g, want[k])
