@@ -236,7 +236,7 @@ def classify(f: EqFunction, M: ImplicitGManifold, p, *,
     """
     p = np.asarray(p, dtype=float)
     x = p[None, :]
-    g = f.grad_many(x)
+    fx, g = f.value_grad_many(x)
     if np.linalg.norm(M.project_tangent_many(x, g)[0]) >= tol_crit:
         raise ValueError("point fails the critical-gradient tolerance")
     H_sub = M.action.stabilizer(tuple(p), tol=stab_tol)
@@ -281,7 +281,7 @@ def classify(f: EqFunction, M: ImplicitGManifold, p, *,
 
     return CriticalPoint(
         coords=p,
-        value=float(f.value_many(x)[0]),
+        value=float(fx[0]),
         stabilizer=H_sub,
         tangent_basis=T,
         hessian=Ht,

@@ -13,6 +13,13 @@ can never cancel the radial slope on the two transition intervals.
 All evaluations are vectorized over numpy arrays; the integral of the bump
 is a fixed-order Gauss-Legendre panel sum, accurate to ~1e-15, which unit
 tests pin against an independent quadrature.
+
+CutoffPair.profile is the one radial kernel of the surgery model: it
+returns the radial profile R(t) and the plateau psi(t) with their
+derivatives up to a given order, from one bump integral and one bump
+evaluation (and one of its derivative at order 2) on the arguments of
+both, concatenated.  phi, S and psi keep their own methods, which the
+kernel matches bit for bit.
 """
 
 from __future__ import annotations
@@ -142,19 +149,23 @@ class Plateau:
         # one step evaluation on the piecewise argument; S(1) is exactly 1
         return self.step(self._arg(t)[0])
 
-    def d1(self, t) -> np.ndarray:
-        # S'(1) = 0, so the plateau needs no mask
-        x, lo, hi = self._arg(t)
+    def _chain(self, lo, hi, k: int) -> np.ndarray:
+        """The divisor that turns S^(k) of the step's argument into the k-th
+        derivative in t: the k-th power of the piece's signed width (S^(k)(1)
+        = 0 for k >= 1, so the plateau takes 1)."""
         wr = self.rise_hi - self.rise_lo
         wf = self.fall_hi - self.fall_lo
-        return self.step.d1(x) / np.where(hi, -wf, np.where(lo, wr, 1.0))
+        if k == 1:
+            return np.where(hi, -wf, np.where(lo, wr, 1.0))
+        return np.where(hi, wf * wf, np.where(lo, wr * wr, 1.0))
+
+    def d1(self, t) -> np.ndarray:
+        x, lo, hi = self._arg(t)
+        return self.step.d1(x) / self._chain(lo, hi, 1)
 
     def d2(self, t) -> np.ndarray:
-        # S''(1) = 0 as well
         x, lo, hi = self._arg(t)
-        wr = self.rise_hi - self.rise_lo
-        wf = self.fall_hi - self.fall_lo
-        return self.step.d2(x) / np.where(hi, wf * wf, np.where(lo, wr * wr, 1.0))
+        return self.step.d2(x) / self._chain(lo, hi, 2)
 
 
 @dataclass(eq=False)
@@ -170,38 +181,44 @@ class CutoffPair:
     epsilon: float
     margin: float  # min radial slope magnitude on the transition intervals
 
-    def profile(self, t, orders) -> list:
-        """The derivatives R^(k), k in orders (each 0, 1 or 2), of the radial
-        profile R = t^2 on t <= 1, -t^2 phi(t - 2) on 1 < t < 3 and -t^2 on
-        t >= 3.  phi and the derivatives of it that those need are evaluated
-        once each, on the middle rows only."""
+    def profile(self, t, order: int) -> tuple[list, list]:
+        """The radial kernel: ([R, R', ...], [psi, psi', ...]) up to the
+        given order (0, 1 or 2) at every t, with R the radial profile t^2 on
+        t <= 1, -t^2 phi(t - 2) on 1 < t < 3 and -t^2 on t >= 3.
+
+        phi (on the middle rows only) and psi share one bump integral and one
+        bump evaluation (and one of the bump's derivative at order 2) on their
+        concatenated arguments; every element is evaluated on its own, so
+        the results equal phi's and psi's own methods bit for bit.
+        """
         t = np.asarray(t, dtype=float)
         lo, hi = t <= 1.0, t >= 3.0
         mid = (t > 1.0) & (t < 3.0)
-        out = []
-        for k in orders:
-            if k == 0:
-                out.append(np.where(hi, -t * t, np.where(lo, t * t, 0.0)))
-            elif k == 1:
-                out.append(np.where(hi, -2.0 * t, np.where(lo, 2.0 * t, 0.0)))
-            else:
-                out.append(np.where(hi, -2.0, np.where(lo, 2.0, 0.0)))
-        if np.any(mid):
-            tm = t[mid]
-            s = tm - 2.0
-            p = [self.phi(s)]
-            if max(orders) >= 1:
-                p.append(self.phi.d1(s))
-            if max(orders) >= 2:
-                p.append(self.phi.d2(s))
-            for k, r in zip(orders, out):
-                if k == 0:
-                    r[mid] = -tm * tm * p[0]
-                elif k == 1:
-                    r[mid] = -2 * tm * p[0] - tm * tm * p[1]
-                else:
-                    r[mid] = -2 * p[0] - 4 * tm * p[1] - tm * tm * p[2]
-        return out
+        tm = t[mid]
+        n = len(tm)
+        x, rise, fall = self.psi._arg(t)
+        args = np.concatenate([tm - 2.0, 2.0 * x - 1.0])
+        total = _INTEGRAL.total
+        integral = _INTEGRAL(args)
+        p = [-1.0 + 2.0 * integral[:n] / total]      # phi, phi', phi''
+        psi = [integral[n:] / total]
+        if order >= 1:
+            b = _bump(args)
+            p.append(2.0 * b[:n] / total)
+            psi.append(2.0 * b[n:] / total / self.psi._chain(rise, fall, 1))
+        if order >= 2:
+            b = _bump_d1(args)
+            p.append(2.0 * b[:n] / total)
+            psi.append(4.0 * b[n:] / total / self.psi._chain(rise, fall, 2))
+        R = [np.where(hi, -t * t, np.where(lo, t * t, 0.0))]
+        R[0][mid] = -tm * tm * p[0]
+        if order >= 1:
+            R.append(np.where(hi, -2.0 * t, np.where(lo, 2.0 * t, 0.0)))
+            R[1][mid] = -2 * tm * p[0] - tm * tm * p[1]
+        if order >= 2:
+            R.append(np.where(hi, -2.0, np.where(lo, 2.0, 0.0)))
+            R[2][mid] = -2 * p[0] - 4 * tm * p[1] - tm * tm * p[2]
+        return R, psi
 
 
 def _bisect(f, lo: float, hi: float, tol: float = 1e-12) -> float:
@@ -254,11 +271,12 @@ def build_cutoffs(delta: float, h_sup: float = 1.0) -> CutoffPair:
         )
     psi = Plateau(t0, delta)
     cut = CutoffPair(phi=phi, psi=psi, t0=t0, delta=delta, epsilon=0.0, margin=0.0)
-    ts = np.concatenate([
-        np.linspace(psi.rise_lo, psi.rise_hi, 4001),
-        np.linspace(psi.fall_lo, psi.fall_hi, 4001),
-    ])
-    margin = float(np.min(np.abs(cut.profile(ts, (1,))[0])))
+    # one kernel call per transition interval: a call on both would hold
+    # twice the quadrature temporaries of either at once
+    margin = min(
+        float(np.min(np.abs(cut.profile(np.linspace(a, b, 4001), 1)[0][1])))
+        for a, b in ((psi.rise_lo, psi.rise_hi), (psi.fall_lo, psi.fall_hi))
+    )
     sup_dpsi = float(np.max(np.abs(psi.d1(np.linspace(1.0, 3.0, 8001)))))
     if margin <= 0 or sup_dpsi <= 0:
         raise AssertionError("degenerate cutoff data")

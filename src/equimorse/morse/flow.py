@@ -21,13 +21,17 @@ its smallest Hessian eigenvalue.  A row that enters that ball is captured
 there and its end is the closed-form linear flow, taken to half of
 capture_tol.  A sink no rung certifies keeps the plain capture_tol.
 
-One lockstep iteration evaluates the velocity four times (K1 also sets
-the step size) and f once, at the new points; f at the current points is
-carried over from the step that reached them.  A step that is not monotone
-in f is retried at half the size from the same K1, at three velocity and
-one f evaluation a retry; the first attempt may rise by a relative 1e-14,
-a retry must strictly decrease f along the flow.  The capture radii cost
-one more velocity call per batch with a sink, on every probe point at once.
+One lockstep iteration makes four first-order evaluations of f: three
+velocity calls (K2, K3, K4) and one value-and-gradient call at the new
+points.  That call's gradient, projected, is the next iteration's K1
+(which also sets the step size), and its value is the next f_old, so no
+point of a trajectory is evaluated twice; only the start points take one
+value-and-gradient call of their own.  A step that is not monotone in f is
+retried at half the size from the same K1, again at three velocity calls
+and one value-and-gradient call; the first attempt may rise by a relative
+1e-14, a retry must strictly decrease f along the flow.  The capture radii
+cost one more velocity call per batch with a sink, on every probe point at
+once.
 """
 
 from __future__ import annotations
@@ -196,12 +200,16 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
     sgn = np.broadcast_to(np.asarray(direction, dtype=float), (m,))
     # per-trajectory adaptive step bound; monotonicity violations halve it
     dt_state = np.full(m, dt_cap)
-    # f at each row's current point, carried from the step that reached it
+    # f and its gradient at each row's current point, carried from the
+    # step that reached it
     f_at = np.zeros(m)
+    g_at = np.zeros_like(X)
+
+    def tangent(pts, sign, G):
+        return M.project_tangent_many(pts, sign[:, None] * G)
 
     def velocity(pts, sign):
-        V = sign[:, None] * f.grad_many(pts)
-        return M.project_tangent_many(pts, V)
+        return tangent(pts, sign, f.grad_many(pts))
 
     def rk4(P, sign, K1, dt):
         # K1 is velocity(P), shared by the step size and every retry
@@ -211,7 +219,7 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
         Pn = P + (dt / 6.0) * (K1 + 2 * K2 + 2 * K3 + K4)
         if M.codim:
             Pn = M.project_points_many(Pn)
-        return Pn, f.value_many(Pn)
+        return (Pn, *f.value_grad_many(Pn))
 
     # each row's capture radius around every critical point
     radius = _capture_radii(velocity, M, crits, C, capture_tol)[
@@ -254,12 +262,15 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
             P = X[idx]
 
         sign = sgn[idx]
-        K1 = velocity(P, sign)
+        if step == 0:
+            f_old, G = f.value_grad_many(P)
+        else:
+            f_old, G = f_at[idx], g_at[idx]
+        K1 = tangent(P, sign, G)
         speed = np.linalg.norm(K1, axis=1)
         base_dt = step_length / np.maximum(speed, 1e-4 * step_length)
         dt = np.minimum(base_dt, dt_state[idx])
-        f_old = f.value_many(P) if step == 0 else f_at[idx]
-        Pn, f_new = rk4(P, sign, K1, dt[:, None])
+        Pn, f_new, g_new = rk4(P, sign, K1, dt[:, None])
         # the flow must be monotone in f; an increase means the step left
         # the stability region, so halve and retry those trajectories; the
         # test is negated so that a NaN value counts as non-monotone
@@ -271,8 +282,8 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
             dt[bad] *= 0.5
             halvings[idx[bad]] += 1
             dt_state[idx[bad]] = dt[bad]
-            Pn[bad], f_new[bad] = rk4(P[bad], sign[bad], K1[bad],
-                                      dt[bad][:, None])
+            Pn[bad], f_new[bad], g_new[bad] = rk4(P[bad], sign[bad], K1[bad],
+                                                  dt[bad][:, None])
             # a retry must strictly decrease f along the flow: within the
             # first attempt's slack a step halved about 47 times barely
             # moves and would always pass
@@ -282,11 +293,12 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
             # than accept a step that breaks monotonicity
             active[idx[bad]] = False
             keep = ~bad
-            idx, Pn, f_new = idx[keep], Pn[keep], f_new[keep]
+            idx, Pn, f_new, g_new = idx[keep], Pn[keep], f_new[keep], g_new[keep]
         # gently relax the cap so transient stiffness does not pin it
         dt_state[idx] = np.minimum(dt_state[idx] * 1.25, dt_cap)
         X[idx] = Pn
         f_at[idx] = f_new
+        g_at[idx] = g_new
         steps_used[idx] = step + 1
         if keep_paths:
             for row, j in enumerate(idx):

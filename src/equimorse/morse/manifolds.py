@@ -63,26 +63,34 @@ class PolyTable:
 
 
 class EqFunction:
-    """A smooth function given by batched value, gradient and Hessian
-    callables on (m x n) arrays, returning shapes (m,), (m, n) and
-    (m, n, n).  Subclasses define value_many, grad_many and hess_many
-    themselves."""
+    """A smooth function given by two batched callables on (m x n) arrays:
+    value_grad_many returns the values and gradients, shapes (m,) and
+    (m, n), from one evaluation, and hess_many the Hessians, (m, n, n).
 
-    def __init__(self, value_many, grad_many, hess_many, *, nvars=None, name=""):
-        self._value_many = value_many
-        self._grad_many = grad_many
+    Every function defines value_grad_many and hess_many, and nothing
+    else evaluates it: value_many and grad_many are views of
+    value_grad_many, so a caller that needs both reads them from one call.
+    Subclasses override value_grad_many and hess_many.
+    """
+
+    def __init__(self, value_grad_many, hess_many, *, nvars=None, name=""):
+        self._value_grad_many = value_grad_many
         self._hess_many = hess_many
         self.nvars = nvars
         self.name = name or "f"
 
-    def value_many(self, X) -> np.ndarray:
-        return self._value_many(np.asarray(X, dtype=float))
-
-    def grad_many(self, X) -> np.ndarray:
-        return self._grad_many(np.asarray(X, dtype=float))
+    def value_grad_many(self, X):
+        """(values, gradients) at the rows of X from one evaluation."""
+        return self._value_grad_many(np.asarray(X, dtype=float))
 
     def hess_many(self, X) -> np.ndarray:
         return self._hess_many(np.asarray(X, dtype=float))
+
+    def value_many(self, X) -> np.ndarray:
+        return self.value_grad_many(X)[0]
+
+    def grad_many(self, X) -> np.ndarray:
+        return self.value_grad_many(X)[1]
 
     def invariance_error(self, act: LinearAction, samples) -> float:
         """max |f(A_s x) - f(x)| over the samples and group elements."""
@@ -103,16 +111,14 @@ class EqFunction:
         first = PolyTable([poly] + grads, n)
         second = PolyTable([g.derivative(j) for g in grads for j in range(n)], n)
 
-        def value_many(X):
-            return first(X)[:, 0]
-
-        def grad_many(X):
-            return first(X)[:, 1:]
+        def value_grad_many(X):
+            T = first(X)
+            return T[:, 0], T[:, 1:]
 
         def hess_many(X):
             return second(X).reshape(len(X), n, n)
 
-        f = cls(value_many, grad_many, hess_many, nvars=n, name=name or "poly")
+        f = cls(value_grad_many, hess_many, nvars=n, name=name or "poly")
         f.polynomial = poly
         return f
 

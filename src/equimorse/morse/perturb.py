@@ -15,7 +15,10 @@ of the radius, so their gradients and Hessians are closed-form.  Like every
 Morse-layer function, the model, the sphere functions, the charts and the
 surgered function take (m x n) batches of points and have no scalar forms;
 a single point is a batch of one.  Their per-row contractions are einsums rather than BLAS products,
-so a row's result does not depend on the rows beside it.
+so a row's result does not depend on the rows beside it.  Each function
+evaluates its value and gradient in one body (value_grad_many); the model
+reads phi, psi and their derivatives from the one radial kernel,
+CutoffPair.profile.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ class ChartMissing(ValueError):
     """Surgery needs an exact Morse chart from the fixture."""
 
 
-class SphereFunction:
+class SphereFunction(EqFunction):
     """h(u) = P(u) / |u|^deg for a homogeneous polynomial P: the degree-zero
     homogeneous extension of a smooth function on the unit sphere."""
 
@@ -72,7 +75,8 @@ class SphereFunction:
             raise ValueError("sphere function needs a homogeneous polynomial")
         self.poly = poly.as_float()
         self.deg = degs.pop()
-        self.dim = poly.nvars
+        self.dim = self.nvars = poly.nvars
+        self.name = "sphere"
         grads = [self.poly.derivative(i) for i in range(self.dim)]
         # P with its gradient in one table, its Hessian in a second
         self._first = PolyTable([self.poly] + grads, self.dim)
@@ -96,18 +100,14 @@ class SphereFunction:
             sign = -sign
         return cls(Polynomial(2, terms))
 
-    def value_many(self, U) -> np.ndarray:
-        U = np.asarray(U, dtype=float)
-        t = np.linalg.norm(U, axis=1)
-        return self._first(U)[:, 0] / t**self.deg
-
-    def grad_many(self, U) -> np.ndarray:
+    def value_grad_many(self, U):
         U = np.asarray(U, dtype=float)
         t = np.linalg.norm(U, axis=1)
         m = self.deg
         PG = self._first(U)
         P, gP = PG[:, 0], PG[:, 1:]
-        return gP / t[:, None] ** m - m * (P / t ** (m + 2))[:, None] * U
+        return (P / t**m,
+                gP / t[:, None] ** m - m * (P / t ** (m + 2))[:, None] * U)
 
     def hess_many(self, U) -> np.ndarray:
         U = np.asarray(U, dtype=float)
@@ -220,48 +220,33 @@ class PerturbedModel(EqFunction):
 
     # -- evaluation --
 
-    def value_many(self, X):
+    def value_grad_many(self, X):
         X = np.asarray(X, dtype=float)
         v, w, u = self._split_n(X)
         out = np.einsum("mi,mi->m", v, v) - np.einsum("mi,mi->m", w, w)
-        if self.du:
-            t = np.linalg.norm(u, axis=1)
-            out = out + self.cut.profile(t, (0,))[0]
-            if self.h is not None and self.eps:
-                psi = self.cut.psi(t)
-                on = psi > 0.0
-                if np.any(on):
-                    vals = np.zeros_like(t)
-                    vals[on] = self.h.value_many(u[on])
-                    out = out + self.eps * psi * vals
-        return out
-
-    def grad_many(self, X):
-        X = np.asarray(X, dtype=float)
-        v, w, u = self._split_n(X)
         g = np.concatenate([2.0 * v, -2.0 * w, np.zeros_like(u)], axis=1)
         if self.du:
             t = np.linalg.norm(u, axis=1)
+            (R, R1), (psi, dpsi) = self.cut.profile(t, 1)
+            out = out + R
             gu = np.zeros_like(u)
             safe = t > 0
             uhat = np.zeros_like(u)
             uhat[safe] = u[safe] / t[safe, None]
-            gu += self.cut.profile(t, (1,))[0][:, None] * uhat
+            gu += R1[:, None] * uhat
             # at t = 0 the profile is +t^2, gradient 2u = 0: consistent
             if self.h is not None and self.eps:
-                psi = self.cut.psi(t)
-                dpsi = self.cut.psi.d1(t)
                 on = (psi > 0.0) | (dpsi != 0.0)
                 if np.any(on):
                     hval = np.zeros_like(t)
                     hgrad = np.zeros_like(u)
-                    hval[on] = self.h.value_many(u[on])
-                    hgrad[on] = self.h.grad_many(u[on])
+                    hval[on], hgrad[on] = self.h.value_grad_many(u[on])
+                    out = out + self.eps * psi * hval
                     gu += self.eps * (
                         (dpsi * hval)[:, None] * uhat + psi[:, None] * hgrad
                     )
             g[:, self.dv + self.dw:] = g[:, self.dv + self.dw:] + gu
-        return g
+        return out, g
 
     def hess_many(self, X):
         X = np.asarray(X, dtype=float)
@@ -280,17 +265,14 @@ class PerturbedModel(EqFunction):
                 uhat = u / t[:, None]
                 Pu = uhat[:, :, None] * uhat[:, None, :]
                 Pt = np.eye(du) - Pu
-                R1, R2 = self.cut.profile(t, (1, 2))
+                (_, R1, R2), (psi, d1, d2) = self.cut.profile(t, 2)
                 Hn = R2[:, None, None] * Pu + (R1 / t)[:, None, None] * Pt
                 if self.h is not None and self.eps:
-                    psi = self.cut.psi(t)
-                    d1 = self.cut.psi.d1(t)
-                    d2 = self.cut.psi.d2(t)
                     on = (psi != 0.0) | (d1 != 0.0) | (d2 != 0.0)
                     if np.any(on):
                         uo = u[on]
-                        hv = self.h.value_many(uo)[:, None, None]
-                        hg = self.h.grad_many(uo)
+                        hv, hg = self.h.value_grad_many(uo)
+                        hv = hv[:, None, None]
                         hh = self.h.hess_many(uo)
                         uh = uhat[on]
                         p0, p1, p2 = (a[on][:, None, None] for a in (psi, d1, d2))
@@ -537,24 +519,17 @@ class SurgeredFunction(EqFunction):
                 out.append((chart, rows, Y[rows] / self.scale))
         return out
 
-    def value_many(self, X):
+    def value_grad_many(self, X):
         X = np.asarray(X, dtype=float)
-        out = self.f0.value_many(X)
+        val, grad = self.f0.value_grad_many(X)
         s = self.scale
-        for _, rows, Z in self._chart_rows(X):
-            out[rows] = self.fp + s * s * self.model.value_many(Z)
-        return out
-
-    def grad_many(self, X):
-        X = np.asarray(X, dtype=float)
-        out = self.f0.grad_many(X)
         for chart, rows, Z in self._chart_rows(X):
+            mv, mg = self.model.value_grad_many(Z)
+            val[rows] = self.fp + s * s * mv
             # s dF/dy (split dy/dx), with dF/dy at y/s
-            gy = np.einsum("mk,kc->mc", self.model.grad_many(Z), self.split)
-            out[rows] = self.scale * np.einsum(
-                "mc,mcn->mn", gy, chart.jac_many(X[rows])
-            )
-        return out
+            gy = np.einsum("mk,kc->mc", mg, self.split)
+            grad[rows] = s * np.einsum("mc,mcn->mn", gy, chart.jac_many(X[rows]))
+        return val, grad
 
     def hess_many(self, X):
         X = np.asarray(X, dtype=float)
@@ -669,7 +644,8 @@ def localize_surgery(f: EqFunction, M: ImplicitGManifold, p: CriticalPoint,
         pts = rng.normal(size=(128, model.du))
         pts /= np.linalg.norm(pts, axis=1)[:, None]
         h_sup = float(np.max(np.abs(model.h.value_many(pts))))
-    changed = cut.profile(ts, (0,))[0] + model.eps * cut.psi(ts) * h_sup
+    (R,), (psi,) = cut.profile(ts, 0)
+    changed = R + model.eps * psi * h_sup
     out.c0_distance = float(scale * scale * np.max(np.abs(changed - base)))
     log.info("surgery at %s: C0 distance <= %.3e", np.round(p.coords, 4),
              out.c0_distance)

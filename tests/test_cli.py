@@ -224,9 +224,9 @@ def test_morse_command_stabilize_pipeline():
                          "--stabilize", "--coeff", "singular"])
     assert code == 0
     assert "critical points (after):" in out
-    assert "unresolved=0" in out
-    steps, halvings = re.search(r"steps=(\d+) halvings=(\d+)", out).groups()
-    assert int(steps) > 0 and int(halvings) >= 0
+    # the one surgered flow on a constrained manifold, pinned exactly
+    assert ("unresolved=0 escaped=0 steps=146 halvings=0 linear_captures=2"
+            in out)
     assert "morse homology over F2" in out
     # byte-identical on rerun
     code2, out2 = run_cli(["morse", str(FIXDIR / "circle_c2_height.json"),

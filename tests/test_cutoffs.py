@@ -80,11 +80,11 @@ def test_radial_profile_critical_points():
     cut = build_cutoffs(0.05)
     # -t^2 phi(t-2) has critical points exactly at 0 and t0
     ts = np.linspace(1e-4, 3.5, 30001)
-    d = cut.profile(ts, (1,))[0]
+    d = cut.profile(ts, 1)[0][1]
     roots = np.sum(np.sign(d[:-1]) * np.sign(d[1:]) < 0)
     assert roots == 1
     # second derivative at t0 is negative
-    assert cut.profile(np.array([cut.t0]), (2,))[0][0] < 0
+    assert cut.profile(np.array([cut.t0]), 2)[0][2][0] < 0
 
 
 def test_smoothstep_bounds():
@@ -152,7 +152,7 @@ def test_epsilon_margin_inequality():
         np.linspace(cut.psi.fall_lo, cut.psi.fall_hi, 2001),
     ])
     lhs = cut.epsilon * np.abs(cut.psi.d1(ts)) * 1.0
-    rhs = np.abs(cut.profile(ts, (1,))[0])
+    rhs = np.abs(cut.profile(ts, 1)[0][1])
     assert np.all(lhs < rhs)
 
 

@@ -278,24 +278,22 @@ def test_flow_counts_steps_and_halvings():
 
 
 def _counting(f):
-    """f with its value_many and grad_many calls counted."""
-    calls = {"value": 0, "grad": 0}
+    """f with its first-order evaluations (value_grad_many calls) counted."""
+    calls = {"first": 0}
 
-    def value_many(X):
-        calls["value"] += 1
-        return f.value_many(X)
+    def value_grad_many(X):
+        calls["first"] += 1
+        return f.value_grad_many(X)
 
-    def grad_many(X):
-        calls["grad"] += 1
-        return f.grad_many(X)
-
-    return EqFunction(value_many, grad_many, f.hess_many, nvars=f.nvars), calls
+    return EqFunction(value_grad_many, f.hess_many, nvars=f.nvars), calls
 
 
 def test_flow_evaluations_per_step_and_retry():
-    # a lockstep iteration evaluates the velocity four times (K1 doubles as
-    # the speed) and f once; f at the start is evaluated once per batch, and
-    # the capture radii of the sinks take one velocity call on every probe
+    # a lockstep iteration makes four first-order evaluations: three
+    # velocity calls and one value-and-gradient call at the new points,
+    # whose gradient is the next K1; the start points take one call per
+    # batch, and the capture radii of the sinks one velocity call on every
+    # probe
     M = r2_manifold()
     mild = EqFunction.from_polynomial(Polynomial(2, {(2, 0): 1, (0, 2): 1}))
     crit = [classify(mild, M, np.zeros(2))]
@@ -305,31 +303,29 @@ def test_flow_evaluations_per_step_and_retry():
         g, calls = _counting(mild)
         trajs = integrate_batch(g, M, X0, crits=crit, max_steps=n)
         assert all(tr.steps == n and tr.halvings == 0 for tr in trajs)
-        used.append(calls)
-    assert used[1]["grad"] - used[0]["grad"] == 4
-    assert used[1]["value"] - used[0]["value"] == 1
-    assert used[0]["value"] == 1 + 3
-    assert used[0]["grad"] == 1 + 4 * 3
-    # a halving retry reuses K1: three velocity and one f evaluation; with
-    # no sink there is no probe call
+        used.append(calls["first"])
+    assert used[1] - used[0] == 4
+    assert used[0] == 1 + 1 + 4 * 3
+    # a halving retry reuses K1: three velocity calls and one
+    # value-and-gradient call; with no sink there is no probe call
     stiff = EqFunction.from_polynomial(Polynomial(2, {(2, 0): 1, (0, 2): 50}))
     g, calls = _counting(stiff)
     (tr,) = integrate_batch(g, M, X0[:1], crits=[], max_steps=100)
     assert tr.steps == 100 and tr.halvings > 0
-    assert calls["grad"] == 4 * tr.steps + 3 * tr.halvings
-    assert calls["value"] == 1 + tr.steps + tr.halvings
+    assert calls["first"] == 1 + 4 * tr.steps + 4 * tr.halvings
 
 
 def test_flow_fails_loudly_on_non_monotone_values():
-    # value_many contradicts the gradient: it reports a higher value at
+    # the value contradicts the gradient: it reports a higher value at
     # every call, so no halving makes a descending step monotone and the
     # trajectory must end unresolved where it started, not be captured
     M = r2_manifold()
     mild = EqFunction.from_polynomial(Polynomial(2, {(2, 0): 1, (0, 2): 1}))
     crit = [classify(mild, M, np.zeros(2))]
     rising = iter(range(10**6))
-    liar = EqFunction(lambda X: np.full(len(X), float(next(rising))),
-                      mild.grad_many, mild.hess_many, nvars=2)
+    liar = EqFunction(lambda X: (np.full(len(X), float(next(rising))),
+                                 mild.grad_many(X)),
+                      mild.hess_many, nvars=2)
     x0 = np.array([0.5, 0.3])
     tr = flow_one(liar, M, x0, crit)
     assert tr.status == UNRESOLVED and tr.limit is None
@@ -345,7 +341,7 @@ def test_flow_halving_guard_fires_on_smooth_contradicting_values():
     M = r2_manifold()
     bowl = EqFunction.from_polynomial(Polynomial(2, {(2, 0): 1, (0, 2): 1}))
     crit = [classify(bowl, M, np.zeros(2))]
-    cap = EqFunction(lambda X: -bowl.value_many(X), bowl.grad_many,
+    cap = EqFunction(lambda X: (-bowl.value_many(X), bowl.grad_many(X)),
                      bowl.hess_many, nvars=2)
     x0 = np.array([0.5, 0.3])
     tr = flow_one(cap, M, x0, crit)
@@ -358,20 +354,20 @@ def test_flow_halving_guard_fires_on_smooth_contradicting_values():
 def test_flow_fails_loudly_on_nan_values(start_finite):
     # NaN compares false with everything, so a NaN value must still count as
     # non-monotone: either every value is NaN (f_old at step 0 is NaN) or
-    # only the first call, f at the start point, is finite (every f_new is)
+    # the value is finite only at the start point, so f_old is finite and
+    # every f_new is NaN (or, once a halved step rounds back onto the start
+    # point, equal to f_old, which a retry's strict decrease rejects too)
     M = r2_manifold()
     mild = EqFunction.from_polynomial(Polynomial(2, {(2, 0): 1, (0, 2): 1}))
     crit = [classify(mild, M, np.zeros(2))]
     x0 = np.array([0.5, 0.3])
-    calls = []
 
-    def value_many(X):
-        calls.append(len(X))
-        if start_finite and len(calls) == 1:
-            return mild.value_many(X)
-        return np.full(len(X), np.nan)
+    def value_grad_many(X):
+        v, g = mild.value_grad_many(X)
+        finite = start_finite & (X == x0).all(axis=1)
+        return np.where(finite, v, np.nan), g
 
-    broken = EqFunction(value_many, mild.grad_many, mild.hess_many, nvars=2)
+    broken = EqFunction(value_grad_many, mild.hess_many, nvars=2)
     tr = flow_one(broken, M, x0, crit)
     assert tr.status == UNRESOLVED and tr.limit is None
     assert tr.steps == 0 and tr.halvings == MAX_HALVINGS

@@ -527,10 +527,14 @@ def _profile_reference(cut, t):
 
 
 def test_profile_matches_three_formulas(cut):
+    # the grid crosses every piece of R and of psi; the kernel's psi
+    # derivatives must equal the Plateau methods bit for bit
     t = np.linspace(0.0, 4.0, 200_001)
     want = _profile_reference(cut, t)
-    for orders in [(0,), (1,), (2,), (1, 2), (0, 1, 2)]:
-        got = cut.profile(t, orders)
-        assert len(got) == len(orders)
-        for k, g in zip(orders, got):
-            assert np.array_equal(g, want[k])
+    want_psi = [cut.psi(t), cut.psi.d1(t), cut.psi.d2(t)]
+    for order in (0, 1, 2):
+        R, psi = cut.profile(t, order)
+        assert len(R) == len(psi) == order + 1
+        for k in range(order + 1):
+            assert np.array_equal(R[k], want[k])
+            assert np.array_equal(psi[k], want_psi[k])
