@@ -11,6 +11,7 @@ arithmetic stays exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -67,8 +68,15 @@ def product_is_zero(A: Matrix, B: Matrix, p: int = 0) -> bool:
     return True
 
 
-def from_rows(rows) -> Matrix:
+def from_rows(rows, p: int = 0) -> Matrix:
+    """Int tuples of the rows, reduced into [0, p) when p > 0."""
+    if p:
+        return tuple(tuple(int(x) % p for x in row) for row in rows)
     return tuple(tuple(int(x) for x in row) for row in rows)
+
+
+def is_prime(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 def det(A: Matrix) -> int:

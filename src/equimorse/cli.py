@@ -15,6 +15,7 @@ import sys
 
 import numpy as np
 
+from ._intlinalg import is_prime
 from .coefficients import build_system
 from .complexes import homology
 from .fixtures import FixtureError, ManifoldFixture, load_fixture
@@ -52,10 +53,17 @@ def _header(args, extra=""):
     return flags + (f" {extra}" if extra else "")
 
 
+def _check_char(p: int, zero_ok: bool):
+    """Reject a characteristic that is not a prime (or 0, where allowed)."""
+    if not (is_prime(p) or (zero_ok and p == 0)):
+        raise FixtureError(f"--p {p} is not {'0 or ' if zero_ok else ''}a prime")
+
+
 # -- commands ----------------------------------------------------------------
 
 
 def cmd_bredon(args) -> int:
+    _check_char(args.p, zero_ok=True)
     X = load_fixture(args.fixture)
     if not isinstance(X, GCWComplex):
         raise FixtureError("bredon needs a G-CW fixture")
@@ -192,6 +200,7 @@ def cmd_morse(args) -> int:
 def cmd_specseq(args) -> int:
     fx = load_fixture(args.fixture)
     if isinstance(fx, GCWComplex):
+        _check_char(args.p, zero_ok=False)
         M = build_system(fx.category, args.coeff, char=args.p)
         F = skeletal_filtration(bredon_chain_complex(fx, M))
     else:
@@ -248,6 +257,7 @@ def cmd_cells(args) -> int:
 
 
 def cmd_smith(args) -> int:
+    _check_char(args.p, zero_ok=False)
     X = load_fixture(args.fixture)
     if not isinstance(X, GCWComplex):
         raise FixtureError("smith needs a G-CW fixture")

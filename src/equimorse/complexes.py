@@ -30,8 +30,10 @@ class ChainComplexError(ValueError):
 class ChainComplex:
     """ranks[n] generators in degree n; boundary[n] maps degree n to n-1.
 
-    char == 0 means integer coefficients, otherwise a prime p.  d∘d = 0 is
-    checked at construction (mod p when char > 0).
+    char is 0 (integer coefficients) or a prime p; anything else raises
+    ValueError.  Over F_p every entry is stored as its residue in [0, p),
+    so a boundary is the same matrix whatever integers it was built from.
+    d∘d = 0 is checked at construction (mod p when char > 0).
     """
 
     char: int
@@ -39,6 +41,8 @@ class ChainComplex:
     boundary: dict[int, Matrix]
 
     def __post_init__(self):
+        if self.char != 0 and not la.is_prime(self.char):
+            raise ValueError(f"char must be 0 or a prime, not {self.char}")
         self.ranks = {n: r for n, r in self.ranks.items() if r > 0}
         cleaned = {}
         for n, d in self.boundary.items():
@@ -50,7 +54,7 @@ class ChainComplex:
                     degree=n,
                 )
             if rows and cols:
-                cleaned[n] = la.from_rows(d)
+                cleaned[n] = la.from_rows(d, self.char)
         self.boundary = cleaned
         for n in list(self.boundary):
             if n + 1 in self.boundary:
@@ -77,11 +81,8 @@ class ChainComplex:
 
     def reduce_mod(self, p: int) -> "ChainComplex":
         """The same complex with coefficients reduced mod a prime p."""
-        return ChainComplex(
-            char=p,
-            ranks=dict(self.ranks),
-            boundary={n: la.mat_mod(d, p) for n, d in self.boundary.items()},
-        )
+        return ChainComplex(char=p, ranks=dict(self.ranks),
+                            boundary=dict(self.boundary))
 
 
 @dataclass(eq=True)

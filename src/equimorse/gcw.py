@@ -1,6 +1,8 @@
 """G-CW complexes with stabilizer-labelled cell-orbits, the cellular Bredon
 chain complex for a coefficient system, and the ordinary cellular complexes
-of the subquotients (X/H)^K that serve as oracles for it.
+of the subquotients (X/H)^K that serve as oracles for it.  One assembly,
+bredon_assembly, serves G-CW and Morse complexes alike: a Morse complex has
+a cell-orbit per critical orbit and flow counts as degrees.
 
 A complex stores one representative per cell-orbit.  Boundary data is a list
 of (orbit morphism, degree) records per (cell-orbit, face-orbit) pair; the
@@ -36,6 +38,7 @@ __all__ = [
     "GCWComplex",
     "InvalidPair",
     "VarianceMismatch",
+    "bredon_assembly",
     "bredon_chain_complex",
     "bredon_cochain_complex",
     "gcw_from_cells",
@@ -109,43 +112,49 @@ class GCWComplex:
         return self.boundary.get(n, {}).get((a, b), ())
 
 
-def bredon_chain_complex(X: GCWComplex, M: CoefficientSystem) -> ChainComplex:
-    """C_n = direct sum over n-cell-orbits of M(stab); the boundary block for
-    a record list is the degree-weighted sum of induced matrices."""
+def bredon_assembly(M: CoefficientSystem, stabilizers: dict[int, list[Subgroup]],
+                    records: dict[int, dict]) -> ChainComplex:
+    """C_n = direct sum of M(stab) over the n-cell-orbit stabilizers
+    stabilizers[n]; records[n][(a, b)] holds the (morphism, degree) records
+    from orbit a in degree n to orbit b in degree n-1, and their block is
+    the degree-weighted sum of M's induced matrices."""
     if M.variance != "covariant":
         raise VarianceMismatch(
             "homology assembly needs a covariant system; use "
             "bredon_cochain_complex for contravariant ones"
         )
-    if M.cat.group != X.group:
+    if any(L.group != M.cat.group for Ls in stabilizers.values() for L in Ls):
         raise ValueError("coefficient system is over a different group")
     ranks: dict[int, int] = {}
     offsets: dict[int, list[int]] = {}
-    for n in X.dims():
+    for n, Ls in stabilizers.items():
         offs = [0]
-        for c in X.cells[n]:
-            offs.append(offs[-1] + M.value(c.stabilizer).rank)
+        for L in Ls:
+            offs.append(offs[-1] + M.value(L).rank)
         offsets[n] = offs
         ranks[n] = offs[-1]
-    boundary: dict[int, Matrix] = {}
-    for n in X.dims():
-        if n - 1 not in ranks or not ranks.get(n):
-            continue
-        rows = ranks[n - 1]
-        cols = ranks[n]
-        if rows == 0 or cols == 0:
+    boundary: dict[int, list] = {}
+    for n in stabilizers:
+        rows, cols = ranks.get(n - 1, 0), ranks[n]
+        if not rows or not cols:
             continue
         mat = [[0] * cols for _ in range(rows)]
-        for (a, b), recs in X.boundary.get(n, {}).items():
+        for (a, b), recs in records.get(n, {}).items():
             r0 = offsets[n - 1][b]
             c0 = offsets[n][a]
             for m, deg in recs:
-                block = induced_matrix(M, m)
-                for i in range(len(block)):
-                    for j in range(len(block[0]) if block else 0):
-                        mat[r0 + i][c0 + j] += deg * block[i][j]
-        boundary[n] = tuple(tuple(r) for r in mat)
+                for i, row in enumerate(induced_matrix(M, m)):
+                    for j, x in enumerate(row):
+                        mat[r0 + i][c0 + j] += deg * x
+        boundary[n] = mat
     return ChainComplex(char=M.char, ranks=ranks, boundary=boundary)
+
+
+def bredon_chain_complex(X: GCWComplex, M: CoefficientSystem) -> ChainComplex:
+    """The Bredon assembly over the cell-orbits and records of X."""
+    return bredon_assembly(
+        M, {n: [c.stabilizer for c in X.cells[n]] for n in X.dims()},
+        X.boundary)
 
 
 def bredon_cochain_complex(X: GCWComplex, N: CoefficientSystem) -> ChainComplex:

@@ -8,9 +8,9 @@ iteration; a singular system in the stack falls back row by row to solve,
 then least squares.  The closure under the group runs in rounds, one
 batched refinement of the new points' translates per round.
 
-Tolerances follow the package-wide conventions: gradient norm 1e-9 for
-criticality, Hessian eigenvalue floor 1e-6 for nondegeneracy, with an order
-of magnitude between detection and nondegeneracy thresholds.
+The tolerances are module constants: gradient norm TOL_CRIT = 1e-9 for
+criticality, Hessian eigenvalue floor TOL_NONDEG = 1e-6 for nondegeneracy,
+STAB_TOL for the stabilizer and DEDUP_TOL for coincident points.
 """
 
 from __future__ import annotations
@@ -162,18 +162,16 @@ def _newton_kkt(f: EqFunction, M: ImplicitGManifold, X0, max_iter=60,
     return Z[:, :N], converged
 
 
-def _is_critical(f: EqFunction, M: ImplicitGManifold, X, tol_crit) -> np.ndarray:
-    """Per row of X: is the tangent gradient norm below tol_crit?"""
+def _is_critical(f: EqFunction, M: ImplicitGManifold, X) -> np.ndarray:
+    """Per row of X: is the tangent gradient norm below TOL_CRIT?"""
     if not len(X):
         return np.zeros(0, dtype=bool)
     T = M.project_tangent_many(X, f.grad_many(X))
-    return np.linalg.norm(T, axis=1) < tol_crit
+    return np.linalg.norm(T, axis=1) < TOL_CRIT
 
 
-def find_critical_points(f: EqFunction, M: ImplicitGManifold, seeds,
-                         *, tol_crit: float = TOL_CRIT,
-                         dedup_tol: float = DEDUP_TOL,
-                         max_iter: int = 60) -> list[np.ndarray]:
+def find_critical_points(f: EqFunction, M: ImplicitGManifold,
+                         seeds) -> list[np.ndarray]:
     """Newton from every seed, deduplicated and closed under the action.
 
     All seeds run through one batched KKT Newton: every iteration makes one
@@ -195,13 +193,13 @@ def find_critical_points(f: EqFunction, M: ImplicitGManifold, seeds,
 
     def add(x):
         for y in found:
-            if np.linalg.norm(x - y) <= dedup_tol:
+            if np.linalg.norm(x - y) <= DEDUP_TOL:
                 return
         found.append(x)
 
-    X, ok = _newton_kkt(f, M, seeds, max_iter=max_iter)
+    X, ok = _newton_kkt(f, M, seeds)
     rows = np.flatnonzero(ok)
-    for r in rows[_is_critical(f, M, X[rows], tol_crit)]:
+    for r in rows[_is_critical(f, M, X[rows])]:
         add(X[r])
     if not ok.all():
         log.debug("newton divergence on %d of %d seeds", (~ok).sum(), len(ok))
@@ -214,7 +212,7 @@ def find_critical_points(f: EqFunction, M: ImplicitGManifold, seeds,
         start = len(found)
         Y2, ok = _newton_kkt(f, M, Y, max_iter=10)
         Y[ok] = Y2[ok]
-        for y in Y[_is_critical(f, M, Y, tol_crit)]:
+        for y in Y[_is_critical(f, M, Y)]:
             add(y)
     if not found:
         return found
@@ -224,9 +222,7 @@ def find_critical_points(f: EqFunction, M: ImplicitGManifold, seeds,
     return [found[i] for i in order]
 
 
-def classify(f: EqFunction, M: ImplicitGManifold, p, *,
-             tol_crit: float = TOL_CRIT, tol_nondeg: float = TOL_NONDEG,
-             stab_tol: float = STAB_TOL) -> CriticalPoint:
+def classify(f: EqFunction, M: ImplicitGManifold, p) -> CriticalPoint:
     """Stabilizer, restricted Hessian, index, fixed/prime splitting, and the
     stability flag of a critical point.
 
@@ -237,9 +233,9 @@ def classify(f: EqFunction, M: ImplicitGManifold, p, *,
     p = np.asarray(p, dtype=float)
     x = p[None, :]
     fx, g = f.value_grad_many(x)
-    if np.linalg.norm(M.project_tangent_many(x, g)[0]) >= tol_crit:
+    if np.linalg.norm(M.project_tangent_many(x, g)[0]) >= TOL_CRIT:
         raise ValueError("point fails the critical-gradient tolerance")
-    H_sub = M.action.stabilizer(tuple(p), tol=stab_tol)
+    H_sub = M.action.stabilizer(tuple(p), tol=STAB_TOL)
     T = M.tangent_basis(p)
 
     # restricted Hessian: subtract the constraint curvature via multipliers
@@ -260,9 +256,9 @@ def classify(f: EqFunction, M: ImplicitGManifold, p, *,
     prime = evecs[:, evals <= 0.5]
 
     w, V = np.linalg.eigh(Ht)
-    if np.any(np.abs(w) <= tol_nondeg):
+    if np.any(np.abs(w) <= TOL_NONDEG):
         raise DegenerateHessian(
-            f"Hessian eigenvalue within {tol_nondeg} of zero: {w.tolist()}"
+            f"Hessian eigenvalue within {TOL_NONDEG} of zero: {w.tolist()}"
         )
     neg = V[:, w < 0]
     index = neg.shape[1]
@@ -270,7 +266,7 @@ def classify(f: EqFunction, M: ImplicitGManifold, p, *,
     if prime.shape[1]:
         Hp = prime.T @ Ht @ prime
         wp = np.linalg.eigvalsh((Hp + Hp.T) / 2.0)
-        stable = bool(np.all(wp > tol_nondeg))
+        stable = bool(np.all(wp > TOL_NONDEG))
     else:
         stable = True
 

@@ -252,13 +252,14 @@ def find_t0(phi: OddTransition | None = None, tol: float = 1e-12) -> float:
     return _bisect(g, 1.0 + 1e-9, 2.0, tol)
 
 
-def build_cutoffs(delta: float, h_sup: float = 1.0) -> CutoffPair:
+def build_cutoffs(delta: float) -> CutoffPair:
     """Construct the cutoff pair for a given plateau half-width.
 
     Raises DeltaTooLarge when the plateau intervals cannot satisfy
     1 + delta < t0 - delta and t0 + delta < 3 - delta.  epsilon is half the
-    largest value for which eps * sup|psi'| * h_sup stays below the minimal
-    radial slope on both transition intervals.
+    largest value for which eps * sup|psi'| stays below the minimal radial
+    slope on both transition intervals; the surgery model divides it by the
+    sampled sup of its sphere function |h|.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -281,5 +282,5 @@ def build_cutoffs(delta: float, h_sup: float = 1.0) -> CutoffPair:
     if margin <= 0 or sup_dpsi <= 0:
         raise AssertionError("degenerate cutoff data")
     cut.margin = margin
-    cut.epsilon = 0.5 * margin / (sup_dpsi * max(h_sup, 1e-12))
+    cut.epsilon = 0.5 * margin / sup_dpsi
     return cut

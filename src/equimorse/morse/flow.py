@@ -3,7 +3,7 @@
 Trajectories integrate x' = -P grad f (descending; +P for ascending) with a
 projected RK4 step whose size adapts to the local gradient so the flow
 marches at roughly constant arc length, and are captured when they come
-within capture_tol of a known critical point.  integrate_batch is the
+within CAPTURE_TOL of a known critical point.  integrate_batch is the
 only integrator: it steps the rows of an (m x n) array of start points in
 lockstep with vectorized evaluations, each row with its own direction, so
 descents and ascents share one batch, and a single trajectory is a batch
@@ -14,12 +14,12 @@ trajectory order.
 A sink of the flow (an index-0 point for a descent, an index-dim point for
 an ascent) attracts along its linearization, e' = -H e descending and
 e' = H e ascending with H its Hessian, and RK4 with a capped step approaches
-it only linearly, at a rate of about the eigenvalue times dt_cap.  So each
+it only linearly, at a rate of about the eigenvalue times DT_CAP.  So each
 sink gets a capture radius: the largest rung of CAPTURE_RADII on whose
 sampled shells the velocity contracts towards the sink at CONTRACTION times
 its smallest Hessian eigenvalue.  A row that enters that ball is captured
 there and its end is the closed-form linear flow, taken to half of
-capture_tol.  A sink no rung certifies keeps the plain capture_tol.
+CAPTURE_TOL.  A sink no rung certifies keeps the plain CAPTURE_TOL.
 
 One lockstep iteration makes four first-order evaluations of f: three
 velocity calls (K2, K3, K4) and one value-and-gradient call at the new
@@ -50,6 +50,8 @@ __all__ = [
 ]
 
 CAPTURE_TOL = 1e-6
+# the step bound away from the sinks (see integrate_batch)
+DT_CAP = 0.5
 # a step still non-monotone after this many halvings ends its trajectory
 MAX_HALVINGS = 50
 # the capture radii tried around a sink, largest first
@@ -99,17 +101,16 @@ def _shell_directions(d: int) -> np.ndarray:
     return np.array(dirs)
 
 
-def _capture_radii(velocity, M: ImplicitGManifold, crits, C,
-                   capture_tol: float) -> np.ndarray:
+def _capture_radii(velocity, M: ImplicitGManifold, crits, C) -> np.ndarray:
     """Capture radius of every critical point, row 0 for descents and row 1
     for ascents.
 
     A sink's radius is the largest rung of CAPTURE_RADII below half its
     distance to every other critical point at which the velocity contracts
     on probe shells of radius r, r/2 and r/4; every other radius is
-    capture_tol.  All probes share one velocity call.
+    CAPTURE_TOL.  All probes share one velocity call.
     """
-    R = np.full((2, len(C)), capture_tol)
+    R = np.full((2, len(C)), CAPTURE_TOL)
     if not len(C) or not M.dim:
         return R
     gaps = np.linalg.norm(C[:, None, :] - C[None, :, :], axis=2)
@@ -146,28 +147,26 @@ def _capture_radii(velocity, M: ImplicitGManifold, crits, C,
     return R
 
 
-def _linear_ends(M: ImplicitGManifold, crits, C, X, which, sign,
-                 capture_tol: float) -> np.ndarray:
+def _linear_ends(M: ImplicitGManifold, crits, C, X, which,
+                 sign) -> np.ndarray:
     """Where the linearized flow e' = sign H e at each row's sink carries
-    it: to half of capture_tol, at T = ln(|e0| / (capture_tol / 2)) / lam_min
+    it: to half of CAPTURE_TOL, at T = ln(|e0| / (CAPTURE_TOL / 2)) / lam_min
     in the sink's tangent frame, then onto M."""
     out = np.empty_like(X)
     for r, (x, k, s) in enumerate(zip(X, which, sign)):
         c = crits[k]
         w, V = np.linalg.eigh(-s * c.hessian)      # positive at a sink
         e0 = c.tangent_basis.T @ (x - C[k])
-        t = np.log(np.linalg.norm(e0) / (0.5 * capture_tol)) / w.min()
+        t = np.log(np.linalg.norm(e0) / (0.5 * CAPTURE_TOL)) / w.min()
         out[r] = C[k] + c.tangent_basis @ (V @ (np.exp(-w * t) * (V.T @ e0)))
     return M.project_points_many(out) if M.codim else out
 
 
 def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
                     crits, direction=-1,
-                    capture_tol: float = CAPTURE_TOL,
                     step_length: float = 0.01,
                     max_steps: int = 40000,
                     escape_radius: float = 50.0,
-                    dt_cap: float = 0.5,
                     keep_paths: bool = False):
     """Integrate every row of X0; returns a list of Trajectory.
 
@@ -178,12 +177,12 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
     NaN value of f counts as non-monotone), or budget exhaustion
     (unresolved).
 
-    A row is captured within capture_tol of any critical point, and within
+    A row is captured within CAPTURE_TOL of any critical point, and within
     the certified radius of a sink of its direction (see _capture_radii,
     computed for both directions whatever the rows' directions, so a row's
     trajectory does not depend on its batch).  A row captured by a radius
     alone ends at the closed-form solution of the sink's linearized flow,
-    within capture_tol of it, and counts as a linear capture.  dt_cap
+    within CAPTURE_TOL of it, and counts as a linear capture.  DT_CAP
     bounds the step away from the sinks, where the speed-normalized step
     would leave RK4's stability region.
     """
@@ -199,7 +198,7 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
     paths = [[] for _ in range(m)] if keep_paths else None
     sgn = np.broadcast_to(np.asarray(direction, dtype=float), (m,))
     # per-trajectory adaptive step bound; monotonicity violations halve it
-    dt_state = np.full(m, dt_cap)
+    dt_state = np.full(m, DT_CAP)
     # f and its gradient at each row's current point, carried from the
     # step that reached it
     f_at = np.zeros(m)
@@ -222,7 +221,7 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
         return (Pn, *f.value_grad_many(Pn))
 
     # each row's capture radius around every critical point
-    radius = _capture_radii(velocity, M, crits, C, capture_tol)[
+    radius = _capture_radii(velocity, M, crits, C)[
         (sgn > 0).astype(int)]
 
     for step in range(max_steps):
@@ -241,12 +240,11 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
                 status[which] = CAPTURED
                 limit[which] = k
                 active[which] = False
-                lin = Dh[np.arange(len(k)), k] >= capture_tol
+                lin = Dh[np.arange(len(k)), k] >= CAPTURE_TOL
                 if lin.any():
                     linear[which[lin]] = True
                     X[which[lin]] = _linear_ends(M, crits, C, X[which[lin]],
-                                                 k[lin], sgn[which[lin]],
-                                                 capture_tol)
+                                                 k[lin], sgn[which[lin]])
                 idx = np.flatnonzero(active)
                 if not len(idx):
                     break
@@ -295,7 +293,7 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
             keep = ~bad
             idx, Pn, f_new, g_new = idx[keep], Pn[keep], f_new[keep], g_new[keep]
         # gently relax the cap so transient stiffness does not pin it
-        dt_state[idx] = np.minimum(dt_state[idx] * 1.25, dt_cap)
+        dt_state[idx] = np.minimum(dt_state[idx] * 1.25, DT_CAP)
         X[idx] = Pn
         f_at[idx] = f_new
         g_at[idx] = g_new

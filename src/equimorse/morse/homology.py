@@ -17,7 +17,12 @@ ascent of one morse_differentials call runs in a single integrate_batch,
 each row with its own direction: the lockstep iterations are the longest
 trajectory's, not a sum over sources.  The trajectories are then read
 source by source, in orbit order and ascents last, which fixes the order
-of counts and warnings.
+of counts and warnings.  An arrival is read from the capture: the critical
+point it names has a known orbit and element carrying the orbit's rep to it.
+
+The Morse complex is the cellular Bredon complex of the descending-manifold
+cells, one cell-orbit per critical orbit with the mod-2 flow counts as
+degrees, built by the one Bredon assembly, equimorse.gcw.bredon_assembly.
 """
 
 from __future__ import annotations
@@ -28,12 +33,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..coefficients import CoefficientSystem, induced_matrix
-from ..complexes import ChainComplex
+from ..coefficients import CoefficientSystem
+from ..complexes import ChainComplex, ChainComplexError
+from ..gcw import bredon_assembly
 from ..groups import OrbitMorphism
 from ..spectral import FilteredComplex, skeletal_filtration
 from .critical import CriticalPoint
-from .flow import CAPTURE_TOL, UNRESOLVED, integrate_batch
+from .flow import UNRESOLVED, integrate_batch
 from .manifolds import EqFunction, ImplicitGManifold
 
 __all__ = [
@@ -48,6 +54,8 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 DEFAULT_SPHERE_SAMPLES = {0: 2, 1: 512}
+# radius of the descending and ascending spheres the flow starts from
+RHO = 1e-3
 
 
 class BoundarySquareNonzero(ValueError):
@@ -58,7 +66,7 @@ class BoundarySquareNonzero(ValueError):
 class CriticalOrbit:
     rep: CriticalPoint
     size: int
-    members: list = field(default_factory=list)  # (element, coords)
+    members: list = field(default_factory=list)  # (element, index in crits)
 
     @property
     def index(self) -> int:
@@ -94,7 +102,8 @@ class MorseData:
 
 def group_into_orbits(M: ImplicitGManifold, crits: list[CriticalPoint],
                       tol: float = 1e-6) -> list[CriticalOrbit]:
-    """Partition classified critical points into group orbits."""
+    """Partition classified critical points into group orbits; a member is
+    (first element carrying the rep onto it, its index in crits)."""
     G = M.action.group
     used = [False] * len(crits)
     coords = [np.asarray(c.coords, dtype=float) for c in crits]
@@ -116,7 +125,7 @@ def group_into_orbits(M: ImplicitGManifold, crits: list[CriticalPoint],
                 )
             if not used[hit]:
                 used[hit] = True
-                members.append((s, coords[hit]))
+                members.append((s, hit))
         orbits.append(CriticalOrbit(rep=c, size=len(members), members=members))
     orbits.sort(key=lambda o: (o.index, float(o.rep.value)))
     return orbits
@@ -153,27 +162,10 @@ def _ascending_seeds(M: ImplicitGManifold, q: CriticalPoint, rho: float):
     return np.asarray(q.coords)[None, :] + rho * dirs @ ambient_v
 
 
-def _identify_arrival(M: ImplicitGManifold, orbits, target_index: int,
-                      end_point, tol: float):
-    """Which orbit and which coset the arrival point belongs to."""
-    G = M.action.group
-    for oi, orb in enumerate(orbits):
-        if orb.index != target_index:
-            continue
-        rep = np.asarray(orb.rep.coords, dtype=float)
-        for s in G.elements():
-            if np.linalg.norm(M.apply(s, rep) - end_point) < tol:
-                return oi, s
-    return None, None
-
-
 def morse_differentials(f: EqFunction, M: ImplicitGManifold,
                         crits: list[CriticalPoint], *,
                         sphere_samples: dict | None = None,
-                        rho: float = 1e-3,
-                        capture_tol: float = CAPTURE_TOL,
                         step_length: float = 0.01,
-                        max_steps: int = 40000,
                         escape_radius: float = 50.0) -> MorseData:
     """Count mod-2 flow lines between consecutive-index critical orbits.
 
@@ -201,6 +193,9 @@ def morse_differentials(f: EqFunction, M: ImplicitGManifold,
         if not c.stable:
             raise ValueError(f"morse_differentials needs a stable function: {c}")
     orbits = group_into_orbits(M, crits)
+    # critical point index -> (its orbit, element carrying the rep onto it)
+    member_of = {j: (oi, s) for oi, orb in enumerate(orbits)
+                 for s, j in orb.members}
     counts: dict[tuple[int, int], dict[OrbitMorphism, int]] = {}
     unresolved = 0
     escaped = 0
@@ -224,7 +219,7 @@ def morse_differentials(f: EqFunction, M: ImplicitGManifold,
         if k > 2:
             raise ValueError("sources of index > 2 are outside desk scale")
         segments.append((src_i, -1, _descending_seeds(
-            orb.rep, rho, samples_cfg.get(k - 1, 512))))
+            orb.rep, RHO, samples_cfg.get(k - 1, 512))))
     # receiving-end shots out of index-1 targets with index-2 sources present
     if any(o.index == 2 for o in orbits):
         if M.dim != 2:
@@ -233,7 +228,7 @@ def morse_differentials(f: EqFunction, M: ImplicitGManifold,
             )
         for tgt_i, orb in enumerate(orbits):
             if orb.index == 1:
-                segments.append((tgt_i, +1, _ascending_seeds(M, orb.rep, rho)))
+                segments.append((tgt_i, +1, _ascending_seeds(M, orb.rep, RHO)))
     trajs = []
     if segments:
         X0 = np.concatenate([seeds for _, _, seeds in segments])
@@ -242,8 +237,7 @@ def morse_differentials(f: EqFunction, M: ImplicitGManifold,
         direction = np.concatenate([np.full(len(seeds), d)
                                     for _, d, seeds in segments])
         trajs = integrate_batch(f, M, X0, crits=crits, direction=direction,
-                                capture_tol=capture_tol,
-                                step_length=step_length, max_steps=max_steps,
+                                step_length=step_length,
                                 escape_radius=escape_radius)
 
     def arrival(tr, target_index, warning, message):
@@ -260,12 +254,7 @@ def morse_differentials(f: EqFunction, M: ImplicitGManifold,
             warns.append(f"{warning}{tr.limit.index}")
             warnings.warn(message, stacklevel=3)
             return None
-        oi, s = _identify_arrival(M, orbits, target_index, tr.end,
-                                  10 * capture_tol)
-        if oi is None:
-            unresolved += 1
-            return None
-        return oi, s
+        return member_of[tr.limit_index]
 
     def basin(tr):
         """A trajectory's label: its limit point, or how it failed."""
@@ -343,46 +332,24 @@ def morse_differentials(f: EqFunction, M: ImplicitGManifold,
 
 
 def morse_complex(data: MorseData, M: CoefficientSystem) -> ChainComplex:
-    """C_k = sum over index-k critical orbits of M(stab); boundary blocks are
-    the mod-2 count-weighted induced matrices.  Needs char 2."""
+    """The Bredon assembly over the critical orbits: C_k is the sum of
+    M(stab) over the index-k orbits, and the mod-2 flow counts are the
+    degrees of the boundary records.  Needs char 2."""
     if M.char != 2:
         raise ValueError("the Morse complex is assembled mod 2; pass char=2")
-    if M.variance != "covariant":
-        raise ValueError("morse_complex needs a covariant system")
     orbits = data.orbits
-    maxk = data.max_index()
-    offsets: dict[int, dict[int, int]] = {}
-    ranks: dict[int, int] = {}
-    for k in range(0, maxk + 1):
-        off = 0
-        offsets[k] = {}
-        for oi in data.by_index(k):
-            offsets[k][oi] = off
-            off += M.value(orbits[oi].rep.stabilizer).rank
-        ranks[k] = off
-    boundary = {}
-    for k in range(1, maxk + 1):
-        rows, cols = ranks.get(k - 1, 0), ranks.get(k, 0)
-        if not rows or not cols:
-            continue
-        mat = [[0] * cols for _ in range(rows)]
-        for (i, j), table in data.counts.items():
-            if orbits[i].index != k or orbits[j].index != k - 1:
-                continue
-            c0 = offsets[k][i]
-            r0 = offsets[k - 1][j]
-            for m, cnt in table.items():
-                if cnt % 2 == 0:
-                    continue
-                block = induced_matrix(M, m)
-                for a in range(len(block)):
-                    for b in range(len(block[0]) if block else 0):
-                        mat[r0 + a][c0 + b] = (mat[r0 + a][c0 + b]
-                                               + block[a][b]) % 2
-        boundary[k] = tuple(tuple(r) for r in mat)
+    by_index = {k: data.by_index(k) for k in range(data.max_index() + 1)}
+    pos = {oi: a for idx in by_index.values() for a, oi in enumerate(idx)}
+    records: dict[int, dict] = {}
+    for (i, j), table in data.counts.items():
+        k = orbits[i].index
+        if orbits[j].index == k - 1:
+            records.setdefault(k, {})[(pos[i], pos[j])] = table.items()
+    stabilizers = {k: [orbits[oi].rep.stabilizer for oi in idx]
+                   for k, idx in by_index.items()}
     try:
-        return ChainComplex(char=2, ranks=ranks, boundary=boundary)
-    except Exception as exc:
+        return bredon_assembly(M, stabilizers, records)
+    except ChainComplexError as exc:
         raise BoundarySquareNonzero(
             f"Morse boundary fails d∘d = 0: {exc}; counts = {data.counts}"
         ) from exc

@@ -181,6 +181,25 @@ def test_smith_command():
     assert code == 2
 
 
+@pytest.mark.parametrize("command,fixture,p", [
+    ("bredon", "torus_double", "4"),
+    ("bredon", "torus_double", "1"),
+    ("bredon", "torus_double", "-3"),
+    ("specseq", "circle_reflection", "0"),
+    ("specseq", "circle_reflection", "4"),
+    ("smith", "sphere_rotation_c3", "1"),
+])
+def test_characteristic_neither_zero_nor_prime_is_an_error_exit(
+        command, fixture, p, capsys):
+    # F_4 is not Z/4: a characteristic that is not 0 or a prime (a prime
+    # only for spectral pages and Smith) must stop the command before it
+    # prints groups, not report "F4^2" or all-zero pages
+    assert main([command, str(FIXDIR / f"{fixture}.json"), "--p", p]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and f"--p {p}" in captured.err
+
+
 def test_cells_command_matches_table():
     code, out = run_cli(["cells", "--cell", "interior", "--index", "2",
                          "--theory", "all"])

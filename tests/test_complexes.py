@@ -328,6 +328,31 @@ def test_euler_characteristic_of_random_complexes(seed, p):
     assert homology(Cp).euler_characteristic() == Cp.euler_characteristic()
 
 
+@pytest.mark.parametrize("char", [4, 1, -3])
+def test_char_must_be_zero_or_prime(char):
+    with pytest.raises(ValueError, match="0 or a prime"):
+        ChainComplex(char=char, ranks={0: 1}, boundary={})
+
+
+def test_char_p_entries_are_residues():
+    # entries are stored in [0, p), whatever integers they were built from
+    C = ChainComplex(char=3, ranks={0: 1, 1: 2}, boundary={1: ((-1, 4),)})
+    assert C.d(1) == ((2, 1),)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from((2, 3, 5)))
+def test_reduce_mod_stores_the_residues(seed, p):
+    # the random complexes have negative entries and entries above p
+    rng = random.Random(seed)
+    ranks, boundary, _ = standard_complex_data(rng)
+    C = ChainComplex(char=0, ranks=ranks, boundary=boundary)
+    Cp = C.reduce_mod(p)
+    assert Cp.boundary == ChainComplex(char=p, ranks=C.ranks,
+                                       boundary=C.boundary).boundary
+    assert Cp.boundary == {n: la.mat_mod(d, p) for n, d in C.boundary.items()}
+
+
 def test_rref_rational_coordinates():
     # coordinates of a right-hand side sit in the pivot rows of its column;
     # a right-hand side outside the span becomes a pivot itself

@@ -23,8 +23,12 @@ from equimorse.fixtures import (
     wells_c2,
     figure1_plane,
 )
-from equimorse.gcw import bredon_chain_complex, subquotient_complex
-from equimorse.groups import OrbitCategory, trivial_subgroup
+from equimorse.gcw import (
+    VarianceMismatch,
+    bredon_chain_complex,
+    subquotient_complex,
+)
+from equimorse.groups import FiniteGroup, OrbitCategory, trivial_subgroup
 from equimorse.morse import (
     build_cutoffs,
     classify,
@@ -256,6 +260,39 @@ def test_morse_complex_needs_char2(circle_data):
     M0 = build_system(cat, "singular", char=0)
     with pytest.raises(ValueError):
         morse_complex(data, M0)
+
+
+def test_morse_complex_over_another_group_is_rejected(circle_data):
+    # the Morse complex goes through the Bredon assembly, which checks the
+    # group of the coefficient system against the cells' stabilizers
+    fx, newf, crits, data = circle_data
+    other = build_system(OrbitCategory(FiniteGroup.cyclic(3)), "constant",
+                         char=2)
+    with pytest.raises(ValueError, match="different group"):
+        morse_complex(data, other)
+
+
+def test_morse_complex_needs_covariant_system(circle_data):
+    fx, newf, crits, data = circle_data
+    cat = OrbitCategory(fx.manifold.action.group)
+    with pytest.raises(VarianceMismatch):
+        morse_complex(data, build_system(cat, "constant", char=2).opposite())
+
+
+def test_antipodal_sphere_boundaries_are_residues():
+    # S^2 under -I: the two odd lines from a cell-orbit onto the next land on
+    # one entry under the constant system, 1 + 1 = 2 stored as its residue
+    # 0; the singular system keeps the two lines on separate entries
+    fx = sphere_antipodal()
+    crits = classified_crits(fx)
+    data = morse_differentials(fx.function, fx.manifold, crits,
+                               step_length=fx.step_length,
+                               sphere_samples={1: 16})
+    cat = OrbitCategory(fx.manifold.action.group)
+    const = morse_complex(data, build_system(cat, "constant", char=2))
+    assert const.boundary == {1: ((0,),), 2: ((0,),)}
+    sing = morse_complex(data, build_system(cat, "singular", char=2))
+    assert sing.boundary == {1: ((1, 1), (1, 1)), 2: ((1, 1), (1, 1))}
 
 
 def test_unstable_function_rejected():
