@@ -31,6 +31,7 @@ from .morse import (
     morse_filtration,
     representation_cell_groups,
     RepSpec,
+    UnsupportedRep,
 )
 from .smith import NotAPGroup, smith_report
 from .spectral import einfty_check, skeletal_filtration, spectral_pages
@@ -332,7 +333,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (FixtureError, NotAPGroup) as exc:
+    except (FixtureError, NotAPGroup, UnsupportedRep) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

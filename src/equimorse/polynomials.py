@@ -13,7 +13,7 @@ equality.  Arithmetic that mixes the two gives a float polynomial.
 Sums combine numerators over the lcm of the denominators.  Every product is
 one call to _imul, the direct term-pair loop on the numerators, over the
 product of the denominators.  Taylor jets shift one variable at a time on
-the numerators.
+the numerators, and a signed permutation substitutes by an exponent remap.
 
 Exact jet interpolation multiplies no polynomials: _interp_ntt writes the
 whole interpolant sum_j R_j (1 - (1 - phi_j^k)^k) over one integer
@@ -22,19 +22,25 @@ number-theoretic transform in numpy, modulo as many primes below 2^31 as a
 bound on its coefficients needs.  The variables are transformed once per
 prime, every bump, mask and jet representative is a pointwise value, and
 one inverse transform per prime and one CRT (_crt) rebuild it; see von zur
-Gathen & Gerhard, Modern Computer Algebra, ch. 5 and 8.  numpy is imported
-only when an interpolant first takes the transform.  When the bound needs
-more primes than the table holds, or the degree box more than 2^22 points,
-the kernel returns None and the interpolant is summed from expanded masks.
+Gathen & Gerhard, Modern Computer Algebra, ch. 5 and 8.  The transform is
+cyclic, with a length and Kronecker strides (_transform_plan) that need
+only keep apart the monomials within the interpolant's total degree: the
+degree box's strides where they do, else a searched last stride.  numpy
+is imported only when an interpolant first takes the transform.  When the
+bound needs more primes than the table holds, or the degree box more than
+2^22 points, the kernel returns None and the interpolant is summed from
+expanded masks.
 The equivariant lift averages the jet representatives over the group and
 then interpolates once.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
+import operator
 from fractions import Fraction
 
 from .groups import FiniteGroup, Subgroup, left_cosets
@@ -96,11 +102,9 @@ def _icontent_reduce(T: dict, den: int) -> tuple[dict, int]:
     """Lowest terms: divide out the gcd of all numerators and the denominator."""
     if not T or den == 1:
         return T, 1
-    g = den
-    for c in T.values():
-        g = math.gcd(g, c)
-        if g == 1:
-            return T, den
+    g = math.gcd(den, *T.values())
+    if g == 1:
+        return T, den
     return {e: c // g for e, c in T.items()}, den // g
 
 
@@ -408,22 +412,30 @@ class Polynomial:
 
         Signed permutation matrices (every exact group action in the
         fixtures) reduce to an exponent remap, which keeps transport of the
-        large interpolation masks cheap.
+        large interpolation masks cheap: x_i -> s_i x_c(i) moves exponent i
+        to c(i) and negates a term whose exponents on the negated
+        coordinates have odd sum.  Content and denominator are unchanged, so
+        the image is already in lowest terms.
         """
         n = self.nvars
         sp = _signed_permutation(matrix, n)
         if sp is not None:
-            out = {}
-            for e, c in self.num.items():
-                e2 = [0] * n
-                sign = 1
-                for i, k in enumerate(e):
-                    col, s = sp[i]
-                    e2[col] = k
-                    if s < 0 and k % 2:
-                        sign = -sign
-                out[tuple(e2)] = c if sign > 0 else -c
-            return Polynomial._make(n, out, self.den)
+            num = self.num
+            inv = [0] * n
+            for i, (col, _) in enumerate(sp):
+                inv[col] = i
+            keys = (num.keys() if inv == list(range(n))
+                    else map(operator.itemgetter(*inv), num))
+            vals = num.values()
+            neg = [i for i, (_, s) in enumerate(sp) if s < 0]
+            if neg:
+                odd = map(operator.itemgetter(*neg), num)
+                if len(neg) > 1:
+                    odd = map(sum, odd)
+                vals = [-c if o & 1 else c for c, o in zip(vals, odd)]
+            out = object.__new__(Polynomial)
+            out.nvars, out.num, out.den = n, dict(zip(keys, vals)), self.den
+            return out
         lin = [
             Polynomial(n, {tuple(1 if j == k else 0 for k in range(n)): matrix[i][j]
                            for j in range(n) if matrix[i][j]})
@@ -670,6 +682,103 @@ def _mask(pts, j: int, k: int) -> Polynomial:
     return one - (one - bump_poly(pts, j) ** k) ** k
 
 
+def _kept_slots(rad, top):
+    """The slots of the degree box of radices rad whose exponents sum to at
+    most top: their box indices, and their exponents as one array per
+    variable."""
+    import numpy as np
+
+    nslots = math.prod(rad)
+    rest, total = np.arange(nslots), np.zeros(nslots, np.int64)
+    for r in rad:
+        rest, e = np.divmod(rest, r)
+        total += e
+    keep = np.flatnonzero(total <= top)
+    del rest, total
+    rest, cols = keep, []
+    for r in rad:
+        rest, e = np.divmod(rest, r)
+        cols.append(e)
+    return keep, cols
+
+
+def _slot_map(cols, strides, size):
+    """sum_m strides[m] e_m mod size for the exponent columns cols."""
+    import numpy as np
+
+    out = np.zeros(len(cols[0]), np.int64)
+    for e, s in zip(cols, strides):
+        out += e * s
+    return out & (size - 1)
+
+
+def _last_stride(strides, top, size):
+    """The smallest B in [1, size) at which sum_m strides[m] e_m + B e_last
+    mod size separates every two monomials of total degree <= top in
+    len(strides) + 1 variables whose last exponents differ, or None.
+
+    Monomials e, e' with e'_last - e_last = d >= 1 collide iff
+    d B = sum_m strides[m] x_m mod size, x the difference of their other
+    exponents; those x are exactly the integer vectors with sum x+ <= top
+    and sum x- <= top - d (the differences of slices 0 and d).  With
+    reach[v] the largest d for which some such x takes the value v, B is
+    valid iff reach[d B mod size] < d for every d in 1..top; all B are
+    tested at once.
+    """
+    import numpy as np
+
+    x = np.indices((2 * top + 1,) * len(strides)).reshape(len(strides), -1) - top
+    pos = np.maximum(x, 0).sum(axis=0)
+    neg = pos - x.sum(axis=0)
+    ok = (pos <= top) & (neg < top)
+    val = np.zeros(int(ok.sum()), np.int64)
+    for xm, s in zip(x[:, ok], strides):
+        val += xm * s
+    reach = np.zeros(size, np.int64)
+    np.maximum.at(reach, val & (size - 1), top - neg[ok])
+    del x, pos, neg, ok, val
+    step = np.arange(1, size)
+    at, bad = step.copy(), np.zeros(size - 1, bool)
+    for d in range(1, top + 1):
+        bad |= reach[at] >= d
+        at += step
+        at &= size - 1
+    valid = np.flatnonzero(~bad)
+    return int(valid[0]) + 1 if len(valid) else None
+
+
+@functools.lru_cache(maxsize=None)
+def _transform_plan(rad: tuple, top: int) -> tuple:
+    """(size, strides): a cyclic transform length and Kronecker strides
+    under which the slots of the degree box rad within total degree top
+    take distinct indices sum_m strides[m] e_m mod size.
+
+    Lengths are powers of two from the first at least the slot count.  At
+    each the box strides prod(rad[:m]) are tried first; when they collide,
+    the last one is replaced by the smallest stride that _last_stride finds
+    for the total degree, when its search space, (2 top + 1)^(n-1) values,
+    is no larger than the box.  Either is confirmed on the kept slots.
+    Memoized: the cache holds these ints only, never the slot arrays.
+    """
+    n = len(rad)
+    keep, cols = _kept_slots(rad, top)
+    box = [math.prod(rad[:m]) for m in range(n)]
+    search = (2 * top + 1) ** (n - 1) <= math.prod(rad)
+    size = 1 << max(len(keep) - 1, 1).bit_length()
+
+    def distinct(strides):
+        return len(set(_slot_map(cols, strides, size).tolist())) == len(keep)
+
+    while True:
+        if distinct(box):
+            return size, tuple(box)
+        if search:
+            B = _last_stride(box[:-1], top, size)
+            if B is not None and distinct(box[:-1] + [B]):
+                return size, tuple(box[:-1] + [B])
+        size *= 2
+
+
 def _interp_ntt(points, reps, k: int) -> Polynomial | None:
     """sum_j reps[j] * (1 - (1 - phi_j^k)^k) for exact points and exact
     representatives, evaluated in the transform domain.
@@ -684,7 +793,10 @@ def _interp_ntt(points, reps, k: int) -> Polynomial | None:
     transform's output order); Q_i, Psi_j, N_j, R_j and F are then
     pointwise values, and F takes one inverse transform.  The transform is
     cyclic, so its length need only keep apart the indices of the box
-    points within F's total degree, which can be shorter than the box.
+    points within F's total degree, which can be shorter than the box;
+    _transform_plan picks the length and the strides, the last one packed
+    by total degree where the box strides collide, and each kept slot is
+    read at its index sum_m strides[m] e_m mod the length.
     One CRT over the fewest primes whose product exceeds twice the bound
     sum_j w_j |R_j|_1 (u_j^(k^2) + (u_j^k + |Psi_j|_1^k)^k) on the
     coefficients of F rebuilds it (|.|_1 is the sum of absolute values of
@@ -719,19 +831,12 @@ def _interp_ntt(points, reps, k: int) -> Polynomial | None:
     import numpy as np
 
     # only slots within the total degree of F can be nonzero, and the
-    # transform need only keep those apart: a cyclic one of any length in
-    # which their Kronecker indices stay distinct will do
+    # transform need only keep those apart (see _transform_plan)
     top = 2 * (d - 1) * kk + max(sum(e) for j in live for e in reps[j].num)
-    rest, total = np.arange(nslots), np.zeros(nslots, np.int64)
-    for r in rad:
-        rest, e = np.divmod(rest, r)
-        total += e
-    keep = np.flatnonzero(total <= top)
-    del rest, total
-    size = 1 << max(len(keep) - 1, 1).bit_length()
-    while len(set((keep & (size - 1)).tolist())) < len(keep):
-        size *= 2
-    strides = [math.prod(rad[:m]) for m in range(n)]
+    size, strides = _transform_plan(tuple(rad), top)
+    keep, cols = _kept_slots(rad, top)
+    slots = _slot_map(cols, strides, size)
+    del cols
     # w_j R_j as its constant term and (variables, coefficient) pairs, the
     # variables of a monomial listed with multiplicity
     const = {j: w[j] * reps[j].num.get((0,) * n, 0) for j in live}
@@ -835,8 +940,8 @@ def _interp_ntt(points, reps, k: int) -> Polynomial | None:
         iroots[0] = 1
         np.subtract(P, roots[:0:-1], out=iroots[1:])
         _ntt_stages(acc, t, p, iroots, True, scratch)
-        residues[r] = t[keep & (size - 1)]
-    del X, Q, acc, psi, t, quo, rh, scratch, expo, roots, iroots
+        residues[r] = t[slots]
+    del X, Q, acc, psi, t, quo, rh, scratch, expo, roots, iroots, slots
     return Polynomial._make(n, _crt(residues, primes, keep, rad), L)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ._intlinalg import is_prime
 from .complexes import ChainComplex, homology
 from .gcw import GCWComplex, subquotient_complex
 from .groups import full_subgroup, trivial_subgroup
@@ -85,8 +86,11 @@ def smith_report(X, p: int) -> SmithReport:
     """Tail inequalities and the Euler congruence for a p-group action.
 
     X may be a GCWComplex (total and fixed complexes are derived from it) or
-    a (total, fixed) pair of chain complexes over Z or F_p.
+    a (total, fixed) pair of chain complexes over Z or F_p; p must be a
+    prime, as for ChainComplex, or ValueError is raised.
     """
+    if not is_prime(p):
+        raise ValueError(f"p must be a prime, not {p}")
     if isinstance(X, GCWComplex):
         G = X.group
         if not _is_prime_power(G.order, p):

@@ -212,6 +212,15 @@ def test_cells_command_matches_table():
     assert "quotient-rel-fixed: 0" in out
 
 
+def test_cells_with_an_unsupported_rep_is_an_error_exit(capsys):
+    # a sign factor needs a stabilizer of order 2, not the cyclic group of
+    # order 3: an error line and exit 2, not a traceback
+    assert main(["cells", "--cell", "unstable", "--index", "1", "--order", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: sign factors need a stabilizer of order 2\n"
+
+
 def test_specseq_command_gcw():
     code, out = run_cli(["specseq", str(FIXDIR / "circle_reflection.json"),
                          "--coeff", "singular", "--p", "2"])

@@ -408,6 +408,21 @@ def test_exact_interpolation_runs_one_crt():
     assert f == _mask_sum(pts, [jet.as_polynomial() for jet in jets], 3)
 
 
+def _transform_lengths(fn, *args):
+    """fn(*args) and the set of transform lengths _ntt_stages ran."""
+    from equimorse import polynomials as P
+
+    real, lengths = P._ntt_stages, set()
+
+    def spy(a, *rest):
+        lengths.add(len(a))
+        return real(a, *rest)
+
+    with mock.patch.object(P, "_ntt_stages", spy):
+        out = fn(*args)
+    return out, lengths
+
+
 def test_interp_kernel_transform_shorter_than_the_box():
     # four points in 3 variables at k = 2: the degree box has 26^3 = 17,576
     # slots, but the 3,276 monomials of total degree <= 25 stay apart in a
@@ -420,16 +435,64 @@ def test_interp_kernel_transform_shorter_than_the_box():
            (Fraction(-1), Fraction(1, 3), Fraction(0)),
            (Fraction(0), Fraction(-2), Fraction(3, 2))]
     reps = [random_jet(rng, p, 2).as_polynomial() for p in pts]
-    real, lengths = P._ntt_stages, []
-
-    def spy(a, *args):
-        lengths.append(len(a))
-        return real(a, *args)
-
-    with mock.patch.object(P, "_ntt_stages", spy):
-        f = P._interp_ntt(pts, reps, 2)
-    assert set(lengths) == {1 << 14}
+    f, lengths = _transform_lengths(P._interp_ntt, pts, reps, 2)
+    assert lengths == {1 << 14}
     assert f == _mask_sum(pts, reps, 2)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_last_stride_search_matches_brute_force(n):
+    # the monomials of total degree <= T in n variables, at box strides
+    # (T + 1)^m for all but the last variable: the search returns the
+    # smallest last stride B that keeps them apart mod N, and None only when
+    # no B in [1, N) does
+    from equimorse import polynomials as P
+
+    for T in range(1, 9):
+        simplex = np.array([e for e in itertools.product(range(T + 1), repeat=n)
+                            if sum(e) <= T])
+        strides = [(T + 1) ** m for m in range(n - 1)]
+        head, last = simplex[:, :-1] @ strides, simplex[:, -1]
+        N = 1 << (len(simplex) - 1).bit_length()
+        while N <= (T + 1) ** n:
+            B = np.arange(1, N)[:, None]
+            slots = np.sort((head + B * last) % N, axis=1)
+            apart = np.flatnonzero((np.diff(slots, axis=1) != 0).all(axis=1)) + 1
+            want = int(apart[0]) if len(apart) else None
+            assert P._last_stride(strides, T, N) == want, (n, T, N)
+            N *= 2
+
+
+def test_interp_kernel_packs_the_last_stride():
+    # three points in 3 variables at k = 2 with affine representatives:
+    # total degree 17, box 18^3 = 5,832 slots, whose box strides need 2^13
+    # points; the 1,140 monomials of total degree <= 17 stay apart in 2^12
+    # with a searched last stride
+    from equimorse import polynomials as P
+
+    pts = [(Fraction(1), Fraction(0), Fraction(-1, 2)),
+           (Fraction(2, 3), Fraction(1), Fraction(1)),
+           (Fraction(-1), Fraction(1, 3), Fraction(0))]
+    reps = [Polynomial(3, {(0, 0, 0): Fraction(a, 3), (1, 0, 0): b,
+                           (0, 1, 0): Fraction(-1, b), (0, 0, 1): a})
+            for a, b in ((1, 2), (-4, 3), (5, -1))]
+    f, lengths = _transform_lengths(P._interp_ntt, pts, reps, 2)
+    assert lengths == {1 << 12}
+    assert f == _mask_sum(pts, reps, 2)
+
+
+def test_s3_orbit3_lift_runs_packed_transforms():
+    # k = 3 at an orbit-3 point of S3 on R^3: 10,660 monomials of total
+    # degree <= 38 in a 39^3 box, kept apart by 2^15 points, not 2^16
+    p = (Fraction(1), Fraction(1), Fraction(0))
+    jet = Jet(p, 3, {(0, 0, 0): 1, (1, 0, 0): 2, (0, 1, 0): 2,
+                     (2, 0, 0): Fraction(1, 3), (0, 2, 0): Fraction(1, 3),
+                     (0, 0, 2): -1, (1, 1, 0): 5})
+    act = LinearAction.permutation_s3()
+    f, lengths = _transform_lengths(equivariant_jet_lift, p, jet, act, 3)
+    assert lengths == {1 << 15}
+    assert taylor_jet(f, p, 3) == jet
+    assert all(f.substitute_linear(M) == f for M in act.matrices)
 
 
 _SIGN, _S3 = LinearAction.sign_c2(1), LinearAction.permutation_s3()
@@ -701,8 +764,12 @@ def test_substitute_signed_permutation_matches_sympy(data):
     signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
     M = [[Fraction(signs[i] if j == perm[i] else 0) for j in range(n)]
          for i in range(n)]
-    assert f.substitute_linear(M).terms == _from_sympy(
-        _sympy_substitute(_to_sympy(f), M))
+    g = f.substitute_linear(M)
+    assert g.terms == _from_sympy(_sympy_substitute(_to_sympy(f), M))
+    # the remap builds its image without reducing it: it must come out in
+    # lowest terms, as the constructor builds it, on both backends
+    assert g == Polynomial(n, g.terms) and hash(g) == hash(Polynomial(n, g.terms))
+    assert f.as_float().substitute_linear(M) == g.as_float()
 
 
 @settings(max_examples=40, deadline=None)
@@ -781,21 +848,10 @@ def test_jet_interpolate_roundtrip_matches_sympy(data):
         assert _sympy_jet(sf, p, k) == jet.terms
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.data())
-def test_interp_kernel_matches_sympy(data):
-    # sum_j R_j (1 - (1 - phi_j^k)^k) for arbitrary rational R_j, expanded in
-    # sympy from phi_j = prod_{i != j} |x - p_i|^2 / |p_j - p_i|^2
-    from equimorse import polynomials as P
-
-    n = data.draw(st.integers(1, 2))
-    d = data.draw(st.integers(1, 3))
-    k = data.draw(st.integers(1, 3))
-    coord = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
-    pts = data.draw(st.lists(st.tuples(*[coord] * n), min_size=d, max_size=d,
-                             unique=True))
-    reps = data.draw(_polys(n, d, maxdeg=2, max_terms=4))
-    xs = _gens(n)
+def _sympy_mask_sum(pts, reps, k):
+    """sum_j R_j (1 - (1 - phi_j^k)^k) expanded in sympy from
+    phi_j = prod_{i != j} |x - p_i|^2 / |p_j - p_i|^2, as a term dict."""
+    xs = _gens(len(pts[0]))
     want = sympy.Poly(0, *xs, domain=sympy.QQ)
     for j, (p, rep) in enumerate(zip(pts, reps)):
         phi = sympy.Poly(1, *xs, domain=sympy.QQ)
@@ -805,8 +861,46 @@ def test_interp_kernel_matches_sympy(data):
                 den = sum(sympy.Rational(str(a - c)) ** 2 for a, c in zip(p, q))
                 phi *= sympy.Poly(num, *xs, domain=sympy.QQ) * (1 / den)
         want += _to_sympy(rep) * (1 - (1 - phi ** k) ** k)
+    return _from_sympy(want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_interp_kernel_matches_sympy(data):
+    # sum_j R_j (1 - (1 - phi_j^k)^k) for arbitrary rational R_j, expanded in
+    # sympy from phi_j = prod_{i != j} |x - p_i|^2 / |p_j - p_i|^2
+    from equimorse import polynomials as P
+
+    # three variables at d <= 2 reach lengths where a packed last stride
+    # beats the box strides (_transform_plan)
+    n = data.draw(st.integers(1, 3))
+    d = data.draw(st.integers(1, 3 if n < 3 else 2))
+    k = data.draw(st.integers(1, 3))
+    coord = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+    pts = data.draw(st.lists(st.tuples(*[coord] * n), min_size=d, max_size=d,
+                             unique=True))
+    reps = data.draw(_polys(n, d, maxdeg=2, max_terms=4))
     got = P._interp_ntt(pts, reps, k)
-    assert got is not None and got.terms == _from_sympy(want)
+    assert got is not None and got.terms == _sympy_mask_sum(pts, reps, k)
+
+
+def test_interp_kernel_packed_stride_matches_sympy():
+    # two points in 3 variables at k = 2, representatives of degree 2 in
+    # each variable and total degree 2: 1,331 box slots, 286 within total
+    # degree 10, apart in 2^10 points with a searched last stride where the
+    # box strides need 2^11
+    from equimorse import polynomials as P
+
+    pts = [(Fraction(1, 2), Fraction(-1), Fraction(0)),
+           (Fraction(2), Fraction(1, 3), Fraction(-3, 4))]
+    reps = [Polynomial(3, {(2, 0, 0): 3, (0, 2, 0): Fraction(-1, 2),
+                           (0, 0, 2): 1, (1, 0, 1): 2, (0, 0, 0): -5}),
+            Polynomial(3, {(0, 2, 0): Fraction(2, 3), (2, 0, 0): 1,
+                           (0, 0, 2): -4, (0, 1, 0): 1})]
+    size, strides = P._transform_plan((11, 11, 11), 10)
+    assert size == 1 << 10 and strides[:2] == (1, 11) and strides[2] != 121
+    got = P._interp_ntt(pts, reps, 2)
+    assert got.terms == _sympy_mask_sum(pts, reps, 2)
 
 
 @settings(max_examples=60, deadline=None)

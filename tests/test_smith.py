@@ -73,6 +73,22 @@ def test_not_a_p_group():
         smith_report(circle_dihedral(), 3)
 
 
+@pytest.mark.parametrize("p", [0, 1, 4])
+def test_p_that_is_not_a_prime_is_rejected_at_entry(p, monkeypatch):
+    # before the p-group check, whose divide-out loop never ends at p = 1
+    # and divides by zero at p = 0
+    from equimorse import smith
+
+    def loop(n, q):
+        raise AssertionError("smith_report reached the p-group check")
+
+    monkeypatch.setattr(smith, "_is_prime_power", loop)
+    total = ChainComplex(char=0, ranks={0: 1}, boundary={})
+    for X in (sphere_reflection(), (total, total)):
+        with pytest.raises(ValueError, match=f"prime, not {p}"):
+            smith_report(X, p)
+
+
 def test_pair_of_complexes_input():
     total = ChainComplex(char=2, ranks={0: 1, 1: 1}, boundary={})
     fixed = ChainComplex(char=2, ranks={0: 2}, boundary={})
