@@ -29,6 +29,7 @@ from .morse import (
     morse_complex,
     morse_differentials,
     morse_filtration,
+    OutsideDeskScale,
     representation_cell_groups,
     RepSpec,
     UnsupportedRep,
@@ -333,7 +334,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (FixtureError, NotAPGroup, UnsupportedRep) as exc:
+    except (FixtureError, NotAPGroup, OutsideDeskScale, UnsupportedRep) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

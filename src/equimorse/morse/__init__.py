@@ -24,6 +24,7 @@ from .flow import Trajectory, integrate_batch
 from .homology import (
     BoundarySquareNonzero,
     MorseData,
+    OutsideDeskScale,
     morse_complex,
     morse_differentials,
     morse_filtration,
@@ -44,6 +45,7 @@ __all__ = [
     "ImplicitGManifold",
     "LinearChart",
     "MorseData",
+    "OutsideDeskScale",
     "PerturbedModel",
     "RepSpec",
     "SphereFunction",

@@ -55,6 +55,11 @@ def _bump_d1(s: np.ndarray) -> np.ndarray:
     return out
 
 
+# upper limits per block of _BumpIntegral.__call__, which bounds its
+# quadrature temporaries at a few times CHUNK x order x 8 bytes
+CHUNK = 1024
+
+
 class _BumpIntegral:
     """Cumulative integral of the bump over [-1, 1] by composite
     Gauss-Legendre panels, vectorized in the upper limit."""
@@ -73,8 +78,18 @@ class _BumpIntegral:
         self.total = self.cum[-1]
 
     def __call__(self, t) -> np.ndarray:
-        """integral of the bump from -1 to t, elementwise."""
+        """integral of the bump from -1 to t, elementwise, in blocks of
+        CHUNK elements (each element is evaluated on its own, so the
+        blocks do not change a bit)."""
         t = np.asarray(t, dtype=float)
+        if t.size <= CHUNK:
+            return self._block(t)
+        flat = t.ravel()
+        return np.concatenate([self._block(flat[i:i + CHUNK])
+                               for i in range(0, len(flat), CHUNK)]
+                              ).reshape(t.shape)
+
+    def _block(self, t: np.ndarray) -> np.ndarray:
         tc = np.minimum(np.maximum(t, -1.0), 1.0)
         # tc >= edges[0], so the panel index is never below 0
         idx = np.minimum(
@@ -272,12 +287,10 @@ def build_cutoffs(delta: float) -> CutoffPair:
         )
     psi = Plateau(t0, delta)
     cut = CutoffPair(phi=phi, psi=psi, t0=t0, delta=delta, epsilon=0.0, margin=0.0)
-    # one kernel call per transition interval: a call on both would hold
-    # twice the quadrature temporaries of either at once
-    margin = min(
-        float(np.min(np.abs(cut.profile(np.linspace(a, b, 4001), 1)[0][1])))
-        for a, b in ((psi.rise_lo, psi.rise_hi), (psi.fall_lo, psi.fall_hi))
-    )
+    # one kernel call on both transition intervals
+    t = np.concatenate([np.linspace(psi.rise_lo, psi.rise_hi, 4001),
+                        np.linspace(psi.fall_lo, psi.fall_hi, 4001)])
+    margin = float(np.min(np.abs(cut.profile(t, 1)[0][1])))
     sup_dpsi = float(np.max(np.abs(psi.d1(np.linspace(1.0, 3.0, 8001)))))
     if margin <= 0 or sup_dpsi <= 0:
         raise AssertionError("degenerate cutoff data")

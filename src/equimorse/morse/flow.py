@@ -26,11 +26,17 @@ velocity calls (K2, K3, K4) and one value-and-gradient call at the new
 points.  That call's gradient, projected, is the next iteration's K1
 (which also sets the step size), and its value is the next f_old, so no
 point of a trajectory is evaluated twice; only the start points take one
-value-and-gradient call of their own.  A step that is not monotone in f is
-retried at half the size from the same K1, again at three velocity calls
-and one value-and-gradient call; the first attempt may rise by a relative
-1e-14, a retry must strictly decrease f along the flow.  The capture radii
-cost one more velocity call per batch with a sink, on every probe point at
+value-and-gradient call of their own.  On an implicit manifold an
+iteration also evaluates the constraint table three times, once per
+velocity call, plus the Gauss-Newton projection of the new points (one
+call per projection step, about two an iteration on the torus and the
+sphere); the projection returns the Jacobian at the projected points,
+which is carried beside the gradient and projects the next K1 without a
+call of its own.  A step that is not monotone in f is retried at half the
+size from the same K1, again at three velocity calls and one
+value-and-gradient call; the first attempt may rise by a relative 1e-14,
+a retry must strictly decrease f along the flow.  The capture radii cost
+one more velocity call per batch with a sink, on every probe point at
 once.
 """
 
@@ -41,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .critical import CriticalPoint
-from .manifolds import EqFunction, ImplicitGManifold
+from .manifolds import EqFunction, ImplicitGManifold, tangent_part
 
 __all__ = [
     "CAPTURE_TOL",
@@ -199,16 +205,14 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
     sgn = np.broadcast_to(np.asarray(direction, dtype=float), (m,))
     # per-trajectory adaptive step bound; monotonicity violations halve it
     dt_state = np.full(m, DT_CAP)
-    # f and its gradient at each row's current point, carried from the
-    # step that reached it
+    # f, its gradient and the constraint Jacobian at each row's current
+    # point, carried from the step that reached it
     f_at = np.zeros(m)
     g_at = np.zeros_like(X)
-
-    def tangent(pts, sign, G):
-        return M.project_tangent_many(pts, sign[:, None] * G)
+    j_at = np.zeros((m, M.codim, M.ambient))
 
     def velocity(pts, sign):
-        return tangent(pts, sign, f.grad_many(pts))
+        return M.project_tangent_many(pts, sign[:, None] * f.grad_many(pts))
 
     def rk4(P, sign, K1, dt):
         # K1 is velocity(P), shared by the step size and every retry
@@ -216,9 +220,8 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
         K3 = velocity(P + 0.5 * dt * K2, sign)
         K4 = velocity(P + dt * K3, sign)
         Pn = P + (dt / 6.0) * (K1 + 2 * K2 + 2 * K3 + K4)
-        if M.codim:
-            Pn = M.project_points_many(Pn)
-        return (Pn, *f.value_grad_many(Pn))
+        Pn, Jn = M.project_points_jacobian_many(Pn)
+        return (Pn, Jn, *f.value_grad_many(Pn))
 
     # each row's capture radius around every critical point
     radius = _capture_radii(velocity, M, crits, C)[
@@ -262,13 +265,14 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
         sign = sgn[idx]
         if step == 0:
             f_old, G = f.value_grad_many(P)
+            J = M.jacobian_many(P)
         else:
-            f_old, G = f_at[idx], g_at[idx]
-        K1 = tangent(P, sign, G)
+            f_old, G, J = f_at[idx], g_at[idx], j_at[idx]
+        K1 = tangent_part(J, sign[:, None] * G)
         speed = np.linalg.norm(K1, axis=1)
         base_dt = step_length / np.maximum(speed, 1e-4 * step_length)
         dt = np.minimum(base_dt, dt_state[idx])
-        Pn, f_new, g_new = rk4(P, sign, K1, dt[:, None])
+        Pn, j_new, f_new, g_new = rk4(P, sign, K1, dt[:, None])
         # the flow must be monotone in f; an increase means the step left
         # the stability region, so halve and retry those trajectories; the
         # test is negated so that a NaN value counts as non-monotone
@@ -280,8 +284,8 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
             dt[bad] *= 0.5
             halvings[idx[bad]] += 1
             dt_state[idx[bad]] = dt[bad]
-            Pn[bad], f_new[bad], g_new[bad] = rk4(P[bad], sign[bad], K1[bad],
-                                                  dt[bad][:, None])
+            Pn[bad], j_new[bad], f_new[bad], g_new[bad] = rk4(
+                P[bad], sign[bad], K1[bad], dt[bad][:, None])
             # a retry must strictly decrease f along the flow: within the
             # first attempt's slack a step halved about 47 times barely
             # moves and would always pass
@@ -291,12 +295,14 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
             # than accept a step that breaks monotonicity
             active[idx[bad]] = False
             keep = ~bad
-            idx, Pn, f_new, g_new = idx[keep], Pn[keep], f_new[keep], g_new[keep]
+            idx, Pn, j_new = idx[keep], Pn[keep], j_new[keep]
+            f_new, g_new = f_new[keep], g_new[keep]
         # gently relax the cap so transient stiffness does not pin it
         dt_state[idx] = np.minimum(dt_state[idx] * 1.25, DT_CAP)
         X[idx] = Pn
         f_at[idx] = f_new
         g_at[idx] = g_new
+        j_at[idx] = j_new
         steps_used[idx] = step + 1
         if keep_paths:
             for row, j in enumerate(idx):

@@ -46,6 +46,7 @@ __all__ = [
     "BoundarySquareNonzero",
     "CriticalOrbit",
     "MorseData",
+    "OutsideDeskScale",
     "morse_complex",
     "morse_differentials",
     "morse_filtration",
@@ -60,6 +61,11 @@ RHO = 1e-3
 
 class BoundarySquareNonzero(ValueError):
     """Assembled Morse boundary fails d∘d = 0: bad flow counts."""
+
+
+class OutsideDeskScale(ValueError):
+    """The flow counting does not reach these critical orbits: a source of
+    index above 2, or an index-2 source off a surface."""
 
 
 @dataclass(eq=False)
@@ -217,13 +223,13 @@ def morse_differentials(f: EqFunction, M: ImplicitGManifold,
         if k == 0:
             continue
         if k > 2:
-            raise ValueError("sources of index > 2 are outside desk scale")
+            raise OutsideDeskScale("sources of index > 2 are outside desk scale")
         segments.append((src_i, -1, _descending_seeds(
             orb.rep, RHO, samples_cfg.get(k - 1, 512))))
     # receiving-end shots out of index-1 targets with index-2 sources present
     if any(o.index == 2 for o in orbits):
         if M.dim != 2:
-            raise ValueError(
+            raise OutsideDeskScale(
                 "index-2 flow counting is implemented for surfaces"
             )
         for tgt_i, orb in enumerate(orbits):

@@ -12,6 +12,13 @@ rows, so batches can be split and merged freely.  Polynomial data (a
 function with its gradient and Hessian, or a constraint map with its
 Jacobian and Hessians) is compiled once into a PolyTable, which evaluates
 all of its polynomials at all rows in one pass.
+
+The Gauss-Newton projection onto the zero set returns the Jacobian at the
+projected points with them (project_points_jacobian_many), read from its
+own last evaluation of the constraint table, and tangent_part projects onto
+the tangent spaces from a Jacobian already in hand; the flow uses both, so
+a projected point's Jacobian is evaluated once.  One constraint, the common
+case, divides by |J|^2 instead of a stacked 1 x 1 solve.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import numpy as np
 
 from ..polynomials import LinearAction, Polynomial
 
-__all__ = ["EqFunction", "ImplicitGManifold", "PolyTable"]
+__all__ = ["EqFunction", "ImplicitGManifold", "PolyTable", "tangent_part"]
 
 
 class PolyTable:
@@ -30,11 +37,15 @@ class PolyTable:
 
     The polynomials share one exponent table (every monomial any of them
     uses) and a (monomials x polynomials) coefficient matrix.  Evaluating
-    at the rows of X builds each variable's power table once, multiplies
-    the gathered powers into the monomial matrix, and returns mono @ coef.
-    That product is an einsum, not a BLAS matmul: BLAS picks its kernel by
-    the number of rows, so a row's value would depend in the last bit on
-    the other rows of the batch.
+    at the rows of X takes every power x_i^k of the used variables in one
+    `**` on an (nv, D+1) exponent block, D the top degree (a variable's
+    exponents above its own top degree are padded with 0, so no power is
+    taken that a per-variable table would not take), gathers each
+    monomial's powers with one flat index, multiplies them in variable
+    order into the monomial matrix, and returns mono @ coef.  That product
+    is an einsum, not a BLAS matmul: BLAS picks its kernel by the number of
+    rows, so a row's value would depend in the last bit on the other rows
+    of the batch.
     """
 
     def __init__(self, polys, nvars: int):
@@ -48,18 +59,45 @@ class PolyTable:
                 # int / int rounds correctly, as float(Fraction) does
                 self.coef[row[e], j] = c / p.den
         top = self.expo.max(axis=0) if len(expos) else np.zeros(nvars, np.int64)
-        self._powers = [
-            (i, np.arange(d + 1, dtype=float), self.expo[:, i])
-            for i, d in enumerate(top) if d
-        ]
+        # the variables some monomial uses, each with the exponents 0..top
+        # padded with 0 up to the table's top degree D: one (nv, D+1) block
+        self._vars = np.flatnonzero(top)
+        ks = np.arange(int(top.max(initial=0)) + 1)
+        self._ks = np.where(ks <= top[self._vars, None], ks, 0).astype(float)
+        # every (monomial, variable) power as a flat index into that block
+        self._col = (np.arange(len(self._vars))[None, :] * len(ks)
+                     + self.expo[:, self._vars])
 
     def __call__(self, X) -> np.ndarray:
         """All polynomials at all rows of X: shape (m, len(polys))."""
         X = np.asarray(X, dtype=float)
-        mono = np.ones((len(X), len(self.expo)))
-        for i, ks, col in self._powers:
-            mono *= (X[:, i, None] ** ks)[:, col]
+        powers = (X[:, self._vars, None] ** self._ks).reshape(len(X), self._ks.size)
+        # the gather lays its result out by monomial, not by row, once there
+        # are two rows; einsum's summation order follows the layout, so
+        # the monomial matrix is made row-major at every batch size
+        mono = np.ascontiguousarray(powers[:, self._col].prod(axis=2))
         return np.einsum("mk,kp->mp", mono, self.coef)
+
+
+def _gram_solve(J: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """(J J^T)^{-1} R for every row, with J of shape (m, c, N) and R of
+    shape (m, c).  One constraint divides by |J|^2 (the tests check that
+    this equals the stacked 1 x 1 solve bit for bit); two or more take the
+    stacked solve."""
+    G = np.einsum("mcn,mdn->mcd", J, J)
+    if J.shape[1] == 1:
+        return R / G[..., 0]
+    return np.linalg.solve(G, R[..., None])[..., 0]
+
+
+def tangent_part(J: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """V - J^T (J J^T)^{-1} J V for every row: the part of V tangent to the
+    zero set at a point whose constraint Jacobian is J, shape (m, c, N).
+    With no constraints (c = 0) that is V itself."""
+    if not J.shape[1]:
+        return V
+    lam = _gram_solve(J, np.einsum("mcn,mn->mc", J, V))
+    return V - np.einsum("mcn,mc->mn", J, lam)
 
 
 class EqFunction:
@@ -192,36 +230,44 @@ class ImplicitGManifold:
         return vt[self.codim:].T
 
     def project_tangent_many(self, X: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """The tangential part of every row of V at the same row of X."""
         if not self.constraints:
             return V
-        J = self.jacobian_many(X)  # (m, c, N)
-        # v - J^T (J J^T)^{-1} J v, batched
-        JV = np.einsum("mcn,mn->mc", J, V)
-        G = np.einsum("mcn,mdn->mcd", J, J)
-        lam = np.linalg.solve(G, JV[..., None])[..., 0]
-        return V - np.einsum("mcn,mc->mn", J, lam)
+        return tangent_part(self.jacobian_many(X), V)
 
     def project_points_many(self, X: np.ndarray, tol=1e-12, iters=20) -> np.ndarray:
+        """Every row of X projected onto the zero set (see
+        project_points_jacobian_many)."""
+        return self.project_points_jacobian_many(X, tol, iters)[0]
+
+    def project_points_jacobian_many(self, X: np.ndarray, tol=1e-12, iters=20):
         """Gauss-Newton projection of every row onto the zero set, by
-        minimum-norm steps J^T (J J^T)^{-1} F.
+        minimum-norm steps J^T (J J^T)^{-1} F, with the Jacobian at each
+        projected row: (points, J) of shapes (m, ambient) and (m, codim,
+        ambient).
 
         Only the rows whose residual is still at least tol take a step, so
-        a row's result does not depend on the other rows of the batch.
+        a row's result does not depend on the other rows of the batch.  A
+        row stops at a point where its constraint table was just evaluated,
+        so its J is read from that evaluation; only a row still moving after
+        iters steps takes one more.
         """
         if not self.constraints:
-            return X
+            return X, np.zeros((len(X), 0, self.ambient))
         X = np.array(X, dtype=float)
+        J = np.empty((len(X), self.codim, self.ambient))
         rows = np.arange(len(X))
         for _ in range(iters):
-            F, J = self.constraint_values_and_jacobian_many(X[rows])
+            F, Jr = self.constraint_values_and_jacobian_many(X[rows])
             left = ~(np.max(np.abs(F), axis=1, initial=0.0) < tol)
+            J[rows[~left]] = Jr[~left]
             if not left.any():
                 break
-            rows, F, J = rows[left], F[left], J[left]
-            G = np.einsum("mcn,mdn->mcd", J, J)
-            lam = np.linalg.solve(G, F[..., None])[..., 0]
-            X[rows] -= np.einsum("mcn,mc->mn", J, lam)
-        return X
+            rows, F, Jr = rows[left], F[left], Jr[left]
+            X[rows] -= np.einsum("mcn,mc->mn", Jr, _gram_solve(Jr, F))
+        else:
+            J[rows] = self.jacobian_many(X[rows])
+        return X, J
 
     def apply(self, s: int, x) -> np.ndarray:
         return self.act_mats[s] @ np.asarray(x, dtype=float)

@@ -221,6 +221,55 @@ def test_cells_with_an_unsupported_rep_is_an_error_exit(capsys):
     assert captured.err == "error: sign factors need a stabilizer of order 2\n"
 
 
+def _quadric_fixture(signs, constraints, antipodal):
+    """A manifold fixture in R^n with f = sum s_i (i + 1) x_i^2, the group C2
+    acting by -I (antipodal) or the trivial group, and the seed grid 4^n on
+    [-1.2, 1.2]^n."""
+    n = len(signs)
+
+    def square(i, c):
+        return [[2 * (j == i) for j in range(n)], c, 1]
+
+    identity = [[[int(i == j), 1] for j in range(n)] for i in range(n)]
+    minus = [[[-int(i == j), 1] for j in range(n)] for i in range(n)]
+    group = ({"order": 2, "name": "C2", "table": [[0, 1], [1, 0]]} if antipodal
+             else {"order": 1, "name": "1", "table": [[0]]})
+    return {
+        "name": "quadric",
+        "group": group,
+        "manifold": {
+            "ambient": n, "constraints": constraints,
+            "action": [identity, minus] if antipodal else [identity],
+            "function": [square(i, s * (i + 1)) for i, s in enumerate(signs)],
+            "seeds": {"bounds": [[-1.2, 1.2]] * n, "counts": 4},
+        },
+    }
+
+
+def _unit_sphere(n):
+    return [[[[0] * n, -1, 1]] + [[[2 * (j == i) for j in range(n)], 1, 1]
+                                  for i in range(n)]]
+
+
+@pytest.mark.parametrize("signs, constraints, antipodal, message", [
+    # RP^3: S^3 in R^4 modulo -I, with stable orbits of indices 0 to 3
+    ((1, 1, 1, 1), _unit_sphere(4), True,
+     "sources of index > 2 are outside desk scale"),
+    # R^3 with an index-2 saddle at the origin: the flow counting out of an
+    # index-2 source needs a surface
+    ((1, -1, -1), [], False, "index-2 flow counting is implemented for surfaces"),
+], ids=["rp3", "r3-index2"])
+def test_morse_outside_desk_scale_is_an_error_exit(tmp_path, capsys, signs,
+                                                    constraints, antipodal,
+                                                    message):
+    p = tmp_path / "quadric.json"
+    p.write_text(json.dumps(_quadric_fixture(signs, constraints, antipodal)))
+    assert main(["morse", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_specseq_command_gcw():
     code, out = run_cli(["specseq", str(FIXDIR / "circle_reflection.json"),
                          "--coeff", "singular", "--p", "2"])

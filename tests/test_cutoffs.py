@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from equimorse.morse.cutoffs import (
+    CHUNK,
     CutoffPair,
     DeltaTooLarge,
     OddTransition,
@@ -10,6 +11,7 @@ from equimorse.morse.cutoffs import (
     SmoothStep,
     build_cutoffs,
     find_t0,
+    _INTEGRAL,
     _bump,
 )
 
@@ -166,3 +168,14 @@ def test_bump_support():
     v = _bump(s)
     assert v[0] == v[1] == v[3] == v[4] == 0.0
     assert v[2] == pytest.approx(np.exp(-1.0))
+
+
+def test_bump_integral_in_blocks_equals_each_element_alone():
+    # more than three blocks of CHUNK upper limits, in a 2-d shape: every
+    # element is the integral at that element alone, bit for bit
+    t = np.linspace(-1.3, 1.3, 3 * CHUNK + 7)[:3 * CHUNK + 6].reshape(2, -1)
+    got = _INTEGRAL(t)
+    assert got.shape == t.shape
+    alone = np.array([_INTEGRAL(x) for x in t.ravel()]).reshape(t.shape)
+    assert np.array_equal(got, alone)
+    assert _INTEGRAL(0.25).shape == ()

@@ -438,6 +438,137 @@ def test_constraint_values_and_jacobian_match_separate_calls():
     assert J.tobytes() == M.jacobian_many(X).tobytes()
 
 
+# -- the fused table and the codim-1 projections, bit for bit ----------------
+
+
+def _poly_table_by_variable(table, X):
+    """PolyTable's value as a product of one power table per variable, with
+    the same pow pairs (x, k), multiplied in variable order."""
+    X = np.asarray(X, dtype=float)
+    mono = np.ones((len(X), len(table.expo)))
+    for i, d in enumerate(table.expo.max(axis=0, initial=0)):
+        if d:
+            mono *= (X[:, i, None] ** np.arange(d + 1, dtype=float))[
+                :, table.expo[:, i]]
+    return np.einsum("mk,kp->mp", mono, table.coef)
+
+
+@st.composite
+def _float_batches(draw):
+    """Up to three polynomials in the same 1-3 variables with degrees up to
+    6, at 1-6 rows of arbitrary floats in [-8, 8]."""
+    n = draw(st.integers(1, 3))
+    expo = st.tuples(*[st.integers(0, 6)] * n)
+    polys = [Polynomial(n, draw(st.dictionaries(expo, _COEFFS, max_size=8)))
+             for _ in range(draw(st.integers(1, 3)))]
+    coord = st.floats(-8, 8, allow_nan=False)
+    rows = draw(st.integers(1, 6))
+    X = np.array(draw(st.lists(st.tuples(*[coord] * n), min_size=rows,
+                               max_size=rows)), dtype=float).reshape(rows, n)
+    return polys, X
+
+
+@settings(max_examples=200, deadline=None)
+@given(_float_batches())
+@example(([Polynomial.zero(2)], np.array([[0.5, -3.0]])))
+@example(([Polynomial.constant(2, 3), Polynomial(2, {(0, 5): 1})],
+          np.array([[1.1, -2.7], [0.0, 7.3]])))
+def test_poly_table_matches_per_variable_powers_bitwise(case):
+    polys, X = case
+    T = PolyTable(polys, X.shape[1])
+    got = T(X)
+    assert np.array_equal(got, _poly_table_by_variable(T, X))
+    for r in range(len(X)):
+        assert np.array_equal(T(X[r:r + 1])[0], got[r])
+
+
+def _hypersurface_points(M, rng, count=400):
+    """Points on the zero set of M, and points near it."""
+    X = M.project_points_many(rng.normal(size=(count, M.ambient)) * 2.0)
+    return X, X + 1e-3 * rng.normal(size=X.shape)
+
+
+def _codim1_cases():
+    rng = np.random.default_rng(23)
+    return [(M, *_hypersurface_points(M, rng))
+            for M in (sphere_manifold(),
+                      MANIFOLD_FIXTURES["torus_tilted"]().manifold)]
+
+
+def test_codim1_projections_equal_their_solve_forms_bitwise():
+    # one constraint divides by |J|^2 where two or more take a stacked
+    # solve; the 1 x 1 solve is the same division, bit for bit
+    for M, on, near in _codim1_cases():
+        V = np.random.default_rng(29).normal(size=on.shape)
+        J = M.jacobian_many(on)
+        JV = np.einsum("mcn,mn->mc", J, V)
+        G = np.einsum("mcn,mdn->mcd", J, J)
+        lam = np.linalg.solve(G, JV[..., None])[..., 0]
+        ref = V - np.einsum("mcn,mc->mn", J, lam)
+        assert np.array_equal(M.project_tangent_many(on, V), ref)
+        # the Gauss-Newton projection with the stacked solve
+        X = near.copy()
+        rows = np.arange(len(X))
+        for _ in range(20):
+            F, J = M.constraint_values_and_jacobian_many(X[rows])
+            left = ~(np.max(np.abs(F), axis=1) < 1e-12)
+            if not left.any():
+                break
+            rows, F, J = rows[left], F[left], J[left]
+            G = np.einsum("mcn,mdn->mcd", J, J)
+            lam = np.linalg.solve(G, F[..., None])[..., 0]
+            X[rows] -= np.einsum("mcn,mc->mn", J, lam)
+        assert np.array_equal(M.project_points_many(near), X)
+
+
+def test_projection_jacobian_is_the_jacobian_at_the_projected_points():
+    # the Jacobian comes from the projection's last table evaluation of each
+    # row; with iters=1 every moving row stops before it is evaluated
+    # again, so it takes one more evaluation
+    for M, on, near in _codim1_cases():
+        for X0 in (on, near, np.concatenate([on[:5], 3.0 * near[:5]])):
+            for iters in (1, 20):
+                X, J = M.project_points_jacobian_many(X0, iters=iters)
+                assert np.array_equal(X, M.project_points_many(X0, iters=iters))
+                assert np.array_equal(J, M.jacobian_many(X))
+    M = r2_manifold()
+    X, J = M.project_points_jacobian_many(np.ones((3, 2)))
+    assert np.array_equal(X, np.ones((3, 2))) and J.shape == (3, 0, 2)
+
+
+def test_flow_constraint_table_calls_per_iteration():
+    # K2, K3 and K4 each evaluate the constraint table once; K1 reads the
+    # Jacobian that the previous step's projection evaluated, so besides
+    # the projections an iteration makes three table calls, and the start
+    # points one
+    M = sphere_manifold()
+    f = height_z()
+    first = M._first
+    calls = {"all": 0, "projection": 0}
+
+    def counted(X):
+        calls["all"] += 1
+        return first(X)
+
+    project = M.project_points_jacobian_many
+
+    def projection(X, *args, **kwargs):
+        before = calls["all"]
+        out = project(X, *args, **kwargs)
+        calls["projection"] += calls["all"] - before
+        return out
+
+    M._first = counted
+    M.project_points_jacobian_many = projection
+    X0 = M.project_points_many(np.array([[0.8, 0.2, 0.4], [-0.3, 0.6, 0.1]]))
+    for n in (3, 4):
+        calls.update(all=0, projection=0)
+        trajs = integrate_batch(f, M, X0, crits=[], max_steps=n)
+        assert all(tr.steps == n and tr.halvings == 0 for tr in trajs)
+        assert calls["projection"] >= n
+        assert calls["all"] - calls["projection"] == 1 + 3 * n
+
+
 def test_flow_confined_to_fixed_locus():
     # stable index-1 point at the origin of the double-well fixture; its
     # descending manifold is the fixed axis and trajectories stay on it
