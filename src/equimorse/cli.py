@@ -22,6 +22,8 @@ from .fixtures import FixtureError, ManifoldFixture, load_fixture
 from .gcw import GCWComplex, bredon_chain_complex, subquotient_complex
 from .groups import FiniteGroup, OrbitCategory, full_subgroup, trivial_subgroup
 from .morse import (
+    ChartMissing,
+    DegenerateHessian,
     build_cutoffs,
     classify,
     find_critical_points,
@@ -334,7 +336,8 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (FixtureError, NotAPGroup, OutsideDeskScale, UnsupportedRep) as exc:
+    except (ChartMissing, DegenerateHessian, FixtureError, NotAPGroup,
+            OutsideDeskScale, UnsupportedRep) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

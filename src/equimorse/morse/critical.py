@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..groups import Subgroup
-from .manifolds import EqFunction, ImplicitGManifold
+from .manifolds import EqFunction, Evaluator, ImplicitGManifold, tangent_part
 
 __all__ = [
     "CriticalPoint",
@@ -104,26 +104,31 @@ def _solve_stack(K, b):
 
 
 def _newton_kkt(f: EqFunction, M: ImplicitGManifold, X0, max_iter=60,
-                tol=1e-12, bound=1e6):
+                tol=1e-12, bound=1e6, ev: Evaluator | None = None):
     """Newton on grad f = J^T lambda, F = 0 from every row of X0 at once.
 
     The iterate is an (s, N + c) array of points and multipliers.  Each
     iteration evaluates the residual on the active rows, retires the rows
     whose residual norm is below tol, and takes one stacked KKT step on the
-    rest.  A row is dropped as divergent when its residual is not finite or
-    its step leaves the finite numbers or the ball of radius bound.  The
-    multipliers start at the least-squares solution of J^T lambda = grad f.
+    rest.  f and the constraints are read through one Evaluator: for a
+    polynomial f with constraints the residual is one call of its joint
+    first-order table and the KKT matrix one call of its second-order
+    table; otherwise f and the constraint tables are called in turn.  A row
+    is dropped as divergent when its residual is not finite or its step
+    leaves the finite numbers or the ball of radius bound.  The multipliers
+    start at the least-squares solution of J^T lambda = grad f.
     Returns the (s, N) points and the mask of rows that converged within
-    max_iter iterations.
+    max_iter iterations.  ev is the Evaluator of f on M; it is built here
+    when not given.
     """
     N = M.ambient
     c = M.codim
+    ev = ev or Evaluator(f, M)
     X = np.array(X0, dtype=float).reshape(-1, N)
     s = len(X)
     lam = np.zeros((s, c))
     if c:
-        J = M.jacobian_many(X)
-        g = f.grad_many(X)
+        g, _, J = ev.gradients(X)
         for r in np.flatnonzero(np.isfinite(J).all(axis=(1, 2))
                                 & np.isfinite(g).all(axis=1)):
             lam[r], *_ = np.linalg.lstsq(J[r].T, g[r], rcond=None)
@@ -134,9 +139,8 @@ def _newton_kkt(f: EqFunction, M: ImplicitGManifold, X0, max_iter=60,
         if not len(active):
             break
         x, lam = Z[active, :N], Z[active, N:]
-        res = f.grad_many(x)
+        res, F, J = ev.gradients(x)
         if c:
-            F, J = M.constraint_values_and_jacobian_many(x)
             res = np.concatenate(
                 [res - np.einsum("mcn,mc->mn", J, lam), F], axis=1)
         norm = np.linalg.norm(res, axis=1)
@@ -146,15 +150,15 @@ def _newton_kkt(f: EqFunction, M: ImplicitGManifold, X0, max_iter=60,
         active, x, lam, res = active[left], x[left], lam[left], res[left]
         if not len(active):
             break
-        K = f.hess_many(x)
+        Hl = ev.lagrangian_hessians(x, lam)
         if c:
             J = J[left]
-            Hl = K - np.einsum("mk,mkij->mij", lam,
-                               M.constraint_hessians_many(x))
             K = np.zeros((len(active), N + c, N + c))
             K[:, :N, :N] = Hl
             K[:, :N, N:] = -J.transpose(0, 2, 1)
             K[:, N:, :N] = J
+        else:
+            K = Hl
         Z[active] += _solve_stack(K, -res)
         x = Z[active, :N]
         ok = np.isfinite(x).all(axis=1) & (np.linalg.norm(x, axis=1) <= bound)
@@ -162,11 +166,12 @@ def _newton_kkt(f: EqFunction, M: ImplicitGManifold, X0, max_iter=60,
     return Z[:, :N], converged
 
 
-def _is_critical(f: EqFunction, M: ImplicitGManifold, X) -> np.ndarray:
+def _is_critical(ev: Evaluator, X) -> np.ndarray:
     """Per row of X: is the tangent gradient norm below TOL_CRIT?"""
     if not len(X):
         return np.zeros(0, dtype=bool)
-    T = M.project_tangent_many(X, f.grad_many(X))
+    g, _, J = ev.gradients(X)
+    T = tangent_part(J, g)
     return np.linalg.norm(T, axis=1) < TOL_CRIT
 
 
@@ -174,14 +179,15 @@ def find_critical_points(f: EqFunction, M: ImplicitGManifold,
                          seeds) -> list[np.ndarray]:
     """Newton from every seed, deduplicated and closed under the action.
 
-    All seeds run through one batched KKT Newton: every iteration makes one
-    gradient, Hessian, constraint and constraint-Hessian call on the rows
-    still running and one stacked solve.  Per-row masks retire the rows
-    that converge and drop those that turn non-finite or leave the bound;
-    a singular KKT system sends the stack to a row-by-row solve with a
-    least-squares fallback.  Divergent seeds are logged and skipped, never
-    fatal.  The converged points that pass the tangent-gradient tolerance
-    are deduplicated in seed order.
+    All seeds run through one batched KKT Newton: every iteration evaluates
+    f and the constraints with their first and second derivatives on the
+    rows still running (see _newton_kkt), through one Evaluator built per
+    call, and makes one stacked solve.
+    Per-row masks retire the rows that converge and drop those that turn
+    non-finite or leave the bound; a singular KKT system sends the stack to
+    a row-by-row solve with a least-squares fallback.  Divergent seeds are
+    logged and skipped, never fatal.  The converged points that pass the
+    tangent-gradient tolerance are deduplicated in seed order.
 
     The group closure runs in rounds: each round refines every translate of
     the points the previous round added with one batched 10-step Newton
@@ -197,9 +203,10 @@ def find_critical_points(f: EqFunction, M: ImplicitGManifold,
                 return
         found.append(x)
 
-    X, ok = _newton_kkt(f, M, seeds)
+    ev = Evaluator(f, M)
+    X, ok = _newton_kkt(f, M, seeds, ev=ev)
     rows = np.flatnonzero(ok)
-    for r in rows[_is_critical(f, M, X[rows])]:
+    for r in rows[_is_critical(ev, X[rows])]:
         add(X[r])
     if not ok.all():
         log.debug("newton divergence on %d of %d seeds", (~ok).sum(), len(ok))
@@ -210,9 +217,9 @@ def find_critical_points(f: EqFunction, M: ImplicitGManifold,
     while start < len(found):
         Y = np.array([M.apply(s, x) for x in found[start:] for s in G.elements()])
         start = len(found)
-        Y2, ok = _newton_kkt(f, M, Y, max_iter=10)
+        Y2, ok = _newton_kkt(f, M, Y, max_iter=10, ev=ev)
         Y[ok] = Y2[ok]
-        for y in Y[_is_critical(f, M, Y)]:
+        for y in Y[_is_critical(ev, Y)]:
             add(y)
     if not found:
         return found

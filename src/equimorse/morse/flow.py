@@ -21,21 +21,22 @@ its smallest Hessian eigenvalue.  A row that enters that ball is captured
 there and its end is the closed-form linear flow, taken to half of
 CAPTURE_TOL.  A sink no rung certifies keeps the plain CAPTURE_TOL.
 
-One lockstep iteration makes four first-order evaluations of f: three
-velocity calls (K2, K3, K4) and one value-and-gradient call at the new
-points.  That call's gradient, projected, is the next iteration's K1
-(which also sets the step size), and its value is the next f_old, so no
-point of a trajectory is evaluated twice; only the start points take one
-value-and-gradient call of their own.  On an implicit manifold an
-iteration also evaluates the constraint table three times, once per
-velocity call, plus the Gauss-Newton projection of the new points (one
-call per projection step, about two an iteration on the torus and the
-sphere); the projection returns the Jacobian at the projected points,
-which is carried beside the gradient and projects the next K1 without a
-call of its own.  A step that is not monotone in f is retried at half the
-size from the same K1, again at three velocity calls and one
-value-and-gradient call; the first attempt may rise by a relative 1e-14,
-a retry must strictly decrease f along the flow.  The capture radii cost
+One lockstep iteration evaluates f and the constraints at the three
+velocity points (K2, K3, K4) and at the new points, through an Evaluator
+built once per batch.  For a polynomial f on a manifold with constraints
+each evaluation is one call of the joint first-order table: three for the
+velocities and one per Gauss-Newton step of the projection (about two an
+iteration on the torus and the sphere), whose last call at a row gives f,
+its gradient and the constraint Jacobian at the new point.  Otherwise the
+iteration calls f at K2-K4 and once at the new points, and, with
+constraints, the constraint table at K2-K4 and once per projection step.
+The new point's gradient, projected with its Jacobian, is the next
+iteration's K1 (which also sets the step size), and its value is the next
+f_old, so no point of a trajectory is evaluated twice; only the start
+points take one evaluation of their own.  A step that is not monotone
+in f is retried at half the size from the same K1, at the same
+evaluations again; the first attempt may rise by a relative 1e-14, a
+retry must strictly decrease f along the flow.  The capture radii cost
 one more velocity call per batch with a sink, on every probe point at
 once.
 """
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .critical import CriticalPoint
-from .manifolds import EqFunction, ImplicitGManifold, tangent_part
+from .manifolds import EqFunction, Evaluator, ImplicitGManifold, tangent_part
 
 __all__ = [
     "CAPTURE_TOL",
@@ -210,18 +211,18 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
     f_at = np.zeros(m)
     g_at = np.zeros_like(X)
     j_at = np.zeros((m, M.codim, M.ambient))
+    ev = Evaluator(f, M)
 
     def velocity(pts, sign):
-        return M.project_tangent_many(pts, sign[:, None] * f.grad_many(pts))
+        G, _, J = ev.gradients(pts)
+        return tangent_part(J, sign[:, None] * G)
 
     def rk4(P, sign, K1, dt):
         # K1 is velocity(P), shared by the step size and every retry
         K2 = velocity(P + 0.5 * dt * K1, sign)
         K3 = velocity(P + 0.5 * dt * K2, sign)
         K4 = velocity(P + dt * K3, sign)
-        Pn = P + (dt / 6.0) * (K1 + 2 * K2 + 2 * K3 + K4)
-        Pn, Jn = M.project_points_jacobian_many(Pn)
-        return (Pn, Jn, *f.value_grad_many(Pn))
+        return ev.project(P + (dt / 6.0) * (K1 + 2 * K2 + 2 * K3 + K4))
 
     # each row's capture radius around every critical point
     radius = _capture_radii(velocity, M, crits, C)[
@@ -233,7 +234,8 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
         idx = np.flatnonzero(active)
         P = X[idx]
         if len(C):
-            D = np.linalg.norm(P[:, None, :] - C[None, :, :], axis=2)
+            E = P[:, None, :] - C[None, :, :]
+            D = np.sqrt((E * E).sum(axis=2))
             inside = D < radius[idx]
             hit = inside.any(axis=1)
             if hit.any():
@@ -252,7 +254,7 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
                 if not len(idx):
                     break
                 P = X[idx]
-        far = np.linalg.norm(P, axis=1) > escape_radius
+        far = np.sqrt((P * P).sum(axis=1)) > escape_radius
         if far.any():
             which = idx[far]
             status[which] = ESCAPED
@@ -264,15 +266,14 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
 
         sign = sgn[idx]
         if step == 0:
-            f_old, G = f.value_grad_many(P)
-            J = M.jacobian_many(P)
+            f_old, G, _, J = ev.first(P)
         else:
             f_old, G, J = f_at[idx], g_at[idx], j_at[idx]
         K1 = tangent_part(J, sign[:, None] * G)
-        speed = np.linalg.norm(K1, axis=1)
+        speed = np.sqrt((K1 * K1).sum(axis=1))
         base_dt = step_length / np.maximum(speed, 1e-4 * step_length)
         dt = np.minimum(base_dt, dt_state[idx])
-        Pn, j_new, f_new, g_new = rk4(P, sign, K1, dt[:, None])
+        Pn, f_new, g_new, j_new = rk4(P, sign, K1, dt[:, None])
         # the flow must be monotone in f; an increase means the step left
         # the stability region, so halve and retry those trajectories; the
         # test is negated so that a NaN value counts as non-monotone
@@ -284,7 +285,7 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
             dt[bad] *= 0.5
             halvings[idx[bad]] += 1
             dt_state[idx[bad]] = dt[bad]
-            Pn[bad], j_new[bad], f_new[bad], g_new[bad] = rk4(
+            Pn[bad], f_new[bad], g_new[bad], j_new[bad] = rk4(
                 P[bad], sign[bad], K1[bad], dt[bad][:, None])
             # a retry must strictly decrease f along the flow: within the
             # first attempt's slack a step halved about 47 times barely

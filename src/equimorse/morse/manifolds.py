@@ -11,14 +11,24 @@ read from row 0.  Each row's result is bit for bit independent of the other
 rows, so batches can be split and merged freely.  Polynomial data (a
 function with its gradient and Hessian, or a constraint map with its
 Jacobian and Hessians) is compiled once into a PolyTable, which evaluates
-all of its polynomials at all rows in one pass.
+all of its polynomials at all rows in one pass, with powers formed by
+multiplication so that its values are the same bits on every IEEE host.
 
-The Gauss-Newton projection onto the zero set returns the Jacobian at the
-projected points with them (project_points_jacobian_many), read from its
-own last evaluation of the constraint table, and tangent_part projects onto
-the tangent spaces from a Jacobian already in hand; the flow uses both, so
-a projected point's Jacobian is evaluated once.  One constraint, the common
-case, divides by |J|^2 instead of a stacked 1 x 1 solve.
+An Evaluator reads f and the constraints at the same points.  For a
+polynomial f on a manifold with constraints it compiles them into one
+joint table per derivative order, [f, grad f, c, grad c] and [hess f, hess
+c], whose columns equal f's and the manifold's own tables bit for bit, so
+the flow's velocity, its projection and Newton's KKT step each read what
+they need from one call.  Any other function, or a manifold without
+constraints, is evaluated through its own tables.
+
+The Gauss-Newton projection onto the zero set (project_points_jacobian_many)
+returns the Jacobian at the projected points with them, and whatever else
+its evaluation gives there (an Evaluator's f and grad f), read from its
+own last evaluation; tangent_part projects onto the tangent spaces from a
+Jacobian already in hand.  The flow uses both, so a projected point is
+evaluated once.  One constraint, the common case, divides by |J|^2
+instead of a stacked 1 x 1 solve.
 """
 
 from __future__ import annotations
@@ -29,7 +39,8 @@ import numpy as np
 
 from ..polynomials import LinearAction, Polynomial
 
-__all__ = ["EqFunction", "ImplicitGManifold", "PolyTable", "tangent_part"]
+__all__ = ["EqFunction", "Evaluator", "ImplicitGManifold", "PolyTable",
+           "tangent_part"]
 
 
 class PolyTable:
@@ -37,45 +48,79 @@ class PolyTable:
 
     The polynomials share one exponent table (every monomial any of them
     uses) and a (monomials x polynomials) coefficient matrix.  Evaluating
-    at the rows of X takes every power x_i^k of the used variables in one
-    `**` on an (nv, D+1) exponent block, D the top degree (a variable's
-    exponents above its own top degree are padded with 0, so no power is
-    taken that a per-variable table would not take), gathers each
-    monomial's powers with one flat index, multiplies them in variable
-    order into the monomial matrix, and returns mono @ coef.  That product
-    is an einsum, not a BLAS matmul: BLAS picks its kernel by the number of
-    rows, so a row's value would depend in the last bit on the other rows
-    of the batch.
+    at the rows of X builds the powers of the used variables by sequential
+    multiplication, x^k = x^(k-1) * x, in one (D+1, nv) block per row, D
+    the top degree: a variable's factor above its own top degree is 1, so
+    no power is formed that a per-variable table would not form.  Products
+    of floats round the same way on every IEEE host, where `**` follows
+    the host's pow and may differ in the last bit, so a table's values are
+    the same everywhere.  Each monomial's powers are gathered with one flat
+    index and multiplied in variable order into the monomial matrix, and
+    the result is mono @ coef.  That product is an einsum, not a BLAS
+    matmul: BLAS picks its kernel by the number of rows, so a row's value
+    would depend in the last bit on the other rows of the batch.
+
+    Tables of different polynomials agree bit for bit on the polynomials
+    they share: a variable a monomial lacks contributes an exact factor 1,
+    and a monomial a polynomial lacks an exact zero term, so a joint table
+    of f and the constraints (see Evaluator) equals their own tables.
     """
 
     def __init__(self, polys, nvars: int):
         polys = list(polys)
         expos = sorted(set().union(*(p.num for p in polys)))
-        self.expo = np.array(expos, dtype=np.int64).reshape(len(expos), nvars)
-        self.coef = np.zeros((len(expos), len(polys)))
+        coef = np.zeros((len(expos), len(polys)))
         row = {e: i for i, e in enumerate(expos)}
         for j, p in enumerate(polys):
             for e, c in p.num.items():
                 # int / int rounds correctly, as float(Fraction) does
-                self.coef[row[e], j] = c / p.den
-        top = self.expo.max(axis=0) if len(expos) else np.zeros(nvars, np.int64)
-        # the variables some monomial uses, each with the exponents 0..top
-        # padded with 0 up to the table's top degree D: one (nv, D+1) block
-        self._vars = np.flatnonzero(top)
-        ks = np.arange(int(top.max(initial=0)) + 1)
-        self._ks = np.where(ks <= top[self._vars, None], ks, 0).astype(float)
+                coef[row[e], j] = c / p.den
+        self._compile(np.array(expos, dtype=np.int64).reshape(len(expos), nvars),
+                      coef)
+
+    @classmethod
+    def stacked(cls, tables) -> "PolyTable":
+        """One table of the polynomials of every table, in order: their
+        monomials' union, each table's coefficients copied into its own
+        columns."""
+        expos = sorted({e for t in tables for e in map(tuple, t.expo.tolist())})
+        row = {e: i for i, e in enumerate(expos)}
+        coef = np.zeros((len(expos), sum(t.coef.shape[1] for t in tables)))
+        j = 0
+        for t in tables:
+            rows = [row[e] for e in map(tuple, t.expo.tolist())]
+            coef[rows, j:j + t.coef.shape[1]] = t.coef
+            j += t.coef.shape[1]
+        table = cls.__new__(cls)
+        table._compile(np.array(expos, dtype=np.int64).reshape(
+            len(expos), tables[0].expo.shape[1]), coef)
+        return table
+
+    def _compile(self, expo: np.ndarray, coef: np.ndarray):
+        """Set up the evaluation of the monomials expo (sorted rows of
+        exponents) with the coefficient matrix coef."""
+        self.expo, self.coef = expo, coef
+        nvars = expo.shape[1]
+        top = expo.max(axis=0) if len(expo) else np.zeros(nvars, np.int64)
+        # the variables some monomial uses, as a basic slice (no copy) when
+        # that is all of them; row k of the factor block is x for the
+        # variables of top degree at least k (k >= 1), else 1
+        used = np.flatnonzero(top)
+        self._vars = slice(None) if len(used) == nvars else used
+        ks = np.arange(int(top.max(initial=0)) + 1)[:, None]
+        self._mult = (ks >= 1) & (ks <= top[used])
         # every (monomial, variable) power as a flat index into that block
-        self._col = (np.arange(len(self._vars))[None, :] * len(ks)
-                     + self.expo[:, self._vars])
+        self._col = self.expo[:, used] * len(used) + np.arange(len(used))
 
     def __call__(self, X) -> np.ndarray:
         """All polynomials at all rows of X: shape (m, len(polys))."""
         X = np.asarray(X, dtype=float)
-        powers = (X[:, self._vars, None] ** self._ks).reshape(len(X), self._ks.size)
-        # the gather lays its result out by monomial, not by row, once there
-        # are two rows; einsum's summation order follows the layout, so
-        # the monomial matrix is made row-major at every batch size
-        mono = np.ascontiguousarray(powers[:, self._col].prod(axis=2))
+        powers = np.where(self._mult, X[:, None, self._vars], 1.0)
+        np.multiply.accumulate(powers, axis=1, out=powers)
+        powers = powers.reshape(len(X), -1)
+        # einsum's summation order follows the layout of the monomial
+        # matrix, so it is made row-major at every batch size
+        mono = np.ascontiguousarray(np.take(powers, self._col, axis=1).prod(axis=2))
         return np.einsum("mk,kp->mp", mono, self.coef)
 
 
@@ -158,6 +203,8 @@ class EqFunction:
 
         f = cls(value_grad_many, hess_many, nvars=n, name=name or "poly")
         f.polynomial = poly
+        # the tables, for an Evaluator to stack with a manifold's
+        f._first, f._second = first, second
         return f
 
 
@@ -240,34 +287,46 @@ class ImplicitGManifold:
         project_points_jacobian_many)."""
         return self.project_points_jacobian_many(X, tol, iters)[0]
 
-    def project_points_jacobian_many(self, X: np.ndarray, tol=1e-12, iters=20):
+    def project_points_jacobian_many(self, X: np.ndarray, tol=1e-12, iters=20,
+                                     *, evaluate=None):
         """Gauss-Newton projection of every row onto the zero set, by
         minimum-norm steps J^T (J J^T)^{-1} F, with the Jacobian at each
         projected row: (points, J) of shapes (m, ambient) and (m, codim,
         ambient).
 
+        evaluate(X) returns (F, J, *rest) at the rows of X, by default the
+        constraint table's (F, J); every further per-row array in rest is
+        returned too, at the projected points, after J (Evaluator passes
+        f's value and gradient from its joint table this way).
+
         Only the rows whose residual is still at least tol take a step, so
         a row's result does not depend on the other rows of the batch.  A
-        row stops at a point where its constraint table was just evaluated,
-        so its J is read from that evaluation; only a row still moving after
-        iters steps takes one more.
+        row stops at a point where evaluate was just called, so its J and
+        rest are read from that call; only a row still moving after iters
+        steps takes one more.
         """
         if not self.constraints:
             return X, np.zeros((len(X), 0, self.ambient))
+        evaluate = evaluate or self.constraint_values_and_jacobian_many
         X = np.array(X, dtype=float)
-        J = np.empty((len(X), self.codim, self.ambient))
         rows = np.arange(len(X))
+        out = None
         for _ in range(iters):
-            F, Jr = self.constraint_values_and_jacobian_many(X[rows])
-            left = ~(np.max(np.abs(F), axis=1, initial=0.0) < tol)
-            J[rows[~left]] = Jr[~left]
-            if not left.any():
+            F, *at = evaluate(X[rows])
+            if out is None:
+                out = [np.empty((len(X),) + a.shape[1:]) for a in at]
+            done = np.max(np.abs(F), axis=1, initial=0.0) < tol
+            for o, a in zip(out, at):
+                o[rows[done]] = a[done]
+            if done.all():
                 break
-            rows, F, Jr = rows[left], F[left], Jr[left]
-            X[rows] -= np.einsum("mcn,mc->mn", Jr, _gram_solve(Jr, F))
+            left = ~done
+            rows, F, J = rows[left], F[left], at[0][left]
+            X[rows] -= np.einsum("mcn,mc->mn", J, _gram_solve(J, F))
         else:
-            J[rows] = self.jacobian_many(X[rows])
-        return X, J
+            for o, a in zip(out, evaluate(X[rows])[1:]):
+                o[rows] = a
+        return (X, *out)
 
     def apply(self, s: int, x) -> np.ndarray:
         return self.act_mats[s] @ np.asarray(x, dtype=float)
@@ -282,3 +341,92 @@ class ImplicitGManifold:
         if worst >= tol:
             raise ValueError(f"action does not preserve the zero set: {worst:.2e}")
         return worst
+
+
+class Evaluator:
+    """f and the constraints of M evaluated at the same points.
+
+    first(X) returns f's values and gradients with the constraint values
+    and Jacobian, shapes (m,), (m, N), (m, c) and (m, c, N), and
+    gradients(X) the same without the values; second(X) returns f's
+    Hessians and the constraint Hessians, (m, N, N) and (m, c, N, N), and
+    lagrangian_hessians(X, lam) contracts them with the multipliers;
+    project(X) is M's Gauss-Newton projection, returning the projected
+    points with f's values, gradients and the Jacobian there.
+
+    For a polynomial f (from_polynomial keeps .polynomial) on M with
+    constraints, first and second are one PolyTable call each, of the
+    joint tables [f, grad f, c, grad c] and [hess f, hess c], and the
+    projection steps on the joint first-order table, so its last
+    evaluation of a row also gives f there.  The joint tables stack f's
+    and M's own (PolyTable.stacked), and their columns equal those tables'
+    bit for bit: the monomials one of them lacks add exact zeros.
+    Otherwise first and second call f and M's own tables, and project
+    calls f once at the projected points; at codim 0 the constraint arrays
+    are empty and no constraint table is called.
+    """
+
+    def __init__(self, f: EqFunction, M: ImplicitGManifold):
+        self.f, self.M = f, M
+        self._first = self._second = None
+        if getattr(f, "polynomial", None) is not None and M.codim:
+            self._first = PolyTable.stacked([f._first, M._first])
+            self._second = PolyTable.stacked([f._second, M._second])
+
+    def first(self, X):
+        """(values, gradients, F, J) at the rows of X."""
+        if self._first is None:
+            return (*self.f.value_grad_many(X), *self._constraints(X))
+        N, c = self.M.ambient, self.M.codim
+        T = self._first(X)
+        return (T[:, 0], T[:, 1:N + 1], T[:, N + 1:N + 1 + c],
+                T[:, N + 1 + c:].reshape(len(T), c, N))
+
+    def gradients(self, X):
+        """(gradients, F, J) at the rows of X: first without the values, so
+        without a joint table it calls f.grad_many."""
+        if self._first is None:
+            return (self.f.grad_many(X), *self._constraints(X))
+        return self.first(X)[1:]
+
+    def _constraints(self, X):
+        """M's own (F, J), empty arrays at codim 0."""
+        M = self.M
+        if M.codim:
+            return M.constraint_values_and_jacobian_many(X)
+        return np.empty((len(X), 0)), np.empty((len(X), 0, M.ambient))
+
+    def second(self, X):
+        """(Hessians of f, constraint Hessians) at the rows of X."""
+        M = self.M
+        N, c = M.ambient, M.codim
+        if self._second is None:
+            return self.f.hess_many(X), (M.constraint_hessians_many(X) if c
+                                         else np.empty((len(X), 0, N, N)))
+        T = self._second(X)
+        return (T[:, :N * N].reshape(len(T), N, N),
+                T[:, N * N:].reshape(len(T), c, N, N))
+
+    def lagrangian_hessians(self, X, lam):
+        """The Hessians of f - lam . c at the rows of X, with lam of shape
+        (m, c): f's alone at codim 0."""
+        if not self.M.codim:
+            return self.f.hess_many(X)
+        H, CH = self.second(X)
+        return H - np.einsum("mk,mkij->mij", lam, CH)
+
+    def _constraints_first(self, X):
+        """first(X) with F and J in front, as the projection reads them."""
+        v, g, F, J = self.first(X)
+        return F, J, v, g
+
+    def project(self, X, tol=1e-12, iters=20):
+        """(points, values, gradients, J) at the projection of every row of
+        X onto M (see ImplicitGManifold.project_points_jacobian_many)."""
+        M = self.M
+        if self._first is None:
+            X, J = M.project_points_jacobian_many(X, tol, iters)
+            return (X, *self.f.value_grad_many(X), J)
+        X, J, v, g = M.project_points_jacobian_many(
+            X, tol, iters, evaluate=self._constraints_first)
+        return X, v, g, J

@@ -270,6 +270,37 @@ def test_morse_outside_desk_scale_is_an_error_exit(tmp_path, capsys, signs,
     assert captured.err == f"error: {message}\n"
 
 
+def test_morse_stabilize_without_a_chart_is_an_error_exit(tmp_path, capsys):
+    # R^3 with C2 acting by -I and f = x^2 - 2 y^2 - 3 z^2: the origin is
+    # unstable, and surgery needs a Morse chart the fixture does not have
+    p = tmp_path / "saddle.json"
+    p.write_text(json.dumps(_quadric_fixture((1, -1, -1), [], True)))
+    assert main(["morse", str(p), "--stabilize"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: surgery needs the fixture's Morse chart\n"
+
+
+def test_morse_degenerate_function_is_an_error_exit(tmp_path, capsys):
+    # f = x^4 + y^2 on R^2: the Hessian at the critical point is degenerate
+    p = tmp_path / "quartic.json"
+    p.write_text(json.dumps({
+        "name": "quartic",
+        "group": {"order": 1, "name": "1", "table": [[0]]},
+        "manifold": {
+            "ambient": 2, "constraints": [],
+            "action": [[[[1, 1], [0, 1]], [[0, 1], [1, 1]]]],
+            "function": [[[4, 0], 1, 1], [[0, 2], 1, 1]],
+            "seeds": {"bounds": [[-1.2, 1.2]] * 2, "counts": 4},
+        },
+    }))
+    assert main(["morse", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: Hessian eigenvalue within 1e-06 of zero")
+    assert captured.err.count("\n") == 1
+
+
 def test_specseq_command_gcw():
     code, out = run_cli(["specseq", str(FIXDIR / "circle_reflection.json"),
                          "--coeff", "singular", "--p", "2"])

@@ -28,7 +28,7 @@ from equimorse.morse.flow import (
     UNRESOLVED,
     integrate_batch,
 )
-from equimorse.morse.manifolds import PolyTable
+from equimorse.morse.manifolds import Evaluator, PolyTable
 
 
 def r2_manifold(action=None):
@@ -442,14 +442,22 @@ def test_constraint_values_and_jacobian_match_separate_calls():
 
 
 def _poly_table_by_variable(table, X):
-    """PolyTable's value as a product of one power table per variable, with
-    the same pow pairs (x, k), multiplied in variable order."""
-    X = np.asarray(X, dtype=float)
-    mono = np.ones((len(X), len(table.expo)))
-    for i, d in enumerate(table.expo.max(axis=0, initial=0)):
-        if d:
-            mono *= (X[:, i, None] ** np.arange(d + 1, dtype=float))[
-                :, table.expo[:, i]]
+    """PolyTable's value from a monomial matrix of Python floats: each power
+    multiplied up one degree at a time, x^k = x^(k-1) * x, and each
+    monomial the product of its powers in variable order."""
+    mono = []
+    for x in np.asarray(X, dtype=float).tolist():
+        row = []
+        for e in table.expo.tolist():
+            m = 1.0
+            for xi, k in zip(x, e):
+                p = 1.0
+                for _ in range(k):
+                    p = p * xi
+                m = m * p
+            row.append(m)
+        mono.append(row)
+    mono = np.array(mono, dtype=float).reshape(len(X), len(table.expo))
     return np.einsum("mk,kp->mp", mono, table.coef)
 
 
@@ -480,6 +488,100 @@ def test_poly_table_matches_per_variable_powers_bitwise(case):
     assert np.array_equal(got, _poly_table_by_variable(T, X))
     for r in range(len(X)):
         assert np.array_equal(T(X[r:r + 1])[0], got[r])
+
+
+def test_poly_table_forms_no_power_above_a_variables_top_degree():
+    # y appears to degree 1 only: at y = 1e300 the table forms no y^2, so
+    # nothing overflows while x runs up to its degree 6
+    T = PolyTable([Polynomial(2, {(6, 0): 1, (0, 1): 1})], 2)
+    with np.errstate(over="raise", invalid="raise"):
+        got = T(np.array([[2.0, 1e300]]))
+    assert got[0, 0] == 64.0 + 1e300
+
+
+# -- the joint tables of f and the constraints, bit for bit ------------------
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _joint_manifolds():
+    """R^3 (codim 0), the sphere, the torus and the unit circle of the
+    plane z = 0 cut out by x^2 + y^2 + z^2 - 1 = 0 and z = 0 (codim 2)."""
+    trivial = LinearAction.trivial(FiniteGroup.trivial(), 3)
+    sphere = sphere_manifold()
+    circle = ImplicitGManifold(
+        ambient=3, action=trivial,
+        constraints=(sphere.constraints[0], Polynomial(3, {(0, 0, 1): 1})))
+    return [ImplicitGManifold(ambient=3, constraints=(), action=trivial),
+            sphere, MANIFOLD_FIXTURES["torus_tilted"]().manifold, circle]
+
+
+@pytest.fixture(scope="module")
+def joint_manifolds():
+    return _joint_manifolds()
+
+
+@st.composite
+def _poly_at_points(draw):
+    """A polynomial in 3 variables with degrees up to 6, at 1-6 rows of
+    arbitrary floats in [-8, 8]."""
+    expo = st.tuples(*[st.integers(0, 6)] * 3)
+    poly = Polynomial(3, draw(st.dictionaries(expo, _COEFFS, max_size=8)))
+    coord = st.floats(-8, 8, allow_nan=False)
+    rows = draw(st.integers(1, 6))
+    X = np.array(draw(st.lists(st.tuples(*[coord] * 3), min_size=rows,
+                               max_size=rows)), dtype=float).reshape(rows, 3)
+    return poly, X
+
+
+@settings(max_examples=100, deadline=None)
+@given(_poly_at_points())
+@example((Polynomial(3, {(0, 0, 1): 1}), np.array([[0.0, -0.0, 0.5]])))
+def test_joint_tables_equal_the_separate_tables_bitwise(joint_manifolds, case):
+    # the joint first- and second-order tables of f and M's constraints
+    # give f's own table's and M's own tables' bits, at every row alone too;
+    # at codim 0 there is no joint table and f's own is called
+    poly, X = case
+    f = EqFunction.from_polynomial(poly)
+    for M in joint_manifolds:
+        ev = Evaluator(f, M)
+        assert (ev._first is not None) == bool(M.codim)
+        got = (*ev.first(X), *ev.second(X))
+        want = (*f.value_grad_many(X), *M.constraint_values_and_jacobian_many(X),
+                f.hess_many(X), M.constraint_hessians_many(X))
+        assert all(_same_bits(a, b) for a, b in zip(got, want))
+        assert all(_same_bits(a, b) for a, b in zip(ev.gradients(X), got[1:4]))
+        for r in range(len(X)):
+            one = (*ev.first(X[r:r + 1]), *ev.second(X[r:r + 1]))
+            assert all(_same_bits(a[0], b[r]) for a, b in zip(one, got))
+
+
+def test_evaluator_projection_returns_f_and_j_at_its_points():
+    # the projection steps on the joint table exactly as on M's own, and
+    # the f, grad f and J it returns are a fresh evaluation at its points;
+    # with iters=1 the rows still moving take one more evaluation.  The
+    # same function without its polynomial takes the composed path
+    f = EqFunction.from_polynomial(Polynomial(3, {
+        (0, 0, 1): 1, (1, 0, 0): Fraction(3, 10), (2, 1, 0): -2}))
+    plain = EqFunction(f.value_grad_many, f.hess_many, nvars=3)
+    rng = np.random.default_rng(31)
+    for M in _joint_manifolds():
+        on = M.project_points_many(2.0 * rng.normal(size=(4, 3)))
+        X0 = np.concatenate([on, on + 1e-3 * rng.normal(size=on.shape),
+                             3.0 * rng.normal(size=(3, 3))])
+        for iters in (1, 20):
+            for fn in (f, plain):
+                ev = Evaluator(fn, M)
+                got = ev.project(X0, iters=iters)
+                X, v, g, J = got
+                assert _same_bits(X, M.project_points_many(X0, iters=iters))
+                fv, fg, _, fJ = ev.first(X)
+                assert all(_same_bits(a, b) for a, b in zip((v, g, J), (fv, fg, fJ)))
+                for r in range(len(X0)):
+                    one = ev.project(X0[r:r + 1], iters=iters)
+                    assert all(_same_bits(a[0], b[r]) for a, b in zip(one, got))
 
 
 def _hypersurface_points(M, rng, count=400):
@@ -536,37 +638,86 @@ def test_projection_jacobian_is_the_jacobian_at_the_projected_points():
     assert np.array_equal(X, np.ones((3, 2))) and J.shape == (3, 0, 2)
 
 
-def test_flow_constraint_table_calls_per_iteration():
-    # K2, K3 and K4 each evaluate the constraint table once; K1 reads the
-    # Jacobian that the previous step's projection evaluated, so besides
-    # the projections an iteration makes three table calls, and the start
-    # points one
-    M = sphere_manifold()
-    f = height_z()
-    first = M._first
-    calls = {"all": 0, "projection": 0}
+def _count_table_calls(monkeypatch):
+    """Record the column count of every PolyTable call."""
+    calls = []
+    real = PolyTable.__call__
 
-    def counted(X):
-        calls["all"] += 1
-        return first(X)
+    def counted(table, X):
+        calls.append(table.coef.shape[1])
+        return real(table, X)
 
+    monkeypatch.setattr(PolyTable, "__call__", counted)
+    return calls
+
+
+def _count_projection_calls(M, calls):
+    """Wrap M's projection; the returned dict counts the table calls made
+    inside it."""
+    inside = {"calls": 0}
     project = M.project_points_jacobian_many
 
     def projection(X, *args, **kwargs):
-        before = calls["all"]
+        before = len(calls)
         out = project(X, *args, **kwargs)
-        calls["projection"] += calls["all"] - before
+        inside["calls"] += len(calls) - before
         return out
 
-    M._first = counted
     M.project_points_jacobian_many = projection
+    return inside
+
+
+def test_flow_constraint_table_calls_per_iteration(monkeypatch):
+    # a polynomial f on the sphere reads everything from the joint
+    # first-order table [f, grad f, c, grad c] (8 columns; f's own table
+    # and the sphere's have 4): K2, K3 and K4 call it once each, and the
+    # projection once per Gauss-Newton step, whose last call gives f, grad f
+    # and J at the new points, so besides the projections an iteration
+    # makes three table calls, and the start points one
+    M = sphere_manifold()
+    f = height_z()
     X0 = M.project_points_many(np.array([[0.8, 0.2, 0.4], [-0.3, 0.6, 0.1]]))
+    calls = _count_table_calls(monkeypatch)
+    inside = _count_projection_calls(M, calls)
     for n in (3, 4):
-        calls.update(all=0, projection=0)
+        calls.clear()
+        inside["calls"] = 0
         trajs = integrate_batch(f, M, X0, crits=[], max_steps=n)
         assert all(tr.steps == n and tr.halvings == 0 for tr in trajs)
-        assert calls["projection"] >= n
-        assert calls["all"] - calls["projection"] == 1 + 3 * n
+        assert set(calls) == {8}
+        assert inside["calls"] >= n
+        assert len(calls) - inside["calls"] == 1 + 3 * n
+
+
+def test_flow_composed_calls_per_iteration(monkeypatch):
+    # a surgered function has no polynomial, so the flow on the circle
+    # calls f and the constraint table in turn: f at K2-K4 and once at the
+    # new points, the constraint table at K2-K4 and once per projection
+    # step, and each once at the start points
+    fx = MANIFOLD_FIXTURES["circle_c2_height"]()
+    M = fx.manifold
+    north = classify(fx.function, M, np.array([0.0, 1.0]))
+    g = localize_surgery(fx.function, M, north, fx.surgery_radius,
+                         build_cutoffs(0.05), chart=fx.charts["north"])
+    assert getattr(g, "polynomial", None) is None
+    f_calls = []
+    value_grad = g.value_grad_many
+    g.value_grad_many = lambda X: f_calls.append(len(X)) or value_grad(X)
+    con_calls = []
+    first = M._first
+    M._first = lambda X: con_calls.append(len(X)) or first(X)
+    inside = _count_projection_calls(M, con_calls)
+    th = np.array([-2.0, 2.5])
+    X0 = np.stack([np.cos(th), np.sin(th)], axis=1)
+    for n in (3, 4):
+        f_calls.clear()
+        con_calls.clear()
+        inside["calls"] = 0
+        trajs = integrate_batch(g, M, X0, crits=[], max_steps=n)
+        assert all(tr.steps == n and tr.halvings == 0 for tr in trajs)
+        assert len(f_calls) == 1 + 4 * n
+        assert inside["calls"] >= n
+        assert len(con_calls) - inside["calls"] == 1 + 3 * n
 
 
 def test_flow_confined_to_fixed_locus():
