@@ -5,7 +5,13 @@ equimorse.fixtures.load_fixture (see fixtures/ at the root of the checkout).
 
 Commands: bredon, morse, specseq, cells, smith.  Reports are deterministic
 given identical flags and seeds; the exit code is nonzero whenever an
-invoked invariant fails.
+invoked invariant fails.  A flag value no command can use is an argparse
+usage error, and an InputError from any layer one `error:` line; both exit
+with 2.
+
+bredon, cells, smith and specseq on a G-CW fixture run on the exact
+homological layer and never import numpy or equimorse.morse: morse and
+specseq on a manifold fixture import them when they run.
 """
 
 from __future__ import annotations
@@ -13,30 +19,15 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from ._intlinalg import is_prime
-from .coefficients import build_system
+from .coefficients import SYSTEM_KINDS, build_system
 from .complexes import homology
+from .errors import InputError
 from .fixtures import FixtureError, ManifoldFixture, load_fixture
 from .gcw import GCWComplex, bredon_chain_complex, subquotient_complex
 from .groups import FiniteGroup, OrbitCategory, full_subgroup, trivial_subgroup
-from .morse import (
-    ChartMissing,
-    DegenerateHessian,
-    build_cutoffs,
-    classify,
-    find_critical_points,
-    localize_surgery,
-    morse_complex,
-    morse_differentials,
-    morse_filtration,
-    OutsideDeskScale,
-    representation_cell_groups,
-    RepSpec,
-    UnsupportedRep,
-)
-from .smith import NotAPGroup, smith_report
+from .repcells import THEORIES, RepSpec, representation_cell_groups
+from .smith import smith_report
 from .spectral import einfty_check, skeletal_filtration, spectral_pages
 
 
@@ -100,6 +91,8 @@ def cmd_bredon(args) -> int:
 
 def _coords(x) -> list:
     """Coordinates rounded to 6 places; adding 0.0 turns -0.0 into 0.0."""
+    import numpy as np
+
     return (np.round(x, 6) + 0.0).tolist()
 
 
@@ -116,6 +109,8 @@ def _crit_table(title, crits) -> list:
 
 def _chart_at(charts, x):
     """The fixture chart centred at x, if any."""
+    import numpy as np
+
     for ch in charts.values():
         if np.linalg.norm(ch.center - x) < 1e-6:
             return ch
@@ -125,6 +120,11 @@ def _chart_at(charts, x):
 def _morse_pipeline(fx: ManifoldFixture, args):
     """Critical points (after surgery with --stabilize), the report lines,
     and the flow data when the function is stable (else None)."""
+    import numpy as np
+
+    from .morse import (build_cutoffs, classify, find_critical_points,
+                        localize_surgery, morse_differentials)
+
     M = fx.manifold
     f = fx.function
     seeds = fx.seeds
@@ -157,6 +157,8 @@ def _morse_pipeline(fx: ManifoldFixture, args):
 
 
 def cmd_morse(args) -> int:
+    from .morse import morse_complex
+
     fx = load_fixture(args.fixture)
     if not isinstance(fx, ManifoldFixture):
         raise FixtureError("morse needs a manifold fixture")
@@ -208,6 +210,8 @@ def cmd_specseq(args) -> int:
         M = build_system(fx.category, args.coeff, char=args.p)
         F = skeletal_filtration(bredon_chain_complex(fx, M))
     else:
+        from .morse import morse_filtration
+
         if args.p != 2:
             raise FixtureError("specseq on a manifold fixture counts flow "
                                "lines mod 2; only --p 2 is supported")
@@ -271,6 +275,31 @@ def cmd_smith(args) -> int:
     return 0 if rep.all_pass else 1
 
 
+# the kinds a flag can name: "general" needs subgroups no flag gives
+CLI_KINDS = tuple(k for k in SYSTEM_KINDS if k != "general")
+
+
+def _checked(convert, test, what: str):
+    """An argparse type that converts its text and rejects a value failing
+    test, so a bad flag is a usage error (exit 2), not a traceback."""
+    def parse(text):
+        value = convert(text)
+        if not test(value):
+            raise argparse.ArgumentTypeError(f"{text} is not {what}")
+        return value
+
+    # argparse names the type by __name__ when convert itself fails
+    parse.__name__ = convert.__name__
+    return parse
+
+
+_kind_list = _checked(str, lambda s: set(s.split(",")) <= set(CLI_KINDS),
+                      f"a comma-separated list of {', '.join(CLI_KINDS)}")
+_positive_float = _checked(float, lambda v: v > 0, "positive")
+_positive_int = _checked(int, lambda v: v > 0, "positive")
+_nonnegative_int = _checked(int, lambda v: v >= 0, "nonnegative")
+
+
 def make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="equimorse",
@@ -283,7 +312,9 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bredon", help="Bredon homology tables per system")
     p.add_argument("fixture")
-    p.add_argument("--coeff", default="singular,constant,fixed-point")
+    p.add_argument("--coeff", type=_kind_list,
+                   default="singular,constant,fixed-point",
+                   help=f"comma-separated kinds among {', '.join(CLI_KINDS)}")
     p.add_argument("--p", type=int, default=0,
                    help="coefficient characteristic (0 = integers)")
     common(p)
@@ -291,30 +322,31 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("morse", help="critical points, surgery, differentials")
     p.add_argument("fixture")
     p.add_argument("--stabilize", action="store_true")
-    p.add_argument("--coeff", default="constant")
-    p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--seeds", type=int, default=0,
+    p.add_argument("--coeff", choices=CLI_KINDS, default="constant")
+    p.add_argument("--delta", type=_positive_float, default=0.05)
+    p.add_argument("--seeds", type=_nonnegative_int, default=0,
                    help="override fixture seeds with N random ones")
     p.add_argument("--seed-value", type=int, default=0)
     common(p)
 
     p = sub.add_parser("specseq", help="spectral sequence pages")
     p.add_argument("fixture")
-    p.add_argument("--coeff", default="singular")
+    p.add_argument("--coeff", choices=CLI_KINDS, default="singular")
     p.add_argument("--p", type=int, default=2)
-    p.add_argument("--rmax", type=int, default=3)
+    p.add_argument("--rmax", type=_positive_int, default=3)
     p.add_argument("--stabilize", action="store_true")
-    p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--seeds", type=int, default=0)
+    p.add_argument("--delta", type=_positive_float, default=0.05)
+    p.add_argument("--seeds", type=_nonnegative_int, default=0)
     p.add_argument("--seed-value", type=int, default=0)
     common(p)
 
     p = sub.add_parser("cells", help="representation cell group tables")
-    p.add_argument("--order", type=int, default=2, help="cyclic group order")
+    p.add_argument("--order", type=_positive_int, default=2,
+                   help="cyclic group order")
     p.add_argument("--cell", choices=("interior", "stable", "unstable"),
                    required=True)
     p.add_argument("--index", type=int, required=True)
-    p.add_argument("--theory", default="all")
+    p.add_argument("--theory", choices=("all",) + THEORIES, default="all")
     common(p)
 
     p = sub.add_parser("smith", help="Smith inequality report")
@@ -336,8 +368,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ChartMissing, DegenerateHessian, FixtureError, NotAPGroup,
-            OutsideDeskScale, UnsupportedRep) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,7 +10,9 @@ polynomial entries are written as [num, den] pairs when exact and plain
 floats otherwise.
 
 load_fixture(path) reads any such file and returns a GCWComplex or a
-ManifoldFixture.  equimorse.fixtures.<name>() loads fixtures/<name>.json
+ManifoldFixture.  Only a manifold file imports numpy and the Morse layer,
+when it is read, so loading a G-CW fixture stays on the exact, numpy-free
+homological layer.  equimorse.fixtures.<name>() loads fixtures/<name>.json
 from the checkout by name, so it works from a source tree or an editable
 install; GCW_FIXTURES and MANIFOLD_FIXTURES map each name to that loader.
 """
@@ -22,26 +24,23 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
+from .errors import InputError
 from .gcw import CellOrbit, GCWComplex
 from .groups import FiniteGroup, OrbitMorphism, Subgroup
 from .polynomials import LinearAction, Polynomial
-from .morse import (
-    AngleChart,
-    EqFunction,
-    ImplicitGManifold,
-    LinearChart,
-    SphereFunction,
-    seed_grid,
-)
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .morse import EqFunction, ImplicitGManifold, SphereFunction
 
 FIXTURE_DIR = Path(__file__).resolve().parents[2] / "fixtures"
 
 
-class FixtureError(ValueError):
-    pass
+class FixtureError(InputError):
+    """A fixture file that cannot be read, or a flag the command cannot use."""
 
 
 @dataclass(eq=False)
@@ -60,7 +59,8 @@ class ManifoldFixture:
 
 
 def load_fixture(path) -> GCWComplex | ManifoldFixture:
-    """The fixture in the JSON file at path; FixtureError if it is malformed."""
+    """The fixture in the JSON file at path; FixtureError if it is malformed
+    (a missing key, or a value a layer rejects with a ValueError)."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -85,8 +85,15 @@ def load_fixture(path) -> GCWComplex | ManifoldFixture:
         if "gcw" in raw:
             return _gcw_from_json(group, raw["gcw"], name)
         return _manifold_from_json(group, raw["manifold"], name)
+    except FixtureError:
+        raise
     except KeyError as exc:
         raise FixtureError(f"{path}: missing key {exc.args[0]!r}") from exc
+    except ValueError as exc:
+        # data the layers reject: a table that is no group, a stabilizer
+        # that is no subgroup, an action that breaks the group law or is
+        # not orthogonal, an entry that is no number
+        raise FixtureError(f"{path}: {exc}") from exc
 
 
 def _num_from_json(v):
@@ -130,6 +137,11 @@ def _gcw_from_json(group, spec, name: str) -> GCWComplex:
 
 
 def _manifold_from_json(group, spec, name: str) -> ManifoldFixture:
+    import numpy as np
+
+    from .morse import (AngleChart, EqFunction, ImplicitGManifold, LinearChart,
+                        SphereFunction, seed_grid)
+
     ambient = int(spec["ambient"])
     act = LinearAction(group, [_matrix_from_json(m) for m in spec["action"]])
     constraints = tuple(

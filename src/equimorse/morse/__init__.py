@@ -1,4 +1,8 @@
-"""Numerical equivariant Morse theory on explicit G-manifolds."""
+"""Numerical equivariant Morse theory on explicit G-manifolds.
+
+RepSpec, UnsupportedRep and representation_cell_groups are exact and
+numpy-free; they live in equimorse.repcells and are re-exported here.
+"""
 
 from .manifolds import EqFunction, ImplicitGManifold
 from .cutoffs import CutoffPair, DeltaTooLarge, build_cutoffs
@@ -29,7 +33,7 @@ from .homology import (
     morse_differentials,
     morse_filtration,
 )
-from .repcells import RepSpec, UnsupportedRep, representation_cell_groups
+from ..repcells import RepSpec, UnsupportedRep, representation_cell_groups
 
 __all__ = [
     "AngleChart",

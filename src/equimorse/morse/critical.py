@@ -21,8 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import InputError
 from ..groups import Subgroup
-from .manifolds import EqFunction, Evaluator, ImplicitGManifold, tangent_part
+from .manifolds import (EqFunction, Evaluator, ImplicitGManifold, tangent_frame,
+                        tangent_part)
 
 __all__ = [
     "CriticalPoint",
@@ -44,7 +46,7 @@ STAB_TOL = 1e-9
 DEDUP_TOL = 1e-6
 
 
-class DegenerateHessian(ValueError):
+class DegenerateHessian(InputError):
     """A Hessian eigenvalue sits inside the nondegeneracy floor."""
 
 
@@ -104,13 +106,13 @@ def _solve_stack(K, b):
 
 
 def _newton_kkt(f: EqFunction, M: ImplicitGManifold, X0, max_iter=60,
-                tol=1e-12, bound=1e6, ev: Evaluator | None = None):
+                tol=1e-12, bound=1e6):
     """Newton on grad f = J^T lambda, F = 0 from every row of X0 at once.
 
     The iterate is an (s, N + c) array of points and multipliers.  Each
     iteration evaluates the residual on the active rows, retires the rows
     whose residual norm is below tol, and takes one stacked KKT step on the
-    rest.  f and the constraints are read through one Evaluator: for a
+    rest.  f and the constraints are read through M's Evaluator: for a
     polynomial f with constraints the residual is one call of its joint
     first-order table and the KKT matrix one call of its second-order
     table; otherwise f and the constraint tables are called in turn.  A row
@@ -118,12 +120,11 @@ def _newton_kkt(f: EqFunction, M: ImplicitGManifold, X0, max_iter=60,
     leaves the finite numbers or the ball of radius bound.  The multipliers
     start at the least-squares solution of J^T lambda = grad f.
     Returns the (s, N) points and the mask of rows that converged within
-    max_iter iterations.  ev is the Evaluator of f on M; it is built here
-    when not given.
+    max_iter iterations.
     """
     N = M.ambient
     c = M.codim
-    ev = ev or Evaluator(f, M)
+    ev = M.evaluator(f)
     X = np.array(X0, dtype=float).reshape(-1, N)
     s = len(X)
     lam = np.zeros((s, c))
@@ -181,8 +182,8 @@ def find_critical_points(f: EqFunction, M: ImplicitGManifold,
 
     All seeds run through one batched KKT Newton: every iteration evaluates
     f and the constraints with their first and second derivatives on the
-    rows still running (see _newton_kkt), through one Evaluator built per
-    call, and makes one stacked solve.
+    rows still running (see _newton_kkt), through M's Evaluator of f (see
+    ImplicitGManifold.evaluator), and makes one stacked solve.
     Per-row masks retire the rows that converge and drop those that turn
     non-finite or leave the bound; a singular KKT system sends the stack to
     a row-by-row solve with a least-squares fallback.  Divergent seeds are
@@ -203,8 +204,8 @@ def find_critical_points(f: EqFunction, M: ImplicitGManifold,
                 return
         found.append(x)
 
-    ev = Evaluator(f, M)
-    X, ok = _newton_kkt(f, M, seeds, ev=ev)
+    ev = M.evaluator(f)
+    X, ok = _newton_kkt(f, M, seeds)
     rows = np.flatnonzero(ok)
     for r in rows[_is_critical(ev, X[rows])]:
         add(X[r])
@@ -217,7 +218,7 @@ def find_critical_points(f: EqFunction, M: ImplicitGManifold,
     while start < len(found):
         Y = np.array([M.apply(s, x) for x in found[start:] for s in G.elements()])
         start = len(found)
-        Y2, ok = _newton_kkt(f, M, Y, max_iter=10, ev=ev)
+        Y2, ok = _newton_kkt(f, M, Y, max_iter=10)
         Y[ok] = Y2[ok]
         for y in Y[_is_critical(ev, Y)]:
             add(y)
@@ -236,21 +237,27 @@ def classify(f: EqFunction, M: ImplicitGManifold, p) -> CriticalPoint:
     stable means the Hessian is positive definite on the prime subspace
     (the kernel of the tangent averaging operator); equivalently no negative
     direction sticks out of the fixed subspace.
+
+    f and the constraints are read through M's Evaluator: its first(x)
+    gives the value, gradient and Jacobian, and second(x) the Hessians of
+    f and of the constraints, so a polynomial f on a manifold with
+    constraints makes two table calls.
     """
     p = np.asarray(p, dtype=float)
     x = p[None, :]
-    fx, g = f.value_grad_many(x)
-    if np.linalg.norm(M.project_tangent_many(x, g)[0]) >= TOL_CRIT:
+    ev = M.evaluator(f)
+    fx, g, _, J = ev.first(x)
+    if np.linalg.norm(tangent_part(J, g)[0]) >= TOL_CRIT:
         raise ValueError("point fails the critical-gradient tolerance")
     H_sub = M.action.stabilizer(tuple(p), tol=STAB_TOL)
-    T = M.tangent_basis(p)
+    T = tangent_frame(J[0])
 
     # restricted Hessian: subtract the constraint curvature via multipliers
-    Hf = f.hess_many(x)[0]
+    Hf, CH = ev.second(x)
+    Hf = Hf[0]
     if M.codim:
-        J = M.jacobian_many(x)[0]
-        lam, *_ = np.linalg.lstsq(J.T, g[0], rcond=None)
-        Hf = Hf - np.einsum("k,kij->ij", lam, M.constraint_hessians_many(x)[0])
+        lam, *_ = np.linalg.lstsq(J[0].T, g[0], rcond=None)
+        Hf = Hf - np.einsum("k,kij->ij", lam, CH[0])
     Ht = T.T @ Hf @ T
     Ht = (Ht + Ht.T) / 2.0
 

@@ -28,10 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import InputError
+
 __all__ = ["CutoffPair", "DeltaTooLarge", "build_cutoffs", "SmoothStep"]
 
 
-class DeltaTooLarge(ValueError):
+class DeltaTooLarge(InputError):
     """The plateau intervals cannot fit between 1, t0 and 3."""
 
 

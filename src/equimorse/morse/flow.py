@@ -22,12 +22,13 @@ there and its end is the closed-form linear flow, taken to half of
 CAPTURE_TOL.  A sink no rung certifies keeps the plain CAPTURE_TOL.
 
 One lockstep iteration evaluates f and the constraints at the three
-velocity points (K2, K3, K4) and at the new points, through an Evaluator
-built once per batch.  For a polynomial f on a manifold with constraints
-each evaluation is one call of the joint first-order table: three for the
-velocities and one per Gauss-Newton step of the projection (about two an
-iteration on the torus and the sphere), whose last call at a row gives f,
-its gradient and the constraint Jacobian at the new point.  Otherwise the
+velocity points (K2, K3, K4) and at the new points, through the manifold's
+Evaluator of f, built once for all batches of the same f.  For a
+polynomial f on a manifold with constraints each evaluation is one call
+of the joint first-order table: three for the velocities and one per
+Gauss-Newton step of the projection (about two an iteration on the torus
+and the sphere), whose last call at a row gives f, its gradient and the
+constraint Jacobian at the new point.  Otherwise the
 iteration calls f at K2-K4 and once at the new points, and, with
 constraints, the constraint table at K2-K4 and once per projection step.
 The new point's gradient, projected with its Jacobian, is the next
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .critical import CriticalPoint
-from .manifolds import EqFunction, Evaluator, ImplicitGManifold, tangent_part
+from .manifolds import EqFunction, ImplicitGManifold, tangent_part
 
 __all__ = [
     "CAPTURE_TOL",
@@ -211,7 +212,7 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
     f_at = np.zeros(m)
     g_at = np.zeros_like(X)
     j_at = np.zeros((m, M.codim, M.ambient))
-    ev = Evaluator(f, M)
+    ev = M.evaluator(f)
 
     def velocity(pts, sign):
         G, _, J = ev.gradients(pts)

@@ -35,6 +35,7 @@ import numpy as np
 
 from ..coefficients import CoefficientSystem
 from ..complexes import ChainComplex, ChainComplexError
+from ..errors import InputError
 from ..gcw import bredon_assembly
 from ..groups import OrbitMorphism
 from ..spectral import FilteredComplex, skeletal_filtration
@@ -63,7 +64,7 @@ class BoundarySquareNonzero(ValueError):
     """Assembled Morse boundary fails d∘d = 0: bad flow counts."""
 
 
-class OutsideDeskScale(ValueError):
+class OutsideDeskScale(InputError):
     """The flow counting does not reach these critical orbits: a source of
     index above 2, or an index-2 source off a surface."""
 

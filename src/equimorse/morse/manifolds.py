@@ -20,7 +20,9 @@ joint table per derivative order, [f, grad f, c, grad c] and [hess f, hess
 c], whose columns equal f's and the manifold's own tables bit for bit, so
 the flow's velocity, its projection and Newton's KKT step each read what
 they need from one call.  Any other function, or a manifold without
-constraints, is evaluated through its own tables.
+constraints, is evaluated through its own tables.  M.evaluator(f) keeps
+the last Evaluator it built, so the critical-point search, classify and
+every flow batch of one f stack its joint tables once.
 
 The Gauss-Newton projection onto the zero set (project_points_jacobian_many)
 returns the Jacobian at the projected points with them, and whatever else
@@ -40,7 +42,7 @@ import numpy as np
 from ..polynomials import LinearAction, Polynomial
 
 __all__ = ["EqFunction", "Evaluator", "ImplicitGManifold", "PolyTable",
-           "tangent_part"]
+           "tangent_frame", "tangent_part"]
 
 
 class PolyTable:
@@ -145,6 +147,16 @@ def tangent_part(J: np.ndarray, V: np.ndarray) -> np.ndarray:
     return V - np.einsum("mcn,mc->mn", J, lam)
 
 
+def tangent_frame(J: np.ndarray) -> np.ndarray:
+    """Columns form an orthonormal basis of the tangent space at a point
+    whose constraint Jacobian is J, shape (c, N): the identity when c = 0."""
+    c, N = J.shape
+    if not c:
+        return np.eye(N)
+    _, _, vt = np.linalg.svd(J)
+    return vt[c:].T
+
+
 class EqFunction:
     """A smooth function given by two batched callables on (m x n) arrays:
     value_grad_many returns the values and gradients, shapes (m,) and
@@ -240,6 +252,7 @@ class ImplicitGManifold:
             np.array([[float(v) for v in row] for row in self.action.matrices[s]])
             for s in self.action.group.elements()
         ]
+        self._evaluator = None
 
     @property
     def codim(self) -> int:
@@ -273,8 +286,7 @@ class ImplicitGManifold:
         if not self.constraints:
             return np.eye(self.ambient)
         J = self.jacobian_many(np.asarray(x, dtype=float)[None, :])[0]
-        _, _, vt = np.linalg.svd(J)
-        return vt[self.codim:].T
+        return tangent_frame(J)
 
     def project_tangent_many(self, X: np.ndarray, V: np.ndarray) -> np.ndarray:
         """The tangential part of every row of V at the same row of X."""
@@ -327,6 +339,14 @@ class ImplicitGManifold:
             for o, a in zip(out, evaluate(X[rows])[1:]):
                 o[rows] = a
         return (X, *out)
+
+    def evaluator(self, f: EqFunction) -> "Evaluator":
+        """The Evaluator of f on this manifold.  The last one built is
+        kept, so the calls that read the same f in turn (classify at each
+        critical point, each flow batch) stack its joint tables once."""
+        if self._evaluator is None or self._evaluator.f is not f:
+            self._evaluator = Evaluator(f, self)
+        return self._evaluator
 
     def apply(self, s: int, x) -> np.ndarray:
         return self.act_mats[s] @ np.asarray(x, dtype=float)

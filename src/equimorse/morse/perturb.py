@@ -28,6 +28,7 @@ import warnings
 
 import numpy as np
 
+from ..errors import InputError
 from ..polynomials import LinearAction, Polynomial
 from .critical import (
     CriticalPoint,
@@ -61,7 +62,7 @@ class EpsilonTooLarge(ValueError):
     """Spurious critical points appeared in the transition annuli."""
 
 
-class ChartMissing(ValueError):
+class ChartMissing(InputError):
     """Surgery needs an exact Morse chart from the fixture."""
 
 

@@ -13,16 +13,22 @@ construction.
 Induced up to G and with the pole copies left out, the cells are the G-CW
 data of the reduced chains of the pair, and each of the four theories is
 Bredon homology of that pair for the coefficient system of the same name.
+
+These groups are the E^1 term of the Morse spectral sequence, but computing
+them is exact combinatorics on the homological layer (groups, coefficients,
+gcw, complexes): this module imports no numpy and nothing of equimorse.morse,
+which re-exports RepSpec, UnsupportedRep and representation_cell_groups.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..coefficients import build_system
-from ..complexes import HomologySummary, homology
-from ..gcw import GCWComplex, bredon_chain_complex, gcw_from_cells
-from ..groups import FiniteGroup, Subgroup, left_cosets
+from .coefficients import build_system
+from .complexes import HomologySummary, homology
+from .errors import InputError
+from .gcw import GCWComplex, bredon_chain_complex, gcw_from_cells
+from .groups import FiniteGroup, Subgroup, left_cosets
 
 __all__ = [
     "RepSpec",
@@ -34,7 +40,7 @@ __all__ = [
 THEORIES = ("singular", "fixed-point", "quotient", "quotient-rel-fixed")
 
 
-class UnsupportedRep(ValueError):
+class UnsupportedRep(InputError):
     """Representation outside the supported trivial/sign/rotation family."""
 
 
@@ -49,6 +55,12 @@ class RepSpec:
     trivial: int = 0
     sign: int = 0
     rotations: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        if self.trivial < 0 or self.sign < 0:
+            raise UnsupportedRep(
+                f"multiplicities must be nonnegative, not trivial={self.trivial} "
+                f"sign={self.sign}")
 
     @property
     def dim(self) -> int:

@@ -14,13 +14,14 @@ from dataclasses import dataclass, field
 
 from ._intlinalg import is_prime
 from .complexes import ChainComplex, homology
+from .errors import InputError
 from .gcw import GCWComplex, subquotient_complex
 from .groups import full_subgroup, trivial_subgroup
 
 __all__ = ["NotAPGroup", "SmithReport", "smith_report"]
 
 
-class NotAPGroup(ValueError):
+class NotAPGroup(InputError):
     """The Smith inequality needs a group of prime-power order."""
 
 

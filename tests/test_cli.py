@@ -153,6 +153,35 @@ def test_missing_fixture_key_is_an_error_exit(tmp_path, capsys, command, name, e
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def _bad_table(raw):
+    raw["group"]["table"] = [[0, 0], [0, 0]]
+
+
+def _bad_stabilizer(raw):
+    raw["gcw"]["cells"]["0"][0]["stab"] = [1]
+
+
+def _bad_action(raw):
+    raw["manifold"]["action"][1][0][0] = [2, 1]
+
+
+@pytest.mark.parametrize("command, name, edit, message", [
+    ("bredon", "circle_reflection", _bad_table, "no identity element"),
+    ("bredon", "circle_reflection", _bad_stabilizer, "missing identity"),
+    ("morse", "wells_c2", _bad_action, "representation law fails"),
+], ids=["table", "stabilizer", "action"])
+def test_bad_fixture_data_is_an_error_exit(tmp_path, capsys, command, name,
+                                           edit, message):
+    # a table that is not a group, a stabilizer that is not a subgroup or
+    # matrices that are not a representation make a malformed fixture:
+    # FixtureError, an error line and exit 2
+    p = _rewritten(tmp_path, name, edit)
+    with pytest.raises(FixtureError, match=message):
+        load_fixture(p)
+    assert main([command, str(p)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {p}: ")
+
+
 def test_bredon_command_text_and_exit():
     code, out = run_cli(["bredon", str(FIXDIR / "sphere_reflection.json")])
     assert code == 0
@@ -219,6 +248,98 @@ def test_cells_with_an_unsupported_rep_is_an_error_exit(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: sign factors need a stabilizer of order 2\n"
+
+
+def test_cells_with_a_negative_index_is_an_error_exit(capsys):
+    # an interior cell of index -2 would be the pair of -2 trivial
+    # summands: an error line and exit 2, not "singular: deg 0: Z^2"
+    assert main(["cells", "--cell", "interior", "--index", "-2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: multiplicities must be nonnegative, "
+                            "not trivial=-2 sign=0\n")
+
+
+def _exit_code(argv):
+    """main's exit code, also where argparse rejects a flag by SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", [
+    ["morse", "figure1_plane", "--stabilize", "--delta", "0.5"],
+    ["morse", "figure1_plane", "--stabilize", "--delta", "0"],
+    ["morse", "figure1_plane", "--stabilize", "--delta", "-1"],
+    ["bredon", "circle_reflection", "--coeff", "bogus"],
+    ["cells", "--cell", "stable", "--index", "2", "--order", "0"],
+    ["bredon", "circle_reflection", "--coeff", "singular,general"],
+    ["specseq", "circle_reflection", "--coeff", "bogus"],
+    ["specseq", "circle_reflection", "--rmax", "0"],
+    ["morse", "wells_c2", "--seeds", "-1"],
+    ["cells", "--cell", "stable", "--index", "2", "--theory", "borel"],
+], ids=["delta-too-large", "delta-zero", "delta-negative", "coeff-bogus",
+        "order-zero", "coeff-general", "specseq-coeff", "rmax-zero",
+        "seeds-negative", "theory-bogus"])
+def test_bad_flag_value_is_an_error_exit(argv, capsys):
+    # a flag value no command can use is an error line and exit 2, whether
+    # argparse rejects it or the layer that reads it raises an InputError
+    if argv[0] != "cells":
+        argv = [argv[0], str(FIXDIR / f"{argv[1]}.json")] + argv[2:]
+    assert _exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: " in captured.err and "Traceback" not in captured.err
+
+
+def test_user_facing_errors_share_one_base():
+    from equimorse.errors import InputError
+    from equimorse.morse import (ChartMissing, DegenerateHessian, DeltaTooLarge,
+                                 OutsideDeskScale, UnsupportedRep)
+    from equimorse.smith import NotAPGroup
+
+    for cls in (FixtureError, NotAPGroup, UnsupportedRep, ChartMissing,
+                DegenerateHessian, OutsideDeskScale, DeltaTooLarge):
+        assert issubclass(cls, InputError) and issubclass(cls, ValueError)
+
+
+def test_homological_commands_import_neither_numpy_nor_the_morse_layer():
+    # bredon, specseq on a G-CW fixture, cells and smith are exact
+    # combinatorics: in a fresh interpreter, importing the CLI, loading a
+    # G-CW fixture and running the README's commands of those kinds must
+    # leave numpy and equimorse.morse unimported
+    import equimorse
+
+    src = str(Path(equimorse.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    commands = [
+        ["bredon", "fixtures/circle_reflection.json"],
+        ["bredon", "fixtures/torus_double.json", "--p", "2", "--format", "csv"],
+        ["specseq", "fixtures/circle_reflection.json", "--coeff", "singular",
+         "--p", "2"],
+        ["cells", "--cell", "unstable", "--index", "2", "--theory", "all"],
+        ["smith", "fixtures/sphere_rotation_c3.json", "--p", "3"],
+        ["bredon", "fixtures/circle_dihedral.json", "--p", "3"],
+    ]
+    script = "\n".join([
+        "import contextlib, io, json, sys",
+        "from equimorse.cli import main",
+        "from equimorse.fixtures import load_fixture",
+        "load_fixture('fixtures/circle_reflection.json')",
+        "for argv in json.loads(sys.argv[1]):",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        assert main(argv) == 0, argv",
+        "print(sorted(m for m in sys.modules",
+        "             if m.split('.')[0] == 'numpy' or m.startswith('equimorse.morse')))",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(commands)],
+        capture_output=True, text=True, timeout=120, cwd=FIXDIR.parent,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def _quadric_fixture(signs, constraints, antipodal):
@@ -294,11 +415,12 @@ def test_morse_degenerate_function_is_an_error_exit(tmp_path, capsys):
             "seeds": {"bounds": [[-1.2, 1.2]] * 2, "counts": 4},
         },
     }))
-    assert main(["morse", str(p)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: Hessian eigenvalue within 1e-06 of zero")
-    assert captured.err.count("\n") == 1
+    for argv in (["morse", str(p)], ["specseq", str(p), "--stabilize"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: Hessian eigenvalue within 1e-06 of zero")
+        assert captured.err.count("\n") == 1
 
 
 def test_specseq_command_gcw():
@@ -369,10 +491,12 @@ def test_console_entrypoint():
 
 
 def _patch_flow(monkeypatch, **fields):
-    """Run the real flow counting, then overwrite fields of its MorseData."""
-    import equimorse.cli as cli
+    """Run the real flow counting, then overwrite fields of its MorseData.
+    The CLI imports morse_differentials from equimorse.morse when it runs,
+    so the patch goes there."""
+    import equimorse.morse as morse
 
-    real = cli.morse_differentials
+    real = morse.morse_differentials
 
     def patched(*args, **kwargs):
         data = real(*args, **kwargs)
@@ -380,7 +504,7 @@ def _patch_flow(monkeypatch, **fields):
             setattr(data, name, value)
         return data
 
-    monkeypatch.setattr(cli, "morse_differentials", patched)
+    monkeypatch.setattr(morse, "morse_differentials", patched)
 
 
 def test_morse_exit_code_on_flow_warning(monkeypatch):

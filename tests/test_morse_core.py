@@ -720,6 +720,37 @@ def test_flow_composed_calls_per_iteration(monkeypatch):
         assert len(con_calls) - inside["calls"] == 1 + 3 * n
 
 
+def test_classify_table_calls(monkeypatch):
+    # classify reads f and the constraints through one Evaluator: a
+    # polynomial f on the sphere makes two table calls, the joint
+    # first-order table [f, grad f, c, grad c] (8 columns) and the joint
+    # Hessian table [hess f, hess c] (18)
+    M = sphere_manifold()
+    calls = _count_table_calls(monkeypatch)
+    c = classify(height_z(), M, np.array([0.0, 0.0, 1.0]))
+    assert c.index == 2 and c.stable
+    assert calls == [8, 18]
+
+
+def test_classify_matches_the_separate_tables():
+    # the joint tables equal f's and the manifold's own bit for bit, so the
+    # restricted Hessian and tangent frame do too
+    fx = MANIFOLD_FIXTURES["torus_tilted"]()
+    f, M = fx.function, fx.manifold
+    for p in find_critical_points(f, M, fx.seeds):
+        c = classify(f, M, p)
+        x = p[None, :]
+        lam, *_ = np.linalg.lstsq(M.jacobian_many(x)[0].T, f.grad_many(x)[0],
+                                  rcond=None)
+        Hf = f.hess_many(x)[0] - np.einsum("k,kij->ij", lam,
+                                           M.constraint_hessians_many(x)[0])
+        T = M.tangent_basis(p)
+        Ht = T.T @ Hf @ T
+        assert np.array_equal(c.tangent_basis, T)
+        assert np.array_equal(c.hessian, (Ht + Ht.T) / 2.0)
+        assert c.value == float(f.value_many(x)[0])
+
+
 def test_flow_confined_to_fixed_locus():
     # stable index-1 point at the origin of the double-well fixture; its
     # descending manifold is the fixed axis and trajectories stay on it

@@ -6,7 +6,7 @@ import pytest
 
 from equimorse.groups import FiniteGroup, Subgroup, full_subgroup, trivial_subgroup
 from equimorse.morse import RepSpec, UnsupportedRep, representation_cell_groups
-from equimorse.morse.repcells import THEORIES
+from equimorse.repcells import THEORIES
 
 
 def c2():
@@ -145,6 +145,15 @@ def test_sign_needs_order_two():
         representation_cell_groups(full_subgroup(G), RepSpec(sign=1), "singular")
 
 
+@pytest.mark.parametrize("counts", [{"trivial": -2}, {"sign": -1},
+                                    {"trivial": 1, "sign": -3}])
+def test_negative_multiplicities_rejected(counts):
+    # -2 copies of the trivial representation is not a representation:
+    # RepSpec must not build a pair whose dimension is negative
+    with pytest.raises(UnsupportedRep, match="nonnegative"):
+        RepSpec(**counts)
+
+
 def test_unknown_theory_rejected():
     G, e, full = c2()
     with pytest.raises(ValueError):
@@ -208,7 +217,7 @@ def test_pair_groups_match_subquotient_oracle(char):
     from equimorse.complexes import homology
     from equimorse.gcw import bredon_chain_complex, subquotient_complex
     from equimorse.groups import OrbitCategory
-    from equimorse.morse.repcells import _pair_complex
+    from equimorse.repcells import _pair_complex
 
     cats = {}
     cases = 0
@@ -229,7 +238,7 @@ def _joins():
     """A free C3 join (the rotation disk pair's sphere) and a trivial C2 one
     (S^2 as three joined S^0): each cell with a boundary lies in a free
     orbit in the first, and is fixed in the second."""
-    from equimorse.morse.repcells import _join, _ngon, _s0
+    from equimorse.repcells import _join, _ngon, _s0
 
     C3 = FiniteGroup.cyclic(3)
     yield "free", C3, _join(_s0(C3), _ngon(C3, 1, 1, 3))
