@@ -5,9 +5,11 @@ Every fixture is one JSON file under fixtures/ at the root of the checkout.
 A file carries the group as an explicit multiplication table plus either a
 G-CW description (cell orbits with stabilizers and boundary records) or a
 manifold description (constraints, action matrices, function, seeds, and
-the exact Morse charts and sphere data where surgery applies).  Matrix and
-polynomial entries are written as [num, den] pairs when exact and plain
-floats otherwise.
+the exact Morse charts and sphere data where surgery applies).  Matrix
+entries are [num, den] pairs when exact and plain floats otherwise (a float
+action is Morse-layer geometry).  A polynomial is a list of
+Polynomial.from_records triples [exponents, num, den]; den 0 marks a float,
+read as the binary rational it denotes.
 
 load_fixture(path) reads any such file and returns a GCWComplex or a
 ManifoldFixture.  Only a manifold file imports numpy and the Morse layer,
@@ -60,7 +62,8 @@ class ManifoldFixture:
 
 def load_fixture(path) -> GCWComplex | ManifoldFixture:
     """The fixture in the JSON file at path; FixtureError if it is malformed
-    (a missing key, or a value a layer rejects with a ValueError)."""
+    (a missing key, a value of the wrong type, or a value a layer rejects
+    with a ValueError)."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -89,10 +92,12 @@ def load_fixture(path) -> GCWComplex | ManifoldFixture:
         raise
     except KeyError as exc:
         raise FixtureError(f"{path}: missing key {exc.args[0]!r}") from exc
+    except TypeError as exc:
+        raise FixtureError(f"{path}: a value has the wrong type: {exc}") from exc
     except ValueError as exc:
         # data the layers reject: a table that is no group, a stabilizer
         # that is no subgroup, an action that breaks the group law or is
-        # not orthogonal, an entry that is no number
+        # not orthogonal, an entry that is no number, a bad polynomial record
         raise FixtureError(f"{path}: {exc}") from exc
 
 

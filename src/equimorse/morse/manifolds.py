@@ -46,10 +46,12 @@ __all__ = ["EqFunction", "Evaluator", "ImplicitGManifold", "PolyTable",
 
 
 class PolyTable:
-    """Float polynomials in the same variables, compiled for batch evaluation.
+    """Exact polynomials in the same variables, compiled for float batch
+    evaluation: the Morse layer's one float form of a polynomial.
 
-    The polynomials share one exponent table (every monomial any of them
-    uses) and a (monomials x polynomials) coefficient matrix.  Evaluating
+    Each coefficient num / den is rounded to float once.  The polynomials
+    share one exponent table (every monomial any of them uses) and a
+    (monomials x polynomials) coefficient matrix.  Evaluating
     at the rows of X builds the powers of the used variables by sequential
     multiplication, x^k = x^(k-1) * x, in one (D+1, nv) block per row, D
     the top degree: a variable's factor above its own top degree is 1, so

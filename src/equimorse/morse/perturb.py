@@ -68,13 +68,14 @@ class ChartMissing(InputError):
 
 class SphereFunction(EqFunction):
     """h(u) = P(u) / |u|^deg for a homogeneous polynomial P: the degree-zero
-    homogeneous extension of a smooth function on the unit sphere."""
+    homogeneous extension of a smooth function on the unit sphere.  P is
+    differentiated exactly and rounded once, into its tables."""
 
     def __init__(self, poly: Polynomial):
         degs = {sum(e) for e in poly.num} or {0}
         if len(degs) != 1:
             raise ValueError("sphere function needs a homogeneous polynomial")
-        self.poly = poly.as_float()
+        self.poly = poly
         self.deg = degs.pop()
         self.dim = self.nvars = poly.nvars
         self.name = "sphere"
@@ -87,7 +88,7 @@ class SphereFunction(EqFunction):
 
     @classmethod
     def constant(cls, dim: int, c: float = 1.0) -> "SphereFunction":
-        return cls(Polynomial.constant(dim, float(c)))
+        return cls(Polynomial.constant(dim, c))
 
     @classmethod
     def cos_multiple_angle(cls, k: int) -> "SphereFunction":
@@ -611,7 +612,6 @@ def localize_surgery(f: EqFunction, M: ImplicitGManifold, p: CriticalPoint,
             Hg,
             [tuple(tuple(float(B[i][j]) for j in range(lo, hi))
                    for i in range(lo, hi)) for B in sub_mats],
-            exact=False,
         ) if hi > lo else LinearAction.trivial(Hg, 0)
 
     actV = block(0, dv)

@@ -5,10 +5,10 @@ A Polynomial stores integer numerators over one positive denominator, in
 lowest terms: the gcd of the denominator and all numerators is 1 (the
 content/primitive-part form of von zur Gathen & Gerhard, Modern Computer
 Algebra, ch. 6).  Equal polynomials therefore have equal fields, and == and
-hash are structural.  Linear actions with irrational orthogonal matrices
-(rotations of order >= 3) use a float backend: the same two fields with
-float numerators over 1, and tolerance 1e-12 checks in place of exact
-equality.  Arithmetic that mixes the two gives a float polynomial.
+hash are structural.  Coefficients and points are exact rationals; a float
+given as either is the binary rational it denotes, so 0.3 reads as
+Fraction(0.3).  Floats enter only at the Morse layer's PolyTable, which
+rounds each num / den once.
 
 Sums combine numerators over the lcm of the denominators.  Every product is
 one call to _imul, the direct term-pair loop on the numerators, over the
@@ -30,8 +30,11 @@ is imported only when an interpolant first takes the transform.  When the
 bound needs more primes than the table holds, or the degree box more than
 2^22 points, the kernel returns None and the interpolant is summed from
 expanded masks.
-The equivariant lift averages the jet representatives over the group and
-then interpolates once.
+The bumps measure distance in a positive definite integer form Q: the
+standard one for jet_interpolate, and for a lift the invariant form of the
+action (LinearAction.form), so a lift takes any rational action.  It
+averages the jet representatives over the group and then interpolates
+once.
 """
 
 from __future__ import annotations
@@ -55,7 +58,6 @@ __all__ = [
     "equivariant_average",
     "equivariant_jet_lift",
     "jet_interpolate",
-    "norm_squared_poly",
     "taylor_jet",
     "transport_jet",
 ]
@@ -69,7 +71,10 @@ class JetNotFixed(ValueError):
     """A jet must be fixed by the basepoint's stabilizer to lift."""
 
 
-def _coerce(c):
+def _real(c):
+    """c as a Fraction, or as a float when it is a float (numpy's too): the
+    entries of a LinearAction, whose float matrices are Morse-layer
+    geometry, and the points it moves."""
     t = type(c)
     if t is Fraction or t is float:
         return c
@@ -77,10 +82,15 @@ def _coerce(c):
         return Fraction(c)
     if isinstance(c, numbers.Integral):
         return Fraction(int(c))
-    if isinstance(c, numbers.Real):
-        # numpy floats and friends stay inexact
+    if isinstance(c, numbers.Real) and not isinstance(c, numbers.Rational):
         return float(c)
     return Fraction(c)
+
+
+def _coerce(c) -> Fraction:
+    """c as a Fraction; a float is the binary rational it denotes."""
+    c = _real(c)
+    return c if type(c) is Fraction else Fraction(c)
 
 
 # -- products of numerator dicts ---------------------------------------------
@@ -247,9 +257,9 @@ class Polynomial:
     """Sparse polynomial: numerators num (exponent tuple -> nonzero int) over
     one denominator den > 0, with gcd(den, every numerator) == 1.
 
-    On the float backend the numerators are floats and den is 1.  terms is
-    the public exponent -> coefficient view (Fraction, or float), built on
-    each access; library code works on num and den.
+    Coefficients are read as exact rationals (a float as the binary
+    rational it denotes).  terms is the public exponent -> Fraction view,
+    built on each access; library code works on num and den.
     """
 
     __slots__ = ("nvars", "num", "den")
@@ -261,15 +271,11 @@ class Polynomial:
             if c:
                 clean[tuple(e)] = c
         self.nvars = nvars
-        if any(type(c) is float for c in clean.values()):
-            self.num = {e: float(c) for e, c in clean.items()}
-            self.den = 1
-        else:
-            # over the lcm of reduced denominators no common factor is left
-            den = math.lcm(*(c.denominator for c in clean.values()))
-            self.num = {e: c.numerator * (den // c.denominator)
-                        for e, c in clean.items()}
-            self.den = den
+        # over the lcm of reduced denominators no common factor is left
+        den = math.lcm(*(c.denominator for c in clean.values()))
+        self.num = {e: c.numerator * (den // c.denominator)
+                    for e, c in clean.items()}
+        self.den = den
 
     @classmethod
     def _make(cls, nvars: int, num: dict, den: int) -> "Polynomial":
@@ -294,16 +300,9 @@ class Polynomial:
         return cls._make(nvars, {tuple(e): 1}, 1)
 
     @property
-    def exact(self) -> bool:
-        """False on the float backend."""
-        return type(next(iter(self.num.values()), 0)) is not float
-
-    @property
     def terms(self) -> dict:
-        """exponent tuple -> coefficient: a Fraction, or a float on the float
-        backend; a new dict on every access."""
-        if not self.exact:
-            return dict(self.num)
+        """exponent tuple -> Fraction coefficient; a new dict on every
+        access."""
         den = self.den
         return {e: Fraction(c, den) for e, c in self.num.items()}
 
@@ -325,22 +324,20 @@ class Polynomial:
     def __hash__(self):
         return hash((self.nvars, self.den, frozenset(self.num.items())))
 
-    def _pair(self, other) -> tuple["Polynomial", "Polynomial"]:
-        """self and other (a Polynomial or a constant) on one backend: both
-        float when either is."""
+    def _other(self, other) -> "Polynomial":
+        """other, a Polynomial in as many variables or a constant, as a
+        Polynomial."""
         if not isinstance(other, Polynomial):
-            other = Polynomial.constant(self.nvars, other)
-        elif other.nvars != self.nvars:
+            return Polynomial.constant(self.nvars, other)
+        if other.nvars != self.nvars:
             raise ValueError("variable count mismatch")
-        if self.exact and other.exact:
-            return self, other
-        return self.as_float(), other.as_float()
+        return other
 
     def __add__(self, other):
-        a, b = self._pair(other)
-        den = math.lcm(a.den, b.den)
-        sa, sb = den // a.den, den // b.den
-        out = {e: c * sa for e, c in a.num.items()}
+        b = self._other(other)
+        den = math.lcm(self.den, b.den)
+        sa, sb = den // self.den, den // b.den
+        out = {e: c * sa for e, c in self.num.items()}
         get = out.get
         for e, c in b.num.items():
             s = get(e, 0) + c * sb
@@ -364,8 +361,8 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        a, b = self._pair(other)
-        return Polynomial._make(self.nvars, _imul(a.num, b.num), a.den * b.den)
+        b = self._other(other)
+        return Polynomial._make(self.nvars, _imul(self.num, b.num), self.den * b.den)
 
     __rmul__ = __mul__
 
@@ -384,28 +381,15 @@ class Polynomial:
     def __call__(self, point):
         return self.evaluate(point)
 
-    def evaluate(self, point):
+    def evaluate(self, point) -> Fraction:
         point = [_coerce(x) for x in point]
-        total = 0
-        for e, c in self.terms.items():
-            v = c
-            for x, k in zip(point, e):
-                if k:
-                    v = v * x**k
-            total += v
-        return total
+        return sum((c * math.prod(x**k for x, k in zip(point, e))
+                    for e, c in self.terms.items()), Fraction(0))
 
     def derivative(self, i: int) -> "Polynomial":
-        out = {}
-        for e, c in self.num.items():
-            if e[i]:
-                e2 = list(e)
-                e2[i] -= 1
-                out[tuple(e2)] = c * e[i]
+        out = {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+               for e, c in self.num.items() if e[i]}
         return Polynomial._make(self.nvars, out, self.den)
-
-    def gradient(self) -> list["Polynomial"]:
-        return [self.derivative(i) for i in range(self.nvars)]
 
     def substitute_linear(self, matrix) -> "Polynomial":
         """f(A x): substitute x_i -> sum_j A[i][j] x_j.
@@ -459,30 +443,34 @@ class Polynomial:
             total = total + term
         return total
 
-    def as_float(self) -> "Polynomial":
-        if not self.exact:
-            return self
-        # int / int is correctly rounded, as float(Fraction) is
-        return Polynomial(self.nvars, {e: c / self.den for e, c in self.num.items()})
-
     def to_records(self) -> list:
-        """Serializable form: (exponents, numerator, denominator) triples;
-        denominator 0 marks a float coefficient."""
-        out = []
+        """Serializable form: [exponents, numerator, denominator] triples in
+        lowest terms, sorted by exponent."""
         terms = self.terms
-        for e in sorted(terms):
-            c = terms[e]
-            if isinstance(c, float):
-                out.append([list(e), c, 0])
-            else:
-                out.append([list(e), c.numerator, c.denominator])
-        return out
+        return [[list(e), terms[e].numerator, terms[e].denominator]
+                for e in sorted(terms)]
 
     @classmethod
     def from_records(cls, nvars: int, records) -> "Polynomial":
+        """The polynomial of [exponents, numerator, denominator] records:
+        nvars nonnegative integer exponents, not repeated, and an integer
+        numerator over a nonzero integer denominator, or a finite number
+        over 0, which is the binary rational that number denotes.  Anything
+        else raises ValueError."""
         terms = {}
-        for expo, num, den in records:
-            terms[tuple(expo)] = float(num) if den == 0 else Fraction(num, den)
+        for rec in records:
+            try:
+                expo, num, den = rec
+                ok = (len(expo) == nvars and type(den) is int
+                      and all(type(x) is int and x >= 0 for x in expo)
+                      and tuple(expo) not in terms
+                      and (type(num) is int if den else
+                           type(num) in (int, float) and math.isfinite(num)))
+            except (TypeError, ValueError):
+                ok = False
+            if not ok:
+                raise ValueError(f"bad polynomial record {rec!r}")
+            terms[tuple(expo)] = Fraction(num, den) if den else Fraction(num)
         return cls(nvars, terms)
 
     def __repr__(self):
@@ -518,14 +506,32 @@ def _signed_permutation(matrix, n):
     return out
 
 
-def norm_squared_poly(nvars: int, center=None) -> Polynomial:
-    """||x - p||^2 as a polynomial, with the standard inner product."""
+def _squares(Q, n: int) -> list:
+    """x^T Q x for a symmetric integer matrix Q (None: the identity) as
+    sum_r w_r (sum_{m in I_r} x_m)^2, a list of (I_r, w_r): (m,) weighted
+    Q_mm - sum_{l != m} Q_ml, and (m, l) weighted Q_ml for m < l."""
+    if Q is None:
+        return [((m,), 1) for m in range(n)]
+    out = [((m,), Q[m][m] - sum(Q[m][l] for l in range(n) if l != m))
+           for m in range(n)]
+    out += [((m, l), Q[m][l]) for m in range(n) for l in range(m + 1, n)
+            if Q[m][l]]
+    return [(idx, w) for idx, w in out if w]
+
+
+def _form_value(squares, x) -> Fraction:
+    """|x|_Q^2 for the form given by its squares."""
+    return sum((w * sum(x[m] for m in idx) ** 2 for idx, w in squares),
+               Fraction(0))
+
+
+def _form_poly(nvars: int, center, squares) -> Polynomial:
+    """|x - center|_Q^2 as a polynomial, for the form given by its squares."""
     total = Polynomial.zero(nvars)
-    for i in range(nvars):
-        xi = Polynomial.variable(nvars, i)
-        if center is not None and center[i]:
-            xi = xi - _coerce(center[i])
-        total = total + xi * xi
+    for idx, w in squares:
+        lin = sum((Polynomial.variable(nvars, m) - center[m] for m in idx),
+                  Polynomial.zero(nvars))
+        total = total + lin * lin * w
     return total
 
 
@@ -533,7 +539,9 @@ def norm_squared_poly(nvars: int, center=None) -> Polynomial:
 
 
 class Jet:
-    """Order-k Taylor data at a basepoint: multi-indices of total degree < k."""
+    """Order-k Taylor data at a basepoint: multi-indices of total degree < k,
+    with an exact basepoint and exact coefficients (floats read as the
+    binary rationals they denote)."""
 
     __slots__ = ("basepoint", "order", "terms")
 
@@ -559,17 +567,11 @@ class Jet:
     def __eq__(self, other):
         if not isinstance(other, Jet):
             return NotImplemented
-        return (
-            self.basepoint == other.basepoint
-            and self.order == other.order
-            and self.terms == other.terms
-        )
+        return (self.basepoint, self.order, self.terms) == (
+            other.basepoint, other.order, other.terms)
 
     def __repr__(self):
         return f"Jet(at {self.basepoint}, order {self.order}, {len(self.terms)} terms)"
-
-    def coefficient(self, expo) -> Fraction:
-        return self.terms.get(tuple(expo), Fraction(0))
 
     def as_polynomial(self) -> Polynomial:
         """The representative sum c_a (x - p)^a, expanded."""
@@ -584,36 +586,20 @@ class Jet:
             total = total + mono
         return total
 
-    def close_to(self, other: "Jet", tol: float = 1e-9) -> bool:
-        if self.order != other.order:
-            return False
-        if any(abs(float(a) - float(b)) > tol
-               for a, b in zip(self.basepoint, other.basepoint)):
-            return False
-        keys = set(self.terms) | set(other.terms)
-        return all(
-            abs(self.terms.get(e, 0) - other.terms.get(e, 0)) <= tol for e in keys
-        )
-
 
 def taylor_jet(f: Polynomial, point, k: int) -> Jet:
     """The degree-k Taylor expansion of f about the point: f mod m_p^k.
 
     Coefficient of (x-p)^b is sum over terms a >= b of
-    f_a * prod binom(a_i, b_i) * p^(a-b); exact in the exact backend.
+    f_a * prod binom(a_i, b_i) * p^(a-b), exactly.
 
-    Both backends shift one variable at a time on the numerators of f, so
-    extracting jets from the large interpolation outputs stays fast.
+    The shift runs one variable at a time on the integer numerators of f,
+    so extracting jets from the large interpolation outputs stays fast.
     """
     n = f.nvars
     p = [_coerce(x) for x in point]
-    exact = f.exact and not any(type(x) is float for x in p)
-    if exact:
-        v = math.lcm(*(x.denominator for x in p))
-        us = [int(x * v) for x in p]
-    else:
-        f, v = f.as_float(), 1
-        us = [float(x) for x in p]
+    v = math.lcm(*(x.denominator for x in p))
+    us = [int(x * v) for x in p]
     terms = f.num
     maxdeg = [max(col) for col in zip(*terms)] if terms else [0] * n
     # with p_i = u_i / v, substitute x_i = p_i + y_i one variable at a time,
@@ -641,8 +627,6 @@ def taylor_jet(f: Polynomial, point, k: int) -> Jet:
                 key = head + (b,) + tail
                 out[key] = get(key, 0) + c * fac
         terms = out
-    if not exact:
-        return Jet(p, k, terms)
     den = f.den * v ** sum(maxdeg)
     return Jet(p, k, {e: Fraction(c, den) for e, c in terms.items() if c})
 
@@ -665,21 +649,27 @@ def bump_poly(points, j: int) -> Polynomial:
     Equal to 1 at p_j, 0 at every other p_i, of degree exactly 2(d-1).
     """
     pts = _check_distinct(points)
+    return _bump(pts, j, _squares(None, len(pts[0])))
+
+
+def _bump(pts, j: int, squares) -> Polynomial:
+    """bump_poly at distinct exact points with |.|_Q in place of ||.||, Q
+    given by its squares (see _squares)."""
     n = len(pts[0])
     out = Polynomial.constant(n, 1)
     for i, p in enumerate(pts):
         if i == j:
             continue
-        denom = sum((a - b) ** 2 for a, b in zip(pts[j], p))
-        out = out * norm_squared_poly(n, p) * (1 / denom)
+        denom = _form_value(squares, [a - b for a, b in zip(pts[j], p)])
+        out = out * _form_poly(n, p, squares) * (1 / denom)
     return out
 
 
-def _mask(pts, j: int, k: int) -> Polynomial:
+def _mask(pts, j: int, k: int, squares) -> Polynomial:
     """1 - (1 - phi_j^k)^k: congruent to 1 mod m_{p_j}^k, and to 0 mod
     m_{p_i}^k at every other point, where phi_j^k vanishes to order 2k."""
     one = Polynomial.constant(len(pts[0]), 1)
-    return one - (one - bump_poly(pts, j) ** k) ** k
+    return one - (one - _bump(pts, j, squares) ** k) ** k
 
 
 def _kept_slots(rad, top):
@@ -779,18 +769,21 @@ def _transform_plan(rad: tuple, top: int) -> tuple:
         size *= 2
 
 
-def _interp_ntt(points, reps, k: int) -> Polynomial | None:
-    """sum_j reps[j] * (1 - (1 - phi_j^k)^k) for exact points and exact
-    representatives, evaluated in the transform domain.
+def _interp_ntt(points, reps, k: int, Q=None) -> Polynomial | None:
+    """sum_j reps[j] * (1 - (1 - phi_j^k)^k), the bumps phi_j measured in the
+    integer form Q (None: the standard one), evaluated in the transform
+    domain.
 
-    With Q_i = b_i^2 |x - p_i|^2 (b_i the lcm of p_i's denominators) the
+    With Q_i = b_i^2 |x - p_i|_Q^2 (b_i the lcm of p_i's denominators),
+    written as sum_r w_r (b_i L_r(x) - L_r(a_i))^2 over the squares of Q
+    (_squares: L_r a sum of one or two variables, a_i = b_i p_i), the
     bump is phi_j = Psi_j / u_j, Psi_j = v_j prod_{i != j} Q_i, so the mask
     numerator N_j = u_j^(k^2) - (u_j^k - Psi_j^k)^k has integer
     coefficients and the sum is F / L, F = sum_j w_j R_j N_j over
     L = lcm_j(den R_j u_j^(k^2)).  Modulo each NTT prime the n variables
     are transformed once, as unit vectors at their Kronecker strides over
     the degree box of F (read off the powers of the root of unity in the
-    transform's output order); Q_i, Psi_j, N_j, R_j and F are then
+    transform's output order); L_r, Q_i, Psi_j, N_j, R_j and F are then
     pointwise values, and F takes one inverse transform.  The transform is
     cyclic, so its length need only keep apart the indices of the box
     points within F's total degree, which can be shorter than the box;
@@ -800,17 +793,22 @@ def _interp_ntt(points, reps, k: int) -> Polynomial | None:
     One CRT over the fewest primes whose product exceeds twice the bound
     sum_j w_j |R_j|_1 (u_j^(k^2) + (u_j^k + |Psi_j|_1^k)^k) on the
     coefficients of F rebuilds it (|.|_1 is the sum of absolute values of
-    the coefficients).  Returns None when that needs more primes, or a
-    longer transform, than the table provides.
+    the coefficients, and |Q_i|_1 <= sum_r |w_r| (b_i |I_r| + |L_r(a_i)|)^2).
+    Returns None when that needs more primes, or a longer transform, than
+    the table provides.
     """
     n, d, kk = len(points[0]), len(points), k * k
+    squares = _squares(Q, n)
     b = [math.lcm(*(x.denominator for x in p)) for p in points]
     a = [[int(x * bi) for x in p] for p, bi in zip(points, b)]
-    q_norm = [sum((bi + abs(c)) ** 2 for c in ai) for ai, bi in zip(a, b)]
+    # L_r(a_i) for every point and square
+    la = [[sum(ai[m] for m in idx) for idx, _ in squares] for ai in a]
+    q_norm = [sum(abs(w) * (bi * len(idx) + abs(c)) ** 2
+                  for (idx, w), c in zip(squares, lai)) for lai, bi in zip(la, b)]
     u, v, psi_norm = [], [], []
     for j, p in enumerate(points):
         others = [i for i in range(d) if i != j]
-        c = math.prod((sum((b[i] * x - ai) ** 2 for x, ai in zip(p, a[i]))
+        c = math.prod((_form_value(squares, [b[i] * x - ai for x, ai in zip(p, a[i])])
                        for i in others), start=Fraction(1))
         u.append(c.numerator)
         v.append(c.denominator)
@@ -846,7 +844,10 @@ def _interp_ntt(points, reps, k: int) -> Polynomial | None:
     # values below p < 2^31 are stored in 32 bits and multiplied in the
     # 64-bit work arrays; the transforms borrow psi and quo as scratch
     X = [np.empty(size, np.uint32) for _ in range(n)]
-    Q = [np.empty(size, np.uint32) for _ in range(d)]
+    # L_r is x_m itself for a square of one variable
+    lin = [X[idx[0]] if len(idx) == 1 else np.empty(size, np.uint32)
+           for idx, _ in squares]
+    Qv = [np.empty(size, np.uint32) for _ in range(d)]
     acc, psi, t, quo, rh = (np.empty(size, np.uint64) for _ in range(5))
     scratch = (psi[:half], psi[half:], quo[:half])
     residues = np.empty((len(primes), len(keep)), np.uint32)
@@ -893,21 +894,28 @@ def _interp_ntt(points, reps, k: int) -> Polynomial | None:
             np.take(roots, expo, out=t)
             np.subtract(P, t, out=t, where=neg)
             X[m][...] = t
+        for (idx, _), Lr in zip(squares, lin):
+            if len(idx) == 2:
+                np.add(X[idx[0]], X[idx[1]], out=t, dtype=np.uint64)
+                mod(t)
+                Lr[...] = t
         for i in range(d):
             psi[:] = 0
-            for m in range(n):
-                mulmod(X[m], np.uint64(b[i] % p), t)
-                np.add(t, np.uint64(-a[i][m] % p), out=t)
+            for (_, w), Lr, c in zip(squares, lin, la[i]):
+                mulmod(Lr, np.uint64(b[i] % p), t)
+                np.add(t, np.uint64(-c % p), out=t)
                 mulmod(t, t, t)
+                if w != 1:
+                    mulmod(t, np.uint64(w % p), t)
                 np.add(psi, t, out=psi)
             mod(psi)
-            Q[i][...] = psi
+            Qv[i][...] = psi
         acc[:] = 0
         for j in live:
             psi[:] = v[j] % p
             for i in range(d):
                 if i != j:
-                    mulmod(psi, Q[i], psi)
+                    mulmod(psi, Qv[i], psi)
             # N_j = u^(k^2) - (u^k - Psi^k)^k: the inner difference lies
             # below 2p, so the outer one below 3p
             power(psi, k, t)
@@ -941,22 +949,21 @@ def _interp_ntt(points, reps, k: int) -> Polynomial | None:
         np.subtract(P, roots[:0:-1], out=iroots[1:])
         _ntt_stages(acc, t, p, iroots, True, scratch)
         residues[r] = t[slots]
-    del X, Q, acc, psi, t, quo, rh, scratch, expo, roots, iroots, slots
+    del X, lin, Qv, acc, psi, t, quo, rh, scratch, expo, roots, iroots, slots
     return Polynomial._make(n, _crt(residues, primes, keep, rad), L)
 
 
-def _interpolate(pts, reps, k: int) -> Polynomial:
-    """sum_j reps[j] * _mask(pts, j, k): through _interp_ntt when points and
-    representatives are exact and the kernel takes the case, else as a
-    Polynomial sum."""
-    if (all(r.exact for r in reps)
-            and not any(type(x) is float for p in pts for x in p)):
-        out = _interp_ntt(pts, reps, k)
-        if out is not None:
-            return out
+def _interpolate(pts, reps, k: int, Q=None) -> Polynomial:
+    """sum_j reps[j] * _mask(pts, j, k) with the bumps measured in the
+    integer form Q (None: the standard one): through _interp_ntt when the
+    kernel takes the case, else as a Polynomial sum."""
+    out = _interp_ntt(pts, reps, k, Q)
+    if out is not None:
+        return out
+    squares = _squares(Q, len(pts[0]))
     total = Polynomial.zero(len(pts[0]))
     for j, rep in enumerate(reps):
-        total = total + rep * _mask(pts, j, k)
+        total = total + rep * _mask(pts, j, k, squares)
     return total
 
 
@@ -964,12 +971,13 @@ def jet_interpolate(points, jets, k: int) -> Polynomial:
     """One polynomial whose degree-k Taylor expansion at each p_j matches the
     given jet there: f = sum_j f_j * (1 - (1 - phi_j^k)^k).
 
-    Degree is at most (2d-2)k^2 + (k-1) for d points.  Exact points and jets
-    go through the transform-domain kernel _interp_ntt: one transform pass
-    and one CRT for the whole sum, with the prime count taken from a bound
-    on its coefficients.  Float input, and a case past the kernel's prime
-    table or transform length (where it returns None), sum each jet's
-    representative times its expanded mask in Polynomial arithmetic.
+    Degree is at most (2d-2)k^2 + (k-1) for d points.  The sum goes
+    through the transform-domain kernel _interp_ntt: one transform pass and
+    one CRT for the whole sum, with the prime count taken from a bound on
+    its coefficients.  A case past the kernel's prime table or transform
+    length (where it returns None) sums each jet's representative times its
+    expanded mask in Polynomial arithmetic.  Points and jets are exact (a
+    float coordinate is the binary rational it denotes).
     """
     pts = _check_distinct(points)
     if len(jets) != len(pts):
@@ -993,29 +1001,29 @@ def jet_interpolate(points, jets, k: int) -> Polynomial:
 class LinearAction:
     """A representation of a finite group by n x n matrices.
 
-    The exact backend stores Fraction matrices and checks the representation
-    law exactly; the float backend allows irrational orthogonal matrices and
-    checks the law and orthogonality to 1e-12.  Orthogonality is decided
-    once, at construction: a float action must be orthogonal, an exact one
-    need not be (is_orthogonal says which).
+    An exact action has rational (Fraction) matrices and is checked against
+    the group law exactly; it need not be orthogonal.  It carries its
+    invariant form: Q = sum_s A_s^T A_s divided by its content, a primitive
+    positive definite integer matrix with A_s^T Q A_s = Q for every s (see
+    Serre, Linear Representations of Finite Groups, 1.3).  Q is the
+    identity exactly when the action is orthogonal.  Only exact actions
+    enter the exact layer (equivariant_average, transport_jet,
+    equivariant_jet_lift).
+
+    An action with a float entry is geometry for the Morse layer (the
+    rotations of order >= 3, float fixture actions, surgery blocks): its
+    matrices are floats, and the law and orthogonality, which it must have,
+    are checked to 1e-12.  It has no form.
     """
 
     TOL = 1e-12
 
-    def __init__(self, group: FiniteGroup, matrices, exact: bool | None = None):
+    def __init__(self, group: FiniteGroup, matrices):
         self.group = group
-        mats = []
-        any_float = False
-        for M in matrices:
-            rows = tuple(tuple(_coerce(x) for x in row) for row in M)
-            if any(type(x) is float for row in rows for x in row):
-                any_float = True
-            mats.append(rows)
-        self.exact = (not any_float) if exact is None else exact
+        mats = [tuple(tuple(_real(x) for x in row) for row in M) for M in matrices]
+        self.exact = not any(type(x) is float for M in mats for row in M for x in row)
         if not self.exact:
-            mats = [
-                tuple(tuple(float(x) for x in row) for row in M) for M in mats
-            ]
+            mats = [tuple(tuple(float(x) for x in row) for row in M) for M in mats]
         self.matrices = tuple(mats)
         if len(self.matrices) != group.order:
             raise ValueError("one matrix per group element required")
@@ -1034,45 +1042,45 @@ class LinearAction:
                 target = self.matrices[G.mul[a][b]]
                 if not _mat_close(prod, target, tol):
                     raise ValueError(f"representation law fails on ({a},{b})")
-        ident = tuple(tuple(int(i == j) for j in range(self.dim))
-                      for i in range(self.dim))
-        bad = [s for s, M in enumerate(self.matrices)
-               if not _mat_close(_mat_mul_num(_transpose_num(M), M), ident, tol)]
-        if bad and not self.exact:
-            raise ValueError(f"matrix for element {bad[0]} is not orthogonal")
-        self._orthogonal = not bad
+        ident = _diagonal([1] * self.dim)
+        if self.exact:
+            # sum_s A_s^T A_s is a multiple of I exactly when every A_s is
+            # orthogonal, since it is invariant under each of them
+            Q = [[sum(M[t][i] * M[t][j] for M in self.matrices for t in range(self.dim))
+                  for j in range(self.dim)] for i in range(self.dim)]
+            den = math.lcm(*(x.denominator for row in Q for x in row))
+            g = math.gcd(*(int(x * den) for row in Q for x in row))
+            self.form = tuple(tuple(int(x * den) // g for x in row) for row in Q)
+            self._orthogonal = self.form == ident
+            return
+        self.form = None
+        for s, M in enumerate(self.matrices):
+            if not _mat_close(_mat_mul_num(tuple(zip(*M)), M), ident, tol):
+                raise ValueError(f"matrix for element {s} is not orthogonal")
+        self._orthogonal = True
 
     # -- constructors --
 
     @classmethod
     def trivial(cls, group: FiniteGroup, dim: int) -> "LinearAction":
-        ident = tuple(
-            tuple(Fraction(1 if i == j else 0) for j in range(dim)) for i in range(dim)
-        )
-        return cls(group, [ident] * group.order)
+        return cls(group, [_diagonal([1] * dim)] * group.order)
 
     @classmethod
     def sign_c2(cls, dim: int = 1) -> "LinearAction":
         """C2 acting on R^dim by negation."""
-        G = FiniteGroup.cyclic(2)
-        ident = [[Fraction(1 if i == j else 0) for j in range(dim)] for i in range(dim)]
-        neg = [[Fraction(-1 if i == j else 0) for j in range(dim)] for i in range(dim)]
-        return cls(G, [ident, neg])
+        return cls(FiniteGroup.cyclic(2), [_diagonal([1] * dim), _diagonal([-1] * dim)])
 
     @classmethod
     def reflection_c2(cls, dim: int, axis: int) -> "LinearAction":
         """C2 on R^dim negating one coordinate."""
-        G = FiniteGroup.cyclic(2)
-        ident = [[Fraction(1 if i == j else 0) for j in range(dim)] for i in range(dim)]
-        ref = [
-            [Fraction((-1 if i == axis else 1) if i == j else 0) for j in range(dim)]
-            for i in range(dim)
-        ]
-        return cls(G, [ident, ref])
+        ref = [-1 if i == axis else 1 for i in range(dim)]
+        return cls(FiniteGroup.cyclic(2), [_diagonal([1] * dim), _diagonal(ref)])
 
     @classmethod
     def rotation_cn(cls, n: int) -> "LinearAction":
-        """C_n rotating R^2 by multiples of 2*pi/n (float backend for n >= 3)."""
+        """C_n rotating R^2 by multiples of 2*pi/n: float geometry for n >= 3
+        (in a rational basis, e.g. [[0, -1], [1, -1]] for n = 3, the same
+        rotations are an exact action)."""
         G = FiniteGroup.cyclic(n)
         mats = []
         for j in range(n):
@@ -1091,14 +1099,9 @@ class LinearAction:
         """S3 permuting the coordinates of R^3 (matches FiniteGroup.symmetric(3))."""
         G = FiniteGroup.symmetric(3)
         perms = sorted(itertools.permutations(range(3)))
-        mats = []
-        for p in perms:
-            # (A_p x)_{p(j)} = x_j, so A_p e_j = e_{p(j)} and A_p A_q = A_{p∘q}
-            M = [[Fraction(0)] * 3 for _ in range(3)]
-            for j in range(3):
-                M[p[j]][j] = Fraction(1)
-            mats.append(tuple(tuple(row) for row in M))
-        return cls(G, mats)
+        # (A_p x)_{p(j)} = x_j, so A_p e_j = e_{p(j)} and A_p A_q = A_{p∘q}
+        return cls(G, [[[int(p[j] == i) for j in range(3)] for i in range(3)]
+                       for p in perms])
 
     @classmethod
     def block_sum(cls, actions: list["LinearAction"]) -> "LinearAction":
@@ -1108,91 +1111,79 @@ class LinearAction:
         G = actions[0].group
         if any(a.group != G for a in actions):
             raise ValueError("all actions must share the group")
-        exact = all(a.exact for a in actions)
         dim = sum(a.dim for a in actions)
         mats = []
         for s in G.elements():
-            M = [[(Fraction(0) if exact else 0.0)] * dim for _ in range(dim)]
+            M = [[0] * dim for _ in range(dim)]
             off = 0
             for a in actions:
-                for i in range(a.dim):
-                    for j in range(a.dim):
-                        M[off + i][off + j] = a.matrices[s][i][j]
+                for i, row in enumerate(a.matrices[s]):
+                    M[off + i][off:off + a.dim] = row
                 off += a.dim
-            mats.append(tuple(tuple(row) for row in M))
-        return cls(G, mats, exact=exact)
+            mats.append(M)
+        return cls(G, mats)
 
     # -- use --
 
-    def matrix(self, s: int):
-        return self.matrices[s]
-
     def apply(self, s: int, point):
         M = self.matrices[s]
-        pt = [_coerce(x) for x in point]
+        pt = [_real(x) for x in point]
         return tuple(
             sum(M[i][j] * pt[j] for j in range(self.dim)) for i in range(self.dim)
         )
 
     def is_orthogonal(self) -> bool:
-        """Whether every matrix has M^T M = I (to 1e-12 on the float
-        backend), as found at construction."""
+        """Whether every matrix has M^T M = I, as found at construction:
+        the form is the identity, or a float action (checked to 1e-12)."""
         return self._orthogonal
 
     def stabilizer(self, point, tol: float = 1e-9) -> Subgroup:
-        pt = tuple(_coerce(x) for x in point)
+        pt = tuple(_real(x) for x in point)
         # float input points carry numerical noise even under exact actions
         exact_cmp = self.exact and not any(type(x) is float for x in pt)
         elems = []
         for s in self.group.elements():
             img = self.apply(s, pt)
-            if exact_cmp:
-                if img == pt:
-                    elems.append(s)
-            else:
-                if all(abs(float(a) - float(b)) < tol for a, b in zip(img, pt)):
-                    elems.append(s)
+            if (img == pt if exact_cmp else
+                    all(abs(float(a) - float(b)) < tol for a, b in zip(img, pt))):
+                elems.append(s)
         return Subgroup(self.group, tuple(elems))
 
     def orbit(self, point, tol: float = 1e-9):
         """One (coset representative, image point) pair per point of the orbit."""
-        H = self.stabilizer(point, tol)
-        out = []
-        for c in left_cosets(self.group, H):
-            s = c[0]
-            out.append((s, self.apply(s, point)))
-        return out
+        cosets = left_cosets(self.group, self.stabilizer(point, tol))
+        return [(c[0], self.apply(c[0], point)) for c in cosets]
+
+
+def _diagonal(d) -> tuple:
+    """The diagonal integer matrix with diagonal d, as a tuple of rows."""
+    return tuple(tuple(x if i == j else 0 for j in range(len(d)))
+                 for i, x in enumerate(d))
 
 
 def _mat_mul_num(A, B):
-    n = len(A)
-    if n == 0 or len(B) == 0:
-        return tuple(() for _ in range(n))
-    m = len(B[0])
-    k = len(B)
-    return tuple(
-        tuple(sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m))
-        for i in range(n)
-    )
-
-
-def _transpose_num(A):
-    return tuple(zip(*A))
+    return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in zip(*B))
+                 for row in A)
 
 
 def _mat_close(A, B, tol):
     if tol == 0:
         return A == B
-    return all(
-        abs(float(a) - float(b)) <= tol for ra, rb in zip(A, B) for a, b in zip(ra, rb)
-    )
+    return all(abs(float(a) - float(b)) <= tol
+               for ra, rb in zip(A, B) for a, b in zip(ra, rb))
 
 
 # -- equivariant operations ---------------------------------------------------
 
 
+def _need_exact(act: LinearAction):
+    if not act.exact:
+        raise ValueError("the exact layer needs an action by rational matrices")
+
+
 def equivariant_average(f: Polynomial, act: LinearAction) -> Polynomial:
     """(1/|G|) sum_s f(A_s x): the projection onto invariant polynomials."""
+    _need_exact(act)
     G = act.group
     total = Polynomial.zero(f.nvars)
     for s in G.elements():
@@ -1203,46 +1194,39 @@ def equivariant_average(f: Polynomial, act: LinearAction) -> Polynomial:
 def transport_jet(jet: Jet, act: LinearAction, s: int) -> Jet:
     """The jet of f∘s^{-1} at s·p, for f any representative of the jet at p:
     substitute the inverse matrix into the representative and re-truncate."""
+    _need_exact(act)
     G = act.group
     rep = jet.as_polynomial()
     moved = rep.substitute_linear(act.matrices[G.inverse[s]])
     return taylor_jet(moved, act.apply(s, jet.basepoint), jet.order)
 
 
-def _jets_close(a: Jet, b: Jet, exact: bool) -> bool:
-    if exact:
-        return a == b
-    return a.close_to(b, tol=1e-9)
-
-
 def equivariant_jet_lift(point, jet: Jet, act: LinearAction, k: int) -> Polynomial:
-    """Lift a stab(p)-fixed jet to a G-invariant polynomial with that jet.
+    """Lift a stab(p)-fixed jet to a G-invariant polynomial with that jet,
+    for any exact (rational) action.
 
     Raises JetNotFixed when a stabilizer element moves the jet, which is
-    exactly the obstruction to lifting, and ValueError for an action that
-    is not orthogonal.
+    exactly the obstruction to lifting, and ValueError for a float action.
 
-    The orbit p_j = s_j·p is G-stable, and for an orthogonal A_s the mask at
-    p_j composed with A_s is the mask at s^{-1}·p_j.  So the average of the
-    interpolant of the transported jets is the interpolant of the averaged
-    representatives R̄_j = (1/|G|) sum_s R_{s·p_j} ∘ A_s: the small
-    representatives are averaged, and one _interpolate call (see
-    jet_interpolate) builds the lift, on both backends.
+    The orbit p_j = s_j·p is G-stable, and the bumps measure distance in
+    the action's invariant form Q (LinearAction.form), so |A_s y|_Q = |y|_Q
+    and the mask at p_j composed with A_s is the mask at s^{-1}·p_j.  So the
+    average of the interpolant of the transported jets is the interpolant
+    of the averaged representatives R̄_j = (1/|G|) sum_s R_{s·p_j} ∘ A_s:
+    the small representatives are averaged, and one _interpolate call (see
+    jet_interpolate) builds the lift.  For an orthogonal action Q is the
+    identity, and the masks are jet_interpolate's.
     """
+    _need_exact(act)
     pt = tuple(_coerce(x) for x in point)
-    if tuple(jet.basepoint) != pt:
+    if jet.basepoint != pt:
         raise ValueError("jet must be based at the given point")
     if jet.order > k:
         raise ValueError("jet order exceeds lift order")
-    if not act.is_orthogonal():
-        raise ValueError("equivariant_jet_lift needs an orthogonal action")
     G = act.group
     H = act.stabilizer(pt)
     for h in H.elements:
-        if h == G.identity:
-            continue
-        moved = transport_jet(jet, act, h)
-        if not _jets_close(moved, jet, act.exact):
+        if h != G.identity and transport_jet(jet, act, h) != jet:
             raise JetNotFixed(
                 f"stabilizer element {h} does not fix the jet; lift obstructed"
             )
@@ -1262,4 +1246,5 @@ def equivariant_jet_lift(point, jet: Jet, act: LinearAction, k: int) -> Polynomi
         avg.append(total * Fraction(1, G.order))
     if len(avg) == 1:
         return avg[0]
-    return _interpolate(_check_distinct([act.apply(sj, pt) for sj in heads]), avg, k)
+    pts = _check_distinct([act.apply(sj, pt) for sj in heads])
+    return _interpolate(pts, avg, k, act.form)

@@ -165,16 +165,27 @@ def _bad_action(raw):
     raw["manifold"]["action"][1][0][0] = [2, 1]
 
 
+def _table_of_wrong_type(raw):
+    raw["group"]["table"] = 5
+
+
+def _bad_function_record(raw):
+    raw["manifold"]["function"].append([[2], 1.5, 2])
+
+
 @pytest.mark.parametrize("command, name, edit, message", [
     ("bredon", "circle_reflection", _bad_table, "no identity element"),
     ("bredon", "circle_reflection", _bad_stabilizer, "missing identity"),
     ("morse", "wells_c2", _bad_action, "representation law fails"),
-], ids=["table", "stabilizer", "action"])
+    ("bredon", "circle_reflection", _table_of_wrong_type, "wrong type"),
+    ("morse", "wells_c2", _bad_function_record, "bad polynomial record"),
+], ids=["table", "stabilizer", "action", "table-type", "function-record"])
 def test_bad_fixture_data_is_an_error_exit(tmp_path, capsys, command, name,
                                            edit, message):
-    # a table that is not a group, a stabilizer that is not a subgroup or
-    # matrices that are not a representation make a malformed fixture:
-    # FixtureError, an error line and exit 2
+    # a table that is not a group (or no table at all), a stabilizer that is
+    # not a subgroup, matrices that are not a representation or a record
+    # that is no polynomial term make a malformed fixture: FixtureError, an
+    # error line and exit 2
     p = _rewritten(tmp_path, name, edit)
     with pytest.raises(FixtureError, match=message):
         load_fixture(p)

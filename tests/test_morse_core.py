@@ -135,6 +135,19 @@ def test_poly_table_matches_exact_evaluation(case):
     _assert_matches_exact(PolyTable(polys, n)(X), polys, pts)
 
 
+def test_fixture_float_coefficients_are_rounded_once():
+    # torus_tilted's f is written with float records, z + 0.3 x: they are
+    # read as the binary rationals they denote, differentiated exactly and
+    # rounded into the table once, so the table equals z + 0.3 * x in float
+    fx = MANIFOLD_FIXTURES["torus_tilted"]()
+    f = fx.function.polynomial
+    assert f.terms == {(0, 0, 1): Fraction(1), (1, 0, 0): Fraction(0.3)}
+    X = np.random.default_rng(23).normal(scale=2.0, size=(200, 3))
+    T = fx.function._first(X)
+    assert np.array_equal(T[:, 0], X[:, 2] + 0.3 * X[:, 0])
+    assert np.array_equal(T[:, 1:], np.broadcast_to([0.3, 0.0, 1.0], (200, 3)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(_poly_batches(count=st.integers(1, 2)))
 @example(([Polynomial.zero(2)], [(Fraction(1, 2), Fraction(-3))]))

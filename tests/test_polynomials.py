@@ -252,6 +252,24 @@ def test_records_roundtrip():
     assert Polynomial.from_records(2, f.to_records()) == f
 
 
+def test_records_over_zero_are_the_binary_rationals_of_floats():
+    f = Polynomial.from_records(2, [[[1, 0], 0.3, 0], [[0, 1], 2, 0], [[0, 0], -1, 4]])
+    assert f.terms == {(1, 0): Fraction(0.3), (0, 1): Fraction(2),
+                       (0, 0): Fraction(-1, 4)}
+    assert Fraction(0.3) != Fraction(3, 10)
+    assert f == Polynomial(2, {(1, 0): 0.3, (0, 1): 2.0, (0, 0): Fraction(-1, 4)})
+
+
+@pytest.mark.parametrize("record", [
+    [[2], 1.5, 2], [[2, 0], 1.5, 2], [[2, 0], 1, 0.5], [[2, 0], "1", 1],
+    [[2, 0], float("inf"), 0], [[-1, 0], 1, 1], [[1.0, 0], 1, 1], [[2, 0], 1],
+    5, [3, 1, 1], [[0, 0], 2, 1],
+])
+def test_bad_records_raise_value_error(record):
+    with pytest.raises(ValueError, match="bad polynomial record"):
+        Polynomial.from_records(2, [[[0, 0], 1, 1], record])
+
+
 # -- taylor jets -------------------------------------------------------------
 
 
@@ -362,12 +380,31 @@ def test_interpolate_roundtrip_r2(seed):
     assert f.degree() <= (2 * d - 2) * k * k + (k - 1)
 
 
-def _mask_sum(pts, reps, k):
-    """sum_j reps[j] * (1 - (1 - phi_j^k)^k) in Polynomial arithmetic."""
+def _q_bump(pts, j, Q):
+    """prod_{i != j} |x - p_i|_Q^2 / |p_j - p_i|_Q^2 from the matrix Q."""
+    n = len(pts[0])
+    xs = [Polynomial.variable(n, m) for m in range(n)]
+    out = Polynomial.constant(n, 1)
+    for i, q in enumerate(pts):
+        if i == j:
+            continue
+        y = [x - c for x, c in zip(xs, q)]
+        z = [Fraction(a) - Fraction(b) for a, b in zip(pts[j], q)]
+        num = sum((y[r] * y[c] * Q[r][c] for r in range(n) for c in range(n)),
+                  Polynomial.zero(n))
+        den = sum(z[r] * z[c] * Q[r][c] for r in range(n) for c in range(n))
+        out = out * num * (1 / den)
+    return out
+
+
+def _mask_sum(pts, reps, k, Q=None):
+    """sum_j reps[j] * (1 - (1 - phi_j^k)^k) in Polynomial arithmetic, the
+    bumps in the form of the matrix Q (None: bump_poly's standard one)."""
     one = Polynomial.constant(len(pts[0]), 1)
     total = Polynomial.zero(len(pts[0]))
     for j, rep in enumerate(reps):
-        total = total + rep * (one - (one - bump_poly(pts, j) ** k) ** k)
+        phi = bump_poly(pts, j) if Q is None else _q_bump(pts, j, Q)
+        total = total + rep * (one - (one - phi ** k) ** k)
     return total
 
 
@@ -496,14 +533,35 @@ def test_s3_orbit3_lift_runs_packed_transforms():
 
 
 _SIGN, _S3 = LinearAction.sign_c2(1), LinearAction.permutation_s3()
-_C3 = LinearAction.rotation_cn(3)
+# the rotation by 2 pi / 3 in the rational basis (1, 0), (-1/2, sqrt(3)/2):
+# not orthogonal; its invariant form is [[2, -1], [-1, 2]]
+_C3 = LinearAction(FiniteGroup.cyclic(3),
+                   [((1, 0), (0, 1)), ((0, -1), (1, -1)), ((-1, 1), (-1, 0))])
+# C2 swapping the axes with a rescaling; its invariant form is diag(1, 4)
+_SWAP = LinearAction(FiniteGroup.cyclic(2),
+                     [((1, 0), (0, 1)), ((0, 2), (Fraction(1, 2), 0))])
 
 
-def _coefficients_close(f, g, tol):
-    """The coefficients of f and g agree to tol: their jets at the origin
-    of an order above both degrees."""
-    origin, order = (0.0,) * f.nvars, max(f.degree(), g.degree()) + 1
-    return Jet(origin, order, f.terms).close_to(Jet(origin, order, g.terms), tol)
+def _conjugated_c4():
+    """The rotation C4 of R^2 conjugated by a fixed rational matrix S:
+    A = S R S^-1, with S = [[2, 1], [1/3, 1]]."""
+    S = [[Fraction(2), Fraction(1)], [Fraction(1, 3), Fraction(1)]]
+    det = S[0][0] * S[1][1] - S[0][1] * S[1][0]
+    Si = [[S[1][1] / det, -S[0][1] / det], [-S[1][0] / det, S[0][0] / det]]
+    R = ((0, -1), (1, 0))
+
+    def mul(A, B):
+        return [[sum(A[i][t] * B[t][j] for t in range(2)) for j in range(2)]
+                for i in range(2)]
+
+    mats, M = [], [[1, 0], [0, 1]]
+    for _ in range(4):
+        mats.append(mul(mul(S, M), Si))
+        M = mul(M, R)
+    return LinearAction(FiniteGroup.cyclic(4), mats)
+
+
+_C4 = _conjugated_c4()
 
 
 @pytest.mark.parametrize("act, p, k, orbit_size", [
@@ -511,13 +569,14 @@ def _coefficients_close(f, g, tol):
     (_S3, (Fraction(1), Fraction(1), Fraction(0)), 2, 3),
     (_S3, (Fraction(2), Fraction(1), Fraction(0)), 1, 6),
     (_S3, (Fraction(1), Fraction(-1), Fraction(2)), 2, 6),
-    (_C3, (0.5, -0.25), 2, 3),
+    (_C3, (Fraction(1, 2), Fraction(-1, 4)), 2, 3),
 ], ids=["sign_c2-orbit2", "s3-orbit3", "s3-orbit6-k1", "s3-orbit6-k2",
         "rotation_c3-orbit3"])
 def test_lift_equals_average_of_interpolant(act, p, k, orbit_size):
     # the lift averages the transported representatives and interpolates
-    # once; averaging the interpolant of the transported jets is the same
-    # polynomial, up to rounding on the float backend
+    # once; averaging the interpolant of the transported jets, with the
+    # bumps in the action's invariant form, is the same polynomial (the
+    # C3 rotation is in a rational, non-orthogonal basis)
     rng = random.Random(7)
     H = act.stabilizer(p)
     rep = random_jet(rng, p, k).as_polynomial()
@@ -527,24 +586,95 @@ def test_lift_equals_average_of_interpolant(act, p, k, orbit_size):
     orbit = act.orbit(p)
     assert len(orbit) == orbit_size
     jets = [transport_jet(jet, act, s) for s, _ in orbit]
-    want = equivariant_average(jet_interpolate([q for _, q in orbit], jets, k), act)
-    got = equivariant_jet_lift(p, jet, act, k)
-    if act.exact:
-        assert got == want
+    pts = [q for _, q in orbit]
+    if act.is_orthogonal():
+        interpolant = jet_interpolate(pts, jets, k)
     else:
-        assert _coefficients_close(got, want, 1e-9)
+        interpolant = _mask_sum(pts, [j.as_polynomial() for j in jets], k, act.form)
+    assert equivariant_jet_lift(p, jet, act, k) == equivariant_average(interpolant, act)
 
 
-def test_lift_rejects_a_non_orthogonal_action():
-    # C2 swapping the axes with a rescaling: a representation, not orthogonal
-    G = FiniteGroup.cyclic(2)
-    one, two, half = Fraction(1), Fraction(2), Fraction(1, 2)
-    act = LinearAction(G, [((one, 0), (0, one)), ((0, two), (half, 0))])
-    assert act.exact and not act.is_orthogonal()
-    p = (Fraction(1), Fraction(1))
-    with pytest.raises(ValueError, match="orthogonal") as err:
-        equivariant_jet_lift(p, Jet(p, 1, {(0, 0): 1}), act, 1)
-    assert not isinstance(err.value, JetNotFixed)
+def test_lift_rejects_a_float_action():
+    # float matrices are Morse-layer geometry: the exact layer refuses them
+    act = LinearAction.rotation_cn(3)
+    p = (Fraction(1), Fraction(0))
+    jet = Jet(p, 1, {(0, 0): 1})
+    for call in (lambda: equivariant_jet_lift(p, jet, act, 1),
+                 lambda: transport_jet(jet, act, 1),
+                 lambda: equivariant_average(jet.as_polynomial(), act)):
+        with pytest.raises(ValueError, match="rational") as err:
+            call()
+        assert not isinstance(err.value, JetNotFixed)
+
+
+def test_invariant_forms():
+    # Q = sum_s A_s^T A_s over its content: the identity exactly for the
+    # orthogonal actions, and A^T Q A = Q for every matrix
+    for act in (_SIGN, _S3, LinearAction.reflection_c2(3, 1)):
+        assert act.is_orthogonal()
+        assert act.form == tuple(tuple(int(i == j) for j in range(act.dim))
+                                 for i in range(act.dim))
+    assert _C3.form == ((2, -1), (-1, 2)) and _SWAP.form == ((1, 0), (0, 4))
+    for act in (_C3, _SWAP, _C4):
+        assert act.exact and not act.is_orthogonal()
+        Q = act.form
+        for A in act.matrices:
+            AtQA = [[sum(A[r][i] * Q[r][c] * A[c][j] for r in range(2) for c in range(2))
+                     for j in range(2)] for i in range(2)]
+            assert AtQA == [list(row) for row in Q]
+    assert LinearAction.rotation_cn(3).form is None
+
+
+@pytest.mark.parametrize("act, k", [(_SWAP, 2), (_C3, 2), (_C4, 1), (_C4, 2)],
+                         ids=["scaled-swap-c2", "rational-c3", "conjugated-c4-k1",
+                              "conjugated-c4-k2"])
+def test_lift_under_non_orthogonal_rational_actions(act, k):
+    # seeded jets at seeded free points: the lift is invariant under every
+    # matrix exactly and restores the transported jet at every orbit point
+    from equimorse import polynomials as P
+
+    rng = random.Random(41)
+    calls = []
+    real = P._interp_ntt
+
+    def spy(*args):
+        out = real(*args)
+        calls.append((args, out))
+        return out
+
+    for _ in range(2):
+        p = random_point(rng, 2)
+        while len(act.orbit(p)) < act.group.order:
+            p = random_point(rng, 2)
+        jet = random_jet(rng, p, k)
+        with mock.patch.object(P, "_interp_ntt", spy):
+            f = equivariant_jet_lift(p, jet, act, k)
+        assert all(f.substitute_linear(A) == f for A in act.matrices)
+        for s, q in act.orbit(p):
+            assert taylor_jet(f, q, k) == transport_jet(jet, act, s)
+        assert taylor_jet(f, p, k) == jet
+    # every lift took the transform kernel with the action's form, which
+    # equals the expanded mask sum in that form
+    assert len(calls) == 2
+    for (pts, reps, kk, Q), out in calls:
+        assert Q == act.form and out is not None
+        assert out == _mask_sum(pts, reps, kk, Q)
+
+
+def test_lift_at_the_c3_point_of_the_rational_rotation():
+    # the point (1/2, -1/4) at k = 2, once through the kernel and once
+    # through the library's expanded masks in the form Q (the kernel
+    # declining): the same exact lift
+    from equimorse import polynomials as P
+
+    p = (Fraction(1, 2), Fraction(-1, 4))
+    jet = Jet(p, 2, {(0, 0): 3, (1, 0): Fraction(-1, 2), (0, 1): 2})
+    f = equivariant_jet_lift(p, jet, _C3, 2)
+    with mock.patch.object(P, "_interp_ntt", lambda *args: None):
+        assert equivariant_jet_lift(p, jet, _C3, 2) == f
+    assert all(f.substitute_linear(A) == f for A in _C3.matrices)
+    assert [taylor_jet(f, q, 2) for _, q in _C3.orbit(p)] == [
+        transport_jet(jet, _C3, s) for s, _ in _C3.orbit(p)]
 
 
 # -- linear actions -----------------------------------------------------------
@@ -653,20 +783,20 @@ def test_lift_s3_jet_fixed_by_transposition():
         equivariant_jet_lift(p, bad, act, 2)
 
 
-def test_lift_float_backend_rotation():
-    act = LinearAction.rotation_cn(3)
+def test_lift_rotation_in_a_rational_basis():
+    # the C3 rotation in the rational basis lifts exactly from a float
+    # basepoint, read as the binary rational it denotes
     p = (1.0, 0.0)
     jet = Jet(p, 2, {(0, 0): 1.0, (1, 0): 0.5})
-    f = equivariant_jet_lift(p, jet, act, 2)
-    got = taylor_jet(f, p, 2)
-    assert got.close_to(Jet(p, 2, jet.terms), tol=1e-9)
-    # invariance on the unit ball, sampled
+    assert jet.basepoint == (Fraction(1), Fraction(0))
+    f = equivariant_jet_lift(p, jet, _C3, 2)
+    assert taylor_jet(f, p, 2) == Jet(p, 2, {(0, 0): 1, (1, 0): Fraction(1, 2)})
+    assert all(f.substitute_linear(M) == f for M in _C3.matrices)
     rng = random.Random(2)
-    M = act.matrices[1]
-    for _ in range(25):
-        x = (rng.uniform(-1, 1), rng.uniform(-1, 1))
-        gx = (M[0][0] * x[0] + M[0][1] * x[1], M[1][0] * x[0] + M[1][1] * x[1])
-        assert abs(f.evaluate(gx) - f.evaluate(x)) < 1e-9
+    for _ in range(5):
+        x = random_point(rng, 2)
+        assert all(f.evaluate(_C3.apply(s, x)) == f.evaluate(x)
+                   for s in _C3.group.elements())
 
 
 def test_interpolate_mixed_jet_orders():
@@ -679,15 +809,16 @@ def test_interpolate_mixed_jet_orders():
 
 
 def test_lift_rotation_fixed_point_obstruction():
-    # at the origin of the rotation plane only rotation-invariant jets lift
-    act = LinearAction.rotation_cn(3)
-    p = (0.0, 0.0)
-    invariant = Jet(p, 3, {(0, 0): 1.0, (2, 0): 2.0, (0, 2): 2.0})
-    f = equivariant_jet_lift(p, invariant, act, 3)
-    assert taylor_jet(f, p, 3).close_to(invariant, tol=1e-9)
-    linear = Jet(p, 2, {(1, 0): 1.0})
-    with pytest.raises(JetNotFixed):
-        equivariant_jet_lift(p, linear, act, 2)
+    # at the origin of the rotation plane only rotation-invariant jets lift:
+    # in the rational basis the invariant quadratic is the form
+    # 2x^2 - 2xy + 2y^2, and the standard 2x^2 + 2y^2 is moved
+    p = (Fraction(0), Fraction(0))
+    invariant = Jet(p, 3, {(0, 0): 1, (2, 0): 2, (1, 1): -2, (0, 2): 2})
+    f = equivariant_jet_lift(p, invariant, _C3, 3)
+    assert taylor_jet(f, p, 3) == invariant
+    for jet in (Jet(p, 2, {(1, 0): 1}), Jet(p, 3, {(2, 0): 2, (0, 2): 2})):
+        with pytest.raises(JetNotFixed):
+            equivariant_jet_lift(p, jet, _C3, jet.order)
 
 
 # -- sympy oracle properties ---------------------------------------------------
@@ -767,9 +898,8 @@ def test_substitute_signed_permutation_matches_sympy(data):
     g = f.substitute_linear(M)
     assert g.terms == _from_sympy(_sympy_substitute(_to_sympy(f), M))
     # the remap builds its image without reducing it: it must come out in
-    # lowest terms, as the constructor builds it, on both backends
+    # lowest terms, as the constructor builds it
     assert g == Polynomial(n, g.terms) and hash(g) == hash(Polynomial(n, g.terms))
-    assert f.as_float().substitute_linear(M) == g.as_float()
 
 
 @settings(max_examples=40, deadline=None)
@@ -797,22 +927,17 @@ def test_taylor_jet_matches_sympy_exact(data):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_taylor_jet_matches_sympy_at_float_points(data):
-    # dyadic coordinates, so the float point is exactly a rational one
+    # dyadic float coordinates, read as the binary rationals they denote:
+    # the jet is exact, equal to sympy's at the same rational point
     n = data.draw(st.integers(1, 3))
     (f,) = data.draw(_polys(n, 1, maxdeg=5, max_terms=8))
     p = tuple(data.draw(st.lists(st.integers(-24, 24), min_size=n, max_size=n)))
     p = tuple(c / 8 for c in p)
     k = data.draw(st.integers(1, 6))
-    want = _sympy_jet(_to_sympy(f), p, k)
-    # every Taylor coefficient is bounded by sum |c_a| prod (1 + |p_i|)^a_i
-    scale = sum(abs(float(c)) * math.prod((1 + abs(x)) ** a for x, a in zip(p, e))
-                for e, c in f.terms.items())
-    for g in (f, f.as_float()):
-        got = taylor_jet(g, p, k)
-        assert got.basepoint == p and got.order == k
-        assert all(type(c) is float for c in got.terms.values())
-        for e in set(got.terms) | set(want):
-            assert abs(got.terms.get(e, 0.0) - float(want.get(e, 0))) <= 1e-12 * scale
+    got = taylor_jet(f, p, k)
+    assert got == Jet(p, k, _sympy_jet(_to_sympy(f), p, k))
+    assert got.basepoint == tuple(Fraction(c) for c in p) and got.order == k
+    assert all(type(c) is Fraction for c in got.basepoint + tuple(got.terms.values()))
 
 
 @settings(max_examples=40, deadline=None)
