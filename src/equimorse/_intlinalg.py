@@ -34,25 +34,6 @@ def transpose(A: Matrix) -> Matrix:
     return tuple(tuple(A[i][j] for i in range(m)) for j in range(n))
 
 
-def mat_mul(A: Matrix, B: Matrix) -> Matrix:
-    m, k = shape(A)
-    k2, n = shape(B)
-    if k != k2:
-        raise ValueError(f"shape mismatch {shape(A)} x {shape(B)}")
-    Bt = transpose(B)
-    return tuple(
-        tuple(sum(a * b for a, b in zip(row, col)) for col in Bt) for row in A
-    )
-
-
-def mat_mod(A: Matrix, p: int) -> Matrix:
-    return tuple(tuple(a % p for a in row) for row in A)
-
-
-def is_zero(A: Matrix) -> bool:
-    return all(a == 0 for row in A for a in row)
-
-
 def product_is_zero(A: Matrix, B: Matrix, p: int = 0) -> bool:
     """Whether A*B is zero (mod p when p > 0), multiplying nonzero entries
     only and stopping at the first nonzero row of the product."""
@@ -77,33 +58,6 @@ def from_rows(rows, p: int = 0) -> Matrix:
 
 def is_prime(n: int) -> bool:
     return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
-
-
-def det(A: Matrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    m, n = shape(A)
-    if m != n:
-        raise ValueError("determinant of non-square matrix")
-    if n == 0:
-        return 1
-    a = [list(row) for row in A]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 # -- Smith normal form -----------------------------------------------------

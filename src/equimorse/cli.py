@@ -326,7 +326,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=_positive_float, default=0.05)
     p.add_argument("--seeds", type=_nonnegative_int, default=0,
                    help="override fixture seeds with N random ones")
-    p.add_argument("--seed-value", type=int, default=0)
+    p.add_argument("--seed-value", type=_nonnegative_int, default=0)
     common(p)
 
     p = sub.add_parser("specseq", help="spectral sequence pages")
@@ -337,7 +337,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--stabilize", action="store_true")
     p.add_argument("--delta", type=_positive_float, default=0.05)
     p.add_argument("--seeds", type=_nonnegative_int, default=0)
-    p.add_argument("--seed-value", type=int, default=0)
+    p.add_argument("--seed-value", type=_nonnegative_int, default=0)
     common(p)
 
     p = sub.add_parser("cells", help="representation cell group tables")

@@ -9,7 +9,9 @@ the exact Morse charts and sphere data where surgery applies).  Matrix
 entries are [num, den] pairs when exact and plain floats otherwise (a float
 action is Morse-layer geometry).  A polynomial is a list of
 Polynomial.from_records triples [exponents, num, den]; den 0 marks a float,
-read as the binary rational it denotes.
+read as the binary rational it denotes.  A manifold's function must be
+invariant under its action: at the seeds projected onto the manifold it
+may move by at most INVARIANCE_TOL times max(1, |f|).
 
 load_fixture(path) reads any such file and returns a GCWComplex or a
 ManifoldFixture.  Only a manifold file imports numpy and the Morse layer,
@@ -39,6 +41,9 @@ if TYPE_CHECKING:
     from .morse import EqFunction, ImplicitGManifold, SphereFunction
 
 FIXTURE_DIR = Path(__file__).resolve().parents[2] / "fixtures"
+# the largest change of f under the action, relative to max(1, |f|), that a
+# manifold fixture may show at its seeds
+INVARIANCE_TOL = 1e-9
 
 
 class FixtureError(InputError):
@@ -97,7 +102,8 @@ def load_fixture(path) -> GCWComplex | ManifoldFixture:
     except ValueError as exc:
         # data the layers reject: a table that is no group, a stabilizer
         # that is no subgroup, an action that breaks the group law or is
-        # not orthogonal, an entry that is no number, a bad polynomial record
+        # not orthogonal, an entry that is no number, a bad polynomial
+        # record, a function the action does not leave invariant
         raise FixtureError(f"{path}: {exc}") from exc
 
 
@@ -146,6 +152,7 @@ def _manifold_from_json(group, spec, name: str) -> ManifoldFixture:
 
     from .morse import (AngleChart, EqFunction, ImplicitGManifold, LinearChart,
                         SphereFunction, seed_grid)
+    from .morse.manifolds import PROJECT_TOL
 
     ambient = int(spec["ambient"])
     act = LinearAction(group, [_matrix_from_json(m) for m in spec["action"]])
@@ -185,6 +192,18 @@ def _manifold_from_json(group, spec, name: str) -> ManifoldFixture:
                           seeds_spec.get("counts", 7))
     else:
         raise FixtureError(f"{name}: manifold 'seeds' needs 'circle' or 'bounds'")
+    # the Morse layer groups critical points into orbits, which needs f
+    # invariant on M: it is checked at the seeds that the projection takes
+    # onto M, relative to f's size there
+    with np.errstate(all="ignore"):
+        on = M.project_points_many(seeds)
+        F, _ = M.constraint_values_and_jacobian_many(on)
+    on = on[np.max(np.abs(F), axis=1, initial=0.0) < PROJECT_TOL]
+    scale = max(1.0, float(np.max(np.abs(f.value_many(on)), initial=0.0)))
+    err = f.invariance_error(act, on)
+    if err > INVARIANCE_TOL * scale:
+        raise ValueError(f"the function is not invariant under the action: "
+                         f"it moves by {err:.2e} at the seeds")
     scalars = {k: float(spec[k])
                for k in ("surgery_radius", "step_length", "escape_radius")
                if k in spec}

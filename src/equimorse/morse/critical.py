@@ -10,7 +10,9 @@ batched refinement of the new points' translates per round.
 
 The tolerances are module constants: gradient norm TOL_CRIT = 1e-9 for
 criticality, Hessian eigenvalue floor TOL_NONDEG = 1e-6 for nondegeneracy,
-STAB_TOL for the stabilizer and DEDUP_TOL for coincident points.
+DEDUP_TOL for coincident points, and the Newton residual NEWTON_TOL and
+divergence bound NEWTON_BOUND.  The stabilizer is LinearAction's, to
+polynomials.STAB_TOL.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ __all__ = [
     "DegenerateHessian",
     "TOL_CRIT",
     "TOL_NONDEG",
-    "STAB_TOL",
     "DEDUP_TOL",
     "classify",
     "find_critical_points",
@@ -42,8 +43,9 @@ log = logging.getLogger(__name__)
 
 TOL_CRIT = 1e-9
 TOL_NONDEG = 1e-6
-STAB_TOL = 1e-9
 DEDUP_TOL = 1e-6
+NEWTON_TOL = 1e-12
+NEWTON_BOUND = 1e6
 
 
 class DegenerateHessian(InputError):
@@ -105,20 +107,19 @@ def _solve_stack(K, b):
         return out
 
 
-def _newton_kkt(f: EqFunction, M: ImplicitGManifold, X0, max_iter=60,
-                tol=1e-12, bound=1e6):
+def _newton_kkt(f: EqFunction, M: ImplicitGManifold, X0, max_iter=60):
     """Newton on grad f = J^T lambda, F = 0 from every row of X0 at once.
 
     The iterate is an (s, N + c) array of points and multipliers.  Each
     iteration evaluates the residual on the active rows, retires the rows
-    whose residual norm is below tol, and takes one stacked KKT step on the
-    rest.  f and the constraints are read through M's Evaluator: for a
+    whose residual norm is below NEWTON_TOL, and takes one stacked KKT step
+    on the rest.  f and the constraints are read through M's Evaluator: for a
     polynomial f with constraints the residual is one call of its joint
     first-order table and the KKT matrix one call of its second-order
     table; otherwise f and the constraint tables are called in turn.  A row
     is dropped as divergent when its residual is not finite or its step
-    leaves the finite numbers or the ball of radius bound.  The multipliers
-    start at the least-squares solution of J^T lambda = grad f.
+    leaves the finite numbers or the ball of radius NEWTON_BOUND.  The
+    multipliers start at the least-squares solution of J^T lambda = grad f.
     Returns the (s, N) points and the mask of rows that converged within
     max_iter iterations.
     """
@@ -145,7 +146,7 @@ def _newton_kkt(f: EqFunction, M: ImplicitGManifold, X0, max_iter=60,
             res = np.concatenate(
                 [res - np.einsum("mcn,mc->mn", J, lam), F], axis=1)
         norm = np.linalg.norm(res, axis=1)
-        done = norm < tol
+        done = norm < NEWTON_TOL
         converged[active[done]] = True
         left = np.isfinite(norm) & ~done
         active, x, lam, res = active[left], x[left], lam[left], res[left]
@@ -162,7 +163,8 @@ def _newton_kkt(f: EqFunction, M: ImplicitGManifold, X0, max_iter=60,
             K = Hl
         Z[active] += _solve_stack(K, -res)
         x = Z[active, :N]
-        ok = np.isfinite(x).all(axis=1) & (np.linalg.norm(x, axis=1) <= bound)
+        ok = (np.isfinite(x).all(axis=1)
+              & (np.linalg.norm(x, axis=1) <= NEWTON_BOUND))
         active = active[ok]
     return Z[:, :N], converged
 
@@ -249,7 +251,7 @@ def classify(f: EqFunction, M: ImplicitGManifold, p) -> CriticalPoint:
     fx, g, _, J = ev.first(x)
     if np.linalg.norm(tangent_part(J, g)[0]) >= TOL_CRIT:
         raise ValueError("point fails the critical-gradient tolerance")
-    H_sub = M.action.stabilizer(tuple(p), tol=STAB_TOL)
+    H_sub = M.action.stabilizer(tuple(p))
     T = tangent_frame(J[0])
 
     # restricted Hessian: subtract the constraint curvature via multipliers

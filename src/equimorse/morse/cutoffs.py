@@ -11,8 +11,9 @@ psi is a smooth plateau equal to 1 on [t0 - delta, t0 + delta] and 0 outside
 can never cancel the radial slope on the two transition intervals.
 
 All evaluations are vectorized over numpy arrays; the integral of the bump
-is a fixed-order Gauss-Legendre panel sum, accurate to ~1e-15, which unit
-tests pin against an independent quadrature.
+is a Gauss-Legendre sum of QUAD_PANELS panels of QUAD_ORDER nodes,
+accurate to ~1e-15, which unit tests pin against an independent
+quadrature.
 
 CutoffPair.profile is the one radial kernel of the surgery model: it
 returns the radial profile R(t) and the plateau psi(t) with their
@@ -58,17 +59,21 @@ def _bump_d1(s: np.ndarray) -> np.ndarray:
 
 
 # upper limits per block of _BumpIntegral.__call__, which bounds its
-# quadrature temporaries at a few times CHUNK x order x 8 bytes
+# quadrature temporaries at a few times CHUNK x QUAD_ORDER x 8 bytes
 CHUNK = 1024
+QUAD_PANELS = 64
+QUAD_ORDER = 24
+# the width of the bracket at which _bisect stops
+BISECT_TOL = 1e-12
 
 
 class _BumpIntegral:
     """Cumulative integral of the bump over [-1, 1] by composite
     Gauss-Legendre panels, vectorized in the upper limit."""
 
-    def __init__(self, panels: int = 64, order: int = 24):
-        nodes, weights = np.polynomial.legendre.leggauss(order)
-        self.edges = np.linspace(-1.0, 1.0, panels + 1)
+    def __init__(self):
+        nodes, weights = np.polynomial.legendre.leggauss(QUAD_ORDER)
+        self.edges = np.linspace(-1.0, 1.0, QUAD_PANELS + 1)
         self.nodes = nodes
         self.weights = weights
         h = self.edges[1] - self.edges[0]
@@ -238,7 +243,7 @@ class CutoffPair:
         return R, psi
 
 
-def _bisect(f, lo: float, hi: float, tol: float = 1e-12) -> float:
+def _bisect(f, lo: float, hi: float) -> float:
     flo = f(lo)
     fhi = f(hi)
     if flo == 0.0:
@@ -247,7 +252,7 @@ def _bisect(f, lo: float, hi: float, tol: float = 1e-12) -> float:
         return hi
     if flo * fhi > 0:
         raise ValueError("no sign change on the bracket")
-    while hi - lo > tol:
+    while hi - lo > BISECT_TOL:
         mid = (lo + hi) / 2.0
         fm = f(mid)
         if fm == 0.0:
@@ -259,14 +264,13 @@ def _bisect(f, lo: float, hi: float, tol: float = 1e-12) -> float:
     return (lo + hi) / 2.0
 
 
-def find_t0(phi: OddTransition | None = None, tol: float = 1e-12) -> float:
+def find_t0(phi: OddTransition) -> float:
     """The unique zero of 2 phi(t-2) + t phi'(t-2) in (1, 2)."""
-    phi = phi or OddTransition()
 
     def g(t):
         return float(2.0 * phi(t - 2.0) + t * phi.d1(t - 2.0))
 
-    return _bisect(g, 1.0 + 1e-9, 2.0, tol)
+    return _bisect(g, 1.0 + 1e-9, 2.0)
 
 
 def build_cutoffs(delta: float) -> CutoffPair:

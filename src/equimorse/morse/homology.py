@@ -39,7 +39,7 @@ from ..errors import InputError
 from ..gcw import bredon_assembly
 from ..groups import OrbitMorphism
 from ..spectral import FilteredComplex, skeletal_filtration
-from .critical import CriticalPoint
+from .critical import DEDUP_TOL, CriticalPoint
 from .flow import UNRESOLVED, integrate_batch
 from .manifolds import EqFunction, ImplicitGManifold
 
@@ -107,10 +107,11 @@ class MorseData:
         return max((o.index for o in self.orbits), default=-1)
 
 
-def group_into_orbits(M: ImplicitGManifold, crits: list[CriticalPoint],
-                      tol: float = 1e-6) -> list[CriticalOrbit]:
+def group_into_orbits(M: ImplicitGManifold,
+                      crits: list[CriticalPoint]) -> list[CriticalOrbit]:
     """Partition classified critical points into group orbits; a member is
-    (first element carrying the rep onto it, its index in crits)."""
+    (first element carrying the rep onto it, its index in crits), and a
+    translate names the point within DEDUP_TOL of it."""
     G = M.action.group
     used = [False] * len(crits)
     coords = [np.asarray(c.coords, dtype=float) for c in crits]
@@ -123,7 +124,7 @@ def group_into_orbits(M: ImplicitGManifold, crits: list[CriticalPoint],
             img = M.apply(s, coords[i])
             hit = None
             for j, q in enumerate(coords):
-                if np.linalg.norm(img - q) < tol:
+                if np.linalg.norm(img - q) < DEDUP_TOL:
                     hit = j
                     break
             if hit is None:

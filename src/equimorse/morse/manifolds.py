@@ -44,6 +44,9 @@ from ..polynomials import LinearAction, Polynomial
 __all__ = ["EqFunction", "Evaluator", "ImplicitGManifold", "PolyTable",
            "tangent_frame", "tangent_part"]
 
+# the constraint residual below which a projected row stops
+PROJECT_TOL = 1e-12
+
 
 class PolyTable:
     """Exact polynomials in the same variables, compiled for float batch
@@ -264,13 +267,6 @@ class ImplicitGManifold:
     def dim(self) -> int:
         return self.ambient - self.codim
 
-    def constraint_values_many(self, X) -> np.ndarray:
-        return self._first(X)[:, :self.codim]
-
-    def jacobian_many(self, X) -> np.ndarray:
-        """(m, codim, ambient)."""
-        return self.constraint_values_and_jacobian_many(X)[1]
-
     def constraint_values_and_jacobian_many(self, X):
         """(F, J) of shapes (m, codim) and (m, codim, ambient) from one
         evaluation of the constraint table."""
@@ -283,26 +279,13 @@ class ImplicitGManifold:
         N = self.ambient
         return self._second(X).reshape(len(X), self.codim, N, N)
 
-    def tangent_basis(self, x) -> np.ndarray:
-        """Columns form an orthonormal basis of the tangent space at x."""
-        if not self.constraints:
-            return np.eye(self.ambient)
-        J = self.jacobian_many(np.asarray(x, dtype=float)[None, :])[0]
-        return tangent_frame(J)
-
-    def project_tangent_many(self, X: np.ndarray, V: np.ndarray) -> np.ndarray:
-        """The tangential part of every row of V at the same row of X."""
-        if not self.constraints:
-            return V
-        return tangent_part(self.jacobian_many(X), V)
-
-    def project_points_many(self, X: np.ndarray, tol=1e-12, iters=20) -> np.ndarray:
+    def project_points_many(self, X: np.ndarray, iters=20) -> np.ndarray:
         """Every row of X projected onto the zero set (see
         project_points_jacobian_many)."""
-        return self.project_points_jacobian_many(X, tol, iters)[0]
+        return self.project_points_jacobian_many(X, iters)[0]
 
-    def project_points_jacobian_many(self, X: np.ndarray, tol=1e-12, iters=20,
-                                     *, evaluate=None):
+    def project_points_jacobian_many(self, X: np.ndarray, iters=20, *,
+                                     evaluate=None):
         """Gauss-Newton projection of every row onto the zero set, by
         minimum-norm steps J^T (J J^T)^{-1} F, with the Jacobian at each
         projected row: (points, J) of shapes (m, ambient) and (m, codim,
@@ -313,11 +296,11 @@ class ImplicitGManifold:
         returned too, at the projected points, after J (Evaluator passes
         f's value and gradient from its joint table this way).
 
-        Only the rows whose residual is still at least tol take a step, so
-        a row's result does not depend on the other rows of the batch.  A
-        row stops at a point where evaluate was just called, so its J and
-        rest are read from that call; only a row still moving after iters
-        steps takes one more.
+        Only the rows whose residual is still at least PROJECT_TOL take a
+        step, so a row's result does not depend on the other rows of the
+        batch.  A row stops at a point where evaluate was just called, so
+        its J and rest are read from that call; only a row still moving
+        after iters steps takes one more.
         """
         if not self.constraints:
             return X, np.zeros((len(X), 0, self.ambient))
@@ -329,7 +312,7 @@ class ImplicitGManifold:
             F, *at = evaluate(X[rows])
             if out is None:
                 out = [np.empty((len(X),) + a.shape[1:]) for a in at]
-            done = np.max(np.abs(F), axis=1, initial=0.0) < tol
+            done = np.max(np.abs(F), axis=1, initial=0.0) < PROJECT_TOL
             for o, a in zip(out, at):
                 o[rows[done]] = a[done]
             if done.all():
@@ -358,7 +341,8 @@ class ImplicitGManifold:
         X = self.project_points_many(np.array(sample_points, dtype=float)
                                      .reshape(-1, self.ambient))
         moved = np.einsum("gij,mj->gmi", np.array(self.act_mats), X)
-        F = self.constraint_values_many(moved.reshape(-1, self.ambient))
+        F, _ = self.constraint_values_and_jacobian_many(
+            moved.reshape(-1, self.ambient))
         worst = float(np.max(np.abs(F), initial=0.0))
         if worst >= tol:
             raise ValueError(f"action does not preserve the zero set: {worst:.2e}")
@@ -442,13 +426,13 @@ class Evaluator:
         v, g, F, J = self.first(X)
         return F, J, v, g
 
-    def project(self, X, tol=1e-12, iters=20):
+    def project(self, X, iters=20):
         """(points, values, gradients, J) at the projection of every row of
         X onto M (see ImplicitGManifold.project_points_jacobian_many)."""
         M = self.M
         if self._first is None:
-            X, J = M.project_points_jacobian_many(X, tol, iters)
+            X, J = M.project_points_jacobian_many(X, iters)
             return (X, *self.f.value_grad_many(X), J)
         X, J, v, g = M.project_points_jacobian_many(
-            X, tol, iters, evaluate=self._constraints_first)
+            X, iters, evaluate=self._constraints_first)
         return X, v, g, J

@@ -53,8 +53,17 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
+# SphereFunction.equivariance_error compares h at this many random points
+EQUIVARIANCE_SAMPLES = 64
+# the bracket in angle at which a sphere critical point's bisection stops
+SPHERE_ROOT_TOL = 1e-12
+# a chart's model_error samples this many coordinate points with each
+# coordinate in [-MODEL_RADIUS, MODEL_RADIUS]
+MODEL_SAMPLES = 64
+MODEL_RADIUS = 0.5
 
-class HNotEquivariant(ValueError):
+
+class HNotEquivariant(InputError):
     """The sphere function is not equivariant for the stabilizer action."""
 
 
@@ -63,7 +72,8 @@ class EpsilonTooLarge(ValueError):
 
 
 class ChartMissing(InputError):
-    """Surgery needs an exact Morse chart from the fixture."""
+    """Surgery needs an exact Morse chart from the fixture, and a sphere
+    function where U has dimension 2 or more."""
 
 
 class SphereFunction(EqFunction):
@@ -126,10 +136,10 @@ class SphereFunction(EqFunction):
             + m * (m + 2) * P / t ** (m + 4) * uu
         )
 
-    def equivariance_error(self, act: LinearAction, samples: int = 64) -> float:
+    def equivariance_error(self, act: LinearAction) -> float:
         """max |h(A_s u) - h(u)| over random sphere samples."""
         rng = np.random.default_rng(7)
-        pts = rng.normal(size=(samples, self.dim))
+        pts = rng.normal(size=(EQUIVARIANCE_SAMPLES, self.dim))
         pts /= np.linalg.norm(pts, axis=1)[:, None]
         worst = 0.0
         for s in act.group.elements():
@@ -141,7 +151,7 @@ class SphereFunction(EqFunction):
             )
         return worst
 
-    def sphere_critical_points(self, tol: float = 1e-12):
+    def sphere_critical_points(self):
         """Critical points of h on the unit sphere with their sphere-Hessian
         index; supported for dim <= 2."""
         if self.dim == 1:
@@ -170,7 +180,7 @@ class SphereFunction(EqFunction):
                         tv = np.array([-np.sin(th), np.cos(th)])
                         return float(self.grad_many(u[None, :])[0] @ tv)
 
-                    while hi - lo > tol:
+                    while hi - lo > SPHERE_ROOT_TOL:
                         mid = (lo + hi) / 2
                         fm = qprime(mid)
                         if flo * fm <= 0:
@@ -403,11 +413,11 @@ class LinearChart:
         N = len(self.center)
         return np.zeros((len(X), self.dim, N, N))
 
-    def model_error(self, f: EqFunction, fp: float, samples: int = 64,
-                    radius: float = 0.5) -> float:
+    def model_error(self, f: EqFunction, fp: float) -> float:
         """max |f - (fp + |v|^2 - |w|^2)| over sampled chart coordinates."""
         rng = np.random.default_rng(11)
-        Y = rng.uniform(-radius, radius, size=(samples, self.dim))
+        Y = rng.uniform(-MODEL_RADIUS, MODEL_RADIUS,
+                        size=(MODEL_SAMPLES, self.dim))
         X = self.center + Y @ self.frame.T
         vals = f.value_many(X)
         model = (
@@ -470,12 +480,11 @@ class AngleChart:
                + dy[:, None, None] * hess_u)
         return out[:, None, :, :]
 
-    def model_error(self, f: EqFunction, fp: float, samples: int = 64,
-                    radius: float = 0.5) -> float:
+    def model_error(self, f: EqFunction, fp: float) -> float:
         """max |f - (fp - y^2)| over sampled coordinates y, each mapped back
         to the circle by the angle u = 2 arcsin(y / sqrt(2)) from the pole."""
         rng = np.random.default_rng(11)
-        y = rng.uniform(-radius, radius, size=samples)
+        y = rng.uniform(-MODEL_RADIUS, MODEL_RADIUS, size=MODEL_SAMPLES)
         th = self.pole_angle + 2.0 * np.arcsin(y / np.sqrt(2.0))
         X = np.stack([np.cos(th), np.sin(th)], axis=1)
         return float(np.max(np.abs(f.value_many(X) - (fp - y * y))))
@@ -595,7 +604,8 @@ def localize_surgery(f: EqFunction, M: ImplicitGManifold, p: CriticalPoint,
     if du == 0:
         raise ValueError("no prime directions in W: the point is stable")
     if du >= 2 and h is None:
-        raise ValueError("surgery with dim U >= 2 needs an explicit sphere function")
+        raise ChartMissing(
+            "surgery with dim U >= 2 needs an explicit sphere function")
 
     # model-space ordering (v, w_keep, u); split matrix maps chart coords to it
     split = np.zeros((dim, dim))

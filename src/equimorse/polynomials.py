@@ -997,6 +997,10 @@ def jet_interpolate(points, jets, k: int) -> Polynomial:
 
 # -- linear actions ----------------------------------------------------------
 
+# a float point is fixed by an element whose image is within STAB_TOL of it
+# in every coordinate
+STAB_TOL = 1e-9
+
 
 class LinearAction:
     """A representation of a finite group by n x n matrices.
@@ -1137,7 +1141,7 @@ class LinearAction:
         the form is the identity, or a float action (checked to 1e-12)."""
         return self._orthogonal
 
-    def stabilizer(self, point, tol: float = 1e-9) -> Subgroup:
+    def stabilizer(self, point) -> Subgroup:
         pt = tuple(_real(x) for x in point)
         # float input points carry numerical noise even under exact actions
         exact_cmp = self.exact and not any(type(x) is float for x in pt)
@@ -1145,13 +1149,14 @@ class LinearAction:
         for s in self.group.elements():
             img = self.apply(s, pt)
             if (img == pt if exact_cmp else
-                    all(abs(float(a) - float(b)) < tol for a, b in zip(img, pt))):
+                    all(abs(float(a) - float(b)) < STAB_TOL
+                        for a, b in zip(img, pt))):
                 elems.append(s)
         return Subgroup(self.group, tuple(elems))
 
-    def orbit(self, point, tol: float = 1e-9):
+    def orbit(self, point):
         """One (coset representative, image point) pair per point of the orbit."""
-        cosets = left_cosets(self.group, self.stabilizer(point, tol))
+        cosets = left_cosets(self.group, self.stabilizer(point))
         return [(c[0], self.apply(c[0], point)) for c in cosets]
 
 

@@ -173,24 +173,42 @@ def _bad_function_record(raw):
     raw["manifold"]["function"].append([[2], 1.5, 2])
 
 
+def _function_not_invariant(raw):
+    # x / 2 changes sign under x -> -x
+    raw["manifold"]["function"].append([[1, 0], 1, 2])
+
+
 @pytest.mark.parametrize("command, name, edit, message", [
     ("bredon", "circle_reflection", _bad_table, "no identity element"),
     ("bredon", "circle_reflection", _bad_stabilizer, "missing identity"),
     ("morse", "wells_c2", _bad_action, "representation law fails"),
     ("bredon", "circle_reflection", _table_of_wrong_type, "wrong type"),
     ("morse", "wells_c2", _bad_function_record, "bad polynomial record"),
-], ids=["table", "stabilizer", "action", "table-type", "function-record"])
+    ("morse", "wells_c2", _function_not_invariant, "not invariant"),
+], ids=["table", "stabilizer", "action", "table-type", "function-record",
+        "function-not-invariant"])
 def test_bad_fixture_data_is_an_error_exit(tmp_path, capsys, command, name,
                                            edit, message):
     # a table that is not a group (or no table at all), a stabilizer that is
-    # not a subgroup, matrices that are not a representation or a record
-    # that is no polynomial term make a malformed fixture: FixtureError, an
-    # error line and exit 2
+    # not a subgroup, matrices that are not a representation, a record that
+    # is no polynomial term or a function that is not invariant make a
+    # malformed fixture: FixtureError, an error line and exit 2
     p = _rewritten(tmp_path, name, edit)
     with pytest.raises(FixtureError, match=message):
         load_fixture(p)
     assert main([command, str(p)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {p}: ")
+
+
+def test_function_invariant_only_on_the_manifold_loads(tmp_path):
+    # f + x (x^2 + y^2 + z^2 - 1) is odd off the sphere but equals the
+    # invariant f on it: the grid seeds are projected onto M before the
+    # invariance check
+    add = [[[3, 0, 0], 1, 1], [[1, 2, 0], 1, 1], [[1, 0, 2], 1, 1],
+           [[1, 0, 0], -1, 1]]
+    p = _rewritten(tmp_path, "sphere_antipodal",
+                   lambda raw: raw["manifold"]["function"].extend(add))
+    assert isinstance(load_fixture(p), ManifoldFixture)
 
 
 def test_bredon_command_text_and_exit():
@@ -290,9 +308,10 @@ def _exit_code(argv):
     ["specseq", "circle_reflection", "--rmax", "0"],
     ["morse", "wells_c2", "--seeds", "-1"],
     ["cells", "--cell", "stable", "--index", "2", "--theory", "borel"],
+    ["morse", "wells_c2", "--seeds", "5", "--seed-value", "-1"],
 ], ids=["delta-too-large", "delta-zero", "delta-negative", "coeff-bogus",
         "order-zero", "coeff-general", "specseq-coeff", "rmax-zero",
-        "seeds-negative", "theory-bogus"])
+        "seeds-negative", "theory-bogus", "seed-value-negative"])
 def test_bad_flag_value_is_an_error_exit(argv, capsys):
     # a flag value no command can use is an error line and exit 2, whether
     # argparse rejects it or the layer that reads it raises an InputError
@@ -307,11 +326,13 @@ def test_bad_flag_value_is_an_error_exit(argv, capsys):
 def test_user_facing_errors_share_one_base():
     from equimorse.errors import InputError
     from equimorse.morse import (ChartMissing, DegenerateHessian, DeltaTooLarge,
-                                 OutsideDeskScale, UnsupportedRep)
+                                 HNotEquivariant, OutsideDeskScale,
+                                 UnsupportedRep)
     from equimorse.smith import NotAPGroup
 
     for cls in (FixtureError, NotAPGroup, UnsupportedRep, ChartMissing,
-                DegenerateHessian, OutsideDeskScale, DeltaTooLarge):
+                DegenerateHessian, OutsideDeskScale, DeltaTooLarge,
+                HNotEquivariant):
         assert issubclass(cls, InputError) and issubclass(cls, ValueError)
 
 
@@ -411,6 +432,31 @@ def test_morse_stabilize_without_a_chart_is_an_error_exit(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: surgery needs the fixture's Morse chart\n"
+
+
+def _drop_sphere_fn(raw):
+    del raw["manifold"]["sphere_fn"]
+
+
+def _sphere_fn_not_equivariant(raw):
+    # h(u) = u_1 is not invariant under the C3 rotation of U = R^2
+    raw["manifold"]["sphere_fn"]["records"] = [[[1, 0], 1, 1]]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_drop_sphere_fn,
+     "surgery with dim U >= 2 needs an explicit sphere function"),
+    (_sphere_fn_not_equivariant, "sphere function moves by 1.73e+00"),
+], ids=["missing", "not-equivariant"])
+def test_morse_stabilize_with_bad_sphere_data_is_an_error_exit(
+        tmp_path, capsys, edit, message):
+    # figure 1's origin has U = R^2 under C3: its surgery needs an
+    # equivariant sphere function from the fixture
+    p = _rewritten(tmp_path, "figure1_plane", edit)
+    assert main(["morse", str(p), "--stabilize"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_morse_degenerate_function_is_an_error_exit(tmp_path, capsys):

@@ -14,11 +14,13 @@ from equimorse.complexes import (
     smith_normal_form,
 )
 
+from intmat import det, is_zero, mat_mod, mat_mul
+
 
 def test_snf_zero_matrix():
     A = la.zeros(2, 3)
     D, U, V = smith_normal_form(A)
-    assert la.is_zero(D)
+    assert is_zero(D)
     assert U == la.identity(2)
     assert V == la.identity(3)
 
@@ -28,7 +30,7 @@ def test_snf_diag_2_3():
     A = ((2, 0), (0, 3))
     D, U, V = smith_normal_form(A)
     assert (D[0][0], D[1][1]) == (1, 6)
-    assert la.mat_mul(la.mat_mul(U, A), V) == D
+    assert mat_mul(mat_mul(U, A), V) == D
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -37,9 +39,9 @@ def test_snf_random_selfverifying(seed):
     m, n = 5, 7
     A = tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(m))
     D, U, V = smith_normal_form(A)
-    assert la.mat_mul(la.mat_mul(U, A), V) == D
-    assert abs(la.det(U)) == 1
-    assert abs(la.det(V)) == 1
+    assert mat_mul(mat_mul(U, A), V) == D
+    assert abs(det(U)) == 1
+    assert abs(det(V)) == 1
     diag = [D[i][i] for i in range(min(m, n))]
     for i in range(m):
         for j in range(n):
@@ -184,9 +186,9 @@ def test_snf_identities_random(data):
     entry = st.integers(-6, 6) | st.sampled_from((0, 0, 1, -1))
     A = tuple(tuple(data.draw(entry) for _ in range(n)) for _ in range(m))
     D, U, V = smith_normal_form(A)
-    assert la.mat_mul(la.mat_mul(U, A), V) == D
-    assert abs(la.det(U)) == 1
-    assert abs(la.det(V)) == 1
+    assert mat_mul(mat_mul(U, A), V) == D
+    assert abs(det(U)) == 1
+    assert abs(det(V)) == 1
     assert all(D[i][j] == 0 for i in range(m) for j in range(n) if i != j)
     diag = [D[i][i] for i in range(min(m, n))]
     nz = [d for d in diag if d]
@@ -263,7 +265,7 @@ def standard_complex_data(rng, top=3):
             d[k][src0 + k] = rng.choice((1, 1, 2, 3, 4, 6))
         base[n] = la.from_rows(d)
     pairs = {n: unimodular_pair(rng, ranks[n]) for n in range(top + 1)}
-    boundary = {n: la.mat_mul(la.mat_mul(pairs[n - 1][0], base[n]), pairs[n][1])
+    boundary = {n: mat_mul(mat_mul(pairs[n - 1][0], base[n]), pairs[n][1])
                 for n in range(1, top + 1) if ranks[n] and ranks[n - 1]}
     return ranks, boundary, free
 
@@ -273,10 +275,10 @@ def dense_dd_degree(boundary, char):
     checks, from the dense product; None if the complex is square zero."""
     for n, d in boundary.items():
         if n + 1 in boundary:
-            sq = la.mat_mul(d, boundary[n + 1])
+            sq = mat_mul(d, boundary[n + 1])
             if char:
-                sq = la.mat_mod(sq, char)
-            if not la.is_zero(sq):
+                sq = mat_mod(sq, char)
+            if not is_zero(sq):
                 return n + 1
     return None
 
@@ -350,7 +352,7 @@ def test_reduce_mod_stores_the_residues(seed, p):
     Cp = C.reduce_mod(p)
     assert Cp.boundary == ChainComplex(char=p, ranks=C.ranks,
                                        boundary=C.boundary).boundary
-    assert Cp.boundary == {n: la.mat_mod(d, p) for n, d in C.boundary.items()}
+    assert Cp.boundary == {n: mat_mod(d, p) for n, d in C.boundary.items()}
 
 
 def test_rref_rational_coordinates():

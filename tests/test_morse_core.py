@@ -28,7 +28,8 @@ from equimorse.morse.flow import (
     UNRESOLVED,
     integrate_batch,
 )
-from equimorse.morse.manifolds import Evaluator, PolyTable
+from equimorse.morse.manifolds import (Evaluator, PolyTable, tangent_frame,
+                                       tangent_part)
 
 
 def r2_manifold(action=None):
@@ -46,6 +47,13 @@ def sphere_manifold(action=None):
 def row(fn, x):
     """fn at the single point x, as a batch of one."""
     return fn(np.asarray(x, dtype=float)[None, :])[0]
+
+
+def constraints_at(M, x):
+    """The constraint values and Jacobian of M at the single point x."""
+    F, J = M.constraint_values_and_jacobian_many(
+        np.asarray(x, dtype=float)[None, :])
+    return F[0], J[0]
 
 
 def flow_one(f, M, x0, crits, **kw):
@@ -158,10 +166,10 @@ def test_constraint_derivatives_match_exact(case):
                           action=LinearAction.trivial(FiniteGroup.trivial(), n))
     X = np.array([[float(x) for x in pt] for pt in pts]).reshape(len(pts), n)
     c = len(cons)
-    _assert_matches_exact(M.constraint_values_many(X), cons, pts)
+    F, J = M.constraint_values_and_jacobian_many(X)
+    _assert_matches_exact(F, cons, pts)
     firsts = [p.derivative(i) for p in cons for i in range(n)]
-    _assert_matches_exact(M.jacobian_many(X).reshape(len(pts), c * n),
-                          firsts, pts)
+    _assert_matches_exact(J.reshape(len(pts), c * n), firsts, pts)
     seconds = [g.derivative(j) for g in firsts for j in range(n)]
     _assert_matches_exact(
         M.constraint_hessians_many(X).reshape(len(pts), c * n * n), seconds, pts
@@ -172,12 +180,13 @@ def test_sphere_tangent_and_projection():
     M = sphere_manifold()
     p = row(M.project_points_many, np.array([1.2, 0.6, -0.3]))
     assert abs(np.linalg.norm(p) - 1.0) < 1e-12
-    T = M.tangent_basis(p)
+    _, J = constraints_at(M, p)
+    T = tangent_frame(J)
     assert T.shape == (3, 2)
     assert np.allclose(T.T @ T, np.eye(2), atol=1e-12)
     assert np.max(np.abs(T.T @ p)) < 1e-12
     v = np.array([1.0, 0.0, 0.0])
-    pv = M.project_tangent_many(p[None, :], v[None, :])[0]
+    pv = tangent_part(J[None], v[None, :])[0]
     assert abs(pv @ p) < 1e-12
 
 
@@ -436,19 +445,29 @@ def test_project_points_rows_independent():
     M = sphere_manifold()
     X = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0 - 2e-13],
                   [0.6 + 3e-13, 0.8, 0.0], [3.0, -4.0, 12.0]])
-    assert np.max(np.abs(M.constraint_values_many(X[:3]))) < 1e-12
+    F, _ = M.constraint_values_and_jacobian_many(X[:3])
+    assert np.max(np.abs(F)) < 1e-12
     Y = M.project_points_many(X)
     assert Y[:3].tobytes() == X[:3].tobytes()
     assert Y[3].tobytes() == M.project_points_many(X[3:]).tobytes()
-    assert abs(M.constraint_values_many(Y[3:])[0, 0]) < 1e-12
+    assert abs(constraints_at(M, Y[3])[0][0]) < 1e-12
 
 
 def test_constraint_values_and_jacobian_match_separate_calls():
-    M = sphere_manifold()
+    # (F, J) come from one call of the constraint table: its first codim
+    # columns, then each constraint's gradient.  On the circle cut out by
+    # x^2 + y^2 + z^2 - 1 and z every gradient column has one term, so J
+    # is exact
+    M = _joint_manifolds()[3]
     X = np.array([[0.3, -0.2, 0.9], [1.5, 0.1, -0.4]])
     F, J = M.constraint_values_and_jacobian_many(X)
-    assert F.tobytes() == M.constraint_values_many(X).tobytes()
-    assert J.tobytes() == M.jacobian_many(X).tobytes()
+    T = M._first(X)
+    assert F.shape == (2, 2) and J.shape == (2, 2, 3)
+    assert np.array_equal(F, T[:, :2])
+    assert np.array_equal(J.reshape(2, 6), T[:, 2:])
+    assert np.array_equal(F[:, 1], X[:, 2])
+    assert np.array_equal(J[:, 0], 2.0 * X)
+    assert np.array_equal(J[:, 1], np.broadcast_to([0.0, 0.0, 1.0], (2, 3)))
 
 
 # -- the fused table and the codim-1 projections, bit for bit ----------------
@@ -615,12 +634,12 @@ def test_codim1_projections_equal_their_solve_forms_bitwise():
     # solve; the 1 x 1 solve is the same division, bit for bit
     for M, on, near in _codim1_cases():
         V = np.random.default_rng(29).normal(size=on.shape)
-        J = M.jacobian_many(on)
+        _, J = M.constraint_values_and_jacobian_many(on)
         JV = np.einsum("mcn,mn->mc", J, V)
         G = np.einsum("mcn,mdn->mcd", J, J)
         lam = np.linalg.solve(G, JV[..., None])[..., 0]
         ref = V - np.einsum("mcn,mc->mn", J, lam)
-        assert np.array_equal(M.project_tangent_many(on, V), ref)
+        assert np.array_equal(tangent_part(J, V), ref)
         # the Gauss-Newton projection with the stacked solve
         X = near.copy()
         rows = np.arange(len(X))
@@ -645,7 +664,8 @@ def test_projection_jacobian_is_the_jacobian_at_the_projected_points():
             for iters in (1, 20):
                 X, J = M.project_points_jacobian_many(X0, iters=iters)
                 assert np.array_equal(X, M.project_points_many(X0, iters=iters))
-                assert np.array_equal(J, M.jacobian_many(X))
+                assert np.array_equal(
+                    J, M.constraint_values_and_jacobian_many(X)[1])
     M = r2_manifold()
     X, J = M.project_points_jacobian_many(np.ones((3, 2)))
     assert np.array_equal(X, np.ones((3, 2))) and J.shape == (3, 0, 2)
@@ -753,11 +773,11 @@ def test_classify_matches_the_separate_tables():
     for p in find_critical_points(f, M, fx.seeds):
         c = classify(f, M, p)
         x = p[None, :]
-        lam, *_ = np.linalg.lstsq(M.jacobian_many(x)[0].T, f.grad_many(x)[0],
-                                  rcond=None)
+        _, J = constraints_at(M, p)
+        lam, *_ = np.linalg.lstsq(J.T, f.grad_many(x)[0], rcond=None)
         Hf = f.hess_many(x)[0] - np.einsum("k,kij->ij", lam,
                                            M.constraint_hessians_many(x)[0])
-        T = M.tangent_basis(p)
+        T = tangent_frame(J)
         Ht = T.T @ Hf @ T
         assert np.array_equal(c.tangent_basis, T)
         assert np.array_equal(c.hessian, (Ht + Ht.T) / 2.0)
@@ -840,7 +860,7 @@ def _newton_kkt_reference(f, M, x0, max_iter=60, tol=1e-12, bound=1e6):
     c = M.codim
     x = np.asarray(x0, dtype=float).copy()
     if c:
-        J = row(M.jacobian_many, x)
+        _, J = constraints_at(M, x)
         g = row(f.grad_many, x)
         lam, *_ = np.linalg.lstsq(J.T, g, rcond=None)
     else:
@@ -848,8 +868,7 @@ def _newton_kkt_reference(f, M, x0, max_iter=60, tol=1e-12, bound=1e6):
     for _ in range(max_iter):
         g = row(f.grad_many, x)
         if c:
-            J = row(M.jacobian_many, x)
-            F = row(M.constraint_values_many, x)
+            F, J = constraints_at(M, x)
             res = np.concatenate([g - J.T @ lam, F])
         else:
             res = g
@@ -885,7 +904,7 @@ def _reference_search(f, M, seeds, tol_crit=1e-9, dedup_tol=1e-6):
     found = []
 
     def critical(x):
-        T = M.tangent_basis(x)
+        T = tangent_frame(constraints_at(M, x)[1])
         return np.linalg.norm(T @ (T.T @ row(f.grad_many, x))) < tol_crit
 
     def add(x):

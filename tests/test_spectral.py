@@ -15,6 +15,8 @@ from equimorse.spectral import (
     spectral_pages,
 )
 
+from intmat import is_zero, mat_mod, mat_mul
+
 
 def one_step(char=2):
     # circle complex, everything in filtration 0
@@ -242,7 +244,7 @@ def _check_page_identities(F):
         for (p, q), mat in cur.differentials.items():
             after = cur.differentials.get((p - r, q + r - 1))
             if after is not None:
-                assert la.is_zero(la.mat_mod(la.mat_mul(after, mat), char))
+                assert is_zero(mat_mod(mat_mul(after, mat), char))
         for (p, q) in set(cur.groups) | set(nxt.groups):
             out = cur.differentials.get((p, q))
             inc = cur.differentials.get((p + r, q - r + 1))
