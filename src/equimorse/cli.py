@@ -108,13 +108,12 @@ def _crit_table(title, crits) -> list:
 
 
 def _chart_at(charts, x):
-    """The fixture chart centred at x, if any."""
-    import numpy as np
+    """The fixture chart centred at x (see match_point), if any."""
+    from .morse.critical import match_point
 
-    for ch in charts.values():
-        if np.linalg.norm(ch.center - x) < 1e-6:
-            return ch
-    return None
+    charts = list(charts.values())
+    j = match_point(x, [ch.center for ch in charts])
+    return None if j is None else charts[j]
 
 
 def _morse_pipeline(fx: ManifoldFixture, args):

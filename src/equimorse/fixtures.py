@@ -9,9 +9,11 @@ the exact Morse charts and sphere data where surgery applies).  Matrix
 entries are [num, den] pairs when exact and plain floats otherwise (a float
 action is Morse-layer geometry).  A polynomial is a list of
 Polynomial.from_records triples [exponents, num, den]; den 0 marks a float,
-read as the binary rational it denotes.  A manifold's function must be
-invariant under its action: at the seeds projected onto the manifold it
-may move by at most INVARIANCE_TOL times max(1, |f|).
+read as the binary rational it denotes.  A manifold's action must preserve
+its constraints, and its function must be invariant under the action: at
+the seeds projected onto the manifold no group element may leave a
+constraint residual of ACTION_TOL (ImplicitGManifold.validate_action), and
+f may move by at most INVARIANCE_TOL times max(1, |f|).
 
 load_fixture(path) reads any such file and returns a GCWComplex or a
 ManifoldFixture.  Only a manifold file imports numpy and the Morse layer,
@@ -192,13 +194,14 @@ def _manifold_from_json(group, spec, name: str) -> ManifoldFixture:
                           seeds_spec.get("counts", 7))
     else:
         raise FixtureError(f"{name}: manifold 'seeds' needs 'circle' or 'bounds'")
-    # the Morse layer groups critical points into orbits, which needs f
-    # invariant on M: it is checked at the seeds that the projection takes
-    # onto M, relative to f's size there
+    # the Morse layer groups critical points into orbits, which needs the
+    # action to preserve M and f invariant on M: both are checked at the
+    # seeds that the projection takes onto M, f relative to its size there
     with np.errstate(all="ignore"):
         on = M.project_points_many(seeds)
         F, _ = M.constraint_values_and_jacobian_many(on)
     on = on[np.max(np.abs(F), axis=1, initial=0.0) < PROJECT_TOL]
+    M.validate_action(on)
     scale = max(1.0, float(np.max(np.abs(f.value_many(on)), initial=0.0)))
     err = f.invariance_error(act, on)
     if err > INVARIANCE_TOL * scale:

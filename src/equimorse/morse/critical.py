@@ -107,6 +107,15 @@ def _solve_stack(K, b):
         return out
 
 
+def match_point(x, points):
+    """The index of the first of points within DEDUP_TOL of x, or None: the
+    one test of "same critical point"."""
+    for j, y in enumerate(points):
+        if np.linalg.norm(x - y) < DEDUP_TOL:
+            return j
+    return None
+
+
 def _newton_kkt(f: EqFunction, M: ImplicitGManifold, X0, max_iter=60):
     """Newton on grad f = J^T lambda, F = 0 from every row of X0 at once.
 
@@ -130,7 +139,7 @@ def _newton_kkt(f: EqFunction, M: ImplicitGManifold, X0, max_iter=60):
     s = len(X)
     lam = np.zeros((s, c))
     if c:
-        g, _, J = ev.gradients(X)
+        _, g, _, J = ev.first(X)
         for r in np.flatnonzero(np.isfinite(J).all(axis=(1, 2))
                                 & np.isfinite(g).all(axis=1)):
             lam[r], *_ = np.linalg.lstsq(J[r].T, g[r], rcond=None)
@@ -141,7 +150,7 @@ def _newton_kkt(f: EqFunction, M: ImplicitGManifold, X0, max_iter=60):
         if not len(active):
             break
         x, lam = Z[active, :N], Z[active, N:]
-        res, F, J = ev.gradients(x)
+        _, res, F, J = ev.first(x)
         if c:
             res = np.concatenate(
                 [res - np.einsum("mcn,mc->mn", J, lam), F], axis=1)
@@ -173,7 +182,7 @@ def _is_critical(ev: Evaluator, X) -> np.ndarray:
     """Per row of X: is the tangent gradient norm below TOL_CRIT?"""
     if not len(X):
         return np.zeros(0, dtype=bool)
-    g, _, J = ev.gradients(X)
+    _, g, _, J = ev.first(X)
     T = tangent_part(J, g)
     return np.linalg.norm(T, axis=1) < TOL_CRIT
 
@@ -201,10 +210,8 @@ def find_critical_points(f: EqFunction, M: ImplicitGManifold,
     found: list[np.ndarray] = []
 
     def add(x):
-        for y in found:
-            if np.linalg.norm(x - y) <= DEDUP_TOL:
-                return
-        found.append(x)
+        if match_point(x, found) is None:
+            found.append(x)
 
     ev = M.evaluator(f)
     X, ok = _newton_kkt(f, M, seeds)
@@ -241,8 +248,9 @@ def classify(f: EqFunction, M: ImplicitGManifold, p) -> CriticalPoint:
     direction sticks out of the fixed subspace.
 
     f and the constraints are read through M's Evaluator: its first(x)
-    gives the value, gradient and Jacobian, and second(x) the Hessians of
-    f and of the constraints, so a polynomial f on a manifold with
+    gives the value, gradient and Jacobian, and lagrangian_hessians(x, lam)
+    the Hessian of f - lam . c that Newton's KKT step uses, with lam the
+    least-squares multipliers, so a polynomial f on a manifold with
     constraints makes two table calls.
     """
     p = np.asarray(p, dtype=float)
@@ -255,12 +263,10 @@ def classify(f: EqFunction, M: ImplicitGManifold, p) -> CriticalPoint:
     T = tangent_frame(J[0])
 
     # restricted Hessian: subtract the constraint curvature via multipliers
-    Hf, CH = ev.second(x)
-    Hf = Hf[0]
+    lam = np.zeros((1, 0))
     if M.codim:
-        lam, *_ = np.linalg.lstsq(J[0].T, g[0], rcond=None)
-        Hf = Hf - np.einsum("k,kij->ij", lam, CH[0])
-    Ht = T.T @ Hf @ T
+        lam = np.linalg.lstsq(J[0].T, g[0], rcond=None)[0][None]
+    Ht = T.T @ ev.lagrangian_hessians(x, lam)[0] @ T
     Ht = (Ht + Ht.T) / 2.0
 
     # stabilizer action on the tangent space and the averaging projector

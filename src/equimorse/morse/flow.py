@@ -138,9 +138,7 @@ def _capture_radii(velocity, M: ImplicitGManifold, crits, C) -> np.ndarray:
                     shells += [C[k] + q * W for q in (r, r / 2, r / 4)]
     if not blocks:
         return R
-    X = np.concatenate(shells)
-    if M.codim:
-        X = M.project_points_many(X)
+    X = M.project_points_many(np.concatenate(shells))
     side = np.array([b[0] for b in blocks])
     k = np.array([b[1] for b in blocks])
     lam = np.array([np.abs(np.linalg.eigvalsh(c.hessian)).min() for c in crits])
@@ -167,7 +165,7 @@ def _linear_ends(M: ImplicitGManifold, crits, C, X, which,
         e0 = c.tangent_basis.T @ (x - C[k])
         t = np.log(np.linalg.norm(e0) / (0.5 * CAPTURE_TOL)) / w.min()
         out[r] = C[k] + c.tangent_basis @ (V @ (np.exp(-w * t) * (V.T @ e0)))
-    return M.project_points_many(out) if M.codim else out
+    return M.project_points_many(out)
 
 
 def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
@@ -215,7 +213,7 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
     ev = M.evaluator(f)
 
     def velocity(pts, sign):
-        G, _, J = ev.gradients(pts)
+        _, G, _, J = ev.first(pts)
         return tangent_part(J, sign[:, None] * G)
 
     def rk4(P, sign, K1, dt):

@@ -39,7 +39,7 @@ from ..errors import InputError
 from ..gcw import bredon_assembly
 from ..groups import OrbitMorphism
 from ..spectral import FilteredComplex, skeletal_filtration
-from .critical import DEDUP_TOL, CriticalPoint
+from .critical import CriticalPoint, match_point
 from .flow import UNRESOLVED, integrate_batch
 from .manifolds import EqFunction, ImplicitGManifold
 
@@ -55,7 +55,7 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-DEFAULT_SPHERE_SAMPLES = {0: 2, 1: 512}
+DEFAULT_SPHERE_SAMPLES = {1: 512}
 # radius of the descending and ascending spheres the flow starts from
 RHO = 1e-3
 
@@ -111,7 +111,7 @@ def group_into_orbits(M: ImplicitGManifold,
                       crits: list[CriticalPoint]) -> list[CriticalOrbit]:
     """Partition classified critical points into group orbits; a member is
     (first element carrying the rep onto it, its index in crits), and a
-    translate names the point within DEDUP_TOL of it."""
+    translate names the first point within DEDUP_TOL of it (match_point)."""
     G = M.action.group
     used = [False] * len(crits)
     coords = [np.asarray(c.coords, dtype=float) for c in crits]
@@ -122,11 +122,7 @@ def group_into_orbits(M: ImplicitGManifold,
         members = []
         for s in G.elements():
             img = M.apply(s, coords[i])
-            hit = None
-            for j, q in enumerate(coords):
-                if np.linalg.norm(img - q) < DEDUP_TOL:
-                    hit = j
-                    break
+            hit = match_point(img, coords)
             if hit is None:
                 raise ValueError(
                     f"critical set is not closed under the action near {img}"
@@ -194,9 +190,9 @@ def morse_differentials(f: EqFunction, M: ImplicitGManifold,
     such a line leaves no boundary either way.  All four lines out of the
     maximum of torus_tilted are of that kind.
     """
-    samples_cfg = dict(DEFAULT_SPHERE_SAMPLES)
-    if sphere_samples:
-        samples_cfg.update(sphere_samples)
+    # samples on a descending circle (sphere dimension 1); an index-1
+    # source always shoots its two descending rays
+    circle_samples = {**DEFAULT_SPHERE_SAMPLES, **(sphere_samples or {})}[1]
     for c in crits:
         if not c.stable:
             raise ValueError(f"morse_differentials needs a stable function: {c}")
@@ -226,8 +222,8 @@ def morse_differentials(f: EqFunction, M: ImplicitGManifold,
             continue
         if k > 2:
             raise OutsideDeskScale("sources of index > 2 are outside desk scale")
-        segments.append((src_i, -1, _descending_seeds(
-            orb.rep, RHO, samples_cfg.get(k - 1, 512))))
+        segments.append((src_i, -1, _descending_seeds(orb.rep, RHO,
+                                                      circle_samples)))
     # receiving-end shots out of index-1 targets with index-2 sources present
     if any(o.index == 2 for o in orbits):
         if M.dim != 2:
@@ -239,9 +235,8 @@ def morse_differentials(f: EqFunction, M: ImplicitGManifold,
                 segments.append((tgt_i, +1, _ascending_seeds(M, orb.rep, RHO)))
     trajs = []
     if segments:
-        X0 = np.concatenate([seeds for _, _, seeds in segments])
-        if M.codim:
-            X0 = M.project_points_many(X0)
+        X0 = M.project_points_many(
+            np.concatenate([seeds for _, _, seeds in segments]))
         direction = np.concatenate([np.full(len(seeds), d)
                                     for _, d, seeds in segments])
         trajs = integrate_batch(f, M, X0, crits=crits, direction=direction,

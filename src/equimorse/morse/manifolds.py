@@ -17,12 +17,13 @@ multiplication so that its values are the same bits on every IEEE host.
 An Evaluator reads f and the constraints at the same points.  For a
 polynomial f on a manifold with constraints it compiles them into one
 joint table per derivative order, [f, grad f, c, grad c] and [hess f, hess
-c], whose columns equal f's and the manifold's own tables bit for bit, so
-the flow's velocity, its projection and Newton's KKT step each read what
-they need from one call.  Any other function, or a manifold without
-constraints, is evaluated through its own tables.  M.evaluator(f) keeps
-the last Evaluator it built, so the critical-point search, classify and
-every flow batch of one f stack its joint tables once.
+c], over their polynomials concatenated, whose columns equal f's and the
+manifold's own tables bit for bit (see PolyTable), so the flow's velocity,
+its projection and Newton's KKT step each read what they need from one
+call.  Any other function, or a manifold without constraints, is evaluated
+through its own tables.  M.evaluator(f) keeps the last Evaluator it built,
+so the critical-point search, classify and every flow batch of one f
+compile its joint tables once.
 
 The Gauss-Newton projection onto the zero set (project_points_jacobian_many)
 returns the Jacobian at the projected points with them, and whatever else
@@ -46,69 +47,53 @@ __all__ = ["EqFunction", "Evaluator", "ImplicitGManifold", "PolyTable",
 
 # the constraint residual below which a projected row stops
 PROJECT_TOL = 1e-12
+# validate_action: the largest constraint residual a group element may
+# leave at a point of the zero set
+ACTION_TOL = 1e-9
 
 
 class PolyTable:
     """Exact polynomials in the same variables, compiled for float batch
     evaluation: the Morse layer's one float form of a polynomial.
 
-    Each coefficient num / den is rounded to float once.  The polynomials
-    share one exponent table (every monomial any of them uses) and a
-    (monomials x polynomials) coefficient matrix.  Evaluating
-    at the rows of X builds the powers of the used variables by sequential
-    multiplication, x^k = x^(k-1) * x, in one (D+1, nv) block per row, D
-    the top degree: a variable's factor above its own top degree is 1, so
-    no power is formed that a per-variable table would not form.  Products
-    of floats round the same way on every IEEE host, where `**` follows
-    the host's pow and may differ in the last bit, so a table's values are
-    the same everywhere.  Each monomial's powers are gathered with one flat
-    index and multiplied in variable order into the monomial matrix, and
-    the result is mono @ coef.  That product is an einsum, not a BLAS
-    matmul: BLAS picks its kernel by the number of rows, so a row's value
-    would depend in the last bit on the other rows of the batch.
+    Each coefficient num / den is rounded to float once; the exact
+    polynomials are kept as polys.  The polynomials share one exponent
+    table (every monomial any of them uses) and a (monomials x polynomials)
+    coefficient matrix.  Evaluating at the rows of X builds the powers of
+    the used variables by sequential multiplication, x^k = x^(k-1) * x, in
+    one (D+1, nv) block per row, D the top degree: a variable's factor
+    above its own top degree is 1, so no power is formed that a
+    per-variable table would not form.  Products of floats round the same
+    way on every IEEE host, where `**` follows the host's pow and may
+    differ in the last bit, so a table's values are the same everywhere.
+    Each monomial's powers are gathered with one flat index and multiplied
+    in variable order into the monomial matrix, and the result is mono @
+    coef.  That product is an einsum, not a BLAS matmul: BLAS picks its
+    kernel by the number of rows, so a row's value would depend in the last
+    bit on the other rows of the batch.
 
-    Tables of different polynomials agree bit for bit on the polynomials
-    they share: a variable a monomial lacks contributes an exact factor 1,
-    and a monomial a polynomial lacks an exact zero term, so a joint table
-    of f and the constraints (see Evaluator) equals their own tables.
+    A table over the concatenated polynomials of several tables equals
+    those tables column for column (a property test checks this for the
+    Evaluator's joint tables): a variable a monomial lacks contributes an
+    exact factor 1, and a monomial a polynomial lacks an exact zero term.
+    That needs two or more columns in every table: einsum sums a
+    one-column table in another order, so a table of one polynomial alone
+    may differ in the last bit (the sphere constraint at (1.5, 0.1, -0.4)
+    does).
     """
 
     def __init__(self, polys, nvars: int):
-        polys = list(polys)
-        expos = sorted(set().union(*(p.num for p in polys)))
-        coef = np.zeros((len(expos), len(polys)))
+        self.polys = tuple(polys)
+        expos = sorted(set().union(*(p.num for p in self.polys)))
+        coef = np.zeros((len(expos), len(self.polys)))
         row = {e: i for i, e in enumerate(expos)}
-        for j, p in enumerate(polys):
+        for j, p in enumerate(self.polys):
             for e, c in p.num.items():
                 # int / int rounds correctly, as float(Fraction) does
                 coef[row[e], j] = c / p.den
-        self._compile(np.array(expos, dtype=np.int64).reshape(len(expos), nvars),
-                      coef)
-
-    @classmethod
-    def stacked(cls, tables) -> "PolyTable":
-        """One table of the polynomials of every table, in order: their
-        monomials' union, each table's coefficients copied into its own
-        columns."""
-        expos = sorted({e for t in tables for e in map(tuple, t.expo.tolist())})
-        row = {e: i for i, e in enumerate(expos)}
-        coef = np.zeros((len(expos), sum(t.coef.shape[1] for t in tables)))
-        j = 0
-        for t in tables:
-            rows = [row[e] for e in map(tuple, t.expo.tolist())]
-            coef[rows, j:j + t.coef.shape[1]] = t.coef
-            j += t.coef.shape[1]
-        table = cls.__new__(cls)
-        table._compile(np.array(expos, dtype=np.int64).reshape(
-            len(expos), tables[0].expo.shape[1]), coef)
-        return table
-
-    def _compile(self, expo: np.ndarray, coef: np.ndarray):
-        """Set up the evaluation of the monomials expo (sorted rows of
-        exponents) with the coefficient matrix coef."""
-        self.expo, self.coef = expo, coef
-        nvars = expo.shape[1]
-        top = expo.max(axis=0) if len(expo) else np.zeros(nvars, np.int64)
+        self.expo = np.array(expos, dtype=np.int64).reshape(len(expos), nvars)
+        self.coef = coef
+        top = self.expo.max(axis=0) if len(expos) else np.zeros(nvars, np.int64)
         # the variables some monomial uses, as a basic slice (no copy) when
         # that is all of them; row k of the factor block is x for the
         # variables of top degree at least k (k >= 1), else 1
@@ -129,6 +114,14 @@ class PolyTable:
         # matrix, so it is made row-major at every batch size
         mono = np.ascontiguousarray(np.take(powers, self._col, axis=1).prod(axis=2))
         return np.einsum("mk,kp->mp", mono, self.coef)
+
+
+def _action_matrices(act: LinearAction) -> np.ndarray:
+    """The float matrix of every group element, indexed by the element:
+    shape (|G|, dim, dim)."""
+    mats = [[[float(v) for v in row] for row in act.matrices[s]]
+            for s in act.group.elements()]
+    return np.array(mats, dtype=float).reshape(len(mats), act.dim, act.dim)
 
 
 def _gram_solve(J: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -193,15 +186,13 @@ class EqFunction:
         return self.value_grad_many(X)[1]
 
     def invariance_error(self, act: LinearAction, samples) -> float:
-        """max |f(A_s x) - f(x)| over the samples and group elements."""
+        """max |f(A_s x) - f(x)| over the samples and group elements, from
+        one evaluation at every translate of every sample."""
         X = np.asarray(samples, dtype=float)
-        fx = self.value_many(X)
-        worst = 0.0
-        for s in act.group.elements():
-            M = np.array([[float(v) for v in row] for row in act.matrices[s]])
-            worst = max(worst, float(np.max(np.abs(self.value_many(X @ M.T) - fx),
-                                            initial=0.0)))
-        return worst
+        moved = np.einsum("gij,mj->gmi", _action_matrices(act), X)
+        fs = self.value_many(moved.reshape(-1, act.dim))
+        return float(np.max(np.abs(fs.reshape(len(moved), len(X))
+                                   - self.value_many(X)), initial=0.0))
 
     @classmethod
     def from_polynomial(cls, poly: Polynomial, name="") -> "EqFunction":
@@ -220,7 +211,7 @@ class EqFunction:
 
         f = cls(value_grad_many, hess_many, nvars=n, name=name or "poly")
         f.polynomial = poly
-        # the tables, for an Evaluator to stack with a manifold's
+        # the tables, whose polynomials an Evaluator joins with a manifold's
         f._first, f._second = first, second
         return f
 
@@ -252,11 +243,7 @@ class ImplicitGManifold:
         self._second = PolyTable(
             [g.derivative(j) for g in grads for j in range(N)], N
         )
-        # the float matrix of every group element, indexed by the element
-        self.act_mats = [
-            np.array([[float(v) for v in row] for row in self.action.matrices[s]])
-            for s in self.action.group.elements()
-        ]
+        self.act_mats = _action_matrices(self.action)
         self._evaluator = None
 
     @property
@@ -328,7 +315,7 @@ class ImplicitGManifold:
     def evaluator(self, f: EqFunction) -> "Evaluator":
         """The Evaluator of f on this manifold.  The last one built is
         kept, so the calls that read the same f in turn (classify at each
-        critical point, each flow batch) stack its joint tables once."""
+        critical point, each flow batch) compile its joint tables once."""
         if self._evaluator is None or self._evaluator.f is not f:
             self._evaluator = Evaluator(f, self)
         return self._evaluator
@@ -336,15 +323,16 @@ class ImplicitGManifold:
     def apply(self, s: int, x) -> np.ndarray:
         return self.act_mats[s] @ np.asarray(x, dtype=float)
 
-    def validate_action(self, sample_points, tol=1e-9) -> float:
-        """max |F(A_s x)| over samples of the zero set; must stay below tol."""
+    def validate_action(self, sample_points) -> float:
+        """max |F(A_s x)| over the sample points projected onto the zero
+        set; raises ValueError unless it stays below ACTION_TOL."""
         X = self.project_points_many(np.array(sample_points, dtype=float)
                                      .reshape(-1, self.ambient))
-        moved = np.einsum("gij,mj->gmi", np.array(self.act_mats), X)
+        moved = np.einsum("gij,mj->gmi", self.act_mats, X)
         F, _ = self.constraint_values_and_jacobian_many(
             moved.reshape(-1, self.ambient))
         worst = float(np.max(np.abs(F), initial=0.0))
-        if worst >= tol:
+        if worst >= ACTION_TOL:
             raise ValueError(f"action does not preserve the zero set: {worst:.2e}")
         return worst
 
@@ -353,31 +341,31 @@ class Evaluator:
     """f and the constraints of M evaluated at the same points.
 
     first(X) returns f's values and gradients with the constraint values
-    and Jacobian, shapes (m,), (m, N), (m, c) and (m, c, N), and
-    gradients(X) the same without the values; second(X) returns f's
-    Hessians and the constraint Hessians, (m, N, N) and (m, c, N, N), and
-    lagrangian_hessians(X, lam) contracts them with the multipliers;
-    project(X) is M's Gauss-Newton projection, returning the projected
-    points with f's values, gradients and the Jacobian there.
+    and Jacobian, shapes (m,), (m, N), (m, c) and (m, c, N); second(X)
+    returns f's Hessians and the constraint Hessians, (m, N, N) and (m, c,
+    N, N), and lagrangian_hessians(X, lam) contracts them with the
+    multipliers; project(X) is M's Gauss-Newton projection, returning the
+    projected points with f's values, gradients and the Jacobian there.
 
     For a polynomial f (from_polynomial keeps .polynomial) on M with
     constraints, first and second are one PolyTable call each, of the
     joint tables [f, grad f, c, grad c] and [hess f, hess c], and the
     projection steps on the joint first-order table, so its last
-    evaluation of a row also gives f there.  The joint tables stack f's
-    and M's own (PolyTable.stacked), and their columns equal those tables'
-    bit for bit: the monomials one of them lacks add exact zeros.
-    Otherwise first and second call f and M's own tables, and project
-    calls f once at the projected points; at codim 0 the constraint arrays
-    are empty and no constraint table is called.
+    evaluation of a row also gives f there.  The joint tables are built
+    over the polynomials of f's and M's own tables, concatenated, so their
+    columns equal those tables' (see PolyTable).  Otherwise first and
+    second call f and M's own tables, and project calls f once at the
+    projected points; at codim 0 the constraint arrays are empty and no
+    constraint table is called.
     """
 
     def __init__(self, f: EqFunction, M: ImplicitGManifold):
         self.f, self.M = f, M
         self._first = self._second = None
         if getattr(f, "polynomial", None) is not None and M.codim:
-            self._first = PolyTable.stacked([f._first, M._first])
-            self._second = PolyTable.stacked([f._second, M._second])
+            N = M.ambient
+            self._first = PolyTable(f._first.polys + M._first.polys, N)
+            self._second = PolyTable(f._second.polys + M._second.polys, N)
 
     def first(self, X):
         """(values, gradients, F, J) at the rows of X."""
@@ -387,13 +375,6 @@ class Evaluator:
         T = self._first(X)
         return (T[:, 0], T[:, 1:N + 1], T[:, N + 1:N + 1 + c],
                 T[:, N + 1 + c:].reshape(len(T), c, N))
-
-    def gradients(self, X):
-        """(gradients, F, J) at the rows of X: first without the values, so
-        without a joint table it calls f.grad_many."""
-        if self._first is None:
-            return (self.f.grad_many(X), *self._constraints(X))
-        return self.first(X)[1:]
 
     def _constraints(self, X):
         """M's own (F, J), empty arrays at codim 0."""
@@ -415,9 +396,7 @@ class Evaluator:
 
     def lagrangian_hessians(self, X, lam):
         """The Hessians of f - lam . c at the rows of X, with lam of shape
-        (m, c): f's alone at codim 0."""
-        if not self.M.codim:
-            return self.f.hess_many(X)
+        (m, c): f's alone at codim 0, where the sum is empty."""
         H, CH = self.second(X)
         return H - np.einsum("mk,mkij->mij", lam, CH)
 

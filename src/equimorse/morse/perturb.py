@@ -10,21 +10,24 @@ point u of h on the unit sphere.  Splicing the model into a Morse chart at
 an unstable critical point replaces it by stable critical points without
 touching the function outside the chart ball.
 
-Sphere functions h are homogeneous polynomials divided by the matching power
-of the radius, so their gradients and Hessians are closed-form.  Like every
-Morse-layer function, the model, the sphere functions, the charts and the
-surgered function take (m x n) batches of points and have no scalar forms;
-a single point is a batch of one.  Their per-row contractions are einsums rather than BLAS products,
-so a row's result does not depend on the rows beside it.  Each function
-evaluates its value and gradient in one body (value_grad_many); the model
-reads phi, psi and their derivatives from the one radial kernel,
-CutoffPair.profile.
+Sphere functions h are homogeneous polynomials P divided by the matching
+power of the radius; P is evaluated as EqFunction.from_polynomial, so the
+gradients and Hessians of h are closed-form.  One seeded sample of the unit
+sphere gives the sup of |h|, which sizes eps and bounds the C0 distance of
+the surgery.  Like every Morse-layer function, the model, the sphere
+functions, the charts and the surgered function take (m x n) batches of
+points and have no scalar forms; a single point is a batch of one.  Their
+per-row contractions are einsums rather than BLAS products, so a row's
+result does not depend on the rows beside it.  Each function evaluates its
+value and gradient in one body (value_grad_many); the model reads phi, psi
+and their derivatives from the one radial kernel, CutoffPair.profile.
 """
 
 from __future__ import annotations
 
 import logging
 import warnings
+from math import comb
 
 import numpy as np
 
@@ -37,7 +40,7 @@ from .critical import (
     seed_grid,
 )
 from .cutoffs import CutoffPair
-from .manifolds import EqFunction, ImplicitGManifold, PolyTable
+from .manifolds import EqFunction, ImplicitGManifold
 
 __all__ = [
     "AngleChart",
@@ -76,25 +79,26 @@ class ChartMissing(InputError):
     function where U has dimension 2 or more."""
 
 
+def _sphere_samples(seed: int, count: int, dim: int) -> np.ndarray:
+    """count seeded random points on the unit sphere of R^dim."""
+    pts = np.random.default_rng(seed).normal(size=(count, dim))
+    return pts / np.linalg.norm(pts, axis=1)[:, None]
+
+
 class SphereFunction(EqFunction):
     """h(u) = P(u) / |u|^deg for a homogeneous polynomial P: the degree-zero
     homogeneous extension of a smooth function on the unit sphere.  P is
-    differentiated exactly and rounded once, into its tables."""
+    EqFunction.from_polynomial(poly), differentiated exactly and rounded
+    once, into its tables."""
 
     def __init__(self, poly: Polynomial):
         degs = {sum(e) for e in poly.num} or {0}
         if len(degs) != 1:
             raise ValueError("sphere function needs a homogeneous polynomial")
-        self.poly = poly
+        self.P = EqFunction.from_polynomial(poly)
         self.deg = degs.pop()
         self.dim = self.nvars = poly.nvars
         self.name = "sphere"
-        grads = [self.poly.derivative(i) for i in range(self.dim)]
-        # P with its gradient in one table, its Hessian in a second
-        self._first = PolyTable([self.poly] + grads, self.dim)
-        self._second = PolyTable(
-            [g.derivative(j) for g in grads for j in range(self.dim)], self.dim
-        )
 
     @classmethod
     def constant(cls, dim: int, c: float = 1.0) -> "SphereFunction":
@@ -103,21 +107,14 @@ class SphereFunction(EqFunction):
     @classmethod
     def cos_multiple_angle(cls, k: int) -> "SphereFunction":
         """cos(k theta) on the unit circle: the real part of (x + i y)^k."""
-        terms = {}
-        sign = 1
-        for j in range(0, k + 1, 2):
-            from math import comb
-
-            terms[(k - j, j)] = sign * comb(k, j)
-            sign = -sign
-        return cls(Polynomial(2, terms))
+        return cls(Polynomial(2, {(k - j, j): (-1) ** (j // 2) * comb(k, j)
+                                  for j in range(0, k + 1, 2)}))
 
     def value_grad_many(self, U):
         U = np.asarray(U, dtype=float)
         t = np.linalg.norm(U, axis=1)
         m = self.deg
-        PG = self._first(U)
-        P, gP = PG[:, 0], PG[:, 1:]
+        P, gP = self.P.value_grad_many(U)
         return (P / t**m,
                 gP / t[:, None] ** m - m * (P / t ** (m + 2))[:, None] * U)
 
@@ -125,9 +122,9 @@ class SphereFunction(EqFunction):
         U = np.asarray(U, dtype=float)
         t = np.linalg.norm(U, axis=1)[:, None, None]
         m = self.deg
-        PG = self._first(U)
-        P, gP = PG[:, 0, None, None], PG[:, 1:]
-        HP = self._second(U).reshape(len(U), self.dim, self.dim)
+        P, gP = self.P.value_grad_many(U)
+        P = P[:, None, None]
+        HP = self.P.hess_many(U)
         gu = gP[:, :, None] * U[:, None, :]
         uu = U[:, :, None] * U[:, None, :]
         return (
@@ -137,73 +134,63 @@ class SphereFunction(EqFunction):
         )
 
     def equivariance_error(self, act: LinearAction) -> float:
-        """max |h(A_s u) - h(u)| over random sphere samples."""
-        rng = np.random.default_rng(7)
-        pts = rng.normal(size=(EQUIVARIANCE_SAMPLES, self.dim))
-        pts /= np.linalg.norm(pts, axis=1)[:, None]
-        worst = 0.0
-        for s in act.group.elements():
-            A = np.array([[float(v) for v in row] for row in act.matrices[s]])
-            moved = pts @ A.T
-            worst = max(
-                worst,
-                float(np.max(np.abs(self.value_many(moved) - self.value_many(pts)))),
-            )
-        return worst
+        """max |h(A_s u) - h(u)| over EQUIVARIANCE_SAMPLES seeded sphere
+        samples."""
+        return self.invariance_error(
+            act, _sphere_samples(7, EQUIVARIANCE_SAMPLES, self.dim))
+
+    def _angle_derivative(self, th):
+        """q'(theta) = grad h . (-sin, cos) at the angles th, with q(theta) =
+        h(cos theta, sin theta)."""
+        u = np.stack([np.cos(th), np.sin(th)], axis=1)
+        tang = np.stack([-np.sin(th), np.cos(th)], axis=1)
+        return np.einsum("mi,mi->m", self.grad_many(u), tang)
 
     def sphere_critical_points(self):
         """Critical points of h on the unit sphere with their sphere-Hessian
-        index; supported for dim <= 2."""
+        index; supported for dim <= 2.
+
+        On the circle q' is sampled at 1441 angles; a sample where it is
+        zero is a root, and every sign change is bisected to
+        SPHERE_ROOT_TOL, all brackets in lockstep with one gradient call
+        per halving.  The roots are classified in one batch."""
         if self.dim == 1:
             return [
                 (np.array([1.0]), 0, True),
                 (np.array([-1.0]), 0, True),
             ]
-        if self.dim == 2:
-            thetas = np.linspace(0.0, 2 * np.pi, 1441, endpoint=False)
-            pts = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-            tang = np.stack([-np.sin(thetas), np.cos(thetas)], axis=1)
-            dq = np.einsum("mi,mi->m", self.grad_many(pts), tang)
-            roots = []
-            nt = len(thetas)
-            for i in range(nt):
-                a, b = thetas[i], thetas[(i + 1) % nt] + (2 * np.pi if i + 1 == nt else 0)
-                fa, fb = dq[i], dq[(i + 1) % nt]
-                if fa == 0.0:
-                    roots.append(a)
-                    continue
-                if fa * fb < 0:
-                    lo, hi, flo = a, b, fa
-
-                    def qprime(th):
-                        u = np.array([np.cos(th), np.sin(th)])
-                        tv = np.array([-np.sin(th), np.cos(th)])
-                        return float(self.grad_many(u[None, :])[0] @ tv)
-
-                    while hi - lo > SPHERE_ROOT_TOL:
-                        mid = (lo + hi) / 2
-                        fm = qprime(mid)
-                        if flo * fm <= 0:
-                            hi = mid
-                        else:
-                            lo, flo = mid, fm
-                    roots.append((lo + hi) / 2)
-            out = []
-            for th in roots:
-                u = np.array([np.cos(th), np.sin(th)])
-                tv = np.array([-np.sin(th), np.cos(th)])
-                g = self.grad_many(u[None, :])[0]
-                q2 = float(tv @ self.hess_many(u[None, :])[0] @ tv - g @ u)
-                # on the unit circle q''(theta) = t^T H t - u . grad
-                nondeg = abs(q2) > 1e-8
-                out.append((u, 1 if q2 < 0 else 0, nondeg))
-            return out
-        raise ValueError("sphere critical points supported for dim <= 2 only")
+        if self.dim != 2:
+            raise ValueError("sphere critical points supported for dim <= 2 only")
+        thetas = np.linspace(0.0, 2 * np.pi, 1441, endpoint=False)
+        dq = self._angle_derivative(thetas)
+        exact = dq == 0.0
+        change = ~exact & (dq * np.roll(dq, -1) < 0)
+        keep = exact | change
+        lo, flo = thetas[keep], dq[keep]
+        hi = np.append(thetas[1:], 2 * np.pi)[keep]
+        run = change[keep] & (hi - lo > SPHERE_ROOT_TOL)
+        while run.any():
+            rows = np.flatnonzero(run)
+            mid = (lo[rows] + hi[rows]) / 2
+            fm = self._angle_derivative(mid)
+            left = flo[rows] * fm <= 0
+            hi[rows[left]] = mid[left]
+            lo[rows[~left]], flo[rows[~left]] = mid[~left], fm[~left]
+            run[rows] = hi[rows] - lo[rows] > SPHERE_ROOT_TOL
+        th = np.where(change[keep], (lo + hi) / 2, lo)
+        u = np.stack([np.cos(th), np.sin(th)], axis=1)
+        tv = np.stack([-np.sin(th), np.cos(th)], axis=1)
+        # on the unit circle q''(theta) = t^T H t - u . grad
+        q2 = (np.einsum("mi,mij,mj->m", tv, self.hess_many(u), tv)
+              - np.einsum("mi,mi->m", self.grad_many(u), u))
+        return [(u[r], 1 if q2[r] < 0 else 0, bool(abs(q2[r]) > 1e-8))
+                for r in range(len(th))]
 
 
 class PerturbedModel(EqFunction):
     """The construction as an EqFunction on R^(dv+dw+du), with the block
-    action and the predicted critical data attached."""
+    action and the predicted critical data attached.  h_sup is the sampled
+    sup of |h| that eps was rescaled by (see _build_model), 0 without h."""
 
     def __init__(self, actV: LinearAction, actW: LinearAction,
                  actU: LinearAction, h: SphereFunction | None,
@@ -214,6 +201,7 @@ class PerturbedModel(EqFunction):
         self.cut = cut
         self.eps = float(eps)
         self.h = h
+        self.h_sup = 0.0
         if self.du and h is not None and h.dim != self.du:
             raise ValueError("sphere function dimension mismatch")
         parts = [a for a in (actV, actW, actU) if a.dim]
@@ -224,17 +212,12 @@ class PerturbedModel(EqFunction):
         self.nvars = self.dv + self.dw + self.du
         self.name = "perturbed-model"
 
-    # -- coordinate splitting --
-
-    def _split_n(self, X):
-        dv, dw = self.dv, self.dw
-        return X[:, :dv], X[:, dv:dv + dw], X[:, dv + dw:]
-
     # -- evaluation --
 
     def value_grad_many(self, X):
         X = np.asarray(X, dtype=float)
-        v, w, u = self._split_n(X)
+        dv, dw = self.dv, self.dw
+        v, w, u = X[:, :dv], X[:, dv:dv + dw], X[:, dv + dw:]
         out = np.einsum("mi,mi->m", v, v) - np.einsum("mi,mi->m", w, w)
         g = np.concatenate([2.0 * v, -2.0 * w, np.zeros_like(u)], axis=1)
         if self.du:
@@ -257,7 +240,7 @@ class PerturbedModel(EqFunction):
                     gu += self.eps * (
                         (dpsi * hval)[:, None] * uhat + psi[:, None] * hgrad
                     )
-            g[:, self.dv + self.dw:] = g[:, self.dv + self.dw:] + gu
+            g[:, dv + dw:] = g[:, dv + dw:] + gu
         return out, g
 
     def hess_many(self, X):
@@ -331,12 +314,11 @@ def _build_model(actV: LinearAction, actW: LinearAction, actU: LinearAction,
     err = h.equivariance_error(actU)
     if err > 1e-9:
         raise HNotEquivariant(f"sphere function moves by {err:.2e}")
-    rng = np.random.default_rng(3)
-    pts = rng.normal(size=(256, du))
-    pts /= np.linalg.norm(pts, axis=1)[:, None]
-    h_sup = float(np.max(np.abs(h.value_many(pts))))
-    return PerturbedModel(actV, actW, actU, h, cut,
-                          cut.epsilon / max(h_sup, 1e-12))
+    h_sup = float(np.max(np.abs(h.value_many(_sphere_samples(3, 256, du)))))
+    model = PerturbedModel(actV, actW, actU, h, cut,
+                           cut.epsilon / max(h_sup, 1e-12))
+    model.h_sup = h_sup
+    return model
 
 
 def stable_perturb(actV: LinearAction, actW: LinearAction, actU: LinearAction,
@@ -646,17 +628,12 @@ def localize_surgery(f: EqFunction, M: ImplicitGManifold, p: CriticalPoint,
 
     out = SurgeredFunction(f, charts, model, scale, fp, split)
 
-    # reported C0 distance: sup over the modified cylinder of the change
+    # reported C0 distance: sup over the modified cylinder of the change,
+    # with the model's sampled sup of |h|
     ts = np.linspace(0.0, 3.0, 601)
     base = -ts * ts
-    h_sup = 0.0
-    if model.h is not None:
-        rng = np.random.default_rng(5)
-        pts = rng.normal(size=(128, model.du))
-        pts /= np.linalg.norm(pts, axis=1)[:, None]
-        h_sup = float(np.max(np.abs(model.h.value_many(pts))))
     (R,), (psi,) = cut.profile(ts, 0)
-    changed = R + model.eps * psi * h_sup
+    changed = R + model.eps * psi * model.h_sup
     out.c0_distance = float(scale * scale * np.max(np.abs(changed - base)))
     log.info("surgery at %s: C0 distance <= %.3e", np.round(p.coords, 4),
              out.c0_distance)

@@ -113,15 +113,6 @@ def _join(X: _CellAction, Y: _CellAction) -> _CellAction:
     and one (a, b) cell of dimension |a| + |b| + 1 per pair.  Boundary signs
     follow the shifted tensor of augmented complexes."""
     G = X.group
-    dims = set()
-    for d in X.cells:
-        dims.add(d)
-    for d in Y.cells:
-        dims.add(d)
-    for dx in X.cells:
-        for dy in Y.cells:
-            dims.add(dx + dy + 1)
-
     index: dict = {}
     counts: dict[int, int] = {}
 

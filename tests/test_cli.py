@@ -178,6 +178,11 @@ def _function_not_invariant(raw):
     raw["manifold"]["function"].append([[1, 0], 1, 2])
 
 
+def _constraint_not_preserved(raw):
+    # x^2 + y^2 + x / 2 - 1 = 0 is not preserved by x -> -x
+    raw["manifold"]["constraints"][0].append([[1, 0], 1, 2])
+
+
 @pytest.mark.parametrize("command, name, edit, message", [
     ("bredon", "circle_reflection", _bad_table, "no identity element"),
     ("bredon", "circle_reflection", _bad_stabilizer, "missing identity"),
@@ -185,14 +190,17 @@ def _function_not_invariant(raw):
     ("bredon", "circle_reflection", _table_of_wrong_type, "wrong type"),
     ("morse", "wells_c2", _bad_function_record, "bad polynomial record"),
     ("morse", "wells_c2", _function_not_invariant, "not invariant"),
+    ("morse", "circle_c2_height", _constraint_not_preserved,
+     "does not preserve the zero set"),
 ], ids=["table", "stabilizer", "action", "table-type", "function-record",
-        "function-not-invariant"])
+        "function-not-invariant", "constraint-not-preserved"])
 def test_bad_fixture_data_is_an_error_exit(tmp_path, capsys, command, name,
                                            edit, message):
     # a table that is not a group (or no table at all), a stabilizer that is
     # not a subgroup, matrices that are not a representation, a record that
-    # is no polynomial term or a function that is not invariant make a
-    # malformed fixture: FixtureError, an error line and exit 2
+    # is no polynomial term, a function that is not invariant or an action
+    # that moves the constraints make a malformed fixture: FixtureError, an
+    # error line and exit 2
     p = _rewritten(tmp_path, name, edit)
     with pytest.raises(FixtureError, match=message):
         load_fixture(p)
@@ -209,6 +217,24 @@ def test_function_invariant_only_on_the_manifold_loads(tmp_path):
     p = _rewritten(tmp_path, "sphere_antipodal",
                    lambda raw: raw["manifold"]["function"].extend(add))
     assert isinstance(load_fixture(p), ManifoldFixture)
+
+
+GOLDEN = json.loads((Path(__file__).resolve().parent / "cli_outputs.json")
+                    .read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda case: "_".join(
+    a.removeprefix("fixtures/").removesuffix(".json").lstrip("-")
+    for a in case["argv"]))
+def test_console_output_is_the_golden(case, capsys, monkeypatch):
+    # the README and CI commands, run from the root of the checkout, print
+    # byte for byte the stdout and exit code recorded in cli_outputs.json,
+    # and nothing on stderr
+    monkeypatch.chdir(FIXDIR.parent)
+    assert main(case["argv"]) == case["exit"]
+    captured = capsys.readouterr()
+    assert captured.out == case["stdout"]
+    assert captured.err == ""
 
 
 def test_bredon_command_text_and_exit():

@@ -540,19 +540,28 @@ def _same_bits(a, b):
 
 def _joint_manifolds():
     """R^3 (codim 0), the sphere, the torus and the unit circle of the
-    plane z = 0 cut out by x^2 + y^2 + z^2 - 1 = 0 and z = 0 (codim 2)."""
+    plane z = 0 cut out by x^2 + y^2 + z^2 - 1 = 0 and z = 0 (codim 2), then
+    the sphere_antipodal and circle_c2_height fixtures."""
     trivial = LinearAction.trivial(FiniteGroup.trivial(), 3)
     sphere = sphere_manifold()
     circle = ImplicitGManifold(
         ambient=3, action=trivial,
         constraints=(sphere.constraints[0], Polynomial(3, {(0, 0, 1): 1})))
     return [ImplicitGManifold(ambient=3, constraints=(), action=trivial),
-            sphere, MANIFOLD_FIXTURES["torus_tilted"]().manifold, circle]
+            sphere, MANIFOLD_FIXTURES["torus_tilted"]().manifold, circle,
+            MANIFOLD_FIXTURES["sphere_antipodal"]().manifold,
+            MANIFOLD_FIXTURES["circle_c2_height"]().manifold]
 
 
 @pytest.fixture(scope="module")
 def joint_manifolds():
     return _joint_manifolds()
+
+
+def _in_first_vars(poly, n):
+    """poly on R^n: its variables after the first n set to 0."""
+    return Polynomial(n, {e[:n]: c for e, c in poly.terms.items()
+                          if not any(e[n:])})
 
 
 @st.composite
@@ -571,20 +580,23 @@ def _poly_at_points(draw):
 @settings(max_examples=100, deadline=None)
 @given(_poly_at_points())
 @example((Polynomial(3, {(0, 0, 1): 1}), np.array([[0.0, -0.0, 0.5]])))
+@example((Polynomial(3, {(2, 0, 0): 1, (0, 1, 1): -3}),
+          np.array([[1.5, 0.1, -0.4]])))
 def test_joint_tables_equal_the_separate_tables_bitwise(joint_manifolds, case):
     # the joint first- and second-order tables of f and M's constraints
     # give f's own table's and M's own tables' bits, at every row alone too;
-    # at codim 0 there is no joint table and f's own is called
-    poly, X = case
-    f = EqFunction.from_polynomial(poly)
+    # at codim 0 there is no joint table and f's own is called.  On a
+    # manifold in the plane, f and the points drop their last variable
+    poly3, X3 = case
     for M in joint_manifolds:
+        poly, X = _in_first_vars(poly3, M.ambient), X3[:, :M.ambient]
+        f = EqFunction.from_polynomial(poly)
         ev = Evaluator(f, M)
         assert (ev._first is not None) == bool(M.codim)
         got = (*ev.first(X), *ev.second(X))
         want = (*f.value_grad_many(X), *M.constraint_values_and_jacobian_many(X),
                 f.hess_many(X), M.constraint_hessians_many(X))
         assert all(_same_bits(a, b) for a, b in zip(got, want))
-        assert all(_same_bits(a, b) for a, b in zip(ev.gradients(X), got[1:4]))
         for r in range(len(X)):
             one = (*ev.first(X[r:r + 1]), *ev.second(X[r:r + 1]))
             assert all(_same_bits(a[0], b[r]) for a, b in zip(one, got))
@@ -595,14 +607,16 @@ def test_evaluator_projection_returns_f_and_j_at_its_points():
     # the f, grad f and J it returns are a fresh evaluation at its points;
     # with iters=1 the rows still moving take one more evaluation.  The
     # same function without its polynomial takes the composed path
-    f = EqFunction.from_polynomial(Polynomial(3, {
-        (0, 0, 1): 1, (1, 0, 0): Fraction(3, 10), (2, 1, 0): -2}))
-    plain = EqFunction(f.value_grad_many, f.hess_many, nvars=3)
+    poly = Polynomial(3, {(0, 0, 1): 1, (1, 0, 0): Fraction(3, 10),
+                          (2, 1, 0): -2})
     rng = np.random.default_rng(31)
     for M in _joint_manifolds():
-        on = M.project_points_many(2.0 * rng.normal(size=(4, 3)))
+        n = M.ambient
+        f = EqFunction.from_polynomial(_in_first_vars(poly, n))
+        plain = EqFunction(f.value_grad_many, f.hess_many, nvars=n)
+        on = M.project_points_many(2.0 * rng.normal(size=(4, n)))
         X0 = np.concatenate([on, on + 1e-3 * rng.normal(size=on.shape),
-                             3.0 * rng.normal(size=(3, 3))])
+                             3.0 * rng.normal(size=(3, n))])
         for iters in (1, 20):
             for fn in (f, plain):
                 ev = Evaluator(fn, M)
@@ -1055,8 +1069,9 @@ def test_search_calls_gradient_in_batches():
     g = localize_surgery(fx.function, M, p, fx.surgery_radius,
                          build_cutoffs(0.05), chart=fx.charts["origin"],
                          h=fx.sphere_fn)
+    # the search reads gradients through the first-order evaluation
     calls = []
-    real = g.grad_many
-    g.grad_many = lambda X: calls.append(len(X)) or real(X)
+    real = g.value_grad_many
+    g.value_grad_many = lambda X: calls.append(len(X)) or real(X)
     assert len(find_critical_points(g, M, fx.seeds)) == 7
     assert 0 < len(calls) < 100
