@@ -29,8 +29,9 @@ of the joint first-order table: three for the velocities and one per
 Gauss-Newton step of the projection (about two an iteration on the torus
 and the sphere), whose last call at a row gives f, its gradient and the
 constraint Jacobian at the new point.  Otherwise the
-iteration calls f at K2-K4 and once at the new points, and, with
-constraints, the constraint table at K2-K4 and once per projection step.
+iteration calls f's jet_many at order 1 at K2-K4 and once at the new
+points, and, with constraints, the constraint table at K2-K4 and once per
+projection step.  No flow evaluation asks for a Hessian.
 The new point's gradient, projected with its Jacobian, is the next
 iteration's K1 (which also sets the step size), and its value is the next
 f_old, so no point of a trajectory is evaluated twice; only the start

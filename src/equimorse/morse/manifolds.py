@@ -21,9 +21,9 @@ c], over their polynomials concatenated, whose columns equal f's and the
 manifold's own tables bit for bit (see PolyTable), so the flow's velocity,
 its projection and Newton's KKT step each read what they need from one
 call.  Any other function, or a manifold without constraints, is evaluated
-through its own tables.  M.evaluator(f) keeps the last Evaluator it built,
-so the critical-point search, classify and every flow batch of one f
-compile its joint tables once.
+through f's jet_many, at order 1 or 2, and M's own tables.  M.evaluator(f)
+keeps the last Evaluator it built, so the critical-point search, classify
+and every flow batch of one f compile its joint tables once.
 
 The Gauss-Newton projection onto the zero set (project_points_jacobian_many)
 returns the Jacobian at the projected points with them, and whatever else
@@ -156,34 +156,32 @@ def tangent_frame(J: np.ndarray) -> np.ndarray:
 
 
 class EqFunction:
-    """A smooth function given by two batched callables on (m x n) arrays:
-    value_grad_many returns the values and gradients, shapes (m,) and
-    (m, n), from one evaluation, and hess_many the Hessians, (m, n, n).
+    """A smooth function given by one batched callable on (m x n) arrays:
+    jet_many(X, order), order 0, 1 or 2, returns [values, gradients,
+    Hessians][:order + 1], shapes (m,), (m, n) and (m, n, n), from one
+    evaluation.
 
-    Every function defines value_grad_many and hess_many, and nothing
-    else evaluates it: value_many and grad_many are views of
-    value_grad_many, so a caller that needs both reads them from one call.
-    Subclasses override value_grad_many and hess_many.
+    jet_many is the one evaluation of every function: value_many and
+    grad_many are views of it, and a caller that needs several orders
+    reads them from one call.  Subclasses override jet_many, computing
+    only the orders asked for, so that a lower order equals the leading
+    entries of a higher one bit for bit.
     """
 
-    def __init__(self, value_grad_many, hess_many, *, nvars=None, name=""):
-        self._value_grad_many = value_grad_many
-        self._hess_many = hess_many
+    def __init__(self, jet_many, *, nvars=None, name=""):
+        self._jet_many = jet_many
         self.nvars = nvars
         self.name = name or "f"
 
-    def value_grad_many(self, X):
-        """(values, gradients) at the rows of X from one evaluation."""
-        return self._value_grad_many(np.asarray(X, dtype=float))
-
-    def hess_many(self, X) -> np.ndarray:
-        return self._hess_many(np.asarray(X, dtype=float))
+    def jet_many(self, X, order: int) -> list:
+        """[values, gradients, Hessians][:order + 1] at the rows of X."""
+        return self._jet_many(np.asarray(X, dtype=float), order)
 
     def value_many(self, X) -> np.ndarray:
-        return self.value_grad_many(X)[0]
+        return self.jet_many(X, 0)[0]
 
     def grad_many(self, X) -> np.ndarray:
-        return self.value_grad_many(X)[1]
+        return self.jet_many(X, 1)[1]
 
     def invariance_error(self, act: LinearAction, samples) -> float:
         """max |f(A_s x) - f(x)| over the samples and group elements, from
@@ -198,18 +196,19 @@ class EqFunction:
     def from_polynomial(cls, poly: Polynomial, name="") -> "EqFunction":
         n = poly.nvars
         grads = [poly.derivative(i) for i in range(n)]
-        # value and gradient in one table, the Hessian in a second
+        # value and gradient in one table, the Hessian in a second, which
+        # only order 2 calls
         first = PolyTable([poly] + grads, n)
         second = PolyTable([g.derivative(j) for g in grads for j in range(n)], n)
 
-        def value_grad_many(X):
+        def jet_many(X, order):
             T = first(X)
-            return T[:, 0], T[:, 1:]
+            jet = [T[:, 0], T[:, 1:]]
+            if order == 2:
+                jet.append(second(X).reshape(len(X), n, n))
+            return jet[:order + 1]
 
-        def hess_many(X):
-            return second(X).reshape(len(X), n, n)
-
-        f = cls(value_grad_many, hess_many, nvars=n, name=name or "poly")
+        f = cls(jet_many, nvars=n, name=name or "poly")
         f.polynomial = poly
         # the tables, whose polynomials an Evaluator joins with a manifold's
         f._first, f._second = first, second
@@ -353,10 +352,11 @@ class Evaluator:
     projection steps on the joint first-order table, so its last
     evaluation of a row also gives f there.  The joint tables are built
     over the polynomials of f's and M's own tables, concatenated, so their
-    columns equal those tables' (see PolyTable).  Otherwise first and
-    second call f and M's own tables, and project calls f once at the
-    projected points; at codim 0 the constraint arrays are empty and no
-    constraint table is called.
+    columns equal those tables' (see PolyTable).  Otherwise first calls
+    f.jet_many at order 1 and second at order 2 (which also computes the
+    values and gradients it drops), each with M's own table, and project
+    calls f's order-1 jet once at the projected points; at codim 0 the
+    constraint arrays are empty and no constraint table is called.
     """
 
     def __init__(self, f: EqFunction, M: ImplicitGManifold):
@@ -370,7 +370,7 @@ class Evaluator:
     def first(self, X):
         """(values, gradients, F, J) at the rows of X."""
         if self._first is None:
-            return (*self.f.value_grad_many(X), *self._constraints(X))
+            return (*self.f.jet_many(X, 1), *self._constraints(X))
         N, c = self.M.ambient, self.M.codim
         T = self._first(X)
         return (T[:, 0], T[:, 1:N + 1], T[:, N + 1:N + 1 + c],
@@ -388,8 +388,8 @@ class Evaluator:
         M = self.M
         N, c = M.ambient, M.codim
         if self._second is None:
-            return self.f.hess_many(X), (M.constraint_hessians_many(X) if c
-                                         else np.empty((len(X), 0, N, N)))
+            return self.f.jet_many(X, 2)[2], (M.constraint_hessians_many(X) if c
+                                              else np.empty((len(X), 0, N, N)))
         T = self._second(X)
         return (T[:, :N * N].reshape(len(T), N, N),
                 T[:, N * N:].reshape(len(T), c, N, N))
@@ -411,7 +411,7 @@ class Evaluator:
         M = self.M
         if self._first is None:
             X, J = M.project_points_jacobian_many(X, iters)
-            return (X, *self.f.value_grad_many(X), J)
+            return (X, *self.f.jet_many(X, 1), J)
         X, J, v, g = M.project_points_jacobian_many(
             X, iters, evaluate=self._constraints_first)
         return X, v, g, J

@@ -18,9 +18,13 @@ the surgery.  Like every Morse-layer function, the model, the sphere
 functions, the charts and the surgered function take (m x n) batches of
 points and have no scalar forms; a single point is a batch of one.  Their
 per-row contractions are einsums rather than BLAS products, so a row's
-result does not depend on the rows beside it.  Each function evaluates its
-value and gradient in one body (value_grad_many); the model reads phi, psi
-and their derivatives from the one radial kernel, CutoffPair.profile.
+result does not depend on the rows beside it.  Each function and chart
+has one evaluation, jet_many(X, order), whose one body does the shared
+work once and returns the value (coordinates for a chart) with its
+derivatives up to the order; the model reads phi, psi and their
+derivatives from one call of the radial kernel, CutoffPair.profile, and
+h's from one jet of h on the rows where psi or a derivative taken is
+nonzero.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ log = logging.getLogger(__name__)
 EQUIVARIANCE_SAMPLES = 64
 # the bracket in angle at which a sphere critical point's bisection stops
 SPHERE_ROOT_TOL = 1e-12
-# a chart's model_error samples this many coordinate points with each
+# model_error samples this many chart coordinate points with each
 # coordinate in [-MODEL_RADIUS, MODEL_RADIUS]
 MODEL_SAMPLES = 64
 MODEL_RADIUS = 0.5
@@ -110,28 +114,26 @@ class SphereFunction(EqFunction):
         return cls(Polynomial(2, {(k - j, j): (-1) ** (j // 2) * comb(k, j)
                                   for j in range(0, k + 1, 2)}))
 
-    def value_grad_many(self, U):
+    def jet_many(self, U, order: int) -> list:
         U = np.asarray(U, dtype=float)
         t = np.linalg.norm(U, axis=1)
         m = self.deg
-        P, gP = self.P.value_grad_many(U)
-        return (P / t**m,
-                gP / t[:, None] ** m - m * (P / t ** (m + 2))[:, None] * U)
-
-    def hess_many(self, U) -> np.ndarray:
-        U = np.asarray(U, dtype=float)
-        t = np.linalg.norm(U, axis=1)[:, None, None]
-        m = self.deg
-        P, gP = self.P.value_grad_many(U)
-        P = P[:, None, None]
-        HP = self.P.hess_many(U)
-        gu = gP[:, :, None] * U[:, None, :]
-        uu = U[:, :, None] * U[:, None, :]
-        return (
-            HP / t**m
-            - m / t ** (m + 2) * (gu + gu.transpose(0, 2, 1) + P * np.eye(self.dim))
-            + m * (m + 2) * P / t ** (m + 4) * uu
-        )
+        P = self.P.jet_many(U, order)
+        jet = [P[0] / t**m]
+        if order >= 1:
+            jet.append(P[1] / t[:, None] ** m
+                       - m * (P[0] / t ** (m + 2))[:, None] * U)
+        if order == 2:
+            t = t[:, None, None]
+            p = P[0][:, None, None]
+            gu = P[1][:, :, None] * U[:, None, :]
+            uu = U[:, :, None] * U[:, None, :]
+            jet.append(
+                P[2] / t**m
+                - m / t ** (m + 2) * (gu + gu.transpose(0, 2, 1) + p * np.eye(self.dim))
+                + m * (m + 2) * p / t ** (m + 4) * uu
+            )
+        return jet
 
     def equivariance_error(self, act: LinearAction) -> float:
         """max |h(A_s u) - h(u)| over EQUIVARIANCE_SAMPLES seeded sphere
@@ -153,7 +155,7 @@ class SphereFunction(EqFunction):
         On the circle q' is sampled at 1441 angles; a sample where it is
         zero is a root, and every sign change is bisected to
         SPHERE_ROOT_TOL, all brackets in lockstep with one gradient call
-        per halving.  The roots are classified in one batch."""
+        per halving.  The roots are classified from one order-2 call."""
         if self.dim == 1:
             return [
                 (np.array([1.0]), 0, True),
@@ -181,8 +183,9 @@ class SphereFunction(EqFunction):
         u = np.stack([np.cos(th), np.sin(th)], axis=1)
         tv = np.stack([-np.sin(th), np.cos(th)], axis=1)
         # on the unit circle q''(theta) = t^T H t - u . grad
-        q2 = (np.einsum("mi,mij,mj->m", tv, self.hess_many(u), tv)
-              - np.einsum("mi,mi->m", self.grad_many(u), u))
+        _, g, H = self.jet_many(u, 2)
+        q2 = (np.einsum("mi,mij,mj->m", tv, H, tv)
+              - np.einsum("mi,mi->m", g, u))
         return [(u[r], 1 if q2[r] < 0 else 0, bool(abs(q2[r]) > 1e-8))
                 for r in range(len(th))]
 
@@ -214,73 +217,63 @@ class PerturbedModel(EqFunction):
 
     # -- evaluation --
 
-    def value_grad_many(self, X):
-        X = np.asarray(X, dtype=float)
-        dv, dw = self.dv, self.dw
-        v, w, u = X[:, :dv], X[:, dv:dv + dw], X[:, dv + dw:]
-        out = np.einsum("mi,mi->m", v, v) - np.einsum("mi,mi->m", w, w)
-        g = np.concatenate([2.0 * v, -2.0 * w, np.zeros_like(u)], axis=1)
-        if self.du:
-            t = np.linalg.norm(u, axis=1)
-            (R, R1), (psi, dpsi) = self.cut.profile(t, 1)
-            out = out + R
-            gu = np.zeros_like(u)
-            safe = t > 0
-            uhat = np.zeros_like(u)
-            uhat[safe] = u[safe] / t[safe, None]
-            gu += R1[:, None] * uhat
-            # at t = 0 the profile is +t^2, gradient 2u = 0: consistent
-            if self.h is not None and self.eps:
-                on = (psi > 0.0) | (dpsi != 0.0)
-                if np.any(on):
-                    hval = np.zeros_like(t)
-                    hgrad = np.zeros_like(u)
-                    hval[on], hgrad[on] = self.h.value_grad_many(u[on])
-                    out = out + self.eps * psi * hval
-                    gu += self.eps * (
-                        (dpsi * hval)[:, None] * uhat + psi[:, None] * hgrad
-                    )
-            g[:, dv + dw:] = g[:, dv + dw:] + gu
-        return out, g
-
-    def hess_many(self, X):
+    def jet_many(self, X, order: int) -> list:
         X = np.asarray(X, dtype=float)
         dv, dw, du = self.dv, self.dw, self.du
-        H = np.zeros((len(X), dv + dw + du, dv + dw + du))
-        H[:, :dv, :dv] = 2.0 * np.eye(dv)
-        H[:, dv:dv + dw, dv:dv + dw] = -2.0 * np.eye(dw)
-        if du:
-            u = X[:, dv + dw:]
-            t = np.linalg.norm(u, axis=1)
+        k = dv + dw
+        v, w, u = X[:, :dv], X[:, dv:k], X[:, k:]
+        jet = [np.einsum("mi,mi->m", v, v) - np.einsum("mi,mi->m", w, w)]
+        if order >= 1:
+            jet.append(np.concatenate([2.0 * v, -2.0 * w, np.zeros_like(u)],
+                                      axis=1))
+        if order == 2:
+            jet.append(np.zeros((len(X), k + du, k + du)))
+            jet[2][:, :dv, :dv] = 2.0 * np.eye(dv)
+            jet[2][:, dv:k, dv:k] = -2.0 * np.eye(dw)
+        if not du:
+            return jet
+        t = np.linalg.norm(u, axis=1)
+        R, psi = self.cut.profile(t, order)
+        jet[0] = jet[0] + R[0]
+        safe = t > 0.0
+        uhat = np.zeros_like(u)
+        uhat[safe] = u[safe] / t[safe, None]
+        # h enters on the rows where psi or a derivative taken is nonzero,
+        # all inside psi's support, away from t = 0
+        on = np.zeros(0, dtype=np.intp)
+        if self.h is not None and self.eps:
+            on = np.flatnonzero(sum(p != 0.0 for p in psi))
+        if len(on):
+            hj = self.h.jet_many(u[on], order)
+            p = [a[on] for a in psi]
+            jet[0][on] += self.eps * p[0] * hj[0]
+        if order >= 1:
+            gu = R[1][:, None] * uhat
+            if len(on):
+                gu[on] += self.eps * ((p[1] * hj[0])[:, None] * uhat[on]
+                                      + p[0][:, None] * hj[1])
+            # at t = 0 the profile is +t^2, gradient 2u = 0: consistent
+            jet[1][:, k:] += gu
+        if order == 2:
             # at t = 0 the profile is +t^2, Hessian 2I
             Hu = np.tile(2.0 * np.eye(du), (len(X), 1, 1))
-            nz = np.flatnonzero(t > 0.0)
-            if len(nz):
-                u, t = u[nz], t[nz]
-                uhat = u / t[:, None]
-                Pu = uhat[:, :, None] * uhat[:, None, :]
-                Pt = np.eye(du) - Pu
-                (_, R1, R2), (psi, d1, d2) = self.cut.profile(t, 2)
-                Hn = R2[:, None, None] * Pu + (R1 / t)[:, None, None] * Pt
-                if self.h is not None and self.eps:
-                    on = (psi != 0.0) | (d1 != 0.0) | (d2 != 0.0)
-                    if np.any(on):
-                        uo = u[on]
-                        hv, hg = self.h.value_grad_many(uo)
-                        hv = hv[:, None, None]
-                        hh = self.h.hess_many(uo)
-                        uh = uhat[on]
-                        p0, p1, p2 = (a[on][:, None, None] for a in (psi, d1, d2))
-                        cross = uh[:, :, None] * hg[:, None, :]
-                        Hn[on] += self.eps * (
-                            p2 * hv * Pu[on]
-                            + p1 * (cross + cross.transpose(0, 2, 1))
-                            + p1 * hv * Pt[on] / t[on][:, None, None]
-                            + p0 * hh
-                        )
-                Hu[nz] = Hn
-            H[:, dv + dw:, dv + dw:] = Hu
-        return H
+            Pu = uhat[:, :, None] * uhat[:, None, :]
+            Pt = np.eye(du) - Pu
+            nz = np.flatnonzero(safe)
+            Hu[nz] = (R[2][nz, None, None] * Pu[nz]
+                      + (R[1][nz] / t[nz])[:, None, None] * Pt[nz])
+            if len(on):
+                p0, p1, p2 = (a[:, None, None] for a in p)
+                hv = hj[0][:, None, None]
+                cross = uhat[on][:, :, None] * hj[1][:, None, :]
+                Hu[on] += self.eps * (
+                    p2 * hv * Pu[on]
+                    + p1 * (cross + cross.transpose(0, 2, 1))
+                    + p1 * hv * Pt[on] / t[on][:, None, None]
+                    + p0 * hj[2]
+                )
+            jet[2][:, k:, k:] = Hu
+        return jet
 
     # -- predictions --
 
@@ -305,10 +298,15 @@ def _build_model(actV: LinearAction, actW: LinearAction, actU: LinearAction,
                  h: SphereFunction | None, cut: CutoffPair) -> PerturbedModel:
     """The model, with h checked for equivariance under the U-representation
     (by sampling) and epsilon rescaled by the sampled sup of |h|.  h defaults
-    to the constant 1 when U is nonzero."""
+    to the constant 1 where dim U = 1 only: on a sphere of dimension 1 or
+    more a constant has a whole sphere of critical points, so dim U >= 2
+    without h raises ChartMissing."""
     du = actU.dim
     if not du:
         return PerturbedModel(actV, actW, actU, None, cut, 0.0)
+    if h is None and du >= 2:
+        raise ChartMissing(
+            "surgery with dim U >= 2 needs an explicit sphere function")
     if h is None:
         h = SphereFunction.constant(du)
     err = h.equivariance_error(actU)
@@ -382,31 +380,22 @@ class LinearChart:
     def dim(self) -> int:
         return self.dv + self.dw
 
-    def coords_many(self, X) -> np.ndarray:
-        return np.einsum("mn,nk->mk", np.asarray(X, dtype=float) - self.center,
-                         self.frame)
-
-    def jac_many(self, X) -> np.ndarray:
-        """dy/dx at each row, shape (m, dim, ambient)."""
-        return np.broadcast_to(self.frame.T, (len(X),) + self.frame.T.shape)
-
-    def hess_coords_many(self, X) -> np.ndarray:
-        """d2 y_k / dx^2 at each row, shape (m, dim, ambient, ambient): zero."""
+    def jet_many(self, X, order: int) -> list:
+        """[y, dy/dx, d2y/dx2][:order + 1] at the rows of X, shapes (m,
+        dim), (m, dim, ambient) and (m, dim, ambient, ambient): the
+        coordinates, the frame and zero."""
+        X = np.asarray(X, dtype=float)
         N = len(self.center)
-        return np.zeros((len(X), self.dim, N, N))
+        jet = [np.einsum("mn,nk->mk", X - self.center, self.frame)]
+        if order >= 1:
+            jet.append(np.broadcast_to(self.frame.T, (len(X), self.dim, N)))
+        if order == 2:
+            jet.append(np.zeros((len(X), self.dim, N, N)))
+        return jet
 
-    def model_error(self, f: EqFunction, fp: float) -> float:
-        """max |f - (fp + |v|^2 - |w|^2)| over sampled chart coordinates."""
-        rng = np.random.default_rng(11)
-        Y = rng.uniform(-MODEL_RADIUS, MODEL_RADIUS,
-                        size=(MODEL_SAMPLES, self.dim))
-        X = self.center + Y @ self.frame.T
-        vals = f.value_many(X)
-        model = (
-            np.sum(Y[:, :self.dv] ** 2, axis=1)
-            - np.sum(Y[:, self.dv:] ** 2, axis=1)
-        )
-        return float(np.max(np.abs(vals - (fp + model))))
+    def points_many(self, Y) -> np.ndarray:
+        """The inverse: the points with chart coordinates the rows of Y."""
+        return self.center + np.asarray(Y, dtype=float) @ self.frame.T
 
 
 class AngleChart:
@@ -427,49 +416,46 @@ class AngleChart:
     def center(self) -> np.ndarray:
         return np.array([np.cos(self.pole_angle), np.sin(self.pole_angle)])
 
-    def _angle(self, x):
-        x = np.asarray(x, dtype=float)
-        th = np.arctan2(x[..., 1], x[..., 0]) - self.pole_angle
-        return (th + np.pi) % (2 * np.pi) - np.pi
-
-    def coords_many(self, X) -> np.ndarray:
-        u = self._angle(X)
-        return (np.sqrt(2.0) * np.sin(u / 2.0))[:, None]
-
-    def jac_many(self, X) -> np.ndarray:
-        """dy/dx at each row, shape (m, 1, 2)."""
-        X = np.asarray(X, dtype=float)
-        r2 = np.einsum("mi,mi->m", X, X)
-        grad_u = np.stack([-X[:, 1], X[:, 0]], axis=1) / r2[:, None]
-        dy_du = np.sqrt(2.0) * 0.5 * np.cos(self._angle(X) / 2.0)
-        return (dy_du[:, None] * grad_u)[:, None, :]
-
-    def hess_coords_many(self, X) -> np.ndarray:
-        """d2y/dx2 at each row, shape (m, 1, 2, 2)."""
+    def jet_many(self, X, order: int) -> list:
+        """[y, dy/dx, d2y/dx2][:order + 1] at the rows of X, shapes (m, 1),
+        (m, 1, 2) and (m, 1, 2, 2), through the angle u from the pole."""
         X = np.asarray(X, dtype=float)
         x0, x1 = X[:, 0], X[:, 1]
-        r2 = x0 * x0 + x1 * x1
-        u = self._angle(X)
-        grad_u = np.stack([-x1, x0], axis=1) / r2[:, None]
-        off = x1**2 - x0**2
-        hess_u = np.stack(
-            [np.stack([2 * x0 * x1, off], axis=1),
-             np.stack([off, -2 * x0 * x1], axis=1)], axis=1
-        ) / (r2 * r2)[:, None, None]
-        dy = np.sqrt(2.0) * 0.5 * np.cos(u / 2.0)
-        d2y = -np.sqrt(2.0) * 0.25 * np.sin(u / 2.0)
-        out = (d2y[:, None, None] * grad_u[:, :, None] * grad_u[:, None, :]
-               + dy[:, None, None] * hess_u)
-        return out[:, None, :, :]
+        u = (np.arctan2(x1, x0) - self.pole_angle + np.pi) % (2 * np.pi) - np.pi
+        sin_half = np.sin(u / 2.0)
+        jet = [(np.sqrt(2.0) * sin_half)[:, None]]
+        if order >= 1:
+            r2 = x0 * x0 + x1 * x1
+            grad_u = np.stack([-x1, x0], axis=1) / r2[:, None]
+            dy = np.sqrt(2.0) * 0.5 * np.cos(u / 2.0)
+            jet.append((dy[:, None] * grad_u)[:, None, :])
+        if order == 2:
+            off = x1**2 - x0**2
+            hess_u = np.stack(
+                [np.stack([2 * x0 * x1, off], axis=1),
+                 np.stack([off, -2 * x0 * x1], axis=1)], axis=1
+            ) / (r2 * r2)[:, None, None]
+            d2y = -np.sqrt(2.0) * 0.25 * sin_half
+            jet.append((d2y[:, None, None] * grad_u[:, :, None] * grad_u[:, None, :]
+                        + dy[:, None, None] * hess_u)[:, None, :, :])
+        return jet
 
-    def model_error(self, f: EqFunction, fp: float) -> float:
-        """max |f - (fp - y^2)| over sampled coordinates y, each mapped back
-        to the circle by the angle u = 2 arcsin(y / sqrt(2)) from the pole."""
-        rng = np.random.default_rng(11)
-        y = rng.uniform(-MODEL_RADIUS, MODEL_RADIUS, size=MODEL_SAMPLES)
-        th = self.pole_angle + 2.0 * np.arcsin(y / np.sqrt(2.0))
-        X = np.stack([np.cos(th), np.sin(th)], axis=1)
-        return float(np.max(np.abs(f.value_many(X) - (fp - y * y))))
+    def points_many(self, Y) -> np.ndarray:
+        """The inverse: the points at angle u = 2 arcsin(y / sqrt(2)) from
+        the pole, for y the rows of Y."""
+        th = self.pole_angle + 2.0 * np.arcsin(np.asarray(Y, dtype=float)[:, 0]
+                                               / np.sqrt(2.0))
+        return np.stack([np.cos(th), np.sin(th)], axis=1)
+
+
+def model_error(chart, f: EqFunction, fp: float) -> float:
+    """max |f - (fp + |v|^2 - |w|^2)| over MODEL_SAMPLES seeded chart
+    coordinates, mapped onto the manifold by the chart's points_many."""
+    Y = np.random.default_rng(11).uniform(-MODEL_RADIUS, MODEL_RADIUS,
+                                          size=(MODEL_SAMPLES, chart.dim))
+    model = (np.sum(Y[:, :chart.dv] ** 2, axis=1)
+             - np.sum(Y[:, chart.dv:] ** 2, axis=1))
+    return float(np.max(np.abs(f.value_many(chart.points_many(Y)) - (fp + model))))
 
 
 class SurgeredFunction(EqFunction):
@@ -481,9 +467,9 @@ class SurgeredFunction(EqFunction):
 
     def __init__(self, f: EqFunction, charts, model: PerturbedModel,
                  scale: float, fp: float, split_frames):
-        # charts: one chart per orbit point, each with coords_many, jac_many
-        # and hess_coords_many; split_frames: (model_dim x dim_chart) mapping
-        # chart coords to the model's (v, w, u) ordering
+        # charts: one chart per orbit point, each with jet_many;
+        # split_frames: (model_dim x dim_chart) mapping chart coords to the
+        # model's (v, w, u) ordering
         self.f0 = f
         self.charts = charts
         self.model = model
@@ -494,56 +480,43 @@ class SurgeredFunction(EqFunction):
         self.nvars = f.nvars
         self.name = "surgered"
 
-    def _chart_rows(self, X):
-        """(chart, rows, model coordinates / scale) per chart, each row of X
-        inside a modified cylinder going to the first chart that has it."""
-        out = []
+    def jet_many(self, X, order: int) -> list:
+        X = np.asarray(X, dtype=float)
+        jet = self.f0.jet_many(X, order)
         if not self.model.du:
-            return out
-        k = self.model.dv + self.model.dw
+            return jet
+        s, k = self.scale, self.model.dv + self.model.dw
         free = np.ones(len(X), dtype=bool)
         for chart in self.charts:
-            Y = np.einsum("mc,kc->mk", chart.coords_many(X), self.split)
+            y, *dy = chart.jet_many(X, order)
+            Y = np.einsum("mc,kc->mk", y, self.split)
+            # the rows inside this modified cylinder and no earlier one
             rows = np.flatnonzero(
-                free & (np.linalg.norm(Y[:, k:], axis=1) < 3.0 * self.scale)
-            )
-            if len(rows):
-                free[rows] = False
-                out.append((chart, rows, Y[rows] / self.scale))
-        return out
-
-    def value_grad_many(self, X):
-        X = np.asarray(X, dtype=float)
-        val, grad = self.f0.value_grad_many(X)
-        s = self.scale
-        for chart, rows, Z in self._chart_rows(X):
-            mv, mg = self.model.value_grad_many(Z)
-            val[rows] = self.fp + s * s * mv
-            # s dF/dy (split dy/dx), with dF/dy at y/s
-            gy = np.einsum("mk,kc->mc", mg, self.split)
-            grad[rows] = s * np.einsum("mc,mcn->mn", gy, chart.jac_many(X[rows]))
-        return val, grad
-
-    def hess_many(self, X):
-        X = np.asarray(X, dtype=float)
-        out = self.f0.hess_many(X)
-        for chart, rows, Z in self._chart_rows(X):
-            Xr = X[rows]
-            Jy = np.einsum("kc,mcn->mkn", self.split, chart.jac_many(Xr))
-            gy = np.einsum("mk,kc->mc", self.model.grad_many(Z), self.split)
-            out[rows] = (
-                np.einsum("mki,mkl,mlj->mij", Jy, self.model.hess_many(Z), Jy)
-                + self.scale * np.einsum("mc,mcij->mij", gy,
-                                         chart.hess_coords_many(Xr))
-            )
-        return out
+                free & (np.linalg.norm(Y[:, k:], axis=1) < 3.0 * s))
+            if not len(rows):
+                continue
+            free[rows] = False
+            F = self.model.jet_many(Y[rows] / s, order)
+            jet[0][rows] = self.fp + s * s * F[0]
+            if order >= 1:
+                J = dy[0][rows]
+                # s dF/dy (split dy/dx), with dF/dy at y/s
+                gy = np.einsum("mk,kc->mc", F[1], self.split)
+                jet[1][rows] = s * np.einsum("mc,mcn->mn", gy, J)
+            if order == 2:
+                Jy = np.einsum("kc,mcn->mkn", self.split, J)
+                jet[2][rows] = (
+                    np.einsum("mki,mkl,mlj->mij", Jy, F[2], Jy)
+                    + s * np.einsum("mc,mcij->mij", gy, dy[1][rows])
+                )
+        return jet
 
 
 def _chart_action(chart, M: ImplicitGManifold, elements) -> list[np.ndarray]:
     """The action of each group element (fixing the chart's center) on the
     chart coordinates, to first order: J A J^+ with J the chart's Jacobian
     at its center."""
-    J = chart.jac_many(chart.center[None, :])[0]
+    J = chart.jet_many(chart.center[None, :], 1)[1][0]
     J_pinv = np.linalg.pinv(J)
     return [J @ M.act_mats[s] @ J_pinv for s in elements]
 
@@ -566,7 +539,7 @@ def localize_surgery(f: EqFunction, M: ImplicitGManifold, p: CriticalPoint,
 
     coords = np.asarray(p.coords, dtype=float)
     fp = float(f.value_many(coords[None, :])[0])
-    err = chart.model_error(f, fp)
+    err = model_error(chart, f, fp)
     if err > 1e-9:
         raise ChartMissing(f"chart is not an exact Morse chart: error {err:.2e}")
 
@@ -585,9 +558,6 @@ def localize_surgery(f: EqFunction, M: ImplicitGManifold, p: CriticalPoint,
     du = prime.shape[1]
     if du == 0:
         raise ValueError("no prime directions in W: the point is stable")
-    if du >= 2 and h is None:
-        raise ChartMissing(
-            "surgery with dim U >= 2 needs an explicit sphere function")
 
     # model-space ordering (v, w_keep, u); split matrix maps chart coords to it
     split = np.zeros((dim, dim))

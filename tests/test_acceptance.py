@@ -303,7 +303,7 @@ def test_criterion_5_construction_properties(cut):
         for c in crits:
             if np.linalg.norm(c.coords) < 1e-9:
                 continue
-            Hm = model.hess_many(c.coords[None, :])[0]
+            Hm = model.jet_many(c.coords[None, :], 2)[2][0]
             wvals, wvecs = np.linalg.eigh(Hm)
             assert np.all(np.abs(wvals) > 1e-6)  # item 6
             if dv:

@@ -79,14 +79,14 @@ def test_polynomial_eqfunction_derivatives():
         e[i] = h
         fd = (row(f.value_many, x + e) - row(f.value_many, x - e)) / (2 * h)
         assert g[i] == pytest.approx(fd, rel=1e-6)
-    H = row(f.hess_many, x)
+    H = f.jet_many(x[None, :], 2)[2][0]
     assert H[0][1] == pytest.approx(-1.0)
     assert H[0][0] == pytest.approx(2.0)
     assert H[1][1] == pytest.approx(12 * (-0.4))
     X = np.array([[0.1, 0.2], [2.0, -1.0], [0.0, 0.0]])
     assert f.value_many(X).shape == (3,)
     assert f.grad_many(X).shape == (3, 2)
-    assert f.hess_many(X).shape == (3, 2, 2)
+    assert f.jet_many(X, 2)[2].shape == (3, 2, 2)
     assert np.allclose(f.grad_many(X)[1], [2 * 2.0 - (-1.0), 6 * 1.0 - 2.0])
 
 
@@ -300,14 +300,15 @@ def test_flow_counts_steps_and_halvings():
 
 
 def _counting(f):
-    """f with its first-order evaluations (value_grad_many calls) counted."""
+    """f with its first-order evaluations (jet_many calls below order 2)
+    counted."""
     calls = {"first": 0}
 
-    def value_grad_many(X):
-        calls["first"] += 1
-        return f.value_grad_many(X)
+    def jet_many(X, order):
+        calls["first"] += order < 2
+        return f.jet_many(X, order)
 
-    return EqFunction(value_grad_many, f.hess_many, nvars=f.nvars), calls
+    return EqFunction(jet_many, nvars=f.nvars), calls
 
 
 def test_flow_evaluations_per_step_and_retry():
@@ -345,9 +346,13 @@ def test_flow_fails_loudly_on_non_monotone_values():
     mild = EqFunction.from_polynomial(Polynomial(2, {(2, 0): 1, (0, 2): 1}))
     crit = [classify(mild, M, np.zeros(2))]
     rising = iter(range(10**6))
-    liar = EqFunction(lambda X: (np.full(len(X), float(next(rising))),
-                                 mild.grad_many(X)),
-                      mild.hess_many, nvars=2)
+
+    def jet_many(X, order):
+        jet = mild.jet_many(X, order)
+        jet[0] = np.full(len(X), float(next(rising)))
+        return jet
+
+    liar = EqFunction(jet_many, nvars=2)
     x0 = np.array([0.5, 0.3])
     tr = flow_one(liar, M, x0, crit)
     assert tr.status == UNRESOLVED and tr.limit is None
@@ -363,8 +368,12 @@ def test_flow_halving_guard_fires_on_smooth_contradicting_values():
     M = r2_manifold()
     bowl = EqFunction.from_polynomial(Polynomial(2, {(2, 0): 1, (0, 2): 1}))
     crit = [classify(bowl, M, np.zeros(2))]
-    cap = EqFunction(lambda X: (-bowl.value_many(X), bowl.grad_many(X)),
-                     bowl.hess_many, nvars=2)
+    def jet_many(X, order):
+        jet = bowl.jet_many(X, order)
+        jet[0] = -jet[0]
+        return jet
+
+    cap = EqFunction(jet_many, nvars=2)
     x0 = np.array([0.5, 0.3])
     tr = flow_one(cap, M, x0, crit)
     assert tr.status == UNRESOLVED and tr.limit is None
@@ -384,12 +393,13 @@ def test_flow_fails_loudly_on_nan_values(start_finite):
     crit = [classify(mild, M, np.zeros(2))]
     x0 = np.array([0.5, 0.3])
 
-    def value_grad_many(X):
-        v, g = mild.value_grad_many(X)
+    def jet_many(X, order):
+        jet = mild.jet_many(X, order)
         finite = start_finite & (X == x0).all(axis=1)
-        return np.where(finite, v, np.nan), g
+        jet[0] = np.where(finite, jet[0], np.nan)
+        return jet
 
-    broken = EqFunction(value_grad_many, mild.hess_many, nvars=2)
+    broken = EqFunction(jet_many, nvars=2)
     tr = flow_one(broken, M, x0, crit)
     assert tr.status == UNRESOLVED and tr.limit is None
     assert tr.steps == 0 and tr.halvings == MAX_HALVINGS
@@ -594,8 +604,9 @@ def test_joint_tables_equal_the_separate_tables_bitwise(joint_manifolds, case):
         ev = Evaluator(f, M)
         assert (ev._first is not None) == bool(M.codim)
         got = (*ev.first(X), *ev.second(X))
-        want = (*f.value_grad_many(X), *M.constraint_values_and_jacobian_many(X),
-                f.hess_many(X), M.constraint_hessians_many(X))
+        v, g, H = f.jet_many(X, 2)
+        want = (v, g, *M.constraint_values_and_jacobian_many(X),
+                H, M.constraint_hessians_many(X))
         assert all(_same_bits(a, b) for a, b in zip(got, want))
         for r in range(len(X)):
             one = (*ev.first(X[r:r + 1]), *ev.second(X[r:r + 1]))
@@ -613,7 +624,7 @@ def test_evaluator_projection_returns_f_and_j_at_its_points():
     for M in _joint_manifolds():
         n = M.ambient
         f = EqFunction.from_polynomial(_in_first_vars(poly, n))
-        plain = EqFunction(f.value_grad_many, f.hess_many, nvars=n)
+        plain = EqFunction(f.jet_many, nvars=n)
         on = M.project_points_many(2.0 * rng.normal(size=(4, n)))
         X0 = np.concatenate([on, on + 1e-3 * rng.normal(size=on.shape),
                              3.0 * rng.normal(size=(3, n))])
@@ -748,8 +759,8 @@ def test_flow_composed_calls_per_iteration(monkeypatch):
                          build_cutoffs(0.05), chart=fx.charts["north"])
     assert getattr(g, "polynomial", None) is None
     f_calls = []
-    value_grad = g.value_grad_many
-    g.value_grad_many = lambda X: f_calls.append(len(X)) or value_grad(X)
+    jet = g.jet_many
+    g.jet_many = lambda X, order: f_calls.append((len(X), order)) or jet(X, order)
     con_calls = []
     first = M._first
     M._first = lambda X: con_calls.append(len(X)) or first(X)
@@ -763,6 +774,7 @@ def test_flow_composed_calls_per_iteration(monkeypatch):
         trajs = integrate_batch(g, M, X0, crits=[], max_steps=n)
         assert all(tr.steps == n and tr.halvings == 0 for tr in trajs)
         assert len(f_calls) == 1 + 4 * n
+        assert {order for _, order in f_calls} == {1}
         assert inside["calls"] >= n
         assert len(con_calls) - inside["calls"] == 1 + 3 * n
 
@@ -789,7 +801,7 @@ def test_classify_matches_the_separate_tables():
         x = p[None, :]
         _, J = constraints_at(M, p)
         lam, *_ = np.linalg.lstsq(J.T, f.grad_many(x)[0], rcond=None)
-        Hf = f.hess_many(x)[0] - np.einsum("k,kij->ij", lam,
+        Hf = f.jet_many(x, 2)[2][0] - np.einsum("k,kij->ij", lam,
                                            M.constraint_hessians_many(x)[0])
         T = tangent_frame(J)
         Ht = T.T @ Hf @ T
@@ -888,7 +900,7 @@ def _newton_kkt_reference(f, M, x0, max_iter=60, tol=1e-12, bound=1e6):
             res = g
         if np.linalg.norm(res) < tol:
             return x
-        H = row(f.hess_many, x)
+        H = f.jet_many(x[None, :], 2)[2][0]
         if c:
             CH = row(M.constraint_hessians_many, x)
             Hl = H - np.einsum("k,kij->ij", lam, CH)
@@ -1071,7 +1083,13 @@ def test_search_calls_gradient_in_batches():
                          h=fx.sphere_fn)
     # the search reads gradients through the first-order evaluation
     calls = []
-    real = g.value_grad_many
-    g.value_grad_many = lambda X: calls.append(len(X)) or real(X)
+    real = g.jet_many
+
+    def jet_many(X, order):
+        if order == 1:
+            calls.append(len(X))
+        return real(X, order)
+
+    g.jet_many = jet_many
     assert len(find_critical_points(g, M, fx.seeds)) == 7
     assert 0 < len(calls) < 100

@@ -21,12 +21,23 @@ from equimorse.morse import (
     seed_grid,
     stable_perturb,
 )
-from equimorse.morse.perturb import SurgeredFunction, _chart_action
+from equimorse.morse.manifolds import PolyTable
+from equimorse.morse.perturb import (
+    MODEL_RADIUS,
+    SurgeredFunction,
+    _chart_action,
+    model_error,
+)
 
 
 def row(fn, x):
     """fn at the single point x, as a batch of one."""
     return fn(np.asarray(x, dtype=float)[None, :])[0]
+
+
+def hess(f):
+    """f's Hessians at the rows of X, from its order-2 jet."""
+    return lambda X: f.jet_many(X, 2)[2]
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +80,7 @@ def test_sphere_function_gradients_fd():
         e[i] = eps
         fd = (row(h.value_many, u + e) - row(h.value_many, u - e)) / (2 * eps)
         assert g[i] == pytest.approx(fd, rel=1e-6, abs=1e-8)
-    H = row(h.hess_many, u)
+    H = row(hess(h), u)
     for i in range(2):
         e = np.zeros(2)
         e[i] = eps
@@ -144,7 +155,7 @@ def test_model_ranges_and_hessian_blocks(cut):
     for c in crits:
         if np.linalg.norm(c.coords) < 1e-9:
             continue
-        w, Vec = np.linalg.eigh(row(model.hess_many, c.coords))
+        w, Vec = np.linalg.eigh(row(hess(model), c.coords))
         for wi, vec in zip(w, Vec.T):
             if wi < 0:
                 # V coordinates of negative directions vanish (V is axis 0)
@@ -160,7 +171,7 @@ def test_model_gradient_hessian_fd(cut):
     for _ in range(12):
         x = rng.uniform(-3.3, 3.3, size=2)
         g = row(model.grad_many, x)
-        H = row(model.hess_many, x)
+        H = row(hess(model), x)
         for i in range(2):
             e = np.zeros(2)
             e[i] = eps
@@ -216,6 +227,15 @@ def test_u_zero_reduces_to_quadratic(cut):
     assert crits[0].index == 1
     x = np.array([0.3, -0.7])
     assert row(model.value_many, x) == pytest.approx(0.3**2 - 0.7**2)
+
+
+def test_default_sphere_function_needs_dim_u_one(cut):
+    # the constant default h has a whole circle of critical points on a
+    # plane U, so the model refuses it there, for the model alone as for
+    # surgery
+    V, W, U = c3_rotation_reps()
+    with pytest.raises(ChartMissing):
+        stable_perturb(V, W, U, None, cut)
 
 
 # -- surgery -------------------------------------------------------------
@@ -359,7 +379,7 @@ def test_surgered_gradient_matches_value_differences(cut, name):
     moved = f.value_many(X) != fx.function.value_many(X)
     assert moved[radii < 2.99].all() and not moved[radii > 3.0].any()
     G = f.grad_many(X)
-    H = f.hess_many(X)
+    H = hess(f)(X)
     eps = 1e-6
     if fx.manifold.codim:
         # on the circle: the derivative along the rotation, which keeps the
@@ -403,8 +423,7 @@ def test_chart_jacobians_batched():
     ]
     eps = 1e-6
     for chart in charts:
-        J = chart.jac_many(X)
-        Hc = chart.hess_coords_many(X)
+        _, J, Hc = chart.jet_many(X, 2)
         assert J.shape == (len(X), chart.dim, 2)
         assert Hc.shape == (len(X), chart.dim, 2, 2)
         for x, j in zip(X, J):
@@ -416,9 +435,10 @@ def test_chart_jacobians_batched():
         for i in range(2):
             e = np.zeros(2)
             e[i] = eps
-            fd = (chart.coords_many(X + e) - chart.coords_many(X - e)) / (2 * eps)
+            (y1, J1), (y0, J0) = chart.jet_many(X + e, 1), chart.jet_many(X - e, 1)
+            fd = (y1 - y0) / (2 * eps)
             assert np.allclose(J[:, :, i], fd, rtol=1e-6, atol=1e-8)
-            fdJ = (chart.jac_many(X + e) - chart.jac_many(X - e)) / (2 * eps)
+            fdJ = (J1 - J0) / (2 * eps)
             assert np.allclose(Hc[:, :, :, i], fdJ, rtol=1e-5, atol=1e-7)
 
 
@@ -444,7 +464,7 @@ def test_two_chart_surgery_first_chart_wins(cut):
     assert np.all(spliced([shifted]).value_many(X)[strip] != one.value_many(X)[strip])
     assert np.allclose(two.value_many(X), one.value_many(X), rtol=0, atol=1e-15)
     assert np.allclose(two.grad_many(X), one.grad_many(X), rtol=0, atol=1e-14)
-    assert np.allclose(two.hess_many(X), one.hess_many(X), rtol=0, atol=1e-13)
+    assert np.allclose(hess(two)(X), hess(one)(X), rtol=0, atol=1e-13)
 
 
 def test_surgery_requires_chart_and_instability(cut):
@@ -476,7 +496,7 @@ def test_angle_chart_must_be_exact(cut):
     M, f = fx.manifold, fx.function
     (north,) = fx.charts.values()
     top = classify(f, M, north.center)
-    assert north.model_error(f, top.value) < 1e-12
+    assert model_error(north, f, top.value) < 1e-12
     south = AngleChart(north.pole_angle + np.pi)
     with pytest.raises(ChartMissing):
         localize_surgery(f, M, top, fx.surgery_radius, cut, chart=south)
@@ -485,6 +505,21 @@ def test_angle_chart_must_be_exact(cut):
     assert top2.index == 1 and not top2.stable
     with pytest.raises(ChartMissing):
         localize_surgery(doubled, M, top2, fx.surgery_radius, cut, chart=north)
+
+
+@pytest.mark.parametrize("name", ["figure1_plane", "figure2_plane",
+                                  "circle_c2_height"])
+def test_chart_inverse_and_model_error(name):
+    # points_many inverts the chart's coordinates, and the fixture's own
+    # chart presents its function exactly
+    fx = MANIFOLD_FIXTURES[name]()
+    (chart,) = fx.charts.values()
+    Y = np.random.default_rng(12).uniform(-MODEL_RADIUS, MODEL_RADIUS,
+                                          size=(64, chart.dim))
+    back = chart.jet_many(chart.points_many(Y), 0)[0]
+    assert np.allclose(back, Y, rtol=0, atol=1e-12)
+    fp = classify(fx.function, fx.manifold, chart.center).value
+    assert model_error(chart, fx.function, fp) < 1e-12
 
 
 @pytest.mark.parametrize("name", ["figure1_plane", "figure2_plane",
@@ -538,3 +573,81 @@ def test_profile_matches_three_formulas(cut):
         for k in range(order + 1):
             assert np.array_equal(R[k], want[k])
             assert np.array_equal(psi[k], want_psi[k])
+
+
+def _jet_subject(name, cut):
+    """A function or chart with rows to evaluate it at."""
+    rng = np.random.default_rng(21)
+    plane = rng.uniform(-3.5, 3.5, size=(40, 2))
+    plane[0] = 0.0
+    if name == "polynomial":
+        f = EqFunction.from_polynomial(
+            Polynomial(2, {(2, 0): 1, (0, 3): 2, (1, 1): -1}))
+        return f, plane
+    if name == "sphere-cos3":
+        return SphereFunction.cos_multiple_angle(3), plane[1:]
+    if name in ("model-c3", "model-c2"):
+        V, W, U = c3_rotation_reps() if name == "model-c3" else c2_sign_reps()
+        h = SphereFunction.cos_multiple_angle(3) if name == "model-c3" else None
+        model, crits = stable_perturb(V, W, U, h, cut)
+        # the critical points sit on the plateau, where h enters
+        return model, np.concatenate([plane] + [c.coords[None, :] for c in crits])
+    if name.startswith("surgered-"):
+        fixture = name[len("surgered-"):]
+        _, f = surgered_fixture(fixture, cut)
+        return f, surgery_rows(fixture, f.scale)
+    # polar samples clear of the origin and of the angle chart's cut
+    rad = rng.uniform(0.5, 1.5, size=24)
+    ang = np.pi / 2 + rng.uniform(-2.5, 2.5, size=24)
+    X = rad[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    if name == "linear-chart":
+        turn = np.array([[np.cos(0.7), -np.sin(0.7)],
+                         [np.sin(0.7), np.cos(0.7)]])
+        return LinearChart(np.array([0.3, -0.2]), turn, dv=1, dw=1), X
+    return AngleChart(np.pi / 2), X
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", [
+    "polynomial", "sphere-cos3", "model-c3", "model-c2",
+    "surgered-figure1_plane", "surgered-figure2_plane",
+    "surgered-circle_c2_height", "linear-chart", "angle-chart"])
+def test_jet_orders_and_rows_agree(cut, name):
+    # a lower order is the leading entries of order 2 bit for bit, and
+    # every row of a batch is the same point evaluated alone
+    f, X = _jet_subject(name, cut)
+    full = f.jet_many(X, 2)
+    assert len(full) == 3
+    for k in (0, 1):
+        low = f.jet_many(X, k)
+        assert len(low) == k + 1
+        assert all(_same_bits(a, b) for a, b in zip(low, full))
+    for r in range(len(X)):
+        one = f.jet_many(X[r:r + 1], 2)
+        assert all(_same_bits(a[0], b[r]) for a, b in zip(one, full))
+
+
+def test_surgered_hessian_calls_each_table_once(cut, monkeypatch):
+    # one order-2 evaluation on two plateau rows of surgered figure 1
+    # reads f's two tables and h's two tables once each: h's first-order
+    # table is not called again for the Hessian
+    _, f = surgered_fixture("figure1_plane", cut)
+    th = np.array([0.3, 2.0])
+    X = cut.t0 * f.scale * np.stack([np.cos(th), np.sin(th)], axis=1)
+    calls = []
+    real = PolyTable.__call__
+
+    def counted(table, X):
+        calls.append(table)
+        return real(table, X)
+
+    monkeypatch.setattr(PolyTable, "__call__", counted)
+    f.jet_many(X, 2)
+    P = f.model.h.P
+    assert [calls.count(t) for t in (f.f0._first, f.f0._second,
+                                      P._first, P._second)] == [1, 1, 1, 1]
+    assert len(calls) == 4
