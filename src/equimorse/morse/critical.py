@@ -120,48 +120,48 @@ def _newton_kkt(f: EqFunction, M: ImplicitGManifold, X0, max_iter=60):
     """Newton on grad f = J^T lambda, F = 0 from every row of X0 at once.
 
     The iterate is an (s, N + c) array of points and multipliers.  Each
-    iteration evaluates the residual on the active rows, retires the rows
-    whose residual norm is below NEWTON_TOL, and takes one stacked KKT step
-    on the rest.  f and the constraints are read through M's Evaluator: for a
-    polynomial f with constraints the residual is one call of its joint
-    first-order table and the KKT matrix one call of its second-order
-    table; otherwise f and the constraint tables are called in turn.  A row
-    is dropped as divergent when its residual is not finite or its step
-    leaves the finite numbers or the ball of radius NEWTON_BOUND.  The
-    multipliers start at the least-squares solution of J^T lambda = grad f.
-    Returns the (s, N) points and the mask of rows that converged within
-    max_iter iterations.
+    iteration reads f and the constraints on the active rows from one
+    order-2 call of M's Evaluator of f (ev.jet; for a polynomial f with
+    constraints, one call of each joint table), which gives both the
+    residual and the KKT matrix with its Lagrangian Hessian H - lambda . CH.
+    It retires the rows whose residual norm is below NEWTON_TOL and takes
+    one stacked KKT step on the rest.  A row is dropped as divergent when
+    its residual is not finite or its step leaves the finite numbers or the
+    ball of radius NEWTON_BOUND.  The multipliers start at the
+    least-squares solution of J^T lambda = grad f, from iteration 0's own
+    evaluation.  Returns the (s, N) points and the mask of rows that
+    converged within max_iter iterations.
     """
     N = M.ambient
     c = M.codim
     ev = M.evaluator(f)
     X = np.array(X0, dtype=float).reshape(-1, N)
     s = len(X)
-    lam = np.zeros((s, c))
-    if c:
-        _, g, _, J = ev.first(X)
-        for r in np.flatnonzero(np.isfinite(J).all(axis=(1, 2))
-                                & np.isfinite(g).all(axis=1)):
-            lam[r], *_ = np.linalg.lstsq(J[r].T, g[r], rcond=None)
-    Z = np.concatenate([X, lam], axis=1)
+    Z = np.concatenate([X, np.zeros((s, c))], axis=1)
     converged = np.zeros(s, dtype=bool)
     active = np.arange(s)
-    for _ in range(max_iter):
+    for it in range(max_iter):
         if not len(active):
             break
         x, lam = Z[active, :N], Z[active, N:]
-        _, res, F, J = ev.first(x)
+        (_, F), (g, J), (H, CH) = ev.jet(x, 2)
+        if not it and c:
+            for r in np.flatnonzero(np.isfinite(J).all(axis=(1, 2))
+                                    & np.isfinite(g).all(axis=1)):
+                lam[r], *_ = np.linalg.lstsq(J[r].T, g[r], rcond=None)
+            Z[:, N:] = lam
+        res = g
         if c:
             res = np.concatenate(
-                [res - np.einsum("mcn,mc->mn", J, lam), F], axis=1)
+                [g - np.einsum("mcn,mc->mn", J, lam), F], axis=1)
         norm = np.linalg.norm(res, axis=1)
         done = norm < NEWTON_TOL
         converged[active[done]] = True
         left = np.isfinite(norm) & ~done
-        active, x, lam, res = active[left], x[left], lam[left], res[left]
+        active, lam, res = active[left], lam[left], res[left]
         if not len(active):
             break
-        Hl = ev.lagrangian_hessians(x, lam)
+        Hl = H[left] - np.einsum("mk,mkij->mij", lam, CH[left])
         if c:
             J = J[left]
             K = np.zeros((len(active), N + c, N + c))
@@ -182,7 +182,7 @@ def _is_critical(ev: Evaluator, X) -> np.ndarray:
     """Per row of X: is the tangent gradient norm below TOL_CRIT?"""
     if not len(X):
         return np.zeros(0, dtype=bool)
-    _, g, _, J = ev.first(X)
+    _, (g, J) = ev.jet(X, 1)
     T = tangent_part(J, g)
     return np.linalg.norm(T, axis=1) < TOL_CRIT
 
@@ -193,13 +193,15 @@ def find_critical_points(f: EqFunction, M: ImplicitGManifold,
 
     All seeds run through one batched KKT Newton: every iteration evaluates
     f and the constraints with their first and second derivatives on the
-    rows still running (see _newton_kkt), through M's Evaluator of f (see
-    ImplicitGManifold.evaluator), and makes one stacked solve.
+    rows still running in one order-2 call of M's Evaluator of f (see
+    _newton_kkt and ImplicitGManifold.evaluator), and makes one stacked
+    solve.
     Per-row masks retire the rows that converge and drop those that turn
     non-finite or leave the bound; a singular KKT system sends the stack to
     a row-by-row solve with a least-squares fallback.  Divergent seeds are
     logged and skipped, never fatal.  The converged points that pass the
-    tangent-gradient tolerance are deduplicated in seed order.
+    tangent-gradient tolerance, read from one order-1 call of the
+    Evaluator, are deduplicated in seed order.
 
     The group closure runs in rounds: each round refines every translate of
     the points the previous round added with one batched 10-step Newton
@@ -247,16 +249,16 @@ def classify(f: EqFunction, M: ImplicitGManifold, p) -> CriticalPoint:
     (the kernel of the tangent averaging operator); equivalently no negative
     direction sticks out of the fixed subspace.
 
-    f and the constraints are read through M's Evaluator: its first(x)
-    gives the value, gradient and Jacobian, and lagrangian_hessians(x, lam)
-    the Hessian of f - lam . c that Newton's KKT step uses, with lam the
-    least-squares multipliers, so a polynomial f on a manifold with
-    constraints makes two table calls.
+    f and the constraints are read from one order-2 call of M's Evaluator
+    (ev.jet): the value, gradient and Jacobian, and the Hessian of f - lam
+    . c that Newton's KKT step uses, with lam the least-squares
+    multipliers.  A polynomial f on a manifold with constraints makes two
+    table calls, and a surgered function's tables are each called once.
     """
     p = np.asarray(p, dtype=float)
     x = p[None, :]
     ev = M.evaluator(f)
-    fx, g, _, J = ev.first(x)
+    (fx, _), (g, J), (H, CH) = ev.jet(x, 2)
     if np.linalg.norm(tangent_part(J, g)[0]) >= TOL_CRIT:
         raise ValueError("point fails the critical-gradient tolerance")
     H_sub = M.action.stabilizer(tuple(p))
@@ -266,7 +268,7 @@ def classify(f: EqFunction, M: ImplicitGManifold, p) -> CriticalPoint:
     lam = np.zeros((1, 0))
     if M.codim:
         lam = np.linalg.lstsq(J[0].T, g[0], rcond=None)[0][None]
-    Ht = T.T @ ev.lagrangian_hessians(x, lam)[0] @ T
+    Ht = T.T @ (H - np.einsum("mk,mkij->mij", lam, CH))[0] @ T
     Ht = (Ht + Ht.T) / 2.0
 
     # stabilizer action on the tangent space and the averaging projector

@@ -22,16 +22,17 @@ there and its end is the closed-form linear flow, taken to half of
 CAPTURE_TOL.  A sink no rung certifies keeps the plain CAPTURE_TOL.
 
 One lockstep iteration evaluates f and the constraints at the three
-velocity points (K2, K3, K4) and at the new points, through the manifold's
-Evaluator of f, built once for all batches of the same f.  For a
-polynomial f on a manifold with constraints each evaluation is one call
-of the joint first-order table: three for the velocities and one per
-Gauss-Newton step of the projection (about two an iteration on the torus
-and the sphere), whose last call at a row gives f, its gradient and the
-constraint Jacobian at the new point.  Otherwise the
-iteration calls f's jet_many at order 1 at K2-K4 and once at the new
-points, and, with constraints, the constraint table at K2-K4 and once per
-projection step.  No flow evaluation asks for a Hessian.
+velocity points (K2, K3, K4) and at the new points, through the order-1
+jet of the manifold's Evaluator of f (ev.jet(X, 1)), built once for all
+batches of the same f.  For a polynomial f on a manifold with constraints
+each evaluation is one call of the joint PolyJet's first table: three
+for the velocities and one per Gauss-Newton step of the projection
+(about two an iteration on the torus and the sphere), whose last call at
+a row gives f, its gradient and the constraint Jacobian at the new
+point.  Otherwise the iteration calls f's jet_many at order 1 at K2-K4
+and once at the new points, and, with constraints, M.jet at order 1 at
+K2-K4 and once per projection step.  No flow evaluation asks for a
+Hessian.
 The new point's gradient, projected with its Jacobian, is the next
 iteration's K1 (which also sets the step size), and its value is the next
 f_old, so no point of a trajectory is evaluated twice; only the start
@@ -214,7 +215,7 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
     ev = M.evaluator(f)
 
     def velocity(pts, sign):
-        _, G, _, J = ev.first(pts)
+        _, (G, J) = ev.jet(pts, 1)
         return tangent_part(J, sign[:, None] * G)
 
     def rk4(P, sign, K1, dt):
@@ -266,7 +267,7 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
 
         sign = sgn[idx]
         if step == 0:
-            f_old, G, _, J = ev.first(P)
+            (f_old, _), (G, J) = ev.jet(P, 1)
         else:
             f_old, G, J = f_at[idx], g_at[idx], j_at[idx]
         K1 = tangent_part(J, sign[:, None] * G)

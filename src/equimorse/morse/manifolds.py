@@ -8,22 +8,24 @@ Everything here is batched: functions, constraints and their derivatives
 are evaluated on the rows of an (m x n) array, and there are no scalar
 forms; a single point is passed as a batch of one, p[None], and its result
 read from row 0.  Each row's result is bit for bit independent of the other
-rows, so batches can be split and merged freely.  Polynomial data (a
-function with its gradient and Hessian, or a constraint map with its
-Jacobian and Hessians) is compiled once into a PolyTable, which evaluates
-all of its polynomials at all rows in one pass, with powers formed by
-multiplication so that its values are the same bits on every IEEE host.
+rows, so batches can be split and merged freely.  Every list of
+polynomials (a polynomial function, a constraint map, or both at once) is
+compiled once into a PolyJet, whose one evaluation jet(X, order) gives
+their values, gradients and Hessians from two PolyTables, with powers
+formed by multiplication so that its values are the same bits on every
+IEEE host.  A polynomial EqFunction is column 0 of its PolyJet, and
+M.jet(X, order) is the constraint map's.
 
-An Evaluator reads f and the constraints at the same points.  For a
-polynomial f on a manifold with constraints it compiles them into one
-joint table per derivative order, [f, grad f, c, grad c] and [hess f, hess
-c], over their polynomials concatenated, whose columns equal f's and the
-manifold's own tables bit for bit (see PolyTable), so the flow's velocity,
-its projection and Newton's KKT step each read what they need from one
-call.  Any other function, or a manifold without constraints, is evaluated
-through f's jet_many, at order 1 or 2, and M's own tables.  M.evaluator(f)
-keeps the last Evaluator it built, so the critical-point search, classify
-and every flow batch of one f compile its joint tables once.
+An Evaluator reads f and the constraints at the same points, through one
+jet(X, order) that returns [(f, F), (grad f, J), (hess f, CH)][:order + 1].
+For a polynomial f on a manifold with constraints it compiles them into
+one joint PolyJet, [f, c], whose columns equal f's and the manifold's own
+bit for bit (see PolyTable), so the flow's velocity, its projection and
+Newton's residual and KKT matrix each come from one call.  Any other
+function, or a manifold without constraints, is evaluated through f's
+jet_many and M.jet.  M.evaluator(f) keeps the last Evaluator it built, so
+the critical-point search, classify and every flow batch of one f compile
+its joint PolyJet once.
 
 The Gauss-Newton projection onto the zero set (project_points_jacobian_many)
 returns the Jacobian at the projected points with them, and whatever else
@@ -42,8 +44,8 @@ import numpy as np
 
 from ..polynomials import LinearAction, Polynomial
 
-__all__ = ["EqFunction", "Evaluator", "ImplicitGManifold", "PolyTable",
-           "tangent_frame", "tangent_part"]
+__all__ = ["EqFunction", "Evaluator", "ImplicitGManifold", "PolyJet",
+           "PolyTable", "tangent_frame", "tangent_part"]
 
 # the constraint residual below which a projected row stops
 PROJECT_TOL = 1e-12
@@ -54,7 +56,8 @@ ACTION_TOL = 1e-9
 
 class PolyTable:
     """Exact polynomials in the same variables, compiled for float batch
-    evaluation: the Morse layer's one float form of a polynomial.
+    evaluation: the Morse layer's one float form of a polynomial, built
+    only by PolyJet.
 
     Each coefficient num / den is rounded to float once; the exact
     polynomials are kept as polys.  The polynomials share one exponent
@@ -72,14 +75,14 @@ class PolyTable:
     kernel by the number of rows, so a row's value would depend in the last
     bit on the other rows of the batch.
 
-    A table over the concatenated polynomials of several tables equals
-    those tables column for column (a property test checks this for the
-    Evaluator's joint tables): a variable a monomial lacks contributes an
-    exact factor 1, and a monomial a polynomial lacks an exact zero term.
-    That needs two or more columns in every table: einsum sums a
-    one-column table in another order, so a table of one polynomial alone
-    may differ in the last bit (the sphere constraint at (1.5, 0.1, -0.4)
-    does).
+    A table over the concatenated polynomials of several tables, in any
+    order, equals those tables column for column (a property test checks
+    this for the Evaluator's joint PolyJet): a variable a monomial lacks
+    contributes an exact factor 1, and a monomial a polynomial lacks an
+    exact zero term.  That needs two or more columns in every table: einsum
+    sums a one-column table in another order, so a table of one polynomial
+    alone may differ in the last bit (the sphere constraint at (1.5, 0.1,
+    -0.4) does).
     """
 
     def __init__(self, polys, nvars: int):
@@ -114,6 +117,36 @@ class PolyTable:
         # matrix, so it is made row-major at every batch size
         mono = np.ascontiguousarray(np.take(powers, self._col, axis=1).prod(axis=2))
         return np.einsum("mk,kp->mp", mono, self.coef)
+
+
+class PolyJet:
+    """k exact polynomials in N variables with their exact first and second
+    derivatives, compiled once: the one float evaluation of every list of
+    polynomials.
+
+    jet(X, order), order 0, 1 or 2, returns [values, gradients,
+    Hessians][:order + 1] at the rows of X, shapes (m, k), (m, k, N) and
+    (m, k, N, N).  The values and gradients come from one PolyTable
+    [p_1..p_k, grad p_1, ..., grad p_k], the Hessians from a second, which
+    only order 2 calls; with no polynomials no table is called.
+    """
+
+    def __init__(self, polys, nvars: int):
+        self.polys = tuple(polys)
+        self.nvars = N = nvars
+        grads = [p.derivative(i) for p in self.polys for i in range(N)]
+        self._first = PolyTable(self.polys + tuple(grads), N)
+        self._second = PolyTable(
+            [g.derivative(j) for g in grads for j in range(N)], N)
+
+    def __call__(self, X, order: int) -> list:
+        k, N, m = len(self.polys), self.nvars, len(X)
+        T = self._first(X) if k else np.empty((m, 0))
+        jet = [T[:, :k], T[:, k:].reshape(m, k, N)]
+        if order == 2:
+            S = self._second(X) if k else np.empty((m, 0))
+            jet.append(S.reshape(m, k, N, N))
+        return jet[:order + 1]
 
 
 def _action_matrices(act: LinearAction) -> np.ndarray:
@@ -165,7 +198,8 @@ class EqFunction:
     grad_many are views of it, and a caller that needs several orders
     reads them from one call.  Subclasses override jet_many, computing
     only the orders asked for, so that a lower order equals the leading
-    entries of a higher one bit for bit.
+    entries of a higher one bit for bit.  A polynomial function
+    (from_polynomial) is column 0 of a PolyJet.
     """
 
     def __init__(self, jet_many, *, nvars=None, name=""):
@@ -194,24 +228,12 @@ class EqFunction:
 
     @classmethod
     def from_polynomial(cls, poly: Polynomial, name="") -> "EqFunction":
-        n = poly.nvars
-        grads = [poly.derivative(i) for i in range(n)]
-        # value and gradient in one table, the Hessian in a second, which
-        # only order 2 calls
-        first = PolyTable([poly] + grads, n)
-        second = PolyTable([g.derivative(j) for g in grads for j in range(n)], n)
-
-        def jet_many(X, order):
-            T = first(X)
-            jet = [T[:, 0], T[:, 1:]]
-            if order == 2:
-                jet.append(second(X).reshape(len(X), n, n))
-            return jet[:order + 1]
-
-        f = cls(jet_many, nvars=n, name=name or "poly")
+        """poly as column 0 of its PolyJet; .polynomial keeps it, which an
+        Evaluator joins with a manifold's constraints."""
+        jet = PolyJet([poly], poly.nvars)
+        f = cls(lambda X, order: [a[:, 0] for a in jet(X, order)],
+                nvars=poly.nvars, name=name or "poly")
         f.polynomial = poly
-        # the tables, whose polynomials an Evaluator joins with a manifold's
-        f._first, f._second = first, second
         return f
 
 
@@ -222,6 +244,11 @@ class ImplicitGManifold:
     An empty constraint list means all of R^ambient.  The action must be by
     orthogonal matrices preserving the constraints; validate_action samples
     that on given points of the zero set.
+
+    jet(X, order) is the constraint map's one evaluation, the PolyJet of
+    the constraints: [F, J, CH][:order + 1], shapes (m, codim), (m, codim,
+    ambient) and (m, codim, ambient, ambient), empty at codim 0, where no
+    table is called.
     """
 
     ambient: int
@@ -235,13 +262,7 @@ class ImplicitGManifold:
             raise ValueError("action dimension must match the ambient space")
         if not self.action.is_orthogonal():
             raise ValueError("the action must be orthogonal")
-        N = self.ambient
-        # constraint values and Jacobian in one table, the Hessians in a second
-        grads = [c.derivative(i) for c in self.constraints for i in range(N)]
-        self._first = PolyTable(list(self.constraints) + grads, N)
-        self._second = PolyTable(
-            [g.derivative(j) for g in grads for j in range(N)], N
-        )
+        self.jet = PolyJet(self.constraints, self.ambient)
         self.act_mats = _action_matrices(self.action)
         self._evaluator = None
 
@@ -252,18 +273,6 @@ class ImplicitGManifold:
     @property
     def dim(self) -> int:
         return self.ambient - self.codim
-
-    def constraint_values_and_jacobian_many(self, X):
-        """(F, J) of shapes (m, codim) and (m, codim, ambient) from one
-        evaluation of the constraint table."""
-        T = self._first(X)
-        c = self.codim
-        return T[:, :c], T[:, c:].reshape(len(T), c, self.ambient)
-
-    def constraint_hessians_many(self, X) -> np.ndarray:
-        """(m, codim, ambient, ambient)."""
-        N = self.ambient
-        return self._second(X).reshape(len(X), self.codim, N, N)
 
     def project_points_many(self, X: np.ndarray, iters=20) -> np.ndarray:
         """Every row of X projected onto the zero set (see
@@ -277,10 +286,10 @@ class ImplicitGManifold:
         projected row: (points, J) of shapes (m, ambient) and (m, codim,
         ambient).
 
-        evaluate(X) returns (F, J, *rest) at the rows of X, by default the
-        constraint table's (F, J); every further per-row array in rest is
-        returned too, at the projected points, after J (Evaluator passes
-        f's value and gradient from its joint table this way).
+        evaluate(X) returns (F, J, *rest) at the rows of X, by default
+        jet(X, 1); every further per-row array in rest is returned too, at
+        the projected points, after J (Evaluator passes f's value and
+        gradient from its joint PolyJet this way).
 
         Only the rows whose residual is still at least PROJECT_TOL take a
         step, so a row's result does not depend on the other rows of the
@@ -290,7 +299,7 @@ class ImplicitGManifold:
         """
         if not self.constraints:
             return X, np.zeros((len(X), 0, self.ambient))
-        evaluate = evaluate or self.constraint_values_and_jacobian_many
+        evaluate = evaluate or (lambda X: self.jet(X, 1))
         X = np.array(X, dtype=float)
         rows = np.arange(len(X))
         out = None
@@ -328,8 +337,7 @@ class ImplicitGManifold:
         X = self.project_points_many(np.array(sample_points, dtype=float)
                                      .reshape(-1, self.ambient))
         moved = np.einsum("gij,mj->gmi", self.act_mats, X)
-        F, _ = self.constraint_values_and_jacobian_many(
-            moved.reshape(-1, self.ambient))
+        (F,) = self.jet(moved.reshape(-1, self.ambient), 0)
         worst = float(np.max(np.abs(F), initial=0.0))
         if worst >= ACTION_TOL:
             raise ValueError(f"action does not preserve the zero set: {worst:.2e}")
@@ -339,79 +347,46 @@ class ImplicitGManifold:
 class Evaluator:
     """f and the constraints of M evaluated at the same points.
 
-    first(X) returns f's values and gradients with the constraint values
-    and Jacobian, shapes (m,), (m, N), (m, c) and (m, c, N); second(X)
-    returns f's Hessians and the constraint Hessians, (m, N, N) and (m, c,
-    N, N), and lagrangian_hessians(X, lam) contracts them with the
-    multipliers; project(X) is M's Gauss-Newton projection, returning the
-    projected points with f's values, gradients and the Jacobian there.
+    jet(X, order), order 0, 1 or 2, returns [(f, F), (grad f, J), (hess f,
+    CH)][:order + 1] at the rows of X: f's values, gradients and Hessians,
+    shapes (m,), (m, N) and (m, N, N), each paired with the constraints',
+    (m, c), (m, c, N) and (m, c, N, N).  project(X) is M's Gauss-Newton
+    projection, returning the projected points with f's values, gradients
+    and the Jacobian there.
 
     For a polynomial f (from_polynomial keeps .polynomial) on M with
-    constraints, first and second are one PolyTable call each, of the
-    joint tables [f, grad f, c, grad c] and [hess f, hess c], and the
-    projection steps on the joint first-order table, so its last
-    evaluation of a row also gives f there.  The joint tables are built
-    over the polynomials of f's and M's own tables, concatenated, so their
-    columns equal those tables' (see PolyTable).  Otherwise first calls
-    f.jet_many at order 1 and second at order 2 (which also computes the
-    values and gradients it drops), each with M's own table, and project
-    calls f's order-1 jet once at the projected points; at codim 0 the
-    constraint arrays are empty and no constraint table is called.
+    constraints, jet reads one joint PolyJet of f and the constraints, [f,
+    c], whose columns equal f's and M's own bit for bit (see PolyTable),
+    and the projection steps on its order-1 jet, so its last evaluation of
+    a row also gives f there.  Otherwise jet pairs f.jet_many with M.jet,
+    and project calls f's order-1 jet once at the projected points; at
+    codim 0 the constraint arrays are empty and no constraint table is
+    called.
     """
 
     def __init__(self, f: EqFunction, M: ImplicitGManifold):
         self.f, self.M = f, M
-        self._first = self._second = None
+        self._joint = None
         if getattr(f, "polynomial", None) is not None and M.codim:
-            N = M.ambient
-            self._first = PolyTable(f._first.polys + M._first.polys, N)
-            self._second = PolyTable(f._second.polys + M._second.polys, N)
+            self._joint = PolyJet((f.polynomial,) + M.constraints, M.ambient)
 
-    def first(self, X):
-        """(values, gradients, F, J) at the rows of X."""
-        if self._first is None:
-            return (*self.f.jet_many(X, 1), *self._constraints(X))
-        N, c = self.M.ambient, self.M.codim
-        T = self._first(X)
-        return (T[:, 0], T[:, 1:N + 1], T[:, N + 1:N + 1 + c],
-                T[:, N + 1 + c:].reshape(len(T), c, N))
-
-    def _constraints(self, X):
-        """M's own (F, J), empty arrays at codim 0."""
-        M = self.M
-        if M.codim:
-            return M.constraint_values_and_jacobian_many(X)
-        return np.empty((len(X), 0)), np.empty((len(X), 0, M.ambient))
-
-    def second(self, X):
-        """(Hessians of f, constraint Hessians) at the rows of X."""
-        M = self.M
-        N, c = M.ambient, M.codim
-        if self._second is None:
-            return self.f.jet_many(X, 2)[2], (M.constraint_hessians_many(X) if c
-                                              else np.empty((len(X), 0, N, N)))
-        T = self._second(X)
-        return (T[:, :N * N].reshape(len(T), N, N),
-                T[:, N * N:].reshape(len(T), c, N, N))
-
-    def lagrangian_hessians(self, X, lam):
-        """The Hessians of f - lam . c at the rows of X, with lam of shape
-        (m, c): f's alone at codim 0, where the sum is empty."""
-        H, CH = self.second(X)
-        return H - np.einsum("mk,mkij->mij", lam, CH)
-
-    def _constraints_first(self, X):
-        """first(X) with F and J in front, as the projection reads them."""
-        v, g, F, J = self.first(X)
-        return F, J, v, g
+    def jet(self, X, order: int) -> list:
+        """[(f, F), (grad f, J), (hess f, CH)][:order + 1] at the rows of X."""
+        if self._joint is None:
+            return list(zip(self.f.jet_many(X, order), self.M.jet(X, order)))
+        return [(a[:, 0], a[:, 1:]) for a in self._joint(X, order)]
 
     def project(self, X, iters=20):
         """(points, values, gradients, J) at the projection of every row of
         X onto M (see ImplicitGManifold.project_points_jacobian_many)."""
         M = self.M
-        if self._first is None:
+        if self._joint is None:
             X, J = M.project_points_jacobian_many(X, iters)
             return (X, *self.f.jet_many(X, 1), J)
-        X, J, v, g = M.project_points_jacobian_many(
-            X, iters, evaluate=self._constraints_first)
+
+        def evaluate(X):
+            (v, F), (g, J) = self.jet(X, 1)
+            return F, J, v, g
+
+        X, J, v, g = M.project_points_jacobian_many(X, iters, evaluate=evaluate)
         return X, v, g, J

@@ -573,6 +573,27 @@ def test_console_entrypoint():
     assert "deg 2: Z" in proc.stdout
 
 
+def test_readme_library_example_runs(tmp_path):
+    # the README's Python example, extracted with the CI workflow's pattern
+    # and run outside the checkout with src on its path, prints the Morse
+    # homology of the stabilized circle and the cellular Bredon homology of
+    # the reflection circle: the same non-empty table twice
+    import equimorse
+
+    readme = (FIXDIR.parent / "README.md").read_text()
+    code = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    src = str(Path(equimorse.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=120, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    head, morse, bredon = proc.stdout.split("degree  group\n")
+    assert head == "" and morse.strip()
+    assert morse == bredon
+
+
 def _patch_flow(monkeypatch, **fields):
     """Run the real flow counting, then overwrite fields of its MorseData.
     The CLI imports morse_differentials from equimorse.morse when it runs,

@@ -51,8 +51,7 @@ def row(fn, x):
 
 def constraints_at(M, x):
     """The constraint values and Jacobian of M at the single point x."""
-    F, J = M.constraint_values_and_jacobian_many(
-        np.asarray(x, dtype=float)[None, :])
+    F, J = M.jet(np.asarray(x, dtype=float)[None, :], 1)
     return F[0], J[0]
 
 
@@ -151,9 +150,9 @@ def test_fixture_float_coefficients_are_rounded_once():
     f = fx.function.polynomial
     assert f.terms == {(0, 0, 1): Fraction(1), (1, 0, 0): Fraction(0.3)}
     X = np.random.default_rng(23).normal(scale=2.0, size=(200, 3))
-    T = fx.function._first(X)
-    assert np.array_equal(T[:, 0], X[:, 2] + 0.3 * X[:, 0])
-    assert np.array_equal(T[:, 1:], np.broadcast_to([0.3, 0.0, 1.0], (200, 3)))
+    v, g = fx.function.jet_many(X, 1)
+    assert np.array_equal(v, X[:, 2] + 0.3 * X[:, 0])
+    assert np.array_equal(g, np.broadcast_to([0.3, 0.0, 1.0], (200, 3)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -166,14 +165,12 @@ def test_constraint_derivatives_match_exact(case):
                           action=LinearAction.trivial(FiniteGroup.trivial(), n))
     X = np.array([[float(x) for x in pt] for pt in pts]).reshape(len(pts), n)
     c = len(cons)
-    F, J = M.constraint_values_and_jacobian_many(X)
+    F, J, CH = M.jet(X, 2)
     _assert_matches_exact(F, cons, pts)
     firsts = [p.derivative(i) for p in cons for i in range(n)]
     _assert_matches_exact(J.reshape(len(pts), c * n), firsts, pts)
     seconds = [g.derivative(j) for g in firsts for j in range(n)]
-    _assert_matches_exact(
-        M.constraint_hessians_many(X).reshape(len(pts), c * n * n), seconds, pts
-    )
+    _assert_matches_exact(CH.reshape(len(pts), c * n * n), seconds, pts)
 
 
 def test_sphere_tangent_and_projection():
@@ -455,7 +452,7 @@ def test_project_points_rows_independent():
     M = sphere_manifold()
     X = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0 - 2e-13],
                   [0.6 + 3e-13, 0.8, 0.0], [3.0, -4.0, 12.0]])
-    F, _ = M.constraint_values_and_jacobian_many(X[:3])
+    (F,) = M.jet(X[:3], 0)
     assert np.max(np.abs(F)) < 1e-12
     Y = M.project_points_many(X)
     assert Y[:3].tobytes() == X[:3].tobytes()
@@ -463,15 +460,15 @@ def test_project_points_rows_independent():
     assert abs(constraints_at(M, Y[3])[0][0]) < 1e-12
 
 
-def test_constraint_values_and_jacobian_match_separate_calls():
-    # (F, J) come from one call of the constraint table: its first codim
-    # columns, then each constraint's gradient.  On the circle cut out by
-    # x^2 + y^2 + z^2 - 1 and z every gradient column has one term, so J
-    # is exact
+def test_constraint_jet_reads_one_table_call():
+    # (F, J) come from one call of the constraint PolyJet's first table:
+    # its first codim columns, then each constraint's gradient.  On the
+    # circle cut out by x^2 + y^2 + z^2 - 1 and z every gradient column has
+    # one term, so J is exact
     M = _joint_manifolds()[3]
     X = np.array([[0.3, -0.2, 0.9], [1.5, 0.1, -0.4]])
-    F, J = M.constraint_values_and_jacobian_many(X)
-    T = M._first(X)
+    F, J = M.jet(X, 1)
+    T = M.jet._first(X)
     assert F.shape == (2, 2) and J.shape == (2, 2, 3)
     assert np.array_equal(F, T[:, :2])
     assert np.array_equal(J.reshape(2, 6), T[:, 2:])
@@ -593,23 +590,22 @@ def _poly_at_points(draw):
 @example((Polynomial(3, {(2, 0, 0): 1, (0, 1, 1): -3}),
           np.array([[1.5, 0.1, -0.4]])))
 def test_joint_tables_equal_the_separate_tables_bitwise(joint_manifolds, case):
-    # the joint first- and second-order tables of f and M's constraints
-    # give f's own table's and M's own tables' bits, at every row alone too;
-    # at codim 0 there is no joint table and f's own is called.  On a
+    # the joint PolyJet of f and M's constraints, [f, c], gives f's own
+    # PolyJet's and M's own bits at every order, at every row alone too;
+    # at codim 0 there is no joint PolyJet and f's own is called.  On a
     # manifold in the plane, f and the points drop their last variable
     poly3, X3 = case
     for M in joint_manifolds:
         poly, X = _in_first_vars(poly3, M.ambient), X3[:, :M.ambient]
         f = EqFunction.from_polynomial(poly)
         ev = Evaluator(f, M)
-        assert (ev._first is not None) == bool(M.codim)
-        got = (*ev.first(X), *ev.second(X))
-        v, g, H = f.jet_many(X, 2)
-        want = (v, g, *M.constraint_values_and_jacobian_many(X),
-                H, M.constraint_hessians_many(X))
+        assert (ev._joint is not None) == bool(M.codim)
+        got = [a for pair in ev.jet(X, 2) for a in pair]
+        want = [a for pair in zip(f.jet_many(X, 2), M.jet(X, 2)) for a in pair]
+        assert len(got) == 6
         assert all(_same_bits(a, b) for a, b in zip(got, want))
         for r in range(len(X)):
-            one = (*ev.first(X[r:r + 1]), *ev.second(X[r:r + 1]))
+            one = [a for pair in ev.jet(X[r:r + 1], 2) for a in pair]
             assert all(_same_bits(a[0], b[r]) for a, b in zip(one, got))
 
 
@@ -634,7 +630,7 @@ def test_evaluator_projection_returns_f_and_j_at_its_points():
                 got = ev.project(X0, iters=iters)
                 X, v, g, J = got
                 assert _same_bits(X, M.project_points_many(X0, iters=iters))
-                fv, fg, _, fJ = ev.first(X)
+                (fv, _), (fg, fJ) = ev.jet(X, 1)
                 assert all(_same_bits(a, b) for a, b in zip((v, g, J), (fv, fg, fJ)))
                 for r in range(len(X0)):
                     one = ev.project(X0[r:r + 1], iters=iters)
@@ -659,7 +655,7 @@ def test_codim1_projections_equal_their_solve_forms_bitwise():
     # solve; the 1 x 1 solve is the same division, bit for bit
     for M, on, near in _codim1_cases():
         V = np.random.default_rng(29).normal(size=on.shape)
-        _, J = M.constraint_values_and_jacobian_many(on)
+        _, J = M.jet(on, 1)
         JV = np.einsum("mcn,mn->mc", J, V)
         G = np.einsum("mcn,mdn->mcd", J, J)
         lam = np.linalg.solve(G, JV[..., None])[..., 0]
@@ -669,7 +665,7 @@ def test_codim1_projections_equal_their_solve_forms_bitwise():
         X = near.copy()
         rows = np.arange(len(X))
         for _ in range(20):
-            F, J = M.constraint_values_and_jacobian_many(X[rows])
+            F, J = M.jet(X[rows], 1)
             left = ~(np.max(np.abs(F), axis=1) < 1e-12)
             if not left.any():
                 break
@@ -689,8 +685,7 @@ def test_projection_jacobian_is_the_jacobian_at_the_projected_points():
             for iters in (1, 20):
                 X, J = M.project_points_jacobian_many(X0, iters=iters)
                 assert np.array_equal(X, M.project_points_many(X0, iters=iters))
-                assert np.array_equal(
-                    J, M.constraint_values_and_jacobian_many(X)[1])
+                assert np.array_equal(J, M.jet(X, 1)[1])
     M = r2_manifold()
     X, J = M.project_points_jacobian_many(np.ones((3, 2)))
     assert np.array_equal(X, np.ones((3, 2))) and J.shape == (3, 0, 2)
@@ -726,9 +721,9 @@ def _count_projection_calls(M, calls):
 
 
 def test_flow_constraint_table_calls_per_iteration(monkeypatch):
-    # a polynomial f on the sphere reads everything from the joint
-    # first-order table [f, grad f, c, grad c] (8 columns; f's own table
-    # and the sphere's have 4): K2, K3 and K4 call it once each, and the
+    # a polynomial f on the sphere reads everything from the first table
+    # of the joint PolyJet, [f, c, grad f, grad c] (8 columns; f's own
+    # table and the sphere's have 4): K2, K3 and K4 call it once each, and the
     # projection once per Gauss-Newton step, whose last call gives f, grad f
     # and J at the new points, so besides the projections an iteration
     # makes three table calls, and the start points one
@@ -749,9 +744,9 @@ def test_flow_constraint_table_calls_per_iteration(monkeypatch):
 
 def test_flow_composed_calls_per_iteration(monkeypatch):
     # a surgered function has no polynomial, so the flow on the circle
-    # calls f and the constraint table in turn: f at K2-K4 and once at the
-    # new points, the constraint table at K2-K4 and once per projection
-    # step, and each once at the start points
+    # calls f and the constraint PolyJet in turn, each at order 1: f at
+    # K2-K4 and once at the new points, M.jet at K2-K4 and once per
+    # projection step, and each once at the start points
     fx = MANIFOLD_FIXTURES["circle_c2_height"]()
     M = fx.manifold
     north = classify(fx.function, M, np.array([0.0, 1.0]))
@@ -762,8 +757,8 @@ def test_flow_composed_calls_per_iteration(monkeypatch):
     jet = g.jet_many
     g.jet_many = lambda X, order: f_calls.append((len(X), order)) or jet(X, order)
     con_calls = []
-    first = M._first
-    M._first = lambda X: con_calls.append(len(X)) or first(X)
+    con_jet = M.jet
+    M.jet = lambda X, order: con_calls.append(order) or con_jet(X, order)
     inside = _count_projection_calls(M, con_calls)
     th = np.array([-2.0, 2.5])
     X0 = np.stack([np.cos(th), np.sin(th)], axis=1)
@@ -777,18 +772,34 @@ def test_flow_composed_calls_per_iteration(monkeypatch):
         assert {order for _, order in f_calls} == {1}
         assert inside["calls"] >= n
         assert len(con_calls) - inside["calls"] == 1 + 3 * n
+        assert set(con_calls) == {1}
 
 
 def test_classify_table_calls(monkeypatch):
-    # classify reads f and the constraints through one Evaluator: a
-    # polynomial f on the sphere makes two table calls, the joint
-    # first-order table [f, grad f, c, grad c] (8 columns) and the joint
-    # Hessian table [hess f, hess c] (18)
+    # classify reads f and the constraints from one order-2 call of the
+    # Evaluator: a polynomial f on the sphere makes two table calls, the
+    # joint PolyJet's first table [f, c, grad f, grad c] (8 columns) and
+    # its Hessian table [hess f, hess c] (18)
     M = sphere_manifold()
     calls = _count_table_calls(monkeypatch)
     c = classify(height_z(), M, np.array([0.0, 0.0, 1.0]))
     assert c.index == 2 and c.stable
     assert calls == [8, 18]
+
+
+@pytest.mark.parametrize("name, bound", [("sphere_height", 20),
+                                         ("torus_tilted", 121)])
+def test_newton_reads_one_order_2_jet_per_iteration(monkeypatch, name, bound):
+    # each Newton iteration makes one order-2 call of the joint PolyJet on
+    # its active rows, its first table (8 columns) and then its Hessian
+    # table (18), and the starting multipliers come from iteration 0's
+    # call, so the search makes no more table calls than when they took a
+    # call of their own (20 on the sphere and 121 on the torus)
+    fx = MANIFOLD_FIXTURES[name]()
+    calls = _count_table_calls(monkeypatch)
+    _newton_kkt(fx.function, fx.manifold, fx.seeds)
+    assert calls == [8, 18] * (len(calls) // 2)
+    assert 0 < len(calls) <= bound
 
 
 def test_classify_matches_the_separate_tables():
@@ -802,7 +813,7 @@ def test_classify_matches_the_separate_tables():
         _, J = constraints_at(M, p)
         lam, *_ = np.linalg.lstsq(J.T, f.grad_many(x)[0], rcond=None)
         Hf = f.jet_many(x, 2)[2][0] - np.einsum("k,kij->ij", lam,
-                                           M.constraint_hessians_many(x)[0])
+                                                M.jet(x, 2)[2][0])
         T = tangent_frame(J)
         Ht = T.T @ Hf @ T
         assert np.array_equal(c.tangent_basis, T)
@@ -902,7 +913,7 @@ def _newton_kkt_reference(f, M, x0, max_iter=60, tol=1e-12, bound=1e6):
             return x
         H = f.jet_many(x[None, :], 2)[2][0]
         if c:
-            CH = row(M.constraint_hessians_many, x)
+            CH = M.jet(x[None, :], 2)[2][0]
             Hl = H - np.einsum("k,kij->ij", lam, CH)
             top = np.concatenate([Hl, -J.T], axis=1)
             bot = np.concatenate([J, np.zeros((c, c))], axis=1)

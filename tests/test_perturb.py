@@ -21,7 +21,8 @@ from equimorse.morse import (
     seed_grid,
     stable_perturb,
 )
-from equimorse.morse.manifolds import PolyTable
+from equimorse.morse.manifolds import PolyJet, PolyTable
+from equimorse.morse.critical import _newton_kkt
 from equimorse.morse.perturb import (
     MODEL_RADIUS,
     SurgeredFunction,
@@ -576,26 +577,41 @@ def test_profile_matches_three_formulas(cut):
 
 
 def _jet_subject(name, cut):
-    """A function or chart with rows to evaluate it at."""
+    """The jet(X, order) of a function, chart, constraint map (M.jet) or
+    Evaluator (ev.jet), with rows to evaluate it at."""
     rng = np.random.default_rng(21)
     plane = rng.uniform(-3.5, 3.5, size=(40, 2))
     plane[0] = 0.0
     if name == "polynomial":
         f = EqFunction.from_polynomial(
             Polynomial(2, {(2, 0): 1, (0, 3): 2, (1, 1): -1}))
-        return f, plane
+        return f.jet_many, plane
     if name == "sphere-cos3":
-        return SphereFunction.cos_multiple_angle(3), plane[1:]
+        return SphereFunction.cos_multiple_angle(3).jet_many, plane[1:]
     if name in ("model-c3", "model-c2"):
         V, W, U = c3_rotation_reps() if name == "model-c3" else c2_sign_reps()
         h = SphereFunction.cos_multiple_angle(3) if name == "model-c3" else None
         model, crits = stable_perturb(V, W, U, h, cut)
         # the critical points sit on the plateau, where h enters
-        return model, np.concatenate([plane] + [c.coords[None, :] for c in crits])
+        return model.jet_many, np.concatenate(
+            [plane] + [c.coords[None, :] for c in crits])
     if name.startswith("surgered-"):
         fixture = name[len("surgered-"):]
         _, f = surgered_fixture(fixture, cut)
-        return f, surgery_rows(fixture, f.scale)
+        return f.jet_many, surgery_rows(fixture, f.scale)
+    if name.startswith(("evaluator-", "constraints-")):
+        # the joint PolyJet (a polynomial f with constraints), the composed
+        # path (a surgered f) and codim 0, at the fixture's seeds
+        kind, fixture = name.split("-", 1)
+        if fixture.startswith("surgered-"):
+            fx, f = surgered_fixture(fixture[len("surgered-"):], cut)
+        else:
+            fx = MANIFOLD_FIXTURES[fixture]()
+            f = fx.function
+        M, ev = fx.manifold, fx.manifold.evaluator(f)
+        assert (ev._joint is not None) == (fixture in ("sphere_height",
+                                                       "torus_tilted"))
+        return (M.jet if kind == "constraints" else ev.jet), fx.seeds
     # polar samples clear of the origin and of the angle chart's cut
     rad = rng.uniform(0.5, 1.5, size=24)
     ang = np.pi / 2 + rng.uniform(-2.5, 2.5, size=24)
@@ -603,8 +619,8 @@ def _jet_subject(name, cut):
     if name == "linear-chart":
         turn = np.array([[np.cos(0.7), -np.sin(0.7)],
                          [np.sin(0.7), np.cos(0.7)]])
-        return LinearChart(np.array([0.3, -0.2]), turn, dv=1, dw=1), X
-    return AngleChart(np.pi / 2), X
+        return LinearChart(np.array([0.3, -0.2]), turn, dv=1, dw=1).jet_many, X
+    return AngleChart(np.pi / 2).jet_many, X
 
 
 def _same_bits(a, b):
@@ -612,29 +628,39 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _leaves(jet):
+    """The arrays of a jet, each (f, F) pair of an Evaluator's jet in turn."""
+    return [a for entry in jet
+            for a in (entry if isinstance(entry, tuple) else (entry,))]
+
+
 @pytest.mark.parametrize("name", [
     "polynomial", "sphere-cos3", "model-c3", "model-c2",
     "surgered-figure1_plane", "surgered-figure2_plane",
-    "surgered-circle_c2_height", "linear-chart", "angle-chart"])
+    "surgered-circle_c2_height", "linear-chart", "angle-chart",
+    "evaluator-sphere_height", "evaluator-torus_tilted",
+    "evaluator-surgered-circle_c2_height", "evaluator-figure1_plane",
+    "constraints-sphere_height", "constraints-torus_tilted"])
 def test_jet_orders_and_rows_agree(cut, name):
     # a lower order is the leading entries of order 2 bit for bit, and
     # every row of a batch is the same point evaluated alone
-    f, X = _jet_subject(name, cut)
-    full = f.jet_many(X, 2)
+    jet, X = _jet_subject(name, cut)
+    full = jet(X, 2)
     assert len(full) == 3
+    full = _leaves(full)
     for k in (0, 1):
-        low = f.jet_many(X, k)
+        low = jet(X, k)
         assert len(low) == k + 1
-        assert all(_same_bits(a, b) for a, b in zip(low, full))
+        assert all(_same_bits(a, b) for a, b in zip(_leaves(low), full))
     for r in range(len(X)):
-        one = f.jet_many(X[r:r + 1], 2)
+        one = _leaves(jet(X[r:r + 1], 2))
         assert all(_same_bits(a[0], b[r]) for a, b in zip(one, full))
 
 
 def test_surgered_hessian_calls_each_table_once(cut, monkeypatch):
     # one order-2 evaluation on two plateau rows of surgered figure 1
-    # reads f's two tables and h's two tables once each: h's first-order
-    # table is not called again for the Hessian
+    # reads the two tables of f's PolyJet and of h's once each: h's
+    # first-order table is not called again for the Hessian
     _, f = surgered_fixture("figure1_plane", cut)
     th = np.array([0.3, 2.0])
     X = cut.t0 * f.scale * np.stack([np.cos(th), np.sin(th)], axis=1)
@@ -642,12 +668,37 @@ def test_surgered_hessian_calls_each_table_once(cut, monkeypatch):
     real = PolyTable.__call__
 
     def counted(table, X):
-        calls.append(table)
+        calls.append(table.polys)
         return real(table, X)
 
     monkeypatch.setattr(PolyTable, "__call__", counted)
     f.jet_many(X, 2)
-    P = f.model.h.P
-    assert [calls.count(t) for t in (f.f0._first, f.f0._second,
-                                      P._first, P._second)] == [1, 1, 1, 1]
+    jets = [PolyJet([g.polynomial], g.nvars) for g in (f.f0, f.model.h.P)]
+    assert [calls.count(t.polys) for j in jets
+            for t in (j._first, j._second)] == [1, 1, 1, 1]
     assert len(calls) == 4
+
+
+def test_surgered_newton_and_classify_read_one_order_2_jet(cut, monkeypatch):
+    # Newton from figure 1's seeds on its surgered function calls f's jet
+    # only at order 2, once per iteration, which gives both the residual
+    # and the KKT matrix; classify at each plateau critical point makes one
+    # order-2 call, which reads f's two tables and h's two tables once each
+    fx, f = surgered_fixture("figure1_plane", cut)
+    M = fx.manifold
+    crits = find_critical_points(f, M, fx.seeds)
+    orders = []
+    jet = f.jet_many
+    f.jet_many = lambda X, order: orders.append(order) or jet(X, order)
+    _newton_kkt(f, M, fx.seeds)
+    assert orders == [2] * 11
+    calls = []
+    real = PolyTable.__call__
+    monkeypatch.setattr(PolyTable, "__call__",
+                        lambda table, X: calls.append(table) or real(table, X))
+    plateau = [p for p in crits if np.linalg.norm(p) > 0.1]
+    assert len(plateau) == 6
+    for p in plateau:
+        calls.clear()
+        classify(f, M, p)
+        assert len(calls) == 4
