@@ -63,7 +63,7 @@ class ManifoldFixture:
     charts: dict = field(default_factory=dict)     # point label -> chart
     sphere_fn: SphereFunction | None = None
     surgery_radius: float = 1.0
-    step_length: float = 0.01
+    step_length: float = 0.01      # first flow step; unit of its tolerance
     escape_radius: float = 50.0
 
 

@@ -1,25 +1,26 @@
 """Gradient flow trajectories on implicit manifolds.
 
 Trajectories integrate x' = -P grad f (descending; +P for ascending) with a
-projected RK4 step whose size adapts to the local gradient so the flow
-marches at roughly constant arc length, and are captured when they come
-within CAPTURE_TOL of a known critical point.  integrate_batch is the
-only integrator: it steps the rows of an (m x n) array of start points in
-lockstep with vectorized evaluations, each row with its own direction, so
-descents and ascents share one batch, and a single trajectory is a batch
-of one.  Every evaluation is row by row, and a row's trajectory is bit for
-bit the one it would have alone; aggregation of results never depends on
-trajectory order.
+projected RK4 step whose size each row controls from RK4's embedded error
+estimate, and are captured when they come within CAPTURE_TOL of a known
+critical point.  integrate_batch is the only integrator: it steps the rows
+of an (m x n) array of start points in lockstep with vectorized
+evaluations, each row with its own direction, so descents and ascents
+share one batch, and a single trajectory is a batch of one.  Every
+evaluation is row by row, and a row's trajectory is bit for bit the one it
+would have alone; aggregation of results never depends on trajectory order.
 
 A sink of the flow (an index-0 point for a descent, an index-dim point for
 an ascent) attracts along its linearization, e' = -H e descending and
-e' = H e ascending with H its Hessian, and RK4 with a capped step approaches
-it only linearly, at a rate of about the eigenvalue times DT_CAP.  So each
-sink gets a capture radius: the largest rung of CAPTURE_RADII on whose
-sampled shells the velocity contracts towards the sink at CONTRACTION times
-its smallest Hessian eigenvalue.  A row that enters that ball is captured
-there and its end is the closed-form linear flow, taken to half of
-CAPTURE_TOL.  A sink no rung certifies keeps the plain CAPTURE_TOL.
+e' = H e ascending with H its Hessian, and RK4 approaches it only
+linearly: stability bounds the step by about 2.8 over the largest
+eigenvalue, so a step shrinks the distance by a fixed factor set by the
+smallest.  So each sink gets a capture radius: the largest rung of
+CAPTURE_RADII on whose sampled shells the velocity contracts towards the
+sink at CONTRACTION times its smallest Hessian eigenvalue.  A row that
+enters that ball is captured there and its end is the closed-form linear
+flow, taken to half of CAPTURE_TOL.  A sink no rung certifies keeps the
+plain CAPTURE_TOL.
 
 One lockstep iteration evaluates f and the constraints at the three
 velocity points (K2, K3, K4) and at the new points, through the order-1
@@ -33,13 +34,17 @@ point.  Otherwise the iteration calls f's jet_many at order 1 at K2-K4
 and once at the new points, and, with constraints, M.jet at order 1 at
 K2-K4 and once per projection step.  No flow evaluation asks for a
 Hessian.
-The new point's gradient, projected with its Jacobian, is the next
-iteration's K1 (which also sets the step size), and its value is the next
-f_old, so no point of a trajectory is evaluated twice; only the start
-points take one evaluation of their own.  A step that is not monotone
-in f is retried at half the size from the same K1, at the same
-evaluations again; the first attempt may rise by a relative 1e-14, a
-retry must strictly decrease f along the flow.  The capture radii cost
+The new point's gradient, projected with its Jacobian, is the velocity K5
+there: it gives the error estimate dt/6 |K4 - K5| of RK4's embedded
+third-order formula (weights 1/6, 1/3, 1/3, 0, 1/6) and is carried over as
+the next iteration's K1, and its value is the next f_old, so no point of a
+trajectory is evaluated twice; only the start points take one evaluation
+of their own.  A step whose estimate exceeds STEP_TOL times step_length,
+or that is not monotone in f, is retried at half the size from the same
+K1, at the same evaluations again; the first attempt may rise by a
+relative 1e-14, a retry must strictly decrease f along the flow.  An
+accepted step scales the row's next one by 0.9 (tol / err)^(1/4), within
+1/2 and 2, and never up right after a retry.  The capture radii cost
 one more velocity call per batch with a sink, on every probe point at
 once.
 """
@@ -60,9 +65,11 @@ __all__ = [
 ]
 
 CAPTURE_TOL = 1e-6
-# the step bound away from the sinks (see integrate_batch)
+# the bound on a trajectory's first step (see integrate_batch)
 DT_CAP = 0.5
-# a step still non-monotone after this many halvings ends its trajectory
+# a step's error estimate may be at most STEP_TOL times step_length
+STEP_TOL = 1e-3
+# a step still rejected after this many halvings ends its trajectory
 MAX_HALVINGS = 50
 # the capture radii tried around a sink, largest first
 CAPTURE_RADII = (0.1, 0.03, 0.01, 3e-3, 1e-3)
@@ -85,7 +92,7 @@ class Trajectory:
     limit_index: int | None          # index into the critical list
     limit: CriticalPoint | None
     steps: int
-    halvings: int                    # RK4 steps retried at half the size
+    halvings: int                    # halved retries: over tol or rising f
     linear_capture: bool = False     # end is the sink's closed-form flow
     points: np.ndarray | None = None
 
@@ -180,19 +187,19 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
 
     direction is -1 (descend) or +1 (ascend), either one value for every
     row or one per row.  A trajectory finishes by capture, escape (outside
-    the escape radius), a step that stays non-monotone in f after
-    MAX_HALVINGS halvings (unresolved, left at its last accepted point; a
-    NaN value of f counts as non-monotone), or budget exhaustion
-    (unresolved).
+    the escape radius), a step still rejected after MAX_HALVINGS halvings
+    (unresolved, left at its last accepted point; a NaN value of f counts
+    as non-monotone), or budget exhaustion (unresolved).  A row's first
+    step has arc length step_length, at most DT_CAP in time; from then on
+    the error estimate sets each row's step (see the module docstring), at
+    a tolerance of STEP_TOL times step_length per step.
 
     A row is captured within CAPTURE_TOL of any critical point, and within
     the certified radius of a sink of its direction (see _capture_radii,
     computed for both directions whatever the rows' directions, so a row's
     trajectory does not depend on its batch).  A row captured by a radius
     alone ends at the closed-form solution of the sink's linearized flow,
-    within CAPTURE_TOL of it, and counts as a linear capture.  DT_CAP
-    bounds the step away from the sinks, where the speed-normalized step
-    would leave RK4's stability region.
+    within CAPTURE_TOL of it, and counts as a linear capture.
     """
     X = np.array(X0, dtype=float)
     m = len(X)
@@ -205,13 +212,12 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
     active = np.ones(m, dtype=bool)
     paths = [[] for _ in range(m)] if keep_paths else None
     sgn = np.broadcast_to(np.asarray(direction, dtype=float), (m,))
-    # per-trajectory adaptive step bound; monotonicity violations halve it
-    dt_state = np.full(m, DT_CAP)
-    # f, its gradient and the constraint Jacobian at each row's current
+    tol = STEP_TOL * step_length
+    # each row's next step size, f and its velocity K1 at its current
     # point, carried from the step that reached it
+    dt_at = np.zeros(m)
     f_at = np.zeros(m)
-    g_at = np.zeros_like(X)
-    j_at = np.zeros((m, M.codim, M.ambient))
+    k_at = np.zeros_like(X)
     ev = M.evaluator(f)
 
     def velocity(pts, sign):
@@ -219,11 +225,17 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
         return tangent_part(J, sign[:, None] * G)
 
     def rk4(P, sign, K1, dt):
-        # K1 is velocity(P), shared by the step size and every retry
-        K2 = velocity(P + 0.5 * dt * K1, sign)
-        K3 = velocity(P + 0.5 * dt * K2, sign)
-        K4 = velocity(P + dt * K3, sign)
-        return ev.project(P + (dt / 6.0) * (K1 + 2 * K2 + 2 * K3 + K4))
+        # the new points, f and the velocity K5 there, and the error
+        # estimate; K1 is velocity(P), shared by every retry
+        h = dt[:, None]
+        K2 = velocity(P + 0.5 * h * K1, sign)
+        K3 = velocity(P + 0.5 * h * K2, sign)
+        K4 = velocity(P + h * K3, sign)
+        Pn, f_new, g_new, j_new = ev.project(
+            P + (h / 6.0) * (K1 + 2 * K2 + 2 * K3 + K4))
+        K5 = tangent_part(j_new, sign[:, None] * g_new)
+        err = (dt / 6.0) * np.sqrt(((K4 - K5) ** 2).sum(axis=1))
+        return Pn, f_new, K5, err
 
     # each row's capture radius around every critical point
     radius = _capture_radii(velocity, M, crits, C)[
@@ -268,43 +280,45 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
         sign = sgn[idx]
         if step == 0:
             (f_old, _), (G, J) = ev.jet(P, 1)
+            K1 = tangent_part(J, sign[:, None] * G)
+            speed = np.sqrt((K1 * K1).sum(axis=1))
+            dt = np.minimum(
+                step_length / np.maximum(speed, 1e-4 * step_length), DT_CAP)
         else:
-            f_old, G, J = f_at[idx], g_at[idx], j_at[idx]
-        K1 = tangent_part(J, sign[:, None] * G)
-        speed = np.sqrt((K1 * K1).sum(axis=1))
-        base_dt = step_length / np.maximum(speed, 1e-4 * step_length)
-        dt = np.minimum(base_dt, dt_state[idx])
-        Pn, f_new, g_new, j_new = rk4(P, sign, K1, dt[:, None])
-        # the flow must be monotone in f; an increase means the step left
-        # the stability region, so halve and retry those trajectories; the
+            f_old, K1, dt = f_at[idx], k_at[idx], dt_at[idx]
+        Pn, f_new, K5, err = rk4(P, sign, K1, dt)
+        # a step over tol or not monotone in f is halved and retried; the
         # test is negated so that a NaN value counts as non-monotone
         scale = np.maximum(np.abs(f_old), 1.0)
-        bad = ~(-sign * (f_new - f_old) <= 1e-14 * scale)
+        bad = ~((-sign * (f_new - f_old) <= 1e-14 * scale) & (err <= tol))
+        retried = bad.copy()
         for _ in range(MAX_HALVINGS):
             if not bad.any():
                 break
             dt[bad] *= 0.5
             halvings[idx[bad]] += 1
-            dt_state[idx[bad]] = dt[bad]
-            Pn[bad], f_new[bad], g_new[bad], j_new[bad] = rk4(
-                P[bad], sign[bad], K1[bad], dt[bad][:, None])
+            Pn[bad], f_new[bad], K5[bad], err[bad] = rk4(
+                P[bad], sign[bad], K1[bad], dt[bad])
             # a retry must strictly decrease f along the flow: within the
             # first attempt's slack a step halved about 47 times barely
             # moves and would always pass
-            bad[bad] = ~(-sign[bad] * (f_new[bad] - f_old[bad]) < 0)
+            bad[bad] = ~((-sign[bad] * (f_new[bad] - f_old[bad]) < 0)
+                         & (err[bad] <= tol))
+        # the standard fourth-order controller, never up right after a
+        # retry; an error below tol / 100 grows the step the full factor 2
+        grow = np.clip(0.9 * (tol / np.maximum(err, 0.01 * tol)) ** 0.25,
+                       0.5, 2.0)
+        dt *= np.where(retried, np.minimum(grow, 1.0), grow)
         if bad.any():
             # still climbing against the flow: fail this row loudly rather
             # than accept a step that breaks monotonicity
             active[idx[bad]] = False
-            keep = ~bad
-            idx, Pn, j_new = idx[keep], Pn[keep], j_new[keep]
-            f_new, g_new = f_new[keep], g_new[keep]
-        # gently relax the cap so transient stiffness does not pin it
-        dt_state[idx] = np.minimum(dt_state[idx] * 1.25, DT_CAP)
+            idx, Pn, f_new, K5, dt = (
+                a[~bad] for a in (idx, Pn, f_new, K5, dt))
         X[idx] = Pn
+        dt_at[idx] = dt
         f_at[idx] = f_new
-        g_at[idx] = g_new
-        j_at[idx] = j_new
+        k_at[idx] = K5
         steps_used[idx] = step + 1
         if keep_paths:
             for row, j in enumerate(idx):

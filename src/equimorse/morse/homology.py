@@ -86,7 +86,8 @@ class MorseData:
 
     counts[(i, j)] maps an OrbitMorphism from orbit i's stabilizer to orbit
     j's stabilizer to its mod-2 flow-line count.  steps and halvings total
-    the RK4 steps and step halvings of every integrated trajectory, and
+    the RK4 steps and step halvings (retries of a step over the error
+    tolerance or not monotone in f) of every integrated trajectory, and
     linear_captures counts the trajectories finished in closed form inside
     a sink's certified capture radius.
     """
@@ -189,6 +190,9 @@ def morse_differentials(f: EqFunction, M: ImplicitGManifold,
     index-1 point whose two descending branches reach the same basin, since
     such a line leaves no boundary either way.  All four lines out of the
     maximum of torus_tilted are of that kind.
+
+    step_length is the arc length of every trajectory's first step and the
+    unit of the flow's error tolerance (see integrate_batch).
     """
     # samples on a descending circle (sphere dimension 1); an index-1
     # source always shoots its two descending rays

@@ -538,7 +538,7 @@ def test_morse_command_stabilize_pipeline():
     assert code == 0
     assert "critical points (after):" in out
     # the one surgered flow on a constrained manifold, pinned exactly
-    assert ("unresolved=0 escaped=0 steps=146 halvings=0 linear_captures=2"
+    assert ("unresolved=0 escaped=0 steps=59 halvings=11 linear_captures=2"
             in out)
     assert "morse homology over F2" in out
     # byte-identical on rerun
@@ -634,11 +634,11 @@ def test_morse_flat_figures_exit_zero_with_escapes():
     code, out = run_cli(["morse", str(FIXDIR / "figure2_plane.json"),
                          "--stabilize"])
     assert code == 0
-    assert "unresolved=0 escaped=1 steps=141 halvings=0 linear_captures=1" in out
+    assert "unresolved=0 escaped=1 steps=41 halvings=12 linear_captures=1" in out
     code, out = run_cli(["morse", str(FIXDIR / "figure1_plane.json"),
                          "--stabilize", "--coeff", "singular"])
     assert code == 0
-    assert "unresolved=0 escaped=1 steps=36748 halvings=62 linear_captures=258" in out
+    assert "unresolved=0 escaped=1 steps=11462 halvings=3257 linear_captures=258" in out
     flows = out.split("(source orbit -> target orbit, coset):\n")[1]
     assert flows.splitlines()[:3] == ["  1 -> 0 via coset (0, 1, 2): 1",
                                       "  2 -> 1 via coset (1,): 1",

@@ -25,6 +25,7 @@ from equimorse.morse.critical import _newton_kkt
 from equimorse.morse.flow import (
     CAPTURE_TOL,
     MAX_HALVINGS,
+    STEP_TOL,
     UNRESOLVED,
     integrate_batch,
 )
@@ -280,6 +281,26 @@ def test_flow_to_south_pole():
     assert tr.limit.index == 0
     # points stay on the sphere
     assert abs(np.linalg.norm(tr.end) - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("step_length", [0.002, 0.01, 0.05])
+def test_flow_follows_the_exact_flow_line(step_length):
+    # f = x^2 + 3y^2 descends along y = y0 (x / x0)^3; with no critical
+    # point to capture, each row runs its step budget down to the minimum,
+    # and every point of its path lies within STEP_TOL * step_length of that
+    # curve (at most 0.32 of it here), counted vertically, which bounds the
+    # distance; the first step has arc length about step_length
+    M = r2_manifold()
+    bowl = EqFunction.from_polynomial(Polynomial(2, {(2, 0): 1, (0, 2): 3}))
+    X0 = np.array([[1.0, 0.5], [-0.8, 0.3], [0.2, -1.0], [2.0, 2.0]])
+    trajs = integrate_batch(bowl, M, X0, crits=[], max_steps=200,
+                            step_length=step_length, keep_paths=True)
+    for (x0, y0), tr in zip(X0, trajs):
+        x, y = tr.points.T
+        assert np.abs(y - y0 * (x / x0) ** 3).max() <= STEP_TOL * step_length
+        first = np.hypot(x[0] - x0, y[0] - y0)
+        assert 0.9 * step_length < first <= step_length
+        assert tr.steps == 200 and np.linalg.norm(tr.end) < 1e-6
 
 
 def test_flow_counts_steps_and_halvings():
