@@ -1,4 +1,4 @@
-"""Command-line front end: pipeline orchestration and report emission.
+"""Command-line front end: flags to library calls, and report emission.
 
 Fixture arguments are paths to JSON files in the format read by
 equimorse.fixtures.load_fixture (see fixtures/ at the root of the checkout).
@@ -89,8 +89,8 @@ def cmd_bredon(args) -> int:
     return 0 if ok else 1
 
 
-def _coords(x) -> list:
-    """Coordinates rounded to 6 places; adding 0.0 turns -0.0 into 0.0."""
+def _rounded(x):
+    """x rounded to 6 places; adding 0.0 turns -0.0 into 0.0."""
     import numpy as np
 
     return (np.round(x, 6) + 0.0).tolist()
@@ -100,59 +100,27 @@ def _crit_table(title, crits) -> list:
     lines = [f"critical points ({title}):"]
     for c in crits:
         lines.append(
-            f"  at {_coords(c.coords)} value={c.value:.6g} "
+            f"  at {_rounded(c.coords)} value={_rounded(c.value):.6g} "
             f"index={c.index} stab={c.stabilizer.order} "
             f"{'stable' if c.stable else 'UNSTABLE'}"
         )
     return lines
 
 
-def _chart_at(charts, x):
-    """The fixture chart centred at x (see match_point), if any."""
-    from .morse.critical import match_point
-
-    charts = list(charts.values())
-    j = match_point(x, [ch.center for ch in charts])
-    return None if j is None else charts[j]
-
-
-def _morse_pipeline(fx: ManifoldFixture, args):
-    """Critical points (after surgery with --stabilize), the report lines,
-    and the flow data when the function is stable (else None)."""
+def _morse_run(fx: ManifoldFixture, args):
+    """run_morse with --seeds/--seed-value drawn as an array of seeds in the
+    box of the fixture's own, --stabilize and --delta."""
     import numpy as np
 
-    from .morse import (build_cutoffs, classify, find_critical_points,
-                        localize_surgery, morse_differentials)
+    from .morse import run_morse
 
-    M = fx.manifold
-    f = fx.function
-    seeds = fx.seeds
+    seeds = None
     if args.seeds:
         rng = np.random.default_rng(args.seed_value)
-        lo = seeds.min(axis=0)
-        hi = seeds.max(axis=0)
-        seeds = rng.uniform(lo, hi, size=(args.seeds, M.ambient))
-    crits = [classify(f, M, p) for p in find_critical_points(f, M, seeds)]
-    lines = _crit_table("before", crits)
-    if args.stabilize:
-        cut = build_cutoffs(args.delta)
-        for c in crits:
-            if c.stable:
-                continue
-            f = localize_surgery(f, M, c, fx.surgery_radius, cut,
-                                 chart=_chart_at(fx.charts, c.coords),
-                                 h=fx.sphere_fn)
-            lines.append(
-                f"surgery at {_coords(c.coords)}: C0 distance "
-                f"<= {f.c0_distance:.3e}"
-            )
-        crits = [classify(f, M, p) for p in find_critical_points(f, M, seeds)]
-        lines += _crit_table("after", crits)
-    if not all(c.stable for c in crits):
-        return crits, lines, None
-    mdata = morse_differentials(f, M, crits, step_length=fx.step_length,
-                                escape_radius=fx.escape_radius)
-    return crits, lines, mdata
+        seeds = rng.uniform(fx.seeds.min(axis=0), fx.seeds.max(axis=0),
+                            size=(args.seeds, fx.manifold.ambient))
+    return run_morse(fx, seeds=seeds, stabilize=args.stabilize,
+                     delta=args.delta)
 
 
 def cmd_morse(args) -> int:
@@ -161,16 +129,23 @@ def cmd_morse(args) -> int:
     fx = load_fixture(args.fixture)
     if not isinstance(fx, ManifoldFixture):
         raise FixtureError("morse needs a manifold fixture")
-    crits, lines, mdata = _morse_pipeline(fx, args)
-    out = [_header(args, f"fixture={fx.name}")] + lines
+    run = _morse_run(fx, args)
+    out = [_header(args, f"fixture={fx.name}")]
+    out += _crit_table("before", run.before)
+    for c, distance in run.surgeries:
+        out.append(f"surgery at {_rounded(c.coords)}: C0 distance "
+                   f"<= {distance:.3e}")
+    if args.stabilize:
+        out += _crit_table("after", run.critical)
     rows = ["point,value,index,stab,stable"]
-    for c in crits:
+    for c in run.critical:
         rows.append(
-            f"\"{_coords(c.coords)}\",{c.value:.9g},{c.index},"
+            f"\"{_rounded(c.coords)}\",{_rounded(c.value):.9g},{c.index},"
             f"{c.stabilizer.order},{int(c.stable)}"
         )
     ok = True
-    if mdata is not None:
+    if run.stable:
+        mdata = run.flow()
         M = fx.manifold
         out.append(f"flow counting: unresolved={mdata.unresolved} "
                    f"escaped={mdata.escaped} steps={mdata.steps} "
@@ -209,17 +184,18 @@ def cmd_specseq(args) -> int:
         M = build_system(fx.category, args.coeff, char=args.p)
         F = skeletal_filtration(bredon_chain_complex(fx, M))
     else:
-        from .morse import morse_filtration
+        from .morse import morse_complex
 
         if args.p != 2:
             raise FixtureError("specseq on a manifold fixture counts flow "
                                "lines mod 2; only --p 2 is supported")
-        _, _, mdata = _morse_pipeline(fx, args)
-        if mdata is None:
+        run = _morse_run(fx, args)
+        if not run.stable:
             raise FixtureError("specseq on a manifold fixture needs "
                                "--stabilize to reach a stable function")
         cat = OrbitCategory(fx.manifold.action.group)
-        F = morse_filtration(mdata, build_system(cat, args.coeff, char=2))
+        M = build_system(cat, args.coeff, char=2)
+        F = skeletal_filtration(morse_complex(run.flow(), M))
     pages = spectral_pages(F, args.rmax)
     ok, report = einfty_check(F)
     lines = [_header(args, f"fixture={fx.name}")]

@@ -1,4 +1,5 @@
-"""Numerical equivariant Morse theory on explicit G-manifolds.
+"""Numerical equivariant Morse theory on explicit G-manifolds; run_morse
+(equimorse.morse.run) takes a fixture from critical points to flow counts.
 
 RepSpec, UnsupportedRep and representation_cell_groups are exact and
 numpy-free; they live in equimorse.repcells and are re-exported here.
@@ -31,8 +32,8 @@ from .homology import (
     OutsideDeskScale,
     morse_complex,
     morse_differentials,
-    morse_filtration,
 )
+from .run import MorseRun, run_morse
 from ..repcells import RepSpec, UnsupportedRep, representation_cell_groups
 
 __all__ = [
@@ -49,6 +50,7 @@ __all__ = [
     "ImplicitGManifold",
     "LinearChart",
     "MorseData",
+    "MorseRun",
     "OutsideDeskScale",
     "PerturbedModel",
     "RepSpec",
@@ -62,8 +64,8 @@ __all__ = [
     "localize_surgery",
     "morse_complex",
     "morse_differentials",
-    "morse_filtration",
     "representation_cell_groups",
+    "run_morse",
     "seed_grid",
     "stable_perturb",
 ]

@@ -1,5 +1,4 @@
-"""Morse differentials from gradient flow, the equivariant Morse complex,
-and the Morse filtration.
+"""Morse differentials from gradient flow and the equivariant Morse complex.
 
 Index-1 sources shoot their two descending directions and cluster the
 arrivals.  Flow lines out of index-2 sources appear as basin boundaries on
@@ -38,7 +37,6 @@ from ..complexes import ChainComplex, ChainComplexError
 from ..errors import InputError
 from ..gcw import bredon_assembly
 from ..groups import OrbitMorphism
-from ..spectral import FilteredComplex, skeletal_filtration
 from .critical import CriticalPoint, match_point
 from .flow import UNRESOLVED, integrate_batch
 from .manifolds import EqFunction, ImplicitGManifold
@@ -50,7 +48,6 @@ __all__ = [
     "OutsideDeskScale",
     "morse_complex",
     "morse_differentials",
-    "morse_filtration",
 ]
 
 log = logging.getLogger(__name__)
@@ -361,8 +358,3 @@ def morse_complex(data: MorseData, M: CoefficientSystem) -> ChainComplex:
             f"Morse boundary fails d∘d = 0: {exc}; counts = {data.counts}"
         ) from exc
 
-
-def morse_filtration(data: MorseData, M: CoefficientSystem) -> FilteredComplex:
-    """The Morse complex filtered by Morse index (p = k), ready for the
-    spectral sequence; its E^2 row is the Bredon homology."""
-    return skeletal_filtration(morse_complex(data, M))

@@ -41,13 +41,9 @@ from equimorse.morse import (
     RepSpec,
     SphereFunction,
     build_cutoffs,
-    classify,
-    find_critical_points,
-    localize_surgery,
     morse_complex,
-    morse_differentials,
-    morse_filtration,
     representation_cell_groups,
+    run_morse,
     seed_grid,
     stable_perturb,
 )
@@ -179,41 +175,30 @@ def cut():
 
 
 @pytest.fixture(scope="module")
-def figure1_after(cut):
+def figure1_after():
     t0 = time.monotonic()
-    fx = figure1_plane()
-    before = classify(fx.function, fx.manifold, np.zeros(2))
-    newf = localize_surgery(fx.function, fx.manifold, before,
-                            fx.surgery_radius, cut,
-                            chart=fx.charts["origin"], h=fx.sphere_fn)
-    pts = find_critical_points(newf, fx.manifold, fx.seeds)
-    pts = [p for p in pts if np.linalg.norm(p) < 1.05]
-    crits = [classify(newf, fx.manifold, p) for p in pts]
-    return fx, before, newf, crits, time.monotonic() - t0
+    run = run_morse(figure1_plane(), stabilize=True)
+    return run, time.monotonic() - t0
 
 
 @pytest.fixture(scope="module")
-def figure2_after(cut):
+def figure2_after():
     t0 = time.monotonic()
-    fx = figure2_plane()
-    before = classify(fx.function, fx.manifold, np.zeros(2))
-    newf = localize_surgery(fx.function, fx.manifold, before,
-                            fx.surgery_radius, cut, chart=fx.charts["origin"])
-    pts = find_critical_points(newf, fx.manifold, fx.seeds)
-    pts = [p for p in pts if np.linalg.norm(p) < 1.05]
-    crits = [classify(newf, fx.manifold, p) for p in pts]
-    return fx, before, newf, crits, time.monotonic() - t0
+    run = run_morse(figure2_plane(), stabilize=True)
+    return run, time.monotonic() - t0
 
 
-def test_criterion_3_figure1(figure1_after, cut):
+def test_criterion_3_figure1(figure1_after):
     t0 = time.monotonic()
-    fx, before, newf, crits, setup_time = figure1_after
+    run, setup_time = figure1_after
+    # before-surgery critical set is just the origin
+    (before,) = run.before
+    assert np.linalg.norm(before.coords) < 1e-9
     assert before.index == 2
     assert before.stabilizer.order == 3
     assert not before.stable
-    # before-surgery critical set is just the origin
-    pts0 = find_critical_points(fx.function, fx.manifold, fx.seeds)
-    assert len(pts0) == 1 and np.linalg.norm(pts0[0]) < 1e-9
+    assert [c for c, _ in run.surgeries] == [before]
+    crits, newf = run.critical, run.function
     origin = min(crits, key=lambda c: np.linalg.norm(c.coords))
     assert origin.index == 0
     others = [c for c in crits if c is not origin]
@@ -222,7 +207,7 @@ def test_criterion_3_figure1(figure1_after, cut):
         assert np.linalg.norm(c.coords) > 0.1  # off the fixed locus {0}
         assert np.linalg.norm(newf.grad_many(c.coords[None, :])[0]) < 1e-9
     # two C3-orbits of size 3
-    A = np.array(fx.manifold.action.matrices[1])
+    A = np.array(run.fixture.manifold.action.matrices[1])
     orbits = []
     left = list(others)
     while left:
@@ -243,7 +228,8 @@ def test_criterion_3_figure1(figure1_after, cut):
 
 def test_criterion_4_figure2(figure2_after):
     t0 = time.monotonic()
-    fx, before, newf, crits, setup_time = figure2_after
+    run, setup_time = figure2_after
+    crits = run.critical
     origin = min(crits, key=lambda c: np.linalg.norm(c.coords))
     assert origin.index == 0
     new = [c for c in crits if c is not origin]
@@ -372,25 +358,15 @@ def test_criterion_7_double_example_table():
 
 
 @pytest.fixture(scope="module")
-def circle_stable(cut):
-    fx = circle_c2_height()
-    north = classify(fx.function, fx.manifold, np.array([0.0, 1.0]))
-    newf = localize_surgery(fx.function, fx.manifold, north,
-                            fx.surgery_radius, cut, chart=fx.charts["north"])
-    pts = find_critical_points(newf, fx.manifold, fx.seeds)
-    crits = [classify(newf, fx.manifold, p) for p in pts]
-    data = morse_differentials(newf, fx.manifold, crits,
-                               step_length=fx.step_length)
-    return fx, data
+def circle_stable():
+    run = run_morse(circle_c2_height(), stabilize=True)
+    return run.fixture, run.flow()
 
 
 def test_criterion_8_morse_vs_cellular(circle_stable):
     # sphere: morse complex of the height function vs the 2-cell CW model
     fx = sphere_height()
-    pts = find_critical_points(fx.function, fx.manifold, fx.seeds)
-    crits = [classify(fx.function, fx.manifold, p) for p in pts]
-    data = morse_differentials(fx.function, fx.manifold, crits,
-                               step_length=fx.step_length)
+    data = run_morse(fx).flow()
     assert data.unresolved == 0
     cat = OrbitCategory(fx.manifold.action.group)
     C = morse_complex(data, build_system(cat, "constant", char=2))
@@ -400,10 +376,7 @@ def test_criterion_8_morse_vs_cellular(circle_stable):
 
     # torus: against the standard one-vertex CW structure
     fx = torus_tilted()
-    pts = find_critical_points(fx.function, fx.manifold, fx.seeds)
-    crits = [classify(fx.function, fx.manifold, p) for p in pts]
-    data = morse_differentials(fx.function, fx.manifold, crits,
-                               step_length=fx.step_length)
+    data = run_morse(fx).flow()
     assert data.unresolved == 0
     cat = OrbitCategory(fx.manifold.action.group)
     C = morse_complex(data, build_system(cat, "constant", char=2))
@@ -446,7 +419,7 @@ def test_criterion_9_spectral_convergence(circle_stable):
     X = circle_reflection()
     for kind in ("singular", "constant"):
         M2 = build_system(cat, kind, char=2)
-        F = morse_filtration(data, M2)
+        F = skeletal_filtration(morse_complex(data, M2))
         ok, report = einfty_check(F)
         assert ok, report.text()
         e2 = spectral_pages(F, 2)[1]

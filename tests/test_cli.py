@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -237,6 +238,15 @@ def test_console_output_is_the_golden(case, capsys, monkeypatch):
     assert captured.err == ""
 
 
+def test_readme_commands_are_the_first_goldens():
+    # the CI workflow runs the README's `equimorse ...` lines, comments
+    # stripped, through the console script: they are the first seven goldens
+    readme = (FIXDIR.parent / "README.md").read_text()
+    commands = [shlex.split(line, comments=True)
+                for line in readme.splitlines() if line.startswith("equimorse ")]
+    assert [argv[1:] for argv in commands] == [c["argv"] for c in GOLDEN[:7]]
+
+
 def test_bredon_command_text_and_exit():
     code, out = run_cli(["bredon", str(FIXDIR / "sphere_reflection.json")])
     assert code == 0
@@ -325,6 +335,7 @@ def _exit_code(argv):
 
 @pytest.mark.parametrize("argv", [
     ["morse", "figure1_plane", "--stabilize", "--delta", "0.5"],
+    ["morse", "sphere_antipodal", "--stabilize", "--delta", "0.5"],
     ["morse", "figure1_plane", "--stabilize", "--delta", "0"],
     ["morse", "figure1_plane", "--stabilize", "--delta", "-1"],
     ["bredon", "circle_reflection", "--coeff", "bogus"],
@@ -335,9 +346,10 @@ def _exit_code(argv):
     ["morse", "wells_c2", "--seeds", "-1"],
     ["cells", "--cell", "stable", "--index", "2", "--theory", "borel"],
     ["morse", "wells_c2", "--seeds", "5", "--seed-value", "-1"],
-], ids=["delta-too-large", "delta-zero", "delta-negative", "coeff-bogus",
-        "order-zero", "coeff-general", "specseq-coeff", "rmax-zero",
-        "seeds-negative", "theory-bogus", "seed-value-negative"])
+], ids=["delta-too-large", "delta-too-large-stable", "delta-zero",
+        "delta-negative", "coeff-bogus", "order-zero", "coeff-general",
+        "specseq-coeff", "rmax-zero", "seeds-negative", "theory-bogus",
+        "seed-value-negative"])
 def test_bad_flag_value_is_an_error_exit(argv, capsys):
     # a flag value no command can use is an error line and exit 2, whether
     # argparse rejects it or the layer that reads it raises an InputError
@@ -525,6 +537,16 @@ def test_specseq_manifold_rejects_other_characteristics(p, capsys):
     assert captured.err.startswith("error: ") and "--p 2" in captured.err
 
 
+def test_specseq_manifold_needs_a_stable_function(capsys):
+    # figure 1 without --stabilize keeps its unstable origin, so there is no
+    # Morse complex to filter
+    assert main(["specseq", str(FIXDIR / "figure1_plane.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: specseq on a manifold fixture needs "
+                            "--stabilize to reach a stable function\n")
+
+
 def test_morse_command_without_stabilize_reports():
     code, out = run_cli(["morse", str(FIXDIR / "circle_c2_height.json")])
     assert code == 0
@@ -596,11 +618,11 @@ def test_readme_library_example_runs(tmp_path):
 
 def _patch_flow(monkeypatch, **fields):
     """Run the real flow counting, then overwrite fields of its MorseData.
-    The CLI imports morse_differentials from equimorse.morse when it runs,
-    so the patch goes there."""
-    import equimorse.morse as morse
+    The CLI's flow is MorseRun.flow, which calls the morse_differentials of
+    equimorse.morse.run, so the patch goes there."""
+    from equimorse.morse import run as morse_run
 
-    real = morse.morse_differentials
+    real = morse_run.morse_differentials
 
     def patched(*args, **kwargs):
         data = real(*args, **kwargs)
@@ -608,7 +630,7 @@ def _patch_flow(monkeypatch, **fields):
             setattr(data, name, value)
         return data
 
-    monkeypatch.setattr(morse, "morse_differentials", patched)
+    monkeypatch.setattr(morse_run, "morse_differentials", patched)
 
 
 def test_morse_exit_code_on_flow_warning(monkeypatch):

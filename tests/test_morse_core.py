@@ -15,10 +15,9 @@ from equimorse.morse import (
     DegenerateHessian,
     EqFunction,
     ImplicitGManifold,
-    build_cutoffs,
     classify,
     find_critical_points,
-    localize_surgery,
+    run_morse,
     seed_grid,
 )
 from equimorse.morse.critical import _newton_kkt
@@ -768,11 +767,8 @@ def test_flow_composed_calls_per_iteration(monkeypatch):
     # calls f and the constraint PolyJet in turn, each at order 1: f at
     # K2-K4 and once at the new points, M.jet at K2-K4 and once per
     # projection step, and each once at the start points
-    fx = MANIFOLD_FIXTURES["circle_c2_height"]()
-    M = fx.manifold
-    north = classify(fx.function, M, np.array([0.0, 1.0]))
-    g = localize_surgery(fx.function, M, north, fx.surgery_radius,
-                         build_cutoffs(0.05), chart=fx.charts["north"])
+    run = run_morse(MANIFOLD_FIXTURES["circle_c2_height"](), stabilize=True)
+    M, g = run.fixture.manifold, run.function
     assert getattr(g, "polynomial", None) is None
     f_calls = []
     jet = g.jet_many
@@ -1064,19 +1060,13 @@ SEARCH_COUNTS = {"figure1_plane": {1}, "figure1_plane-surgered": {4, 7},
 
 
 def _fixture_cases():
-    cut = build_cutoffs(0.05)
-    surgery = {"figure1_plane": ((0.0, 0.0), "origin"),
-               "figure2_plane": ((0.0, 0.0), "origin"),
-               "circle_c2_height": ((0.0, 1.0), "north")}
     for name, build in MANIFOLD_FIXTURES.items():
-        fx = build()
+        run = run_morse(build(), stabilize=True)
+        fx = run.fixture
         yield pytest.param(fx, fx.function, SEARCH_COUNTS[name], id=name)
-        if name in surgery:
-            center, chart = surgery[name]
-            p = classify(fx.function, fx.manifold, np.array(center))
-            g = localize_surgery(fx.function, fx.manifold, p, fx.surgery_radius,
-                                 cut, chart=fx.charts[chart], h=fx.sphere_fn)
-            yield pytest.param(fx, g, SEARCH_COUNTS[name + "-surgered"],
+        if run.surgeries:
+            yield pytest.param(fx, run.function,
+                               SEARCH_COUNTS[name + "-surgered"],
                                id=name + "-surgered")
 
 
@@ -1107,12 +1097,8 @@ def test_search_matches_reference_on_jittered_grids(fx, f, expected):
 
 
 def test_search_calls_gradient_in_batches():
-    fx = MANIFOLD_FIXTURES["figure1_plane"]()
-    M = fx.manifold
-    p = classify(fx.function, M, np.zeros(2))
-    g = localize_surgery(fx.function, M, p, fx.surgery_radius,
-                         build_cutoffs(0.05), chart=fx.charts["origin"],
-                         h=fx.sphere_fn)
+    run = run_morse(MANIFOLD_FIXTURES["figure1_plane"](), stabilize=True)
+    fx, M, g = run.fixture, run.fixture.manifold, run.function
     # the search reads gradients through the first-order evaluation
     calls = []
     real = g.jet_many

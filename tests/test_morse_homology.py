@@ -4,14 +4,12 @@ the G-CW cellular oracles."""
 import sys
 import warnings
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from equimorse.coefficients import build_system
 from equimorse.complexes import homology
-from equimorse import cli
 from equimorse import morse as morse_package
 from equimorse.fixtures import (
     MANIFOLD_FIXTURES,
@@ -30,15 +28,14 @@ from equimorse.gcw import (
 )
 from equimorse.groups import FiniteGroup, OrbitCategory, trivial_subgroup
 from equimorse.morse import (
-    build_cutoffs,
     classify,
     find_critical_points,
-    localize_surgery,
     morse_complex,
     morse_differentials,
-    morse_filtration,
+    run_morse,
 )
 from equimorse.morse import homology as morse_homology
+from equimorse.morse import run as morse_run
 from equimorse.morse.flow import UNRESOLVED, integrate_batch
 from equimorse.morse.homology import (
     BoundarySquareNonzero,
@@ -46,7 +43,7 @@ from equimorse.morse.homology import (
     _ascending_seeds,
     _descending_seeds,
 )
-from equimorse.spectral import einfty_check, spectral_pages
+from equimorse.spectral import einfty_check, skeletal_filtration, spectral_pages
 
 
 def classified_crits(fx):
@@ -55,21 +52,9 @@ def classified_crits(fx):
 
 
 @pytest.fixture(scope="module")
-def cut():
-    return build_cutoffs(0.05)
-
-
-@pytest.fixture(scope="module")
-def circle_data(cut):
-    fx = circle_c2_height()
-    north = classify(fx.function, fx.manifold, np.array([0.0, 1.0]))
-    newf = localize_surgery(fx.function, fx.manifold, north,
-                            fx.surgery_radius, cut, chart=fx.charts["north"])
-    pts = find_critical_points(newf, fx.manifold, fx.seeds)
-    crits = [classify(newf, fx.manifold, p) for p in pts]
-    data = morse_differentials(newf, fx.manifold, crits,
-                               step_length=fx.step_length)
-    return fx, newf, crits, data
+def circle_data():
+    run = run_morse(circle_c2_height(), stabilize=True)
+    return run.fixture, run.critical, run.flow()
 
 
 def test_sphere_height_no_consecutive_pairs():
@@ -137,7 +122,7 @@ def test_torus_morse_homology():
 
 
 def test_circle_surgery_homology_vs_gcw_oracle(circle_data):
-    fx, newf, crits, data = circle_data
+    fx, crits, data = circle_data
     assert data.unresolved == 0
     assert sorted((c.index, c.stabilizer.order) for c in crits) == [
         (0, 2), (0, 2), (1, 1), (1, 1)
@@ -152,10 +137,10 @@ def test_circle_surgery_homology_vs_gcw_oracle(circle_data):
 
 
 def test_circle_morse_filtration_spectral(circle_data):
-    fx, newf, crits, data = circle_data
+    fx, crits, data = circle_data
     cat = OrbitCategory(fx.manifold.action.group)
     M2 = build_system(cat, "singular", char=2)
-    F = morse_filtration(data, M2)
+    F = skeletal_filtration(morse_complex(data, M2))
     ok, report = einfty_check(F)
     assert ok, report.text()
     # E^2 row q=0 carries the Bredon homology of the G-CW model
@@ -168,24 +153,17 @@ def test_circle_morse_filtration_spectral(circle_data):
 
 
 @pytest.fixture(scope="module")
-def figure1_data(cut):
-    fx = figure1_plane()
-    before = classify(fx.function, fx.manifold, np.zeros(2))
-    newf = localize_surgery(fx.function, fx.manifold, before,
-                            fx.surgery_radius, cut,
-                            chart=fx.charts["origin"], h=fx.sphere_fn)
-    pts = find_critical_points(newf, fx.manifold, fx.seeds)
-    pts = [p for p in pts if np.linalg.norm(p) < 1.05]
-    crits = [classify(newf, fx.manifold, p) for p in pts]
-    return fx, newf, crits
+def figure1_run():
+    return run_morse(figure1_plane(), stabilize=True)
 
 
-def test_figure1_disk_counts(figure1_data):
+def test_figure1_disk_counts(figure1_run):
     # after surgery each index-2 point flows to its two adjacent index-1
     # points with count 1 each
-    fx, newf, crits = figure1_data
-    data = morse_differentials(newf, fx.manifold, crits,
-                               sphere_samples={1: 128}, escape_radius=3.0)
+    run = figure1_run
+    data = morse_differentials(run.function, run.fixture.manifold,
+                               run.critical, sphere_samples={1: 128},
+                               escape_radius=3.0)
     maxima = data.by_index(2)
     saddles = data.by_index(1)
     assert len(maxima) == 1 and len(saddles) == 1  # one orbit each
@@ -217,7 +195,8 @@ def test_mixed_batch_matches_rows_alone(case, request):
         f = fx.function
         crits = classified_crits(fx)
     else:
-        fx, f, crits = request.getfixturevalue("figure1_data")
+        run = request.getfixturevalue("figure1_run")
+        fx, f, crits = run.fixture, run.function, run.critical
     M = fx.manifold
     X0, direction = _mixed_batch(M, crits)
     kw = dict(crits=crits, step_length=fx.step_length,
@@ -256,7 +235,7 @@ def test_differentials_integrate_in_one_batch(monkeypatch):
 
 
 def test_morse_complex_needs_char2(circle_data):
-    fx, newf, crits, data = circle_data
+    fx, crits, data = circle_data
     cat = OrbitCategory(fx.manifold.action.group)
     M0 = build_system(cat, "singular", char=0)
     with pytest.raises(ValueError):
@@ -266,7 +245,7 @@ def test_morse_complex_needs_char2(circle_data):
 def test_morse_complex_over_another_group_is_rejected(circle_data):
     # the Morse complex goes through the Bredon assembly, which checks the
     # group of the coefficient system against the cells' stabilizers
-    fx, newf, crits, data = circle_data
+    fx, crits, data = circle_data
     other = build_system(OrbitCategory(FiniteGroup.cyclic(3)), "constant",
                          char=2)
     with pytest.raises(ValueError, match="different group"):
@@ -274,7 +253,7 @@ def test_morse_complex_over_another_group_is_rejected(circle_data):
 
 
 def test_morse_complex_needs_covariant_system(circle_data):
-    fx, newf, crits, data = circle_data
+    fx, crits, data = circle_data
     cat = OrbitCategory(fx.manifold.action.group)
     with pytest.raises(VarianceMismatch):
         morse_complex(data, build_system(cat, "constant", char=2).opposite())
@@ -389,8 +368,7 @@ FLOW_PINS = {
 def test_capture_keeps_flow_counts_on_fixtures(name):
     # the `morse --stabilize` pipeline at the library's 512 samples
     fx = MANIFOLD_FIXTURES[name]()
-    args = SimpleNamespace(seeds=0, stabilize=True, delta=0.05)
-    _, _, data = cli._morse_pipeline(fx, args)
+    data = run_morse(fx, stabilize=True).flow()
     assert not data.warnings
     assert data.linear_captures > 0
     assert (*_flow_summary(data), _betti(data, fx.manifold.action.group)) \
@@ -404,8 +382,8 @@ def test_error_controlled_steps_keep_every_basin(name, monkeypatch):
     # the tighter run sends to a sink of its direction reaches the same sink
     # at the fixture's step length
     fx = MANIFOLD_FIXTURES[name]()
-    real_md = morse_package.morse_differentials
-    monkeypatch.setattr(morse_package, "morse_differentials",
+    real_md = morse_run.morse_differentials
+    monkeypatch.setattr(morse_run, "morse_differentials",
                         lambda *a, **k: real_md(*a, **k,
                                                 sphere_samples={1: 16}))
     batches = []
@@ -416,8 +394,7 @@ def test_error_controlled_steps_keep_every_basin(name, monkeypatch):
         return batches[-1][-1]
 
     monkeypatch.setattr(morse_homology, "integrate_batch", recorded)
-    cli._morse_pipeline(fx, SimpleNamespace(seeds=0, stabilize=True,
-                                            delta=0.05))
+    run_morse(fx, stabilize=True).flow()
     ((f, M, X0, kw, loose),) = batches
     tight = real(f, M, X0, **{**kw, "step_length": kw["step_length"] / 10})
     sink = {-1: 0, +1: M.dim}
