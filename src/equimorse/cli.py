@@ -150,7 +150,8 @@ def cmd_morse(args) -> int:
         out.append(f"flow counting: unresolved={mdata.unresolved} "
                    f"escaped={mdata.escaped} steps={mdata.steps} "
                    f"halvings={mdata.halvings} "
-                   f"linear_captures={mdata.linear_captures}")
+                   f"linear_captures={mdata.linear_captures} "
+                   f"linear_releases={mdata.linear_releases}")
         # an escape is a legitimate label on an open manifold (the flat
         # figures) but a bug on a closed one
         ok = (mdata.unresolved == 0 and not mdata.warnings

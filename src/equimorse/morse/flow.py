@@ -10,17 +10,32 @@ share one batch, and a single trajectory is a batch of one.  Every
 evaluation is row by row, and a row's trajectory is bit for bit the one it
 would have alone; aggregation of results never depends on trajectory order.
 
-A sink of the flow (an index-0 point for a descent, an index-dim point for
-an ascent) attracts along its linearization, e' = -H e descending and
-e' = H e ascending with H its Hessian, and RK4 approaches it only
-linearly: stability bounds the step by about 2.8 over the largest
-eigenvalue, so a step shrinks the distance by a fixed factor set by the
-smallest.  So each sink gets a capture radius: the largest rung of
-CAPTURE_RADII on whose sampled shells the velocity contracts towards the
-sink at CONTRACTION times its smallest Hessian eigenvalue.  A row that
-enters that ball is captured there and its end is the closed-form linear
-flow, taken to half of CAPTURE_TOL.  A sink no rung certifies keeps the
-plain CAPTURE_TOL.
+Near a critical point c the flow follows its linearization, e' = -H e
+descending and e' = H e ascending with H the Hessian, and RK4 follows it
+slowly: stability bounds the step by about 2.8 over the largest
+eigenvalue, while a row moves at a rate set by the smallest.  So one
+certificate (_certificate) gives each critical point and flow direction a
+radius: the largest rung of CAPTURE_RADII below half the gap to the
+nearest other critical point on whose sampled shells, along the unstable
+subspace of that linearized flow, the velocity expands at CONTRACTION
+times its smallest unstable rate.  It serves both ends of a trajectory.
+
+- A sink of the flow (an index-0 point for a descent, an index-dim point
+  for an ascent) is a point whose whole tangent space is unstable for the
+  other direction, and that radius is its capture radius.  A row that
+  enters the ball is captured there and its end is the closed-form linear
+  flow, taken to half of CAPTURE_TOL.  A sink no rung certifies keeps the
+  plain CAPTURE_TOL.
+- A row whose source the caller names (sources=) starts at the edge of its
+  source's ball: its start e0 is carried by the closed-form linear flow
+  e(t) = V exp(w t) V^T e0, (w, V) the eigenpairs of -H or H, out to the
+  radius, and projected onto M.  A row on an eigenline stays on it, and a
+  circle of rows keeps its cyclic order.  A row is released only if the
+  fastest linear mode grows at most RELEASE_GAIN times as much as the row
+  itself on the way out; a row nearer a slow eigendirection than that
+  would be carried to where the linearization's error, amplified at the
+  fast rate, decides its basin.  A source no rung certifies releases
+  nothing.
 
 One lockstep iteration evaluates f and the constraints at the three
 velocity points (K2, K3, K4) and at the new points, through the order-1
@@ -44,9 +59,8 @@ or that is not monotone in f, is retried at half the size from the same
 K1, at the same evaluations again; the first attempt may rise by a
 relative 1e-14, a retry must strictly decrease f along the flow.  An
 accepted step scales the row's next one by 0.9 (tol / err)^(1/4), within
-1/2 and 2, and never up right after a retry.  The capture radii cost
-one more velocity call per batch with a sink, on every probe point at
-once.
+1/2 and 2, and never up right after a retry.  The certificate costs one
+more velocity call per batch, on every probe point at once.
 """
 
 from __future__ import annotations
@@ -71,11 +85,14 @@ DT_CAP = 0.5
 STEP_TOL = 1e-3
 # a step still rejected after this many halvings ends its trajectory
 MAX_HALVINGS = 50
-# the capture radii tried around a sink, largest first
+# the radii the certificate tries around a critical point, largest first
 CAPTURE_RADII = (0.1, 0.03, 0.01, 3e-3, 1e-3)
-# a certified radius needs (x - c).v(x) <= -CONTRACTION * lam_min * |x - c|^2
-# on its probe shells, lam_min the sink's smallest |Hessian eigenvalue|
+# a certified radius needs (x - c).v(x) >= CONTRACTION * lam * |x - c|^2 on
+# its probe shells, lam the flow's smallest unstable rate at c
 CONTRACTION = 0.5
+# a row is released only where its source's fastest linear mode grows at
+# most RELEASE_GAIN times as much as the row itself (see _linear_release)
+RELEASE_GAIN = 2.0
 
 CAPTURED = 0
 ESCAPED = 1
@@ -86,7 +103,7 @@ UNRESOLVED = 2
 class Trajectory:
     """Outcome of one integrated trajectory."""
 
-    start: np.ndarray
+    start: np.ndarray                # the seed, or its linear release
     end: np.ndarray
     status: int
     limit_index: int | None          # index into the critical list
@@ -94,6 +111,7 @@ class Trajectory:
     steps: int
     halvings: int                    # halved retries: over tol or rising f
     linear_capture: bool = False     # end is the sink's closed-form flow
+    linear_release: bool = False     # start is the source's closed-form flow
     points: np.ndarray | None = None
 
     @property
@@ -118,63 +136,120 @@ def _shell_directions(d: int) -> np.ndarray:
     return np.array(dirs)
 
 
-def _capture_radii(velocity, M: ImplicitGManifold, crits, C) -> np.ndarray:
-    """Capture radius of every critical point, row 0 for descents and row 1
-    for ascents.
+def _certificate(velocity, M: ImplicitGManifold, crits, C):
+    """Capture and release radii of every critical point, row 0 for
+    descents and row 1 for ascents; a capture radius is CAPTURE_TOL and a
+    release radius 0 where no rung is certified.
 
-    A sink's radius is the largest rung of CAPTURE_RADII below half its
-    distance to every other critical point at which the velocity contracts
-    on probe shells of radius r, r/2 and r/4; every other radius is
-    CAPTURE_TOL.  All probes share one velocity call.
+    For the flow of direction s a rung r of CAPTURE_RADII below half c's
+    distance to every other critical point is certified at c when the
+    velocity expands, (x - c).v(x) >= CONTRACTION * lam * |x - c|^2, on
+    probe shells of radius r, r/2 and r/4 along the unstable subspace of
+    the linearized flow e' = s H e, lam its smallest positive rate; the
+    largest certified rung is c's release radius for s.  A sink of the
+    flow of direction -s is a point whose unstable subspace for s is the
+    whole tangent space, and its release radius for s is its capture
+    radius for -s.  All probes share one velocity call.
     """
-    R = np.full((2, len(C)), CAPTURE_TOL)
+    release = np.zeros((2, len(C)))
+    capture = np.full((2, len(C)), CAPTURE_TOL)
     if not len(C) or not M.dim:
-        return R
+        return capture, release
     gaps = np.linalg.norm(C[:, None, :] - C[None, :, :], axis=2)
     np.fill_diagonal(gaps, np.inf)
     half = 0.5 * gaps.min(axis=1)
-    U = _shell_directions(M.dim)
-    n = 3 * len(U)                       # probe points per rung
-    blocks, shells = [], []              # (side, critical point, rung)
+    blocks, shells, lam, sizes = [], [], [], []
     for k, c in enumerate(crits):
-        for side, sink in ((0, 0), (1, M.dim)):
-            if c.index != sink:
+        for side, s in ((0, -1.0), (1, 1.0)):
+            w, V = np.linalg.eigh(s * c.hessian)
+            up = w > 0
+            if not up.any():
                 continue
-            W = U @ c.tangent_basis.T
+            B = c.tangent_basis if up.all() else c.tangent_basis @ V[:, up]
+            W = _shell_directions(B.shape[1]) @ B.T
             for r in CAPTURE_RADII:
                 if r < half[k]:
-                    blocks.append((side, k, r))
+                    blocks.append((side, k, r, up.all()))
                     shells += [C[k] + q * W for q in (r, r / 2, r / 4)]
+                    lam.append(w[up].min())
+                    sizes.append(3 * len(W))
     if not blocks:
-        return R
+        return capture, release
     X = M.project_points_many(np.concatenate(shells))
-    side = np.array([b[0] for b in blocks])
     k = np.array([b[1] for b in blocks])
-    lam = np.array([np.abs(np.linalg.eigvalsh(c.hessian)).min() for c in crits])
-    E = X - np.repeat(C[k], n, axis=0)
-    V = velocity(X, np.repeat(2.0 * side - 1, n))
-    ok = ((E * V).sum(axis=1) <= -CONTRACTION * np.repeat(lam[k], n)
-          * (E * E).sum(axis=1)).reshape(len(blocks), n).all(axis=1)
+    E = X - np.repeat(C[k], sizes, axis=0)
+    V = velocity(X, np.repeat([2.0 * b[0] - 1 for b in blocks], sizes))
+    good = ((E * V).sum(axis=1) >= CONTRACTION * np.repeat(lam, sizes)
+            * (E * E).sum(axis=1))
+    ok = np.logical_and.reduceat(good, np.cumsum([0] + sizes[:-1]))
     # smallest rung first, so the largest certified rung is written last
-    for (sd, kk, r), good in zip(blocks[::-1], ok[::-1]):
+    for (side, kk, r, whole), good in zip(blocks[::-1], ok[::-1]):
         if good:
-            R[sd, kk] = r
-    return R
+            release[side, kk] = r
+            if whole:
+                capture[1 - side, kk] = r
+    return capture, release
+
+
+def _linear_flow(crits, C, X, which, sign):
+    """The linearized flow e' = sign H e of each row's critical point in
+    its tangent frame: e(t) = V exp(w t) a with (w, V) the eigenpairs of
+    sign H and a = V^T e0, e0 the row's tangent coordinates.  Returns w, a
+    and the map from each row's t to the ambient point c + T e(t)."""
+    T = np.stack([crits[k].tangent_basis for k in which])
+    w, V = np.linalg.eigh(sign[:, None, None]
+                          * np.stack([crits[k].hessian for k in which]))
+    a = np.einsum("mnj,mn->mj", V, np.einsum("mNn,mN->mn", T, X - C[which]))
+
+    def at(t):
+        e = np.einsum("mjk,mk->mj", V, np.exp(w * t[:, None]) * a)
+        return C[which] + np.einsum("mNn,mn->mN", T, e)
+
+    return w, a, at
 
 
 def _linear_ends(M: ImplicitGManifold, crits, C, X, which,
                  sign) -> np.ndarray:
-    """Where the linearized flow e' = sign H e at each row's sink carries
-    it: to half of CAPTURE_TOL, at T = ln(|e0| / (CAPTURE_TOL / 2)) / lam_min
-    in the sink's tangent frame, then onto M."""
-    out = np.empty_like(X)
-    for r, (x, k, s) in enumerate(zip(X, which, sign)):
-        c = crits[k]
-        w, V = np.linalg.eigh(-s * c.hessian)      # positive at a sink
-        e0 = c.tangent_basis.T @ (x - C[k])
-        t = np.log(np.linalg.norm(e0) / (0.5 * CAPTURE_TOL)) / w.min()
-        out[r] = C[k] + c.tangent_basis @ (V @ (np.exp(-w * t) * (V.T @ e0)))
-    return M.project_points_many(out)
+    """Where the linearized flow at each row's sink carries it: to half of
+    CAPTURE_TOL, at t = ln(|e0| / (CAPTURE_TOL / 2)) / lam_min, then onto
+    M."""
+    w, a, at = _linear_flow(crits, C, X, which, sign)
+    lam_min = -w.max(axis=1)                    # positive at a sink
+    t = np.log(np.sqrt((a * a).sum(axis=1)) / (0.5 * CAPTURE_TOL)) / lam_min
+    return M.project_points_many(at(t))
+
+
+def _linear_release(M: ImplicitGManifold, crits, C, X, which, sign,
+                    radius):
+    """Where the linearized flow of each row's source carries it: to |e| =
+    radius, then onto M; and whether the row's gain |e0| exp(w_max t) /
+    radius is at most RELEASE_GAIN.
+
+    log |e(t)|^2 is convex in t, so Newton's method on it converges from
+    the t at which the unstable part of e0 alone reaches the radius, for
+    all rows at once."""
+    w, a, at = _linear_flow(crits, C, X, which, sign)
+    up = w > 0
+    with np.errstate(divide="ignore"):
+        la = np.log(a * a)
+    target = 2.0 * np.log(radius)
+    t = ((target - np.log(np.where(up, a * a, 0.0).sum(axis=1)))
+         / (2.0 * np.where(up, w, np.inf).min(axis=1)))
+    # each row stops on its own, so its t does not depend on its batch
+    todo = np.ones(len(t), dtype=bool)
+    for _ in range(100):
+        z = la[todo] + 2.0 * w[todo] * t[todo, None]
+        top = z.max(axis=1)
+        p = np.exp(z - top[:, None])
+        step = ((top + np.log(p.sum(axis=1)) - target[todo])
+                / (2.0 * (w[todo] * p).sum(axis=1) / p.sum(axis=1)))
+        t[todo] -= step
+        todo[todo] = np.abs(step) > 1e-14 * np.maximum(np.abs(t[todo]), 1.0)
+        if not todo.any():
+            break
+    gain = 0.5 * np.log((a * a).sum(axis=1)) + w.max(axis=1) * t
+    return (M.project_points_many(at(t)),
+            gain <= np.log(RELEASE_GAIN * radius))
 
 
 def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
@@ -182,6 +257,7 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
                     step_length: float = 0.01,
                     max_steps: int = 40000,
                     escape_radius: float = 50.0,
+                    sources=None,
                     keep_paths: bool = False):
     """Integrate every row of X0; returns a list of Trajectory.
 
@@ -194,12 +270,18 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
     the error estimate sets each row's step (see the module docstring), at
     a tolerance of STEP_TOL times step_length per step.
 
+    sources, when given, is the index into crits of the critical point
+    each row leaves (one value, or one per row; -1 for none).  Such a row
+    starts at the closed-form solution of its source's linearized flow at
+    the source's certified radius for its direction, and counts as a linear
+    release (see the module docstring); its Trajectory.start is that point.
+
     A row is captured within CAPTURE_TOL of any critical point, and within
-    the certified radius of a sink of its direction (see _capture_radii,
-    computed for both directions whatever the rows' directions, so a row's
-    trajectory does not depend on its batch).  A row captured by a radius
-    alone ends at the closed-form solution of the sink's linearized flow,
-    within CAPTURE_TOL of it, and counts as a linear capture.
+    the certified radius of a sink of its direction.  A row captured by a
+    radius alone ends at the closed-form solution of the sink's linearized
+    flow, within CAPTURE_TOL of it, and counts as a linear capture.  The
+    radii are certified for both directions whatever the rows' directions,
+    so a row's trajectory does not depend on its batch.
     """
     X = np.array(X0, dtype=float)
     m = len(X)
@@ -237,9 +319,22 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
         err = (dt / 6.0) * np.sqrt(((K4 - K5) ** 2).sum(axis=1))
         return Pn, f_new, K5, err
 
-    # each row's capture radius around every critical point
-    radius = _capture_radii(velocity, M, crits, C)[
-        (sgn > 0).astype(int)]
+    # each row's capture radius around every critical point, and the
+    # release radius of its source
+    side = (sgn > 0).astype(int)
+    capture, release = _certificate(velocity, M, crits, C)
+    radius = capture[side]
+    released = np.zeros(m, dtype=bool)
+    if sources is not None and len(C):
+        src = np.broadcast_to(np.asarray(sources, dtype=int), (m,))
+        reach = np.where(src >= 0, release[side, src], 0.0)
+        rows = np.flatnonzero(reach > 0)
+        if len(rows):
+            Y, ok = _linear_release(M, crits, C, X[rows], src[rows],
+                                    sgn[rows], reach[rows])
+            released[rows[ok]] = True
+            X[rows[ok]] = Y[ok]
+    X_start = X.copy()
 
     for step in range(max_steps):
         if not active.any():
@@ -329,7 +424,7 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
         li = int(limit[j]) if status[j] == CAPTURED else None
         out.append(
             Trajectory(
-                start=np.array(X0[j], dtype=float),
+                start=X_start[j],
                 end=X[j].copy(),
                 status=int(status[j]),
                 limit_index=li,
@@ -337,6 +432,7 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
                 steps=int(steps_used[j]),
                 halvings=int(halvings[j]),
                 linear_capture=bool(linear[j]),
+                linear_release=bool(released[j]),
                 points=np.array(paths[j]) if keep_paths else None,
             )
         )

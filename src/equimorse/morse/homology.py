@@ -14,7 +14,11 @@ throughout; orientations are out of scope.
 The ascents depend only on the critical points, so every descent and every
 ascent of one morse_differentials call runs in a single integrate_batch,
 each row with its own direction: the lockstep iterations are the longest
-trajectory's, not a sum over sources.  The trajectories are then read
+trajectory's, not a sum over sources.  Every row is seeded at RHO from its
+source and names that source to integrate_batch, which releases it by the
+source's closed-form linear flow to the edge of its certified
+linearization ball before the first RK4 step; a source no rung certifies
+starts its rows at RHO.  The trajectories are then read
 source by source, in orbit order and ascents last, which fixes the order
 of counts and warnings.  An arrival is read from the capture: the critical
 point it names has a known orbit and element carrying the orbit's rep to it.
@@ -53,7 +57,8 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 DEFAULT_SPHERE_SAMPLES = {1: 512}
-# radius of the descending and ascending spheres the flow starts from
+# radius of the descending and ascending spheres the flow is seeded on;
+# integrate_batch releases the seeds further out where it can
 RHO = 1e-3
 
 
@@ -84,9 +89,11 @@ class MorseData:
     counts[(i, j)] maps an OrbitMorphism from orbit i's stabilizer to orbit
     j's stabilizer to its mod-2 flow-line count.  steps and halvings total
     the RK4 steps and step halvings (retries of a step over the error
-    tolerance or not monotone in f) of every integrated trajectory, and
+    tolerance or not monotone in f) of every integrated trajectory,
     linear_captures counts the trajectories finished in closed form inside
-    a sink's certified capture radius.
+    a sink's certified capture radius, and linear_releases those started
+    in closed form at the edge of their source's certified release radius
+    instead of at RHO.
     """
 
     orbits: list[CriticalOrbit]
@@ -96,6 +103,7 @@ class MorseData:
     steps: int = 0
     halvings: int = 0
     linear_captures: int = 0
+    linear_releases: int = 0
     warnings: list = field(default_factory=list)
 
     def by_index(self, k: int) -> list[int]:
@@ -240,8 +248,12 @@ def morse_differentials(f: EqFunction, M: ImplicitGManifold,
             np.concatenate([seeds for _, _, seeds in segments]))
         direction = np.concatenate([np.full(len(seeds), d)
                                     for _, d, seeds in segments])
+        # the critical point every row leaves: its orbit's representative
+        sources = np.concatenate([
+            np.full(len(seeds), crits.index(orbits[oi].rep))
+            for oi, _, seeds in segments])
         trajs = integrate_batch(f, M, X0, crits=crits, direction=direction,
-                                step_length=step_length,
+                                sources=sources, step_length=step_length,
                                 escape_radius=escape_radius)
 
     def arrival(tr, target_index, warning, message):
@@ -312,7 +324,8 @@ def morse_differentials(f: EqFunction, M: ImplicitGManifold,
                      escaped=escaped, warnings=warns,
                      steps=sum(tr.steps for tr in trajs),
                      halvings=sum(tr.halvings for tr in trajs),
-                     linear_captures=sum(tr.linear_capture for tr in trajs))
+                     linear_captures=sum(tr.linear_capture for tr in trajs),
+                     linear_releases=sum(tr.linear_release for tr in trajs))
     # the basin boundaries of every index-2 source must equal its raw count
     # of identified lines into index-1 points whose branches split
     for src_i, nb in emitted.items():

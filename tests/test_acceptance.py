@@ -44,7 +44,6 @@ from equimorse.morse import (
     morse_complex,
     representation_cell_groups,
     run_morse,
-    seed_grid,
     stable_perturb,
 )
 from equimorse.polynomials import (
@@ -55,7 +54,6 @@ from equimorse.polynomials import (
     equivariant_jet_lift,
     jet_interpolate,
     taylor_jet,
-    transport_jet,
 )
 from equimorse.smith import smith_report
 from equimorse.spectral import einfty_check, skeletal_filtration, spectral_pages

@@ -377,21 +377,17 @@ def test_user_facing_errors_share_one_base():
 def test_homological_commands_import_neither_numpy_nor_the_morse_layer():
     # bredon, specseq on a G-CW fixture, cells and smith are exact
     # combinatorics: in a fresh interpreter, importing the CLI, loading a
-    # G-CW fixture and running the README's commands of those kinds must
-    # leave numpy and equimorse.morse unimported
+    # G-CW fixture and running every golden command that names no manifold
+    # fixture must leave numpy and equimorse.morse unimported
     import equimorse
 
     src = str(Path(equimorse.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    commands = [
-        ["bredon", "fixtures/circle_reflection.json"],
-        ["bredon", "fixtures/torus_double.json", "--p", "2", "--format", "csv"],
-        ["specseq", "fixtures/circle_reflection.json", "--coeff", "singular",
-         "--p", "2"],
-        ["cells", "--cell", "unstable", "--index", "2", "--theory", "all"],
-        ["smith", "fixtures/sphere_rotation_c3.json", "--p", "3"],
-        ["bredon", "fixtures/circle_dihedral.json", "--p", "3"],
-    ]
+    manifold = {f"fixtures/{name}.json" for name in fixtures.MANIFOLD_FIXTURES}
+    commands = [case["argv"] for case in GOLDEN
+                if not manifold.intersection(case["argv"])]
+    assert {argv[0] for argv in commands} == {"bredon", "specseq", "cells",
+                                              "smith"}
     script = "\n".join([
         "import contextlib, io, json, sys",
         "from equimorse.cli import main",
@@ -560,7 +556,8 @@ def test_morse_command_stabilize_pipeline():
     assert code == 0
     assert "critical points (after):" in out
     # the one surgered flow on a constrained manifold, pinned exactly
-    assert ("unresolved=0 escaped=0 steps=59 halvings=11 linear_captures=2"
+    assert ("unresolved=0 escaped=0 steps=41 halvings=3 linear_captures=2 "
+            "linear_releases=2"
             in out)
     assert "morse homology over F2" in out
     # byte-identical on rerun
@@ -656,11 +653,13 @@ def test_morse_flat_figures_exit_zero_with_escapes():
     code, out = run_cli(["morse", str(FIXDIR / "figure2_plane.json"),
                          "--stabilize"])
     assert code == 0
-    assert "unresolved=0 escaped=1 steps=41 halvings=12 linear_captures=1" in out
+    assert ("unresolved=0 escaped=1 steps=24 halvings=2 linear_captures=1 "
+            "linear_releases=2") in out
     code, out = run_cli(["morse", str(FIXDIR / "figure1_plane.json"),
                          "--stabilize", "--coeff", "singular"])
     assert code == 0
-    assert "unresolved=0 escaped=1 steps=11462 halvings=3257 linear_captures=258" in out
+    assert ("unresolved=0 escaped=1 steps=8069 halvings=1400 "
+            "linear_captures=258 linear_releases=346") in out
     flows = out.split("(source orbit -> target orbit, coset):\n")[1]
     assert flows.splitlines()[:3] == ["  1 -> 0 via coset (0, 1, 2): 1",
                                       "  2 -> 1 via coset (1,): 1",

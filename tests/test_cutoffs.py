@@ -4,10 +4,8 @@ from scipy.integrate import quad
 
 from equimorse.morse.cutoffs import (
     CHUNK,
-    CutoffPair,
     DeltaTooLarge,
     OddTransition,
-    Plateau,
     SmoothStep,
     build_cutoffs,
     find_t0,

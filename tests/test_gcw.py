@@ -22,7 +22,6 @@ from equimorse.gcw import (
 from equimorse.groups import (
     FiniteGroup,
     OrbitCategory,
-    Subgroup,
     enumerate_subgroups,
     full_subgroup,
     trivial_subgroup,

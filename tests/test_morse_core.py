@@ -11,7 +11,6 @@ from equimorse.groups import FiniteGroup
 from equimorse.polynomials import LinearAction, Polynomial
 from equimorse.fixtures import MANIFOLD_FIXTURES
 from equimorse.morse import (
-    CriticalPoint,
     DegenerateHessian,
     EqFunction,
     ImplicitGManifold,
@@ -26,6 +25,7 @@ from equimorse.morse.flow import (
     MAX_HALVINGS,
     STEP_TOL,
     UNRESOLVED,
+    _certificate,
     integrate_batch,
 )
 from equimorse.morse.manifolds import (Evaluator, PolyTable, tangent_frame,
@@ -463,6 +463,65 @@ def test_capture_radius_shrinks_where_the_quadratic_model_fails(a, radius):
     assert all(np.linalg.norm(tr.end) < CAPTURE_TOL for tr in trajs)
     assert [tr.steps == 0 for tr in trajs] == [True, False]
     assert [tr.linear_capture for tr in trajs] == [radius > CAPTURE_TOL] * 2
+
+
+# the capture radius of the minimum of x^2 + y^2 - a x^4, and of the
+# maximum of its negative, as the contraction test at the sinks alone gave
+# them before the capture and the release shared one certificate
+CAPTURE_PINS = {1: 0.1, 40: 0.03, 400: 0.01, 4000: 3e-3, 40000: 1e-3,
+                10**6: CAPTURE_TOL}
+
+
+@pytest.mark.parametrize("a", sorted(CAPTURE_PINS))
+def test_certificate_keeps_the_capture_radii(a):
+    # a sink's capture radius for one direction is its release radius for
+    # the other, bit for bit; it releases nothing in its own direction
+    M = r2_manifold()
+    for s in (1, -1):
+        f = EqFunction.from_polynomial(
+            Polynomial(2, {(2, 0): s, (0, 2): s, (4, 0): -s * a}))
+        crit = [classify(f, M, np.zeros(2))]
+        ev = M.evaluator(f)
+
+        def velocity(P, sign):
+            _, (G, J) = ev.jet(P, 1)
+            return tangent_part(J, sign[:, None] * G)
+
+        capture, release = _certificate(velocity, M, crit, np.zeros((1, 2)))
+        into = (1 - s) // 2               # the direction that sinks here
+        want = np.full((2, 1), CAPTURE_TOL)
+        want[into] = CAPTURE_PINS[a]
+        assert capture.tobytes() == want.tobytes()
+        pin = CAPTURE_PINS[a] if CAPTURE_PINS[a] > CAPTURE_TOL else 0.0
+        assert (release[into, 0], release[1 - into, 0]) == (0.0, pin)
+
+
+@pytest.mark.parametrize("a, radius", [(40, 0.03), (10**6, 0.0)])
+def test_release_from_a_saddle(a, radius):
+    # f = -x^2 + y^2 + a x^4 descends from its saddle along x at rate 2 and
+    # the velocity expands at half that rate only for 4 a x^2 <= 1: the rung
+    # 0.03 holds at a = 40 and none at a = 1e6, where a descending row keeps
+    # its seed bit for bit.  The ascent along y is exactly linear and is
+    # released to the largest rung.  A row with no source is never released
+    M = r2_manifold()
+    f = EqFunction.from_polynomial(
+        Polynomial(2, {(2, 0): -1, (0, 2): 1, (4, 0): a}))
+    crit = [classify(f, M, np.zeros(2))]
+    X0 = np.array([[1e-3, 0.0], [-1e-3, 0.0], [0.0, 1e-3], [0.0, -1e-3]])
+    direction = np.array([-1, -1, 1, 1])
+    kw = dict(crits=crit, direction=direction, max_steps=0)
+    released = integrate_batch(f, M, X0, sources=np.zeros(4, int), **kw)
+    plain = integrate_batch(f, M, X0, **kw)
+    assert ([tr.linear_release for tr in released]
+            == [radius > 0] * 2 + [True] * 2)
+    assert [tr.start.tobytes() for tr in plain] == [x.tobytes() for x in X0]
+    reach = [radius] * 2 + [0.1] * 2
+    for x0, tr, r in zip(X0, released, reach):
+        if r:
+            # on the eigenline, at the certified radius
+            assert np.allclose(tr.start, r * x0 / 1e-3, rtol=1e-12, atol=0)
+        else:
+            assert tr.start.tobytes() == x0.tobytes()
 
 
 def test_project_points_rows_independent():

@@ -1,6 +1,7 @@
 """Morse differentials, the Morse complex, and the Morse filtration against
 the G-CW cellular oracles."""
 
+import functools
 import sys
 import warnings
 from pathlib import Path
@@ -24,7 +25,6 @@ from equimorse.fixtures import (
 from equimorse.gcw import (
     VarianceMismatch,
     bredon_chain_complex,
-    subquotient_complex,
 )
 from equimorse.groups import FiniteGroup, OrbitCategory, trivial_subgroup
 from equimorse.morse import (
@@ -36,13 +36,22 @@ from equimorse.morse import (
 )
 from equimorse.morse import homology as morse_homology
 from equimorse.morse import run as morse_run
-from equimorse.morse.flow import UNRESOLVED, integrate_batch
+from equimorse.morse.flow import (
+    RELEASE_GAIN,
+    STEP_TOL,
+    UNRESOLVED,
+    _certificate,
+    _shell_directions,
+    integrate_batch,
+)
 from equimorse.morse.homology import (
+    RHO,
     BoundarySquareNonzero,
     MorseData,
     _ascending_seeds,
     _descending_seeds,
 )
+from equimorse.morse.manifolds import tangent_part
 from equimorse.spectral import einfty_check, skeletal_filtration, spectral_pages
 
 
@@ -174,16 +183,19 @@ def test_figure1_disk_counts(figure1_run):
 
 def _mixed_batch(M, crits):
     """Descending seeds of one index-2 and one index-1 point and the
-    ascending seeds of that index-1 point, with their directions."""
+    ascending seeds of that index-1 point, with their directions and
+    sources."""
     top = next(c for c in crits if c.index == 2)
     saddle = next(c for c in crits if c.index == 1)
-    parts = [(_descending_seeds(top, 1e-3, 8)[::2], -1),
-             (_descending_seeds(saddle, 1e-3, 0), -1),
-             (_ascending_seeds(M, saddle, 1e-3), +1)]
-    X0 = np.concatenate([X for X, _ in parts])
+    parts = [(_descending_seeds(top, RHO, 8)[::2], -1, top),
+             (_descending_seeds(saddle, RHO, 0), -1, saddle),
+             (_ascending_seeds(M, saddle, RHO), +1, saddle)]
+    X0 = np.concatenate([X for X, _, _ in parts])
     if M.codim:
         X0 = M.project_points_many(X0)
-    return X0, np.concatenate([np.full(len(X), d) for X, d in parts])
+    return (X0, np.concatenate([np.full(len(X), d) for X, d, _ in parts]),
+            np.concatenate([np.full(len(X), crits.index(c))
+                            for X, _, c in parts]))
 
 
 @pytest.mark.parametrize("case", ["torus_tilted", "figure1_plane"])
@@ -198,19 +210,25 @@ def test_mixed_batch_matches_rows_alone(case, request):
         run = request.getfixturevalue("figure1_run")
         fx, f, crits = run.fixture, run.function, run.critical
     M = fx.manifold
-    X0, direction = _mixed_batch(M, crits)
+    X0, direction, sources = _mixed_batch(M, crits)
     kw = dict(crits=crits, step_length=fx.step_length,
               escape_radius=fx.escape_radius)
-    batch = integrate_batch(f, M, X0, direction=direction, **kw)
+    batch = integrate_batch(f, M, X0, direction=direction, sources=sources,
+                            **kw)
     assert not any(tr.status == UNRESOLVED for tr in batch)
-    # both batches retry steps: on figure 1 the two ascents halve their
-    # steps 27 times each
+    # both batches release rows and retry steps: on figure 1 the two
+    # ascents halve their steps 10 times each
+    assert any(tr.linear_release for tr in batch)
     assert any(tr.halvings for tr in batch)
-    for x0, d, tr in zip(X0, direction, batch):
-        (alone,) = integrate_batch(f, M, x0[None, :], direction=int(d), **kw)
+    for x0, d, k, tr in zip(X0, direction, sources, batch):
+        (alone,) = integrate_batch(f, M, x0[None, :], direction=int(d),
+                                   sources=int(k), **kw)
+        assert tr.start.tobytes() == alone.start.tobytes()
         assert tr.end.tobytes() == alone.end.tobytes()
-        assert (tr.status, tr.limit_index, tr.steps, tr.halvings) == (
-            alone.status, alone.limit_index, alone.steps, alone.halvings)
+        assert (tr.status, tr.limit_index, tr.steps, tr.halvings,
+                tr.linear_release) == (
+            alone.status, alone.limit_index, alone.steps, alone.halvings,
+            alone.linear_release)
 
 
 def test_differentials_integrate_in_one_batch(monkeypatch):
@@ -403,6 +421,142 @@ def test_error_controlled_steps_keep_every_basin(name, monkeypatch):
     assert rows
     assert all((a.status, a.limit_index) == (b.status, b.limit_index)
                for a, b in rows)
+
+
+@functools.cache
+def _pipeline_batch(name):
+    """The one flow batch of the `morse --stabilize` pipeline of a manifold
+    fixture at the bench's 16 samples: (f, M, crits, X0, its keywords)."""
+    fx = MANIFOLD_FIXTURES[name]()
+    run = run_morse(fx, stabilize=True)
+    batches = []
+    real = morse_homology.integrate_batch
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(morse_homology, "integrate_batch",
+                   lambda f, M, X0, **kw: batches.append((X0, kw))
+                   or real(f, M, X0, **kw))
+        morse_differentials(run.function, fx.manifold, run.critical,
+                            sphere_samples={1: 16},
+                            step_length=fx.step_length,
+                            escape_radius=fx.escape_radius)
+    ((X0, kw),) = batches
+    return run.function, fx.manifold, run.critical, X0, kw
+
+
+def _velocity(f, M):
+    ev = M.evaluator(f)
+
+    def velocity(P, sign):
+        _, (G, J) = ev.jet(P, 1)
+        return tangent_part(J, sign[:, None] * G)
+
+    return velocity
+
+
+@pytest.mark.parametrize("name", sorted(MANIFOLD_FIXTURES))
+def test_released_rows_reach_the_limits_of_their_seeds(name):
+    # the release keeps every basin: each row of the pipeline's batch ends
+    # where the trajectory from its RHO seed ends, so the basin boundaries
+    # of every index-2 source lie between the same neighbours
+    f, M, crits, X0, kw = _pipeline_batch(name)
+    released = integrate_batch(f, M, X0, **kw)
+    seeded = integrate_batch(f, M, X0, **{**kw, "sources": None})
+    assert any(tr.linear_release for tr in released)
+    assert not any(tr.linear_release for tr in seeded)
+    assert ([(tr.status, tr.limit_index) for tr in released]
+            == [(tr.status, tr.limit_index) for tr in seeded])
+
+
+def _rk4(velocity, M, P, sign, h):
+    """One projected classical RK4 step of size h[i] from each row of P."""
+    h = h[:, None]
+    K1 = velocity(P, sign)
+    K2 = velocity(P + 0.5 * h * K1, sign)
+    K3 = velocity(P + 0.5 * h * K2, sign)
+    K4 = velocity(P + h * K3, sign)
+    return M.project_points_many(P + h / 6 * (K1 + 2 * K2 + 2 * K3 + K4))
+
+
+def _at_value(velocity, value_of, M, P, sign, value):
+    """The point where the flow of direction sign[i] from P[i] reaches
+    value[i]: one RK4 step whose size is bisected, as f moves monotonically
+    along the flow."""
+    def past(h):
+        return sign * (value_of(_rk4(velocity, M, P, sign, h)) - value) >= 0
+
+    V = velocity(P, sign)
+    hi = 2 * np.abs(value - value_of(P)) / (V * V).sum(axis=1)
+    for _ in range(60):
+        short = ~past(hi)
+        if not short.any():
+            break
+        hi[short] *= 2
+    lo = np.zeros_like(hi)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        over = past(mid)
+        hi = np.where(over, mid, hi)
+        lo = np.where(over, lo, mid)
+    return _rk4(velocity, M, P, sign, 0.5 * (lo + hi))
+
+
+@pytest.mark.parametrize("name", sorted(MANIFOLD_FIXTURES))
+def test_released_starts_lie_on_the_flow_lines_of_their_seeds(name):
+    # each released start against the trajectory from its RHO seed, at a
+    # tenth of the step length, at the same value of f.  The bound is the
+    # certificate's: the nonlinear part N = v - sHe of the velocity moves a
+    # row off its linear flow line only through its part across e (along e
+    # it only changes the row's speed, which the same value of f takes
+    # out); on the shells that certified the radius r that part is at most
+    # kappa |e|^2, and integrated along the release, whose rows grow at
+    # least 1 / RELEASE_GAIN times as fast as its fastest rate w_max, it
+    # moves the row by at most kappa RELEASE_GAIN^2 r^2 / w_max.  The
+    # trajectory's own error adds up to STEP_TOL times its step length per
+    # step
+    f, M, crits, X0, kw = _pipeline_batch(name)
+    velocity = _velocity(f, M)
+
+    def value_of(P):
+        return M.evaluator(f).jet(P, 0)[0][0]
+
+    C = np.array([c.coords for c in crits])
+    _, release = _certificate(velocity, M, crits, C)
+    released = integrate_batch(f, M, X0, **kw, max_steps=0)
+    fine = kw["step_length"] / 10
+    seeded = integrate_batch(f, M, X0, **{**kw, "sources": None,
+                                          "step_length": fine},
+                             keep_paths=True)
+    rows = [j for j, tr in enumerate(released) if tr.linear_release]
+    assert rows
+    starts, sign, bounds = [], [], []
+    for j in rows:
+        s, k = float(kw["direction"][j]), kw["sources"][j]
+        c, r = crits[k], release[int(s > 0), k]
+        w, V = np.linalg.eigh(s * c.hessian)
+        up = w > 0
+        B = c.tangent_basis if up.all() else c.tangent_basis @ V[:, up]
+        W = _shell_directions(B.shape[1]) @ B.T
+        X = M.project_points_many(
+            np.concatenate([C[k] + q * W for q in (r, r / 2, r / 4)]))
+        E = X - C[k]
+        N = (velocity(X, np.full(len(X), s))
+             - E @ c.tangent_basis @ (s * c.hessian) @ c.tangent_basis.T)
+        e2 = (E * E).sum(axis=1)
+        across = N - ((N * E).sum(axis=1) / e2)[:, None] * E
+        kappa = (np.sqrt((across * across).sum(axis=1)) / e2).max()
+        path = np.vstack([X0[j], seeded[j].points])
+        level = value_of(released[j].start[None, :])[0]
+        before = np.flatnonzero(s * (value_of(path) - level) < 0)[-1]
+        starts.append(path[before])
+        sign.append(s)
+        bounds.append(kappa * RELEASE_GAIN ** 2 * r ** 2 / w.max()
+                      + (before + 1) * STEP_TOL * fine)
+    sign = np.array(sign)
+    levels = value_of(np.array([released[j].start for j in rows]))
+    there = _at_value(velocity, value_of, M, np.array(starts), sign, levels)
+    gaps = [np.linalg.norm(there[i] - released[j].start)
+            for i, j in enumerate(rows)]
+    assert all(g <= b for g, b in zip(gaps, bounds)), (gaps, bounds)
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,7 @@ of a join with a broken boundary sign."""
 
 import pytest
 
-from equimorse.groups import FiniteGroup, Subgroup, full_subgroup, trivial_subgroup
+from equimorse.groups import FiniteGroup, full_subgroup, trivial_subgroup
 from equimorse.morse import RepSpec, UnsupportedRep, representation_cell_groups
 from equimorse.repcells import THEORIES
 

@@ -4,13 +4,12 @@ from equimorse.complexes import ChainComplex
 from equimorse.fixtures import (
     GCW_FIXTURES,
     antipodal_circle,
-    circle_reflection,
     sphere_reflection,
     sphere_rotation_c3,
     torus_double,
 )
 from equimorse.groups import FiniteGroup
-from equimorse.smith import NotAPGroup, SmithReport, smith_report
+from equimorse.smith import NotAPGroup, smith_report
 
 
 def test_sphere_reflection_p2():

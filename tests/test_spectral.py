@@ -7,7 +7,6 @@ import pytest
 from equimorse import _intlinalg as la
 from equimorse.complexes import ChainComplex, homology
 from equimorse.spectral import (
-    EInftyReport,
     FilteredComplex,
     FiltrationViolation,
     einfty_check,
