@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import _intlinalg as la
-from ._intlinalg import Matrix, smith_normal_form  # re-exported
+from ._intlinalg import Matrix, smith_normal_form  # noqa: F401 (re-exported)
 
 __all__ = [
     "ChainComplex",

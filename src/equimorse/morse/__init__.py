@@ -1,5 +1,7 @@
 """Numerical equivariant Morse theory on explicit G-manifolds; run_morse
 (equimorse.morse.run) takes a fixture from critical points to flow counts.
+The surgery of an unstable point has one construction, localize_surgery
+splicing a PerturbedModel, whose cutoffs CutoffPair.profile evaluates.
 
 RepSpec, UnsupportedRep and representation_cell_groups are exact and
 numpy-free; they live in equimorse.repcells and are re-exported here.
@@ -16,14 +18,12 @@ from .critical import (
 )
 from .perturb import (
     ChartMissing,
-    EpsilonTooLarge,
     HNotEquivariant,
     LinearChart,
     AngleChart,
     PerturbedModel,
     SphereFunction,
     localize_surgery,
-    stable_perturb,
 )
 from .flow import Trajectory, integrate_batch
 from .homology import (
@@ -45,7 +45,6 @@ __all__ = [
     "DegenerateHessian",
     "DeltaTooLarge",
     "EqFunction",
-    "EpsilonTooLarge",
     "HNotEquivariant",
     "ImplicitGManifold",
     "LinearChart",
@@ -67,5 +66,4 @@ __all__ = [
     "representation_cell_groups",
     "run_morse",
     "seed_grid",
-    "stable_perturb",
 ]

@@ -15,12 +15,11 @@ is a Gauss-Legendre sum of QUAD_PANELS panels of QUAD_ORDER nodes,
 accurate to ~1e-15, which unit tests pin against an independent
 quadrature.
 
-CutoffPair.profile is the one radial kernel of the surgery model: it
-returns the radial profile R(t) and the plateau psi(t) with their
-derivatives up to a given order, from one bump integral and one bump
-evaluation (and one of its derivative at order 2) on the arguments of
-both, concatenated.  phi, S and psi keep their own methods, which the
-kernel matches bit for bit.
+CutoffPair.profile is the radial kernel of the surgery model and the one
+evaluator of phi and psi: it returns the radial profile R(t) and the
+plateau psi(t) with their derivatives up to a given order, from one bump
+integral and one bump evaluation (and one of its derivative at order 2)
+on the arguments of both, concatenated.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import numpy as np
 
 from ..errors import InputError
 
-__all__ = ["CutoffPair", "DeltaTooLarge", "build_cutoffs", "SmoothStep"]
+__all__ = ["CutoffPair", "DeltaTooLarge", "build_cutoffs"]
 
 
 class DeltaTooLarge(InputError):
@@ -113,95 +112,30 @@ class _BumpIntegral:
 _INTEGRAL = _BumpIntegral()
 
 
-class OddTransition:
-    """phi: odd, -1 for t <= -1, +1 for t >= +1, with phi' >= 0 and phi''
-    vanishing only at 0 inside (-1, 1)."""
-
-    def __call__(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        return -1.0 + 2.0 * _INTEGRAL(t) / _INTEGRAL.total
-
-    def d1(self, t) -> np.ndarray:
-        return 2.0 * _bump(t) / _INTEGRAL.total
-
-    def d2(self, t) -> np.ndarray:
-        return 2.0 * _bump_d1(t) / _INTEGRAL.total
-
-
-class SmoothStep:
-    """S: 0 for x <= 0, 1 for x >= 1, built from the same bump on (-1, 1)."""
-
-    def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return _INTEGRAL(2.0 * x - 1.0) / _INTEGRAL.total
-
-    def d1(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return 2.0 * _bump(2.0 * x - 1.0) / _INTEGRAL.total
-
-    def d2(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return 4.0 * _bump_d1(2.0 * x - 1.0) / _INTEGRAL.total
-
-
-class Plateau:
-    """psi: 1 on [t0-delta, t0+delta], 0 outside [1+delta, 3-delta], smooth
-    monotone transitions in between."""
-
-    def __init__(self, t0: float, delta: float):
-        self.t0 = t0
-        self.delta = delta
-        self.rise_lo = 1.0 + delta
-        self.rise_hi = t0 - delta
-        self.fall_lo = t0 + delta
-        self.fall_hi = 3.0 - delta
-        self.step = SmoothStep()
-
-    def _arg(self, t):
-        """The step's argument (1 on the plateau and outside the support)
-        with the masks of the rising and the falling piece."""
-        t = np.asarray(t, dtype=float)
-        rise = (t - self.rise_lo) / (self.rise_hi - self.rise_lo)
-        fall = (self.fall_hi - t) / (self.fall_hi - self.fall_lo)
-        lo = t < self.rise_hi
-        hi = t > self.fall_lo
-        return np.where(hi, fall, np.where(lo, rise, 1.0)), lo, hi
-
-    def __call__(self, t) -> np.ndarray:
-        # one step evaluation on the piecewise argument; S(1) is exactly 1
-        return self.step(self._arg(t)[0])
-
-    def _chain(self, lo, hi, k: int) -> np.ndarray:
-        """The divisor that turns S^(k) of the step's argument into the k-th
-        derivative in t: the k-th power of the piece's signed width (S^(k)(1)
-        = 0 for k >= 1, so the plateau takes 1)."""
-        wr = self.rise_hi - self.rise_lo
-        wf = self.fall_hi - self.fall_lo
-        if k == 1:
-            return np.where(hi, -wf, np.where(lo, wr, 1.0))
-        return np.where(hi, wf * wf, np.where(lo, wr * wr, 1.0))
-
-    def d1(self, t) -> np.ndarray:
-        x, lo, hi = self._arg(t)
-        return self.step.d1(x) / self._chain(lo, hi, 1)
-
-    def d2(self, t) -> np.ndarray:
-        x, lo, hi = self._arg(t)
-        return self.step.d2(x) / self._chain(lo, hi, 2)
-
-
 @dataclass(eq=False)
 class CutoffPair:
-    """The pair (phi, psi) with the located root t0, plateau half-width
+    """The cutoffs (phi, psi) with the located root t0, plateau half-width
     delta, and the admissible perturbation amplitude epsilon (sized for a
     unit-sup perturbation h; rescale epsilon down for larger h)."""
 
-    phi: OddTransition
-    psi: Plateau
     t0: float
     delta: float
     epsilon: float
-    margin: float  # min radial slope magnitude on the transition intervals
+
+    def _plateau_arg(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """psi's step argument x and the signed width of x's piece, with
+        psi^(k)(t) = S^(k)(x) / width^k for the step S(x) = I(2x - 1) /
+        total of the bump integral I (0 for x <= 0, 1 for x >= 1).  Below
+        the plateau x = (t - rise_lo) / wr and the width is wr, above it x
+        = (fall_hi - t) / wf and the width is -wf, and on it both are 1."""
+        rise_lo, rise_hi = 1.0 + self.delta, self.t0 - self.delta
+        fall_lo, fall_hi = self.t0 + self.delta, 3.0 - self.delta
+        wr, wf = rise_hi - rise_lo, fall_hi - fall_lo
+        rise = (t - rise_lo) / wr
+        fall = (fall_hi - t) / wf
+        lo, hi = t < rise_hi, t > fall_lo
+        return (np.where(hi, fall, np.where(lo, rise, 1.0)),
+                np.where(hi, -wf, np.where(lo, wr, 1.0)))
 
     def profile(self, t, order: int) -> tuple[list, list]:
         """The radial kernel: ([R, R', ...], [psi, psi', ...]) up to the
@@ -210,15 +144,15 @@ class CutoffPair:
 
         phi (on the middle rows only) and psi share one bump integral and one
         bump evaluation (and one of the bump's derivative at order 2) on their
-        concatenated arguments; every element is evaluated on its own, so
-        the results equal phi's and psi's own methods bit for bit.
+        concatenated arguments; every element is evaluated on its own, so a
+        row's result does not depend on the rows beside it.
         """
         t = np.asarray(t, dtype=float)
         lo, hi = t <= 1.0, t >= 3.0
         mid = (t > 1.0) & (t < 3.0)
         tm = t[mid]
         n = len(tm)
-        x, rise, fall = self.psi._arg(t)
+        x, width = self._plateau_arg(t)
         args = np.concatenate([tm - 2.0, 2.0 * x - 1.0])
         total = _INTEGRAL.total
         integral = _INTEGRAL(args)
@@ -227,11 +161,11 @@ class CutoffPair:
         if order >= 1:
             b = _bump(args)
             p.append(2.0 * b[:n] / total)
-            psi.append(2.0 * b[n:] / total / self.psi._chain(rise, fall, 1))
+            psi.append(2.0 * b[n:] / total / width)
         if order >= 2:
             b = _bump_d1(args)
             p.append(2.0 * b[:n] / total)
-            psi.append(4.0 * b[n:] / total / self.psi._chain(rise, fall, 2))
+            psi.append(4.0 * b[n:] / total / (width * width))
         R = [np.where(hi, -t * t, np.where(lo, t * t, 0.0))]
         R[0][mid] = -tm * tm * p[0]
         if order >= 1:
@@ -264,11 +198,13 @@ def _bisect(f, lo: float, hi: float) -> float:
     return (lo + hi) / 2.0
 
 
-def find_t0(phi: OddTransition) -> float:
+def find_t0() -> float:
     """The unique zero of 2 phi(t-2) + t phi'(t-2) in (1, 2)."""
 
     def g(t):
-        return float(2.0 * phi(t - 2.0) + t * phi.d1(t - 2.0))
+        s = np.asarray(t - 2.0)
+        phi = -1.0 + 2.0 * _INTEGRAL(s) / _INTEGRAL.total
+        return float(2.0 * phi + t * (2.0 * _bump(s) / _INTEGRAL.total))
 
     return _bisect(g, 1.0 + 1e-9, 2.0)
 
@@ -284,22 +220,22 @@ def build_cutoffs(delta: float) -> CutoffPair:
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    phi = OddTransition()
-    t0 = find_t0(phi)
+    t0 = find_t0()
     if not (1.0 + delta < t0 - delta and t0 + delta < 3.0 - delta):
         raise DeltaTooLarge(
             f"delta={delta} does not fit: t0={t0:.6f} needs "
             f"delta < {min((t0 - 1) / 2, (3 - t0) / 2):.6f}"
         )
-    psi = Plateau(t0, delta)
-    cut = CutoffPair(phi=phi, psi=psi, t0=t0, delta=delta, epsilon=0.0, margin=0.0)
+    cut = CutoffPair(t0=t0, delta=delta, epsilon=0.0)
     # one kernel call on both transition intervals
-    t = np.concatenate([np.linspace(psi.rise_lo, psi.rise_hi, 4001),
-                        np.linspace(psi.fall_lo, psi.fall_hi, 4001)])
+    t = np.concatenate([np.linspace(1.0 + delta, t0 - delta, 4001),
+                        np.linspace(t0 + delta, 3.0 - delta, 4001)])
     margin = float(np.min(np.abs(cut.profile(t, 1)[0][1])))
-    sup_dpsi = float(np.max(np.abs(psi.d1(np.linspace(1.0, 3.0, 8001)))))
+    # psi' alone, which needs the bump but not its integral
+    x, width = cut._plateau_arg(np.linspace(1.0, 3.0, 8001))
+    dpsi = 2.0 * _bump(2.0 * x - 1.0) / _INTEGRAL.total / width
+    sup_dpsi = float(np.max(np.abs(dpsi)))
     if margin <= 0 or sup_dpsi <= 0:
         raise AssertionError("degenerate cutoff data")
-    cut.margin = margin
     cut.epsilon = 0.5 * margin / sup_dpsi
     return cut

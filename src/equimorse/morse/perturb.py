@@ -6,9 +6,11 @@ The model on V + W + U is
 
 whose critical set is exactly the origin (with Hessian positive definite on
 V + U) together with one point t0*u on the plateau radius for each critical
-point u of h on the unit sphere.  Splicing the model into a Morse chart at
-an unstable critical point replaces it by stable critical points without
-touching the function outside the chart ball.
+point u of h on the unit sphere.  Splicing the model, scaled by s, into a
+Morse chart at an unstable critical point and into its orbit translates
+replaces the point by stable critical points.  The splice changes the
+function only on the cylinders |u| < 3s, which are unbounded in v and in
+the fixed part of w.
 
 Sphere functions h are homogeneous polynomials P divided by the matching
 power of the radius; P is evaluated as EqFunction.from_polynomial, so the
@@ -37,45 +39,32 @@ import numpy as np
 
 from ..errors import InputError
 from ..polynomials import LinearAction, Polynomial
-from .critical import (
-    CriticalPoint,
-    classify,
-    find_critical_points,
-    seed_grid,
-)
+from .critical import CriticalPoint, match_point
 from .cutoffs import CutoffPair
 from .manifolds import EqFunction, ImplicitGManifold
 
 __all__ = [
     "AngleChart",
     "ChartMissing",
-    "EpsilonTooLarge",
     "HNotEquivariant",
     "LinearChart",
     "PerturbedModel",
     "SphereFunction",
     "localize_surgery",
-    "stable_perturb",
 ]
 
 log = logging.getLogger(__name__)
 
-# SphereFunction.equivariance_error compares h at this many random points
+# PerturbedModel checks h's equivariance at this many seeded sphere points
 EQUIVARIANCE_SAMPLES = 64
-# the bracket in angle at which a sphere critical point's bisection stops
-SPHERE_ROOT_TOL = 1e-12
-# model_error samples this many chart coordinate points with each
-# coordinate in [-MODEL_RADIUS, MODEL_RADIUS]
+# model_error samples this many chart coordinate points in the box of
+# half-width 3s, whose u-section covers the cylinders |u| < 3s that the
+# splice changes
 MODEL_SAMPLES = 64
-MODEL_RADIUS = 0.5
 
 
 class HNotEquivariant(InputError):
     """The sphere function is not equivariant for the stabilizer action."""
-
-
-class EpsilonTooLarge(ValueError):
-    """Spurious critical points appeared in the transition annuli."""
 
 
 class ChartMissing(InputError):
@@ -135,87 +124,43 @@ class SphereFunction(EqFunction):
             )
         return jet
 
-    def equivariance_error(self, act: LinearAction) -> float:
-        """max |h(A_s u) - h(u)| over EQUIVARIANCE_SAMPLES seeded sphere
-        samples."""
-        return self.invariance_error(
-            act, _sphere_samples(7, EQUIVARIANCE_SAMPLES, self.dim))
-
-    def _angle_derivative(self, th):
-        """q'(theta) = grad h . (-sin, cos) at the angles th, with q(theta) =
-        h(cos theta, sin theta)."""
-        u = np.stack([np.cos(th), np.sin(th)], axis=1)
-        tang = np.stack([-np.sin(th), np.cos(th)], axis=1)
-        return np.einsum("mi,mi->m", self.grad_many(u), tang)
-
-    def sphere_critical_points(self):
-        """Critical points of h on the unit sphere with their sphere-Hessian
-        index; supported for dim <= 2.
-
-        On the circle q' is sampled at 1441 angles; a sample where it is
-        zero is a root, and every sign change is bisected to
-        SPHERE_ROOT_TOL, all brackets in lockstep with one gradient call
-        per halving.  The roots are classified from one order-2 call."""
-        if self.dim == 1:
-            return [
-                (np.array([1.0]), 0, True),
-                (np.array([-1.0]), 0, True),
-            ]
-        if self.dim != 2:
-            raise ValueError("sphere critical points supported for dim <= 2 only")
-        thetas = np.linspace(0.0, 2 * np.pi, 1441, endpoint=False)
-        dq = self._angle_derivative(thetas)
-        exact = dq == 0.0
-        change = ~exact & (dq * np.roll(dq, -1) < 0)
-        keep = exact | change
-        lo, flo = thetas[keep], dq[keep]
-        hi = np.append(thetas[1:], 2 * np.pi)[keep]
-        run = change[keep] & (hi - lo > SPHERE_ROOT_TOL)
-        while run.any():
-            rows = np.flatnonzero(run)
-            mid = (lo[rows] + hi[rows]) / 2
-            fm = self._angle_derivative(mid)
-            left = flo[rows] * fm <= 0
-            hi[rows[left]] = mid[left]
-            lo[rows[~left]], flo[rows[~left]] = mid[~left], fm[~left]
-            run[rows] = hi[rows] - lo[rows] > SPHERE_ROOT_TOL
-        th = np.where(change[keep], (lo + hi) / 2, lo)
-        u = np.stack([np.cos(th), np.sin(th)], axis=1)
-        tv = np.stack([-np.sin(th), np.cos(th)], axis=1)
-        # on the unit circle q''(theta) = t^T H t - u . grad
-        _, g, H = self.jet_many(u, 2)
-        q2 = (np.einsum("mi,mij,mj->m", tv, H, tv)
-              - np.einsum("mi,mi->m", g, u))
-        return [(u[r], 1 if q2[r] < 0 else 0, bool(abs(q2[r]) > 1e-8))
-                for r in range(len(th))]
-
 
 class PerturbedModel(EqFunction):
-    """The construction as an EqFunction on R^(dv+dw+du), with the block
-    action and the predicted critical data attached.  h_sup is the sampled
-    sup of |h| that eps was rescaled by (see _build_model), 0 without h."""
+    """The construction as an EqFunction on R^(dv+dw+du), for the
+    stabilizer acting on U by actU.
 
-    def __init__(self, actV: LinearAction, actW: LinearAction,
-                 actU: LinearAction, h: SphereFunction | None,
-                 cut: CutoffPair, eps: float):
-        if not (actV.group.mul == actW.group.mul == actU.group.mul):
-            raise ValueError("the three representations must share the group")
-        self.dv, self.dw, self.du = actV.dim, actW.dim, actU.dim
+    h defaults to the constant 1 where dim U = 1 only: on a sphere of
+    dimension 1 or more a constant has a whole sphere of critical points,
+    so dim U >= 2 without h raises ChartMissing.  h must be equivariant
+    under actU (checked by sampling), and eps is the cutoffs' epsilon over
+    h_sup, the sampled sup of |h|; without U there is no h, and eps and
+    h_sup are 0."""
+
+    def __init__(self, dv: int, dw: int, actU: LinearAction,
+                 h: SphereFunction | None, cut: CutoffPair):
+        du = actU.dim
+        self.dv, self.dw, self.du = dv, dw, du
         self.cut = cut
-        self.eps = float(eps)
-        self.h = h
-        self.h_sup = 0.0
-        if self.du and h is not None and h.dim != self.du:
-            raise ValueError("sphere function dimension mismatch")
-        parts = [a for a in (actV, actW, actU) if a.dim]
-        self.action = (
-            LinearAction.block_sum(parts) if parts
-            else LinearAction.trivial(actV.group, 0)
-        )
-        self.nvars = self.dv + self.dw + self.du
+        self.h, self.eps, self.h_sup = None, 0.0, 0.0
+        self.nvars = dv + dw + du
         self.name = "perturbed-model"
-
-    # -- evaluation --
+        if not du:
+            return
+        if h is None and du >= 2:
+            raise ChartMissing(
+                "surgery with dim U >= 2 needs an explicit sphere function")
+        if h is None:
+            h = SphereFunction.constant(du)
+        if h.dim != du:
+            raise ValueError("sphere function dimension mismatch")
+        err = h.invariance_error(
+            actU, _sphere_samples(7, EQUIVARIANCE_SAMPLES, du))
+        if err > 1e-9:
+            raise HNotEquivariant(f"sphere function moves by {err:.2e}")
+        self.h = h
+        self.h_sup = float(np.max(np.abs(
+            h.value_many(_sphere_samples(3, 256, du)))))
+        self.eps = cut.epsilon / max(self.h_sup, 1e-12)
 
     def jet_many(self, X, order: int) -> list:
         X = np.asarray(X, dtype=float)
@@ -274,88 +219,6 @@ class PerturbedModel(EqFunction):
                 )
             jet[2][:, k:, k:] = Hu
         return jet
-
-    # -- predictions --
-
-    def predicted_critical_points(self) -> list[np.ndarray]:
-        """Origin plus t0*u for each sphere-critical u of h."""
-        n = self.nvars
-        out = [np.zeros(n)]
-        if self.du and self.h is not None:
-            for u, _, _ in self.h.sphere_critical_points():
-                x = np.zeros(n)
-                x[self.dv + self.dw:] = self.cut.t0 * u
-                out.append(x)
-        return out
-
-
-# seed-grid points per axis when stable_perturb searches a model space of
-# dimension at most 2 (5 per axis above that)
-GRID_N = 9
-
-
-def _build_model(actV: LinearAction, actW: LinearAction, actU: LinearAction,
-                 h: SphereFunction | None, cut: CutoffPair) -> PerturbedModel:
-    """The model, with h checked for equivariance under the U-representation
-    (by sampling) and epsilon rescaled by the sampled sup of |h|.  h defaults
-    to the constant 1 where dim U = 1 only: on a sphere of dimension 1 or
-    more a constant has a whole sphere of critical points, so dim U >= 2
-    without h raises ChartMissing."""
-    du = actU.dim
-    if not du:
-        return PerturbedModel(actV, actW, actU, None, cut, 0.0)
-    if h is None and du >= 2:
-        raise ChartMissing(
-            "surgery with dim U >= 2 needs an explicit sphere function")
-    if h is None:
-        h = SphereFunction.constant(du)
-    err = h.equivariance_error(actU)
-    if err > 1e-9:
-        raise HNotEquivariant(f"sphere function moves by {err:.2e}")
-    h_sup = float(np.max(np.abs(h.value_many(_sphere_samples(3, 256, du)))))
-    model = PerturbedModel(actV, actW, actU, h, cut,
-                           cut.epsilon / max(h_sup, 1e-12))
-    model.h_sup = h_sup
-    return model
-
-
-def stable_perturb(actV: LinearAction, actW: LinearAction, actU: LinearAction,
-                   h: SphereFunction | None, cut: CutoffPair,
-                   ) -> tuple[PerturbedModel, list[CriticalPoint]]:
-    """Build the model and verify its predicted critical set.
-
-    h must be equivariant for the U-representation (checked by sampling).
-    epsilon is rescaled by the sampled sup of |h|.  Every predicted point is
-    classified, and the critical set is searched from the predicted points
-    and a seed grid; unexpected points inside the transition annuli raise
-    EpsilonTooLarge.
-    """
-    model = _build_model(actV, actW, actU, h, cut)
-    n = model.nvars
-    manifold = ImplicitGManifold(
-        ambient=n, constraints=(), action=model.action, name="model-space"
-    )
-
-    predicted = model.predicted_critical_points()
-    classified = [classify(model, manifold, p) for p in predicted]
-    seeds = list(predicted)
-    if n:
-        seeds.extend(seed_grid([(-3.4, 3.4)] * n, GRID_N if n <= 2 else 5))
-    found = find_critical_points(model, manifold, np.array(seeds))
-    for x in found:
-        if all(np.linalg.norm(x - q) > 1e-5 for q in predicted):
-            u = x[model.dv + model.dw:]
-            t = float(np.linalg.norm(u))
-            d = cut.delta
-            in_annuli = (1.0 < t < cut.t0 - d) or (cut.t0 + d < t < 3.0) or t >= 3.0
-            if in_annuli:
-                raise EpsilonTooLarge(
-                    f"spurious critical point at |u| = {t:.6f}"
-                )
-            raise AssertionError(
-                f"construction property violated: extra critical point {x}"
-            )
-    return model, classified
 
 
 # -- Morse charts -------------------------------------------------------------
@@ -448,10 +311,11 @@ class AngleChart:
         return np.stack([np.cos(th), np.sin(th)], axis=1)
 
 
-def model_error(chart, f: EqFunction, fp: float) -> float:
+def model_error(chart, f: EqFunction, fp: float, half_width: float) -> float:
     """max |f - (fp + |v|^2 - |w|^2)| over MODEL_SAMPLES seeded chart
-    coordinates, mapped onto the manifold by the chart's points_many."""
-    Y = np.random.default_rng(11).uniform(-MODEL_RADIUS, MODEL_RADIUS,
+    coordinates in the box of the given half-width, mapped onto the
+    manifold by the chart's points_many."""
+    Y = np.random.default_rng(11).uniform(-half_width, half_width,
                                           size=(MODEL_SAMPLES, chart.dim))
     model = (np.sum(Y[:, :chart.dv] ** 2, axis=1)
              - np.sum(Y[:, chart.dv:] ** 2, axis=1))
@@ -526,10 +390,11 @@ def localize_surgery(f: EqFunction, M: ImplicitGManifold, p: CriticalPoint,
                      h: SphereFunction | None = None) -> EqFunction:
     """Replace f near the orbit of an unstable critical point by the model.
 
-    The chart must present f exactly as f(p) + |v|^2 - |w|^2 (checked by
-    sampling); the model is spliced with U = the non-fixed directions of W,
-    scaled so the modified cylinder sits inside the given radius.  Stable
-    points pass through unchanged with a warning.
+    The model is spliced with U = the non-fixed directions of W, at the
+    scale s = radius / 3.5, into the cylinders |u| < 3s.  The chart must
+    present f exactly as f(p) + |v|^2 - |w|^2 there (checked by sampling
+    the box of half-width 3s).  Stable points pass through unchanged with a
+    warning.
     """
     if p.stable:
         warnings.warn("localize_surgery called on a stable point: no-op")
@@ -539,7 +404,8 @@ def localize_surgery(f: EqFunction, M: ImplicitGManifold, p: CriticalPoint,
 
     coords = np.asarray(p.coords, dtype=float)
     fp = float(f.value_many(coords[None, :])[0])
-    err = model_error(chart, f, fp)
+    scale = radius / 3.5
+    err = model_error(chart, f, fp, 3.0 * scale)
     if err > 1e-9:
         raise ChartMissing(f"chart is not an exact Morse chart: error {err:.2e}")
 
@@ -566,28 +432,17 @@ def localize_surgery(f: EqFunction, M: ImplicitGManifold, p: CriticalPoint,
         split[dv:dv + dw_keep, dv:] = keep.T
     split[dv + dw_keep:, dv:] = prime.T
 
-    Hg = H_sub.as_group()
-    sub_mats = [split @ B @ split.T for B in mats]
-
-    def block(lo, hi):
-        return LinearAction(
-            Hg,
-            [tuple(tuple(float(B[i][j]) for j in range(lo, hi))
-                   for i in range(lo, hi)) for B in sub_mats],
-        ) if hi > lo else LinearAction.trivial(Hg, 0)
-
-    actV = block(0, dv)
-    actW = block(dv, dv + dw_keep)
-    actU = block(dv + dw_keep, dim)
-
-    scale = radius / 3.5
-    model = _build_model(actV, actW, actU, h, cut)
+    # the stabilizer's action on U, the last du model coordinates
+    lo = dv + dw_keep
+    actU = LinearAction(H_sub.as_group(),
+                        [(split @ B @ split.T)[lo:, lo:].tolist() for B in mats])
+    model = PerturbedModel(dv, dw_keep, actU, h, cut)
 
     # orbit translates of the chart
     charts = [chart]
     for s, q in M.action.orbit(tuple(coords)):
         qa = np.array([float(v) for v in q])
-        if np.linalg.norm(qa - coords) < 1e-9:
+        if match_point(qa, [coords]) is not None:
             continue
         if not isinstance(chart, LinearChart):
             raise ChartMissing("orbit surgery with angle charts is limited "

@@ -1107,26 +1107,6 @@ class LinearAction:
         return cls(G, [[[int(p[j] == i) for j in range(3)] for i in range(3)]
                        for p in perms])
 
-    @classmethod
-    def block_sum(cls, actions: list["LinearAction"]) -> "LinearAction":
-        """Direct sum of actions of the same group."""
-        if not actions:
-            raise ValueError("need at least one action")
-        G = actions[0].group
-        if any(a.group != G for a in actions):
-            raise ValueError("all actions must share the group")
-        dim = sum(a.dim for a in actions)
-        mats = []
-        for s in G.elements():
-            M = [[0] * dim for _ in range(dim)]
-            off = 0
-            for a in actions:
-                for i, row in enumerate(a.matrices[s]):
-                    M[off + i][off:off + a.dim] = row
-                off += a.dim
-            mats.append(M)
-        return cls(G, mats)
-
     # -- use --
 
     def apply(self, s: int, point):

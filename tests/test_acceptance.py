@@ -38,13 +38,13 @@ from equimorse.groups import (
     trivial_subgroup,
 )
 from equimorse.morse import (
+    PerturbedModel,
     RepSpec,
     SphereFunction,
     build_cutoffs,
     morse_complex,
     representation_cell_groups,
     run_morse,
-    stable_perturb,
 )
 from equimorse.polynomials import (
     Jet,
@@ -57,6 +57,7 @@ from equimorse.polynomials import (
 )
 from equimorse.smith import smith_report
 from equimorse.spectral import einfty_check, skeletal_filtration, spectral_pages
+from model_points import model_critical_points, unpredicted
 
 
 def _mark(num, detail=""):
@@ -246,20 +247,15 @@ def test_criterion_5_construction_properties(cut):
     checked = 0
     for which in ("figure1", "figure2"):
         if which == "figure1":
-            G3 = LinearAction.rotation_cn(3)
-            V = LinearAction.trivial(G3.group, 0)
-            W = LinearAction.trivial(G3.group, 0)
-            model, crits = stable_perturb(V, W, G3,
-                                          SphereFunction.cos_multiple_angle(3),
-                                          cut)
+            act = LinearAction.rotation_cn(3)
+            model = PerturbedModel(0, 0, act,
+                                   SphereFunction.cos_multiple_angle(3), cut)
             dv = dw = 0
         else:
-            G2 = FiniteGroup.cyclic(2)
-            V = LinearAction.trivial(G2, 1)
-            W = LinearAction.trivial(G2, 0)
-            U = LinearAction.sign_c2(1)
-            model, crits = stable_perturb(V, W, U, None, cut)
+            act = LinearAction.reflection_c2(2, axis=1)
+            model = PerturbedModel(1, 0, LinearAction.sign_c2(1), None, cut)
             dv, dw = 1, 0
+        predicted, crits = model_critical_points(model, act)
         n = model.dv + model.dw + model.du
         du = model.du
         # items 1-2: grid agreement in the two ranges, < 1e-12
@@ -278,8 +274,9 @@ def test_criterion_5_construction_properties(cut):
             assert abs(model.value_many(x[None, :])[0]
                        - (v @ v - w @ w - r_out**2)) < 1e-12
             checked += 1
-        # item 4: no spurious critical points (stable_perturb verified); the
-        # returned list is exactly origin + t0-sphere points
+        # item 4: no spurious critical points; the search finds exactly the
+        # origin and the t0-sphere points
+        assert unpredicted(predicted, crits) == []
         radii = sorted(round(float(np.linalg.norm(c.coords)), 9) for c in crits)
         assert radii[0] == 0.0
         assert all(r == round(cut.t0, 9) for r in radii[1:])

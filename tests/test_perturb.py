@@ -1,5 +1,7 @@
 """The construction model, the figure scenarios, and chart surgery."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -13,22 +15,24 @@ from equimorse.morse import (
     HNotEquivariant,
     ImplicitGManifold,
     LinearChart,
+    PerturbedModel,
     SphereFunction,
     build_cutoffs,
     classify,
     find_critical_points,
     localize_surgery,
     seed_grid,
-    stable_perturb,
 )
 from equimorse.morse.manifolds import PolyJet, PolyTable
 from equimorse.morse.critical import _newton_kkt
+from equimorse.morse.cutoffs import _INTEGRAL, _bump, _bump_d1
 from equimorse.morse.perturb import (
-    MODEL_RADIUS,
     SurgeredFunction,
     _chart_action,
+    _sphere_samples,
     model_error,
 )
+from model_points import model_critical_points, unpredicted
 
 
 def row(fn, x):
@@ -46,19 +50,23 @@ def cut():
     return build_cutoffs(0.05)
 
 
-def c3_rotation_reps():
+# C2 negating the second coordinate: on (v, u) it fixes V = R and acts on
+# U = R^- by the sign, and on (v, w) it does the same to W
+C2_FLIP = LinearAction.reflection_c2(2, axis=1)
+
+
+def c3_rotation_model(cut):
+    """V = W = 0, U = R^2 with the C3 rotation, h = cos(3 theta): the model
+    with its action on the model space."""
     act = LinearAction.rotation_cn(3)
-    G = act.group
-    zero = LinearAction.trivial(G, 0)
-    return zero, zero, act
+    return PerturbedModel(0, 0, act, SphereFunction.cos_multiple_angle(3),
+                          cut), act
 
 
-def c2_sign_reps():
-    G = FiniteGroup.cyclic(2)
-    V = LinearAction.trivial(G, 1)
-    W = LinearAction.trivial(G, 0)
-    U = LinearAction.sign_c2(1)
-    return V, W, U
+def c2_sign_model(cut):
+    """V = R trivial, W = 0, U = R^- of C2, the default h: the model with its
+    action on the model space."""
+    return PerturbedModel(1, 0, LinearAction.sign_c2(1), None, cut), C2_FLIP
 
 
 def test_sphere_function_cos3():
@@ -67,8 +75,9 @@ def test_sphere_function_cos3():
         u = np.array([np.cos(th), np.sin(th)])
         assert row(h.value_many, u) == pytest.approx(np.cos(3 * th), abs=1e-12)
     # equivariant under C3 rotation, not under C4
-    assert h.equivariance_error(LinearAction.rotation_cn(3)) < 1e-12
-    assert h.equivariance_error(LinearAction.rotation_cn(4)) > 0.1
+    samples = _sphere_samples(7, 64, 2)
+    assert h.invariance_error(LinearAction.rotation_cn(3), samples) < 1e-12
+    assert h.invariance_error(LinearAction.rotation_cn(4), samples) > 0.1
 
 
 def test_sphere_function_gradients_fd():
@@ -92,21 +101,28 @@ def test_sphere_function_gradients_fd():
 
 
 def test_sphere_critical_points_cos3():
+    # h = cos(3 theta) is critical on the circle at the six angles j pi / 3
+    # (the directions model_points predicts): three nondegenerate maxima and
+    # three nondegenerate minima
     h = SphereFunction.cos_multiple_angle(3)
-    crits = h.sphere_critical_points()
-    assert len(crits) == 6
-    maxima = [u for u, idx, nd in crits if idx == 1]
-    minima = [u for u, idx, nd in crits if idx == 0]
-    assert len(maxima) == 3 and len(minima) == 3
-    assert all(nd for _, _, nd in crits)
+    a = np.pi * np.arange(6) / 3
+    u = np.stack([np.cos(a), np.sin(a)], axis=1)
+    tv = np.stack([-np.sin(a), np.cos(a)], axis=1)
+    _, g, H = h.jet_many(u, 2)
+    assert np.max(np.abs(g)) < 1e-12
+    # on the unit circle q''(theta) = t^T H t - u . grad, here -9 cos(3 theta)
+    q2 = (np.einsum("mi,mij,mj->m", tv, H, tv)
+          - np.einsum("mi,mi->m", g, u))
+    assert np.allclose(q2, -9.0 * np.cos(3 * a), rtol=0, atol=1e-9)
+    assert np.sum(q2 < -1e-8) == 3 and np.sum(q2 > 1e-8) == 3
 
 
 def test_model_figure1(cut):
     # V = W = 0, U = R^2 with the C3 rotation, h = cos(3 theta):
     # origin becomes index 0 and six new critical points appear
-    V, W, U = c3_rotation_reps()
-    h = SphereFunction.cos_multiple_angle(3)
-    model, crits = stable_perturb(V, W, U, h, cut)
+    model, act = c3_rotation_model(cut)
+    predicted, crits = model_critical_points(model, act)
+    assert unpredicted(predicted, crits) == []
     assert len(crits) == 7
     origin = min(crits, key=lambda c: np.linalg.norm(c.coords))
     assert origin.index == 0
@@ -125,8 +141,8 @@ def test_model_figure1(cut):
 
 def test_model_figure2(cut):
     # V = R trivial, W = 0, U = R^- of C2: two new index-1 points
-    V, W, U = c2_sign_reps()
-    model, crits = stable_perturb(V, W, U, None, cut)
+    predicted, crits = model_critical_points(*c2_sign_model(cut))
+    assert unpredicted(predicted, crits) == []
     assert len(crits) == 3
     origin = min(crits, key=lambda c: np.linalg.norm(c.coords))
     assert origin.index == 0 and origin.stable
@@ -142,8 +158,9 @@ def test_model_figure2(cut):
 def test_model_ranges_and_hessian_blocks(cut):
     # construction properties: exact agreement with |v|^2 - |w|^2 +- |u|^2
     # in the inner/outer ranges, and negative eigenspace inside W + U
-    V, W, U = c2_sign_reps()
-    model, crits = stable_perturb(V, W, U, None, cut)
+    model, act = c2_sign_model(cut)
+    predicted, crits = model_critical_points(model, act)
+    assert unpredicted(predicted, crits) == []
     rng = np.random.default_rng(0)
     for _ in range(200):
         v = rng.uniform(-1, 1)
@@ -164,9 +181,7 @@ def test_model_ranges_and_hessian_blocks(cut):
 
 
 def test_model_gradient_hessian_fd(cut):
-    V, W, U = c3_rotation_reps()
-    h = SphereFunction.cos_multiple_angle(3)
-    model, _ = stable_perturb(V, W, U, h, cut)
+    model, _ = c3_rotation_model(cut)
     rng = np.random.default_rng(1)
     eps = 1e-6
     for _ in range(12):
@@ -185,44 +200,37 @@ def test_model_gradient_hessian_fd(cut):
 
 
 def test_model_equivariance(cut):
-    V, W, U = c3_rotation_reps()
-    h = SphereFunction.cos_multiple_angle(3)
-    model, _ = stable_perturb(V, W, U, h, cut)
+    model, act = c3_rotation_model(cut)
     rng = np.random.default_rng(2)
     samples = rng.uniform(-3, 3, size=(32, 2))
-    assert model.invariance_error(model.action, samples) < 1e-9
+    assert model.invariance_error(act, samples) < 1e-9
 
 
 def test_h_not_equivariant_rejected(cut):
-    V, W, U = c3_rotation_reps()
     h = SphereFunction.cos_multiple_angle(4)  # C4-symmetric, not C3
     with pytest.raises(HNotEquivariant):
-        stable_perturb(V, W, U, h, cut)
+        PerturbedModel(0, 0, LinearAction.rotation_cn(3), h, cut)
 
 
-def test_oversized_epsilon_detected(cut):
+def test_oversized_epsilon_detected():
     # force an amplitude far past the margin bound: the angular term then
-    # cancels the radial slope inside a transition annulus and the spurious
-    # critical points are caught by the verification pass
-    from equimorse.morse import build_cutoffs
-    from equimorse.morse.perturb import EpsilonTooLarge
-
+    # cancels the radial slope inside a transition annulus, and the search
+    # finds the spurious critical points there
     bad = build_cutoffs(0.05)
     bad.epsilon *= 2000.0
-    G2 = FiniteGroup.cyclic(2)
-    V = LinearAction.trivial(G2, 1)
-    W = LinearAction.trivial(G2, 0)
-    U = LinearAction.sign_c2(1)
-    with pytest.raises(EpsilonTooLarge):
-        stable_perturb(V, W, U, SphereFunction.constant(1, -1.0), bad)
+    model = PerturbedModel(1, 0, LinearAction.sign_c2(1),
+                           SphereFunction.constant(1, -1.0), bad)
+    predicted, crits = model_critical_points(model, C2_FLIP)
+    t0, d = bad.t0, bad.delta
+    radii = [abs(c.coords[1]) for c in unpredicted(predicted, crits)]
+    assert any(1.0 < t < t0 - d or t0 + d < t for t in radii)
 
 
 def test_u_zero_reduces_to_quadratic(cut):
-    G = FiniteGroup.cyclic(2)
-    V = LinearAction.trivial(G, 1)
-    W = LinearAction.sign_c2(1)
-    U = LinearAction.trivial(G, 0)
-    model, crits = stable_perturb(V, W, U, None, cut)
+    U = LinearAction.trivial(FiniteGroup.cyclic(2), 0)
+    model = PerturbedModel(1, 1, U, None, cut)
+    predicted, crits = model_critical_points(model, C2_FLIP)
+    assert unpredicted(predicted, crits) == []
     assert len(crits) == 1
     # the origin keeps index dim(W): positive definite on V, negative on W
     assert crits[0].index == 1
@@ -234,9 +242,8 @@ def test_default_sphere_function_needs_dim_u_one(cut):
     # the constant default h has a whole circle of critical points on a
     # plane U, so the model refuses it there, for the model alone as for
     # surgery
-    V, W, U = c3_rotation_reps()
     with pytest.raises(ChartMissing):
-        stable_perturb(V, W, U, None, cut)
+        PerturbedModel(0, 0, LinearAction.rotation_cn(3), None, cut)
 
 
 # -- surgery -------------------------------------------------------------
@@ -497,7 +504,8 @@ def test_angle_chart_must_be_exact(cut):
     M, f = fx.manifold, fx.function
     (north,) = fx.charts.values()
     top = classify(f, M, north.center)
-    assert model_error(north, f, top.value) < 1e-12
+    assert model_error(north, f, top.value,
+                       3.0 * fx.surgery_radius / 3.5) < 1e-12
     south = AngleChart(north.pole_angle + np.pi)
     with pytest.raises(ChartMissing):
         localize_surgery(f, M, top, fx.surgery_radius, cut, chart=south)
@@ -512,15 +520,31 @@ def test_angle_chart_must_be_exact(cut):
                                   "circle_c2_height"])
 def test_chart_inverse_and_model_error(name):
     # points_many inverts the chart's coordinates, and the fixture's own
-    # chart presents its function exactly
+    # chart presents its function exactly, on the box of half-width 3s
+    # that model_error samples
     fx = MANIFOLD_FIXTURES[name]()
     (chart,) = fx.charts.values()
-    Y = np.random.default_rng(12).uniform(-MODEL_RADIUS, MODEL_RADIUS,
-                                          size=(64, chart.dim))
+    half = 3.0 * fx.surgery_radius / 3.5
+    Y = np.random.default_rng(12).uniform(-half, half, size=(64, chart.dim))
     back = chart.jet_many(chart.points_many(Y), 0)[0]
     assert np.allclose(back, Y, rtol=0, atol=1e-12)
     fp = classify(fx.function, fx.manifold, chart.center).value
-    assert model_error(chart, fx.function, fp) < 1e-12
+    assert model_error(chart, fx.function, fp, half) < 1e-12
+
+
+def test_chart_must_be_exact_on_the_modified_cylinder(cut):
+    # figure 1's chart presents -(x^2 + y^2) + 1e-3 (x^2 + y^2)^20 as its
+    # quadratic part to 2e-11 on the box of half-width 1/2, but the splice
+    # changes f out to |u| = 3s = 6/7, where the degree-40 term is 2e-6:
+    # the surgered function would jump there, so surgery refuses
+    M, _, chart = figure1_fixture()
+    r2 = Polynomial(2, {(2, 0): 1, (0, 2): 1})
+    f = EqFunction.from_polynomial(-r2 + Fraction(1, 1000) * r2**20)
+    before = classify(f, M, np.zeros(2))
+    assert before.index == 2 and not before.stable
+    with pytest.raises(ChartMissing):
+        localize_surgery(f, M, before, radius=1.0, cut=cut, chart=chart,
+                         h=SphereFunction.cos_multiple_angle(3))
 
 
 @pytest.mark.parametrize("name", ["figure1_plane", "figure2_plane",
@@ -543,31 +567,37 @@ def test_chart_action_matches_per_chart_formulas(name):
         assert B.tobytes() == want.tobytes()
 
 
-def _profile_reference(cut, t):
+def _profile_reference(t):
     """R, R' and R'' as three separate piecewise formulas, each evaluating
-    phi(t - 2) and its derivatives on its own."""
-    phi = cut.phi
+    phi(t - 2) = -1 + 2 I(t - 2) / total and its derivatives on its own."""
+    total = _INTEGRAL.total
+
+    def phi(s):
+        return -1.0 + 2.0 * _INTEGRAL(s) / total
+
     mid = (t > 1.0) & (t < 3.0)
     tm = t[mid]
+    d1 = 2.0 * _bump(tm - 2) / total
+    d2 = 2.0 * _bump_d1(tm - 2) / total
     R = np.where(t <= 1.0, t * t, 0.0)
     R = np.where(t >= 3.0, -t * t, R)
     R[mid] = -tm * tm * phi(tm - 2.0)
     R1 = np.where(t <= 1.0, 2.0 * t, 0.0)
     R1 = np.where(t >= 3.0, -2.0 * t, R1)
-    R1[mid] = -2 * tm * phi(tm - 2) - tm * tm * phi.d1(tm - 2)
+    R1[mid] = -2 * tm * phi(tm - 2) - tm * tm * d1
     R2 = np.where(t <= 1.0, 2.0, 0.0)
     R2 = np.where(t >= 3.0, -2.0, R2)
-    R2[mid] = (-2 * phi(tm - 2) - 4 * tm * phi.d1(tm - 2)
-               - tm * tm * phi.d2(tm - 2))
+    R2[mid] = -2 * phi(tm - 2) - 4 * tm * d1 - tm * tm * d2
     return [R, R1, R2]
 
 
 def test_profile_matches_three_formulas(cut):
-    # the grid crosses every piece of R and of psi; the kernel's psi
-    # derivatives must equal the Plateau methods bit for bit
+    # the grid crosses every piece of R and of psi; a lower order is the
+    # leading entries of order 2 bit for bit (test_cutoffs pins psi against
+    # its own two-piece formula)
     t = np.linspace(0.0, 4.0, 200_001)
-    want = _profile_reference(cut, t)
-    want_psi = [cut.psi(t), cut.psi.d1(t), cut.psi.d2(t)]
+    want = _profile_reference(t)
+    want_psi = cut.profile(t, 2)[1]
     for order in (0, 1, 2):
         R, psi = cut.profile(t, order)
         assert len(R) == len(psi) == order + 1
@@ -589,9 +619,9 @@ def _jet_subject(name, cut):
     if name == "sphere-cos3":
         return SphereFunction.cos_multiple_angle(3).jet_many, plane[1:]
     if name in ("model-c3", "model-c2"):
-        V, W, U = c3_rotation_reps() if name == "model-c3" else c2_sign_reps()
-        h = SphereFunction.cos_multiple_angle(3) if name == "model-c3" else None
-        model, crits = stable_perturb(V, W, U, h, cut)
+        model, act = (c3_rotation_model(cut) if name == "model-c3"
+                      else c2_sign_model(cut))
+        _, crits = model_critical_points(model, act)
         # the critical points sit on the plateau, where h enters
         return model.jet_many, np.concatenate(
             [plane] + [c.coords[None, :] for c in crits])
