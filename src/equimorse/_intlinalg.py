@@ -1,24 +1,24 @@
 """Exact linear algebra shared across the homological modules.
 
-Integer matrices are tuples of row tuples with arbitrary-precision entries.
-Field routines work mod a prime p, or over the rationals when p == 0
-(Fraction entries).  Every quotient is read off one elimination: a basis
-extension, a span and a set of coordinates each come from the pivots and
-entries of a single rref.  Loops walk the nonzero entries only, and all
-arithmetic stays exact.
+A matrix is stored as its columns: column j is a tuple of (row, entry)
+pairs in increasing row order, every entry nonzero.  Field routines work
+mod a prime p, or over the rationals when p == 0 (Fraction entries).  One
+sparse elimination, `eliminate`, gives ranks, null spaces and basis
+extensions over a field and the unit part of the Smith form over Z; the
+dense `_smith`, on tuples of row tuples, diagonalises what the units leave
+and serves `smith_normal_form`, which also returns U and V.  Loops walk the
+nonzero entries only, and all arithmetic stays exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import isqrt
 
 
 Matrix = tuple[tuple[int, ...], ...]
-
-
-def zeros(m: int, n: int) -> Matrix:
-    return tuple((0,) * n for _ in range(m))
+Column = tuple[tuple[int, int], ...]
 
 
 def identity(n: int) -> Matrix:
@@ -29,43 +29,160 @@ def shape(A: Matrix) -> tuple[int, int]:
     return (len(A), len(A[0]) if A else 0)
 
 
-def transpose(A: Matrix) -> Matrix:
-    m, n = shape(A)
-    return tuple(tuple(A[i][j] for i in range(m)) for j in range(n))
+def transpose(A, nrows: int) -> tuple[Column, ...]:
+    """The columns of the transpose of the matrix with columns A and nrows
+    rows."""
+    out = [[] for _ in range(nrows)]
+    for j, col in enumerate(A):
+        for i, x in col:
+            out[i].append((j, x))
+    return tuple(map(tuple, out))
 
 
-def product_is_zero(A: Matrix, B: Matrix, p: int = 0) -> bool:
-    """Whether A*B is zero (mod p when p > 0), multiplying nonzero entries
-    only and stopping at the first nonzero row of the product."""
-    b_rows = [[(k, b) for k, b in enumerate(row) if b] for row in B]
-    for row in A:
+def product_is_zero(A, B, p: int = 0) -> bool:
+    """Whether A*B is zero (mod p when p > 0), for matrices given by their
+    columns: each column of the product sums the columns of A that a column
+    of B names, and the check stops at the first nonzero one."""
+    for col in B:
         acc: dict[int, int] = {}
-        for j, a in enumerate(row):
-            if a:
-                for k, b in b_rows[j]:
-                    acc[k] = acc.get(k, 0) + a * b
+        for j, b in col:
+            for i, a in A[j]:
+                acc[i] = acc.get(i, 0) + a * b
         if any(x % p if p else x for x in acc.values()):
             return False
     return True
-
-
-def from_rows(rows, p: int = 0) -> Matrix:
-    """Int tuples of the rows, reduced into [0, p) when p > 0."""
-    if p:
-        return tuple(tuple(int(x) % p for x in row) for row in rows)
-    return tuple(tuple(int(x) for x in row) for row in rows)
 
 
 def is_prime(n: int) -> bool:
     return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
+# -- sparse elimination ------------------------------------------------------
+
+
+def eliminate(cols, p: int, integral: bool = False, track: bool = False):
+    """Reduce the columns of a matrix, in the order given, by unit pivots.
+
+    Over a field (F_p for a prime p, Q for p == 0) every nonzero entry is a
+    unit; over Z (integral, p == 0) only +-1 is.  Each column is reduced by
+    the pivot columns before it.  If a unit is left, the column becomes a
+    pivot column, scaled to 1 on the unit whose row has the fewest entries
+    in the matrix (Markowitz).  A pivot column is zero in the pivot rows of
+    the pivots before it, so a column meets each pivot at most once, in
+    pivot order.  Over Z a column with no unit left is reduced again after
+    every pass that made a pivot, and the Smith form of the matrix is a 1
+    per pivot followed by the Smith form of the remainders.
+
+    Returns (pivots, rest): the indices of the pivot columns in pivot order,
+    and (index, remainder, combination) for every other column in index
+    order.  The remainder is a {row: entry} dict, empty over a field; the
+    combination is the {column: coefficient} dict of the input columns
+    that sums to it when track is set, else None.
+    """
+    work = []
+    count: dict[int, int] = {}
+    for j, col in enumerate(cols):
+        a = {}
+        for i, x in col:
+            x = x % p if p else (x if integral else Fraction(x))
+            if x:
+                a[i] = x
+                count[i] = count.get(i, 0) + 1
+        work.append((a, {j: 1} if track else None))
+    owner: dict[int, int] = {}    # pivot row -> its place in `pivots`
+    pivots: list[int] = []
+    done: set[int] = set()
+    reduced = []                  # (pivot row, column, combination) per pivot
+    pending = range(len(work))
+    while pending:
+        made = False
+        for j in pending:
+            a, v = work[j]
+            heap = [owner[i] for i in a if i in owner]
+            if heap:
+                heapify(heap)
+            while heap:
+                i, b, w = reduced[heappop(heap)]
+                c = a.get(i)
+                if not c:
+                    continue
+                for r, y in b.items():
+                    z = a.get(r, 0) - c * y
+                    if p:
+                        z %= p
+                    if not z:
+                        del a[r]
+                        continue
+                    if r not in a and r in owner:
+                        heappush(heap, owner[r])
+                    a[r] = z
+                if track:
+                    for k, y in w.items():
+                        z = v.get(k, 0) - c * y
+                        if p:
+                            z %= p
+                        if z:
+                            v[k] = z
+                        else:
+                            del v[k]
+            units = [i for i, x in a.items() if x == 1 or x == -1] if integral else a
+            if not units:
+                continue
+            i = min(units, key=count.__getitem__)
+            s = a[i]
+            if s != 1:
+                inv = pow(s, -1, p) if p else (s if integral else 1 / s)
+                a = {r: x * inv % p if p else x * inv for r, x in a.items()}
+                if track:
+                    v = {r: x * inv % p if p else x * inv for r, x in v.items()}
+            owner[i] = len(pivots)
+            pivots.append(j)
+            done.add(j)
+            reduced.append((i, a, v))
+            made = True
+        pending = [j for j in pending if j not in done and work[j][0]] if made else []
+    return pivots, [(j, a, v) for j, (a, v) in enumerate(work) if j not in done]
+
+
+def rank(cols, p: int) -> int:
+    """Rank over F_p (p prime) or Q (p == 0) of the matrix with these
+    columns, eliminated shortest column first."""
+    return len(eliminate(sorted(cols, key=len), p)[0])
+
+
+def nullspace(cols, p: int) -> list[Column]:
+    """Basis of the right null space, one vector per column outside the span
+    of the columns before it: the column's own unit minus its coordinates
+    on the pivot columns before it, as (index, entry) pairs.  This is the
+    basis read off the reduced row echelon form."""
+    if not any(cols):
+        return [((j, 1),) for j in range(len(cols))]
+    _, rest = eliminate(cols, p, track=True)
+    return [tuple(sorted(v.items())) for _, _, v in rest]
+
+
+def extend_basis(base_cols, candidate_cols, p: int):
+    """A basis of span(base_cols) and its greedy extension by candidates,
+    from one elimination of [base | candidates].
+
+    Returns (spanning, chosen): the base columns outside the span of the
+    base columns before them, and the candidates outside the span of
+    base_cols and of the candidates before them.  Both are the pivot
+    columns of their block.
+    """
+    pivots, _ = eliminate([*base_cols, *candidate_cols], p)
+    nb = len(base_cols)
+    return ([base_cols[c] for c in pivots if c < nb],
+            [candidate_cols[c - nb] for c in pivots if c >= nb])
+
+
 # -- Smith normal form -----------------------------------------------------
 
 
 def smith_normal_form(A: Matrix) -> tuple[Matrix, Matrix, Matrix]:
-    """Return (D, U, V) with U*A*V = D, U and V unimodular, and D diagonal
-    with each diagonal entry dividing the next.
+    """Return (D, U, V) with U*A*V = D for the dense matrix A (a tuple of row
+    tuples), U and V unimodular, and D diagonal with each diagonal entry
+    dividing the next.
 
     Pivots are chosen as the smallest nonzero entry in absolute value, which
     keeps entry growth tame on the small matrices seen here.
@@ -75,13 +192,23 @@ def smith_normal_form(A: Matrix) -> tuple[Matrix, Matrix, Matrix]:
             tuple(tuple(row) for row in v))
 
 
-def snf_diagonal(A: Matrix) -> list[int]:
-    """Nonzero diagonal entries of the Smith form of A, in divisibility order.
+def snf_diagonal(cols) -> list[int]:
+    """Nonzero diagonal entries of the Smith form of the integer matrix with
+    these columns, in divisibility order.
 
-    The same elimination as `smith_normal_form`, without building U and V.
+    Every +-1 pivot of `eliminate` is a diagonal 1, and the dense `_smith`
+    runs only on the columns the units leave, over the rows they touch.
     """
-    a, _, _ = _smith(A, track=False)
-    return [a[i][i] for i in range(min(shape(A))) if a[i][i] != 0]
+    pivots, rest = eliminate(sorted(cols, key=len), 0, integral=True)
+    left = [a for _, a, _ in rest if a]
+    rows = {i: t for t, i in enumerate(sorted({i for a in left for i in a}))}
+    dense = [[0] * len(left) for _ in rows]
+    for j, a in enumerate(left):
+        for i, x in a.items():
+            dense[rows[i]][j] = x
+    d, _, _ = _smith(dense, track=False)
+    return [1] * len(pivots) + [d[t][t] for t in range(min(len(rows), len(left)))
+                                if d[t][t]]
 
 
 def _smith(A: Matrix, track: bool):
@@ -192,101 +319,3 @@ def _smith(A: Matrix, track: bool):
         add_col(bad, bad + 1, 1)
         diagonalise(bad)
     return a, u, v
-
-
-# -- field linear algebra (F_p for prime p, rationals for p = 0) -----------
-
-
-def _inv_mod(a: int, p: int) -> int:
-    return pow(a, p - 2, p)
-
-
-def rref(rows, p: int):
-    """Reduced row echelon form over F_p (p prime) or Q (p == 0).
-
-    Returns (rref_rows, pivot_columns).  Input rows are int (p > 0) or
-    Fraction/int (p == 0); they are not modified.  Each elimination step
-    touches only the nonzero entries of the pivot row.
-    """
-    if p:
-        mat = [[x % p for x in row] for row in rows]
-    else:
-        mat = [[Fraction(x) for x in row] for row in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if mat[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        prow = mat[r]
-        inv = _inv_mod(prow[c], p) if p else 1 / prow[c]
-        # the pivot row is zero left of c: earlier columns are cleared
-        nz = [j for j in range(c, ncols) if prow[j]]
-        for j in nz:
-            prow[j] = (prow[j] * inv) % p if p else prow[j] * inv
-        for i in range(nrows):
-            row = mat[i]
-            f = row[c]
-            if i != r and f:
-                if p:
-                    for j in nz:
-                        row[j] = (row[j] - f * prow[j]) % p
-                else:
-                    for j in nz:
-                        row[j] -= f * prow[j]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return mat, pivots
-
-
-def rank(rows, p: int) -> int:
-    if not rows or not rows[0]:
-        return 0
-    _, piv = rref(rows, p)
-    return len(piv)
-
-
-def nullspace(rows, p: int):
-    """Basis of the right null space, as a list of column vectors (lists)."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    red, piv = rref(rows, p)
-    pivots = set(piv)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols if not p else [0] * ncols
-        vec[fc] = 1 if p else Fraction(1)
-        for r, pc in enumerate(piv):
-            val = red[r][fc]
-            vec[pc] = (-val) % p if p else -val
-        basis.append(vec)
-    return basis
-
-
-def extend_basis(base_cols, candidate_cols, p: int):
-    """A basis of span(base_cols) and its greedy extension by candidates,
-    from one rref of [base | candidates].
-
-    Returns (spanning, chosen): the base columns outside the span of the
-    base columns before them, and the candidates outside the span of
-    base_cols and of the candidates before them.  Both are the pivot
-    columns of their block.
-    """
-    cols = [*base_cols, *candidate_cols]
-    if not cols:
-        return [], []
-    _, piv = rref([list(r) for r in zip(*cols)], p)
-    nb = len(base_cols)
-    return ([base_cols[c] for c in piv if c < nb],
-            [candidate_cols[c - nb] for c in piv if c >= nb])

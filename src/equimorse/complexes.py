@@ -1,13 +1,14 @@
 """Bounded chain complexes of finitely generated free modules over Z or F_p,
-with homology computed through Smith normal form (integral case) or ranks
-(mod p case)."""
+with each boundary map stored once as sparse columns, and homology computed
+through Smith normal form (integral case) or ranks (mod p case), both read
+off one sparse unit-pivot elimination per map."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from . import _intlinalg as la
-from ._intlinalg import Matrix, smith_normal_form  # noqa: F401 (re-exported)
+from ._intlinalg import Column, smith_normal_form  # noqa: F401 (re-exported)
 
 __all__ = [
     "ChainComplex",
@@ -30,15 +31,20 @@ class ChainComplexError(ValueError):
 class ChainComplex:
     """ranks[n] generators in degree n; boundary[n] maps degree n to n-1.
 
-    char is 0 (integer coefficients) or a prime p; anything else raises
-    ValueError.  Over F_p every entry is stored as its residue in [0, p),
-    so a boundary is the same matrix whatever integers it was built from.
-    d∘d = 0 is checked at construction (mod p when char > 0).
+    boundary[n] is a tuple over the columns: column j is the boundary of
+    generator j, a tuple of (row, entry) pairs in increasing row order with
+    every entry nonzero.  The constructor takes any iterables of (row,
+    entry) pairs, each row at most once per column, and stores them in that
+    form.  char is 0 (integer coefficients) or a prime p; anything else
+    raises ValueError.  Over F_p every entry is stored as its residue in
+    [0, p), so a boundary is the same whatever integers it was built from.
+    d∘d = 0 is checked at construction (mod p when char > 0), as a sparse
+    product of columns.
     """
 
     char: int
     ranks: dict[int, int]
-    boundary: dict[int, Matrix]
+    boundary: dict[int, tuple[Column, ...]]
 
     def __post_init__(self):
         if self.char != 0 and not la.is_prime(self.char):
@@ -46,15 +52,15 @@ class ChainComplex:
         self.ranks = {n: r for n, r in self.ranks.items() if r > 0}
         cleaned = {}
         for n, d in self.boundary.items():
-            rows, cols = la.shape(d)
-            if rows != self.rank(n - 1) or cols != self.rank(n):
+            cols = self._columns(d, n)
+            if len(cols) != self.rank(n):
                 raise ChainComplexError(
-                    f"boundary in degree {n} has shape {(rows, cols)}, "
-                    f"expected {(self.rank(n - 1), self.rank(n))}",
+                    f"boundary in degree {n} has {len(cols)} columns, "
+                    f"expected {self.rank(n)}",
                     degree=n,
                 )
-            if rows and cols:
-                cleaned[n] = la.from_rows(d, self.char)
+            if cols and self.rank(n - 1):
+                cleaned[n] = cols
         self.boundary = cleaned
         for n in list(self.boundary):
             if n + 1 in self.boundary:
@@ -64,17 +70,34 @@ class ChainComplex:
                         f"d∘d != 0 from degree {n + 1}", degree=n + 1
                     )
 
+    def _columns(self, d, n: int) -> tuple[Column, ...]:
+        """boundary[n] in stored form: each column sorted by row, with its
+        entries reduced mod char and its zeros dropped."""
+        p, nrows = self.char, self.rank(n - 1)
+        cols = []
+        for pairs in d:
+            col = sorted(pairs)
+            if col and (col[0][0] < 0 or col[-1][0] >= nrows
+                        or len({i for i, _ in col}) < len(col)):
+                raise ChainComplexError(
+                    f"boundary in degree {n} has rows {[i for i, _ in col]}, "
+                    f"expected distinct rows below {nrows}",
+                    degree=n,
+                )
+            cols.append(tuple([(i, y) for i, x in col if (y := x % p)] if p
+                              else [c for c in col if c[1]]))
+        return tuple(cols)
+
     def rank(self, n: int) -> int:
         return self.ranks.get(n, 0)
 
     def degrees(self) -> list[int]:
         return sorted(self.ranks)
 
-    def d(self, n: int) -> Matrix:
-        """Boundary map out of degree n (zero matrix if absent)."""
-        if n in self.boundary:
-            return self.boundary[n]
-        return la.zeros(self.rank(n - 1), self.rank(n))
+    def d(self, n: int) -> tuple[Column, ...]:
+        """The columns of the boundary map out of degree n (all empty if
+        the map is zero)."""
+        return self.boundary.get(n) or ((),) * self.rank(n)
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** n * r for n, r in self.ranks.items())
@@ -147,7 +170,7 @@ def homology(C: ChainComplex) -> HomologySummary:
     rank: dict[int, int] = {}
     for n, d in C.boundary.items():
         if C.char:
-            rank[n] = la.rank(list(d), C.char)
+            rank[n] = la.rank(d, C.char)
         else:
             diag[n] = la.snf_diagonal(d)
             rank[n] = len(diag[n])

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import _intlinalg as la
-from ._intlinalg import Matrix
 from .complexes import ChainComplex
 from .coefficients import (
     CoefficientSystem,
@@ -135,18 +134,19 @@ def bredon_assembly(M: CoefficientSystem, stabilizers: dict[int, list[Subgroup]]
         ranks[n] = offs[-1]
     boundary: dict[int, list] = {}
     for n in stabilizers:
-        rows, cols = ranks.get(n - 1, 0), ranks[n]
-        if not rows or not cols:
+        if not ranks.get(n - 1):
             continue
-        mat = [[0] * cols for _ in range(rows)]
+        cols: list[dict] = [{} for _ in range(ranks[n])]
         for (a, b), recs in records.get(n, {}).items():
             r0 = offsets[n - 1][b]
             c0 = offsets[n][a]
             for m, deg in recs:
                 for i, row in enumerate(induced_matrix(M, m)):
                     for j, x in enumerate(row):
-                        mat[r0 + i][c0 + j] += deg * x
-        boundary[n] = mat
+                        if x:
+                            col = cols[c0 + j]
+                            col[r0 + i] = col.get(r0 + i, 0) + deg * x
+        boundary[n] = [col.items() for col in cols]
     return ChainComplex(char=M.char, ranks=ranks, boundary=boundary)
 
 
@@ -168,7 +168,8 @@ def bredon_cochain_complex(X: GCWComplex, N: CoefficientSystem) -> ChainComplex:
     return ChainComplex(
         char=N.char,
         ranks={-n: r for n, r in C.ranks.items()},
-        boundary={-(n - 1): la.transpose(d) for n, d in C.boundary.items()},
+        boundary={-(n - 1): la.transpose(d, C.rank(n - 1))
+                  for n, d in C.boundary.items()},
     )
 
 
@@ -198,23 +199,25 @@ def subquotient_complex(X: GCWComplex, H: Subgroup, K: Subgroup,
     index = {n: {c: i for i, c in enumerate(lst)} for n, lst in classes.items()}
 
     ranks = {n: len(lst) for n, lst in classes.items() if lst}
-    boundary: dict[int, Matrix] = {}
+    boundary: dict[int, list] = {}
     for n in X.dims():
         if not ranks.get(n) or not ranks.get(n - 1):
             continue
-        rows = ranks[n - 1]
-        cols = ranks[n]
-        mat = [[0] * cols for _ in range(rows)]
-        for col, (a, dc) in enumerate(classes[n]):
+        faces: dict[int, list] = {}
+        for (a, b), recs in X.boundary.get(n, {}).items():
+            faces.setdefault(a, []).append((X.cells[n - 1][b].stabilizer, b, recs))
+        cols = []
+        for a, dc in classes[n]:
+            col: dict[int, int] = {}
             g = dc[0]
-            for b in range(X.orbit_count(n - 1)):
-                for m, deg in X.records(n, a, b):
-                    x = m.rep
-                    img = double_coset(G, H, G.mul[g][x], X.cells[n - 1][b].stabilizer)
+            for L, b, recs in faces.get(a, ()):
+                for m, deg in recs:
+                    img = double_coset(G, H, G.mul[g][m.rep], L)
                     row = index[n - 1].get((b, img))
                     if row is not None:
-                        mat[row][col] += deg
-        boundary[n] = tuple(tuple(r) for r in mat)
+                        col[row] = col.get(row, 0) + deg
+            cols.append(col.items())
+        boundary[n] = cols
     return ChainComplex(char=char, ranks=ranks, boundary=boundary)
 
 

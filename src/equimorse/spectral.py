@@ -15,7 +15,6 @@ convergence automatic: the page at r = (max filtration) + 2 is stable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import _intlinalg as la
 from .complexes import ChainComplex, homology
@@ -40,10 +39,14 @@ class FilteredComplex:
     filt[n] is a tuple of nonnegative ints of length base.rank(n).  The
     instance stores data as given; validation happens when pages are
     requested, so deliberately broken fixtures can exist for negative tests.
+    Chains are sparse columns over the generators, like the boundary
+    columns of base, and each cycle basis Z^r is computed once, on first
+    use, and kept by (n, p, r).
     """
 
     base: ChainComplex
     filt: dict[int, tuple[int, ...]]
+    _cycles: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         for n in self.base.degrees():
@@ -54,19 +57,13 @@ class FilteredComplex:
                     f"rank is {self.base.rank(n)}"
                 )
         self.filt = {n: tuple(v) for n, v in self.filt.items()}
-        # each boundary column as its (row, entry) pairs with entry != 0
-        self._columns = {
-            n: [[(i, row[j]) for i, row in enumerate(d) if row[j]]
-                for j in range(len(d[0]))]
-            for n, d in self.base.boundary.items()
-        }
 
     def max_filtration(self) -> int:
         return max((p for v in self.filt.values() for p in v), default=0)
 
     def validate(self) -> None:
-        for n in self.base.degrees():
-            for j, col in enumerate(self._columns.get(n, ())):
+        for n, d in self.base.boundary.items():
+            for j, col in enumerate(d):
                 pj = self.filt[n][j]
                 for i, _ in col:
                     if self.filt[n - 1][i] > pj:
@@ -115,48 +112,28 @@ class SSPage:
         return rows
 
 
-def _coords_leq(F: FilteredComplex, n: int, p: int) -> list[int]:
-    return [j for j, pj in enumerate(F.filt.get(n, ())) if pj <= p]
-
-
-def _zr_basis(F: FilteredComplex, n: int, p: int, r: int, char: int):
-    """Basis columns of Z^r_{p, n-p} inside C_n."""
-    rank_n = F.base.rank(n)
-    if rank_n == 0 or p < 0:
-        return []
-    cols = _coords_leq(F, n, p)
-    if not cols:
-        return []
-    d = F.base.d(n)
-    bad_rows = [i for i, pi in enumerate(F.filt.get(n - 1, ()))
-                if pi > p - r]
-    if not bad_rows or F.base.rank(n - 1) == 0:
-        # no constraint: all of F_p C_n
-        basis = []
-        for j in cols:
-            v = [0] * rank_n
-            v[j] = 1
-            basis.append(v)
-        return basis
-    sub = [[d[i][j] for j in cols] for i in bad_rows]
-    null = la.nullspace(sub, char)
-    basis = []
-    for vec in null:
-        v = [0] * rank_n if char else [Fraction(0)] * rank_n
-        for idx, j in enumerate(cols):
-            v[j] = vec[idx]
-        basis.append(v)
-    return basis
+def _zr_basis(F: FilteredComplex, n: int, p: int, r: int):
+    """Basis columns of Z^r_{p, n-p} inside C_n: the null space of the
+    boundary of F_p C_n in the rows of filtration above p - r."""
+    key = (n, p, r)
+    if key not in F._cycles:
+        cols = [j for j, pj in enumerate(F.filt.get(n, ())) if pj <= p]
+        low = F.filt.get(n - 1, ())
+        d = F.base.d(n)
+        sub = [tuple((i, x) for i, x in d[j] if low[i] > p - r) for j in cols]
+        F._cycles[key] = [tuple((cols[t], x) for t, x in vec)
+                          for vec in la.nullspace(sub, F.base.char)]
+    return F._cycles[key]
 
 
 def _apply_d(F: FilteredComplex, n: int, vec):
-    """d(vec): the boundary columns of the nonzero entries of vec, summed."""
-    out = [0] * F.base.rank(n - 1)
-    for x, col in zip(vec, F._columns.get(n, ())):
-        if x:
-            for i, a in col:
-                out[i] += a * x
-    return out
+    """d(vec): the boundary columns of the entries of vec, summed."""
+    d = F.base.d(n)
+    out: dict[int, int] = {}
+    for j, x in vec:
+        for i, a in d[j]:
+            out[i] = out.get(i, 0) + a * x
+    return tuple(sorted(out.items()))
 
 
 def _page_data(F: FilteredComplex, r: int, char: int):
@@ -169,12 +146,11 @@ def _page_data(F: FilteredComplex, r: int, char: int):
     for n in degs:
         for p in range(0, pmax + 1):
             q = n - p
-            Z = _zr_basis(F, n, p, r, char)
+            Z = _zr_basis(F, n, p, r)
             if not Z:
                 continue
-            D1 = _zr_basis(F, n, p - 1, r - 1, char)
-            W = _zr_basis(F, n + 1, p + r - 1, r - 1, char)
-            D2 = [_apply_d(F, n + 1, w) for w in W] if W else []
+            D1 = _zr_basis(F, n, p - 1, r - 1)
+            D2 = [_apply_d(F, n + 1, w) for w in _zr_basis(F, n + 1, p + r - 1, r - 1)]
             den, qreps = la.extend_basis(D1 + D2, Z, char)
             dim = len(qreps)
             if dim or den:
@@ -187,17 +163,17 @@ def _page_data(F: FilteredComplex, r: int, char: int):
 
 def _differential(F: FilteredComplex, n: int, qreps, den, tgt_reps, char: int):
     """Matrix of d_r from the classes of qreps (in degree n) to the quotient
-    basis tgt_reps mod den.  One rref of [den + tgt_reps | dx_1 ... dx_k]:
-    the basis columns are independent, so they are the first pivots, and
-    the entries of each dx column in their rows are its coordinates."""
+    basis tgt_reps mod den.  One null space of [den + tgt_reps | dx_1 ...
+    dx_k]: the basis columns are independent, so the null vector of dx_j
+    is its own unit minus its coordinates in the basis."""
     basis = den + tgt_reps
-    dxs = [_apply_d(F, n, x) for x in qreps]
-    red, piv = la.rref([list(row) for row in zip(*basis, *dxs)], char)
-    if len(piv) > len(basis):
+    null = la.nullspace(basis + [_apply_d(F, n, x) for x in qreps], char)
+    if len(null) != len(qreps):
         raise AssertionError("vector not in the expected cycle space")
-    k = len(basis)
+    coords = [dict(vec) for vec in null]
+    k = len(den)
     return tuple(
-        tuple(red[len(den) + i][k + j] for j in range(len(qreps)))
+        tuple(-c.get(k + i, 0) % char if char else -c.get(k + i, 0) for c in coords)
         for i in range(len(tgt_reps))
     )
 

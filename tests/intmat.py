@@ -1,6 +1,9 @@
-"""Exact integer-matrix helpers that only the tests use: products,
-reduction mod p, the zero test and the determinant, on the tuple-of-rows
-matrices of equimorse._intlinalg."""
+"""Exact matrix helpers that only the tests use, on dense tuple-of-rows
+matrices: products, reduction mod p, the zero test, the determinant, the
+column form that equimorse stores, and a dense reduced row echelon form as
+the reference for its sparse elimination."""
+
+from fractions import Fraction
 
 
 def mat_mul(A, B):
@@ -44,3 +47,34 @@ def det(A) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def columns(A, ncols=None):
+    """The (row, entry) columns of a dense matrix, zeros left out; ncols
+    gives the width of a matrix without rows."""
+    n = len(A[0]) if A else ncols or 0
+    return tuple(tuple((i, row[j]) for i, row in enumerate(A) if row[j])
+                 for j in range(n))
+
+
+def rref(rows, p: int):
+    """Reduced row echelon form over F_p (p prime) or Q (p == 0), by dense
+    Gauss-Jordan elimination: (rref_rows, pivot_columns)."""
+    mat = [[x % p if p else Fraction(x) for x in row] for row in rows]
+    ncols = len(mat[0]) if mat else 0
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        inv = pow(mat[r][c], -1, p) if p else 1 / mat[r][c]
+        mat[r] = [x * inv % p if p else x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            f = mat[i][c]
+            if i != r and f:
+                mat[i] = [(x - f * y) % p if p else x - f * y
+                          for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+    return mat, pivots

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from equimorse import _intlinalg as la
@@ -14,11 +14,11 @@ from equimorse.complexes import (
     smith_normal_form,
 )
 
-from intmat import det, is_zero, mat_mod, mat_mul
+from intmat import columns, det, is_zero, mat_mod, mat_mul, rref
 
 
 def test_snf_zero_matrix():
-    A = la.zeros(2, 3)
+    A = ((0, 0, 0), (0, 0, 0))
     D, U, V = smith_normal_form(A)
     assert is_zero(D)
     assert U == la.identity(2)
@@ -61,14 +61,14 @@ def test_snf_random_selfverifying(seed):
 
 
 def circle_complex(char=0):
-    return ChainComplex(char=char, ranks={0: 1, 1: 1}, boundary={1: ((0,),)})
+    return ChainComplex(char=char, ranks={0: 1, 1: 1}, boundary={1: ((),)})
 
 
 def rp2_complex(char=0):
     return ChainComplex(
         char=char,
         ranks={0: 1, 1: 1, 2: 1},
-        boundary={1: ((0,),), 2: ((2,),)},
+        boundary={1: ((),), 2: (((0, 2),),)},
     )
 
 
@@ -96,7 +96,7 @@ def test_dd_nonzero_rejected():
         ChainComplex(
             char=0,
             ranks={0: 1, 1: 1, 2: 1},
-            boundary={1: ((1,),), 2: ((1,),)},
+            boundary={1: (((0, 1),),), 2: (((0, 1),),)},
         )
     assert exc.value.degree == 2
 
@@ -131,7 +131,7 @@ def test_klein_bottle_integral():
     C = ChainComplex(
         char=0,
         ranks={0: 1, 1: 2, 2: 1},
-        boundary={1: ((0, 0),), 2: ((0,), (2,))},
+        boundary={1: ((), ()), 2: (((1, 2),),)},
     )
     h = homology(C)
     assert h.group(0) == (1, ())
@@ -149,30 +149,31 @@ def test_homology_reduces_each_boundary_map_once(monkeypatch, char, expected):
     C = ChainComplex(
         char=char,
         ranks={0: 1, 1: 2, 2: 2, 3: 1},
-        boundary={1: ((1, -1),), 2: ((2, 2), (2, 2)), 3: ((1,), (-1,))},
+        boundary={1: columns(((1, -1),)), 2: columns(((2, 2), (2, 2))),
+                  3: columns(((1,), (-1,)))},
     )
     calls = []
-    for name in ("snf_diagonal", "rank"):
-        real = getattr(la, name)
+    real = la.eliminate
 
-        def counted(*args, _real=real, _name=name):
-            calls.append(_name)
-            return _real(*args)
+    def counted(cols, p, integral=False, track=False):
+        calls.append((p, integral))
+        return real(cols, p, integral, track)
 
-        monkeypatch.setattr(la, name, counted)
+    monkeypatch.setattr(la, "eliminate", counted)
     h = homology(C)
-    assert calls == ["rank" if char else "snf_diagonal"] * 3
+    # one elimination per map: over Z the integral one under snf_diagonal
+    assert calls == [(char, not char)] * 3
     assert h.entries == expected
 
 
 def test_rref_nullspace_rank_mod_p():
     rows = [[1, 2, 0], [2, 4, 1]]
-    assert la.rank(rows, 5) == 2
-    ns = la.nullspace(rows, 5)
+    assert la.rank(columns(rows), 5) == 2
+    ns = la.nullspace(columns(rows), 5)
     assert len(ns) == 1
-    v = ns[0]
+    v = dict(ns[0])
     for row in rows:
-        assert sum(a * x for a, x in zip(row, v)) % 5 == 0
+        assert sum(a * v.get(j, 0) for j, a in enumerate(row)) % 5 == 0
 
 
 # -- oracles: SNF identities, greedy basis extension, dense d∘d, Euler -------
@@ -195,16 +196,67 @@ def test_snf_identities_random(data):
     assert diag == nz + [0] * (len(diag) - len(nz))
     assert all(d > 0 for d in nz)
     assert all(b % a == 0 for a, b in zip(nz, nz[1:]))
-    assert la.snf_diagonal(A) == nz
+    assert la.snf_diagonal(columns(A)) == nz
+
+
+# entries about 80 % zero; 2, 3 and 6 leave a remainder for the dense Smith
+# form once the units are gone
+SPARSE_ENTRY = st.sampled_from((0,) * 28 + (1, -1, 2, -2, 3, -3, 6))
+
+
+@st.composite
+def sparse_matrices(draw):
+    """(dense rows, width): up to 9 x 9, with 0 x n and m x 0 shapes, and a
+    zero row and a zero column now and then."""
+    m, n = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    A = [[draw(SPARSE_ENTRY) for _ in range(n)] for _ in range(m)]
+    if m and draw(st.booleans()):
+        A[draw(st.integers(0, m - 1))] = [0] * n
+    if n and draw(st.booleans()):
+        j = draw(st.integers(0, n - 1))
+        for row in A:
+            row[j] = 0
+    return A, n
+
+
+def rref_nullspace(A, n, p):
+    """The null space basis read off the dense rref, as (index, entry)
+    pairs."""
+    red, piv = rref(A, p)
+    basis = []
+    for fc in (c for c in range(n) if c not in piv):
+        vec = {fc: 1}
+        for r, pc in enumerate(piv):
+            if red[r][fc]:
+                vec[pc] = -red[r][fc] % p if p else -red[r][fc]
+        basis.append(tuple(sorted(vec.items())))
+    return basis
+
+
+@seed(29)
+@settings(max_examples=300, deadline=None)
+@given(sparse_matrices(), st.sampled_from((2, 3, 5, 0)), st.data())
+def test_sparse_elimination_matches_dense_reference(matrix, p, data):
+    A, n = matrix
+    cols = columns(A, n)
+    D = smith_normal_form(tuple(map(tuple, A)))[0] if A and n else ()
+    assert la.snf_diagonal(cols) == [D[i][i] for i in range(min(len(A), n)) if D[i][i]]
+    _, piv = rref(A, p)
+    assert la.rank(cols, p) == len(piv)
+    assert la.nullspace(cols, p) == rref_nullspace(A, n, p)
+    k = data.draw(st.integers(0, n))
+    spanning, chosen = la.extend_basis(cols[:k], cols[k:], p)
+    assert [id(c) for c in spanning] == [id(cols[c]) for c in piv if c < k]
+    assert [id(c) for c in chosen] == [id(cols[c]) for c in piv if c >= k]
 
 
 def greedy_extend(base, cands, p):
     """One rank per candidate: keep a candidate when it raises the rank."""
-    chosen, current = [], [list(c) for c in base]
-    cur = la.rank([list(r) for r in zip(*current)], p)
+    chosen, current = [], list(base)
+    cur = len(rref([list(r) for r in zip(*current)], p)[1])
     for c in cands:
-        trial = current + [list(c)]
-        r = la.rank([list(row) for row in zip(*trial)], p)
+        trial = current + [c]
+        r = len(rref([list(row) for row in zip(*trial)], p)[1])
         if r > cur:
             chosen.append(c)
             current, cur = trial, r
@@ -227,10 +279,12 @@ def test_extend_basis_matches_greedy_reference(data):
         # a candidate repeated, or a sum of two, must be skipped
         a, b = data.draw(st.sampled_from(cands)), data.draw(st.sampled_from(cands))
         cands.append([x + y for x, y in zip(a, b)])
-    spanning, got = la.extend_basis(base, cands, p)
-    assert [id(c) for c in spanning] == [id(c) for c in greedy_extend([], base, p)]
+    sparse = {id(c): tuple((i, x) for i, x in enumerate(c) if x) for c in base + cands}
+    spanning, got = la.extend_basis([sparse[id(c)] for c in base],
+                                    [sparse[id(c)] for c in cands], p)
+    assert [id(c) for c in spanning] == [id(sparse[id(c)]) for c in greedy_extend([], base, p)]
     want = greedy_extend(base, cands, p)
-    assert [id(c) for c in got] == [id(c) for c in want]
+    assert [id(c) for c in got] == [id(sparse[id(c)]) for c in want]
 
 
 def unimodular_pair(rng, n):
@@ -244,7 +298,7 @@ def unimodular_pair(rng, n):
         P[i] = [x + c * y for x, y in zip(P[i], P[j])]
         for row in Q:
             row[j] -= c * row[i]
-    return la.from_rows(P), la.from_rows(Q)
+    return tuple(map(tuple, P)), tuple(map(tuple, Q))
 
 
 def standard_complex_data(rng, top=3):
@@ -263,7 +317,7 @@ def standard_complex_data(rng, top=3):
         src0 = out[n + 1] + free[n]
         for k in range(out[n]):
             d[k][src0 + k] = rng.choice((1, 1, 2, 3, 4, 6))
-        base[n] = la.from_rows(d)
+        base[n] = tuple(map(tuple, d))
     pairs = {n: unimodular_pair(rng, ranks[n]) for n in range(top + 1)}
     boundary = {n: mat_mul(mat_mul(pairs[n - 1][0], base[n]), pairs[n][1])
                 for n in range(1, top + 1) if ranks[n] and ranks[n - 1]}
@@ -293,8 +347,8 @@ def test_dd_check_matches_dense_product(seed, char, perturb):
         n = rng.choice(sorted(rows))
         i, j = rng.randrange(len(rows[n])), rng.randrange(len(rows[n][0]))
         rows[n][i][j] += rng.choice((-1, 1, char or 1))
-    boundary = {n: la.from_rows(r) for n, r in rows.items()}
-    want = dense_dd_degree(boundary, char)
+    want = dense_dd_degree(rows, char)
+    boundary = {n: columns(r) for n, r in rows.items()}
     if want is None:
         ChainComplex(char=char, ranks=ranks, boundary=boundary)
     else:
@@ -307,14 +361,15 @@ def test_dd_check_matches_dense_product(seed, char, perturb):
 def test_dd_check_square_zero_and_not(char):
     # over F_2 the pair (1 1) * (1 1)^T is zero, over Z and F_3 it is 2
     ranks = {0: 1, 1: 2, 2: 1}
-    boundary = {1: ((1, 1),), 2: ((1,), (1,))}
+    boundary = {1: columns(((1, 1),)), 2: columns(((1,), (1,)))}
     if char == 2:
         ChainComplex(char=char, ranks=ranks, boundary=boundary)
     else:
         with pytest.raises(ChainComplexError) as exc:
             ChainComplex(char=char, ranks=ranks, boundary=boundary)
         assert exc.value.degree == 2
-    ChainComplex(char=char, ranks=ranks, boundary={1: ((1, 1),), 2: ((1,), (-1,))})
+    ChainComplex(char=char, ranks=ranks,
+                 boundary={1: columns(((1, 1),)), 2: columns(((1,), (-1,)))})
 
 
 @settings(max_examples=60, deadline=None)
@@ -322,7 +377,8 @@ def test_dd_check_square_zero_and_not(char):
 def test_euler_characteristic_of_random_complexes(seed, p):
     rng = random.Random(seed)
     ranks, boundary, free = standard_complex_data(rng)
-    C = ChainComplex(char=0, ranks=ranks, boundary=boundary)
+    C = ChainComplex(char=0, ranks=ranks,
+                     boundary={n: columns(d) for n, d in boundary.items()})
     hz = homology(C)
     assert hz.euler_characteristic() == C.euler_characteristic()
     assert {n: hz.betti(n) for n in free} == free
@@ -338,8 +394,8 @@ def test_char_must_be_zero_or_prime(char):
 
 def test_char_p_entries_are_residues():
     # entries are stored in [0, p), whatever integers they were built from
-    C = ChainComplex(char=3, ranks={0: 1, 1: 2}, boundary={1: ((-1, 4),)})
-    assert C.d(1) == ((2, 1),)
+    C = ChainComplex(char=3, ranks={0: 1, 1: 2}, boundary={1: (((0, -1),), ((0, 4),))})
+    assert C.d(1) == (((0, 2),), ((0, 1),))
 
 
 @settings(max_examples=40, deadline=None)
@@ -348,33 +404,36 @@ def test_reduce_mod_stores_the_residues(seed, p):
     # the random complexes have negative entries and entries above p
     rng = random.Random(seed)
     ranks, boundary, _ = standard_complex_data(rng)
-    C = ChainComplex(char=0, ranks=ranks, boundary=boundary)
+    C = ChainComplex(char=0, ranks=ranks,
+                     boundary={n: columns(d) for n, d in boundary.items()})
     Cp = C.reduce_mod(p)
     assert Cp.boundary == ChainComplex(char=p, ranks=C.ranks,
                                        boundary=C.boundary).boundary
-    assert Cp.boundary == {n: mat_mod(d, p) for n, d in C.boundary.items()}
+    assert Cp.boundary == {n: columns(mat_mod(d, p)) for n, d in boundary.items()
+                           if n in C.boundary}
 
 
 def test_rref_rational_coordinates():
-    # coordinates of a right-hand side sit in the pivot rows of its column;
-    # a right-hand side outside the span becomes a pivot itself
-    red, piv = la.rref([[2, 0, 1], [0, 4, 2]], 0)
-    assert piv == [0, 1]
-    assert red == [[1, 0, Fraction(1, 2)], [0, 1, Fraction(1, 2)]]
-    assert la.rref([[0, 2, 1], [3, 1, 0]], 5) == ([[1, 0, 4], [0, 1, 3]], [0, 1])
-    assert la.rref([[1, 1, 0], [1, 1, 1]], 0)[1] == [0, 2]
+    # the null vector of a right-hand side holds minus its coordinates on
+    # the pivot columns before it, as in the rref; a right-hand side outside
+    # the span becomes a pivot itself and has none
+    half = Fraction(1, 2)
+    assert la.nullspace(columns([[2, 0, 1], [0, 4, 2]]), 0) == [
+        ((0, -half), (1, -half), (2, 1))]
+    assert la.nullspace(columns([[0, 2, 1], [3, 1, 0]]), 5) == [((0, 1), (1, 2), (2, 1))]
+    assert la.nullspace(columns([[1, 1, 0], [1, 1, 1]]), 0) == [((0, -1), (1, 1))]
 
 
 def test_extend_basis_reduces_once(monkeypatch):
     calls = []
-    real = la.rref
+    real = la.eliminate
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(la, "rref", counted)
-    base = [[1, 0, 0], [0, 1, 0]]
-    cands = [[1, 1, 0], [0, 0, 2], [1, 0, 1], [0, 0, 1]]
-    assert la.extend_basis(base, cands, 3) == (base, [[0, 0, 2]])
+    monkeypatch.setattr(la, "eliminate", counted)
+    base = list(columns(((1, 0), (0, 1), (0, 0))))
+    cands = list(columns(((1, 0, 1, 0), (1, 0, 0, 0), (0, 2, 1, 1))))
+    assert la.extend_basis(base, cands, 3) == (base, [((2, 2),)])
     assert len(calls) == 1

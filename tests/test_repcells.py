@@ -185,8 +185,7 @@ def test_induced_interior_cells_from_s3():
 def _sweep():
     """(group, H, V): every subgroup of C1-C4 and S3, trivial <= 2, sign <= 2
     when |H| = 2, and at most one rotation plane when H is cyclic, up to
-    dim V = 5.  The five dim-6 cases (two trivial, two sign and a rotation
-    plane) would take about 70 s more, nearly all of it in integral SNF."""
+    the five dim-6 cases (two trivial, two sign and a rotation plane)."""
     from equimorse.groups import enumerate_subgroups
 
     for G in [FiniteGroup.cyclic(n) for n in (1, 2, 3, 4)] + [FiniteGroup.symmetric(3)]:
@@ -196,9 +195,7 @@ def _sweep():
             for a in range(3):
                 for b in range(3 if H.order == 2 else 1):
                     for rot in ((), (1,)) if cyclic else ((),):
-                        V = RepSpec(trivial=a, sign=b, rotations=rot)
-                        if V.dim <= 5:
-                            yield G, H, V
+                        yield G, H, RepSpec(trivial=a, sign=b, rotations=rot)
 
 
 def _generates(G, m):
@@ -231,7 +228,7 @@ def test_pair_groups_match_subquotient_oracle(char):
             want = homology(subquotient_complex(X, A, B, char=char))
             assert got.entries == want.entries, (G.name, H.elements, V, theory)
         cases += 1
-    assert cases == 136
+    assert cases == 141
 
 
 def _joins():
