@@ -238,15 +238,16 @@ def gcw_from_cells(group: FiniteGroup, cells: dict[int, int],
             p = perms[s][n]
             if sorted(p) != list(range(count)):
                 raise ValueError(f"element {s} does not permute {n}-cells")
+    table = {s: {n: tuple(perms[s][n]) for n in cells} for s in group.elements()}
     for s in group.elements():
         for t in group.elements():
             st = group.mul[s][t]
-            for n, count in cells.items():
-                for i in range(count):
-                    if perms[s][n][perms[t][n][i]] != perms[st][n][i]:
-                        raise ValueError(
-                            f"cell action violates the group law on ({s},{t})"
-                        )
+            for n in cells:
+                # the composite s∘t, cell by cell
+                if tuple(map(table[s][n].__getitem__, table[t][n])) != table[st][n]:
+                    raise ValueError(
+                        f"cell action violates the group law on ({s},{t})"
+                    )
     for s in group.elements():
         for n in cells:
             if n - 1 not in cells:

@@ -12,8 +12,16 @@ rounds each num / den once.
 
 Sums combine numerators over the lcm of the denominators.  Every product is
 one call to _imul, the direct term-pair loop on the numerators, over the
-product of the denominators.  Taylor jets shift one variable at a time on
-the numerators, and a signed permutation substitutes by an exponent remap.
+product of the denominators.  A signed permutation substitutes by an
+exponent remap.
+
+The exact layer has one Taylor shift, _taylor_shift, on whole arrays
+converted from the numerators on each call (exponents in int64, numerators
+as Python ints in an object vector, so it stays exact): taylor_jet shifts
+a polynomial to its basepoint and truncates, and Jet.as_polynomial shifts
+a jet's terms back to -p.  transport_jet needs none: a linear substitution
+keeps degrees, so the jet's own terms under the inverse matrix are the
+transported jet.
 
 Exact jet interpolation multiplies no polynomials: _interp_ntt writes the
 whole interpolant sum_j R_j (1 - (1 - phi_j^k)^k) over one integer
@@ -25,11 +33,11 @@ one inverse transform per prime and one CRT (_crt) rebuild it; see von zur
 Gathen & Gerhard, Modern Computer Algebra, ch. 5 and 8.  The transform is
 cyclic, with a length and Kronecker strides (_transform_plan) that need
 only keep apart the monomials within the interpolant's total degree: the
-degree box's strides where they do, else a searched last stride.  numpy
-is imported only when an interpolant first takes the transform.  When the
-bound needs more primes than the table holds, or the degree box more than
-2^22 points, the kernel returns None and the interpolant is summed from
-expanded masks.
+degree box's strides where they do, else a searched last stride.  When
+the bound needs more primes than the table holds, or the degree box more
+than 2^22 points, the kernel returns None and the interpolant is summed
+from expanded masks.  numpy is imported inside the kernels, when one first
+runs, so importing the package does not import it.
 The bumps measure distance in a positive definite integer form Q: the
 standard one for jet_interpolate, and for a lift the invariant form of the
 action (LinearAction.form), so a lift takes any rational action.  It
@@ -574,61 +582,117 @@ class Jet:
         return f"Jet(at {self.basepoint}, order {self.order}, {len(self.terms)} terms)"
 
     def as_polynomial(self) -> Polynomial:
-        """The representative sum c_a (x - p)^a, expanded."""
-        n = self.nvars
-        total = Polynomial.zero(n)
-        for e, c in self.terms.items():
-            mono = Polynomial.constant(n, c)
-            for i, k in enumerate(e):
-                if k:
-                    xi = Polynomial.variable(n, i) - self.basepoint[i]
-                    mono = mono * xi**k
-            total = total + mono
-        return total
+        """The representative sum c_a (x - p)^a, expanded: the jet's own
+        terms shifted to -p by _taylor_shift.  A shift keeps total degree,
+        so its truncation at the jet's order drops nothing."""
+        rep = Polynomial(self.nvars, self.terms)
+        num, scale = _taylor_shift(rep.num, self.nvars,
+                                   [-x for x in self.basepoint], self.order)
+        return Polynomial._make(self.nvars, num, rep.den * scale)
+
+
+# packed exponent-row keys (_row_keys) stay below this, within int64
+_KEY_SPAN = 1 << 63
+
+
+def _row_keys(cols, count: int):
+    """One int64 key per row of the int64 exponent columns cols (count
+    rows), equal exactly for equal rows.
+
+    The key is a mixed-radix number with the columns' ranges as radices;
+    where the next radix would take it past _KEY_SPAN, the key so far is
+    replaced by its rank among the rows, which is below their count.
+    """
+    import numpy as np
+
+    key, span = np.zeros(count, np.int64), 1
+    for col in cols:
+        r = int(col.max()) + 1
+        if span * r > _KEY_SPAN:
+            key, span = np.unique(key, return_inverse=True)[1], count
+        key *= r
+        key += col
+        span *= r
+    return key
+
+
+def _taylor_shift(num: dict, n: int, point, k: int) -> tuple[dict, int]:
+    """The numerators num (exponent tuple -> int, n variables) of f shifted
+    to the rational point p and truncated: (out, scale) with
+    f(p + y) = sum_e out[e] y^e / scale modulo the monomials of total
+    degree >= k; out has no zero.
+
+    With p_i = u_i / v over one denominator v and D_i the largest exponent
+    of x_i, substituting x_i = p_i + y_i one variable at a time gives
+    x_i^a = v^-D_i sum_b C(a,b) u_i^(a-b) v^(D_i-a+b) y_i^b, so scale is
+    v^(D_1 + ... + D_n).  The terms are one int64 exponent matrix and one
+    object vector of numerators, and variable i is one pass over them.
+    The rows are sorted once by their other exponents (_row_keys), so rows
+    that can meet after the substitution are runs.  Each row with exponent
+    a pairs with every b <= a (only b = a when u_i = 0) below the room
+    k - (its shifted exponents so far); the pairs, b-major, gather their
+    numerators and their factors C(a,b) u_i^(a-b) v^(D_i-a+b) from one
+    table, are multiplied, and are summed over each run of one b by one
+    np.add.reduceat into rows with exponent i set to b.  The sums are
+    exact, so the sort need not be stable.  This is the Taylor shift of
+    von zur Gathen & Gerhard ("Fast algorithms for Taylor shifts and
+    certain difference equations", ISSAC 1997) as whole-array passes,
+    truncated by partial degree.
+    """
+    v = math.lcm(*(x.denominator for x in point))
+    us = [int(x * v) for x in point]
+    if not num or k < 1:
+        return {}, 1
+    import numpy as np
+
+    T = len(num)
+    E = np.fromiter(itertools.chain.from_iterable(num), np.int64, T * n).reshape(T, n)
+    C = np.fromiter(num.values(), object, T)
+    maxdeg = E.max(axis=0).tolist()
+    for i, (u, D) in enumerate(zip(us, maxdeg)):
+        key = _row_keys([E[:, m] for m in range(n) if m != i], len(E))
+        order = np.argsort(key)
+        E, C, key = E[order], C[order], key[order]
+        a, room = E[:, i], k - E[:, :i].sum(axis=1)
+        upows, vpows = [1], [1]
+        for _ in range(D):
+            upows.append(upows[-1] * u)
+            vpows.append(vpows[-1] * v)
+        width = min(D, k - 1) + 1
+        F = np.array([[math.comb(x, b) * upows[x - b] * vpows[D - x + b] if b <= x else 0
+                       for b in range(width)] for x in range(D + 1)], object)
+        # the (b, row) pairs in b-major order: b <= a and b < room, and
+        # b == a where u = 0; a run of one b and one key is one output row
+        B = np.arange(width)[:, None]
+        pair = B <= np.minimum(a, room - 1)
+        if not u:
+            pair &= B == a
+        bs, rows = np.nonzero(pair)
+        if not len(rows):
+            return {}, 1
+        ks = key[rows]
+        starts = np.flatnonzero(np.concatenate(
+            ([True], (ks[1:] != ks[:-1]) | (bs[1:] != bs[:-1]))))
+        C = np.add.reduceat(C[rows] * F[a[rows], bs], starts)
+        E = E[rows[starts]]
+        E[:, i] = bs[starts]
+    live = np.flatnonzero(C != 0)
+    return (dict(zip(map(tuple, E[live].tolist()), C[live].tolist())),
+            v ** sum(maxdeg))
 
 
 def taylor_jet(f: Polynomial, point, k: int) -> Jet:
     """The degree-k Taylor expansion of f about the point: f mod m_p^k.
 
     Coefficient of (x-p)^b is sum over terms a >= b of
-    f_a * prod binom(a_i, b_i) * p^(a-b), exactly.
-
-    The shift runs one variable at a time on the integer numerators of f,
-    so extracting jets from the large interpolation outputs stays fast.
+    f_a * prod binom(a_i, b_i) * p^(a-b), exactly: one _taylor_shift of
+    f's integer numerators, so extracting jets from the large
+    interpolation outputs stays fast.
     """
-    n = f.nvars
     p = [_coerce(x) for x in point]
-    v = math.lcm(*(x.denominator for x in p))
-    us = [int(x * v) for x in p]
-    terms = f.num
-    maxdeg = [max(col) for col in zip(*terms)] if terms else [0] * n
-    # with p_i = u_i / v, substitute x_i = p_i + y_i one variable at a time,
-    # x_i^a = v^-D_i * sum_b C(a,b) u_i^(a-b) v^(D_i-(a-b)) y_i^b for
-    # a <= D_i, and drop each b whose partial degree reaches k
-    for i in range(n):
-        u, D = us[i], maxdeg[i]
-        upows, vpows = [1], [1]
-        for _ in range(D):
-            upows.append(upows[-1] * u)
-            vpows.append(vpows[-1] * v)
-        factors = [
-            [(b, math.comb(a, b) * upows[a - b] * vpows[D - a + b])
-             for b in range(min(a, k - 1) + 1) if u or a == b]
-            for a in range(D + 1)
-        ]
-        out = {}
-        get = out.get
-        for e, c in terms.items():
-            room = k - sum(e[:i])
-            head, tail = e[:i], e[i + 1:]
-            for b, fac in factors[e[i]]:
-                if b >= room:
-                    break
-                key = head + (b,) + tail
-                out[key] = get(key, 0) + c * fac
-        terms = out
-    den = f.den * v ** sum(maxdeg)
-    return Jet(p, k, {e: Fraction(c, den) for e, c in terms.items() if c})
+    num, scale = _taylor_shift(f.num, f.nvars, p, k)
+    den = f.den * scale
+    return Jet(p, k, {e: Fraction(c, den) for e, c in num.items()})
 
 
 # -- bump interpolation ------------------------------------------------------
@@ -1177,13 +1241,17 @@ def equivariant_average(f: Polynomial, act: LinearAction) -> Polynomial:
 
 
 def transport_jet(jet: Jet, act: LinearAction, s: int) -> Jet:
-    """The jet of f∘s^{-1} at s·p, for f any representative of the jet at p:
-    substitute the inverse matrix into the representative and re-truncate."""
+    """The jet of f∘s^{-1} at s·p, for f any representative of the jet at p.
+
+    With f(x) = J(x - p) mod m_p^k, f(A_{s^-1} x) = J(A_{s^-1}(x - s·p)):
+    the jet's own terms J, substituted by the inverse matrix, are the
+    terms about s·p.  A linear substitution keeps every term's total
+    degree, so nothing needs truncating again.
+    """
     _need_exact(act)
-    G = act.group
-    rep = jet.as_polynomial()
-    moved = rep.substitute_linear(act.matrices[G.inverse[s]])
-    return taylor_jet(moved, act.apply(s, jet.basepoint), jet.order)
+    moved = Polynomial(jet.nvars, jet.terms).substitute_linear(
+        act.matrices[act.group.inverse[s]])
+    return Jet(act.apply(s, jet.basepoint), jet.order, moved.terms)
 
 
 def equivariant_jet_lift(point, jet: Jet, act: LinearAction, k: int) -> Polynomial:

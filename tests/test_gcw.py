@@ -232,3 +232,45 @@ def test_weyl_pair_on_dihedral_circle():
     assert groups_of(quot) == {0: (1, ()), 1: (1, ())}
     fixed_in_quot = homology(subquotient_complex(X, H3, K2))
     assert groups_of(fixed_in_quot) == {0: (2, ())}
+
+
+def _first_law_failure(G, cells, perms):
+    """The first (s, t), in the loop order of gcw_from_cells, whose
+    composite s∘t differs from st on some cell, checked cell by cell."""
+    for s in G.elements():
+        for t in G.elements():
+            st = G.mul[s][t]
+            for n, count in cells.items():
+                if any(perms[s][n][perms[t][n][i]] != perms[st][n][i]
+                       for i in range(count)):
+                    return s, t
+    return None
+
+
+def test_cell_action_group_law_names_the_first_failing_pair():
+    from itertools import permutations
+
+    from equimorse.gcw import gcw_from_cells
+
+    # C2 whose generator turns three loops at a fixed vertex a third of the
+    # way round: the law breaks on the one pair (1, 1), on the loops only
+    C2 = FiniteGroup.cyclic(2)
+    cells = {0: 1, 1: 3}
+    bnds = {0: [[]], 1: [[], [], []]}
+    perms = {0: {0: (0,), 1: (0, 1, 2)}, 1: {0: (0,), 1: (1, 2, 0)}}
+    assert _first_law_failure(C2, cells, perms) == (1, 1)
+    with pytest.raises(ValueError, match=r"violates the group law on \(1,1\)$"):
+        gcw_from_cells(C2, cells, bnds, perms)
+    # S3 permuting three points, with two elements' permutations swapped:
+    # the same first pair as the cell-by-cell check
+    S3 = FiniteGroup.symmetric(3)
+    perm = sorted(permutations(range(3)))
+    cells, bnds = {0: 3}, {0: [[], [], []]}
+    gcw_from_cells(S3, cells, bnds, {s: {0: perm[s]} for s in S3.elements()})
+    for a in range(1, 6):
+        for b in range(a + 1, 6):
+            table = {s: {0: perm[s]} for s in S3.elements()}
+            table[a], table[b] = table[b], table[a]
+            s, t = _first_law_failure(S3, cells, table)
+            with pytest.raises(ValueError, match=rf"group law on \({s},{t}\)$"):
+                gcw_from_cells(S3, cells, bnds, table)

@@ -7,7 +7,8 @@ from unittest import mock
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+import hypothesis
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from equimorse.groups import FiniteGroup
@@ -1041,3 +1042,159 @@ def test_equal_polynomials_from_different_routes(triple):
     assert hash(spread) == hash(a + b * Fraction(1, 18))
     from_sympy = Polynomial(a.nvars, _from_sympy(_to_sympy(a) * _to_sympy(b)))
     assert from_sympy == a * b and hash(from_sympy) == hash(a * b)
+
+
+# -- the Taylor-shift kernel against the per-term shift ------------------------
+
+
+def _taylor_reference(f, point, k):
+    """taylor_jet by the per-term shift: one variable at a time on the
+    numerators, a dict lookup, a tuple concatenation and a product per
+    (term, b) pair."""
+    n = f.nvars
+    p = [Fraction(x) for x in point]
+    v = math.lcm(*(x.denominator for x in p))
+    us = [int(x * v) for x in p]
+    terms = f.num
+    maxdeg = [max(col) for col in zip(*terms)] if terms else [0] * n
+    for i in range(n):
+        u, D = us[i], maxdeg[i]
+        upows, vpows = [1], [1]
+        for _ in range(D):
+            upows.append(upows[-1] * u)
+            vpows.append(vpows[-1] * v)
+        factors = [
+            [(b, math.comb(a, b) * upows[a - b] * vpows[D - a + b])
+             for b in range(min(a, k - 1) + 1) if u or a == b]
+            for a in range(D + 1)
+        ]
+        out = {}
+        for e, c in terms.items():
+            room = k - sum(e[:i])
+            head, tail = e[:i], e[i + 1:]
+            for b, fac in factors[e[i]]:
+                if b >= room:
+                    break
+                key = head + (b,) + tail
+                out[key] = out.get(key, 0) + c * fac
+        terms = out
+    den = f.den * v ** sum(maxdeg)
+    return Jet(p, k, {e: Fraction(c, den) for e, c in terms.items() if c})
+
+
+def _as_polynomial_reference(jet):
+    """sum c_a (x - p)^a expanded by Polynomial products."""
+    n = jet.nvars
+    total = Polynomial.zero(n)
+    for e, c in jet.terms.items():
+        mono = Polynomial.constant(n, c)
+        for i, k in enumerate(e):
+            if k:
+                mono = mono * (Polynomial.variable(n, i) - jet.basepoint[i]) ** k
+        total = total + mono
+    return total
+
+
+def _transport_reference(jet, act, s):
+    """transport_jet by the round trip: expand the representative,
+    substitute the inverse matrix, take the Taylor jet at s·p."""
+    moved = _as_polynomial_reference(jet).substitute_linear(
+        act.matrices[act.group.inverse[s]])
+    return _taylor_reference(moved, act.apply(s, jet.basepoint), jet.order)
+
+
+# zero, negative and fractional coordinates; coefficients past 2^300
+_COORD = st.one_of(st.just(Fraction(0)),
+                   st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7)))
+_COEFF = st.one_of(_FRAC, st.builds(Fraction, st.integers(-(2 ** 320), 2 ** 320),
+                                    st.integers(1, 9)))
+
+
+@st.composite
+def _shift_cases(draw):
+    # 1 to 5 variables (5 packs the widest row keys), k from 1 to 6, and
+    # partial degrees up to k + 2
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 6))
+    expo = st.tuples(*[st.integers(0, k + 2)] * n)
+    f = Polynomial(n, draw(st.dictionaries(expo, _COEFF, max_size=8)))
+    return f, tuple(draw(st.lists(_COORD, min_size=n, max_size=n))), k
+
+
+@hypothesis.seed(2030)
+@settings(max_examples=120, deadline=None)
+@given(_shift_cases())
+@example((Polynomial(3, {}), (Fraction(1, 2), Fraction(0), Fraction(-2)), 4))
+@example((Polynomial(2, {(0, 0): 2 ** 301 + 1}), (Fraction(-3, 5), Fraction(0)), 1))
+@example((Polynomial(5, {(6, 0, 7, 1, 0): Fraction(2 ** 310, 3), (0, 0, 0, 0, 0): -1,
+                         (2, 9, 0, 0, 6): 5}),
+          tuple(Fraction(c, 2) for c in (1, -3, 0, 5, -1)), 6))
+def test_taylor_shift_matches_the_per_term_shift(case):
+    f, p, k = case
+    got = taylor_jet(f, p, k)
+    assert got == _taylor_reference(f, p, k) == oracle_jet(f, p, k)
+
+
+def test_taylor_shift_row_keys_past_int64():
+    # off x0 the exponent ranges are 2^16 + 1, 2^16, 2^16 and 2^16, and two
+    # rows differ by 2^16 in x1 only: unranked, their packed keys would both
+    # wrap to the same int64 and the rows would merge (coordinates in
+    # {-1, 0, 1} keep the powers in the factor tables small)
+    from equimorse import polynomials as P
+
+    M = (1 << 16) - 1
+    f = Polynomial(5, {(0, 0, M, M, M): 3, (0, M + 1, M, M, M): -2,
+                       (1, 1, 0, 0, 2): 7, (0, 0, 0, 0, 0): 1})
+    assert (M + 2) * (M + 1) ** 3 > P._KEY_SPAN
+    for p in [(1, -1, 1, -1, 1), (-1, 1, 0, 1, -1)]:
+        assert taylor_jet(f, p, 3) == oracle_jet(f, p, 3)
+
+
+@pytest.mark.parametrize("span", [2, 64, 1 << 20])
+def test_taylor_shift_ranks_keys_at_any_span(span):
+    # a tiny key span ranks the key before every column: the same jets
+    from equimorse import polynomials as P
+
+    rng = random.Random(span)
+    with mock.patch.object(P, "_KEY_SPAN", span):
+        for n in (2, 3, 5):
+            f = random_poly(rng, n, 9, nterms=40)
+            for k in (1, 3, 6):
+                p = random_point(rng, n)
+                assert taylor_jet(f, p, k) == _taylor_reference(f, p, k)
+
+
+@st.composite
+def _jets(draw):
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(0, 5))
+    terms = draw(st.dictionaries(st.sampled_from(all_indices_below(n, k)), _COEFF,
+                                 max_size=10)) if k else {}
+    return Jet(tuple(draw(st.lists(_COORD, min_size=n, max_size=n))), k, terms)
+
+
+@hypothesis.seed(2031)
+@settings(max_examples=80, deadline=None)
+@given(_jets())
+def test_as_polynomial_matches_the_product_expansion(jet):
+    rep = jet.as_polynomial()
+    assert rep == _as_polynomial_reference(jet)
+    assert taylor_jet(rep, jet.basepoint, jet.order) == jet
+
+
+@pytest.mark.parametrize("act", [_SIGN, LinearAction.sign_c2(2), _S3, _C3],
+                         ids=["sign_c2", "sign_c2-dim2", "permutation_s3",
+                              "rational-c3"])
+def test_transport_jet_matches_the_round_trip(act):
+    # the transported terms are the jet's own terms under A_{s^-1}: the
+    # same jet as expanding, substituting and re-truncating, also for the
+    # non-orthogonal C3 in the basis [[0, -1], [1, -1]]
+    rng = random.Random(act.dim * 7 + act.group.order)
+    for k in range(1, 5):
+        for _ in range(3):
+            p = random_point(rng, act.dim)
+            jet = random_jet(rng, p, k)
+            for s in act.group.elements():
+                got = transport_jet(jet, act, s)
+                assert got == _transport_reference(jet, act, s)
+                assert got.basepoint == act.apply(s, p) and got.order == k
