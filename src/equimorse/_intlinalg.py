@@ -53,8 +53,32 @@ def product_is_zero(A, B, p: int = 0) -> bool:
     return True
 
 
+# Miller-Rabin to the prime bases up to 41 is exact below _MR_EXACT
+# (Sorenson & Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+    """Whether n is prime, exactly: a deterministic Miller-Rabin test below
+    _MR_EXACT, trial division above it."""
+    if n < 2 or any(n % a == 0 for a in _MR_BASES):
+        return n in _MR_BASES
+    if n >= _MR_EXACT:
+        return all(n % d for d in range(43, isqrt(n) + 1, 2))
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^r with d odd
+    d = (n - 1) >> r
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 # -- sparse elimination ------------------------------------------------------

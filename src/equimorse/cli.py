@@ -20,7 +20,7 @@ import argparse
 import sys
 
 from ._intlinalg import is_prime
-from .coefficients import SYSTEM_KINDS, build_system
+from .coefficients import SUBQUOTIENTS, SYSTEM_KINDS, build_system, subquotient
 from .complexes import homology
 from .errors import InputError
 from .fixtures import FixtureError, ManifoldFixture, load_fixture
@@ -74,12 +74,8 @@ def cmd_bredon(args) -> int:
             b, tors = h.group(n)
             rows.append(f"{kind},{n},{b},{';'.join(map(str, tors))}")
         # oracle comparison for the kinds with a subquotient counterpart
-        pair = {"singular": (trivial_subgroup(X.group), trivial_subgroup(X.group)),
-                "constant": (full_subgroup(X.group), trivial_subgroup(X.group)),
-                "quotient": (full_subgroup(X.group), trivial_subgroup(X.group)),
-                "fixed-point": (trivial_subgroup(X.group), full_subgroup(X.group))}
-        if kind in pair:
-            H, K = pair[kind]
+        if kind in SUBQUOTIENTS:
+            H, K = subquotient(kind, X.group)
             ho = homology(subquotient_complex(X, H, K, char=args.p))
             match = all(h.group(n) == ho.group(n)
                         for n in set(h.degrees()) | set(ho.degrees()))

@@ -32,9 +32,11 @@ __all__ = [
     "CoefficientSystem",
     "FreeModule",
     "InvalidSubgroup",
+    "SUBQUOTIENTS",
+    "SYSTEM_KINDS",
     "build_system",
     "induced_matrix",
-    "SYSTEM_KINDS",
+    "subquotient",
 ]
 
 SYSTEM_KINDS = (
@@ -45,6 +47,23 @@ SYSTEM_KINDS = (
     "quotient-rel-fixed",
     "general",
 )
+
+
+# kind -> (H, K) as functions of the group, for the kinds whose value at
+# G/L is H_0(((G/L)/H)^K); the cellular complexes (X/H)^K of the same pairs
+# are their oracles
+SUBQUOTIENTS = {
+    "constant": (full_subgroup, trivial_subgroup),
+    "quotient": (full_subgroup, trivial_subgroup),
+    "singular": (trivial_subgroup, trivial_subgroup),
+    "fixed-point": (trivial_subgroup, full_subgroup),
+}
+
+
+def subquotient(kind: str, G: FiniteGroup) -> tuple[Subgroup, Subgroup]:
+    """The subgroups (H, K) of G for a kind in SUBQUOTIENTS."""
+    H, K = SUBQUOTIENTS[kind]
+    return H(G), K(G)
 
 
 class InvalidSubgroup(ValueError):
@@ -142,10 +161,9 @@ def build_system(cat: OrbitCategory, kind: str, char: int = 0,
     of H; the other kinds ignore the parameters.
     """
     G = cat.group
-    e = trivial_subgroup(G)
-    full = full_subgroup(G)
     if kind not in SYSTEM_KINDS:
         raise ValueError(f"unknown system kind {kind!r}")
+    relative_fixed = kind == "quotient-rel-fixed"
     if kind == "general":
         if H is None or K is None:
             raise InvalidSubgroup("general kind needs subgroups H and K")
@@ -154,18 +172,11 @@ def build_system(cat: OrbitCategory, kind: str, char: int = 0,
         nset = set(normalizer(G, H).elements)
         if not set(K.elements) <= nset:
             raise InvalidSubgroup("K must normalize H to act on the H-quotient")
-        params = (H, K)
-    elif kind in ("constant", "quotient"):
-        params = (full, e)
-    elif kind == "singular":
-        params = (e, e)
-    elif kind == "fixed-point":
-        params = (e, full)
-    else:  # quotient-rel-fixed handled by its own value rule below
-        params = (full, e)
-
-    Hq, Kf = params
-    relative_fixed = kind == "quotient-rel-fixed"
+        Hq, Kf = H, K
+    else:
+        # quotient-rel-fixed takes the quotient's pair, with its own value
+        # rule below
+        Hq, Kf = subquotient("quotient" if relative_fixed else kind, G)
 
     values: dict = {}
     classes: dict = {}
@@ -174,7 +185,7 @@ def build_system(cat: OrbitCategory, kind: str, char: int = 0,
         if relative_fixed:
             # H_0 of (orbit)/G relative to the image of the G-fixed points:
             # rank 1 unless the orbit has a G-fixed point (only G/G does)
-            fixed_pts = _orbit_classes(G, L, e, full)
+            fixed_pts = _orbit_classes(G, L, *subquotient("fixed-point", G))
             cls = [] if fixed_pts else cls
         classes[L] = cls
         values[L] = FreeModule(char, len(cls), tuple(cls))

@@ -248,22 +248,23 @@ def gcw_from_cells(group: FiniteGroup, cells: dict[int, int],
                     raise ValueError(
                         f"cell action violates the group law on ({s},{t})"
                     )
+    # each cell's boundary as one face -> degree dict; s moves cell i's to
+    # {q[f]: d}, with no faces merged since q permutes them
+    reduced = {}
+    for n in cells:
+        if n - 1 in cells:
+            reduced[n] = []
+            for faces in boundaries[n]:
+                acc = {}
+                for face, deg in faces:
+                    acc[face] = acc.get(face, 0) + deg
+                reduced[n].append({f: d for f, d in acc.items() if d})
     for s in group.elements():
-        for n in cells:
-            if n - 1 not in cells:
-                continue
+        for n, red in reduced.items():
             p = perms[s][n]
             q = perms[s][n - 1]
             for i in range(cells[n]):
-                img = {}
-                for face, deg in boundaries[n][i]:
-                    img[q[face]] = img.get(q[face], 0) + deg
-                direct = {}
-                for face, deg in boundaries[n][p[i]]:
-                    direct[face] = direct.get(face, 0) + deg
-                img = {f: d for f, d in img.items() if d}
-                direct = {f: d for f, d in direct.items() if d}
-                if img != direct:
+                if {q[f]: d for f, d in red[i].items()} != red[p[i]]:
                     raise ValueError(
                         f"boundary not equivariant on {n}-cell {i} under {s}"
                     )

@@ -33,10 +33,11 @@ one inverse transform per prime and one CRT (_crt) rebuild it; see von zur
 Gathen & Gerhard, Modern Computer Algebra, ch. 5 and 8.  The transform is
 cyclic, with a length and Kronecker strides (_transform_plan) that need
 only keep apart the monomials within the interpolant's total degree: the
-degree box's strides where they do, else a searched last stride.  When
-the bound needs more primes than the table holds, or the degree box more
-than 2^22 points, the kernel returns None and the interpolant is summed
-from expanded masks.  numpy is imported inside the kernels, when one first
+degree box's strides where they do, else a searched last stride.  A
+transform of length 2^L needs primes p = 1 mod 2^L, which _ntt_primes
+finds for each length as the bound asks; it is the one interpolation path,
+and raises ValueError only where all such primes below 2^31 together cannot
+cover the bound.  numpy is imported inside the kernels, when one first
 runs, so importing the package does not import it.
 The bumps measure distance in a positive definite integer form Q: the
 standard one for jet_interpolate, and for a lift the invariant form of the
@@ -54,6 +55,7 @@ import numbers
 import operator
 from fractions import Fraction
 
+from ._intlinalg import is_prime
 from .groups import FiniteGroup, Subgroup, left_cosets
 
 __all__ = [
@@ -128,31 +130,38 @@ def _icontent_reduce(T: dict, den: int) -> tuple[dict, int]:
 
 # -- the number-theoretic transform -------------------------------------------
 
-# NTT primes p < 2^31 with 2^22 dividing p - 1, each with a primitive root,
-# largest first: about 905 bits of modulus, transforms up to 2^22 points
-_NTT_PRIMES = (
-    (2130706433, 3), (2113929217, 5), (2088763393, 5), (2025848833, 10),
-    (2013265921, 31), (1866465281, 3), (1811939329, 13), (1790967809, 13),
-    (1711276033, 29), (1572864001, 13), (1484783617, 5), (1438646273, 3),
-    (1321205761, 11), (1300234241, 3), (1224736769, 3), (1212153857, 3),
-    (1161822209, 3), (1107296257, 10), (998244353, 3), (985661441, 3),
-    (943718401, 7), (935329793, 3), (918552577, 5), (897581057, 3),
-    (880803841, 26), (754974721, 11), (683671553, 3), (666894337, 5),
-    (645922817, 3), (595591169, 3),
-)
-_NTT_MAX_LOG = 22
+# transform length -> [the (p, g) found so far, the next candidate p]
+_NTT_FOUND: dict = {}
 
 
-def _ntt_primes_for(bound: int) -> list:
-    """The fewest leading NTT primes whose product exceeds bound, or None
-    when all of them together do not."""
-    primes, M = [], 1
-    for p, g in _NTT_PRIMES:
-        primes.append((p, g))
-        M *= p
+def _ntt_primes(size: int, bound: int) -> list:
+    """The fewest primes p < 2^31 with size | p - 1, largest first, whose
+    product exceeds bound, each as (p, g) with g its smallest quadratic
+    non-residue, so that g^((p-1)/size) has order exactly size (size a power
+    of two).  The search steps down from the largest candidate and keeps
+    what it finds per length.  Raises ValueError when all such primes
+    together do not exceed bound."""
+    found = _NTT_FOUND.setdefault(size, [[], (2**31 - 2) // size * size + 1])
+    primes, M = found[0], 1
+    for i in itertools.count():
+        if i == len(primes):
+            p = found[1]
+            while p > 1 and not is_prime(p):
+                p -= size
+            if p <= 1:
+                found[1] = p
+                raise ValueError(
+                    f"the primes below 2^31 for a {size}-point transform "
+                    f"give {M.bit_length()} bits of modulus, short of the "
+                    f"{bound.bit_length()} bits the coefficients need")
+            g = 2
+            while pow(g, (p - 1) // 2, p) != p - 1:
+                g += 1
+            primes.append((p, g))
+            found[1] = p - size
+        M *= primes[i][0]
         if M > bound:
-            return primes
-    return None
+            return primes[:i + 1]
 
 
 def _ntt_roots(p: int, w: int, n: int):
@@ -527,22 +536,6 @@ def _squares(Q, n: int) -> list:
     return [(idx, w) for idx, w in out if w]
 
 
-def _form_value(squares, x) -> Fraction:
-    """|x|_Q^2 for the form given by its squares."""
-    return sum((w * sum(x[m] for m in idx) ** 2 for idx, w in squares),
-               Fraction(0))
-
-
-def _form_poly(nvars: int, center, squares) -> Polynomial:
-    """|x - center|_Q^2 as a polynomial, for the form given by its squares."""
-    total = Polynomial.zero(nvars)
-    for idx, w in squares:
-        lin = sum((Polynomial.variable(nvars, m) - center[m] for m in idx),
-                  Polynomial.zero(nvars))
-        total = total + lin * lin * w
-    return total
-
-
 # -- jets -------------------------------------------------------------------
 
 
@@ -632,11 +625,12 @@ def _taylor_shift(num: dict, n: int, point, k: int) -> tuple[dict, int]:
     a pairs with every b <= a (only b = a when u_i = 0) below the room
     k - (its shifted exponents so far); the pairs, b-major, gather their
     numerators and their factors C(a,b) u_i^(a-b) v^(D_i-a+b) from one
-    table, are multiplied, and are summed over each run of one b by one
-    np.add.reduceat into rows with exponent i set to b.  The sums are
-    exact, so the sort need not be stable.  This is the Taylor shift of
-    von zur Gathen & Gerhard ("Fast algorithms for Taylor shifts and
-    certain difference equations", ISSAC 1997) as whole-array passes,
+    table with a row per exponent a present (so a sparse term of high
+    degree costs one row), are multiplied, and are summed over each run of
+    one b by one np.add.reduceat into rows with exponent i set to b.  The
+    sums are exact, so the sort need not be stable.  This is the Taylor
+    shift of von zur Gathen & Gerhard ("Fast algorithms for Taylor shifts
+    and certain difference equations", ISSAC 1997) as whole-array passes,
     truncated by partial degree.
     """
     v = math.lcm(*(x.denominator for x in point))
@@ -654,13 +648,11 @@ def _taylor_shift(num: dict, n: int, point, k: int) -> tuple[dict, int]:
         order = np.argsort(key)
         E, C, key = E[order], C[order], key[order]
         a, room = E[:, i], k - E[:, :i].sum(axis=1)
-        upows, vpows = [1], [1]
-        for _ in range(D):
-            upows.append(upows[-1] * u)
-            vpows.append(vpows[-1] * v)
         width = min(D, k - 1) + 1
-        F = np.array([[math.comb(x, b) * upows[x - b] * vpows[D - x + b] if b <= x else 0
-                       for b in range(width)] for x in range(D + 1)], object)
+        # one factor row per exponent present; row r's is F[arow[r]]
+        present, arow = np.unique(a, return_inverse=True)
+        F = np.array([[math.comb(x, b) * u ** (x - b) * v ** (D - x + b) if b <= x else 0
+                       for b in range(width)] for x in present.tolist()], object)
         # the (b, row) pairs in b-major order: b <= a and b < room, and
         # b == a where u = 0; a run of one b and one key is one output row
         B = np.arange(width)[:, None]
@@ -673,7 +665,7 @@ def _taylor_shift(num: dict, n: int, point, k: int) -> tuple[dict, int]:
         ks = key[rows]
         starts = np.flatnonzero(np.concatenate(
             ([True], (ks[1:] != ks[:-1]) | (bs[1:] != bs[:-1]))))
-        C = np.add.reduceat(C[rows] * F[a[rows], bs], starts)
+        C = np.add.reduceat(C[rows] * F[arow[rows], bs], starts)
         E = E[rows[starts]]
         E[:, i] = bs[starts]
     live = np.flatnonzero(C != 0)
@@ -713,27 +705,14 @@ def bump_poly(points, j: int) -> Polynomial:
     Equal to 1 at p_j, 0 at every other p_i, of degree exactly 2(d-1).
     """
     pts = _check_distinct(points)
-    return _bump(pts, j, _squares(None, len(pts[0])))
-
-
-def _bump(pts, j: int, squares) -> Polynomial:
-    """bump_poly at distinct exact points with |.|_Q in place of ||.||, Q
-    given by its squares (see _squares)."""
     n = len(pts[0])
+    xs = [Polynomial.variable(n, m) for m in range(n)]
     out = Polynomial.constant(n, 1)
     for i, p in enumerate(pts):
-        if i == j:
-            continue
-        denom = _form_value(squares, [a - b for a, b in zip(pts[j], p)])
-        out = out * _form_poly(n, p, squares) * (1 / denom)
+        if i != j:
+            dist = sum(((x - c) * (x - c) for x, c in zip(xs, p)), Polynomial.zero(n))
+            out = out * dist * (1 / sum((a - c) ** 2 for a, c in zip(pts[j], p)))
     return out
-
-
-def _mask(pts, j: int, k: int, squares) -> Polynomial:
-    """1 - (1 - phi_j^k)^k: congruent to 1 mod m_{p_j}^k, and to 0 mod
-    m_{p_i}^k at every other point, where phi_j^k vanishes to order 2k."""
-    one = Polynomial.constant(len(pts[0]), 1)
-    return one - (one - _bump(pts, j, squares) ** k) ** k
 
 
 def _kept_slots(rad, top):
@@ -833,7 +812,7 @@ def _transform_plan(rad: tuple, top: int) -> tuple:
         size *= 2
 
 
-def _interp_ntt(points, reps, k: int, Q=None) -> Polynomial | None:
+def _interp_ntt(points, reps, k: int, Q=None) -> Polynomial:
     """sum_j reps[j] * (1 - (1 - phi_j^k)^k), the bumps phi_j measured in the
     integer form Q (None: the standard one), evaluated in the transform
     domain.
@@ -854,12 +833,13 @@ def _interp_ntt(points, reps, k: int, Q=None) -> Polynomial | None:
     _transform_plan picks the length and the strides, the last one packed
     by total degree where the box strides collide, and each kept slot is
     read at its index sum_m strides[m] e_m mod the length.
-    One CRT over the fewest primes whose product exceeds twice the bound
+    One CRT over the fewest primes for that length (_ntt_primes) whose
+    product exceeds twice the bound
     sum_j w_j |R_j|_1 (u_j^(k^2) + (u_j^k + |Psi_j|_1^k)^k) on the
     coefficients of F rebuilds it (|.|_1 is the sum of absolute values of
     the coefficients, and |Q_i|_1 <= sum_r |w_r| (b_i |I_r| + |L_r(a_i)|)^2).
-    Returns None when that needs more primes, or a longer transform, than
-    the table provides.
+    Raises ValueError, before any transform, when all the primes below
+    2^31 for the length do not cover that bound.
     """
     n, d, kk = len(points[0]), len(points), k * k
     squares = _squares(Q, n)
@@ -872,7 +852,9 @@ def _interp_ntt(points, reps, k: int, Q=None) -> Polynomial | None:
     u, v, psi_norm = [], [], []
     for j, p in enumerate(points):
         others = [i for i in range(d) if i != j]
-        c = math.prod((_form_value(squares, [b[i] * x - ai for x, ai in zip(p, a[i])])
+        # Q_i(p_j) = sum_r w_r (b_i L_r(p_j) - L_r(a_i))^2
+        lp = [sum(p[m] for m in idx) for idx, _ in squares]
+        c = math.prod((sum(w * (b[i] * x - y) ** 2 for (_, w), x, y in zip(squares, lp, la[i]))
                        for i in others), start=Fraction(1))
         u.append(c.numerator)
         v.append(c.denominator)
@@ -884,18 +866,15 @@ def _interp_ntt(points, reps, k: int, Q=None) -> Polynomial | None:
     w = {j: L // (reps[j].den * u[j] ** kk) for j in live}
     bound = sum(w[j] * sum(map(abs, reps[j].num.values()))
                 * (u[j] ** kk + (u[j] ** k + psi_norm[j] ** k) ** k) for j in live)
-    primes = _ntt_primes_for(2 * bound)
     rdeg = [max(e[m] for j in live for e in reps[j].num) for m in range(n)]
     rad = [2 * (d - 1) * kk + r + 1 for r in rdeg]
-    nslots = math.prod(rad)
-    if primes is None or nslots > 1 << _NTT_MAX_LOG:
-        return None
-    import numpy as np
-
     # only slots within the total degree of F can be nonzero, and the
     # transform need only keep those apart (see _transform_plan)
     top = 2 * (d - 1) * kk + max(sum(e) for j in live for e in reps[j].num)
     size, strides = _transform_plan(tuple(rad), top)
+    primes = _ntt_primes(size, 2 * bound)
+    import numpy as np
+
     keep, cols = _kept_slots(rad, top)
     slots = _slot_map(cols, strides, size)
     del cols
@@ -1017,31 +996,18 @@ def _interp_ntt(points, reps, k: int, Q=None) -> Polynomial | None:
     return Polynomial._make(n, _crt(residues, primes, keep, rad), L)
 
 
-def _interpolate(pts, reps, k: int, Q=None) -> Polynomial:
-    """sum_j reps[j] * _mask(pts, j, k) with the bumps measured in the
-    integer form Q (None: the standard one): through _interp_ntt when the
-    kernel takes the case, else as a Polynomial sum."""
-    out = _interp_ntt(pts, reps, k, Q)
-    if out is not None:
-        return out
-    squares = _squares(Q, len(pts[0]))
-    total = Polynomial.zero(len(pts[0]))
-    for j, rep in enumerate(reps):
-        total = total + rep * _mask(pts, j, k, squares)
-    return total
-
-
 def jet_interpolate(points, jets, k: int) -> Polynomial:
     """One polynomial whose degree-k Taylor expansion at each p_j matches the
     given jet there: f = sum_j f_j * (1 - (1 - phi_j^k)^k).
 
-    Degree is at most (2d-2)k^2 + (k-1) for d points.  The sum goes
-    through the transform-domain kernel _interp_ntt: one transform pass and
-    one CRT for the whole sum, with the prime count taken from a bound on
-    its coefficients.  A case past the kernel's prime table or transform
-    length (where it returns None) sums each jet's representative times its
-    expanded mask in Polynomial arithmetic.  Points and jets are exact (a
-    float coordinate is the binary rational it denotes).
+    The mask 1 - (1 - phi_j^k)^k is congruent to 1 mod m_{p_j}^k and to 0
+    mod m_{p_i}^k at every other point, where phi_j^k vanishes to order 2k.
+    Degree is at most (2d-2)k^2 + (k-1) for d points.  The sum is one call
+    to the transform-domain kernel _interp_ntt: one transform pass and one
+    CRT for the whole sum, over primes found for the transform's length
+    from a bound on its coefficients.  It raises ValueError where the
+    primes below 2^31 for that length cannot cover the bound.  Points and
+    jets are exact (a float coordinate is the binary rational it denotes).
     """
     pts = _check_distinct(points)
     if len(jets) != len(pts):
@@ -1056,7 +1022,7 @@ def jet_interpolate(points, jets, k: int) -> Polynomial:
         return Polynomial.zero(n)
     if len(pts) == 1:
         return jets[0].as_polynomial()
-    return _interpolate(pts, [jet.as_polynomial() for jet in jets], k)
+    return _interp_ntt(pts, [jet.as_polynomial() for jet in jets], k)
 
 
 # -- linear actions ----------------------------------------------------------
@@ -1266,7 +1232,7 @@ def equivariant_jet_lift(point, jet: Jet, act: LinearAction, k: int) -> Polynomi
     and the mask at p_j composed with A_s is the mask at s^{-1}·p_j.  So the
     average of the interpolant of the transported jets is the interpolant
     of the averaged representatives R̄_j = (1/|G|) sum_s R_{s·p_j} ∘ A_s:
-    the small representatives are averaged, and one _interpolate call (see
+    the small representatives are averaged, and one _interp_ntt call (see
     jet_interpolate) builds the lift.  For an orthogonal action Q is the
     identity, and the masks are jet_interpolate's.
     """
@@ -1300,4 +1266,4 @@ def equivariant_jet_lift(point, jet: Jet, act: LinearAction, k: int) -> Polynomi
     if len(avg) == 1:
         return avg[0]
     pts = _check_distinct([act.apply(sj, pt) for sj in heads])
-    return _interpolate(pts, avg, k, act.form)
+    return _interp_ntt(pts, avg, k, act.form)

@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ._intlinalg import is_prime
+from .coefficients import subquotient
 from .complexes import ChainComplex, homology
 from .errors import InputError
 from .gcw import GCWComplex, subquotient_complex
-from .groups import full_subgroup, trivial_subgroup
 
 __all__ = ["NotAPGroup", "SmithReport", "smith_report"]
 
@@ -96,9 +96,8 @@ def smith_report(X, p: int) -> SmithReport:
         G = X.group
         if not _is_prime_power(G.order, p):
             raise NotAPGroup(f"group order {G.order} is not a power of {p}")
-        e = trivial_subgroup(G)
-        total_c = subquotient_complex(X, e, e, char=p)
-        fixed_c = subquotient_complex(X, e, full_subgroup(G), char=p)
+        total_c = subquotient_complex(X, *subquotient("singular", G), char=p)
+        fixed_c = subquotient_complex(X, *subquotient("fixed-point", G), char=p)
     else:
         total_c, fixed_c = X
     dims_total = _dims(total_c, p)

@@ -294,6 +294,15 @@ def test_characteristic_neither_zero_nor_prime_is_an_error_exit(
     assert captured.err.startswith("error: ") and f"--p {p}" in captured.err
 
 
+def test_bredon_at_a_large_prime():
+    # an 18-digit characteristic is checked by Miller-Rabin, not in
+    # isqrt(p) trial divisions
+    code, out = run_cli(["bredon", str(FIXDIR / "point_c2.json"),
+                         "--p", "1000000000000000003"])
+    assert code == 0
+    assert "F1000000000000000003" in out and "MISMATCH" not in out
+
+
 def test_cells_command_matches_table():
     code, out = run_cli(["cells", "--cell", "interior", "--index", "2",
                          "--theory", "all"])

@@ -437,3 +437,34 @@ def test_extend_basis_reduces_once(monkeypatch):
     cands = list(columns(((1, 0, 1, 0), (1, 0, 0, 0), (0, 2, 1, 1))))
     assert la.extend_basis(base, cands, 3) == (base, [((2, 2),)])
     assert len(calls) == 1
+
+
+def test_is_prime_matches_a_sieve_below_1e5():
+    N = 10**5
+    sieve = bytearray([1]) * N
+    sieve[0] = sieve[1] = 0
+    for i in range(2, int(N ** 0.5) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, N, i)))
+    assert [n for n in range(N) if la.is_prime(n)] == [n for n in range(N) if sieve[n]]
+
+
+@pytest.mark.parametrize("bits", [64, 80])
+def test_is_prime_matches_sympy_on_seeded_samples(bits):
+    # odd samples, about one in 22 of them prime, and products of two
+    # primes of half the size, the composites a weak test would pass
+    import sympy
+
+    rng = random.Random(bits)
+    samples = [rng.getrandbits(bits) | 1 for _ in range(1500)]
+    samples += [sympy.nextprime(rng.getrandbits(bits // 2))
+                * sympy.nextprime(rng.getrandbits(bits // 2)) for _ in range(100)]
+    assert [la.is_prime(n) for n in samples] == [sympy.isprime(n) for n in samples]
+
+
+@pytest.mark.parametrize("n", [3215031751, 3825123056546413051,
+                               318665857834031151167461])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    # strong pseudoprimes to the prime bases up to 7, 23 and 37: the bases
+    # up to 41 expose each
+    assert not la.is_prime(n)

@@ -142,6 +142,18 @@ def _random_int_terms(rng, nvars, maxdeg, nterms, bits):
     return terms
 
 
+def _leading_primes(rad, count):
+    """The first count primes the per-length chooser gives for the transform
+    length of the degree box of radices rad."""
+    from equimorse import polynomials as P
+
+    size = 1 << (math.prod(rad) - 1).bit_length()
+    primes = P._ntt_primes(size, 1)
+    while len(primes) < count:
+        primes = P._ntt_primes(size, math.prod(p for p, _ in primes))
+    return primes
+
+
 def _crt_of(terms, rad, primes):
     """_crt over every slot of the degree box of radices rad, from the
     residues of the integer coefficients terms (absent slots are zero)."""
@@ -161,16 +173,16 @@ def test_ntt_kernel_cancelling_slots():
     # (x + y)(x - y) = x^2 - y^2: the xy slot cancels and must not appear
     prod = P._imul({(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): -1})
     assert prod == {(2, 0): 1, (0, 2): -1}
-    assert _crt_of(prod, [3, 3], P._NTT_PRIMES[:1]) == prod
+    assert _crt_of(prod, [3, 3], _leading_primes([3, 3], 1)) == prod
     # (1 + x)(1 - x + x^2 - ... + x^20) = 1 + x^21, cancelling 20 big slots
     big = 2**150
     a = {(0,): big, (1,): big}
     b = {(i,): (-1) ** i * 3 for i in range(21)}
     prod = P._imul(a, b)
     assert prod == {(0,): 3 * big, (21,): 3 * big}
-    assert _crt_of(prod, [22], P._ntt_primes_for(2 * 3 * big)) == prod
+    assert _crt_of(prod, [22], P._ntt_primes(32, 2 * 3 * big)) == prod
     # a coefficient divisible by some of the primes is still kept
-    primes = P._NTT_PRIMES[:3]
+    primes = _leading_primes([4], 3)
     kept = {(0,): primes[0][0], (1,): -primes[0][0] * primes[1][0], (3,): 1}
     assert _crt_of(kept, [4], primes) == kept
     rng = random.Random(9)
@@ -181,7 +193,7 @@ def test_ntt_kernel_cancelling_slots():
          **{e: -c for e, c in f.items()}}
     prod = P._imul(h, g)
     bound = 2 * max(map(abs, prod.values()))
-    assert _crt_of(prod, [7, 7, 11], P._ntt_primes_for(bound)) == prod
+    assert _crt_of(prod, [7, 7, 11], P._ntt_primes(1024, bound)) == prod
 
 
 @pytest.mark.parametrize("nprimes", [1, 2, 3])
@@ -192,14 +204,14 @@ def test_ntt_kernel_at_prime_count_step(nprimes):
     # sign, the largest product coefficient ma * mb * L among them
     from equimorse import polynomials as P
 
-    primes = P._NTT_PRIMES[:nprimes]
-    M = math.prod(p for p, _ in primes)
     L = 4
+    primes = _leading_primes([2 * L - 1], nprimes)
+    M = math.prod(p for p, _ in primes)
     ma = math.isqrt((M - 1) // (2 * L))
     mb = (M - 1) // (2 * L * ma)
     assert 2 * ma * mb * L < M <= 2 * ma * (mb + 1) * L
-    assert len(P._ntt_primes_for(2 * ma * mb * L)) == nprimes
-    assert len(P._ntt_primes_for(2 * ma * (mb + 1) * L)) == nprimes + 1
+    assert len(P._ntt_primes(8, 2 * ma * mb * L)) == nprimes
+    assert len(P._ntt_primes(8, 2 * ma * (mb + 1) * L)) == nprimes + 1
     for sign in (1, -1):
         a = {(i,): sign * ma for i in range(L)}
         b = {(i,): mb for i in range(L)}
@@ -213,10 +225,18 @@ def test_ntt_kernel_at_prime_count_step(nprimes):
     assert _crt_of({(0,): half + 1}, [1], primes) == {(0,): -half}
 
 
-def test_ntt_prime_table():
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 22), st.integers(1, 1100))
+def test_ntt_prime_table(log, bits):
+    # the per-length chooser at every length up to 2^22 and bounds within
+    # the 1,181 bits its primes cover at 2^22: the fewest primes, largest
+    # first, of all p < 2^31 with size | p - 1, each with a non-residue g,
+    # so g^((p-1)/size) has order exactly size
     from equimorse import polynomials as P
 
     def is_prime(p):  # Miller-Rabin, deterministic below 3.2e9 with these bases
+        if p < 11:
+            return p in (2, 3, 5, 7)
         d, r = p - 1, 0
         while d % 2 == 0:
             d, r = d // 2, r + 1
@@ -232,13 +252,19 @@ def test_ntt_prime_table():
                 return False
         return True
 
-    top = 1 << P._NTT_MAX_LOG
-    for p, g in P._NTT_PRIMES:
-        assert p < 2**31 and (p - 1) % top == 0 and is_prime(p)
-        # g^((p-1)/top) has order exactly top
+    size, bound = 1 << log, 1 << bits
+    primes = P._ntt_primes(size, bound)
+    ps = [p for p, _ in primes]
+    assert math.prod(ps[:-1]) <= bound < math.prod(ps)
+    assert all(a > b for a, b in zip(ps, ps[1:]))
+    # every candidate from the largest down to the last prime taken is
+    # taken exactly when it is prime
+    top = (2**31 - 2) // size * size + 1
+    assert [c for c in range(top, ps[-1] - 1, -size) if is_prime(c)] == ps
+    for p, g in primes:
+        assert p < 2**31 and (p - 1) % size == 0
         assert pow(g, (p - 1) // 2, p) == p - 1
-        assert pow(pow(g, (p - 1) // top, p), top // 2, p) == p - 1
-    assert len({p for p, _ in P._NTT_PRIMES}) == len(P._NTT_PRIMES)
+        assert pow(pow(g, (p - 1) // size, p), size // 2, p) == p - 1
 
 
 def test_substitute_linear_permutation():
@@ -410,9 +436,10 @@ def _mask_sum(pts, reps, k, Q=None):
 
 
 def test_interp_kernel_past_the_prime_table():
-    # two points on a line at high k: the bound on the mask numerators needs
-    # more than the table's 905 bits of primes, so the kernel declines and
-    # jet_interpolate sums the expanded masks instead
+    # two points on a line at high k: the bound on the mask numerators has
+    # 1,029 bits, past the 905 of the 30 largest primes p = 1 mod 2^22; the
+    # chooser finds the 34 it needs among p = 1 mod 2^10 for the
+    # 1,024-point transform, and the kernel takes the case
     from equimorse import polynomials as P
 
     pts = [(Fraction(0),), (Fraction(3),)]
@@ -420,11 +447,40 @@ def test_interp_kernel_past_the_prime_table():
     jets = [Jet(pts[0], k, {(0,): 2, (3,): Fraction(-1, 3)}),
             Jet(pts[1], k, {(0,): Fraction(5, 2), (1,): 1})]
     reps = [jet.as_polynomial() for jet in jets]
-    assert P._interp_ntt(pts, reps, k) is None
+    real, taken = P._crt, []
+
+    def spy(residues, primes, *rest):
+        taken.append(len(primes))
+        return real(residues, primes, *rest)
+
+    with mock.patch.object(P, "_crt", spy):
+        got, lengths = _transform_lengths(P._interp_ntt, pts, reps, k)
+    assert lengths == {1 << 10} and taken == [34]
     f = jet_interpolate(pts, jets, k)
-    assert f == _mask_sum(pts, reps, k)
+    assert got == f == _mask_sum(pts, reps, k)
     for p, jet in zip(pts, jets):
         assert taylor_jet(f, p, k) == jet
+
+
+def test_interp_kernel_refuses_a_bound_past_its_primes():
+    # two points on a line at k = 1025: 2,101,251 box slots take a 2^22-point
+    # transform, whose 40 primes below 2^31 give 1,182 bits of modulus
+    # against a bound of about 2.1 million bits; the kernel says so before
+    # any transform runs
+    from equimorse import polynomials as P
+
+    pts = [(Fraction(0),), (Fraction(1),)]
+    jets = [Jet(pts[0], 1, {(0,): 1}), Jet(pts[1], 1, {(0,): 2})]
+    lengths = set()
+    with mock.patch.object(P, "_ntt_stages", lambda a, *rest: lengths.add(len(a))):
+        with pytest.raises(ValueError, match="4194304-point transform give 1182 bits"):
+            jet_interpolate(pts, jets, 1025)
+    assert not lengths
+    primes = P._ntt_primes(1 << 22, 1 << 1180)
+    M = math.prod(p for p, _ in primes)
+    assert len(primes) == 40 and M.bit_length() == 1182
+    with pytest.raises(ValueError, match="give 1182 bits of modulus, short of the 1182"):
+        P._ntt_primes(1 << 22, M)
 
 
 def test_exact_interpolation_runs_one_crt():
@@ -658,24 +714,23 @@ def test_lift_under_non_orthogonal_rational_actions(act, k):
     # equals the expanded mask sum in that form
     assert len(calls) == 2
     for (pts, reps, kk, Q), out in calls:
-        assert Q == act.form and out is not None
+        assert Q == act.form and isinstance(out, Polynomial)
         assert out == _mask_sum(pts, reps, kk, Q)
 
 
 def test_lift_at_the_c3_point_of_the_rational_rotation():
-    # the point (1/2, -1/4) at k = 2, once through the kernel and once
-    # through the library's expanded masks in the form Q (the kernel
-    # declining): the same exact lift
-    from equimorse import polynomials as P
-
+    # the point (1/2, -1/4) at k = 2: the kernel's lift equals the average of
+    # the expanded mask sum, in the action's form Q, of the transported jets
     p = (Fraction(1, 2), Fraction(-1, 4))
     jet = Jet(p, 2, {(0, 0): 3, (1, 0): Fraction(-1, 2), (0, 1): 2})
     f = equivariant_jet_lift(p, jet, _C3, 2)
-    with mock.patch.object(P, "_interp_ntt", lambda *args: None):
-        assert equivariant_jet_lift(p, jet, _C3, 2) == f
+    orbit = _C3.orbit(p)
+    reps = [transport_jet(jet, _C3, s).as_polynomial() for s, _ in orbit]
+    masks = _mask_sum([q for _, q in orbit], reps, 2, _C3.form)
+    assert f == equivariant_average(masks, _C3)
     assert all(f.substitute_linear(A) == f for A in _C3.matrices)
-    assert [taylor_jet(f, q, 2) for _, q in _C3.orbit(p)] == [
-        transport_jet(jet, _C3, s) for s, _ in _C3.orbit(p)]
+    assert [taylor_jet(f, q, 2) for _, q in orbit] == [
+        transport_jet(jet, _C3, s) for s, _ in orbit]
 
 
 # -- linear actions -----------------------------------------------------------
@@ -1148,6 +1203,23 @@ def test_taylor_shift_row_keys_past_int64():
     assert (M + 2) * (M + 1) ** 3 > P._KEY_SPAN
     for p in [(1, -1, 1, -1, 1), (-1, 1, 0, 1, -1)]:
         assert taylor_jet(f, p, 3) == oracle_jet(f, p, 3)
+
+
+def test_taylor_shift_of_a_sparse_high_power():
+    # x^65536 at 2 to order 3 is sum_b C(65536, b) 2^(65536 - b) y^b; the
+    # peak stays small only when the factor table has a row for the one
+    # exponent present, not for every exponent up to 65536
+    import tracemalloc
+
+    f = Polynomial(1, {(65536,): 1})
+    tracemalloc.start()
+    try:
+        jet = taylor_jet(f, (2,), 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert jet.terms == {(b,): math.comb(65536, b) * 2 ** (65536 - b) for b in range(3)}
+    assert peak < 10 * 2**20
 
 
 @pytest.mark.parametrize("span", [2, 64, 1 << 20])
