@@ -6,14 +6,16 @@ A file carries the group as an explicit multiplication table plus either a
 G-CW description (cell orbits with stabilizers and boundary records) or a
 manifold description (constraints, action matrices, function, seeds, and
 the exact Morse charts and sphere data where surgery applies).  Matrix
-entries are [num, den] pairs when exact and plain floats otherwise (a float
-action is Morse-layer geometry).  A polynomial is a list of
-Polynomial.from_records triples [exponents, num, den]; den 0 marks a float,
-read as the binary rational it denotes.  A manifold's action must preserve
-its constraints, and its function must be invariant under the action: at
-the seeds projected onto the manifold no group element may leave a
-constraint residual of ACTION_TOL (ImplicitGManifold.validate_action), and
-f may move by at most INVARIANCE_TOL times max(1, |f|).
+entries are [num, den] pairs when exact and plain floats otherwise; a
+manifold's action is read as an OrthogonalAction, the Morse layer's one
+action, so a float rotation is read as it is.  A G-CW object has the keys
+cells and boundary only.  A polynomial is a list of Polynomial.from_records
+triples [exponents, num, den]; den 0 marks a float, read as the binary
+rational it denotes.  A manifold's action must preserve its constraints,
+and its function must be invariant under the action: at the seeds projected
+onto the manifold no group element may leave a constraint residual of
+ACTION_TOL (ImplicitGManifold.validate_action), and f may move by at most
+INVARIANCE_TOL times max(1, |f|).
 
 load_fixture(path) reads any such file and returns a GCWComplex or a
 ManifoldFixture.  Only a manifold file imports numpy and the Morse layer,
@@ -35,7 +37,7 @@ from typing import TYPE_CHECKING
 from .errors import InputError
 from .gcw import CellOrbit, GCWComplex
 from .groups import FiniteGroup, OrbitMorphism, Subgroup
-from .polynomials import LinearAction, Polynomial
+from .polynomials import Polynomial
 
 if TYPE_CHECKING:
     import numpy as np
@@ -104,8 +106,8 @@ def load_fixture(path) -> GCWComplex | ManifoldFixture:
     except ValueError as exc:
         # data the layers reject: a table that is no group, a stabilizer
         # that is no subgroup, an action that breaks the group law or is
-        # not orthogonal, an entry that is no number, a bad polynomial
-        # record, a function the action does not leave invariant
+        # not orthogonal (to LAW_TOL), an entry that is no number, a bad
+        # polynomial record, a function the action does not leave invariant
         raise FixtureError(f"{path}: {exc}") from exc
 
 
@@ -122,6 +124,9 @@ def _matrix_from_json(rows):
 
 
 def _gcw_from_json(group, spec, name: str) -> GCWComplex:
+    unknown = set(spec) - {"cells", "boundary"}
+    if unknown:
+        raise ValueError(f"unknown gcw keys {sorted(unknown)}")
     cells = {}
     for dim_str, lst in spec["cells"].items():
         n = int(dim_str)
@@ -142,11 +147,7 @@ def _gcw_from_json(group, spec, name: str) -> GCWComplex:
         )
     boundary = {n: {k: tuple(v) for k, v in d.items()}
                 for n, d in boundary.items()}
-    marked = frozenset(
-        (int(d), int(i)) for d, i in spec.get("marked", [])
-    )
-    return GCWComplex(group=group, cells=cells, boundary=boundary,
-                      marked=marked, name=name)
+    return GCWComplex(group=group, cells=cells, boundary=boundary, name=name)
 
 
 def _manifold_from_json(group, spec, name: str) -> ManifoldFixture:
@@ -154,10 +155,10 @@ def _manifold_from_json(group, spec, name: str) -> ManifoldFixture:
 
     from .morse import (AngleChart, EqFunction, ImplicitGManifold, LinearChart,
                         SphereFunction, seed_grid)
-    from .morse.manifolds import PROJECT_TOL
+    from .morse.manifolds import PROJECT_TOL, OrthogonalAction
 
     ambient = int(spec["ambient"])
-    act = LinearAction(group, [_matrix_from_json(m) for m in spec["action"]])
+    act = OrthogonalAction(group, [_matrix_from_json(m) for m in spec["action"]])
     constraints = tuple(
         Polynomial.from_records(ambient, recs)
         for recs in spec.get("constraints", [])
@@ -203,7 +204,7 @@ def _manifold_from_json(group, spec, name: str) -> ManifoldFixture:
     on = on[np.max(np.abs(F), axis=1, initial=0.0) < PROJECT_TOL]
     M.validate_action(on)
     scale = max(1.0, float(np.max(np.abs(f.value_many(on)), initial=0.0)))
-    err = f.invariance_error(act, on)
+    err = f.invariance_error(M.action, on)
     if err > INVARIANCE_TOL * scale:
         raise ValueError(f"the function is not invariant under the action: "
                          f"it moves by {err:.2e} at the seeds")

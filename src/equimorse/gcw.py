@@ -9,6 +9,10 @@ of (orbit morphism, degree) records per (cell-orbit, face-orbit) pair; the
 underlying cells are the cosets g*stab and the boundary of g*cell follows by
 translation.  Attaching maps are never stored geometrically; the assembled
 singular-kind boundary squaring to zero is the admission check.
+
+A pair (X, A) has one representation: the complex of X with the cells of
+A left out and every boundary entry on them dropped, whose cellular chains
+are C(X)/C(A).  gcw_from_cells builds it from a closed marked set.
 """
 
 from __future__ import annotations
@@ -63,14 +67,12 @@ class CellOrbit:
 class GCWComplex:
     """cells[n] lists the n-cell-orbits; boundary[n][(a, b)] holds the
     (morphism, degree) records from orbit a in dimension n to orbit b in
-    dimension n-1.  marked flags cell-orbits of a subcomplex A for relative
-    computations.  category is the orbit category of group, built once for
+    dimension n-1.  category is the orbit category of group, built once for
     the admission check and shared by every coefficient system over X."""
 
     group: FiniteGroup
     cells: dict[int, tuple[CellOrbit, ...]]
     boundary: dict[int, dict[tuple[int, int], tuple[tuple[OrbitMorphism, int], ...]]]
-    marked: frozenset = field(default_factory=frozenset)
     name: str = ""
     category: OrbitCategory = field(init=False, repr=False)
 
@@ -84,17 +86,6 @@ class GCWComplex:
                     if m.source != src.stabilizer or m.target != tgt.stabilizer:
                         raise ValueError(
                             f"boundary record {n}:{a}->{b} has mismatched morphism"
-                        )
-        for dim, idx in self.marked:
-            if idx >= len(self.cells.get(dim, ())):
-                raise ValueError("marked cell out of range")
-        # the subcomplex must be closed under the boundary
-        for n, recs in self.boundary.items():
-            for (a, b), lst in recs.items():
-                if (n, a) in self.marked and lst:
-                    if (n - 1, b) not in self.marked:
-                        raise ValueError(
-                            f"marked subcomplex not closed: ({n},{a}) -> ({n - 1},{b})"
                         )
         # admission check: the singular-kind assembly squares to zero,
         # equivalently the underlying cellular boundary does
@@ -174,13 +165,12 @@ def bredon_cochain_complex(X: GCWComplex, N: CoefficientSystem) -> ChainComplex:
 
 
 def subquotient_complex(X: GCWComplex, H: Subgroup, K: Subgroup,
-                        char: int = 0, relative: bool = False) -> ChainComplex:
+                        char: int = 0) -> ChainComplex:
     """Ordinary cellular chain complex of (X/H)^K.
 
     Cells are the K-fixed H-classes Hg*stab of underlying cells; the
     boundary accumulates record degrees over classes.  (e, e) recovers the
     underlying complex, (G, e) the quotient, (e, G) the G-fixed subcomplex.
-    With relative=True the cells of the marked subcomplex are removed.
     """
     G = X.group
     if H.group != G or K.group != G:
@@ -192,7 +182,6 @@ def subquotient_complex(X: GCWComplex, H: Subgroup, K: Subgroup,
     # classes[n]: (orbit index, double coset) per K-fixed class, in order
     classes = {
         n: [(a, dc) for a, cell in enumerate(X.cells[n])
-            if not (relative and (n, a) in X.marked)
             for dc in _orbit_classes(G, cell.stabilizer, H, K)]
         for n in X.dims()
     }
@@ -224,13 +213,18 @@ def subquotient_complex(X: GCWComplex, H: Subgroup, K: Subgroup,
 def gcw_from_cells(group: FiniteGroup, cells: dict[int, int],
                    boundaries: dict[int, list[list[tuple[int, int]]]],
                    perms: dict[int, dict[int, tuple[int, ...]]],
-                   marked_cells=(), labels=None, name="") -> GCWComplex:
+                   marked_cells=(), name="") -> GCWComplex:
     """Assemble a GCWComplex from an individual-cell description.
 
     cells[n] is the number of n-cells; boundaries[n][i] lists (face, degree)
     pairs over (n-1)-cells; perms[s][n] is the permutation of n-cells by the
     group element s (no orientation reversal allowed).  The action must
     commute with the boundary; cell-orbits and coset records are derived.
+
+    marked_cells lists (n, i) cells of a subcomplex A, which must be closed
+    under the boundary (every face listed for a marked cell is marked) and
+    under the action; ValueError otherwise.  The result is the pair (X, A):
+    the marked cells are left out, with every boundary entry on them.
     """
     # validate the action: permutation property, group law, boundary equivariance
     for s in group.elements():
@@ -268,6 +262,9 @@ def gcw_from_cells(group: FiniteGroup, cells: dict[int, int],
                     raise ValueError(
                         f"boundary not equivariant on {n}-cell {i} under {s}"
                     )
+    if marked_cells:
+        cells, boundaries, perms = _drop_cells(group, cells, boundaries, perms,
+                                               set(marked_cells))
 
     # orbit decomposition with minimal-index representatives
     orbit_of: dict[int, list[int]] = {}
@@ -296,7 +293,7 @@ def gcw_from_cells(group: FiniteGroup, cells: dict[int, int],
 
     cell_orbits = {
         n: tuple(
-            CellOrbit(stabs[n][o], (labels or {}).get((n, reps[n][o]), f"c{n}.{o}"))
+            CellOrbit(stabs[n][o], f"c{n}.{o}")
             for o in range(len(reps[n]))
         )
         for n in cells
@@ -315,13 +312,32 @@ def gcw_from_cells(group: FiniteGroup, cells: dict[int, int],
                 recs.setdefault((o, bo), []).append((m, deg))
         boundary[n] = {k: tuple(v) for k, v in recs.items()}
 
-    marked = set()
-    for (n, i) in marked_cells:
-        marked.add((n, orbit_of[n][i]))
-    return GCWComplex(
-        group=group,
-        cells=cell_orbits,
-        boundary=boundary,
-        marked=frozenset(marked),
-        name=name,
-    )
+    return GCWComplex(group=group, cells=cell_orbits, boundary=boundary,
+                      name=name)
+
+
+def _drop_cells(group, cells, boundaries, perms, marked: set):
+    """cells, boundaries and perms with the marked cells left out and every
+    boundary entry on them dropped: the cellular data of the pair.  Raises
+    ValueError unless the marked cells are closed under the boundary and
+    the action."""
+    for n, i in marked:
+        if not 0 <= i < cells.get(n, 0):
+            raise ValueError(f"marked cell ({n},{i}) out of range")
+        for face, _ in boundaries[n][i] if n - 1 in cells else ():
+            if (n - 1, face) not in marked:
+                raise ValueError(f"marked cells not closed under the boundary: "
+                                 f"({n},{i}) -> ({n - 1},{face})")
+        for s in group.elements():
+            if (n, perms[s][n][i]) not in marked:
+                raise ValueError(f"marked cells not closed under the action: "
+                                 f"{s} moves ({n},{i}) off them")
+    kept = {n: [i for i in range(c) if (n, i) not in marked]
+            for n, c in cells.items()}
+    new = {n: {i: k for k, i in enumerate(ks)} for n, ks in kept.items()}
+    bnds = {n: [[(new[n - 1][f], deg) for f, deg in boundaries[n][i]
+                 if f in new[n - 1]] for i in ks]
+            for n, ks in kept.items() if n - 1 in kept}
+    perms = {s: {n: tuple(new[n][p[n][i]] for i in ks) for n, ks in kept.items()}
+             for s, p in perms.items()}
+    return {n: len(ks) for n, ks in kept.items()}, bnds, perms

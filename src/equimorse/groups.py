@@ -82,12 +82,6 @@ class FiniteGroup:
     def elements(self) -> range:
         return range(self.order)
 
-    def op(self, a: int, b: int) -> int:
-        return self.mul[a][b]
-
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
-
     def conj(self, g: int, h: int) -> int:
         """Conjugate g h g^-1."""
         return self.mul[self.mul[g][h]][self.inverse[g]]
@@ -170,9 +164,6 @@ class Subgroup:
     @property
     def index(self) -> int:
         return self.group.order // self.order
-
-    def contains(self, x: int) -> bool:
-        return x in set(self.elements)
 
     def as_group(self) -> FiniteGroup:
         """The subgroup as an abstract table: element m stands for

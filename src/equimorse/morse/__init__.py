@@ -7,7 +7,7 @@ RepSpec, UnsupportedRep and representation_cell_groups are exact and
 numpy-free; they live in equimorse.repcells and are re-exported here.
 """
 
-from .manifolds import EqFunction, ImplicitGManifold
+from .manifolds import EqFunction, ImplicitGManifold, OrthogonalAction
 from .cutoffs import CutoffPair, DeltaTooLarge, build_cutoffs
 from .critical import (
     CriticalPoint,
@@ -50,6 +50,7 @@ __all__ = [
     "LinearChart",
     "MorseData",
     "MorseRun",
+    "OrthogonalAction",
     "OutsideDeskScale",
     "PerturbedModel",
     "RepSpec",

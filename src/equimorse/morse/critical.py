@@ -11,8 +11,8 @@ batched refinement of the new points' translates per round.
 The tolerances are module constants: gradient norm TOL_CRIT = 1e-9 for
 criticality, Hessian eigenvalue floor TOL_NONDEG = 1e-6 for nondegeneracy,
 DEDUP_TOL for coincident points, and the Newton residual NEWTON_TOL and
-divergence bound NEWTON_BOUND.  The stabilizer is LinearAction's, to
-polynomials.STAB_TOL.
+divergence bound NEWTON_BOUND.  The stabilizer is the manifold's
+OrthogonalAction's, to manifolds.STAB_TOL.
 """
 
 from __future__ import annotations
@@ -59,8 +59,9 @@ class CriticalPoint:
     hessian is the restricted Hessian in the orthonormal tangent frame
     tangent_basis; fixed_basis and prime_basis split the tangent space into
     the stabilizer-fixed part and its complement (the kernel of the
-    averaging operator).  descending_rep records the stabilizer action on
-    the negative eigenspace, one matrix per stabilizer element.
+    averaging operator).  tangent_rep is the stabilizer's representation on
+    the tangent space in that frame, T^T A_s T, one matrix per element of
+    stabilizer.elements in that order.
     """
 
     coords: np.ndarray
@@ -73,7 +74,7 @@ class CriticalPoint:
     prime_basis: np.ndarray
     stable: bool
     neg_basis: np.ndarray
-    descending_rep: tuple = ()
+    tangent_rep: tuple = ()
 
     def __repr__(self):
         return (f"CriticalPoint(at {np.round(self.coords, 6).tolist()}, "
@@ -261,7 +262,7 @@ def classify(f: EqFunction, M: ImplicitGManifold, p) -> CriticalPoint:
     (fx, _), (g, J), (H, CH) = ev.jet(x, 2)
     if np.linalg.norm(tangent_part(J, g)[0]) >= TOL_CRIT:
         raise ValueError("point fails the critical-gradient tolerance")
-    H_sub = M.action.stabilizer(tuple(p))
+    H_sub = M.action.stabilizer(p)
     T = tangent_frame(J[0])
 
     # restricted Hessian: subtract the constraint curvature via multipliers
@@ -272,8 +273,8 @@ def classify(f: EqFunction, M: ImplicitGManifold, p) -> CriticalPoint:
     Ht = (Ht + Ht.T) / 2.0
 
     # stabilizer action on the tangent space and the averaging projector
-    reps = [T.T @ M.act_mats[s] @ T for s in H_sub.elements]
-    P = sum(reps) / len(reps)
+    rep = tuple(T.T @ M.action.matrices[s] @ T for s in H_sub.elements)
+    P = sum(rep) / len(rep)
     P = (P + P.T) / 2.0
     evals, evecs = np.linalg.eigh(P)
     fixed = evecs[:, evals > 0.5]
@@ -294,11 +295,6 @@ def classify(f: EqFunction, M: ImplicitGManifold, p) -> CriticalPoint:
     else:
         stable = True
 
-    descending = []
-    if index:
-        for s, R in zip(H_sub.elements, reps):
-            descending.append((s, neg.T @ R @ neg))
-
     return CriticalPoint(
         coords=p,
         value=float(fx[0]),
@@ -310,5 +306,5 @@ def classify(f: EqFunction, M: ImplicitGManifold, p) -> CriticalPoint:
         prime_basis=prime,
         stable=stable,
         neg_basis=neg,
-        descending_rep=tuple(descending),
+        tangent_rep=rep,
     )

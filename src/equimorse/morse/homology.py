@@ -155,18 +155,15 @@ def _descending_seeds(p: CriticalPoint, rho: float, samples: int):
     return np.asarray(p.coords)[None, :] + rho * dirs @ basis.T
 
 
-def _ascending_seeds(M: ImplicitGManifold, q: CriticalPoint, rho: float):
+def _ascending_seeds(q: CriticalPoint, rho: float):
     """Points on the ascending line of the index-1 point q, one per
-    stabilizer class of its two ascending rays."""
+    stabilizer class of its two ascending rays (read from q.tangent_rep)."""
     w, V = np.linalg.eigh(q.hessian)
     pos = V[:, w > 0]
     if pos.shape[1] != 1:
         raise ValueError("unexpected ascent dimension at an index-1 point")
     v = pos[:, 0]
-    flips = []
-    for s in q.stabilizer.elements:
-        R = q.tangent_basis.T @ M.act_mats[s] @ q.tangent_basis
-        flips.append(float(v @ R @ v) < 0)
+    flips = [float(v @ R @ v) < 0 for R in q.tangent_rep]
     dirs = np.array([[1.0]] if any(flips) else [[1.0], [-1.0]])
     ambient_v = (q.tangent_basis @ v)[None, :]
     return np.asarray(q.coords)[None, :] + rho * dirs @ ambient_v
@@ -241,7 +238,7 @@ def morse_differentials(f: EqFunction, M: ImplicitGManifold,
             )
         for tgt_i, orb in enumerate(orbits):
             if orb.index == 1:
-                segments.append((tgt_i, +1, _ascending_seeds(M, orb.rep, RHO)))
+                segments.append((tgt_i, +1, _ascending_seeds(orb.rep, RHO)))
     trajs = []
     if segments:
         X0 = M.project_points_many(

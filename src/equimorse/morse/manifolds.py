@@ -1,8 +1,10 @@
-"""Implicit G-manifolds and equivariant smooth functions.
+"""Implicit G-manifolds, their actions and equivariant smooth functions.
 
 Manifolds are zero sets of polynomial constraint maps in Euclidean space
 with an orthogonal action; the metric is the induced one, so invariance is
-automatic.
+automatic.  The action is an OrthogonalAction, the Morse layer's one
+action; a manifold given an exact LinearAction holds the OrthogonalAction
+of its matrices, rounded once.
 
 Everything here is batched: functions, constraints and their derivatives
 are evaluated on the rows of an (m x n) array, and there are no scalar
@@ -38,20 +40,86 @@ instead of a stacked 1 x 1 solve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..groups import FiniteGroup, Subgroup, left_cosets
 from ..polynomials import LinearAction, Polynomial
 
-__all__ = ["EqFunction", "Evaluator", "ImplicitGManifold", "PolyJet",
-           "PolyTable", "tangent_frame", "tangent_part"]
+__all__ = ["EqFunction", "Evaluator", "ImplicitGManifold", "OrthogonalAction",
+           "PolyJet", "PolyTable", "tangent_frame", "tangent_part"]
 
 # the constraint residual below which a projected row stops
 PROJECT_TOL = 1e-12
 # validate_action: the largest constraint residual a group element may
 # leave at a point of the zero set
 ACTION_TOL = 1e-9
+# OrthogonalAction: the largest entry by which A_a A_b may miss A_ab, or
+# A^T A the identity
+LAW_TOL = 1e-12
+# a point is fixed by an element whose image is within STAB_TOL of it in
+# every coordinate
+STAB_TOL = 1e-9
+
+
+class OrthogonalAction:
+    """A finite group acting on R^n by orthogonal matrices, in floats: the
+    Morse layer's one action.
+
+    matrices is the (|G|, n, n) float array of every group element's
+    matrix, indexed by the element, read from any real entries (an exact
+    LinearAction's rationals are rounded once).  The group law and
+    orthogonality are checked to LAW_TOL in every entry, in one pass over
+    all pairs of elements; ValueError names the first pair (a, b), in row
+    order, whose product misses A_ab, or the first element that is not
+    orthogonal.
+    """
+
+    def __init__(self, group: FiniteGroup, matrices):
+        self.group = group
+        A = np.array(matrices, dtype=float)
+        if A.ndim != 3 or A.shape != (group.order, A.shape[1], A.shape[1]):
+            raise ValueError("one square matrix of equal size per group "
+                             "element required")
+        self.matrices = A
+        self.dim = A.shape[1]
+        prod = np.einsum("aij,bjk->abik", A, A)
+        law = (np.abs(prod - A[np.array(group.mul)]) <= LAW_TOL).all(axis=(2, 3))
+        if not law.all():
+            a, b = np.argwhere(~law)[0]
+            raise ValueError(f"representation law fails on ({a},{b})")
+        gram = np.einsum("sji,sjk->sik", A, A)
+        ortho = (np.abs(gram - np.eye(self.dim)) <= LAW_TOL).all(axis=(1, 2))
+        if not ortho.all():
+            raise ValueError(f"matrix for element {np.argmin(ortho)} is not "
+                             f"orthogonal")
+
+    @classmethod
+    def rotation(cls, n: int) -> "OrthogonalAction":
+        """C_n rotating R^2 by multiples of 2*pi/n."""
+        mats = []
+        for j in range(n):
+            th = 2.0 * math.pi * j / n
+            c, s = math.cos(th), math.sin(th)
+            mats.append(((c, -s), (s, c)))
+        return cls(FiniteGroup.cyclic(n), mats)
+
+    def stabilizer(self, x) -> Subgroup:
+        """The elements that move x by less than STAB_TOL in every
+        coordinate."""
+        x = np.asarray(x, dtype=float)
+        moved = np.abs(self.matrices @ x - x) < STAB_TOL
+        return Subgroup(self.group, tuple(
+            int(s) for s in np.flatnonzero(moved.all(axis=1))))
+
+    def orbit(self, x):
+        """One (coset representative, image point) pair per point of the
+        orbit of x."""
+        x = np.asarray(x, dtype=float)
+        cosets = left_cosets(self.group, self.stabilizer(x))
+        return [(c[0], self.matrices[c[0]] @ x) for c in cosets]
 
 
 class PolyTable:
@@ -149,14 +217,6 @@ class PolyJet:
         return jet[:order + 1]
 
 
-def _action_matrices(act: LinearAction) -> np.ndarray:
-    """The float matrix of every group element, indexed by the element:
-    shape (|G|, dim, dim)."""
-    mats = [[[float(v) for v in row] for row in act.matrices[s]]
-            for s in act.group.elements()]
-    return np.array(mats, dtype=float).reshape(len(mats), act.dim, act.dim)
-
-
 def _gram_solve(J: np.ndarray, R: np.ndarray) -> np.ndarray:
     """(J J^T)^{-1} R for every row, with J of shape (m, c, N) and R of
     shape (m, c).  One constraint divides by |J|^2 (the tests check that
@@ -217,11 +277,13 @@ class EqFunction:
     def grad_many(self, X) -> np.ndarray:
         return self.jet_many(X, 1)[1]
 
-    def invariance_error(self, act: LinearAction, samples) -> float:
+    def invariance_error(self, act: OrthogonalAction | LinearAction,
+                         samples) -> float:
         """max |f(A_s x) - f(x)| over the samples and group elements, from
-        one evaluation at every translate of every sample."""
+        one evaluation at every translate of every sample; the matrices of
+        an exact action are rounded once."""
         X = np.asarray(samples, dtype=float)
-        moved = np.einsum("gij,mj->gmi", _action_matrices(act), X)
+        moved = np.einsum("gij,mj->gmi", np.asarray(act.matrices, dtype=float), X)
         fs = self.value_many(moved.reshape(-1, act.dim))
         return float(np.max(np.abs(fs.reshape(len(moved), len(X))
                                    - self.value_many(X)), initial=0.0))
@@ -241,8 +303,10 @@ class EqFunction:
 class ImplicitGManifold:
     """Zero set of polynomial constraints with an orthogonal group action.
 
-    An empty constraint list means all of R^ambient.  The action must be by
-    orthogonal matrices preserving the constraints; validate_action samples
+    An empty constraint list means all of R^ambient.  action may be given
+    as an OrthogonalAction or an exact LinearAction, and is held as the
+    OrthogonalAction of its matrices, which checks that they are
+    orthogonal.  It must preserve the constraints; validate_action samples
     that on given points of the zero set.
 
     jet(X, order) is the constraint map's one evaluation, the PolyJet of
@@ -253,17 +317,15 @@ class ImplicitGManifold:
 
     ambient: int
     constraints: tuple[Polynomial, ...]
-    action: LinearAction
+    action: OrthogonalAction
     name: str = ""
 
     def __post_init__(self):
         self.constraints = tuple(self.constraints)
+        self.action = OrthogonalAction(self.action.group, self.action.matrices)
         if self.action.dim != self.ambient:
             raise ValueError("action dimension must match the ambient space")
-        if not self.action.is_orthogonal():
-            raise ValueError("the action must be orthogonal")
         self.jet = PolyJet(self.constraints, self.ambient)
-        self.act_mats = _action_matrices(self.action)
         self._evaluator = None
 
     @property
@@ -329,14 +391,14 @@ class ImplicitGManifold:
         return self._evaluator
 
     def apply(self, s: int, x) -> np.ndarray:
-        return self.act_mats[s] @ np.asarray(x, dtype=float)
+        return self.action.matrices[s] @ np.asarray(x, dtype=float)
 
     def validate_action(self, sample_points) -> float:
         """max |F(A_s x)| over the sample points projected onto the zero
         set; raises ValueError unless it stays below ACTION_TOL."""
         X = self.project_points_many(np.array(sample_points, dtype=float)
                                      .reshape(-1, self.ambient))
-        moved = np.einsum("gij,mj->gmi", self.act_mats, X)
+        moved = np.einsum("gij,mj->gmi", self.action.matrices, X)
         (F,) = self.jet(moved.reshape(-1, self.ambient), 0)
         worst = float(np.max(np.abs(F), initial=0.0))
         if worst >= ACTION_TOL:

@@ -41,7 +41,7 @@ from ..errors import InputError
 from ..polynomials import LinearAction, Polynomial
 from .critical import CriticalPoint, match_point
 from .cutoffs import CutoffPair
-from .manifolds import EqFunction, ImplicitGManifold
+from .manifolds import EqFunction, ImplicitGManifold, OrthogonalAction
 
 __all__ = [
     "AngleChart",
@@ -136,7 +136,7 @@ class PerturbedModel(EqFunction):
     h_sup, the sampled sup of |h|; without U there is no h, and eps and
     h_sup are 0."""
 
-    def __init__(self, dv: int, dw: int, actU: LinearAction,
+    def __init__(self, dv: int, dw: int, actU: OrthogonalAction | LinearAction,
                  h: SphereFunction | None, cut: CutoffPair):
         du = actU.dim
         self.dv, self.dw, self.du = dv, dw, du
@@ -382,7 +382,7 @@ def _chart_action(chart, M: ImplicitGManifold, elements) -> list[np.ndarray]:
     at its center."""
     J = chart.jet_many(chart.center[None, :], 1)[1][0]
     J_pinv = np.linalg.pinv(J)
-    return [J @ M.act_mats[s] @ J_pinv for s in elements]
+    return [J @ M.action.matrices[s] @ J_pinv for s in elements]
 
 
 def localize_surgery(f: EqFunction, M: ImplicitGManifold, p: CriticalPoint,
@@ -434,20 +434,19 @@ def localize_surgery(f: EqFunction, M: ImplicitGManifold, p: CriticalPoint,
 
     # the stabilizer's action on U, the last du model coordinates
     lo = dv + dw_keep
-    actU = LinearAction(H_sub.as_group(),
-                        [(split @ B @ split.T)[lo:, lo:].tolist() for B in mats])
+    actU = OrthogonalAction(H_sub.as_group(),
+                            [(split @ B @ split.T)[lo:, lo:] for B in mats])
     model = PerturbedModel(dv, dw_keep, actU, h, cut)
 
     # orbit translates of the chart
     charts = [chart]
-    for s, q in M.action.orbit(tuple(coords)):
-        qa = np.array([float(v) for v in q])
-        if match_point(qa, [coords]) is not None:
+    for s, q in M.action.orbit(coords):
+        if match_point(q, [coords]) is not None:
             continue
         if not isinstance(chart, LinearChart):
             raise ChartMissing("orbit surgery with angle charts is limited "
                                "to fixed poles")
-        A = M.act_mats[s]
+        A = M.action.matrices[s]
         charts.append(LinearChart(A @ chart.center, A @ chart.frame,
                                   chart.dv, chart.dw))
 

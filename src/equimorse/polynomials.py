@@ -43,7 +43,8 @@ The bumps measure distance in a positive definite integer form Q: the
 standard one for jet_interpolate, and for a lift the invariant form of the
 action (LinearAction.form), so a lift takes any rational action.  It
 averages the jet representatives over the group and then interpolates
-once.
+once.  LinearAction is exact only, its group law checked exactly; the
+Morse layer's float geometry is morse.manifolds.OrthogonalAction.
 """
 
 from __future__ import annotations
@@ -81,26 +82,19 @@ class JetNotFixed(ValueError):
     """A jet must be fixed by the basepoint's stabilizer to lift."""
 
 
-def _real(c):
-    """c as a Fraction, or as a float when it is a float (numpy's too): the
-    entries of a LinearAction, whose float matrices are Morse-layer
-    geometry, and the points it moves."""
+def _coerce(c) -> Fraction:
+    """c as a Fraction; a float (numpy's too) is the binary rational it
+    denotes."""
     t = type(c)
-    if t is Fraction or t is float:
+    if t is Fraction:
         return c
-    if t is int:
+    if t is int or t is float:
         return Fraction(c)
     if isinstance(c, numbers.Integral):
         return Fraction(int(c))
     if isinstance(c, numbers.Real) and not isinstance(c, numbers.Rational):
-        return float(c)
+        return Fraction(float(c))
     return Fraction(c)
-
-
-def _coerce(c) -> Fraction:
-    """c as a Fraction; a float is the binary rational it denotes."""
-    c = _real(c)
-    return c if type(c) is Fraction else Fraction(c)
 
 
 # -- products of numerator dicts ---------------------------------------------
@@ -790,9 +784,12 @@ def _transform_plan(rad: tuple, top: int) -> tuple:
     each the box strides prod(rad[:m]) are tried first; when they collide,
     the last one is replaced by the smallest stride that _last_stride finds
     for the total degree, when its search space, (2 top + 1)^(n-1) values,
-    is no larger than the box.  Either is confirmed on the kept slots.
-    Memoized: the cache holds these ints only, never the slot arrays.
+    is no larger than the box.  Either is confirmed on the kept slots, by
+    marking their indices in a boolean array of the length.  Memoized: the
+    cache holds these ints only, never the slot arrays.
     """
+    import numpy as np
+
     n = len(rad)
     keep, cols = _kept_slots(rad, top)
     box = [math.prod(rad[:m]) for m in range(n)]
@@ -800,7 +797,9 @@ def _transform_plan(rad: tuple, top: int) -> tuple:
     size = 1 << max(len(keep) - 1, 1).bit_length()
 
     def distinct(strides):
-        return len(set(_slot_map(cols, strides, size).tolist())) == len(keep)
+        seen = np.zeros(size, bool)
+        seen[_slot_map(cols, strides, size)] = True
+        return np.count_nonzero(seen) == len(keep)
 
     while True:
         if distinct(box):
@@ -1027,38 +1026,27 @@ def jet_interpolate(points, jets, k: int) -> Polynomial:
 
 # -- linear actions ----------------------------------------------------------
 
-# a float point is fixed by an element whose image is within STAB_TOL of it
-# in every coordinate
-STAB_TOL = 1e-9
-
 
 class LinearAction:
-    """A representation of a finite group by n x n matrices.
+    """A representation of a finite group by n x n rational matrices: the
+    exact layer's action.
 
-    An exact action has rational (Fraction) matrices and is checked against
-    the group law exactly; it need not be orthogonal.  It carries its
-    invariant form: Q = sum_s A_s^T A_s divided by its content, a primitive
-    positive definite integer matrix with A_s^T Q A_s = Q for every s (see
-    Serre, Linear Representations of Finite Groups, 1.3).  Q is the
-    identity exactly when the action is orthogonal.  Only exact actions
-    enter the exact layer (equivariant_average, transport_jet,
-    equivariant_jet_lift).
-
-    An action with a float entry is geometry for the Morse layer (the
-    rotations of order >= 3, float fixture actions, surgery blocks): its
-    matrices are floats, and the law and orthogonality, which it must have,
-    are checked to 1e-12.  It has no form.
+    Every entry is an exact rational (a float is the binary rational it
+    denotes), and the group law is checked exactly, so a float matrix that
+    breaks it by a rounding error, such as the float rotation by 2*pi/3,
+    raises ValueError here.  The action need not be orthogonal.  It carries
+    its invariant form: Q = sum_s A_s^T A_s divided by its content, a
+    primitive positive definite integer matrix with A_s^T Q A_s = Q for
+    every s (see Serre, Linear Representations of Finite Groups, 1.3).  Q
+    is the identity exactly when the action is orthogonal.  The Morse
+    layer's geometry is morse.manifolds.OrthogonalAction, which rounds
+    these matrices, or takes float ones, once.
     """
-
-    TOL = 1e-12
 
     def __init__(self, group: FiniteGroup, matrices):
         self.group = group
-        mats = [tuple(tuple(_real(x) for x in row) for row in M) for M in matrices]
-        self.exact = not any(type(x) is float for M in mats for row in M for x in row)
-        if not self.exact:
-            mats = [tuple(tuple(float(x) for x in row) for row in M) for M in mats]
-        self.matrices = tuple(mats)
+        self.matrices = tuple(tuple(tuple(_coerce(x) for x in row) for row in M)
+                              for M in matrices)
         if len(self.matrices) != group.order:
             raise ValueError("one matrix per group element required")
         self.dim = len(self.matrices[0]) if self.matrices else 0
@@ -1066,32 +1054,21 @@ class LinearAction:
 
     def _validate(self):
         G = self.group
-        tol = 0 if self.exact else self.TOL
         for M in self.matrices:
             if len(M) != self.dim or any(len(row) != self.dim for row in M):
                 raise ValueError("matrices must be square of equal size")
         for a in G.elements():
             for b in G.elements():
-                prod = _mat_mul_num(self.matrices[a], self.matrices[b])
-                target = self.matrices[G.mul[a][b]]
-                if not _mat_close(prod, target, tol):
+                if (_mat_mul_num(self.matrices[a], self.matrices[b])
+                        != self.matrices[G.mul[a][b]]):
                     raise ValueError(f"representation law fails on ({a},{b})")
-        ident = _diagonal([1] * self.dim)
-        if self.exact:
-            # sum_s A_s^T A_s is a multiple of I exactly when every A_s is
-            # orthogonal, since it is invariant under each of them
-            Q = [[sum(M[t][i] * M[t][j] for M in self.matrices for t in range(self.dim))
-                  for j in range(self.dim)] for i in range(self.dim)]
-            den = math.lcm(*(x.denominator for row in Q for x in row))
-            g = math.gcd(*(int(x * den) for row in Q for x in row))
-            self.form = tuple(tuple(int(x * den) // g for x in row) for row in Q)
-            self._orthogonal = self.form == ident
-            return
-        self.form = None
-        for s, M in enumerate(self.matrices):
-            if not _mat_close(_mat_mul_num(tuple(zip(*M)), M), ident, tol):
-                raise ValueError(f"matrix for element {s} is not orthogonal")
-        self._orthogonal = True
+        # sum_s A_s^T A_s is a multiple of I exactly when every A_s is
+        # orthogonal, since it is invariant under each of them
+        Q = [[sum(M[t][i] * M[t][j] for M in self.matrices for t in range(self.dim))
+              for j in range(self.dim)] for i in range(self.dim)]
+        den = math.lcm(*(x.denominator for row in Q for x in row))
+        g = math.gcd(*(int(x * den) for row in Q for x in row))
+        self.form = tuple(tuple(int(x * den) // g for x in row) for row in Q)
 
     # -- constructors --
 
@@ -1111,24 +1088,6 @@ class LinearAction:
         return cls(FiniteGroup.cyclic(2), [_diagonal([1] * dim), _diagonal(ref)])
 
     @classmethod
-    def rotation_cn(cls, n: int) -> "LinearAction":
-        """C_n rotating R^2 by multiples of 2*pi/n: float geometry for n >= 3
-        (in a rational basis, e.g. [[0, -1], [1, -1]] for n = 3, the same
-        rotations are an exact action)."""
-        G = FiniteGroup.cyclic(n)
-        mats = []
-        for j in range(n):
-            th = 2.0 * math.pi * j / n
-            c, s = math.cos(th), math.sin(th)
-            mats.append(((c, -s), (s, c)))
-        if n in (1, 2):
-            mats = [
-                tuple(tuple(Fraction(round(x)) for x in row) for row in M)
-                for M in mats
-            ]
-        return cls(G, mats)
-
-    @classmethod
     def permutation_s3(cls) -> "LinearAction":
         """S3 permuting the coordinates of R^3 (matches FiniteGroup.symmetric(3))."""
         G = FiniteGroup.symmetric(3)
@@ -1141,28 +1100,20 @@ class LinearAction:
 
     def apply(self, s: int, point):
         M = self.matrices[s]
-        pt = [_real(x) for x in point]
+        pt = [_coerce(x) for x in point]
         return tuple(
             sum(M[i][j] * pt[j] for j in range(self.dim)) for i in range(self.dim)
         )
 
     def is_orthogonal(self) -> bool:
-        """Whether every matrix has M^T M = I, as found at construction:
-        the form is the identity, or a float action (checked to 1e-12)."""
-        return self._orthogonal
+        """Whether every matrix has M^T M = I: the form is the identity."""
+        return self.form == _diagonal([1] * self.dim)
 
     def stabilizer(self, point) -> Subgroup:
-        pt = tuple(_real(x) for x in point)
-        # float input points carry numerical noise even under exact actions
-        exact_cmp = self.exact and not any(type(x) is float for x in pt)
-        elems = []
-        for s in self.group.elements():
-            img = self.apply(s, pt)
-            if (img == pt if exact_cmp else
-                    all(abs(float(a) - float(b)) < STAB_TOL
-                        for a, b in zip(img, pt))):
-                elems.append(s)
-        return Subgroup(self.group, tuple(elems))
+        """The elements fixing point exactly."""
+        pt = tuple(_coerce(x) for x in point)
+        return Subgroup(self.group, tuple(
+            s for s in self.group.elements() if self.apply(s, pt) == pt))
 
     def orbit(self, point):
         """One (coset representative, image point) pair per point of the orbit."""
@@ -1181,24 +1132,11 @@ def _mat_mul_num(A, B):
                  for row in A)
 
 
-def _mat_close(A, B, tol):
-    if tol == 0:
-        return A == B
-    return all(abs(float(a) - float(b)) <= tol
-               for ra, rb in zip(A, B) for a, b in zip(ra, rb))
-
-
 # -- equivariant operations ---------------------------------------------------
-
-
-def _need_exact(act: LinearAction):
-    if not act.exact:
-        raise ValueError("the exact layer needs an action by rational matrices")
 
 
 def equivariant_average(f: Polynomial, act: LinearAction) -> Polynomial:
     """(1/|G|) sum_s f(A_s x): the projection onto invariant polynomials."""
-    _need_exact(act)
     G = act.group
     total = Polynomial.zero(f.nvars)
     for s in G.elements():
@@ -1214,7 +1152,6 @@ def transport_jet(jet: Jet, act: LinearAction, s: int) -> Jet:
     terms about s·p.  A linear substitution keeps every term's total
     degree, so nothing needs truncating again.
     """
-    _need_exact(act)
     moved = Polynomial(jet.nvars, jet.terms).substitute_linear(
         act.matrices[act.group.inverse[s]])
     return Jet(act.apply(s, jet.basepoint), jet.order, moved.terms)
@@ -1225,7 +1162,7 @@ def equivariant_jet_lift(point, jet: Jet, act: LinearAction, k: int) -> Polynomi
     for any exact (rational) action.
 
     Raises JetNotFixed when a stabilizer element moves the jet, which is
-    exactly the obstruction to lifting, and ValueError for a float action.
+    exactly the obstruction to lifting.
 
     The orbit p_j = s_j·p is G-stable, and the bumps measure distance in
     the action's invariant form Q (LinearAction.form), so |A_s y|_Q = |y|_Q
@@ -1236,7 +1173,6 @@ def equivariant_jet_lift(point, jet: Jet, act: LinearAction, k: int) -> Polynomi
     jet_interpolate) builds the lift.  For an orthogonal action Q is the
     identity, and the masks are jet_interpolate's.
     """
-    _need_exact(act)
     pt = tuple(_coerce(x) for x in point)
     if jet.basepoint != pt:
         raise ValueError("jet must be based at the given point")

@@ -10,9 +10,10 @@ convention on augmented complexes, so boundaries come with signs and square
 to zero; the action permutes cells without orientation reversal by
 construction.
 
-Induced up to G and with the pole copies left out, the cells are the G-CW
-data of the reduced chains of the pair, and each of the four theories is
-Bredon homology of that pair for the coefficient system of the same name.
+Induced up to G, with the pole copies marked for gcw_from_cells to leave
+out, the cells are the G-CW data of the reduced chains of the pair, and
+each of the four theories is Bredon homology of that pair for the
+coefficient system of the same name.
 
 These groups are the E^1 term of the Morse spectral sequence, but computing
 them is exact combinatorics on the homological layer (groups, coefficients,
@@ -242,21 +243,6 @@ def _induce(G: FiniteGroup, H: Subgroup, C: _CellAction) -> _CellAction:
     return _CellAction(G, cells, bnds, perms, marked)
 
 
-def _pair_cells(C: _CellAction):
-    """Cells, boundaries and action of C with the marked cells left out and
-    every boundary entry on them dropped: the cellular data of C(X, A)."""
-    kept = {d: [i for i in range(c) if (d, i) not in C.marked]
-            for d, c in C.cells.items()}
-    new = {d: {i: k for k, i in enumerate(ks)} for d, ks in kept.items()}
-    cells = {d: len(ks) for d, ks in kept.items()}
-    bnds = {d: [[(new[d - 1][f], deg) for f, deg in C.bnds[d][i]
-                 if f in new[d - 1]] for i in ks]
-            for d, ks in kept.items()}
-    perms = {s: {d: tuple(new[d][p[d][i]] for i in ks) for d, ks in kept.items()}
-             for s, p in C.perms.items()}
-    return cells, bnds, perms
-
-
 def _pair_complex(H: Subgroup, V: RepSpec) -> GCWComplex:
     """The G-CW complex whose cellular chains are the reduced chains of
     (G x_H D(V), G x_H S(V))."""
@@ -294,7 +280,8 @@ def _pair_complex(H: Subgroup, V: RepSpec) -> GCWComplex:
     total = factors[0]
     for fac in factors[1:]:
         total = _join(total, fac)
-    return gcw_from_cells(H.group, *_pair_cells(_induce(H.group, H, total)))
+    X = _induce(H.group, H, total)
+    return gcw_from_cells(H.group, X.cells, X.bnds, X.perms, marked_cells=X.marked)
 
 
 def representation_cell_groups(H: Subgroup, V: RepSpec, theory: str,

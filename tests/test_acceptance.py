@@ -38,6 +38,7 @@ from equimorse.groups import (
     trivial_subgroup,
 )
 from equimorse.morse import (
+    OrthogonalAction,
     PerturbedModel,
     RepSpec,
     SphereFunction,
@@ -247,7 +248,7 @@ def test_criterion_5_construction_properties(cut):
     checked = 0
     for which in ("figure1", "figure2"):
         if which == "figure1":
-            act = LinearAction.rotation_cn(3)
+            act = OrthogonalAction.rotation(3)
             model = PerturbedModel(0, 0, act,
                                    SphereFunction.cos_multiple_angle(3), cut)
             dv = dw = 0

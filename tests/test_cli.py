@@ -107,6 +107,16 @@ def test_load_rejects_unknown_top_level_key(tmp_path, name):
     assert "options" in str(exc.value)
 
 
+def test_load_rejects_unknown_gcw_key(tmp_path):
+    # a pair is built by gcw_from_cells(marked_cells=), so a G-CW fixture
+    # has no 'marked' key, and an unknown key is refused, not ignored
+    p = _rewritten(tmp_path, "circle_reflection",
+                   lambda raw: raw["gcw"].update(marked=[[0, 0]]))
+    with pytest.raises(FixtureError) as exc:
+        load_fixture(p)
+    assert "marked" in str(exc.value) and str(p) in str(exc.value)
+
+
 def test_load_rejects_bad_json(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{ not json")

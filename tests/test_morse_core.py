@@ -14,6 +14,7 @@ from equimorse.morse import (
     DegenerateHessian,
     EqFunction,
     ImplicitGManifold,
+    OrthogonalAction,
     classify,
     find_critical_points,
     run_morse,
@@ -195,6 +196,90 @@ def test_validate_action_on_sphere():
     assert worst < 1e-12
 
 
+# -- the Morse layer's one action ---------------------------------------------
+
+
+def _exact_points(act, rng, count=6):
+    """Seeded exact points for act: random rational points, the origin,
+    the diagonal, a point on each coordinate hyperplane (the mirrors) and,
+    in R^3, the points with two equal coordinates (fixed by a
+    transposition of S3)."""
+    n = act.dim
+    pts = [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n))
+           for _ in range(count)]
+    pts.append((Fraction(0),) * n)
+    a, b = Fraction(rng.randint(-9, 9), 3), Fraction(rng.randint(10, 19), 7)
+    pts.append((a,) * n)
+    pts += [tuple(Fraction(0) if i == j else b for i in range(n)) for j in range(n)]
+    if n >= 3:
+        pts += [(a, a, b), (b, a, a), (a, b, a)]
+    return pts
+
+
+@pytest.mark.parametrize("act", [
+    LinearAction.trivial(FiniteGroup.cyclic(3), 2),
+    LinearAction.sign_c2(1),
+    LinearAction.sign_c2(3),
+    LinearAction.reflection_c2(2, axis=0),
+    LinearAction.reflection_c2(3, axis=2),
+    LinearAction.permutation_s3(),
+], ids=["trivial", "sign_c2-1", "sign_c2-3", "reflection_c2-2", "reflection_c2-3",
+        "permutation_s3"])
+def test_orthogonal_action_agrees_with_the_exact_action(act):
+    # at seeded exact points, fixed points and points on mirrors included,
+    # the Morse layer's action of the exact matrices finds the exact
+    # stabilizer, and its orbit points are the floats of the exact images
+    import random
+
+    orth = ImplicitGManifold(ambient=act.dim, constraints=(), action=act).action
+    assert isinstance(orth, OrthogonalAction)
+    assert np.array_equal(orth.matrices, np.array(act.matrices, dtype=float))
+    rng = random.Random(act.dim * 10 + act.group.order)
+    for p in _exact_points(act, rng):
+        x = np.array([float(v) for v in p])
+        assert orth.stabilizer(x).elements == act.stabilizer(p).elements
+        exact = act.orbit(p)
+        got = orth.orbit(x)
+        assert [s for s, _ in got] == [s for s, _ in exact]
+        for (_, q), (_, y) in zip(got, exact):
+            assert q.tolist() == [float(v) for v in y]
+
+
+def test_rotation_floats_validate():
+    # the float rotations of orders 1 to 8 pass the law and orthogonality
+    # to LAW_TOL; the origin is fixed by all of C_n, a point of the unit
+    # circle by the identity alone
+    for n in range(1, 9):
+        act = OrthogonalAction.rotation(n)
+        assert act.matrices.shape == (n, 2, 2) and act.dim == 2
+        assert act.stabilizer(np.zeros(2)).order == n
+        assert act.stabilizer(np.array([1.0, 0.0])).elements == (0,)
+        assert len(act.orbit(np.array([0.6, 0.8]))) == n
+
+
+def test_orthogonal_action_names_the_first_pair_that_breaks_the_law():
+    # C4 with the rotation by 3 pi / 2 replaced by the one by pi / 2: the
+    # first product to miss, in row order, is A_1 A_2
+    R = OrthogonalAction.rotation(4).matrices
+    with pytest.raises(ValueError, match=r"representation law fails on \(1,2\)"):
+        OrthogonalAction(FiniteGroup.cyclic(4), [R[0], R[1], R[2], R[1]])
+    # an exact action that is not orthogonal (C2 swapping the axes with a
+    # rescaling) is no Morse-layer action
+    swap = LinearAction(FiniteGroup.cyclic(2),
+                        [((1, 0), (0, 1)), ((0, 2), (Fraction(1, 2), 0))])
+    with pytest.raises(ValueError, match="element 1 is not orthogonal"):
+        ImplicitGManifold(ambient=2, constraints=(), action=swap)
+
+
+def test_float_rotation_is_no_linear_action():
+    # the exact layer reads every float as the rational it denotes and
+    # checks the law exactly, so the float C3 rotation, whose law holds
+    # only to rounding, is refused when the action is built
+    mats = OrthogonalAction.rotation(3).matrices.tolist()
+    with pytest.raises(ValueError, match="representation law fails"):
+        LinearAction(FiniteGroup.cyclic(3), mats)
+
+
 def test_find_critical_points_sphere_height():
     M = sphere_manifold()
     f = height_z()
@@ -206,7 +291,7 @@ def test_find_critical_points_sphere_height():
 
 
 def test_find_critical_points_rotation_plane():
-    act = LinearAction.rotation_cn(3)
+    act = OrthogonalAction.rotation(3)
     M = r2_manifold(act)
     f = EqFunction.from_polynomial(Polynomial(2, {(2, 0): 1, (0, 2): 1}))
     crits = find_critical_points(f, M, seed_grid([(-1, 1)] * 2, 5))
@@ -242,7 +327,7 @@ def test_classify_figure2_pattern():
 
 def test_classify_figure1_pattern():
     # f = -(x^2 + y^2) with C3 rotation: index 2, stabilizer C3, unstable
-    act = LinearAction.rotation_cn(3)
+    act = OrthogonalAction.rotation(3)
     M = r2_manifold(act)
     f = EqFunction.from_polynomial(Polynomial(2, {(2, 0): -1, (0, 2): -1}))
     c = classify(f, M, np.array([0.0, 0.0]))
@@ -253,7 +338,7 @@ def test_classify_figure1_pattern():
 
 
 def test_classify_stable_minimum():
-    act = LinearAction.rotation_cn(3)
+    act = OrthogonalAction.rotation(3)
     M = r2_manifold(act)
     f = EqFunction.from_polynomial(Polynomial(2, {(2, 0): 1, (0, 2): 1}))
     c = classify(f, M, np.array([0.0, 0.0]))
@@ -1045,7 +1130,7 @@ def _reference_search(f, M, seeds, tol_crit=1e-9, dedup_tol=1e-6):
 def _c3_cubic_plane():
     # Re(z^3) + 3/2 |z|^2 under the C3 rotation: the Hessian is singular on
     # the circle |z| = 1/2, exactly so at the dyadic point (1/2, 0)
-    M = r2_manifold(LinearAction.rotation_cn(3))
+    M = r2_manifold(OrthogonalAction.rotation(3))
     f = EqFunction.from_polynomial(Polynomial(
         2, {(3, 0): 1, (1, 2): -3, (2, 0): Fraction(3, 2), (0, 2): Fraction(3, 2)}))
     rng = np.random.default_rng(11)

@@ -189,7 +189,7 @@ def _mixed_batch(M, crits):
     saddle = next(c for c in crits if c.index == 1)
     parts = [(_descending_seeds(top, RHO, 8)[::2], -1, top),
              (_descending_seeds(saddle, RHO, 0), -1, saddle),
-             (_ascending_seeds(M, saddle, RHO), +1, saddle)]
+             (_ascending_seeds(saddle, RHO), +1, saddle)]
     X0 = np.concatenate([X for X, _, _ in parts])
     if M.codim:
         X0 = M.project_points_many(X0)

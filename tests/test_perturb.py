@@ -15,6 +15,7 @@ from equimorse.morse import (
     HNotEquivariant,
     ImplicitGManifold,
     LinearChart,
+    OrthogonalAction,
     PerturbedModel,
     SphereFunction,
     build_cutoffs,
@@ -58,7 +59,7 @@ C2_FLIP = LinearAction.reflection_c2(2, axis=1)
 def c3_rotation_model(cut):
     """V = W = 0, U = R^2 with the C3 rotation, h = cos(3 theta): the model
     with its action on the model space."""
-    act = LinearAction.rotation_cn(3)
+    act = OrthogonalAction.rotation(3)
     return PerturbedModel(0, 0, act, SphereFunction.cos_multiple_angle(3),
                           cut), act
 
@@ -76,8 +77,8 @@ def test_sphere_function_cos3():
         assert row(h.value_many, u) == pytest.approx(np.cos(3 * th), abs=1e-12)
     # equivariant under C3 rotation, not under C4
     samples = _sphere_samples(7, 64, 2)
-    assert h.invariance_error(LinearAction.rotation_cn(3), samples) < 1e-12
-    assert h.invariance_error(LinearAction.rotation_cn(4), samples) > 0.1
+    assert h.invariance_error(OrthogonalAction.rotation(3), samples) < 1e-12
+    assert h.invariance_error(OrthogonalAction.rotation(4), samples) > 0.1
 
 
 def test_sphere_function_gradients_fd():
@@ -209,7 +210,7 @@ def test_model_equivariance(cut):
 def test_h_not_equivariant_rejected(cut):
     h = SphereFunction.cos_multiple_angle(4)  # C4-symmetric, not C3
     with pytest.raises(HNotEquivariant):
-        PerturbedModel(0, 0, LinearAction.rotation_cn(3), h, cut)
+        PerturbedModel(0, 0, OrthogonalAction.rotation(3), h, cut)
 
 
 def test_oversized_epsilon_detected():
@@ -243,14 +244,14 @@ def test_default_sphere_function_needs_dim_u_one(cut):
     # plane U, so the model refuses it there, for the model alone as for
     # surgery
     with pytest.raises(ChartMissing):
-        PerturbedModel(0, 0, LinearAction.rotation_cn(3), None, cut)
+        PerturbedModel(0, 0, OrthogonalAction.rotation(3), None, cut)
 
 
 # -- surgery -------------------------------------------------------------
 
 
 def figure1_fixture():
-    act = LinearAction.rotation_cn(3)
+    act = OrthogonalAction.rotation(3)
     M = ImplicitGManifold(ambient=2, constraints=(), action=act)
     f = EqFunction.from_polynomial(Polynomial(2, {(2, 0): -1, (0, 2): -1}))
     chart = LinearChart(np.zeros(2), np.eye(2), dv=0, dw=2)

@@ -651,19 +651,6 @@ def test_lift_equals_average_of_interpolant(act, p, k, orbit_size):
     assert equivariant_jet_lift(p, jet, act, k) == equivariant_average(interpolant, act)
 
 
-def test_lift_rejects_a_float_action():
-    # float matrices are Morse-layer geometry: the exact layer refuses them
-    act = LinearAction.rotation_cn(3)
-    p = (Fraction(1), Fraction(0))
-    jet = Jet(p, 1, {(0, 0): 1})
-    for call in (lambda: equivariant_jet_lift(p, jet, act, 1),
-                 lambda: transport_jet(jet, act, 1),
-                 lambda: equivariant_average(jet.as_polynomial(), act)):
-        with pytest.raises(ValueError, match="rational") as err:
-            call()
-        assert not isinstance(err.value, JetNotFixed)
-
-
 def test_invariant_forms():
     # Q = sum_s A_s^T A_s over its content: the identity exactly for the
     # orthogonal actions, and A^T Q A = Q for every matrix
@@ -673,13 +660,12 @@ def test_invariant_forms():
                                  for i in range(act.dim))
     assert _C3.form == ((2, -1), (-1, 2)) and _SWAP.form == ((1, 0), (0, 4))
     for act in (_C3, _SWAP, _C4):
-        assert act.exact and not act.is_orthogonal()
+        assert not act.is_orthogonal()
         Q = act.form
         for A in act.matrices:
             AtQA = [[sum(A[r][i] * Q[r][c] * A[c][j] for r in range(2) for c in range(2))
                      for j in range(2)] for i in range(2)]
             assert AtQA == [list(row) for row in Q]
-    assert LinearAction.rotation_cn(3).form is None
 
 
 @pytest.mark.parametrize("act, k", [(_SWAP, 2), (_C3, 2), (_C4, 1), (_C4, 2)],
@@ -738,16 +724,8 @@ def test_lift_at_the_c3_point_of_the_rational_rotation():
 
 def test_action_validation_rejects_bad_law():
     G = FiniteGroup.cyclic(2)
-    good = LinearAction.sign_c2(1)
-    assert good.exact
     with pytest.raises(ValueError):
         LinearAction(G, [((Fraction(1),),), ((Fraction(2),),)])
-
-
-def test_rotation_floats_validate():
-    act = LinearAction.rotation_cn(3)
-    assert not act.exact
-    assert act.is_orthogonal()
 
 
 def test_stabilizer_and_orbit():
