@@ -10,6 +10,10 @@ and morphisms induce the evident basis maps.  This uniformly realizes
     fixed-point            (H = e, K = G)     H_0((G/L)^G)
     quotient-rel-fixed     relative variant   H_0((G/L)/G, (G/L)^G)
     general (H, K)                            H_0(((G/L)/H)^K)
+
+The classes and the double cosets that name the basis maps are read from
+the orbit category's coset tables (OrbitCategory.orbit_classes and
+double_cosets), so systems built over one category share them.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from .groups import (
     OrbitCategory,
     OrbitMorphism,
     Subgroup,
-    double_coset,
     full_subgroup,
     normalizer,
     trivial_subgroup,
@@ -133,25 +136,6 @@ def induced_matrix(M: CoefficientSystem, f: OrbitMorphism) -> Matrix:
     return M.induced[f]
 
 
-def _orbit_classes(G: FiniteGroup, L: Subgroup, H: Subgroup, K: Subgroup):
-    """K-fixed H-orbit classes of G/L, each as its sorted double coset HgL.
-
-    A class is K-fixed when k(HgL) = HgL for every k in K.
-    """
-    classes = []
-    seen = set()
-    for g in G.elements():
-        dc = double_coset(G, H, g, L)
-        if dc in seen:
-            continue
-        seen.add(dc)
-        dset = set(dc)
-        if all(G.mul[kk][g] in dset for kk in K.elements):
-            classes.append(dc)
-    classes.sort()
-    return classes
-
-
 def build_system(cat: OrbitCategory, kind: str, char: int = 0,
                  H: Subgroup | None = None, K: Subgroup | None = None,
                  ) -> CoefficientSystem:
@@ -181,27 +165,27 @@ def build_system(cat: OrbitCategory, kind: str, char: int = 0,
     values: dict = {}
     classes: dict = {}
     for L in cat.objects:
-        cls = _orbit_classes(G, L, Hq, Kf)
+        cls = cat.orbit_classes(L, Hq, Kf)
         if relative_fixed:
             # H_0 of (orbit)/G relative to the image of the G-fixed points:
             # rank 1 unless the orbit has a G-fixed point (only G/G does)
-            fixed_pts = _orbit_classes(G, L, *subquotient("fixed-point", G))
-            cls = [] if fixed_pts else cls
+            fixed_pts = cat.orbit_classes(L, *subquotient("fixed-point", G))
+            cls = () if fixed_pts else cls
         classes[L] = cls
-        values[L] = FreeModule(char, len(cls), tuple(cls))
+        values[L] = FreeModule(char, len(cls), cls)
 
     induced: dict = {}
     for (A, B), homs in cat.homs.items():
         src = classes[A]
         tgt = classes[B]
-        tgt_index = {c: i for i, c in enumerate(tgt)}
+        # a class is named by its least element
+        tgt_index = {c[0]: i for i, c in enumerate(tgt)}
+        table = cat.double_cosets(Hq, B)
         for m in homs:
             x = m.rep
             mat = [[0] * len(src) for _ in range(len(tgt))]
             for col, dc in enumerate(src):
-                g = dc[0]
-                img = double_coset(G, Hq, G.mul[g][x], B)
-                row = tgt_index.get(img)
+                row = tgt_index.get(table[G.mul[dc[0]][x]][0])
                 if row is not None:
                     mat[row][col] = 1
                 # a K-fixed class can only map to a K-fixed class, so for the

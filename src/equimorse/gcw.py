@@ -10,6 +10,11 @@ underlying cells are the cosets g*stab and the boundary of g*cell follows by
 translation.  Attaching maps are never stored geometrically; the assembled
 singular-kind boundary squaring to zero is the admission check.
 
+The coset tables behind both the assembly's coefficient systems and the
+subquotient oracles live on the orbit category (X.category for a complex),
+each computed once; the admission check, subquotient_complex and every
+system built over X.category read the same tables.
+
 A pair (X, A) has one representation: the complex of X with the cells of
 A left out and every boundary entry on them dropped, whose cellular chains
 are C(X)/C(A).  gcw_from_cells builds it from a closed marked set.
@@ -21,18 +26,12 @@ from dataclasses import dataclass, field
 
 from . import _intlinalg as la
 from .complexes import ChainComplex
-from .coefficients import (
-    CoefficientSystem,
-    _orbit_classes,
-    build_system,
-    induced_matrix,
-)
+from .coefficients import CoefficientSystem, build_system, induced_matrix
 from .groups import (
     FiniteGroup,
     OrbitCategory,
     OrbitMorphism,
     Subgroup,
-    double_coset,
     normalizer,
 )
 
@@ -171,6 +170,11 @@ def subquotient_complex(X: GCWComplex, H: Subgroup, K: Subgroup,
     Cells are the K-fixed H-classes Hg*stab of underlying cells; the
     boundary accumulates record degrees over classes.  (e, e) recovers the
     underlying complex, (G, e) the quotient, (e, G) the G-fixed subcomplex.
+
+    This is the oracle for the Bredon assembly: it shares with it only the
+    coset primitive, the classes and double cosets of X.category's tables,
+    and no induced matrix.  A system built over another category of the
+    same group (the benchmark builds its own) reads that category's tables.
     """
     G = X.group
     if H.group != G or K.group != G:
@@ -179,13 +183,16 @@ def subquotient_complex(X: GCWComplex, H: Subgroup, K: Subgroup,
     if not set(K.elements) <= nset:
         raise InvalidPair("K must normalize H to act on X/H")
 
-    # classes[n]: (orbit index, double coset) per K-fixed class, in order
+    # classes[n]: (orbit index, double coset) per K-fixed class, in order;
+    # a class is indexed by its orbit and its least element
+    cat = X.category
     classes = {
         n: [(a, dc) for a, cell in enumerate(X.cells[n])
-            for dc in _orbit_classes(G, cell.stabilizer, H, K)]
+            for dc in cat.orbit_classes(cell.stabilizer, H, K)]
         for n in X.dims()
     }
-    index = {n: {c: i for i, c in enumerate(lst)} for n, lst in classes.items()}
+    index = {n: {(a, dc[0]): i for i, (a, dc) in enumerate(lst)}
+             for n, lst in classes.items()}
 
     ranks = {n: len(lst) for n, lst in classes.items() if lst}
     boundary: dict[int, list] = {}
@@ -194,15 +201,15 @@ def subquotient_complex(X: GCWComplex, H: Subgroup, K: Subgroup,
             continue
         faces: dict[int, list] = {}
         for (a, b), recs in X.boundary.get(n, {}).items():
-            faces.setdefault(a, []).append((X.cells[n - 1][b].stabilizer, b, recs))
+            table = cat.double_cosets(H, X.cells[n - 1][b].stabilizer)
+            faces.setdefault(a, []).append((table, b, recs))
         cols = []
         for a, dc in classes[n]:
             col: dict[int, int] = {}
             g = dc[0]
-            for L, b, recs in faces.get(a, ()):
+            for table, b, recs in faces.get(a, ()):
                 for m, deg in recs:
-                    img = double_coset(G, H, G.mul[g][m.rep], L)
-                    row = index[n - 1].get((b, img))
+                    row = index[n - 1].get((b, table[G.mul[g][m.rep]][0]))
                     if row is not None:
                         col[row] = col.get(row, 0) + deg
             cols.append(col.items())

@@ -4,7 +4,10 @@ and the orbit category of cosets G/H with G-map morphisms.
 Everything here is desk scale (|G| <= 12 in practice): groups are validated
 exhaustively at construction, subgroups are enumerated by closing cyclic
 subgroups under pairwise joins, and hom-sets of the orbit category are stored
-as explicit tuples of coset morphisms.
+as explicit tuples of coset morphisms.  The orbit category also keeps its
+group's coset tables: each table of double cosets HgL and each table of
+K-fixed H-classes of G/L is computed once, on first use, and goes away with
+the category.
 """
 
 from __future__ import annotations
@@ -58,6 +61,12 @@ class FiniteGroup:
                 for c in range(n):
                     if self.mul[self.mul[a][b]][c] != self.mul[a][self.mul[b][c]]:
                         raise GroupTableError(f"associativity fails on ({a},{b},{c})")
+        # the generated hash, computed once: every dict keyed by a subgroup
+        # or an orbit morphism hashes the whole table
+        object.__setattr__(self, "_hash", hash((self.mul,)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def order(self) -> int:
@@ -156,6 +165,10 @@ class Subgroup:
             for b in elems:
                 if G.mul[a][b] not in eset:
                     raise NotASubgroup(f"not closed under product: {a}*{b}")
+        object.__setattr__(self, "_hash", hash((G, elems)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def order(self) -> int:
@@ -359,6 +372,10 @@ class OrbitCategory:
     """The orbit category of G with all subgroups as objects.
 
     Hom-sets are precomputed; composition goes through :func:`compose`.
+    The coset tables of the group (double_cosets, orbit_classes) are
+    computed on first use and kept here, keyed by element tuples, so every
+    coefficient system and subquotient complex over one category shares
+    them.
     """
 
     def __init__(self, group: FiniteGroup):
@@ -368,9 +385,47 @@ class OrbitCategory:
         for H in self.objects:
             for K in self.objects:
                 self.homs[(H, K)] = orbit_homs(group, H, K)
+        self._double_cosets: dict = {}
+        self._classes: dict = {}
 
     def hom(self, H: Subgroup, K: Subgroup) -> tuple[OrbitMorphism, ...]:
         return self.homs[(H, K)]
+
+    def double_cosets(self, H: Subgroup, L: Subgroup) -> tuple[tuple[int, ...], ...]:
+        """The double coset HgL of every element g, indexed by g.  Each
+        distinct double coset is computed once and shared by its elements,
+        so two elements lie in one double coset iff their entries are the
+        same object."""
+        key = (H.elements, L.elements)
+        table = self._double_cosets.get(key)
+        if table is None:
+            G = self.group
+            out: list = [None] * G.order
+            for g in G.elements():
+                if out[g] is None:
+                    dc = double_coset(G, H, g, L)
+                    for x in dc:
+                        out[x] = dc
+            table = self._double_cosets[key] = tuple(out)
+        return table
+
+    def orbit_classes(self, L: Subgroup, H: Subgroup,
+                      K: Subgroup) -> tuple[tuple[int, ...], ...]:
+        """The K-fixed H-orbit classes of G/L, each as its sorted double
+        coset HgL, in sorted order.
+
+        A class is K-fixed when k(HgL) = HgL for every k in K; with K
+        normalizing H that is kg in HgL, for any g of the class.
+        """
+        key = (L.elements, H.elements, K.elements)
+        classes = self._classes.get(key)
+        if classes is None:
+            mul = self.group.mul
+            table = self.double_cosets(H, L)
+            classes = self._classes[key] = tuple(
+                dc for dc in sorted(set(table))
+                if all(table[mul[k][dc[0]]] is dc for k in K.elements))
+        return classes
 
     def all_morphisms(self):
         for ms in self.homs.values():

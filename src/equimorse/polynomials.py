@@ -729,6 +729,20 @@ def _kept_slots(rad, top):
     return keep, cols
 
 
+def _least_length(rad, top) -> int:
+    """The first power of two (at least 2) at or above the number of slots
+    of the degree box rad whose exponents sum to at most top: the shortest
+    length a transform plan can take.  The count is inclusion-exclusion over
+    the variables whose exponent would reach its radix, each term the
+    C(t + n, n) exponent vectors of total degree at most t."""
+    n, count = len(rad), 0
+    for over in itertools.product((0, 1), repeat=n):
+        t = top - sum(r for r, o in zip(rad, over) if o)
+        if t >= 0:
+            count += (-1) ** sum(over) * math.comb(t + n, n)
+    return 1 << max(count - 1, 1).bit_length()
+
+
 def _slot_map(cols, strides, size):
     """sum_m strides[m] e_m mod size for the exponent columns cols."""
     import numpy as np
@@ -794,7 +808,7 @@ def _transform_plan(rad: tuple, top: int) -> tuple:
     keep, cols = _kept_slots(rad, top)
     box = [math.prod(rad[:m]) for m in range(n)]
     search = (2 * top + 1) ** (n - 1) <= math.prod(rad)
-    size = 1 << max(len(keep) - 1, 1).bit_length()
+    size = _least_length(rad, top)
 
     def distinct(strides):
         seen = np.zeros(size, bool)
@@ -838,7 +852,10 @@ def _interp_ntt(points, reps, k: int, Q=None) -> Polynomial:
     coefficients of F rebuilds it (|.|_1 is the sum of absolute values of
     the coefficients, and |Q_i|_1 <= sum_r |w_r| (b_i |I_r| + |L_r(a_i)|)^2).
     Raises ValueError, before any transform, when all the primes below
-    2^31 for the length do not cover that bound.
+    2^31 for the length do not cover that bound; that is checked first at
+    the least length a plan can take (_least_length), whose primes include
+    those of every longer length, so a hopeless bound is refused before
+    _transform_plan builds arrays over the box.
     """
     n, d, kk = len(points[0]), len(points), k * k
     squares = _squares(Q, n)
@@ -870,6 +887,9 @@ def _interp_ntt(points, reps, k: int, Q=None) -> Polynomial:
     # only slots within the total degree of F can be nonzero, and the
     # transform need only keep those apart (see _transform_plan)
     top = 2 * (d - 1) * kk + max(sum(e) for j in live for e in reps[j].num)
+    # the primes for a longer length are among those for the least one, so
+    # a bound that they cannot cover is refused before any plan is made
+    _ntt_primes(_least_length(rad, top), 2 * bound)
     size, strides = _transform_plan(tuple(rad), top)
     primes = _ntt_primes(size, 2 * bound)
     import numpy as np

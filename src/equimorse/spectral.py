@@ -10,10 +10,17 @@ reported numbers are ranks) from the standard cycle/boundary spaces
 
 realized as quotients of explicit column spans.  Finite filtrations make all
 convergence automatic: the page at r = (max filtration) + 2 is stable.
+
+Only the filtration degrees that some generator of C_n carries are visited
+in degree n: at any other p, F_p C_n = F_{p-1} C_n, so Z^r_p = Z^{r-1}_{p-1}
+and E^r_{p,n-p} = 0.  For the same reason a cycle basis is kept by the
+subspace it spans, Z^r_p = Z^{r-(p-p')}_{p'} with p' the largest carried
+degree at most p (the same columns and the same rows).
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 from . import _intlinalg as la
@@ -41,11 +48,13 @@ class FilteredComplex:
     requested, so deliberately broken fixtures can exist for negative tests.
     Chains are sparse columns over the generators, like the boundary
     columns of base, and each cycle basis Z^r is computed once, on first
-    use, and kept by (n, p, r).
+    use, and kept by (n, p', r - (p - p')), p' the largest degree at most p
+    in levels[n], the ascending filtration degrees carried in degree n.
     """
 
     base: ChainComplex
     filt: dict[int, tuple[int, ...]]
+    levels: dict[int, tuple[int, ...]] = field(init=False, repr=False)
     _cycles: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -57,6 +66,7 @@ class FilteredComplex:
                     f"rank is {self.base.rank(n)}"
                 )
         self.filt = {n: tuple(v) for n, v in self.filt.items()}
+        self.levels = {n: tuple(sorted(set(v))) for n, v in self.filt.items()}
 
     def max_filtration(self) -> int:
         return max((p for v in self.filt.values() for p in v), default=0)
@@ -114,10 +124,17 @@ class SSPage:
 
 def _zr_basis(F: FilteredComplex, n: int, p: int, r: int):
     """Basis columns of Z^r_{p, n-p} inside C_n: the null space of the
-    boundary of F_p C_n in the rows of filtration above p - r."""
-    key = (n, p, r)
+    boundary of F_p C_n in the rows of filtration above p - r.  Kept under
+    the carried degree p' <= p with F_p C_n = F_p' C_n, and the r' with
+    p' - r' = p - r; empty when C_n carries no degree up to p."""
+    levels = F.levels.get(n, ())
+    at = bisect.bisect_right(levels, p)
+    if not at:
+        return []
+    top = levels[at - 1]
+    key = (n, top, r - (p - top))
     if key not in F._cycles:
-        cols = [j for j, pj in enumerate(F.filt.get(n, ())) if pj <= p]
+        cols = [j for j, pj in enumerate(F.filt[n]) if pj <= top]
         low = F.filt.get(n - 1, ())
         d = F.base.d(n)
         sub = [tuple((i, x) for i, x in d[j] if low[i] > p - r) for j in cols]
@@ -137,27 +154,22 @@ def _apply_d(F: FilteredComplex, n: int, vec):
 
 
 def _page_data(F: FilteredComplex, r: int, char: int):
-    """groups, quotient representatives, and denominators for page r."""
-    pmax = F.max_filtration()
-    degs = F.base.degrees()
+    """groups, quotient representatives, and denominators for page r, at
+    the nonzero bidegrees; only the degrees carried in C_n are visited."""
     groups: dict[tuple[int, int], int] = {}
     reps: dict[tuple[int, int], list] = {}
     dens: dict[tuple[int, int], list] = {}
-    for n in degs:
-        for p in range(0, pmax + 1):
-            q = n - p
+    for n in F.base.degrees():
+        for p in F.levels.get(n, ()):
             Z = _zr_basis(F, n, p, r)
             if not Z:
                 continue
             D1 = _zr_basis(F, n, p - 1, r - 1)
             D2 = [_apply_d(F, n + 1, w) for w in _zr_basis(F, n + 1, p + r - 1, r - 1)]
             den, qreps = la.extend_basis(D1 + D2, Z, char)
-            dim = len(qreps)
-            if dim or den:
-                reps[(p, q)] = qreps
-                dens[(p, q)] = den
-            if dim:
-                groups[(p, q)] = dim
+            if qreps:
+                q = n - p
+                groups[(p, q)], reps[(p, q)], dens[(p, q)] = len(qreps), qreps, den
     return groups, reps, dens
 
 
@@ -189,7 +201,7 @@ def spectral_pages(F: FilteredComplex, r_max: int) -> list[SSPage]:
         diffs: dict[tuple[int, int], tuple] = {}
         for (p, q), qreps in reps.items():
             tgt = (p - r, q + r - 1)
-            if not groups.get((p, q)) or not reps.get(tgt):
+            if tgt not in reps:
                 continue
             mat = _differential(F, p + q, qreps, dens[tgt], reps[tgt], char)
             if any(any(row) for row in mat):

@@ -189,3 +189,81 @@ def test_subgroup_rejects_nonclosed():
     G = FiniteGroup.cyclic(4)
     with pytest.raises(Exception):
         Subgroup(G, (0, 1))  # 1+1=2 missing
+
+
+_TABLE_GROUPS = {
+    "C1": FiniteGroup.cyclic(1),
+    "C2": FiniteGroup.cyclic(2),
+    "C3": FiniteGroup.cyclic(3),
+    "C4": FiniteGroup.cyclic(4),
+    "C2xC2": FiniteGroup.product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2)),
+    "S3": FiniteGroup.symmetric(3),
+    "D4": FiniteGroup.dihedral(4),
+    "C3xC3": FiniteGroup.product(FiniteGroup.cyclic(3), FiniteGroup.cyclic(3)),
+}
+
+
+@pytest.mark.parametrize("G", _TABLE_GROUPS.values(), ids=_TABLE_GROUPS)
+def test_coset_tables_match_brute_force(G):
+    # every double coset HgL by its definition, and the K-fixed H-classes
+    # of G/L as the double cosets that k(HgL) = HgL leaves in place, for
+    # every (L, H, K) with K normalizing H
+    cat = OrbitCategory(G)
+    subs = cat.objects
+    mul = G.mul
+    checked = 0
+    for H in subs:
+        for L in subs:
+            want = [tuple(sorted({mul[mul[h][g]][l] for h in H.elements for l in L.elements}))
+                    for g in G.elements()]
+            table = cat.double_cosets(H, L)
+            assert list(table) == want
+            assert cat.double_cosets(H, L) is table
+            for K in subs:
+                if not set(K.elements) <= set(normalizer(G, H).elements):
+                    continue
+                fixed = sorted({dc for dc in want
+                                if {mul[k][x] for k in K.elements for x in dc} == set(dc)})
+                classes = cat.orbit_classes(L, H, K)
+                assert list(classes) == fixed
+                assert cat.orbit_classes(L, H, K) is classes
+                checked += 1
+    assert checked >= len(subs) ** 2
+
+
+def test_coset_tables_are_computed_once_per_category(monkeypatch):
+    # every system and subquotient complex over one category reads its
+    # tables: the double coset primitive runs once per distinct HgL
+    import equimorse.groups as groups
+    from equimorse.coefficients import SYSTEM_KINDS, build_system
+    from equimorse.fixtures import torus_double
+    from equimorse.gcw import subquotient_complex
+
+    X = torus_double()
+    G = X.group
+    calls = []
+    real = groups.double_coset
+
+    def counted(G, H, x, K):
+        calls.append((H.elements, K.elements, real(G, H, x, K)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(groups, "double_coset", counted)
+    for _ in range(2):
+        for kind in SYSTEM_KINDS[:-1]:
+            build_system(X.category, kind, char=2)
+        for H in X.category.objects:
+            for K in X.category.objects:
+                if set(K.elements) <= set(normalizer(G, H).elements):
+                    subquotient_complex(X, H, K, char=2)
+    assert calls and len(calls) == len(set(calls))
+
+
+def test_hash_is_the_generated_one_computed_once():
+    # the value the dataclass would generate, so no set or dict order moves
+    for G in _TABLE_GROUPS.values():
+        assert hash(G) == hash((G.mul,))
+        assert hash(FiniteGroup(G.mul, name="other")) == hash(G)
+        for H in enumerate_subgroups(G):
+            assert hash(H) == hash((H.group, H.elements))
+            assert hash(Subgroup(G, tuple(reversed(H.elements)))) == hash(H)

@@ -466,21 +466,34 @@ def test_interp_kernel_refuses_a_bound_past_its_primes():
     # two points on a line at k = 1025: 2,101,251 box slots take a 2^22-point
     # transform, whose 40 primes below 2^31 give 1,182 bits of modulus
     # against a bound of about 2.1 million bits; the kernel says so before
-    # any transform runs
+    # any transform runs, and before a plan builds arrays over the box
     from equimorse import polynomials as P
 
     pts = [(Fraction(0),), (Fraction(1),)]
     jets = [Jet(pts[0], 1, {(0,): 1}), Jet(pts[1], 1, {(0,): 2})]
-    lengths = set()
-    with mock.patch.object(P, "_ntt_stages", lambda a, *rest: lengths.add(len(a))):
+    lengths, planned = set(), []
+    with mock.patch.object(P, "_ntt_stages", lambda a, *rest: lengths.add(len(a))), \
+            mock.patch.object(P, "_kept_slots", lambda *args: planned.append(args)):
         with pytest.raises(ValueError, match="4194304-point transform give 1182 bits"):
             jet_interpolate(pts, jets, 1025)
-    assert not lengths
+    assert not lengths and not planned
     primes = P._ntt_primes(1 << 22, 1 << 1180)
     M = math.prod(p for p, _ in primes)
     assert len(primes) == 40 and M.bit_length() == 1182
     with pytest.raises(ValueError, match="give 1182 bits of modulus, short of the 1182"):
         P._ntt_primes(1 << 22, M)
+
+
+@pytest.mark.parametrize("rad, top", [((5,), 3), ((5,), 9), ((4, 6), 5), ((3, 3), 9),
+                                      ((7, 2, 5), 6), ((26, 26, 26), 25), ((3, 4, 5), 0),
+                                      ((2, 3, 2, 4), 4), ((1, 1), 0)])
+def test_least_length_counts_the_kept_slots(rad, top):
+    # the closed-form count of the slots within the total degree against
+    # the slots themselves
+    from equimorse import polynomials as P
+
+    keep, _ = P._kept_slots(rad, top)
+    assert P._least_length(rad, top) == 1 << max(len(keep) - 1, 1).bit_length()
 
 
 def test_exact_interpolation_runs_one_crt():

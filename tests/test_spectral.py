@@ -303,8 +303,9 @@ def test_each_differential_reduces_once_per_target(monkeypatch):
 
 def test_page_data_reduces_each_bidegree_once(monkeypatch):
     # the denominator and the representatives of a bidegree come from one
-    # elimination of [D1 + D2 | Z]; the eliminations inside the Z^r bases
-    # (nullspace) are not counted
+    # elimination of [D1 + D2 | Z], and only at the filtration degrees that
+    # C_n carries (E^r is zero at every other p); the eliminations inside
+    # the Z^r bases (nullspace) are not counted
     import equimorse.spectral as ss
     from equimorse.coefficients import build_system
     from equimorse.fixtures import sphere_rotation_c3
@@ -315,9 +316,10 @@ def test_page_data_reduces_each_bidegree_once(monkeypatch):
     C = bredon_chain_complex(X, build_system(OrbitCategory(X.group), "singular", char=3))
     F = _admissible_filtration(C, random.Random("sphere_rotation_c3"))
     rs = range(1, F.max_filtration() + 3)
-    bidegrees = {r: sum(1 for n in C.degrees() for p in range(F.max_filtration() + 1)
+    bidegrees = {r: sum(1 for n in C.degrees() for p in F.levels.get(n, ())
                         if ss._zr_basis(F, n, p, r))
                  for r in rs}
+    assert any(len(F.levels[n]) <= F.max_filtration() for n in C.degrees())
     calls, in_nullspace = [], []
     real_eliminate, real_nullspace = la.eliminate, la.nullspace
 
@@ -374,3 +376,83 @@ def test_each_cycle_basis_is_computed_once(monkeypatch):
     assert in_differential and set(in_differential) == {1}
     assert len(calls) - len(in_differential) == len(F._cycles)
     assert all(F._cycles[key] is ss._zr_basis(F, *key) for key in F._cycles)
+
+
+def _gapped_filtration(C, rng):
+    """A random admissible filtration whose degrees skip levels: each
+    generator sits at the top filtration of its faces plus 0, 1, 2 or 5."""
+    filt = {}
+    for n in C.degrees():
+        filt[n] = tuple(
+            max((filt[n - 1][i] for i, _ in col), default=0) + rng.choice((0, 0, 1, 2, 5))
+            for col in C.d(n)
+        )
+    return FilteredComplex(base=C, filt=filt)
+
+
+def _reference_pages(F, r_max):
+    """(groups, differentials) of E^1 .. E^r_max by the definition: every
+    p from 0 to the maximum filtration in every degree, each Z^r basis
+    eliminated afresh."""
+    import equimorse.spectral as ss
+
+    char = F.base.char
+
+    def zr(n, p, r):
+        cols = [j for j, pj in enumerate(F.filt.get(n, ())) if pj <= p]
+        low = F.filt.get(n - 1, ())
+        d = F.base.d(n)
+        sub = [tuple((i, x) for i, x in d[j] if low[i] > p - r) for j in cols]
+        return [tuple((cols[t], x) for t, x in vec) for vec in la.nullspace(sub, char)]
+
+    out = []
+    for r in range(1, r_max + 1):
+        groups, reps, dens, diffs = {}, {}, {}, {}
+        for n in F.base.degrees():
+            for p in range(F.max_filtration() + 1):
+                Z = zr(n, p, r)
+                if not Z:
+                    continue
+                D1 = zr(n, p - 1, r - 1)
+                D2 = [ss._apply_d(F, n + 1, w) for w in zr(n + 1, p + r - 1, r - 1)]
+                den, qreps = la.extend_basis(D1 + D2, Z, char)
+                if qreps:
+                    groups[(p, n - p)] = len(qreps)
+                    reps[(p, n - p)], dens[(p, n - p)] = qreps, den
+        for (p, q), qreps in reps.items():
+            tgt = (p - r, q + r - 1)
+            if tgt in reps:
+                mat = ss._differential(F, p + q, qreps, dens[tgt], reps[tgt], char)
+                if any(any(row) for row in mat):
+                    diffs[(p, q)] = mat
+        out.append((groups, diffs))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["singular", "constant", "fixed-point"])
+@pytest.mark.parametrize("char", [2, 3])
+def test_pages_at_carried_degrees_equal_the_full_range(kind, char):
+    # pages, differentials and the E^infinity report visit only the
+    # filtration degrees each C_n carries; on filtrations with gaps they
+    # must equal the definition over every p
+    from equimorse.coefficients import build_system
+    from equimorse.fixtures import GCW_FIXTURES
+    from equimorse.gcw import bredon_chain_complex
+
+    gaps = 0
+    for name, build in GCW_FIXTURES.items():
+        X = build()
+        C = bredon_chain_complex(X, build_system(X.category, kind, char=char))
+        for seed in range(6):
+            F = _gapped_filtration(C, random.Random(f"{name}/{kind}/{char}/{seed}"))
+            top = F.max_filtration()
+            gaps += sum(top + 1 - len(F.levels.get(n, ())) for n in C.degrees())
+            ref = _reference_pages(F, top + 2)
+            pages = spectral_pages(F, top + 2)
+            assert [(pg.groups, pg.differentials) for pg in pages] == ref
+            h = homology(C)
+            want = {n: (sum(d for (p, q), d in ref[-1][0].items() if p + q == n), h.dim(n))
+                    for n in set(C.degrees()) | {p + q for p, q in ref[-1][0]}}
+            ok, report = einfty_check(F)
+            assert ok and report.per_degree == want
+    assert gaps
