@@ -3,8 +3,8 @@
 A matrix is stored as its columns: column j is a tuple of (row, entry)
 pairs in increasing row order, every entry nonzero.  Field routines work
 mod a prime p, or over the rationals when p == 0 (Fraction entries).  One
-sparse elimination, `eliminate`, gives ranks, null spaces and basis
-extensions over a field and the unit part of the Smith form over Z; the
+sparse elimination, `eliminate`, gives ranks and the persistence pairing of
+a filtered map over a field and the unit part of the Smith form over Z; the
 dense `_smith`, on tuples of row tuples, diagonalises what the units leave
 and serves `smith_normal_form`, which also returns U and V.  Loops walk the
 nonzero entries only, and all arithmetic stays exact.
@@ -84,49 +84,53 @@ def is_prime(n: int) -> bool:
 # -- sparse elimination ------------------------------------------------------
 
 
-def eliminate(cols, p: int, integral: bool = False, track: bool = False):
+def eliminate(cols, p: int, integral: bool = False, low=None):
     """Reduce the columns of a matrix, in the order given, by unit pivots.
 
     Over a field (F_p for a prime p, Q for p == 0) every nonzero entry is a
     unit; over Z (integral, p == 0) only +-1 is.  Each column is reduced by
     the pivot columns before it.  If a unit is left, the column becomes a
     pivot column, scaled to 1 on the unit whose row has the fewest entries
-    in the matrix (Markowitz).  A pivot column is zero in the pivot rows of
-    the pivots before it, so a column meets each pivot at most once, in
-    pivot order.  Over Z a column with no unit left is reduced again after
-    every pass that made a pivot, and the Smith form of the matrix is a 1
-    per pivot followed by the Smith form of the remainders.
+    in the matrix (Markowitz), or, when low gives a filtration degree per
+    row, on its last row in (filtration, index) order.  A pivot column is
+    zero in the pivot rows of the pivots before it, so a column meets each
+    pivot at most once, in pivot order.  Under the second rule the pivot
+    columns therefore have distinct last rows, and each is its input column
+    plus columns before it, so the (row, column) pairs are those of the
+    textbook left-to-right column reduction: the persistence pairing when
+    the columns come in filtration order.  Over Z a column with no unit
+    left is reduced again after every pass that made a pivot, and the Smith
+    form of the matrix is a 1 per pivot followed by the Smith form of the
+    remainders.
 
-    Returns (pivots, rest): the indices of the pivot columns in pivot order,
-    and (index, remainder, combination) for every other column in index
-    order.  The remainder is a {row: entry} dict, empty over a field; the
-    combination is the {column: coefficient} dict of the input columns
-    that sums to it when track is set, else None.
+    Returns (pivots, rest): (column index, pivot row) per pivot in pivot
+    order, and (index, remainder) for every other column in index order.
+    The remainder is a {row: entry} dict, empty over a field.
     """
     work = []
     count: dict[int, int] = {}
-    for j, col in enumerate(cols):
+    for col in cols:
         a = {}
         for i, x in col:
             x = x % p if p else (x if integral else Fraction(x))
             if x:
                 a[i] = x
                 count[i] = count.get(i, 0) + 1
-        work.append((a, {j: 1} if track else None))
+        work.append(a)
     owner: dict[int, int] = {}    # pivot row -> its place in `pivots`
-    pivots: list[int] = []
+    pivots: list[tuple[int, int]] = []
     done: set[int] = set()
-    reduced = []                  # (pivot row, column, combination) per pivot
+    reduced = []                  # (pivot row, column) per pivot
     pending = range(len(work))
     while pending:
         made = False
         for j in pending:
-            a, v = work[j]
+            a = work[j]
             heap = [owner[i] for i in a if i in owner]
             if heap:
                 heapify(heap)
             while heap:
-                i, b, w = reduced[heappop(heap)]
+                i, b = reduced[heappop(heap)]
                 c = a.get(i)
                 if not c:
                     continue
@@ -140,64 +144,30 @@ def eliminate(cols, p: int, integral: bool = False, track: bool = False):
                     if r not in a and r in owner:
                         heappush(heap, owner[r])
                     a[r] = z
-                if track:
-                    for k, y in w.items():
-                        z = v.get(k, 0) - c * y
-                        if p:
-                            z %= p
-                        if z:
-                            v[k] = z
-                        else:
-                            del v[k]
             units = [i for i, x in a.items() if x == 1 or x == -1] if integral else a
             if not units:
                 continue
-            i = min(units, key=count.__getitem__)
+            if low is None:
+                i = min(units, key=count.__getitem__)
+            else:
+                i = max(units, key=lambda i: (low[i], i))
             s = a[i]
             if s != 1:
                 inv = pow(s, -1, p) if p else (s if integral else 1 / s)
                 a = {r: x * inv % p if p else x * inv for r, x in a.items()}
-                if track:
-                    v = {r: x * inv % p if p else x * inv for r, x in v.items()}
             owner[i] = len(pivots)
-            pivots.append(j)
+            pivots.append((j, i))
             done.add(j)
-            reduced.append((i, a, v))
+            reduced.append((i, a))
             made = True
-        pending = [j for j in pending if j not in done and work[j][0]] if made else []
-    return pivots, [(j, a, v) for j, (a, v) in enumerate(work) if j not in done]
+        pending = [j for j in pending if j not in done and work[j]] if made else []
+    return pivots, [(j, a) for j, a in enumerate(work) if j not in done]
 
 
 def rank(cols, p: int) -> int:
     """Rank over F_p (p prime) or Q (p == 0) of the matrix with these
     columns, eliminated shortest column first."""
     return len(eliminate(sorted(cols, key=len), p)[0])
-
-
-def nullspace(cols, p: int) -> list[Column]:
-    """Basis of the right null space, one vector per column outside the span
-    of the columns before it: the column's own unit minus its coordinates
-    on the pivot columns before it, as (index, entry) pairs.  This is the
-    basis read off the reduced row echelon form."""
-    if not any(cols):
-        return [((j, 1),) for j in range(len(cols))]
-    _, rest = eliminate(cols, p, track=True)
-    return [tuple(sorted(v.items())) for _, _, v in rest]
-
-
-def extend_basis(base_cols, candidate_cols, p: int):
-    """A basis of span(base_cols) and its greedy extension by candidates,
-    from one elimination of [base | candidates].
-
-    Returns (spanning, chosen): the base columns outside the span of the
-    base columns before them, and the candidates outside the span of
-    base_cols and of the candidates before them.  Both are the pivot
-    columns of their block.
-    """
-    pivots, _ = eliminate([*base_cols, *candidate_cols], p)
-    nb = len(base_cols)
-    return ([base_cols[c] for c in pivots if c < nb],
-            [candidate_cols[c - nb] for c in pivots if c >= nb])
 
 
 # -- Smith normal form -----------------------------------------------------
@@ -224,7 +194,7 @@ def snf_diagonal(cols) -> list[int]:
     runs only on the columns the units leave, over the rows they touch.
     """
     pivots, rest = eliminate(sorted(cols, key=len), 0, integral=True)
-    left = [a for _, a, _ in rest if a]
+    left = [a for _, a in rest if a]
     rows = {i: t for t, i in enumerate(sorted({i for a in left for i in a}))}
     dense = [[0] * len(left) for _ in rows]
     for j, a in enumerate(left):

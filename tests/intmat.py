@@ -1,7 +1,8 @@
 """Exact matrix helpers that only the tests use, on dense tuple-of-rows
 matrices: products, reduction mod p, the zero test, the determinant, the
-column form that equimorse stores, and a dense reduced row echelon form as
-the reference for its sparse elimination."""
+column form that equimorse stores, and a dense reduced row echelon form,
+its null space and the textbook persistence reduction as the references for
+its sparse elimination."""
 
 from fractions import Fraction
 
@@ -78,3 +79,41 @@ def rref(rows, p: int):
                           for x, y in zip(mat[i], mat[r])]
         pivots.append(c)
     return mat, pivots
+
+
+def rref_nullspace(A, n, p):
+    """The null space basis of the dense matrix A with n columns read off
+    its rref, as (index, entry) pairs."""
+    red, piv = rref(A, p)
+    basis = []
+    for fc in (c for c in range(n) if c not in piv):
+        vec = {fc: 1}
+        for r, pc in enumerate(piv):
+            if red[r][fc]:
+                vec[pc] = -red[r][fc] % p if p else -red[r][fc]
+        basis.append(tuple(sorted(vec.items())))
+    return basis
+
+
+def low_reduction(A, n, p):
+    """The textbook left-to-right column reduction of the dense matrix A
+    with n columns over F_p (p prime) or Q (p == 0): while a column's low
+    (its last nonzero row) is the low of a column before it, subtract the
+    multiple of that column that clears it.  Returns (R, V, pairs): R = A V
+    and V, unit upper triangular, as lists of dense columns, and the
+    (low, column) pair of every nonzero column of R."""
+    R = [[row[j] % p if p else Fraction(row[j]) for row in A] for j in range(n)]
+    V = [[int(i == j) for i in range(n)] for j in range(n)]
+    owner = {}
+    for j in range(n):
+        while True:
+            i = max((i for i, x in enumerate(R[j]) if x), default=None)
+            if i is None or i not in owner:
+                break
+            k = owner[i]
+            f = R[j][i] * pow(R[k][i], -1, p) % p if p else R[j][i] / R[k][i]
+            R[j] = [(x - f * y) % p if p else x - f * y for x, y in zip(R[j], R[k])]
+            V[j] = [(x - f * y) % p if p else x - f * y for x, y in zip(V[j], V[k])]
+        if i is not None:
+            owner[i] = j
+    return R, V, sorted(owner.items())

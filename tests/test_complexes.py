@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, seed, settings
@@ -14,7 +13,8 @@ from equimorse.complexes import (
     smith_normal_form,
 )
 
-from intmat import columns, det, is_zero, mat_mod, mat_mul, rref
+from intmat import (columns, det, is_zero, low_reduction, mat_mod, mat_mul, rref,
+                    rref_nullspace)
 
 
 def test_snf_zero_matrix():
@@ -155,9 +155,9 @@ def test_homology_reduces_each_boundary_map_once(monkeypatch, char, expected):
     calls = []
     real = la.eliminate
 
-    def counted(cols, p, integral=False, track=False):
+    def counted(cols, p, integral=False, low=None):
         calls.append((p, integral))
-        return real(cols, p, integral, track)
+        return real(cols, p, integral, low)
 
     monkeypatch.setattr(la, "eliminate", counted)
     h = homology(C)
@@ -169,14 +169,14 @@ def test_homology_reduces_each_boundary_map_once(monkeypatch, char, expected):
 def test_rref_nullspace_rank_mod_p():
     rows = [[1, 2, 0], [2, 4, 1]]
     assert la.rank(columns(rows), 5) == 2
-    ns = la.nullspace(columns(rows), 5)
+    ns = rref_nullspace(rows, 3, 5)
     assert len(ns) == 1
     v = dict(ns[0])
     for row in rows:
         assert sum(a * v.get(j, 0) for j, a in enumerate(row)) % 5 == 0
 
 
-# -- oracles: SNF identities, greedy basis extension, dense d∘d, Euler -------
+# -- oracles: SNF identities, the textbook pairing, dense d∘d, Euler ----------
 
 
 @settings(max_examples=60, deadline=None)
@@ -219,72 +219,36 @@ def sparse_matrices(draw):
     return A, n
 
 
-def rref_nullspace(A, n, p):
-    """The null space basis read off the dense rref, as (index, entry)
-    pairs."""
-    red, piv = rref(A, p)
-    basis = []
-    for fc in (c for c in range(n) if c not in piv):
-        vec = {fc: 1}
-        for r, pc in enumerate(piv):
-            if red[r][fc]:
-                vec[pc] = -red[r][fc] % p if p else -red[r][fc]
-        basis.append(tuple(sorted(vec.items())))
-    return basis
-
-
 @seed(29)
 @settings(max_examples=300, deadline=None)
-@given(sparse_matrices(), st.sampled_from((2, 3, 5, 0)), st.data())
-def test_sparse_elimination_matches_dense_reference(matrix, p, data):
+@given(sparse_matrices(), st.sampled_from((2, 3, 5, 0)))
+def test_sparse_elimination_matches_dense_reference(matrix, p):
     A, n = matrix
     cols = columns(A, n)
     D = smith_normal_form(tuple(map(tuple, A)))[0] if A and n else ()
     assert la.snf_diagonal(cols) == [D[i][i] for i in range(min(len(A), n)) if D[i][i]]
     _, piv = rref(A, p)
     assert la.rank(cols, p) == len(piv)
-    assert la.nullspace(cols, p) == rref_nullspace(A, n, p)
-    k = data.draw(st.integers(0, n))
-    spanning, chosen = la.extend_basis(cols[:k], cols[k:], p)
-    assert [id(c) for c in spanning] == [id(cols[c]) for c in piv if c < k]
-    assert [id(c) for c in chosen] == [id(cols[c]) for c in piv if c >= k]
 
 
-def greedy_extend(base, cands, p):
-    """One rank per candidate: keep a candidate when it raises the rank."""
-    chosen, current = [], list(base)
-    cur = len(rref([list(r) for r in zip(*current)], p)[1])
-    for c in cands:
-        trial = current + [c]
-        r = len(rref([list(row) for row in zip(*trial)], p)[1])
-        if r > cur:
-            chosen.append(c)
-            current, cur = trial, r
-    return chosen
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.data())
-def test_extend_basis_matches_greedy_reference(data):
-    p = data.draw(st.sampled_from((2, 3, 0)))
-    dim = data.draw(st.integers(1, 6))
-    if p:
-        entry = st.integers(0, p - 1) | st.just(0)
-    else:
-        entry = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)) | st.just(0)
-    col = st.lists(entry, min_size=dim, max_size=dim)
-    base = data.draw(st.lists(col, max_size=4))
-    cands = data.draw(st.lists(col, max_size=7))
-    if cands and data.draw(st.booleans()):
-        # a candidate repeated, or a sum of two, must be skipped
-        a, b = data.draw(st.sampled_from(cands)), data.draw(st.sampled_from(cands))
-        cands.append([x + y for x, y in zip(a, b)])
-    sparse = {id(c): tuple((i, x) for i, x in enumerate(c) if x) for c in base + cands}
-    spanning, got = la.extend_basis([sparse[id(c)] for c in base],
-                                    [sparse[id(c)] for c in cands], p)
-    assert [id(c) for c in spanning] == [id(sparse[id(c)]) for c in greedy_extend([], base, p)]
-    want = greedy_extend(base, cands, p)
-    assert [id(c) for c in got] == [id(sparse[id(c)]) for c in want]
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices(), st.sampled_from((2, 3, 0)), st.data())
+def test_low_pivots_are_the_textbook_pairing(matrix, p, data):
+    # rows and columns in (filtration, index) order, with ties: the pivot
+    # rows of eliminate under the low rule are the lows of the left-to-right
+    # column reduction
+    A, n = matrix
+    degree = st.integers(-1, 2)
+    rf = data.draw(st.lists(degree, min_size=len(A), max_size=len(A)))
+    cf = data.draw(st.lists(degree, min_size=n, max_size=n))
+    rows = sorted(range(len(A)), key=rf.__getitem__)
+    order = sorted(range(n), key=cf.__getitem__)
+    cols = columns(A, n)
+    pivots, rest = la.eliminate([cols[j] for j in order], p, low=rf)
+    _, _, pairs = low_reduction([[A[i][j] for j in order] for i in rows], n, p)
+    assert sorted((order[c], i) for c, i in pivots) == sorted(
+        (order[j], rows[i]) for i, j in pairs)
+    assert not any(a for _, a in rest)
 
 
 def unimodular_pair(rng, n):
@@ -411,32 +375,6 @@ def test_reduce_mod_stores_the_residues(seed, p):
                                        boundary=C.boundary).boundary
     assert Cp.boundary == {n: columns(mat_mod(d, p)) for n, d in boundary.items()
                            if n in C.boundary}
-
-
-def test_rref_rational_coordinates():
-    # the null vector of a right-hand side holds minus its coordinates on
-    # the pivot columns before it, as in the rref; a right-hand side outside
-    # the span becomes a pivot itself and has none
-    half = Fraction(1, 2)
-    assert la.nullspace(columns([[2, 0, 1], [0, 4, 2]]), 0) == [
-        ((0, -half), (1, -half), (2, 1))]
-    assert la.nullspace(columns([[0, 2, 1], [3, 1, 0]]), 5) == [((0, 1), (1, 2), (2, 1))]
-    assert la.nullspace(columns([[1, 1, 0], [1, 1, 1]]), 0) == [((0, -1), (1, 1))]
-
-
-def test_extend_basis_reduces_once(monkeypatch):
-    calls = []
-    real = la.eliminate
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(la, "eliminate", counted)
-    base = list(columns(((1, 0), (0, 1), (0, 0))))
-    cands = list(columns(((1, 0, 1, 0), (1, 0, 0, 0), (0, 2, 1, 1))))
-    assert la.extend_basis(base, cands, 3) == (base, [((2, 2),)])
-    assert len(calls) == 1
 
 
 def test_is_prime_matches_a_sieve_below_1e5():

@@ -46,7 +46,7 @@ def _systems(X, char):
 
 def _page(page):
     return {"groups": [[p, q, d] for (p, q), d in sorted(page.groups.items())],
-            "differentials": [[p, q, [[str(x) for x in row] for row in mat]]
+            "differentials": [[p, q, [[list(e) for e in col] for col in mat]]
                               for (p, q), mat in sorted(page.differentials.items())]}
 
 
