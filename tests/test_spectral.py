@@ -271,18 +271,9 @@ def test_page_identities_on_gcw_complexes(name, X, p):
     assert pages[0].groups
 
 
-def test_pages_reduce_each_boundary_map_once(monkeypatch):
-    # every page, the E^infinity check and a second call share the pairing
-    # kept on the filtered complex: one elimination per boundary map, beside
-    # the one of homology's own
-    from equimorse.coefficients import build_system
-    from equimorse.fixtures import sphere_rotation_c3
-    from equimorse.gcw import bredon_chain_complex
-    from equimorse.groups import OrbitCategory
-
-    X = sphere_rotation_c3()
-    C = bredon_chain_complex(X, build_system(OrbitCategory(X.group), "singular", char=3))
-    F = _admissible_filtration(C, random.Random("sphere_rotation_c3"))
+def _counted_eliminations(monkeypatch):
+    """A list that records, per call of la.eliminate, whether it was a
+    low-pivot (pairing) elimination."""
     calls = []
     real = la.eliminate
 
@@ -291,10 +282,71 @@ def test_pages_reduce_each_boundary_map_once(monkeypatch):
         return real(cols, p, integral, low)
 
     monkeypatch.setattr(la, "eliminate", counted)
+    return calls
+
+
+def _rotation_sphere_filtration():
+    from equimorse.coefficients import build_system
+    from equimorse.fixtures import sphere_rotation_c3
+    from equimorse.gcw import bredon_chain_complex
+    from equimorse.groups import OrbitCategory
+
+    X = sphere_rotation_c3()
+    C = bredon_chain_complex(X, build_system(OrbitCategory(X.group), "singular", char=3))
+    return C, _admissible_filtration(C, random.Random("sphere_rotation_c3"))
+
+
+def test_each_differential_reduces_once_per_target(monkeypatch):
+    # the d_r cost no elimination of their own: however many (source,
+    # target) pairs the pages carry, each boundary map is reduced once
+    C, F = _rotation_sphere_filtration()
+    calls = _counted_eliminations(monkeypatch)
     pages = spectral_pages(F, F.max_filtration() + 2)
+    pairs = [(page, p, q) for page in pages for (p, q) in page.groups
+             if page.dim(p - page.r, q + page.r - 1)]
+    assert any(page.dim(p, q) > 1 for page, p, q in pairs)
+    assert len(C.boundary) == 2 and any(pg.differentials for pg in pages)
+    assert calls == [True] * len(C.boundary)
+
+
+def test_page_data_reduces_each_bidegree_once(monkeypatch):
+    # the groups of a page sit only at the filtration degrees that C_n
+    # carries, and a fresh complex's pages up to any r cost one elimination
+    # per boundary map, not one per bidegree
+    C, F = _rotation_sphere_filtration()
+    rs = range(1, F.max_filtration() + 3)
+    calls = _counted_eliminations(monkeypatch)
+    bidegrees = 0
+    for r in rs:
+        calls.clear()
+        pages = spectral_pages(FilteredComplex(base=C, filt=F.filt), r)
+        assert calls == [True] * len(C.boundary)
+        for page in pages:
+            assert all(p in F.filt[p + q] for p, q in page.groups)
+        bidegrees += len(pages[-1].groups)
+    assert any(len(set(v)) <= F.max_filtration() for v in F.filt.values())
+    assert bidegrees > len(rs) * len(C.boundary)
+
+
+def test_each_cycle_basis_is_computed_once(monkeypatch):
+    # every page, the E^infinity check and a second call share the pairing
+    # kept on the filtered complex: one elimination per boundary map, beside
+    # the one of homology's own
+    from equimorse.coefficients import build_system
+    from equimorse.fixtures import torus_double
+    from equimorse.gcw import bredon_chain_complex
+    from equimorse.groups import OrbitCategory
+
+    X = torus_double()
+    C = bredon_chain_complex(X, build_system(OrbitCategory(X.group), "singular", char=2))
+    F = _admissible_filtration(C, random.Random("torus_double"))
+    calls = _counted_eliminations(monkeypatch)
+    spectral_pages(F, F.max_filtration() + 2)
+    bars = F._bars
     einfty_check(F)
     spectral_pages(F, 2)
-    assert len(C.boundary) == 2 and any(pg.differentials for pg in pages)
+    assert bars is not None and F._bars is bars
+    assert len(C.boundary) == 2
     assert calls.count(True) == len(C.boundary)
     assert len(calls) == 2 * len(C.boundary)
 
