@@ -17,6 +17,7 @@ specseq on a manifold fixture import them when they run.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from ._intlinalg import is_prime
@@ -26,7 +27,7 @@ from .errors import InputError
 from .fixtures import FixtureError, ManifoldFixture, load_fixture
 from .gcw import GCWComplex, bredon_chain_complex, subquotient_complex
 from .groups import FiniteGroup, OrbitCategory, full_subgroup, trivial_subgroup
-from .repcells import THEORIES, RepSpec, representation_cell_groups
+from .repcells import THEORIES, RepSpec, representation_cell_table
 from .smith import smith_report
 from .spectral import einfty_check, skeletal_filtration, spectral_pages
 
@@ -220,12 +221,10 @@ def cmd_cells(args) -> int:
         H, V = full, RepSpec(trivial=k - 1, sign=1)
     else:
         raise FixtureError(f"unknown cell type {args.cell!r}")
-    theories = (["singular", "fixed-point", "quotient", "quotient-rel-fixed"]
-                if args.theory == "all" else [args.theory])
+    theories = THEORIES if args.theory == "all" else (args.theory,)
     lines = [_header(args, f"cell={args.cell} k={k} |G|={args.order}")]
     rows = ["theory,degree,betti"]
-    for th in theories:
-        h = representation_cell_groups(H, V, th)
+    for th, h in representation_cell_table(H, V, theories).items():
         desc = ", ".join(f"deg {n}: {h.describe(n)}" for n in h.degrees()) or "0"
         lines.append(f"{th:>20}: {desc}")
         for n in h.degrees():
@@ -265,13 +264,16 @@ def _checked(convert, test, what: str):
     return parse
 
 
-_kind_list = _checked(str, lambda s: set(s.split(",")) <= set(CLI_KINDS),
-                      f"a comma-separated list of {', '.join(CLI_KINDS)}")
+_kind_list = _checked(
+    str, lambda s: len(set(s.split(",")) & set(CLI_KINDS)) == len(s.split(",")),
+    f"a comma-separated list of distinct kinds of {', '.join(CLI_KINDS)}")
 _positive_float = _checked(float, lambda v: v > 0, "positive")
 _positive_int = _checked(int, lambda v: v > 0, "positive")
 _nonnegative_int = _checked(int, lambda v: v >= 0, "nonnegative")
 
 
+# built once per process: parse_args leaves the parser as it was
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="equimorse",

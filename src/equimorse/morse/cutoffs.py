@@ -1,25 +1,21 @@
 """Smooth cutoff machinery for the critical-point surgery model.
 
-phi is the odd smooth transition built from the normalized integral of
-exp(-1/(1-t^2)): it equals -1 below -1 and +1 above +1, is nondecreasing,
-and its second derivative vanishes only at 0 inside (-1, 1).  From it the
-radial profile -t^2 phi(t-2) acquires exactly two critical points, 0 and a
-root t0 in (1, 2) located by bisection.
+phi is the odd smooth transition built from the normalized integral of the
+bump exp(-1/(1-t^2)): it equals -1 below -1 and +1 above +1, is
+nondecreasing, and its second derivative vanishes only at 0 inside (-1, 1).
+From it the radial profile -t^2 phi(t-2) acquires exactly two critical
+points, 0 and a root t0 in (1, 2) located by bisection.  psi is a smooth
+plateau equal to 1 on [t0 - delta, t0 + delta] and 0 outside [1 + delta,
+3 - delta].  epsilon is sized so the angular perturbation term can never
+cancel the radial slope on the two transition intervals.
 
-psi is a smooth plateau equal to 1 on [t0 - delta, t0 + delta] and 0 outside
-[1 + delta, 3 - delta].  epsilon is sized so the angular perturbation term
-can never cancel the radial slope on the two transition intervals.
-
-All evaluations are vectorized over numpy arrays; the integral of the bump
-is a Gauss-Legendre sum of QUAD_PANELS panels of QUAD_ORDER nodes,
-accurate to ~1e-15, which unit tests pin against an independent
-quadrature.
-
-CutoffPair.profile is the radial kernel of the surgery model and the one
-evaluator of phi and psi: it returns the radial profile R(t) and the
-plateau psi(t) with their derivatives up to a given order, from one bump
-integral and one bump evaluation (and one of its derivative at order 2)
-on the arguments of both, concatenated.
+The bump integral is a Gauss-Legendre sum of QUAD_PANELS panels of
+QUAD_ORDER nodes, accurate to ~1e-15 (tests pin it against an independent
+quadrature).  CutoffPair.profile, the radial kernel of the surgery model and
+the one evaluator of phi and psi, gives R(t) and psi(t) with derivatives up
+to order 2 in one pass of full-array operations, with one bump jet on the
+quadrature nodes and the arguments of both; a row's result does not depend
+on the rows beside it.
 """
 
 from __future__ import annotations
@@ -37,27 +33,28 @@ class DeltaTooLarge(InputError):
     """The plateau intervals cannot fit between 1, t0 and 3."""
 
 
-def _bump(s: np.ndarray) -> np.ndarray:
-    """exp(-1/(1-s^2)) on (-1,1), 0 outside; smooth and even."""
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    inside = np.abs(s) < 1.0
-    si = s[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - si * si))
-    return out
+def _bump_jet(s: np.ndarray, order: int) -> list:
+    """[b, b'][:order + 1] for the bump b(s) = exp(-1/(1-s^2)) on (-1, 1),
+    0 outside (smooth and even), in one pass over s with no gather: the
+    quotients are taken only inside, 1 - s^2 > 0 exactly where |s| < 1."""
+    u = 1.0 - s * s
+    inside = u > 0.0
+    b = np.exp(np.divide(-1.0, u, out=np.full_like(u, -np.inf), where=inside))
+    if not order:
+        return [b]
+    return [b, b * np.divide(-2.0 * s, u * u, out=np.zeros_like(u),
+                             where=inside)]
 
 
-def _bump_d1(s: np.ndarray) -> np.ndarray:
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    inside = np.abs(s) < 1.0
-    si = s[inside]
-    u = 1.0 - si * si
-    out[inside] = np.exp(-1.0 / u) * (-2.0 * si / (u * u))
-    return out
+def _bump(s) -> np.ndarray:
+    return _bump_jet(np.asarray(s, dtype=float), 0)[0]
 
 
-# upper limits per block of _BumpIntegral.__call__, which bounds its
+def _bump_d1(s) -> np.ndarray:
+    return _bump_jet(np.asarray(s, dtype=float), 1)[1]
+
+
+# upper limits per block of _BumpIntegral.jet, which bounds its
 # quadrature temporaries at a few times CHUNK x QUAD_ORDER x 8 bytes
 CHUNK = 1024
 QUAD_PANELS = 64
@@ -73,6 +70,7 @@ class _BumpIntegral:
     def __init__(self):
         nodes, weights = np.polynomial.legendre.leggauss(QUAD_ORDER)
         self.edges = np.linspace(-1.0, 1.0, QUAD_PANELS + 1)
+        self.inner = self.edges[1:-1]
         self.nodes = nodes
         self.weights = weights
         h = self.edges[1] - self.edges[0]
@@ -84,29 +82,34 @@ class _BumpIntegral:
         self.total = self.cum[-1]
 
     def __call__(self, t) -> np.ndarray:
-        """integral of the bump from -1 to t, elementwise, in blocks of
-        CHUNK elements (each element is evaluated on its own, so the
-        blocks do not change a bit)."""
+        """The integral of the bump from -1 to t, elementwise."""
+        return self.jet(t, 0)[0]
+
+    def jet(self, t, order: int) -> list:
+        """[I(t), b(t), b'(t)][:order + 1] for the integral I of the bump b
+        from -1: one bump jet on t and its partial panel's nodes, in blocks
+        of CHUNK elements (evaluated each on its own, so bit for bit)."""
         t = np.asarray(t, dtype=float)
         if t.size <= CHUNK:
-            return self._block(t)
+            return self._block(t, order)
         flat = t.ravel()
-        return np.concatenate([self._block(flat[i:i + CHUNK])
-                               for i in range(0, len(flat), CHUNK)]
-                              ).reshape(t.shape)
+        blocks = [self._block(flat[i:i + CHUNK], order)
+                  for i in range(0, len(flat), CHUNK)]
+        return [np.concatenate(parts).reshape(t.shape) for parts in zip(*blocks)]
 
-    def _block(self, t: np.ndarray) -> np.ndarray:
+    def _block(self, t: np.ndarray, order: int) -> list:
+        # b and b' are 0 outside (-1, 1); the last panel holds 1
         tc = np.minimum(np.maximum(t, -1.0), 1.0)
-        # tc >= edges[0], so the panel index is never below 0
-        idx = np.minimum(
-            np.searchsorted(self.edges, tc, side="right") - 1, len(self.edges) - 2
-        )
+        idx = self.inner.searchsorted(tc, side="right")
         left = self.edges[idx]
-        h = tc - left
-        mids = left + h / 2.0
-        pts = mids[..., None] + (h[..., None] / 2.0) * self.nodes
-        partial = (h / 2.0) * np.einsum("...k,k->...", _bump(pts), self.weights)
-        return self.cum[idx] + partial
+        half = (tc - left) / 2.0
+        pts = np.concatenate([(left + half)[..., None] + half[..., None] * self.nodes,
+                              tc[..., None]], axis=-1)
+        b = _bump_jet(pts, max(order - 1, 0))
+        partial = half * np.einsum("...k,k->...", b[0][..., :QUAD_ORDER],
+                                   self.weights)
+        # copies, so the block's bump arrays are freed
+        return [self.cum[idx] + partial] + [a[..., QUAD_ORDER].copy() for a in b][:order]
 
 
 _INTEGRAL = _BumpIntegral()
@@ -125,55 +128,40 @@ class CutoffPair:
     def _plateau_arg(self, t) -> tuple[np.ndarray, np.ndarray]:
         """psi's step argument x and the signed width of x's piece, with
         psi^(k)(t) = S^(k)(x) / width^k for the step S(x) = I(2x - 1) /
-        total of the bump integral I (0 for x <= 0, 1 for x >= 1).  Below
-        the plateau x = (t - rise_lo) / wr and the width is wr, above it x
-        = (fall_hi - t) / wf and the width is -wf, and on it both are 1."""
-        rise_lo, rise_hi = 1.0 + self.delta, self.t0 - self.delta
+        total (0 for x <= 0, 1 for x >= 1): (fall_hi - t) / wf and -wf
+        above the plateau, else (t - rise_lo) / wr (at least 1 on it) and
+        wr."""
+        rise_lo = 1.0 + self.delta
         fall_lo, fall_hi = self.t0 + self.delta, 3.0 - self.delta
-        wr, wf = rise_hi - rise_lo, fall_hi - fall_lo
-        rise = (t - rise_lo) / wr
-        fall = (fall_hi - t) / wf
-        lo, hi = t < rise_hi, t > fall_lo
-        return (np.where(hi, fall, np.where(lo, rise, 1.0)),
-                np.where(hi, -wf, np.where(lo, wr, 1.0)))
+        wr, wf = self.t0 - self.delta - rise_lo, fall_hi - fall_lo
+        hi = t > fall_lo
+        return (np.where(hi, (fall_hi - t) / wf, (t - rise_lo) / wr),
+                np.where(hi, -wf, wr))
 
     def profile(self, t, order: int) -> tuple[list, list]:
         """The radial kernel: ([R, R', ...], [psi, psi', ...]) up to the
-        given order (0, 1 or 2) at every t, with R the radial profile t^2 on
-        t <= 1, -t^2 phi(t - 2) on 1 < t < 3 and -t^2 on t >= 3.
-
-        phi (on the middle rows only) and psi share one bump integral and one
-        bump evaluation (and one of the bump's derivative at order 2) on their
-        concatenated arguments; every element is evaluated on its own, so a
-        row's result does not depend on the rows beside it.
+        given order (0, 1 or 2) at every t of a 1-d array, with R the radial
+        profile t^2 on t <= 1, -t^2 phi(t - 2) on 1 < t < 3 and -t^2 on
+        t >= 3.  phi(t - 2) is exactly -1 and 1 below and above the middle
+        piece, where the bump integral is exactly 0 and its total, and its
+        derivatives exactly 0, so one expression gives R on every row.
         """
         t = np.asarray(t, dtype=float)
-        lo, hi = t <= 1.0, t >= 3.0
-        mid = (t > 1.0) & (t < 3.0)
-        tm = t[mid]
-        n = len(tm)
         x, width = self._plateau_arg(t)
-        args = np.concatenate([tm - 2.0, 2.0 * x - 1.0])
-        total = _INTEGRAL.total
-        integral = _INTEGRAL(args)
-        p = [-1.0 + 2.0 * integral[:n] / total]      # phi, phi', phi''
-        psi = [integral[n:] / total]
+        args = np.concatenate([t - 2.0, 2.0 * x - 1.0])
+        m, total = len(t), _INTEGRAL.total
+        integral, *b = _INTEGRAL.jet(args, order)
+        p0 = -1.0 + 2.0 * integral[:m] / total
+        R, psi = [-t * t * p0], [integral[m:] / total]
         if order >= 1:
-            b = _bump(args)
-            p.append(2.0 * b[:n] / total)
-            psi.append(2.0 * b[n:] / total / width)
+            d1 = 2.0 * b[0] / total
+            p1 = d1[:m]
+            R.append(-2 * t * p0 - t * t * p1)
+            psi.append(d1[m:] / width)
         if order >= 2:
-            b = _bump_d1(args)
-            p.append(2.0 * b[:n] / total)
-            psi.append(4.0 * b[n:] / total / (width * width))
-        R = [np.where(hi, -t * t, np.where(lo, t * t, 0.0))]
-        R[0][mid] = -tm * tm * p[0]
-        if order >= 1:
-            R.append(np.where(hi, -2.0 * t, np.where(lo, 2.0 * t, 0.0)))
-            R[1][mid] = -2 * tm * p[0] - tm * tm * p[1]
-        if order >= 2:
-            R.append(np.where(hi, -2.0, np.where(lo, 2.0, 0.0)))
-            R[2][mid] = -2 * p[0] - 4 * tm * p[1] - tm * tm * p[2]
+            p2 = 2.0 * b[1][:m] / total
+            R.append(-2 * p0 - 4 * t * p1 - t * t * p2)
+            psi.append(4.0 * b[1][m:] / total / (width * width))
         return R, psi
 
 

@@ -183,7 +183,8 @@ class PolyTable:
         powers = powers.reshape(len(X), -1)
         # einsum's summation order follows the layout of the monomial
         # matrix, so it is made row-major at every batch size
-        mono = np.ascontiguousarray(np.take(powers, self._col, axis=1).prod(axis=2))
+        mono = np.ascontiguousarray(
+            np.multiply.reduce(powers.take(self._col, axis=1), axis=2))
         return np.einsum("mk,kp->mp", mono, self.coef)
 
 

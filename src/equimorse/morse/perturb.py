@@ -13,20 +13,14 @@ function only on the cylinders |u| < 3s, which are unbounded in v and in
 the fixed part of w.
 
 Sphere functions h are homogeneous polynomials P divided by the matching
-power of the radius; P is evaluated as EqFunction.from_polynomial, so the
-gradients and Hessians of h are closed-form.  One seeded sample of the unit
-sphere gives the sup of |h|, which sizes eps and bounds the C0 distance of
-the surgery.  Like every Morse-layer function, the model, the sphere
-functions, the charts and the surgered function take (m x n) batches of
-points and have no scalar forms; a single point is a batch of one.  Their
-per-row contractions are einsums rather than BLAS products, so a row's
-result does not depend on the rows beside it.  Each function and chart
-has one evaluation, jet_many(X, order), whose one body does the shared
-work once and returns the value (coordinates for a chart) with its
-derivatives up to the order; the model reads phi, psi and their
-derivatives from one call of the radial kernel, CutoffPair.profile, and
-h's from one jet of h on the rows where psi or a derivative taken is
-nonzero.
+power of the radius, so their derivatives are closed-form.  One seeded
+sample of the unit sphere gives the sup of |h|, which sizes eps and bounds
+the C0 distance of the surgery.  The model, the sphere functions, the
+charts and the surgered function take (m x n) batches of points (a single
+point is a batch of one) through one evaluation, jet_many(X, order), whose
+one body returns the value (coordinates for a chart) with its derivatives
+up to the order.  Per-row contractions are einsums rather than BLAS
+products, so a row's result does not depend on the rows beside it.
 """
 
 from __future__ import annotations
@@ -72,6 +66,11 @@ class ChartMissing(InputError):
     function where U has dimension 2 or more."""
 
 
+def _squares(A: np.ndarray) -> np.ndarray:
+    """|row|^2 for each row of A, summed as np.linalg.norm sums it."""
+    return np.add.reduce(A * A, axis=1)
+
+
 def _sphere_samples(seed: int, count: int, dim: int) -> np.ndarray:
     """count seeded random points on the unit sphere of R^dim."""
     pts = np.random.default_rng(seed).normal(size=(count, dim))
@@ -105,22 +104,23 @@ class SphereFunction(EqFunction):
 
     def jet_many(self, U, order: int) -> list:
         U = np.asarray(U, dtype=float)
-        t = np.linalg.norm(U, axis=1)
+        t = np.sqrt(_squares(U))
         m = self.deg
         P = self.P.jet_many(U, order)
-        jet = [P[0] / t**m]
+        tm = t**m
+        jet = [P[0] / tm]
         if order >= 1:
-            jet.append(P[1] / t[:, None] ** m
-                       - m * (P[0] / t ** (m + 2))[:, None] * U)
+            tm2 = t ** (m + 2)
+            jet.append(P[1] / tm[:, None] - m * (P[0] / tm2)[:, None] * U)
         if order == 2:
-            t = t[:, None, None]
             p = P[0][:, None, None]
             gu = P[1][:, :, None] * U[:, None, :]
             uu = U[:, :, None] * U[:, None, :]
             jet.append(
-                P[2] / t**m
-                - m / t ** (m + 2) * (gu + gu.transpose(0, 2, 1) + p * np.eye(self.dim))
-                + m * (m + 2) * p / t ** (m + 4) * uu
+                P[2] / tm[:, None, None]
+                - m / tm2[:, None, None] * (gu + gu.transpose(0, 2, 1)
+                                            + p * np.eye(self.dim))
+                + m * (m + 2) * p / (t ** (m + 4))[:, None, None] * uu
             )
         return jet
 
@@ -134,7 +134,11 @@ class PerturbedModel(EqFunction):
     so dim U >= 2 without h raises ChartMissing.  h must be equivariant
     under actU (checked by sampling), and eps is the cutoffs' epsilon over
     h_sup, the sampled sup of |h|; without U there is no h, and eps and
-    h_sup are 0."""
+    h_sup are 0.
+
+    jet_many computes every term on every row from one radial-kernel call,
+    with h's jet only where psi or a derivative taken is nonzero (0
+    elsewhere) and quotients by t = |u| read at 1 where t = 0."""
 
     def __init__(self, dv: int, dw: int, actU: OrthogonalAction | LinearAction,
                  h: SphereFunction | None, cut: CutoffPair):
@@ -164,60 +168,42 @@ class PerturbedModel(EqFunction):
 
     def jet_many(self, X, order: int) -> list:
         X = np.asarray(X, dtype=float)
-        dv, dw, du = self.dv, self.dw, self.du
-        k = dv + dw
+        dv, k = self.dv, self.dv + self.dw
         v, w, u = X[:, :dv], X[:, dv:k], X[:, k:]
-        jet = [np.einsum("mi,mi->m", v, v) - np.einsum("mi,mi->m", w, w)]
-        if order >= 1:
-            jet.append(np.concatenate([2.0 * v, -2.0 * w, np.zeros_like(u)],
-                                      axis=1))
-        if order == 2:
-            jet.append(np.zeros((len(X), k + du, k + du)))
-            jet[2][:, :dv, :dv] = 2.0 * np.eye(dv)
-            jet[2][:, dv:k, dv:k] = -2.0 * np.eye(dw)
-        if not du:
-            return jet
-        t = np.linalg.norm(u, axis=1)
+        t = np.sqrt(_squares(u))
         R, psi = self.cut.profile(t, order)
-        jet[0] = jet[0] + R[0]
-        safe = t > 0.0
-        uhat = np.zeros_like(u)
-        uhat[safe] = u[safe] / t[safe, None]
-        # h enters on the rows where psi or a derivative taken is nonzero,
-        # all inside psi's support, away from t = 0
-        on = np.zeros(0, dtype=np.intp)
-        if self.h is not None and self.eps:
-            on = np.flatnonzero(sum(p != 0.0 for p in psi))
+        h = [np.zeros((len(X),) + (self.du,) * j) for j in range(order + 1)]
+        on = np.logical_or.reduce(psi).nonzero()[0]
         if len(on):
-            hj = self.h.jet_many(u[on], order)
-            p = [a[on] for a in psi]
-            jet[0][on] += self.eps * p[0] * hj[0]
+            for a, b in zip(h, self.h.jet_many(u[on], order)):
+                a[on] = b
+        eps = self.eps
+        jet = [_squares(v) - _squares(w) + R[0] + eps * psi[0] * h[0]]
         if order >= 1:
-            gu = R[1][:, None] * uhat
-            if len(on):
-                gu[on] += self.eps * ((p[1] * hj[0])[:, None] * uhat[on]
-                                      + p[0][:, None] * hj[1])
-            # at t = 0 the profile is +t^2, gradient 2u = 0: consistent
-            jet[1][:, k:] += gu
+            ts = np.where(t > 0.0, t, 1.0)
+            uhat = u / ts[:, None]
+            gu = R[1][:, None] * uhat + eps * (
+                (psi[1] * h[0])[:, None] * uhat + psi[0][:, None] * h[1])
+            jet.append(np.concatenate([2.0 * v, -2.0 * w, gu], axis=1))
         if order == 2:
-            # at t = 0 the profile is +t^2, Hessian 2I
-            Hu = np.tile(2.0 * np.eye(du), (len(X), 1, 1))
             Pu = uhat[:, :, None] * uhat[:, None, :]
-            Pt = np.eye(du) - Pu
-            nz = np.flatnonzero(safe)
-            Hu[nz] = (R[2][nz, None, None] * Pu[nz]
-                      + (R[1][nz] / t[nz])[:, None, None] * Pt[nz])
-            if len(on):
-                p0, p1, p2 = (a[:, None, None] for a in p)
-                hv = hj[0][:, None, None]
-                cross = uhat[on][:, :, None] * hj[1][:, None, :]
-                Hu[on] += self.eps * (
-                    p2 * hv * Pu[on]
-                    + p1 * (cross + cross.transpose(0, 2, 1))
-                    + p1 * hv * Pt[on] / t[on][:, None, None]
-                    + p0 * hj[2]
-                )
-            jet[2][:, k:, k:] = Hu
+            Pt = np.eye(self.du) - Pu
+            # R'/t tends to R''(0) = 2 at t = 0, where Pu = 0: the Hessian 2I
+            q = np.where(t > 0.0, R[1] / ts, 2.0)[:, None, None]
+            p0, p1, p2 = (a[:, None, None] for a in psi)
+            hv = h[0][:, None, None]
+            cross = uhat[:, :, None] * h[1][:, None, :]
+            Hu = R[2][:, None, None] * Pu + q * Pt + eps * (
+                p2 * hv * Pu
+                + p1 * (cross + cross.transpose(0, 2, 1))
+                + p1 * hv * Pt / ts[:, None, None]
+                + p0 * h[2]
+            )
+            H = np.zeros((len(X), k + self.du, k + self.du))
+            H[:, :dv, :dv] = 2.0 * np.eye(dv)
+            H[:, dv:k, dv:k] = -2.0 * np.eye(self.dw)
+            H[:, k:, k:] = Hu
+            jet.append(H)
         return jet
 
 
@@ -251,7 +237,7 @@ class LinearChart:
         N = len(self.center)
         jet = [np.einsum("mn,nk->mk", X - self.center, self.frame)]
         if order >= 1:
-            jet.append(np.broadcast_to(self.frame.T, (len(X), self.dim, N)))
+            jet.append(self.frame.T[None].repeat(len(X), axis=0))
         if order == 2:
             jet.append(np.zeros((len(X), self.dim, N, N)))
         return jet
@@ -317,8 +303,7 @@ def model_error(chart, f: EqFunction, fp: float, half_width: float) -> float:
     manifold by the chart's points_many."""
     Y = np.random.default_rng(11).uniform(-half_width, half_width,
                                           size=(MODEL_SAMPLES, chart.dim))
-    model = (np.sum(Y[:, :chart.dv] ** 2, axis=1)
-             - np.sum(Y[:, chart.dv:] ** 2, axis=1))
+    model = _squares(Y[:, :chart.dv]) - _squares(Y[:, chart.dv:])
     return float(np.max(np.abs(f.value_many(chart.points_many(Y)) - (fp + model))))
 
 
@@ -327,6 +312,8 @@ class SurgeredFunction(EqFunction):
 
     A point inside several modified cylinders takes the first chart in the
     list that contains it, for the value, gradient and Hessian alike.
+    jet_many reads the model through each chart on the rows inside that
+    chart's cylinder, and f itself only on the rows outside every one.
     """
 
     def __init__(self, f: EqFunction, charts, model: PerturbedModel,
@@ -346,21 +333,22 @@ class SurgeredFunction(EqFunction):
 
     def jet_many(self, X, order: int) -> list:
         X = np.asarray(X, dtype=float)
-        jet = self.f0.jet_many(X, order)
-        if not self.model.du:
-            return jet
-        s, k = self.scale, self.model.dv + self.model.dw
-        free = np.ones(len(X), dtype=bool)
+        model, s = self.model, self.scale
+        if not model.du:
+            return self.f0.jet_many(X, order)
+        k = model.dv + model.dw
+        m, n = X.shape
+        jet = [np.empty((m,) + (n,) * j) for j in range(order + 1)]
+        free = np.ones(m, dtype=bool)
         for chart in self.charts:
             y, *dy = chart.jet_many(X, order)
             Y = np.einsum("mc,kc->mk", y, self.split)
             # the rows inside this modified cylinder and no earlier one
-            rows = np.flatnonzero(
-                free & (np.linalg.norm(Y[:, k:], axis=1) < 3.0 * s))
+            rows = (free & (np.sqrt(_squares(Y[:, k:])) < 3.0 * s)).nonzero()[0]
             if not len(rows):
                 continue
             free[rows] = False
-            F = self.model.jet_many(Y[rows] / s, order)
+            F = model.jet_many(Y[rows] / s, order)
             jet[0][rows] = self.fp + s * s * F[0]
             if order >= 1:
                 J = dy[0][rows]
@@ -373,6 +361,12 @@ class SurgeredFunction(EqFunction):
                     np.einsum("mki,mkl,mlj->mij", Jy, F[2], Jy)
                     + s * np.einsum("mc,mcij->mij", gy, dy[1][rows])
                 )
+        rows = free.nonzero()[0]
+        if len(rows) == m:
+            return self.f0.jet_many(X, order)
+        if len(rows):
+            for a, b in zip(jet, self.f0.jet_many(X[rows], order)):
+                a[rows] = b
         return jet
 
 

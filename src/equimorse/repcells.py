@@ -36,6 +36,7 @@ __all__ = [
     "THEORIES",
     "UnsupportedRep",
     "representation_cell_groups",
+    "representation_cell_table",
 ]
 
 THEORIES = ("singular", "fixed-point", "quotient", "quotient-rel-fixed")
@@ -284,12 +285,18 @@ def _pair_complex(H: Subgroup, V: RepSpec) -> GCWComplex:
     return gcw_from_cells(H.group, X.cells, X.bnds, X.perms, marked_cells=X.marked)
 
 
-def representation_cell_groups(H: Subgroup, V: RepSpec, theory: str,
-                               char: int = 0) -> HomologySummary:
-    """Graded groups of the theory on the representation cell pair
-    (G x_H D(V), G x_H S(V)): its Bredon homology for the system named
-    theory."""
-    if theory not in THEORIES:
+def representation_cell_table(H: Subgroup, V: RepSpec, theories=THEORIES,
+                              char: int = 0) -> dict[str, HomologySummary]:
+    """Graded groups of each theory on the representation cell pair (G x_H
+    D(V), G x_H S(V)), by theory: Bredon homology of one pair complex."""
+    if not set(theories) <= set(THEORIES):
         raise ValueError(f"theory must be one of {THEORIES}")
     X = _pair_complex(H, V)
-    return homology(bredon_chain_complex(X, build_system(X.category, theory, char)))
+    return {th: homology(bredon_chain_complex(X, build_system(X.category, th, char)))
+            for th in theories}
+
+
+def representation_cell_groups(H: Subgroup, V: RepSpec, theory: str,
+                               char: int = 0) -> HomologySummary:
+    """The groups of one theory on the representation cell pair."""
+    return representation_cell_table(H, V, (theory,), char)[theory]

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -325,6 +326,34 @@ def test_cells_command_matches_table():
     assert "quotient-rel-fixed: 0" in out
 
 
+def test_cells_for_every_theory_builds_the_pair_once(monkeypatch):
+    # the four theories of `cells --theory all` read one pair complex
+    from equimorse import repcells
+
+    calls = []
+    real = repcells.gcw_from_cells
+    monkeypatch.setattr(repcells, "gcw_from_cells",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    code, out = run_cli(["cells", "--cell", "unstable", "--index", "2"])
+    assert code == 0
+    assert [line.split(":")[0].strip() for line in out.splitlines()[1:]] == [
+        "singular", "fixed-point", "quotient", "quotient-rel-fixed"]
+    assert len(calls) == 1
+
+
+def test_main_builds_the_parser_once(monkeypatch):
+    # a process that calls main several times builds the parser on the
+    # first call only
+    assert run_cli(["cells", "--cell", "stable", "--index", "1"])[0] == 0
+    built = []
+    real = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda *a, **k: built.append(1) or real(*a, **k))
+    for index in ("1", "2"):
+        assert run_cli(["cells", "--cell", "stable", "--index", index])[0] == 0
+    assert built == []
+
+
 def test_cells_with_an_unsupported_rep_is_an_error_exit(capsys):
     # a sign factor needs a stabilizer of order 2, not the cyclic group of
     # order 3: an error line and exit 2, not a traceback
@@ -365,10 +394,11 @@ def _exit_code(argv):
     ["morse", "wells_c2", "--seeds", "-1"],
     ["cells", "--cell", "stable", "--index", "2", "--theory", "borel"],
     ["morse", "wells_c2", "--seeds", "5", "--seed-value", "-1"],
+    ["bredon", "circle_reflection", "--coeff", "constant,constant"],
 ], ids=["delta-too-large", "delta-too-large-stable", "delta-zero",
         "delta-negative", "coeff-bogus", "order-zero", "coeff-general",
         "specseq-coeff", "rmax-zero", "seeds-negative", "theory-bogus",
-        "seed-value-negative"])
+        "seed-value-negative", "coeff-repeated"])
 def test_bad_flag_value_is_an_error_exit(argv, capsys):
     # a flag value no command can use is an error line and exit 2, whether
     # argparse rejects it or the layer that reads it raises an InputError

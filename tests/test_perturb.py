@@ -365,9 +365,17 @@ def surgered_fixture(name, cut):
     return fx, f
 
 
-def surgery_rows(name, s):
-    """Points of the fixture whose model |u| is each of SURGERY_RADII * s."""
-    r = np.array(SURGERY_RADII) * s
+def kernel_knots(cut):
+    """The model radii where a piece of the radial kernel begins or ends:
+    the center, the ends 1 and 3 of phi's middle piece, and psi's plateau
+    edges 1 + delta, t0 - delta, t0 + delta and 3 - delta."""
+    d = cut.delta
+    return (0.0, 1.0, 1.0 + d, cut.t0 - d, cut.t0 + d, 3.0 - d, 3.0)
+
+
+def surgery_rows(name, s, radii=SURGERY_RADII):
+    """Points of the fixture whose model |u| is each of radii * s."""
+    r = np.array(radii) * s
     a = 0.3 + 2.4 * np.arange(len(r))
     if name == "figure1_plane":       # u is the whole plane
         return r[:, None] * np.stack([np.cos(a), np.sin(a)], axis=1)
@@ -627,9 +635,12 @@ def _jet_subject(name, cut):
         return model.jet_many, np.concatenate(
             [plane] + [c.coords[None, :] for c in crits])
     if name.startswith("surgered-"):
+        # rows inside, across and outside the cylinder, and at every knot
+        # of the kernel, the center among them, in one batch
         fixture = name[len("surgered-"):]
         _, f = surgered_fixture(fixture, cut)
-        return f.jet_many, surgery_rows(fixture, f.scale)
+        return f.jet_many, surgery_rows(fixture, f.scale,
+                                        SURGERY_RADII + kernel_knots(cut))
     if name.startswith(("evaluator-", "constraints-")):
         # the joint PolyJet (a polynomial f with constraints), the composed
         # path (a surgered f) and codim 0, at the fixture's seeds
@@ -690,8 +701,9 @@ def test_jet_orders_and_rows_agree(cut, name):
 
 def test_surgered_hessian_calls_each_table_once(cut, monkeypatch):
     # one order-2 evaluation on two plateau rows of surgered figure 1
-    # reads the two tables of f's PolyJet and of h's once each: h's
-    # first-order table is not called again for the Hessian
+    # reads the two tables of h's PolyJet once each (h's first-order table
+    # is not called again for the Hessian) and none of f's: both rows lie
+    # inside the modified cylinder
     _, f = surgered_fixture("figure1_plane", cut)
     th = np.array([0.3, 2.0])
     X = cut.t0 * f.scale * np.stack([np.cos(th), np.sin(th)], axis=1)
@@ -706,15 +718,70 @@ def test_surgered_hessian_calls_each_table_once(cut, monkeypatch):
     f.jet_many(X, 2)
     jets = [PolyJet([g.polynomial], g.nvars) for g in (f.f0, f.model.h.P)]
     assert [calls.count(t.polys) for j in jets
-            for t in (j._first, j._second)] == [1, 1, 1, 1]
-    assert len(calls) == 4
+            for t in (j._first, j._second)] == [0, 0, 1, 1]
+    assert len(calls) == 2
+
+
+def test_surgered_f_is_read_only_outside_the_cylinders(cut, monkeypatch):
+    # an order-1 call on rows inside the modified cylinder calls none of
+    # f's tables; a batch with rows outside calls f's first-order table
+    # once, on those rows alone
+    _, f = surgered_fixture("figure1_plane", cut)
+    radii = np.array(SURGERY_RADII)
+    X = surgery_rows("figure1_plane", f.scale)
+    f0_first = PolyJet([f.f0.polynomial], f.nvars)._first.polys
+    rows = []
+    real = PolyTable.__call__
+
+    def counted(table, Z):
+        if table.polys == f0_first:
+            rows.append(len(Z))
+        return real(table, Z)
+
+    monkeypatch.setattr(PolyTable, "__call__", counted)
+    f.jet_many(X[radii < 2.99], 1)
+    assert rows == []
+    f.jet_many(X, 1)
+    assert rows == [np.sum(radii > 3.0)]
+
+
+@pytest.mark.parametrize("name", ["figure1_plane", "figure2_plane",
+                                  "circle_c2_height"])
+def test_surgered_hessian_matches_gradient_differences(cut, name):
+    # the order-2 Hessian against central differences of the order-1
+    # gradient, at every knot of the kernel and between them
+    fx, f = surgered_fixture(name, cut)
+    radii = tuple(np.linspace(0.1, 2.9, 15)) + kernel_knots(cut)[1:]
+    X = surgery_rows(name, f.scale, radii)
+    _, G, H = f.jet_many(X, 2)
+    eps = 1e-6
+    if fx.manifold.codim:
+        # on the circle, the second derivative along the rotation R_a:
+        # d/da (tangent . grad f)(R_a x) = tangent^T H tangent - x . grad f
+        def turned(a):
+            c, sn = np.cos(a), np.sin(a)
+            Z = X @ np.array([[c, sn], [-sn, c]])
+            tangent = np.stack([-Z[:, 1], Z[:, 0]], axis=1)
+            return np.einsum("mi,mi->m", tangent, f.grad_many(Z))
+
+        tangent = np.stack([-X[:, 1], X[:, 0]], axis=1)
+        want = (np.einsum("mi,mij,mj->m", tangent, H, tangent)
+                - np.einsum("mi,mi->m", X, G))
+        fd = (turned(eps) - turned(-eps)) / (2 * eps)
+        assert np.allclose(want, fd, rtol=2e-4, atol=2e-5)
+        return
+    for i in range(2):
+        e = np.zeros(2)
+        e[i] = eps
+        fd = (f.grad_many(X + e) - f.grad_many(X - e)) / (2 * eps)
+        assert np.allclose(H[:, :, i], fd, rtol=2e-4, atol=2e-5)
 
 
 def test_surgered_newton_and_classify_read_one_order_2_jet(cut, monkeypatch):
     # Newton from figure 1's seeds on its surgered function calls f's jet
     # only at order 2, once per iteration, which gives both the residual
     # and the KKT matrix; classify at each plateau critical point makes one
-    # order-2 call, which reads f's two tables and h's two tables once each
+    # order-2 call, which reads h's two tables once each and none of f's
     fx, f = surgered_fixture("figure1_plane", cut)
     M = fx.manifold
     crits = find_critical_points(f, M, fx.seeds)
@@ -732,4 +799,4 @@ def test_surgered_newton_and_classify_read_one_order_2_jet(cut, monkeypatch):
     for p in plateau:
         calls.clear()
         classify(f, M, p)
-        assert len(calls) == 4
+        assert len(calls) == 2
