@@ -18,7 +18,9 @@ certificate (_certificate) gives each critical point and flow direction a
 radius: the largest rung of CAPTURE_RADII below half the gap to the
 nearest other critical point on whose sampled shells, along the unstable
 subspace of that linearized flow, the velocity expands at CONTRACTION
-times its smallest unstable rate.  It serves both ends of a trajectory.
+times its smallest unstable rate.  It serves both ends of a trajectory,
+and every point of an orbit takes the most conservative certificate of
+its members.
 
 - A sink of the flow (an index-0 point for a descent, an index-dim point
   for an ascent) is a point whose whole tangent space is unstable for the
@@ -26,6 +28,14 @@ times its smallest unstable rate.  It serves both ends of a trajectory.
   enters the ball is captured there and its end is the closed-form linear
   flow, taken to half of CAPTURE_TOL.  A sink no rung certifies keeps the
   plain CAPTURE_TOL.
+- f is a Lyapunov function of its own flow, so a sink also has a level
+  region: the ball B(c, R), R = min(half that gap, CAPTURE_RADII[0]), with
+  the level the extremum of f over sampled points of its boundary on M.
+  A row in B whose f is strictly past the level cannot reach the boundary
+  again and ends at c; it is captured there like a row in the linear
+  ball.  This is a sampled certificate, and it trusts the found critical
+  set: a critical point the search missed inside B could be the row's
+  true limit (ROADMAP item 3 closes that gap).
 - A row whose source the caller names (sources=) starts at the edge of its
   source's ball: its start e0 is carried by the closed-form linear flow
   e(t) = V exp(w t) V^T e0, (w, V) the eigenpairs of -H or H, out to the
@@ -60,17 +70,20 @@ K1, at the same evaluations again; the first attempt may rise by a
 relative 1e-14, a retry must strictly decrease f along the flow.  An
 accepted step scales the row's next one by 0.9 (tol / err)^(1/4), within
 1/2 and 2, and never up right after a retry.  The certificate costs one
-more velocity call per batch, on every probe point at once.
+more velocity call per batch, on every probe point and boundary sample at
+once, and the capture test at step 0 reads the start evaluation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .critical import CriticalPoint
-from .manifolds import EqFunction, ImplicitGManifold, tangent_part
+from .critical import DEDUP_TOL, CriticalPoint
+from .manifolds import (PROJECT_TOL, EqFunction, ImplicitGManifold,
+                        _gram_solve, tangent_part)
 
 __all__ = [
     "CAPTURE_TOL",
@@ -86,13 +99,15 @@ STEP_TOL = 1e-3
 # a step still rejected after this many halvings ends its trajectory
 MAX_HALVINGS = 50
 # the radii the certificate tries around a critical point, largest first
-CAPTURE_RADII = (0.1, 0.03, 0.01, 3e-3, 1e-3)
+CAPTURE_RADII = (0.2, 0.14, 0.1, 0.07, 0.05, 0.03, 0.02, 0.01, 3e-3, 1e-3)
 # a certified radius needs (x - c).v(x) >= CONTRACTION * lam * |x - c|^2 on
 # its probe shells, lam the flow's smallest unstable rate at c
 CONTRACTION = 0.5
 # a row is released only where its source's fastest linear mode grows at
 # most RELEASE_GAIN times as much as the row itself (see _linear_release)
 RELEASE_GAIN = 2.0
+# the boundary samples of a level region on a surface (see _certificate)
+LEVEL_SAMPLES = 64
 
 CAPTURED = 0
 ESCAPED = 1
@@ -110,7 +125,8 @@ class Trajectory:
     limit: CriticalPoint | None
     steps: int
     halvings: int                    # halved retries: over tol or rising f
-    linear_capture: bool = False     # end is the sink's closed-form flow
+    linear_capture: bool = False     # end is the sink's closed-form flow,
+                                     # from its ball or its level region
     linear_release: bool = False     # start is the source's closed-form flow
     points: np.ndarray | None = None
 
@@ -121,6 +137,17 @@ class Trajectory:
     @property
     def escaped(self) -> bool:
         return self.status == ESCAPED
+
+
+class Certificate(NamedTuple):
+    """What _certificate finds at each critical point; row 0 of a (2, n)
+    array is for descents and row 1 for ascents."""
+
+    capture: np.ndarray     # (2, n): linear capture radius, else CAPTURE_TOL
+    release: np.ndarray     # (2, n): linear release radius, else 0
+    region: np.ndarray      # (n,): radius R of the level region
+    level: np.ndarray       # (2, n): a row in B(c, R) strictly past it ends
+                            # at c; -inf descending, +inf ascending if none
 
 
 def _crit_array(crits) -> np.ndarray:
@@ -136,10 +163,29 @@ def _shell_directions(d: int) -> np.ndarray:
     return np.array(dirs)
 
 
-def _certificate(velocity, M: ImplicitGManifold, crits, C):
-    """Capture and release radii of every critical point, row 0 for
-    descents and row 1 for ascents; a capture radius is CAPTURE_TOL and a
-    release radius 0 where no rung is certified.
+def _on_spheres(M: ImplicitGManifold, X, centers, radii):
+    """Gauss-Newton by minimum-norm steps from every row of X onto M and
+    the sphere of its row of centers and radii, |x - center| = radius: the
+    points, and whether each lies on both to PROJECT_TOL."""
+    X = np.array(X, dtype=float)
+    for _ in range(20):
+        F, J = M.jet(X, 1)
+        E = X - centers
+        # the sphere's residual is about |x - center| - radius
+        F = np.concatenate(
+            [F, (((E * E).sum(axis=1) - radii ** 2) / (2 * radii))[:, None]],
+            axis=1)
+        ok = np.abs(F).max(axis=1) < PROJECT_TOL
+        if ok.all():
+            break
+        J = np.concatenate([J, (E / radii[:, None])[:, None, :]], axis=1)[~ok]
+        X[~ok] -= np.einsum("mcn,mc->mn", J, _gram_solve(J, F[~ok]))
+    return X, ok
+
+
+def _certificate(flow, M: ImplicitGManifold, crits, C) -> Certificate:
+    """The capture and release radii and the level regions of every
+    critical point (see Certificate).
 
     For the flow of direction s a rung r of CAPTURE_RADII below half c's
     distance to every other critical point is certified at c when the
@@ -149,46 +195,99 @@ def _certificate(velocity, M: ImplicitGManifold, crits, C):
     largest certified rung is c's release radius for s.  A sink of the
     flow of direction -s is a point whose unstable subspace for s is the
     whole tangent space, and its release radius for s is its capture
-    radius for -s.  All probes share one velocity call.
+    radius for -s.
+
+    The level region of a sink is the ball B(c, R), R = min(half that
+    distance, CAPTURE_RADII[0]), with level the extremum of f, its minimum
+    for a descent and maximum for an ascent, over samples of the boundary
+    of B on M: the two points of a curve, LEVEL_SAMPLES points of a
+    circle on a surface, found by _on_spheres; none in dimension 3 or
+    more, or where a sample misses the sphere.  f is monotone along the
+    flow, so a row in B past the level never reaches the boundary and ends
+    at a critical point in B, which is c unless the critical set missed
+    one: the region trusts the found critical set and the sampled circle.
+
+    The probe directions are fixed tangent axes, not carried by the
+    action, so every point of an orbit takes the smallest radii and the
+    smallest level region of its members.  flow(X, sign) returns f and
+    the velocity of direction sign at the rows of X; the probes and
+    boundary samples share one call.
     """
-    release = np.zeros((2, len(C)))
-    capture = np.full((2, len(C)), CAPTURE_TOL)
-    if not len(C) or not M.dim:
-        return capture, release
+    n, N = len(C), M.ambient
+    capture = np.full((2, n), CAPTURE_TOL)
+    release = np.zeros((2, n))
+    level = np.array([[-np.inf], [np.inf]]).repeat(n, axis=1)
+    if not n or not M.dim:
+        return Certificate(capture, release, np.zeros(n), level)
+    orbit = (np.linalg.norm(
+        np.einsum("gij,kj->gki", M.action.matrices, C)[:, :, None, :]
+        - C[None, None], axis=3) < DEDUP_TOL).any(axis=0)
+
+    def conservative(a, pick, fill):
+        # each point's entry of a: pick over the members of its orbit
+        return pick(np.where(orbit, a[..., None, :], fill), axis=-1)
+
     gaps = np.linalg.norm(C[:, None, :] - C[None, :, :], axis=2)
     np.fill_diagonal(gaps, np.inf)
     half = 0.5 * gaps.min(axis=1)
-    blocks, shells, lam, sizes = [], [], [], []
+    region = conservative(np.minimum(half, CAPTURE_RADII[0]), np.min, np.inf)
+    # the boundary samples of a level region in tangent coordinates
+    theta = np.linspace(0.0, 2 * np.pi, LEVEL_SAMPLES, endpoint=False)
+    ring = {1: np.array([[1.0], [-1.0]]),
+            2: np.stack([np.cos(theta), np.sin(theta)], axis=1)
+            }.get(M.dim, np.zeros((0, M.dim)))
+    rungs, shells, keys, lam = [], [np.zeros((0, N))], [], []
+    sinks, rings = [], [np.zeros((0, N))]
     for k, c in enumerate(crits):
         for side, s in ((0, -1.0), (1, 1.0)):
             w, V = np.linalg.eigh(s * c.hessian)
             up = w > 0
             if not up.any():
                 continue
+            if up.all() and len(ring):
+                sinks.append((1 - side, k))
+                rings.append(C[k] + region[k] * ring @ c.tangent_basis.T)
             B = c.tangent_basis if up.all() else c.tangent_basis @ V[:, up]
             W = _shell_directions(B.shape[1]) @ B.T
-            for r in CAPTURE_RADII:
-                if r < half[k]:
-                    blocks.append((side, k, r, up.all()))
-                    shells += [C[k] + q * W for q in (r, r / 2, r / 4)]
-                    lam.append(w[up].min())
-                    sizes.append(3 * len(W))
-    if not blocks:
-        return capture, release
+            below = [r for r in CAPTURE_RADII if r < half[k]]
+            rungs.append((side, k, below, up.all()))
+            # half or a quarter of one rung may be another rung, or its
+            # half (halving is exact): each shell is probed once
+            for q in sorted({q for r in below for q in (r, r / 2, r / 4)}):
+                keys.append((side, k, q))
+                shells.append(C[k] + q * W)
+                lam.append(w[up].min())
+    if not keys and not sinks:
+        return Certificate(capture, release, region, level)
     X = M.project_points_many(np.concatenate(shells))
-    k = np.array([b[1] for b in blocks])
-    E = X - np.repeat(C[k], sizes, axis=0)
-    V = velocity(X, np.repeat([2.0 * b[0] - 1 for b in blocks], sizes))
-    good = ((E * V).sum(axis=1) >= CONTRACTION * np.repeat(lam, sizes)
-            * (E * E).sum(axis=1))
-    ok = np.logical_and.reduceat(good, np.cumsum([0] + sizes[:-1]))
-    # smallest rung first, so the largest certified rung is written last
-    for (side, kk, r, whole), good in zip(blocks[::-1], ok[::-1]):
-        if good:
-            release[side, kk] = r
-            if whole:
-                capture[1 - side, kk] = r
-    return capture, release
+    at = np.repeat([k for _, k in sinks], len(ring)).astype(int)
+    S, on = _on_spheres(M, np.concatenate(rings), C[at], region[at])
+    sizes = [len(x) for x in shells[1:]]
+    values, V = flow(np.concatenate([X, S]), np.concatenate(
+        [np.repeat([2.0 * key[0] - 1 for key in keys], sizes),
+         np.ones(len(S))]))
+    if keys:
+        E = X - np.repeat(C[[key[1] for key in keys]], sizes, axis=0)
+        good = ((E * V[:len(X)]).sum(axis=1)
+                >= CONTRACTION * np.repeat(lam, sizes) * (E * E).sum(axis=1))
+        held = dict(zip(keys, np.logical_and.reduceat(
+            good, np.cumsum([0] + sizes[:-1]))))
+        for side, k, below, whole in rungs:
+            # the largest rung whose three shells all hold
+            r = next((r for r in below if all(
+                held[side, k, q] for q in (r, r / 2, r / 4))), 0.0)
+            release[side, k] = r
+            if whole and r:
+                capture[1 - side, k] = r
+    values = values[len(X):].reshape(len(sinks), len(ring))
+    on = on.reshape(len(sinks), len(ring)).all(axis=1)
+    for (side, k), f_ring, sampled in zip(sinks, values, on):
+        if sampled:
+            level[side, k] = f_ring.min() if side == 0 else f_ring.max()
+    return Certificate(conservative(capture, np.min, np.inf),
+                       conservative(release, np.min, np.inf), region,
+                       np.stack([conservative(level[0], np.min, np.inf),
+                                 conservative(level[1], np.max, -np.inf)]))
 
 
 def _linear_flow(crits, C, X, which, sign):
@@ -276,12 +375,14 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
     the source's certified radius for its direction, and counts as a linear
     release (see the module docstring); its Trajectory.start is that point.
 
-    A row is captured within CAPTURE_TOL of any critical point, and within
-    the certified radius of a sink of its direction.  A row captured by a
-    radius alone ends at the closed-form solution of the sink's linearized
+    A row is captured within CAPTURE_TOL of any critical point, within the
+    certified radius of a sink of its direction, and in the sink's level
+    region with the f carried to its point (the start evaluation's at step
+    0) strictly past the region's level.  A row captured by a radius or a
+    level region ends at the closed-form solution of the sink's linearized
     flow, within CAPTURE_TOL of it, and counts as a linear capture.  The
-    radii are certified for both directions whatever the rows' directions,
-    so a row's trajectory does not depend on its batch.
+    radii and levels are certified for both directions whatever the rows'
+    directions, so a row's trajectory does not depend on its batch.
     """
     X = np.array(X0, dtype=float)
     m = len(X)
@@ -296,15 +397,16 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
     sgn = np.broadcast_to(np.asarray(direction, dtype=float), (m,))
     tol = STEP_TOL * step_length
     # each row's next step size, f and its velocity K1 at its current
-    # point, carried from the step that reached it
-    dt_at = np.zeros(m)
-    f_at = np.zeros(m)
-    k_at = np.zeros_like(X)
+    # point, carried from the step that reached it (or the start evaluation)
     ev = M.evaluator(f)
 
+    def flow(pts, sign):
+        # f and the velocity of each row's direction at the rows of pts
+        (v, _), (G, J) = ev.jet(pts, 1)
+        return v, tangent_part(J, sign[:, None] * G)
+
     def velocity(pts, sign):
-        _, (G, J) = ev.jet(pts, 1)
-        return tangent_part(J, sign[:, None] * G)
+        return flow(pts, sign)[1]
 
     def rk4(P, sign, K1, dt):
         # the new points, f and the velocity K5 there, and the error
@@ -319,15 +421,15 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
         err = (dt / 6.0) * np.sqrt(((K4 - K5) ** 2).sum(axis=1))
         return Pn, f_new, K5, err
 
-    # each row's capture radius around every critical point, and the
-    # release radius of its source
+    # each row's capture radius and level around every critical point, and
+    # the release radius of its source
     side = (sgn > 0).astype(int)
-    capture, release = _certificate(velocity, M, crits, C)
-    radius = capture[side]
+    cert = _certificate(flow, M, crits, C)
+    radius, level = cert.capture[side], cert.level[side]
     released = np.zeros(m, dtype=bool)
     if sources is not None and len(C):
         src = np.broadcast_to(np.asarray(sources, dtype=int), (m,))
-        reach = np.where(src >= 0, release[side, src], 0.0)
+        reach = np.where(src >= 0, cert.release[side, src], 0.0)
         rows = np.flatnonzero(reach > 0)
         if len(rows):
             Y, ok = _linear_release(M, crits, C, X[rows], src[rows],
@@ -339,12 +441,22 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
     for step in range(max_steps):
         if not active.any():
             break
+        if step == 0:
+            # the start evaluation: each row's f, K1 and first step size
+            f_at, k_at = flow(X, sgn)
+            f_at = np.array(f_at, dtype=float)
+            speed = np.sqrt((k_at * k_at).sum(axis=1))
+            dt_at = np.minimum(
+                step_length / np.maximum(speed, 1e-4 * step_length), DT_CAP)
         idx = np.flatnonzero(active)
         P = X[idx]
         if len(C):
             E = P[:, None, :] - C[None, :, :]
             D = np.sqrt((E * E).sum(axis=2))
-            inside = D < radius[idx]
+            # in the linear ball, or in the level region past its level
+            inside = (D < radius[idx]) | (
+                (D < cert.region)
+                & (sgn[idx, None] * (f_at[idx, None] - level[idx]) > 0))
             hit = inside.any(axis=1)
             if hit.any():
                 which = idx[hit]
@@ -373,14 +485,7 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
             P = X[idx]
 
         sign = sgn[idx]
-        if step == 0:
-            (f_old, _), (G, J) = ev.jet(P, 1)
-            K1 = tangent_part(J, sign[:, None] * G)
-            speed = np.sqrt((K1 * K1).sum(axis=1))
-            dt = np.minimum(
-                step_length / np.maximum(speed, 1e-4 * step_length), DT_CAP)
-        else:
-            f_old, K1, dt = f_at[idx], k_at[idx], dt_at[idx]
+        f_old, K1, dt = f_at[idx], k_at[idx], dt_at[idx]
         Pn, f_new, K5, err = rk4(P, sign, K1, dt)
         # a step over tol or not monotone in f is halved and retried; the
         # test is negated so that a NaN value counts as non-monotone

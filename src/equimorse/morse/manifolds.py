@@ -180,7 +180,7 @@ class PolyTable:
         X = np.asarray(X, dtype=float)
         powers = np.where(self._mult, X[:, None, self._vars], 1.0)
         np.multiply.accumulate(powers, axis=1, out=powers)
-        powers = powers.reshape(len(X), -1)
+        powers = powers.reshape(len(X), powers.shape[1] * powers.shape[2])
         # einsum's summation order follows the layout of the monomial
         # matrix, so it is made row-major at every batch size
         mono = np.ascontiguousarray(

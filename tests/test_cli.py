@@ -605,7 +605,7 @@ def test_morse_command_stabilize_pipeline():
     assert code == 0
     assert "critical points (after):" in out
     # the one surgered flow on a constrained manifold, pinned exactly
-    assert ("unresolved=0 escaped=0 steps=41 halvings=3 linear_captures=2 "
+    assert ("unresolved=0 escaped=0 steps=32 halvings=2 linear_captures=2 "
             "linear_releases=2"
             in out)
     assert "morse homology over F2" in out
@@ -702,12 +702,12 @@ def test_morse_flat_figures_exit_zero_with_escapes():
     code, out = run_cli(["morse", str(FIXDIR / "figure2_plane.json"),
                          "--stabilize"])
     assert code == 0
-    assert ("unresolved=0 escaped=1 steps=24 halvings=2 linear_captures=1 "
+    assert ("unresolved=0 escaped=1 steps=22 halvings=2 linear_captures=1 "
             "linear_releases=2") in out
     code, out = run_cli(["morse", str(FIXDIR / "figure1_plane.json"),
                          "--stabilize", "--coeff", "singular"])
     assert code == 0
-    assert ("unresolved=0 escaped=1 steps=8069 halvings=1400 "
+    assert ("unresolved=0 escaped=1 steps=7259 halvings=1392 "
             "linear_captures=258 linear_releases=346") in out
     flows = out.split("(source orbit -> target orbit, coset):\n")[1]
     assert flows.splitlines()[:3] == ["  1 -> 0 via coset (0, 1, 2): 1",

@@ -532,11 +532,11 @@ def test_row_inside_a_certified_radius_is_captured_at_step_zero():
         assert abs(np.linalg.norm(tr.end) - 1.0) < 1e-12
 
 
-@pytest.mark.parametrize("a, radius", [(40, 0.03), (10**6, CAPTURE_TOL)])
+@pytest.mark.parametrize("a, radius", [(40, 0.07), (10**6, CAPTURE_TOL)])
 def test_capture_radius_shrinks_where_the_quadratic_model_fails(a, radius):
     # f = x^2 + y^2 - a x^4: the velocity contracts at half the smallest
     # eigenvalue only for 4 a x^2 <= 1, so at a = 40 the rung 0.1 fails and
-    # 0.03 holds, and at a = 1e6 no rung holds and the radius is capture_tol;
+    # 0.07 holds, and at a = 1e6 no rung holds and the radius is capture_tol;
     # rows just inside and just outside the radius both reach the minimum
     M = r2_manifold()
     f = EqFunction.from_polynomial(
@@ -550,10 +550,39 @@ def test_capture_radius_shrinks_where_the_quadratic_model_fails(a, radius):
     assert [tr.linear_capture for tr in trajs] == [radius > CAPTURE_TOL] * 2
 
 
+def test_row_in_a_level_region_is_captured_at_step_zero():
+    # f = x^2 + y^2 - 40 x^4 + 600 x^6 has no critical point but the origin
+    # (3600 u^2 - 160 u + 2 > 0 for u = x^2), and its velocity expands at
+    # half the smallest eigenvalue only outside 0.087 < |x| < 0.192, so the
+    # largest certified rung is 0.07.  On the circle of radius 0.2 f is
+    # least at (+-0.2, 0), 0.0144: the rows at (0.1, 0) and (0.19, 0), where
+    # f is 0.0066 and 0.0122, end at the minimum without a step, and the
+    # row at (0, 0.13), where f is 0.0169, takes RK4 steps into the ball
+    M = r2_manifold()
+    f = EqFunction.from_polynomial(Polynomial(
+        2, {(2, 0): 1, (0, 2): 1, (4, 0): -40, (6, 0): 600}))
+    crit = [classify(f, M, np.zeros(2))]
+    ev = M.evaluator(f)
+
+    def flow(P, sign):
+        (v, _), (G, J) = ev.jet(P, 1)
+        return v, tangent_part(J, sign[:, None] * G)
+
+    cert = _certificate(flow, M, crit, np.zeros((1, 2)))
+    assert (cert.capture[0, 0], cert.region[0]) == (0.07, 0.2)
+    assert cert.level[0, 0] == pytest.approx(0.0144, rel=1e-12)
+    X0 = np.array([[0.1, 0.0], [0.19, 0.0], [0.0, 0.13]])
+    trajs = integrate_batch(f, M, X0, crits=crit)
+    assert all(tr.resolved and tr.limit_index == 0 and tr.linear_capture
+               for tr in trajs)
+    assert all(np.linalg.norm(tr.end) < CAPTURE_TOL for tr in trajs)
+    assert [tr.steps == 0 for tr in trajs] == [True, True, False]
+
+
 # the capture radius of the minimum of x^2 + y^2 - a x^4, and of the
-# maximum of its negative, as the contraction test at the sinks alone gave
-# them before the capture and the release shared one certificate
-CAPTURE_PINS = {1: 0.1, 40: 0.03, 400: 0.01, 4000: 3e-3, 40000: 1e-3,
+# maximum of its negative: the largest rung r with 4 a r^2 <= 1, where the
+# velocity on the x axis expands at half the smallest eigenvalue
+CAPTURE_PINS = {1: 0.2, 40: 0.07, 400: 0.02, 4000: 3e-3, 40000: 1e-3,
                 10**6: CAPTURE_TOL}
 
 
@@ -568,11 +597,12 @@ def test_certificate_keeps_the_capture_radii(a):
         crit = [classify(f, M, np.zeros(2))]
         ev = M.evaluator(f)
 
-        def velocity(P, sign):
-            _, (G, J) = ev.jet(P, 1)
-            return tangent_part(J, sign[:, None] * G)
+        def flow(P, sign):
+            (v, _), (G, J) = ev.jet(P, 1)
+            return v, tangent_part(J, sign[:, None] * G)
 
-        capture, release = _certificate(velocity, M, crit, np.zeros((1, 2)))
+        capture, release, _, _ = _certificate(flow, M, crit,
+                                              np.zeros((1, 2)))
         into = (1 - s) // 2               # the direction that sinks here
         want = np.full((2, 1), CAPTURE_TOL)
         want[into] = CAPTURE_PINS[a]
@@ -581,11 +611,11 @@ def test_certificate_keeps_the_capture_radii(a):
         assert (release[into, 0], release[1 - into, 0]) == (0.0, pin)
 
 
-@pytest.mark.parametrize("a, radius", [(40, 0.03), (10**6, 0.0)])
+@pytest.mark.parametrize("a, radius", [(40, 0.07), (10**6, 0.0)])
 def test_release_from_a_saddle(a, radius):
     # f = -x^2 + y^2 + a x^4 descends from its saddle along x at rate 2 and
     # the velocity expands at half that rate only for 4 a x^2 <= 1: the rung
-    # 0.03 holds at a = 40 and none at a = 1e6, where a descending row keeps
+    # 0.07 holds at a = 40 and none at a = 1e6, where a descending row keeps
     # its seed bit for bit.  The ascent along y is exactly linear and is
     # released to the largest rung.  A row with no source is never released
     M = r2_manifold()
@@ -600,7 +630,7 @@ def test_release_from_a_saddle(a, radius):
     assert ([tr.linear_release for tr in released]
             == [radius > 0] * 2 + [True] * 2)
     assert [tr.start.tobytes() for tr in plain] == [x.tobytes() for x in X0]
-    reach = [radius] * 2 + [0.1] * 2
+    reach = [radius] * 2 + [0.2] * 2
     for x0, tr, r in zip(X0, released, reach):
         if r:
             # on the eigenline, at the certified radius

@@ -37,6 +37,7 @@ from equimorse.morse import (
 from equimorse.morse import homology as morse_homology
 from equimorse.morse import run as morse_run
 from equimorse.morse.flow import (
+    CAPTURE_TOL,
     RELEASE_GAIN,
     STEP_TOL,
     UNRESOLVED,
@@ -50,6 +51,7 @@ from equimorse.morse.homology import (
     MorseData,
     _ascending_seeds,
     _descending_seeds,
+    group_into_orbits,
 )
 from equimorse.morse.manifolds import tangent_part
 from equimorse.spectral import einfty_check, skeletal_filtration, spectral_pages
@@ -521,7 +523,8 @@ def test_released_starts_lie_on_the_flow_lines_of_their_seeds(name):
         return M.evaluator(f).jet(P, 0)[0][0]
 
     C = np.array([c.coords for c in crits])
-    _, release = _certificate(velocity, M, crits, C)
+    _, release, _, _ = _certificate(
+        lambda P, sign: (value_of(P), velocity(P, sign)), M, crits, C)
     released = integrate_batch(f, M, X0, **kw, max_steps=0)
     fine = kw["step_length"] / 10
     seeded = integrate_batch(f, M, X0, **{**kw, "sources": None,
@@ -558,6 +561,116 @@ def test_released_starts_lie_on_the_flow_lines_of_their_seeds(name):
     gaps = [np.linalg.norm(there[i] - released[j].start)
             for i, j in enumerate(rows)]
     assert all(g <= b for g, b in zip(gaps, bounds)), (gaps, bounds)
+
+
+def _pipeline_certificate(name):
+    """(f, M, crits, keywords, coordinates of crits, certificate) of the
+    pipeline batch of a manifold fixture, the certificate read through f
+    and the velocity as integrate_batch reads them."""
+    f, M, crits, _, kw = _pipeline_batch(name)
+    ev = M.evaluator(f)
+
+    def flow(P, sign):
+        (v, _), (G, J) = ev.jet(P, 1)
+        return v, tangent_part(J, sign[:, None] * G)
+
+    C = np.array([c.coords for c in crits])
+    return f, M, crits, kw, C, _certificate(flow, M, crits, C)
+
+
+@pytest.mark.parametrize("name", sorted(MANIFOLD_FIXTURES))
+def test_every_orbit_shares_one_certificate(name):
+    # the probe directions are fixed tangent axes, not carried by the
+    # action: every member of an orbit takes the same radii and level
+    # region, bit for bit, so a translated row meets the same shortcuts
+    _, M, crits, _, _, cert = _pipeline_certificate(name)
+    for orb in group_into_orbits(M, crits):
+        js = [j for _, j in orb.members]
+        for a in (cert.capture, cert.release, cert.level, cert.region[None]):
+            assert (a[:, js] == a[:, js[:1]]).all(), (orb.rep, a[:, js])
+
+
+def _region_starts(f, M, c, R, level, d, rays=12):
+    """Points of the level region B(c, R) past level along rays of c's
+    tangent space: on each ray the outermost point found by bisection,
+    near the region's edge, and the point half as far out."""
+    ev = M.evaluator(f)
+    theta = 2 * np.pi * (np.arange(rays) + 0.3) / rays
+    U = {1: np.array([[1.0], [-1.0]]),
+         2: np.stack([np.cos(theta), np.sin(theta)], axis=1)}[M.dim]
+    U = U @ c.tangent_basis.T
+
+    def at(rho):
+        return M.project_points_many(c.coords + rho[:, None] * U)
+
+    def inside(X):
+        v = ev.jet(X, 0)[0][0]
+        return ((np.linalg.norm(X - c.coords, axis=1) < R)
+                & (d * (v - level) > 0))
+
+    lo, hi = np.zeros(len(U)), np.full(len(U), R)
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        ok = inside(at(mid))
+        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+    X = np.concatenate([at(lo), at(0.5 * lo)])
+    return X[inside(X)]
+
+
+@pytest.mark.parametrize("name", sorted(MANIFOLD_FIXTURES))
+def test_shortcut_rows_reach_their_sink_by_rk4_alone(name):
+    # an oracle for both shortcuts: rows started in a sink's level region
+    # and in its linear capture ball, near their edges included, are
+    # integrated in one batch with every sink left out of the critical
+    # points, so that neither shortcut can fire; RK4 alone takes each
+    # within CAPTURE_TOL of the sink the shortcut would have named.  At the
+    # fixture's step length the step controller can hold a stiff mode at
+    # RK4's stability limit (dt times the rate about 2.785, where the mode
+    # neither grows nor decays), 6.6e-6 from figure 1's maxima; the error
+    # tolerance of a hundredth of that step length rejects such steps well
+    # inside 1e-6
+    f, M, crits, kw, C, cert = _pipeline_certificate(name)
+    starts, direction, sink = [], [], []
+    for k, c in enumerate(crits):
+        for side, d in ((0, -1), (1, 1)):
+            if c.index != (0 if d < 0 else M.dim):
+                continue
+            if np.isfinite(cert.level[side, k]):
+                starts.append(_region_starts(f, M, c, cert.region[k],
+                                             cert.level[side, k], d))
+            r = cert.capture[side, k]
+            if r > CAPTURE_TOL:
+                rim = _region_starts(f, M, c, r, -d * np.inf, d, rays=8)
+                starts.append(rim[np.linalg.norm(rim - c.coords, axis=1)
+                                  > 0.9 * r])
+            grown = sum(map(len, starts)) - len(sink)
+            direction += [d] * grown
+            sink += [k] * grown
+    assert sink
+    trajs = integrate_batch(
+        f, M, np.concatenate(starts),
+        crits=[c for c in crits if c.index not in (0, M.dim)],
+        direction=np.array(direction), step_length=kw["step_length"] / 100,
+        escape_radius=kw["escape_radius"], max_steps=500)
+    ends = np.array([tr.end for tr in trajs])
+    assert (np.linalg.norm(ends - C[sink], axis=1) < CAPTURE_TOL).all()
+
+
+def test_figure1_batch_rounds(monkeypatch):
+    # a lockstep round is one RK4 attempt on the batch, ending in one
+    # projection of its new points.  Figure 1's two stiff ascents end in
+    # their maxima's level regions, and the batch at 16 samples takes 61
+    # rounds; when rows ended only in linear balls of radius at most 0.1
+    # it took 98
+    f, M, crits, X0, kw = _pipeline_batch("figure1_plane")
+    ev = M.evaluator(f)
+    rounds = []
+    real = ev.project
+    monkeypatch.setattr(ev, "project",
+                        lambda X, iters=20: rounds.append(len(X))
+                        or real(X, iters))
+    trajs = integrate_batch(f, M, X0, **kw)
+    assert max(tr.steps + tr.halvings for tr in trajs) <= len(rounds) <= 65
 
 
 @pytest.fixture(scope="module")
