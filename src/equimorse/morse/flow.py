@@ -13,38 +13,33 @@ would have alone; aggregation of results never depends on trajectory order.
 Near a critical point c the flow follows its linearization, e' = -H e
 descending and e' = H e ascending with H the Hessian, and RK4 follows it
 slowly: stability bounds the step by about 2.8 over the largest
-eigenvalue, while a row moves at a rate set by the smallest.  So one
-certificate (_certificate) gives each critical point and flow direction a
-radius: the largest rung of CAPTURE_RADII below half the gap to the
-nearest other critical point on whose sampled shells, along the unstable
-subspace of that linearized flow, the velocity expands at CONTRACTION
-times its smallest unstable rate.  It serves both ends of a trajectory,
-and every point of an orbit takes the most conservative certificate of
-its members.
+eigenvalue, while a row moves at a rate set by the smallest.  So each end
+of a flow line has one certificate (_certificate), and every point of an
+orbit takes the most conservative certificate of its members.
 
 - A sink of the flow (an index-0 point for a descent, an index-dim point
-  for an ascent) is a point whose whole tangent space is unstable for the
-  other direction, and that radius is its capture radius.  A row that
-  enters the ball is captured there and its end is the closed-form linear
-  flow, taken to half of CAPTURE_TOL.  A sink no rung certifies keeps the
-  plain CAPTURE_TOL.
-- f is a Lyapunov function of its own flow, so a sink also has a level
-  region: the ball B(c, R), R = min(half that gap, CAPTURE_RADII[0]), with
-  the level the extremum of f over sampled points of its boundary on M.
-  A row in B whose f is strictly past the level cannot reach the boundary
-  again and ends at c; it is captured there like a row in the linear
-  ball.  This is a sampled certificate, and it trusts the found critical
-  set: a critical point the search missed inside B could be the row's
-  true limit (ROADMAP item 3 closes that gap).
-- A row whose source the caller names (sources=) starts at the edge of its
-  source's ball: its start e0 is carried by the closed-form linear flow
-  e(t) = V exp(w t) V^T e0, (w, V) the eigenpairs of -H or H, out to the
-  radius, and projected onto M.  A row on an eigenline stays on it, and a
-  circle of rows keeps its cyclic order.  A row is released only if the
-  fastest linear mode grows at most RELEASE_GAIN times as much as the row
-  itself on the way out; a row nearer a slow eigendirection than that
-  would be carried to where the linearization's error, amplified at the
-  fast rate, decides its basin.  A source no rung certifies releases
+  for an ascent) ends a row within CAPTURE_TOL or in its level region.
+  f is a Lyapunov function of its own flow, so the region is the ball
+  B(c, R), R = min(half the gap to the nearest other critical point,
+  CAPTURE_RADII[0]), with the level the extremum of f over sampled points
+  of its boundary on M.  A row in B whose f is strictly past the level
+  cannot reach the boundary again and ends at c: its end is c itself.
+  This is a sampled certificate, and it trusts the found critical set: a
+  critical point the search missed inside B could be the row's true
+  limit (ROADMAP item 3 closes that gap).  In dimension 3 or more no
+  boundary is sampled, and a sink captures at CAPTURE_TOL only.
+- A source releases the rows whose source the caller names (sources=) at
+  the edge of its expansion ball: the largest rung of CAPTURE_RADII below
+  half that gap on whose sampled shells, along the unstable subspace of
+  the linearized flow, the velocity expands at CONTRACTION times its
+  smallest unstable rate.  A row's start e0 is carried by the closed-form
+  linear flow e(t) = V exp(w t) V^T e0, (w, V) the eigenpairs of -H or H,
+  out to the radius, and projected onto M.  A row on an eigenline stays on
+  it, and a circle of rows keeps its cyclic order.  A row is released only
+  if the fastest linear mode grows at most RELEASE_GAIN times as much as
+  the row itself on the way out; a row nearer a slow eigendirection than
+  that would be carried to where the linearization's error, amplified at
+  the fast rate, decides its basin.  A source no rung certifies releases
   nothing.
 
 One lockstep iteration evaluates f and the constraints at the three
@@ -98,7 +93,8 @@ DT_CAP = 0.5
 STEP_TOL = 1e-3
 # a step still rejected after this many halvings ends its trajectory
 MAX_HALVINGS = 50
-# the radii the certificate tries around a critical point, largest first
+# the release radii the certificate tries around a source, largest first;
+# the first also caps the radius of a sink's level region
 CAPTURE_RADII = (0.2, 0.14, 0.1, 0.07, 0.05, 0.03, 0.02, 0.01, 3e-3, 1e-3)
 # a certified radius needs (x - c).v(x) >= CONTRACTION * lam * |x - c|^2 on
 # its probe shells, lam the flow's smallest unstable rate at c
@@ -125,8 +121,8 @@ class Trajectory:
     limit: CriticalPoint | None
     steps: int
     halvings: int                    # halved retries: over tol or rising f
-    linear_capture: bool = False     # end is the sink's closed-form flow,
-                                     # from its ball or its level region
+    linear_capture: bool = False     # ended in the sink's level region,
+                                     # and end is the sink itself
     linear_release: bool = False     # start is the source's closed-form flow
     points: np.ndarray | None = None
 
@@ -143,8 +139,8 @@ class Certificate(NamedTuple):
     """What _certificate finds at each critical point; row 0 of a (2, n)
     array is for descents and row 1 for ascents."""
 
-    capture: np.ndarray     # (2, n): linear capture radius, else CAPTURE_TOL
-    release: np.ndarray     # (2, n): linear release radius, else 0
+    release: np.ndarray     # (2, n): linear release radius; 0 where no rung
+                            # is certified or no row leaves the orbit
     region: np.ndarray      # (n,): radius R of the level region
     level: np.ndarray       # (2, n): a row in B(c, R) strictly past it ends
                             # at c; -inf descending, +inf ascending if none
@@ -183,29 +179,31 @@ def _on_spheres(M: ImplicitGManifold, X, centers, radii):
     return X, ok
 
 
-def _certificate(flow, M: ImplicitGManifold, crits, C) -> Certificate:
-    """The capture and release radii and the level regions of every
-    critical point (see Certificate).
+def _certificate(flow, M: ImplicitGManifold, crits, C,
+                 leaves) -> Certificate:
+    """The release radii and the level regions of the critical points (see
+    Certificate).
 
-    For the flow of direction s a rung r of CAPTURE_RADII below half c's
-    distance to every other critical point is certified at c when the
-    velocity expands, (x - c).v(x) >= CONTRACTION * lam * |x - c|^2, on
-    probe shells of radius r, r/2 and r/4 along the unstable subspace of
-    the linearized flow e' = s H e, lam its smallest positive rate; the
-    largest certified rung is c's release radius for s.  A sink of the
-    flow of direction -s is a point whose unstable subspace for s is the
-    whole tangent space, and its release radius for s is its capture
-    radius for -s.
+    leaves[side, k] is true when some row leaves crits[k] in direction
+    side (0 descending, 1 ascending).  Release radii are probed there and
+    at the other points of k's orbit only, and are 0 elsewhere.  For the
+    flow of direction s a rung r of CAPTURE_RADII below half c's distance
+    to every other critical point is certified at c when the velocity
+    expands, (x - c).v(x) >= CONTRACTION * lam * |x - c|^2, on probe shells
+    of radius r, r/2 and r/4 along the unstable subspace of the linearized
+    flow e' = s H e, lam its smallest positive rate; the largest certified
+    rung is c's release radius for s.
 
-    The level region of a sink is the ball B(c, R), R = min(half that
-    distance, CAPTURE_RADII[0]), with level the extremum of f, its minimum
-    for a descent and maximum for an ascent, over samples of the boundary
-    of B on M: the two points of a curve, LEVEL_SAMPLES points of a
-    circle on a surface, found by _on_spheres; none in dimension 3 or
-    more, or where a sample misses the sphere.  f is monotone along the
-    flow, so a row in B past the level never reaches the boundary and ends
-    at a critical point in B, which is c unless the critical set missed
-    one: the region trusts the found critical set and the sampled circle.
+    Every sink of either direction has a level region, whatever leaves
+    names: the ball B(c, R), R = min(half that distance, CAPTURE_RADII[0]),
+    with level the extremum of f, its minimum for a descent and maximum for
+    an ascent, over samples of the boundary of B on M: the two points of a
+    curve, LEVEL_SAMPLES points of a circle on a surface, found by
+    _on_spheres; none in dimension 3 or more, or where a sample misses the
+    sphere.  f is monotone along the flow, so a row in B past the level
+    never reaches the boundary and ends at a critical point in B, which is
+    c unless the critical set missed one: the region trusts the found
+    critical set and the sampled circle.
 
     The probe directions are fixed tangent axes, not carried by the
     action, so every point of an orbit takes the smallest radii and the
@@ -214,11 +212,10 @@ def _certificate(flow, M: ImplicitGManifold, crits, C) -> Certificate:
     boundary samples share one call.
     """
     n, N = len(C), M.ambient
-    capture = np.full((2, n), CAPTURE_TOL)
     release = np.zeros((2, n))
     level = np.array([[-np.inf], [np.inf]]).repeat(n, axis=1)
     if not n or not M.dim:
-        return Certificate(capture, release, np.zeros(n), level)
+        return Certificate(release, np.zeros(n), level)
     orbit = (np.linalg.norm(
         np.einsum("gij,kj->gki", M.action.matrices, C)[:, :, None, :]
         - C[None, None], axis=3) < DEDUP_TOL).any(axis=0)
@@ -227,6 +224,7 @@ def _certificate(flow, M: ImplicitGManifold, crits, C) -> Certificate:
         # each point's entry of a: pick over the members of its orbit
         return pick(np.where(orbit, a[..., None, :], fill), axis=-1)
 
+    probed = (orbit & leaves[:, None, :]).any(axis=-1)
     gaps = np.linalg.norm(C[:, None, :] - C[None, :, :], axis=2)
     np.fill_diagonal(gaps, np.inf)
     half = 0.5 * gaps.min(axis=1)
@@ -242,15 +240,15 @@ def _certificate(flow, M: ImplicitGManifold, crits, C) -> Certificate:
         for side, s in ((0, -1.0), (1, 1.0)):
             w, V = np.linalg.eigh(s * c.hessian)
             up = w > 0
-            if not up.any():
-                continue
             if up.all() and len(ring):
                 sinks.append((1 - side, k))
                 rings.append(C[k] + region[k] * ring @ c.tangent_basis.T)
+            if not (up.any() and probed[side, k]):
+                continue
             B = c.tangent_basis if up.all() else c.tangent_basis @ V[:, up]
             W = _shell_directions(B.shape[1]) @ B.T
             below = [r for r in CAPTURE_RADII if r < half[k]]
-            rungs.append((side, k, below, up.all()))
+            rungs.append((side, k, below))
             # half or a quarter of one rung may be another rung, or its
             # half (halving is exact): each shell is probed once
             for q in sorted({q for r in below for q in (r, r / 2, r / 4)}):
@@ -258,7 +256,7 @@ def _certificate(flow, M: ImplicitGManifold, crits, C) -> Certificate:
                 shells.append(C[k] + q * W)
                 lam.append(w[up].min())
     if not keys and not sinks:
-        return Certificate(capture, release, region, level)
+        return Certificate(release, region, level)
     X = M.project_points_many(np.concatenate(shells))
     at = np.repeat([k for _, k in sinks], len(ring)).astype(int)
     S, on = _on_spheres(M, np.concatenate(rings), C[at], region[at])
@@ -272,62 +270,35 @@ def _certificate(flow, M: ImplicitGManifold, crits, C) -> Certificate:
                 >= CONTRACTION * np.repeat(lam, sizes) * (E * E).sum(axis=1))
         held = dict(zip(keys, np.logical_and.reduceat(
             good, np.cumsum([0] + sizes[:-1]))))
-        for side, k, below, whole in rungs:
+        for side, k, below in rungs:
             # the largest rung whose three shells all hold
-            r = next((r for r in below if all(
+            release[side, k] = next((r for r in below if all(
                 held[side, k, q] for q in (r, r / 2, r / 4))), 0.0)
-            release[side, k] = r
-            if whole and r:
-                capture[1 - side, k] = r
     values = values[len(X):].reshape(len(sinks), len(ring))
     on = on.reshape(len(sinks), len(ring)).all(axis=1)
     for (side, k), f_ring, sampled in zip(sinks, values, on):
         if sampled:
             level[side, k] = f_ring.min() if side == 0 else f_ring.max()
-    return Certificate(conservative(capture, np.min, np.inf),
-                       conservative(release, np.min, np.inf), region,
+    return Certificate(conservative(release, np.min, np.inf), region,
                        np.stack([conservative(level[0], np.min, np.inf),
                                  conservative(level[1], np.max, -np.inf)]))
 
 
-def _linear_flow(crits, C, X, which, sign):
-    """The linearized flow e' = sign H e of each row's critical point in
-    its tangent frame: e(t) = V exp(w t) a with (w, V) the eigenpairs of
-    sign H and a = V^T e0, e0 the row's tangent coordinates.  Returns w, a
-    and the map from each row's t to the ambient point c + T e(t)."""
-    T = np.stack([crits[k].tangent_basis for k in which])
-    w, V = np.linalg.eigh(sign[:, None, None]
-                          * np.stack([crits[k].hessian for k in which]))
-    a = np.einsum("mnj,mn->mj", V, np.einsum("mNn,mN->mn", T, X - C[which]))
-
-    def at(t):
-        e = np.einsum("mjk,mk->mj", V, np.exp(w * t[:, None]) * a)
-        return C[which] + np.einsum("mNn,mn->mN", T, e)
-
-    return w, a, at
-
-
-def _linear_ends(M: ImplicitGManifold, crits, C, X, which,
-                 sign) -> np.ndarray:
-    """Where the linearized flow at each row's sink carries it: to half of
-    CAPTURE_TOL, at t = ln(|e0| / (CAPTURE_TOL / 2)) / lam_min, then onto
-    M."""
-    w, a, at = _linear_flow(crits, C, X, which, sign)
-    lam_min = -w.max(axis=1)                    # positive at a sink
-    t = np.log(np.sqrt((a * a).sum(axis=1)) / (0.5 * CAPTURE_TOL)) / lam_min
-    return M.project_points_many(at(t))
-
-
 def _linear_release(M: ImplicitGManifold, crits, C, X, which, sign,
                     radius):
-    """Where the linearized flow of each row's source carries it: to |e| =
-    radius, then onto M; and whether the row's gain |e0| exp(w_max t) /
-    radius is at most RELEASE_GAIN.
+    """Where the linearized flow e' = sign H e of each row's source carries
+    it: in the source's tangent frame e(t) = V exp(w t) a, with (w, V) the
+    eigenpairs of sign H and a = V^T e0, e0 the row's tangent coordinates,
+    to |e| = radius, then onto M; and whether the row's gain |e0|
+    exp(w_max t) / radius is at most RELEASE_GAIN.
 
     log |e(t)|^2 is convex in t, so Newton's method on it converges from
     the t at which the unstable part of e0 alone reaches the radius, for
     all rows at once."""
-    w, a, at = _linear_flow(crits, C, X, which, sign)
+    T = np.stack([crits[k].tangent_basis for k in which])
+    w, V = np.linalg.eigh(sign[:, None, None]
+                          * np.stack([crits[k].hessian for k in which]))
+    a = np.einsum("mnj,mn->mj", V, np.einsum("mNn,mN->mn", T, X - C[which]))
     up = w > 0
     with np.errstate(divide="ignore"):
         la = np.log(a * a)
@@ -347,7 +318,8 @@ def _linear_release(M: ImplicitGManifold, crits, C, X, which, sign,
         if not todo.any():
             break
     gain = 0.5 * np.log((a * a).sum(axis=1)) + w.max(axis=1) * t
-    return (M.project_points_many(at(t)),
+    e = np.einsum("mjk,mk->mj", V, np.exp(w * t[:, None]) * a)
+    return (M.project_points_many(C[which] + np.einsum("mNn,mn->mN", T, e)),
             gain <= np.log(RELEASE_GAIN * radius))
 
 
@@ -374,15 +346,16 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
     starts at the closed-form solution of its source's linearized flow at
     the source's certified radius for its direction, and counts as a linear
     release (see the module docstring); its Trajectory.start is that point.
+    Only those sources, with their orbits, are probed for a radius.
 
-    A row is captured within CAPTURE_TOL of any critical point, within the
-    certified radius of a sink of its direction, and in the sink's level
-    region with the f carried to its point (the start evaluation's at step
-    0) strictly past the region's level.  A row captured by a radius or a
-    level region ends at the closed-form solution of the sink's linearized
-    flow, within CAPTURE_TOL of it, and counts as a linear capture.  The
-    radii and levels are certified for both directions whatever the rows'
-    directions, so a row's trajectory does not depend on its batch.
+    A row is captured within CAPTURE_TOL of any critical point, and in the
+    level region of a sink of its direction with the f carried to its
+    point (the start evaluation's at step 0) strictly past the region's
+    level.  A row captured by a level region ends at the sink itself and
+    counts as a linear capture.  The levels are sampled for every sink in
+    both directions whatever the rows' directions, and a source's radius
+    depends on its orbit alone, so a row's trajectory does not depend on
+    its batch.
     """
     X = np.array(X0, dtype=float)
     m = len(X)
@@ -421,21 +394,24 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
         err = (dt / 6.0) * np.sqrt(((K4 - K5) ** 2).sum(axis=1))
         return Pn, f_new, K5, err
 
-    # each row's capture radius and level around every critical point, and
-    # the release radius of its source
+    # each row's level around every critical point, and the release
+    # radius of its source
     side = (sgn > 0).astype(int)
-    cert = _certificate(flow, M, crits, C)
-    radius, level = cert.capture[side], cert.level[side]
+    src = np.broadcast_to(
+        np.asarray(-1 if sources is None else sources, dtype=int), (m,))
+    rows = np.flatnonzero(src >= 0)
+    leaves = np.zeros((2, len(C)), dtype=bool)
+    leaves[side[rows], src[rows]] = True
+    cert = _certificate(flow, M, crits, C, leaves)
+    level = cert.level[side]
+    reach = cert.release[side[rows], src[rows]]
+    rows, reach = rows[reach > 0], reach[reach > 0]
     released = np.zeros(m, dtype=bool)
-    if sources is not None and len(C):
-        src = np.broadcast_to(np.asarray(sources, dtype=int), (m,))
-        reach = np.where(src >= 0, cert.release[side, src], 0.0)
-        rows = np.flatnonzero(reach > 0)
-        if len(rows):
-            Y, ok = _linear_release(M, crits, C, X[rows], src[rows],
-                                    sgn[rows], reach[rows])
-            released[rows[ok]] = True
-            X[rows[ok]] = Y[ok]
+    if len(rows):
+        Y, ok = _linear_release(M, crits, C, X[rows], src[rows], sgn[rows],
+                                reach)
+        released[rows[ok]] = True
+        X[rows[ok]] = Y[ok]
     X_start = X.copy()
 
     for step in range(max_steps):
@@ -453,8 +429,8 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
         if len(C):
             E = P[:, None, :] - C[None, :, :]
             D = np.sqrt((E * E).sum(axis=2))
-            # in the linear ball, or in the level region past its level
-            inside = (D < radius[idx]) | (
+            # within CAPTURE_TOL, or in a level region past its level
+            inside = (D < CAPTURE_TOL) | (
                 (D < cert.region)
                 & (sgn[idx, None] * (f_at[idx, None] - level[idx]) > 0))
             hit = inside.any(axis=1)
@@ -465,11 +441,10 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
                 status[which] = CAPTURED
                 limit[which] = k
                 active[which] = False
+                # a row in a level region ends at its sink
                 lin = Dh[np.arange(len(k)), k] >= CAPTURE_TOL
-                if lin.any():
-                    linear[which[lin]] = True
-                    X[which[lin]] = _linear_ends(M, crits, C, X[which[lin]],
-                                                 k[lin], sgn[which[lin]])
+                linear[which[lin]] = True
+                X[which[lin]] = C[k[lin]]
                 idx = np.flatnonzero(active)
                 if not len(idx):
                     break

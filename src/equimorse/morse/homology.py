@@ -18,12 +18,11 @@ trajectory's, not a sum over sources.  Every row is seeded at RHO from its
 source and names that source to integrate_batch, which releases it by the
 source's closed-form linear flow to the edge of its certified
 linearization ball before the first RK4 step; a source no rung certifies
-starts its rows at RHO.  A row ends in closed form once it enters a sink's
-linearization ball, or the sink's sampled level region with f past its
-level; the region trusts the critical set found here (ROADMAP item 3
-closes that gap).  The trajectories are then read
-source by source, in orbit order and ascents last, which fixes the order
-of counts and warnings.  An arrival is read from the capture: the critical
+starts its rows at RHO.  A row ends at a sink within CAPTURE_TOL, or once
+it enters the sink's sampled level region with f past its level; the
+region trusts the critical set found here (ROADMAP item 3 closes that
+gap).  The trajectories are then read source by source, in orbit order
+and ascents last, which fixes the order of counts and warnings.  An arrival is read from the capture: the critical
 point it names has a known orbit and element carrying the orbit's rep to it.
 
 The Morse complex is the cellular Bredon complex of the descending-manifold
@@ -93,11 +92,10 @@ class MorseData:
     j's stabilizer to its mod-2 flow-line count.  steps and halvings total
     the RK4 steps and step halvings (retries of a step over the error
     tolerance or not monotone in f) of every integrated trajectory,
-    linear_captures counts the trajectories finished in closed form inside
-    a sink's certified capture radius or past the level of its level
-    region (see equimorse.morse.flow), and linear_releases those started
-    in closed form at the edge of their source's certified release radius
-    instead of at RHO.
+    linear_captures counts the trajectories ended at a sink past the level
+    of its level region (see equimorse.morse.flow), and linear_releases
+    those started in closed form at the edge of their source's certified
+    release radius instead of at RHO.
     """
 
     orbits: list[CriticalOrbit]

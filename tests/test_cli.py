@@ -1,3 +1,14 @@
+"""The command-line front end, and its console output against the goldens
+in cli_outputs.json: the README and CI commands, each with its argv, exit
+code and stdout.
+
+Rewriting the goldens hides a change of output, so regenerate them
+(`python tests/test_cli.py --write`, with equimorse importable) only when
+an output is meant to change, and check that the diff is that change.  The
+write reruns every recorded argv from the root of the checkout and refuses
+to write if any command prints on stderr.
+"""
+
 import argparse
 import json
 import os
@@ -231,8 +242,8 @@ def test_function_invariant_only_on_the_manifold_loads(tmp_path):
     assert isinstance(load_fixture(p), ManifoldFixture)
 
 
-GOLDEN = json.loads((Path(__file__).resolve().parent / "cli_outputs.json")
-                    .read_text())
+GOLDEN_PATH = Path(__file__).resolve().parent / "cli_outputs.json"
+GOLDEN = json.loads(GOLDEN_PATH.read_text())
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=lambda case: "_".join(
@@ -697,6 +708,43 @@ def test_morse_exit_code_on_closed_manifold_escape(monkeypatch):
     assert "unresolved=0 escaped=1" in out
 
 
+def test_specseq_on_a_manifold_fails_with_its_flow(capsys, monkeypatch):
+    # three seeds on the torus find no index-1 point, and the flow leaves
+    # two rows unresolved and a basin boundary unexplained: specseq fails
+    # as morse does, and prints the flow's warning line but not its counts
+    monkeypatch.chdir(FIXDIR.parent)
+    argv = ["fixtures/torus_tilted.json", "--seeds", "3", "--seed-value",
+            "1", "--stabilize", "--coeff", "constant"]
+    warning = ("warning: orbit 1: 4 basin boundaries but 0 identified flow "
+               "lines between basins\n")
+    assert main(["morse"] + argv) == 1
+    assert "unresolved=2" in capsys.readouterr().out
+    assert main(["specseq"] + argv) == 1
+    out = capsys.readouterr().out
+    assert out.count("warning:") == 1 and warning in out
+    assert "flow counting:" not in out
+
+
+@pytest.mark.parametrize("name, seeds, seed_value", [
+    ("sphere_height", "1", "0"), ("sphere_antipodal", "2", "1"),
+    ("torus_tilted", "1", "1")])
+def test_closed_manifold_without_a_maximum_fails(name, seeds, seed_value,
+                                                 capsys, monkeypatch):
+    # too few seeds find minima but no maximum: every function on the
+    # closed sphere and torus has one, so the table is incomplete and the
+    # homology wrong, and both commands say so and exit 1
+    monkeypatch.chdir(FIXDIR.parent)
+    argv = [f"fixtures/{name}.json", "--stabilize", "--seeds", seeds,
+            "--seed-value", seed_value]
+    warning = ("warning: no critical point of index 2 was found, but every "
+               "function on a closed manifold has one\n")
+    assert main(["morse"] + argv) == 1
+    out = capsys.readouterr().out
+    assert "index=2" not in out and warning in out
+    assert main(["specseq"] + argv) == 1
+    assert warning in capsys.readouterr().out
+
+
 def test_morse_flat_figures_exit_zero_with_escapes():
     # on the open planes an escape is a legitimate label
     code, out = run_cli(["morse", str(FIXDIR / "figure2_plane.json"),
@@ -713,3 +761,32 @@ def test_morse_flat_figures_exit_zero_with_escapes():
     assert flows.splitlines()[:3] == ["  1 -> 0 via coset (0, 1, 2): 1",
                                       "  2 -> 1 via coset (1,): 1",
                                       "  2 -> 1 via coset (0,): 1"]
+
+
+def _write_goldens():
+    """Rerun every golden's argv from the root of the checkout and write
+    cli_outputs.json, one case a line, unless a command prints on
+    stderr."""
+    import contextlib
+    from io import StringIO
+
+    os.chdir(FIXDIR.parent)
+    cases, noisy = [], []
+    for case in GOLDEN:
+        out, err = StringIO(), StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(case["argv"])
+        if err.getvalue():
+            noisy.append(f"{shlex.join(case['argv'])}: {err.getvalue()}")
+        cases.append({"argv": case["argv"], "exit": code,
+                      "stdout": out.getvalue()})
+    if noisy:
+        sys.exit("not written, output on stderr:\n" + "\n".join(noisy))
+    GOLDEN_PATH.write_text(
+        "[\n" + ",\n".join(json.dumps(case) for case in cases) + "\n]\n")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_cli.py --write")
+    _write_goldens()

@@ -509,15 +509,15 @@ def test_flow_fails_loudly_on_nan_values(start_finite):
 
 
 def test_row_inside_a_certified_radius_is_captured_at_step_zero():
-    # the rung 0.1 is certified for the bowl's minimum and for both poles of
-    # the sphere; a row started inside it ends in closed form within
-    # capture_tol of the sink without a single RK4 step
+    # the bowl's minimum and both poles of the sphere have level regions of
+    # radius 0.2, at levels 0.04 and +-0.98; a row started past the level
+    # ends at the sink itself without a single RK4 step
     M = r2_manifold()
     bowl = EqFunction.from_polynomial(Polynomial(2, {(2, 0): 1, (0, 2): 3}))
     crit = [classify(bowl, M, np.zeros(2))]
     (tr,) = integrate_batch(bowl, M, np.array([[0.06, -0.05]]), crits=crit)
     assert tr.resolved and tr.limit_index == 0 and tr.linear_capture
-    assert tr.steps == 0 and np.linalg.norm(tr.end) < CAPTURE_TOL
+    assert tr.steps == 0 and np.array_equal(tr.end, crit[0].coords)
     S = sphere_manifold()
     f = height_z()
     crits = [classify(f, S, np.array([0.0, 0.0, 1.0])),
@@ -528,16 +528,19 @@ def test_row_inside_a_certified_radius_is_captured_at_step_zero():
         (tr,) = integrate_batch(f, S, start[None, :], crits=crits,
                                 direction=direction)
         assert tr.limit_index == sink and tr.linear_capture and tr.steps == 0
-        assert np.linalg.norm(tr.end - crits[sink].coords) < CAPTURE_TOL
-        assert abs(np.linalg.norm(tr.end) - 1.0) < 1e-12
+        assert np.array_equal(tr.end, crits[sink].coords)
 
 
 @pytest.mark.parametrize("a, radius", [(40, 0.07), (10**6, CAPTURE_TOL)])
 def test_capture_radius_shrinks_where_the_quadratic_model_fails(a, radius):
     # f = x^2 + y^2 - a x^4: the velocity contracts at half the smallest
-    # eigenvalue only for 4 a x^2 <= 1, so at a = 40 the rung 0.1 fails and
-    # 0.07 holds, and at a = 1e6 no rung holds and the radius is capture_tol;
-    # rows just inside and just outside the radius both reach the minimum
+    # eigenvalue only for 4 a x^2 <= 1, so the largest certified release
+    # rung of its maximum -f is 0.07 at a = 40 and none at a = 1e6.  A sink
+    # captures only within CAPTURE_TOL or past its level: on the circle of
+    # radius 0.2, f is least at (+-0.2, 0), 0.04 - 0.0016 a, below f near
+    # the origin, so the level region certifies nothing.  Rows just inside
+    # and just outside the radius both take RK4 steps to the minimum but
+    # the one already within CAPTURE_TOL
     M = r2_manifold()
     f = EqFunction.from_polynomial(
         Polynomial(2, {(2, 0): 1, (0, 2): 1, (4, 0): -a}))
@@ -546,18 +549,17 @@ def test_capture_radius_shrinks_where_the_quadratic_model_fails(a, radius):
     trajs = integrate_batch(f, M, X0, crits=crit)
     assert all(tr.resolved and tr.limit_index == 0 for tr in trajs)
     assert all(np.linalg.norm(tr.end) < CAPTURE_TOL for tr in trajs)
-    assert [tr.steps == 0 for tr in trajs] == [True, False]
-    assert [tr.linear_capture for tr in trajs] == [radius > CAPTURE_TOL] * 2
+    assert [tr.steps == 0 for tr in trajs] == [radius == CAPTURE_TOL, False]
+    assert not any(tr.linear_capture for tr in trajs)
 
 
 def test_row_in_a_level_region_is_captured_at_step_zero():
     # f = x^2 + y^2 - 40 x^4 + 600 x^6 has no critical point but the origin
-    # (3600 u^2 - 160 u + 2 > 0 for u = x^2), and its velocity expands at
-    # half the smallest eigenvalue only outside 0.087 < |x| < 0.192, so the
-    # largest certified rung is 0.07.  On the circle of radius 0.2 f is
-    # least at (+-0.2, 0), 0.0144: the rows at (0.1, 0) and (0.19, 0), where
-    # f is 0.0066 and 0.0122, end at the minimum without a step, and the
-    # row at (0, 0.13), where f is 0.0169, takes RK4 steps into the ball
+    # (3600 u^2 - 160 u + 2 > 0 for u = x^2).  On the circle of radius 0.2
+    # f is least at (+-0.2, 0), 0.0144: the rows at (0.1, 0) and (0.19, 0),
+    # where f is 0.0066 and 0.0122, end at the minimum without a step, and
+    # the row at (0, 0.13), where f is 0.0169, takes RK4 steps until its f
+    # is past the level; no row leaves the origin, so nothing is probed
     M = r2_manifold()
     f = EqFunction.from_polynomial(Polynomial(
         2, {(2, 0): 1, (0, 2): 1, (4, 0): -40, (6, 0): 600}))
@@ -568,8 +570,9 @@ def test_row_in_a_level_region_is_captured_at_step_zero():
         (v, _), (G, J) = ev.jet(P, 1)
         return v, tangent_part(J, sign[:, None] * G)
 
-    cert = _certificate(flow, M, crit, np.zeros((1, 2)))
-    assert (cert.capture[0, 0], cert.region[0]) == (0.07, 0.2)
+    cert = _certificate(flow, M, crit, np.zeros((1, 2)),
+                        np.zeros((2, 1), dtype=bool))
+    assert cert.region[0] == 0.2 and not cert.release.any()
     assert cert.level[0, 0] == pytest.approx(0.0144, rel=1e-12)
     X0 = np.array([[0.1, 0.0], [0.19, 0.0], [0.0, 0.13]])
     trajs = integrate_batch(f, M, X0, crits=crit)
@@ -579,17 +582,19 @@ def test_row_in_a_level_region_is_captured_at_step_zero():
     assert [tr.steps == 0 for tr in trajs] == [True, True, False]
 
 
-# the capture radius of the minimum of x^2 + y^2 - a x^4, and of the
-# maximum of its negative: the largest rung r with 4 a r^2 <= 1, where the
-# velocity on the x axis expands at half the smallest eigenvalue
-CAPTURE_PINS = {1: 0.2, 40: 0.07, 400: 0.02, 4000: 3e-3, 40000: 1e-3,
-                10**6: CAPTURE_TOL}
+# the release radius of the minimum of x^2 + y^2 - a x^4 ascending, and of
+# the maximum of its negative descending: the largest rung r with
+# 4 a r^2 <= 1, where the velocity on the x axis expands at half the
+# smallest eigenvalue, and 0 where no rung holds
+RELEASE_PINS = {1: 0.2, 40: 0.07, 400: 0.02, 4000: 3e-3, 40000: 1e-3,
+                10**6: 0.0}
 
 
-@pytest.mark.parametrize("a", sorted(CAPTURE_PINS))
+@pytest.mark.parametrize("a", sorted(RELEASE_PINS))
 def test_certificate_keeps_the_capture_radii(a):
-    # a sink's capture radius for one direction is its release radius for
-    # the other, bit for bit; it releases nothing in its own direction
+    # an extremum releases in the direction that leaves it and nothing in
+    # the other; with no row leaving it, it is not probed and releases
+    # nothing either way
     M = r2_manifold()
     for s in (1, -1):
         f = EqFunction.from_polynomial(
@@ -601,14 +606,13 @@ def test_certificate_keeps_the_capture_radii(a):
             (v, _), (G, J) = ev.jet(P, 1)
             return v, tangent_part(J, sign[:, None] * G)
 
-        capture, release, _, _ = _certificate(flow, M, crit,
-                                              np.zeros((1, 2)))
         into = (1 - s) // 2               # the direction that sinks here
-        want = np.full((2, 1), CAPTURE_TOL)
-        want[into] = CAPTURE_PINS[a]
-        assert capture.tobytes() == want.tobytes()
-        pin = CAPTURE_PINS[a] if CAPTURE_PINS[a] > CAPTURE_TOL else 0.0
-        assert (release[into, 0], release[1 - into, 0]) == (0.0, pin)
+        named, _, _ = _certificate(flow, M, crit, np.zeros((1, 2)),
+                                   np.ones((2, 1), dtype=bool))
+        assert (named[into, 0], named[1 - into, 0]) == (0.0, RELEASE_PINS[a])
+        unnamed, _, _ = _certificate(flow, M, crit, np.zeros((1, 2)),
+                                     np.zeros((2, 1), dtype=bool))
+        assert not unnamed.any()
 
 
 @pytest.mark.parametrize("a, radius", [(40, 0.07), (10**6, 0.0)])

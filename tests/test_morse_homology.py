@@ -523,8 +523,9 @@ def test_released_starts_lie_on_the_flow_lines_of_their_seeds(name):
         return M.evaluator(f).jet(P, 0)[0][0]
 
     C = np.array([c.coords for c in crits])
-    _, release, _, _ = _certificate(
-        lambda P, sign: (value_of(P), velocity(P, sign)), M, crits, C)
+    release, _, _ = _certificate(
+        lambda P, sign: (value_of(P), velocity(P, sign)), M, crits, C,
+        _leaves(kw, len(crits)))
     released = integrate_batch(f, M, X0, **kw, max_steps=0)
     fine = kw["step_length"] / 10
     seeded = integrate_batch(f, M, X0, **{**kw, "sources": None,
@@ -563,6 +564,15 @@ def test_released_starts_lie_on_the_flow_lines_of_their_seeds(name):
     assert all(g <= b for g, b in zip(gaps, bounds)), (gaps, bounds)
 
 
+def _leaves(kw, n):
+    """The (2, n) array naming the (direction, source) pairs of the rows of
+    a batch with keywords kw, as integrate_batch passes it to
+    _certificate."""
+    leaves = np.zeros((2, n), dtype=bool)
+    leaves[(np.asarray(kw["direction"]) > 0).astype(int), kw["sources"]] = True
+    return leaves
+
+
 def _pipeline_certificate(name):
     """(f, M, crits, keywords, coordinates of crits, certificate) of the
     pipeline batch of a manifold fixture, the certificate read through f
@@ -575,7 +585,8 @@ def _pipeline_certificate(name):
         return v, tangent_part(J, sign[:, None] * G)
 
     C = np.array([c.coords for c in crits])
-    return f, M, crits, kw, C, _certificate(flow, M, crits, C)
+    return f, M, crits, kw, C, _certificate(flow, M, crits, C,
+                                            _leaves(kw, len(crits)))
 
 
 @pytest.mark.parametrize("name", sorted(MANIFOLD_FIXTURES))
@@ -586,8 +597,41 @@ def test_every_orbit_shares_one_certificate(name):
     _, M, crits, _, _, cert = _pipeline_certificate(name)
     for orb in group_into_orbits(M, crits):
         js = [j for _, j in orb.members]
-        for a in (cert.capture, cert.release, cert.level, cert.region[None]):
+        for a in (cert.release, cert.level, cert.region[None]):
             assert (a[:, js] == a[:, js[:1]]).all(), (orb.rep, a[:, js])
+
+
+def test_only_named_sources_and_their_orbits_are_probed(monkeypatch):
+    # naming figure 1's index-1 point at (-0.417, 0) for a descent probes
+    # shells around it and its two translates, whose release radii agree,
+    # and around no other point: the minimum at the origin, which no row
+    # leaves, gets no shell and no release radius
+    f, M, crits, _, _ = _pipeline_batch("figure1_plane")
+    ev = M.evaluator(f)
+
+    def flow(P, sign):
+        (v, _), (G, J) = ev.jet(P, 1)
+        return v, tangent_part(J, sign[:, None] * G)
+
+    probes = []
+    real = M.project_points_many
+    monkeypatch.setattr(M, "project_points_many",
+                        lambda X: probes.append(X) or real(X))
+    C = np.array([c.coords for c in crits])
+    saddle = next(orb for orb in group_into_orbits(M, crits)
+                  if orb.index == 1)
+    js = sorted(j for _, j in saddle.members)
+    leaves = np.zeros((2, len(crits)), dtype=bool)
+    leaves[0, crits.index(saddle.rep)] = True
+    release, _, _ = _certificate(flow, M, crits, C, leaves)
+    (X,) = probes
+    nearest = np.linalg.norm(X[:, None] - C[None], axis=2).argmin(axis=1)
+    per_point = np.bincount(nearest, minlength=len(crits))
+    assert len(js) == 3 and crits[0].index == 0
+    assert set(np.flatnonzero(per_point)) == set(js)
+    assert len(set(per_point[js])) == 1
+    assert (release[0, js] == release[0, js[0]]).all() and release[0, js[0]]
+    assert np.count_nonzero(release) == len(js)
 
 
 def _region_starts(f, M, c, R, level, d, rays=12):
@@ -619,16 +663,15 @@ def _region_starts(f, M, c, R, level, d, rays=12):
 
 @pytest.mark.parametrize("name", sorted(MANIFOLD_FIXTURES))
 def test_shortcut_rows_reach_their_sink_by_rk4_alone(name):
-    # an oracle for both shortcuts: rows started in a sink's level region
-    # and in its linear capture ball, near their edges included, are
-    # integrated in one batch with every sink left out of the critical
-    # points, so that neither shortcut can fire; RK4 alone takes each
-    # within CAPTURE_TOL of the sink the shortcut would have named.  At the
-    # fixture's step length the step controller can hold a stiff mode at
-    # RK4's stability limit (dt times the rate about 2.785, where the mode
-    # neither grows nor decays), 6.6e-6 from figure 1's maxima; the error
-    # tolerance of a hundredth of that step length rejects such steps well
-    # inside 1e-6
+    # an oracle for the sink's shortcut: rows started in a sink's level
+    # region, near its edge included, are integrated in one batch with
+    # every sink left out of the critical points, so that the region cannot
+    # fire; RK4 alone takes each within CAPTURE_TOL of the sink the region
+    # would have named.  At the fixture's step length the step controller
+    # can hold a stiff mode at RK4's stability limit (dt times the rate
+    # about 2.785, where the mode neither grows nor decays), 6.6e-6 from
+    # figure 1's maxima; the error tolerance of a hundredth of that step
+    # length rejects such steps well inside 1e-6
     f, M, crits, kw, C, cert = _pipeline_certificate(name)
     starts, direction, sink = [], [], []
     for k, c in enumerate(crits):
@@ -638,11 +681,6 @@ def test_shortcut_rows_reach_their_sink_by_rk4_alone(name):
             if np.isfinite(cert.level[side, k]):
                 starts.append(_region_starts(f, M, c, cert.region[k],
                                              cert.level[side, k], d))
-            r = cert.capture[side, k]
-            if r > CAPTURE_TOL:
-                rim = _region_starts(f, M, c, r, -d * np.inf, d, rays=8)
-                starts.append(rim[np.linalg.norm(rim - c.coords, axis=1)
-                                  > 0.9 * r])
             grown = sum(map(len, starts)) - len(sink)
             direction += [d] * grown
             sink += [k] * grown
