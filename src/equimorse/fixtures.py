@@ -18,11 +18,12 @@ ACTION_TOL (ImplicitGManifold.validate_action), and f may move by at most
 INVARIANCE_TOL times max(1, |f|).
 
 load_fixture(path) reads any such file and returns a GCWComplex or a
-ManifoldFixture.  Only a manifold file imports numpy and the Morse layer,
-when it is read, so loading a G-CW fixture stays on the exact, numpy-free
-homological layer.  equimorse.fixtures.<name>() loads fixtures/<name>.json
-from the checkout by name, so it works from a source tree or an editable
-install; GCW_FIXTURES and MANIFOLD_FIXTURES map each name to that loader.
+ManifoldFixture.  Only a manifold file imports numpy, the Morse layer and
+the polynomial layer, when it is read, so loading a G-CW fixture stays on
+the exact, numpy-free homological layer.  equimorse.fixtures.<name>()
+loads fixtures/<name>.json from the checkout by name, so it works from a
+source tree or an editable install; GCW_FIXTURES and MANIFOLD_FIXTURES map
+each name to that loader.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from typing import TYPE_CHECKING
 from .errors import InputError
 from .gcw import CellOrbit, GCWComplex
 from .groups import FiniteGroup, OrbitMorphism, Subgroup
-from .polynomials import Polynomial
 
 if TYPE_CHECKING:
     import numpy as np
@@ -156,6 +156,7 @@ def _manifold_from_json(group, spec, name: str) -> ManifoldFixture:
     from .morse import (AngleChart, EqFunction, ImplicitGManifold, LinearChart,
                         SphereFunction, seed_grid)
     from .morse.manifolds import PROJECT_TOL, OrthogonalAction
+    from .polynomials import Polynomial
 
     ambient = int(spec["ambient"])
     act = OrthogonalAction(group, [_matrix_from_json(m) for m in spec["action"]])

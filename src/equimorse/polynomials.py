@@ -38,7 +38,10 @@ transform of length 2^L needs primes p = 1 mod 2^L, which _ntt_primes
 finds for each length as the bound asks; it is the one interpolation path,
 and raises ValueError only where all such primes below 2^31 together cannot
 cover the bound.  numpy is imported inside the kernels, when one first
-runs, so importing the package does not import it.
+runs, and the group layer (equimorse.groups) inside the code that uses an
+action: LinearAction's constructors, stabilizer, orbit and
+equivariant_jet_lift.  So importing this module, interpolating and taking
+Taylor jets load only it and _intlinalg's primality test.
 The bumps measure distance in a positive definite integer form Q: the
 standard one for jet_interpolate, and for a lift the invariant form of the
 action (LinearAction.form), so a lift takes any rational action.  It
@@ -55,9 +58,12 @@ import math
 import numbers
 import operator
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from ._intlinalg import is_prime
-from .groups import FiniteGroup, Subgroup, left_cosets
+
+if TYPE_CHECKING:
+    from .groups import FiniteGroup, Subgroup
 
 __all__ = [
     "DuplicatePoints",
@@ -95,6 +101,24 @@ def _coerce(c) -> Fraction:
     if isinstance(c, numbers.Real) and not isinstance(c, numbers.Rational):
         return Fraction(float(c))
     return Fraction(c)
+
+
+def _exact_point(point, n: int) -> tuple:
+    """point as a tuple of n exact rationals; ValueError for another
+    length."""
+    pt = tuple(_coerce(x) for x in point)
+    if len(pt) != n:
+        raise ValueError(f"a point of {len(pt)} coordinates where {n} are expected")
+    return pt
+
+
+def _exponent(e, n: int) -> tuple:
+    """e, the exponent of a nonzero term, as a tuple; ValueError unless
+    it has n nonnegative entries."""
+    e = tuple(e)
+    if len(e) != n or min(e, default=0) < 0:
+        raise ValueError(f"exponent {e} is not {n} nonnegative integers")
+    return e
 
 
 # -- products of numerator dicts ---------------------------------------------
@@ -280,7 +304,7 @@ class Polynomial:
         for e, c in (terms or {}).items():
             c = _coerce(c)
             if c:
-                clean[tuple(e)] = c
+                clean[_exponent(e, nvars)] = c
         self.nvars = nvars
         # over the lcm of reduced denominators no common factor is left
         den = math.lcm(*(c.denominator for c in clean.values()))
@@ -393,7 +417,7 @@ class Polynomial:
         return self.evaluate(point)
 
     def evaluate(self, point) -> Fraction:
-        point = [_coerce(x) for x in point]
+        point = _exact_point(point, self.nvars)
         return sum((c * math.prod(x**k for x, k in zip(point, e))
                     for e, c in self.terms.items()), Fraction(0))
 
@@ -552,7 +576,7 @@ class Jet:
                 raise ValueError(f"multi-index {e} has degree >= order {order}")
             c = _coerce(c)
             if c:
-                clean[e] = c
+                clean[_exponent(e, len(self.basepoint))] = c
         self.terms = clean
 
     @property
@@ -675,7 +699,7 @@ def taylor_jet(f: Polynomial, point, k: int) -> Jet:
     f's integer numerators, so extracting jets from the large
     interpolation outputs stays fast.
     """
-    p = [_coerce(x) for x in point]
+    p = _exact_point(point, f.nvars)
     num, scale = _taylor_shift(f.num, f.nvars, p, k)
     den = f.den * scale
     return Jet(p, k, {e: Fraction(c, den) for e, c in num.items()})
@@ -685,7 +709,11 @@ def taylor_jet(f: Polynomial, point, k: int) -> Jet:
 
 
 def _check_distinct(points):
+    """The points as exact tuples, all of one dimension and pairwise
+    distinct, else ValueError (DuplicatePoints for a repeat)."""
     pts = [tuple(_coerce(x) for x in p) for p in points]
+    if len({len(p) for p in pts}) > 1:
+        raise ValueError("points must all have the same number of coordinates")
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             if pts[i] == pts[j]:
@@ -1099,17 +1127,23 @@ class LinearAction:
     @classmethod
     def sign_c2(cls, dim: int = 1) -> "LinearAction":
         """C2 acting on R^dim by negation."""
+        from .groups import FiniteGroup
+
         return cls(FiniteGroup.cyclic(2), [_diagonal([1] * dim), _diagonal([-1] * dim)])
 
     @classmethod
     def reflection_c2(cls, dim: int, axis: int) -> "LinearAction":
         """C2 on R^dim negating one coordinate."""
+        from .groups import FiniteGroup
+
         ref = [-1 if i == axis else 1 for i in range(dim)]
         return cls(FiniteGroup.cyclic(2), [_diagonal([1] * dim), _diagonal(ref)])
 
     @classmethod
     def permutation_s3(cls) -> "LinearAction":
         """S3 permuting the coordinates of R^3 (matches FiniteGroup.symmetric(3))."""
+        from .groups import FiniteGroup
+
         G = FiniteGroup.symmetric(3)
         perms = sorted(itertools.permutations(range(3)))
         # (A_p x)_{p(j)} = x_j, so A_p e_j = e_{p(j)} and A_p A_q = A_{p∘q}
@@ -1120,7 +1154,7 @@ class LinearAction:
 
     def apply(self, s: int, point):
         M = self.matrices[s]
-        pt = [_coerce(x) for x in point]
+        pt = _exact_point(point, self.dim)
         return tuple(
             sum(M[i][j] * pt[j] for j in range(self.dim)) for i in range(self.dim)
         )
@@ -1131,12 +1165,16 @@ class LinearAction:
 
     def stabilizer(self, point) -> Subgroup:
         """The elements fixing point exactly."""
-        pt = tuple(_coerce(x) for x in point)
+        from .groups import Subgroup
+
+        pt = _exact_point(point, self.dim)
         return Subgroup(self.group, tuple(
             s for s in self.group.elements() if self.apply(s, pt) == pt))
 
     def orbit(self, point):
         """One (coset representative, image point) pair per point of the orbit."""
+        from .groups import left_cosets
+
         cosets = left_cosets(self.group, self.stabilizer(point))
         return [(c[0], self.apply(c[0], point)) for c in cosets]
 
@@ -1193,7 +1231,9 @@ def equivariant_jet_lift(point, jet: Jet, act: LinearAction, k: int) -> Polynomi
     jet_interpolate) builds the lift.  For an orthogonal action Q is the
     identity, and the masks are jet_interpolate's.
     """
-    pt = tuple(_coerce(x) for x in point)
+    from .groups import left_cosets
+
+    pt = _exact_point(point, act.dim)
     if jet.basepoint != pt:
         raise ValueError("jet must be based at the given point")
     if jet.order > k:

@@ -438,7 +438,8 @@ def test_homological_commands_import_neither_numpy_nor_the_morse_layer():
     # bredon, specseq on a G-CW fixture, cells and smith are exact
     # combinatorics: in a fresh interpreter, importing the CLI, loading a
     # G-CW fixture and running every golden command that names no manifold
-    # fixture must leave numpy and equimorse.morse unimported
+    # fixture must leave numpy, equimorse.morse and the polynomial layer
+    # unimported
     import equimorse
 
     src = str(Path(equimorse.__file__).resolve().parent.parent)
@@ -457,7 +458,8 @@ def test_homological_commands_import_neither_numpy_nor_the_morse_layer():
         "    with contextlib.redirect_stdout(io.StringIO()):",
         "        assert main(argv) == 0, argv",
         "print(sorted(m for m in sys.modules",
-        "             if m.split('.')[0] == 'numpy' or m.startswith('equimorse.morse')))",
+        "             if m.split('.')[0] == 'numpy' or m.startswith('equimorse.morse')",
+        "             or m == 'equimorse.polynomials'))",
     ])
     proc = subprocess.run(
         [sys.executable, "-c", script, json.dumps(commands)],

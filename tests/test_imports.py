@@ -1,9 +1,16 @@
-"""Every name the test modules and the program modules import is used."""
+"""Imports: every name the test modules and the program modules import is
+used, and each layer of the package is imported on first use."""
 
 import ast
+import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import equimorse
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
@@ -49,3 +56,68 @@ def test_test_modules_use_every_import(path):
     ids=lambda p: p.relative_to(SRC).as_posix())
 def test_src_modules_use_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _fresh_lines(script: str) -> list:
+    """Run script in a fresh interpreter with this equimorse on its path;
+    each line it prints, read as a Python literal."""
+    src = str(Path(equimorse.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    return [ast.literal_eval(line) for line in proc.stdout.splitlines()]
+
+
+LOADED = ("print(sorted(m for m in sys.modules"
+          " if m.startswith('equimorse') or m == 'dataclasses'))")
+
+
+def test_importing_the_package_loads_no_layer():
+    assert _fresh_lines(f"import sys\nimport equimorse\n{LOADED}") == [["equimorse"]]
+
+
+def test_the_exact_jet_layer_loads_neither_groups_nor_the_homological_stack():
+    # interpolation and Taylor jets need only the polynomial layer and the
+    # primality test, and no dataclasses; a lift then loads the group layer
+    script = "\n".join([
+        "import sys",
+        "from equimorse import Jet, LinearAction, equivariant_jet_lift,"
+        " jet_interpolate, taylor_jet",
+        "pts = [(0, 0), (1, 2)]",
+        "f = jet_interpolate(pts, [Jet(p, 2, {(0, 1): 1}) for p in pts], 2)",
+        "assert taylor_jet(f, pts[1], 2).terms == {(0, 1): 1}",
+        LOADED,
+        "equivariant_jet_lift(pts[1], Jet(pts[1], 1, {(0, 0): 1}),"
+        " LinearAction.sign_c2(2), 1)",
+        "print(sorted(m for m in sys.modules if m.startswith('equimorse')))",
+    ])
+    exact, lifted = _fresh_lines(script)
+    assert exact == ["equimorse", "equimorse._intlinalg", "equimorse.polynomials"]
+    assert lifted == ["equimorse", "equimorse._intlinalg", "equimorse.groups",
+                      "equimorse.polynomials"]
+
+
+@pytest.mark.parametrize("name", equimorse.__all__)
+def test_each_export_is_its_defining_submodules_object(name):
+    # the object an eager `from .<source> import name` would bind, which is
+    # the one its defining module holds
+    value = getattr(equimorse, name)
+    source = importlib.import_module(f"equimorse.{equimorse._SOURCES[name]}")
+    assert getattr(source, name) is value
+    assert value.__module__.startswith("equimorse.")
+    assert getattr(sys.modules[value.__module__], name) is value
+
+
+def test_star_import_dir_and_unknown_names():
+    bound: dict = {}
+    exec("from equimorse import *", bound)
+    assert set(equimorse.__all__) <= set(bound)
+    assert all(bound[name] is getattr(equimorse, name) for name in equimorse.__all__)
+    assert set(equimorse.__all__) <= set(dir(equimorse))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        equimorse.no_such_name
+    from equimorse import polynomials
+
+    assert polynomials is sys.modules["equimorse.polynomials"]

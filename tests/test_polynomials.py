@@ -297,6 +297,30 @@ def test_bad_records_raise_value_error(record):
         Polynomial.from_records(2, [[[0, 0], 1, 1], record])
 
 
+@pytest.mark.parametrize("call", [
+    lambda: jet_interpolate([(0,), (1, 2)], [Jet((0,), 1, {(0,): 1}),
+                                             Jet((1, 2), 1, {(0, 0): 1})], 1),
+    lambda: Polynomial(2, {(1,): 1}),
+    lambda: Polynomial(1, {(-1,): 1}),
+    lambda: Jet((0, 0), 2, {(1,): 1}),
+    lambda: Jet((0,), 2, {(-1,): 1}),
+    lambda: Polynomial(2, {(1, 1): 1}).evaluate((2,)),
+    lambda: LinearAction.sign_c2(1).apply(1, (1, 2)),
+    lambda: LinearAction.sign_c2(2).stabilizer((0,)),
+    lambda: taylor_jet(Polynomial(2, {(1, 1): 1}), (0,), 2),
+    lambda: equivariant_jet_lift((0,), Jet((0,), 1, {(0,): 1}),
+                                 LinearAction.sign_c2(2), 1),
+], ids=["interpolate", "poly-length", "poly-negative", "jet-length",
+        "jet-negative", "evaluate", "apply", "stabilizer", "taylor-jet", "lift"])
+def test_mismatched_dimensions_raise_value_error(call):
+    # every public entry point of the exact layer checks that points and
+    # exponents have as many coordinates as the space, and no exponent is
+    # negative
+    with pytest.raises(ValueError, match="coordinates|nonnegative") as info:
+        call()
+    assert type(info.value) is ValueError
+
+
 # -- taylor jets -------------------------------------------------------------
 
 
