@@ -27,8 +27,7 @@ _SOURCES = {
                      "taylor_jet"), "polynomials"),
     **dict.fromkeys(("ChainComplex", "HomologySummary", "homology", "smith_normal_form"),
                     "complexes"),
-    **dict.fromkeys(("CoefficientSystem", "FreeModule", "build_system", "induced_matrix"),
-                    "coefficients"),
+    **dict.fromkeys(("CoefficientSystem", "build_system"), "coefficients"),
     **dict.fromkeys(("GCWComplex", "bredon_chain_complex", "subquotient_complex"), "gcw"),
     **dict.fromkeys(("FilteredComplex", "einfty_check", "spectral_pages"), "spectral"),
     **dict.fromkeys(("SmithReport", "smith_report"), "smith"),

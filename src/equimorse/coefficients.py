@@ -3,7 +3,8 @@ generated free modules over Z or F_p.
 
 Every built-in system is an H-quotient / K-fixed-point functor on orbits:
 the value at G/L is the free module on the K-fixed H-orbit classes of G/L,
-and morphisms induce the evident basis maps.  This uniformly realizes
+and a morphism sends each basis class to a basis class or to 0, so a
+system is its subquotient rule.  This uniformly realizes
 
     constant / quotient    (H = G)            H_0((G/L)/G)
     singular               (H = e, K = e)     H_0(G/L)
@@ -11,16 +12,14 @@ and morphisms induce the evident basis maps.  This uniformly realizes
     quotient-rel-fixed     relative variant   H_0((G/L)/G, (G/L)^G)
     general (H, K)                            H_0(((G/L)/H)^K)
 
-The classes and the double cosets that name the basis maps are read from
-the orbit category's coset tables (OrbitCategory.orbit_classes and
-double_cosets), so systems built over one category share them.
+A system stores no table: its ranks read the classes of the orbit
+category's coset tables (OrbitCategory.orbit_classes), and the image of
+each class under a morphism is read from its double cosets on each call,
+so systems built over one category share the tables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ._intlinalg import Matrix
 from .groups import (
     FiniteGroup,
     OrbitCategory,
@@ -33,12 +32,10 @@ from .groups import (
 
 __all__ = [
     "CoefficientSystem",
-    "FreeModule",
     "InvalidSubgroup",
     "SUBQUOTIENTS",
     "SYSTEM_KINDS",
     "build_system",
-    "induced_matrix",
     "subquotient",
 ]
 
@@ -73,67 +70,51 @@ class InvalidSubgroup(ValueError):
     """Parameters must name subgroups compatible with the requested kind."""
 
 
-@dataclass(frozen=True)
-class FreeModule:
-    """Free module of finite rank with labelled basis; char 0 means Z."""
-
-    char: int
-    rank: int
-    labels: tuple = ()
-
-    def __post_init__(self):
-        if self.labels and len(self.labels) != self.rank:
-            raise ValueError("label count must match rank")
-
-
 class CoefficientSystem:
-    """A functor on the orbit category, stored as explicit value modules and
-    induced matrices over all precomputed hom-sets.
+    """The covariant functor L -> H_0(((G/L)/H)^K) over cat, with K
+    normalizing H; char 0 means Z.
 
-    variance is "covariant" (homology) or "contravariant" (cohomology); the
-    contravariant version of a built-in system stores transposed matrices
-    against reversed arrows.
+    relative makes it H_0 relative to the G-fixed points: rank 0 wherever
+    G/L has a G-fixed point (only G/G does), the rule of
+    quotient-rel-fixed.  A basis class is named by its least element.
     """
 
-    def __init__(self, cat: OrbitCategory, char: int, variance: str,
-                 values: dict, induced: dict, name: str = ""):
-        if variance not in ("covariant", "contravariant"):
-            raise ValueError(f"unknown variance {variance!r}")
+    def __init__(self, cat: OrbitCategory, char: int, H: Subgroup, K: Subgroup,
+                 relative: bool = False):
         self.cat = cat
         self.char = char
-        self.variance = variance
-        self.values = values          # Subgroup -> FreeModule
-        self.induced = induced        # OrbitMorphism -> Matrix
-        self.name = name or "system"
+        self.H = H
+        self.K = K
+        # the (e, G) pair whose classes of G/L are its G-fixed points
+        self._fixed = subquotient("fixed-point", cat.group) if relative else None
 
-    def value(self, H: Subgroup) -> FreeModule:
-        return self.values[H]
+    def _classes(self, L: Subgroup) -> tuple[tuple[int, ...], ...]:
+        """The basis of the value at G/L: its K-fixed H-classes, or none
+        where the relative rule kills it."""
+        if self._fixed and self.cat.orbit_classes(L, *self._fixed):
+            return ()
+        return self.cat.orbit_classes(L, self.H, self.K)
 
-    def opposite(self) -> "CoefficientSystem":
-        """The same data with arrows reversed and matrices transposed."""
-        flipped = {}
-        for m, M in self.induced.items():
-            # a covariant matrix maps the source value to the target value
-            rows, cols = ((m.target, m.source) if self.variance == "covariant"
-                          else (m.source, m.target))
-            nrows, ncols = self.values[rows].rank, self.values[cols].rank
-            flipped[m] = tuple(
-                tuple(M[i][j] for i in range(nrows)) for j in range(ncols)
-            )
-        newvar = "contravariant" if self.variance == "covariant" else "covariant"
-        return CoefficientSystem(
-            self.cat, self.char, newvar, dict(self.values), flipped,
-            name=self.name + ".op",
-        )
+    def rank(self, L: Subgroup) -> int:
+        return len(self._classes(L))
+
+    def images(self, m: OrbitMorphism) -> tuple[int | None, ...]:
+        """For each basis class of the source, the index of its image class
+        in the target, or None where the map sends it to 0.  A K-fixed
+        class maps to a K-fixed class, so None arises only when the
+        relative rule gives the target rank 0."""
+        src = self._classes(m.source)
+        if not src:
+            return ()
+        mul, x = self.cat.group.mul, m.rep
+        table = self.cat.double_cosets(self.H, m.target)
+        index = {c[0]: i for i, c in enumerate(self._classes(m.target))}
+        return tuple([index.get(table[mul[dc[0]][x]][0]) for dc in src])
 
     def __repr__(self):
-        return (f"CoefficientSystem({self.name}, {self.variance}, "
-                f"char={self.char}, G={self.cat.group.name})")
-
-
-def induced_matrix(M: CoefficientSystem, f: OrbitMorphism) -> Matrix:
-    """The matrix of M on a morphism, in the stored bases."""
-    return M.induced[f]
+        return (f"CoefficientSystem(H={self.H.elements}, K={self.K.elements}, "
+                f"relative={self._fixed is not None}, char={self.char}, "
+                f"G={self.cat.group.name})")
 
 
 def build_system(cat: OrbitCategory, kind: str, char: int = 0,
@@ -147,7 +128,6 @@ def build_system(cat: OrbitCategory, kind: str, char: int = 0,
     G = cat.group
     if kind not in SYSTEM_KINDS:
         raise ValueError(f"unknown system kind {kind!r}")
-    relative_fixed = kind == "quotient-rel-fixed"
     if kind == "general":
         if H is None or K is None:
             raise InvalidSubgroup("general kind needs subgroups H and K")
@@ -156,40 +136,8 @@ def build_system(cat: OrbitCategory, kind: str, char: int = 0,
         nset = set(normalizer(G, H).elements)
         if not set(K.elements) <= nset:
             raise InvalidSubgroup("K must normalize H to act on the H-quotient")
-        Hq, Kf = H, K
-    else:
-        # quotient-rel-fixed takes the quotient's pair, with its own value
-        # rule below
-        Hq, Kf = subquotient("quotient" if relative_fixed else kind, G)
-
-    values: dict = {}
-    classes: dict = {}
-    for L in cat.objects:
-        cls = cat.orbit_classes(L, Hq, Kf)
-        if relative_fixed:
-            # H_0 of (orbit)/G relative to the image of the G-fixed points:
-            # rank 1 unless the orbit has a G-fixed point (only G/G does)
-            fixed_pts = cat.orbit_classes(L, *subquotient("fixed-point", G))
-            cls = () if fixed_pts else cls
-        classes[L] = cls
-        values[L] = FreeModule(char, len(cls), cls)
-
-    induced: dict = {}
-    for (A, B), homs in cat.homs.items():
-        src = classes[A]
-        tgt = classes[B]
-        # a class is named by its least element
-        tgt_index = {c[0]: i for i, c in enumerate(tgt)}
-        table = cat.double_cosets(Hq, B)
-        for m in homs:
-            x = m.rep
-            mat = [[0] * len(src) for _ in range(len(tgt))]
-            for col, dc in enumerate(src):
-                row = tgt_index.get(table[G.mul[dc[0]][x]][0])
-                if row is not None:
-                    mat[row][col] = 1
-                # a K-fixed class can only map to a K-fixed class, so for the
-                # plain kinds row is always found; in the relative kind the
-                # target may have rank 0 and the map is zero
-            induced[m] = tuple(tuple(r) for r in mat)
-    return CoefficientSystem(cat, char, "covariant", values, induced, name=kind)
+        return CoefficientSystem(cat, char, H, K)
+    # quotient-rel-fixed takes the quotient's pair under the relative rule
+    relative = kind == "quotient-rel-fixed"
+    Hq, Kf = subquotient("quotient" if relative else kind, G)
+    return CoefficientSystem(cat, char, Hq, Kf, relative)

@@ -103,7 +103,10 @@ class ChainComplex:
         return sum((-1) ** n * r for n, r in self.ranks.items())
 
     def reduce_mod(self, p: int) -> "ChainComplex":
-        """The same complex with coefficients reduced mod a prime p."""
+        """The same complex with coefficients reduced mod a prime p.  Only a
+        complex over Z or over F_p itself has one; ValueError otherwise."""
+        if self.char not in (0, p):
+            raise ValueError(f"a complex over F{self.char} has no reduction mod {p}")
         return ChainComplex(char=p, ranks=dict(self.ranks),
                             boundary=dict(self.boundary))
 

@@ -1,5 +1,6 @@
 """G-CW complexes with stabilizer-labelled cell-orbits, the cellular Bredon
-chain complex for a coefficient system, and the ordinary cellular complexes
+chain complex for a coefficient system (and its transpose, the cochains
+with coefficients in the dual system), and the ordinary cellular complexes
 of the subquotients (X/H)^K that serve as oracles for it.  One assembly,
 bredon_assembly, serves G-CW and Morse complexes alike: a Morse complex has
 a cell-orbit per critical orbit and flow counts as degrees.
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 
 from . import _intlinalg as la
 from .complexes import ChainComplex
-from .coefficients import CoefficientSystem, build_system, induced_matrix
+from .coefficients import CoefficientSystem, build_system
 from .groups import (
     FiniteGroup,
     OrbitCategory,
@@ -39,17 +40,12 @@ __all__ = [
     "CellOrbit",
     "GCWComplex",
     "InvalidPair",
-    "VarianceMismatch",
     "bredon_assembly",
     "bredon_chain_complex",
     "bredon_cochain_complex",
     "gcw_from_cells",
     "subquotient_complex",
 ]
-
-
-class VarianceMismatch(ValueError):
-    """Homology wants covariant systems; cohomology wants contravariant."""
 
 
 class InvalidPair(ValueError):
@@ -105,13 +101,9 @@ def bredon_assembly(M: CoefficientSystem, stabilizers: dict[int, list[Subgroup]]
                     records: dict[int, dict]) -> ChainComplex:
     """C_n = direct sum of M(stab) over the n-cell-orbit stabilizers
     stabilizers[n]; records[n][(a, b)] holds the (morphism, degree) records
-    from orbit a in degree n to orbit b in degree n-1, and their block is
-    the degree-weighted sum of M's induced matrices."""
-    if M.variance != "covariant":
-        raise VarianceMismatch(
-            "homology assembly needs a covariant system; use "
-            "bredon_cochain_complex for contravariant ones"
-        )
+    from orbit a in degree n to orbit b in degree n-1.  M sends each basis
+    class to a basis class or to 0, so each record adds its degree at the
+    image of every class it does not kill."""
     if any(L.group != M.cat.group for Ls in stabilizers.values() for L in Ls):
         raise ValueError("coefficient system is over a different group")
     ranks: dict[int, int] = {}
@@ -119,7 +111,7 @@ def bredon_assembly(M: CoefficientSystem, stabilizers: dict[int, list[Subgroup]]
     for n, Ls in stabilizers.items():
         offs = [0]
         for L in Ls:
-            offs.append(offs[-1] + M.value(L).rank)
+            offs.append(offs[-1] + M.rank(L))
         offsets[n] = offs
         ranks[n] = offs[-1]
     boundary: dict[int, list] = {}
@@ -131,11 +123,10 @@ def bredon_assembly(M: CoefficientSystem, stabilizers: dict[int, list[Subgroup]]
             r0 = offsets[n - 1][b]
             c0 = offsets[n][a]
             for m, deg in recs:
-                for i, row in enumerate(induced_matrix(M, m)):
-                    for j, x in enumerate(row):
-                        if x:
-                            col = cols[c0 + j]
-                            col[r0 + i] = col.get(r0 + i, 0) + deg * x
+                for j, i in enumerate(M.images(m)):
+                    if i is not None:
+                        col = cols[c0 + j]
+                        col[r0 + i] = col.get(r0 + i, 0) + deg
         boundary[n] = [col.items() for col in cols]
     return ChainComplex(char=M.char, ranks=ranks, boundary=boundary)
 
@@ -147,16 +138,14 @@ def bredon_chain_complex(X: GCWComplex, M: CoefficientSystem) -> ChainComplex:
         X.boundary)
 
 
-def bredon_cochain_complex(X: GCWComplex, N: CoefficientSystem) -> ChainComplex:
-    """Cochain assembly for a contravariant system, returned as a chain
-    complex on negated degrees: degree -n holds C^n, so homology at -n is
-    the Bredon cohomology H^n.  The coboundary out of C^(n-1) is the
-    transpose of the boundary into C_(n-1) for the opposite system."""
-    if N.variance != "contravariant":
-        raise VarianceMismatch("cochain assembly needs a contravariant system")
-    C = bredon_chain_complex(X, N.opposite())
+def bredon_cochain_complex(X: GCWComplex, M: CoefficientSystem) -> ChainComplex:
+    """The Bredon cochains of X with coefficients in the dual of M,
+    returned as a chain complex on negated degrees: degree -n holds C^n,
+    so homology at -n is the Bredon cohomology H^n.  The coboundary out of
+    C^(n-1) is the transpose of the boundary into C_(n-1)."""
+    C = bredon_chain_complex(X, M)
     return ChainComplex(
-        char=N.char,
+        char=M.char,
         ranks={-n: r for n, r in C.ranks.items()},
         boundary={-(n - 1): la.transpose(d, C.rank(n - 1))
                   for n, d in C.boundary.items()},
@@ -173,7 +162,7 @@ def subquotient_complex(X: GCWComplex, H: Subgroup, K: Subgroup,
 
     This is the oracle for the Bredon assembly: it shares with it only the
     coset primitive, the classes and double cosets of X.category's tables,
-    and no induced matrix.  A system built over another category of the
+    and no coefficient system.  A system built over another category of the
     same group (the benchmark builds its own) reads that category's tables.
     """
     G = X.group

@@ -3,9 +3,9 @@ and the orbit category of cosets G/H with G-map morphisms.
 
 Everything here is desk scale (|G| <= 12 in practice): groups are validated
 exhaustively at construction, subgroups are enumerated by closing cyclic
-subgroups under pairwise joins, and hom-sets of the orbit category are stored
-as explicit tuples of coset morphisms.  The orbit category also keeps its
-group's coset tables: each table of double cosets HgL and each table of
+subgroups under pairwise joins, and a hom-set of the orbit category is
+computed on call as a tuple of coset morphisms.  The orbit category keeps
+its group's coset tables: each table of double cosets HgL and each table of
 K-fixed H-classes of G/L is computed once, on first use, and goes away with
 the category.
 """
@@ -371,7 +371,7 @@ def orbit_homs(G: FiniteGroup, H: Subgroup, K: Subgroup) -> tuple[OrbitMorphism,
 class OrbitCategory:
     """The orbit category of G with all subgroups as objects.
 
-    Hom-sets are precomputed; composition goes through :func:`compose`.
+    A hom-set is computed on call; composition goes through :func:`compose`.
     The coset tables of the group (double_cosets, orbit_classes) are
     computed on first use and kept here, keyed by element tuples, so every
     coefficient system and subquotient complex over one category shares
@@ -381,15 +381,11 @@ class OrbitCategory:
     def __init__(self, group: FiniteGroup):
         self.group = group
         self.objects: tuple[Subgroup, ...] = tuple(enumerate_subgroups(group))
-        self.homs: dict[tuple[Subgroup, Subgroup], tuple[OrbitMorphism, ...]] = {}
-        for H in self.objects:
-            for K in self.objects:
-                self.homs[(H, K)] = orbit_homs(group, H, K)
         self._double_cosets: dict = {}
         self._classes: dict = {}
 
     def hom(self, H: Subgroup, K: Subgroup) -> tuple[OrbitMorphism, ...]:
-        return self.homs[(H, K)]
+        return orbit_homs(self.group, H, K)
 
     def double_cosets(self, H: Subgroup, L: Subgroup) -> tuple[tuple[int, ...], ...]:
         """The double coset HgL of every element g, indexed by g.  Each
@@ -426,10 +422,6 @@ class OrbitCategory:
                 dc for dc in sorted(set(table))
                 if all(table[mul[k][dc[0]]] is dc for k in K.elements))
         return classes
-
-    def all_morphisms(self):
-        for ms in self.homs.values():
-            yield from ms
 
     def __repr__(self):
         return f"OrbitCategory({self.group.name}, {len(self.objects)} objects)"

@@ -113,12 +113,16 @@ def _exact_point(point, n: int) -> tuple:
 
 
 def _exponent(e, n: int) -> tuple:
-    """e, the exponent of a nonzero term, as a tuple; ValueError unless
-    it has n nonnegative entries."""
+    """e, the exponent of a nonzero term, as a tuple of ints; ValueError
+    unless it has n nonnegative integer entries."""
     e = tuple(e)
-    if len(e) != n or min(e, default=0) < 0:
+    try:
+        ints = tuple(map(operator.index, e))
+    except TypeError:
+        ints = None
+    if ints is None or len(ints) != n or min(ints, default=0) < 0:
         raise ValueError(f"exponent {e} is not {n} nonnegative integers")
-    return e
+    return ints
 
 
 # -- products of numerator dicts ---------------------------------------------
@@ -709,9 +713,11 @@ def taylor_jet(f: Polynomial, point, k: int) -> Jet:
 
 
 def _check_distinct(points):
-    """The points as exact tuples, all of one dimension and pairwise
-    distinct, else ValueError (DuplicatePoints for a repeat)."""
+    """The points as exact tuples, at least one, all of one dimension and
+    pairwise distinct, else ValueError (DuplicatePoints for a repeat)."""
     pts = [tuple(_coerce(x) for x in p) for p in points]
+    if not pts:
+        raise ValueError("at least one point is needed to fix the number of coordinates")
     if len({len(p) for p in pts}) > 1:
         raise ValueError("points must all have the same number of coordinates")
     for i in range(len(pts)):
@@ -727,6 +733,8 @@ def bump_poly(points, j: int) -> Polynomial:
     Equal to 1 at p_j, 0 at every other p_i, of degree exactly 2(d-1).
     """
     pts = _check_distinct(points)
+    if j not in range(len(pts)):
+        raise ValueError(f"j = {j} is not a nonnegative index below {len(pts)}")
     n = len(pts[0])
     xs = [Polynomial.variable(n, m) for m in range(n)]
     out = Polynomial.constant(n, 1)

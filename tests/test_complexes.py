@@ -377,6 +377,16 @@ def test_reduce_mod_stores_the_residues(seed, p):
                            if n in C.boundary}
 
 
+def test_reduce_mod_needs_integers_or_the_same_prime():
+    # d = 2 over F_3 is invertible, so the homology is 0; a "reduction mod 2"
+    # of it would read F2, F2
+    C = ChainComplex(char=3, ranks={0: 1, 1: 1}, boundary={1: (((0, 2),),)})
+    assert homology(C).degrees() == []
+    assert C.reduce_mod(3).boundary == C.boundary
+    with pytest.raises(ValueError, match="no reduction mod 2"):
+        C.reduce_mod(2)
+
+
 def test_is_prime_matches_a_sieve_below_1e5():
     N = 10**5
     sieve = bytearray([1]) * N

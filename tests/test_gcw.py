@@ -1,6 +1,6 @@
 import pytest
 
-from equimorse.coefficients import build_system
+from equimorse.coefficients import SYSTEM_KINDS, build_system
 from equimorse.complexes import homology
 from equimorse.fixtures import (
     GCW_FIXTURES,
@@ -14,7 +14,6 @@ from equimorse.fixtures import (
 )
 from equimorse.gcw import (
     InvalidPair,
-    VarianceMismatch,
     bredon_chain_complex,
     bredon_cochain_complex,
     subquotient_complex,
@@ -38,7 +37,7 @@ def test_point_bredon_is_value_at_full():
     for kind in ("constant", "singular", "fixed-point", "quotient-rel-fixed"):
         M = build_system(cat, kind)
         h = homology(bredon_chain_complex(X, M))
-        expect = M.value(full_subgroup(X.group)).rank
+        expect = M.rank(full_subgroup(X.group))
         assert h.betti(0) == expect
         assert all(h.betti(n) == 0 for n in h.degrees() if n != 0)
 
@@ -156,23 +155,12 @@ def test_invalid_pair_rejected():
         subquotient_complex(X, H2, H3)
 
 
-def test_variance_mismatch():
-    X = point_c2()
-    cat = OrbitCategory(X.group)
-    M = build_system(cat, "constant")
-    with pytest.raises(VarianceMismatch):
-        bredon_chain_complex(X, M.opposite())
-    with pytest.raises(VarianceMismatch):
-        bredon_cochain_complex(X, M)
-
-
 def test_cochain_circle_constant():
-    # Bredon cohomology of the circle fixture with constant contravariant Z:
-    # the quotient is an interval, so H^0 = Z and H^1 = 0
+    # Bredon cohomology of the circle fixture with coefficients in the dual
+    # of constant Z: the quotient is an interval, so H^0 = Z and H^1 = 0
     X = circle_reflection()
     cat = OrbitCategory(X.group)
-    N = build_system(cat, "constant").opposite()
-    C = bredon_cochain_complex(X, N)
+    C = bredon_cochain_complex(X, build_system(cat, "constant"))
     h = homology(C)
     assert h.group(0) == (1, ())     # degree -0: H^0
     assert h.group(-1) == (0, ())    # degree -1: H^1
@@ -182,10 +170,51 @@ def test_cochain_singular_sphere():
     # underlying cohomology of S^2: H^0 = Z, H^2 = Z
     X = sphere_reflection()
     cat = OrbitCategory(X.group)
-    N = build_system(cat, "singular").opposite()
-    h = homology(bredon_cochain_complex(X, N))
+    h = homology(bredon_cochain_complex(X, build_system(cat, "singular")))
     assert h.group(0) == (1, ())
     assert h.group(-2) == (1, ())
+
+
+def assert_universal_coefficients(X, M):
+    """The Bredon cohomology of X with coefficients in the dual of M
+    against its homology: over Z, H^n has the rank of H_n and the torsion
+    of H_(n-1); over F_p the dimensions agree."""
+    h = homology(bredon_chain_complex(X, M))
+    c = homology(bredon_cochain_complex(X, M))
+    degs = set(h.degrees()) | {-n for n in c.degrees()}
+    for n in range(min(degs, default=0), max(degs, default=0) + 2):
+        assert c.betti(-n) == h.betti(n), n
+        assert c.torsion(-n) == h.torsion(n - 1), n
+
+
+@pytest.mark.parametrize("kind", [k for k in SYSTEM_KINDS if k != "general"])
+@pytest.mark.parametrize("name", sorted(GCW_FIXTURES))
+def test_cochains_obey_universal_coefficients(name, kind):
+    X = GCW_FIXTURES[name]()
+    p = 3 if X.group.order % 3 == 0 else 2
+    for char in (0, p):
+        assert_universal_coefficients(X, build_system(X.category, kind, char=char))
+
+
+def test_cochains_of_the_antipodal_sphere_see_rp2_torsion():
+    # a free C2 on S^2, two swapped cells per dimension; the quotient
+    # system computes RP^2: H_1 = Z/2 and H^2 = Z/2
+    from equimorse.gcw import gcw_from_cells
+
+    G = FiniteGroup.cyclic(2)
+    swap = {n: (1, 0) for n in range(3)}
+    X = gcw_from_cells(
+        G, {0: 2, 1: 2, 2: 2},
+        {1: [[(0, -1), (1, 1)], [(0, 1), (1, -1)]],
+         2: [[(0, 1), (1, 1)], [(0, 1), (1, 1)]]},
+        {0: {n: (0, 1) for n in range(3)}, 1: swap})
+    M = build_system(X.category, "quotient")
+    assert groups_of(homology(bredon_chain_complex(X, M))) == {
+        0: (1, ()), 1: (0, (2,))}
+    assert groups_of(homology(bredon_cochain_complex(X, M))) == {
+        0: (1, ()), -2: (0, (2,))}
+    assert_universal_coefficients(X, M)
+    assert_universal_coefficients(X, build_system(X.category, "quotient", char=2))
 
 
 def test_mod2_bredon_matches_oracle():

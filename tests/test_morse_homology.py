@@ -22,10 +22,7 @@ from equimorse.fixtures import (
     wells_c2,
     figure1_plane,
 )
-from equimorse.gcw import (
-    VarianceMismatch,
-    bredon_chain_complex,
-)
+from equimorse.gcw import bredon_chain_complex
 from equimorse.groups import FiniteGroup, OrbitCategory, trivial_subgroup
 from equimorse.morse import (
     classify,
@@ -270,13 +267,6 @@ def test_morse_complex_over_another_group_is_rejected(circle_data):
                          char=2)
     with pytest.raises(ValueError, match="different group"):
         morse_complex(data, other)
-
-
-def test_morse_complex_needs_covariant_system(circle_data):
-    fx, crits, data = circle_data
-    cat = OrbitCategory(fx.manifold.action.group)
-    with pytest.raises(VarianceMismatch):
-        morse_complex(data, build_system(cat, "constant", char=2).opposite())
 
 
 def test_antipodal_sphere_boundaries_are_residues():

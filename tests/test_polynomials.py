@@ -310,12 +310,20 @@ def test_bad_records_raise_value_error(record):
     lambda: taylor_jet(Polynomial(2, {(1, 1): 1}), (0,), 2),
     lambda: equivariant_jet_lift((0,), Jet((0,), 1, {(0,): 1}),
                                  LinearAction.sign_c2(2), 1),
+    lambda: Polynomial(1, {(1.5,): 1}),
+    lambda: Jet((0,), 3, {(0.5,): 1}),
+    lambda: jet_interpolate([], [], 1),
+    lambda: bump_poly([], 0),
+    lambda: bump_poly([(0,), (1,)], 5),
+    lambda: bump_poly([(0,), (1,)], -1),
 ], ids=["interpolate", "poly-length", "poly-negative", "jet-length",
-        "jet-negative", "evaluate", "apply", "stabilizer", "taylor-jet", "lift"])
+        "jet-negative", "evaluate", "apply", "stabilizer", "taylor-jet", "lift",
+        "poly-fractional", "jet-fractional", "interpolate-no-points",
+        "bump-no-points", "bump-index-past", "bump-index-negative"])
 def test_mismatched_dimensions_raise_value_error(call):
     # every public entry point of the exact layer checks that points and
-    # exponents have as many coordinates as the space, and no exponent is
-    # negative
+    # exponents have as many coordinates as the space, that exponents are
+    # nonnegative integers, and that a bump's index names one of its points
     with pytest.raises(ValueError, match="coordinates|nonnegative") as info:
         call()
     assert type(info.value) is ValueError
