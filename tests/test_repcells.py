@@ -2,11 +2,18 @@
 sanity checks, the subquotient oracle on the pair complex, and the rejection
 of a join with a broken boundary sign."""
 
+import json
+import sys
+from pathlib import Path
+
 import pytest
 
 from equimorse.groups import FiniteGroup, full_subgroup, trivial_subgroup
 from equimorse.morse import RepSpec, UnsupportedRep, representation_cell_groups
-from equimorse.repcells import THEORIES
+from equimorse.repcells import THEORIES, representation_cell_table
+
+PATH = Path(__file__).resolve().parent / "repcells_outputs.json"
+CHARS = (0, 2, 3)
 
 
 def c2():
@@ -206,10 +213,33 @@ def _generates(G, m):
     return len(seen) == G.order
 
 
-@pytest.mark.parametrize("char", [0, 2, 3])
+def _key(G, H, V):
+    return f"{G.name} {list(H.elements)} {V.trivial} {V.sign} {list(V.rotations)}"
+
+
+def _entries(h):
+    return [[n, b, list(t)] for n, (b, t) in sorted(h.entries.items())]
+
+
+def outputs() -> dict:
+    """Every theory's groups over each of CHARS on every sweep case,
+    JSON-ready."""
+    return {_key(G, H, V): {str(char): {
+        th: _entries(h) for th, h in representation_cell_table(H, V, THEORIES, char).items()}
+        for char in CHARS} for G, H, V in _sweep()}
+
+
+GOLDEN = json.loads(PATH.read_text()) if PATH.exists() else {}
+
+
+@pytest.mark.parametrize("char", CHARS)
 def test_pair_groups_match_subquotient_oracle(char):
-    # on the pair complex the Bredon singular, fixed-point and quotient
-    # groups are the cellular homology of (X/e)^e, (X/e)^G and (X/G)^e
+    # on the pair complex every theory's groups are the golden's; the Bredon
+    # singular, fixed-point and quotient groups are the cellular homology of
+    # (X/e)^e, (X/e)^G and (X/G)^e; and two have closed forms: singular is
+    # Z^[G:H] in degree dim V, fixed-point is Z in degree dim V^G when H = G
+    # and 0 otherwise (V^G: the trivial lines and the planes a rotation
+    # entry j = 0 mod |H| fixes)
     from equimorse.coefficients import build_system
     from equimorse.complexes import homology
     from equimorse.gcw import bredon_chain_complex, subquotient_complex
@@ -221,12 +251,20 @@ def test_pair_groups_match_subquotient_oracle(char):
     for G, H, V in _sweep():
         cat = cats.setdefault(G.name, OrbitCategory(G))
         X = _pair_complex(H, V)
+        got = {th: homology(bredon_chain_complex(X, build_system(cat, th, char)))
+               for th in THEORIES}
+        case = (G.name, H.elements, V)
+        assert {th: _entries(h) for th, h in got.items()} == \
+            GOLDEN[_key(G, H, V)][str(char)], case
         e, full = trivial_subgroup(G), full_subgroup(G)
         pairs = {"singular": (e, e), "fixed-point": (e, full), "quotient": (full, e)}
         for theory, (A, B) in pairs.items():
-            got = homology(bredon_chain_complex(X, build_system(cat, theory, char)))
             want = homology(subquotient_complex(X, A, B, char=char))
-            assert got.entries == want.entries, (G.name, H.elements, V, theory)
+            assert got[theory].entries == want.entries, (*case, theory)
+        assert got["singular"].entries == {V.dim: (G.order // H.order, ())}, case
+        fixed_dim = V.trivial + 2 * sum(j % H.order == 0 for j in V.rotations)
+        assert got["fixed-point"].entries == (
+            {fixed_dim: (1, ())} if H.order == G.order else {}), case
         cases += 1
     assert cases == 141
 
@@ -264,3 +302,10 @@ def test_join_with_a_flipped_sign_is_rejected(kind, G, J):
                     gcw_from_cells(G, J.cells, bnds, J.perms)
                 flips += 1
     assert flips
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_repcells.py --write")
+    PATH.write_text("{\n" + ",\n".join(f"{json.dumps(k)}: {json.dumps(v)}"
+                                        for k, v in outputs().items()) + "\n}\n")
