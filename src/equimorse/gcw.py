@@ -15,10 +15,6 @@ The coset tables behind both the assembly's coefficient systems and the
 subquotient oracles live on the orbit category (X.category for a complex),
 each computed once; the admission check, subquotient_complex and every
 system built over X.category read the same tables.
-
-A pair (X, A) has one representation: the complex of X with the cells of
-A left out and every boundary entry on them dropped, whose cellular chains
-are C(X)/C(A).  gcw_from_cells builds it from a closed marked set.
 """
 
 from __future__ import annotations
@@ -209,18 +205,13 @@ def subquotient_complex(X: GCWComplex, H: Subgroup, K: Subgroup,
 def gcw_from_cells(group: FiniteGroup, cells: dict[int, int],
                    boundaries: dict[int, list[list[tuple[int, int]]]],
                    perms: dict[int, dict[int, tuple[int, ...]]],
-                   marked_cells=(), name="") -> GCWComplex:
+                   name="") -> GCWComplex:
     """Assemble a GCWComplex from an individual-cell description.
 
     cells[n] is the number of n-cells; boundaries[n][i] lists (face, degree)
     pairs over (n-1)-cells; perms[s][n] is the permutation of n-cells by the
     group element s (no orientation reversal allowed).  The action must
     commute with the boundary; cell-orbits and coset records are derived.
-
-    marked_cells lists (n, i) cells of a subcomplex A, which must be closed
-    under the boundary (every face listed for a marked cell is marked) and
-    under the action; ValueError otherwise.  The result is the pair (X, A):
-    the marked cells are left out, with every boundary entry on them.
     """
     # validate the action: permutation property, group law, boundary equivariance
     for s in group.elements():
@@ -258,9 +249,6 @@ def gcw_from_cells(group: FiniteGroup, cells: dict[int, int],
                     raise ValueError(
                         f"boundary not equivariant on {n}-cell {i} under {s}"
                     )
-    if marked_cells:
-        cells, boundaries, perms = _drop_cells(group, cells, boundaries, perms,
-                                               set(marked_cells))
 
     # orbit decomposition with minimal-index representatives
     orbit_of: dict[int, list[int]] = {}
@@ -310,30 +298,3 @@ def gcw_from_cells(group: FiniteGroup, cells: dict[int, int],
 
     return GCWComplex(group=group, cells=cell_orbits, boundary=boundary,
                       name=name)
-
-
-def _drop_cells(group, cells, boundaries, perms, marked: set):
-    """cells, boundaries and perms with the marked cells left out and every
-    boundary entry on them dropped: the cellular data of the pair.  Raises
-    ValueError unless the marked cells are closed under the boundary and
-    the action."""
-    for n, i in marked:
-        if not 0 <= i < cells.get(n, 0):
-            raise ValueError(f"marked cell ({n},{i}) out of range")
-        for face, _ in boundaries[n][i] if n - 1 in cells else ():
-            if (n - 1, face) not in marked:
-                raise ValueError(f"marked cells not closed under the boundary: "
-                                 f"({n},{i}) -> ({n - 1},{face})")
-        for s in group.elements():
-            if (n, perms[s][n][i]) not in marked:
-                raise ValueError(f"marked cells not closed under the action: "
-                                 f"{s} moves ({n},{i}) off them")
-    kept = {n: [i for i in range(c) if (n, i) not in marked]
-            for n, c in cells.items()}
-    new = {n: {i: k for k, i in enumerate(ks)} for n, ks in kept.items()}
-    bnds = {n: [[(new[n - 1][f], deg) for f, deg in boundaries[n][i]
-                 if f in new[n - 1]] for i in ks]
-            for n, ks in kept.items() if n - 1 in kept}
-    perms = {s: {n: tuple(new[n][p[n][i]] for i in ks) for n, ks in kept.items()}
-             for s, p in perms.items()}
-    return {n: len(ks) for n, ks in kept.items()}, bnds, perms

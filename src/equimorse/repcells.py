@@ -1,19 +1,19 @@
 """Representation cell groups: the homology a theory assigns to the pair
 (G x_H D(V), G x_H S(V)) for an H-representation V.
 
-The pair is modelled by the sphere S(V + R) with a fixed basepoint pole on
-the added trivial coordinate: D(V)/S(V) is that sphere with the pole
-collapsed.  S(V + R) itself is an iterated join of factor spheres: S^0 with
-trivial action per trivial summand, S^0 with the swap per sign summand, and
-a rotating n-gon circle per rotation plane.  Joins use the shifted tensor
-convention on augmented complexes, so boundaries come with signs and square
-to zero; the action permutes cells without orientation reversal by
+D(V) is the product of the disks of V's summands, so the pair (D(V), S(V))
+is the product of the cone pairs (C S(V_i), S(V_i)) on the factor spheres:
+S^0 with trivial action per trivial summand, S^0 with the swap per sign
+summand, and a rotating n-gon circle per rotation plane.  Each cone pair
+is its cone with the base left out, and a product of pairs stored that way
+is again stored that way, so the pair is one complex and no cell is
+marked.  The cellular product carries the Leibniz sign, so boundaries
+square to zero; the action permutes cells without orientation reversal by
 construction.
 
-Induced up to G, with the pole copies marked for gcw_from_cells to leave
-out, the cells are the G-CW data of the reduced chains of the pair, and
-each of the four theories is Bredon homology of that pair for the
-coefficient system of the same name.
+Induced up to G, the cells are the G-CW data of the reduced chains of the
+pair, and each of the four theories is Bredon homology of that pair for
+the coefficient system of the same name.
 
 These groups are the E^1 term of the Morse spectral sequence, but computing
 them is exact combinatorics on the homological layer (groups, coefficients,
@@ -23,13 +23,14 @@ which re-exports RepSpec, UnsupportedRep and representation_cell_groups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
 from .coefficients import build_system
 from .complexes import HomologySummary, homology
 from .errors import InputError
 from .gcw import GCWComplex, bredon_chain_complex, gcw_from_cells
-from .groups import FiniteGroup, Subgroup, left_cosets
+from .groups import FiniteGroup, Subgroup, generated_subgroup, left_cosets
 
 __all__ = [
     "RepSpec",
@@ -59,7 +60,15 @@ class RepSpec:
     rotations: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.trivial < 0 or self.sign < 0:
+        try:
+            counts = [operator.index(n) for n in (self.trivial, self.sign,
+                                                  *self.rotations)]
+        except TypeError:
+            raise UnsupportedRep(
+                f"multiplicities and rotation entries must be integers, not "
+                f"trivial={self.trivial!r} sign={self.sign!r} "
+                f"rotations={self.rotations!r}") from None
+        if min(counts[:2]) < 0:
             raise UnsupportedRep(
                 f"multiplicities must be nonnegative, not trivial={self.trivial} "
                 f"sign={self.sign}")
@@ -71,13 +80,12 @@ class RepSpec:
 
 @dataclass(eq=False)
 class _CellAction:
-    """Cells with boundaries and a cellwise group action, plus marks."""
+    """Cells with boundaries and a cellwise group action."""
 
     group: FiniteGroup
     cells: dict[int, int]
     bnds: dict[int, list[list[tuple[int, int]]]]
     perms: dict[int, dict[int, tuple[int, ...]]]
-    marked: set = field(default_factory=set)
 
 
 def _s0(group: FiniteGroup, swap_elems=()) -> _CellAction:
@@ -90,15 +98,14 @@ def _s0(group: FiniteGroup, swap_elems=()) -> _CellAction:
 
 
 def _ngon(group: FiniteGroup, gen: int, j: int, n: int) -> _CellAction:
-    """The circle as an n-gon; the generator rotates by j steps."""
+    """The circle as an n-gon; the generator gen of the cyclic group rotates
+    it by j steps."""
     # shift amount per element: solve s = gen^m
     shift = {group.identity: 0}
     cur = group.identity
     for m in range(1, n):
         cur = group.mul[cur][gen]
         shift[cur] = (m * j) % n
-    if len(shift) != group.order:
-        raise UnsupportedRep("rotation planes need a cyclic stabilizer")
     perms = {}
     for s, sh in shift.items():
         p = tuple((i + sh) % n for i in range(n))
@@ -110,88 +117,42 @@ def _ngon(group: FiniteGroup, gen: int, j: int, n: int) -> _CellAction:
     return _CellAction(group, {0: n, 1: n}, bnds, perms)
 
 
-def _join(X: _CellAction, Y: _CellAction) -> _CellAction:
-    """Join of two cell actions over the same group: cells of X, cells of Y,
-    and one (a, b) cell of dimension |a| + |b| + 1 per pair.  Boundary signs
-    follow the shifted tensor of augmented complexes."""
-    G = X.group
-    index: dict = {}
-    counts: dict[int, int] = {}
+def _cone(S: _CellAction) -> _CellAction:
+    """The pair (CS, S) with its base S left out: an apex 0-cell and a cell
+    c*s one dimension up per cell s of S.  The boundary of c*v is -apex for
+    a vertex v and -c*(boundary of s) otherwise; the action fixes the apex
+    and moves c*s as it moves s."""
+    cells = {0: 1, **{d + 1: c for d, c in S.cells.items()}}
+    bnds = {0: [[]], 1: [[(0, -1)] for _ in range(S.cells[0])],
+            **{d + 1: [[(f, -deg) for f, deg in row] for row in rows]
+               for d, rows in S.bnds.items() if d}}
+    perms = {s: {0: (0,), **{d + 1: p for d, p in ps.items()}}
+             for s, ps in S.perms.items()}
+    return _CellAction(S.group, cells, bnds, perms)
 
-    def add(kind, key, dim):
-        i = counts.get(dim, 0)
-        counts[dim] = i + 1
-        index[(kind, key)] = (dim, i)
 
-    for d in sorted(X.cells):
-        for i in range(X.cells[d]):
-            add("x", (d, i), d)
-    for d in sorted(Y.cells):
-        for i in range(Y.cells[d]):
-            add("y", (d, i), d)
-    for dx in sorted(X.cells):
-        for dy in sorted(Y.cells):
-            for i in range(X.cells[dx]):
-                for j in range(Y.cells[dy]):
-                    add("j", (dx, i, dy, j), dx + dy + 1)
-
-    bnds: dict[int, list] = {d: [[] for _ in range(c)] for d, c in counts.items()}
-
-    def out(dim, i, face_dim, face_idx, deg):
-        bnds[dim][i].append((face_idx, deg))
-        assert face_dim == dim - 1
-
-    for d in X.cells:
-        for i in range(X.cells[d]):
-            dim, idx = index[("x", (d, i))]
-            for f, deg in X.bnds[d][i]:
-                out(dim, idx, *index[("x", (d - 1, f))], deg)
-    for d in Y.cells:
-        for i in range(Y.cells[d]):
-            dim, idx = index[("y", (d, i))]
-            for f, deg in Y.bnds[d][i]:
-                out(dim, idx, *index[("y", (d - 1, f))], deg)
-    for dx in X.cells:
-        for dy in Y.cells:
-            for i in range(X.cells[dx]):
-                for j in range(Y.cells[dy]):
-                    dim, idx = index[("j", (dx, i, dy, j))]
-                    if dx == 0:
-                        # augmentation of the X factor: the Y cell appears
-                        out(dim, idx, *index[("y", (dy, j))], 1)
-                    else:
-                        for f, deg in X.bnds[dx][i]:
-                            out(dim, idx, *index[("j", (dx - 1, f, dy, j))], deg)
-                    sign = (-1) ** (dx + 1)
-                    if dy == 0:
-                        out(dim, idx, *index[("x", (dx, i))], sign)
-                    else:
-                        for f, deg in Y.bnds[dy][j]:
-                            out(dim, idx, *index[("j", (dx, i, dy - 1, f))],
-                                sign * deg)
-
-    perms: dict = {}
-    for s in G.elements():
-        p: dict[int, list] = {d: [0] * c for d, c in counts.items()}
-        for (kind, key), (dim, idx) in index.items():
-            if kind == "x":
-                d, i = key
-                tgt = index[("x", (d, X.perms[s][d][i]))]
-            elif kind == "y":
-                d, i = key
-                tgt = index[("y", (d, Y.perms[s][d][i]))]
-            else:
-                dx, i, dy, j = key
-                tgt = index[("j", (dx, X.perms[s][dx][i], dy, Y.perms[s][dy][j]))]
-            p[dim][idx] = tgt[1]
-        perms[s] = {d: tuple(v) for d, v in p.items()}
-
-    marked = set()
-    for (d, i) in X.marked:
-        marked.add(index[("x", (d, i))])
-    for (d, i) in Y.marked:
-        marked.add(index[("y", (d, i))])
-    return _CellAction(G, counts, bnds, perms, marked)
+def _product(X: _CellAction, Y: _CellAction) -> _CellAction:
+    """The cellular product over the same group: one cell a x b of dimension
+    |a| + |b| per pair of cells, with boundary da x b + (-1)^|a| a x db and
+    the diagonal action.  The product of two pairs with their subspaces left
+    out is again such a pair."""
+    keys: dict[int, list] = {}
+    for dx, cx in sorted(X.cells.items()):
+        for dy, cy in sorted(Y.cells.items()):
+            keys.setdefault(dx + dy, []).extend(
+                (dx, i, dy, j) for i in range(cx) for j in range(cy))
+    index = {k: n for ks in keys.values() for n, k in enumerate(ks)}
+    bnds = {d: [[(index[dx - 1, f, dy, j], deg) for f, deg in X.bnds[dx][i]]
+                + [(index[dx, i, dy - 1, f], (-1) ** dx * deg)
+                   for f, deg in Y.bnds[dy][j]]
+                for dx, i, dy, j in ks]
+            for d, ks in keys.items()}
+    perms = {s: {d: tuple(index[dx, X.perms[s][dx][i], dy, Y.perms[s][dy][j]]
+                          for dx, i, dy, j in ks)
+                 for d, ks in keys.items()}
+             for s in X.group.elements()}
+    return _CellAction(X.group, {d: len(ks) for d, ks in keys.items()},
+                       bnds, perms)
 
 
 def _induce(G: FiniteGroup, H: Subgroup, C: _CellAction) -> _CellAction:
@@ -236,53 +197,34 @@ def _induce(G: FiniteGroup, H: Subgroup, C: _CellAction) -> _CellAction:
                     arr[ci * cnt + i] = cj * cnt + C.perms[m][d][i]
             p[d] = tuple(arr)
         perms[g] = p
-
-    marked = set()
-    for (d, i) in C.marked:
-        for ci in range(ncos):
-            marked.add((d, ci * C.cells[d] + i))
-    return _CellAction(G, cells, bnds, perms, marked)
+    return _CellAction(G, cells, bnds, perms)
 
 
 def _pair_complex(H: Subgroup, V: RepSpec) -> GCWComplex:
     """The G-CW complex whose cellular chains are the reduced chains of
-    (G x_H D(V), G x_H S(V))."""
+    (G x_H D(V), G x_H S(V)).  D(V) is the product of the disks of V's
+    summands, so the pair is the product, starting from the point (V = 0),
+    of the cones on the factor spheres, induced up to G."""
     Ht = H.as_group()
-
-    # basepoint sphere factor: S^0 with trivial action, first point marked
-    base = _s0(Ht)
-    base.marked.add((0, 0))
-    factors = [base]
-    for _ in range(V.trivial):
-        factors.append(_s0(Ht))
+    spheres = [_s0(Ht)] * V.trivial
     if V.sign:
         if H.order != 2:
             raise UnsupportedRep("sign factors need a stabilizer of order 2")
-        nonid = [m for m in Ht.elements() if m != Ht.identity]
-        for _ in range(V.sign):
-            factors.append(_s0(Ht, swap_elems=nonid))
+        spheres += [_s0(Ht, swap_elems=[m for m in Ht.elements()
+                                        if m != Ht.identity])] * V.sign
     if V.rotations:
         n = H.order
-        gen = None
-        for m in Ht.elements():
-            seen = {Ht.identity}
-            cur = Ht.identity
-            for _ in range(n - 1):
-                cur = Ht.mul[cur][m]
-                seen.add(cur)
-            if len(seen) == n:
-                gen = m
-                break
+        gen = next((m for m in Ht.elements()
+                    if generated_subgroup(Ht, (m,)).order == n), None)
         if gen is None:
             raise UnsupportedRep("rotation planes need a cyclic stabilizer")
-        for j in V.rotations:
-            factors.append(_ngon(Ht, gen, j % n, n))
+        spheres += [_ngon(Ht, gen, j % n, n) for j in V.rotations]
 
-    total = factors[0]
-    for fac in factors[1:]:
-        total = _join(total, fac)
-    X = _induce(H.group, H, total)
-    return gcw_from_cells(H.group, X.cells, X.bnds, X.perms, marked_cells=X.marked)
+    pair = _CellAction(Ht, {0: 1}, {0: [[]]}, {s: {0: (0,)} for s in Ht.elements()})
+    for S in spheres:
+        pair = _product(pair, _cone(S))
+    X = _induce(H.group, H, pair)
+    return gcw_from_cells(H.group, X.cells, X.bnds, X.perms)
 
 
 def representation_cell_table(H: Subgroup, V: RepSpec, theories=THEORIES,

@@ -120,8 +120,8 @@ def test_load_rejects_unknown_top_level_key(tmp_path, name):
 
 
 def test_load_rejects_unknown_gcw_key(tmp_path):
-    # a pair is built by gcw_from_cells(marked_cells=), so a G-CW fixture
-    # has no 'marked' key, and an unknown key is refused, not ignored
+    # a G-CW fixture is one complex, with no cells marked as a subcomplex
+    # to leave out: a 'marked' key is unknown, and is refused, not ignored
     p = _rewritten(tmp_path, "circle_reflection",
                    lambda raw: raw["gcw"].update(marked=[[0, 0]]))
     with pytest.raises(FixtureError) as exc:

@@ -227,35 +227,6 @@ def test_mod2_bredon_matches_oracle():
     assert groups_of(br) == groups_of(oracle)
 
 
-def test_relative_subcomplex():
-    # the sphere rel its equator, with C2 swapping the hemispheres: the pair
-    # is the complex with the marked equator left out, and H_*(S^2, S^1) =
-    # Z^2 in degree 2 (two hemispheres), on the cells and as singular
-    # Bredon homology
-    from equimorse.gcw import gcw_from_cells
-
-    G = FiniteGroup.cyclic(2)
-    cells = {0: 1, 1: 1, 2: 2}
-    boundaries = {0: [[]], 1: [[]], 2: [[(0, 1)], [(0, 1)]]}
-    perms = {0: {0: (0,), 1: (0,), 2: (0, 1)},
-             1: {0: (0,), 1: (0,), 2: (1, 0)}}
-    X = gcw_from_cells(G, cells, boundaries, perms,
-                       marked_cells=[(0, 0), (1, 0)])
-    e = trivial_subgroup(G)
-    rel = homology(subquotient_complex(X, e, e))
-    assert groups_of(rel) == {2: (2, ())}
-    singular = build_system(X.category, "singular")
-    assert groups_of(homology(bredon_chain_complex(X, singular))) == {2: (2, ())}
-    # the edge alone is no subcomplex: its vertex is a face left unmarked
-    with pytest.raises(ValueError, match="not closed under the boundary"):
-        gcw_from_cells(G, cells, {**boundaries, 1: [[(0, 1), (0, -1)]]}, perms,
-                       marked_cells=[(1, 0)])
-    # one hemisphere alone is not closed under the swap
-    with pytest.raises(ValueError, match="not closed under the action"):
-        gcw_from_cells(G, cells, boundaries, perms,
-                       marked_cells=[(0, 0), (1, 0), (2, 0)])
-
-
 def test_weyl_pair_on_dihedral_circle():
     # quotient by the rotation subgroup is a circle; the residual reflection
     # fixes exactly two points of it

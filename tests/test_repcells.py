@@ -1,6 +1,13 @@
 """Representation cell groups against the C2-double reference table, sphere
-sanity checks, the subquotient oracle on the pair complex, and the rejection
-of a join with a broken boundary sign."""
+sanity checks, the subquotient oracle and the closed forms on the pair
+complex, and the rejection of a cone or product with a broken boundary sign.
+
+The goldens in repcells_outputs.json hold every theory's groups over Z, F_2
+and F_3 on each case of the oracle sweep.  They were written once, from a
+commit whose results the subquotient oracle checks; rewriting them hides a
+change of results, so regenerate them (`python tests/test_repcells.py
+--write`, with equimorse importable) only when a result is meant to change.
+"""
 
 import json
 import sys
@@ -153,11 +160,15 @@ def test_sign_needs_order_two():
 
 
 @pytest.mark.parametrize("counts", [{"trivial": -2}, {"sign": -1},
-                                    {"trivial": 1, "sign": -3}])
+                                    {"trivial": 1, "sign": -3},
+                                    {"trivial": 1.5}, {"sign": 0.5},
+                                    {"rotations": (1.5,)},
+                                    {"trivial": 1, "rotations": (1, "2")}])
 def test_negative_multiplicities_rejected(counts):
-    # -2 copies of the trivial representation is not a representation:
-    # RepSpec must not build a pair whose dimension is negative
-    with pytest.raises(UnsupportedRep, match="nonnegative"):
+    # -2 copies of the trivial representation is not a representation, nor
+    # is 1.5 copies, nor a plane turned by 1.5 steps: RepSpec must not build
+    # a pair whose dimension is negative or whose cells are not whole
+    with pytest.raises(UnsupportedRep, match="nonnegative|integers"):
         RepSpec(**counts)
 
 
@@ -270,15 +281,17 @@ def test_pair_groups_match_subquotient_oracle(char):
 
 
 def _joins():
-    """A free C3 join (the rotation disk pair's sphere) and a trivial C2 one
-    (S^2 as three joined S^0): each cell with a boundary lies in a free
-    orbit in the first, and is fixed in the second."""
-    from equimorse.repcells import _join, _ngon, _s0
+    """The cone pair on the C3 triangle (the rotation disk pair) and the
+    product of three trivial C2 cone pairs (the 3-cube rel its boundary):
+    each cell with a boundary lies in a free orbit in the first, and is
+    fixed in the second."""
+    from equimorse.repcells import _cone, _ngon, _product, _s0
 
     C3 = FiniteGroup.cyclic(3)
-    yield "free", C3, _join(_s0(C3), _ngon(C3, 1, 1, 3))
+    yield "free", C3, _cone(_ngon(C3, 1, 1, 3))
     C2 = FiniteGroup.cyclic(2)
-    yield "fixed", C2, _join(_join(_s0(C2), _s0(C2)), _s0(C2))
+    cone = _cone(_s0(C2))
+    yield "fixed", C2, _product(_product(cone, cone), cone)
 
 
 @pytest.mark.parametrize("kind, G, J", [pytest.param(*j, id=j[0]) for j in _joins()])
