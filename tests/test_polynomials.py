@@ -1,7 +1,11 @@
+import hashlib
 import itertools
+import json
 import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -1293,3 +1297,79 @@ def test_transport_jet_matches_the_round_trip(act):
                 got = transport_jet(jet, act, s)
                 assert got == _transport_reference(jet, act, s)
                 assert got.basepoint == act.apply(s, p) and got.order == k
+
+
+# -- the exact layer's golden ----------------------------------------------------
+#
+# exact_outputs.json holds, for jet_interpolate on every INTERP_MIX shape and
+# equivariant_jet_lift on every S3 and sign case of the benchmark generators
+# (bench/gen.py, passes 0 of seeds 1 and 2), the sha256 of the output's
+# to_records(), of its exponents in num's iteration order, and its term
+# count.  The benchmark checks only the jets, which another valid
+# interpolant would also pass; the golden pins the polynomials themselves.
+# It was written once, from a commit whose outputs the oracles above check;
+# regenerate it (`python tests/test_polynomials.py --write`, with equimorse
+# importable) only when an output is meant to change.
+
+EXACT_PATH = Path(__file__).resolve().parent / "exact_outputs.json"
+GOLDEN_SEEDS = (1, 2)
+
+
+def _bench_gen():
+    """bench/gen.py, which imports nothing from equimorse."""
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    sys.path.insert(0, bench)
+    try:
+        import gen
+    finally:
+        sys.path.remove(bench)
+    return gen
+
+
+def _exact_cases():
+    """(key, call) for every golden case; call() returns the polynomial."""
+    gen = _bench_gen()
+    templates = gen.interp_templates()
+    acts = {"sign": LinearAction.sign_c2(1), "s3": LinearAction.permutation_s3()}
+    out = []
+    for seed in GOLDEN_SEEDS:
+        ops = gen.interp_pass(gen.pass_rng("interp", seed, 0), templates)
+        for i, (_, size, pts, jets) in enumerate(ops):
+            k = size[2]
+            out.append((f"interp seed {seed} op {i} {list(size)}",
+                        lambda pts=pts, jets=jets, k=k: jet_interpolate(
+                            pts, [Jet(p, k, t) for p, t in zip(pts, jets)], k)))
+        ops = gen.lift_pass(gen.pass_rng("lift", seed, 0))
+        for i, (_, name, p, terms, k, obstructed) in enumerate(ops):
+            if not obstructed:
+                out.append((f"lift seed {seed} op {i} {name} k={k}",
+                            lambda name=name, p=p, terms=terms, k=k: equivariant_jet_lift(
+                                p, Jet(p, k, terms), acts[name], k)))
+    return out
+
+
+def _fingerprint(f: Polynomial) -> dict:
+    def digest(x):
+        return hashlib.sha256(json.dumps(x).encode()).hexdigest()
+
+    return {"records": digest(f.to_records()), "order": digest(list(f.num)),
+            "terms": len(f.num)}
+
+
+def exact_outputs() -> dict:
+    return {key: _fingerprint(call()) for key, call in _exact_cases()}
+
+
+def test_exact_outputs_match_the_golden():
+    golden = json.loads(EXACT_PATH.read_text())
+    cases = _exact_cases()
+    assert [key for key, _ in cases] == list(golden)
+    for key, call in cases:
+        assert _fingerprint(call()) == golden[key], key
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_polynomials.py --write")
+    EXACT_PATH.write_text("{\n" + ",\n".join(f"{json.dumps(k)}: {json.dumps(v)}"
+                                              for k, v in exact_outputs().items()) + "\n}\n")
