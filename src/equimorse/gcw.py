@@ -111,6 +111,9 @@ def bredon_assembly(M: CoefficientSystem, stabilizers: dict[int, list[Subgroup]]
         offsets[n] = offs
         ranks[n] = offs[-1]
     boundary: dict[int, list] = {}
+    # records repeat few morphisms, each of whose images rebuilds the
+    # target's class index
+    images: dict = {}
     for n in stabilizers:
         if not ranks.get(n - 1):
             continue
@@ -119,7 +122,9 @@ def bredon_assembly(M: CoefficientSystem, stabilizers: dict[int, list[Subgroup]]
             r0 = offsets[n - 1][b]
             c0 = offsets[n][a]
             for m, deg in recs:
-                for j, i in enumerate(M.images(m)):
+                if m not in images:
+                    images[m] = M.images(m)
+                for j, i in enumerate(images[m]):
                     if i is not None:
                         col = cols[c0 + j]
                         col[r0 + i] = col.get(r0 + i, 0) + deg

@@ -27,11 +27,14 @@ Exact jet interpolation multiplies no polynomials: _interp_ntt writes the
 whole interpolant sum_j R_j (1 - (1 - phi_j^k)^k) over one integer
 denominator and evaluates it at the points of a multi-prime
 number-theoretic transform in numpy, modulo as many primes below 2^31 as a
-bound on its coefficients needs.  The variables are transformed once per
-prime, every bump, mask and jet representative is a pointwise value, and
-one inverse transform per prime and one CRT (_crt) rebuild it; see von zur
-Gathen & Gerhard, Modern Computer Algebra, ch. 5 and 8.  The transform is
-cyclic, with a length and Kronecker strides (_transform_plan) that need
+bound on its coefficients needs.  There is no forward transform: the
+values of the variables are written straight into the slot order that the
+inverse transform reads, a bit reversal in closed form (_slot_order).  Per
+prime the kernel evaluates x^T Q x once, every bump, mask and jet
+representative is a pointwise value, and one inverse transform per prime
+and one CRT (_crt, two Garner digits to a 64-bit word) rebuild the sum;
+see von zur Gathen & Gerhard, Modern Computer Algebra, ch. 5 and 8.  The
+transform is cyclic, with a length and Kronecker strides (_transform_plan) that need
 only keep apart the monomials within the interpolant's total degree: the
 degree box's strides where they do, else a searched last stride.  A
 transform of length 2^L needs primes p = 1 mod 2^L, which _ntt_primes
@@ -196,16 +199,41 @@ def _ntt_roots(p: int, w: int, n: int):
     return t
 
 
-def _ntt_stages(a, out, p, roots, inverse, scratch):
-    """Radix-2 NTT of a (length n = 2^L, values in [0, p)) into out.
+def _slot_order(size: int):
+    """order[s] (uint32): the power of the root of unity w whose value slot
+    s holds in the transform domain that _ntt_stages reads, for a length
+    size = 2^L.
 
-    Forward is decimation in frequency: natural order in, a permuted
-    (blocked bit-reversed) order out.  Inverse is decimation in time with
-    inverse roots, reading that order and writing natural order, not yet
-    divided by n.  Butterflies pairing elements less than c = 2^ceil(L/2)
-    apart run on the array transposed to (c, n/c), so every numpy loop is at
-    least n/c long.  a is overwritten too; scratch is three arrays of length
-    n/2.
+    That order is the bit reversal of arange(size) laid out as (size/c, c)
+    and transposed, c = 2^ceil(L/2) as in _ntt_stages.  Bit reversal sends
+    i c + j (i < size/c, j < c) to rev(j) size/c + rev(i), so the transposed
+    table is an outer sum of two short bit reversals.
+    """
+    import numpy as np
+
+    def rev(m):
+        # the bit reversal of arange(m), m a power of two
+        r = np.zeros(1, np.uint32)
+        while len(r) < m:
+            r = np.concatenate((2 * r, 2 * r + 1))
+        return r
+
+    c = 1 << (size.bit_length() // 2)
+    rows = size // c
+    return np.add.outer(rev(c) * np.uint32(rows), rev(rows)).ravel()
+
+
+def _ntt_stages(a, out, p, roots, scratch):
+    """Inverse radix-2 NTT of a (length n = 2^L, values in [0, p)) into out,
+    not yet divided by n; roots holds w^-j for j < n/2.
+
+    Decimation in time: a is read in the blocked bit-reversed order of
+    _slot_order (slot s holds the value at w^order[s]) and out is written
+    in natural order.  No forward transform is needed: the kernel writes
+    its values straight into that order.  Butterflies pairing elements less
+    than c = 2^ceil(L/2) apart run on the array transposed to (c, n/c), so
+    every numpy loop is at least n/c long.  a is overwritten too; scratch is
+    three arrays of length n/2.
     """
     import numpy as np
 
@@ -213,14 +241,8 @@ def _ntt_stages(a, out, p, roots, inverse, scratch):
     n = len(a)
     c = 1 << (n.bit_length() // 2)
     P = np.uint64(p)
-    hs = [1 << i for i in range(n.bit_length() - 1)]
-    if not inverse:
-        hs.reverse()
-    for h in hs:
-        if h == c // 2 and not inverse:
-            out.reshape(c, n // c)[...] = a.reshape(n // c, c).T
-            a = out
-        if h == c and inverse:
+    for h in (1 << i for i in range(n.bit_length() - 1)):
+        if h == c:
             out.reshape(n // c, c)[...] = a.reshape(c, n // c).T
             a = out
         w = roots[:: n // (2 * h)]
@@ -231,29 +253,19 @@ def _ntt_stages(a, out, p, roots, inverse, scratch):
             v = a.reshape(-1, 2, h)
         x, y = v[:, 0], v[:, 1]
         vs, vd, vq = (t.reshape(x.shape) for t in (s, d, q))
-        if inverse:
-            # t = y w;  x, y = x + t, x - t
-            np.multiply(y, w, out=vd)
-            np.floor_divide(vd, P, out=vq)
-            np.multiply(vq, P, out=vq)
-            np.subtract(vd, vq, out=vd)
-            np.add(x, P, out=vs)
-            np.subtract(vs, vd, out=vs)
-            np.subtract(vs, P, out=vq)
-            np.minimum(vs, vq, out=y)  # the wrapped s - p is larger when s < p
-            np.add(x, vd, out=vs)
-        else:
-            # x, y = x + y, (x - y) w
-            np.add(x, P, out=vd)
-            np.subtract(vd, y, out=vd)
-            np.add(x, y, out=vs)
-            np.multiply(vd, w, out=vd)
-            np.floor_divide(vd, P, out=vq)
-            np.multiply(vq, P, out=vq)
-            np.subtract(vd, vq, out=y)
+        # t = y w;  x, y = x + t, x - t
+        np.multiply(y, w, out=vd)
+        np.floor_divide(vd, P, out=vq)
+        np.multiply(vq, P, out=vq)
+        np.subtract(vd, vq, out=vd)
+        np.add(x, P, out=vs)
+        np.subtract(vs, vd, out=vs)
+        np.subtract(vs, P, out=vq)
+        np.minimum(vs, vq, out=y)  # the wrapped s - p is larger when s < p
+        np.add(x, vd, out=vs)
         np.subtract(vs, P, out=vq)
         np.minimum(vs, vq, out=x)
-    if a is not out:  # an inverse of length 2 never transposes
+    if a is not out:  # a length of 2 never transposes
         out[...] = a
 
 
@@ -264,7 +276,10 @@ def _crt(residues, primes, slots, rad) -> dict:
 
     Each c is rebuilt from Garner's mixed-radix digits,
     c = v_0 + v_1 p_0 + v_2 p_0 p_1 + ..., and a signed lift; a slot is zero
-    exactly when all its residues are, and is left out.
+    exactly when all its residues are, and is left out.  Each pair of
+    digits is folded into one 64-bit word v_2i + v_2i+1 p_2i < p_2i p_2i+1
+    < 2^62 before any Python-int arithmetic, which halves the bigint
+    multiply-adds; an odd prime count keeps its last digit alone.
     """
     import numpy as np
 
@@ -277,10 +292,15 @@ def _crt(residues, primes, slots, rad) -> dict:
         for (pj, _), v in zip(primes, digits):
             t = (t + P - v % P) * np.uint64(pow(pj, p - 2, p)) % P
         digits.append(t)
-    coeffs = np.zeros(res.shape[1], dtype=object)
-    for v, (p, _) in zip(reversed(digits), reversed(primes)):
-        coeffs = coeffs * p + v.astype(object)
-    M = math.prod(p for p, _ in primes)
+    mods = [p for p, _ in primes]
+    words = [(digits[i] + digits[i + 1] * np.uint64(mods[i]), mods[i] * mods[i + 1])
+             for i in range(0, len(mods) - 1, 2)]
+    if len(mods) % 2:
+        words.append((digits[-1], mods[-1]))
+    coeffs = words[-1][0].astype(object)
+    for v, m in reversed(words[:-1]):
+        coeffs = coeffs * m + v.astype(object)
+    M = math.prod(mods)
     coeffs = np.where(coeffs > M // 2, coeffs - M, coeffs)
     slots, cols = slots[hit], []
     for r in rad:
@@ -341,9 +361,12 @@ class Polynomial:
     @property
     def terms(self) -> dict:
         """exponent tuple -> Fraction coefficient; a new dict on every
-        access."""
-        den = self.den
-        return {e: Fraction(c, den) for e, c in self.num.items()}
+        access.  Terms with equal numerators share one Fraction (immutable,
+        so sharing is safe): an invariant polynomial repeats its
+        coefficients across each orbit of monomials."""
+        den, num = self.den, self.num
+        frac = {c: Fraction(c, den) for c in set(num.values())}
+        return dict(zip(num, map(frac.__getitem__, num.values())))
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -631,6 +654,21 @@ def _row_keys(cols, count: int):
     return key
 
 
+def _factor_row(x: int, u: int, v: int, D: int, width: int) -> list:
+    """[C(x,b) u^(x-b) v^(D-x+b) for b < width], 0 where b > x, by running
+    products down from b = min(x, width - 1): each step multiplies by
+    b u and divides exactly by (x - b + 1) v, so a row costs two powers,
+    not two per entry."""
+    row = [0] * width
+    top = min(x, width - 1)
+    f = math.comb(x, top) * u ** (x - top) * v ** (D - x + top)
+    row[top] = f
+    for b in range(top, 0, -1):
+        f = f * b * u // ((x - b + 1) * v)
+        row[b - 1] = f
+    return row
+
+
 def _taylor_shift(num: dict, n: int, point, k: int) -> tuple[dict, int]:
     """The numerators num (exponent tuple -> int, n variables) of f shifted
     to the rational point p and truncated: (out, scale) with
@@ -648,7 +686,8 @@ def _taylor_shift(num: dict, n: int, point, k: int) -> tuple[dict, int]:
     k - (its shifted exponents so far); the pairs, b-major, gather their
     numerators and their factors C(a,b) u_i^(a-b) v^(D_i-a+b) from one
     table with a row per exponent a present (so a sparse term of high
-    degree costs one row), are multiplied, and are summed over each run of
+    degree costs one row; _factor_row builds each by running products),
+    are multiplied, and are summed over each run of
     one b by one np.add.reduceat into rows with exponent i set to b.  The
     sums are exact, so the sort need not be stable.  This is the Taylor
     shift of von zur Gathen & Gerhard ("Fast algorithms for Taylor shifts
@@ -673,8 +712,7 @@ def _taylor_shift(num: dict, n: int, point, k: int) -> tuple[dict, int]:
         width = min(D, k - 1) + 1
         # one factor row per exponent present; row r's is F[arow[r]]
         present, arow = np.unique(a, return_inverse=True)
-        F = np.array([[math.comb(x, b) * u ** (x - b) * v ** (D - x + b) if b <= x else 0
-                       for b in range(width)] for x in present.tolist()], object)
+        F = np.array([_factor_row(x, u, v, D, width) for x in present.tolist()], object)
         # the (b, row) pairs in b-major order: b <= a and b < room, and
         # b == a where u = 0; a run of one b and one key is one output row
         B = np.arange(width)[:, None]
@@ -747,22 +785,27 @@ def bump_poly(points, j: int) -> Polynomial:
 
 def _kept_slots(rad, top):
     """The slots of the degree box of radices rad whose exponents sum to at
-    most top: their box indices, and their exponents as one array per
-    variable."""
+    most top: their box indices sum_m e_m prod(rad[:m]), increasing, and
+    their exponents as one array per variable.
+
+    The slots are enumerated from the simplex, not found in the box: one
+    variable at a time from the last (the outermost digit of the box
+    index), each slot so far is repeated once per value e_m < rad_m that
+    the total degree left admits.  Children follow their parent in
+    increasing e_m, so the indices come out increasing, and the cost grows
+    with the kept slots rather than with the box.
+    """
     import numpy as np
 
-    nslots = math.prod(rad)
-    rest, total = np.arange(nslots), np.zeros(nslots, np.int64)
-    for r in rad:
-        rest, e = np.divmod(rest, r)
-        total += e
-    keep = np.flatnonzero(total <= top)
-    del rest, total
-    rest, cols = keep, []
-    for r in rad:
-        rest, e = np.divmod(rest, r)
-        cols.append(e)
-    return keep, cols
+    index, room, cols = np.zeros(1, np.int64), np.full(1, top, np.int64), []
+    for r in reversed(rad):
+        count = np.minimum(room + 1, r)
+        ends = np.cumsum(count)
+        e = np.arange(ends[-1]) - np.repeat(ends - count, count)
+        index = np.repeat(index * r, count) + e
+        room = np.repeat(room, count) - e
+        cols = [np.repeat(col, count) for col in cols] + [e]
+    return index, cols[::-1]
 
 
 def _least_length(rad, top) -> int:
@@ -837,6 +880,18 @@ def _transform_plan(rad: tuple, top: int) -> tuple:
     is no larger than the box.  Either is confirmed on the kept slots, by
     marking their indices in a boolean array of the length.  Memoized: the
     cache holds these ints only, never the slot arrays.
+
+    No Kronecker map can be much shorter.  The map separates the kept slots
+    exactly when no nonzero integer point of the difference body of the
+    degree-top simplex lies in the lattice {x : sum_m strides[m] x_m = 0
+    mod size}, of determinant at most size.  That body has volume
+    C(2n,n) top^n / n! (Rogers-Shephard), so by Minkowski's theorem no map
+    separates them at a length below C(2n,n) top^n / (n! 2^n).  For the S3
+    lift at k = 3 ((39,39,39) within 38) that is 22,863, so 2^15 is the
+    shortest power of two, and for two variables within 56 (the (2,4,3)
+    interpolation) it is 2,352, so 2^12 is.  The search above is not
+    always that short: within 25 in three variables the bound is 6,511,
+    and (1, 923, 1509) separates at 8,192 where this plan takes 16,384.
     """
     import numpy as np
 
@@ -873,15 +928,20 @@ def _interp_ntt(points, reps, k: int, Q=None) -> Polynomial:
     numerator N_j = u_j^(k^2) - (u_j^k - Psi_j^k)^k has integer
     coefficients and the sum is F / L, F = sum_j w_j R_j N_j over
     L = lcm_j(den R_j u_j^(k^2)).  Modulo each NTT prime the n variables
-    are transformed once, as unit vectors at their Kronecker strides over
-    the degree box of F (read off the powers of the root of unity in the
-    transform's output order); L_r, Q_i, Psi_j, N_j, R_j and F are then
-    pointwise values, and F takes one inverse transform.  The transform is
+    take their values w^(stride_m order[s]) at their Kronecker strides
+    over the degree box of F, gathered from the powers of the root of unity
+    w in the slot order of the inverse transform (_slot_order, in closed
+    form, so no forward transform runs).  The form S = x^T Q x is evaluated
+    once per prime from the squares, and each Q_i from it as
+    b_i^2 S - 2 b_i (Q a_i).x + a_i^T Q a_i, one scalar multiply-add per
+    variable; Psi_j, N_j, R_j and F are then pointwise values, and F takes
+    one inverse transform.  The transform is
     cyclic, so its length need only keep apart the indices of the box
     points within F's total degree, which can be shorter than the box;
     _transform_plan picks the length and the strides, the last one packed
-    by total degree where the box strides collide, and each kept slot is
-    read at its index sum_m strides[m] e_m mod the length.
+    by total degree where the box strides collide, and each kept slot
+    (_kept_slots, enumerated from the simplex) is read at its index
+    sum_m strides[m] e_m mod the length.
     One CRT over the fewest primes for that length (_ntt_primes) whose
     product exceeds twice the bound
     sum_j w_j |R_j|_1 (u_j^(k^2) + (u_j^k + |Psi_j|_1^k)^k) on the
@@ -930,9 +990,16 @@ def _interp_ntt(points, reps, k: int, Q=None) -> Polynomial:
     primes = _ntt_primes(size, 2 * bound)
     import numpy as np
 
+    # the slot order first, in 32 bits, before any work array exists
+    order = _slot_order(size)
     keep, cols = _kept_slots(rad, top)
     slots = _slot_map(cols, strides, size)
     del cols
+    # Q_i = b_i^2 x^T Q x - 2 b_i (Q a_i).x + a_i^T Q a_i, where (Q a_i)_m
+    # sums w_r L_r(a_i) over the squares r that hold x_m
+    qlin = [[-2 * bi * sum(wr * c for (idx, wr), c in zip(squares, lai) if m in idx)
+             for m in range(n)] for bi, lai in zip(b, la)]
+    qconst = [sum(wr * c * c for (_, wr), c in zip(squares, lai)) for lai in la]
     # w_j R_j as its constant term and (variables, coefficient) pairs, the
     # variables of a monomial listed with multiplicity
     const = {j: w[j] * reps[j].num.get((0,) * n, 0) for j in live}
@@ -940,11 +1007,8 @@ def _interp_ntt(points, reps, k: int, Q=None) -> Polynomial:
                  for ex, c in reps[j].num.items() if any(ex)] for j in live}
     half = size // 2
     # values below p < 2^31 are stored in 32 bits and multiplied in the
-    # 64-bit work arrays; the transforms borrow psi and quo as scratch
+    # 64-bit work arrays; the transform borrows psi and quo as scratch
     X = [np.empty(size, np.uint32) for _ in range(n)]
-    # L_r is x_m itself for a square of one variable
-    lin = [X[idx[0]] if len(idx) == 1 else np.empty(size, np.uint32)
-           for idx, _ in squares]
     Qv = [np.empty(size, np.uint32) for _ in range(d)]
     acc, psi, t, quo, rh = (np.empty(size, np.uint64) for _ in range(5))
     scratch = (psi[:half], psi[half:], quo[:half])
@@ -968,44 +1032,47 @@ def _interp_ntt(points, reps, k: int, Q=None) -> Polynomial:
         for _ in range(e - 1):
             mulmod(out, x, out)
 
-    # slot s of a forward transform holds the value at w^order[s] for every
-    # prime, so x_m transforms to w^(stride_m order[s]): read the exponents
-    # off one transform of x_0 = X^1, then gather x_m from the powers of w
-    p, g = primes[0]
-    roots = _ntt_roots(p, pow(g, (p - 1) // size, p), size)
-    acc[:] = 0
-    acc[1] = 1
-    _ntt_stages(acc, t, p, roots, False, scratch)
-    np.concatenate((roots, np.uint64(p) - roots), out=acc)
-    order = np.empty(size, np.uint32)
-    order[np.argsort(t)] = np.argsort(acc)
     for r, (p, g) in enumerate(primes):
         P = np.uint64(p)
         roots = _ntt_roots(p, pow(g, (p - 1) // size, p), size)
+        # slot s holds the value at w^order[s], so x_m there is
+        # w^(stride_m order[s]), gathered from all the powers of w
+        # (w^e = -w^(e - size/2) for e >= size/2), laid out in acc
+        np.concatenate((roots, P - roots), out=acc)
         expo = quo.view(np.int64)
         for m in range(n):
-            # w^e = -w^(e - size/2) for e >= size/2
             np.multiply(order, strides[m], out=expo, dtype=np.int64)
             np.bitwise_and(expo, size - 1, out=expo)
-            neg = expo >= half
-            np.bitwise_and(expo, half - 1, out=expo)
-            np.take(roots, expo, out=t)
-            np.subtract(P, t, out=t, where=neg)
+            np.take(acc, expo, out=t)
             X[m][...] = t
-        for (idx, _), Lr in zip(squares, lin):
-            if len(idx) == 2:
+        # S = x^T Q x = sum_r w_r L_r(x)^2, once per prime, in acc: a
+        # product of two values below p is below 2^62, so three of them are
+        # summed before each reduction
+        acc[:] = 0
+        for count, (idx, wr) in enumerate(squares, 1):
+            if len(idx) == 1:
+                np.multiply(X[idx[0]], X[idx[0]], out=t, dtype=np.uint64)
+                if wr != 1:
+                    mod(t)
+            else:
                 np.add(X[idx[0]], X[idx[1]], out=t, dtype=np.uint64)
-                mod(t)
-                Lr[...] = t
-        for i in range(d):
-            psi[:] = 0
-            for (_, w), Lr, c in zip(squares, lin, la[i]):
-                mulmod(Lr, np.uint64(b[i] % p), t)
-                np.add(t, np.uint64(-c % p), out=t)
                 mulmod(t, t, t)
-                if w != 1:
-                    mulmod(t, np.uint64(w % p), t)
+            if wr != 1:
+                np.multiply(t, np.uint64(wr % p), out=t)
+            np.add(acc, t, out=acc)
+            if count % 3 == 0:
+                mod(acc)
+        mod(acc)
+        # Q_i from S by one scalar multiply-add per variable
+        for i in range(d):
+            np.multiply(acc, np.uint64(b[i] * b[i] % p), out=psi)
+            lin = [(x, c % p) for x, c in zip(X, qlin[i]) if c % p]
+            for count, (x, c) in enumerate(lin, 2):
+                np.multiply(x, np.uint64(c), out=t)
                 np.add(psi, t, out=psi)
+                if count % 3 == 0:
+                    mod(psi)
+            np.add(psi, np.uint64(qconst[i] % p), out=psi)
             mod(psi)
             Qv[i][...] = psi
         acc[:] = 0
@@ -1020,8 +1087,7 @@ def _interp_ntt(points, reps, k: int, Q=None) -> Polynomial:
             np.subtract(np.uint64(pow(u[j], k, p) + p), t, out=t)
             power(t, k, psi)
             np.subtract(np.uint64(pow(u[j], kk, p) + 2 * p), psi, out=psi)
-            # w_j R_j: a product of two values below p is below 2^62, so
-            # three of them are summed before each reduction
+            # w_j R_j, three products summed per reduction as for S
             rh[:] = const[j] % p
             for count, (seq, c) in enumerate(terms[j], 1):
                 if len(seq) == 1:
@@ -1045,9 +1111,9 @@ def _interp_ntt(points, reps, k: int, Q=None) -> Polynomial:
         iroots = quo[half:]
         iroots[0] = 1
         np.subtract(P, roots[:0:-1], out=iroots[1:])
-        _ntt_stages(acc, t, p, iroots, True, scratch)
+        _ntt_stages(acc, t, p, iroots, scratch)
         residues[r] = t[slots]
-    del X, lin, Qv, acc, psi, t, quo, rh, scratch, expo, roots, iroots, slots
+    del X, Qv, acc, psi, t, quo, rh, scratch, expo, roots, iroots, slots, order
     return Polynomial._make(n, _crt(residues, primes, keep, rad), L)
 
 

@@ -520,9 +520,11 @@ def test_interp_kernel_refuses_a_bound_past_its_primes():
         P._ntt_primes(1 << 22, M)
 
 
-@pytest.mark.parametrize("rad, top", [((5,), 3), ((5,), 9), ((4, 6), 5), ((3, 3), 9),
-                                      ((7, 2, 5), 6), ((26, 26, 26), 25), ((3, 4, 5), 0),
-                                      ((2, 3, 2, 4), 4), ((1, 1), 0)])
+_SLOT_SHAPES = [((5,), 3), ((5,), 9), ((4, 6), 5), ((3, 3), 9), ((7, 2, 5), 6),
+                ((26, 26, 26), 25), ((3, 4, 5), 0), ((2, 3, 2, 4), 4), ((1, 1), 0)]
+
+
+@pytest.mark.parametrize("rad, top", _SLOT_SHAPES)
 def test_least_length_counts_the_kept_slots(rad, top):
     # the closed-form count of the slots within the total degree against
     # the slots themselves
@@ -530,6 +532,64 @@ def test_least_length_counts_the_kept_slots(rad, top):
 
     keep, _ = P._kept_slots(rad, top)
     assert P._least_length(rad, top) == 1 << max(len(keep) - 1, 1).bit_length()
+
+
+def _kept_slots_by_box_scan(rad, top):
+    """The kept slots found by scanning the whole degree box, n divmods per
+    box slot: the reference for the enumeration from the simplex."""
+    nslots = math.prod(rad)
+    rest, total = np.arange(nslots), np.zeros(nslots, np.int64)
+    for r in rad:
+        rest, e = np.divmod(rest, r)
+        total += e
+    keep = np.flatnonzero(total <= top)
+    rest, cols = keep, []
+    for r in rad:
+        rest, e = np.divmod(rest, r)
+        cols.append(e)
+    return keep, cols
+
+
+@pytest.mark.parametrize("rad, top", _SLOT_SHAPES + [((39, 39, 39), 38)])
+def test_kept_slots_match_the_box_scan(rad, top):
+    # the same box indices in the same increasing order, and the same
+    # exponent columns; (39, 39, 39) within 38 is the S3 orbit-3 lift at k = 3
+    from equimorse import polynomials as P
+
+    keep, cols = P._kept_slots(rad, top)
+    want, want_cols = _kept_slots_by_box_scan(rad, top)
+    assert keep.dtype == want.dtype and keep.tolist() == want.tolist()
+    assert len(cols) == len(rad)
+    for col, want_col in zip(cols, want_cols):
+        assert col.dtype == want_col.dtype and col.tolist() == want_col.tolist()
+
+
+def test_slot_order_is_the_order_the_inverse_transform_reads():
+    # slot s holds the value at w^order[s]: the values of the monomial X^e
+    # there, w^(order[s] e), transform back to size times the unit vector at
+    # e, for every length from 2 to 2^16 (the powers of w by running
+    # products, not the kernel's root tables)
+    from equimorse import polynomials as P
+
+    rng = random.Random(43)
+    for L in range(1, 17):
+        size, half = 1 << L, 1 << (L - 1)
+        p, g = P._ntt_primes(size, 1)[0]
+        w, powers = pow(g, (p - 1) // size, p), [1]
+        while len(powers) < size:
+            powers.append(powers[-1] * w % p)
+        powers = np.array(powers, np.uint64)
+        iroots = powers[(size - np.arange(half)) % size]
+        order = P._slot_order(size)
+        assert order.dtype == np.uint32
+        assert np.array_equal(np.sort(order), np.arange(size))
+        for e in rng.sample(range(size), min(size, 3)):
+            a = powers[order.astype(np.int64) * e % size]
+            out = np.empty(size, np.uint64)
+            P._ntt_stages(a, out, p, iroots, tuple(np.empty(half, np.uint64) for _ in range(3)))
+            want = np.zeros(size, np.uint64)
+            want[e] = size
+            assert np.array_equal(out, want), (size, e)
 
 
 def test_exact_interpolation_runs_one_crt():
