@@ -122,9 +122,10 @@ def bredon_assembly(M: CoefficientSystem, stabilizers: dict[int, list[Subgroup]]
             r0 = offsets[n - 1][b]
             c0 = offsets[n][a]
             for m, deg in recs:
-                if m not in images:
-                    images[m] = M.images(m)
-                for j, i in enumerate(images[m]):
+                got = images.get(m)
+                if got is None:
+                    got = images[m] = M.images(m)
+                for j, i in enumerate(got):
                     if i is not None:
                         col = cols[c0 + j]
                         col[r0 + i] = col.get(r0 + i, 0) + deg

@@ -34,17 +34,18 @@ prime the kernel evaluates x^T Q x once, every bump, mask and jet
 representative is a pointwise value, and one inverse transform per prime
 and one CRT (_crt, two Garner digits to a 64-bit word) rebuild the sum;
 see von zur Gathen & Gerhard, Modern Computer Algebra, ch. 5 and 8.  The
-transform is cyclic, with a length and Kronecker strides (_transform_plan) that need
-only keep apart the monomials within the interpolant's total degree: the
-degree box's strides where they do, else a searched last stride.  A
-transform of length 2^L needs primes p = 1 mod 2^L, which _ntt_primes
-finds for each length as the bound asks; it is the one interpolation path,
-and raises ValueError only where all such primes below 2^31 together cannot
-cover the bound.  numpy is imported inside the kernels, when one first
-runs, and the group layer (equimorse.groups) inside the code that uses an
-action: LinearAction's constructors, stabilizer, orbit and
-equivariant_jet_lift.  So importing this module, interpolating and taking
-Taylor jets load only it and _intlinalg's primality test.
+transform is cyclic, with a length and Kronecker strides (_transform_plan)
+that need only keep apart the monomials within the interpolant's total
+degree: the degree box's strides where they do, else a searched last
+stride.  A transform of length 2^L needs primes p = 1 mod 2^L, which
+_ntt_primes finds for each length as the bound asks; it is the one
+interpolation path, and raises ValueError only where all such primes below
+2^31 together cannot cover the bound.  numpy is imported inside the
+kernels, when one first runs, and the group layer (equimorse.groups)
+inside the code that uses an action: LinearAction's constructors,
+stabilizer, orbit and equivariant_jet_lift.  So importing this module,
+interpolating and taking Taylor jets load only it and _intlinalg's
+primality test.
 The bumps measure distance in a positive definite integer form Q: the
 standard one for jet_interpolate, and for a lift the invariant form of the
 action (LinearAction.form), so a lift takes any rational action.  It
@@ -687,9 +688,9 @@ def _taylor_shift(num: dict, n: int, point, k: int) -> tuple[dict, int]:
     numerators and their factors C(a,b) u_i^(a-b) v^(D_i-a+b) from one
     table with a row per exponent a present (so a sparse term of high
     degree costs one row; _factor_row builds each by running products),
-    are multiplied, and are summed over each run of
-    one b by one np.add.reduceat into rows with exponent i set to b.  The
-    sums are exact, so the sort need not be stable.  This is the Taylor
+    are multiplied, and are summed over each run of one b by one
+    np.add.reduceat into rows with exponent i set to b.  The sums are
+    exact, so the sort need not be stable.  This is the Taylor
     shift of von zur Gathen & Gerhard ("Fast algorithms for Taylor shifts
     and certain difference equations", ISSAC 1997) as whole-array passes,
     truncated by partial degree.
@@ -935,9 +936,9 @@ def _interp_ntt(points, reps, k: int, Q=None) -> Polynomial:
     once per prime from the squares, and each Q_i from it as
     b_i^2 S - 2 b_i (Q a_i).x + a_i^T Q a_i, one scalar multiply-add per
     variable; Psi_j, N_j, R_j and F are then pointwise values, and F takes
-    one inverse transform.  The transform is
-    cyclic, so its length need only keep apart the indices of the box
-    points within F's total degree, which can be shorter than the box;
+    one inverse transform.  The transform is cyclic, so its length need
+    only keep apart the indices of the box points within F's total degree,
+    which can be shorter than the box;
     _transform_plan picks the length and the strides, the last one packed
     by total degree where the box strides collide, and each kept slot
     (_kept_slots, enumerated from the simplex) is read at its index
@@ -990,7 +991,8 @@ def _interp_ntt(points, reps, k: int, Q=None) -> Polynomial:
     primes = _ntt_primes(size, 2 * bound)
     import numpy as np
 
-    # the slot order first, in 32 bits, before any work array exists
+    # the slot order in 32 bits, before the work arrays exist, so that it
+    # adds nothing to the kernel's peak memory
     order = _slot_order(size)
     keep, cols = _kept_slots(rad, top)
     slots = _slot_map(cols, strides, size)
