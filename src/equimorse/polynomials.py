@@ -27,17 +27,15 @@ Exact jet interpolation multiplies no polynomials: _interp_ntt writes the
 whole interpolant sum_j R_j (1 - (1 - phi_j^k)^k) over one integer
 denominator and evaluates it at the points of a multi-prime
 number-theoretic transform in numpy, modulo as many primes below 2^31 as a
-bound on its coefficients needs.  There is no forward transform: the
-values of the variables are written straight into the slot order that the
-inverse transform reads, a bit reversal in closed form (_slot_order).  Per
-prime the kernel evaluates x^T Q x once, every bump, mask and jet
-representative is a pointwise value, and one inverse transform per prime
-and one CRT (_crt, two Garner digits to a 64-bit word) rebuild the sum;
-see von zur Gathen & Gerhard, Modern Computer Algebra, ch. 5 and 8.  The
-transform is cyclic, with a length and Kronecker strides (_transform_plan)
-that need only keep apart the monomials within the interpolant's total
-degree: the degree box's strides where they do, else a searched last
-stride.  A transform of length 2^L needs primes p = 1 mod 2^L, which
+bound on its coefficients needs.  No forward transform runs: the
+variables' values are written in the inverse transform's slot order, a
+closed-form bit reversal.  Per prime, x^T Q x is evaluated once, every
+bump, mask and jet representative is a pointwise value, and one inverse
+transform per prime and one CRT (_crt) rebuild the sum; see von zur
+Gathen & Gerhard, Modern Computer Algebra, ch. 5 and 8.  The transform
+is cyclic, with a length and Kronecker strides (_transform_plan) that need
+only keep apart the monomials within the interpolant's total degree: the
+degree box's strides where they do, else a searched last stride.  A transform of length 2^L needs primes p = 1 mod 2^L, which
 _ntt_primes finds for each length as the bound asks; it is the one
 interpolation path, and raises ValueError only where all such primes below
 2^31 together cannot cover the bound.  numpy is imported inside the
@@ -201,15 +199,10 @@ def _ntt_roots(p: int, w: int, n: int):
 
 
 def _slot_order(size: int):
-    """order[s] (uint32): the power of the root of unity w whose value slot
-    s holds in the transform domain that _ntt_stages reads, for a length
-    size = 2^L.
-
-    That order is the bit reversal of arange(size) laid out as (size/c, c)
-    and transposed, c = 2^ceil(L/2) as in _ntt_stages.  Bit reversal sends
-    i c + j (i < size/c, j < c) to rev(j) size/c + rev(i), so the transposed
-    table is an outer sum of two short bit reversals.
-    """
+    """order[s] (uint32): the power of w whose value slot s holds where
+    _ntt_stages reads it, at length size = 2^L.  That is the bit reversal
+    of arange(size) laid out as (size/c, c) and transposed, c = 2^ceil(L/2);
+    it sends i c + j to rev(j) size/c + rev(i), an outer sum."""
     import numpy as np
 
     def rev(m):
@@ -228,13 +221,11 @@ def _ntt_stages(a, out, p, roots, scratch):
     """Inverse radix-2 NTT of a (length n = 2^L, values in [0, p)) into out,
     not yet divided by n; roots holds w^-j for j < n/2.
 
-    Decimation in time: a is read in the blocked bit-reversed order of
-    _slot_order (slot s holds the value at w^order[s]) and out is written
-    in natural order.  No forward transform is needed: the kernel writes
-    its values straight into that order.  Butterflies pairing elements less
-    than c = 2^ceil(L/2) apart run on the array transposed to (c, n/c), so
-    every numpy loop is at least n/c long.  a is overwritten too; scratch is
-    three arrays of length n/2.
+    Decimation in time, reading the blocked bit-reversed order of
+    _slot_order and writing natural order; there is no forward transform.
+    Butterflies pairing elements less than c = 2^ceil(L/2) apart run on the
+    array transposed to (c, n/c), so every numpy loop is at least n/c long.
+    a is overwritten too; scratch is three arrays of length n/2.
     """
     import numpy as np
 
@@ -277,10 +268,9 @@ def _crt(residues, primes, slots, rad) -> dict:
 
     Each c is rebuilt from Garner's mixed-radix digits,
     c = v_0 + v_1 p_0 + v_2 p_0 p_1 + ..., and a signed lift; a slot is zero
-    exactly when all its residues are, and is left out.  Each pair of
-    digits is folded into one 64-bit word v_2i + v_2i+1 p_2i < p_2i p_2i+1
-    < 2^62 before any Python-int arithmetic, which halves the bigint
-    multiply-adds; an odd prime count keeps its last digit alone.
+    exactly when all its residues are, and is left out.  Digits are paired
+    into 64-bit words v_2i + v_2i+1 p_2i < 2^62 before the bigint Horner
+    steps, which halves them.
     """
     import numpy as np
 
@@ -362,9 +352,7 @@ class Polynomial:
     @property
     def terms(self) -> dict:
         """exponent tuple -> Fraction coefficient; a new dict on every
-        access.  Terms with equal numerators share one Fraction (immutable,
-        so sharing is safe): an invariant polynomial repeats its
-        coefficients across each orbit of monomials."""
+        access, with one (immutable) Fraction per distinct numerator."""
         den, num = self.den, self.num
         frac = {c: Fraction(c, den) for c in set(num.values())}
         return dict(zip(num, map(frac.__getitem__, num.values())))
@@ -656,10 +644,9 @@ def _row_keys(cols, count: int):
 
 
 def _factor_row(x: int, u: int, v: int, D: int, width: int) -> list:
-    """[C(x,b) u^(x-b) v^(D-x+b) for b < width], 0 where b > x, by running
-    products down from b = min(x, width - 1): each step multiplies by
-    b u and divides exactly by (x - b + 1) v, so a row costs two powers,
-    not two per entry."""
+    """[C(x,b) u^(x-b) v^(D-x+b) for b < width], 0 where b > x: running
+    products down from b = min(x, width - 1), each step times b u and
+    divided exactly by (x - b + 1) v."""
     row = [0] * width
     top = min(x, width - 1)
     f = math.comb(x, top) * u ** (x - top) * v ** (D - x + top)
@@ -786,16 +773,10 @@ def bump_poly(points, j: int) -> Polynomial:
 
 def _kept_slots(rad, top):
     """The slots of the degree box of radices rad whose exponents sum to at
-    most top: their box indices sum_m e_m prod(rad[:m]), increasing, and
-    their exponents as one array per variable.
-
-    The slots are enumerated from the simplex, not found in the box: one
-    variable at a time from the last (the outermost digit of the box
-    index), each slot so far is repeated once per value e_m < rad_m that
-    the total degree left admits.  Children follow their parent in
-    increasing e_m, so the indices come out increasing, and the cost grows
-    with the kept slots rather than with the box.
-    """
+    most top: their box indices, increasing, and their exponents as one
+    array per variable.  Enumerated from the simplex, from the last
+    (outermost) variable in, each slot repeated once per e_m < rad_m the
+    degree left admits: the cost grows with the kept slots, not the box."""
     import numpy as np
 
     index, room, cols = np.zeros(1, np.int64), np.full(1, top, np.int64), []
@@ -882,17 +863,12 @@ def _transform_plan(rad: tuple, top: int) -> tuple:
     marking their indices in a boolean array of the length.  Memoized: the
     cache holds these ints only, never the slot arrays.
 
-    No Kronecker map can be much shorter.  The map separates the kept slots
-    exactly when no nonzero integer point of the difference body of the
-    degree-top simplex lies in the lattice {x : sum_m strides[m] x_m = 0
-    mod size}, of determinant at most size.  That body has volume
-    C(2n,n) top^n / n! (Rogers-Shephard), so by Minkowski's theorem no map
-    separates them at a length below C(2n,n) top^n / (n! 2^n).  For the S3
-    lift at k = 3 ((39,39,39) within 38) that is 22,863, so 2^15 is the
-    shortest power of two, and for two variables within 56 (the (2,4,3)
-    interpolation) it is 2,352, so 2^12 is.  The search above is not
-    always that short: within 25 in three variables the bound is 6,511,
-    and (1, 923, 1509) separates at 8,192 where this plan takes 16,384.
+    Lower bound: the difference body of the degree-top simplex has volume
+    C(2n,n) top^n / n! (Rogers-Shephard), so by Minkowski no Kronecker map
+    keeps the slots apart at a length below C(2n,n) top^n / (n! 2^n):
+    22,863 for the S3 lift at k = 3 (2^15 is shortest) and 2,352 for the
+    (2,4,3) op (2^12).  (26,26,26) within 25 sits above it: the bound is
+    6,511, and (1, 923, 1509) separates at 8,192 where this plan takes 2^14.
     """
     import numpy as np
 
@@ -928,21 +904,18 @@ def _interp_ntt(points, reps, k: int, Q=None) -> Polynomial:
     bump is phi_j = Psi_j / u_j, Psi_j = v_j prod_{i != j} Q_i, so the mask
     numerator N_j = u_j^(k^2) - (u_j^k - Psi_j^k)^k has integer
     coefficients and the sum is F / L, F = sum_j w_j R_j N_j over
-    L = lcm_j(den R_j u_j^(k^2)).  Modulo each NTT prime the n variables
-    take their values w^(stride_m order[s]) at their Kronecker strides
-    over the degree box of F, gathered from the powers of the root of unity
-    w in the slot order of the inverse transform (_slot_order, in closed
-    form, so no forward transform runs).  The form S = x^T Q x is evaluated
-    once per prime from the squares, and each Q_i from it as
-    b_i^2 S - 2 b_i (Q a_i).x + a_i^T Q a_i, one scalar multiply-add per
-    variable; Psi_j, N_j, R_j and F are then pointwise values, and F takes
-    one inverse transform.  The transform is cyclic, so its length need
-    only keep apart the indices of the box points within F's total degree,
-    which can be shorter than the box;
-    _transform_plan picks the length and the strides, the last one packed
-    by total degree where the box strides collide, and each kept slot
-    (_kept_slots, enumerated from the simplex) is read at its index
-    sum_m strides[m] e_m mod the length.
+    L = lcm_j(den R_j u_j^(k^2)).  Modulo each NTT prime, x_m at its
+    Kronecker stride over the degree box of F is gathered from the powers
+    of the root w in the inverse transform's slot order (_slot_order; no
+    forward transform runs), S = x^T Q x is evaluated once, and
+    Q_i = b_i^2 S - 2 b_i (Q a_i).x + a_i^T Q a_i; Psi_j, N_j, R_j and F
+    are then pointwise values, and F takes one inverse transform.  The
+    transform is cyclic, so its length need only keep apart the indices of
+    the box points within F's total degree, which can be shorter than the
+    box; _transform_plan picks the length and the strides, the last one
+    packed by total degree where the box strides collide, and each kept
+    slot (_kept_slots) is read at its index sum_m strides[m] e_m mod the
+    length.
     One CRT over the fewest primes for that length (_ntt_primes) whose
     product exceeds twice the bound
     sum_j w_j |R_j|_1 (u_j^(k^2) + (u_j^k + |Psi_j|_1^k)^k) on the
