@@ -25,8 +25,7 @@ _SOURCES = {
     **dict.fromkeys(("Jet", "JetNotFixed", "LinearAction", "Polynomial", "bump_poly",
                      "equivariant_average", "equivariant_jet_lift", "jet_interpolate",
                      "taylor_jet"), "polynomials"),
-    **dict.fromkeys(("ChainComplex", "HomologySummary", "homology", "smith_normal_form"),
-                    "complexes"),
+    **dict.fromkeys(("ChainComplex", "HomologySummary", "homology"), "complexes"),
     **dict.fromkeys(("CoefficientSystem", "build_system"), "coefficients"),
     **dict.fromkeys(("GCWComplex", "bredon_chain_complex", "subquotient_complex"), "gcw"),
     **dict.fromkeys(("FilteredComplex", "einfty_check", "spectral_pages"), "spectral"),

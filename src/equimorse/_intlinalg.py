@@ -4,29 +4,21 @@ A matrix is stored as its columns: column j is a tuple of (row, entry)
 pairs in increasing row order, every entry nonzero.  Field routines work
 mod a prime p, or over the rationals when p == 0 (Fraction entries).  One
 sparse elimination, `eliminate`, gives ranks and the persistence pairing of
-a filtered map over a field and the unit part of the Smith form over Z; the
-dense `_smith`, on tuples of row tuples, diagonalises what the units leave
-and serves `smith_normal_form`, which also returns U and V.  Loops walk the
-nonzero entries only, and all arithmetic stays exact.
+a filtered map over a field and the unit part of the Smith form over Z;
+`_invariant_factors` takes the dense rows the units leave to their
+invariant factors.  The Smith form is its diagonal only: no change of basis
+is computed.  Loops walk the nonzero entries only, and all arithmetic stays
+exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import isqrt
+from math import gcd, isqrt
 
 
-Matrix = tuple[tuple[int, ...], ...]
 Column = tuple[tuple[int, int], ...]
-
-
-def identity(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def shape(A: Matrix) -> tuple[int, int]:
-    return (len(A), len(A[0]) if A else 0)
 
 
 def transpose(A, nrows: int) -> tuple[Column, ...]:
@@ -173,24 +165,11 @@ def rank(cols, p: int) -> int:
 # -- Smith normal form -----------------------------------------------------
 
 
-def smith_normal_form(A: Matrix) -> tuple[Matrix, Matrix, Matrix]:
-    """Return (D, U, V) with U*A*V = D for the dense matrix A (a tuple of row
-    tuples), U and V unimodular, and D diagonal with each diagonal entry
-    dividing the next.
-
-    Pivots are chosen as the smallest nonzero entry in absolute value, which
-    keeps entry growth tame on the small matrices seen here.
-    """
-    a, u, v = _smith(A, track=True)
-    return (tuple(tuple(row) for row in a), tuple(tuple(row) for row in u),
-            tuple(tuple(row) for row in v))
-
-
 def snf_diagonal(cols) -> list[int]:
     """Nonzero diagonal entries of the Smith form of the integer matrix with
     these columns, in divisibility order.
 
-    Every +-1 pivot of `eliminate` is a diagonal 1, and the dense `_smith`
+    Every +-1 pivot of `eliminate` is a diagonal 1, and `_invariant_factors`
     runs only on the columns the units leave, over the rows they touch.
     """
     pivots, rest = eliminate(sorted(cols, key=len), 0, integral=True)
@@ -200,116 +179,49 @@ def snf_diagonal(cols) -> list[int]:
     for j, a in enumerate(left):
         for i, x in a.items():
             dense[rows[i]][j] = x
-    d, _, _ = _smith(dense, track=False)
-    return [1] * len(pivots) + [d[t][t] for t in range(min(len(rows), len(left)))
-                                if d[t][t]]
+    return [1] * len(pivots) + _invariant_factors(dense)
 
 
-def _smith(A: Matrix, track: bool):
-    """Diagonalise a copy of A in place; U and V are None unless tracked."""
-    m, n = shape(A)
-    a = [list(row) for row in A]
-    u = [list(row) for row in identity(m)] if track else None
-    v = [list(row) for row in identity(n)] if track else None
+def _invariant_factors(rows) -> list[int]:
+    """The nonzero invariant factors of the integer matrix with these rows
+    (equal-length sequences), in divisibility order.
 
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        if track:
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        if track:
-            for row in v:
-                row[i], row[j] = row[j], row[i]
-
-    def add_row(i, j, c):
-        # row_i += c * row_j
-        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
-        if track:
-            u[i] = [x + c * y for x, y in zip(u[i], u[j])]
-
-    def add_col(i, j, c):
-        # col_i += c * col_j
-        for row in a:
-            if row[j]:
-                row[i] += c * row[j]
-        if track:
-            for row in v:
-                if row[j]:
-                    row[i] += c * row[j]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        if track:
-            u[i] = [-x for x in u[i]]
-
-    def find_pivot(t):
-        # the first entry of least absolute value in scan order; nothing
-        # beats a unit, so the scan stops at the first one
-        best = None
-        for i in range(t, m):
-            row = a[i]
-            for j in range(t, n):
-                x = abs(row[j])
-                if x and (best is None or x < best[0]):
-                    if x == 1:
-                        return (1, i, j)
-                    best = (x, i, j)
-        return best
-
-    def divround(x, d):
-        # quotient with |remainder| <= |d|/2, to keep entry growth tame
-        q, r = divmod(x, d)
-        if 2 * abs(r) > abs(d):
-            q += 1
-        return q
-
-    def diagonalise(start):
-        t = start
-        while t < min(m, n):
-            # re-select the smallest pivot on every sweep; with rounded
-            # quotients the pivot magnitude at least halves per sweep
-            piv = find_pivot(t)
-            if piv is None:
-                break
-            while True:
-                _, pi, pj = piv
-                if pi != t:
-                    swap_rows(t, pi)
-                if pj != t:
-                    swap_cols(t, pj)
-                clear = True
-                for i in range(t + 1, m):
-                    if a[i][t]:
-                        add_row(i, t, -divround(a[i][t], a[t][t]))
-                        if a[i][t]:
-                            clear = False
-                for j in range(t + 1, n):
-                    if a[t][j]:
-                        add_col(j, t, -divround(a[t][j], a[t][t]))
-                        if a[t][j]:
-                            clear = False
-                if clear:
-                    break
-                piv = find_pivot(t)
-            if a[t][t] < 0:
-                negate_row(t)
-            t += 1
-
-    diagonalise(0)
-
-    # enforce the divisibility chain d1 | d2 | ...: fold the offending entry
-    # back into the block and rediagonalise from there
+    Each step pivots on an entry of least absolute value and clears its row
+    and column by rounded quotients, so a nonzero remainder is at most half
+    the pivot and becomes the next pivot.  A pivot left alone in its row and
+    column is a diagonal entry, and its row and column are dropped.  The
+    diagonal is then put in divisibility order by replacing each pair with
+    its (gcd, lcm), which keeps the Smith form.
+    """
+    a = [list(row) for row in rows]
+    diag = []
     while True:
-        bad = None
-        for i in range(min(m, n) - 1):
-            if a[i][i] != 0 and a[i + 1][i + 1] != 0 and a[i + 1][i + 1] % a[i][i] != 0:
-                bad = i
-                break
-        if bad is None:
+        best = min(((abs(x), i, j) for i, row in enumerate(a)
+                    for j, x in enumerate(row) if x), default=None)
+        if best is None:
             break
-        add_col(bad, bad + 1, 1)
-        diagonalise(bad)
-    return a, u, v
+        d, i, j = best
+        p, prow = a[i][j], a[i]
+        alone = True
+        for r, row in enumerate(a):
+            if r != i and row[j]:
+                q = (2 * row[j] + p) // (2 * p)    # |row[j] - q p| <= |p|/2
+                a[r] = row = [x - q * y for x, y in zip(row, prow)]
+                alone = alone and not row[j]
+        for c, y in enumerate(prow):
+            if c != j and y:
+                q = (2 * y + p) // (2 * p)
+                for row in a:
+                    if row[j]:
+                        row[c] -= q * row[j]
+                alone = alone and not prow[c]
+        if alone:
+            diag.append(d)
+            del a[i]
+            for row in a:
+                del row[j]
+    for s in range(len(diag)):
+        for t in range(s + 1, len(diag)):
+            g = gcd(diag[s], diag[t])
+            diag[s], diag[t] = g, diag[s] // g * diag[t]
+    return diag

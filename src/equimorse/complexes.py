@@ -1,21 +1,20 @@
 """Bounded chain complexes of finitely generated free modules over Z or F_p,
 with each boundary map stored once as sparse columns, and homology computed
-through Smith normal form (integral case) or ranks (mod p case), both read
-off one sparse unit-pivot elimination per map."""
+from the invariant factors of each map (integral case) or its rank (mod p
+case), both read off one sparse unit-pivot elimination per map."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from . import _intlinalg as la
-from ._intlinalg import Column, smith_normal_form  # noqa: F401 (re-exported)
+from ._intlinalg import Column
 
 __all__ = [
     "ChainComplex",
     "ChainComplexError",
     "HomologySummary",
     "homology",
-    "smith_normal_form",
 ]
 
 
@@ -166,7 +165,7 @@ def homology(C: ChainComplex) -> HomologySummary:
     """Homology of the complex: Z^betti + sum of Z/d_i in the Z case,
     dimensions in the F_p case.
 
-    Each boundary map is reduced once: its rank (F_p) or Smith diagonal (Z)
+    Each boundary map is reduced once: its rank (F_p) or invariant factors (Z)
     serves both the degree it leaves and the degree it enters.
     """
     diag: dict[int, list[int]] = {}
@@ -180,7 +179,7 @@ def homology(C: ChainComplex) -> HomologySummary:
     entries: dict[int, tuple[int, tuple[int, ...]]] = {}
     for n in C.degrees():
         betti = C.rank(n) - rank.get(n, 0) - rank.get(n + 1, 0)
-        torsion = tuple(abs(x) for x in diag.get(n + 1, ()) if abs(x) > 1)
+        torsion = tuple(x for x in diag.get(n + 1, ()) if x > 1)
         if betti or torsion:
             entries[n] = (betti, torsion)
     return HomologySummary(char=C.char, entries=entries)

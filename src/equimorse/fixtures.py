@@ -140,6 +140,10 @@ def _gcw_from_json(group, spec, name: str) -> GCWComplex:
         n = int(rec["dim"])
         a = int(rec["cell"])
         b = int(rec["face"])
+        for key, k, dim in (("cell", a, n), ("face", b, n - 1)):
+            if not 0 <= k < len(cells[dim]):
+                raise ValueError(f"boundary {key} {k} is not one of the "
+                                 f"{len(cells[dim])} {dim}-cell orbits")
         m = OrbitMorphism(cells[n][a].stabilizer, cells[n - 1][b].stabilizer,
                           (int(rec["coset"]),))
         boundary.setdefault(n, {}).setdefault((a, b), []).append(

@@ -89,9 +89,6 @@ class GCWComplex:
     def orbit_count(self, n: int) -> int:
         return len(self.cells.get(n, ()))
 
-    def records(self, n: int, a: int, b: int):
-        return self.boundary.get(n, {}).get((a, b), ())
-
 
 def bredon_assembly(M: CoefficientSystem, stabilizers: dict[int, list[Subgroup]],
                     records: dict[int, dict]) -> ChainComplex:
@@ -244,6 +241,9 @@ def gcw_from_cells(group: FiniteGroup, cells: dict[int, int],
             for faces in boundaries[n]:
                 acc = {}
                 for face, deg in faces:
+                    if not 0 <= face < cells[n - 1]:
+                        raise ValueError(f"{n}-cell boundary names face {face}, "
+                                         f"not one of {cells[n - 1]} {n - 1}-cells")
                     acc[face] = acc.get(face, 0) + deg
                 reduced[n].append({f: d for f, d in acc.items() if d})
     for s in group.elements():

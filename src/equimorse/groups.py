@@ -156,6 +156,8 @@ class Subgroup:
         elems = tuple(sorted(set(self.elements)))
         object.__setattr__(self, "elements", elems)
         G = self.group
+        if elems and not (0 <= elems[0] and elems[-1] < G.order):
+            raise NotASubgroup(f"elements {elems} not all in range({G.order})")
         if G.identity not in elems:
             raise NotASubgroup("missing identity")
         eset = set(elems)
@@ -320,6 +322,8 @@ class OrbitMorphism:
     def __post_init__(self):
         G = self.source.group
         x = self.coset[0]
+        if not 0 <= x < G.order:
+            raise InvalidMorphism(f"coset representative {x} not in range({G.order})")
         c = left_coset(G, x, self.target)
         object.__setattr__(self, "coset", c)
         kset = set(self.target.elements)
@@ -372,17 +376,20 @@ class OrbitCategory:
     """The orbit category of G with all subgroups as objects.
 
     A hom-set is computed on call; composition goes through :func:`compose`.
-    The coset tables of the group (double_cosets, orbit_classes) are
-    computed on first use and kept here, keyed by element tuples, so every
-    coefficient system and subquotient complex over one category shares
-    them.
+    The subgroup list (objects) and the coset tables of the group
+    (double_cosets, orbit_classes) are computed on first use and kept here,
+    the tables keyed by element tuples, so every coefficient system and
+    subquotient complex over one category shares them.
     """
 
     def __init__(self, group: FiniteGroup):
         self.group = group
-        self.objects: tuple[Subgroup, ...] = tuple(enumerate_subgroups(group))
         self._double_cosets: dict = {}
         self._classes: dict = {}
+
+    @cached_property
+    def objects(self) -> tuple[Subgroup, ...]:
+        return tuple(enumerate_subgroups(self.group))
 
     def hom(self, H: Subgroup, K: Subgroup) -> tuple[OrbitMorphism, ...]:
         return orbit_homs(self.group, H, K)

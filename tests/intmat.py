@@ -1,8 +1,8 @@
 """Exact matrix helpers that only the tests use, on dense tuple-of-rows
-matrices: products, reduction mod p, the zero test, the determinant, the
-column form that equimorse stores, and a dense reduced row echelon form,
-its null space and the textbook persistence reduction as the references for
-its sparse elimination."""
+matrices: the identity, products, reduction mod p, the zero test, the
+determinant, the column form that equimorse stores, and a dense reduced row
+echelon form, its null space and the textbook persistence reduction as the
+references for its sparse elimination."""
 
 from fractions import Fraction
 
@@ -13,6 +13,10 @@ def mat_mul(A, B):
     cols = tuple(zip(*B))
     return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
                  for row in A)
+
+
+def identity(n: int):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def mat_mod(A, p: int):

@@ -231,6 +231,38 @@ def test_bad_fixture_data_is_an_error_exit(tmp_path, capsys, command, name,
     assert capsys.readouterr().err.startswith(f"error: {p}: ")
 
 
+def _boundary_field(key, value):
+    def edit(raw):
+        raw["gcw"]["boundary"][0][key] = value
+    return edit
+
+
+def _stabilizer_element(raw):
+    raw["gcw"]["cells"]["0"][0]["stab"] = [0, 5]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_stabilizer_element, r"not all in range\(2\)"),
+    (_boundary_field("coset", 7), r"coset representative 7 not in range\(2\)"),
+    (_boundary_field("coset", -1), r"coset representative -1 not in range\(2\)"),
+    (_boundary_field("cell", 3), "boundary cell 3 is not one of the 1 1-cell orbits"),
+    (_boundary_field("cell", -1), "boundary cell -1 is not one of the 1 1-cell orbits"),
+    (_boundary_field("face", 2), "boundary face 2 is not one of the 2 0-cell orbits"),
+], ids=["stabilizer-element", "coset-7", "coset-negative", "cell-3", "cell-negative",
+        "face-2"])
+def test_index_outside_the_group_or_the_cells_is_an_error_exit(tmp_path, capsys,
+                                                               edit, message):
+    # an element, coset representative, cell or face index outside its range
+    # is malformed data, never read by negative indexing or left to raise
+    # IndexError
+    p = _rewritten(tmp_path, "circle_reflection", edit)
+    with pytest.raises(FixtureError, match=message):
+        load_fixture(p)
+    assert main(["bredon", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {p}: ") and err.count("\n") == 1
+
+
 def test_function_invariant_only_on_the_manifold_loads(tmp_path):
     # f + x (x^2 + y^2 + z^2 - 1) is odd off the sphere but equals the
     # invariant f on it: the grid seeds are projected onto M before the

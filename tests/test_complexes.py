@@ -1,8 +1,12 @@
 import random
+from itertools import combinations
+from math import gcd, prod
 
 import pytest
+import sympy
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
+from sympy.matrices.normalforms import smith_normal_form
 
 from equimorse import _intlinalg as la
 from equimorse.complexes import (
@@ -10,27 +14,39 @@ from equimorse.complexes import (
     ChainComplexError,
     HomologySummary,
     homology,
-    smith_normal_form,
 )
 
-from intmat import (columns, det, is_zero, low_reduction, mat_mod, mat_mul, rref,
-                    rref_nullspace)
+from intmat import (columns, det, identity, is_zero, low_reduction, mat_mod, mat_mul,
+                    rref, rref_nullspace)
+
+
+def sympy_invariant_factors(A, n):
+    """The nonzero diagonal of sympy's Smith form of the dense rows A, n
+    wide."""
+    if not A or not n:
+        return []
+    D = smith_normal_form(sympy.Matrix(A), domain=sympy.ZZ)
+    return [int(D[i, i]) for i in range(min(len(A), n)) if D[i, i]]
+
+
+def assert_invariant_factors(A, n, want=None):
+    """Both Smith form routes, the sparse snf_diagonal and the dense
+    _invariant_factors alone, give sympy's invariant factors of A (and want,
+    when given)."""
+    ref = sympy_invariant_factors(A, n)
+    if want is not None:
+        assert ref == want
+    assert la.snf_diagonal(columns(A, n)) == ref
+    assert la._invariant_factors(A) == ref
 
 
 def test_snf_zero_matrix():
-    A = ((0, 0, 0), (0, 0, 0))
-    D, U, V = smith_normal_form(A)
-    assert is_zero(D)
-    assert U == la.identity(2)
-    assert V == la.identity(3)
+    assert_invariant_factors(((0, 0, 0), (0, 0, 0)), 3, want=[])
 
 
 def test_snf_diag_2_3():
     # hand row/column reduction gives diag(1, 6)
-    A = ((2, 0), (0, 3))
-    D, U, V = smith_normal_form(A)
-    assert (D[0][0], D[1][1]) == (1, 6)
-    assert mat_mul(mat_mul(U, A), V) == D
+    assert_invariant_factors(((2, 0), (0, 3)), 2, want=[1, 6])
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -38,26 +54,25 @@ def test_snf_random_selfverifying(seed):
     rng = random.Random(seed)
     m, n = 5, 7
     A = tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(m))
-    D, U, V = smith_normal_form(A)
-    assert mat_mul(mat_mul(U, A), V) == D
-    assert abs(det(U)) == 1
-    assert abs(det(V)) == 1
-    diag = [D[i][i] for i in range(min(m, n))]
-    for i in range(m):
-        for j in range(n):
-            if i != j:
-                assert D[i][j] == 0
-    nz = [d for d in diag if d]
-    assert all(d > 0 for d in nz)
-    for a, b in zip(nz, nz[1:]):
-        assert b % a == 0
-    # no zero sandwiched before a nonzero
-    seen_zero = False
-    for d in diag:
-        if d == 0:
-            seen_zero = True
-        else:
-            assert not seen_zero
+    assert_invariant_factors(A, n)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_invariant_factors_are_quotients_of_determinantal_divisors(seed):
+    # d_1 ... d_k is the gcd of the k x k minors (Smith 1861), for every k:
+    # an oracle that uses neither sympy nor _intlinalg
+    rng = random.Random(seed)
+    m, n = rng.randint(1, 4), rng.randint(1, 4)
+    bound = rng.choice((2, 4, 9))
+    A = [[rng.randint(-bound, bound) if rng.random() < 0.7 else 0 for _ in range(n)]
+         for _ in range(m)]
+    for diag in (la.snf_diagonal(columns(A, n)), la._invariant_factors(A)):
+        diag = diag + [0] * (min(m, n) - len(diag))
+        for k in range(1, min(m, n) + 1):
+            minors = (det([[A[i][j] for j in cs] for i in rs])
+                      for rs in combinations(range(m), k)
+                      for cs in combinations(range(n), k))
+            assert prod(diag[:k]) == gcd(*minors)
 
 
 def circle_complex(char=0):
@@ -176,7 +191,7 @@ def test_rref_nullspace_rank_mod_p():
         assert sum(a * v.get(j, 0) for j, a in enumerate(row)) % 5 == 0
 
 
-# -- oracles: SNF identities, the textbook pairing, dense d∘d, Euler ----------
+# -- oracles: sympy's Smith form, the textbook pairing, dense d∘d, Euler ------
 
 
 @settings(max_examples=60, deadline=None)
@@ -186,17 +201,7 @@ def test_snf_identities_random(data):
     n = data.draw(st.integers(1, 8))
     entry = st.integers(-6, 6) | st.sampled_from((0, 0, 1, -1))
     A = tuple(tuple(data.draw(entry) for _ in range(n)) for _ in range(m))
-    D, U, V = smith_normal_form(A)
-    assert mat_mul(mat_mul(U, A), V) == D
-    assert abs(det(U)) == 1
-    assert abs(det(V)) == 1
-    assert all(D[i][j] == 0 for i in range(m) for j in range(n) if i != j)
-    diag = [D[i][i] for i in range(min(m, n))]
-    nz = [d for d in diag if d]
-    assert diag == nz + [0] * (len(diag) - len(nz))
-    assert all(d > 0 for d in nz)
-    assert all(b % a == 0 for a, b in zip(nz, nz[1:]))
-    assert la.snf_diagonal(columns(A)) == nz
+    assert_invariant_factors(A, n)
 
 
 # entries about 80 % zero; 2, 3 and 6 leave a remainder for the dense Smith
@@ -225,8 +230,7 @@ def sparse_matrices(draw):
 def test_sparse_elimination_matches_dense_reference(matrix, p):
     A, n = matrix
     cols = columns(A, n)
-    D = smith_normal_form(tuple(map(tuple, A)))[0] if A and n else ()
-    assert la.snf_diagonal(cols) == [D[i][i] for i in range(min(len(A), n)) if D[i][i]]
+    assert_invariant_factors(A, n)
     _, piv = rref(A, p)
     assert la.rank(cols, p) == len(piv)
 
@@ -253,8 +257,8 @@ def test_low_pivots_are_the_textbook_pairing(matrix, p, data):
 
 def unimodular_pair(rng, n):
     """A random unimodular integer matrix with its inverse."""
-    P = [list(r) for r in la.identity(n)]
-    Q = [list(r) for r in la.identity(n)]
+    P = [list(r) for r in identity(n)]
+    Q = [list(r) for r in identity(n)]
     for _ in range(2 * n if n > 1 else 0):
         i, j = rng.sample(range(n), 2)
         c = rng.choice((-2, -1, 1, 2))
@@ -401,8 +405,6 @@ def test_is_prime_matches_a_sieve_below_1e5():
 def test_is_prime_matches_sympy_on_seeded_samples(bits):
     # odd samples, about one in 22 of them prime, and products of two
     # primes of half the size, the composites a weak test would pass
-    import sympy
-
     rng = random.Random(bits)
     samples = [rng.getrandbits(bits) | 1 for _ in range(1500)]
     samples += [sympy.nextprime(rng.getrandbits(bits // 2))

@@ -281,3 +281,15 @@ def test_cell_action_group_law_names_the_first_failing_pair():
             s, t = _first_law_failure(S3, cells, table)
             with pytest.raises(ValueError, match=rf"group law on \({s},{t}\)$"):
                 gcw_from_cells(S3, cells, bnds, table)
+
+
+@pytest.mark.parametrize("face", [5, 2, -1])
+def test_boundary_face_outside_the_cells_is_rejected(face):
+    # an interval with its two endpoints, one 1-cell naming a face that is
+    # not one of the two 0-cells
+    from equimorse.gcw import gcw_from_cells
+
+    G = FiniteGroup.trivial()
+    with pytest.raises(ValueError, match=rf"names face {face}, not one of 2 0-cells"):
+        gcw_from_cells(G, {0: 2, 1: 1}, {1: [[(0, -1), (face, 1)]]},
+                       {0: {0: (0, 1), 1: (0,)}})
