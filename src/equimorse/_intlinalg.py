@@ -6,9 +6,11 @@ mod a prime p, or over the rationals when p == 0 (Fraction entries).  One
 sparse elimination, `eliminate`, gives ranks and the persistence pairing of
 a filtered map over a field and the unit part of the Smith form over Z;
 `_invariant_factors` takes the dense rows the units leave to their
-invariant factors.  The Smith form is its diagonal only: no change of basis
-is computed.  Loops walk the nonzero entries only, and all arithmetic stays
-exact.
+invariant factors (`smith_diagonal`).  The Smith form is its diagonal only:
+no change of basis is computed.  Callers that reduce a whole complex
+(`complexes.homology`, `spectral._bars`) hand each map only the columns
+that the pivots of the map above do not clear.  Loops walk the nonzero
+entries only, and all arithmetic stays exact.
 """
 
 from __future__ import annotations
@@ -173,13 +175,20 @@ def snf_diagonal(cols) -> list[int]:
     runs only on the columns the units leave, over the rows they touch.
     """
     pivots, rest = eliminate(sorted(cols, key=len), 0, integral=True)
+    return smith_diagonal(len(pivots), rest)
+
+
+def smith_diagonal(units: int, rest) -> list[int]:
+    """The Smith diagonal of an integer matrix from its elimination over Z:
+    a 1 per unit pivot, then the invariant factors of the remainders rest,
+    as `eliminate` returns them, over the rows they touch."""
     left = [a for _, a in rest if a]
     rows = {i: t for t, i in enumerate(sorted({i for a in left for i in a}))}
     dense = [[0] * len(left) for _ in rows]
     for j, a in enumerate(left):
         for i, x in a.items():
             dense[rows[i]][j] = x
-    return [1] * len(pivots) + _invariant_factors(dense)
+    return [1] * units + _invariant_factors(dense)
 
 
 def _invariant_factors(rows) -> list[int]:

@@ -165,17 +165,24 @@ def homology(C: ChainComplex) -> HomologySummary:
     """Homology of the complex: Z^betti + sum of Z/d_i in the Z case,
     dimensions in the F_p case.
 
-    Each boundary map is reduced once: its rank (F_p) or invariant factors (Z)
-    serves both the degree it leaves and the degree it enters.
+    Each boundary map is reduced once, from the top degree down: its rank
+    (F_p) or invariant factors (Z) serves both the degree it leaves and the
+    degree it enters.  Before d_n is reduced, the columns of the generators
+    that are pivot rows of d_{n+1} (over Z, its +-1 pivots) are cleared
+    (Chen & Kerber's twist): those pivot columns are cycles, unitriangular
+    on their pivot rows, so the other columns of d_n have the same image,
+    and with it the same rank and invariant factors.
     """
     diag: dict[int, list[int]] = {}
-    rank: dict[int, int] = {}
-    for n, d in C.boundary.items():
-        if C.char:
-            rank[n] = la.rank(d, C.char)
-        else:
-            diag[n] = la.snf_diagonal(d)
-            rank[n] = len(diag[n])
+    pivot_rows: dict[int, set[int]] = {}
+    for n in sorted(C.boundary, reverse=True):
+        cleared = pivot_rows.get(n + 1, ())
+        cols = sorted((col for j, col in enumerate(C.boundary[n]) if j not in cleared),
+                      key=len)
+        pivots, rest = la.eliminate(cols, C.char, not C.char)
+        pivot_rows[n] = {i for _, i in pivots}
+        diag[n] = la.smith_diagonal(len(pivots), rest) if not C.char else [1] * len(pivots)
+    rank = {n: len(x) for n, x in diag.items()}
     entries: dict[int, tuple[int, tuple[int, ...]]] = {}
     for n in C.degrees():
         betti = C.rank(n) - rank.get(n, 0) - rank.get(n + 1, 0)

@@ -29,6 +29,7 @@ from .groups import (
     OrbitCategory,
     OrbitMorphism,
     Subgroup,
+    generated_subgroup,
     normalizer,
 )
 
@@ -71,6 +72,12 @@ class GCWComplex:
         self.cells = {n: tuple(cs) for n, cs in self.cells.items() if cs}
         for n, recs in self.boundary.items():
             for (a, b), lst in recs.items():
+                if not (0 <= a < self.orbit_count(n) and 0 <= b < self.orbit_count(n - 1)):
+                    raise ValueError(
+                        f"boundary key {(a, b)} in degree {n} names no pair of "
+                        f"{self.orbit_count(n)} {n}-cell-orbits and "
+                        f"{self.orbit_count(n - 1)} {n - 1}-cell-orbits"
+                    )
                 src = self.cells[n][a]
                 tgt = self.cells[n - 1][b]
                 for m, deg in lst:
@@ -215,15 +222,23 @@ def gcw_from_cells(group: FiniteGroup, cells: dict[int, int],
     pairs over (n-1)-cells; perms[s][n] is the permutation of n-cells by the
     group element s (no orientation reversal allowed).  The action must
     commute with the boundary; cell-orbits and coset records are derived.
+
+    Every element must permute the cells.  The group law s∘t = st is checked
+    for s the identity or a generator, against every t, and boundary
+    equivariance for s a generator.  The elements that pass either check
+    are closed under products, so this implies both for every s.  Each
+    generator is the least element not generated by those before it, so
+    the least element that fails the all-elements check is the identity or
+    a generator, and the error names the same first failure.
     """
-    # validate the action: permutation property, group law, boundary equivariance
     for s in group.elements():
         for n, count in cells.items():
             p = perms[s][n]
             if sorted(p) != list(range(count)):
                 raise ValueError(f"element {s} does not permute {n}-cells")
     table = {s: {n: tuple(perms[s][n]) for n in cells} for s in group.elements()}
-    for s in group.elements():
+    gens = _generators(group)
+    for s in sorted({group.identity, *gens}):
         for t in group.elements():
             st = group.mul[s][t]
             for n in cells:
@@ -246,7 +261,7 @@ def gcw_from_cells(group: FiniteGroup, cells: dict[int, int],
                                          f"not one of {cells[n - 1]} {n - 1}-cells")
                     acc[face] = acc.get(face, 0) + deg
                 reduced[n].append({f: d for f, d in acc.items() if d})
-    for s in group.elements():
+    for s in gens:
         for n, red in reduced.items():
             p = perms[s][n]
             q = perms[s][n - 1]
@@ -304,3 +319,15 @@ def gcw_from_cells(group: FiniteGroup, cells: dict[int, int],
 
     return GCWComplex(group=group, cells=cell_orbits, boundary=boundary,
                       name=name)
+
+
+def _generators(group: FiniteGroup) -> list[int]:
+    """A generating set of the group: each element, in order, that the
+    ones before it do not generate."""
+    gens: list[int] = []
+    span = {group.identity}
+    for g in group.elements():
+        if g not in span:
+            gens.append(g)
+            span = set(generated_subgroup(group, gens).elements)
+    return gens

@@ -121,13 +121,19 @@ def _bars(F: FilteredComplex):
     """(kills, life): kills[n] maps each generator j of C_n that a pivot
     reduces to the generator i of C_{n-1} it lands on; life[n] maps each
     paired generator of C_n to the length of its bar.  One low-pivot
-    elimination per boundary map, columns in (filtration, index) order."""
+    elimination per boundary map, columns in (filtration, index) order,
+    from the top degree down.  The columns of the generators that d_{n+1}
+    kills onto are cleared from d_n first (the twist of Chen & Kerber):
+    each would reduce to zero, so the pairing is unchanged."""
     if F._bars is None:
-        kills = {}
+        kills: dict[int, dict[int, int]] = {}
         life: dict[int, dict[int, int]] = {n: {} for n in F.base.degrees()}
-        for n, d in F.base.boundary.items():
+        for n in sorted(F.base.boundary, reverse=True):
+            d = F.base.boundary[n]
             top, low = F.filt[n], F.filt[n - 1]
-            order = sorted(range(len(d)), key=top.__getitem__)
+            cleared = set(kills.get(n + 1, {}).values())
+            order = sorted((j for j in range(len(d)) if j not in cleared),
+                           key=top.__getitem__)
             pivots, _ = la.eliminate([d[j] for j in order], F.base.char, low=low)
             kills[n] = {order[c]: i for c, i in pivots}
             for j, i in kills[n].items():

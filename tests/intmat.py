@@ -2,9 +2,11 @@
 matrices: the identity, products, reduction mod p, the zero test, the
 determinant, the column form that equimorse stores, and a dense reduced row
 echelon form, its null space and the textbook persistence reduction as the
-references for its sparse elimination."""
+references for its sparse elimination, and the boundary maps of random
+sparse complexes and of their duals."""
 
 from fractions import Fraction
+from itertools import combinations
 
 
 def mat_mul(A, B):
@@ -121,3 +123,39 @@ def low_reduction(A, n, p):
         if i is not None:
             owner[i] = j
     return R, V, sorted(owner.items())
+
+
+def random_sparse_complex(rng, top=3, nverts=6):
+    """Dense boundary maps of a random sparse complex over Z in degrees
+    0..top: the simplicial complex closed down from a few random simplices
+    on nverts vertices, each generator's orientation flipped at random and
+    some columns of the top nonzero map scaled by 2 or 3, which leaves
+    torsion.  Returns (ranks, boundary)."""
+    simplices = {n: set() for n in range(top + 1)}
+    for _ in range(rng.randint(1, 8)):
+        s = sorted(rng.sample(range(nverts), rng.randint(1, top + 1)))
+        for k in range(1, len(s) + 1):
+            simplices[k - 1].update(combinations(s, k))
+    basis = {n: sorted(v) for n, v in simplices.items()}
+    index = {n: {s: i for i, s in enumerate(b)} for n, b in basis.items()}
+    sign = {n: [rng.choice((1, -1)) for _ in b] for n, b in basis.items()}
+    ranks = {n: len(b) for n, b in basis.items()}
+    maps = [n for n in range(1, top + 1) if ranks[n]]
+    boundary = {}
+    for n in maps:
+        d = [[0] * ranks[n] for _ in range(ranks[n - 1])]
+        for j, s in enumerate(basis[n]):
+            scale = rng.choice((1, 1, 2, 3)) if n == maps[-1] else 1
+            for k in range(n + 1):
+                i = index[n - 1][s[:k] + s[k + 1:]]
+                d[i][j] = (-1) ** k * sign[n][j] * sign[n - 1][i] * scale
+        boundary[n] = tuple(map(tuple, d))
+    return ranks, boundary
+
+
+def dual_complex(ranks, boundary):
+    """The dual of a complex given by dense boundary maps, on negated
+    degrees as `bredon_cochain_complex` lays it out: degree -n holds C^n,
+    and the map out of -(n - 1) is the transpose of d_n."""
+    return ({-n: r for n, r in ranks.items()},
+            {-(n - 1): tuple(zip(*d)) for n, d in boundary.items()})

@@ -16,8 +16,8 @@ from equimorse.complexes import (
     homology,
 )
 
-from intmat import (columns, det, identity, is_zero, low_reduction, mat_mod, mat_mul,
-                    rref, rref_nullspace)
+from intmat import (columns, det, dual_complex, identity, is_zero, low_reduction, mat_mod,
+                    mat_mul, random_sparse_complex, rref, rref_nullspace)
 
 
 def sympy_invariant_factors(A, n):
@@ -352,6 +352,39 @@ def test_euler_characteristic_of_random_complexes(seed, p):
     assert {n: hz.betti(n) for n in free} == free
     Cp = C.reduce_mod(p)
     assert homology(Cp).euler_characteristic() == Cp.euler_characteristic()
+
+
+def uncleared_homology(C):
+    """Homology from the rank (F_p) or the Smith diagonal (Z) of every
+    full boundary map, each reduced on its own: the route without
+    clearing."""
+    diag = {n: la.snf_diagonal(d) if not C.char else [1] * la.rank(d, C.char)
+            for n, d in C.boundary.items()}
+    entries = {}
+    for n in C.degrees():
+        betti = C.rank(n) - len(diag.get(n, ())) - len(diag.get(n + 1, ()))
+        torsion = tuple(x for x in diag.get(n + 1, ()) if x > 1)
+        if betti or torsion:
+            entries[n] = (betti, torsion)
+    return HomologySummary(char=C.char, entries=entries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from(("standard", "sparse")),
+       st.sampled_from((0, 2, 3)), st.booleans())
+def test_cleared_homology_matches_every_full_map(seed, kind, char, dual):
+    # clearing d_n by the pivot rows of d_{n+1} keeps every rank and
+    # invariant factor of the maps reduced in full
+    rng = random.Random(seed)
+    ranks, boundary = (standard_complex_data(rng)[:2] if kind == "standard"
+                       else random_sparse_complex(rng))
+    if dual:
+        ranks, boundary = dual_complex(ranks, boundary)
+    C = ChainComplex(char=0, ranks=ranks,
+                     boundary={n: columns(d) for n, d in boundary.items()})
+    if char:
+        C = C.reduce_mod(char)
+    assert homology(C) == uncleared_homology(C)
 
 
 @pytest.mark.parametrize("char", [4, 1, -3])

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from equimorse.coefficients import SYSTEM_KINDS, build_system
@@ -13,9 +15,11 @@ from equimorse.fixtures import (
     torus_double,
 )
 from equimorse.gcw import (
+    GCWComplex,
     InvalidPair,
     bredon_chain_complex,
     bredon_cochain_complex,
+    gcw_from_cells,
     subquotient_complex,
 )
 from equimorse.groups import (
@@ -23,6 +27,7 @@ from equimorse.groups import (
     OrbitCategory,
     enumerate_subgroups,
     full_subgroup,
+    left_cosets,
     trivial_subgroup,
 )
 
@@ -293,3 +298,124 @@ def test_boundary_face_outside_the_cells_is_rejected(face):
     with pytest.raises(ValueError, match=rf"names face {face}, not one of 2 0-cells"):
         gcw_from_cells(G, {0: 2, 1: 1}, {1: [[(0, -1), (face, 1)]]},
                        {0: {0: (0, 1), 1: (0,)}})
+
+
+@pytest.mark.parametrize("key", [(-1, 0), (5, 0), (0, -1)])
+def test_boundary_key_outside_the_cell_orbits_is_rejected(key):
+    # circle_reflection's record from its one 1-cell-orbit to the second
+    # vertex orbit, moved to a key that names no orbit pair
+    X = circle_reflection()
+    recs = dict(X.boundary[1])
+    recs[key] = recs.pop((0, 1))
+    a, b = key
+    with pytest.raises(ValueError, match=rf"boundary key \({a}, {b}\) in degree 1 names "
+                                         r"no pair of 1 1-cell-orbits and 2 0-cell-orbits$"):
+        GCWComplex(group=X.group, cells=X.cells, boundary={1: recs})
+
+
+def _full_check_failure(G, cells, bnds, perms):
+    """The message of the first failure of the all-elements check of a
+    cell action, in its order: the permutations, the group law on every
+    pair, the faces, then boundary equivariance under every element; None
+    if the action passes."""
+    for s in G.elements():
+        for n, count in cells.items():
+            if sorted(perms[s][n]) != list(range(count)):
+                return f"element {s} does not permute {n}-cells"
+    pair = _first_law_failure(G, cells, perms)
+    if pair:
+        return f"cell action violates the group law on ({pair[0]},{pair[1]})"
+    red = {}
+    for n in cells:
+        if n - 1 in cells:
+            red[n] = []
+            for faces in bnds[n]:
+                acc = {}
+                for f, d in faces:
+                    if not 0 <= f < cells[n - 1]:
+                        return (f"{n}-cell boundary names face {f}, "
+                                f"not one of {cells[n - 1]} {n - 1}-cells")
+                    acc[f] = acc.get(f, 0) + d
+                red[n].append({f: d for f, d in acc.items() if d})
+    for s in G.elements():
+        for n in red:
+            p, q = perms[s][n], perms[s][n - 1]
+            for i in range(cells[n]):
+                if {q[f]: d for f, d in red[n][i].items()} != red[n][p[i]]:
+                    return f"boundary not equivariant on {n}-cell {i} under {s}"
+    return None
+
+
+def _coset_graph(G, rng):
+    """A 1-dimensional G-complex: vertices G/H for a random subgroup H, a
+    free orbit of vertices and a fixed vertex; edges g -> gH, g -> gx and
+    gK -> gH for K a subgroup of H.  Returns (cells, boundaries, perms)."""
+    subs = enumerate_subgroups(G)
+    H = rng.choice(subs)
+    K = rng.choice([L for L in subs if set(L.elements) <= set(H.elements)])
+    x = rng.choice(G.elements())
+    cosH, cosK = left_cosets(G, H), left_cosets(G, K)
+    nH, nK, order = len(cosH), len(cosK), G.order
+    atH = {g: t for t, c in enumerate(cosH) for g in c}
+    atK = {g: t for t, c in enumerate(cosK) for g in c}
+    # vertices: [cosets of H | elements | the fixed vertex]
+    cells = {0: nH + order + 1, 1: 2 * order + nK}
+    bnds = {0: [[] for _ in range(cells[0])],
+            1: [[(nH + g, 1), (atH[g], -1)] for g in G.elements()]
+            + [[(nH + G.mul[g][x], 1), (nH + g, -1)] for g in G.elements()]
+            + [[(atH[c[0]], 1), (nH + order, -1)] for c in cosK]}
+    perms = {}
+    for s in G.elements():
+        left = [G.mul[s][g] for g in G.elements()]
+        perms[s] = {0: tuple([atH[G.mul[s][c[0]]] for c in cosH]
+                             + [nH + y for y in left] + [nH + order]),
+                    1: tuple(left + [order + y for y in left]
+                             + [2 * order + atK[G.mul[s][c[0]]] for c in cosK])}
+    return cells, bnds, perms
+
+
+_ACTION_GROUPS = {
+    "C2": FiniteGroup.cyclic(2), "C3": FiniteGroup.cyclic(3), "C4": FiniteGroup.cyclic(4),
+    "C2xC2": FiniteGroup.product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2)),
+    "S3": FiniteGroup.symmetric(3),
+    "C3xC3": FiniteGroup.product(FiniteGroup.cyclic(3), FiniteGroup.cyclic(3)),
+}
+
+
+@pytest.mark.parametrize("name", _ACTION_GROUPS)
+def test_generator_check_rejects_what_the_full_check_rejects(name):
+    # the group law on the identity and a generating set, and equivariance
+    # on the generators, reject exactly the actions that the all-pairs
+    # check rejects, naming the same first failure
+    from equimorse.gcw import _generators
+
+    G = _ACTION_GROUPS[name]
+    gens = _generators(G)
+    outside = [s for s in G.elements() if s not in gens and s != G.identity] or gens
+    rng = random.Random(name)
+    for trial in range(40):
+        cells, bnds, perms = _coset_graph(G, rng)
+        assert _full_check_failure(G, cells, bnds, perms) is None
+        gcw_from_cells(G, cells, bnds, perms)
+        if trial % 2:
+            # one element's permutation of one dimension replaced
+            s, n = rng.choice(G.elements()), rng.choice((0, 1))
+            p = list(perms[s][n])
+            rng.shuffle(p)
+            perms[s] = {**perms[s], n: tuple(p)}
+        else:
+            # the boundary of the image of an edge under an element outside
+            # the generating set, one face degree changed
+            s, i = rng.choice(outside), rng.randrange(cells[1])
+            j = perms[s][1][i]
+            faces = [(perms[s][0][f], d) for f, d in bnds[1][i]]
+            k = rng.randrange(len(faces))
+            faces[k] = (faces[k][0], faces[k][1] * rng.choice((-1, 2)))
+            bnds[1] = bnds[1][:j] + [faces] + bnds[1][j + 1:]
+        want = _full_check_failure(G, cells, bnds, perms)
+        if want is None:
+            gcw_from_cells(G, cells, bnds, perms)
+        else:
+            with pytest.raises(ValueError) as exc:
+                gcw_from_cells(G, cells, bnds, perms)
+            assert str(exc.value) == want

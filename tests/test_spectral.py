@@ -5,18 +5,22 @@ from functools import cache
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equimorse import _intlinalg as la
 from equimorse.complexes import ChainComplex, homology
 from equimorse.spectral import (
     FilteredComplex,
     FiltrationViolation,
+    _bars,
     einfty_check,
     skeletal_filtration,
     spectral_pages,
 )
 
-from intmat import low_reduction, rref, rref_nullspace
+from intmat import (columns, dual_complex, low_reduction, random_sparse_complex, rref,
+                    rref_nullspace)
 
 
 def one_step(char=2):
@@ -372,6 +376,77 @@ def test_pages_of_the_large_grid_torus_take_under_a_second():
     elapsed = time.perf_counter() - start
     assert ok and pages[-1].groups == {(0, 0): 1, (1, 0): 2, (2, 0): 1}
     assert elapsed < 1.0, elapsed
+
+
+def test_clearing_work_counts_on_the_9x9_grid_torus(monkeypatch):
+    # V, E, F = 81, 162, 81: d_2 has rank 80, all of it on +-1 pivots, so
+    # homology and the pairing reduce d_2 whole and d_1 on 162 - 80 columns
+    desc = _load_gen().grid_torus(random.Random(0), (3, 3), (3, 3))
+    assert desc["cells"] == {0: 81, 1: 162, 2: 81}
+    sizes = []
+    real = la.eliminate
+
+    def counted(cols, p, integral=False, low=None):
+        sizes.append(len(cols))
+        return real(cols, p, integral, low)
+
+    monkeypatch.setattr(la, "eliminate", counted)
+    for char in (3, 0):
+        C = ChainComplex(char=char, ranks=desc["cells"],
+                         boundary={n: desc["boundaries"][n] for n in (1, 2)})
+        sizes.clear()
+        assert homology(C).entries == {0: (1, ()), 1: (2, ()), 2: (1, ())}
+        assert sizes == [81, 82]
+        if char:
+            sizes.clear()
+            _bars(skeletal_filtration(C))
+            assert sizes == [81, 82]
+
+
+def _uncleared_bars(F):
+    """(kills, life) from the low-rule elimination of every full boundary
+    map, columns in (filtration, index) order: the pairing without
+    clearing."""
+    kills, life = {}, {n: {} for n in F.base.degrees()}
+    for n, d in F.base.boundary.items():
+        top, low = F.filt[n], F.filt[n - 1]
+        order = sorted(range(len(d)), key=top.__getitem__)
+        pivots, _ = la.eliminate([d[j] for j in order], F.base.char, low=low)
+        kills[n] = {order[c]: i for c, i in pivots}
+        for j, i in kills[n].items():
+            life[n][j] = life[n - 1][i] = top[j] - low[i]
+    return kills, life
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from((2, 3, 0)), st.booleans(), st.booleans())
+def test_cleared_pairing_matches_every_full_map(seed, char, gapped, dual):
+    # the twist: a column of d_n whose generator d_{n+1} kills onto would
+    # reduce to zero, so clearing it keeps kills, life, every page and d_r,
+    # and the E^infinity check
+    rng = random.Random(seed)
+    ranks, boundary = random_sparse_complex(rng)
+    if dual:
+        ranks, boundary = dual_complex(ranks, boundary)
+    C = ChainComplex(char=char, ranks=ranks,
+                     boundary={n: columns(d) for n, d in boundary.items()})
+    F = (_gapped_filtration if gapped else _admissible_filtration)(C, rng)
+    shift = rng.randint(-3, 0)
+    F = FilteredComplex(base=C, filt={n: tuple(p + shift for p in v)
+                                      for n, v in F.filt.items()})
+    want = _uncleared_bars(F)
+    assert _bars(F) == want
+    ref = FilteredComplex(base=C, filt=F.filt)
+    ref._bars = want
+    r_max = F.max_filtration() - shift + 2
+    for got, page in zip(spectral_pages(F, r_max), spectral_pages(ref, r_max)):
+        assert (got.groups, got.differentials) == (page.groups, page.differentials)
+    if char:
+        rank = {n: la.rank(d, char) for n, d in C.boundary.items()}
+        dims = {n: C.rank(n) - rank.get(n, 0) - rank.get(n + 1, 0) for n in C.degrees()}
+        _, report = einfty_check(F)
+        assert report.per_degree == {n: (C.rank(n) - len(want[1][n]), dims[n])
+                                     for n in C.degrees()}
 
 
 def _gapped_filtration(C, rng):
