@@ -167,17 +167,6 @@ def rank(cols, p: int) -> int:
 # -- Smith normal form -----------------------------------------------------
 
 
-def snf_diagonal(cols) -> list[int]:
-    """Nonzero diagonal entries of the Smith form of the integer matrix with
-    these columns, in divisibility order.
-
-    Every +-1 pivot of `eliminate` is a diagonal 1, and `_invariant_factors`
-    runs only on the columns the units leave, over the rows they touch.
-    """
-    pivots, rest = eliminate(sorted(cols, key=len), 0, integral=True)
-    return smith_diagonal(len(pivots), rest)
-
-
 def smith_diagonal(units: int, rest) -> list[int]:
     """The Smith diagonal of an integer matrix from its elimination over Z:
     a 1 per unit pivot, then the invariant factors of the remainders rest,

@@ -143,9 +143,19 @@ def _flow_check(M, crits, mdata):
     return ok, lines
 
 
-def cmd_morse(args) -> int:
+def _morse_chains(fx: ManifoldFixture, run, coeff: str):
+    """The flow of a stable morse run on the fixture's manifold, its
+    _flow_check verdict and warning lines, and its Morse complex over F2
+    for the coefficient system coeff over the manifold's group."""
     from .morse import morse_complex
 
+    mdata = run.flow()
+    ok, warned = _flow_check(fx.manifold, run.critical, mdata)
+    M = build_system(OrbitCategory(fx.manifold.action.group), coeff, char=2)
+    return mdata, ok, warned, morse_complex(mdata, M)
+
+
+def cmd_morse(args) -> int:
     fx = load_fixture(args.fixture)
     if not isinstance(fx, ManifoldFixture):
         raise FixtureError("morse needs a manifold fixture")
@@ -165,23 +175,18 @@ def cmd_morse(args) -> int:
         )
     ok = True
     if run.stable:
-        mdata = run.flow()
-        M = fx.manifold
+        mdata, ok, warned, C = _morse_chains(fx, run, args.coeff)
         out.append(f"flow counting: unresolved={mdata.unresolved} "
                    f"escaped={mdata.escaped} steps={mdata.steps} "
                    f"halvings={mdata.halvings} "
                    f"linear_captures={mdata.linear_captures} "
                    f"linear_releases={mdata.linear_releases}")
-        ok, warned = _flow_check(M, run.critical, mdata)
         out += warned
         out.append("flow counts mod 2 (source orbit -> target orbit, coset):")
         for (i, j), table in sorted(mdata.counts.items()):
             for m, cnt in table.items():
                 out.append(f"  {i} -> {j} via coset {m.coset}: {cnt}")
                 rows.append(f"flow,{i},{j},\"{m.coset}\",{cnt}")
-        cat = OrbitCategory(M.action.group)
-        sys_ = build_system(cat, args.coeff, char=2)
-        C = morse_complex(mdata, sys_)
         h = homology(C)
         out.append(f"morse homology over F2 ({args.coeff}):")
         out.append(h.text_table())
@@ -202,8 +207,6 @@ def cmd_specseq(args) -> int:
         M = build_system(fx.category, args.coeff, char=args.p)
         F = skeletal_filtration(bredon_chain_complex(fx, M))
     else:
-        from .morse import morse_complex
-
         if args.p != 2:
             raise FixtureError("specseq on a manifold fixture counts flow "
                                "lines mod 2; only --p 2 is supported")
@@ -211,11 +214,8 @@ def cmd_specseq(args) -> int:
         if not run.stable:
             raise FixtureError("specseq on a manifold fixture needs "
                                "--stabilize to reach a stable function")
-        mdata = run.flow()
-        flow_ok, warned = _flow_check(fx.manifold, run.critical, mdata)
-        cat = OrbitCategory(fx.manifold.action.group)
-        M = build_system(cat, args.coeff, char=2)
-        F = skeletal_filtration(morse_complex(mdata, M))
+        _, flow_ok, warned, C = _morse_chains(fx, run, args.coeff)
+        F = skeletal_filtration(C)
     pages = spectral_pages(F, args.rmax)
     ok, report = einfty_check(F)
     lines = [_header(args, f"fixture={fx.name}")] + warned

@@ -11,6 +11,12 @@ underlying cells are the cosets g*stab and the boundary of g*cell follows by
 translation.  Attaching maps are never stored geometrically; the assembled
 singular-kind boundary squaring to zero is the admission check.
 
+An individual-cell description becomes a complex in two steps: cell_orbits
+checks the action and decomposes the cells into cell-orbits and records, and
+GCWComplex admits them.  Orbit data over a subgroup H can be induced to G
+between the two steps, as repcells does for G x_H (D(V), S(V)): the pair is
+built and decomposed over H, and only the induced complex is admitted.
+
 The coset tables behind both the assembly's coefficient systems and the
 subquotient oracles live on the orbit category (X.category for a complex),
 each computed once; the admission check, subquotient_complex and every
@@ -40,6 +46,7 @@ __all__ = [
     "bredon_assembly",
     "bredon_chain_complex",
     "bredon_cochain_complex",
+    "cell_orbits",
     "gcw_from_cells",
     "subquotient_complex",
 ]
@@ -212,16 +219,18 @@ def subquotient_complex(X: GCWComplex, H: Subgroup, K: Subgroup,
     return ChainComplex(char=char, ranks=ranks, boundary=boundary)
 
 
-def gcw_from_cells(group: FiniteGroup, cells: dict[int, int],
-                   boundaries: dict[int, list[list[tuple[int, int]]]],
-                   perms: dict[int, dict[int, tuple[int, ...]]],
-                   name="") -> GCWComplex:
-    """Assemble a GCWComplex from an individual-cell description.
+def cell_orbits(group: FiniteGroup, cells: dict[int, int],
+                boundaries: dict[int, list[list[tuple[int, int]]]],
+                perms: dict[int, dict[int, tuple[int, ...]]]):
+    """The cell-orbits and coset records of an individual-cell description,
+    checked: the cells and boundary of a GCWComplex before its admission.
 
     cells[n] is the number of n-cells; boundaries[n][i] lists (face, degree)
     pairs over (n-1)-cells; perms[s][n] is the permutation of n-cells by the
     group element s (no orientation reversal allowed).  The action must
-    commute with the boundary; cell-orbits and coset records are derived.
+    commute with the boundary.  Each cell-orbit is represented by its least
+    cell, and a record's coset is that of the least element carrying the
+    face orbit's representative to the face.
 
     Every element must permute the cells.  The group law s∘t = st is checked
     for s the identity or a generator, against every t, and boundary
@@ -252,8 +261,12 @@ def gcw_from_cells(group: FiniteGroup, cells: dict[int, int],
     reduced = {}
     for n in cells:
         if n - 1 in cells:
+            rows = boundaries.get(n, ())
+            if len(rows) != cells[n]:
+                raise ValueError(f"{len(rows)} boundaries in degree {n} "
+                                 f"for {cells[n]} {n}-cells")
             reduced[n] = []
-            for faces in boundaries[n]:
+            for faces in rows:
                 acc = {}
                 for face, deg in faces:
                     if not 0 <= face < cells[n - 1]:
@@ -296,18 +309,10 @@ def gcw_from_cells(group: FiniteGroup, cells: dict[int, int],
                     carriers[n][j] = s
             stabs[n].append(Subgroup(group, tuple(stab_elems)))
 
-    cell_orbits = {
-        n: tuple(
-            CellOrbit(stabs[n][o], f"c{n}.{o}")
-            for o in range(len(reps[n]))
-        )
-        for n in cells
-    }
-
-    boundary: dict[int, dict] = {}
-    for n in cells:
-        if n - 1 not in cells:
-            continue
+    orbits = {n: tuple(CellOrbit(L, f"c{n}.{o}") for o, L in enumerate(stabs[n]))
+              for n in cells}
+    records: dict[int, dict] = {}
+    for n in reduced:
         recs: dict[tuple[int, int], list] = {}
         for o, i in enumerate(reps[n]):
             for face, deg in boundaries[n][i]:
@@ -315,9 +320,17 @@ def gcw_from_cells(group: FiniteGroup, cells: dict[int, int],
                 s = carriers[n - 1][face]
                 m = OrbitMorphism(stabs[n][o], stabs[n - 1][bo], (s,))
                 recs.setdefault((o, bo), []).append((m, deg))
-        boundary[n] = {k: tuple(v) for k, v in recs.items()}
+        records[n] = {k: tuple(v) for k, v in recs.items()}
+    return orbits, records
 
-    return GCWComplex(group=group, cells=cell_orbits, boundary=boundary,
+
+def gcw_from_cells(group: FiniteGroup, cells: dict[int, int],
+                   boundaries: dict[int, list[list[tuple[int, int]]]],
+                   perms: dict[int, dict[int, tuple[int, ...]]],
+                   name="") -> GCWComplex:
+    """The GCWComplex of an individual-cell description: its cell_orbits,
+    admitted once."""
+    return GCWComplex(group, *cell_orbits(group, cells, boundaries, perms),
                       name=name)
 
 

@@ -348,10 +348,6 @@ class OrbitMorphism:
                 f"{self.target.elements}, coset {self.coset})")
 
 
-def identity_morphism(H: Subgroup) -> OrbitMorphism:
-    return OrbitMorphism(H, H, (H.group.identity,))
-
-
 def compose(g: OrbitMorphism, f: OrbitMorphism) -> OrbitMorphism:
     """The composite g∘f, applying f first."""
     if f.target != g.source:

@@ -5,8 +5,8 @@ The search is batched first.  One KKT Newton runs on an (s, N + c) array of
 every seed's point and multipliers, with per-row masks for convergence,
 non-finite values and the divergence bound, and one stacked solve per
 iteration; a singular system in the stack falls back row by row to solve,
-then least squares.  The closure under the group runs in rounds, one
-batched refinement of the new points' translates per round.
+then least squares.  The closure under the group is one batched refinement
+of every found point's translates.
 
 The tolerances are module constants: gradient norm TOL_CRIT = 1e-9 for
 criticality, Hessian eigenvalue floor TOL_NONDEG = 1e-6 for nondegeneracy,
@@ -204,11 +204,12 @@ def find_critical_points(f: EqFunction, M: ImplicitGManifold,
     tangent-gradient tolerance, read from one order-1 call of the
     Evaluator, are deduplicated in seed order.
 
-    The group closure runs in rounds: each round refines every translate of
-    the points the previous round added with one batched 10-step Newton
-    (keeping a translate as it is where that does not converge), and adds
-    the critical ones, until a round adds nothing.  Every returned point
-    satisfies the tangent-gradient tolerance.
+    The group closure is one pass: every translate of every found point is
+    refined by one batched 10-step Newton (keeping a translate as it is
+    where that does not converge), and the critical ones are added.  An
+    orbit is closed under the group, so translates of the added points are
+    already there.  Every returned point satisfies the tangent-gradient
+    tolerance.
     """
     found: list[np.ndarray] = []
 
@@ -224,18 +225,16 @@ def find_critical_points(f: EqFunction, M: ImplicitGManifold,
     if not ok.all():
         log.debug("newton divergence on %d of %d seeds", (~ok).sum(), len(ok))
 
-    # close under the group action, one refinement batch per round
-    G = M.action.group
-    start = 0
-    while start < len(found):
-        Y = np.array([M.apply(s, x) for x in found[start:] for s in G.elements()])
-        start = len(found)
-        Y2, ok = _newton_kkt(f, M, Y, max_iter=10)
-        Y[ok] = Y2[ok]
-        for y in Y[_is_critical(ev, Y)]:
-            add(y)
     if not found:
         return found
+    # close under the group action: an orbit is closed, so one refinement
+    # batch of every translate of every found point adds all of it
+    Y = np.einsum("sij,pj->psi", M.action.matrices,
+                  np.array(found)).reshape(-1, M.ambient)
+    Y2, ok = _newton_kkt(f, M, Y, max_iter=10)
+    Y[ok] = Y2[ok]
+    for y in Y[_is_critical(ev, Y)]:
+        add(y)
     values = f.value_many(np.array(found))
     order = sorted(range(len(found)), key=lambda i: (
         (round(float(values[i]), 9),) + tuple(np.round(found[i], 6))))

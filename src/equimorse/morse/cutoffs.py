@@ -50,10 +50,6 @@ def _bump(s) -> np.ndarray:
     return _bump_jet(np.asarray(s, dtype=float), 0)[0]
 
 
-def _bump_d1(s) -> np.ndarray:
-    return _bump_jet(np.asarray(s, dtype=float), 1)[1]
-
-
 # upper limits per block of _BumpIntegral.jet, which bounds its
 # quadrature temporaries at a few times CHUNK x QUAD_ORDER x 8 bytes
 CHUNK = 1024

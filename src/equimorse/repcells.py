@@ -11,9 +11,13 @@ marked.  The cellular product carries the Leibniz sign, so boundaries
 square to zero; the action permutes cells without orientation reversal by
 construction.
 
-Induced up to G, the cells are the G-CW data of the reduced chains of the
-pair, and each of the four theories is Bredon homology of that pair for
-the coefficient system of the same name.
+The pair is built over H and decomposed into H-cell-orbits there, with
+its actions checked at the scale of H.  Induction up to G is then a
+relabelling of those orbits: the G-cells of G x_H X are X's H-cells, with
+the same stabilizers and records read through H in G.  That gives one
+G-CW complex, admitted once, whose cellular chains are the reduced chains
+of the pair; each of the four theories is Bredon homology of that complex
+for the coefficient system of the same name.
 
 These groups are the E^1 term of the Morse spectral sequence, but computing
 them is exact combinatorics on the homological layer (groups, coefficients,
@@ -29,8 +33,8 @@ from dataclasses import dataclass
 from .coefficients import build_system
 from .complexes import HomologySummary, homology
 from .errors import InputError
-from .gcw import GCWComplex, bredon_chain_complex, gcw_from_cells
-from .groups import FiniteGroup, Subgroup, generated_subgroup, left_cosets
+from .gcw import CellOrbit, GCWComplex, bredon_chain_complex, cell_orbits
+from .groups import FiniteGroup, OrbitMorphism, Subgroup, generated_subgroup
 
 __all__ = [
     "RepSpec",
@@ -155,56 +159,33 @@ def _product(X: _CellAction, Y: _CellAction) -> _CellAction:
                        bnds, perms)
 
 
-def _induce(G: FiniteGroup, H: Subgroup, C: _CellAction) -> _CellAction:
-    """G x_H C: one copy of C per coset of H, with the translated action.
+def _induce(H: Subgroup, orbits, records) -> GCWComplex:
+    """G x_H X from the H-cell-orbits and records of X (cell_orbits over H's
+    abstract table, element m standing for H.elements[m]).
 
-    C's group must be H's abstract table, element m of it standing for
-    H.elements[m].
+    The G-cells of G x_H X are X's H-cells, with the same stabilizers and
+    records read through H in G: a stabilizer L becomes the subgroup of G on
+    the elements H.elements[m] for m in L, and a record's coset rep m
+    becomes H.elements[m].
     """
-    cosets = left_cosets(G, H)
-    reps = [c[0] for c in cosets]
-    rep_index = {}
-    helem_for = {}
-    hindex = {g: m for m, g in enumerate(H.elements)}
-    for ci, coset in enumerate(cosets):
-        for g in coset:
-            rep_index[g] = ci
-            # g = rep * h
-            h = G.mul[G.inverse[reps[ci]]][g]
-            helem_for[g] = hindex[h]
-
-    ncos = len(cosets)
-    cells = {d: ncos * c for d, c in C.cells.items()}
-    bnds = {}
-    for d, per_cell in C.bnds.items():
-        rows = []
-        for ci in range(ncos):
-            for i in range(C.cells[d]):
-                rows.append([(ci * C.cells[d - 1] + f, deg)
-                             for f, deg in per_cell[i]])
-        bnds[d] = rows
-
-    perms = {}
-    for g in G.elements():
-        p = {}
-        for d, cnt in C.cells.items():
-            arr = [0] * (ncos * cnt)
-            for ci in range(ncos):
-                t = G.mul[g][reps[ci]]
-                cj = rep_index[t]
-                m = helem_for[t]
-                for i in range(cnt):
-                    arr[ci * cnt + i] = cj * cnt + C.perms[m][d][i]
-            p[d] = tuple(arr)
-        perms[g] = p
-    return _CellAction(G, cells, bnds, perms)
+    up = {L: Subgroup(H.group, tuple(H.elements[m] for m in L.elements))
+          for L in {c.stabilizer for cs in orbits.values() for c in cs}}
+    cells = {n: tuple(CellOrbit(up[c.stabilizer], c.label) for c in cs)
+             for n, cs in orbits.items()}
+    boundary = {n: {k: tuple((OrbitMorphism(up[m.source], up[m.target],
+                                            (H.elements[m.rep],)), deg)
+                             for m, deg in recs)
+                    for k, recs in rs.items()}
+                for n, rs in records.items()}
+    return GCWComplex(H.group, cells, boundary)
 
 
 def _pair_complex(H: Subgroup, V: RepSpec) -> GCWComplex:
     """The G-CW complex whose cellular chains are the reduced chains of
     (G x_H D(V), G x_H S(V)).  D(V) is the product of the disks of V's
     summands, so the pair is the product, starting from the point (V = 0),
-    of the cones on the factor spheres, induced up to G."""
+    of the cones on the factor spheres.  It is built and decomposed into
+    cell-orbits over H, then induced up to G at orbit level."""
     Ht = H.as_group()
     spheres = [_s0(Ht)] * V.trivial
     if V.sign:
@@ -223,8 +204,7 @@ def _pair_complex(H: Subgroup, V: RepSpec) -> GCWComplex:
     pair = _CellAction(Ht, {0: 1}, {0: [[]]}, {s: {0: (0,)} for s in Ht.elements()})
     for S in spheres:
         pair = _product(pair, _cone(S))
-    X = _induce(H.group, H, pair)
-    return gcw_from_cells(H.group, X.cells, X.bnds, X.perms)
+    return _induce(H, *cell_orbits(Ht, pair.cells, pair.bnds, pair.perms))
 
 
 def representation_cell_table(H: Subgroup, V: RepSpec, theories=THEORIES,

@@ -2,11 +2,14 @@
 matrices: the identity, products, reduction mod p, the zero test, the
 determinant, the column form that equimorse stores, and a dense reduced row
 echelon form, its null space and the textbook persistence reduction as the
-references for its sparse elimination, and the boundary maps of random
-sparse complexes and of their duals."""
+references for its sparse elimination, the Smith diagonal of a whole
+column matrix by that elimination, and the boundary maps of random sparse
+complexes and of their duals."""
 
 from fractions import Fraction
 from itertools import combinations
+
+from equimorse import _intlinalg as la
 
 
 def mat_mul(A, B):
@@ -62,6 +65,17 @@ def columns(A, ncols=None):
     n = len(A[0]) if A else ncols or 0
     return tuple(tuple((i, row[j]) for i, row in enumerate(A) if row[j])
                  for j in range(n))
+
+
+def snf_diagonal(cols) -> list[int]:
+    """Nonzero diagonal entries of the Smith form of the integer matrix with
+    these columns, in divisibility order.
+
+    Every +-1 pivot of `eliminate` is a diagonal 1, and `_invariant_factors`
+    runs only on the columns the units leave, over the rows they touch.
+    """
+    pivots, rest = la.eliminate(sorted(cols, key=len), 0, integral=True)
+    return la.smith_diagonal(len(pivots), rest)
 
 
 def rref(rows, p: int):

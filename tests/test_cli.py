@@ -374,8 +374,8 @@ def test_cells_for_every_theory_builds_the_pair_once(monkeypatch):
     from equimorse import repcells
 
     calls = []
-    real = repcells.gcw_from_cells
-    monkeypatch.setattr(repcells, "gcw_from_cells",
+    real = repcells.cell_orbits
+    monkeypatch.setattr(repcells, "cell_orbits",
                         lambda *a, **k: calls.append(a) or real(*a, **k))
     code, out = run_cli(["cells", "--cell", "unstable", "--index", "2"])
     assert code == 0

@@ -7,10 +7,10 @@ from equimorse.coefficients import (
 from equimorse.groups import (
     FiniteGroup,
     OrbitCategory,
+    OrbitMorphism,
     compose,
     enumerate_subgroups,
     full_subgroup,
-    identity_morphism,
     normalizer,
     trivial_subgroup,
 )
@@ -95,7 +95,8 @@ def test_identity_morphisms_give_identity(s3cat):
                  "general"):
         for M in systems(s3cat, kind):
             for H in s3cat.objects:
-                assert M.images(identity_morphism(H)) == tuple(range(M.rank(H)))
+                assert M.images(OrbitMorphism(H, H, (H.group.identity,))) == \
+                    tuple(range(M.rank(H)))
 
 
 @pytest.mark.parametrize("kind", ["constant", "singular", "fixed-point",

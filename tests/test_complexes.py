@@ -17,7 +17,7 @@ from equimorse.complexes import (
 )
 
 from intmat import (columns, det, dual_complex, identity, is_zero, low_reduction, mat_mod,
-                    mat_mul, random_sparse_complex, rref, rref_nullspace)
+                    mat_mul, random_sparse_complex, rref, rref_nullspace, snf_diagonal)
 
 
 def sympy_invariant_factors(A, n):
@@ -36,7 +36,7 @@ def assert_invariant_factors(A, n, want=None):
     ref = sympy_invariant_factors(A, n)
     if want is not None:
         assert ref == want
-    assert la.snf_diagonal(columns(A, n)) == ref
+    assert snf_diagonal(columns(A, n)) == ref
     assert la._invariant_factors(A) == ref
 
 
@@ -66,7 +66,7 @@ def test_invariant_factors_are_quotients_of_determinantal_divisors(seed):
     bound = rng.choice((2, 4, 9))
     A = [[rng.randint(-bound, bound) if rng.random() < 0.7 else 0 for _ in range(n)]
          for _ in range(m)]
-    for diag in (la.snf_diagonal(columns(A, n)), la._invariant_factors(A)):
+    for diag in (snf_diagonal(columns(A, n)), la._invariant_factors(A)):
         diag = diag + [0] * (min(m, n) - len(diag))
         for k in range(1, min(m, n) + 1):
             minors = (det([[A[i][j] for j in cs] for i in rs])
@@ -176,7 +176,7 @@ def test_homology_reduces_each_boundary_map_once(monkeypatch, char, expected):
 
     monkeypatch.setattr(la, "eliminate", counted)
     h = homology(C)
-    # one elimination per map: over Z the integral one under snf_diagonal
+    # one elimination per map: over Z the integral one
     assert calls == [(char, not char)] * 3
     assert h.entries == expected
 
@@ -358,7 +358,7 @@ def uncleared_homology(C):
     """Homology from the rank (F_p) or the Smith diagonal (Z) of every
     full boundary map, each reduced on its own: the route without
     clearing."""
-    diag = {n: la.snf_diagonal(d) if not C.char else [1] * la.rank(d, C.char)
+    diag = {n: snf_diagonal(d) if not C.char else [1] * la.rank(d, C.char)
             for n, d in C.boundary.items()}
     entries = {}
     for n in C.degrees():

@@ -19,6 +19,7 @@ from equimorse.gcw import (
     InvalidPair,
     bredon_chain_complex,
     bredon_cochain_complex,
+    cell_orbits,
     gcw_from_cells,
     subquotient_complex,
 )
@@ -298,6 +299,19 @@ def test_boundary_face_outside_the_cells_is_rejected(face):
     with pytest.raises(ValueError, match=rf"names face {face}, not one of 2 0-cells"):
         gcw_from_cells(G, {0: 2, 1: 1}, {1: [[(0, -1), (face, 1)]]},
                        {0: {0: (0, 1), 1: (0,)}})
+
+
+@pytest.mark.parametrize("bnds, count", [({1: []}, 0), ({}, 0),
+                                          ({1: [[], []]}, 2)])
+def test_boundary_list_of_the_wrong_length_is_rejected(bnds, count):
+    # C2 swapping two vertices and fixing the edge between them: a list of
+    # edge boundaries that is empty, missing or one too long names degree 1,
+    # where the empty one used to end in an IndexError
+    G = FiniteGroup.cyclic(2)
+    perms = {0: {0: (0, 1), 1: (0,)}, 1: {0: (1, 0), 1: (0,)}}
+    with pytest.raises(ValueError,
+                       match=rf"^{count} boundaries in degree 1 for 1 1-cells$"):
+        cell_orbits(G, {0: 2, 1: 1}, bnds, perms)
 
 
 @pytest.mark.parametrize("key", [(-1, 0), (5, 0), (0, -1)])

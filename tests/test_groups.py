@@ -7,11 +7,11 @@ from equimorse.groups import (
     GroupTableError,
     InvalidMorphism,
     OrbitCategory,
+    OrbitMorphism,
     Subgroup,
     compose,
     enumerate_subgroups,
     full_subgroup,
-    identity_morphism,
     left_cosets,
     normalizer,
     orbit_homs,
@@ -134,6 +134,10 @@ def test_composition_closure_exhaustive():
                         for g in cat.hom(K, L):
                             gf = compose(g, f)
                             assert gf in cat.hom(H, L)
+
+
+def identity_morphism(H):
+    return OrbitMorphism(H, H, (H.group.identity,))
 
 
 def test_identity_morphism_neutral():

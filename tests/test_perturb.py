@@ -26,7 +26,7 @@ from equimorse.morse import (
 )
 from equimorse.morse.manifolds import PolyJet, PolyTable
 from equimorse.morse.critical import _newton_kkt
-from equimorse.morse.cutoffs import _INTEGRAL, _bump, _bump_d1
+from equimorse.morse.cutoffs import _INTEGRAL, _bump, _bump_jet
 from equimorse.morse.perturb import (
     SurgeredFunction,
     _chart_action,
@@ -587,7 +587,7 @@ def _profile_reference(t):
     mid = (t > 1.0) & (t < 3.0)
     tm = t[mid]
     d1 = 2.0 * _bump(tm - 2) / total
-    d2 = 2.0 * _bump_d1(tm - 2) / total
+    d2 = 2.0 * _bump_jet(tm - 2, 1)[1] / total
     R = np.where(t <= 1.0, t * t, 0.0)
     R = np.where(t >= 3.0, -t * t, R)
     R[mid] = -tm * tm * phi(tm - 2.0)
