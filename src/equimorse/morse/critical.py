@@ -130,8 +130,11 @@ def _newton_kkt(f: EqFunction, M: ImplicitGManifold, X0, max_iter=60):
     its residual is not finite or its step leaves the finite numbers or the
     ball of radius NEWTON_BOUND.  The multipliers start at the
     least-squares solution of J^T lambda = grad f, from iteration 0's own
-    evaluation.  Returns the (s, N) points and the mask of rows that
-    converged within max_iter iterations.
+    evaluation: one stacked solve of the Gram system J J^T lambda = J grad
+    f on every row whose J and grad f are finite (the others start at 0),
+    where a singular row (J = 0, as at the centre of the torus) falls back
+    to least squares, the minimum-norm solution.  Returns the (s, N) points
+    and the mask of rows that converged within max_iter iterations.
     """
     N = M.ambient
     c = M.codim
@@ -147,9 +150,12 @@ def _newton_kkt(f: EqFunction, M: ImplicitGManifold, X0, max_iter=60):
         x, lam = Z[active, :N], Z[active, N:]
         (_, F), (g, J), (H, CH) = ev.jet(x, 2)
         if not it and c:
-            for r in np.flatnonzero(np.isfinite(J).all(axis=(1, 2))
-                                    & np.isfinite(g).all(axis=1)):
-                lam[r], *_ = np.linalg.lstsq(J[r].T, g[r], rcond=None)
+            # the least-squares multipliers (J J^T)^+ J g of J^T lam = g
+            # on the finite rows, in one stacked solve
+            fin = np.isfinite(J).all(axis=(1, 2)) & np.isfinite(g).all(axis=1)
+            Jf = J[fin]
+            lam[fin] = _solve_stack(np.einsum("mcn,mdn->mcd", Jf, Jf),
+                                    np.einsum("mcn,mn->mc", Jf, g[fin]))
             Z[:, N:] = lam
         res = g
         if c:

@@ -42,31 +42,36 @@ orbit takes the most conservative certificate of its members.
   the fast rate, decides its basin.  A source no rung certifies releases
   nothing.
 
-One lockstep iteration evaluates f and the constraints at the three
-velocity points (K2, K3, K4) and at the new points, through the order-1
-jet of the manifold's Evaluator of f (ev.jet(X, 1)), built once for all
-batches of the same f.  For a polynomial f on a manifold with constraints
-each evaluation is one call of the joint PolyJet's first table: three
-for the velocities and one per Gauss-Newton step of the projection
-(about two an iteration on the torus and the sphere), whose last call at
-a row gives f, its gradient and the constraint Jacobian at the new
-point.  Otherwise the iteration calls f's jet_many at order 1 at K2-K4
+One lockstep round makes one RK4 attempt of every live row, first
+attempts and retries alike.  An attempt evaluates f and the constraints
+at the three velocity points (K2, K3, K4) and at the new points, through
+the order-1 jet of the manifold's Evaluator of f (ev.jet(X, 1)), built
+once for all batches of the same f.  For a polynomial f on a manifold with
+constraints each evaluation is one call of the joint PolyJet's first
+table: three for the velocities and one per Gauss-Newton step of the
+projection (about two an attempt on the torus and the sphere), whose last
+call at a row gives f, its gradient and the constraint Jacobian at the
+new point.  Otherwise the attempt calls f's jet_many at order 1 at K2-K4
 and once at the new points, and, with constraints, M.jet at order 1 at
 K2-K4 and once per projection step.  No flow evaluation asks for a
 Hessian.
 The new point's gradient, projected with its Jacobian, is the velocity K5
 there: it gives the error estimate dt/6 |K4 - K5| of RK4's embedded
 third-order formula (weights 1/6, 1/3, 1/3, 0, 1/6) and is carried over as
-the next iteration's K1, and its value is the next f_old, so no point of a
+the next step's K1, and its value is the next f_old, so no point of a
 trajectory is evaluated twice; only the start points take one evaluation
 of their own.  A step whose estimate exceeds STEP_TOL times step_length,
-or that is not monotone in f, is retried at half the size from the same
-K1, at the same evaluations again; the first attempt may rise by a
-relative 1e-14, a retry must strictly decrease f along the flow.  An
-accepted step scales the row's next one by 0.9 (tol / err)^(1/4), within
-1/2 and 2, and never up right after a retry.  The certificate costs one
-more velocity call per batch, on every probe point and boundary sample at
-once, and the capture test at step 0 reads the start evaluation.
+or that is not monotone in f, is rejected: its row keeps its point, f and
+K1 and waits for the next round, where it retries at half the size beside
+the other rows' attempts; the first attempt may rise by a relative 1e-14,
+a retry must strictly decrease f along the flow.  An accepted step scales
+the row's next one by 0.9 (tol / err)^(1/4), within 1/2 and 2, and never
+up right after a retry.  So a batch takes as many rounds as its longest
+row takes attempts, its steps plus its halvings.  The live rows' state is
+kept compacted, and compacted again only when a row ends.  The
+certificate costs one more velocity call per batch, on every probe point
+and boundary sample at once, and the capture test before a row's first
+step reads the start evaluation.
 """
 
 from __future__ import annotations
@@ -332,14 +337,22 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
                     keep_paths: bool = False):
     """Integrate every row of X0; returns a list of Trajectory.
 
-    direction is -1 (descend) or +1 (ascend), either one value for every
-    row or one per row.  A trajectory finishes by capture, escape (outside
-    the escape radius), a step still rejected after MAX_HALVINGS halvings
-    (unresolved, left at its last accepted point; a NaN value of f counts
-    as non-monotone), or budget exhaustion (unresolved).  A row's first
-    step has arc length step_length, at most DT_CAP in time; from then on
-    the error estimate sets each row's step (see the module docstring), at
-    a tolerance of STEP_TOL times step_length per step.
+    X0 is an (m, ambient) array of start points, one per row; a single
+    point of length ambient is a batch of one, and any other shape raises
+    ValueError.  direction is -1 (descend) or +1 (ascend), either one value
+    for every row or one per row.  A trajectory finishes by capture, escape
+    (outside the escape radius), a step still rejected after MAX_HALVINGS
+    halvings (unresolved, left at its last accepted point; a NaN value of f
+    counts as non-monotone), or budget exhaustion: max_steps is each row's
+    budget of accepted steps, and a row that has spent it ends unresolved
+    at its last point before that point meets the capture test (with
+    max_steps=0 every row ends at its start, and no start point is
+    evaluated).  A row's first step has arc length step_length, at most
+    DT_CAP in time; from then on the error estimate sets each row's step
+    (see the module docstring), at a tolerance of STEP_TOL times
+    step_length per step.  Each lockstep round makes one RK4 attempt of
+    every live row, and a rejected step is retried at half the size in the
+    next round.
 
     sources, when given, is the index into crits of the critical point
     each row leaves (one value, or one per row; -1 for none).  Such a row
@@ -358,6 +371,11 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
     its batch.
     """
     X = np.array(X0, dtype=float)
+    if X.ndim == 1 and len(X) == M.ambient:
+        X = X[None, :]
+    if X.ndim != 2 or X.shape[1] != M.ambient:
+        raise ValueError(f"X0 must have shape (m, {M.ambient}), one start "
+                         f"point per row; got shape {X.shape}")
     m = len(X)
     C = _crit_array(crits) if crits else np.zeros((0, M.ambient))
     status = np.full(m, UNRESOLVED, dtype=int)
@@ -365,12 +383,9 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
     steps_used = np.zeros(m, dtype=int)
     halvings = np.zeros(m, dtype=int)
     linear = np.zeros(m, dtype=bool)
-    active = np.ones(m, dtype=bool)
     paths = [[] for _ in range(m)] if keep_paths else None
     sgn = np.broadcast_to(np.asarray(direction, dtype=float), (m,))
     tol = STEP_TOL * step_length
-    # each row's next step size, f and its velocity K1 at its current
-    # point, carried from the step that reached it (or the start evaluation)
     ev = M.evaluator(f)
 
     def flow(pts, sign):
@@ -414,90 +429,86 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
         X[rows[ok]] = Y[ok]
     X_start = X.copy()
 
-    for step in range(max_steps):
-        if not active.any():
-            break
-        if step == 0:
-            # the start evaluation: each row's f, K1 and first step size
-            f_at, k_at = flow(X, sgn)
-            f_at = np.array(f_at, dtype=float)
-            speed = np.sqrt((k_at * k_at).sum(axis=1))
-            dt_at = np.minimum(
-                step_length / np.maximum(speed, 1e-4 * step_length), DT_CAP)
-        idx = np.flatnonzero(active)
-        P = X[idx]
+    # the live rows, compacted: each row's point P, f and its velocity K1
+    # there, carried from the step that reached it (or the start
+    # evaluation), the size dt of its next attempt, its accepted steps and
+    # halvings, and tries, the halvings of the step it is attempting
+    live = np.arange(m if max_steps > 0 else 0)
+    if len(live):
+        # the start evaluation: each row's f, K1 and first step size
+        f_at, K1 = flow(X, sgn)
+        f_at = np.array(f_at, dtype=float)
+        speed = np.sqrt((K1 * K1).sum(axis=1))
+        dt = np.minimum(
+            step_length / np.maximum(speed, 1e-4 * step_length), DT_CAP)
+    P, sign, lev = X[live], sgn[live], level[live]
+    steps, halved, tries = (np.zeros(len(live), dtype=int) for _ in range(3))
+    while len(live):
+        # a row ends unresolved when its budget of accepted steps is spent
+        # or its step is still rejected after MAX_HALVINGS halvings, then
+        # by capture, then by escape; a row waiting to retry has not moved,
+        # so it fails the capture and escape tests again
+        end = (steps >= max_steps) | (tries > MAX_HALVINGS)
         if len(C):
             E = P[:, None, :] - C[None, :, :]
             D = np.sqrt((E * E).sum(axis=2))
             # within CAPTURE_TOL, or in a level region past its level
             inside = (D < CAPTURE_TOL) | (
                 (D < cert.region)
-                & (sgn[idx, None] * (f_at[idx, None] - level[idx]) > 0))
-            hit = inside.any(axis=1)
+                & (sign[:, None] * (f_at[:, None] - lev) > 0))
+            hit = inside.any(axis=1) & ~end
             if hit.any():
-                which = idx[hit]
+                which = np.flatnonzero(hit)
                 Dh = np.where(inside[hit], D[hit], np.inf)
                 k = Dh.argmin(axis=1)
-                status[which] = CAPTURED
-                limit[which] = k
-                active[which] = False
+                status[live[which]] = CAPTURED
+                limit[live[which]] = k
                 # a row in a level region ends at its sink
                 lin = Dh[np.arange(len(k)), k] >= CAPTURE_TOL
-                linear[which[lin]] = True
-                X[which[lin]] = C[k[lin]]
-                idx = np.flatnonzero(active)
-                if not len(idx):
-                    break
-                P = X[idx]
-        far = np.sqrt((P * P).sum(axis=1)) > escape_radius
-        if far.any():
-            which = idx[far]
-            status[which] = ESCAPED
-            active[which] = False
-            idx = np.flatnonzero(active)
-            if not len(idx):
+                linear[live[which[lin]]] = True
+                P[which[lin]] = C[k[lin]]
+                end |= hit
+        far = ~end & (np.sqrt((P * P).sum(axis=1)) > escape_radius)
+        status[live[far]] = ESCAPED
+        end |= far
+        if end.any():
+            gone = live[end]
+            X[gone], steps_used[gone], halvings[gone] = (
+                P[end], steps[end], halved[end])
+            keep = ~end
+            live, P, f_at, K1, dt, sign, lev, steps, halved, tries = (
+                a[keep] for a in (live, P, f_at, K1, dt, sign, lev, steps,
+                                  halved, tries))
+            if not len(live):
                 break
-            P = X[idx]
 
-        sign = sgn[idx]
-        f_old, K1, dt = f_at[idx], k_at[idx], dt_at[idx]
+        # one RK4 attempt of every live row.  A step over tol or not
+        # monotone in f is halved and retried in the next round; a NaN
+        # value compares false, so it counts as non-monotone.  A first
+        # attempt may rise by a relative 1e-14, a retry must strictly
+        # decrease f along the flow: within that slack a step halved about
+        # 47 times barely moves and would always pass
         Pn, f_new, K5, err = rk4(P, sign, K1, dt)
-        # a step over tol or not monotone in f is halved and retried; the
-        # test is negated so that a NaN value counts as non-monotone
-        scale = np.maximum(np.abs(f_old), 1.0)
-        bad = ~((-sign * (f_new - f_old) <= 1e-14 * scale) & (err <= tol))
-        retried = bad.copy()
-        for _ in range(MAX_HALVINGS):
-            if not bad.any():
-                break
-            dt[bad] *= 0.5
-            halvings[idx[bad]] += 1
-            Pn[bad], f_new[bad], K5[bad], err[bad] = rk4(
-                P[bad], sign[bad], K1[bad], dt[bad])
-            # a retry must strictly decrease f along the flow: within the
-            # first attempt's slack a step halved about 47 times barely
-            # moves and would always pass
-            bad[bad] = ~((-sign[bad] * (f_new[bad] - f_old[bad]) < 0)
-                         & (err[bad] <= tol))
+        rise = -sign * (f_new - f_at)
+        retry = tries > 0
+        ok = np.where(retry, rise < 0,
+                      rise <= 1e-14 * np.maximum(np.abs(f_at), 1.0)) & (
+            err <= tol)
         # the standard fourth-order controller, never up right after a
         # retry; an error below tol / 100 grows the step the full factor 2
         grow = np.clip(0.9 * (tol / np.maximum(err, 0.01 * tol)) ** 0.25,
                        0.5, 2.0)
-        dt *= np.where(retried, np.minimum(grow, 1.0), grow)
-        if bad.any():
-            # still climbing against the flow: fail this row loudly rather
-            # than accept a step that breaks monotonicity
-            active[idx[bad]] = False
-            idx, Pn, f_new, K5, dt = (
-                a[~bad] for a in (idx, Pn, f_new, K5, dt))
-        X[idx] = Pn
-        dt_at[idx] = dt
-        f_at[idx] = f_new
-        k_at[idx] = K5
-        steps_used[idx] = step + 1
+        dt = dt * np.where(ok, np.where(retry, np.minimum(grow, 1.0), grow),
+                           0.5)
         if keep_paths:
-            for row, j in enumerate(idx):
-                paths[j].append(Pn[row].copy())
+            for j in np.flatnonzero(ok):
+                paths[live[j]].append(Pn[j].copy())
+        P = np.where(ok[:, None], Pn, P)
+        f_at = np.where(ok, f_new, f_at)
+        K1 = np.where(ok[:, None], K5, K1)
+        steps += ok
+        tries = np.where(ok, 0, tries + 1)
+        halved += ~ok & (tries <= MAX_HALVINGS)
 
     out = []
     for j in range(m):

@@ -13,8 +13,8 @@ throughout; orientations are out of scope.
 
 The ascents depend only on the critical points, so every descent and every
 ascent of one morse_differentials call runs in a single integrate_batch,
-each row with its own direction: the lockstep iterations are the longest
-trajectory's, not a sum over sources.  Every row is seeded at RHO from its
+each row with its own direction: the lockstep rounds are the longest
+trajectory's RK4 attempts, not a sum over sources.  Every row is seeded at RHO from its
 source and names that source to integrate_batch, which releases it by the
 source's closed-form linear flow to the edge of its certified
 linearization ball before the first RK4 step; a source no rung certifies

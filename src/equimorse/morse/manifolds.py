@@ -358,29 +358,43 @@ class ImplicitGManifold:
         step, so a row's result does not depend on the other rows of the
         batch.  A row stops at a point where evaluate was just called, so
         its J and rest are read from that call; only a row still moving
-        after iters steps takes one more.
+        after iters steps takes one more, and with iters=0 every row is
+        returned as it is, with J and rest from one evaluation.  The moving
+        rows are gathered into a batch of their own, and the results
+        scattered back, only once some rows stop before others: a batch
+        whose rows all stop at the same step is evaluated in place.
         """
         if not self.constraints:
             return X, np.zeros((len(X), 0, self.ambient))
         evaluate = evaluate or (lambda X: self.jet(X, 1))
         X = np.array(X, dtype=float)
-        rows = np.arange(len(X))
-        out = None
+        # the moving rows Y, compacted; rows is None while every row still
+        # moves, and out holds the results of the rows that stopped
+        Y, rows, out = X, None, None
         for _ in range(iters):
-            F, *at = evaluate(X[rows])
-            if out is None:
-                out = [np.empty((len(X),) + a.shape[1:]) for a in at]
+            F, *at = evaluate(Y)
             done = np.max(np.abs(F), axis=1, initial=0.0) < PROJECT_TOL
-            for o, a in zip(out, at):
-                o[rows[done]] = a[done]
             if done.all():
                 break
-            left = ~done
-            rows, F, J = rows[left], F[left], at[0][left]
-            X[rows] -= np.einsum("mcn,mc->mn", J, _gram_solve(J, F))
+            if done.any():
+                if rows is None:
+                    rows = np.arange(len(X))
+                    out = [np.empty((len(X),) + a.shape[1:]) for a in at]
+                X[rows[done]] = Y[done]
+                for o, a in zip(out, at):
+                    o[rows[done]] = a[done]
+                left = ~done
+                rows, Y, F = rows[left], Y[left], F[left]
+                at = [a[left] for a in at]
+            J = at[0]
+            Y -= np.einsum("mcn,mc->mn", J, _gram_solve(J, F))
         else:
-            for o, a in zip(out, evaluate(X[rows])[1:]):
-                o[rows] = a
+            at = evaluate(Y)[1:]
+        if rows is None:
+            return (Y, *at)
+        X[rows] = Y
+        for o, a in zip(out, at):
+            o[rows] = a
         return (X, *out)
 
     def evaluator(self, f: EqFunction) -> "Evaluator":

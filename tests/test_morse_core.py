@@ -440,6 +440,63 @@ def test_flow_evaluations_per_step_and_retry():
     assert calls["first"] == 1 + 4 * tr.steps + 4 * tr.halvings
 
 
+def test_step_budget_is_checked_before_the_capture_test():
+    # max_steps is each row's budget of accepted steps, spent before the
+    # capture test: a row first captured after step n ends unresolved at
+    # that point under max_steps=n, and as before under n + 1.  Under
+    # max_steps=0 every row ends where it starts, its release included,
+    # and no start point is evaluated: the only calls left are the
+    # certificate's
+    M = r2_manifold()
+    mild = EqFunction.from_polynomial(Polynomial(2, {(2, 0): 1, (0, 2): 1}))
+    crit = [classify(mild, M, np.zeros(2))]
+    X0 = np.array([[0.5, 0.3], [-0.4, 0.2]])
+    free = integrate_batch(mild, M, X0, crits=crit, keep_paths=True)
+    for x0, tr in zip(X0, free):
+        n = tr.steps
+        assert tr.resolved and n > 0
+        (cut,) = integrate_batch(mild, M, x0, crits=crit, max_steps=n)
+        assert cut.status == UNRESOLVED and cut.limit is None
+        assert cut.steps == n and cut.end.tobytes() == tr.points[-1].tobytes()
+        (more,) = integrate_batch(mild, M, x0, crits=crit, max_steps=n + 1)
+        assert (more.status, more.steps, more.end.tobytes()) == (
+            tr.status, n, tr.end.tobytes())
+    for crits, certificate_calls in (([], 0), (crit, 1)):
+        g, calls = _counting(mild)
+        trajs = integrate_batch(g, M, X0, crits=crits, max_steps=0)
+        assert all(tr.status == UNRESOLVED and tr.steps == tr.halvings == 0
+                   and tr.end.tobytes() == x0.tobytes()
+                   for x0, tr in zip(X0, trajs))
+        # with the minimum, one call on its level region's boundary samples
+        assert calls["first"] == certificate_calls
+    saddle = EqFunction.from_polynomial(
+        Polynomial(2, {(2, 0): -1, (0, 2): 1, (4, 0): 40}))
+    g, calls = _counting(saddle)
+    trajs = integrate_batch(g, M, np.array([[1e-3, 0.0], [0.0, 1e-3]]),
+                            crits=[classify(saddle, M, np.zeros(2))],
+                            direction=np.array([-1, 1]), sources=0,
+                            max_steps=0)
+    assert all(tr.linear_release and tr.status == UNRESOLVED
+               and tr.end.tobytes() == tr.start.tobytes() for tr in trajs)
+    assert calls["first"] == 1
+
+
+def test_flow_start_points_must_be_rows_of_the_ambient_space():
+    # a point of length ambient is a batch of one; any other shape is
+    # refused with the shape expected
+    M = r2_manifold()
+    mild = EqFunction.from_polynomial(Polynomial(2, {(2, 0): 1, (0, 2): 1}))
+    crit = [classify(mild, M, np.zeros(2))]
+    (one,) = integrate_batch(mild, M, [0.5, 0.3], crits=crit)
+    (ref,) = integrate_batch(mild, M, np.array([[0.5, 0.3]]), crits=crit)
+    assert (one.end.tobytes(), one.status, one.steps) == (
+        ref.end.tobytes(), ref.status, ref.steps)
+    assert integrate_batch(mild, M, np.zeros((0, 2)), crits=crit) == []
+    for bad in (np.zeros(3), np.zeros((2, 3)), np.zeros((1, 2, 2)), 0.5, []):
+        with pytest.raises(ValueError, match=r"shape \(m, 2\)"):
+            integrate_batch(mild, M, bad, crits=crit)
+
+
 def test_flow_fails_loudly_on_non_monotone_values():
     # the value contradicts the gradient: it reports a higher value at
     # every call, so no halving makes a descending step monotone and the
@@ -880,13 +937,35 @@ def test_projection_jacobian_is_the_jacobian_at_the_projected_points():
     # again, so it takes one more evaluation
     for M, on, near in _codim1_cases():
         for X0 in (on, near, np.concatenate([on[:5], 3.0 * near[:5]])):
-            for iters in (1, 20):
+            for iters in (0, 1, 20):
                 X, J = M.project_points_jacobian_many(X0, iters=iters)
                 assert np.array_equal(X, M.project_points_many(X0, iters=iters))
                 assert np.array_equal(J, M.jet(X, 1)[1])
+                assert iters or np.array_equal(X, X0)
     M = r2_manifold()
     X, J = M.project_points_jacobian_many(np.ones((3, 2)))
     assert np.array_equal(X, np.ones((3, 2))) and J.shape == (3, 0, 2)
+
+
+def test_projection_without_steps_is_one_evaluation():
+    # iters=0 returns the rows as they are, with J and the rest from one
+    # evaluation there; an Evaluator's projection returns f and grad f
+    fx = MANIFOLD_FIXTURES["torus_tilted"]()
+    M, X0 = fx.manifold, fx.seeds[:7]
+    calls = []
+
+    def evaluate(X):
+        calls.append(len(X))
+        return M.jet(X, 1)
+
+    X, J = M.project_points_jacobian_many(X0, 0, evaluate=evaluate)
+    assert calls == [7] and X.tobytes() == X0.tobytes()
+    assert np.array_equal(J, M.jet(X0, 1)[1])
+    ev = M.evaluator(fx.function)
+    X, v, g, J = ev.project(X0, 0)
+    (v0, _), (g0, J0) = ev.jet(X0, 1)
+    assert X.tobytes() == X0.tobytes()
+    assert all(np.array_equal(a, b) for a, b in ((v, v0), (g, g0), (J, J0)))
 
 
 def _count_table_calls(monkeypatch):

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equimorse.coefficients import build_system
 from equimorse.complexes import homology
@@ -197,21 +199,34 @@ def _mixed_batch(M, crits):
                             for X, _, c in parts]))
 
 
-@pytest.mark.parametrize("case", ["torus_tilted", "figure1_plane"])
-def test_mixed_batch_matches_rows_alone(case, request):
-    # one mixed-direction batch gives every row the trajectory it has
-    # alone, bit for bit: merging batches cannot change a flow count
-    if case == "torus_tilted":
-        fx = torus_tilted()
-        f = fx.function
-        crits = classified_crits(fx)
-    else:
-        run = request.getfixturevalue("figure1_run")
-        fx, f, crits = run.fixture, run.function, run.critical
+@functools.cache
+def _mixed_case(name):
+    """The mixed batch of a fixture's stabilized function: (f, M, X0,
+    direction, sources, keywords, each row's trajectory alone)."""
+    run = run_morse(MANIFOLD_FIXTURES[name](), stabilize=True)
+    fx, f, crits = run.fixture, run.function, run.critical
     M = fx.manifold
     X0, direction, sources = _mixed_batch(M, crits)
     kw = dict(crits=crits, step_length=fx.step_length,
               escape_radius=fx.escape_radius)
+    alone = [integrate_batch(f, M, x0, direction=int(d), sources=int(k),
+                             **kw)[0]
+             for x0, d, k in zip(X0, direction, sources)]
+    return f, M, X0, direction, sources, kw, alone
+
+
+def _same_trajectory(a, b):
+    return ((a.start.tobytes(), a.end.tobytes(), a.status, a.limit_index,
+             a.steps, a.halvings, a.linear_capture, a.linear_release)
+            == (b.start.tobytes(), b.end.tobytes(), b.status, b.limit_index,
+                b.steps, b.halvings, b.linear_capture, b.linear_release))
+
+
+@pytest.mark.parametrize("case", ["torus_tilted", "figure1_plane"])
+def test_mixed_batch_matches_rows_alone(case):
+    # one mixed-direction batch gives every row the trajectory it has
+    # alone, bit for bit: merging batches cannot change a flow count
+    f, M, X0, direction, sources, kw, alone = _mixed_case(case)
     batch = integrate_batch(f, M, X0, direction=direction, sources=sources,
                             **kw)
     assert not any(tr.status == UNRESOLVED for tr in batch)
@@ -219,15 +234,21 @@ def test_mixed_batch_matches_rows_alone(case, request):
     # ascents halve their steps 10 times each
     assert any(tr.linear_release for tr in batch)
     assert any(tr.halvings for tr in batch)
-    for x0, d, k, tr in zip(X0, direction, sources, batch):
-        (alone,) = integrate_batch(f, M, x0[None, :], direction=int(d),
-                                   sources=int(k), **kw)
-        assert tr.start.tobytes() == alone.start.tobytes()
-        assert tr.end.tobytes() == alone.end.tobytes()
-        assert (tr.status, tr.limit_index, tr.steps, tr.halvings,
-                tr.linear_release) == (
-            alone.status, alone.limit_index, alone.steps, alone.halvings,
-            alone.linear_release)
+    assert all(map(_same_trajectory, batch, alone))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(["torus_tilted", "figure1_plane"]), st.data())
+def test_any_subset_of_a_mixed_batch_matches_rows_alone(case, data):
+    # a retried row waits for the next round and retries there beside
+    # other rows' first attempts and retries; in any subset of the mixed
+    # batch, in any order, every row still has its trajectory alone
+    f, M, X0, direction, sources, kw, alone = _mixed_case(case)
+    order = data.draw(st.permutations(range(len(X0))))
+    rows = np.array(order[:data.draw(st.integers(1, len(X0)))])
+    batch = integrate_batch(f, M, X0[rows], direction=direction[rows],
+                            sources=sources[rows], **kw)
+    assert all(_same_trajectory(tr, alone[j]) for j, tr in zip(rows, batch))
 
 
 def test_differentials_integrate_in_one_batch(monkeypatch):
@@ -684,21 +705,37 @@ def test_shortcut_rows_reach_their_sink_by_rk4_alone(name):
     assert (np.linalg.norm(ends - C[sink], axis=1) < CAPTURE_TOL).all()
 
 
-def test_figure1_batch_rounds(monkeypatch):
-    # a lockstep round is one RK4 attempt on the batch, ending in one
-    # projection of its new points.  Figure 1's two stiff ascents end in
-    # their maxima's level regions, and the batch at 16 samples takes 61
-    # rounds; when rows ended only in linear balls of radius at most 0.1
-    # it took 98
-    f, M, crits, X0, kw = _pipeline_batch("figure1_plane")
+def _batch_rounds(name, monkeypatch):
+    """The RK4 attempts of the pipeline batch of a fixture, as the sizes of
+    the projections that end them, with the batch's trajectories."""
+    f, M, crits, X0, kw = _pipeline_batch(name)
     ev = M.evaluator(f)
     rounds = []
     real = ev.project
     monkeypatch.setattr(ev, "project",
                         lambda X, iters=20: rounds.append(len(X))
                         or real(X, iters))
-    trajs = integrate_batch(f, M, X0, **kw)
-    assert max(tr.steps + tr.halvings for tr in trajs) <= len(rounds) <= 65
+    return rounds, integrate_batch(f, M, X0, **kw)
+
+
+def test_figure1_batch_rounds(monkeypatch):
+    # a lockstep round is one RK4 attempt of every live row, ending in one
+    # projection of its new points, and a rejected step is retried in the
+    # next round: the batch takes as many rounds as its longest row takes
+    # attempts.  Figure 1's two stiff ascents end in their maxima's level
+    # regions, and the batch at 16 samples takes 53 rounds.  When a
+    # rejected step was retried at once, in RK4 calls of its own inside the
+    # round, the batch took 61 calls; when rows ended only in linear balls
+    # of radius at most 0.1, 98
+    rounds, trajs = _batch_rounds("figure1_plane", monkeypatch)
+    assert len(rounds) == max(tr.steps + tr.halvings for tr in trajs) == 53
+
+
+def test_torus_batch_rounds(monkeypatch):
+    # the torus's batch at 16 samples: 142 rounds, where retries inside
+    # the round took 164 RK4 calls
+    rounds, trajs = _batch_rounds("torus_tilted", monkeypatch)
+    assert len(rounds) == max(tr.steps + tr.halvings for tr in trajs) == 142
 
 
 @pytest.fixture(scope="module")
