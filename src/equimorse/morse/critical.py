@@ -4,7 +4,8 @@ system from all seeds at once, orbit closure, and stability classification.
 The search is batched first.  One KKT Newton runs on an (s, N + c) array of
 every seed's point and multipliers, with per-row masks for convergence,
 non-finite values and the divergence bound, and one stacked solve per
-iteration; a singular system in the stack falls back row by row to solve,
+iteration; the systems of a stack that holds a singular one are solved
+again as one stack without it, and each singular one alone, by solve,
 then least squares.  The closure under the group is one batched refinement
 of every found point's translates.
 
@@ -94,18 +95,23 @@ def seed_grid(bounds, counts) -> np.ndarray:
 
 def _solve_stack(K, b):
     """K[r] y[r] = b[r] for every row in one stacked solve.  If any system is
-    singular the stack raises, and each row falls back to solve, then to
-    least squares."""
+    singular the stack raises; then the rows whose determinant is neither 0
+    nor NaN are solved again as one stack, where each system is solved as
+    it would be alone, and only the others fall back row by row to solve,
+    then least squares.  det factors K as solve does and meets the same
+    exact zero pivot."""
     try:
         return np.linalg.solve(K, b[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        out = np.empty_like(b)
-        for r in range(len(b)):
-            try:
-                out[r] = np.linalg.solve(K[r], b[r])
-            except np.linalg.LinAlgError:
-                out[r], *_ = np.linalg.lstsq(K[r], b[r], rcond=None)
-        return out
+        single = ~(np.linalg.det(K) != 0)
+    out = np.empty_like(b)
+    out[~single] = np.linalg.solve(K[~single], b[~single, :, None])[..., 0]
+    for r in np.flatnonzero(single):
+        try:
+            out[r] = np.linalg.solve(K[r], b[r])
+        except np.linalg.LinAlgError:
+            out[r], *_ = np.linalg.lstsq(K[r], b[r], rcond=None)
+    return out
 
 
 def match_point(x, points):
@@ -133,8 +139,11 @@ def _newton_kkt(f: EqFunction, M: ImplicitGManifold, X0, max_iter=60):
     evaluation: one stacked solve of the Gram system J J^T lambda = J grad
     f on every row whose J and grad f are finite (the others start at 0),
     where a singular row (J = 0, as at the centre of the torus) falls back
-    to least squares, the minimum-norm solution.  Returns the (s, N) points
-    and the mask of rows that converged within max_iter iterations.
+    to least squares, the minimum-norm solution.  A singular KKT system
+    (that seed's, in every iteration) is solved on its own the same way
+    (see _solve_stack), and the other rows stay in one stacked solve.
+    Returns the (s, N) points and the mask of rows that converged within
+    max_iter iterations.
     """
     N = M.ambient
     c = M.codim
@@ -202,13 +211,12 @@ def find_critical_points(f: EqFunction, M: ImplicitGManifold,
     f and the constraints with their first and second derivatives on the
     rows still running in one order-2 call of M's Evaluator of f (see
     _newton_kkt and ImplicitGManifold.evaluator), and makes one stacked
-    solve.
-    Per-row masks retire the rows that converge and drop those that turn
-    non-finite or leave the bound; a singular KKT system sends the stack to
-    a row-by-row solve with a least-squares fallback.  Divergent seeds are
-    logged and skipped, never fatal.  The converged points that pass the
-    tangent-gradient tolerance, read from one order-1 call of the
-    Evaluator, are deduplicated in seed order.
+    solve.  Per-row masks retire the rows that converge and drop those that
+    turn non-finite or leave the bound; a singular KKT system is solved
+    alone, with a least-squares fallback, beside the stack of the others.
+    Divergent seeds are logged and skipped, never fatal.  The converged
+    points that pass the tangent-gradient tolerance, read from one order-1
+    call of the Evaluator, are deduplicated in seed order.
 
     The group closure is one pass: every translate of every found point is
     refined by one batched 10-step Newton (keeping a translate as it is

@@ -45,16 +45,17 @@ orbit takes the most conservative certificate of its members.
 One lockstep round makes one RK4 attempt of every live row, first
 attempts and retries alike.  An attempt evaluates f and the constraints
 at the three velocity points (K2, K3, K4) and at the new points, through
-the order-1 jet of the manifold's Evaluator of f (ev.jet(X, 1)), built
-once for all batches of the same f.  For a polynomial f on a manifold with
-constraints each evaluation is one call of the joint PolyJet's first
-table: three for the velocities and one per Gauss-Newton step of the
-projection (about two an attempt on the torus and the sphere), whose last
-call at a row gives f, its gradient and the constraint Jacobian at the
-new point.  Otherwise the attempt calls f's jet_many at order 1 at K2-K4
-and once at the new points, and, with constraints, M.jet at order 1 at
-K2-K4 and once per projection step.  No flow evaluation asks for a
-Hessian.
+the order-1 jet of the manifold's Evaluator of f (ev.first(X) for the
+velocities, ev.project for the new points), built once for all batches
+of the same f.  For a polynomial f on a manifold with constraints each
+evaluation is one call of the joint PolyJet's first table, whose columns
+f, grad f, F and J are read as views of it: three calls for the
+velocities and one per Gauss-Newton step of the projection (about two an
+attempt on the torus and the sphere), whose last call at a row gives f,
+its gradient and the constraint Jacobian at the new point.  Otherwise
+the attempt calls f's jet_many at order 1 at K2-K4 and once at the new
+points, and, with constraints, M.jet at order 1 at K2-K4 and once per
+projection step.  No flow evaluation asks for a Hessian.
 The new point's gradient, projected with its Jacobian, is the velocity K5
 there: it gives the error estimate dt/6 |K4 - K5| of RK4's embedded
 third-order formula (weights 1/6, 1/3, 1/3, 0, 1/6) and is carried over as
@@ -390,7 +391,7 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
 
     def flow(pts, sign):
         # f and the velocity of each row's direction at the rows of pts
-        (v, _), (G, J) = ev.jet(pts, 1)
+        _, J, v, G = ev.first(pts)
         return v, tangent_part(J, sign[:, None] * G)
 
     def velocity(pts, sign):

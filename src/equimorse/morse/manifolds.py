@@ -22,12 +22,15 @@ An Evaluator reads f and the constraints at the same points, through one
 jet(X, order) that returns [(f, F), (grad f, J), (hess f, CH)][:order + 1].
 For a polynomial f on a manifold with constraints it compiles them into
 one joint PolyJet, [f, c], whose columns equal f's and the manifold's own
-bit for bit (see PolyTable), so the flow's velocity, its projection and
-Newton's residual and KKT matrix each come from one call.  Any other
-function, or a manifold without constraints, is evaluated through f's
-jet_many and M.jet.  M.evaluator(f) keeps the last Evaluator it built, so
-the critical-point search, classify and every flow batch of one f compile
-its joint PolyJet once.
+bit for bit (see PolyTable), so Newton's residual and KKT matrix come from
+one call.  The flow's stages read f, grad f, F and J through
+Evaluator.first, as views of one call of the joint PolyJet's first table:
+its velocities, and each Gauss-Newton step of its projection (the
+evaluate of project_points_jacobian_many).  Any other function, or a
+manifold without constraints, is evaluated through f's jet_many and
+M.jet.  M.evaluator(f) keeps the last Evaluator it built, so the
+critical-point search, classify and every flow batch of one f compile its
+joint PolyJet once.
 
 The Gauss-Newton projection onto the zero set (project_points_jacobian_many)
 returns the Jacobian at the projected points with them, and whatever else
@@ -137,11 +140,16 @@ class PolyTable:
     per-variable table would not form.  Products of floats round the same
     way on every IEEE host, where `**` follows the host's pow and may
     differ in the last bit, so a table's values are the same everywhere.
-    Each monomial's powers are gathered with one flat index and multiplied
-    in variable order into the monomial matrix, and the result is mono @
-    coef.  That product is an einsum, not a BLAS matmul: BLAS picks its
-    kernel by the number of rows, so a row's value would depend in the last
-    bit on the other rows of the batch.
+    Each monomial's powers are gathered with one flat index, and the
+    monomial matrix is their product in variable order, formed as whole
+    (rows x monomials) slices: the first variable's powers, times the
+    second's, and so on.  A reduction over the short variable axis (1 to 3
+    entries) forms the same products but runs numpy's reduce loop once per
+    (row, monomial) pair, which made a call of the torus's joint table
+    (22 monomials in 3 variables) up to 1.8 times as slow.  The result is
+    mono @ coef.  That product is an einsum, not a BLAS matmul: BLAS picks
+    its kernel by the number of rows, so a row's value would depend in the
+    last bit on the other rows of the batch.
 
     A table over the concatenated polynomials of several tables, in any
     order, equals those tables column for column (a property test checks
@@ -181,10 +189,14 @@ class PolyTable:
         powers = np.where(self._mult, X[:, None, self._vars], 1.0)
         np.multiply.accumulate(powers, axis=1, out=powers)
         powers = powers.reshape(len(X), powers.shape[1] * powers.shape[2])
-        # einsum's summation order follows the layout of the monomial
-        # matrix, so it is made row-major at every batch size
-        mono = np.ascontiguousarray(
-            np.multiply.reduce(powers.take(self._col, axis=1), axis=2))
+        picked = powers.take(self._col, axis=1)
+        # a row-major copy: einsum's summation order follows the layout of
+        # the monomial matrix.  A table that uses no variable has monomials
+        # 1 only
+        mono = (picked[:, :, 0].copy() if picked.shape[2]
+                else np.ones(picked.shape[:2]))
+        for v in range(1, picked.shape[2]):
+            mono *= picked[:, :, v]
         return np.einsum("mk,kp->mp", mono, self.coef)
 
 
@@ -427,18 +439,19 @@ class Evaluator:
     jet(X, order), order 0, 1 or 2, returns [(f, F), (grad f, J), (hess f,
     CH)][:order + 1] at the rows of X: f's values, gradients and Hessians,
     shapes (m,), (m, N) and (m, N, N), each paired with the constraints',
-    (m, c), (m, c, N) and (m, c, N, N).  project(X) is M's Gauss-Newton
-    projection, returning the projected points with f's values, gradients
-    and the Jacobian there.
+    (m, c), (m, c, N) and (m, c, N, N).  first(X) is the order-1 jet as
+    (F, J, f, grad f).  project(X) is M's Gauss-Newton projection,
+    returning the projected points with f's values, gradients and the
+    Jacobian there.
 
     For a polynomial f (from_polynomial keeps .polynomial) on M with
     constraints, jet reads one joint PolyJet of f and the constraints, [f,
-    c], whose columns equal f's and M's own bit for bit (see PolyTable),
-    and the projection steps on its order-1 jet, so its last evaluation of
-    a row also gives f there.  Otherwise jet pairs f.jet_many with M.jet,
-    and project calls f's order-1 jet once at the projected points; at
-    codim 0 the constraint arrays are empty and no constraint table is
-    called.
+    c], whose columns equal f's and M's own bit for bit (see PolyTable).
+    first reads its first table alone, and the projection steps on first,
+    so its last evaluation of a row also gives f there.  Otherwise jet
+    pairs f.jet_many with M.jet, and project calls f's order-1 jet once at
+    the projected points; at codim 0 the constraint arrays are empty and no
+    constraint table is called.
     """
 
     def __init__(self, f: EqFunction, M: ImplicitGManifold):
@@ -453,6 +466,19 @@ class Evaluator:
             return list(zip(self.f.jet_many(X, order), self.M.jet(X, order)))
         return [(a[:, 0], a[:, 1:]) for a in self._joint(X, order)]
 
+    def first(self, X):
+        """(F, J, f, grad f) at the rows of X: the order-1 jet, in the
+        order the projection's evaluate returns it.  With a joint PolyJet
+        all four are views of one call of its first table, [f, c, grad f,
+        grad c], with the strides and bits of jet(X, 1)'s."""
+        if self._joint is None:
+            (v, F), (g, J) = self.jet(X, 1)
+            return F, J, v, g
+        T = self._joint._first(X)
+        c, N = self.M.codim, self.M.ambient
+        return (T[:, 1:c + 1], T[:, c + 1 + N:].reshape(len(T), c, N),
+                T[:, 0], T[:, c + 1:c + 1 + N])
+
     def project(self, X, iters=20):
         """(points, values, gradients, J) at the projection of every row of
         X onto M (see ImplicitGManifold.project_points_jacobian_many)."""
@@ -460,10 +486,6 @@ class Evaluator:
         if self._joint is None:
             X, J = M.project_points_jacobian_many(X, iters)
             return (X, *self.f.jet_many(X, 1), J)
-
-        def evaluate(X):
-            (v, F), (g, J) = self.jet(X, 1)
-            return F, J, v, g
-
-        X, J, v, g = M.project_points_jacobian_many(X, iters, evaluate=evaluate)
+        X, J, v, g = M.project_points_jacobian_many(X, iters,
+                                                    evaluate=self.first)
         return X, v, g, J

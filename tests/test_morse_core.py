@@ -20,6 +20,7 @@ from equimorse.morse import (
     run_morse,
     seed_grid,
 )
+from equimorse.morse import critical
 from equimorse.morse.critical import _newton_kkt
 from equimorse.morse.flow import (
     CAPTURE_TOL,
@@ -29,8 +30,8 @@ from equimorse.morse.flow import (
     _certificate,
     integrate_batch,
 )
-from equimorse.morse.manifolds import (Evaluator, PolyTable, tangent_frame,
-                                       tangent_part)
+from equimorse.morse.manifolds import (Evaluator, PolyJet, PolyTable,
+                                       tangent_frame, tangent_part)
 
 
 def r2_manifold(action=None):
@@ -758,7 +759,9 @@ def _poly_table_by_variable(table, X):
 @st.composite
 def _float_batches(draw):
     """Up to three polynomials in the same 1-3 variables with degrees up to
-    6, at 1-6 rows of arbitrary floats in [-8, 8]."""
+    6, at 1-6 rows of arbitrary floats in [-8, 8]; in some examples those
+    rows lead a batch of Newton's or the certificate's size, 245 or 1,000
+    rows, filled with seeded uniform floats in [-8, 8]."""
     n = draw(st.integers(1, 3))
     expo = st.tuples(*[st.integers(0, 6)] * n)
     polys = [Polynomial(n, draw(st.dictionaries(expo, _COEFFS, max_size=8)))
@@ -767,7 +770,11 @@ def _float_batches(draw):
     rows = draw(st.integers(1, 6))
     X = np.array(draw(st.lists(st.tuples(*[coord] * n), min_size=rows,
                                max_size=rows)), dtype=float).reshape(rows, n)
-    return polys, X
+    # most examples keep their few rows: a large batch costs the reference
+    # loop about 50 ms
+    size = draw(st.sampled_from((rows, rows, rows, 245, 1000)))
+    fill = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return polys, np.concatenate([X, fill.uniform(-8, 8, (size - rows, n))])
 
 
 @settings(max_examples=200, deadline=None)
@@ -775,13 +782,25 @@ def _float_batches(draw):
 @example(([Polynomial.zero(2)], np.array([[0.5, -3.0]])))
 @example(([Polynomial.constant(2, 3), Polynomial(2, {(0, 5): 1})],
           np.array([[1.1, -2.7], [0.0, 7.3]])))
+# a batch of no rows
+@example(([Polynomial(2, {(3, 1): 2, (0, 2): -1}), Polynomial(2, {(1, 0): 1})],
+          np.zeros((0, 2))))
+# no monomial uses a variable: the Hessian table of a linear f, and constants
+@example((PolyJet([Polynomial(3, {(1, 0, 0): 2, (0, 0, 1): -1})], 3)
+          ._second.polys, np.array([[0.3, -1.2, 7.0], [-0.0, 0.0, 1e300]])))
+@example(([Polynomial.constant(3, 2), Polynomial.constant(3, -5)],
+          np.array([[0.3, -1.2, 7.0]])))
+# one variable of three, so the used variables are an index array
+@example(([Polynomial(3, {(0, 4, 0): 3, (0, 1, 0): -2}),
+           Polynomial(3, {(0, 2, 0): Fraction(1, 3)})],
+          np.array([[5.0, -1.7, 2.0], [-8.0, 0.1, 0.0], [1.0, 7.9, -3.0]])))
 def test_poly_table_matches_per_variable_powers_bitwise(case):
     polys, X = case
     T = PolyTable(polys, X.shape[1])
     got = T(X)
-    assert np.array_equal(got, _poly_table_by_variable(T, X))
+    assert _same_bits(got, _poly_table_by_variable(T, X))
     for r in range(len(X)):
-        assert np.array_equal(T(X[r:r + 1])[0], got[r])
+        assert _same_bits(T(X[r:r + 1])[0], got[r])
 
 
 def test_poly_table_forms_no_power_above_a_variables_top_degree():
@@ -890,6 +909,45 @@ def test_evaluator_projection_returns_f_and_j_at_its_points():
                 for r in range(len(X0)):
                     one = ev.project(X0[r:r + 1], iters=iters)
                     assert all(_same_bits(a[0], b[r]) for a, b in zip(one, got))
+
+
+@pytest.fixture(scope="module")
+def stage_fixtures():
+    return [MANIFOLD_FIXTURES[n]() for n in ("sphere_height", "torus_tilted")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 1), st.integers(0, 2 ** 32 - 1),
+       st.lists(st.sampled_from((0.0, 1e-13, 1e-9, 1e-5, 1e-2, 0.2)),
+                min_size=1, max_size=12))
+@example(1, 7, [0.0, 1e-13, 1e-9, 1e-5, 1e-2, 0.2])
+@example(0, 3, [0.2, 0.0])
+def test_flow_stage_reads_equal_the_jet_and_the_composed_projection(
+        stage_fixtures, which, seed, scales):
+    # the flow's velocities and projections read f, grad f, F and J from
+    # one call of the joint PolyJet's first table; they equal, bit for bit,
+    # tangent_part(J, s grad f) from ev.jet(X, 1) and the projection of M
+    # followed by f's own jet.  Each row of the batch lies at its own
+    # distance from the sphere or the torus, so rows stop at different
+    # Gauss-Newton steps
+    fx = stage_fixtures[which]
+    f, M = fx.function, fx.manifold
+    plain = EqFunction(f.jet_many, nvars=M.ambient)
+    rng = np.random.default_rng(seed)
+    on = M.project_points_many(2.0 * rng.normal(size=(len(scales), 3)))
+    X = on + np.array(scales)[:, None] * rng.normal(size=on.shape)
+    sign = rng.choice([-1.0, 1.0], size=len(X))[:, None]
+    ev = Evaluator(f, M)
+    F, J, v, g = ev.first(X)
+    (v0, F0), (g0, J0) = ev.jet(X, 1)
+    assert all(_same_bits(a, b) for a, b in zip((F, J, v, g), (F0, J0, v0, g0)))
+    for at in (ev.jet(X, 1), Evaluator(plain, M).jet(X, 1)):
+        _, (ga, Ja) = at
+        assert _same_bits(tangent_part(J, sign * g), tangent_part(Ja, sign * ga))
+    Y, J1 = M.project_points_jacobian_many(X)
+    composed = (Y, *f.jet_many(Y, 1), J1)
+    for got in (ev.project(X), Evaluator(plain, M).project(X)):
+        assert all(_same_bits(a, b) for a, b in zip(got, composed))
 
 
 def _hypersurface_points(M, rng, count=400):
@@ -1074,6 +1132,58 @@ def test_newton_reads_one_order_2_jet_per_iteration(monkeypatch, name, bound):
     _newton_kkt(fx.function, fx.manifold, fx.seeds)
     assert calls == [8, 18] * (len(calls) // 2)
     assert 0 < len(calls) <= bound
+
+
+def _solve_stack_by_rows(K, b):
+    """The stacked solve that, when any system is singular, solves every
+    row alone: solve, then least squares."""
+    try:
+        return np.linalg.solve(K, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.empty_like(b)
+        for r in range(len(b)):
+            try:
+                out[r] = np.linalg.solve(K[r], b[r])
+            except np.linalg.LinAlgError:
+                out[r], *_ = np.linalg.lstsq(K[r], b[r], rcond=None)
+        return out
+
+
+def test_singular_kkt_rows_alone_are_solved_row_by_row(monkeypatch):
+    # on torus_tilted's fixture grid the seed at the origin has J = 0, so
+    # its KKT system is singular in every Newton iteration; the rows solve
+    # accepts stay in one stack, each call makes at most one per-row solve
+    # per singular row, and the points are those of the all-rows fallback
+    fx = MANIFOLD_FIXTURES["torus_tilted"]()
+    f, M = fx.function, fx.manifold
+    monkeypatch.setattr(critical, "_solve_stack", _solve_stack_by_rows)
+    want = find_critical_points(f, M, fx.seeds)
+    monkeypatch.undo()
+    solve, stack = np.linalg.solve, critical._solve_stack
+    singular, per_row = [], []
+
+    def counted_solve(K, b):
+        per_row[-1] += K.ndim == 2
+        return solve(K, b)
+
+    def counted_stack(K, b):
+        n = 0
+        for r in range(len(K)):
+            try:
+                solve(K[r], b[r])
+            except np.linalg.LinAlgError:
+                n += 1
+        singular.append(n)
+        per_row.append(0)
+        return stack(K, b)
+
+    monkeypatch.setattr(critical, "_solve_stack", counted_stack)
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    got = find_critical_points(f, M, fx.seeds)
+    assert len(singular) > 60 and min(singular[:61]) >= 1
+    assert all(n <= k for n, k in zip(per_row, singular))
+    assert len(got) == len(want)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
 def test_classify_matches_the_separate_tables():
