@@ -120,6 +120,14 @@ def _morse_run(fx: ManifoldFixture, args):
                      delta=args.delta)
 
 
+def _unstable_warning(run) -> str:
+    """The `warning:` line of a --stabilize run whose surgery left unstable
+    critical points, which a flow cannot count on."""
+    n = sum(not c.stable for c in run.critical)
+    return (f"warning: still unstable after the surgery: {n} of "
+            f"{len(run.critical)} critical points")
+
+
 def _flow_check(M, crits, mdata):
     """Whether the flow of a morse run on the manifold M passed, and the
     `warning:` lines that it prints.
@@ -192,6 +200,9 @@ def cmd_morse(args) -> int:
         out.append(h.text_table())
         for n in h.degrees():
             rows.append(f"H{n},{h.dim(n)},,,")
+    elif args.stabilize:
+        out.append(_unstable_warning(run))
+        ok = False
     else:
         out.append("function is not stable; rerun with --stabilize for the "
                    "full pipeline")
@@ -211,9 +222,13 @@ def cmd_specseq(args) -> int:
             raise FixtureError("specseq on a manifold fixture counts flow "
                                "lines mod 2; only --p 2 is supported")
         run = _morse_run(fx, args)
-        if not run.stable:
+        if not run.stable and not args.stabilize:
             raise FixtureError("specseq on a manifold fixture needs "
                                "--stabilize to reach a stable function")
+        if not run.stable:
+            _emit([_header(args, f"fixture={fx.name}"), _unstable_warning(run)],
+                  [], args)
+            return 1
         _, flow_ok, warned, C = _morse_chains(fx, run, args.coeff)
         F = skeletal_filtration(C)
     pages = spectral_pages(F, args.rmax)

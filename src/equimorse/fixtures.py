@@ -5,17 +5,20 @@ Every fixture is one JSON file under fixtures/ at the root of the checkout.
 A file carries the group as an explicit multiplication table plus either a
 G-CW description (cell orbits with stabilizers and boundary records) or a
 manifold description (constraints, action matrices, function, seeds, and
-the exact Morse charts and sphere data where surgery applies).  Matrix
-entries are [num, den] pairs when exact and plain floats otherwise; a
-manifold's action is read as an OrthogonalAction, the Morse layer's one
-action, so a float rotation is read as it is.  A G-CW object has the keys
-cells and boundary only.  A polynomial is a list of Polynomial.from_records
-triples [exponents, num, den]; den 0 marks a float, read as the binary
-rational it denotes.  A manifold's action must preserve its constraints,
-and its function must be invariant under the action: at the seeds projected
-onto the manifold no group element may leave a constraint residual of
-ACTION_TOL (ImplicitGManifold.validate_action), and f may move by at most
-INVARIANCE_TOL times max(1, |f|).
+the exact Morse charts and sphere data where surgery applies).  A chart's
+W block lists the stabilizer's fixed directions first, and sphere_fn is
+written in the chart's trailing U coordinates, the W directions after
+them.  Matrix entries are [num, den] pairs when exact and plain floats
+otherwise; a manifold's action is read as an OrthogonalAction, the Morse
+layer's one action, so a float rotation is read as it is.  A G-CW object
+has the keys cells and boundary only.  A polynomial is a list of
+Polynomial.from_records triples [exponents, num, den]; den 0 marks a
+float, read as the binary rational it denotes.  A manifold's seeds are one
+or more points of the ambient width.  Its action must preserve its
+constraints, and its function must be invariant under the action: at the
+seeds projected onto the manifold no group element may leave a constraint
+residual of ACTION_TOL (ImplicitGManifold.validate_action), and f may move
+by at most INVARIANCE_TOL times max(1, |f|).
 
 load_fixture(path) reads any such file and returns a GCWComplex or a
 ManifoldFixture.  Only a manifold file imports numpy, the Morse layer and
@@ -200,6 +203,9 @@ def _manifold_from_json(group, spec, name: str) -> ManifoldFixture:
                           seeds_spec.get("counts", 7))
     else:
         raise FixtureError(f"{name}: manifold 'seeds' needs 'circle' or 'bounds'")
+    if seeds.ndim != 2 or not len(seeds) or seeds.shape[1] != ambient:
+        raise ValueError(f"'seeds' give an array of shape {seeds.shape}, not "
+                         f"one or more rows of width ambient = {ambient}")
     # the Morse layer groups critical points into orbits, which needs the
     # action to preserve M and f invariant on M: both are checked at the
     # seeds that the projection takes onto M, f relative to its size there

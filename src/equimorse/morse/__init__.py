@@ -2,9 +2,6 @@
 (equimorse.morse.run) takes a fixture from critical points to flow counts.
 The surgery of an unstable point has one construction, localize_surgery
 splicing a PerturbedModel, whose cutoffs CutoffPair.profile evaluates.
-
-RepSpec, UnsupportedRep and representation_cell_groups are exact and
-numpy-free; they live in equimorse.repcells and are re-exported here.
 """
 
 from .manifolds import EqFunction, ImplicitGManifold, OrthogonalAction
@@ -34,7 +31,6 @@ from .homology import (
     morse_differentials,
 )
 from .run import MorseRun, run_morse
-from ..repcells import RepSpec, UnsupportedRep, representation_cell_groups
 
 __all__ = [
     "AngleChart",
@@ -53,10 +49,8 @@ __all__ = [
     "OrthogonalAction",
     "OutsideDeskScale",
     "PerturbedModel",
-    "RepSpec",
     "SphereFunction",
     "Trajectory",
-    "UnsupportedRep",
     "build_cutoffs",
     "classify",
     "find_critical_points",
@@ -64,7 +58,6 @@ __all__ = [
     "localize_surgery",
     "morse_complex",
     "morse_differentials",
-    "representation_cell_groups",
     "run_morse",
     "seed_grid",
 ]

@@ -310,23 +310,21 @@ def model_error(chart, f: EqFunction, fp: float, half_width: float) -> float:
 class SurgeredFunction(EqFunction):
     """f with the model spliced into the chart (and its orbit translates).
 
-    A point inside several modified cylinders takes the first chart in the
-    list that contains it, for the value, gradient and Hessian alike.
-    jet_many reads the model through each chart on the rows inside that
-    chart's cylinder, and f itself only on the rows outside every one.
+    The model's (v, w, u) coordinates are the chart's own.  A point inside
+    several modified cylinders takes the first chart in the list that
+    contains it, for the value, gradient and Hessian alike.  jet_many reads
+    the model through each chart on the rows inside that chart's cylinder,
+    and f itself only on the rows outside every one.
     """
 
     def __init__(self, f: EqFunction, charts, model: PerturbedModel,
-                 scale: float, fp: float, split_frames):
-        # charts: one chart per orbit point, each with jet_many;
-        # split_frames: (model_dim x dim_chart) mapping chart coords to the
-        # model's (v, w, u) ordering
+                 scale: float, fp: float):
+        # charts: one chart per orbit point, each with jet_many
         self.f0 = f
         self.charts = charts
         self.model = model
         self.scale = float(scale)
         self.fp = float(fp)
-        self.split = np.asarray(split_frames, dtype=float)
         self.c0_distance = 0.0
         self.nvars = f.nvars
         self.name = "surgered"
@@ -334,32 +332,27 @@ class SurgeredFunction(EqFunction):
     def jet_many(self, X, order: int) -> list:
         X = np.asarray(X, dtype=float)
         model, s = self.model, self.scale
-        if not model.du:
-            return self.f0.jet_many(X, order)
         k = model.dv + model.dw
         m, n = X.shape
         jet = [np.empty((m,) + (n,) * j) for j in range(order + 1)]
         free = np.ones(m, dtype=bool)
         for chart in self.charts:
             y, *dy = chart.jet_many(X, order)
-            Y = np.einsum("mc,kc->mk", y, self.split)
             # the rows inside this modified cylinder and no earlier one
-            rows = (free & (np.sqrt(_squares(Y[:, k:])) < 3.0 * s)).nonzero()[0]
+            rows = (free & (np.sqrt(_squares(y[:, k:])) < 3.0 * s)).nonzero()[0]
             if not len(rows):
                 continue
             free[rows] = False
-            F = model.jet_many(Y[rows] / s, order)
+            F = model.jet_many(y[rows] / s, order)
             jet[0][rows] = self.fp + s * s * F[0]
             if order >= 1:
                 J = dy[0][rows]
-                # s dF/dy (split dy/dx), with dF/dy at y/s
-                gy = np.einsum("mk,kc->mc", F[1], self.split)
-                jet[1][rows] = s * np.einsum("mc,mcn->mn", gy, J)
+                # s dF/dy dy/dx, with dF/dy at y/s
+                jet[1][rows] = s * np.einsum("mc,mcn->mn", F[1], J)
             if order == 2:
-                Jy = np.einsum("kc,mcn->mkn", self.split, J)
                 jet[2][rows] = (
-                    np.einsum("mki,mkl,mlj->mij", Jy, F[2], Jy)
-                    + s * np.einsum("mc,mcij->mij", gy, dy[1][rows])
+                    np.einsum("mki,mkl,mlj->mij", J, F[2], J)
+                    + s * np.einsum("mc,mcij->mij", F[1], dy[1][rows])
                 )
         rows = free.nonzero()[0]
         if len(rows) == m:
@@ -384,11 +377,12 @@ def localize_surgery(f: EqFunction, M: ImplicitGManifold, p: CriticalPoint,
                      h: SphereFunction | None = None) -> EqFunction:
     """Replace f near the orbit of an unstable critical point by the model.
 
-    The model is spliced with U = the non-fixed directions of W, at the
-    scale s = radius / 3.5, into the cylinders |u| < 3s.  The chart must
-    present f exactly as f(p) + |v|^2 - |w|^2 there (checked by sampling
-    the box of half-width 3s).  Stable points pass through unchanged with a
-    warning.
+    The model is spliced in the chart's own coordinates, at the scale s =
+    radius / 3.5, into the cylinders |u| < 3s.  The chart must present f
+    exactly as f(p) + |v|^2 - |w|^2 there (checked by sampling the box of
+    half-width 3s), and its W block must list the stabilizer's fixed
+    directions first: U is the rest of W, and h is read in U's
+    coordinates.  Stable points pass through unchanged with a warning.
     """
     if p.stable:
         warnings.warn("localize_surgery called on a stable point: no-op")
@@ -403,33 +397,24 @@ def localize_surgery(f: EqFunction, M: ImplicitGManifold, p: CriticalPoint,
     if err > 1e-9:
         raise ChartMissing(f"chart is not an exact Morse chart: error {err:.2e}")
 
-    # split the chart's W block into fixed and prime parts under stab(p)
+    # the chart's W block lists the stabilizer's fixed directions first and
+    # U after them: the stabilizer's average on W is the projector onto its
+    # fixed vectors, diag(I, 0), whose trace counts them
     H_sub = p.stabilizer
     dv, dw = chart.dv, chart.dw
-    dim = dv + dw
-
     mats = _chart_action(chart, M, H_sub.elements)
-    avg = sum(mats) / len(mats)
-    Wavg = avg[dv:, dv:]
-    evals, evecs = np.linalg.eigh((Wavg + Wavg.T) / 2)
-    keep = evecs[:, evals > 0.5]     # fixed: stays W
-    prime = evecs[:, evals <= 0.5]   # becomes U
-    dw_keep = keep.shape[1]
-    du = prime.shape[1]
-    if du == 0:
+    Wavg = sum(B[dv:, dv:] for B in mats) / len(mats)
+    dw_keep = round(float(np.trace(Wavg)))
+    fixed_first = np.diag((np.arange(dw) < dw_keep).astype(float))
+    if np.max(np.abs(Wavg - fixed_first), initial=0.0) > 1e-9:
+        raise ChartMissing("the chart's W block must list the stabilizer's "
+                           "fixed directions first and the others after them")
+    if dw_keep == dw:
         raise ValueError("no prime directions in W: the point is stable")
 
-    # model-space ordering (v, w_keep, u); split matrix maps chart coords to it
-    split = np.zeros((dim, dim))
-    split[:dv, :dv] = np.eye(dv)
-    if dw_keep:
-        split[dv:dv + dw_keep, dv:] = keep.T
-    split[dv + dw_keep:, dv:] = prime.T
-
-    # the stabilizer's action on U, the last du model coordinates
+    # the stabilizer's action on U, the last du chart coordinates
     lo = dv + dw_keep
-    actU = OrthogonalAction(H_sub.as_group(),
-                            [(split @ B @ split.T)[lo:, lo:] for B in mats])
+    actU = OrthogonalAction(H_sub.as_group(), [B[lo:, lo:] for B in mats])
     model = PerturbedModel(dv, dw_keep, actU, h, cut)
 
     # orbit translates of the chart
@@ -444,7 +429,7 @@ def localize_surgery(f: EqFunction, M: ImplicitGManifold, p: CriticalPoint,
         charts.append(LinearChart(A @ chart.center, A @ chart.frame,
                                   chart.dv, chart.dw))
 
-    out = SurgeredFunction(f, charts, model, scale, fp, split)
+    out = SurgeredFunction(f, charts, model, scale, fp)
 
     # reported C0 distance: sup over the modified cylinder of the change,
     # with the model's sampled sup of |h|

@@ -21,8 +21,7 @@ for the coefficient system of the same name.
 
 These groups are the E^1 term of the Morse spectral sequence, but computing
 them is exact combinatorics on the homological layer (groups, coefficients,
-gcw, complexes): this module imports no numpy and nothing of equimorse.morse,
-which re-exports RepSpec, UnsupportedRep and representation_cell_groups.
+gcw, complexes): this module imports no numpy and nothing of equimorse.morse.
 """
 
 from __future__ import annotations

@@ -40,11 +40,9 @@ from equimorse.groups import (
 from equimorse.morse import (
     OrthogonalAction,
     PerturbedModel,
-    RepSpec,
     SphereFunction,
     build_cutoffs,
     morse_complex,
-    representation_cell_groups,
     run_morse,
 )
 from equimorse.polynomials import (
@@ -56,6 +54,7 @@ from equimorse.polynomials import (
     jet_interpolate,
     taylor_jet,
 )
+from equimorse.repcells import RepSpec, representation_cell_groups
 from equimorse.smith import smith_report
 from equimorse.spectral import einfty_check, skeletal_filtration, spectral_pages
 from model_points import model_critical_points, unpredicted

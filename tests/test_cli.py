@@ -206,6 +206,16 @@ def _constraint_not_preserved(raw):
     raw["manifold"]["constraints"][0].append([[1, 0], 1, 2])
 
 
+def _seeds(**spec):
+    def edit(raw):
+        raw["manifold"]["seeds"].update(spec)
+    return edit
+
+
+def _circle_seeds(raw):
+    raw["manifold"]["seeds"] = {"circle": 8}
+
+
 @pytest.mark.parametrize("command, name, edit, message", [
     ("bredon", "circle_reflection", _bad_table, "no identity element"),
     ("bredon", "circle_reflection", _bad_stabilizer, "missing identity"),
@@ -215,15 +225,25 @@ def _constraint_not_preserved(raw):
     ("morse", "wells_c2", _function_not_invariant, "not invariant"),
     ("morse", "circle_c2_height", _constraint_not_preserved,
      "does not preserve the zero set"),
+    ("morse", "wells_c2", _seeds(counts=0),
+     r"'seeds' give an array of shape \(0,\), not .* ambient = 2"),
+    ("morse", "wells_c2", _seeds(counts=[7, 0]),
+     r"'seeds' give an array of shape \(0,\), not .* ambient = 2"),
+    ("morse", "wells_c2", _seeds(bounds=[[-1.5, 1.5]] * 3),
+     r"'seeds' give an array of shape \(343, 3\), not .* ambient = 2"),
+    ("morse", "sphere_height", _circle_seeds,
+     r"'seeds' give an array of shape \(8, 2\), not .* ambient = 3"),
 ], ids=["table", "stabilizer", "action", "table-type", "function-record",
-        "function-not-invariant", "constraint-not-preserved"])
+        "function-not-invariant", "constraint-not-preserved", "seeds-none",
+        "seeds-axis-none", "seeds-wide", "seeds-circle-in-3d"])
 def test_bad_fixture_data_is_an_error_exit(tmp_path, capsys, command, name,
                                            edit, message):
     # a table that is not a group (or no table at all), a stabilizer that is
     # not a subgroup, matrices that are not a representation, a record that
-    # is no polynomial term, a function that is not invariant or an action
-    # that moves the constraints make a malformed fixture: FixtureError, an
-    # error line and exit 2
+    # is no polynomial term, a function that is not invariant, an action
+    # that moves the constraints, or seeds that are empty or not of the
+    # ambient width make a malformed fixture: FixtureError, an error line
+    # and exit 2
     p = _rewritten(tmp_path, name, edit)
     with pytest.raises(FixtureError, match=message):
         load_fixture(p)
@@ -456,8 +476,8 @@ def test_bad_flag_value_is_an_error_exit(argv, capsys):
 def test_user_facing_errors_share_one_base():
     from equimorse.errors import InputError
     from equimorse.morse import (ChartMissing, DegenerateHessian, DeltaTooLarge,
-                                 HNotEquivariant, OutsideDeskScale,
-                                 UnsupportedRep)
+                                 HNotEquivariant, OutsideDeskScale)
+    from equimorse.repcells import UnsupportedRep
     from equimorse.smith import NotAPGroup
 
     for cls in (FixtureError, NotAPGroup, UnsupportedRep, ChartMissing,
@@ -795,6 +815,16 @@ def test_morse_flat_figures_exit_zero_with_escapes():
     assert flows.splitlines()[:3] == ["  1 -> 0 via coset (0, 1, 2): 1",
                                       "  2 -> 1 via coset (1,): 1",
                                       "  2 -> 1 via coset (0,): 1"]
+
+
+def test_stabilize_that_leaves_unstable_points_exits_one(capsys, monkeypatch):
+    # figure1_dihedral's one surgery leaves its three maxima unstable: under
+    # --stabilize morse and specseq say how many and exit 1
+    monkeypatch.chdir(FIXDIR.parent)
+    warning = "warning: still unstable after the surgery: 3 of 7 critical points\n"
+    for command in ("morse", "specseq"):
+        assert main([command, "fixtures/figure1_dihedral.json", "--stabilize"]) == 1
+        assert capsys.readouterr().out.endswith(warning)
 
 
 def _write_goldens():

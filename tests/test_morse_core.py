@@ -1420,6 +1420,7 @@ def test_batched_newton_matches_scalar_reference(case):
 # the orbit of three index-1 saddles and find 4, the search's known
 # silent miss
 SEARCH_COUNTS = {"figure1_plane": {1}, "figure1_plane-surgered": {4, 7},
+                 "figure1_dihedral": {1}, "figure1_dihedral-surgered": {4, 7},
                  "figure2_plane": {1}, "figure2_plane-surgered": {3},
                  "sphere_height": {2}, "torus_tilted": {4},
                  "circle_c2_height": {2}, "circle_c2_height-surgered": {4},

@@ -378,6 +378,11 @@ def _betti(data, G, kind="constant"):
     return {n: h.dim(n) for n in h.degrees() if h.dim(n)}
 
 
+# the manifold fixtures whose `morse --stabilize` function is stable, as
+# the flow needs: figure1_dihedral's one surgery leaves three unstable
+# maxima (test_perturb.py, test_dihedral_figure1_gets_figure1s_surgery)
+FLOWING = sorted(set(MANIFOLD_FIXTURES) - {"figure1_dihedral"})
+
 # per manifold fixture: flow counts, unresolved, escaped and the constant
 # Morse homology over F2 of the stabilized function, as the flow gave them
 # when every row was integrated into capture_tol by RK4; capturing rows in a
@@ -396,7 +401,7 @@ FLOW_PINS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(MANIFOLD_FIXTURES))
+@pytest.mark.parametrize("name", FLOWING)
 def test_capture_keeps_flow_counts_on_fixtures(name):
     # the `morse --stabilize` pipeline at the library's 512 samples
     fx = MANIFOLD_FIXTURES[name]()
@@ -407,7 +412,7 @@ def test_capture_keeps_flow_counts_on_fixtures(name):
         == FLOW_PINS[name]
 
 
-@pytest.mark.parametrize("name", sorted(MANIFOLD_FIXTURES))
+@pytest.mark.parametrize("name", FLOWING)
 def test_error_controlled_steps_keep_every_basin(name, monkeypatch):
     # the one flow batch of the `morse --stabilize` pipeline at the bench's
     # 16 samples, run again at a tenth of the step length: every row that
@@ -467,7 +472,7 @@ def _velocity(f, M):
     return velocity
 
 
-@pytest.mark.parametrize("name", sorted(MANIFOLD_FIXTURES))
+@pytest.mark.parametrize("name", FLOWING)
 def test_released_rows_reach_the_limits_of_their_seeds(name):
     # the release keeps every basin: each row of the pipeline's batch ends
     # where the trajectory from its RHO seed ends, so the basin boundaries
@@ -514,7 +519,7 @@ def _at_value(velocity, value_of, M, P, sign, value):
     return _rk4(velocity, M, P, sign, 0.5 * (lo + hi))
 
 
-@pytest.mark.parametrize("name", sorted(MANIFOLD_FIXTURES))
+@pytest.mark.parametrize("name", FLOWING)
 def test_released_starts_lie_on_the_flow_lines_of_their_seeds(name):
     # each released start against the trajectory from its RHO seed, at a
     # tenth of the step length, at the same value of f.  The bound is the
@@ -600,7 +605,7 @@ def _pipeline_certificate(name):
                                             _leaves(kw, len(crits)))
 
 
-@pytest.mark.parametrize("name", sorted(MANIFOLD_FIXTURES))
+@pytest.mark.parametrize("name", FLOWING)
 def test_every_orbit_shares_one_certificate(name):
     # the probe directions are fixed tangent axes, not carried by the
     # action: every member of an orbit takes the same radii and level
@@ -672,7 +677,7 @@ def _region_starts(f, M, c, R, level, d, rays=12):
     return X[inside(X)]
 
 
-@pytest.mark.parametrize("name", sorted(MANIFOLD_FIXTURES))
+@pytest.mark.parametrize("name", FLOWING)
 def test_shortcut_rows_reach_their_sink_by_rk4_alone(name):
     # an oracle for the sink's shortcut: rows started in a sink's level
     # region, near its edge included, are integrated in one batch with

@@ -22,6 +22,7 @@ from equimorse.morse import (
     classify,
     find_critical_points,
     localize_surgery,
+    run_morse,
     seed_grid,
 )
 from equimorse.morse.manifolds import PolyJet, PolyTable
@@ -417,6 +418,31 @@ def test_surgered_gradient_matches_value_differences(cut, name):
             assert np.allclose(H[:, :, i], fdH, rtol=2e-4, atol=2e-5)
 
 
+def test_dihedral_figure1_gets_figure1s_surgery():
+    # figure 1 with D3 in place of C3 has the same f, chart and h, which
+    # Re z^3 keeps invariant under D3's reflections too: the group enters
+    # only the checks, so the surgered jets are figure 1's byte for byte on
+    # a grid that crosses the cylinder edge |u| = 3s
+    c3, d3 = (run_morse(MANIFOLD_FIXTURES[name](), stabilize=True)
+              for name in ("figure1_plane", "figure1_dihedral"))
+    axis = np.linspace(-1.2, 1.2, 29)
+    X = np.vstack([np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2),
+                   surgery_rows("figure1_plane", c3.function.scale)])
+    for order in range(3):
+        for a, b in zip(c3.function.jet_many(X, order),
+                        d3.function.jet_many(X, order)):
+            assert a.tobytes() == b.tobytes()
+    ((p, _),) = d3.surgeries
+    assert (p.index, p.stabilizer.order) == (2, 6)
+    # after the surgery the origin is a stable minimum; the three saddles
+    # and the three maxima lie on the reflection axes, and each maximum's
+    # reflection flips its tangent descending direction, so the maxima
+    # stay unstable: an invariant h has its maximum on a reflection axis
+    assert sorted((c.index, c.stabilizer.order, c.stable)
+                  for c in d3.critical) == (
+        [(0, 6, True)] + [(1, 2, True)] * 3 + [(2, 2, False)] * 3)
+
+
 def _angle_jac_reference(chart, x):
     """AngleChart's per-point Jacobian formula, kept as the reference."""
     r2 = float(x @ x)
@@ -470,8 +496,7 @@ def test_two_chart_surgery_first_chart_wins(cut):
                           dv=1, dw=1)
 
     def spliced(charts):
-        return SurgeredFunction(f, charts, one.model, one.scale, one.fp,
-                                one.split)
+        return SurgeredFunction(f, charts, one.model, one.scale, one.fp)
 
     two = spliced([chart, shifted])
     X = np.array([[0.1, 0.3], [0.5, -0.4], [-0.7, 1.1], [1.5, 0.2]])
@@ -503,6 +528,34 @@ def test_bad_chart_rejected(cut):
     bad = LinearChart(np.zeros(2), np.eye(2), dv=1, dw=1)  # v/w swapped
     with pytest.raises(ChartMissing):
         localize_surgery(f, M, before, radius=1.0, cut=cut, chart=bad)
+
+
+def test_surgery_reads_u_after_the_fixed_w_directions(cut):
+    # R^3 with C2 flipping y and f = x^2 - y^2 - z^2: the origin has index
+    # 2 and is unstable, with z fixed and y flipped.  The chart (x | z, y)
+    # lists W's fixed direction first, so U is y: the origin becomes index
+    # 1 and two index-2 points appear at y = +-t0 s, all stable.  The chart
+    # (x | y, z) lists the flipped direction first and is refused
+    M = ImplicitGManifold(ambient=3, constraints=(),
+                          action=LinearAction.reflection_c2(3, axis=1))
+    f = EqFunction.from_polynomial(
+        Polynomial(3, {(2, 0, 0): 1, (0, 2, 0): -1, (0, 0, 2): -1}))
+    before = classify(f, M, np.zeros(3))
+    assert (before.index, before.stabilizer.order, before.stable) == (2, 2, False)
+    e = np.eye(3)
+    chart = LinearChart(np.zeros(3), e[:, [0, 2, 1]], dv=1, dw=2)
+    newf = localize_surgery(f, M, before, radius=1.0, cut=cut, chart=chart)
+    assert (newf.model.dv, newf.model.dw, newf.model.du) == (1, 1, 1)
+    crits = [classify(newf, M, x) for x in
+             find_critical_points(newf, M, seed_grid([(-1.2, 1.2)] * 3, 5))]
+    assert sorted((c.index, c.stabilizer.order, c.stable) for c in crits) == [
+        (1, 2, True), (2, 1, True), (2, 1, True)]
+    off = [c.coords for c in crits if c.index == 2]
+    assert all(abs(x[1]) == pytest.approx(cut.t0 / 3.5, abs=1e-9)
+               and abs(x[0]) + abs(x[2]) < 1e-9 for x in off)
+    with pytest.raises(ChartMissing, match="fixed directions first"):
+        localize_surgery(f, M, before, radius=1.0, cut=cut,
+                         chart=LinearChart(np.zeros(3), e, dv=1, dw=2))
 
 
 def test_angle_chart_must_be_exact(cut):

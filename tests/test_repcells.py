@@ -16,8 +16,9 @@ from pathlib import Path
 import pytest
 
 from equimorse.groups import FiniteGroup, full_subgroup, trivial_subgroup
-from equimorse.morse import RepSpec, UnsupportedRep, representation_cell_groups
-from equimorse.repcells import THEORIES, representation_cell_table
+from equimorse.repcells import (THEORIES, RepSpec, UnsupportedRep,
+                                representation_cell_groups,
+                                representation_cell_table)
 
 PATH = Path(__file__).resolve().parent / "repcells_outputs.json"
 CHARS = (0, 2, 3)
