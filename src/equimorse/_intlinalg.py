@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, isqrt
+from math import gcd
 
 
 Column = tuple[tuple[int, int], ...]
@@ -55,11 +55,12 @@ _MR_EXACT = 3317044064679887385961981
 
 def is_prime(n: int) -> bool:
     """Whether n is prime, exactly: a deterministic Miller-Rabin test below
-    _MR_EXACT, trial division above it."""
+    _MR_EXACT.  From there on an n with no factor among the bases raises
+    ValueError, since no exact test of it is cheap."""
     if n < 2 or any(n % a == 0 for a in _MR_BASES):
         return n in _MR_BASES
     if n >= _MR_EXACT:
-        return all(n % d for d in range(43, isqrt(n) + 1, 2))
+        raise ValueError(f"primality is decided exactly only below {_MR_EXACT}")
     r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^r with d odd
     d = (n - 1) >> r
     for a in _MR_BASES:
@@ -156,12 +157,6 @@ def eliminate(cols, p: int, integral: bool = False, low=None):
             made = True
         pending = [j for j in pending if j not in done and work[j]] if made else []
     return pivots, [(j, a) for j, a in enumerate(work) if j not in done]
-
-
-def rank(cols, p: int) -> int:
-    """Rank over F_p (p prime) or Q (p == 0) of the matrix with these
-    columns, eliminated shortest column first."""
-    return len(eliminate(sorted(cols, key=len), p)[0])
 
 
 # -- Smith normal form -----------------------------------------------------

@@ -50,8 +50,13 @@ def _header(args, extra=""):
 
 
 def _check_char(p: int, zero_ok: bool):
-    """Reject a characteristic that is not a prime (or 0, where allowed)."""
-    if not (is_prime(p) or (zero_ok and p == 0)):
+    """Reject a characteristic that is not a prime (or 0, where allowed), or
+    one too large for is_prime to decide."""
+    try:
+        prime = is_prime(p)
+    except ValueError as exc:
+        raise FixtureError(f"--p {p}: {exc}") from exc
+    if not (prime or (zero_ok and p == 0)):
         raise FixtureError(f"--p {p} is not {'0 or ' if zero_ok else ''}a prime")
 
 
@@ -128,39 +133,17 @@ def _unstable_warning(run) -> str:
             f"{len(run.critical)} critical points")
 
 
-def _flow_check(M, crits, mdata):
-    """Whether the flow of a morse run on the manifold M passed, and the
-    `warning:` lines that it prints.
-
-    It fails on an unresolved trajectory and on a warning of the flow.  On
-    a closed manifold, M.codim > 0, it also fails on an escape, which is a
-    legitimate label on an open manifold (the flat figures) but a bug on a
-    closed one, and when the critical points lack index 0 or index M.dim:
-    every function on a closed manifold has a minimum and a maximum, so the
-    search missed one.  This sees only a missing extremum; ROADMAP item 3's
-    Euler certificate remains the full fix.
-    """
-    lines = [f"warning: {w}" for w in mdata.warnings]
-    found = {c.index for c in crits}
-    if M.codim:
-        lines += [f"warning: no critical point of index {i} was found, but "
-                  f"every function on a closed manifold has one"
-                  for i in sorted({0, M.dim} - found)]
-    ok = (mdata.unresolved == 0 and not lines
-          and not (M.codim and mdata.escaped))
-    return ok, lines
-
-
 def _morse_chains(fx: ManifoldFixture, run, coeff: str):
     """The flow of a stable morse run on the fixture's manifold, its
-    _flow_check verdict and warning lines, and its Morse complex over F2
-    for the coefficient system coeff over the manifold's group."""
+    verdict MorseData.ok and its warnings as `warning:` lines, and its
+    Morse complex over F2 for the coefficient system coeff over the
+    manifold's group."""
     from .morse import morse_complex
 
     mdata = run.flow()
-    ok, warned = _flow_check(fx.manifold, run.critical, mdata)
+    warned = [f"warning: {w}" for w in mdata.warnings]
     M = build_system(OrbitCategory(fx.manifold.action.group), coeff, char=2)
-    return mdata, ok, warned, morse_complex(mdata, M)
+    return mdata, mdata.ok, warned, morse_complex(mdata, M)
 
 
 def cmd_morse(args) -> int:
@@ -252,12 +235,10 @@ def cmd_cells(args) -> int:
         H, V = e, RepSpec(trivial=k)
     elif args.cell == "stable":
         H, V = full, RepSpec(trivial=k)
-    elif args.cell == "unstable":
+    else:  # "unstable", the last of the parser's choices
         if k < 1:
             raise FixtureError("unstable cells need index >= 1")
         H, V = full, RepSpec(trivial=k - 1, sign=1)
-    else:
-        raise FixtureError(f"unknown cell type {args.cell!r}")
     theories = THEORIES if args.theory == "all" else (args.theory,)
     lines = [_header(args, f"cell={args.cell} k={k} |G|={args.order}")]
     rows = ["theory,degree,betti"]

@@ -94,14 +94,12 @@ def load_fixture(path) -> GCWComplex | ManifoldFixture:
         g = raw["group"]
         table = tuple(tuple(int(x) for x in row) for row in g["table"])
         if len(table) != int(g.get("order", len(table))):
-            raise FixtureError(f"{path}: group order disagrees with the table")
+            raise ValueError("group order disagrees with the table")
         group = FiniteGroup(table, name=g.get("name", "G"))
         name = raw.get("name", str(path))
         if "gcw" in raw:
             return _gcw_from_json(group, raw["gcw"], name)
         return _manifold_from_json(group, raw["manifold"], name)
-    except FixtureError:
-        raise
     except KeyError as exc:
         raise FixtureError(f"{path}: missing key {exc.args[0]!r}") from exc
     except TypeError as exc:
@@ -119,7 +117,7 @@ def _num_from_json(v):
         return Fraction(int(v[0]), int(v[1]))
     if isinstance(v, (int, float)):
         return v
-    raise FixtureError(f"bad numeric entry {v!r}")
+    raise ValueError(f"bad numeric entry {v!r}")
 
 
 def _matrix_from_json(rows):
@@ -187,7 +185,7 @@ def _manifold_from_json(group, spec, name: str) -> ManifoldFixture:
         elif ch["type"] == "angle":
             charts[label] = AngleChart(float(ch["pole_angle"]))
         else:
-            raise FixtureError(f"unknown chart type {ch['type']!r}")
+            raise ValueError(f"unknown chart type {ch['type']!r}")
     sphere_fn = None
     if "sphere_fn" in spec:
         sf = spec["sphere_fn"]
@@ -202,7 +200,7 @@ def _manifold_from_json(group, spec, name: str) -> ManifoldFixture:
         seeds = seed_grid([tuple(b) for b in seeds_spec["bounds"]],
                           seeds_spec.get("counts", 7))
     else:
-        raise FixtureError(f"{name}: manifold 'seeds' needs 'circle' or 'bounds'")
+        raise ValueError("manifold 'seeds' needs 'circle' or 'bounds'")
     if seeds.ndim != 2 or not len(seeds) or seeds.shape[1] != ambient:
         raise ValueError(f"'seeds' give an array of shape {seeds.shape}, not "
                          f"one or more rows of width ambient = {ambient}")

@@ -22,8 +22,10 @@ starts its rows at RHO.  A row ends at a sink within CAPTURE_TOL, or once
 it enters the sink's sampled level region with f past its level; the
 region trusts the critical set found here (ROADMAP item 3 closes that
 gap).  The trajectories are then read source by source, in orbit order
-and ascents last, which fixes the order of counts and warnings.  An arrival is read from the capture: the critical
-point it names has a known orbit and element carrying the orbit's rep to it.
+and ascents last, which fixes the order of counts and warnings.  An
+arrival is read from the capture: the critical point it names has a known
+orbit and element carrying the orbit's rep to it.  Failed rows are
+counted once over the whole batch, and MorseData.ok is the one verdict.
 
 The Morse complex is the cellular Bredon complex of the descending-manifold
 cells, one cell-orbit per critical orbit with the mod-2 flow counts as
@@ -32,8 +34,6 @@ degrees, built by the one Bredon assembly, equimorse.gcw.bredon_assembly.
 
 from __future__ import annotations
 
-import logging
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,8 +55,6 @@ __all__ = [
     "morse_complex",
     "morse_differentials",
 ]
-
-log = logging.getLogger(__name__)
 
 DEFAULT_SPHERE_SAMPLES = {1: 512}
 # radius of the descending and ascending spheres the flow is seeded on;
@@ -95,7 +93,12 @@ class MorseData:
     linear_captures counts the trajectories ended at a sink past the level
     of its level region (see equimorse.morse.flow), and linear_releases
     those started in closed form at the edge of their source's certified
-    release radius instead of at RHO.
+    release radius instead of at RHO.  unresolved and escaped count every
+    trajectory of the flow, the samples of index-2 sources included.
+    warnings are the flow's faults: an arrival that skipped an index, a
+    source whose basin boundaries disagree with its identified lines, and,
+    on a closed manifold (closed, M.codim > 0), an index 0 or M.dim with no
+    critical point, which the search must have missed.
     """
 
     orbits: list[CriticalOrbit]
@@ -107,6 +110,15 @@ class MorseData:
     linear_captures: int = 0
     linear_releases: int = 0
     warnings: list = field(default_factory=list)
+    closed: bool = False
+
+    @property
+    def ok(self) -> bool:
+        """The flow's verdict: no unresolved trajectory and no warning, and
+        on a closed manifold no escape, which is a legitimate label on an
+        open one (the flat figures) but a bug on a closed one."""
+        return (self.unresolved == 0 and not self.warnings
+                and not (self.closed and self.escaped))
 
     def by_index(self, k: int) -> list[int]:
         return [i for i, o in enumerate(self.orbits) if o.index == k]
@@ -209,8 +221,6 @@ def morse_differentials(f: EqFunction, M: ImplicitGManifold,
     member_of = {j: (oi, s) for oi, orb in enumerate(orbits)
                  for s, j in orb.members}
     counts: dict[tuple[int, int], dict[OrbitMorphism, int]] = {}
-    unresolved = 0
-    escaped = 0
     warns: list[str] = []
     emitted: dict[int, int] = {}
 
@@ -255,19 +265,13 @@ def morse_differentials(f: EqFunction, M: ImplicitGManifold,
                                 sources=sources, step_length=step_length,
                                 escape_radius=escape_radius)
 
-    def arrival(tr, target_index, warning, message):
-        """The (orbit, coset) a trajectory lands on, or None after counting
-        it as unresolved or escaped or warning that it skipped an index."""
-        nonlocal unresolved, escaped
-        if tr.status == UNRESOLVED:
-            unresolved += 1
-            return None
-        if tr.escaped:
-            escaped += 1
+    def arrival(tr, target_index, warning):
+        """The (orbit, coset) a trajectory lands on, or None when it ended
+        unresolved or escaped, or after warning that it skipped an index."""
+        if not tr.resolved:
             return None
         if tr.limit.index != target_index:
             warns.append(f"{warning}{tr.limit.index}")
-            warnings.warn(message, stacklevel=3)
             return None
         return member_of[tr.limit_index]
 
@@ -290,8 +294,7 @@ def morse_differentials(f: EqFunction, M: ImplicitGManifold,
         if d == +1:
             for tr in part:
                 hit = arrival(tr, 2, "NonConsecutiveFlow: ascent from index 1 "
-                              "reached index ",
-                              "NonConsecutiveFlow: ascent skipped an index")
+                              "reached index ")
                 if hit is not None:
                     # the line a.p_rep -> q_rep translates to
                     # p_rep -> a^{-1}.q_rep
@@ -300,8 +303,7 @@ def morse_differentials(f: EqFunction, M: ImplicitGManifold,
             where = np.round(orbits[oi].rep.coords, 4)
             for tr in part:
                 hit = arrival(tr, 0, f"index-1 point at {where} flowed to "
-                              "index ",
-                              "NonConsecutiveFlow: trajectory skipped an index")
+                              "index ")
                 if hit is not None:
                     record(oi, *hit)
             splits[oi] = basin(part[0]) != basin(part[-1])
@@ -313,14 +315,14 @@ def morse_differentials(f: EqFunction, M: ImplicitGManifold,
             # A sample captured by an index-1 point lies on a flow line
             # itself and has no basin: it is left out, so the line it found
             # is one boundary (or none, between equal basins), not two
-            labels = [basin(tr) for tr in part]
-            unresolved += sum(b[0] == "unresolved" for b in labels)
-            basins = [b for b in labels
+            basins = [b for b in map(basin, part)
                       if b[0] != "crit" or crits[b[1]].index != 1]
             emitted[oi] = sum(b != basins[i - 1] for i, b in enumerate(basins))
 
-    data = MorseData(orbits=orbits, counts=counts, unresolved=unresolved,
-                     escaped=escaped, warnings=warns,
+    data = MorseData(orbits=orbits, counts=counts,
+                     unresolved=sum(tr.status == UNRESOLVED for tr in trajs),
+                     escaped=sum(tr.escaped for tr in trajs),
+                     warnings=warns, closed=M.codim > 0,
                      steps=sum(tr.steps for tr in trajs),
                      halvings=sum(tr.halvings for tr in trajs),
                      linear_captures=sum(tr.linear_capture for tr in trajs),
@@ -337,6 +339,13 @@ def morse_differentials(f: EqFunction, M: ImplicitGManifold,
                 f"orbit {src_i}: {nb} basin boundaries but {lines} "
                 f"identified flow lines between basins"
             )
+    # every function on a closed manifold has a minimum and a maximum, so
+    # a table without one is a search that missed it
+    if data.closed:
+        found = {c.index for c in crits}
+        warns += [f"no critical point of index {i} was found, but every "
+                  f"function on a closed manifold has one"
+                  for i in sorted({0, M.dim} - found)]
     for key in list(data.counts):
         data.counts[key] = {m: c % 2 for m, c in data.counts[key].items()}
     # sanity: flow goes downhill

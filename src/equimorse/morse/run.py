@@ -28,7 +28,8 @@ class MorseRun:
 
     def flow(self) -> MorseData:
         """morse_differentials with the fixture's step_length and
-        escape_radius; it raises unless the run is stable."""
+        escape_radius; it raises unless the run is stable, and the
+        result's ok is the flow's verdict."""
         fx = self.fixture
         return morse_differentials(self.function, fx.manifold, self.critical,
                                    step_length=fx.step_length,

@@ -2,9 +2,9 @@
 matrices: the identity, products, reduction mod p, the zero test, the
 determinant, the column form that equimorse stores, and a dense reduced row
 echelon form, its null space and the textbook persistence reduction as the
-references for its sparse elimination, the Smith diagonal of a whole
-column matrix by that elimination, and the boundary maps of random sparse
-complexes and of their duals."""
+references for its sparse elimination, the rank and the Smith diagonal of
+a whole column matrix by that elimination, and the boundary maps of random
+sparse complexes and of their duals."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -76,6 +76,12 @@ def snf_diagonal(cols) -> list[int]:
     """
     pivots, rest = la.eliminate(sorted(cols, key=len), 0, integral=True)
     return la.smith_diagonal(len(pivots), rest)
+
+
+def rank(cols, p: int) -> int:
+    """Rank over F_p (p prime) or Q (p == 0) of the matrix with these
+    columns, eliminated shortest column first."""
+    return len(la.eliminate(sorted(cols, key=len), p)[0])
 
 
 def rref(rows, p: int):

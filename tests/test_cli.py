@@ -216,6 +216,15 @@ def _circle_seeds(raw):
     raw["manifold"]["seeds"] = {"circle": 8}
 
 
+def _set(*path, value):
+    """An edit that sets raw[path[0]]...[path[-1]] to value."""
+    def edit(raw):
+        for key in path[:-1]:
+            raw = raw[key]
+        raw[path[-1]] = value
+    return edit
+
+
 @pytest.mark.parametrize("command, name, edit, message", [
     ("bredon", "circle_reflection", _bad_table, "no identity element"),
     ("bredon", "circle_reflection", _bad_stabilizer, "missing identity"),
@@ -233,22 +242,36 @@ def _circle_seeds(raw):
      r"'seeds' give an array of shape \(343, 3\), not .* ambient = 2"),
     ("morse", "sphere_height", _circle_seeds,
      r"'seeds' give an array of shape \(8, 2\), not .* ambient = 3"),
+    ("bredon", "circle_reflection", lambda raw: raw.pop("group"),
+     "missing 'group'"),
+    ("bredon", "circle_reflection", _set("group", "order", value=3),
+     "group order disagrees with the table"),
+    ("morse", "wells_c2", _set("manifold", "action", 1, 0, 0, value="x"),
+     "bad numeric entry 'x'"),
+    ("morse", "figure2_plane",
+     _set("manifold", "charts", "origin", "type", value="polar"),
+     "unknown chart type 'polar'"),
+    ("morse", "wells_c2", _set("manifold", "seeds", value={}),
+     "manifold 'seeds' needs 'circle' or 'bounds'"),
 ], ids=["table", "stabilizer", "action", "table-type", "function-record",
         "function-not-invariant", "constraint-not-preserved", "seeds-none",
-        "seeds-axis-none", "seeds-wide", "seeds-circle-in-3d"])
+        "seeds-axis-none", "seeds-wide", "seeds-circle-in-3d", "no-group",
+        "group-order", "string-entry", "chart-type", "seeds-kind"])
 def test_bad_fixture_data_is_an_error_exit(tmp_path, capsys, command, name,
                                            edit, message):
-    # a table that is not a group (or no table at all), a stabilizer that is
-    # not a subgroup, matrices that are not a representation, a record that
-    # is no polynomial term, a function that is not invariant, an action
-    # that moves the constraints, or seeds that are empty or not of the
-    # ambient width make a malformed fixture: FixtureError, an error line
-    # and exit 2
+    # a table that is not a group (or no table at all), no group or one of
+    # another order, a stabilizer that is not a subgroup, matrices that are
+    # not a representation or hold a string, a record that is no polynomial
+    # term, a function that is not invariant, an action that moves the
+    # constraints, a chart of no known type, or seeds of no known kind,
+    # empty or not of the ambient width make a malformed fixture:
+    # FixtureError, one error line naming the file, and exit 2
     p = _rewritten(tmp_path, name, edit)
     with pytest.raises(FixtureError, match=message):
         load_fixture(p)
     assert main([command, str(p)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {p}: ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {p}: ") and err.count("\n") == 1
 
 
 def _boundary_field(key, value):
@@ -281,6 +304,24 @@ def test_index_outside_the_group_or_the_cells_is_an_error_exit(tmp_path, capsys,
     assert main(["bredon", str(p)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {p}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bredon", "wells_c2"], "bredon needs a G-CW fixture"),
+    (["smith", "wells_c2", "--p", "2"], "smith needs a G-CW fixture"),
+    (["morse", "circle_reflection"], "morse needs a manifold fixture"),
+    (["cells", "--cell", "unstable", "--index", "0"],
+     "unstable cells need index >= 1"),
+], ids=["bredon-manifold", "smith-manifold", "morse-gcw", "unstable-index-0"])
+def test_command_of_the_other_kind_is_an_error_exit(capsys, argv, message):
+    # a fixture of the kind the command does not read, or a cell of no
+    # index: one error line naming it, and exit 2
+    if argv[0] != "cells":
+        argv = [argv[0], str(FIXDIR / f"{argv[1]}.json")] + argv[2:]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_function_invariant_only_on_the_manifold_loads(tmp_path):
@@ -366,6 +407,25 @@ def test_characteristic_neither_zero_nor_prime_is_an_error_exit(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and f"--p {p}" in captured.err
+
+
+def test_characteristic_past_the_exact_primality_bound_is_an_error_exit():
+    # the next prime after is_prime's exact Miller-Rabin bound, which no
+    # cheap test decides: refused within the timeout with an error line
+    import equimorse
+
+    src = str(Path(equimorse.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "equimorse.cli", "bredon",
+         str(FIXDIR / "point_c2.json"), "--p", "3317044064679887385962123"],
+        capture_output=True, text=True, timeout=10,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == ("error: --p 3317044064679887385962123: primality "
+                           "is decided exactly only below "
+                           "3317044064679887385961981\n")
 
 
 def test_bredon_at_a_large_prime():
@@ -458,10 +518,11 @@ def _exit_code(argv):
     ["cells", "--cell", "stable", "--index", "2", "--theory", "borel"],
     ["morse", "wells_c2", "--seeds", "5", "--seed-value", "-1"],
     ["bredon", "circle_reflection", "--coeff", "constant,constant"],
+    ["cells", "--cell", "bogus", "--index", "1"],
 ], ids=["delta-too-large", "delta-too-large-stable", "delta-zero",
         "delta-negative", "coeff-bogus", "order-zero", "coeff-general",
         "specseq-coeff", "rmax-zero", "seeds-negative", "theory-bogus",
-        "seed-value-negative", "coeff-repeated"])
+        "seed-value-negative", "coeff-repeated", "cell-bogus"])
 def test_bad_flag_value_is_an_error_exit(argv, capsys):
     # a flag value no command can use is an error line and exit 2, whether
     # argparse rejects it or the layer that reads it raises an InputError
@@ -728,8 +789,9 @@ def test_readme_library_example_runs(tmp_path):
 
 
 def _patch_flow(monkeypatch, **fields):
-    """Run the real flow counting, then overwrite fields of its MorseData.
-    The CLI's flow is MorseRun.flow, which calls the morse_differentials of
+    """Run the real flow counting, then overwrite fields of its MorseData;
+    its verdict ok is computed from them, so the CLI's exit follows.  The
+    CLI's flow is MorseRun.flow, which calls the morse_differentials of
     equimorse.morse.run, so the patch goes there."""
     from equimorse.morse import run as morse_run
 
@@ -762,6 +824,30 @@ def test_morse_exit_code_on_closed_manifold_escape(monkeypatch):
     assert "unresolved=0 escaped=1" in out
 
 
+def _library_flow(argv):
+    """run_morse(...).flow(), the library's route, for the fixture and flags
+    of a morse or specseq argv, on the seeds the CLI draws for --seeds and
+    --seed-value."""
+    import numpy as np
+
+    from equimorse.cli import make_parser
+    from equimorse.morse import run_morse
+
+    args = make_parser().parse_args(argv)
+    fx = load_fixture(args.fixture)
+    seeds = None
+    if args.seeds:
+        rng = np.random.default_rng(args.seed_value)
+        seeds = rng.uniform(fx.seeds.min(axis=0), fx.seeds.max(axis=0),
+                            size=(args.seeds, fx.manifold.ambient))
+    return run_morse(fx, seeds=seeds, stabilize=args.stabilize,
+                     delta=args.delta).flow()
+
+
+def _warning_lines(out):
+    return [line for line in out.splitlines() if line.startswith("warning:")]
+
+
 def test_specseq_on_a_manifold_fails_with_its_flow(capsys, monkeypatch):
     # three seeds on the torus find no index-1 point, and the flow leaves
     # two rows unresolved and a basin boundary unexplained: specseq fails
@@ -771,11 +857,16 @@ def test_specseq_on_a_manifold_fails_with_its_flow(capsys, monkeypatch):
             "1", "--stabilize", "--coeff", "constant"]
     warning = ("warning: orbit 1: 4 basin boundaries but 0 identified flow "
                "lines between basins\n")
+    data = _library_flow(["morse"] + argv)
+    assert not data.ok
+    warned = [f"warning: {w}" for w in data.warnings]
     assert main(["morse"] + argv) == 1
-    assert "unresolved=2" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "unresolved=2" in out and _warning_lines(out) == warned
     assert main(["specseq"] + argv) == 1
     out = capsys.readouterr().out
     assert out.count("warning:") == 1 and warning in out
+    assert _warning_lines(out) == warned
     assert "flow counting:" not in out
 
 
@@ -792,11 +883,28 @@ def test_closed_manifold_without_a_maximum_fails(name, seeds, seed_value,
             "--seed-value", seed_value]
     warning = ("warning: no critical point of index 2 was found, but every "
                "function on a closed manifold has one\n")
+    data = _library_flow(["morse"] + argv)
+    assert not data.ok
+    warned = [f"warning: {w}" for w in data.warnings]
     assert main(["morse"] + argv) == 1
     out = capsys.readouterr().out
     assert "index=2" not in out and warning in out
+    assert _warning_lines(out) == warned
     assert main(["specseq"] + argv) == 1
-    assert warning in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert warning in out and _warning_lines(out) == warned
+
+
+@pytest.mark.parametrize("case", [
+    case for case in GOLDEN
+    if case["argv"][0] == "morse" and "flow counting:" in case["stdout"]
+], ids=lambda case: "_".join(case["argv"][1:]).replace("fixtures/", ""))
+def test_stable_morse_goldens_pass_the_library_verdict(case, monkeypatch):
+    # every golden morse run that counts its flow exits 0, and the library
+    # route to the same flow gives the verdict ok
+    monkeypatch.chdir(FIXDIR.parent)
+    assert case["exit"] == 0
+    assert _library_flow(case["argv"]).ok
 
 
 def test_morse_flat_figures_exit_zero_with_escapes():
@@ -809,7 +917,7 @@ def test_morse_flat_figures_exit_zero_with_escapes():
     code, out = run_cli(["morse", str(FIXDIR / "figure1_plane.json"),
                          "--stabilize", "--coeff", "singular"])
     assert code == 0
-    assert ("unresolved=0 escaped=1 steps=7259 halvings=1392 "
+    assert ("unresolved=0 escaped=258 steps=7259 halvings=1392 "
             "linear_captures=258 linear_releases=346") in out
     flows = out.split("(source orbit -> target orbit, coset):\n")[1]
     assert flows.splitlines()[:3] == ["  1 -> 0 via coset (0, 1, 2): 1",

@@ -17,7 +17,8 @@ from equimorse.complexes import (
 )
 
 from intmat import (columns, det, dual_complex, identity, is_zero, low_reduction, mat_mod,
-                    mat_mul, random_sparse_complex, rref, rref_nullspace, snf_diagonal)
+                    mat_mul, random_sparse_complex, rank, rref, rref_nullspace,
+                    snf_diagonal)
 
 
 def sympy_invariant_factors(A, n):
@@ -183,7 +184,7 @@ def test_homology_reduces_each_boundary_map_once(monkeypatch, char, expected):
 
 def test_rref_nullspace_rank_mod_p():
     rows = [[1, 2, 0], [2, 4, 1]]
-    assert la.rank(columns(rows), 5) == 2
+    assert rank(columns(rows), 5) == 2
     ns = rref_nullspace(rows, 3, 5)
     assert len(ns) == 1
     v = dict(ns[0])
@@ -232,7 +233,7 @@ def test_sparse_elimination_matches_dense_reference(matrix, p):
     cols = columns(A, n)
     assert_invariant_factors(A, n)
     _, piv = rref(A, p)
-    assert la.rank(cols, p) == len(piv)
+    assert rank(cols, p) == len(piv)
 
 
 @settings(max_examples=200, deadline=None)
@@ -358,7 +359,7 @@ def uncleared_homology(C):
     """Homology from the rank (F_p) or the Smith diagonal (Z) of every
     full boundary map, each reduced on its own: the route without
     clearing."""
-    diag = {n: snf_diagonal(d) if not C.char else [1] * la.rank(d, C.char)
+    diag = {n: snf_diagonal(d) if not C.char else [1] * rank(d, C.char)
             for n, d in C.boundary.items()}
     entries = {}
     for n in C.degrees():
@@ -443,6 +444,15 @@ def test_is_prime_matches_sympy_on_seeded_samples(bits):
     samples += [sympy.nextprime(rng.getrandbits(bits // 2))
                 * sympy.nextprime(rng.getrandbits(bits // 2)) for _ in range(100)]
     assert [la.is_prime(n) for n in samples] == [sympy.isprime(n) for n in samples]
+
+
+def test_is_prime_refuses_past_its_exact_bound():
+    # from _MR_EXACT on the bases decide only a factor among them: such an n
+    # is composite, and any other is refused at once
+    assert not la.is_prime(la._MR_EXACT + 1) and not la.is_prime(3 * 10**30)
+    for n in (la._MR_EXACT, sympy.nextprime(la._MR_EXACT), 2**89 - 1):
+        with pytest.raises(ValueError, match=f"only below {la._MR_EXACT}$"):
+            la.is_prime(n)
 
 
 @pytest.mark.parametrize("n", [3215031751, 3825123056546413051,
