@@ -110,17 +110,13 @@ def _crit_table(title, crits) -> list:
 
 
 def _morse_run(fx: ManifoldFixture, args):
-    """run_morse with --seeds/--seed-value drawn as an array of seeds in the
-    box of the fixture's own, --stabilize and --delta."""
-    import numpy as np
-
+    """run_morse with the seeds of --seeds/--seed-value
+    (ManifoldFixture.random_seeds), --stabilize and --delta."""
     from .morse import run_morse
 
     seeds = None
     if args.seeds:
-        rng = np.random.default_rng(args.seed_value)
-        seeds = rng.uniform(fx.seeds.min(axis=0), fx.seeds.max(axis=0),
-                            size=(args.seeds, fx.manifold.ambient))
+        seeds = fx.random_seeds(args.seeds, args.seed_value)
     return run_morse(fx, seeds=seeds, stabilize=args.stabilize,
                      delta=args.delta)
 

@@ -71,6 +71,15 @@ class ManifoldFixture:
     step_length: float = 0.01      # first flow step; unit of its tolerance
     escape_radius: float = 50.0
 
+    def random_seeds(self, count: int, seed: int) -> np.ndarray:
+        """count points uniform in the box of the fixture's seeds, drawn by
+        np.random.default_rng(seed): the seeds of --seeds and --seed-value."""
+        import numpy as np
+
+        rng = np.random.default_rng(seed)
+        return rng.uniform(self.seeds.min(axis=0), self.seeds.max(axis=0),
+                           size=(count, self.manifold.ambient))
+
 
 def load_fixture(path) -> GCWComplex | ManifoldFixture:
     """The fixture in the JSON file at path; FixtureError if it is malformed

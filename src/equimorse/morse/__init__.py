@@ -22,7 +22,7 @@ from .perturb import (
     SphereFunction,
     localize_surgery,
 )
-from .flow import Trajectory, integrate_batch
+from .flow import FlowBatch, integrate_batch
 from .homology import (
     BoundarySquareNonzero,
     MorseData,
@@ -41,6 +41,7 @@ __all__ = [
     "DegenerateHessian",
     "DeltaTooLarge",
     "EqFunction",
+    "FlowBatch",
     "HNotEquivariant",
     "ImplicitGManifold",
     "LinearChart",
@@ -50,7 +51,6 @@ __all__ = [
     "OutsideDeskScale",
     "PerturbedModel",
     "SphereFunction",
-    "Trajectory",
     "build_cutoffs",
     "classify",
     "find_critical_points",

@@ -26,8 +26,8 @@ import numpy as np
 
 from ..errors import InputError
 from ..groups import Subgroup
-from .manifolds import (EqFunction, Evaluator, ImplicitGManifold, tangent_frame,
-                        tangent_part)
+from .manifolds import (EqFunction, Evaluator, ImplicitGManifold, _solve_stack,
+                        tangent_frame, tangent_part)
 
 __all__ = [
     "CriticalPoint",
@@ -93,27 +93,6 @@ def seed_grid(bounds, counts) -> np.ndarray:
     return pts
 
 
-def _solve_stack(K, b):
-    """K[r] y[r] = b[r] for every row in one stacked solve.  If any system is
-    singular the stack raises; then the rows whose determinant is neither 0
-    nor NaN are solved again as one stack, where each system is solved as
-    it would be alone, and only the others fall back row by row to solve,
-    then least squares.  det factors K as solve does and meets the same
-    exact zero pivot."""
-    try:
-        return np.linalg.solve(K, b[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        single = ~(np.linalg.det(K) != 0)
-    out = np.empty_like(b)
-    out[~single] = np.linalg.solve(K[~single], b[~single, :, None])[..., 0]
-    for r in np.flatnonzero(single):
-        try:
-            out[r] = np.linalg.solve(K[r], b[r])
-        except np.linalg.LinAlgError:
-            out[r], *_ = np.linalg.lstsq(K[r], b[r], rcond=None)
-    return out
-
-
 def match_point(x, points):
     """The index of the first of points within DEDUP_TOL of x, or None: the
     one test of "same critical point"."""
@@ -121,6 +100,17 @@ def match_point(x, points):
         if np.linalg.norm(x - y) < DEDUP_TOL:
             return j
     return None
+
+
+def translate_table(M: ImplicitGManifold, C) -> np.ndarray:
+    """hit[g, k]: the index of the first row of C within DEDUP_TOL of the
+    translate A_g C[k], or -1 where there is none; match_point for every
+    translate of every point at once.  C is an (n, ambient) array."""
+    n = len(C)
+    T = np.einsum("gij,kj->gki", M.action.matrices, C)
+    near = np.linalg.norm(T[:, :, None, :] - C[None, None], axis=3) < DEDUP_TOL
+    first = np.where(near, np.arange(n), n).min(axis=2, initial=n)
+    return np.where(first < n, first, -1)
 
 
 def _newton_kkt(f: EqFunction, M: ImplicitGManifold, X0, max_iter=60):

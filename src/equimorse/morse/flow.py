@@ -6,9 +6,12 @@ estimate, and are captured when they come within CAPTURE_TOL of a known
 critical point.  integrate_batch is the only integrator: it steps the rows
 of an (m x n) array of start points in lockstep with vectorized
 evaluations, each row with its own direction, so descents and ascents
-share one batch, and a single trajectory is a batch of one.  Every
-evaluation is row by row, and a row's trajectory is bit for bit the one it
-would have alone; aggregation of results never depends on trajectory order.
+share one batch, and a single trajectory is a batch of one.  It returns
+the batch as one FlowBatch of per-row arrays (start and end points,
+status, limit, steps, halvings, and the linear capture and release flags),
+which callers read and total as arrays.  Every evaluation is row by row,
+and a row's trajectory is bit for bit the one it would have alone;
+aggregation of results never depends on trajectory order.
 
 Near a critical point c the flow follows its linearization, e' = -H e
 descending and e' = H e ascending with H the Hessian, and RK4 follows it
@@ -77,18 +80,17 @@ step reads the start evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .critical import DEDUP_TOL, CriticalPoint
+from .critical import translate_table
 from .manifolds import (PROJECT_TOL, EqFunction, ImplicitGManifold,
                         _gram_solve, tangent_part)
 
 __all__ = [
     "CAPTURE_TOL",
-    "Trajectory",
+    "FlowBatch",
     "integrate_batch",
 ]
 
@@ -116,29 +118,19 @@ ESCAPED = 1
 UNRESOLVED = 2
 
 
-@dataclass(eq=False)
-class Trajectory:
-    """Outcome of one integrated trajectory."""
+class FlowBatch(NamedTuple):
+    """What integrate_batch returns: one entry per row of its batch."""
 
-    start: np.ndarray                # the seed, or its linear release
-    end: np.ndarray
-    status: int
-    limit_index: int | None          # index into the critical list
-    limit: CriticalPoint | None
-    steps: int
-    halvings: int                    # halved retries: over tol or rising f
-    linear_capture: bool = False     # ended in the sink's level region,
-                                     # and end is the sink itself
-    linear_release: bool = False     # start is the source's closed-form flow
-    points: np.ndarray | None = None
-
-    @property
-    def resolved(self) -> bool:
-        return self.status == CAPTURED
-
-    @property
-    def escaped(self) -> bool:
-        return self.status == ESCAPED
+    start: np.ndarray           # (m, N): the seed, or its linear release
+    end: np.ndarray             # (m, N)
+    status: np.ndarray          # (m,): CAPTURED, ESCAPED or UNRESOLVED
+    limit: np.ndarray           # (m,): index into crits, -1 unless captured
+    steps: np.ndarray           # (m,)
+    halvings: np.ndarray        # (m,): halved retries: over tol or rising f
+    linear_capture: np.ndarray  # (m,): ended in the sink's level region,
+                                # and end is the sink itself
+    linear_release: np.ndarray  # (m,): start is the source's closed-form flow
+    paths: list | None          # keep_paths: each row's accepted points
 
 
 class Certificate(NamedTuple):
@@ -150,10 +142,6 @@ class Certificate(NamedTuple):
     region: np.ndarray      # (n,): radius R of the level region
     level: np.ndarray       # (2, n): a row in B(c, R) strictly past it ends
                             # at c; -inf descending, +inf ascending if none
-
-
-def _crit_array(crits) -> np.ndarray:
-    return np.array([np.asarray(c.coords, dtype=float) for c in crits])
 
 
 def _shell_directions(d: int) -> np.ndarray:
@@ -222,9 +210,8 @@ def _certificate(flow, M: ImplicitGManifold, crits, C,
     level = np.array([[-np.inf], [np.inf]]).repeat(n, axis=1)
     if not n or not M.dim:
         return Certificate(release, np.zeros(n), level)
-    orbit = (np.linalg.norm(
-        np.einsum("gij,kj->gki", M.action.matrices, C)[:, :, None, :]
-        - C[None, None], axis=3) < DEDUP_TOL).any(axis=0)
+    # orbit[k, j]: crits[j] is a translate of crits[k]
+    orbit = (translate_table(M, C)[..., None] == np.arange(n)).any(axis=0)
 
     def conservative(a, pick, fill):
         # each point's entry of a: pick over the members of its orbit
@@ -335,8 +322,9 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
                     max_steps: int = 40000,
                     escape_radius: float = 50.0,
                     sources=None,
-                    keep_paths: bool = False):
-    """Integrate every row of X0; returns a list of Trajectory.
+                    keep_paths: bool = False) -> FlowBatch:
+    """Integrate every row of X0; returns their FlowBatch, whose arrays
+    have one entry per row of X0, in its order.
 
     X0 is an (m, ambient) array of start points, one per row; a single
     point of length ambient is a batch of one, and any other shape raises
@@ -353,13 +341,14 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
     (see the module docstring), at a tolerance of STEP_TOL times
     step_length per step.  Each lockstep round makes one RK4 attempt of
     every live row, and a rejected step is retried at half the size in the
-    next round.
+    next round.  With keep_paths, paths lists each row's accepted points
+    as a (steps, ambient) array; otherwise it is None.
 
     sources, when given, is the index into crits of the critical point
     each row leaves (one value, or one per row; -1 for none).  Such a row
     starts at the closed-form solution of its source's linearized flow at
     the source's certified radius for its direction, and counts as a linear
-    release (see the module docstring); its Trajectory.start is that point.
+    release (see the module docstring); its start is that point.
     Only those sources, with their orbits, are probed for a radius.
 
     A row is captured within CAPTURE_TOL of any critical point, and in the
@@ -378,7 +367,7 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
         raise ValueError(f"X0 must have shape (m, {M.ambient}), one start "
                          f"point per row; got shape {X.shape}")
     m = len(X)
-    C = _crit_array(crits) if crits else np.zeros((0, M.ambient))
+    C = np.array([c.coords for c in crits], dtype=float).reshape(-1, M.ambient)
     status = np.full(m, UNRESOLVED, dtype=int)
     limit = np.full(m, -1, dtype=int)
     steps_used = np.zeros(m, dtype=int)
@@ -511,22 +500,6 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
         tries = np.where(ok, 0, tries + 1)
         halved += ~ok & (tries <= MAX_HALVINGS)
 
-    out = []
-    for j in range(m):
-        li = int(limit[j]) if status[j] == CAPTURED else None
-        out.append(
-            Trajectory(
-                start=X_start[j],
-                end=X[j].copy(),
-                status=int(status[j]),
-                limit_index=li,
-                limit=crits[li] if li is not None else None,
-                steps=int(steps_used[j]),
-                halvings=int(halvings[j]),
-                linear_capture=bool(linear[j]),
-                linear_release=bool(released[j]),
-                points=np.array(paths[j]) if keep_paths else None,
-            )
-        )
-    return out
-
+    return FlowBatch(X_start, X, status, limit, steps_used, halvings, linear,
+                     released,
+                     [np.array(p) for p in paths] if keep_paths else None)

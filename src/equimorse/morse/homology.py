@@ -21,11 +21,15 @@ linearization ball before the first RK4 step; a source no rung certifies
 starts its rows at RHO.  A row ends at a sink within CAPTURE_TOL, or once
 it enters the sink's sampled level region with f past its level; the
 region trusts the critical set found here (ROADMAP item 3 closes that
-gap).  The trajectories are then read source by source, in orbit order
-and ascents last, which fixes the order of counts and warnings.  An
-arrival is read from the capture: the critical point it names has a known
-orbit and element carrying the orbit's rep to it.  Failed rows are
-counted once over the whole batch, and MorseData.ok is the one verdict.
+gap).  The batch comes back as one FlowBatch of per-row arrays, read
+source by source, in orbit order and ascents last, which fixes the order
+of counts and warnings.  An arrival is read from a row's limit: the
+critical point it names has a known orbit and element carrying the
+orbit's rep to it, from the one translate table of the critical set
+(critical.translate_table) that group_into_orbits reads.  A row's basin
+is its limit, or how it failed.  The totals of MorseData are sums over
+the whole batch's arrays, so every row counts once, and MorseData.ok is
+the one verdict.
 
 The Morse complex is the cellular Bredon complex of the descending-manifold
 cells, one cell-orbit per critical orbit with the mod-2 flow counts as
@@ -43,8 +47,8 @@ from ..complexes import ChainComplex, ChainComplexError
 from ..errors import InputError
 from ..gcw import bredon_assembly
 from ..groups import OrbitMorphism
-from .critical import CriticalPoint, match_point
-from .flow import UNRESOLVED, integrate_batch
+from .critical import CriticalPoint, translate_table
+from .flow import CAPTURED, ESCAPED, UNRESOLVED, integrate_batch
 from .manifolds import EqFunction, ImplicitGManifold
 
 __all__ = [
@@ -131,25 +135,24 @@ def group_into_orbits(M: ImplicitGManifold,
                       crits: list[CriticalPoint]) -> list[CriticalOrbit]:
     """Partition classified critical points into group orbits; a member is
     (first element carrying the rep onto it, its index in crits), and a
-    translate names the first point within DEDUP_TOL of it (match_point)."""
-    G = M.action.group
+    translate names the first point within DEDUP_TOL of it, read from one
+    translate_table."""
+    C = np.array([c.coords for c in crits], dtype=float).reshape(-1, M.ambient)
+    hit = translate_table(M, C)
     used = [False] * len(crits)
-    coords = [np.asarray(c.coords, dtype=float) for c in crits]
     orbits = []
     for i, c in enumerate(crits):
         if used[i]:
             continue
         members = []
-        for s in G.elements():
-            img = M.apply(s, coords[i])
-            hit = match_point(img, coords)
-            if hit is None:
-                raise ValueError(
-                    f"critical set is not closed under the action near {img}"
-                )
-            if not used[hit]:
-                used[hit] = True
-                members.append((s, hit))
+        for s in M.action.group.elements():
+            j = int(hit[s, i])
+            if j < 0:
+                raise ValueError(f"critical set is not closed under the "
+                                 f"action near {M.apply(s, C[i])}")
+            if not used[j]:
+                used[j] = True
+                members.append((s, j))
         orbits.append(CriticalOrbit(rep=c, size=len(members), members=members))
     orbits.sort(key=lambda o: (o.index, float(o.rep.value)))
     return orbits
@@ -251,37 +254,22 @@ def morse_differentials(f: EqFunction, M: ImplicitGManifold,
         for tgt_i, orb in enumerate(orbits):
             if orb.index == 1:
                 segments.append((tgt_i, +1, _ascending_seeds(orb.rep, RHO)))
-    trajs = []
-    if segments:
-        X0 = M.project_points_many(
-            np.concatenate([seeds for _, _, seeds in segments]))
-        direction = np.concatenate([np.full(len(seeds), d)
-                                    for _, d, seeds in segments])
-        # the critical point every row leaves: its orbit's representative
-        sources = np.concatenate([
-            np.full(len(seeds), crits.index(orbits[oi].rep))
-            for oi, _, seeds in segments])
-        trajs = integrate_batch(f, M, X0, crits=crits, direction=direction,
-                                sources=sources, step_length=step_length,
-                                escape_radius=escape_radius)
-
-    def arrival(tr, target_index, warning):
-        """The (orbit, coset) a trajectory lands on, or None when it ended
-        unresolved or escaped, or after warning that it skipped an index."""
-        if not tr.resolved:
-            return None
-        if tr.limit.index != target_index:
-            warns.append(f"{warning}{tr.limit.index}")
-            return None
-        return member_of[tr.limit_index]
-
-    def basin(tr):
-        """A trajectory's label: its limit point, or how it failed."""
-        if tr.status == UNRESOLVED:
-            return ("unresolved", None)
-        if tr.escaped:
-            return ("escaped", None)
-        return ("crit", tr.limit_index)
+    sizes = [len(seeds) for _, _, seeds in segments]
+    # one batch, empty when every orbit is a minimum
+    X0 = np.concatenate([np.zeros((0, M.ambient))]
+                        + [seeds for _, _, seeds in segments])
+    # every row leaves its orbit's representative
+    flow = integrate_batch(
+        f, M, M.project_points_many(X0), crits=crits,
+        direction=np.repeat([d for _, d, _ in segments], sizes),
+        sources=np.repeat([crits.index(orbits[oi].rep)
+                           for oi, _, _ in segments], sizes),
+        step_length=step_length, escape_radius=escape_radius)
+    # each row's basin: the critical point it reached, -1 if it escaped
+    # and -2 if it ended unresolved; and the index of that point, or -1
+    # (the limit -1 of a row not captured reads the appended -1)
+    basin = np.where(flow.status == CAPTURED, flow.limit, -flow.status)
+    reached = np.array([c.index for c in crits] + [-1])[flow.limit]
 
     # per index-1 orbit: do its two descending branches reach different
     # basins?  Only a line into such a point separates two basins.
@@ -289,24 +277,24 @@ def morse_differentials(f: EqFunction, M: ImplicitGManifold,
     G = M.action.group
     start = 0
     for oi, d, seeds in segments:
-        part = trajs[start:start + len(seeds)]
+        part = slice(start, start + len(seeds))
         start += len(seeds)
+        # a capture names an orbit and the element carrying its rep onto
+        # the point reached; a capture at the wrong index is a warning
         if d == +1:
-            for tr in part:
-                hit = arrival(tr, 2, "NonConsecutiveFlow: ascent from index 1 "
-                              "reached index ")
-                if hit is not None:
-                    # the line a.p_rep -> q_rep translates to
-                    # p_rep -> a^{-1}.q_rep
-                    record(hit[0], oi, G.inverse[hit[1]])
+            warns += [f"NonConsecutiveFlow: ascent from index 1 reached "
+                      f"index {k}" for k in reached[part] if k not in (-1, 2)]
+            for j in flow.limit[part][reached[part] == 2]:
+                q, a = member_of[j]
+                # the line a.p_rep -> q_rep translates to p_rep -> a^{-1}.q_rep
+                record(q, oi, G.inverse[a])
         elif orbits[oi].index == 1:
             where = np.round(orbits[oi].rep.coords, 4)
-            for tr in part:
-                hit = arrival(tr, 0, f"index-1 point at {where} flowed to "
-                              "index ")
-                if hit is not None:
-                    record(oi, *hit)
-            splits[oi] = basin(part[0]) != basin(part[-1])
+            warns += [f"index-1 point at {where} flowed to index {k}"
+                      for k in reached[part] if k not in (-1, 0)]
+            for j in flow.limit[part][reached[part] == 0]:
+                record(oi, *member_of[j])
+            splits[oi] = bool(basin[part][0] != basin[part][-1])
         else:
             # index-2 source: the sample fixes the basin structure; each
             # basin boundary is one emitted flow line, identified from the
@@ -315,18 +303,17 @@ def morse_differentials(f: EqFunction, M: ImplicitGManifold,
             # A sample captured by an index-1 point lies on a flow line
             # itself and has no basin: it is left out, so the line it found
             # is one boundary (or none, between equal basins), not two
-            basins = [b for b in map(basin, part)
-                      if b[0] != "crit" or crits[b[1]].index != 1]
-            emitted[oi] = sum(b != basins[i - 1] for i, b in enumerate(basins))
+            b = basin[part][reached[part] != 1]
+            emitted[oi] = int((b != np.roll(b, 1)).sum())
 
     data = MorseData(orbits=orbits, counts=counts,
-                     unresolved=sum(tr.status == UNRESOLVED for tr in trajs),
-                     escaped=sum(tr.escaped for tr in trajs),
+                     unresolved=int((flow.status == UNRESOLVED).sum()),
+                     escaped=int((flow.status == ESCAPED).sum()),
                      warnings=warns, closed=M.codim > 0,
-                     steps=sum(tr.steps for tr in trajs),
-                     halvings=sum(tr.halvings for tr in trajs),
-                     linear_captures=sum(tr.linear_capture for tr in trajs),
-                     linear_releases=sum(tr.linear_release for tr in trajs))
+                     steps=int(flow.steps.sum()),
+                     halvings=int(flow.halvings.sum()),
+                     linear_captures=int(flow.linear_capture.sum()),
+                     linear_releases=int(flow.linear_release.sum()))
     # the basin boundaries of every index-2 source must equal its raw count
     # of identified lines into index-1 points whose branches split
     for src_i, nb in emitted.items():

@@ -38,7 +38,9 @@ its evaluation gives there (an Evaluator's f and grad f), read from its
 own last evaluation; tangent_part projects onto the tangent spaces from a
 Jacobian already in hand.  The flow uses both, so a projected point is
 evaluated once.  One constraint, the common case, divides by |J|^2
-instead of a stacked 1 x 1 solve.
+instead of a stacked 1 x 1 solve; two or more take _solve_stack, the
+stacked solve Newton's KKT steps use, where a row whose Jacobian drops
+rank falls back alone.
 """
 
 from __future__ import annotations
@@ -230,15 +232,37 @@ class PolyJet:
         return jet[:order + 1]
 
 
+def _solve_stack(K, b):
+    """K[r] y[r] = b[r] for every row in one stacked solve.  If any system is
+    singular the stack raises; then the rows whose determinant is neither 0
+    nor NaN are solved again as one stack, where each system is solved as
+    it would be alone, and only the others fall back row by row to solve,
+    then least squares.  det factors K as solve does and meets the same
+    exact zero pivot."""
+    try:
+        return np.linalg.solve(K, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        single = ~(np.linalg.det(K) != 0)
+    out = np.empty_like(b)
+    out[~single] = np.linalg.solve(K[~single], b[~single, :, None])[..., 0]
+    for r in np.flatnonzero(single):
+        try:
+            out[r] = np.linalg.solve(K[r], b[r])
+        except np.linalg.LinAlgError:
+            out[r], *_ = np.linalg.lstsq(K[r], b[r], rcond=None)
+    return out
+
+
 def _gram_solve(J: np.ndarray, R: np.ndarray) -> np.ndarray:
     """(J J^T)^{-1} R for every row, with J of shape (m, c, N) and R of
     shape (m, c).  One constraint divides by |J|^2 (the tests check that
     this equals the stacked 1 x 1 solve bit for bit); two or more take the
-    stacked solve."""
+    stacked solve of _solve_stack, where a row whose J drops rank falls
+    back alone and the others are solved as they would be alone."""
     G = np.einsum("mcn,mdn->mcd", J, J)
     if J.shape[1] == 1:
         return R / G[..., 0]
-    return np.linalg.solve(G, R[..., None])[..., 0]
+    return _solve_stack(G, R)
 
 
 def tangent_part(J: np.ndarray, V: np.ndarray) -> np.ndarray:

@@ -10,7 +10,8 @@ point u of h on the unit sphere.  Splicing the model, scaled by s, into a
 Morse chart at an unstable critical point and into its orbit translates
 replaces the point by stable critical points.  The splice changes the
 function only on the cylinders |u| < 3s, which are unbounded in v and in
-the fixed part of w.
+the fixed part of w; a chart whose cylinder holds another point of the
+orbit is refused.
 
 Sphere functions h are homogeneous polynomials P divided by the matching
 power of the radius, so their derivatives are closed-form.  One seeded
@@ -382,7 +383,9 @@ def localize_surgery(f: EqFunction, M: ImplicitGManifold, p: CriticalPoint,
     exactly as f(p) + |v|^2 - |w|^2 there (checked by sampling the box of
     half-width 3s), and its W block must list the stabilizer's fixed
     directions first: U is the rest of W, and h is read in U's
-    coordinates.  Stable points pass through unchanged with a warning.
+    coordinates.  Another point of the orbit inside the chart's cylinder
+    raises ChartMissing: the model would overwrite f there.  Stable points
+    pass through unchanged with a warning.
     """
     if p.stable:
         warnings.warn("localize_surgery called on a stable point: no-op")
@@ -417,7 +420,9 @@ def localize_surgery(f: EqFunction, M: ImplicitGManifold, p: CriticalPoint,
     actU = OrthogonalAction(H_sub.as_group(), [B[lo:, lo:] for B in mats])
     model = PerturbedModel(dv, dw_keep, actU, h, cut)
 
-    # orbit translates of the chart
+    # orbit translates of the chart.  The cylinder |u| < 3s is unbounded in
+    # v and in the fixed part of w (ROADMAP item 18), so another orbit point
+    # inside it would take the model's values instead of f's
     charts = [chart]
     for s, q in M.action.orbit(coords):
         if match_point(q, [coords]) is not None:
@@ -425,6 +430,12 @@ def localize_surgery(f: EqFunction, M: ImplicitGManifold, p: CriticalPoint,
         if not isinstance(chart, LinearChart):
             raise ChartMissing("orbit surgery with angle charts is limited "
                                "to fixed poles")
+        (u,) = chart.jet_many(q[None, :], 0)
+        if np.linalg.norm(u[0, lo:]) < 3.0 * scale:
+            raise ChartMissing(
+                f"the orbit point {np.round(q, 6).tolist()} lies in the "
+                f"chart's modified cylinder |u| < 3s, which is unbounded in "
+                f"v and in the fixed part of w (ROADMAP item 18)")
         A = M.action.matrices[s]
         charts.append(LinearChart(A @ chart.center, A @ chart.frame,
                                   chart.dv, chart.dw))

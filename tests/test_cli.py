@@ -689,6 +689,33 @@ def test_morse_degenerate_function_is_an_error_exit(tmp_path, capsys):
         assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("counts", [4, 5])
+def test_morse_codim2_circle_whose_seed_grid_holds_a_rank_drop(tmp_path,
+                                                               counts):
+    # S^1 = {|x|^2 = 1, z = 0} in R^3 under C2 acting by (-x, -y, z), with
+    # f = y^2.  The 5-point grid holds the origin, where the Jacobian drops
+    # rank: that row is solved alone, and the grid gives the 4-point grid's
+    # constant-coefficient homology F2, F2
+    p = tmp_path / "circle_codim2.json"
+    p.write_text(json.dumps({
+        "name": "circle_codim2",
+        "group": {"order": 2, "name": "C2", "table": [[0, 1], [1, 0]]},
+        "manifold": {
+            "ambient": 3,
+            "constraints": _unit_sphere(3) + [[[[0, 0, 1], 1, 1]]],
+            "action": [[[[int(i == j), 1] for j in range(3)]
+                        for i in range(3)],
+                       [[[(1 if i == 2 else -1) * int(i == j), 1]
+                         for j in range(3)] for i in range(3)]],
+            "function": [[[0, 2, 0], 1, 1]],
+            "seeds": {"bounds": [[-1.1, 1.1]] * 3, "counts": counts},
+        },
+    }))
+    code, out = run_cli(["morse", str(p), "--coeff", "constant"])
+    assert code == 0
+    assert out.endswith("degree  group\n     0  F2\n     1  F2\n")
+
+
 def test_specseq_command_gcw():
     code, out = run_cli(["specseq", str(FIXDIR / "circle_reflection.json"),
                          "--coeff", "singular", "--p", "2"])
@@ -828,8 +855,6 @@ def _library_flow(argv):
     """run_morse(...).flow(), the library's route, for the fixture and flags
     of a morse or specseq argv, on the seeds the CLI draws for --seeds and
     --seed-value."""
-    import numpy as np
-
     from equimorse.cli import make_parser
     from equimorse.morse import run_morse
 
@@ -837,9 +862,7 @@ def _library_flow(argv):
     fx = load_fixture(args.fixture)
     seeds = None
     if args.seeds:
-        rng = np.random.default_rng(args.seed_value)
-        seeds = rng.uniform(fx.seeds.min(axis=0), fx.seeds.max(axis=0),
-                            size=(args.seeds, fx.manifold.ambient))
+        seeds = fx.random_seeds(args.seeds, args.seed_value)
     return run_morse(fx, seeds=seeds, stabilize=args.stabilize,
                      delta=args.delta).flow()
 

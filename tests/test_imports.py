@@ -1,5 +1,6 @@
 """Imports: every name the test modules and the program modules import is
-used, and each layer of the package is imported on first use."""
+used, every name a module lists in __all__ resolves, and each layer of the
+package is imported on first use."""
 
 import ast
 import importlib
@@ -56,6 +57,21 @@ def test_test_modules_use_every_import(path):
     ids=lambda p: p.relative_to(SRC).as_posix())
 def test_src_modules_use_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _module_name(path: Path) -> str:
+    parts = path.relative_to(SRC).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")),
+                         ids=lambda p: p.relative_to(SRC).as_posix())
+def test_every_name_in_a_modules_all_resolves(path):
+    # a name left in __all__ after its definition is gone breaks a star
+    # import of that module
+    module = importlib.import_module(_module_name(path))
+    assert [name for name in getattr(module, "__all__", ())
+            if not hasattr(module, name)] == []
 
 
 def _fresh_lines(script: str) -> list:

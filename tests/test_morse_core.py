@@ -24,6 +24,7 @@ from equimorse.morse import critical
 from equimorse.morse.critical import _newton_kkt
 from equimorse.morse.flow import (
     CAPTURE_TOL,
+    CAPTURED,
     MAX_HALVINGS,
     STEP_TOL,
     UNRESOLVED,
@@ -58,10 +59,10 @@ def constraints_at(M, x):
 
 
 def flow_one(f, M, x0, crits, **kw):
-    """The descending trajectory from the single point x0, with its path."""
-    (tr,) = integrate_batch(f, M, np.asarray(x0, dtype=float)[None, :],
-                            crits=crits, keep_paths=True, **kw)
-    return tr
+    """The descending trajectory from the single point x0, with its path:
+    a batch of one, read from row 0."""
+    return integrate_batch(f, M, np.asarray(x0, dtype=float)[None, :],
+                           crits=crits, keep_paths=True, **kw)
 
 
 def height_z():
@@ -362,10 +363,10 @@ def test_flow_to_south_pole():
     ]
     x0 = row(M.project_points_many, np.array([0.8, 0.2, 0.4]))
     tr = flow_one(f, M, x0, crits)
-    assert tr.resolved
-    assert tr.limit.index == 0
+    assert tr.status[0] == CAPTURED
+    assert crits[tr.limit[0]].index == 0
     # points stay on the sphere
-    assert abs(np.linalg.norm(tr.end) - 1.0) < 1e-9
+    assert abs(np.linalg.norm(tr.end[0]) - 1.0) < 1e-9
 
 
 @pytest.mark.parametrize("step_length", [0.002, 0.01, 0.05])
@@ -380,12 +381,13 @@ def test_flow_follows_the_exact_flow_line(step_length):
     X0 = np.array([[1.0, 0.5], [-0.8, 0.3], [0.2, -1.0], [2.0, 2.0]])
     trajs = integrate_batch(bowl, M, X0, crits=[], max_steps=200,
                             step_length=step_length, keep_paths=True)
-    for (x0, y0), tr in zip(X0, trajs):
-        x, y = tr.points.T
+    for (x0, y0), path, end in zip(X0, trajs.paths, trajs.end):
+        x, y = path.T
         assert np.abs(y - y0 * (x / x0) ** 3).max() <= STEP_TOL * step_length
         first = np.hypot(x[0] - x0, y[0] - y0)
         assert 0.9 * step_length < first <= step_length
-        assert tr.steps == 200 and np.linalg.norm(tr.end) < 1e-6
+        assert np.linalg.norm(end) < 1e-6
+    assert (trajs.steps == 200).all()
 
 
 def test_flow_counts_steps_and_halvings():
@@ -395,11 +397,12 @@ def test_flow_counts_steps_and_halvings():
     M = r2_manifold()
     stiff = EqFunction.from_polynomial(Polynomial(2, {(2, 0): 1, (0, 2): 50}))
     tr = flow_one(stiff, M, np.array([0.5, 0.3]), [], max_steps=100)
-    assert tr.status == UNRESOLVED and tr.steps == 100 and tr.halvings > 0
+    assert (tr.status[0] == UNRESOLVED and tr.steps[0] == 100
+            and tr.halvings[0] > 0)
     mild = EqFunction.from_polynomial(Polynomial(2, {(2, 0): 1, (0, 2): 1}))
     crit = [classify(mild, M, np.zeros(2))]
     tr = flow_one(mild, M, np.array([0.5, 0.3]), crit)
-    assert tr.resolved and tr.steps > 0 and tr.halvings == 0
+    assert tr.status[0] == CAPTURED and tr.steps[0] > 0 and tr.halvings[0] == 0
 
 
 def _counting(f):
@@ -428,7 +431,7 @@ def test_flow_evaluations_per_step_and_retry():
     for n in (3, 4):
         g, calls = _counting(mild)
         trajs = integrate_batch(g, M, X0, crits=crit, max_steps=n)
-        assert all(tr.steps == n and tr.halvings == 0 for tr in trajs)
+        assert (trajs.steps == n).all() and (trajs.halvings == 0).all()
         used.append(calls["first"])
     assert used[1] - used[0] == 4
     assert used[0] == 1 + 1 + 4 * 3
@@ -436,9 +439,9 @@ def test_flow_evaluations_per_step_and_retry():
     # value-and-gradient call; with no sink there is no probe call
     stiff = EqFunction.from_polynomial(Polynomial(2, {(2, 0): 1, (0, 2): 50}))
     g, calls = _counting(stiff)
-    (tr,) = integrate_batch(g, M, X0[:1], crits=[], max_steps=100)
-    assert tr.steps == 100 and tr.halvings > 0
-    assert calls["first"] == 1 + 4 * tr.steps + 4 * tr.halvings
+    tr = integrate_batch(g, M, X0[:1], crits=[], max_steps=100)
+    assert tr.steps[0] == 100 and tr.halvings[0] > 0
+    assert calls["first"] == 1 + 4 * tr.steps[0] + 4 * tr.halvings[0]
 
 
 def test_step_budget_is_checked_before_the_capture_test():
@@ -453,21 +456,22 @@ def test_step_budget_is_checked_before_the_capture_test():
     crit = [classify(mild, M, np.zeros(2))]
     X0 = np.array([[0.5, 0.3], [-0.4, 0.2]])
     free = integrate_batch(mild, M, X0, crits=crit, keep_paths=True)
-    for x0, tr in zip(X0, free):
-        n = tr.steps
-        assert tr.resolved and n > 0
-        (cut,) = integrate_batch(mild, M, x0, crits=crit, max_steps=n)
-        assert cut.status == UNRESOLVED and cut.limit is None
-        assert cut.steps == n and cut.end.tobytes() == tr.points[-1].tobytes()
-        (more,) = integrate_batch(mild, M, x0, crits=crit, max_steps=n + 1)
-        assert (more.status, more.steps, more.end.tobytes()) == (
-            tr.status, n, tr.end.tobytes())
+    for j, x0 in enumerate(X0):
+        n = free.steps[j]
+        assert free.status[j] == CAPTURED and n > 0
+        cut = integrate_batch(mild, M, x0, crits=crit, max_steps=n)
+        assert cut.status[0] == UNRESOLVED and cut.limit[0] == -1
+        assert (cut.steps[0] == n
+                and cut.end[0].tobytes() == free.paths[j][-1].tobytes())
+        more = integrate_batch(mild, M, x0, crits=crit, max_steps=n + 1)
+        assert (more.status[0], more.steps[0], more.end[0].tobytes()) == (
+            free.status[j], n, free.end[j].tobytes())
     for crits, certificate_calls in (([], 0), (crit, 1)):
         g, calls = _counting(mild)
         trajs = integrate_batch(g, M, X0, crits=crits, max_steps=0)
-        assert all(tr.status == UNRESOLVED and tr.steps == tr.halvings == 0
-                   and tr.end.tobytes() == x0.tobytes()
-                   for x0, tr in zip(X0, trajs))
+        assert (trajs.status == UNRESOLVED).all()
+        assert (trajs.steps == 0).all() and (trajs.halvings == 0).all()
+        assert trajs.end.tobytes() == X0.tobytes()
         # with the minimum, one call on its level region's boundary samples
         assert calls["first"] == certificate_calls
     saddle = EqFunction.from_polynomial(
@@ -477,8 +481,8 @@ def test_step_budget_is_checked_before_the_capture_test():
                             crits=[classify(saddle, M, np.zeros(2))],
                             direction=np.array([-1, 1]), sources=0,
                             max_steps=0)
-    assert all(tr.linear_release and tr.status == UNRESOLVED
-               and tr.end.tobytes() == tr.start.tobytes() for tr in trajs)
+    assert trajs.linear_release.all() and (trajs.status == UNRESOLVED).all()
+    assert trajs.end.tobytes() == trajs.start.tobytes()
     assert calls["first"] == 1
 
 
@@ -488,11 +492,13 @@ def test_flow_start_points_must_be_rows_of_the_ambient_space():
     M = r2_manifold()
     mild = EqFunction.from_polynomial(Polynomial(2, {(2, 0): 1, (0, 2): 1}))
     crit = [classify(mild, M, np.zeros(2))]
-    (one,) = integrate_batch(mild, M, [0.5, 0.3], crits=crit)
-    (ref,) = integrate_batch(mild, M, np.array([[0.5, 0.3]]), crits=crit)
-    assert (one.end.tobytes(), one.status, one.steps) == (
-        ref.end.tobytes(), ref.status, ref.steps)
-    assert integrate_batch(mild, M, np.zeros((0, 2)), crits=crit) == []
+    one = integrate_batch(mild, M, [0.5, 0.3], crits=crit)
+    ref = integrate_batch(mild, M, np.array([[0.5, 0.3]]), crits=crit)
+    assert len(one.status) == 1
+    assert (one.end[0].tobytes(), one.status[0], one.steps[0]) == (
+        ref.end[0].tobytes(), ref.status[0], ref.steps[0])
+    none = integrate_batch(mild, M, np.zeros((0, 2)), crits=crit)
+    assert none.end.shape == (0, 2) and len(none.status) == 0
     for bad in (np.zeros(3), np.zeros((2, 3)), np.zeros((1, 2, 2)), 0.5, []):
         with pytest.raises(ValueError, match=r"shape \(m, 2\)"):
             integrate_batch(mild, M, bad, crits=crit)
@@ -515,9 +521,9 @@ def test_flow_fails_loudly_on_non_monotone_values():
     liar = EqFunction(jet_many, nvars=2)
     x0 = np.array([0.5, 0.3])
     tr = flow_one(liar, M, x0, crit)
-    assert tr.status == UNRESOLVED and tr.limit is None
-    assert tr.steps == 0 and tr.halvings == MAX_HALVINGS
-    assert tr.end.tobytes() == x0.tobytes()
+    assert tr.status[0] == UNRESOLVED and tr.limit[0] == -1
+    assert tr.steps[0] == 0 and tr.halvings[0] == MAX_HALVINGS
+    assert tr.end[0].tobytes() == x0.tobytes()
 
 
 def test_flow_halving_guard_fires_on_smooth_contradicting_values():
@@ -536,9 +542,9 @@ def test_flow_halving_guard_fires_on_smooth_contradicting_values():
     cap = EqFunction(jet_many, nvars=2)
     x0 = np.array([0.5, 0.3])
     tr = flow_one(cap, M, x0, crit)
-    assert tr.status == UNRESOLVED and tr.limit is None
-    assert tr.steps == 0 and tr.halvings == MAX_HALVINGS
-    assert tr.end.tobytes() == x0.tobytes()
+    assert tr.status[0] == UNRESOLVED and tr.limit[0] == -1
+    assert tr.steps[0] == 0 and tr.halvings[0] == MAX_HALVINGS
+    assert tr.end[0].tobytes() == x0.tobytes()
 
 
 @pytest.mark.parametrize("start_finite", [False, True])
@@ -561,9 +567,9 @@ def test_flow_fails_loudly_on_nan_values(start_finite):
 
     broken = EqFunction(jet_many, nvars=2)
     tr = flow_one(broken, M, x0, crit)
-    assert tr.status == UNRESOLVED and tr.limit is None
-    assert tr.steps == 0 and tr.halvings == MAX_HALVINGS
-    assert tr.end.tobytes() == x0.tobytes()
+    assert tr.status[0] == UNRESOLVED and tr.limit[0] == -1
+    assert tr.steps[0] == 0 and tr.halvings[0] == MAX_HALVINGS
+    assert tr.end[0].tobytes() == x0.tobytes()
 
 
 def test_row_inside_a_certified_radius_is_captured_at_step_zero():
@@ -573,9 +579,10 @@ def test_row_inside_a_certified_radius_is_captured_at_step_zero():
     M = r2_manifold()
     bowl = EqFunction.from_polynomial(Polynomial(2, {(2, 0): 1, (0, 2): 3}))
     crit = [classify(bowl, M, np.zeros(2))]
-    (tr,) = integrate_batch(bowl, M, np.array([[0.06, -0.05]]), crits=crit)
-    assert tr.resolved and tr.limit_index == 0 and tr.linear_capture
-    assert tr.steps == 0 and np.array_equal(tr.end, crit[0].coords)
+    tr = integrate_batch(bowl, M, np.array([[0.06, -0.05]]), crits=crit)
+    assert (tr.status[0] == CAPTURED and tr.limit[0] == 0
+            and tr.linear_capture[0])
+    assert tr.steps[0] == 0 and np.array_equal(tr.end[0], crit[0].coords)
     S = sphere_manifold()
     f = height_z()
     crits = [classify(f, S, np.array([0.0, 0.0, 1.0])),
@@ -583,10 +590,11 @@ def test_row_inside_a_certified_radius_is_captured_at_step_zero():
     x0 = row(S.project_points_many, np.array([0.05, 0.04, -1.0]))
     for direction, sink in ((-1, 1), (+1, 0)):
         start = x0 if direction < 0 else -x0
-        (tr,) = integrate_batch(f, S, start[None, :], crits=crits,
-                                direction=direction)
-        assert tr.limit_index == sink and tr.linear_capture and tr.steps == 0
-        assert np.array_equal(tr.end, crits[sink].coords)
+        tr = integrate_batch(f, S, start[None, :], crits=crits,
+                             direction=direction)
+        assert (tr.limit[0] == sink and tr.linear_capture[0]
+                and tr.steps[0] == 0)
+        assert np.array_equal(tr.end[0], crits[sink].coords)
 
 
 @pytest.mark.parametrize("a, radius", [(40, 0.07), (10**6, CAPTURE_TOL)])
@@ -605,10 +613,10 @@ def test_capture_radius_shrinks_where_the_quadratic_model_fails(a, radius):
     crit = [classify(f, M, np.zeros(2))]
     X0 = np.array([[0.97 * radius, 0.0], [1.03 * radius, 0.0]])
     trajs = integrate_batch(f, M, X0, crits=crit)
-    assert all(tr.resolved and tr.limit_index == 0 for tr in trajs)
-    assert all(np.linalg.norm(tr.end) < CAPTURE_TOL for tr in trajs)
-    assert [tr.steps == 0 for tr in trajs] == [radius == CAPTURE_TOL, False]
-    assert not any(tr.linear_capture for tr in trajs)
+    assert (trajs.status == CAPTURED).all() and (trajs.limit == 0).all()
+    assert (np.linalg.norm(trajs.end, axis=1) < CAPTURE_TOL).all()
+    assert list(trajs.steps == 0) == [radius == CAPTURE_TOL, False]
+    assert not trajs.linear_capture.any()
 
 
 def test_row_in_a_level_region_is_captured_at_step_zero():
@@ -634,10 +642,10 @@ def test_row_in_a_level_region_is_captured_at_step_zero():
     assert cert.level[0, 0] == pytest.approx(0.0144, rel=1e-12)
     X0 = np.array([[0.1, 0.0], [0.19, 0.0], [0.0, 0.13]])
     trajs = integrate_batch(f, M, X0, crits=crit)
-    assert all(tr.resolved and tr.limit_index == 0 and tr.linear_capture
-               for tr in trajs)
-    assert all(np.linalg.norm(tr.end) < CAPTURE_TOL for tr in trajs)
-    assert [tr.steps == 0 for tr in trajs] == [True, True, False]
+    assert (trajs.status == CAPTURED).all() and (trajs.limit == 0).all()
+    assert trajs.linear_capture.all()
+    assert (np.linalg.norm(trajs.end, axis=1) < CAPTURE_TOL).all()
+    assert list(trajs.steps == 0) == [True, True, False]
 
 
 # the release radius of the minimum of x^2 + y^2 - a x^4 ascending, and of
@@ -689,16 +697,15 @@ def test_release_from_a_saddle(a, radius):
     kw = dict(crits=crit, direction=direction, max_steps=0)
     released = integrate_batch(f, M, X0, sources=np.zeros(4, int), **kw)
     plain = integrate_batch(f, M, X0, **kw)
-    assert ([tr.linear_release for tr in released]
-            == [radius > 0] * 2 + [True] * 2)
-    assert [tr.start.tobytes() for tr in plain] == [x.tobytes() for x in X0]
+    assert list(released.linear_release) == [radius > 0] * 2 + [True] * 2
+    assert plain.start.tobytes() == X0.tobytes()
     reach = [radius] * 2 + [0.2] * 2
-    for x0, tr, r in zip(X0, released, reach):
+    for x0, start, r in zip(X0, released.start, reach):
         if r:
             # on the eigenline, at the certified radius
-            assert np.allclose(tr.start, r * x0 / 1e-3, rtol=1e-12, atol=0)
+            assert np.allclose(start, r * x0 / 1e-3, rtol=1e-12, atol=0)
         else:
-            assert tr.start.tobytes() == x0.tobytes()
+            assert start.tobytes() == x0.tobytes()
 
 
 def test_project_points_rows_independent():
@@ -989,6 +996,29 @@ def test_codim1_projections_equal_their_solve_forms_bitwise():
         assert np.array_equal(M.project_points_many(near), X)
 
 
+def test_codim2_rows_whose_jacobian_drops_rank_fall_back_alone():
+    # {|x|^2 = 1, z = 0}: at the origin J = [[0, 0, 0], [0, 0, 1]] has rank
+    # 1 and its Gram matrix is singular.  That row falls back alone to
+    # least squares, and every other row of the stack is solved as it is
+    # solved alone, so one such seed no longer fails the whole batch
+    sphere = Polynomial(3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1,
+                            (0, 0, 0): -1})
+    M = ImplicitGManifold(
+        ambient=3, constraints=(sphere, Polynomial(3, {(0, 0, 1): 1})),
+        action=LinearAction.trivial(FiniteGroup.trivial(), 3))
+    X = np.array([[0.5, 0.2, 0.3], [0.0, 0.0, 0.0], [-1.1, 0.4, -0.2]])
+    Y = M.project_points_many(X)
+    assert [y.tobytes() for y in Y[[0, 2]]] == [
+        M.project_points_many(x[None])[0].tobytes() for x in X[[0, 2]]]
+    _, J = M.jet(X, 1)
+    V = np.random.default_rng(31).normal(size=X.shape)
+    T = tangent_part(J, V)
+    assert [t.tobytes() for t in T[[0, 2]]] == [
+        tangent_part(J[i][None], V[i][None])[0].tobytes() for i in (0, 2)]
+    # the least-squares multipliers leave V's part along e_z out at the origin
+    assert np.allclose(T[1], [V[1, 0], V[1, 1], 0.0], rtol=0, atol=1e-15)
+
+
 def test_projection_jacobian_is_the_jacobian_at_the_projected_points():
     # the Jacobian comes from the projection's last table evaluation of each
     # row; with iters=1 every moving row stops before it is evaluated
@@ -1071,7 +1101,7 @@ def test_flow_constraint_table_calls_per_iteration(monkeypatch):
         calls.clear()
         inside["calls"] = 0
         trajs = integrate_batch(f, M, X0, crits=[], max_steps=n)
-        assert all(tr.steps == n and tr.halvings == 0 for tr in trajs)
+        assert (trajs.steps == n).all() and (trajs.halvings == 0).all()
         assert set(calls) == {8}
         assert inside["calls"] >= n
         assert len(calls) - inside["calls"] == 1 + 3 * n
@@ -1099,7 +1129,7 @@ def test_flow_composed_calls_per_iteration(monkeypatch):
         con_calls.clear()
         inside["calls"] = 0
         trajs = integrate_batch(g, M, X0, crits=[], max_steps=n)
-        assert all(tr.steps == n and tr.halvings == 0 for tr in trajs)
+        assert (trajs.steps == n).all() and (trajs.halvings == 0).all()
         assert len(f_calls) == 1 + 4 * n
         assert {order for _, order in f_calls} == {1}
         assert inside["calls"] >= n
@@ -1224,8 +1254,8 @@ def test_flow_confined_to_fixed_locus():
     direction = (saddle.tangent_basis @ saddle.neg_basis)[:, 0]
     x0 = saddle.coords + 1e-3 * direction
     tr = flow_one(f, M, x0, crits)
-    assert tr.resolved and tr.limit.index == 0
-    assert np.max(np.abs(tr.points[:, 0])) < 1e-6  # stays on the y-axis
+    assert tr.status[0] == CAPTURED and crits[tr.limit[0]].index == 0
+    assert np.max(np.abs(tr.paths[0][:, 0])) < 1e-6  # stays on the y-axis
 
 
 def test_restricted_critical_points_match_intersection():

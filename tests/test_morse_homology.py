@@ -38,6 +38,7 @@ from equimorse.morse import homology as morse_homology
 from equimorse.morse import run as morse_run
 from equimorse.morse.flow import (
     CAPTURE_TOL,
+    CAPTURED,
     ESCAPED,
     RELEASE_GAIN,
     STEP_TOL,
@@ -212,16 +213,17 @@ def _mixed_case(name):
     kw = dict(crits=crits, step_length=fx.step_length,
               escape_radius=fx.escape_radius)
     alone = [integrate_batch(f, M, x0, direction=int(d), sources=int(k),
-                             **kw)[0]
+                             **kw)
              for x0, d, k in zip(X0, direction, sources)]
     return f, M, X0, direction, sources, kw, alone
 
 
-def _same_trajectory(a, b):
-    return ((a.start.tobytes(), a.end.tobytes(), a.status, a.limit_index,
-             a.steps, a.halvings, a.linear_capture, a.linear_release)
-            == (b.start.tobytes(), b.end.tobytes(), b.status, b.limit_index,
-                b.steps, b.halvings, b.linear_capture, b.linear_release))
+def _same_trajectory(batch, j, alone):
+    """Row j of batch is the one row of the batch alone, bit for bit."""
+    return all(getattr(batch, name)[j].tobytes()
+               == getattr(alone, name)[0].tobytes()
+               for name in ("start", "end", "status", "limit", "steps",
+                            "halvings", "linear_capture", "linear_release"))
 
 
 @pytest.mark.parametrize("case", ["torus_tilted", "figure1_plane"])
@@ -231,12 +233,12 @@ def test_mixed_batch_matches_rows_alone(case):
     f, M, X0, direction, sources, kw, alone = _mixed_case(case)
     batch = integrate_batch(f, M, X0, direction=direction, sources=sources,
                             **kw)
-    assert not any(tr.status == UNRESOLVED for tr in batch)
+    assert not (batch.status == UNRESOLVED).any()
     # both batches release rows and retry steps: on figure 1 the two
     # ascents halve their steps 10 times each
-    assert any(tr.linear_release for tr in batch)
-    assert any(tr.halvings for tr in batch)
-    assert all(map(_same_trajectory, batch, alone))
+    assert batch.linear_release.any()
+    assert batch.halvings.any()
+    assert all(_same_trajectory(batch, j, tr) for j, tr in enumerate(alone))
 
 
 @settings(max_examples=15, deadline=None)
@@ -250,7 +252,8 @@ def test_any_subset_of_a_mixed_batch_matches_rows_alone(case, data):
     rows = np.array(order[:data.draw(st.integers(1, len(X0)))])
     batch = integrate_batch(f, M, X0[rows], direction=direction[rows],
                             sources=sources[rows], **kw)
-    assert all(_same_trajectory(tr, alone[j]) for j, tr in zip(rows, batch))
+    assert all(_same_trajectory(batch, i, alone[j])
+               for i, j in enumerate(rows))
 
 
 def test_differentials_integrate_in_one_batch(monkeypatch):
@@ -382,8 +385,7 @@ def _ends(status, at):
     status and no limit."""
     def edit(rows, row):
         i = row(*at)
-        rows[i] = dataclasses.replace(rows[i], status=status, limit=None,
-                                      limit_index=None)
+        rows.status[i], rows.limit[i] = status, -1
     return edit
 
 
@@ -393,8 +395,7 @@ def _lands(index, at):
     def edit(rows, row):
         _, crits = _antipodal_crits()
         j = next(j for j, c in enumerate(crits) if c.index == index)
-        rows[row(*at)] = dataclasses.replace(rows[row(*at)], limit=crits[j],
-                                             limit_index=j)
+        rows.limit[row(*at)] = j
     return edit
 
 
@@ -461,6 +462,20 @@ def test_flow_verdict_on_a_closed_manifold_missing_an_extremum():
     assert (data.unresolved, data.escaped) == (0, 0)
     assert data.warnings == ["no critical point of index 2 was found, but "
                              "every function on a closed manifold has one"]
+    assert not data.ok
+
+
+def test_flow_verdict_on_a_closed_manifold_with_no_critical_point():
+    # an empty critical set: the translate table and the flow batch have
+    # no rows, and both extrema are missing
+    fx, _ = _antipodal_crits()
+    data = morse_differentials(fx.function, fx.manifold, [],
+                               step_length=fx.step_length)
+    assert (data.orbits, data.counts, data.unresolved, data.steps) == (
+        [], {}, 0, 0)
+    assert data.warnings == [f"no critical point of index {i} was found, "
+                             f"but every function on a closed manifold has "
+                             f"one" for i in (0, 2)]
     assert not data.ok
 
 
@@ -554,11 +569,12 @@ def test_error_controlled_steps_keep_every_basin(name, monkeypatch):
     ((f, M, X0, kw, loose),) = batches
     tight = real(f, M, X0, **{**kw, "step_length": kw["step_length"] / 10})
     sink = {-1: 0, +1: M.dim}
-    rows = [(a, b) for a, b, d in zip(loose, tight, kw["direction"])
-            if b.resolved and b.limit.index == sink[d]]
-    assert rows
-    assert all((a.status, a.limit_index) == (b.status, b.limit_index)
-               for a, b in rows)
+    index = np.array([c.index for c in kw["crits"]])
+    rows = (tight.status == CAPTURED) & (
+        index[tight.limit] == [sink[d] for d in kw["direction"]])
+    assert rows.any()
+    assert (loose.status[rows] == tight.status[rows]).all()
+    assert (loose.limit[rows] == tight.limit[rows]).all()
 
 
 @functools.cache
@@ -599,10 +615,10 @@ def test_released_rows_reach_the_limits_of_their_seeds(name):
     f, M, crits, X0, kw = _pipeline_batch(name)
     released = integrate_batch(f, M, X0, **kw)
     seeded = integrate_batch(f, M, X0, **{**kw, "sources": None})
-    assert any(tr.linear_release for tr in released)
-    assert not any(tr.linear_release for tr in seeded)
-    assert ([(tr.status, tr.limit_index) for tr in released]
-            == [(tr.status, tr.limit_index) for tr in seeded])
+    assert released.linear_release.any()
+    assert not seeded.linear_release.any()
+    assert (released.status == seeded.status).all()
+    assert (released.limit == seeded.limit).all()
 
 
 def _rk4(velocity, M, P, sign, h):
@@ -666,8 +682,8 @@ def test_released_starts_lie_on_the_flow_lines_of_their_seeds(name):
     seeded = integrate_batch(f, M, X0, **{**kw, "sources": None,
                                           "step_length": fine},
                              keep_paths=True)
-    rows = [j for j, tr in enumerate(released) if tr.linear_release]
-    assert rows
+    rows = np.flatnonzero(released.linear_release)
+    assert len(rows)
     starts, sign, bounds = [], [], []
     for j in rows:
         s, k = float(kw["direction"][j]), kw["sources"][j]
@@ -684,17 +700,17 @@ def test_released_starts_lie_on_the_flow_lines_of_their_seeds(name):
         e2 = (E * E).sum(axis=1)
         across = N - ((N * E).sum(axis=1) / e2)[:, None] * E
         kappa = (np.sqrt((across * across).sum(axis=1)) / e2).max()
-        path = np.vstack([X0[j], seeded[j].points])
-        level = value_of(released[j].start[None, :])[0]
+        path = np.vstack([X0[j], seeded.paths[j]])
+        level = value_of(released.start[j][None, :])[0]
         before = np.flatnonzero(s * (value_of(path) - level) < 0)[-1]
         starts.append(path[before])
         sign.append(s)
         bounds.append(kappa * RELEASE_GAIN ** 2 * r ** 2 / w.max()
                       + (before + 1) * STEP_TOL * fine)
     sign = np.array(sign)
-    levels = value_of(np.array([released[j].start for j in rows]))
+    levels = value_of(released.start[rows])
     there = _at_value(velocity, value_of, M, np.array(starts), sign, levels)
-    gaps = [np.linalg.norm(there[i] - released[j].start)
+    gaps = [np.linalg.norm(there[i] - released.start[j])
             for i, j in enumerate(rows)]
     assert all(g <= b for g, b in zip(gaps, bounds)), (gaps, bounds)
 
@@ -825,8 +841,7 @@ def test_shortcut_rows_reach_their_sink_by_rk4_alone(name):
         crits=[c for c in crits if c.index not in (0, M.dim)],
         direction=np.array(direction), step_length=kw["step_length"] / 100,
         escape_radius=kw["escape_radius"], max_steps=500)
-    ends = np.array([tr.end for tr in trajs])
-    assert (np.linalg.norm(ends - C[sink], axis=1) < CAPTURE_TOL).all()
+    assert (np.linalg.norm(trajs.end - C[sink], axis=1) < CAPTURE_TOL).all()
 
 
 def _batch_rounds(name, monkeypatch):
@@ -852,14 +867,14 @@ def test_figure1_batch_rounds(monkeypatch):
     # round, the batch took 61 calls; when rows ended only in linear balls
     # of radius at most 0.1, 98
     rounds, trajs = _batch_rounds("figure1_plane", monkeypatch)
-    assert len(rounds) == max(tr.steps + tr.halvings for tr in trajs) == 53
+    assert len(rounds) == (trajs.steps + trajs.halvings).max() == 53
 
 
 def test_torus_batch_rounds(monkeypatch):
     # the torus's batch at 16 samples: 142 rounds, where retries inside
     # the round took 164 RK4 calls
     rounds, trajs = _batch_rounds("torus_tilted", monkeypatch)
-    assert len(rounds) == max(tr.steps + tr.halvings for tr in trajs) == 142
+    assert len(rounds) == (trajs.steps + trajs.halvings).max() == 142
 
 
 @pytest.fixture(scope="module")

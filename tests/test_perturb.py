@@ -558,6 +558,39 @@ def test_surgery_reads_u_after_the_fixed_w_directions(cut):
                          chart=LinearChart(np.zeros(3), e, dv=1, dw=2))
 
 
+def test_chart_cylinder_holding_another_orbit_point_is_refused(cut):
+    # C2 x C2 acting on R^2 by sign changes, f = (|x| - 1)^2 - y^2 (the kink
+    # at x = 0 lies outside the splice): the saddle (1, 0) has stabilizer
+    # {1, y -> -y}, which is normal, so it fixes the displacement to the
+    # other orbit point (-1, 0), whose u = y is 0.  That point lies in the
+    # cylinder |u| < 3s, unbounded in v = x, where the first chart's model
+    # would overwrite f: the splice broke the invariance by 5.78 and left
+    # 3 critical points where two stabilized saddles give 6
+    G = FiniteGroup.product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2))
+    M = ImplicitGManifold(ambient=2, constraints=(), action=OrthogonalAction(
+        G, [np.diag([(-1.0) ** a, (-1.0) ** b]) for a in (0, 1)
+            for b in (0, 1)]))
+
+    def jet_many(X, order):
+        x, y = X[:, 0], X[:, 1]
+        a = np.abs(x) - 1
+        jet = [a * a - y * y]
+        if order >= 1:
+            jet.append(np.stack([2 * a * np.sign(x), -2 * y], axis=1))
+        if order == 2:
+            jet.append(np.broadcast_to(np.diag([2.0, -2.0]),
+                                       (len(X), 2, 2)).copy())
+        return jet
+
+    f = EqFunction(jet_many, nvars=2)
+    saddle = classify(f, M, np.array([1.0, 0.0]))
+    assert (saddle.index, saddle.stabilizer.order, saddle.stable) == (
+        1, 2, False)
+    chart = LinearChart(np.array([1.0, 0.0]), np.eye(2), dv=1, dw=1)
+    with pytest.raises(ChartMissing, match=r"orbit point \[-1\.0, 0\.0\]"):
+        localize_surgery(f, M, saddle, 0.35, cut, chart=chart)
+
+
 def test_angle_chart_must_be_exact(cut):
     # the circle's chart at the north pole presents the height y as
     # f(p) - y^2; the chart at the south pole and the chart for 2y do not,

@@ -333,6 +333,27 @@ def test_mismatched_dimensions_raise_value_error(call):
     assert type(info.value) is ValueError
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: jet_interpolate([(0,), (1,)], [Jet((0,), 1, {(0,): 1})], 1),
+     "one jet per point"),
+    (lambda: jet_interpolate([(0,), (1,)], [Jet((0,), 1), Jet((2,), 1)], 1),
+     "basepoint does not match"),
+    (lambda: jet_interpolate([(0,), (1,)], [Jet((0,), 1), Jet((1,), 2)], 1),
+     "order exceeds interpolation order"),
+    (lambda: equivariant_jet_lift((1,), Jet((0,), 1), _SIGN, 1),
+     "based at the given point"),
+    (lambda: equivariant_jet_lift((1,), Jet((1,), 2), _SIGN, 1),
+     "order exceeds lift order"),
+], ids=["interpolate-count", "interpolate-basepoint", "interpolate-order",
+        "lift-basepoint", "lift-order"])
+def test_jets_that_do_not_fit_raise_value_error(call, message):
+    # jet_interpolate takes one jet per point and equivariant_jet_lift one
+    # jet, each based at its point and of order at most k
+    with pytest.raises(ValueError, match=message) as info:
+        call()
+    assert type(info.value) is ValueError
+
+
 # -- taylor jets -------------------------------------------------------------
 
 
@@ -732,17 +753,19 @@ _C4 = _conjugated_c4()
 
 @pytest.mark.parametrize("act, p, k, orbit_size", [
     (_SIGN, (Fraction(1, 2),), 3, 2),
+    (_SIGN, (Fraction(1, 2),), 0, 2),
     (_S3, (Fraction(1), Fraction(1), Fraction(0)), 2, 3),
     (_S3, (Fraction(2), Fraction(1), Fraction(0)), 1, 6),
     (_S3, (Fraction(1), Fraction(-1), Fraction(2)), 2, 6),
     (_C3, (Fraction(1, 2), Fraction(-1, 4)), 2, 3),
-], ids=["sign_c2-orbit2", "s3-orbit3", "s3-orbit6-k1", "s3-orbit6-k2",
-        "rotation_c3-orbit3"])
+], ids=["sign_c2-orbit2", "sign_c2-k0", "s3-orbit3", "s3-orbit6-k1",
+        "s3-orbit6-k2", "rotation_c3-orbit3"])
 def test_lift_equals_average_of_interpolant(act, p, k, orbit_size):
     # the lift averages the transported representatives and interpolates
     # once; averaging the interpolant of the transported jets, with the
     # bumps in the action's invariant form, is the same polynomial (the
-    # C3 rotation is in a rational, non-orthogonal basis)
+    # C3 rotation is in a rational, non-orthogonal basis).  At k = 0 both
+    # are the zero polynomial
     rng = random.Random(7)
     H = act.stabilizer(p)
     rep = random_jet(rng, p, k).as_polynomial()
