@@ -11,11 +11,12 @@ underlying cells are the cosets g*stab and the boundary of g*cell follows by
 translation.  Attaching maps are never stored geometrically; the assembled
 singular-kind boundary squaring to zero is the admission check.
 
-An individual-cell description becomes a complex in two steps: cell_orbits
-checks the action and decomposes the cells into cell-orbits and records, and
-GCWComplex admits them.  Orbit data over a subgroup H can be induced to G
-between the two steps, as repcells does for G x_H (D(V), S(V)): the pair is
-built and decomposed over H, and only the induced complex is admitted.
+CellAction is the individual-cell layer: cell counts, boundary rows and one
+permutation per element.  Its cone and product build new actions, orbits()
+checks the action and decomposes the cells into cell-orbits and records,
+and gcw() admits those as a complex.  Given a subgroup H, gcw() admits
+G x_H X instead, as repcells does for G x_H (D(V), S(V)): the pair is built
+and decomposed over H, and only the induced complex is admitted.
 
 The coset tables behind both the assembly's coefficient systems and the
 subquotient oracles live on the orbit category (X.category for a complex),
@@ -40,13 +41,13 @@ from .groups import (
 )
 
 __all__ = [
+    "CellAction",
     "CellOrbit",
     "GCWComplex",
     "InvalidPair",
     "bredon_assembly",
     "bredon_chain_complex",
     "bredon_cochain_complex",
-    "cell_orbits",
     "gcw_from_cells",
     "subquotient_complex",
 ]
@@ -219,119 +220,190 @@ def subquotient_complex(X: GCWComplex, H: Subgroup, K: Subgroup,
     return ChainComplex(char=char, ranks=ranks, boundary=boundary)
 
 
-def cell_orbits(group: FiniteGroup, cells: dict[int, int],
-                boundaries: dict[int, list[list[tuple[int, int]]]],
-                perms: dict[int, dict[int, tuple[int, ...]]]):
-    """The cell-orbits and coset records of an individual-cell description,
-    checked: the cells and boundary of a GCWComplex before its admission.
+@dataclass(eq=False)
+class CellAction:
+    """An individual-cell description: cells[n] is the number of n-cells,
+    bnds[n][i] lists (face, degree) pairs over (n-1)-cells, and
+    perms[s][n] is the permutation of n-cells by the group element s (no
+    orientation reversal allowed)."""
 
-    cells[n] is the number of n-cells; boundaries[n][i] lists (face, degree)
-    pairs over (n-1)-cells; perms[s][n] is the permutation of n-cells by the
-    group element s (no orientation reversal allowed).  The action must
-    commute with the boundary.  Each cell-orbit is represented by its least
-    cell, and a record's coset is that of the least element carrying the
-    face orbit's representative to the face.
+    group: FiniteGroup
+    cells: dict[int, int]
+    bnds: dict[int, list[list[tuple[int, int]]]]
+    perms: dict[int, dict[int, tuple[int, ...]]]
 
-    Every element must permute the cells.  The group law s∘t = st is checked
-    for s the identity or a generator, against every t, and boundary
-    equivariance for s a generator.  The elements that pass either check
-    are closed under products, so this implies both for every s.  Each
-    generator is the least element not generated by those before it, so
-    the least element that fails the all-elements check is the identity or
-    a generator, and the error names the same first failure.
-    """
-    for s in group.elements():
+    @classmethod
+    def point(cls, group: FiniteGroup) -> CellAction:
+        """One fixed 0-cell: the unit of product."""
+        return cls(group, {0: 1}, {0: [[]]}, {s: {0: (0,)} for s in group.elements()})
+
+    def orbits(self):
+        """The cell-orbits and coset records of the action, checked: the
+        cells and boundary of a GCWComplex before its admission.  The action
+        must commute with the boundary.  Each cell-orbit is represented by
+        its least cell, and a record's coset is that of the least element
+        carrying the face orbit's representative to the face.
+
+        Every element must permute the cells.  The group law s∘t = st is
+        checked for s the identity or a generator, against every t, and
+        boundary equivariance for s a generator.  The elements that pass
+        either check are closed under products, so this implies both for
+        every s.  Each generator is the least element not generated by
+        those before it, so the least element that fails the all-elements
+        check is the identity or a generator, and the error names the same
+        first failure.
+        """
+        group, cells, boundaries, perms = self.group, self.cells, self.bnds, self.perms
+        for s in group.elements():
+            for n, count in cells.items():
+                p = perms.get(s, {}).get(n)
+                if p is None:
+                    raise ValueError(f"element {s} has no permutation of {n}-cells")
+                if sorted(p) != list(range(count)):
+                    raise ValueError(f"element {s} does not permute {n}-cells")
+        table = {s: {n: tuple(perms[s][n]) for n in cells} for s in group.elements()}
+        gens = _generators(group)
+        for s in sorted({group.identity, *gens}):
+            for t in group.elements():
+                st = group.mul[s][t]
+                for n in cells:
+                    # the composite s∘t, cell by cell
+                    if tuple(map(table[s][n].__getitem__, table[t][n])) != table[st][n]:
+                        raise ValueError(
+                            f"cell action violates the group law on ({s},{t})"
+                        )
+        # each cell's boundary as one face -> degree dict; s moves cell i's to
+        # {q[f]: d}, with no faces merged since q permutes them
+        reduced = {}
+        for n in cells:
+            if n - 1 in cells:
+                rows = boundaries.get(n, ())
+                if len(rows) != cells[n]:
+                    raise ValueError(f"{len(rows)} boundaries in degree {n} "
+                                     f"for {cells[n]} {n}-cells")
+                reduced[n] = []
+                for faces in rows:
+                    acc = {}
+                    for face, deg in faces:
+                        if not 0 <= face < cells[n - 1]:
+                            raise ValueError(f"{n}-cell boundary names face {face}, "
+                                             f"not one of {cells[n - 1]} {n - 1}-cells")
+                        acc[face] = acc.get(face, 0) + deg
+                    reduced[n].append({f: d for f, d in acc.items() if d})
+        for s in gens:
+            for n, red in reduced.items():
+                p = perms[s][n]
+                q = perms[s][n - 1]
+                for i in range(cells[n]):
+                    if {q[f]: d for f, d in red[i].items()} != red[p[i]]:
+                        raise ValueError(
+                            f"boundary not equivariant on {n}-cell {i} under {s}"
+                        )
+
+        # orbit decomposition with minimal-index representatives
+        orbit_of: dict[int, list[int]] = {}
+        reps: dict[int, list[int]] = {}
+        stabs: dict[int, list[Subgroup]] = {}
+        carriers: dict[int, list[int]] = {}  # element sending rep to this cell
         for n, count in cells.items():
-            p = perms[s][n]
-            if sorted(p) != list(range(count)):
-                raise ValueError(f"element {s} does not permute {n}-cells")
-    table = {s: {n: tuple(perms[s][n]) for n in cells} for s in group.elements()}
-    gens = _generators(group)
-    for s in sorted({group.identity, *gens}):
-        for t in group.elements():
-            st = group.mul[s][t]
-            for n in cells:
-                # the composite s∘t, cell by cell
-                if tuple(map(table[s][n].__getitem__, table[t][n])) != table[st][n]:
-                    raise ValueError(
-                        f"cell action violates the group law on ({s},{t})"
-                    )
-    # each cell's boundary as one face -> degree dict; s moves cell i's to
-    # {q[f]: d}, with no faces merged since q permutes them
-    reduced = {}
-    for n in cells:
-        if n - 1 in cells:
-            rows = boundaries.get(n, ())
-            if len(rows) != cells[n]:
-                raise ValueError(f"{len(rows)} boundaries in degree {n} "
-                                 f"for {cells[n]} {n}-cells")
-            reduced[n] = []
-            for faces in rows:
-                acc = {}
-                for face, deg in faces:
-                    if not 0 <= face < cells[n - 1]:
-                        raise ValueError(f"{n}-cell boundary names face {face}, "
-                                         f"not one of {cells[n - 1]} {n - 1}-cells")
-                    acc[face] = acc.get(face, 0) + deg
-                reduced[n].append({f: d for f, d in acc.items() if d})
-    for s in gens:
-        for n, red in reduced.items():
-            p = perms[s][n]
-            q = perms[s][n - 1]
-            for i in range(cells[n]):
-                if {q[f]: d for f, d in red[i].items()} != red[p[i]]:
-                    raise ValueError(
-                        f"boundary not equivariant on {n}-cell {i} under {s}"
-                    )
+            orbit_of[n] = [-1] * count
+            reps[n] = []
+            stabs[n] = []
+            carriers[n] = [group.identity] * count
+            for i in range(count):
+                if orbit_of[n][i] >= 0:
+                    continue
+                o = len(reps[n])
+                reps[n].append(i)
+                stab_elems = []
+                for s in group.elements():
+                    j = perms[s][n][i]
+                    if j == i:
+                        stab_elems.append(s)
+                    if orbit_of[n][j] < 0:
+                        orbit_of[n][j] = o
+                        carriers[n][j] = s
+                stabs[n].append(Subgroup(group, tuple(stab_elems)))
 
-    # orbit decomposition with minimal-index representatives
-    orbit_of: dict[int, list[int]] = {}
-    reps: dict[int, list[int]] = {}
-    stabs: dict[int, list[Subgroup]] = {}
-    carriers: dict[int, list[int]] = {}  # element sending rep to this cell
-    for n, count in cells.items():
-        orbit_of[n] = [-1] * count
-        reps[n] = []
-        stabs[n] = []
-        carriers[n] = [group.identity] * count
-        for i in range(count):
-            if orbit_of[n][i] >= 0:
-                continue
-            o = len(reps[n])
-            reps[n].append(i)
-            stab_elems = []
-            for s in group.elements():
-                j = perms[s][n][i]
-                if j == i:
-                    stab_elems.append(s)
-                if orbit_of[n][j] < 0:
-                    orbit_of[n][j] = o
-                    carriers[n][j] = s
-            stabs[n].append(Subgroup(group, tuple(stab_elems)))
+        orbits = {n: tuple(CellOrbit(L, f"c{n}.{o}") for o, L in enumerate(stabs[n]))
+                  for n in cells}
+        records: dict[int, dict] = {}
+        for n in reduced:
+            recs: dict[tuple[int, int], list] = {}
+            for o, i in enumerate(reps[n]):
+                for face, deg in boundaries[n][i]:
+                    bo = orbit_of[n - 1][face]
+                    s = carriers[n - 1][face]
+                    m = OrbitMorphism(stabs[n][o], stabs[n - 1][bo], (s,))
+                    recs.setdefault((o, bo), []).append((m, deg))
+            records[n] = {k: tuple(v) for k, v in recs.items()}
+        return orbits, records
 
-    orbits = {n: tuple(CellOrbit(L, f"c{n}.{o}") for o, L in enumerate(stabs[n]))
-              for n in cells}
-    records: dict[int, dict] = {}
-    for n in reduced:
-        recs: dict[tuple[int, int], list] = {}
-        for o, i in enumerate(reps[n]):
-            for face, deg in boundaries[n][i]:
-                bo = orbit_of[n - 1][face]
-                s = carriers[n - 1][face]
-                m = OrbitMorphism(stabs[n][o], stabs[n - 1][bo], (s,))
-                recs.setdefault((o, bo), []).append((m, deg))
-        records[n] = {k: tuple(v) for k, v in recs.items()}
-    return orbits, records
+    def gcw(self, name="", H: Subgroup | None = None) -> GCWComplex:
+        """The complex of the action, admitted once.  Given H, the action
+        must be over H.as_group(), and the complex is G x_H X over H.group:
+        X's H-cell-orbits and records read through H in G (element m as
+        H.elements[m]), so no cell is copied per coset."""
+        orbits, records = self.orbits()
+        if H is None:
+            return GCWComplex(self.group, orbits, records, name=name)
+        if self.group != H.as_group():
+            raise ValueError("an induced action must be over H.as_group()")
+        up = {L: Subgroup(H.group, tuple(H.elements[m] for m in L.elements))
+              for L in {c.stabilizer for cs in orbits.values() for c in cs}}
+        cells = {n: tuple(CellOrbit(up[c.stabilizer], c.label) for c in cs)
+                 for n, cs in orbits.items()}
+        boundary = {n: {k: tuple((OrbitMorphism(up[m.source], up[m.target],
+                                                (H.elements[m.rep],)), deg)
+                                 for m, deg in recs)
+                        for k, recs in rs.items()}
+                    for n, rs in records.items()}
+        return GCWComplex(H.group, cells, boundary, name=name)
+
+    def cone(self) -> CellAction:
+        """The pair (CX, X) with its base X left out: an apex 0-cell and a
+        cell c*s one dimension up per cell s of X.  The boundary of c*v is
+        -apex for a vertex v and -c*(boundary of s) otherwise; the action
+        fixes the apex and moves c*s as it moves s."""
+        cells = {0: 1, **{d + 1: c for d, c in self.cells.items()}}
+        bnds = {0: [[]], 1: [[(0, -1)] for _ in range(self.cells[0])],
+                **{d + 1: [[(f, -deg) for f, deg in row] for row in rows]
+                   for d, rows in self.bnds.items() if d}}
+        perms = {s: {0: (0,), **{d + 1: p for d, p in ps.items()}}
+                 for s, ps in self.perms.items()}
+        return CellAction(self.group, cells, bnds, perms)
+
+    def product(self, other: CellAction) -> CellAction:
+        """The cellular product over the same group: one cell a x b of
+        dimension |a| + |b| per pair of cells, with boundary
+        da x b + (-1)^|a| a x db and the diagonal action.  The product of
+        two pairs with their subspaces left out is again such a pair."""
+        X, Y = self, other
+        keys: dict[int, list] = {}
+        for dx, cx in sorted(X.cells.items()):
+            for dy, cy in sorted(Y.cells.items()):
+                keys.setdefault(dx + dy, []).extend(
+                    (dx, i, dy, j) for i in range(cx) for j in range(cy))
+        index = {k: n for ks in keys.values() for n, k in enumerate(ks)}
+        bnds = {d: [[(index[dx - 1, f, dy, j], deg) for f, deg in X.bnds[dx][i]]
+                    + [(index[dx, i, dy - 1, f], (-1) ** dx * deg)
+                       for f, deg in Y.bnds[dy][j]]
+                    for dx, i, dy, j in ks]
+                for d, ks in keys.items()}
+        perms = {s: {d: tuple(index[dx, X.perms[s][dx][i], dy, Y.perms[s][dy][j]]
+                              for dx, i, dy, j in ks)
+                     for d, ks in keys.items()}
+                 for s in X.group.elements()}
+        return CellAction(X.group, {d: len(ks) for d, ks in keys.items()},
+                          bnds, perms)
 
 
 def gcw_from_cells(group: FiniteGroup, cells: dict[int, int],
                    boundaries: dict[int, list[list[tuple[int, int]]]],
                    perms: dict[int, dict[int, tuple[int, ...]]],
                    name="") -> GCWComplex:
-    """The GCWComplex of an individual-cell description: its cell_orbits,
-    admitted once."""
-    return GCWComplex(group, *cell_orbits(group, cells, boundaries, perms),
-                      name=name)
+    """The GCWComplex of an individual-cell description."""
+    return CellAction(group, cells, boundaries, perms).gcw(name)
 
 
 def _generators(group: FiniteGroup) -> list[int]:

@@ -451,11 +451,11 @@ def test_cells_command_matches_table():
 
 def test_cells_for_every_theory_builds_the_pair_once(monkeypatch):
     # the four theories of `cells --theory all` read one pair complex
-    from equimorse import repcells
+    from equimorse.gcw import CellAction
 
     calls = []
-    real = repcells.cell_orbits
-    monkeypatch.setattr(repcells, "cell_orbits",
+    real = CellAction.orbits
+    monkeypatch.setattr(CellAction, "orbits",
                         lambda *a, **k: calls.append(a) or real(*a, **k))
     code, out = run_cli(["cells", "--cell", "unstable", "--index", "2"])
     assert code == 0
@@ -798,7 +798,8 @@ def test_readme_library_example_runs(tmp_path):
     # the README's Python example, extracted with the CI workflow's pattern
     # and run outside the checkout with src on its path, prints the Morse
     # homology of the stabilized circle and the cellular Bredon homology of
-    # the reflection circle: the same non-empty table twice
+    # the reflection circle, as a fixture and from its individual cells: the
+    # same non-empty table three times
     import equimorse
 
     readme = (FIXDIR.parent / "README.md").read_text()
@@ -810,9 +811,10 @@ def test_readme_library_example_runs(tmp_path):
         timeout=120, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0, proc.stderr
-    head, morse, bredon = proc.stdout.split("degree  group\n")
+    head, morse, bredon, cells = proc.stdout.split("degree  group\n")
     assert head == "" and morse.strip()
     assert morse == bredon
+    assert cells == bredon
 
 
 def _patch_flow(monkeypatch, **fields):

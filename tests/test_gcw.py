@@ -15,17 +15,18 @@ from equimorse.fixtures import (
     torus_double,
 )
 from equimorse.gcw import (
+    CellAction,
     GCWComplex,
     InvalidPair,
     bredon_chain_complex,
     bredon_cochain_complex,
-    cell_orbits,
     gcw_from_cells,
     subquotient_complex,
 )
 from equimorse.groups import (
     FiniteGroup,
     OrbitCategory,
+    OrbitMorphism,
     enumerate_subgroups,
     full_subgroup,
     left_cosets,
@@ -311,11 +312,11 @@ def test_boundary_list_of_the_wrong_length_is_rejected(bnds, count):
     perms = {0: {0: (0, 1), 1: (0,)}, 1: {0: (1, 0), 1: (0,)}}
     with pytest.raises(ValueError,
                        match=rf"^{count} boundaries in degree 1 for 1 1-cells$"):
-        cell_orbits(G, {0: 2, 1: 1}, bnds, perms)
+        CellAction(G, {0: 2, 1: 1}, bnds, perms).orbits()
 
 
 @pytest.mark.parametrize("key", [(-1, 0), (5, 0), (0, -1)])
-def test_boundary_key_outside_the_cell_orbits_is_rejected(key):
+def test_boundary_key_outside_the_orbit_pairs_is_rejected(key):
     # circle_reflection's record from its one 1-cell-orbit to the second
     # vertex orbit, moved to a key that names no orbit pair
     X = circle_reflection()
@@ -325,6 +326,69 @@ def test_boundary_key_outside_the_cell_orbits_is_rejected(key):
     with pytest.raises(ValueError, match=rf"boundary key \({a}, {b}\) in degree 1 names "
                                          r"no pair of 1 1-cell-orbits and 2 0-cell-orbits$"):
         GCWComplex(group=X.group, cells=X.cells, boundary={1: recs})
+
+
+def test_boundary_record_with_a_mismatched_morphism_is_rejected():
+    # circle_reflection's record 1:0->1 given a morphism out of the vertex
+    # stabilizer C2 instead of the edge's trivial stabilizer
+    X = circle_reflection()
+    recs = dict(X.boundary[1])
+    (m, deg), *rest = recs[(0, 1)]
+    vertex = X.cells[0][1].stabilizer
+    recs[(0, 1)] = ((OrbitMorphism(vertex, m.target, m.coset), deg), *rest)
+    with pytest.raises(ValueError,
+                       match=r"^boundary record 1:0->1 has mismatched morphism$"):
+        GCWComplex(group=X.group, cells=X.cells, boundary={1: recs})
+
+
+@pytest.mark.parametrize("perms, s, n", [
+    ({0: {0: (0, 1), 1: (0,)}}, 1, 0),
+    ({0: {0: (0, 1), 1: (0,)}, 1: {0: (0, 1)}}, 1, 1),
+])
+def test_permutation_table_missing_an_element_or_a_degree_is_rejected(perms, s, n):
+    # C2 on an interval with its endpoints: a table without element 1, or
+    # without element 1's permutation of the edge, used to end in a KeyError
+    C2 = FiniteGroup.cyclic(2)
+    with pytest.raises(ValueError,
+                       match=rf"^element {s} has no permutation of {n}-cells$"):
+        gcw_from_cells(C2, {0: 2, 1: 1}, {1: [[(0, -1), (1, 1)]]}, perms)
+
+
+def _generated_actions(seed):
+    """(group, cell action) of each complex of one generated Bredon pass:
+    grid tori and band spheres, renumbered and reoriented by the seed."""
+    from test_spectral import _load_gen
+
+    for desc, _, _ in _load_gen().bredon_pass(random.Random(f"cells/{seed}")):
+        G = FiniteGroup(tuple(tuple(r) for r in desc["table"]), name=desc["name"])
+        yield G, CellAction(G, desc["cells"], desc["boundaries"],
+                            dict(enumerate(desc["perms"])))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_induction_from_the_whole_group_is_the_complex(seed):
+    # G x_G X, built over the abstract table of the full subgroup and read
+    # back through it, has X's cell-orbits and records
+    for G, X in _generated_actions(seed):
+        full = full_subgroup(G)
+        up = CellAction(full.as_group(), X.cells, X.bnds, X.perms).gcw(H=full)
+        want = X.gcw()
+        assert up.group == G
+        assert up.cells == want.cells
+        assert up.boundary == want.boundary
+
+
+def test_induction_needs_the_action_over_the_subgroup_table():
+    # a C2 action induced along the trivial subgroup of C2
+    C2 = FiniteGroup.cyclic(2)
+    with pytest.raises(ValueError, match=r"must be over H\.as_group\(\)$"):
+        CellAction.point(C2).gcw(H=trivial_subgroup(C2))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_the_point_is_the_unit_of_product(seed):
+    for G, X in _generated_actions(seed):
+        assert CellAction.point(G).product(X).orbits() == X.orbits()
 
 
 def _full_check_failure(G, cells, bnds, perms):

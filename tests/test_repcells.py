@@ -201,6 +201,17 @@ def test_induced_interior_cells_from_s3():
     assert dict(h.entries) == {2: (1, ())}
 
 
+@pytest.mark.parametrize("G", [
+    FiniteGroup.symmetric(3),
+    FiniteGroup.product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2)),
+], ids=["S3", "C2xC2"])
+def test_rotation_planes_need_a_cyclic_stabilizer(G):
+    with pytest.raises(UnsupportedRep,
+                       match="^rotation planes need a cyclic stabilizer$"):
+        representation_cell_groups(full_subgroup(G), RepSpec(rotations=(1,)),
+                                   "singular")
+
+
 def _sweep():
     """(group, H, V): every subgroup of C1-C4 and S3, trivial <= 2, sign <= 2
     when |H| = 2, and at most one rotation plane when H is cyclic, up to
@@ -286,13 +297,13 @@ def _joins():
     product of three trivial C2 cone pairs (the 3-cube rel its boundary):
     each cell with a boundary lies in a free orbit in the first, and is
     fixed in the second."""
-    from equimorse.repcells import _cone, _ngon, _product, _s0
+    from equimorse.repcells import _ngon, _s0
 
     C3 = FiniteGroup.cyclic(3)
-    yield "free", C3, _cone(_ngon(C3, 1, 1, 3))
+    yield "free", C3, _ngon(C3, 1, 1, 3).cone()
     C2 = FiniteGroup.cyclic(2)
-    cone = _cone(_s0(C2))
-    yield "fixed", C2, _product(_product(cone, cone), cone)
+    cone = _s0(C2).cone()
+    yield "fixed", C2, cone.product(cone).product(cone)
 
 
 @pytest.mark.parametrize("kind, G, J", [pytest.param(*j, id=j[0]) for j in _joins()])
