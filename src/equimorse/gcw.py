@@ -377,17 +377,24 @@ class CellAction:
         """The cellular product over the same group: one cell a x b of
         dimension |a| + |b| per pair of cells, with boundary
         da x b + (-1)^|a| a x db and the diagonal action.  The product of
-        two pairs with their subspaces left out is again such a pair."""
+        two pairs with their subspaces left out is again such a pair.  A
+        degree without boundary rows (degree 0 may be left out) has empty
+        ones."""
         X, Y = self, other
+
+        def faces(A, d, i):
+            return A.bnds[d][i] if d in A.bnds else ()
+
         keys: dict[int, list] = {}
         for dx, cx in sorted(X.cells.items()):
             for dy, cy in sorted(Y.cells.items()):
                 keys.setdefault(dx + dy, []).extend(
                     (dx, i, dy, j) for i in range(cx) for j in range(cy))
         index = {k: n for ks in keys.values() for n, k in enumerate(ks)}
-        bnds = {d: [[(index[dx - 1, f, dy, j], deg) for f, deg in X.bnds[dx][i]]
+        bnds = {d: [[(index[dx - 1, f, dy, j], deg)
+                     for f, deg in faces(X, dx, i)]
                     + [(index[dx, i, dy - 1, f], (-1) ** dx * deg)
-                       for f, deg in Y.bnds[dy][j]]
+                       for f, deg in faces(Y, dy, j)]
                     for dx, i, dy, j in ks]
                 for d, ks in keys.items()}
         perms = {s: {d: tuple(index[dx, X.perms[s][dx][i], dy, Y.perms[s][dy][j]]

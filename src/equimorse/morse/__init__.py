@@ -1,6 +1,6 @@
 """Numerical equivariant Morse theory on explicit G-manifolds; run_morse
 (equimorse.morse.run) takes a fixture from critical points to flow counts.
-The surgery of an unstable point has one construction, localize_surgery
+The surgery of an unstable orbit has one construction, localize_surgery
 splicing a PerturbedModel, whose cutoffs CutoffPair.profile evaluates.
 """
 

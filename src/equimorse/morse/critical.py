@@ -1,35 +1,45 @@
 """Critical points on implicit G-manifolds: Newton on the Lagrange (KKT)
-system from all seeds at once, orbit closure, and stability classification.
+system from all seeds at once, orbit closure, stability classification, and
+the critical set's orbits.
 
 The search is batched first.  One KKT Newton runs on an (s, N + c) array of
 every seed's point and multipliers, with per-row masks for convergence,
 non-finite values and the divergence bound, and one stacked solve per
 iteration; the systems of a stack that holds a singular one are solved
 again as one stack without it, and each singular one alone, by solve,
-then least squares.  The closure under the group is one batched refinement
-of every found point's translates.
+then least squares.  The closure under the group refines, in one batch,
+only the translates of the found points that the translate table does
+not already find among them.
+
+Which points are the same point, which form one orbit, and which elements
+fix a point are one decision: manifolds.match_rows, the first row within
+DEDUP_TOL.  It deduplicates the search, gives the stabilizer
+(OrthogonalAction.stabilizer) and fills the translate table, from which
+group_into_orbits reads the critical orbits and checks that each orbit's
+size times its stabilizer order is |G|.
 
 The tolerances are module constants: gradient norm TOL_CRIT = 1e-9 for
 criticality, Hessian eigenvalue floor TOL_NONDEG = 1e-6 for nondegeneracy,
-DEDUP_TOL for coincident points, and the Newton residual NEWTON_TOL and
-divergence bound NEWTON_BOUND.  The stabilizer is the manifold's
-OrthogonalAction's, to manifolds.STAB_TOL.
+DEDUP_TOL (kept in manifolds, beside match_rows) for the same point, and
+the Newton residual NEWTON_TOL and divergence bound NEWTON_BOUND.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import InputError
 from ..groups import Subgroup
+from .manifolds import DEDUP_TOL  # noqa: F401 (exported here too)
 from .manifolds import (EqFunction, Evaluator, ImplicitGManifold, _solve_stack,
-                        tangent_frame, tangent_part)
+                        match_rows, tangent_frame, tangent_part)
 
 __all__ = [
+    "CriticalOrbit",
     "CriticalPoint",
     "DegenerateHessian",
     "TOL_CRIT",
@@ -37,14 +47,15 @@ __all__ = [
     "DEDUP_TOL",
     "classify",
     "find_critical_points",
+    "group_into_orbits",
     "seed_grid",
+    "translate_table",
 ]
 
 log = logging.getLogger(__name__)
 
 TOL_CRIT = 1e-9
 TOL_NONDEG = 1e-6
-DEDUP_TOL = 1e-6
 NEWTON_TOL = 1e-12
 NEWTON_BOUND = 1e6
 
@@ -93,24 +104,74 @@ def seed_grid(bounds, counts) -> np.ndarray:
     return pts
 
 
-def match_point(x, points):
-    """The index of the first of points within DEDUP_TOL of x, or None: the
-    one test of "same critical point"."""
-    for j, y in enumerate(points):
-        if np.linalg.norm(x - y) < DEDUP_TOL:
-            return j
-    return None
-
-
 def translate_table(M: ImplicitGManifold, C) -> np.ndarray:
-    """hit[g, k]: the index of the first row of C within DEDUP_TOL of the
-    translate A_g C[k], or -1 where there is none; match_point for every
-    translate of every point at once.  C is an (n, ambient) array."""
-    n = len(C)
+    """hit[g, k]: match_rows of the translate A_g C[k] against C, the index
+    of the first row of C within DEDUP_TOL of it, or -1 where there is
+    none; every translate of every point in one call.  C is an (n, ambient)
+    array."""
     T = np.einsum("gij,kj->gki", M.action.matrices, C)
-    near = np.linalg.norm(T[:, :, None, :] - C[None, None], axis=3) < DEDUP_TOL
-    first = np.where(near, np.arange(n), n).min(axis=2, initial=n)
-    return np.where(first < n, first, -1)
+    return match_rows(T.reshape(-1, M.ambient), C).reshape(T.shape[:2])
+
+
+def _distinct(X) -> np.ndarray:
+    """The rows of X that match no earlier row kept, in order: each row
+    kept drops the later rows within DEDUP_TOL of it (match_rows)."""
+    keep, left = [], np.arange(len(X))
+    while len(left):
+        keep.append(left[0])
+        left = left[1:][match_rows(X[left[1:]], X[left[:1]]) < 0]
+    return X[keep]
+
+
+@dataclass(eq=False)
+class CriticalOrbit:
+    """The critical points of crits that form one orbit: rep is the first
+    of them in crits, and members lists (the first element carrying rep
+    onto the point, the point's index in crits)."""
+
+    rep: CriticalPoint
+    size: int
+    members: list = field(default_factory=list)
+
+    @property
+    def index(self) -> int:
+        return self.rep.index
+
+
+def group_into_orbits(M: ImplicitGManifold,
+                      crits: list[CriticalPoint]) -> list[CriticalOrbit]:
+    """Partition classified critical points into group orbits, sorted by
+    index and value, from one translate_table.
+
+    ValueError if a translate matches no point (the set is not closed
+    under the action), or if an orbit's size times its stabilizer order is
+    not |G|: two points within DEDUP_TOL of each other, or a stabilizer
+    that disagrees with the table, would give M(stab) of the wrong rank."""
+    C = np.array([c.coords for c in crits], dtype=float).reshape(-1, M.ambient)
+    hit = translate_table(M, C)
+    G = M.action.group
+    used = [False] * len(crits)
+    orbits = []
+    for i, c in enumerate(crits):
+        if used[i]:
+            continue
+        members = []
+        for s in G.elements():
+            j = int(hit[s, i])
+            if j < 0:
+                raise ValueError(f"critical set is not closed under the "
+                                 f"action near {M.apply(s, C[i])}")
+            if not used[j]:
+                used[j] = True
+                members.append((s, j))
+        if len(members) * c.stabilizer.order != G.order:
+            raise ValueError(
+                f"the critical point at {np.round(C[i], 6).tolist()} has an "
+                f"orbit of size {len(members)} and a stabilizer of order "
+                f"{c.stabilizer.order}, whose product is not |G| = {G.order}")
+        orbits.append(CriticalOrbit(rep=c, size=len(members), members=members))
+    orbits.sort(key=lambda o: (o.index, float(o.rep.value)))
+    return orbits
 
 
 def _newton_kkt(f: EqFunction, M: ImplicitGManifold, X0, max_iter=60):
@@ -124,14 +185,17 @@ def _newton_kkt(f: EqFunction, M: ImplicitGManifold, X0, max_iter=60):
     It retires the rows whose residual norm is below NEWTON_TOL and takes
     one stacked KKT step on the rest.  A row is dropped as divergent when
     its residual is not finite or its step leaves the finite numbers or the
-    ball of radius NEWTON_BOUND.  The multipliers start at the
+    ball of radius NEWTON_BOUND, and as stuck when its step is exactly
+    zero: its point and multipliers, and so its next step, would not
+    change.  The multipliers start at the
     least-squares solution of J^T lambda = grad f, from iteration 0's own
     evaluation: one stacked solve of the Gram system J J^T lambda = J grad
     f on every row whose J and grad f are finite (the others start at 0),
     where a singular row (J = 0, as at the centre of the torus) falls back
     to least squares, the minimum-norm solution.  A singular KKT system
-    (that seed's, in every iteration) is solved on its own the same way
-    (see _solve_stack), and the other rows stay in one stacked solve.
+    is solved on its own the same way (see _solve_stack), and the other
+    rows stay in one stacked solve; at the centre of the torus that step
+    is zero, so the seed there is dropped after one iteration.
     Returns the (s, N) points and the mask of rows that converged within
     max_iter iterations.
     """
@@ -176,9 +240,12 @@ def _newton_kkt(f: EqFunction, M: ImplicitGManifold, X0, max_iter=60):
             K[:, N:, :N] = J
         else:
             K = Hl
-        Z[active] += _solve_stack(K, -res)
+        step = _solve_stack(K, -res)
+        Z[active] += step
         x = Z[active, :N]
-        ok = (np.isfinite(x).all(axis=1)
+        # a row whose step is exactly zero would repeat this iteration
+        # unchanged: it never converges
+        ok = (step.any(axis=1) & np.isfinite(x).all(axis=1)
               & (np.linalg.norm(x, axis=1) <= NEWTON_BOUND))
         active = active[ok]
     return Z[:, :N], converged
@@ -206,43 +273,36 @@ def find_critical_points(f: EqFunction, M: ImplicitGManifold,
     alone, with a least-squares fallback, beside the stack of the others.
     Divergent seeds are logged and skipped, never fatal.  The converged
     points that pass the tangent-gradient tolerance, read from one order-1
-    call of the Evaluator, are deduplicated in seed order.
+    call of the Evaluator, are deduplicated in seed order by match_rows.
 
-    The group closure is one pass: every translate of every found point is
-    refined by one batched 10-step Newton (keeping a translate as it is
-    where that does not converge), and the critical ones are added.  An
-    orbit is closed under the group, so translates of the added points are
-    already there.  Every returned point satisfies the tangent-gradient
-    tolerance.
+    The group closure is one pass: the translates of the found points that
+    the translate table does not find among them are refined by one
+    batched 10-step Newton (keeping a translate as it is where that does
+    not converge), and the critical ones are added, deduplicated the same
+    way.  An orbit is closed under the group, so translates of the added
+    points are already there.  Every returned point satisfies the
+    tangent-gradient tolerance.
     """
-    found: list[np.ndarray] = []
-
-    def add(x):
-        if match_point(x, found) is None:
-            found.append(x)
-
     ev = M.evaluator(f)
     X, ok = _newton_kkt(f, M, seeds)
     rows = np.flatnonzero(ok)
-    for r in rows[_is_critical(ev, X[rows])]:
-        add(X[r])
+    C = _distinct(X[rows[_is_critical(ev, X[rows])]])
     if not ok.all():
         log.debug("newton divergence on %d of %d seeds", (~ok).sum(), len(ok))
-
-    if not found:
-        return found
+    if not len(C):
+        return []
     # close under the group action: an orbit is closed, so one refinement
-    # batch of every translate of every found point adds all of it
-    Y = np.einsum("sij,pj->psi", M.action.matrices,
-                  np.array(found)).reshape(-1, M.ambient)
-    Y2, ok = _newton_kkt(f, M, Y, max_iter=10)
-    Y[ok] = Y2[ok]
-    for y in Y[_is_critical(ev, Y)]:
-        add(y)
-    values = f.value_many(np.array(found))
-    order = sorted(range(len(found)), key=lambda i: (
-        (round(float(values[i]), 9),) + tuple(np.round(found[i], 6))))
-    return [found[i] for i in order]
+    # batch of the translates the table does not find adds all of it
+    k, g = np.nonzero(translate_table(M, C).T < 0)
+    if len(k):
+        Y = np.einsum("mij,mj->mi", M.action.matrices[g], C[k])
+        Y2, ok = _newton_kkt(f, M, Y, max_iter=10)
+        Y[ok] = Y2[ok]
+        C = _distinct(np.concatenate([C, Y[_is_critical(ev, Y)]]))
+    values = f.value_many(C)
+    order = sorted(range(len(C)), key=lambda i: (
+        (round(float(values[i]), 9),) + tuple(np.round(C[i], 6))))
+    return [C[i] for i in order]
 
 
 def classify(f: EqFunction, M: ImplicitGManifold, p) -> CriticalPoint:

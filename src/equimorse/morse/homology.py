@@ -25,11 +25,10 @@ gap).  The batch comes back as one FlowBatch of per-row arrays, read
 source by source, in orbit order and ascents last, which fixes the order
 of counts and warnings.  An arrival is read from a row's limit: the
 critical point it names has a known orbit and element carrying the
-orbit's rep to it, from the one translate table of the critical set
-(critical.translate_table) that group_into_orbits reads.  A row's basin
-is its limit, or how it failed.  The totals of MorseData are sums over
-the whole batch's arrays, so every row counts once, and MorseData.ok is
-the one verdict.
+orbit's rep to it, from critical.group_into_orbits, which reads the
+critical set's one translate table.  A row's basin is its limit, or how
+it failed.  The totals of MorseData are sums over the whole batch's
+arrays, so every row counts once, and MorseData.ok is the one verdict.
 
 The Morse complex is the cellular Bredon complex of the descending-manifold
 cells, one cell-orbit per critical orbit with the mod-2 flow counts as
@@ -47,13 +46,12 @@ from ..complexes import ChainComplex, ChainComplexError
 from ..errors import InputError
 from ..gcw import bredon_assembly
 from ..groups import OrbitMorphism
-from .critical import CriticalPoint, translate_table
+from .critical import CriticalOrbit, CriticalPoint, group_into_orbits
 from .flow import CAPTURED, ESCAPED, UNRESOLVED, integrate_batch
 from .manifolds import EqFunction, ImplicitGManifold
 
 __all__ = [
     "BoundarySquareNonzero",
-    "CriticalOrbit",
     "MorseData",
     "OutsideDeskScale",
     "morse_complex",
@@ -73,17 +71,6 @@ class BoundarySquareNonzero(ValueError):
 class OutsideDeskScale(InputError):
     """The flow counting does not reach these critical orbits: a source of
     index above 2, or an index-2 source off a surface."""
-
-
-@dataclass(eq=False)
-class CriticalOrbit:
-    rep: CriticalPoint
-    size: int
-    members: list = field(default_factory=list)  # (element, index in crits)
-
-    @property
-    def index(self) -> int:
-        return self.rep.index
 
 
 @dataclass(eq=False)
@@ -129,33 +116,6 @@ class MorseData:
 
     def max_index(self) -> int:
         return max((o.index for o in self.orbits), default=-1)
-
-
-def group_into_orbits(M: ImplicitGManifold,
-                      crits: list[CriticalPoint]) -> list[CriticalOrbit]:
-    """Partition classified critical points into group orbits; a member is
-    (first element carrying the rep onto it, its index in crits), and a
-    translate names the first point within DEDUP_TOL of it, read from one
-    translate_table."""
-    C = np.array([c.coords for c in crits], dtype=float).reshape(-1, M.ambient)
-    hit = translate_table(M, C)
-    used = [False] * len(crits)
-    orbits = []
-    for i, c in enumerate(crits):
-        if used[i]:
-            continue
-        members = []
-        for s in M.action.group.elements():
-            j = int(hit[s, i])
-            if j < 0:
-                raise ValueError(f"critical set is not closed under the "
-                                 f"action near {M.apply(s, C[i])}")
-            if not used[j]:
-                used[j] = True
-                members.append((s, j))
-        orbits.append(CriticalOrbit(rep=c, size=len(members), members=members))
-    orbits.sort(key=lambda o: (o.index, float(o.rep.value)))
-    return orbits
 
 
 def _descending_seeds(p: CriticalPoint, rho: float, samples: int):

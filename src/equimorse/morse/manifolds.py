@@ -4,7 +4,9 @@ Manifolds are zero sets of polynomial constraint maps in Euclidean space
 with an orthogonal action; the metric is the induced one, so invariance is
 automatic.  The action is an OrthogonalAction, the Morse layer's one
 action; a manifold given an exact LinearAction holds the OrthogonalAction
-of its matrices, rounded once.
+of its matrices, rounded once.  Two points are the same point when
+match_rows says so, within DEDUP_TOL: that one predicate gives the
+action's stabilizers and every other "same point" of the Morse layer.
 
 Everything here is batched: functions, constraints and their derivatives
 are evaluated on the rows of an (m x n) array, and there are no scalar
@@ -50,11 +52,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..groups import FiniteGroup, Subgroup, left_cosets
+from ..groups import FiniteGroup, Subgroup
 from ..polynomials import LinearAction, Polynomial
 
-__all__ = ["EqFunction", "Evaluator", "ImplicitGManifold", "OrthogonalAction",
-           "PolyJet", "PolyTable", "tangent_frame", "tangent_part"]
+__all__ = ["DEDUP_TOL", "EqFunction", "Evaluator", "ImplicitGManifold",
+           "OrthogonalAction", "PolyJet", "PolyTable", "match_rows",
+           "tangent_frame", "tangent_part"]
 
 # the constraint residual below which a projected row stops
 PROJECT_TOL = 1e-12
@@ -64,9 +67,22 @@ ACTION_TOL = 1e-9
 # OrthogonalAction: the largest entry by which A_a A_b may miss A_ab, or
 # A^T A the identity
 LAW_TOL = 1e-12
-# a point is fixed by an element whose image is within STAB_TOL of it in
-# every coordinate
-STAB_TOL = 1e-9
+# match_rows: two points closer than DEDUP_TOL are the same point
+DEDUP_TOL = 1e-6
+
+
+def match_rows(X, C) -> np.ndarray:
+    """For each row of X, the index of the first row of C within DEDUP_TOL
+    of it (Euclidean distance), or -1 where there is none: the Morse
+    layer's one test of "the same point".  Stabilizers, the search's
+    deduplication, the translate table of a critical set and the lookup of
+    a fixture's chart all read it.  X is (m, n) and C is (k, n); the
+    distances are one (m, k) array."""
+    X, C = np.asarray(X, dtype=float), np.asarray(C, dtype=float)
+    k = len(C)
+    near = np.linalg.norm(X[:, None, :] - C[None], axis=2) < DEDUP_TOL
+    first = np.where(near, np.arange(k), k).min(axis=1, initial=k)
+    return np.where(first < k, first, -1)
 
 
 class OrthogonalAction:
@@ -112,19 +128,12 @@ class OrthogonalAction:
         return cls(FiniteGroup.cyclic(n), mats)
 
     def stabilizer(self, x) -> Subgroup:
-        """The elements that move x by less than STAB_TOL in every
-        coordinate."""
+        """The elements whose image of x is the same point as x, by
+        match_rows."""
         x = np.asarray(x, dtype=float)
-        moved = np.abs(self.matrices @ x - x) < STAB_TOL
+        fixed = match_rows(self.matrices @ x, x[None]) == 0
         return Subgroup(self.group, tuple(
-            int(s) for s in np.flatnonzero(moved.all(axis=1))))
-
-    def orbit(self, x):
-        """One (coset representative, image point) pair per point of the
-        orbit of x."""
-        x = np.asarray(x, dtype=float)
-        cosets = left_cosets(self.group, self.stabilizer(x))
-        return [(c[0], self.matrices[c[0]] @ x) for c in cosets]
+            int(s) for s in np.flatnonzero(fixed)))
 
 
 class PolyTable:

@@ -33,8 +33,9 @@ from math import comb
 import numpy as np
 
 from ..errors import InputError
+from ..groups import left_cosets
 from ..polynomials import LinearAction, Polynomial
-from .critical import CriticalPoint, match_point
+from .critical import CriticalPoint
 from .cutoffs import CutoffPair
 from .manifolds import EqFunction, ImplicitGManifold, OrthogonalAction
 
@@ -383,9 +384,10 @@ def localize_surgery(f: EqFunction, M: ImplicitGManifold, p: CriticalPoint,
     exactly as f(p) + |v|^2 - |w|^2 there (checked by sampling the box of
     half-width 3s), and its W block must list the stabilizer's fixed
     directions first: U is the rest of W, and h is read in U's
-    coordinates.  Another point of the orbit inside the chart's cylinder
-    raises ChartMissing: the model would overwrite f there.  Stable points
-    pass through unchanged with a warning.
+    coordinates.  The other orbit points are p's translates by the least
+    element of each coset of p's stabilizer but its own, and one inside
+    the chart's cylinder raises ChartMissing: the model would overwrite f
+    there.  Stable points pass through unchanged with a warning.
     """
     if p.stable:
         warnings.warn("localize_surgery called on a stable point: no-op")
@@ -424,9 +426,10 @@ def localize_surgery(f: EqFunction, M: ImplicitGManifold, p: CriticalPoint,
     # v and in the fixed part of w (ROADMAP item 18), so another orbit point
     # inside it would take the model's values instead of f's
     charts = [chart]
-    for s, q in M.action.orbit(coords):
-        if match_point(q, [coords]) is not None:
+    for s, *_ in left_cosets(M.action.group, H_sub):
+        if s in H_sub.elements:
             continue
+        q = M.apply(s, coords)
         if not isinstance(chart, LinearChart):
             raise ChartMissing("orbit surgery with angle charts is limited "
                                "to fixed poles")

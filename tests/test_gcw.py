@@ -391,6 +391,21 @@ def test_the_point_is_the_unit_of_product(seed):
         assert CellAction.point(G).product(X).orbits() == X.orbits()
 
 
+def test_product_reads_a_missing_degree_as_empty_boundary_rows():
+    # an interval over the trivial group written without its degree-0 rows,
+    # which orbits() and gcw() do not require: the product with the point
+    # reads them as empty, on either side, and is the interval again
+    trivial = FiniteGroup.trivial()
+    X = CellAction(trivial, {0: 2, 1: 1}, {1: [[(0, -1), (1, 1)]]},
+                   {0: {0: (0, 1), 1: (0,)}})
+    X.gcw()
+    for P in (CellAction.point(trivial).product(X),
+              X.product(CellAction.point(trivial))):
+        assert (P.cells, P.bnds) == ({0: 2, 1: 1},
+                                     {0: [[], []], 1: [[(0, -1), (1, 1)]]})
+        assert P.orbits() == X.orbits()
+
+
 def _full_check_failure(G, cells, bnds, perms):
     """The message of the first failure of the all-elements check of a
     cell action, in its order: the permutations, the group law on every

@@ -5,6 +5,8 @@ package is imported on first use."""
 import ast
 import importlib
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -113,6 +115,31 @@ def test_the_exact_jet_layer_loads_neither_groups_nor_the_homological_stack():
     assert exact == ["equimorse", "equimorse._intlinalg", "equimorse.polynomials"]
     assert lifted == ["equimorse", "equimorse._intlinalg", "equimorse.groups",
                       "equimorse.polynomials"]
+
+
+def test_the_readme_runs_on_numpy_alone():
+    # the README's commands through cli.main, from the root of the
+    # checkout, and its library example, in one fresh interpreter: they
+    # exit 0 and import none of the test extras, which a numpy-only install
+    # lacks
+    readme = (SRC.parent / "README.md").read_text()
+    commands = [shlex.split(line, comments=True)[1:]
+                for line in readme.splitlines() if line.startswith("equimorse ")]
+    example = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    script = "\n".join([
+        "import contextlib, io, os, sys",
+        f"os.chdir({str(SRC.parent)!r})",
+        "from equimorse.cli import main",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        f"    codes = [main(argv) for argv in {commands!r}]",
+        f"    exec({example!r}, {{}})",
+        "print(codes)",
+        "print(sorted({m.partition('.')[0] for m in sys.modules}",
+        "             & {'hypothesis', 'networkx', 'scipy', 'sympy'}))",
+    ])
+    codes, extras = _fresh_lines(script)
+    assert len(commands) == 7 and codes == [0] * 7
+    assert extras == []
 
 
 @pytest.mark.parametrize("name", equimorse.__all__)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from equimorse.groups import FiniteGroup
+from equimorse.groups import FiniteGroup, left_cosets, trivial_subgroup
 from equimorse.polynomials import LinearAction, Polynomial
 from equimorse.fixtures import MANIFOLD_FIXTURES
 from equimorse.morse import (
@@ -21,7 +21,8 @@ from equimorse.morse import (
     seed_grid,
 )
 from equimorse.morse import critical
-from equimorse.morse.critical import _newton_kkt
+from equimorse.morse import run as morse_run
+from equimorse.morse.critical import _newton_kkt, group_into_orbits
 from equimorse.morse.flow import (
     CAPTURE_TOL,
     CAPTURED,
@@ -32,7 +33,7 @@ from equimorse.morse.flow import (
     integrate_batch,
 )
 from equimorse.morse.manifolds import (Evaluator, PolyJet, PolyTable,
-                                       tangent_frame, tangent_part)
+                                       match_rows, tangent_frame, tangent_part)
 
 
 def r2_manifold(action=None):
@@ -230,7 +231,9 @@ def _exact_points(act, rng, count=6):
 def test_orthogonal_action_agrees_with_the_exact_action(act):
     # at seeded exact points, fixed points and points on mirrors included,
     # the Morse layer's action of the exact matrices finds the exact
-    # stabilizer, and its orbit points are the floats of the exact images
+    # stabilizer, and the translates by the least element of each of its
+    # cosets (the orbit points localize_surgery reads) are the floats of
+    # the exact orbit's images
     import random
 
     orth = ImplicitGManifold(ambient=act.dim, constraints=(), action=act).action
@@ -239,24 +242,26 @@ def test_orthogonal_action_agrees_with_the_exact_action(act):
     rng = random.Random(act.dim * 10 + act.group.order)
     for p in _exact_points(act, rng):
         x = np.array([float(v) for v in p])
-        assert orth.stabilizer(x).elements == act.stabilizer(p).elements
+        stab = orth.stabilizer(x)
+        assert stab.elements == act.stabilizer(p).elements
         exact = act.orbit(p)
-        got = orth.orbit(x)
-        assert [s for s, _ in got] == [s for s, _ in exact]
-        for (_, q), (_, y) in zip(got, exact):
-            assert q.tolist() == [float(v) for v in y]
+        reps = [c[0] for c in left_cosets(orth.group, stab)]
+        assert reps == [s for s, _ in exact]
+        for s, (_, y) in zip(reps, exact):
+            assert (orth.matrices[s] @ x).tolist() == [float(v) for v in y]
 
 
 def test_rotation_floats_validate():
     # the float rotations of orders 1 to 8 pass the law and orthogonality
     # to LAW_TOL; the origin is fixed by all of C_n, a point of the unit
-    # circle by the identity alone
+    # circle by the identity alone, and its n translates are n points
     for n in range(1, 9):
         act = OrthogonalAction.rotation(n)
         assert act.matrices.shape == (n, 2, 2) and act.dim == 2
         assert act.stabilizer(np.zeros(2)).order == n
         assert act.stabilizer(np.array([1.0, 0.0])).elements == (0,)
-        assert len(act.orbit(np.array([0.6, 0.8]))) == n
+        T = act.matrices @ np.array([0.6, 0.8])
+        assert match_rows(T, T).tolist() == list(range(n))
 
 
 def test_orthogonal_action_names_the_first_pair_that_breaks_the_law():
@@ -1181,9 +1186,11 @@ def _solve_stack_by_rows(K, b):
 
 def test_singular_kkt_rows_alone_are_solved_row_by_row(monkeypatch):
     # on torus_tilted's fixture grid the seed at the origin has J = 0, so
-    # its KKT system is singular in every Newton iteration; the rows solve
-    # accepts stay in one stack, each call makes at most one per-row solve
-    # per singular row, and the points are those of the all-rows fallback
+    # its Gram and KKT systems are singular, and other seeds meet singular
+    # KKT systems on their way, so each of the first 13 stacked solves
+    # holds one; the rows solve accepts stay in one stack, each call makes
+    # at most one per-row solve per singular row, and the points are those
+    # of the all-rows fallback
     fx = MANIFOLD_FIXTURES["torus_tilted"]()
     f, M = fx.function, fx.manifold
     monkeypatch.setattr(critical, "_solve_stack", _solve_stack_by_rows)
@@ -1210,10 +1217,30 @@ def test_singular_kkt_rows_alone_are_solved_row_by_row(monkeypatch):
     monkeypatch.setattr(critical, "_solve_stack", counted_stack)
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
     got = find_critical_points(f, M, fx.seeds)
-    assert len(singular) > 60 and min(singular[:61]) >= 1
+    assert len(singular) > 13 and min(singular[:13]) >= 1
     assert all(n <= k for n, k in zip(per_row, singular))
     assert len(got) == len(want)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+def test_a_row_whose_step_is_zero_is_retired(monkeypatch):
+    # torus_tilted's seed at the origin: J = 0 makes its Gram and KKT
+    # systems singular, and the least-squares step is exactly zero, so the
+    # row would repeat the iteration unchanged.  It is dropped after one
+    # step, unconverged, where it used to stay for all 60 iterations
+    fx = MANIFOLD_FIXTURES["torus_tilted"]()
+    calls = []
+    stack = critical._solve_stack
+
+    def counted(K, b):
+        out = stack(K, b)
+        calls.append(out.tolist())
+        return out
+
+    monkeypatch.setattr(critical, "_solve_stack", counted)
+    X, ok = _newton_kkt(fx.function, fx.manifold, np.zeros((1, 3)))
+    assert calls == [[[0.0]], [[0.0, 0.0, 0.0, 0.0]]]
+    assert X.tolist() == [[0.0, 0.0, 0.0]] and ok.tolist() == [False]
 
 
 def test_classify_matches_the_separate_tables():
@@ -1301,49 +1328,123 @@ def test_critical_set_equivariance():
     assert np.linalg.norm(img - wells[1].coords) < 1e-9
 
 
+# -- the critical set's orbits, from the one same-point rule ---------------
+
+
+def _coordinatewise_stabilizer(M, x):
+    """The elements that move x by less than 1e-9 in every coordinate: the
+    Morse layer's stabilizer rule before match_rows decided it."""
+    moved = np.abs(M.action.matrices @ x - x) < 1e-9
+    return tuple(int(s) for s in np.flatnonzero(moved.all(axis=1)))
+
+
+@pytest.mark.parametrize("name", sorted(MANIFOLD_FIXTURES))
+def test_each_critical_orbit_has_size_times_stabilizer_order_g(
+        name, monkeypatch):
+    # before and after the surgery of every manifold fixture, the orbits
+    # partition the critical set, each orbit's size times its stabilizer
+    # order is |G|, and every point's stabilizer is the one the
+    # coordinatewise rule gives and the conjugate of its orbit rep's.  The
+    # run made one surgery, one localize_surgery call, per unstable orbit
+    calls = []
+    real = morse_run.localize_surgery
+    monkeypatch.setattr(morse_run, "localize_surgery",
+                        lambda *args, **kw: calls.append(args[2])
+                        or real(*args, **kw))
+    run = run_morse(MANIFOLD_FIXTURES[name](), stabilize=True)
+    M = run.fixture.manifold
+    G = M.action.group
+    unstable = [o for o in group_into_orbits(M, run.before) if not o.rep.stable]
+    assert len(calls) == len(unstable) == len(run.surgeries)
+    assert calls == [c for c, _ in run.surgeries]
+    for crits in (run.before, run.critical):
+        orbits = group_into_orbits(M, crits)
+        assert sorted(j for o in orbits for _, j in o.members) == list(
+            range(len(crits)))
+        for orb in orbits:
+            H = orb.rep.stabilizer.elements
+            assert orb.size * len(H) == G.order
+            for s, j in orb.members:
+                stab = crits[j].stabilizer.elements
+                assert stab == _coordinatewise_stabilizer(M, crits[j].coords)
+                assert stab == tuple(sorted(G.mul[G.mul[s][h]][G.inverse[s]]
+                                            for h in H))
+
+
+def _hand_built(M, x):
+    """A critical point at x with M's stabilizer there, for group_into_orbits
+    alone: its other fields are placeholders."""
+    x = np.array(x, dtype=float)
+    return critical.CriticalPoint(
+        coords=x, value=0.0, stabilizer=M.action.stabilizer(x),
+        tangent_basis=np.eye(2), hessian=np.eye(2), index=0,
+        fixed_basis=np.eye(2), prime_basis=np.zeros((2, 0)), stable=True,
+        neg_basis=np.zeros((2, 0)))
+
+
+def test_points_within_dedup_tol_make_group_into_orbits_raise():
+    # the reflection of x on R^2.  Points 0.6 DEDUP_TOL apart are the same
+    # point: the reflection matches (0.3 DEDUP_TOL, 1) to itself, so its
+    # stabilizer is C2, and every element matches (-0.3 DEDUP_TOL, 1) to
+    # that first point, which leaves its orbit empty
+    M = r2_manifold(LinearAction.reflection_c2(2, axis=0))
+    tol = critical.DEDUP_TOL
+    near = [_hand_built(M, [x, 1.0]) for x in (0.3 * tol, -0.3 * tol)]
+    assert near[0].stabilizer.order == 2
+    with pytest.raises(ValueError, match="orbit of size 0 and a stabilizer "
+                                         "of order 2, whose product is not "
+                                         r"\|G\| = 2"):
+        group_into_orbits(M, near)
+    # 1.5 DEDUP_TOL apart they are one orbit of two points, each fixed by
+    # the identity alone
+    apart = [_hand_built(M, [x, 1.0]) for x in (0.75 * tol, -0.75 * tol)]
+    (orb,) = group_into_orbits(M, apart)
+    assert (orb.size, orb.members) == (2, [(0, 0), (1, 1)])
+    # a stabilizer that disagrees with the table is refused too
+    fixed = _hand_built(M, [0.0, 1.0])
+    fixed.stabilizer = trivial_subgroup(M.action.group)
+    with pytest.raises(ValueError, match="orbit of size 1 and a stabilizer "
+                                         "of order 1"):
+        group_into_orbits(M, [fixed])
+
+
 # -- the batched critical-point search against the scalar one --------------
 
 
 def _newton_kkt_reference(f, M, x0, max_iter=60, tol=1e-12, bound=1e6):
     """Newton on the Lagrange system from one seed, as the search ran before
-    it was batched.  Returns the point or None."""
+    it was batched: f and the constraints read once per iteration, each
+    from one order-2 call.  A step that is exactly zero would repeat the
+    iteration unchanged, so it ends the search.  Returns the point or
+    None."""
     N = M.ambient
     c = M.codim
     x = np.asarray(x0, dtype=float).copy()
-    if c:
-        _, J = constraints_at(M, x)
-        g = row(f.grad_many, x)
-        lam, *_ = np.linalg.lstsq(J.T, g, rcond=None)
-    else:
-        lam = np.zeros(0)
+    lam = None
     for _ in range(max_iter):
-        g = row(f.grad_many, x)
-        if c:
-            F, J = constraints_at(M, x)
-            res = np.concatenate([g - J.T @ lam, F])
-        else:
-            res = g
+        _, g, H = (a[0] for a in f.jet_many(x[None, :], 2))
+        F, J, CH = (a[0] for a in M.jet(x[None, :], 2))
+        if lam is None:
+            lam = (np.linalg.lstsq(J.T, g, rcond=None)[0] if c
+                   else np.zeros(0))
+        res = np.concatenate([g - J.T @ lam, F]) if c else g
         if np.linalg.norm(res) < tol:
             return x
-        H = f.jet_many(x[None, :], 2)[2][0]
         if c:
-            CH = M.jet(x[None, :], 2)[2][0]
             Hl = H - np.einsum("k,kij->ij", lam, CH)
             top = np.concatenate([Hl, -J.T], axis=1)
             bot = np.concatenate([J, np.zeros((c, c))], axis=1)
             K = np.concatenate([top, bot], axis=0)
-            try:
-                step = np.linalg.solve(K, -res)
-            except np.linalg.LinAlgError:
-                step, *_ = np.linalg.lstsq(K, -res, rcond=None)
-            x = x + step[:N]
-            lam = lam + step[N:]
         else:
-            try:
-                step = np.linalg.solve(H, -g)
-            except np.linalg.LinAlgError:
-                step, *_ = np.linalg.lstsq(H, -g, rcond=None)
-            x = x + step
+            K = H
+        try:
+            step = np.linalg.solve(K, -res)
+        except np.linalg.LinAlgError:
+            step, *_ = np.linalg.lstsq(K, -res, rcond=None)
+        if not step.any():
+            return None
+        x = x + step[:N]
+        lam = lam + step[N:]
         if not np.all(np.isfinite(x)) or np.linalg.norm(x) > bound:
             return None
     return None

@@ -35,6 +35,7 @@ from equimorse.morse import (
     run_morse,
 )
 from equimorse.morse import homology as morse_homology
+from equimorse.morse.critical import group_into_orbits
 from equimorse.morse import run as morse_run
 from equimorse.morse.flow import (
     CAPTURE_TOL,
@@ -53,7 +54,6 @@ from equimorse.morse.homology import (
     MorseData,
     _ascending_seeds,
     _descending_seeds,
-    group_into_orbits,
 )
 from equimorse.morse.manifolds import tangent_part
 from equimorse.spectral import einfty_check, skeletal_filtration, spectral_pages
@@ -323,8 +323,7 @@ def test_unstable_function_rejected():
 def test_bad_counts_raise_boundary_error():
     # synthetic three-level data with an odd composite: d.d != 0 must abort
     from equimorse.groups import FiniteGroup, OrbitMorphism, trivial_subgroup
-    from equimorse.morse.critical import CriticalPoint
-    from equimorse.morse.homology import CriticalOrbit
+    from equimorse.morse.critical import CriticalOrbit, CriticalPoint
 
     G = FiniteGroup.trivial()
     e = trivial_subgroup(G)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from equimorse.fixtures import MANIFOLD_FIXTURES
+from equimorse.fixtures import MANIFOLD_FIXTURES, ManifoldFixture
 from equimorse.groups import FiniteGroup
 from equimorse.polynomials import LinearAction, Polynomial
 from equimorse.morse import (
@@ -26,6 +26,7 @@ from equimorse.morse import (
     seed_grid,
 )
 from equimorse.morse.manifolds import PolyJet, PolyTable
+from equimorse.morse import run as morse_run
 from equimorse.morse.critical import _newton_kkt
 from equimorse.morse.cutoffs import _INTEGRAL, _bump, _bump_jet
 from equimorse.morse.perturb import (
@@ -558,14 +559,10 @@ def test_surgery_reads_u_after_the_fixed_w_directions(cut):
                          chart=LinearChart(np.zeros(3), e, dv=1, dw=2))
 
 
-def test_chart_cylinder_holding_another_orbit_point_is_refused(cut):
-    # C2 x C2 acting on R^2 by sign changes, f = (|x| - 1)^2 - y^2 (the kink
-    # at x = 0 lies outside the splice): the saddle (1, 0) has stabilizer
-    # {1, y -> -y}, which is normal, so it fixes the displacement to the
-    # other orbit point (-1, 0), whose u = y is 0.  That point lies in the
-    # cylinder |u| < 3s, unbounded in v = x, where the first chart's model
-    # would overwrite f: the splice broke the invariance by 5.78 and left
-    # 3 critical points where two stabilized saddles give 6
+def _sign_changes():
+    """C2 x C2 acting on R^2 by sign changes, and f = (|x| - 1)^2 - y^2: two
+    unstable saddles (1, 0) and (-1, 0), one orbit, each with stabilizer
+    {1, y -> -y}, and a kink along x = 0 away from them."""
     G = FiniteGroup.product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2))
     M = ImplicitGManifold(ambient=2, constraints=(), action=OrthogonalAction(
         G, [np.diag([(-1.0) ** a, (-1.0) ** b]) for a in (0, 1)
@@ -582,13 +579,51 @@ def test_chart_cylinder_holding_another_orbit_point_is_refused(cut):
                                        (len(X), 2, 2)).copy())
         return jet
 
-    f = EqFunction(jet_many, nvars=2)
+    return M, EqFunction(jet_many, nvars=2)
+
+
+def test_chart_cylinder_holding_another_orbit_point_is_refused(cut):
+    # the saddle (1, 0)'s stabilizer {1, y -> -y} is normal, so it fixes
+    # the displacement to the other orbit point (-1, 0), whose u = y is 0.
+    # That point lies in the cylinder |u| < 3s, unbounded in v = x, where
+    # the first chart's model would overwrite f: the splice broke the
+    # invariance by 5.78 and left 3 critical points where two stabilized
+    # saddles give 6
+    M, f = _sign_changes()
     saddle = classify(f, M, np.array([1.0, 0.0]))
     assert (saddle.index, saddle.stabilizer.order, saddle.stable) == (
         1, 2, False)
     chart = LinearChart(np.array([1.0, 0.0]), np.eye(2), dv=1, dw=1)
     with pytest.raises(ChartMissing, match=r"orbit point \[-1\.0, 0\.0\]"):
         localize_surgery(f, M, saddle, 0.35, cut, chart=chart)
+
+
+def test_run_morse_makes_one_surgery_per_unstable_orbit(monkeypatch):
+    # the same orbit of two saddles, as a fixture with one chart at (1, 0)
+    # and seeds with x in [0.5, 1.5], so that the kink at the origin is not
+    # found.  The surgery goes at the first point of the orbit that has a
+    # chart, (1, 0), though (-1, 0) sorts first, so the run reaches the
+    # orbit check and raises its ChartMissing; one point per orbit is one
+    # localize_surgery call
+    M, f = _sign_changes()
+    chart = LinearChart(np.array([1.0, 0.0]), np.eye(2), dv=1, dw=1)
+    fx = ManifoldFixture("sign_changes", M, f,
+                         seed_grid([(0.5, 1.5), (-0.5, 0.5)], 5),
+                         charts={"saddle": chart}, surgery_radius=0.35)
+    before = run_morse(fx).before
+    assert [(c.coords.tolist(), c.stable) for c in before] == [
+        ([-1.0, 0.0], False), ([1.0, 0.0], False)]
+    calls = []
+    real = morse_run.localize_surgery
+
+    def recorder(f, M, p, radius, cut, chart=None, h=None):
+        calls.append((p.coords.tolist(), chart))
+        return real(f, M, p, radius, cut, chart=chart, h=h)
+
+    monkeypatch.setattr(morse_run, "localize_surgery", recorder)
+    with pytest.raises(ChartMissing, match=r"orbit point \[-1\.0, 0\.0\]"):
+        run_morse(fx, stabilize=True)
+    assert calls == [([1.0, 0.0], chart)]
 
 
 def test_angle_chart_must_be_exact(cut):
