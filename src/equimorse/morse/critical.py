@@ -11,12 +11,9 @@ then least squares.  The closure under the group refines, in one batch,
 only the translates of the found points that the translate table does
 not already find among them.
 
-Which points are the same point, which form one orbit, and which elements
-fix a point are one decision: manifolds.match_rows, the first row within
-DEDUP_TOL.  It deduplicates the search, gives the stabilizer
-(OrthogonalAction.stabilizer) and fills the translate table, from which
-group_into_orbits reads the critical orbits and checks that each orbit's
-size times its stabilizer order is |G|.
+Which points are the same, which form one orbit and which elements fix
+a point is one decision, manifolds.match_rows; group_into_orbits reads the
+orbits off its translate table and checks each against |G|.
 
 The tolerances are module constants: gradient norm TOL_CRIT = 1e-9 for
 criticality, Hessian eigenvalue floor TOL_NONDEG = 1e-6 for nondegeneracy,
