@@ -1227,7 +1227,7 @@ def test_a_row_whose_step_is_zero_is_retired(monkeypatch):
     # torus_tilted's seed at the origin: J = 0 makes its Gram and KKT
     # systems singular, and the least-squares step is exactly zero, so the
     # row would repeat the iteration unchanged.  It is dropped after one
-    # step, unconverged, where it used to stay for all 60 iterations
+    # step, unconverged
     fx = MANIFOLD_FIXTURES["torus_tilted"]()
     calls = []
     stack = critical._solve_stack
@@ -1354,7 +1354,8 @@ def test_each_critical_orbit_has_size_times_stabilizer_order_g(
     run = run_morse(MANIFOLD_FIXTURES[name](), stabilize=True)
     M = run.fixture.manifold
     G = M.action.group
-    unstable = [o for o in group_into_orbits(M, run.before) if not o.rep.stable]
+    unstable = [o for o in group_into_orbits(M, run.before)
+                if not o.rep.stable]
     assert len(calls) == len(unstable) == len(run.surgeries)
     assert calls == [c for c, _ in run.surgeries]
     for crits in (run.before, run.critical):
