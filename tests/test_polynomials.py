@@ -800,15 +800,29 @@ def test_invariant_forms():
             assert AtQA == [list(row) for row in Q]
 
 
-@pytest.mark.parametrize("act, k", [(_SWAP, 2), (_C3, 2), (_C4, 1), (_C4, 2)],
-                         ids=["scaled-swap-c2", "rational-c3", "conjugated-c4-k1",
-                              "conjugated-c4-k2"])
+_NON_ORTHOGONAL_LIFTS = {"scaled-swap-c2": (_SWAP, 2), "rational-c3": (_C3, 2),
+                         "conjugated-c4-k1": (_C4, 1), "conjugated-c4-k2": (_C4, 2)}
+
+
+def _free_point_jets(act, k):
+    """Two seeded (seed 41) order-k jets at seeded free points of act."""
+    rng = random.Random(41)
+    jets = []
+    for _ in range(2):
+        p = random_point(rng, 2)
+        while len(act.orbit(p)) < act.group.order:
+            p = random_point(rng, 2)
+        jets.append(random_jet(rng, p, k))
+    return jets
+
+
+@pytest.mark.parametrize("act, k", list(_NON_ORTHOGONAL_LIFTS.values()),
+                         ids=list(_NON_ORTHOGONAL_LIFTS))
 def test_lift_under_non_orthogonal_rational_actions(act, k):
     # seeded jets at seeded free points: the lift is invariant under every
     # matrix exactly and restores the transported jet at every orbit point
     from equimorse import polynomials as P
 
-    rng = random.Random(41)
     calls = []
     real = P._interp_ntt
 
@@ -817,11 +831,8 @@ def test_lift_under_non_orthogonal_rational_actions(act, k):
         calls.append((args, out))
         return out
 
-    for _ in range(2):
-        p = random_point(rng, 2)
-        while len(act.orbit(p)) < act.group.order:
-            p = random_point(rng, 2)
-        jet = random_jet(rng, p, k)
+    for jet in _free_point_jets(act, k):
+        p = jet.basepoint
         with mock.patch.object(P, "_interp_ntt", spy):
             f = equivariant_jet_lift(p, jet, act, k)
         assert all(f.substitute_linear(A) == f for A in act.matrices)
@@ -1386,7 +1397,8 @@ def test_transport_jet_matches_the_round_trip(act):
 #
 # exact_outputs.json holds, for jet_interpolate on every INTERP_MIX shape and
 # equivariant_jet_lift on every S3 and sign case of the benchmark generators
-# (bench/gen.py, passes 0 of seeds 1 and 2), the sha256 of the output's
+# (bench/gen.py, passes 0 of seeds 1 and 2) and on the seeded free-point
+# jets of the non-orthogonal rational actions, the sha256 of the output's
 # to_records(), of its exponents in num's iteration order, and its term
 # count.  The benchmark checks only the jets, which another valid
 # interpolant would also pass; the golden pins the polynomials themselves.
@@ -1428,6 +1440,11 @@ def _exact_cases():
                 out.append((f"lift seed {seed} op {i} {name} k={k}",
                             lambda name=name, p=p, terms=terms, k=k: equivariant_jet_lift(
                                 p, Jet(p, k, terms), acts[name], k)))
+    for name, (act, k) in _NON_ORTHOGONAL_LIFTS.items():
+        for i, jet in enumerate(_free_point_jets(act, k)):
+            out.append((f"lift seed 41 {name} jet {i}",
+                        lambda jet=jet, act=act, k=k: equivariant_jet_lift(
+                            jet.basepoint, jet, act, k)))
     return out
 
 
