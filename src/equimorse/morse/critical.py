@@ -96,6 +96,9 @@ def seed_grid(bounds, counts) -> np.ndarray:
     """Product grid over [lo, hi] per axis; counts may be one int."""
     if isinstance(counts, int):
         counts = [counts] * len(bounds)
+    if len(counts) != len(bounds):
+        raise ValueError(f"seed_grid needs one count per axis: {len(bounds)} "
+                         f"bounds, {len(counts)} counts")
     axes = [np.linspace(lo, hi, c) for (lo, hi), c in zip(bounds, counts)]
     pts = np.array(list(itertools.product(*axes)))
     return pts

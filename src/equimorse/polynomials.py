@@ -1,5 +1,5 @@
 """Exact multivariate polynomial arithmetic, truncated Taylor jets, bump
-polynomial jet interpolation, and equivariant averaging/lifting.
+polynomial jet interpolation, equivariant averaging and jet lifting.
 
 A Polynomial stores integer numerators over one positive denominator, in
 lowest terms: the gcd of the denominator and all numerators is 1 (the
@@ -46,9 +46,10 @@ interpolating and taking Taylor jets load only it and _intlinalg's
 primality test.
 The bumps measure distance in a positive definite integer form Q: the
 standard one for jet_interpolate, and for a lift the invariant form of the
-action (LinearAction.form), so a lift takes any rational action.  It
-averages the jet representatives over the group and then interpolates
-once.  LinearAction is exact only, its group law checked exactly; the
+action (LinearAction.form), so a lift takes any rational action.  A lift
+shifts the fixed jet once, carries it to each orbit point by the action
+and interpolates once; the interpolant is invariant, so nothing averages
+it.  LinearAction is exact only, its group law checked exactly; the
 Morse layer's float geometry is morse.manifolds.OrthogonalAction.
 """
 
@@ -450,9 +451,13 @@ class Polynomial:
         large interpolation masks cheap: x_i -> s_i x_c(i) moves exponent i
         to c(i) and negates a term whose exponents on the negated
         coordinates have odd sum.  Content and denominator are unchanged, so
-        the image is already in lowest terms.
+        the image is already in lowest terms.  A matrix other than n rows
+        of n entries raises ValueError.
         """
         n = self.nvars
+        if len(matrix) != n or any(len(row) != n for row in matrix):
+            raise ValueError(f"a substitution in {n} variables needs an "
+                             f"{n} x {n} matrix")
         sp = _signed_permutation(matrix, n)
         if sp is not None:
             num = self.num
@@ -1214,18 +1219,21 @@ class LinearAction:
 
     def stabilizer(self, point) -> Subgroup:
         """The elements fixing point exactly."""
-        from .groups import Subgroup
-
-        pt = _exact_point(point, self.dim)
-        return Subgroup(self.group, tuple(
-            s for s in self.group.elements() if self.apply(s, pt) == pt))
+        return self._orbit(point)[0]
 
     def orbit(self, point):
         """One (coset representative, image point) pair per point of the orbit."""
-        from .groups import left_cosets
+        return self._orbit(point)[1]
 
-        cosets = left_cosets(self.group, self.stabilizer(point))
-        return [(c[0], self.apply(c[0], point)) for c in cosets]
+    def _orbit(self, point) -> tuple:
+        """The stabilizer H of point and its orbit's (coset head, image)
+        pairs, read from one list of the |G| exact images A_s point."""
+        from .groups import Subgroup, left_cosets
+
+        pt = _exact_point(point, self.dim)
+        images = [self.apply(s, pt) for s in self.group.elements()]
+        H = Subgroup(self.group, tuple(s for s, q in enumerate(images) if q == pt))
+        return H, [(c[0], images[c[0]]) for c in left_cosets(self.group, H)]
 
 
 def _diagonal(d) -> tuple:
@@ -1271,44 +1279,32 @@ def equivariant_jet_lift(point, jet: Jet, act: LinearAction, k: int) -> Polynomi
     Raises JetNotFixed when a stabilizer element moves the jet, which is
     exactly the obstruction to lifting.
 
-    The orbit p_j = s_j·p is G-stable, and the bumps measure distance in
-    the action's invariant form Q (LinearAction.form), so |A_s y|_Q = |y|_Q
-    and the mask at p_j composed with A_s is the mask at s^{-1}·p_j.  So the
-    average of the interpolant of the transported jets is the interpolant
-    of the averaged representatives R̄_j = (1/|G|) sum_s R_{s·p_j} ∘ A_s:
-    the small representatives are averaged, and one _interp_ntt call (see
-    jet_interpolate) builds the lift.  For an orthogonal action Q is the
-    identity, and the masks are jet_interpolate's.
+    The jet is shifted once, to its representative R (Jet.as_polynomial);
+    R ∘ A_{s^-1} carries it to each orbit point s·p, and one _interp_ntt
+    call (see jet_interpolate) interpolates those; a one-point orbit
+    returns R.  Nothing is averaged: R ∘ A_{s^-1} depends only on the coset
+    sH, since the jet is fixed (J ∘ A_h = J for h in H), and every A_g
+    permutes the masks, whose bumps measure distance in the invariant form
+    Q (LinearAction.form), so the interpolant is invariant.  For an
+    orthogonal action Q is the identity, and the masks are
+    jet_interpolate's.
     """
-    from .groups import left_cosets
-
     pt = _exact_point(point, act.dim)
     if jet.basepoint != pt:
         raise ValueError("jet must be based at the given point")
     if jet.order > k:
         raise ValueError("jet order exceeds lift order")
-    G = act.group
-    H = act.stabilizer(pt)
+    H, orbit = act._orbit(pt)
     for h in H.elements:
-        if h != G.identity and transport_jet(jet, act, h) != jet:
+        if h != act.group.identity and transport_jet(jet, act, h) != jet:
             raise JetNotFixed(
                 f"stabilizer element {h} does not fix the jet; lift obstructed"
             )
-    if k == 0:
-        return Polynomial.zero(len(pt))
-    cosets = left_cosets(G, H)
-    heads = [c[0] for c in cosets]
-    # s·p_j is the orbit point of the coset of s s_j
-    coset = {g: i for i, c in enumerate(cosets) for g in c}
-    reps = [transport_jet(jet, act, sj).as_polynomial() for sj in heads]
-    avg = []
-    for sj in heads:
-        total = Polynomial.zero(len(pt))
-        for s in G.elements():
-            rep = reps[coset[G.mul[s][sj]]]
-            total = total + rep.substitute_linear(act.matrices[s])
-        avg.append(total * Fraction(1, G.order))
-    if len(avg) == 1:
-        return avg[0]
-    pts = _check_distinct([act.apply(sj, pt) for sj in heads])
-    return _interp_ntt(pts, avg, k, act.form)
+    # at k = 0 the jet is empty and R is zero
+    rep = jet.as_polynomial()
+    if k == 0 or len(orbit) == 1:
+        return rep
+    inverse = act.group.inverse
+    return _interp_ntt([q for _, q in orbit],
+                       [rep.substitute_linear(act.matrices[inverse[s]]) for s, _ in orbit],
+                       k, act.form)

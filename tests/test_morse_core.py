@@ -287,6 +287,15 @@ def test_float_rotation_is_no_linear_action():
         LinearAction(FiniteGroup.cyclic(3), mats)
 
 
+@pytest.mark.parametrize("bounds, counts", [
+    ([(0, 1), (0, 1)], [3]), ([(0, 1)], [3, 4]),
+], ids=["two-bounds-one-count", "one-bound-two-counts"])
+def test_seed_grid_needs_one_count_per_axis(bounds, counts):
+    # zip once dropped the unmatched axis and returned shape (3, 1)
+    with pytest.raises(ValueError, match=f"{len(bounds)} bounds, {len(counts)} counts"):
+        seed_grid(bounds, counts)
+
+
 def test_find_critical_points_sphere_height():
     M = sphere_manifold()
     f = height_z()

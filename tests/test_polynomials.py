@@ -278,6 +278,22 @@ def test_substitute_linear_permutation():
     assert g == Polynomial(2, {(0, 2): 1, (1, 0): 3})
 
 
+@pytest.mark.parametrize("call", [
+    lambda: Polynomial(2, {(2, 0): 1, (0, 1): 3}).substitute_linear(
+        ((0, 1, 0), (1, 0, 0), (0, 0, 1))),
+    lambda: Polynomial(3, {(1, 0, 2): 1}).substitute_linear(((2, 1, 5), (0, 1, 7))),
+    lambda: Polynomial(2, {(1, 1): 1}).substitute_linear(((1, 0),)),
+    lambda: equivariant_average(Polynomial(2, {(1, 0): 1}),
+                                LinearAction.permutation_s3()),
+], ids=["swap-3x3-on-2", "two-rows-of-3", "one-row", "average-s3-on-2"])
+def test_substitution_by_a_matrix_of_the_wrong_shape_raises(call):
+    # an n x n matrix only: a larger one was read by its top-left block, a
+    # missing row ended in IndexError and an extra column was dropped
+    with pytest.raises(ValueError, match="x . matrix") as info:
+        call()
+    assert type(info.value) is ValueError
+
+
 def test_records_roundtrip():
     f = Polynomial(2, {(1, 0): Fraction(3, 4), (0, 2): -2})
     assert Polynomial.from_records(2, f.to_records()) == f
@@ -751,6 +767,15 @@ def _conjugated_c4():
 _C4 = _conjugated_c4()
 
 
+def _fixed_jet(rng, act, p, k):
+    """A seeded order-k jet at p, projected onto the stabilizer-fixed jets."""
+    H = act.stabilizer(p)
+    rep = random_jet(rng, p, k).as_polynomial()
+    fixed = sum((rep.substitute_linear(act.matrices[act.group.inverse[h]])
+                 for h in H.elements), Polynomial.zero(len(p)))
+    return taylor_jet(fixed * Fraction(1, len(H.elements)), p, k)
+
+
 @pytest.mark.parametrize("act, p, k, orbit_size", [
     (_SIGN, (Fraction(1, 2),), 3, 2),
     (_SIGN, (Fraction(1, 2),), 0, 2),
@@ -761,17 +786,12 @@ _C4 = _conjugated_c4()
 ], ids=["sign_c2-orbit2", "sign_c2-k0", "s3-orbit3", "s3-orbit6-k1",
         "s3-orbit6-k2", "rotation_c3-orbit3"])
 def test_lift_equals_average_of_interpolant(act, p, k, orbit_size):
-    # the lift averages the transported representatives and interpolates
-    # once; averaging the interpolant of the transported jets, with the
-    # bumps in the action's invariant form, is the same polynomial (the
-    # C3 rotation is in a rational, non-orthogonal basis).  At k = 0 both
-    # are the zero polynomial
-    rng = random.Random(7)
-    H = act.stabilizer(p)
-    rep = random_jet(rng, p, k).as_polynomial()
-    fixed = sum((rep.substitute_linear(act.matrices[act.group.inverse[h]])
-                 for h in H.elements), Polynomial.zero(len(p)))
-    jet = taylor_jet(fixed * Fraction(1, len(H.elements)), p, k)
+    # the lift is invariant: it equals the average over G of the
+    # interpolant of the transported jets, with the bumps in the action's
+    # invariant form (the C3 rotation is in a rational, non-orthogonal
+    # basis), and that interpolant is the lift itself.  At k = 0 all are
+    # the zero polynomial
+    jet = _fixed_jet(random.Random(7), act, p, k)
     orbit = act.orbit(p)
     assert len(orbit) == orbit_size
     jets = [transport_jet(jet, act, s) for s, _ in orbit]
@@ -780,7 +800,53 @@ def test_lift_equals_average_of_interpolant(act, p, k, orbit_size):
         interpolant = jet_interpolate(pts, jets, k)
     else:
         interpolant = _mask_sum(pts, [j.as_polynomial() for j in jets], k, act.form)
-    assert equivariant_jet_lift(p, jet, act, k) == equivariant_average(interpolant, act)
+    f = equivariant_jet_lift(p, jet, act, k)
+    assert f == interpolant == equivariant_average(interpolant, act)
+
+
+@pytest.mark.parametrize("act, p, k, orbit_size", [
+    (_SIGN, (Fraction(1, 2),), 3, 2),
+    (_SIGN, (Fraction(1, 2),), 0, 2),
+    (_SIGN, (Fraction(0),), 3, 1),
+    (_S3, (Fraction(1), Fraction(1), Fraction(0)), 2, 3),
+    (_S3, (Fraction(2), Fraction(1), Fraction(0)), 1, 6),
+    (_S3, (Fraction(1), Fraction(-1), Fraction(2)), 2, 6),
+    (_S3, (Fraction(1), Fraction(1), Fraction(1)), 3, 1),
+    (_C3, (Fraction(1, 2), Fraction(-1, 4)), 2, 3),
+    (_C3, (Fraction(0), Fraction(0)), 2, 1),
+    (_SWAP, (Fraction(1), Fraction(1)), 2, 2),
+    (_SWAP, (Fraction(1), Fraction(1, 2)), 2, 1),
+    (_C4, (Fraction(1), Fraction(-2)), 2, 4),
+    (_C4, (Fraction(0), Fraction(0)), 3, 1),
+], ids=["sign_c2-orbit2", "sign_c2-k0", "sign_c2-orbit1", "s3-orbit3",
+        "s3-orbit6-k1", "s3-orbit6-k2", "s3-orbit1", "rotation_c3-orbit3",
+        "rotation_c3-orbit1", "scaled-swap-orbit2", "scaled-swap-orbit1",
+        "conjugated-c4-orbit4", "conjugated-c4-orbit1"])
+def test_lift_shifts_once_and_interpolates_once(act, p, k, orbit_size):
+    # the lift is one Taylor shift of the jet, carried to each orbit point
+    # by the action, and at k >= 1 one interpolation when the orbit has two
+    # or more points: no shift per orbit point and no average over G
+    from equimorse import polynomials as P
+
+    jet = _fixed_jet(random.Random(13), act, p, k)
+    counts = {"_taylor_shift": 0, "_interp_ntt": 0}
+
+    def counted(name):
+        real = getattr(P, name)
+
+        def spy(*args):
+            counts[name] += 1
+            return real(*args)
+        return spy
+
+    with mock.patch.object(P, "_taylor_shift", counted("_taylor_shift")), \
+            mock.patch.object(P, "_interp_ntt", counted("_interp_ntt")):
+        f = equivariant_jet_lift(p, jet, act, k)
+    orbit = act.orbit(p)
+    assert len(orbit) == orbit_size
+    assert counts == {"_taylor_shift": 1, "_interp_ntt": int(k >= 1 and orbit_size >= 2)}
+    assert all(f.substitute_linear(A) == f for A in act.matrices)
+    assert all(taylor_jet(f, q, k) == transport_jet(jet, act, s) for s, q in orbit)
 
 
 def test_invariant_forms():
