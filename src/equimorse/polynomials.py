@@ -456,8 +456,8 @@ class Polynomial:
         """
         n = self.nvars
         if len(matrix) != n or any(len(row) != n for row in matrix):
-            raise ValueError(f"a substitution in {n} variables needs an "
-                             f"{n} x {n} matrix")
+            raise ValueError(f"substitution matrix must be {n} x {n}: one row "
+                             f"of {n} entries per variable")
         sp = _signed_permutation(matrix, n)
         if sp is not None:
             num = self.num

@@ -289,7 +289,7 @@ def test_substitute_linear_permutation():
 def test_substitution_by_a_matrix_of_the_wrong_shape_raises(call):
     # an n x n matrix only: a larger one was read by its top-left block, a
     # missing row ended in IndexError and an extra column was dropped
-    with pytest.raises(ValueError, match="x . matrix") as info:
+    with pytest.raises(ValueError, match="matrix must be . x .") as info:
         call()
     assert type(info.value) is ValueError
 
