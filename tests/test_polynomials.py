@@ -871,14 +871,20 @@ _NON_ORTHOGONAL_LIFTS = {"scaled-swap-c2": (_SWAP, 2), "rational-c3": (_C3, 2),
 
 
 def _free_point_jets(act, k):
-    """Two seeded (seed 41) order-k jets at seeded free points of act."""
+    """Two seeded (seed 41) order-k jets at seeded free points of act, each
+    drawn again until it is nonzero and, at k >= 2, has two or more terms,
+    one of them nonconstant."""
     rng = random.Random(41)
     jets = []
     for _ in range(2):
         p = random_point(rng, 2)
         while len(act.orbit(p)) < act.group.order:
             p = random_point(rng, 2)
-        jets.append(random_jet(rng, p, k))
+        jet = random_jet(rng, p, k)
+        while not jet.terms or k >= 2 and (
+                len(jet.terms) < 2 or not any(map(sum, jet.terms))):
+            jet = random_jet(rng, p, k)
+        jets.append(jet)
     return jets
 
 
