@@ -66,11 +66,11 @@ class CriticalPoint:
     """A classified critical point.
 
     hessian is the restricted Hessian in the orthonormal tangent frame
-    tangent_basis; fixed_basis and prime_basis split the tangent space into
-    the stabilizer-fixed part and its complement (the kernel of the
-    averaging operator).  tangent_rep is the stabilizer's representation on
-    the tangent space in that frame, T^T A_s T, one matrix per element of
-    stabilizer.elements in that order.
+    tangent_basis, (eigvals, eigvecs) its one eigendecomposition, in eigh's
+    order, and neg_basis its V^-.  prime_basis spans the kernel of the
+    tangent averaging operator.  tangent_rep is the stabilizer's
+    representation on the tangent space in that frame, T^T A_s T, one
+    matrix per element of stabilizer.elements in that order.
     """
 
     coords: np.ndarray
@@ -78,12 +78,16 @@ class CriticalPoint:
     stabilizer: Subgroup
     tangent_basis: np.ndarray
     hessian: np.ndarray
+    eigvals: np.ndarray
+    eigvecs: np.ndarray
     index: int
-    fixed_basis: np.ndarray
     prime_basis: np.ndarray
     stable: bool
-    neg_basis: np.ndarray
     tangent_rep: tuple = ()
+
+    @property
+    def neg_basis(self) -> np.ndarray:
+        return self.eigvecs[:, self.eigvals < 0]
 
     def __repr__(self):
         return (f"CriticalPoint(at {np.round(self.coords, 6).tolist()}, "
@@ -306,8 +310,8 @@ def find_critical_points(f: EqFunction, M: ImplicitGManifold,
 
 
 def classify(f: EqFunction, M: ImplicitGManifold, p) -> CriticalPoint:
-    """Stabilizer, restricted Hessian, index, fixed/prime splitting, and the
-    stability flag of a critical point.
+    """Stabilizer, restricted Hessian and its eigenpairs, index, prime
+    subspace, and the stability flag of a critical point.
 
     stable means the Hessian is positive definite on the prime subspace
     (the kernel of the tangent averaging operator); equivalently no negative
@@ -340,7 +344,6 @@ def classify(f: EqFunction, M: ImplicitGManifold, p) -> CriticalPoint:
     P = sum(rep) / len(rep)
     P = (P + P.T) / 2.0
     evals, evecs = np.linalg.eigh(P)
-    fixed = evecs[:, evals > 0.5]
     prime = evecs[:, evals <= 0.5]
 
     w, V = np.linalg.eigh(Ht)
@@ -348,9 +351,6 @@ def classify(f: EqFunction, M: ImplicitGManifold, p) -> CriticalPoint:
         raise DegenerateHessian(
             f"Hessian eigenvalue within {TOL_NONDEG} of zero: {w.tolist()}"
         )
-    neg = V[:, w < 0]
-    index = neg.shape[1]
-
     if prime.shape[1]:
         Hp = prime.T @ Ht @ prime
         wp = np.linalg.eigvalsh((Hp + Hp.T) / 2.0)
@@ -364,10 +364,10 @@ def classify(f: EqFunction, M: ImplicitGManifold, p) -> CriticalPoint:
         stabilizer=H_sub,
         tangent_basis=T,
         hessian=Ht,
-        index=index,
-        fixed_basis=fixed,
+        eigvals=w,
+        eigvecs=V,
+        index=int((w < 0).sum()),
         prime_basis=prime,
         stable=stable,
-        neg_basis=neg,
         tangent_rep=rep,
     )

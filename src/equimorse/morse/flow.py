@@ -18,7 +18,9 @@ descending and e' = H e ascending with H the Hessian, and RK4 follows it
 slowly: stability bounds the step by about 2.8 over the largest
 eigenvalue, while a row moves at a rate set by the smallest.  So each end
 of a flow line has one certificate (_certificate), and every point of an
-orbit takes the most conservative certificate of its members.
+orbit takes the most conservative certificate of its members.  The
+certificate and the release read the eigenpairs (w, V) of H that
+classify stored on c, as (-w, V) descending and (w, V) ascending.
 
 - A sink of the flow (an index-0 point for a descent, an index-dim point
   for an ascent) ends a row within CAPTURE_TOL or in its level region.
@@ -231,7 +233,7 @@ def _certificate(flow, M: ImplicitGManifold, crits, C,
     sinks, rings = [], [np.zeros((0, N))]
     for k, c in enumerate(crits):
         for side, s in ((0, -1.0), (1, 1.0)):
-            w, V = np.linalg.eigh(s * c.hessian)
+            w, V = s * c.eigvals, c.eigvecs
             up = w > 0
             if up.all() and len(ring):
                 sinks.append((1 - side, k))
@@ -281,16 +283,16 @@ def _linear_release(M: ImplicitGManifold, crits, C, X, which, sign,
                     radius):
     """Where the linearized flow e' = sign H e of each row's source carries
     it: in the source's tangent frame e(t) = V exp(w t) a, with (w, V) the
-    eigenpairs of sign H and a = V^T e0, e0 the row's tangent coordinates,
-    to |e| = radius, then onto M; and whether the row's gain |e0|
-    exp(w_max t) / radius is at most RELEASE_GAIN.
+    source's (sign eigvals, eigvecs) and a = V^T e0, e0 the row's tangent
+    coordinates, to |e| = radius, then onto M; and whether the row's gain
+    |e0| exp(w_max t) / radius is at most RELEASE_GAIN.
 
     log |e(t)|^2 is convex in t, so Newton's method on it converges from
     the t at which the unstable part of e0 alone reaches the radius, for
     all rows at once."""
     T = np.stack([crits[k].tangent_basis for k in which])
-    w, V = np.linalg.eigh(sign[:, None, None]
-                          * np.stack([crits[k].hessian for k in which]))
+    w = sign[:, None] * np.stack([crits[k].eigvals for k in which])
+    V = np.stack([crits[k].eigvecs for k in which])
     a = np.einsum("mnj,mn->mj", V, np.einsum("mNn,mN->mn", T, X - C[which]))
     up = w > 0
     with np.errstate(divide="ignore"):

@@ -9,7 +9,8 @@ index-2 source, one shot per stabilizer class of ascending rays.  For
 stable functions the stabilizer of a source fixes its descending manifold
 pointwise, which makes the translated flow line and its arrival coset (the
 orbit-category morphism of the count) well defined.  Counts are mod 2
-throughout; orientations are out of scope.
+throughout; orientations are out of scope.  The seeds lie in V^- and V^+,
+read from the Hessian eigenpairs that classify stored (CriticalPoint).
 
 The ascents depend only on the critical points, so every descent and every
 ascent of one morse_differentials call runs in a single integrate_batch,
@@ -119,27 +120,22 @@ class MorseData:
 
 
 def _descending_seeds(p: CriticalPoint, rho: float, samples: int):
-    """Points on the descending sphere of radius rho around p."""
-    k = p.index
+    """Points on the descending sphere of radius rho around the point p of
+    index 1 or 2 (morse_differentials rejects a higher index first)."""
     basis = p.tangent_basis @ p.neg_basis  # ambient directions
-    if k == 1:
+    if p.index == 1:
         dirs = np.array([[1.0], [-1.0]])
-    elif k == 2:
+    else:
         th = np.linspace(0.0, 2 * np.pi, samples, endpoint=False)
         dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
-    else:
-        raise ValueError(f"descending spheres of dimension {k - 1} unsupported")
     return np.asarray(p.coords)[None, :] + rho * dirs @ basis.T
 
 
 def _ascending_seeds(q: CriticalPoint, rho: float):
-    """Points on the ascending line of the index-1 point q, one per
-    stabilizer class of its two ascending rays (read from q.tangent_rep)."""
-    w, V = np.linalg.eigh(q.hessian)
-    pos = V[:, w > 0]
-    if pos.shape[1] != 1:
-        raise ValueError("unexpected ascent dimension at an index-1 point")
-    v = pos[:, 0]
+    """Points on the ascending line of the index-1 point q of a surface
+    (q.eigvecs[:, -1], for its one positive eigenvalue), one per stabilizer
+    class of its two ascending rays (read from q.tangent_rep)."""
+    v = q.eigvecs[:, -1]
     flips = [float(v @ R @ v) < 0 for R in q.tangent_rep]
     dirs = np.array([[1.0]] if any(flips) else [[1.0], [-1.0]])
     ambient_v = (q.tangent_basis @ v)[None, :]

@@ -350,7 +350,7 @@ def test_classify_figure1_pattern():
     assert c.index == 2
     assert c.stabilizer.order == 3
     assert not c.stable
-    assert c.fixed_basis.shape[1] == 0  # rotation fixes no tangent vector
+    assert c.prime_basis.shape[1] == 2  # rotation fixes no tangent vector
 
 
 def test_classify_stable_minimum():
@@ -1387,9 +1387,8 @@ def _hand_built(M, x):
     x = np.array(x, dtype=float)
     return critical.CriticalPoint(
         coords=x, value=0.0, stabilizer=M.action.stabilizer(x),
-        tangent_basis=np.eye(2), hessian=np.eye(2), index=0,
-        fixed_basis=np.eye(2), prime_basis=np.zeros((2, 0)), stable=True,
-        neg_basis=np.zeros((2, 0)))
+        tangent_basis=np.eye(2), hessian=np.eye(2), eigvals=np.ones(2),
+        eigvecs=np.eye(2), index=0, prime_basis=np.zeros((2, 0)), stable=True)
 
 
 def test_points_within_dedup_tol_make_group_into_orbits_raise():

@@ -332,9 +332,8 @@ def test_bad_counts_raise_boundary_error():
         z = np.zeros(2)
         return CriticalPoint(
             coords=z, value=value, stabilizer=e, tangent_basis=np.eye(2),
-            hessian=np.eye(2), index=idx, fixed_basis=np.eye(2),
-            prime_basis=np.zeros((2, 0)), stable=True,
-            neg_basis=np.zeros((2, 0)),
+            hessian=np.eye(2), eigvals=np.ones(2), eigvecs=np.eye(2),
+            index=idx, prime_basis=np.zeros((2, 0)), stable=True,
         )
 
     orbits = [
