@@ -318,6 +318,16 @@ def _linear_release(M: ImplicitGManifold, crits, C, X, which, sign,
             gain <= np.log(RELEASE_GAIN * radius))
 
 
+def _per_row(name, value, dtype, m) -> np.ndarray:
+    """value as an (m,) array: one value for every row, or one per row;
+    ValueError for any other shape."""
+    a = np.asarray(value, dtype=dtype)
+    if a.ndim > 1 or a.ndim == 1 and len(a) != m:
+        raise ValueError(f"{name} must be one value or one per row of X0 "
+                         f"({m}); got shape {a.shape}")
+    return np.broadcast_to(a, (m,))
+
+
 def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
                     crits, direction=-1,
                     step_length: float = 0.01,
@@ -331,7 +341,8 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
     X0 is an (m, ambient) array of start points, one per row; a single
     point of length ambient is a batch of one, and any other shape raises
     ValueError.  direction is -1 (descend) or +1 (ascend), either one value
-    for every row or one per row.  A trajectory finishes by capture, escape
+    for every row or one per row; another value or length raises
+    ValueError, and so does a bad sources value or length.  A trajectory finishes by capture, escape
     (outside the escape radius), a step still rejected after MAX_HALVINGS
     halvings (unresolved, left at its last accepted point; a NaN value of f
     counts as non-monotone), or budget exhaustion: max_steps is each row's
@@ -370,13 +381,22 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
                          f"point per row; got shape {X.shape}")
     m = len(X)
     C = np.array([c.coords for c in crits], dtype=float).reshape(-1, M.ambient)
+    sgn = _per_row("direction", direction, float, m)
+    bad = sgn[(sgn != -1) & (sgn != 1)]
+    if len(bad):
+        raise ValueError(f"direction must be -1 (descend) or +1 (ascend); "
+                         f"got {bad[0]:g}")
+    src = _per_row("sources", -1 if sources is None else sources, int, m)
+    bad = src[(src < -1) | (src >= len(C))]
+    if len(bad):
+        raise ValueError(f"sources must index crits ({len(C)} points) or be "
+                         f"-1 for none; got {bad[0]}")
     status = np.full(m, UNRESOLVED, dtype=int)
     limit = np.full(m, -1, dtype=int)
     steps_used = np.zeros(m, dtype=int)
     halvings = np.zeros(m, dtype=int)
     linear = np.zeros(m, dtype=bool)
     paths = [[] for _ in range(m)] if keep_paths else None
-    sgn = np.broadcast_to(np.asarray(direction, dtype=float), (m,))
     tol = STEP_TOL * step_length
     ev = M.evaluator(f)
 
@@ -404,8 +424,6 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
     # each row's level around every critical point, and the release
     # radius of its source
     side = (sgn > 0).astype(int)
-    src = np.broadcast_to(
-        np.asarray(-1 if sources is None else sources, dtype=int), (m,))
     rows = np.flatnonzero(src >= 0)
     leaves = np.zeros((2, len(C)), dtype=bool)
     leaves[side[rows], src[rows]] = True

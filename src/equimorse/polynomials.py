@@ -17,11 +17,12 @@ exponent remap.
 
 The exact layer has one Taylor shift, _taylor_shift, on whole arrays
 converted from the numerators on each call (exponents in int64, numerators
-as Python ints in an object vector, so it stays exact): taylor_jet shifts
-a polynomial to its basepoint and truncates, and Jet.as_polynomial shifts
-a jet's terms back to -p.  transport_jet needs none: a linear substitution
-keeps degrees, so the jet's own terms under the inverse matrix are the
-transported jet.
+as Python ints in an object vector, so it stays exact).  A Jet keeps its
+terms as one Polynomial in y = x - p, so the layer has one coefficient
+representation: taylor_jet shifts a polynomial to its basepoint and
+truncates, and Jet.as_polynomial shifts a jet's polynomial back to -p.
+transport_jet needs no shift: a linear substitution keeps degrees, so the
+jet's own polynomial under the inverse matrix is the transported jet.
 
 Exact jet interpolation multiplies no polynomials: _interp_ntt writes the
 whole interpolant sum_j R_j (1 - (1 - phi_j^k)^k) over one integer
@@ -581,46 +582,56 @@ def _squares(Q, n: int) -> list:
 class Jet:
     """Order-k Taylor data at a basepoint: multi-indices of total degree < k,
     with an exact basepoint and exact coefficients (floats read as the
-    binary rationals they denote)."""
+    binary rationals they denote).  poly holds the terms as one Polynomial
+    in y = x - p; terms is its exponent -> Fraction view."""
 
-    __slots__ = ("basepoint", "order", "terms")
+    __slots__ = ("basepoint", "order", "poly")
 
     def __init__(self, basepoint, order: int, terms: dict | None = None):
         if order < 0:
             raise ValueError("jet order must be >= 0")
         self.basepoint = tuple(_coerce(x) for x in basepoint)
         self.order = order
-        clean = {}
-        for e, c in (terms or {}).items():
-            e = tuple(e)
+        terms = terms or {}
+        for e in terms:
             if sum(e) >= order:
-                raise ValueError(f"multi-index {e} has degree >= order {order}")
-            c = _coerce(c)
-            if c:
-                clean[_exponent(e, len(self.basepoint))] = c
-        self.terms = clean
+                raise ValueError(f"multi-index {tuple(e)} has degree >= order {order}")
+        self.poly = Polynomial(len(self.basepoint), terms)
+
+    @classmethod
+    def _make(cls, basepoint: tuple, order: int, poly: Polynomial) -> "Jet":
+        """Internal constructor: an exact basepoint and a poly of degree
+        below order."""
+        self = object.__new__(cls)
+        self.basepoint, self.order, self.poly = basepoint, order, poly
+        return self
 
     @property
     def nvars(self) -> int:
         return len(self.basepoint)
 
+    @property
+    def terms(self) -> dict:
+        """exponent tuple -> Fraction coefficient of y^e; a new dict on
+        every access."""
+        return self.poly.terms
+
     def __eq__(self, other):
         if not isinstance(other, Jet):
             return NotImplemented
-        return (self.basepoint, self.order, self.terms) == (
-            other.basepoint, other.order, other.terms)
+        return (self.basepoint, self.order, self.poly) == (
+            other.basepoint, other.order, other.poly)
 
     def __repr__(self):
-        return f"Jet(at {self.basepoint}, order {self.order}, {len(self.terms)} terms)"
+        return f"Jet(at {self.basepoint}, order {self.order}, {len(self.poly.num)} terms)"
 
     def as_polynomial(self) -> Polynomial:
-        """The representative sum c_a (x - p)^a, expanded: the jet's own
-        terms shifted to -p by _taylor_shift.  A shift keeps total degree,
-        so its truncation at the jet's order drops nothing."""
-        rep = Polynomial(self.nvars, self.terms)
-        num, scale = _taylor_shift(rep.num, self.nvars,
+        """The representative sum c_a (x - p)^a, expanded: poly shifted to
+        -p by _taylor_shift.  A shift keeps total degree, so its truncation
+        at the jet's order drops nothing."""
+        num, scale = _taylor_shift(self.poly.num, self.nvars,
                                    [-x for x in self.basepoint], self.order)
-        return Polynomial._make(self.nvars, num, rep.den * scale)
+        return Polynomial._make(self.nvars, num, self.poly.den * scale)
 
 
 # packed exponent-row keys (_row_keys) stay below this, within int64
@@ -736,8 +747,7 @@ def taylor_jet(f: Polynomial, point, k: int) -> Jet:
     """
     p = _exact_point(point, f.nvars)
     num, scale = _taylor_shift(f.num, f.nvars, p, k)
-    den = f.den * scale
-    return Jet(p, k, {e: Fraction(c, den) for e, c in num.items()})
+    return Jet._make(p, k, Polynomial._make(f.nvars, num, f.den * scale))
 
 
 # -- bump interpolation ------------------------------------------------------
@@ -1267,9 +1277,8 @@ def transport_jet(jet: Jet, act: LinearAction, s: int) -> Jet:
     terms about s·p.  A linear substitution keeps every term's total
     degree, so nothing needs truncating again.
     """
-    moved = Polynomial(jet.nvars, jet.terms).substitute_linear(
-        act.matrices[act.group.inverse[s]])
-    return Jet(act.apply(s, jet.basepoint), jet.order, moved.terms)
+    moved = jet.poly.substitute_linear(act.matrices[act.group.inverse[s]])
+    return Jet._make(act.apply(s, jet.basepoint), jet.order, moved)
 
 
 def equivariant_jet_lift(point, jet: Jet, act: LinearAction, k: int) -> Polynomial:

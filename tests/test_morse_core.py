@@ -518,6 +518,26 @@ def test_flow_start_points_must_be_rows_of_the_ambient_space():
             integrate_batch(mild, M, bad, crits=crit)
 
 
+@pytest.mark.parametrize("kw, message", [
+    ({"direction": 0}, r"direction must be -1 \(descend\) or \+1 \(ascend\); got 0"),
+    ({"direction": 2}, r"direction must be -1 \(descend\) or \+1 \(ascend\); got 2"),
+    ({"sources": [5]}, r"sources must index crits \(2 points\) or be -1 for none; got 5"),
+    ({"sources": [1, 1, 1]}, r"sources must be one value or one per row of X0 \(1\); "
+                             r"got shape \(3,\)"),
+])
+def test_flow_rejects_bad_directions_and_sources(kw, message):
+    # on the height of the sphere with its two critical points: direction 0
+    # would leave the row unmoved until its step budget, direction 2 would
+    # flow at twice the speed, source 5 would index past crits and three
+    # sources for one row would not broadcast
+    M = sphere_manifold()
+    f = height_z()
+    crits = [classify(f, M, np.array([0.0, 0.0, z])) for z in (1.0, -1.0)]
+    x0 = row(M.project_points_many, np.array([0.8, 0.2, 0.4]))
+    with pytest.raises(ValueError, match=message):
+        integrate_batch(f, M, x0, crits=crits, **kw)
+
+
 def test_flow_fails_loudly_on_non_monotone_values():
     # the value contradicts the gradient: it reports a higher value at
     # every call, so no halving makes a descending step monotone and the

@@ -416,6 +416,19 @@ def test_jet_as_polynomial_roundtrip():
     assert taylor_jet(jet.as_polynomial(), p, 3) == jet
 
 
+def test_jet_terms_are_one_polynomial_in_the_offset():
+    # a jet keeps its terms as a Polynomial in y = x - p and terms is its
+    # Fraction view; a term of degree >= the order is refused, even with
+    # coefficient 0
+    jet = Jet((1, 2), 2, {(0, 0): Fraction(1, 2), (1, 0): 0.25, (0, 1): 0})
+    assert jet.poly == Polynomial(2, {(0, 0): Fraction(1, 2), (1, 0): Fraction(1, 4)})
+    assert jet.terms == {(0, 0): Fraction(1, 2), (1, 0): Fraction(1, 4)}
+    assert taylor_jet(jet.as_polynomial(), (1, 2), 2).poly == jet.poly
+    for terms in ({(2, 0): 0}, {(1, 1): 3}):
+        with pytest.raises(ValueError, match="degree >= order 2"):
+            Jet((1, 2), 2, terms)
+
+
 # -- bump polynomials ---------------------------------------------------------
 
 
