@@ -318,10 +318,10 @@ def _linear_release(M: ImplicitGManifold, crits, C, X, which, sign,
             gain <= np.log(RELEASE_GAIN * radius))
 
 
-def _per_row(name, value, dtype, m) -> np.ndarray:
-    """value as an (m,) array: one value for every row, or one per row;
-    ValueError for any other shape."""
-    a = np.asarray(value, dtype=dtype)
+def _per_row(name, value, m) -> np.ndarray:
+    """value as an (m,) float array: one value for every row, or one per
+    row; ValueError for any other shape."""
+    a = np.asarray(value, dtype=float)
     if a.ndim > 1 or a.ndim == 1 and len(a) != m:
         raise ValueError(f"{name} must be one value or one per row of X0 "
                          f"({m}); got shape {a.shape}")
@@ -341,8 +341,8 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
     X0 is an (m, ambient) array of start points, one per row; a single
     point of length ambient is a batch of one, and any other shape raises
     ValueError.  direction is -1 (descend) or +1 (ascend), either one value
-    for every row or one per row; another value or length raises
-    ValueError, and so does a bad sources value or length.  A trajectory finishes by capture, escape
+    for every row or one per row, and any other value or length raises
+    ValueError.  A trajectory finishes by capture, escape
     (outside the escape radius), a step still rejected after MAX_HALVINGS
     halvings (unresolved, left at its last accepted point; a NaN value of f
     counts as non-monotone), or budget exhaustion: max_steps is each row's
@@ -358,7 +358,8 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
     as a (steps, ambient) array; otherwise it is None.
 
     sources, when given, is the index into crits of the critical point
-    each row leaves (one value, or one per row; -1 for none).  Such a row
+    each row leaves (one value, or one per row; -1 for none), and any
+    other value or length raises ValueError.  Such a row
     starts at the closed-form solution of its source's linearized flow at
     the source's certified radius for its direction, and counts as a linear
     release (see the module docstring); its start is that point.
@@ -381,16 +382,17 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
                          f"point per row; got shape {X.shape}")
     m = len(X)
     C = np.array([c.coords for c in crits], dtype=float).reshape(-1, M.ambient)
-    sgn = _per_row("direction", direction, float, m)
+    sgn = _per_row("direction", direction, m)
     bad = sgn[(sgn != -1) & (sgn != 1)]
     if len(bad):
         raise ValueError(f"direction must be -1 (descend) or +1 (ascend); "
                          f"got {bad[0]:g}")
-    src = _per_row("sources", -1 if sources is None else sources, int, m)
-    bad = src[(src < -1) | (src >= len(C))]
+    src = _per_row("sources", -1 if sources is None else sources, m)
+    bad = src[(src != np.floor(src)) | (src < -1) | (src >= len(C))]
     if len(bad):
         raise ValueError(f"sources must index crits ({len(C)} points) or be "
-                         f"-1 for none; got {bad[0]}")
+                         f"-1 for none; got {bad[0]:g}")
+    src = src.astype(int)
     status = np.full(m, UNRESOLVED, dtype=int)
     limit = np.full(m, -1, dtype=int)
     steps_used = np.zeros(m, dtype=int)

@@ -522,14 +522,15 @@ def test_flow_start_points_must_be_rows_of_the_ambient_space():
     ({"direction": 0}, r"direction must be -1 \(descend\) or \+1 \(ascend\); got 0"),
     ({"direction": 2}, r"direction must be -1 \(descend\) or \+1 \(ascend\); got 2"),
     ({"sources": [5]}, r"sources must index crits \(2 points\) or be -1 for none; got 5"),
+    ({"sources": 0.5}, r"sources must index crits \(2 points\) or be -1 for none; got 0\.5"),
     ({"sources": [1, 1, 1]}, r"sources must be one value or one per row of X0 \(1\); "
                              r"got shape \(3,\)"),
 ])
 def test_flow_rejects_bad_directions_and_sources(kw, message):
     # on the height of the sphere with its two critical points: direction 0
     # would leave the row unmoved until its step budget, direction 2 would
-    # flow at twice the speed, source 5 would index past crits and three
-    # sources for one row would not broadcast
+    # flow at twice the speed, source 5 would index past crits, source 0.5
+    # would be read as 0 and three sources for one row would not broadcast
     M = sphere_manifold()
     f = height_z()
     crits = [classify(f, M, np.array([0.0, 0.0, z])) for z in (1.0, -1.0)]
