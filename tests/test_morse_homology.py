@@ -84,6 +84,28 @@ def test_sphere_height_no_consecutive_pairs():
     assert [h.dim(n) for n in (0, 1, 2)] == [1, 0, 1]
 
 
+def test_flow_counting_decomposes_no_hessian(monkeypatch):
+    # each critical point's Hessian is decomposed once, in classify: the
+    # seeds, the certificate and the linear release read its stored
+    # eigenpairs, so counting on the torus, with its ascents and releases,
+    # calls no eigh
+    fx = torus_tilted()
+    crits = classified_crits(fx)
+    for c in crits:
+        w, V = np.linalg.eigh(c.hessian)
+        assert np.array_equal(c.eigvals, w) and np.array_equal(c.eigvecs, V)
+        assert np.array_equal(c.neg_basis, V[:, w < 0])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Hessian decomposed outside classify")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    data = morse_differentials(fx.function, fx.manifold, crits,
+                               sphere_samples={1: 16},
+                               step_length=fx.step_length)
+    assert data.ok and data.linear_releases
+
+
 def test_plain_circle_two_arcs_cancel():
     # trivial group, f = y on the circle: two flow lines, count mod 2 = 0
     from equimorse.groups import FiniteGroup
