@@ -233,9 +233,10 @@ class CellAction:
     perms: dict[int, dict[int, tuple[int, ...]]]
 
     @classmethod
-    def point(cls, group: FiniteGroup) -> CellAction:
-        """One fixed 0-cell: the unit of product."""
-        return cls(group, {0: 1}, {0: [[]]}, {s: {0: (0,)} for s in group.elements()})
+    def disk(cls, group: FiniteGroup, dim: int) -> CellAction:
+        """One fixed dim-cell, its boundary sphere left out: (D^dim,
+        S^(dim-1)).  disk(group, 0) is the point, the unit of product."""
+        return cls(group, {dim: 1}, {dim: [[]]}, {s: {dim: (0,)} for s in group.elements()})
 
     def orbits(self):
         """The cell-orbits and coset records of the action, checked: the

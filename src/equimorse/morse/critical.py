@@ -67,10 +67,10 @@ class CriticalPoint:
 
     hessian is the restricted Hessian in the orthonormal tangent frame
     tangent_basis, (eigvals, eigvecs) its one eigendecomposition, in eigh's
-    order, and neg_basis its V^-.  prime_basis spans the kernel of the
-    tangent averaging operator.  tangent_rep is the stabilizer's
-    representation on the tangent space in that frame, T^T A_s T, one
-    matrix per element of stabilizer.elements in that order.
+    order, and neg_basis its V^-; stable means the stabilizer fixes V^-
+    pointwise, so the orbit is one cell G x_H (D^index, S^(index-1)).
+    tangent_rep is the stabilizer's representation on the tangent space in
+    that frame, T^T A_s T, one per element of stabilizer.elements in order.
     """
 
     coords: np.ndarray
@@ -81,7 +81,6 @@ class CriticalPoint:
     eigvals: np.ndarray
     eigvecs: np.ndarray
     index: int
-    prime_basis: np.ndarray
     stable: bool
     tangent_rep: tuple = ()
 
@@ -310,12 +309,13 @@ def find_critical_points(f: EqFunction, M: ImplicitGManifold,
 
 
 def classify(f: EqFunction, M: ImplicitGManifold, p) -> CriticalPoint:
-    """Stabilizer, restricted Hessian and its eigenpairs, index, prime
-    subspace, and the stability flag of a critical point.
+    """Stabilizer, restricted Hessian and its eigenpairs, index, and the
+    stability flag of a critical point.
 
-    stable means the Hessian is positive definite on the prime subspace
-    (the kernel of the tangent averaging operator); equivalently no negative
-    direction sticks out of the fixed subspace.
+    stable means the stabilizer H fixes V^- pointwise: N^T R N = I to
+    TOL_NONDEG for every R in tangent_rep, with N = neg_basis.  The
+    representation is orthogonal, so that says R N = N.  An index-0 point
+    is stable.
 
     f and the constraints are read from one order-2 call of M's Evaluator
     (ev.jet): the value, gradient and Jacobian, and the Hessian of f - lam
@@ -339,24 +339,16 @@ def classify(f: EqFunction, M: ImplicitGManifold, p) -> CriticalPoint:
     Ht = T.T @ (H - np.einsum("mk,mkij->mij", lam, CH))[0] @ T
     Ht = (Ht + Ht.T) / 2.0
 
-    # stabilizer action on the tangent space and the averaging projector
-    rep = tuple(T.T @ M.action.matrices[s] @ T for s in H_sub.elements)
-    P = sum(rep) / len(rep)
-    P = (P + P.T) / 2.0
-    evals, evecs = np.linalg.eigh(P)
-    prime = evecs[:, evals <= 0.5]
-
     w, V = np.linalg.eigh(Ht)
     if np.any(np.abs(w) <= TOL_NONDEG):
         raise DegenerateHessian(
             f"Hessian eigenvalue within {TOL_NONDEG} of zero: {w.tolist()}"
         )
-    if prime.shape[1]:
-        Hp = prime.T @ Ht @ prime
-        wp = np.linalg.eigvalsh((Hp + Hp.T) / 2.0)
-        stable = bool(np.all(wp > TOL_NONDEG))
-    else:
-        stable = True
+    # the stabilizer on the tangent space; stable when it fixes V^-
+    rep = tuple(T.T @ M.action.matrices[s] @ T for s in H_sub.elements)
+    N = V[:, w < 0]
+    stable = all(np.allclose(N.T @ R @ N, np.eye(N.shape[1]), rtol=0,
+                             atol=TOL_NONDEG) for R in rep)
 
     return CriticalPoint(
         coords=p,
@@ -367,7 +359,6 @@ def classify(f: EqFunction, M: ImplicitGManifold, p) -> CriticalPoint:
         eigvals=w,
         eigvecs=V,
         index=int((w < 0).sum()),
-        prime_basis=prime,
         stable=stable,
         tangent_rep=rep,
     )

@@ -1,13 +1,14 @@
 """Representation cell groups: the homology a theory assigns to the pair
 (G x_H D(V), G x_H S(V)) for an H-representation V.
 
-D(V) is the product of the disks of V's summands, so the pair (D(V), S(V))
-is the product of the cone pairs (C S(V_i), S(V_i)) on the factor spheres:
-S^0 with trivial action per trivial summand, S^0 with the swap per sign
-summand, and a rotating n-gon circle per rotation plane.  This module only
-turns V into those spheres; the cells are gcw.CellAction's, whose cone
-leaves the base out and whose product of such pairs does too, so the pair
-is one complex and no cell is marked.
+D(V) is D(V^H) times the disks of V's other summands, so the pair
+(D(V), S(V)) is the fixed disk pair (D(V^H), S(V^H)), one cell, times the
+cone pairs (C S(V_i), S(V_i)) on the other factor spheres: S^0 with the
+swap per sign summand, and a rotating n-gon circle per rotation plane.
+The fixed disk only shifts degrees.  This module only turns V into those
+pieces; the cells are gcw.CellAction's, whose disk and cone leave the
+boundary out and whose product of such pairs does too, so the pair is one
+complex and no cell is marked.
 
 The pair is built over H, and CellAction.gcw(H=H) decomposes it into
 H-cell-orbits there, with its actions checked at the scale of H, and
@@ -77,12 +78,11 @@ class RepSpec:
         return self.trivial + self.sign + 2 * len(self.rotations)
 
 
-def _s0(group: FiniteGroup, swap_elems=()) -> CellAction:
-    """Two points; the listed elements swap them, the rest fix them."""
-    swap = set(swap_elems)
-    perms = {
-        s: {0: (1, 0) if s in swap else (0, 1)} for s in group.elements()
-    }
+def _s0(group: FiniteGroup) -> CellAction:
+    """The sign sphere: two points that every element but the identity
+    swaps."""
+    perms = {s: {0: (0, 1) if s == group.identity else (1, 0)}
+             for s in group.elements()}
     return CellAction(group, {0: 2}, {0: [[], []]}, perms)
 
 
@@ -108,17 +108,14 @@ def _ngon(group: FiniteGroup, gen: int, j: int, n: int) -> CellAction:
 
 def _pair_complex(H: Subgroup, V: RepSpec) -> GCWComplex:
     """The G-CW complex whose cellular chains are the reduced chains of
-    (G x_H D(V), G x_H S(V)).  D(V) is the product of the disks of V's
-    summands, so the pair is the product, starting from the point (V = 0),
-    of the cones on the factor spheres.  It is built and decomposed into
-    cell-orbits over H, then induced up to G at orbit level."""
+    (G x_H D(V), G x_H S(V)): the fixed disk of V's trivial part, one
+    cell, times the cones on the sign and rotation spheres.  It is built
+    and decomposed into cell-orbits over H, then induced up to G at orbit
+    level."""
     Ht = H.as_group()
-    spheres = [_s0(Ht)] * V.trivial
-    if V.sign:
-        if H.order != 2:
-            raise UnsupportedRep("sign factors need a stabilizer of order 2")
-        spheres += [_s0(Ht, swap_elems=[m for m in Ht.elements()
-                                        if m != Ht.identity])] * V.sign
+    if V.sign and H.order != 2:
+        raise UnsupportedRep("sign factors need a stabilizer of order 2")
+    spheres = [_s0(Ht)] * V.sign
     if V.rotations:
         n = H.order
         gen = next((m for m in Ht.elements()
@@ -127,7 +124,7 @@ def _pair_complex(H: Subgroup, V: RepSpec) -> GCWComplex:
             raise UnsupportedRep("rotation planes need a cyclic stabilizer")
         spheres += [_ngon(Ht, gen, j % n, n) for j in V.rotations]
 
-    pair = CellAction.point(Ht)
+    pair = CellAction.disk(Ht, V.trivial)
     for S in spheres:
         pair = pair.product(S.cone())
     return pair.gcw(H=H)

@@ -382,13 +382,13 @@ def test_induction_needs_the_action_over_the_subgroup_table():
     # a C2 action induced along the trivial subgroup of C2
     C2 = FiniteGroup.cyclic(2)
     with pytest.raises(ValueError, match=r"must be over H\.as_group\(\)$"):
-        CellAction.point(C2).gcw(H=trivial_subgroup(C2))
+        CellAction.disk(C2, 0).gcw(H=trivial_subgroup(C2))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_the_point_is_the_unit_of_product(seed):
     for G, X in _generated_actions(seed):
-        assert CellAction.point(G).product(X).orbits() == X.orbits()
+        assert CellAction.disk(G, 0).product(X).orbits() == X.orbits()
 
 
 def test_product_reads_a_missing_degree_as_empty_boundary_rows():
@@ -399,8 +399,8 @@ def test_product_reads_a_missing_degree_as_empty_boundary_rows():
     X = CellAction(trivial, {0: 2, 1: 1}, {1: [[(0, -1), (1, 1)]]},
                    {0: {0: (0, 1), 1: (0,)}})
     X.gcw()
-    for P in (CellAction.point(trivial).product(X),
-              X.product(CellAction.point(trivial))):
+    for P in (CellAction.disk(trivial, 0).product(X),
+              X.product(CellAction.disk(trivial, 0))):
         assert (P.cells, P.bnds) == ({0: 2, 1: 1},
                                      {0: [[], []], 1: [[(0, -1), (1, 1)]]})
         assert P.orbits() == X.orbits()

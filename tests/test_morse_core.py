@@ -328,7 +328,7 @@ def test_classify_sphere_poles():
 
 def test_classify_figure2_pattern():
     # f = y^2 - x^2 with the reflection x -> -x: index 1, stabilizer C2,
-    # negative direction along the prime axis: unstable
+    # negative direction along the flipped axis: unstable
     act = LinearAction.reflection_c2(2, axis=0)
     M = r2_manifold(act)
     f = EqFunction.from_polynomial(Polynomial(2, {(0, 2): 1, (2, 0): -1}))
@@ -336,9 +336,10 @@ def test_classify_figure2_pattern():
     assert c.index == 1
     assert c.stabilizer.order == 2
     assert not c.stable
-    assert c.prime_basis.shape[1] == 1
-    # the prime direction is the x-axis
-    assert abs(abs(c.prime_basis[0, 0]) - 1.0) < 1e-9
+    # V^- is the x-axis, which the reflection flips
+    N = c.tangent_basis @ c.neg_basis
+    assert abs(abs(N[0, 0]) - 1.0) < 1e-9
+    assert np.allclose(c.tangent_rep[1] @ c.neg_basis, -c.neg_basis)
 
 
 def test_classify_figure1_pattern():
@@ -350,7 +351,9 @@ def test_classify_figure1_pattern():
     assert c.index == 2
     assert c.stabilizer.order == 3
     assert not c.stable
-    assert c.prime_basis.shape[1] == 2  # rotation fixes no tangent vector
+    # the rotation moves every vector of V^-, the whole tangent plane
+    assert c.neg_basis.shape[1] == 2
+    assert not np.allclose(c.tangent_rep[1] @ c.neg_basis, c.neg_basis)
 
 
 def test_classify_stable_minimum():
@@ -359,6 +362,53 @@ def test_classify_stable_minimum():
     f = EqFunction.from_polynomial(Polynomial(2, {(2, 0): 1, (0, 2): 1}))
     c = classify(f, M, np.array([0.0, 0.0]))
     assert c.index == 0 and c.stable
+
+
+def _averaging_rule(c) -> bool:
+    """The stability rule the flag replaced, kept as its oracle: the
+    Hessian is positive definite on the kernel of the tangent averaging
+    projector."""
+    P = sum(c.tangent_rep) / len(c.tangent_rep)
+    w, V = np.linalg.eigh((P + P.T) / 2.0)
+    prime = V[:, w <= 0.5]
+    return bool(np.all(np.linalg.eigh(prime.T @ c.hessian @ prime)[0]
+                       > critical.TOL_NONDEG))
+
+
+@pytest.mark.parametrize("f, index, stable", [
+    ({(2, 0): 1, (0, 2): -1}, 1, True),
+    ({(2, 0): -1, (0, 2): -2}, 2, False),
+], ids=["fixed-descent", "flipped-descent"])
+def test_stable_means_the_stabilizer_fixes_the_descent(f, index, stable):
+    # R^2 under x -> -x.  x^2 - y^2 descends along the fixed y-axis and
+    # ascends along the flipped x-axis: stable.  -x^2 - 2y^2 descends
+    # along both, and the reflection flips x: unstable
+    M = r2_manifold(LinearAction.reflection_c2(2, axis=0))
+    c = classify(EqFunction.from_polynomial(Polynomial(2, f)), M, np.zeros(2))
+    assert (c.index, c.stable, _averaging_rule(c)) == (index, stable, stable)
+
+
+def test_classify_decomposes_the_hessian_once(monkeypatch):
+    # one eigh per point, of the restricted Hessian, and no eigvalsh: on
+    # the six critical points of the antipodal sphere
+    fx = MANIFOLD_FIXTURES["sphere_antipodal"]()
+    f, M = fx.function, fx.manifold
+    points = find_critical_points(f, M, fx.seeds)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kw):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kw)
+
+    def refused(*args, **kw):
+        raise AssertionError("classify called eigvalsh")
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+    for p in points:
+        classify(f, M, p)
+    assert calls == [(2, 2)] * len(points) == [(2, 2)] * 6
 
 
 def test_classify_degenerate_raises():
@@ -1409,7 +1459,7 @@ def _hand_built(M, x):
     return critical.CriticalPoint(
         coords=x, value=0.0, stabilizer=M.action.stabilizer(x),
         tangent_basis=np.eye(2), hessian=np.eye(2), eigvals=np.ones(2),
-        eigvecs=np.eye(2), index=0, prime_basis=np.zeros((2, 0)), stable=True)
+        eigvecs=np.eye(2), index=0, stable=True)
 
 
 def test_points_within_dedup_tol_make_group_into_orbits_raise():
@@ -1623,6 +1673,23 @@ def test_search_matches_reference_on_jittered_grids(fx, f, expected):
             assert np.max(np.abs(p - q)) <= 1e-9, k
         counts.add(len(got))
     assert counts == expected
+
+
+@pytest.mark.parametrize("fx, f, expected", list(_fixture_cases()))
+def test_stable_agrees_with_the_averaging_rule(fx, f, expected):
+    # on every manifold fixture, before and after surgery, at the points its
+    # own seeds and the jittered grids 0-39 find, the flag is the averaging
+    # projector's rule
+    M = fx.manifold
+    grids = [fx.seeds] + [_jittered(fx, np.random.default_rng(k))
+                          for k in range(40)]
+    points = 0
+    for seeds in grids:
+        for p in find_critical_points(f, M, seeds):
+            c = classify(f, M, p)
+            assert c.stable == _averaging_rule(c), (p, c)
+            points += 1
+    assert points >= len(grids)
 
 
 def test_search_calls_gradient_in_batches():

@@ -355,7 +355,7 @@ def test_bad_counts_raise_boundary_error():
         return CriticalPoint(
             coords=z, value=value, stabilizer=e, tangent_basis=np.eye(2),
             hessian=np.eye(2), eigvals=np.ones(2), eigvecs=np.eye(2),
-            index=idx, prime_basis=np.zeros((2, 0)), stable=True,
+            index=idx, stable=True,
         )
 
     orbits = [

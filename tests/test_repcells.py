@@ -212,6 +212,53 @@ def test_rotation_planes_need_a_cyclic_stabilizer(G):
                                    "singular")
 
 
+def _shifted(X, a):
+    """X's cell-orbit stabilizers and boundary records by degree, each
+    degree lowered by a and each boundary degree times (-1)^a: the fixed
+    a-disk's product sign."""
+    cells = {n - a: [c.stabilizer for c in cs] for n, cs in X.cells.items()}
+    bnd = {n - a: {k: [(m.source, m.target, m.rep, (-1) ** a * deg)
+                       for m, deg in recs] for k, recs in rs.items()}
+           for n, rs in X.boundary.items()}
+    return cells, bnd
+
+
+@pytest.mark.parametrize("n, factor", [(2, {"sign": 1}), (2, {"sign": 2}),
+                                       (3, {"rotations": (1,)})],
+                         ids=["sign", "two-signs", "rotation"])
+def test_the_fixed_disk_is_one_cell(n, factor):
+    # D(V^H) is one cell: the pair's cell-orbits and boundary records for
+    # a = 0..5 trivial lines are those for a = 0, a degrees up (a product
+    # of a trivial cone pairs would have 3^a times the cells)
+    from equimorse.repcells import _pair_complex
+
+    H = full_subgroup(FiniteGroup.cyclic(n))
+    base = _shifted(_pair_complex(H, RepSpec(**factor)), 0)
+    for a in range(6):
+        X = _pair_complex(H, RepSpec(trivial=a, **factor))
+        assert min(X.cells) == a
+        assert _shifted(X, a) == base, a
+
+
+@pytest.mark.parametrize("char", CHARS)
+def test_forty_trivial_lines_give_the_closed_forms(char):
+    # with V^H of dimension 40 the groups are the closed forms, 40 degrees
+    # up: the unstable cell of the double table at index 41, and for the C3
+    # rotation plane Z in dim V (singular, quotient), dim V^H (fixed-point)
+    # and dim V - 1 and dim V (quotient-rel-fixed)
+    G, _, full = c2()
+    h = representation_cell_table(full, RepSpec(trivial=40, sign=1), char=char)
+    for th in THEORIES:
+        assert only_entry(h[th]) == expected_entry("unstable", th, 41), th
+    C3 = full_subgroup(FiniteGroup.cyclic(3))
+    h = representation_cell_table(C3, RepSpec(trivial=40, rotations=(1,)),
+                                  char=char)
+    assert {th: dict(g.entries) for th, g in h.items()} == {
+        "singular": {42: (1, ())}, "fixed-point": {40: (1, ())},
+        "quotient": {42: (1, ())},
+        "quotient-rel-fixed": {41: (1, ()), 42: (1, ())}}
+
+
 def _sweep():
     """(group, H, V): every subgroup of C1-C4 and S3, trivial <= 2, sign <= 2
     when |H| = 2, and at most one rotation plane when H is cyclic, up to
@@ -294,15 +341,17 @@ def test_pair_groups_match_subquotient_oracle(char):
 
 def _joins():
     """The cone pair on the C3 triangle (the rotation disk pair) and the
-    product of three trivial C2 cone pairs (the 3-cube rel its boundary):
-    each cell with a boundary lies in a free orbit in the first, and is
-    fixed in the second."""
-    from equimorse.repcells import _ngon, _s0
+    product of three cone pairs on a C2-fixed S^0 (the 3-cube rel its
+    boundary): each cell with a boundary lies in a free orbit in the first,
+    and is fixed in the second."""
+    from equimorse.gcw import CellAction
+    from equimorse.repcells import _ngon
 
     C3 = FiniteGroup.cyclic(3)
     yield "free", C3, _ngon(C3, 1, 1, 3).cone()
     C2 = FiniteGroup.cyclic(2)
-    cone = _s0(C2).cone()
+    cone = CellAction(C2, {0: 2}, {0: [[], []]},
+                      {s: {0: (0, 1)} for s in C2.elements()}).cone()
     yield "fixed", C2, cone.product(cone).product(cone)
 
 
