@@ -14,11 +14,13 @@ layer's one action, so a float rotation is read as it is.  A G-CW object
 has the keys cells and boundary only.  A polynomial is a list of
 Polynomial.from_records triples [exponents, num, den]; den 0 marks a
 float, read as the binary rational it denotes.  A manifold's seeds are one
-or more points of the ambient width.  Its action must preserve its
-constraints, and its function must be invariant under the action: at the
-seeds projected onto the manifold no group element may leave a constraint
-residual of ACTION_TOL (ImplicitGManifold.validate_action), and f may move
-by at most INVARIANCE_TOL times max(1, |f|).
+or more points of the ambient width, and its surgery_radius, step_length
+and escape_radius, where given, are finite numbers > 0.  Its action must
+preserve its constraints, and its function must be invariant under the
+action: at the seeds projected onto the manifold no group element may
+leave a constraint residual of ACTION_TOL
+(ImplicitGManifold.validate_action), and f may move by at most
+INVARIANCE_TOL times max(1, |f|).
 
 load_fixture(path) reads any such file and returns a GCWComplex or a
 ManifoldFixture.  Only a manifold file imports numpy, the Morse layer and
@@ -226,9 +228,14 @@ def _manifold_from_json(group, spec, name: str) -> ManifoldFixture:
     if err > INVARIANCE_TOL * scale:
         raise ValueError(f"the function is not invariant under the action: "
                          f"it moves by {err:.2e} at the seeds")
-    scalars = {k: float(spec[k])
+    scalars = {k: spec[k]
                for k in ("surgery_radius", "step_length", "escape_radius")
                if k in spec}
+    for k, v in scalars.items():
+        if (isinstance(v, bool) or not isinstance(v, (int, float))
+                or not 0 < v < float("inf")):
+            raise ValueError(f"{k!r} must be a finite number > 0, not {v!r}")
+        scalars[k] = float(v)
     return ManifoldFixture(name=name, manifold=M, function=f, seeds=seeds,
                            charts=charts, sphere_fn=sphere_fn, **scalars)
 

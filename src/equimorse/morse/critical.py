@@ -274,7 +274,9 @@ def find_critical_points(f: EqFunction, M: ImplicitGManifold,
     solve.  Per-row masks retire the rows that converge and drop those that
     turn non-finite or leave the bound; a singular KKT system is solved
     alone, with a least-squares fallback, beside the stack of the others.
-    Divergent seeds are logged and skipped, never fatal.  The converged
+    Divergent seeds are logged and skipped, never fatal.  seeds is an
+    (m, ambient) array, one point per row; a single point of length ambient
+    is a batch of one, and any other shape raises ValueError.  The converged
     points that pass the tangent-gradient tolerance, read from one order-1
     call of the Evaluator, are deduplicated in seed order by match_rows.
 
@@ -286,8 +288,14 @@ def find_critical_points(f: EqFunction, M: ImplicitGManifold,
     points are already there.  Every returned point satisfies the
     tangent-gradient tolerance.
     """
+    X0 = np.array(seeds, dtype=float)
+    if X0.ndim == 1 and len(X0) == M.ambient:
+        X0 = X0[None, :]
+    if X0.ndim != 2 or X0.shape[1] != M.ambient:
+        raise ValueError(f"seeds must have shape (m, {M.ambient}), one point "
+                         f"per row; got shape {X0.shape}")
     ev = M.evaluator(f)
-    X, ok = _newton_kkt(f, M, seeds)
+    X, ok = _newton_kkt(f, M, X0)
     rows = np.flatnonzero(ok)
     C = _distinct(X[rows[_is_critical(ev, X[rows])]])
     if not ok.all():
@@ -310,7 +318,8 @@ def find_critical_points(f: EqFunction, M: ImplicitGManifold,
 
 def classify(f: EqFunction, M: ImplicitGManifold, p) -> CriticalPoint:
     """Stabilizer, restricted Hessian and its eigenpairs, index, and the
-    stability flag of a critical point.
+    stability flag of a critical point p, a point of length ambient (any
+    other shape raises ValueError).
 
     stable means the stabilizer H fixes V^- pointwise: N^T R N = I to
     TOL_NONDEG for every R in tangent_rep, with N = neg_basis.  The
@@ -324,6 +333,9 @@ def classify(f: EqFunction, M: ImplicitGManifold, p) -> CriticalPoint:
     table calls, and a surgered function's tables are each called once.
     """
     p = np.asarray(p, dtype=float)
+    if p.shape != (M.ambient,):
+        raise ValueError(f"p must have shape ({M.ambient},), one point; got "
+                         f"shape {p.shape}")
     x = p[None, :]
     ev = M.evaluator(f)
     (fx, _), (g, J), (H, CH) = ev.jet(x, 2)

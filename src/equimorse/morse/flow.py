@@ -372,7 +372,8 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
     counts as a linear capture.  The levels are sampled for every sink in
     both directions whatever the rows' directions, and a source's radius
     depends on its orbit alone, so a row's trajectory does not depend on
-    its batch.
+    its batch.  step_length and escape_radius must be finite and > 0, or
+    ValueError.
     """
     X = np.array(X0, dtype=float)
     if X.ndim == 1 and len(X) == M.ambient:
@@ -393,6 +394,10 @@ def integrate_batch(f: EqFunction, M: ImplicitGManifold, X0, *,
         raise ValueError(f"sources must index crits ({len(C)} points) or be "
                          f"-1 for none; got {bad[0]:g}")
     src = src.astype(int)
+    for name, v in (("step_length", step_length),
+                    ("escape_radius", escape_radius)):
+        if not 0 < v < np.inf:
+            raise ValueError(f"{name} must be a finite number > 0; got {v!r}")
     status = np.full(m, UNRESOLVED, dtype=int)
     limit = np.full(m, -1, dtype=int)
     steps_used = np.zeros(m, dtype=int)

@@ -668,6 +668,29 @@ def test_morse_stabilize_with_bad_sphere_data_is_an_error_exit(
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("key, value", [
+    ("escape_radius", -1), ("escape_radius", 0), ("surgery_radius", -1),
+    ("surgery_radius", 0), ("step_length", -0.02), ("step_length", "0.02"),
+    ("escape_radius", float("inf")), ("surgery_radius", True),
+])
+def test_a_fixture_scalar_that_is_not_a_finite_positive_number_is_an_error_exit(
+        tmp_path, capsys, key, value):
+    # on figure 2 under morse --stabilize, escape radius -1 or 0 let every
+    # flow row escape at step 0 and printed F2, F2 with exit 0, surgery
+    # radius -1 ended in numpy's traceback, 0 ran a surgery that changed
+    # nothing, and step length -0.02 left two rows unresolved
+    p = _rewritten(tmp_path, "figure2_plane",
+                   lambda raw: raw["manifold"].update({key: value}))
+    message = f"{key!r} must be a finite number > 0, not {value!r}"
+    with pytest.raises(FixtureError) as exc:
+        load_fixture(p)
+    assert str(exc.value) == f"{p}: {message}"
+    assert main(["morse", str(p), "--stabilize"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {p}: {message}\n"
+
+
 def test_morse_degenerate_function_is_an_error_exit(tmp_path, capsys):
     # f = x^4 + y^2 on R^2: the Hessian at the critical point is degenerate
     p = tmp_path / "quartic.json"

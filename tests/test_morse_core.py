@@ -1,5 +1,6 @@
 """Manifolds, critical point finding/classification, flows, and the model."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -364,6 +365,26 @@ def test_classify_stable_minimum():
     assert c.index == 0 and c.stable
 
 
+def test_points_of_the_wrong_width_are_rejected():
+    # Newton reshapes the seeds into rows of the ambient width: a 4x3 array
+    # on the plane read as six seeds found [[0, 0]], a 3x2 array on the
+    # sphere read as two seeds found [[0, 0, 1]], and classify of a length-3
+    # point on the plane ended in numpy's broadcast error
+    plane = MANIFOLD_FIXTURES["figure2_plane"]()
+    sphere = MANIFOLD_FIXTURES["sphere_height"]()
+    for fx, seeds in ((plane, np.zeros((4, 3))), (sphere, np.ones((3, 2)))):
+        with pytest.raises(ValueError, match=re.escape(
+                f"seeds must have shape (m, {fx.manifold.ambient}), one point "
+                f"per row; got shape {seeds.shape}")):
+            find_critical_points(fx.function, fx.manifold, seeds)
+    with pytest.raises(ValueError, match=re.escape(
+            "p must have shape (2,), one point; got shape (3,)")):
+        classify(plane.function, plane.manifold, np.zeros(3))
+    # a 1-D seed of the ambient length is a batch of one
+    found = find_critical_points(plane.function, plane.manifold, np.zeros(2))
+    assert np.allclose(found, [[0.0, 0.0]])
+
+
 def _averaging_rule(c) -> bool:
     """The stability rule the flag replaced, kept as its oracle: the
     Hessian is positive definite on the kernel of the tangent averaging
@@ -575,12 +596,18 @@ def test_flow_start_points_must_be_rows_of_the_ambient_space():
     ({"sources": 0.5}, r"sources must index crits \(2 points\) or be -1 for none; got 0\.5"),
     ({"sources": [1, 1, 1]}, r"sources must be one value or one per row of X0 \(1\); "
                              r"got shape \(3,\)"),
+    ({"step_length": -0.02}, r"step_length must be a finite number > 0; got -0\.02"),
+    ({"step_length": np.nan}, r"step_length must be a finite number > 0; got nan"),
+    ({"escape_radius": 0}, r"escape_radius must be a finite number > 0; got 0"),
+    ({"escape_radius": np.inf}, r"escape_radius must be a finite number > 0; got inf"),
 ])
 def test_flow_rejects_bad_directions_and_sources(kw, message):
     # on the height of the sphere with its two critical points: direction 0
     # would leave the row unmoved until its step budget, direction 2 would
     # flow at twice the speed, source 5 would index past crits, source 0.5
-    # would be read as 0 and three sources for one row would not broadcast
+    # would be read as 0 and three sources for one row would not broadcast;
+    # a step length that is not > 0 spent every halving, and an escape
+    # radius of 0 let every row escape at step 0
     M = sphere_manifold()
     f = height_z()
     crits = [classify(f, M, np.array([0.0, 0.0, z])) for z in (1.0, -1.0)]
