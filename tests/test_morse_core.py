@@ -1676,6 +1676,9 @@ def _fixture_cases():
                                id=name + "-surgered")
 
 
+FIXTURE_CASES = list(_fixture_cases())
+
+
 def _jittered(fx, rng):
     """The fixture's seeds, each moved by at most a quarter of the grid
     spacing per axis (of the angular spacing for a circle of seeds)."""
@@ -1688,7 +1691,7 @@ def _jittered(fx, rng):
     return S + rng.uniform(-0.25, 0.25, S.shape) * step
 
 
-@pytest.mark.parametrize("fx, f, expected", list(_fixture_cases()))
+@pytest.mark.parametrize("fx, f, expected", FIXTURE_CASES)
 def test_search_matches_reference_on_jittered_grids(fx, f, expected):
     counts = set()
     for k in range(140, 160):
@@ -1702,7 +1705,7 @@ def test_search_matches_reference_on_jittered_grids(fx, f, expected):
     assert counts == expected
 
 
-@pytest.mark.parametrize("fx, f, expected", list(_fixture_cases()))
+@pytest.mark.parametrize("fx, f, expected", FIXTURE_CASES)
 def test_stable_agrees_with_the_averaging_rule(fx, f, expected):
     # on every manifold fixture, before and after surgery, at the points its
     # own seeds and the jittered grids 0-39 find, the flag is the averaging
