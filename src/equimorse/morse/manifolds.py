@@ -56,8 +56,8 @@ from ..groups import FiniteGroup, Subgroup
 from ..polynomials import LinearAction, Polynomial
 
 __all__ = ["DEDUP_TOL", "EqFunction", "Evaluator", "ImplicitGManifold",
-           "OrthogonalAction", "PolyJet", "PolyTable", "match_rows",
-           "tangent_frame", "tangent_part"]
+           "OrthogonalAction", "PolyJet", "PolyTable", "check_order",
+           "match_rows", "tangent_frame", "tangent_part"]
 
 # the constraint residual below which a projected row stops
 PROJECT_TOL = 1e-12
@@ -69,6 +69,13 @@ ACTION_TOL = 1e-9
 LAW_TOL = 1e-12
 # match_rows: two points closer than DEDUP_TOL are the same point
 DEDUP_TOL = 1e-6
+
+
+def check_order(order) -> None:
+    """Raise ValueError unless order is a jet order, 0, 1 or 2: every jet
+    of the Morse layer checks the order it is given."""
+    if order not in (0, 1, 2):
+        raise ValueError(f"jet order must be 0, 1 or 2, not {order!r}")
 
 
 def match_rows(X, C) -> np.ndarray:
@@ -232,6 +239,7 @@ class PolyJet:
             [g.derivative(j) for g in grads for j in range(N)], N)
 
     def __call__(self, X, order: int) -> list:
+        check_order(order)
         k, N, m = len(self.polys), self.nvars, len(X)
         T = self._first(X) if k else np.empty((m, 0))
         jet = [T[:, :k], T[:, k:].reshape(m, k, N)]
@@ -315,6 +323,7 @@ class EqFunction:
 
     def jet_many(self, X, order: int) -> list:
         """[values, gradients, Hessians][:order + 1] at the rows of X."""
+        check_order(order)
         return self._jet_many(np.asarray(X, dtype=float), order)
 
     def value_many(self, X) -> np.ndarray:
@@ -495,6 +504,7 @@ class Evaluator:
 
     def jet(self, X, order: int) -> list:
         """[(f, F), (grad f, J), (hess f, CH)][:order + 1] at the rows of X."""
+        check_order(order)
         if self._joint is None:
             return list(zip(self.f.jet_many(X, order), self.M.jet(X, order)))
         return [(a[:, 0], a[:, 1:]) for a in self._joint(X, order)]

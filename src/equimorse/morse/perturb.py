@@ -26,6 +26,7 @@ products, so a row's result does not depend on the rows beside it.
 
 from __future__ import annotations
 
+import functools
 import logging
 import warnings
 from math import comb
@@ -37,7 +38,7 @@ from ..groups import left_cosets
 from ..polynomials import LinearAction, Polynomial
 from .critical import CriticalPoint
 from .cutoffs import CutoffPair
-from .manifolds import EqFunction, ImplicitGManifold, OrthogonalAction
+from .manifolds import EqFunction, ImplicitGManifold, OrthogonalAction, check_order
 
 __all__ = [
     "AngleChart",
@@ -73,10 +74,14 @@ def _squares(A: np.ndarray) -> np.ndarray:
     return np.add.reduce(A * A, axis=1)
 
 
+@functools.lru_cache(maxsize=None)
 def _sphere_samples(seed: int, count: int, dim: int) -> np.ndarray:
-    """count seeded random points on the unit sphere of R^dim."""
+    """count seeded random points on the unit sphere of R^dim, drawn once
+    per (seed, count, dim) and read-only."""
     pts = np.random.default_rng(seed).normal(size=(count, dim))
-    return pts / np.linalg.norm(pts, axis=1)[:, None]
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    pts.flags.writeable = False
+    return pts
 
 
 class SphereFunction(EqFunction):
@@ -105,24 +110,29 @@ class SphereFunction(EqFunction):
                                   for j in range(0, k + 1, 2)}))
 
     def jet_many(self, U, order: int) -> list:
+        check_order(order)
         U = np.asarray(U, dtype=float)
-        t = np.sqrt(_squares(U))
+        return self._jet(U, np.sqrt(_squares(U)), order)
+
+    def _jet(self, U: np.ndarray, t: np.ndarray, order: int) -> list:
+        """jet_many at the rows of U, whose norms are t."""
         m = self.deg
         P = self.P.jet_many(U, order)
         tm = t**m
         jet = [P[0] / tm]
         if order >= 1:
             tm2 = t ** (m + 2)
-            jet.append(P[1] / tm[:, None] - m * (P[0] / tm2)[:, None] * U)
+            jet.append(P[1] / tm[:, None] - (m * (P[0] / tm2))[:, None] * U)
         if order == 2:
             p = P[0][:, None, None]
             gu = P[1][:, :, None] * U[:, None, :]
+            gu += gu.transpose(0, 2, 1)
+            gu += p * np.eye(self.dim)
             uu = U[:, :, None] * U[:, None, :]
             jet.append(
                 P[2] / tm[:, None, None]
-                - m / tm2[:, None, None] * (gu + gu.transpose(0, 2, 1)
-                                            + p * np.eye(self.dim))
-                + m * (m + 2) * p / (t ** (m + 4))[:, None, None] * uu
+                - (m / tm2)[:, None, None] * gu
+                + (m * (m + 2) * P[0] / t ** (m + 4))[:, None, None] * uu
             )
         return jet
 
@@ -140,7 +150,9 @@ class PerturbedModel(EqFunction):
 
     jet_many computes every term on every row from one radial-kernel call,
     with h's jet only where psi or a derivative taken is nonzero (0
-    elsewhere) and quotients by t = |u| read at 1 where t = 0."""
+    elsewhere; read directly when that is every row), the norms t = |u|
+    handed on to h, quotients by t read at 1 where t = 0, and the empty V
+    and W blocks left out."""
 
     def __init__(self, dv: int, dw: int, actU: OrthogonalAction | LinearAction,
                  h: SphereFunction | None, cut: CutoffPair):
@@ -169,52 +181,76 @@ class PerturbedModel(EqFunction):
         self.eps = cut.epsilon / max(self.h_sup, 1e-12)
 
     def jet_many(self, X, order: int) -> list:
+        check_order(order)
         X = np.asarray(X, dtype=float)
-        dv, k = self.dv, self.dv + self.dw
-        v, w, u = X[:, :dv], X[:, dv:k], X[:, k:]
+        dv, k, du = self.dv, self.dv + self.dw, self.du
+        u = X[:, k:]
         t = np.sqrt(_squares(u))
         R, psi = self.cut.profile(t, order)
-        h = [np.zeros((len(X),) + (self.du,) * j) for j in range(order + 1)]
-        on = np.logical_or.reduce(psi).nonzero()[0]
-        if len(on):
-            for a, b in zip(h, self.h.jet_many(u[on], order)):
-                a[on] = b
+        h = self._h_jet(u, t, psi, order)
         eps = self.eps
-        jet = [_squares(v) - _squares(w) + R[0] + eps * psi[0] * h[0]]
+        # |v|^2 - |w|^2 with an empty block left out: 0.0 + R is R's bits
+        quad = _squares(X[:, :dv]) if dv else 0.0
+        if self.dw:
+            quad = quad - _squares(X[:, dv:k])
+        jet = [quad + R[0] + eps * psi[0] * h[0]]
         if order >= 1:
             ts = np.where(t > 0.0, t, 1.0)
             uhat = u / ts[:, None]
+            ph = psi[1] * h[0]
             gu = R[1][:, None] * uhat + eps * (
-                (psi[1] * h[0])[:, None] * uhat + psi[0][:, None] * h[1])
-            jet.append(np.concatenate([2.0 * v, -2.0 * w, gu], axis=1))
+                ph[:, None] * uhat + psi[0][:, None] * h[1])
+            jet.append(np.concatenate([2.0 * X[:, :dv], -2.0 * X[:, dv:k], gu],
+                                      axis=1) if k else gu)
         if order == 2:
             Pu = uhat[:, :, None] * uhat[:, None, :]
-            Pt = np.eye(self.du) - Pu
+            Pt = np.eye(du) - Pu
             # R'/t tends to R''(0) = 2 at t = 0, where Pu = 0: the Hessian 2I
-            q = np.where(t > 0.0, R[1] / ts, 2.0)[:, None, None]
-            p0, p1, p2 = (a[:, None, None] for a in psi)
-            hv = h[0][:, None, None]
+            q = np.where(t > 0.0, R[1] / ts, 2.0)
             cross = uhat[:, :, None] * h[1][:, None, :]
-            Hu = R[2][:, None, None] * Pu + q * Pt + eps * (
-                p2 * hv * Pu
-                + p1 * (cross + cross.transpose(0, 2, 1))
-                + p1 * hv * Pt / ts[:, None, None]
-                + p0 * h[2]
-            )
-            H = np.zeros((len(X), k + self.du, k + self.du))
-            H[:, :dv, :dv] = 2.0 * np.eye(dv)
-            H[:, dv:k, dv:k] = -2.0 * np.eye(self.dw)
-            H[:, k:, k:] = Hu
-            jet.append(H)
+            cross += cross.transpose(0, 2, 1)
+            cross *= psi[1][:, None, None]
+            cross += (psi[2] * h[0])[:, None, None] * Pu
+            Hu = R[2][:, None, None] * Pu + q[:, None, None] * Pt + eps * (
+                cross + ph[:, None, None] * Pt / ts[:, None, None]
+                + psi[0][:, None, None] * h[2])
+            if k:
+                H = np.zeros((len(X), k + du, k + du))
+                H[:, :dv, :dv] = 2.0 * np.eye(dv)
+                H[:, dv:k, dv:k] = -2.0 * np.eye(self.dw)
+                H[:, k:, k:] = Hu
+                Hu = H
+            jet.append(Hu)
         return jet
+
+    def _h_jet(self, u, t, psi, order: int) -> list:
+        """h's jet at the rows where psi or a derivative taken is nonzero,
+        and 0 at the others: read directly when that is every row."""
+        on = np.logical_or.reduce(psi)
+        if len(u) and np.count_nonzero(on) == len(u):
+            return self.h._jet(u, t, order)
+        h = [np.zeros((len(u),) + (self.du,) * j) for j in range(order + 1)]
+        rows = on.nonzero()[0]
+        if len(rows):
+            for a, b in zip(h, self.h._jet(u[rows], t[rows], order)):
+                a[rows] = b
+        return h
 
 
 # -- Morse charts -------------------------------------------------------------
 
+SQRT2 = np.sqrt(2.0)
+# (x1, x0) * _TURN = (-x1, x0), the direction of increasing angle
+_TURN = np.array([-1.0, 1.0])
+
 
 class LinearChart:
     """Affine isometric chart y = Q^T (x - p) on a flat ambient manifold, with
-    f(x) = f(p) + |v|^2 - |w|^2 exactly in these coordinates."""
+    f(x) = f(p) + |v|^2 - |w|^2 exactly in these coordinates.  Being
+    affine, it has one Jacobian Q^T for every point (jacobian, (dim,
+    ambient)) and no second derivative."""
+
+    affine = True
 
     def __init__(self, center, frame, dv: int, dw: int):
         self.center = np.asarray(center, dtype=float)
@@ -226,6 +262,7 @@ class LinearChart:
         QtQ = self.frame.T @ self.frame
         if not np.allclose(QtQ, np.eye(dv + dw), atol=1e-12):
             raise ValueError("frame columns must be orthonormal")
+        self.jacobian = np.ascontiguousarray(self.frame.T)
 
     @property
     def dim(self) -> int:
@@ -235,11 +272,12 @@ class LinearChart:
         """[y, dy/dx, d2y/dx2][:order + 1] at the rows of X, shapes (m,
         dim), (m, dim, ambient) and (m, dim, ambient, ambient): the
         coordinates, the frame and zero."""
+        check_order(order)
         X = np.asarray(X, dtype=float)
         N = len(self.center)
         jet = [np.einsum("mn,nk->mk", X - self.center, self.frame)]
         if order >= 1:
-            jet.append(self.frame.T[None].repeat(len(X), axis=0))
+            jet.append(self.jacobian[None].repeat(len(X), axis=0))
         if order == 2:
             jet.append(np.zeros((len(X), self.dim, N, N)))
         return jet
@@ -253,6 +291,8 @@ class AngleChart:
     """Exact Morse chart at a pole of the unit circle for a height function:
     with u the angle from the pole, the coordinate y = sqrt(2) sin(u/2)
     turns f = cos(u) + const into f(p) - y^2 exactly.  dv = 0, dw = 1."""
+
+    affine = False
 
     def __init__(self, pole_angle: float):
         self.pole_angle = float(pole_angle)
@@ -270,25 +310,35 @@ class AngleChart:
     def jet_many(self, X, order: int) -> list:
         """[y, dy/dx, d2y/dx2][:order + 1] at the rows of X, shapes (m, 1),
         (m, 1, 2) and (m, 1, 2, 2), through the angle u from the pole."""
+        check_order(order)
         X = np.asarray(X, dtype=float)
         x0, x1 = X[:, 0], X[:, 1]
-        u = (np.arctan2(x1, x0) - self.pole_angle + np.pi) % (2 * np.pi) - np.pi
-        sin_half = np.sin(u / 2.0)
-        jet = [(np.sqrt(2.0) * sin_half)[:, None]]
+        u = np.arctan2(x1, x0)
+        u -= self.pole_angle
+        u += np.pi
+        u %= 2 * np.pi
+        u -= np.pi
+        u /= 2.0
+        sin_half = np.sin(u)
+        jet = [(SQRT2 * sin_half)[:, None]]
         if order >= 1:
-            r2 = x0 * x0 + x1 * x1
-            grad_u = np.stack([-x1, x0], axis=1) / r2[:, None]
-            dy = np.sqrt(2.0) * 0.5 * np.cos(u / 2.0)
+            r2 = _squares(X)
+            # the gradient of the angle, (-x1, x0) / r2
+            grad_u = X[:, ::-1] * _TURN
+            grad_u /= r2[:, None]
+            dy = SQRT2 * 0.5 * np.cos(u)
             jet.append((dy[:, None] * grad_u)[:, None, :])
         if order == 2:
-            off = x1**2 - x0**2
-            hess_u = np.stack(
-                [np.stack([2 * x0 * x1, off], axis=1),
-                 np.stack([off, -2 * x0 * x1], axis=1)], axis=1
-            ) / (r2 * r2)[:, None, None]
-            d2y = -np.sqrt(2.0) * 0.25 * sin_half
-            jet.append((d2y[:, None, None] * grad_u[:, :, None] * grad_u[:, None, :]
-                        + dy[:, None, None] * hess_u)[:, None, :, :])
+            hess_u = np.empty((len(X), 2, 2))
+            np.multiply(2 * x0, x1, out=hess_u[:, 0, 0])
+            np.subtract(x1**2, x0**2, out=hess_u[:, 0, 1])
+            hess_u[:, 1, 0] = hess_u[:, 0, 1]
+            np.negative(hess_u[:, 0, 0], out=hess_u[:, 1, 1])
+            hess_u /= (r2 * r2)[:, None, None]
+            d2y = -SQRT2 * 0.25 * sin_half
+            H = d2y[:, None, None] * grad_u[:, :, None] * grad_u[:, None, :]
+            H += dy[:, None, None] * hess_u
+            jet.append(H[:, None, :, :])
         return jet
 
     def points_many(self, Y) -> np.ndarray:
@@ -316,7 +366,9 @@ class SurgeredFunction(EqFunction):
     several modified cylinders takes the first chart in the list that
     contains it, for the value, gradient and Hessian alike.  jet_many reads
     the model through each chart on the rows inside that chart's cylinder,
-    and f itself only on the rows outside every one.
+    and f itself only on the rows outside every one.  A batch that lies in
+    one cylinder, or outside all, is returned as computed; only a mixed
+    batch is scattered into full-batch arrays.
     """
 
     def __init__(self, f: EqFunction, charts, model: PerturbedModel,
@@ -332,36 +384,65 @@ class SurgeredFunction(EqFunction):
         self.name = "surgered"
 
     def jet_many(self, X, order: int) -> list:
+        check_order(order)
         X = np.asarray(X, dtype=float)
-        model, s = self.model, self.scale
-        k = model.dv + model.dw
+        k = self.model.dv + self.model.dw
+        # (rows, jet) of each chart that takes rows, then of f on the rows
+        # outside every cylinder; rows is None for the whole batch
+        pieces = []
+        left = None
+        for chart in self.charts:
+            Z = X if left is None else X[left]
+            if chart.affine:
+                (y,), dy = chart.jet_many(Z, 0), None
+            else:
+                y, *dy = chart.jet_many(Z, order)
+            inside = np.sqrt(_squares(y[:, k:])) < 3.0 * self.scale
+            taken = np.count_nonzero(inside)
+            if taken == len(Z):
+                pieces.append((left, self._spliced(chart, y, dy, order)))
+                break
+            if taken:
+                rows = inside.nonzero()[0]
+                pieces.append((rows if left is None else left[rows],
+                               self._spliced(chart, y[rows],
+                                             dy and [d[rows] for d in dy], order)))
+                out = (~inside).nonzero()[0]
+                left = out if left is None else left[out]
+        else:
+            pieces.append((left, self.f0.jet_many(
+                X if left is None else X[left], order)))
+        if pieces[0][0] is None:
+            return pieces[0][1]
         m, n = X.shape
         jet = [np.empty((m,) + (n,) * j) for j in range(order + 1)]
-        free = np.ones(m, dtype=bool)
-        for chart in self.charts:
-            y, *dy = chart.jet_many(X, order)
-            # the rows inside this modified cylinder and no earlier one
-            rows = (free & (np.sqrt(_squares(y[:, k:])) < 3.0 * s)).nonzero()[0]
-            if not len(rows):
-                continue
-            free[rows] = False
-            F = model.jet_many(y[rows] / s, order)
-            jet[0][rows] = self.fp + s * s * F[0]
-            if order >= 1:
-                J = dy[0][rows]
-                # s dF/dy dy/dx, with dF/dy at y/s
-                jet[1][rows] = s * np.einsum("mc,mcn->mn", F[1], J)
-            if order == 2:
-                jet[2][rows] = (
-                    np.einsum("mki,mkl,mlj->mij", J, F[2], J)
-                    + s * np.einsum("mc,mcij->mij", F[1], dy[1][rows])
-                )
-        rows = free.nonzero()[0]
-        if len(rows) == m:
-            return self.f0.jet_many(X, order)
-        if len(rows):
-            for a, b in zip(jet, self.f0.jet_many(X[rows], order)):
+        for rows, part in pieces:
+            for a, b in zip(jet, part):
                 a[rows] = b
+        return jet
+
+    def _spliced(self, chart, y, dy, order: int) -> list:
+        """fp + s^2 F(y/s) and its x-derivatives at the rows whose chart
+        coordinates are y, with dy the chart's [dy/dx, d2y/dx2] there (None
+        for an affine chart, whose one Jacobian serves every row and whose
+        second derivative is 0)."""
+        s = self.scale
+        F = self.model.jet_many(y / s, order)
+        jet = [self.fp + s * s * F[0]]
+        if order >= 1:
+            # s dF/dy dy/dx, with dF/dy at y/s
+            if chart.affine:
+                J = chart.jacobian
+                jet.append(s * np.einsum("mc,cn->mn", F[1], J))
+            else:
+                J = dy[0]
+                jet.append(s * np.einsum("mc,mcn->mn", F[1], J))
+        if order == 2:
+            if chart.affine:
+                jet.append(np.einsum("ki,mkl,lj->mij", J, F[2], J))
+            else:
+                jet.append(np.einsum("mki,mkl,mlj->mij", J, F[2], J)
+                           + s * np.einsum("mc,mcij->mij", F[1], dy[1]))
         return jet
 
 
@@ -447,9 +528,7 @@ def localize_surgery(f: EqFunction, M: ImplicitGManifold, p: CriticalPoint,
 
     # reported C0 distance: sup over the modified cylinder of the change,
     # with the model's sampled sup of |h|
-    ts = np.linspace(0.0, 3.0, 601)
-    base = -ts * ts
-    (R,), (psi,) = cut.profile(ts, 0)
+    base, R, psi = cut.radial_samples
     changed = R + model.eps * psi * model.h_sup
     out.c0_distance = float(scale * scale * np.max(np.abs(changed - base)))
     log.info("surgery at %s: C0 distance <= %.3e", np.round(p.coords, 4),

@@ -268,33 +268,33 @@ def _crt(residues, primes, slots, rad) -> dict:
     primes), from residues with one row per prime and one column per slot
     of the degree box of radices rad, slots[i] being column i's slot.
 
-    Each c is rebuilt from Garner's mixed-radix digits,
-    c = v_0 + v_1 p_0 + v_2 p_0 p_1 + ..., and a signed lift; a slot is zero
-    exactly when all its residues are, and is left out.  Digits are paired
-    into 64-bit words v_2i + v_2i+1 p_2i < 2^62 before the bigint Horner
-    steps, which halves them.
+    Each c is rebuilt from Garner's balanced mixed-radix digits v_i in
+    (-p_i/2, p_i/2), c = v_0 + v_1 p_0 + v_2 p_0 p_1 + ...: all primes are
+    odd, so the balanced digits span exactly (-M/2, M/2) and give the
+    signed c with no lift.  A slot is zero exactly when all its residues
+    are, and is left out.  Digits are paired into 64-bit words v_2i +
+    v_2i+1 p_2i, |word| < 2^61, before the bigint Horner steps, which
+    halves them.
     """
     import numpy as np
 
     hit = residues.any(axis=0)
-    res = residues[:, hit].astype(np.uint64)
+    res = residues[:, hit].astype(np.int64)
     digits = []
     for r, (p, _) in enumerate(primes):
-        P = np.uint64(p)
         t = res[r]
         for (pj, _), v in zip(primes, digits):
-            t = (t + P - v % P) * np.uint64(pow(pj, p - 2, p)) % P
-        digits.append(t)
+            # v % p is in [0, p) for a negative v too
+            t = (t + p - v % p) * pow(pj, p - 2, p) % p
+        digits.append(t - p * (t > p // 2))
     mods = [p for p, _ in primes]
-    words = [(digits[i] + digits[i + 1] * np.uint64(mods[i]), mods[i] * mods[i + 1])
+    words = [(digits[i] + digits[i + 1] * mods[i], mods[i] * mods[i + 1])
              for i in range(0, len(mods) - 1, 2)]
     if len(mods) % 2:
         words.append((digits[-1], mods[-1]))
     coeffs = words[-1][0].astype(object)
     for v, m in reversed(words[:-1]):
         coeffs = coeffs * m + v.astype(object)
-    M = math.prod(mods)
-    coeffs = np.where(coeffs > M // 2, coeffs - M, coeffs)
     slots, cols = slots[hit], []
     for r in rad:
         slots, e = np.divmod(slots, r)

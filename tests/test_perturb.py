@@ -736,6 +736,147 @@ def test_profile_matches_three_formulas(cut):
             assert np.array_equal(psi[k], want_psi[k])
 
 
+def _sphere_jet_reference(h, U, order):
+    """SphereFunction.jet_many's earlier body, kept as the reference."""
+    U = np.asarray(U, dtype=float)
+    t = np.sqrt(np.add.reduce(U * U, axis=1))
+    m = h.deg
+    P = h.P.jet_many(U, order)
+    tm = t**m
+    jet = [P[0] / tm]
+    if order >= 1:
+        tm2 = t ** (m + 2)
+        jet.append(P[1] / tm[:, None] - m * (P[0] / tm2)[:, None] * U)
+    if order == 2:
+        p = P[0][:, None, None]
+        gu = P[1][:, :, None] * U[:, None, :]
+        uu = U[:, :, None] * U[:, None, :]
+        jet.append(
+            P[2] / tm[:, None, None]
+            - m / tm2[:, None, None] * (gu + gu.transpose(0, 2, 1)
+                                        + p * np.eye(h.dim))
+            + m * (m + 2) * p / (t ** (m + 4))[:, None, None] * uu
+        )
+    return jet
+
+
+def _model_jet_reference(model, X, order):
+    """PerturbedModel.jet_many's earlier body, kept as the reference: every
+    block scattered into full-batch arrays, with h's jet gathered onto
+    psi's support."""
+    def squares(A):
+        return np.add.reduce(A * A, axis=1)
+
+    X = np.asarray(X, dtype=float)
+    dv, k = model.dv, model.dv + model.dw
+    v, w, u = X[:, :dv], X[:, dv:k], X[:, k:]
+    t = np.sqrt(squares(u))
+    R, psi = model.cut.profile(t, order)
+    h = [np.zeros((len(X),) + (model.du,) * j) for j in range(order + 1)]
+    on = np.logical_or.reduce(psi).nonzero()[0]
+    if len(on):
+        for a, b in zip(h, _sphere_jet_reference(model.h, u[on], order)):
+            a[on] = b
+    eps = model.eps
+    jet = [squares(v) - squares(w) + R[0] + eps * psi[0] * h[0]]
+    if order >= 1:
+        ts = np.where(t > 0.0, t, 1.0)
+        uhat = u / ts[:, None]
+        gu = R[1][:, None] * uhat + eps * (
+            (psi[1] * h[0])[:, None] * uhat + psi[0][:, None] * h[1])
+        jet.append(np.concatenate([2.0 * v, -2.0 * w, gu], axis=1))
+    if order == 2:
+        Pu = uhat[:, :, None] * uhat[:, None, :]
+        Pt = np.eye(model.du) - Pu
+        q = np.where(t > 0.0, R[1] / ts, 2.0)[:, None, None]
+        p0, p1, p2 = (a[:, None, None] for a in psi)
+        hv = h[0][:, None, None]
+        cross = uhat[:, :, None] * h[1][:, None, :]
+        Hu = R[2][:, None, None] * Pu + q * Pt + eps * (
+            p2 * hv * Pu
+            + p1 * (cross + cross.transpose(0, 2, 1))
+            + p1 * hv * Pt / ts[:, None, None]
+            + p0 * h[2]
+        )
+        H = np.zeros((len(X), k + model.du, k + model.du))
+        H[:, :dv, :dv] = 2.0 * np.eye(dv)
+        H[:, dv:k, dv:k] = -2.0 * np.eye(model.dw)
+        H[:, k:, k:] = Hu
+        jet.append(H)
+    return jet
+
+
+def _chart_jet_reference(chart, X, order):
+    """The charts' earlier jet_many bodies, kept as the reference: a
+    linear chart's frame repeated per row and a zero second derivative,
+    and the angle chart's per-row formulas."""
+    X = np.asarray(X, dtype=float)
+    if isinstance(chart, LinearChart):
+        N = len(chart.center)
+        jet = [np.einsum("mn,nk->mk", X - chart.center, chart.frame)]
+        if order >= 1:
+            jet.append(chart.frame.T[None].repeat(len(X), axis=0))
+        if order == 2:
+            jet.append(np.zeros((len(X), chart.dim, N, N)))
+        return jet
+    x0, x1 = X[:, 0], X[:, 1]
+    u = (np.arctan2(x1, x0) - chart.pole_angle + np.pi) % (2 * np.pi) - np.pi
+    sin_half = np.sin(u / 2.0)
+    jet = [(np.sqrt(2.0) * sin_half)[:, None]]
+    if order >= 1:
+        r2 = x0 * x0 + x1 * x1
+        grad_u = np.stack([-x1, x0], axis=1) / r2[:, None]
+        dy = np.sqrt(2.0) * 0.5 * np.cos(u / 2.0)
+        jet.append((dy[:, None] * grad_u)[:, None, :])
+    if order == 2:
+        off = x1**2 - x0**2
+        hess_u = np.stack(
+            [np.stack([2 * x0 * x1, off], axis=1),
+             np.stack([off, -2 * x0 * x1], axis=1)], axis=1
+        ) / (r2 * r2)[:, None, None]
+        d2y = -np.sqrt(2.0) * 0.25 * sin_half
+        jet.append((d2y[:, None, None] * grad_u[:, :, None] * grad_u[:, None, :]
+                    + dy[:, None, None] * hess_u)[:, None, :, :])
+    return jet
+
+
+def _surgered_jet_reference(f, X, order):
+    """SurgeredFunction.jet_many's earlier body, kept as the reference:
+    every chart on every row, and each chart's rows scattered into
+    full-batch arrays."""
+    X = np.asarray(X, dtype=float)
+    model, s = f.model, f.scale
+    k = model.dv + model.dw
+    m, n = X.shape
+    jet = [np.empty((m,) + (n,) * j) for j in range(order + 1)]
+    free = np.ones(m, dtype=bool)
+    for chart in f.charts:
+        y, *dy = _chart_jet_reference(chart, X, order)
+        yu = y[:, k:]
+        rows = (free & (np.sqrt(np.add.reduce(yu * yu, axis=1)) < 3.0 * s)
+                ).nonzero()[0]
+        if not len(rows):
+            continue
+        free[rows] = False
+        F = _model_jet_reference(model, y[rows] / s, order)
+        jet[0][rows] = f.fp + s * s * F[0]
+        if order >= 1:
+            J = dy[0][rows]
+            jet[1][rows] = s * np.einsum("mc,mcn->mn", F[1], J)
+        if order == 2:
+            jet[2][rows] = (
+                np.einsum("mki,mkl,mlj->mij", J, F[2], J)
+                + s * np.einsum("mc,mcij->mij", F[1], dy[1][rows])
+            )
+    rows = free.nonzero()[0]
+    if len(rows) == m:
+        return f.f0.jet_many(X, order)
+    if len(rows):
+        for a, b in zip(jet, f.f0.jet_many(X[rows], order)):
+            a[rows] = b
+    return jet
+
+
 def _jet_subject(name, cut):
     """The jet(X, order) of a function, chart, constraint map (M.jet) or
     Evaluator (ev.jet), with rows to evaluate it at."""
@@ -818,6 +959,93 @@ def test_jet_orders_and_rows_agree(cut, name):
     for r in range(len(X)):
         one = _leaves(jet(X[r:r + 1], 2))
         assert all(_same_bits(a[0], b[r]) for a, b in zip(one, full))
+
+
+def _reference_subject(name, cut):
+    """A surgered function with the fixture whose geometry places its rows:
+    a surgery fixture's own, figure1_dihedral's (figure 1's geometry), or
+    figure 2's with a second chart shifted along v, which covers the same
+    strip, so the first chart takes every strip row."""
+    if name == "figure2_two_charts":
+        _, f = surgered_fixture("figure2_plane", cut)
+        (chart,) = f.charts
+        shifted = LinearChart(chart.center + 0.2 * chart.frame[:, 0],
+                              chart.frame, dv=1, dw=1)
+        return "figure2_plane", SurgeredFunction(
+            f.f0, [shifted, chart], f.model, f.scale, f.fp)
+    _, f = surgered_fixture(name, cut)
+    return ("figure1_plane" if name == "figure1_dihedral" else name), f
+
+
+def _reference_batches(geometry, f, cut):
+    """Batches of 0, 1, 2 and 200 rows, and the rows inside, across and
+    outside the cylinder and at every kernel knot (u = 0 among them), all
+    together, inside only and outside only."""
+    radii = np.array(SURGERY_RADII + kernel_knots(cut))
+    X = surgery_rows(geometry, f.scale, tuple(radii))
+    many = np.random.default_rng(23).uniform(0.0, 4.0, 200)
+    Y = surgery_rows(geometry, f.scale, tuple(many))
+    return [X[:0], X[:1], X[[1, -4]], X, X[radii < 3.0], X[radii > 3.0], Y,
+            Y[many < 2.9]]
+
+
+@pytest.mark.parametrize("name", ["figure1_plane", "figure2_plane",
+                                  "circle_c2_height", "figure1_dihedral",
+                                  "figure2_two_charts"])
+def test_surgered_jets_equal_the_earlier_formulas(cut, name):
+    # the splice, the model, the sphere function and the charts against
+    # their earlier bodies, byte for byte at every order
+    geometry, f = _reference_subject(name, cut)
+    model, s = f.model, f.scale
+    k = model.dv + model.dw
+    for X in _reference_batches(geometry, f, cut):
+        for order in (0, 1, 2):
+            got = f.jet_many(X, order)
+            assert len(got) == order + 1
+            assert all(_same_bits(a, b) for a, b in
+                       zip(got, _surgered_jet_reference(f, X, order)))
+            for chart in f.charts:
+                got = chart.jet_many(X, order)
+                assert len(got) == order + 1
+                assert all(_same_bits(a, b) for a, b in
+                           zip(got, _chart_jet_reference(chart, X, order)))
+            Y = _chart_jet_reference(f.charts[0], X, 0)[0] / s
+            got = model.jet_many(Y, order)
+            assert len(got) == order + 1
+            assert all(_same_bits(a, b) for a, b in
+                       zip(got, _model_jet_reference(model, Y, order)))
+            # h is 0/0 at u = 0, which the model never reads
+            U = Y[np.abs(Y[:, k:]).sum(axis=1) > 0, k:]
+            got = model.h.jet_many(U, order)
+            assert len(got) == order + 1
+            assert all(_same_bits(a, b) for a, b in
+                       zip(got, _sphere_jet_reference(model.h, U, order)))
+
+
+@pytest.mark.parametrize("order", [3, -1])
+def test_jet_orders_other_than_0_1_2_are_refused(cut, order):
+    # surgered figure 1 at order 3 returned four arrays, the last two
+    # uninitialized memory, and at order -1 ended in an IndexError; a
+    # polynomial f returned two arrays at order 3 and none at -1.  Every
+    # place an order enters now refuses it
+    fx, f = surgered_fixture("figure1_plane", cut)
+    X = surgery_rows("figure1_plane", f.scale)
+    poly = fx.function
+    sphere = MANIFOLD_FIXTURES["sphere_height"]()
+    model, _ = c3_rotation_model(cut)
+    subjects = [
+        (f.jet_many, X), (poly.jet_many, X), (model.jet_many, X),
+        (SphereFunction.cos_multiple_angle(3).jet_many, X),
+        (PolyJet([poly.polynomial], 2), X),
+        (fx.manifold.evaluator(f).jet, X),
+        (sphere.manifold.evaluator(sphere.function).jet, sphere.seeds),
+        (LinearChart(np.zeros(2), np.eye(2), dv=1, dw=1).jet_many, X),
+        (AngleChart(np.pi / 2).jet_many, X),
+        (cut.profile, np.array([0.5, 1.5])),
+    ]
+    for jet, at in subjects:
+        with pytest.raises(ValueError, match="jet order must be 0, 1 or 2"):
+            jet(at, order)
 
 
 def test_surgered_hessian_calls_each_table_once(cut, monkeypatch):
