@@ -963,9 +963,18 @@ def test_jet_orders_and_rows_agree(cut, name):
 
 def _reference_subject(name, cut):
     """A surgered function with the fixture whose geometry places its rows:
-    a surgery fixture's own, figure1_dihedral's (figure 1's geometry), or
-    figure 2's with a second chart shifted along v, which covers the same
-    strip, so the first chart takes every strip row."""
+    a surgery fixture's own, figure1_dihedral's (figure 1's geometry),
+    figure 1's spliced through a turned frame (its f is rotation invariant,
+    and a frame that is not a signed permutation sums the frame products in
+    the last bit), or figure 2's with a second chart shifted along v, which
+    covers the same strip, so the first chart takes every strip row."""
+    if name == "figure1_turned":
+        _, f = surgered_fixture("figure1_plane", cut)
+        c, sn = np.cos(0.7), np.sin(0.7)
+        turned = LinearChart(np.zeros(2), np.array([[c, -sn], [sn, c]]),
+                             dv=0, dw=2)
+        return "figure1_plane", SurgeredFunction(
+            f.f0, [turned], f.model, f.scale, f.fp)
     if name == "figure2_two_charts":
         _, f = surgered_fixture("figure2_plane", cut)
         (chart,) = f.charts
@@ -991,7 +1000,7 @@ def _reference_batches(geometry, f, cut):
 
 @pytest.mark.parametrize("name", ["figure1_plane", "figure2_plane",
                                   "circle_c2_height", "figure1_dihedral",
-                                  "figure2_two_charts"])
+                                  "figure1_turned", "figure2_two_charts"])
 def test_surgered_jets_equal_the_earlier_formulas(cut, name):
     # the splice, the model, the sphere function and the charts against
     # their earlier bodies, byte for byte at every order
