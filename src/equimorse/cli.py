@@ -72,7 +72,7 @@ def cmd_bredon(args) -> int:
     rows = ["kind,degree,betti,torsion"]
     ok = True
     for kind in args.coeff.split(","):
-        M = build_system(X.category, kind, char=args.p)
+        M = build_system(OrbitCategory(X.group), kind, char=args.p)
         h = homology(bredon_chain_complex(X, M))
         lines.append(f"[{kind}]")
         lines.append(h.text_table())
@@ -194,7 +194,7 @@ def cmd_specseq(args) -> int:
     flow_ok, warned = True, []
     if isinstance(fx, GCWComplex):
         _check_char(args.p, zero_ok=False)
-        M = build_system(fx.category, args.coeff, char=args.p)
+        M = build_system(OrbitCategory(fx.group), args.coeff, char=args.p)
         F = skeletal_filtration(bredon_chain_complex(fx, M))
     else:
         if args.p != 2:

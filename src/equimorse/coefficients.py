@@ -12,10 +12,10 @@ system is its subquotient rule.  This uniformly realizes
     quotient-rel-fixed     relative variant   H_0((G/L)/G, (G/L)^G)
     general (H, K)                            H_0(((G/L)/H)^K)
 
-A system stores no table: its ranks read the classes of the orbit
-category's coset tables (OrbitCategory.orbit_classes), and the image of
-each class under a morphism is read from its double cosets on each call,
-so systems built over one category share the tables.
+A system stores no table: its ranks read the classes of its group's coset
+tables (FiniteGroup.orbit_classes), and the image of each class under a
+morphism is read from the group's double cosets on each call, so every
+system over one group shares the tables, whatever its category object.
 """
 
 from __future__ import annotations
@@ -91,9 +91,9 @@ class CoefficientSystem:
     def _classes(self, L: Subgroup) -> tuple[tuple[int, ...], ...]:
         """The basis of the value at G/L: its K-fixed H-classes, or none
         where the relative rule kills it."""
-        if self._fixed and self.cat.orbit_classes(L, *self._fixed):
+        if self._fixed and self.cat.group.orbit_classes(L, *self._fixed):
             return ()
-        return self.cat.orbit_classes(L, self.H, self.K)
+        return self.cat.group.orbit_classes(L, self.H, self.K)
 
     def rank(self, L: Subgroup) -> int:
         return len(self._classes(L))
@@ -107,7 +107,7 @@ class CoefficientSystem:
         if not src:
             return ()
         mul, x = self.cat.group.mul, m.rep
-        table = self.cat.double_cosets(self.H, m.target)
+        table = self.cat.group.double_cosets(self.H, m.target)
         index = {c[0]: i for i, c in enumerate(self._classes(m.target))}
         return tuple([index.get(table[mul[dc[0]][x]][0]) for dc in src])
 

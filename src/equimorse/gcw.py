@@ -19,14 +19,15 @@ G x_H X instead, as repcells does for G x_H (D(V), S(V)): the pair is built
 and decomposed over H, and only the induced complex is admitted.
 
 The coset tables behind both the assembly's coefficient systems and the
-subquotient oracles live on the orbit category (X.category for a complex),
-each computed once; the admission check, subquotient_complex and every
-system built over X.category read the same tables.
+subquotient oracles live on the group (FiniteGroup.double_cosets and
+orbit_classes), each computed once; the admission check,
+subquotient_complex and every system over any orbit category of X.group
+read the same tables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import _intlinalg as la
 from .complexes import ChainComplex
@@ -67,14 +68,12 @@ class CellOrbit:
 class GCWComplex:
     """cells[n] lists the n-cell-orbits; boundary[n][(a, b)] holds the
     (morphism, degree) records from orbit a in dimension n to orbit b in
-    dimension n-1.  category is the orbit category of group, built once for
-    the admission check and shared by every coefficient system over X."""
+    dimension n-1."""
 
     group: FiniteGroup
     cells: dict[int, tuple[CellOrbit, ...]]
     boundary: dict[int, dict[tuple[int, int], tuple[tuple[OrbitMorphism, int], ...]]]
     name: str = ""
-    category: OrbitCategory = field(init=False, repr=False)
 
     def __post_init__(self):
         self.cells = {n: tuple(cs) for n, cs in self.cells.items() if cs}
@@ -95,8 +94,7 @@ class GCWComplex:
                         )
         # admission check: the singular-kind assembly squares to zero,
         # equivalently the underlying cellular boundary does
-        self.category = OrbitCategory(self.group)
-        bredon_chain_complex(self, build_system(self.category, "singular"))
+        bredon_chain_complex(self, build_system(OrbitCategory(self.group), "singular"))
 
     def dims(self) -> list[int]:
         return sorted(self.cells)
@@ -175,9 +173,8 @@ def subquotient_complex(X: GCWComplex, H: Subgroup, K: Subgroup,
     underlying complex, (G, e) the quotient, (e, G) the G-fixed subcomplex.
 
     This is the oracle for the Bredon assembly: it shares with it only the
-    coset primitive, the classes and double cosets of X.category's tables,
-    and no coefficient system.  A system built over another category of the
-    same group (the benchmark builds its own) reads that category's tables.
+    coset primitive, the classes and double cosets of X.group's tables, and
+    no coefficient system.
     """
     G = X.group
     if H.group != G or K.group != G:
@@ -188,10 +185,9 @@ def subquotient_complex(X: GCWComplex, H: Subgroup, K: Subgroup,
 
     # classes[n]: (orbit index, double coset) per K-fixed class, in order;
     # a class is indexed by its orbit and its least element
-    cat = X.category
     classes = {
         n: [(a, dc) for a, cell in enumerate(X.cells[n])
-            for dc in cat.orbit_classes(cell.stabilizer, H, K)]
+            for dc in G.orbit_classes(cell.stabilizer, H, K)]
         for n in X.dims()
     }
     index = {n: {(a, dc[0]): i for i, (a, dc) in enumerate(lst)}
@@ -204,7 +200,7 @@ def subquotient_complex(X: GCWComplex, H: Subgroup, K: Subgroup,
             continue
         faces: dict[int, list] = {}
         for (a, b), recs in X.boundary.get(n, {}).items():
-            table = cat.double_cosets(H, X.cells[n - 1][b].stabilizer)
+            table = G.double_cosets(H, X.cells[n - 1][b].stabilizer)
             faces.setdefault(a, []).append((table, b, recs))
         cols = []
         for a, dc in classes[n]:

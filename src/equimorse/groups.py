@@ -4,10 +4,12 @@ and the orbit category of cosets G/H with G-map morphisms.
 Everything here is desk scale (|G| <= 12 in practice): groups are validated
 exhaustively at construction, subgroups are enumerated by closing cyclic
 subgroups under pairwise joins, and a hom-set of the orbit category is
-computed on call as a tuple of coset morphisms.  The orbit category keeps
-its group's coset tables: each table of double cosets HgL and each table of
-K-fixed H-classes of G/L is computed once, on first use, and goes away with
-the category.
+computed on call as a tuple of coset morphisms.  A group keeps its own
+subgroup list and coset tables: the list, each table of double cosets HgL
+and each table of K-fixed H-classes of G/L is computed once, on first use,
+and goes away with the group.  An orbit category holds only its group, so
+every category, coefficient system and subquotient complex over one group
+object shares them.
 """
 
 from __future__ import annotations
@@ -64,6 +66,9 @@ class FiniteGroup:
         # the generated hash, computed once: every dict keyed by a subgroup
         # or an orbit morphism hashes the whole table
         object.__setattr__(self, "_hash", hash((self.mul,)))
+        # the coset tables by element tuples: (H, L) -> double cosets and
+        # (L, H, K) -> classes, filled on first use
+        object.__setattr__(self, "_tables", {})
 
     def __hash__(self):
         return self._hash
@@ -94,6 +99,48 @@ class FiniteGroup:
     def conj(self, g: int, h: int) -> int:
         """Conjugate g h g^-1."""
         return self.mul[self.mul[g][h]][self.inverse[g]]
+
+    # -- subgroups and coset tables, each computed on first use -------------
+
+    @cached_property
+    def subgroups(self) -> tuple[Subgroup, ...]:
+        """All subgroups, in the order of enumerate_subgroups."""
+        return tuple(enumerate_subgroups(self))
+
+    def double_cosets(self, H: Subgroup, L: Subgroup) -> tuple[tuple[int, ...], ...]:
+        """The double coset HgL of every element g, indexed by g.  Each
+        distinct double coset is computed once and shared by its elements,
+        so two elements lie in one double coset iff their entries are the
+        same object."""
+        key = (H.elements, L.elements)
+        table = self._tables.get(key)
+        if table is None:
+            out: list = [None] * self.order
+            for g in self.elements():
+                if out[g] is None:
+                    dc = double_coset(self, H, g, L)
+                    for x in dc:
+                        out[x] = dc
+            table = self._tables[key] = tuple(out)
+        return table
+
+    def orbit_classes(self, L: Subgroup, H: Subgroup,
+                      K: Subgroup) -> tuple[tuple[int, ...], ...]:
+        """The K-fixed H-orbit classes of G/L, each as its sorted double
+        coset HgL, in sorted order.
+
+        A class is K-fixed when k(HgL) = HgL for every k in K; with K
+        normalizing H that is kg in HgL, for any g of the class.
+        """
+        key = (L.elements, H.elements, K.elements)
+        classes = self._tables.get(key)
+        if classes is None:
+            mul = self.mul
+            table = self.double_cosets(H, L)
+            classes = self._tables[key] = tuple(
+                dc for dc in sorted(set(table))
+                if all(table[mul[k][dc[0]]] is dc for k in K.elements))
+        return classes
 
     # -- constructors ------------------------------------------------------
 
@@ -372,59 +419,20 @@ class OrbitCategory:
     """The orbit category of G with all subgroups as objects.
 
     A hom-set is computed on call; composition goes through :func:`compose`.
-    The subgroup list (objects) and the coset tables of the group
-    (double_cosets, orbit_classes) are computed on first use and kept here,
-    the tables keyed by element tuples, so every coefficient system and
-    subquotient complex over one category shares them.
+    The category holds only its group: its objects are the group's subgroup
+    list, and the coset tables that coefficient systems read are the
+    group's too, so categories over one group share them.
     """
 
     def __init__(self, group: FiniteGroup):
         self.group = group
-        self._double_cosets: dict = {}
-        self._classes: dict = {}
 
-    @cached_property
+    @property
     def objects(self) -> tuple[Subgroup, ...]:
-        return tuple(enumerate_subgroups(self.group))
+        return self.group.subgroups
 
     def hom(self, H: Subgroup, K: Subgroup) -> tuple[OrbitMorphism, ...]:
         return orbit_homs(self.group, H, K)
-
-    def double_cosets(self, H: Subgroup, L: Subgroup) -> tuple[tuple[int, ...], ...]:
-        """The double coset HgL of every element g, indexed by g.  Each
-        distinct double coset is computed once and shared by its elements,
-        so two elements lie in one double coset iff their entries are the
-        same object."""
-        key = (H.elements, L.elements)
-        table = self._double_cosets.get(key)
-        if table is None:
-            G = self.group
-            out: list = [None] * G.order
-            for g in G.elements():
-                if out[g] is None:
-                    dc = double_coset(G, H, g, L)
-                    for x in dc:
-                        out[x] = dc
-            table = self._double_cosets[key] = tuple(out)
-        return table
-
-    def orbit_classes(self, L: Subgroup, H: Subgroup,
-                      K: Subgroup) -> tuple[tuple[int, ...], ...]:
-        """The K-fixed H-orbit classes of G/L, each as its sorted double
-        coset HgL, in sorted order.
-
-        A class is K-fixed when k(HgL) = HgL for every k in K; with K
-        normalizing H that is kg in HgL, for any g of the class.
-        """
-        key = (L.elements, H.elements, K.elements)
-        classes = self._classes.get(key)
-        if classes is None:
-            mul = self.group.mul
-            table = self.double_cosets(H, L)
-            classes = self._classes[key] = tuple(
-                dc for dc in sorted(set(table))
-                if all(table[mul[k][dc[0]]] is dc for k in K.elements))
-        return classes
 
     def __repr__(self):
         return f"OrbitCategory({self.group.name}, {len(self.objects)} objects)"

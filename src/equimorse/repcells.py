@@ -30,7 +30,7 @@ from .coefficients import build_system
 from .complexes import HomologySummary, homology
 from .errors import InputError
 from .gcw import CellAction, GCWComplex, bredon_chain_complex
-from .groups import FiniteGroup, Subgroup, generated_subgroup
+from .groups import FiniteGroup, OrbitCategory, Subgroup, generated_subgroup
 
 __all__ = [
     "RepSpec",
@@ -137,7 +137,8 @@ def representation_cell_table(H: Subgroup, V: RepSpec, theories=THEORIES,
     if not set(theories) <= set(THEORIES):
         raise ValueError(f"theory must be one of {THEORIES}")
     X = _pair_complex(H, V)
-    return {th: homology(bredon_chain_complex(X, build_system(X.category, th, char)))
+    cat = OrbitCategory(X.group)
+    return {th: homology(bredon_chain_complex(X, build_system(cat, th, char)))
             for th in theories}
 
 

@@ -200,7 +200,7 @@ def test_cochains_obey_universal_coefficients(name, kind):
     X = GCW_FIXTURES[name]()
     p = 3 if X.group.order % 3 == 0 else 2
     for char in (0, p):
-        assert_universal_coefficients(X, build_system(X.category, kind, char=char))
+        assert_universal_coefficients(X, build_system(OrbitCategory(X.group), kind, char=char))
 
 
 def test_cochains_of_the_antipodal_sphere_see_rp2_torsion():
@@ -215,13 +215,13 @@ def test_cochains_of_the_antipodal_sphere_see_rp2_torsion():
         {1: [[(0, -1), (1, 1)], [(0, 1), (1, -1)]],
          2: [[(0, 1), (1, 1)], [(0, 1), (1, 1)]]},
         {0: {n: (0, 1) for n in range(3)}, 1: swap})
-    M = build_system(X.category, "quotient")
+    M = build_system(OrbitCategory(X.group), "quotient")
     assert groups_of(homology(bredon_chain_complex(X, M))) == {
         0: (1, ()), 1: (0, (2,))}
     assert groups_of(homology(bredon_cochain_complex(X, M))) == {
         0: (1, ()), -2: (0, (2,))}
     assert_universal_coefficients(X, M)
-    assert_universal_coefficients(X, build_system(X.category, "quotient", char=2))
+    assert_universal_coefficients(X, build_system(OrbitCategory(X.group), "quotient", char=2))
 
 
 def test_mod2_bredon_matches_oracle():

@@ -212,39 +212,38 @@ def test_coset_tables_match_brute_force(G):
     # every double coset HgL by its definition, and the K-fixed H-classes
     # of G/L as the double cosets that k(HgL) = HgL leaves in place, for
     # every (L, H, K) with K normalizing H
-    cat = OrbitCategory(G)
-    subs = cat.objects
+    subs = G.subgroups
     mul = G.mul
     checked = 0
     for H in subs:
         for L in subs:
             want = [tuple(sorted({mul[mul[h][g]][l] for h in H.elements for l in L.elements}))
                     for g in G.elements()]
-            table = cat.double_cosets(H, L)
+            table = G.double_cosets(H, L)
             assert list(table) == want
-            assert cat.double_cosets(H, L) is table
+            assert G.double_cosets(H, L) is table
             for K in subs:
                 if not set(K.elements) <= set(normalizer(G, H).elements):
                     continue
                 fixed = sorted({dc for dc in want
                                 if {mul[k][x] for k in K.elements for x in dc} == set(dc)})
-                classes = cat.orbit_classes(L, H, K)
+                classes = G.orbit_classes(L, H, K)
                 assert list(classes) == fixed
-                assert cat.orbit_classes(L, H, K) is classes
+                assert G.orbit_classes(L, H, K) is classes
                 checked += 1
     assert checked >= len(subs) ** 2
 
 
-def test_coset_tables_are_computed_once_per_category(monkeypatch):
-    # every system and subquotient complex over one category reads its
-    # tables: the double coset primitive runs once per distinct HgL
+def test_coset_tables_are_computed_once_per_group(monkeypatch):
+    # the admission check, every system over a second category of the same
+    # group (as the benchmark builds one) and every subquotient complex read
+    # the group's tables: the double coset primitive runs once per distinct
+    # HgL, and a category holds nothing but its group
     import equimorse.groups as groups
     from equimorse.coefficients import SYSTEM_KINDS, build_system
     from equimorse.fixtures import torus_double
-    from equimorse.gcw import subquotient_complex
+    from equimorse.gcw import bredon_chain_complex, subquotient_complex
 
-    X = torus_double()
-    G = X.group
     calls = []
     real = groups.double_coset
 
@@ -253,14 +252,21 @@ def test_coset_tables_are_computed_once_per_category(monkeypatch):
         return calls[-1][2]
 
     monkeypatch.setattr(groups, "double_coset", counted)
+    X = torus_double()
+    G = X.group
+    admitted = len(calls)
+    assert admitted and not hasattr(X, "category")
+    cat = OrbitCategory(G)
+    pairs = [(H, K) for H in G.subgroups for K in G.subgroups
+             if set(K.elements) <= set(normalizer(G, H).elements)]
     for _ in range(2):
         for kind in SYSTEM_KINDS[:-1]:
-            build_system(X.category, kind, char=2)
-        for H in X.category.objects:
-            for K in X.category.objects:
-                if set(K.elements) <= set(normalizer(G, H).elements):
-                    subquotient_complex(X, H, K, char=2)
-    assert calls and len(calls) == len(set(calls))
+            bredon_chain_complex(X, build_system(cat, kind, char=2))
+        for H, K in pairs:
+            bredon_chain_complex(X, build_system(cat, "general", 2, H, K))
+            subquotient_complex(X, H, K, char=2)
+    assert len(calls) > admitted and len(calls) == len(set(calls))
+    assert vars(cat) == {"group": G}
 
 
 def test_hash_is_the_generated_one_computed_once():

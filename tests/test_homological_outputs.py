@@ -20,7 +20,7 @@ from equimorse.coefficients import SYSTEM_KINDS, build_system
 from equimorse.complexes import homology
 from equimorse.fixtures import GCW_FIXTURES
 from equimorse.gcw import bredon_chain_complex
-from equimorse.groups import enumerate_subgroups, normalizer
+from equimorse.groups import OrbitCategory, enumerate_subgroups, normalizer
 from equimorse.smith import NotAPGroup, smith_report
 from equimorse.spectral import einfty_check, skeletal_filtration, spectral_pages
 
@@ -30,7 +30,8 @@ PATH = Path(__file__).resolve().parent / "homological_outputs.json"
 def _systems(X, char):
     """(label, system) for every coefficient kind; "general" once per pair
     (H, K) of subgroups with K normalizing H."""
-    G, cat = X.group, X.category
+    G = X.group
+    cat = OrbitCategory(G)
     for kind in SYSTEM_KINDS:
         if kind != "general":
             yield kind, build_system(cat, kind, char=char)

@@ -88,25 +88,29 @@ def test_double_example_table(cell, theory, k):
         assert (deg, betti) == want, (cell, theory, k, dict(h.entries))
 
 
-def test_cell_groups_build_one_orbit_category():
-    # the pair complex keeps the orbit category of its admission check, and
-    # the theory's coefficient system is built over that same category
+def test_cell_groups_compute_each_double_coset_once():
+    # the admission check of the pair complex and the systems of every
+    # theory read the tables of one group, H.group: each distinct double
+    # coset is computed once over both calls
     from unittest import mock
 
-    from equimorse import gcw, groups
+    from equimorse import groups
 
     G, e, full = c2()
     H, V = rep_for("unstable", 2, G, e, full)
-    built = []
+    calls = []
+    real = groups.double_coset
 
-    def counting(group):
-        built.append(groups.OrbitCategory(group))
-        return built[-1]
+    def counted(G, H, x, K):
+        calls.append((H.elements, K.elements, real(G, H, x, K)))
+        return calls[-1][2]
 
-    with mock.patch.object(gcw, "OrbitCategory", counting):
+    with mock.patch.object(groups, "double_coset", counted):
+        table = representation_cell_table(H, V)
         h = representation_cell_groups(H, V, "singular")
-    assert len(built) == 1
+    assert calls and len(calls) == len(set(calls))
     assert only_entry(h) == expected_entry("unstable", "singular", 2)
+    assert only_entry(table["singular"]) == only_entry(h)
 
 
 def expected_entry(cell, theory, k):

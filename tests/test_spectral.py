@@ -361,13 +361,13 @@ def test_pages_of_the_large_grid_torus_take_under_a_second():
     # pairing takes a few hundredths on a desktop core)
     from equimorse.coefficients import build_system
     from equimorse.gcw import bredon_chain_complex, gcw_from_cells
-    from equimorse.groups import FiniteGroup
+    from equimorse.groups import FiniteGroup, OrbitCategory
 
     desc = _load_gen().grid_torus(random.Random(0), (3, 3), (12, 12))
     G = FiniteGroup(tuple(tuple(r) for r in desc["table"]), name=desc["name"])
     X = gcw_from_cells(G, desc["cells"], desc["boundaries"],
                        dict(enumerate(desc["perms"])), name=desc["name"])
-    C = bredon_chain_complex(X, build_system(X.category, "singular", char=3))
+    C = bredon_chain_complex(X, build_system(OrbitCategory(X.group), "singular", char=3))
     assert C.ranks == {0: 1296, 1: 2592, 2: 1296}
     F = skeletal_filtration(C)
     start = time.perf_counter()
@@ -531,11 +531,12 @@ def _gapped_cases(kind, char):
     from equimorse.coefficients import build_system
     from equimorse.fixtures import GCW_FIXTURES
     from equimorse.gcw import bredon_chain_complex
+    from equimorse.groups import OrbitCategory
 
     out = []
     for name, build in GCW_FIXTURES.items():
         X = build()
-        C = bredon_chain_complex(X, build_system(X.category, kind, char=char))
+        C = bredon_chain_complex(X, build_system(OrbitCategory(X.group), kind, char=char))
         for seed in range(6):
             F = _gapped_filtration(C, random.Random(f"{name}/{kind}/{char}/{seed}"))
             out.append((C, F.filt, _reference_pages(F, F.max_filtration() + 2)))
