@@ -745,6 +745,8 @@ def taylor_jet(f: Polynomial, point, k: int) -> Jet:
     f's integer numerators, so extracting jets from the large
     interpolation outputs stays fast.
     """
+    if k < 0:
+        raise ValueError("jet order must be >= 0")
     p = _exact_point(point, f.nvars)
     num, scale = _taylor_shift(f.num, f.nvars, p, k)
     return Jet._make(p, k, Polynomial._make(f.nvars, num, f.den * scale))

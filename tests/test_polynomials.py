@@ -386,6 +386,17 @@ def test_taylor_jet_x_squared_at_one():
     assert jet.terms == {(0,): Fraction(1), (1,): Fraction(2)}
 
 
+@pytest.mark.parametrize("k", [-1, -3])
+def test_taylor_jet_refuses_a_negative_order(k):
+    # the order a Jet itself refuses; order 0 is the empty jet
+    f = Polynomial(2, {(2, 1): 3})
+    with pytest.raises(ValueError, match="jet order must be >= 0"):
+        taylor_jet(f, (1, 2), k)
+    with pytest.raises(ValueError, match="jet order must be >= 0"):
+        Jet((1, 2), k)
+    assert taylor_jet(f, (1, 2), 0) == Jet((1, 2), 0)
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_taylor_jet_matches_derivative_oracle(seed):
     rng = random.Random(seed)
