@@ -468,8 +468,12 @@ def localize_surgery(f: EqFunction, M: ImplicitGManifold, p: CriticalPoint,
     coordinates.  The other orbit points are p's translates by the least
     element of each coset of p's stabilizer but its own, and one inside
     the chart's cylinder raises ChartMissing: the model would overwrite f
-    there.  Stable points pass through unchanged with a warning.
+    there.  Stable points pass through unchanged with a warning.  The
+    radius must be finite and > 0.
     """
+    if not 0 < radius < np.inf:
+        raise ValueError(f"surgery radius must be a finite number > 0, "
+                         f"not {radius!r}")
     if p.stable:
         warnings.warn("localize_surgery called on a stable point: no-op")
         return f

@@ -523,6 +523,16 @@ def test_surgery_requires_chart_and_instability(cut):
     assert out is g
 
 
+@pytest.mark.parametrize("radius", [0.0, -1.0, float("nan"), float("inf")])
+def test_surgery_refuses_a_radius_that_is_not_finite_and_positive(cut, radius):
+    # radius 0 was a surgery that changed nothing, and the others ended in
+    # numpy's errors from the chart check
+    M, f, chart = figure2_fixture()
+    before = classify(f, M, np.zeros(2))
+    with pytest.raises(ValueError, match=f"surgery radius .* not {radius!r}"):
+        localize_surgery(f, M, before, radius=radius, cut=cut, chart=chart)
+
+
 def test_bad_chart_rejected(cut):
     M, f, _ = figure2_fixture()
     before = classify(f, M, np.zeros(2))
