@@ -166,12 +166,22 @@ def morse_differentials(f: EqFunction, M: ImplicitGManifold,
     such a line leaves no boundary either way.  All four lines out of the
     maximum of torus_tilted are of that kind.
 
-    step_length is the arc length of every trajectory's first step and the
-    unit of the flow's error tolerance (see integrate_batch).
+    sphere_samples is {1: n}, n the number of samples on each descending
+    circle, an int >= 2 (default DEFAULT_SPHERE_SAMPLES).  step_length is
+    the arc length of every trajectory's first step and the unit of the
+    flow's error tolerance (see integrate_batch).
     """
     # samples on a descending circle (sphere dimension 1); an index-1
-    # source always shoots its two descending rays
-    circle_samples = {**DEFAULT_SPHERE_SAMPLES, **(sphere_samples or {})}[1]
+    # source always shoots its two descending rays, and one sample sees no
+    # basin boundary
+    if sphere_samples is None:
+        sphere_samples = DEFAULT_SPHERE_SAMPLES
+    circle_samples = sphere_samples.get(1)
+    if (set(sphere_samples) != {1} or isinstance(circle_samples, bool)
+            or not isinstance(circle_samples, (int, np.integer))
+            or circle_samples < 2):
+        raise ValueError(f"sphere_samples must be {{1: n}} with an int n >= 2, "
+                         f"not {sphere_samples!r}")
     for c in crits:
         if not c.stable:
             raise ValueError(f"morse_differentials needs a stable function: {c}")

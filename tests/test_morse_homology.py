@@ -957,6 +957,28 @@ def test_antipodal_sphere_counts_a_captured_sample_once():
     assert got[0] == got[1] == got[2] == FLOW_PINS["sphere_antipodal"][:3]
 
 
+@pytest.mark.parametrize("samples", [{1: 0}, {1: 1}, {1: -4}, {1: 2.5},
+                                     {1: True}, {2: 16}, {1: 16, 2: 16}, {}])
+def test_sample_counts_other_than_one_int_of_at_least_two_are_refused(samples):
+    # {1: 0} dropped every sample of the maximum, so the basin-boundary
+    # check never ran, and {2: 16} was ignored
+    fx = sphere_height()
+    crits = classified_crits(fx)
+    with pytest.raises(ValueError, match="sphere_samples must be"):
+        morse_differentials(fx.function, fx.manifold, crits,
+                            step_length=fx.step_length, sphere_samples=samples)
+
+
+def test_two_samples_and_numpy_ints_are_sample_counts():
+    fx = sphere_height()
+    crits = classified_crits(fx)
+    for n in (2, np.int64(16)):
+        data = morse_differentials(fx.function, fx.manifold, crits,
+                                   step_length=fx.step_length,
+                                   sphere_samples={1: n})
+        assert data.ok and not data.warnings
+
+
 def test_torus_lines_between_equal_basins_leave_no_boundary():
     # every line out of the maximum runs into a saddle whose two branches
     # reach the one minimum, so it separates no basins; with an odd number
