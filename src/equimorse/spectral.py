@@ -43,10 +43,9 @@ class FiltrationViolation(ValueError):
 class FilteredComplex:
     """A chain complex with a filtration degree per generator.
 
-    filt[n] is a tuple of ints of length base.rank(n).  The instance stores
-    data as given; validation happens when pages are requested, so
-    deliberately broken fixtures can exist for negative tests.  The
-    persistence pairing is computed once, on first use, and kept.
+    filt[n] is a tuple of ints of length base.rank(n), and the boundary may
+    not raise it: construction raises FiltrationViolation where it does.
+    The persistence pairing is computed once, on first use, and kept.
     """
 
     base: ChainComplex
@@ -62,11 +61,6 @@ class FilteredComplex:
                     f"rank is {self.base.rank(n)}"
                 )
         self.filt = {n: tuple(v) for n, v in self.filt.items()}
-
-    def max_filtration(self) -> int:
-        return max((p for v in self.filt.values() for p in v), default=0)
-
-    def validate(self) -> None:
         for n, d in self.base.boundary.items():
             for j, col in enumerate(d):
                 pj = self.filt[n][j]
@@ -76,6 +70,9 @@ class FilteredComplex:
                             f"boundary of degree-{n} generator {j} (filtration "
                             f"{pj}) hits filtration {self.filt[n - 1][i]}"
                         )
+
+    def max_filtration(self) -> int:
+        return max((p for v in self.filt.values() for p in v), default=0)
 
 
 @dataclass(eq=False)
@@ -147,9 +144,7 @@ def spectral_pages(F: FilteredComplex, r_max: int) -> list[SSPage]:
     (-r, r-1).  The basis of each E^r_{p,q} is its generators in index
     order, and d_r is stored as sparse columns over it, in the format of
     ChainComplex.boundary: ((row, 1),) for the j of a bar of length r, ()
-    for any other generator; a zero d_r is left out.  Raises
-    FiltrationViolation if the filtration is broken."""
-    F.validate()
+    for any other generator; a zero d_r is left out."""
     kills, life = _bars(F)
     pages = []
     for r in range(1, r_max + 1):
@@ -190,7 +185,6 @@ def einfty_check(F: FilteredComplex) -> tuple[bool, EInftyReport]:
     """Strong convergence at desk scale: in each degree, the unpaired
     generators (the total dimension of E^infinity) are as many as the
     dimension of the homology of the base complex."""
-    F.validate()
     if F.base.char == 0:
         raise ValueError("einfty_check needs field coefficients (prime char)")
     _, life = _bars(F)
