@@ -61,6 +61,45 @@ def test_src_modules_use_every_import(path):
     assert unused_imports(path.read_text()) == []
 
 
+def unread_private_definitions(sources: dict) -> list[str]:
+    """The underscore-private functions, methods and classes defined in
+    the sources (name -> text) whose name no ast.Name or ast.Attribute
+    load in any of them reads.  Dunder methods are called by the language
+    and are skipped."""
+    defined = []
+    read = set()
+    for name, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.endswith("__")):
+                defined.append((name, node.lineno, node.name))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return [f"{name}:{line}: {fn}" for name, line, fn in defined
+            if fn not in read]
+
+
+def test_unread_private_definitions_are_found():
+    sources = {
+        "a.py": ("def _unused():\n    pass\ndef _used():\n    return _C\n"
+                 "class _C:\n    def __init__(self):\n        self._slot = 1\n"
+                 "    def _method(self):\n        return _used()\n"
+                 "    def _stored(self):\n        pass\n"),
+        "b.py": "from a import _C\n_C()._method\n_C()._stored = None\n",
+    }
+    assert unread_private_definitions(sources) == ["a.py:1: _unused",
+                                                   "a.py:10: _stored"]
+
+
+def test_src_reads_every_private_definition():
+    # code that nothing calls is deleted, private code included
+    sources = {p.relative_to(SRC).as_posix(): p.read_text()
+               for p in sorted(SRC.rglob("*.py"))}
+    assert unread_private_definitions(sources) == []
+
+
 def _module_name(path: Path) -> str:
     parts = path.relative_to(SRC).with_suffix("").parts
     return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
