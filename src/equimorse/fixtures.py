@@ -3,7 +3,7 @@ the benchmark exercise.
 
 Every fixture is one JSON file under fixtures/ at the root of the checkout.
 A file carries the group as an explicit multiplication table plus either a
-G-CW description (cell orbits with stabilizers and boundary records) or a
+G-CW description (cell orbits and boundary records) or a
 manifold description (constraints, action matrices, function, seeds, and
 the exact Morse charts and sphere data where surgery applies).  A chart's
 W block lists the stabilizer's fixed directions first, and sphere_fn is
@@ -11,7 +11,8 @@ written in the chart's trailing U coordinates, the W directions after
 them.  Matrix entries are [num, den] pairs when exact and plain floats
 otherwise; a manifold's action is read as an OrthogonalAction, the Morse
 layer's one action, so a float rotation is read as it is.  A G-CW object
-has the keys cells and boundary only.  A polynomial is a list of
+has the keys cells and boundary only, and a cell orbit is its stabilizer:
+a cell entry is {"stab": [...]}.  A polynomial is a list of
 Polynomial.from_records triples [exponents, num, den]; den 0 marks a
 float, read as the binary rational it denotes.  A manifold's seeds are one
 or more points of the ambient width, and its surgery_radius, step_length
@@ -41,7 +42,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import InputError
-from .gcw import CellOrbit, GCWComplex
+from .gcw import GCWComplex
 from .groups import FiniteGroup, OrbitMorphism, Subgroup
 
 if TYPE_CHECKING:
@@ -141,12 +142,8 @@ def _gcw_from_json(group, spec, name: str) -> GCWComplex:
         raise ValueError(f"unknown gcw keys {sorted(unknown)}")
     cells = {}
     for dim_str, lst in spec["cells"].items():
-        n = int(dim_str)
-        cells[n] = tuple(
-            CellOrbit(Subgroup(group, tuple(int(x) for x in c["stab"])),
-                      c.get("label", f"c{n}.{i}"))
-            for i, c in enumerate(lst)
-        )
+        cells[int(dim_str)] = tuple(
+            Subgroup(group, tuple(int(x) for x in c["stab"])) for c in lst)
     boundary: dict = {}
     for rec in spec.get("boundary", []):
         n = int(rec["dim"])
@@ -156,8 +153,7 @@ def _gcw_from_json(group, spec, name: str) -> GCWComplex:
             if not 0 <= k < len(cells[dim]):
                 raise ValueError(f"boundary {key} {k} is not one of the "
                                  f"{len(cells[dim])} {dim}-cell orbits")
-        m = OrbitMorphism(cells[n][a].stabilizer, cells[n - 1][b].stabilizer,
-                          (int(rec["coset"]),))
+        m = OrbitMorphism(cells[n][a], cells[n - 1][b], (int(rec["coset"]),))
         boundary.setdefault(n, {}).setdefault((a, b), []).append(
             (m, int(rec["degree"]))
         )
@@ -180,11 +176,9 @@ def _manifold_from_json(group, spec, name: str) -> ManifoldFixture:
         Polynomial.from_records(ambient, recs)
         for recs in spec.get("constraints", [])
     )
-    M = ImplicitGManifold(ambient=ambient, constraints=constraints, action=act,
-                          name=name)
+    M = ImplicitGManifold(ambient=ambient, constraints=constraints, action=act)
     f = EqFunction.from_polynomial(
-        Polynomial.from_records(ambient, spec["function"]), name=name
-    )
+        Polynomial.from_records(ambient, spec["function"]))
     charts = {}
     for label, ch in spec.get("charts", {}).items():
         if ch["type"] == "linear":

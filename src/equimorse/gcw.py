@@ -1,20 +1,21 @@
-"""G-CW complexes with stabilizer-labelled cell-orbits, the cellular Bredon
+"""G-CW complexes whose cell-orbits are their stabilizers, the cellular Bredon
 chain complex for a coefficient system (and its transpose, the cochains
 with coefficients in the dual system), and the ordinary cellular complexes
 of the subquotients (X/H)^K that serve as oracles for it.  One assembly,
 bredon_assembly, serves G-CW and Morse complexes alike: a Morse complex has
 a cell-orbit per critical orbit and flow counts as degrees.
 
-A complex stores one representative per cell-orbit.  Boundary data is a list
-of (orbit morphism, degree) records per (cell-orbit, face-orbit) pair; the
-underlying cells are the cosets g*stab and the boundary of g*cell follows by
-translation.  Attaching maps are never stored geometrically; the assembled
-singular-kind boundary squaring to zero is the admission check.
+A cell-orbit is its stabilizer H, and a complex stores nothing else for
+it, no name or label: its cells are the cosets gH.  Boundary data is a
+list of (orbit morphism, degree) records per (cell-orbit, face-orbit)
+pair; the boundary of g*cell follows by translation.  Attaching maps are
+never stored geometrically; the assembled singular-kind boundary squaring
+to zero is the admission check.
 
 CellAction is the individual-cell layer: cell counts, boundary rows and one
 permutation per element.  Its cone and product build new actions, orbits()
-checks the action and decomposes the cells into cell-orbits and records,
-and gcw() admits those as a complex.  Given a subgroup H, gcw() admits
+checks the action and decomposes the cells into cell-orbits (their
+stabilizers) and records, and gcw() admits those as a complex.  Given a subgroup H, gcw() admits
 G x_H X instead, as repcells does for G x_H (D(V), S(V)): the pair is built
 and decomposed over H, and only the induced complex is admitted.
 
@@ -43,7 +44,6 @@ from .groups import (
 
 __all__ = [
     "CellAction",
-    "CellOrbit",
     "GCWComplex",
     "InvalidPair",
     "bredon_assembly",
@@ -58,25 +58,19 @@ class InvalidPair(ValueError):
     """The (H, K) pair does not act on the quotient structure."""
 
 
-@dataclass(frozen=True)
-class CellOrbit:
-    stabilizer: Subgroup
-    label: str = ""
-
-
 @dataclass(eq=False)
 class GCWComplex:
-    """cells[n] lists the n-cell-orbits; boundary[n][(a, b)] holds the
-    (morphism, degree) records from orbit a in dimension n to orbit b in
-    dimension n-1."""
+    """cells[n] lists the n-cell-orbits, each as its stabilizer;
+    boundary[n][(a, b)] holds the (morphism, degree) records from orbit a
+    in dimension n to orbit b in dimension n-1."""
 
     group: FiniteGroup
-    cells: dict[int, tuple[CellOrbit, ...]]
+    cells: dict[int, tuple[Subgroup, ...]]
     boundary: dict[int, dict[tuple[int, int], tuple[tuple[OrbitMorphism, int], ...]]]
     name: str = ""
 
     def __post_init__(self):
-        self.cells = {n: tuple(cs) for n, cs in self.cells.items() if cs}
+        self.cells = {n: tuple(cs) for n, cs in sorted(self.cells.items()) if cs}
         for n, recs in self.boundary.items():
             for (a, b), lst in recs.items():
                 if not (0 <= a < self.orbit_count(n) and 0 <= b < self.orbit_count(n - 1)):
@@ -88,7 +82,7 @@ class GCWComplex:
                 src = self.cells[n][a]
                 tgt = self.cells[n - 1][b]
                 for m, deg in lst:
-                    if m.source != src.stabilizer or m.target != tgt.stabilizer:
+                    if m.source != src or m.target != tgt:
                         raise ValueError(
                             f"boundary record {n}:{a}->{b} has mismatched morphism"
                         )
@@ -145,9 +139,7 @@ def bredon_assembly(M: CoefficientSystem, stabilizers: dict[int, list[Subgroup]]
 
 def bredon_chain_complex(X: GCWComplex, M: CoefficientSystem) -> ChainComplex:
     """The Bredon assembly over the cell-orbits and records of X."""
-    return bredon_assembly(
-        M, {n: [c.stabilizer for c in X.cells[n]] for n in X.dims()},
-        X.boundary)
+    return bredon_assembly(M, X.cells, X.boundary)
 
 
 def bredon_cochain_complex(X: GCWComplex, M: CoefficientSystem) -> ChainComplex:
@@ -186,8 +178,8 @@ def subquotient_complex(X: GCWComplex, H: Subgroup, K: Subgroup,
     # classes[n]: (orbit index, double coset) per K-fixed class, in order;
     # a class is indexed by its orbit and its least element
     classes = {
-        n: [(a, dc) for a, cell in enumerate(X.cells[n])
-            for dc in G.orbit_classes(cell.stabilizer, H, K)]
+        n: [(a, dc) for a, L in enumerate(X.cells[n])
+            for dc in G.orbit_classes(L, H, K)]
         for n in X.dims()
     }
     index = {n: {(a, dc[0]): i for i, (a, dc) in enumerate(lst)}
@@ -200,7 +192,7 @@ def subquotient_complex(X: GCWComplex, H: Subgroup, K: Subgroup,
             continue
         faces: dict[int, list] = {}
         for (a, b), recs in X.boundary.get(n, {}).items():
-            table = G.double_cosets(H, X.cells[n - 1][b].stabilizer)
+            table = G.double_cosets(H, X.cells[n - 1][b])
             faces.setdefault(a, []).append((table, b, recs))
         cols = []
         for a, dc in classes[n]:
@@ -235,9 +227,9 @@ class CellAction:
         return cls(group, {dim: 1}, {dim: [[]]}, {s: {dim: (0,)} for s in group.elements()})
 
     def orbits(self):
-        """The cell-orbits and coset records of the action, checked: the
-        cells and boundary of a GCWComplex before its admission.  The action
-        must commute with the boundary.  Each cell-orbit is represented by
+        """The cell-orbits, as their stabilizers, and the coset records of
+        the action, checked: the cells and boundary of a GCWComplex before
+        its admission.  The action must commute with the boundary.  Each cell-orbit is represented by
         its least cell, and a record's coset is that of the least element
         carrying the face orbit's representative to the face.
 
@@ -322,8 +314,6 @@ class CellAction:
                         carriers[n][j] = s
                 stabs[n].append(Subgroup(group, tuple(stab_elems)))
 
-        orbits = {n: tuple(CellOrbit(L, f"c{n}.{o}") for o, L in enumerate(stabs[n]))
-                  for n in cells}
         records: dict[int, dict] = {}
         for n in reduced:
             recs: dict[tuple[int, int], list] = {}
@@ -334,22 +324,21 @@ class CellAction:
                     m = OrbitMorphism(stabs[n][o], stabs[n - 1][bo], (s,))
                     recs.setdefault((o, bo), []).append((m, deg))
             records[n] = {k: tuple(v) for k, v in recs.items()}
-        return orbits, records
+        return stabs, records
 
     def gcw(self, name="", H: Subgroup | None = None) -> GCWComplex:
         """The complex of the action, admitted once.  Given H, the action
         must be over H.as_group(), and the complex is G x_H X over H.group:
         X's H-cell-orbits and records read through H in G (element m as
         H.elements[m]), so no cell is copied per coset."""
-        orbits, records = self.orbits()
+        stabs, records = self.orbits()
         if H is None:
-            return GCWComplex(self.group, orbits, records, name=name)
+            return GCWComplex(self.group, stabs, records, name=name)
         if self.group != H.as_group():
             raise ValueError("an induced action must be over H.as_group()")
         up = {L: Subgroup(H.group, tuple(H.elements[m] for m in L.elements))
-              for L in {c.stabilizer for cs in orbits.values() for c in cs}}
-        cells = {n: tuple(CellOrbit(up[c.stabilizer], c.label) for c in cs)
-                 for n, cs in orbits.items()}
+              for Ls in stabs.values() for L in Ls}
+        cells = {n: tuple(map(up.__getitem__, Ls)) for n, Ls in stabs.items()}
         boundary = {n: {k: tuple((OrbitMorphism(up[m.source], up[m.target],
                                                 (H.elements[m.rep],)), deg)
                                  for m, deg in recs)

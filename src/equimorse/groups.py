@@ -322,12 +322,11 @@ def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
 
 @dataclass(frozen=True)
 class QuotientGroup:
-    """N/H for H normal in N, with coset representatives into the parent."""
+    """N/H for H normal in N <= G, with coset representatives in G."""
 
     group: FiniteGroup              # the quotient as an abstract table
-    reps: tuple[int, ...]           # parent element representing each quotient element
+    reps: tuple[int, ...]           # element of G representing each quotient element
     cosets: tuple[tuple[int, ...], ...]  # full coset element sets, aligned with reps
-    parent: FiniteGroup
 
 
 def weyl_group(G: FiniteGroup, H: Subgroup) -> QuotientGroup:
@@ -347,8 +346,7 @@ def weyl_group(G: FiniteGroup, H: Subgroup) -> QuotientGroup:
         tuple(index[left_coset(G, G.mul[a][b], H)] for b in reps) for a in reps
     )
     return QuotientGroup(
-        FiniteGroup(table, name=f"W({H.elements})"), reps, tuple(cosets), G
-    )
+        FiniteGroup(table, name=f"W({H.elements})"), reps, tuple(cosets))
 
 
 # -- orbit category ------------------------------------------------------

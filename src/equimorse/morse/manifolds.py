@@ -316,10 +316,9 @@ class EqFunction:
     (from_polynomial) is column 0 of a PolyJet.
     """
 
-    def __init__(self, jet_many, *, nvars=None, name=""):
+    def __init__(self, jet_many, *, nvars=None):
         self._jet_many = jet_many
         self.nvars = nvars
-        self.name = name or "f"
 
     def jet_many(self, X, order: int) -> list:
         """[values, gradients, Hessians][:order + 1] at the rows of X."""
@@ -344,12 +343,12 @@ class EqFunction:
                                    - self.value_many(X)), initial=0.0))
 
     @classmethod
-    def from_polynomial(cls, poly: Polynomial, name="") -> "EqFunction":
+    def from_polynomial(cls, poly: Polynomial) -> "EqFunction":
         """poly as column 0 of its PolyJet; .polynomial keeps it, which an
         Evaluator joins with a manifold's constraints."""
         jet = PolyJet([poly], poly.nvars)
         f = cls(lambda X, order: [a[:, 0] for a in jet(X, order)],
-                nvars=poly.nvars, name=name or "poly")
+                nvars=poly.nvars)
         f.polynomial = poly
         return f
 
@@ -373,7 +372,6 @@ class ImplicitGManifold:
     ambient: int
     constraints: tuple[Polynomial, ...]
     action: OrthogonalAction
-    name: str = ""
 
     def __post_init__(self):
         self.constraints = tuple(self.constraints)

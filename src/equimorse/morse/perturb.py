@@ -97,7 +97,6 @@ class SphereFunction(EqFunction):
         self.P = EqFunction.from_polynomial(poly)
         self.deg = degs.pop()
         self.dim = self.nvars = poly.nvars
-        self.name = "sphere"
 
     @classmethod
     def constant(cls, dim: int, c: float = 1.0) -> "SphereFunction":
@@ -161,7 +160,6 @@ class PerturbedModel(EqFunction):
         self.cut = cut
         self.h, self.eps, self.h_sup = None, 0.0, 0.0
         self.nvars = dv + dw + du
-        self.name = "perturbed-model"
         if not du:
             return
         if h is None and du >= 2:
@@ -381,7 +379,6 @@ class SurgeredFunction(EqFunction):
         self.fp = float(fp)
         self.c0_distance = 0.0
         self.nvars = f.nvars
-        self.name = "surgered"
 
     def jet_many(self, X, order: int) -> list:
         check_order(order)

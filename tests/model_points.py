@@ -36,8 +36,7 @@ def model_critical_points(model, action):
     finds from them and from a 9-per-axis grid over [-3.4, 3.4]^n,
     classified on R^n under the action."""
     n = model.nvars
-    M = ImplicitGManifold(ambient=n, constraints=(), action=action,
-                          name="model-space")
+    M = ImplicitGManifold(ambient=n, constraints=(), action=action)
     predicted = predicted_points(model)
     seeds = np.concatenate([predicted, seed_grid([(-3.4, 3.4)] * n, 9)])
     return predicted, [classify(model, M, p)

@@ -334,7 +334,7 @@ def test_boundary_record_with_a_mismatched_morphism_is_rejected():
     X = circle_reflection()
     recs = dict(X.boundary[1])
     (m, deg), *rest = recs[(0, 1)]
-    vertex = X.cells[0][1].stabilizer
+    vertex = X.cells[0][1]
     recs[(0, 1)] = ((OrbitMorphism(vertex, m.target, m.coset), deg), *rest)
     with pytest.raises(ValueError,
                        match=r"^boundary record 1:0->1 has mismatched morphism$"):

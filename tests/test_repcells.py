@@ -220,7 +220,7 @@ def _shifted(X, a):
     """X's cell-orbit stabilizers and boundary records by degree, each
     degree lowered by a and each boundary degree times (-1)^a: the fixed
     a-disk's product sign."""
-    cells = {n - a: [c.stabilizer for c in cs] for n, cs in X.cells.items()}
+    cells = {n - a: cs for n, cs in X.cells.items()}
     bnd = {n - a: {k: [(m.source, m.target, m.rep, (-1) ** a * deg)
                        for m, deg in recs] for k, recs in rs.items()}
            for n, rs in X.boundary.items()}
