@@ -1,27 +1,35 @@
 """Fixtures: the G-CW complexes and G-manifolds the test suite, the CLI and
 the benchmark exercise.
 
-Every fixture is one JSON file under fixtures/ at the root of the checkout.
-A file carries the group as an explicit multiplication table plus either a
-G-CW description (cell orbits and boundary records) or a
-manifold description (constraints, action matrices, function, seeds, and
-the exact Morse charts and sphere data where surgery applies).  A chart's
-W block lists the stabilizer's fixed directions first, and sphere_fn is
-written in the chart's trailing U coordinates, the W directions after
-them.  Matrix entries are [num, den] pairs when exact and plain floats
-otherwise; a manifold's action is read as an OrthogonalAction, the Morse
-layer's one action, so a float rotation is read as it is.  A G-CW object
-has the keys cells and boundary only, and a cell orbit is its stabilizer:
-a cell entry is {"stab": [...]}.  A polynomial is a list of
-Polynomial.from_records triples [exponents, num, den]; den 0 marks a
-float, read as the binary rational it denotes.  A manifold's seeds are one
-or more points of the ambient width, and its surgery_radius, step_length
-and escape_radius, where given, are finite numbers > 0.  Its action must
-preserve its constraints, and its function must be invariant under the
-action: at the seeds projected onto the manifold no group element may
-leave a constraint residual of ACTION_TOL
-(ImplicitGManifold.validate_action), and f may move by at most
-INVARIANCE_TOL times max(1, |f|).
+Every fixture is one JSON file under fixtures/ at the root of the checkout,
+written as json.dumps(data, indent=1) plus a final newline.  A file carries
+the group as an explicit multiplication table plus either a G-CW
+description (cell orbits and boundary records) or a manifold description
+(constraints, action matrices, function, seeds, and the exact Morse charts
+and sphere data where surgery applies).  A cell orbit is its stabilizer, so
+a cell entry is {"stab": [...]} and nothing else.
+
+Every object of a file has a fixed set of keys, and an unknown key is
+refused at every level; only the charts map is keyed by free names, the
+chart names.  Wherever an integer is read (a table entry, the order, a
+stabilizer element, a record field, ambient, dv, dw, nvars, a seed count)
+it must be a JSON integer: a float, a string or a bool is refused, not
+rounded.  Matrix entries are [num, den] pairs of integers with den != 0
+when exact and plain numbers otherwise; a manifold's action is read as an
+OrthogonalAction, the Morse layer's one action, so a float rotation is
+read as it is.  A polynomial is a list of Polynomial.from_records triples
+[exponents, num, den]; den 0 marks a float, read as the binary rational
+it denotes.
+
+A chart's W block lists the stabilizer's fixed directions first, and
+sphere_fn is written in the chart's trailing U coordinates, the W
+directions after them.  A manifold's seeds are one or more points of the
+ambient width, and its surgery_radius, step_length and escape_radius,
+where given, are finite numbers > 0.  Its action must preserve its
+constraints, and its function must be invariant under the action: at the
+seeds projected onto the manifold no group element may leave a
+constraint residual of ACTION_TOL (ImplicitGManifold.validate_action),
+and f may move by at most INVARIANCE_TOL times max(1, |f|).
 
 load_fixture(path) reads any such file and returns a GCWComplex or a
 ManifoldFixture.  Only a manifold file imports numpy, the Morse layer and
@@ -86,8 +94,8 @@ class ManifoldFixture:
 
 def load_fixture(path) -> GCWComplex | ManifoldFixture:
     """The fixture in the JSON file at path; FixtureError if it is malformed
-    (a missing key, a value of the wrong type, or a value a layer rejects
-    with a ValueError)."""
+    (a missing or unknown key, a value of the wrong type, or a value a
+    layer rejects with a ValueError)."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -95,6 +103,9 @@ def load_fixture(path) -> GCWComplex | ManifoldFixture:
         raise FixtureError(f"{path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise FixtureError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    if not isinstance(raw, dict):
+        raise FixtureError(f"{path}: a fixture is a JSON object, "
+                           f"not {type(raw).__name__}")
     unknown = set(raw) - {"name", "group", "gcw", "manifold"}
     if unknown:
         raise FixtureError(f"{path}: unknown keys {sorted(unknown)}")
@@ -103,9 +114,10 @@ def load_fixture(path) -> GCWComplex | ManifoldFixture:
     if ("gcw" in raw) == ("manifold" in raw):
         raise FixtureError(f"{path}: exactly one of 'gcw'/'manifold' required")
     try:
-        g = raw["group"]
-        table = tuple(tuple(int(x) for x in row) for row in g["table"])
-        if len(table) != int(g.get("order", len(table))):
+        g = _object(raw["group"], "group", {"name", "order", "table"})
+        table = tuple(tuple(_int(x, "a group table entry") for x in row)
+                      for row in g["table"])
+        if len(table) != _int(g.get("order", len(table)), "'order'"):
             raise ValueError("group order disagrees with the table")
         group = FiniteGroup(table, name=g.get("name", "G"))
         name = raw.get("name", str(path))
@@ -124,10 +136,31 @@ def load_fixture(path) -> GCWComplex | ManifoldFixture:
         raise FixtureError(f"{path}: {exc}") from exc
 
 
+def _object(obj, what: str, keys: set) -> dict:
+    """obj, a JSON object whose keys are all among keys; else an error
+    that names the unknown keys."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"{what} must be an object, not {obj!r}")
+    unknown = set(obj) - keys
+    if unknown:
+        raise ValueError(f"unknown {what} keys {sorted(unknown)}")
+    return obj
+
+
+def _int(v, what: str) -> int:
+    """v if it is a JSON integer, not a bool; else ValueError."""
+    if type(v) is not int:
+        raise ValueError(f"{what} must be an integer, not {v!r}")
+    return v
+
+
 def _num_from_json(v):
+    """A matrix entry: [num, den], integers with den != 0, as a Fraction,
+    or a plain number as it is."""
     if isinstance(v, list):
-        return Fraction(int(v[0]), int(v[1]))
-    if isinstance(v, (int, float)):
+        if len(v) == 2 and type(v[0]) is int and type(v[1]) is int and v[1]:
+            return Fraction(*v)
+    elif type(v) in (int, float):
         return v
     raise ValueError(f"bad numeric entry {v!r}")
 
@@ -136,27 +169,37 @@ def _matrix_from_json(rows):
     return tuple(tuple(_num_from_json(v) for v in row) for row in rows)
 
 
+_RECORD_KEYS = ("dim", "cell", "face", "coset", "degree")
+_MANIFOLD_KEYS = {"ambient", "constraints", "action", "function", "charts",
+                  "seeds", "sphere_fn", "surgery_radius", "step_length",
+                  "escape_radius"}
+_CHART_KEYS = {"linear": {"type", "point", "frame", "dv", "dw"},
+               "angle": {"type", "pole_angle"}}
+
+
 def _gcw_from_json(group, spec, name: str) -> GCWComplex:
-    unknown = set(spec) - {"cells", "boundary"}
-    if unknown:
-        raise ValueError(f"unknown gcw keys {sorted(unknown)}")
+    spec = _object(spec, "gcw", {"cells", "boundary"})
     cells = {}
     for dim_str, lst in spec["cells"].items():
+        if not dim_str.isdigit() or dim_str != str(int(dim_str)):
+            raise ValueError(f"cell dimension {dim_str!r} is not a decimal "
+                             f"integer >= 0")
         cells[int(dim_str)] = tuple(
-            Subgroup(group, tuple(int(x) for x in c["stab"])) for c in lst)
+            Subgroup(group, tuple(_int(x, "a stabilizer element")
+                                  for x in _object(c, "cell", {"stab"})["stab"]))
+            for c in lst
+        )
     boundary: dict = {}
     for rec in spec.get("boundary", []):
-        n = int(rec["dim"])
-        a = int(rec["cell"])
-        b = int(rec["face"])
+        rec = _object(rec, "boundary record", set(_RECORD_KEYS))
+        n, a, b, coset, degree = (_int(rec[k], f"boundary {k!r}")
+                                  for k in _RECORD_KEYS)
         for key, k, dim in (("cell", a, n), ("face", b, n - 1)):
-            if not 0 <= k < len(cells[dim]):
+            if not 0 <= k < len(cells.get(dim, ())):
                 raise ValueError(f"boundary {key} {k} is not one of the "
-                                 f"{len(cells[dim])} {dim}-cell orbits")
-        m = OrbitMorphism(cells[n][a], cells[n - 1][b], (int(rec["coset"]),))
-        boundary.setdefault(n, {}).setdefault((a, b), []).append(
-            (m, int(rec["degree"]))
-        )
+                                 f"{len(cells.get(dim, ()))} {dim}-cell orbits")
+        m = OrbitMorphism(cells[n][a], cells[n - 1][b], (coset,))
+        boundary.setdefault(n, {}).setdefault((a, b), []).append((m, degree))
     boundary = {n: {k: tuple(v) for k, v in d.items()}
                 for n, d in boundary.items()}
     return GCWComplex(group=group, cells=cells, boundary=boundary, name=name)
@@ -170,7 +213,8 @@ def _manifold_from_json(group, spec, name: str) -> ManifoldFixture:
     from .morse.manifolds import PROJECT_TOL, OrthogonalAction
     from .polynomials import Polynomial
 
-    ambient = int(spec["ambient"])
+    spec = _object(spec, "manifold", _MANIFOLD_KEYS)
+    ambient = _int(spec["ambient"], "'ambient'")
     act = OrthogonalAction(group, [_matrix_from_json(m) for m in spec["action"]])
     constraints = tuple(
         Polynomial.from_records(ambient, recs)
@@ -181,29 +225,35 @@ def _manifold_from_json(group, spec, name: str) -> ManifoldFixture:
         Polynomial.from_records(ambient, spec["function"]))
     charts = {}
     for label, ch in spec.get("charts", {}).items():
-        if ch["type"] == "linear":
+        kind = ch["type"]
+        if kind not in _CHART_KEYS:
+            raise ValueError(f"unknown chart type {kind!r}")
+        ch = _object(ch, "chart", _CHART_KEYS[kind])
+        if kind == "linear":
             charts[label] = LinearChart(
                 np.array(ch["point"], dtype=float),
                 np.array(ch["frame"], dtype=float),
-                dv=int(ch["dv"]), dw=int(ch["dw"]),
+                dv=_int(ch["dv"], "'dv'"), dw=_int(ch["dw"], "'dw'"),
             )
-        elif ch["type"] == "angle":
-            charts[label] = AngleChart(float(ch["pole_angle"]))
         else:
-            raise ValueError(f"unknown chart type {ch['type']!r}")
+            charts[label] = AngleChart(float(ch["pole_angle"]))
     sphere_fn = None
     if "sphere_fn" in spec:
-        sf = spec["sphere_fn"]
+        sf = _object(spec["sphere_fn"], "sphere_fn", {"nvars", "records"})
         sphere_fn = SphereFunction(
-            Polynomial.from_records(int(sf["nvars"]), sf["records"])
+            Polynomial.from_records(_int(sf["nvars"], "'nvars'"), sf["records"])
         )
-    seeds_spec = spec.get("seeds", {})
+    seeds_spec = _object(spec.get("seeds", {}), "seeds",
+                         {"circle", "bounds", "counts"})
     if "circle" in seeds_spec:
-        th = np.linspace(0, 2 * np.pi, int(seeds_spec["circle"]), endpoint=False)
+        th = np.linspace(0, 2 * np.pi, _int(seeds_spec["circle"], "'circle'"),
+                         endpoint=False)
         seeds = np.stack([np.cos(th), np.sin(th)], axis=1)
     elif "bounds" in seeds_spec:
-        seeds = seed_grid([tuple(b) for b in seeds_spec["bounds"]],
-                          seeds_spec.get("counts", 7))
+        counts = seeds_spec.get("counts", 7)
+        counts = ([_int(c, "a seed count") for c in counts]
+                  if isinstance(counts, list) else _int(counts, "'counts'"))
+        seeds = seed_grid([tuple(b) for b in seeds_spec["bounds"]], counts)
     else:
         raise ValueError("manifold 'seeds' needs 'circle' or 'bounds'")
     if seeds.ndim != 2 or not len(seeds) or seeds.shape[1] != ambient:

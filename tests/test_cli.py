@@ -66,6 +66,15 @@ def test_fixture_file_loads_into_one_name_set(path):
     assert type(by_name) is type(fx) and by_name.name == name
 
 
+@pytest.mark.parametrize("path", sorted(FIXDIR.glob("*.json")),
+                         ids=lambda p: p.stem)
+def test_fixture_file_is_in_the_one_layout(path):
+    # one layout for every fixture file, so that an edit rewrites only the
+    # lines it changes
+    text = path.read_text()
+    assert text == json.dumps(json.loads(text), indent=1) + "\n"
+
+
 def test_unknown_fixture_name_is_an_attribute_error():
     with pytest.raises(AttributeError):
         fixtures.no_such_fixture
@@ -129,12 +138,51 @@ def test_load_rejects_unknown_gcw_key(tmp_path):
     assert "marked" in str(exc.value) and str(p) in str(exc.value)
 
 
+def _object_paths(node, path=()):
+    """The key path of every JSON object in node but the charts map, whose
+    keys are chart names."""
+    if isinstance(node, dict):
+        if path[-1:] != ("charts",):
+            yield path
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield from _object_paths(child, path + (key,))
+
+
+@pytest.mark.parametrize("path", sorted(FIXDIR.glob("*.json")),
+                         ids=lambda p: p.stem)
+def test_load_rejects_an_unknown_key_in_every_object(tmp_path, path):
+    # every level of a fixture has a fixed set of keys, and a misspelt one
+    # ("step_lenght" in a manifold, "oder" in a group) is refused, naming
+    # it, not ignored
+    raw = json.loads(path.read_text())
+    paths = list(_object_paths(raw))
+    assert len(paths) > 3
+    for obj_path in paths:
+        p = _rewritten(tmp_path, path.stem,
+                       _set(*obj_path, "zz_unknown", value=0))
+        with pytest.raises(FixtureError, match="zz_unknown"):
+            load_fixture(p)
+
+
 def test_load_rejects_bad_json(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{ not json")
     with pytest.raises(FixtureError) as exc:
         load_fixture(str(p))
     assert ":1:" in str(exc.value)  # line diagnostics
+
+
+@pytest.mark.parametrize("text", ["[{}]", '"gcw"', "5"])
+def test_load_rejects_a_file_that_is_no_object(tmp_path, text):
+    p = tmp_path / "not_an_object.json"
+    p.write_text(text)
+    with pytest.raises(FixtureError, match="a fixture is a JSON object"):
+        load_fixture(p)
 
 
 def test_load_rejects_both_specs(tmp_path):
@@ -225,6 +273,16 @@ def _set(*path, value):
     return edit
 
 
+def _as_float(*path):
+    """An edit that turns the integer at raw[path[0]]...[path[-1]] into the
+    equal float, which int() would read back as the same integer."""
+    def edit(raw):
+        for key in path[:-1]:
+            raw = raw[key]
+        raw[path[-1]] = float(raw[path[-1]])
+    return edit
+
+
 @pytest.mark.parametrize("command, name, edit, message", [
     ("bredon", "circle_reflection", _bad_table, "no identity element"),
     ("bredon", "circle_reflection", _bad_stabilizer, "missing identity"),
@@ -253,10 +311,54 @@ def _set(*path, value):
      "unknown chart type 'polar'"),
     ("morse", "wells_c2", _set("manifold", "seeds", value={}),
      "manifold 'seeds' needs 'circle' or 'bounds'"),
+    ("morse", "circle_c2_height", _set("manifold", "action", 1, 0, 0, value=[-1, 0]),
+     r"bad numeric entry \[-1, 0\]"),
+    ("morse", "wells_c2", _set("manifold", "action", 1, 0, 0, value=[1.5, 2]),
+     r"bad numeric entry \[1\.5, 2\]"),
+    ("morse", "wells_c2", _set("manifold", "action", 1, 0, 0, value=[-1, 1, 1]),
+     r"bad numeric entry \[-1, 1, 1\]"),
+    ("morse", "wells_c2", _set("manifold", "action", 0, 0, 0, value=True),
+     "bad numeric entry True"),
+    ("bredon", "circle_reflection", _set("group", "table", value=[[0, 1], [1, 0.4]]),
+     "a group table entry must be an integer, not 0.4"),
+    ("bredon", "circle_reflection", _as_float("group", "order"),
+     "'order' must be an integer, not 2.0"),
+    ("bredon", "circle_reflection", _set("gcw", "boundary", 0, "degree", value=-1.5),
+     "boundary 'degree' must be an integer, not -1.5"),
+    ("bredon", "circle_reflection", _set("gcw", "boundary", 0, "degree", value="-1"),
+     "boundary 'degree' must be an integer, not '-1'"),
+    ("bredon", "circle_reflection", _set("gcw", "boundary", 0, "coset", value=0.9),
+     "boundary 'coset' must be an integer, not 0.9"),
+    ("bredon", "circle_reflection", _set("gcw", "boundary", 0, "dim", value=True),
+     "boundary 'dim' must be an integer, not True"),
+    ("bredon", "circle_reflection", _as_float("gcw", "cells", "1", 0, "stab", 0),
+     "a stabilizer element must be an integer, not 0.0"),
+    ("bredon", "circle_reflection",
+     lambda raw: raw["gcw"]["cells"].update({"01": raw["gcw"]["cells"].pop("1")}),
+     "cell dimension '01' is not a decimal integer >= 0"),
+    ("morse", "wells_c2", _as_float("manifold", "ambient"),
+     "'ambient' must be an integer, not 2.0"),
+    ("morse", "figure2_plane", _as_float("manifold", "charts", "origin", "dv"),
+     "'dv' must be an integer, not 1.0"),
+    ("morse", "figure2_plane", _as_float("manifold", "charts", "origin", "dw"),
+     "'dw' must be an integer, not 1.0"),
+    ("morse", "figure1_plane", _as_float("manifold", "sphere_fn", "nvars"),
+     "'nvars' must be an integer, not 2.0"),
+    ("morse", "circle_c2_height", _as_float("manifold", "seeds", "circle"),
+     "'circle' must be an integer, not 41.0"),
+    ("morse", "wells_c2", _set("manifold", "seeds", "counts", value=7.0),
+     "'counts' must be an integer, not 7.0"),
+    ("morse", "wells_c2", _set("manifold", "seeds", "counts", value=[7, True]),
+     "a seed count must be an integer, not True"),
 ], ids=["table", "stabilizer", "action", "table-type", "function-record",
         "function-not-invariant", "constraint-not-preserved", "seeds-none",
         "seeds-axis-none", "seeds-wide", "seeds-circle-in-3d", "no-group",
-        "group-order", "string-entry", "chart-type", "seeds-kind"])
+        "group-order", "string-entry", "chart-type", "seeds-kind",
+        "entry-over-zero", "entry-fractional-numerator", "entry-three-numbers",
+        "entry-bool", "table-float", "order-float", "degree-float",
+        "degree-string", "coset-float", "dim-bool", "stab-float", "dim-key-padded",
+        "ambient-float", "dv-float", "dw-float", "nvars-float", "circle-float",
+        "counts-float", "counts-bool"])
 def test_bad_fixture_data_is_an_error_exit(tmp_path, capsys, command, name,
                                            edit, message):
     # a table that is not a group (or no table at all), no group or one of
@@ -264,8 +366,11 @@ def test_bad_fixture_data_is_an_error_exit(tmp_path, capsys, command, name,
     # not a representation or hold a string, a record that is no polynomial
     # term, a function that is not invariant, an action that moves the
     # constraints, a chart of no known type, or seeds of no known kind,
-    # empty or not of the ambient width make a malformed fixture:
-    # FixtureError, one error line naming the file, and exit 2
+    # empty or not of the ambient width make a malformed fixture, and so
+    # does a number that is not a JSON integer where an integer is read (a
+    # float, a string or a bool), or a [num, den] entry that is not two
+    # integers with den != 0: FixtureError, one error line naming the file,
+    # and exit 2
     p = _rewritten(tmp_path, name, edit)
     with pytest.raises(FixtureError, match=message):
         load_fixture(p)
@@ -291,8 +396,9 @@ def _stabilizer_element(raw):
     (_boundary_field("cell", 3), "boundary cell 3 is not one of the 1 1-cell orbits"),
     (_boundary_field("cell", -1), "boundary cell -1 is not one of the 1 1-cell orbits"),
     (_boundary_field("face", 2), "boundary face 2 is not one of the 2 0-cell orbits"),
+    (_boundary_field("dim", 7), "boundary cell 0 is not one of the 0 7-cell orbits"),
 ], ids=["stabilizer-element", "coset-7", "coset-negative", "cell-3", "cell-negative",
-        "face-2"])
+        "face-2", "dim-7"])
 def test_index_outside_the_group_or_the_cells_is_an_error_exit(tmp_path, capsys,
                                                                edit, message):
     # an element, coset representative, cell or face index outside its range
