@@ -84,6 +84,13 @@ __all__ = [
 ]
 
 
+def _check_variable(i: int, n: int) -> None:
+    """ValueError unless 0 <= i < n: a negative index would wrap round to
+    another variable, or past the end of an exponent."""
+    if not 0 <= i < n:
+        raise ValueError(f"variable index {i} is not in range({n})")
+
+
 class DuplicatePoints(ValueError):
     """Interpolation points must be pairwise distinct."""
 
@@ -347,6 +354,7 @@ class Polynomial:
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "Polynomial":
+        _check_variable(i, nvars)
         e = [0] * nvars
         e[i] = 1
         return cls._make(nvars, {tuple(e): 1}, 1)
@@ -440,6 +448,7 @@ class Polynomial:
                     for e, c in self.terms.items()), Fraction(0))
 
     def derivative(self, i: int) -> "Polynomial":
+        _check_variable(i, self.nvars)
         out = {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
                for e, c in self.num.items() if e[i]}
         return Polynomial._make(self.nvars, out, self.den)

@@ -318,6 +318,22 @@ def test_bad_records_raise_value_error(record):
 
 
 @pytest.mark.parametrize("call", [
+    lambda: Polynomial(2, {(1, 2): 1}).derivative(-1),
+    lambda: Polynomial(2, {(1, 2): 1}).derivative(2),
+    lambda: Polynomial(2, {(1, 2): 1}).derivative(5),
+    lambda: Polynomial.variable(2, -1),
+    lambda: Polynomial.variable(2, 2),
+], ids=["derivative-negative", "derivative-past", "derivative-far",
+        "variable-negative", "variable-past"])
+def test_variable_index_outside_the_variables_raises_value_error(call):
+    # a negative index would wrap round to another variable (derivative(-1)
+    # of a 2-variable polynomial gave the exponent (1, 1, 1, 2)), and one
+    # past the end would raise IndexError
+    with pytest.raises(ValueError, match=r"variable index -?\d+ is not in range\(2\)"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
     lambda: jet_interpolate([(0,), (1, 2)], [Jet((0,), 1, {(0,): 1}),
                                              Jet((1, 2), 1, {(0, 0): 1})], 1),
     lambda: Polynomial(2, {(1,): 1}),
