@@ -5,6 +5,7 @@ case), both read off one sparse unit-pivot elimination per map."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 from . import _intlinalg as la
@@ -38,7 +39,8 @@ class ChainComplex:
     raises ValueError.  Over F_p every entry is stored as its residue in
     [0, p), so a boundary is the same whatever integers it was built from.
     d∘d = 0 is checked at construction (mod p when char > 0), as a sparse
-    product of columns.
+    product of columns.  Each rank is an integer >= 0 (not a bool), else
+    ValueError.
     """
 
     char: int
@@ -48,6 +50,10 @@ class ChainComplex:
     def __post_init__(self):
         if self.char != 0 and not la.is_prime(self.char):
             raise ValueError(f"char must be 0 or a prime, not {self.char}")
+        for n, r in self.ranks.items():
+            if not _is_index(r) or r < 0:
+                raise ValueError(f"rank in degree {n} must be an integer >= 0, "
+                                 f"not {r!r}")
         self.ranks = {n: r for n, r in self.ranks.items() if r > 0}
         cleaned = {}
         for n, d in self.boundary.items():
@@ -108,6 +114,15 @@ class ChainComplex:
             raise ValueError(f"a complex over F{self.char} has no reduction mod {p}")
         return ChainComplex(char=p, ranks=dict(self.ranks),
                             boundary=dict(self.boundary))
+
+
+def _is_index(x) -> bool:
+    """Whether x is an integer (operator.index accepts it) and not a bool."""
+    try:
+        operator.index(x)
+    except TypeError:
+        return False
+    return not isinstance(x, bool)
 
 
 @dataclass(eq=True)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import _intlinalg as la
-from .complexes import ChainComplex, homology
+from .complexes import ChainComplex, _is_index, homology
 
 __all__ = [
     "FilteredComplex",
@@ -44,7 +44,9 @@ class FilteredComplex:
     """A chain complex with a filtration degree per generator.
 
     filt[n] is a tuple of ints of length base.rank(n), and the boundary may
-    not raise it: construction raises FiltrationViolation where it does.
+    not raise it: construction raises FiltrationViolation where it does,
+    and ValueError for an entry that is no integer (or a bool) or for
+    entries in a degree where the base has no generators.
     The persistence pairing is computed once, on first use, and kept.
     """
 
@@ -53,14 +55,18 @@ class FilteredComplex:
     _bars: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        for n in self.base.degrees():
-            got = len(self.filt.get(n, ()))
-            if got != self.base.rank(n):
+        self.filt = {n: tuple(v) for n, v in self.filt.items()}
+        for n in sorted({*self.filt, *self.base.degrees()}):
+            got = self.filt.get(n, ())
+            if len(got) != self.base.rank(n):
                 raise ValueError(
-                    f"filtration in degree {n} has {got} entries, "
+                    f"filtration in degree {n} has {len(got)} entries, "
                     f"rank is {self.base.rank(n)}"
                 )
-        self.filt = {n: tuple(v) for n, v in self.filt.items()}
+            bad = [p for p in got if not _is_index(p)]
+            if bad:
+                raise ValueError(f"filtration in degree {n} has non-integer "
+                                 f"entries {bad}")
         for n, d in self.base.boundary.items():
             for j, col in enumerate(d):
                 pj = self.filt[n][j]

@@ -394,6 +394,14 @@ def test_char_must_be_zero_or_prime(char):
         ChainComplex(char=char, ranks={0: 1}, boundary={})
 
 
+@pytest.mark.parametrize("rank", [-2, 2.5, True, "1"])
+def test_rank_must_be_an_integer_at_least_zero(rank):
+    # a negative rank would be read as the zero module, and 2.5 as a Betti
+    # number of 2.5
+    with pytest.raises(ValueError, match="rank in degree 0 must be an integer >= 0"):
+        ChainComplex(char=0, ranks={0: rank}, boundary={})
+
+
 def test_char_p_entries_are_residues():
     # entries are stored in [0, p), whatever integers they were built from
     C = ChainComplex(char=3, ranks={0: 1, 1: 2}, boundary={1: (((0, -1),), ((0, 4),))})

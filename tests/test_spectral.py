@@ -156,6 +156,19 @@ def test_filtration_violation_raised():
     assert FilteredComplex(base=C, filt={0: (0,), 1: (1,)}).max_filtration() == 1
 
 
+@pytest.mark.parametrize("filt, message", [
+    ({0: (0.5,), 1: (1,)}, r"degree 0 has non-integer entries \[0\.5\]"),
+    ({0: (True,), 1: (1,)}, r"degree 0 has non-integer entries \[True\]"),
+    ({0: (0,), 1: (1,), 2: (7,)}, "degree 2 has 1 entries, rank is 0"),
+], ids=["half", "bool", "degree-past-the-base"])
+def test_filtration_entries_are_integers_in_the_base_degrees(filt, message):
+    # 0.5 would leave E^1 empty, and an entry in a degree the base lacks
+    # would be read by max_filtration
+    C = ChainComplex(char=2, ranks={0: 1, 1: 1}, boundary={1: (((0, 1),),)})
+    with pytest.raises(ValueError, match=message):
+        FilteredComplex(base=C, filt=filt)
+
+
 def test_einfty_needs_field():
     C = ChainComplex(char=0, ranks={0: 1}, boundary={})
     F = FilteredComplex(base=C, filt={0: (0,)})
