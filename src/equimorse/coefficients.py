@@ -85,13 +85,13 @@ class CoefficientSystem:
         self.char = char
         self.H = H
         self.K = K
-        # the (e, G) pair whose classes of G/L are its G-fixed points
-        self._fixed = subquotient("fixed-point", cat.group) if relative else None
+        self.relative = relative
 
     def _classes(self, L: Subgroup) -> tuple[tuple[int, ...], ...]:
         """The basis of the value at G/L: its K-fixed H-classes, or none
-        where the relative rule kills it."""
-        if self._fixed and self.cat.group.orbit_classes(L, *self._fixed):
+        where the relative rule kills it: G/L has a G-fixed point exactly
+        when L = G."""
+        if self.relative and L.order == self.cat.group.order:
             return ()
         return self.cat.group.orbit_classes(L, self.H, self.K)
 
@@ -113,7 +113,7 @@ class CoefficientSystem:
 
     def __repr__(self):
         return (f"CoefficientSystem(H={self.H.elements}, K={self.K.elements}, "
-                f"relative={self._fixed is not None}, char={self.char}, "
+                f"relative={self.relative}, char={self.char}, "
                 f"G={self.cat.group.name})")
 
 
