@@ -10,8 +10,8 @@ and sphere data where surgery applies).  A cell orbit is its stabilizer, so
 a cell entry is {"stab": [...]} and nothing else.
 
 Every object of a file has a fixed set of keys, and an unknown key is
-refused at every level; only the charts map is keyed by free names, the
-chart names.  Wherever an integer is read (a table entry, the order, a
+refused at every level; only the cells map, keyed by dimension, and the
+charts map, keyed by chart name, are not records.  Wherever an integer is read (a table entry, the order, a
 stabilizer element, a record field, ambient, dv, dw, nvars, a seed count)
 it must be a JSON integer: a float, a string or a bool is refused, not
 rounded.  Matrix entries are [num, den] pairs of integers with den != 0
@@ -147,6 +147,13 @@ def _object(obj, what: str, keys: set) -> dict:
     return obj
 
 
+def _items(obj, what: str):
+    """The (key, value) pairs of obj, a JSON object keyed by free names."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"{what} must be an object, not {obj!r}")
+    return obj.items()
+
+
 def _int(v, what: str) -> int:
     """v if it is a JSON integer, not a bool; else ValueError."""
     if type(v) is not int:
@@ -180,7 +187,7 @@ _CHART_KEYS = {"linear": {"type", "point", "frame", "dv", "dw"},
 def _gcw_from_json(group, spec, name: str) -> GCWComplex:
     spec = _object(spec, "gcw", {"cells", "boundary"})
     cells = {}
-    for dim_str, lst in spec["cells"].items():
+    for dim_str, lst in _items(spec["cells"], "cells"):
         if not dim_str.isdigit() or dim_str != str(int(dim_str)):
             raise ValueError(f"cell dimension {dim_str!r} is not a decimal "
                              f"integer >= 0")
@@ -224,7 +231,7 @@ def _manifold_from_json(group, spec, name: str) -> ManifoldFixture:
     f = EqFunction.from_polynomial(
         Polynomial.from_records(ambient, spec["function"]))
     charts = {}
-    for label, ch in spec.get("charts", {}).items():
+    for label, ch in _items(spec.get("charts", {}), "charts"):
         kind = ch["type"]
         if kind not in _CHART_KEYS:
             raise ValueError(f"unknown chart type {kind!r}")

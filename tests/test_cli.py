@@ -350,6 +350,10 @@ def _as_float(*path):
      "'counts' must be an integer, not 7.0"),
     ("morse", "wells_c2", _set("manifold", "seeds", "counts", value=[7, True]),
      "a seed count must be an integer, not True"),
+    ("bredon", "circle_reflection", _set("gcw", "cells", value=[[{"stab": [0]}]]),
+     "wrong type: cells must be an object"),
+    ("morse", "figure2_plane", _set("manifold", "charts", value=[]),
+     "wrong type: charts must be an object"),
 ], ids=["table", "stabilizer", "action", "table-type", "function-record",
         "function-not-invariant", "constraint-not-preserved", "seeds-none",
         "seeds-axis-none", "seeds-wide", "seeds-circle-in-3d", "no-group",
@@ -358,7 +362,7 @@ def _as_float(*path):
         "entry-bool", "table-float", "order-float", "degree-float",
         "degree-string", "coset-float", "dim-bool", "stab-float", "dim-key-padded",
         "ambient-float", "dv-float", "dw-float", "nvars-float", "circle-float",
-        "counts-float", "counts-bool"])
+        "counts-float", "counts-bool", "cells-list", "charts-list"])
 def test_bad_fixture_data_is_an_error_exit(tmp_path, capsys, command, name,
                                            edit, message):
     # a table that is not a group (or no table at all), no group or one of
