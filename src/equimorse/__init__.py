@@ -20,8 +20,7 @@ __version__ = "0.1.0"
 # exported name -> the submodule that defines it
 _SOURCES = {
     **dict.fromkeys(("FiniteGroup", "OrbitCategory", "OrbitMorphism", "Subgroup",
-                     "compose", "enumerate_subgroups", "orbit_homs", "weyl_group"),
-                    "groups"),
+                     "compose", "enumerate_subgroups", "orbit_homs"), "groups"),
     **dict.fromkeys(("Jet", "JetNotFixed", "LinearAction", "Polynomial", "bump_poly",
                      "equivariant_average", "equivariant_jet_lift", "jet_interpolate",
                      "taylor_jet"), "polynomials"),

@@ -16,23 +16,25 @@ A system stores no table: its ranks read the classes of its group's coset
 tables (FiniteGroup.orbit_classes), and the image of each class under a
 morphism is read from the group's double cosets on each call, so every
 system over one group shares the tables, whatever its category object.
+The general kind's pair (H, K) is checked by groups.check_pair, the rule
+the subquotient complexes read too, and a bad pair raises InvalidPair.
 """
 
 from __future__ import annotations
 
 from .groups import (
     FiniteGroup,
+    InvalidPair,
     OrbitCategory,
     OrbitMorphism,
     Subgroup,
+    check_pair,
     full_subgroup,
-    normalizer,
     trivial_subgroup,
 )
 
 __all__ = [
     "CoefficientSystem",
-    "InvalidSubgroup",
     "SUBQUOTIENTS",
     "SYSTEM_KINDS",
     "build_system",
@@ -64,10 +66,6 @@ def subquotient(kind: str, G: FiniteGroup) -> tuple[Subgroup, Subgroup]:
     """The subgroups (H, K) of G for a kind in SUBQUOTIENTS."""
     H, K = SUBQUOTIENTS[kind]
     return H(G), K(G)
-
-
-class InvalidSubgroup(ValueError):
-    """Parameters must name subgroups compatible with the requested kind."""
 
 
 class CoefficientSystem:
@@ -122,20 +120,16 @@ def build_system(cat: OrbitCategory, kind: str, char: int = 0,
                  ) -> CoefficientSystem:
     """Construct one of the built-in coefficient systems over the category.
 
-    kind "general" takes the subgroups H and K with K inside the normalizer
-    of H; the other kinds ignore the parameters.
+    kind "general" takes the subgroups H and K with K normalizing H (else
+    InvalidPair); the other kinds ignore the parameters.
     """
     G = cat.group
     if kind not in SYSTEM_KINDS:
         raise ValueError(f"unknown system kind {kind!r}")
     if kind == "general":
         if H is None or K is None:
-            raise InvalidSubgroup("general kind needs subgroups H and K")
-        if H.group != G or K.group != G:
-            raise InvalidSubgroup("H and K must be subgroups of the category's group")
-        nset = set(normalizer(G, H).elements)
-        if not set(K.elements) <= nset:
-            raise InvalidSubgroup("K must normalize H to act on the H-quotient")
+            raise InvalidPair("general kind needs subgroups H and K")
+        check_pair(G, H, K)
         return CoefficientSystem(cat, char, H, K)
     # quotient-rel-fixed takes the quotient's pair under the relative rule
     relative = kind == "quotient-rel-fixed"

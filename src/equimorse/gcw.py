@@ -23,7 +23,10 @@ The coset tables behind both the assembly's coefficient systems and the
 subquotient oracles live on the group (FiniteGroup.double_cosets and
 orbit_classes), each computed once; the admission check,
 subquotient_complex and every system over any orbit category of X.group
-read the same tables.
+read the same tables.  The group rules this module reads are decided in
+groups.py: the pair check of subquotient_complex (check_pair, raising
+InvalidPair) and the generating set that CellAction.orbits checks on
+(FiniteGroup.generators).
 """
 
 from __future__ import annotations
@@ -33,29 +36,17 @@ from dataclasses import dataclass
 from . import _intlinalg as la
 from .complexes import ChainComplex
 from .coefficients import CoefficientSystem, build_system
-from .groups import (
-    FiniteGroup,
-    OrbitCategory,
-    OrbitMorphism,
-    Subgroup,
-    generated_subgroup,
-    normalizer,
-)
+from .groups import FiniteGroup, OrbitCategory, OrbitMorphism, Subgroup, check_pair
 
 __all__ = [
     "CellAction",
     "GCWComplex",
-    "InvalidPair",
     "bredon_assembly",
     "bredon_chain_complex",
     "bredon_cochain_complex",
     "gcw_from_cells",
     "subquotient_complex",
 ]
-
-
-class InvalidPair(ValueError):
-    """The (H, K) pair does not act on the quotient structure."""
 
 
 @dataclass(eq=False)
@@ -169,11 +160,7 @@ def subquotient_complex(X: GCWComplex, H: Subgroup, K: Subgroup,
     no coefficient system.
     """
     G = X.group
-    if H.group != G or K.group != G:
-        raise InvalidPair("H and K must be subgroups of the complex's group")
-    nset = set(normalizer(G, H).elements)
-    if not set(K.elements) <= nset:
-        raise InvalidPair("K must normalize H to act on X/H")
+    check_pair(G, H, K)
 
     # classes[n]: (orbit index, double coset) per K-fixed class, in order;
     # a class is indexed by its orbit and its least element
@@ -251,7 +238,7 @@ class CellAction:
                 if sorted(p) != list(range(count)):
                     raise ValueError(f"element {s} does not permute {n}-cells")
         table = {s: {n: tuple(perms[s][n]) for n in cells} for s in group.elements()}
-        gens = _generators(group)
+        gens = group.generators
         for s in sorted({group.identity, *gens}):
             for t in group.elements():
                 st = group.mul[s][t]
@@ -397,15 +384,3 @@ def gcw_from_cells(group: FiniteGroup, cells: dict[int, int],
                    name="") -> GCWComplex:
     """The GCWComplex of an individual-cell description."""
     return CellAction(group, cells, boundaries, perms).gcw(name)
-
-
-def _generators(group: FiniteGroup) -> list[int]:
-    """A generating set of the group: each element, in order, that the
-    ones before it do not generate."""
-    gens: list[int] = []
-    span = {group.identity}
-    for g in group.elements():
-        if g not in span:
-            gens.append(g)
-            span = set(generated_subgroup(group, gens).elements)
-    return gens

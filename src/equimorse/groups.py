@@ -5,11 +5,16 @@ Everything here is desk scale (|G| <= 12 in practice): groups are validated
 exhaustively at construction, subgroups are enumerated by closing cyclic
 subgroups under pairwise joins, and a hom-set of the orbit category is
 computed on call as a tuple of coset morphisms.  A group keeps its own
-subgroup list and coset tables: the list, each table of double cosets HgL
-and each table of K-fixed H-classes of G/L is computed once, on first use,
-and goes away with the group.  An orbit category holds only its group, so
-every category, coefficient system and subquotient complex over one group
-object shares them.
+identity, generating set, subgroup list and coset tables: each table of
+double cosets HgL and each table of K-fixed H-classes of G/L is computed
+once, on first use, and goes away with the group.  An orbit category holds
+only its group, so every category, coefficient system and subquotient
+complex over one group object shares them.
+
+Each group rule is decided here once: whether a coset xK is H-fixed
+(is_fixed_coset, read by OrbitMorphism and orbit_homs), and whether K
+normalizes H so that it acts on the H-quotients (check_pair, read by the
+general coefficient system and the subquotient complexes).
 """
 
 from __future__ import annotations
@@ -31,12 +36,17 @@ class InvalidMorphism(ValueError):
     """Coset does not define a G-map between the given orbits."""
 
 
+class InvalidPair(ValueError):
+    """The (H, K) pair does not act on the quotient structure."""
+
+
 @dataclass(frozen=True)
 class FiniteGroup:
     """A finite group on element indices 0..n-1 with an explicit table.
 
-    ``mul[a][b]`` is the product a*b.  The identity and inverse table are
-    derived and the axioms are checked on every triple at construction.
+    ``mul[a][b]`` is the product a*b.  The identity is found and the
+    axioms are checked on every triple at construction; the inverse table
+    and the generating set are derived on first use.
     """
 
     mul: tuple[tuple[int, ...], ...]
@@ -66,6 +76,7 @@ class FiniteGroup:
         # the generated hash, computed once: every dict keyed by a subgroup
         # or an orbit morphism hashes the whole table
         object.__setattr__(self, "_hash", hash((self.mul,)))
+        object.__setattr__(self, "identity", ident)
         # the coset tables by element tuples: (H, L) -> double cosets and
         # (L, H, K) -> classes, filled on first use
         object.__setattr__(self, "_tables", {})
@@ -76,14 +87,6 @@ class FiniteGroup:
     @property
     def order(self) -> int:
         return len(self.mul)
-
-    @cached_property
-    def identity(self) -> int:
-        n = self.order
-        for e in range(n):
-            if all(self.mul[e][x] == x for x in range(n)):
-                return e
-        raise AssertionError("unreachable: validated at construction")
 
     @cached_property
     def inverse(self) -> tuple[int, ...]:
@@ -99,6 +102,18 @@ class FiniteGroup:
     def conj(self, g: int, h: int) -> int:
         """Conjugate g h g^-1."""
         return self.mul[self.mul[g][h]][self.inverse[g]]
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """A generating set: each element, in order, that the ones before it
+        do not generate."""
+        gens: list[int] = []
+        span = {self.identity}
+        for g in self.elements():
+            if g not in span:
+                gens.append(g)
+                span = set(generated_subgroup(self, gens).elements)
+        return tuple(gens)
 
     # -- subgroups and coset tables, each computed on first use -------------
 
@@ -223,10 +238,6 @@ class Subgroup:
     def order(self) -> int:
         return len(self.elements)
 
-    @property
-    def index(self) -> int:
-        return self.group.order // self.order
-
     def as_group(self) -> FiniteGroup:
         """The subgroup as an abstract table: element m stands for
         self.elements[m]."""
@@ -313,6 +324,13 @@ def double_coset(G: FiniteGroup, H: Subgroup, x: int, K: Subgroup) -> tuple[int,
     return tuple(sorted({G.mul[G.mul[h][x]][k] for h in H.elements for k in K.elements}))
 
 
+def is_fixed_coset(G: FiniteGroup, H: Subgroup, x: int, K: Subgroup) -> bool:
+    """Whether the coset xK is an H-fixed point of G/K: x^-1 H x in K."""
+    kset = set(K.elements)
+    xinv = G.inverse[x]
+    return all(G.mul[G.mul[xinv][h]][x] in kset for h in H.elements)
+
+
 def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
     hset = set(H.elements)
     elems = [g for g in G.elements()
@@ -320,33 +338,13 @@ def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
     return Subgroup(G, tuple(elems))
 
 
-@dataclass(frozen=True)
-class QuotientGroup:
-    """N/H for H normal in N <= G, with coset representatives in G."""
-
-    group: FiniteGroup              # the quotient as an abstract table
-    reps: tuple[int, ...]           # element of G representing each quotient element
-    cosets: tuple[tuple[int, ...], ...]  # full coset element sets, aligned with reps
-
-
-def weyl_group(G: FiniteGroup, H: Subgroup) -> QuotientGroup:
-    """The Weyl group N_G(H)/H together with its coset-representative map."""
-    N = normalizer(G, H)
-    cosets = []
-    seen = set()
-    for x in N.elements:
-        c = left_coset(G, x, H)
-        if c not in seen:
-            seen.add(c)
-            cosets.append(c)
-    cosets.sort()
-    index = {c: i for i, c in enumerate(cosets)}
-    reps = tuple(c[0] for c in cosets)
-    table = tuple(
-        tuple(index[left_coset(G, G.mul[a][b], H)] for b in reps) for a in reps
-    )
-    return QuotientGroup(
-        FiniteGroup(table, name=f"W({H.elements})"), reps, tuple(cosets))
+def check_pair(G: FiniteGroup, H: Subgroup, K: Subgroup) -> None:
+    """InvalidPair unless H and K are subgroups of G and K normalizes H, so
+    that K acts on the H-quotients (G/L)/H and X/H."""
+    if H.group != G or K.group != G:
+        raise InvalidPair(f"H and K must be subgroups of {G.name}")
+    if not set(K.elements) <= set(normalizer(G, H).elements):
+        raise InvalidPair("K must normalize H to act on the H-quotient")
 
 
 # -- orbit category ------------------------------------------------------
@@ -371,22 +369,12 @@ class OrbitMorphism:
             raise InvalidMorphism(f"coset representative {x} not in range({G.order})")
         c = left_coset(G, x, self.target)
         object.__setattr__(self, "coset", c)
-        kset = set(self.target.elements)
-        xinv = G.inverse[x]
-        for h in self.source.elements:
-            if G.mul[G.mul[xinv][h]][x] not in kset:
-                raise InvalidMorphism(
-                    f"coset {c} is not H-fixed: x^-1 H x not in K"
-                )
+        if not is_fixed_coset(G, self.source, x, self.target):
+            raise InvalidMorphism(f"coset {c} is not H-fixed: x^-1 H x not in K")
 
     @property
     def rep(self) -> int:
         return self.coset[0]
-
-    def apply(self, g: int) -> tuple[int, ...]:
-        """Image coset of gH, namely g x K."""
-        G = self.source.group
-        return left_coset(G, G.mul[g][self.rep], self.target)
 
     def __repr__(self):
         return (f"OrbitMorphism({self.source.elements} -> "
@@ -403,14 +391,8 @@ def compose(g: OrbitMorphism, f: OrbitMorphism) -> OrbitMorphism:
 
 def orbit_homs(G: FiniteGroup, H: Subgroup, K: Subgroup) -> tuple[OrbitMorphism, ...]:
     """All G-maps G/H -> G/K: one morphism per H-fixed coset xK."""
-    out = []
-    for c in left_cosets(G, K):
-        x = c[0]
-        xinv = G.inverse[x]
-        kset = set(K.elements)
-        if all(G.mul[G.mul[xinv][h]][x] in kset for h in H.elements):
-            out.append(OrbitMorphism(H, K, (x,)))
-    return tuple(out)
+    return tuple(OrbitMorphism(H, K, (c[0],)) for c in left_cosets(G, K)
+                 if is_fixed_coset(G, H, c[0], K))
 
 
 class OrbitCategory:

@@ -1,11 +1,9 @@
 import pytest
 
-from equimorse.coefficients import (
-    InvalidSubgroup,
-    build_system,
-)
+from equimorse.coefficients import build_system
 from equimorse.groups import (
     FiniteGroup,
+    InvalidPair,
     OrbitCategory,
     OrbitMorphism,
     compose,
@@ -146,7 +144,7 @@ def test_general_weyl_constraint(s3cat):
     H2 = next(S for S in enumerate_subgroups(G) if S.order == 2)
     # the order-2 subgroup does not normalize... it does (index 2 normal H3);
     # but H2 is not normalized by H3
-    with pytest.raises(InvalidSubgroup):
+    with pytest.raises(InvalidPair, match="K must normalize H"):
         build_system(s3cat, "general", H=H2, K=H3)
     # K inside the normalizer works
     build_system(s3cat, "general", H=H3, K=H2)

@@ -17,7 +17,6 @@ from equimorse.fixtures import (
 from equimorse.gcw import (
     CellAction,
     GCWComplex,
-    InvalidPair,
     bredon_chain_complex,
     bredon_cochain_complex,
     gcw_from_cells,
@@ -25,6 +24,7 @@ from equimorse.gcw import (
 )
 from equimorse.groups import (
     FiniteGroup,
+    InvalidPair,
     OrbitCategory,
     OrbitMorphism,
     enumerate_subgroups,
@@ -480,10 +480,8 @@ def test_generator_check_rejects_what_the_full_check_rejects(name):
     # the group law on the identity and a generating set, and equivariance
     # on the generators, reject exactly the actions that the all-pairs
     # check rejects, naming the same first failure
-    from equimorse.gcw import _generators
-
     G = _ACTION_GROUPS[name]
-    gens = _generators(G)
+    gens = G.generators
     outside = [s for s in G.elements() if s not in gens and s != G.identity] or gens
     rng = random.Random(name)
     for trial in range(40):

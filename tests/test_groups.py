@@ -6,17 +6,19 @@ from equimorse.groups import (
     FiniteGroup,
     GroupTableError,
     InvalidMorphism,
+    InvalidPair,
     OrbitCategory,
     OrbitMorphism,
     Subgroup,
+    check_pair,
     compose,
     enumerate_subgroups,
     full_subgroup,
+    generated_subgroup,
     left_cosets,
     normalizer,
     orbit_homs,
     trivial_subgroup,
-    weyl_group,
 )
 
 
@@ -40,6 +42,28 @@ def test_table_validation():
         FiniteGroup(((0, 1), (1, 1)))
     # C2 is fine
     FiniteGroup(((0, 1), (1, 0)))
+
+
+def test_identity_is_found_not_assumed():
+    # C2 with its elements swapped: the identity is element 1
+    G = FiniteGroup(((1, 0), (0, 1)))
+    assert G.identity == 1 and G.inverse == (0, 1)
+    assert [H.elements for H in G.subgroups] == [(1,), (0, 1)]
+
+
+@pytest.mark.parametrize("G", [
+    FiniteGroup.trivial(), FiniteGroup.cyclic(4), FiniteGroup.symmetric(3),
+    FiniteGroup.dihedral(4),
+    FiniteGroup.product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2)),
+], ids=["C1", "C4", "S3", "D4", "C2xC2"])
+def test_generators_are_the_elements_the_ones_before_do_not_generate(G):
+    gens = G.generators
+    assert G.generators is gens
+    assert generated_subgroup(G, gens) == full_subgroup(G)
+    for i, g in enumerate(gens):
+        before = generated_subgroup(G, gens[:i]).elements
+        assert g not in before
+        assert all(x in before for x in G.elements() if x < g)
 
 
 def test_cyclic_symmetric_orders():
@@ -171,22 +195,33 @@ def test_invalid_morphism_rejected():
         OrbitMorphism(full_subgroup(G), trivial_subgroup(G), (0,))
 
 
-def test_weyl_group_cases():
+def test_normalizer_matches_conjugation_oracle():
     G = FiniteGroup.symmetric(3)
-    assert weyl_group(G, full_subgroup(G)).group.order == 1
-    C4 = FiniteGroup.cyclic(4)
-    H2 = next(S for S in enumerate_subgroups(C4) if S.order == 2)
-    assert weyl_group(C4, H2).group.order == 2
-    # normalizer oracle: conjugation test over all elements
+    for H in enumerate_subgroups(G):
+        nor = [g for g in G.elements()
+               if {G.conj(g, h) for h in H.elements} == set(H.elements)]
+        assert normalizer(G, H).elements == tuple(nor)
     H3 = next(S for S in enumerate_subgroups(G) if S.order == 3)
-    nor = [g for g in G.elements()
-           if {G.conj(g, h) for h in H3.elements} == set(H3.elements)]
-    assert set(normalizer(G, H3).elements) == set(nor)
-    W = weyl_group(G, H3)
-    assert W.group.order == 2
-    # representative map lands in the right cosets
-    for i, r in enumerate(W.reps):
-        assert r in W.cosets[i]
+    H2 = next(S for S in enumerate_subgroups(G) if S.order == 2)
+    assert normalizer(G, H3) == full_subgroup(G)
+    assert normalizer(G, H2) == H2
+
+
+def test_check_pair_is_the_one_pair_rule():
+    # K must normalize H, and both must be subgroups of G; the general
+    # coefficient system and the subquotient complexes read this rule
+    G = FiniteGroup.symmetric(3)
+    H3 = next(S for S in enumerate_subgroups(G) if S.order == 3)
+    H2 = next(S for S in enumerate_subgroups(G) if S.order == 2)
+    check_pair(G, H3, H2)
+    check_pair(G, H2, H2)
+    with pytest.raises(InvalidPair, match="K must normalize H"):
+        check_pair(G, H2, H3)
+    C2 = FiniteGroup.cyclic(2)
+    with pytest.raises(InvalidPair, match="H and K must be subgroups of S3"):
+        check_pair(G, trivial_subgroup(C2), H3)
+    with pytest.raises(InvalidPair, match="H and K must be subgroups of S3"):
+        check_pair(G, H3, full_subgroup(C2))
 
 
 def test_subgroup_rejects_nonclosed():
