@@ -364,6 +364,8 @@ class OrbitMorphism:
 
     def __post_init__(self):
         G = self.source.group
+        if self.target.group != G:
+            raise InvalidMorphism("source and target are subgroups of different groups")
         x = self.coset[0]
         if not 0 <= x < G.order:
             raise InvalidMorphism(f"coset representative {x} not in range({G.order})")

@@ -7,6 +7,7 @@ from equimorse.groups import (
     GroupTableError,
     InvalidMorphism,
     InvalidPair,
+    NotASubgroup,
     OrbitCategory,
     OrbitMorphism,
     Subgroup,
@@ -42,6 +43,24 @@ def test_table_validation():
         FiniteGroup(((0, 1), (1, 1)))
     # C2 is fine
     FiniteGroup(((0, 1), (1, 0)))
+
+
+@pytest.mark.parametrize("table, message", [
+    ((), "square and nonempty"),
+    (((0, 1),), "square and nonempty"),
+    (((0, 1), (1,)), "square and nonempty"),
+    (((0, 2), (1, 0)), "out of range"),
+    (((0, -1), (1, 0)), "out of range"),
+    (((1, 1), (1, 1)), "no identity element"),
+    (((0, 1), (1, 1)), "element 1 has no inverse"),
+    # an identity and an inverse in every row, but (1*1)*2 = 2 and
+    # 1*(1*2) = 1
+    (((0, 1, 2), (1, 0, 0), (2, 0, 0)), r"associativity fails on \(1,1,2\)"),
+], ids=["empty", "one-row", "ragged", "entry-over", "entry-negative",
+        "no-identity", "no-inverse", "not-associative"])
+def test_table_refusals(table, message):
+    with pytest.raises(GroupTableError, match=message):
+        FiniteGroup(table)
 
 
 def test_identity_is_found_not_assumed():
@@ -191,8 +210,27 @@ def test_invalid_morphism_rejected():
     G = FiniteGroup.cyclic(2)
     from equimorse.groups import OrbitMorphism
 
-    with pytest.raises(InvalidMorphism):
+    with pytest.raises(InvalidMorphism, match="not H-fixed"):
         OrbitMorphism(full_subgroup(G), trivial_subgroup(G), (0,))
+
+
+@pytest.mark.parametrize("subgroup", [trivial_subgroup, full_subgroup],
+                         ids=["trivial", "full"])
+def test_morphism_between_different_groups_rejected(subgroup):
+    # a coset of one group's subgroup is no G-map out of another group's
+    # orbit: refused before any coset is formed
+    C2, C3 = FiniteGroup.cyclic(2), FiniteGroup.cyclic(3)
+    with pytest.raises(InvalidMorphism, match="different groups"):
+        OrbitMorphism(subgroup(C2), subgroup(C3), (1,))
+
+
+def test_compose_refuses_morphisms_that_do_not_meet():
+    G = FiniteGroup.cyclic(2)
+    e, full = trivial_subgroup(G), full_subgroup(G)
+    f = OrbitMorphism(e, full, (0,))
+    g = OrbitMorphism(e, e, (1,))
+    with pytest.raises(InvalidMorphism, match="not composable"):
+        compose(g, f)
 
 
 def test_normalizer_matches_conjugation_oracle():
@@ -226,8 +264,14 @@ def test_check_pair_is_the_one_pair_rule():
 
 def test_subgroup_rejects_nonclosed():
     G = FiniteGroup.cyclic(4)
-    with pytest.raises(Exception):
-        Subgroup(G, (0, 1))  # 1+1=2 missing
+    for elements, message in [
+        ((0, 1), "not closed under inverse: 1"),         # 1+1=2 missing
+        ((0, 1, 3), r"not closed under product: 1\*1"),  # closed under inverse
+        ((1, 3), "missing identity"),
+        ((0, 4), r"not all in range\(4\)"),
+    ]:
+        with pytest.raises(NotASubgroup, match=message):
+            Subgroup(G, elements)
 
 
 _TABLE_GROUPS = {
