@@ -11,15 +11,19 @@ a cell entry is {"stab": [...]} and nothing else.
 
 Every object of a file has a fixed set of keys, and an unknown key is
 refused at every level; only the cells map, keyed by dimension, and the
-charts map, keyed by chart name, are not records.  Wherever an integer is read (a table entry, the order, a
-stabilizer element, a record field, ambient, dv, dw, nvars, a seed count)
-it must be a JSON integer: a float, a string or a bool is refused, not
-rounded.  Matrix entries are [num, den] pairs of integers with den != 0
-when exact and plain numbers otherwise; a manifold's action is read as an
+charts map, keyed by chart name, are not records.  Wherever an integer is
+read (a table entry, the order, a stabilizer element, a record field,
+ambient, dv, dw, nvars, a seed count) it must be a JSON integer: a float,
+a string or a bool is refused, not rounded.  Wherever a real number is
+read (a plain matrix entry, a chart's point, frame and pole_angle, a seed
+bound, surgery_radius, step_length, escape_radius) it must be a finite
+JSON int or float: a string, a bool, a NaN or an infinity is refused.
+Matrix entries are [num, den] pairs of integers with den != 0 when exact
+and plain numbers otherwise; a manifold's action is read as an
 OrthogonalAction, the Morse layer's one action, so a float rotation is
 read as it is.  A polynomial is a list of Polynomial.from_records triples
-[exponents, num, den]; den 0 marks a float, read as the binary rational
-it denotes.
+[exponents, num, den]; den 0 marks a float, read as the binary rational it
+denotes.
 
 A chart's W block lists the stabilizer's fixed directions first, and
 sphere_fn is written in the chart's trailing U coordinates, the W
@@ -43,6 +47,7 @@ each name to that loader.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -161,14 +166,31 @@ def _int(v, what: str) -> int:
     return v
 
 
+def _real(v, what: str, positive: bool = False) -> float:
+    """v as a float if it is a finite JSON number (an int or a float, not a
+    bool, a string, a NaN or an infinity), and > 0 if positive; else
+    ValueError."""
+    if type(v) in (int, float) and abs(v) <= sys.float_info.max and (
+            v > 0 or not positive):
+        return float(v)
+    raise ValueError(f"{what} must be a finite number{' > 0' if positive else ''}, "
+                     f"not {v!r}")
+
+
+def _reals(v, what: str):
+    """v with every number read by _real, through nested JSON lists."""
+    if isinstance(v, list):
+        return [_reals(x, what) for x in v]
+    return _real(v, what)
+
+
 def _num_from_json(v):
     """A matrix entry: [num, den], integers with den != 0, as a Fraction,
-    or a plain number as it is."""
-    if isinstance(v, list):
-        if len(v) == 2 and type(v[0]) is int and type(v[1]) is int and v[1]:
-            return Fraction(*v)
-    elif type(v) in (int, float):
-        return v
+    or a plain number read by _real."""
+    if not isinstance(v, list):
+        return _real(v, "a matrix entry")
+    if len(v) == 2 and type(v[0]) is int and type(v[1]) is int and v[1]:
+        return Fraction(*v)
     raise ValueError(f"bad numeric entry {v!r}")
 
 
@@ -238,12 +260,11 @@ def _manifold_from_json(group, spec, name: str) -> ManifoldFixture:
         ch = _object(ch, "chart", _CHART_KEYS[kind])
         if kind == "linear":
             charts[label] = LinearChart(
-                np.array(ch["point"], dtype=float),
-                np.array(ch["frame"], dtype=float),
+                _reals(ch["point"], "'point'"), _reals(ch["frame"], "'frame'"),
                 dv=_int(ch["dv"], "'dv'"), dw=_int(ch["dw"], "'dw'"),
             )
         else:
-            charts[label] = AngleChart(float(ch["pole_angle"]))
+            charts[label] = AngleChart(_real(ch["pole_angle"], "'pole_angle'"))
     sphere_fn = None
     if "sphere_fn" in spec:
         sf = _object(spec["sphere_fn"], "sphere_fn", {"nvars", "records"})
@@ -260,7 +281,7 @@ def _manifold_from_json(group, spec, name: str) -> ManifoldFixture:
         counts = seeds_spec.get("counts", 7)
         counts = ([_int(c, "a seed count") for c in counts]
                   if isinstance(counts, list) else _int(counts, "'counts'"))
-        seeds = seed_grid([tuple(b) for b in seeds_spec["bounds"]], counts)
+        seeds = seed_grid(_reals(seeds_spec["bounds"], "a seed bound"), counts)
     else:
         raise ValueError("manifold 'seeds' needs 'circle' or 'bounds'")
     if seeds.ndim != 2 or not len(seeds) or seeds.shape[1] != ambient:
@@ -279,14 +300,9 @@ def _manifold_from_json(group, spec, name: str) -> ManifoldFixture:
     if err > INVARIANCE_TOL * scale:
         raise ValueError(f"the function is not invariant under the action: "
                          f"it moves by {err:.2e} at the seeds")
-    scalars = {k: spec[k]
+    scalars = {k: _real(spec[k], repr(k), positive=True)
                for k in ("surgery_radius", "step_length", "escape_radius")
                if k in spec}
-    for k, v in scalars.items():
-        if (isinstance(v, bool) or not isinstance(v, (int, float))
-                or not 0 < v < float("inf")):
-            raise ValueError(f"{k!r} must be a finite number > 0, not {v!r}")
-        scalars[k] = float(v)
     return ManifoldFixture(name=name, manifold=M, function=f, seeds=seeds,
                            charts=charts, sphere_fn=sphere_fn, **scalars)
 

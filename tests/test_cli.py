@@ -305,7 +305,7 @@ def _as_float(*path):
     ("bredon", "circle_reflection", _set("group", "order", value=3),
      "group order disagrees with the table"),
     ("morse", "wells_c2", _set("manifold", "action", 1, 0, 0, value="x"),
-     "bad numeric entry 'x'"),
+     "a matrix entry must be a finite number, not 'x'"),
     ("morse", "figure2_plane",
      _set("manifold", "charts", "origin", "type", value="polar"),
      "unknown chart type 'polar'"),
@@ -318,7 +318,7 @@ def _as_float(*path):
     ("morse", "wells_c2", _set("manifold", "action", 1, 0, 0, value=[-1, 1, 1]),
      r"bad numeric entry \[-1, 1, 1\]"),
     ("morse", "wells_c2", _set("manifold", "action", 0, 0, 0, value=True),
-     "bad numeric entry True"),
+     "a matrix entry must be a finite number, not True"),
     ("bredon", "circle_reflection", _set("group", "table", value=[[0, 1], [1, 0.4]]),
      "a group table entry must be an integer, not 0.4"),
     ("bredon", "circle_reflection", _as_float("group", "order"),
@@ -354,6 +354,29 @@ def _as_float(*path):
      "wrong type: cells must be an object"),
     ("morse", "figure2_plane", _set("manifold", "charts", value=[]),
      "wrong type: charts must be an object"),
+    ("morse", "circle_c2_height",
+     _set("manifold", "charts", "north", "pole_angle", value="1.5707963267948966"),
+     "'pole_angle' must be a finite number, not '1.5707963267948966'"),
+    ("morse", "circle_c2_height",
+     _set("manifold", "charts", "north", "pole_angle", value=float("nan")),
+     "'pole_angle' must be a finite number, not nan"),
+    ("morse", "figure1_plane",
+     _set("manifold", "charts", "origin", "point", value=["0.0", "0.0"]),
+     "'point' must be a finite number, not '0.0'"),
+    ("morse", "figure1_plane",
+     _set("manifold", "charts", "origin", "frame", value=[["1.0", "0.0"], ["0.0", "1.0"]]),
+     "'frame' must be a finite number, not '1.0'"),
+    ("morse", "wells_c2",
+     _set("manifold", "seeds", "bounds", value=[[True, 1.1], [-1.1, 1.1]]),
+     "a seed bound must be a finite number, not True"),
+    ("morse", "wells_c2",
+     _set("manifold", "seeds", "bounds", value=[["-1.1", "1.1"], ["-1.1", "1.1"]]),
+     "a seed bound must be a finite number, not '-1.1'"),
+    ("morse", "wells_c2",
+     _set("manifold", "seeds", "bounds", value=[[-1.1, float("inf")], [-1.1, 1.1]]),
+     "a seed bound must be a finite number, not inf"),
+    ("morse", "wells_c2", _set("manifold", "action", 0, 0, 0, value=float("nan")),
+     "a matrix entry must be a finite number, not nan"),
 ], ids=["table", "stabilizer", "action", "table-type", "function-record",
         "function-not-invariant", "constraint-not-preserved", "seeds-none",
         "seeds-axis-none", "seeds-wide", "seeds-circle-in-3d", "no-group",
@@ -362,7 +385,9 @@ def _as_float(*path):
         "entry-bool", "table-float", "order-float", "degree-float",
         "degree-string", "coset-float", "dim-bool", "stab-float", "dim-key-padded",
         "ambient-float", "dv-float", "dw-float", "nvars-float", "circle-float",
-        "counts-float", "counts-bool", "cells-list", "charts-list"])
+        "counts-float", "counts-bool", "cells-list", "charts-list",
+        "pole-angle-string", "pole-angle-nan", "point-strings", "frame-strings",
+        "bounds-bool", "bounds-strings", "bounds-inf", "entry-nan"])
 def test_bad_fixture_data_is_an_error_exit(tmp_path, capsys, command, name,
                                            edit, message):
     # a table that is not a group (or no table at all), no group or one of
@@ -372,9 +397,10 @@ def test_bad_fixture_data_is_an_error_exit(tmp_path, capsys, command, name,
     # constraints, a chart of no known type, or seeds of no known kind,
     # empty or not of the ambient width make a malformed fixture, and so
     # does a number that is not a JSON integer where an integer is read (a
-    # float, a string or a bool), or a [num, den] entry that is not two
-    # integers with den != 0: FixtureError, one error line naming the file,
-    # and exit 2
+    # float, a string or a bool), one that is not a finite JSON number where
+    # a real is read (a string, a bool, a NaN or an infinity), or a
+    # [num, den] entry that is not two integers with den != 0: FixtureError,
+    # one error line naming the file, and exit 2
     p = _rewritten(tmp_path, name, edit)
     with pytest.raises(FixtureError, match=message):
         load_fixture(p)
