@@ -608,6 +608,65 @@ def test_chart_cylinder_holding_another_orbit_point_is_refused(cut):
         localize_surgery(f, M, saddle, 0.35, cut, chart=chart)
 
 
+def _rotation(k):
+    t = 2 * np.pi * k / 3
+    return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+
+
+def _dihedral_saddles():
+    """D3 acting on R^2 by R^r F^f (R the rotation by 2 pi / 3, F the flip
+    of the second coordinate), and f = (y0 - 1)^2 - y1^2 with y = R^-k x
+    for the nearest point R^k (1, 0) of the orbit of (1, 0): three unstable
+    saddles, each fixed by one flip, and kinks halfway between them."""
+    G = FiniteGroup.dihedral(3)
+    M = ImplicitGManifold(ambient=2, constraints=(), action=OrthogonalAction(
+        G, [_rotation(r) @ np.diag([1.0, (-1.0) ** f]) for r in range(3)
+            for f in (0, 1)]))
+    R = np.stack([_rotation(k) for k in range(3)])
+
+    def jet_many(X, order):
+        Rk = R[np.argmax(X @ R[:, :, 0].T, axis=1)]
+        y = np.einsum("mji,mj->mi", Rk, X)
+        a = y[:, 0] - 1
+        jet = [a * a - y[:, 1] ** 2]
+        if order >= 1:
+            jet.append(np.einsum("mij,mj->mi", Rk,
+                                 np.stack([2 * a, -2 * y[:, 1]], axis=1)))
+        if order == 2:
+            jet.append(np.einsum("mij,jk,mlk->mil", Rk, np.diag([2.0, -2.0]), Rk))
+        return jet
+
+    return M, EqFunction(jet_many, nvars=2), R[:, :, 0]
+
+
+def test_orbit_surgery_translates_the_chart_to_every_orbit_point(cut):
+    # the saddle (1, 0) has the stabilizer {1, F} and two more orbit points,
+    # outside its chart's cylinder |u| < 3s.  The surgery carries the chart
+    # to each by the least element of its coset, so the surgered f is still
+    # invariant, and each saddle becomes a fixed minimum with two free
+    # index-1 points beside it
+    M, f, orbit = _dihedral_saddles()
+    saddle = classify(f, M, orbit[0])
+    assert (saddle.index, saddle.stabilizer.elements, saddle.stable) == (
+        1, (0, 1), False)
+    chart = LinearChart((1.0, 0.0), np.eye(2), dv=1, dw=1)
+    newf = localize_surgery(f, M, saddle, 0.35, cut, chart=chart)
+    assert len(newf.charts) == 3
+    for ch, q, g in zip(newf.charts, orbit, (0, 2, 4)):
+        A = M.action.matrices[g]
+        assert np.allclose(ch.center, q, atol=1e-15)
+        assert np.allclose(ch.frame, A @ chart.frame, atol=1e-15)
+    s = 0.35 / 3.5
+    ball = orbit[0] + np.random.default_rng(0).uniform(-3 * s, 3 * s, size=(400, 2))
+    assert newf.invariance_error(M.action, ball) < 1e-12
+    seeds = np.concatenate([q + seed_grid([(-0.2, 0.2)] * 2, 5) for q in orbit])
+    crits = [classify(newf, M, x) for x in find_critical_points(newf, M, seeds)]
+    assert sorted((c.index, c.stabilizer.order, c.stable) for c in crits) == (
+        [(0, 2, True)] * 3 + [(1, 1, True)] * 6)
+    minima = sorted(tuple(np.round(c.coords, 9)) for c in crits if c.index == 0)
+    assert np.allclose(minima, sorted(map(tuple, orbit)), atol=1e-9)
+
+
 def test_run_morse_makes_one_surgery_per_unstable_orbit(monkeypatch):
     # the same orbit of two saddles, as a fixture with one chart at (1, 0)
     # and seeds with x in [0.5, 1.5], so that the kink at the origin is not
