@@ -148,6 +148,14 @@ def test_general_weyl_constraint(s3cat):
         build_system(s3cat, "general", H=H2, K=H3)
     # K inside the normalizer works
     build_system(s3cat, "general", H=H3, K=H2)
+    # the general kind needs both subgroups, and of the category's group
+    with pytest.raises(InvalidPair, match="general kind needs subgroups H and K"):
+        build_system(s3cat, "general", H=H3)
+    C2 = FiniteGroup.cyclic(2)
+    with pytest.raises(InvalidPair, match="H and K must be subgroups of S3"):
+        build_system(s3cat, "general", H=H3, K=trivial_subgroup(C2))
+    with pytest.raises(ValueError, match="unknown system kind 'bogus'"):
+        build_system(s3cat, "bogus")
 
 
 def test_char_flag(c2cat):
